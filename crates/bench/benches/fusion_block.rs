@@ -1,7 +1,11 @@
 //! Fusion-block microbenchmarks: WBF (the paper's §4.4 block) vs NMS.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use ecofusion_detect::{nms, soft_nms, weighted_boxes_fusion, BBox, Detection, WbfParams};
+use ecofusion_detect::{
+    nms, soft_nms, subset_fusion_losses, weighted_boxes_fusion, BBox, Detection, FusionScratch,
+    WbfParams,
+};
+use ecofusion_scene::GtBox;
 use ecofusion_tensor::rng::Rng;
 
 fn random_detections(n: usize, rng: &mut Rng) -> Vec<Detection> {
@@ -38,6 +42,32 @@ fn bench_fusers(c: &mut Criterion) {
             b.iter(|| black_box(soft_nms(flat.clone(), 0.5, 0.05)));
         });
     }
+    // The loss-based oracle's per-frame work: every non-empty subset of
+    // seven branches fused and scored, through a warm scratch.
+    let mut rng = Rng::new(127);
+    let branches: Vec<Vec<Detection>> = (0..7).map(|_| random_detections(60, &mut rng)).collect();
+    let gts: Vec<GtBox> = random_detections(4, &mut rng)
+        .iter()
+        .map(|d| GtBox {
+            class_id: d.class_id,
+            x1: d.bbox.x1,
+            y1: d.bbox.y1,
+            x2: d.bbox.x2,
+            y2: d.bbox.y2,
+        })
+        .collect();
+    let mut scratch = FusionScratch::default();
+    group.bench_function("config_losses", |b| {
+        b.iter(|| {
+            black_box(subset_fusion_losses(
+                &branches,
+                1..=127u8,
+                &gts,
+                &WbfParams::default(),
+                &mut scratch,
+            ))
+        });
+    });
     group.finish();
 }
 

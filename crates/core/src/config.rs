@@ -76,6 +76,15 @@ impl ConfigSpace {
         id.0 + 1
     }
 
+    /// The branches of a configuration as a bitmask: bit `b` is set when
+    /// `BranchId(b)` is a member.
+    ///
+    /// # Panics
+    /// Panics if the space has more than 8 branches.
+    pub fn branch_mask(&self, id: ConfigId) -> u8 {
+        u8::try_from(self.mask(id)).expect("a branch mask holds at most 8 branches")
+    }
+
     /// Branch indices of a configuration, ascending.
     pub fn branch_ids(&self, id: ConfigId) -> Vec<BranchId> {
         let mask = self.mask(id);

@@ -2,8 +2,10 @@
 
 use crate::config::{BaselineIds, ConfigId, ConfigSpace};
 use crate::optimizer::{select_config, CandidateRule};
-use ecofusion_detect::weighted_boxes_fusion;
-use ecofusion_detect::{fusion_loss, BranchConfig, BranchDetector, Detection, Stem, WbfParams};
+use ecofusion_detect::{
+    subset_fusion_losses, weighted_boxes_fusion, BranchConfig, BranchDetector, Detection,
+    FusionScratch, Stem, WbfParams,
+};
 use ecofusion_energy::{
     EnergyBreakdown, Joules, Precision, Px2Model, SensorPowerModel, StageTrace, StemPolicy,
 };
@@ -464,15 +466,20 @@ impl EcoFusionModel {
     /// per-branch detections (the gate-training target and the oracle
     /// input).
     pub fn config_losses_from(&self, branch_dets: &[Vec<Detection>], gts: &[GtBox]) -> Vec<f32> {
-        (0..self.space.num_configs())
-            .map(|i| {
-                let ids = self.space.branch_ids(ConfigId(i));
-                let outputs: Vec<Vec<Detection>> =
-                    ids.iter().map(|b| branch_dets[b.0].clone()).collect();
-                let fused = self.fuse(&outputs);
-                fusion_loss(&fused, gts).total()
-            })
-            .collect()
+        self.config_losses_scratch(branch_dets, gts, &mut FusionScratch::default())
+    }
+
+    /// [`EcoFusionModel::config_losses_from`] for callers that score many
+    /// frames: a scratch kept across calls makes every frame after the
+    /// first allocation-free apart from the returned losses.
+    pub(crate) fn config_losses_scratch(
+        &self,
+        branch_dets: &[Vec<Detection>],
+        gts: &[GtBox],
+        scratch: &mut FusionScratch,
+    ) -> Vec<f32> {
+        let masks = (0..self.space.num_configs()).map(|i| self.space.branch_mask(ConfigId(i)));
+        subset_fusion_losses(branch_dets, masks, gts, &self.wbf, scratch)
     }
 
     /// Convenience: stem features + all branches + per-config losses for a

@@ -34,7 +34,13 @@
 //!   possible only when every configuration is masked — is computed on
 //!   demand before `Branch`.
 //! * The **loss-based oracle** runs every branch a posteriori (§4.2.4),
-//!   so all stems stay demanded.
+//!   so all stems stay demanded. Its `GateScore` input — the true fusion
+//!   loss of all 127 configurations, also the gate-training target — is
+//!   one pass of [`ecofusion_detect::subset_fusion_losses`] per frame:
+//!   the frame's branch detections are sorted and pair-indexed once, and
+//!   every configuration is fused and scored out of one
+//!   [`FusionScratch`] held across the batch's frames. `Branch` then
+//!   reuses the oracle's detections instead of re-running branches.
 //!
 //! On the default all-healthy path with a learned gate the plan demands
 //! every stem before `GateScore`, and execution is bit-identical to the
@@ -82,7 +88,7 @@ use crate::dataset::Frame;
 use crate::model::{EcoFusionModel, InferError, InferenceOptions, InferenceOutput};
 use crate::snapshot::QuantSnapshot;
 use ecofusion_detect::stem::STEM_CHANNELS;
-use ecofusion_detect::{Detection, HeadOutput, Stem};
+use ecofusion_detect::{Detection, FusionScratch, HeadOutput, Stem};
 use ecofusion_energy::{
     EnergyBreakdown, Precision, Px2Model, SensorPowerModel, StageKind, StageTrace, StemPolicy,
 };
@@ -561,10 +567,11 @@ impl EcoFusionModel {
             None
         };
         let oracle: Option<Vec<Vec<f32>>> = oracle_dets.as_ref().map(|per_frame| {
+            let mut scratch = FusionScratch::default();
             frames
                 .iter()
                 .zip(per_frame)
-                .map(|(f, dets)| self.config_losses_from(dets, &f.gt_boxes()))
+                .map(|(f, dets)| self.config_losses_scratch(dets, &f.gt_boxes(), &mut scratch))
                 .collect()
         });
         // GateScore. None of the four built-in gates reads
@@ -608,9 +615,12 @@ impl EcoFusionModel {
         );
         let n_branches = self.branches.len();
         let mut demand: Vec<Vec<usize>> = vec![Vec::new(); n_branches];
-        for (i, sel) in selected.iter().enumerate() {
-            for b in self.space.branch_ids(*sel) {
-                demand[b.0].push(i);
+        let masks: Vec<u8> = selected.iter().map(|sel| self.space.branch_mask(*sel)).collect();
+        for (i, mask) in masks.iter().enumerate() {
+            for (b, idxs) in demand.iter_mut().enumerate() {
+                if mask >> b & 1 != 0 {
+                    idxs.push(i);
+                }
             }
         }
         let mut branch_dets: Vec<Vec<Option<Vec<Detection>>>> = vec![vec![None; n]; n_branches];
@@ -653,12 +663,18 @@ impl EcoFusionModel {
             .iter()
             .enumerate()
             .map(|(i, _)| {
-                let ids = self.space.branch_ids(selected[i]);
-                let outs: Vec<Vec<Detection>> = ids
-                    .iter()
-                    .map(|b| branch_dets[b.0][i].clone().expect("demanded branch executed"))
-                    .collect();
-                let detections = self.fuse(&outs);
+                // Frame `i` is the only reader of its slots, so it takes
+                // them; a lone branch's detections move into the output.
+                let mask = masks[i];
+                let mut take =
+                    |b: usize| branch_dets[b][i].take().expect("demanded branch executed");
+                let detections = if mask.is_power_of_two() {
+                    take(mask.trailing_zeros() as usize)
+                } else {
+                    let outs: Vec<Vec<Detection>> =
+                        (0..n_branches).filter(|b| mask >> b & 1 != 0).map(&mut take).collect();
+                    self.fuse(&outs)
+                };
                 let specs = self.space.branch_specs(selected[i]);
                 let (energy, trace) = account_prec(
                     &self.px2,

@@ -4,6 +4,7 @@
 use crate::dataset::Dataset;
 use crate::model::{EcoFusionModel, InferenceOptions};
 use ecofusion_detect::stem::STEM_CHANNELS;
+use ecofusion_detect::FusionScratch;
 use ecofusion_tensor::layer::Layer;
 use ecofusion_tensor::optim::{Adam, Optimizer};
 use ecofusion_tensor::rng::Rng;
@@ -215,6 +216,7 @@ impl Trainer {
         // one batched forward per chunk instead of a pass per frame.
         const PRECOMPUTE_BATCH: usize = 16;
         let mut samples: Vec<(Tensor, Vec<f32>)> = Vec::with_capacity(dataset.train().len());
+        let mut scratch = FusionScratch::default();
         for chunk in dataset.train().chunks(PRECOMPUTE_BATCH) {
             let observations: Vec<_> = chunk.iter().map(|f| &f.obs).collect();
             let batch_feats = model.stem_features_batch(&observations);
@@ -222,7 +224,7 @@ impl Trainer {
             let dets =
                 model.all_branch_detections_batch(&batch_feats, opts.score_thresh, opts.nms_iou);
             for (i, frame) in chunk.iter().enumerate() {
-                let losses = model.config_losses_from(&dets[i], &frame.gt_boxes());
+                let losses = model.config_losses_scratch(&dets[i], &frame.gt_boxes(), &mut scratch);
                 samples.push((gate_feats.select_batch(i), losses));
             }
         }

@@ -13,7 +13,9 @@
 //!    `CompiledPlan::execute_into` performs no heap allocation at all
 //!    (f32 and int8), measured with a counting global allocator. Shapes
 //!    stay under the backend's parallel-GEMM threshold so no scoped
-//!    threads (which allocate stacks) are spawned.
+//!    threads (which allocate stacks) are spawned. The same allocator
+//!    holds the oracle's configuration scorer to one allocation per
+//!    frame — the returned losses — once its scratch is warm.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,8 +23,9 @@ use std::sync::Mutex;
 
 use ecofusion_core::{EcoFusionModel, Frame, InferenceOptions};
 use ecofusion_detect::stem::{Stem, STEM_CHANNELS};
+use ecofusion_detect::{subset_fusion_losses, BBox, Detection, FusionScratch, WbfParams};
 use ecofusion_energy::Precision;
-use ecofusion_scene::{Context, ScenarioGenerator};
+use ecofusion_scene::{Context, GtBox, ScenarioGenerator};
 use ecofusion_sensors::{SensorMask, SensorSuite};
 use ecofusion_tensor::graph::{compile_quant_pipe, set_compiled};
 use ecofusion_tensor::rng::Rng;
@@ -189,4 +192,44 @@ fn warm_int8_plan_executes_without_allocating() {
     }
     let after = allocs_on_this_thread();
     assert_eq!(after - before, 0, "steady-state int8 frame allocated {} times", after - before);
+}
+
+/// Scoring all 127 configurations of a frame through a scratch that has
+/// seen a frame at least as large allocates the returned `Vec<f32>` and
+/// nothing else: the sort, the pair index, the cluster runs, the fused
+/// list and the match buffers all live in the scratch.
+#[test]
+fn warm_scratch_scores_a_frame_with_one_allocation() {
+    let mut rng = Rng::new(79);
+    let mut frame = |per_branch: usize| -> Vec<Vec<Detection>> {
+        (0..7)
+            .map(|_| {
+                (0..per_branch)
+                    .map(|_| {
+                        let (x, y) = (rng.uniform(0.0, 24.0) as f32, rng.uniform(0.0, 24.0) as f32);
+                        Detection::new(
+                            BBox::new(x, y, x + 8.0, y + 8.0),
+                            rng.uniform_usize(0, 8),
+                            rng.uniform(0.05, 1.0) as f32,
+                        )
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    // The warm-up frame is the denser one: it overlaps more, so its pair
+    // index is the larger.
+    let (warm, next) = (frame(64), frame(40));
+    let gts: Vec<GtBox> = [(2.0, 3.0), (14.0, 9.0), (20.0, 20.0)]
+        .iter()
+        .map(|&(x, y)| GtBox { class_id: 1, x1: x, y1: y, x2: x + 8.0, y2: y + 8.0 })
+        .collect();
+    let params = WbfParams::default();
+    let mut scratch = FusionScratch::default();
+    let _ = subset_fusion_losses(&warm, 1..=127u8, &gts, &params, &mut scratch);
+    let before = allocs_on_this_thread();
+    let losses = subset_fusion_losses(&next, 1..=127u8, &gts, &params, &mut scratch);
+    let after = allocs_on_this_thread();
+    assert_eq!(losses.len(), 127);
+    assert_eq!(after - before, 1, "a warm frame allocated {} times", after - before);
 }

@@ -52,8 +52,15 @@ impl BBox {
 
     /// Intersection-over-union with `other`, in `[0, 1]`.
     pub fn iou(&self, other: &BBox) -> f32 {
+        self.iou_with_areas(self.area(), other, other.area())
+    }
+
+    /// [`BBox::iou`] for callers that hold both areas already (the
+    /// fusion and loss kernels compute each box's area once, not once
+    /// per pair).
+    pub(crate) fn iou_with_areas(&self, area: f32, other: &BBox, other_area: f32) -> f32 {
         let inter = self.intersection(other);
-        let union = self.area() + other.area() - inter;
+        let union = area + other_area - inter;
         if union <= 0.0 {
             0.0
         } else {

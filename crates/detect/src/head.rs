@@ -136,7 +136,9 @@ impl DenseHead {
         for row in 0..s {
             for col in 0..s {
                 let obj = sigmoid(out.map.get4(sample, 0, row, col));
-                if obj < score_thresh {
+                // A NaN objectness (non-finite weights or input) goes with
+                // the low scores.
+                if obj < score_thresh || obj.is_nan() {
                     continue;
                 }
                 // Class softmax.
@@ -156,6 +158,11 @@ impl DenseHead {
                     }
                 }
                 let class_prob = (best_l - max_l).exp() / denom.max(1e-12);
+                // A softmax probability is at most 1; NaN, or the floor
+                // under a NaN `denom`, means non-finite class logits.
+                if class_prob > 1.0 || class_prob.is_nan() {
+                    continue;
+                }
                 let t = [
                     out.map.get4(sample, 1 + k, row, col),
                     out.map.get4(sample, 2 + k, row, col),
@@ -302,6 +309,33 @@ mod tests {
         }
         let dets = h.decode(&HeadOutput { map }, 0.3, 0.5);
         assert!(dets.is_empty());
+    }
+
+    /// Non-finite logits (a snapshot with broken weights) decode to no
+    /// detection at their cell instead of a NaN-scored one; finite cells
+    /// are unaffected.
+    #[test]
+    fn decode_drops_non_finite_logits() {
+        let h = head(4);
+        let mut map = Tensor::full(&[1, 8, 4, 4], -10.0);
+        let confident = |map: &mut Tensor, row, col| {
+            map.set4(0, 0, row, col, 8.0);
+            map.set4(0, 2, row, col, 6.0);
+        };
+        // Objectness NaN, +inf with a NaN class logit, +inf with an
+        // infinite class logit, -inf.
+        map.set4(0, 0, 0, 0, f32::NAN);
+        confident(&mut map, 0, 1);
+        map.set4(0, 0, 0, 1, f32::INFINITY);
+        map.set4(0, 1, 0, 1, f32::NAN);
+        confident(&mut map, 0, 2);
+        map.set4(0, 2, 0, 2, f32::INFINITY);
+        map.set4(0, 0, 0, 3, f32::NEG_INFINITY);
+        // And one healthy cell.
+        confident(&mut map, 2, 2);
+        let dets = h.decode(&HeadOutput { map }, 0.3, 0.5);
+        assert_eq!(dets.len(), 1, "{dets:?}");
+        assert!(dets[0].score.is_finite() && dets[0].score > 0.9);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! * [`BBox`] / [`Detection`] — axis-aligned boxes, IoU/GIoU.
 //! * [`nms()`](nms::nms) — greedy and soft non-maximum suppression.
 //! * [`wbf`] — Weighted Boxes Fusion (Solovyev et al. 2021), the paper's
-//!   late-fusion block (§4.4).
+//!   late-fusion block (§4.4): one cluster loop behind both the one-shot
+//!   [`weighted_boxes_fusion`] and, with [`metrics`]' loss kernel and a
+//!   reusable [`FusionScratch`], [`subset_fusion_losses`] — the fusion
+//!   loss `L_f(φ)` of every branch subset of a frame in one pass.
 //! * [`anchors`] — the cell grid and ground-truth assignment used by the
 //!   dense detection head.
 //! * [`Stem`] — the first convolution block, one per sensing modality.
@@ -36,9 +39,9 @@ pub use anchors::{assign_targets, CellGrid, CellTarget};
 pub use bbox::{BBox, Detection};
 pub use branch::{BranchConfig, BranchDetector};
 pub use head::{DenseHead, DetectionLoss, HeadOutput};
-pub use metrics::{fusion_loss, FusionLoss};
+pub use metrics::{fusion_loss, subset_fusion_losses, FusionLoss};
 pub use nms::{nms, soft_nms};
 pub use quant::QuantBranch;
 pub use roi::RoiHead;
 pub use stem::Stem;
-pub use wbf::{weighted_boxes_fusion, WbfParams};
+pub use wbf::{weighted_boxes_fusion, FusionScratch, WbfParams};

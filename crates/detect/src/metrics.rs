@@ -18,6 +18,7 @@
 //! The total is normalized by the number of ground-truth objects.
 
 use crate::bbox::{BBox, Detection};
+use crate::wbf::{FusionScratch, WbfParams};
 use ecofusion_scene::GtBox;
 use serde::{Deserialize, Serialize};
 
@@ -55,68 +56,152 @@ fn smooth_l1_scalar(d: f32) -> f32 {
     }
 }
 
+/// A ground-truth box as the matching loop reads it.
+#[derive(Debug, Clone, Copy)]
+struct GtRef {
+    bbox: BBox,
+    /// `bbox.area()`.
+    area: f32,
+    class_id: usize,
+}
+
+/// Buffers of the loss kernel (part of [`FusionScratch`]).
+#[derive(Debug, Default)]
+pub(crate) struct LossScratch {
+    gts: Vec<GtRef>,
+    gt_matched: Vec<bool>,
+    det_matched: Vec<bool>,
+    /// Detection indices in matching order.
+    order: Vec<usize>,
+}
+
+impl LossScratch {
+    /// Loads a frame's ground truth, converted once for every loss taken
+    /// against it.
+    fn load_gts(&mut self, gts: &[GtBox]) {
+        self.gts.clear();
+        self.gts.extend(gts.iter().map(|gt| {
+            let bbox = BBox::from(*gt);
+            GtRef { bbox, area: bbox.area(), class_id: gt.class_id }
+        }));
+    }
+
+    /// Fusion loss of `dets` against the loaded ground truth. `sorted`
+    /// promises that `dets` is already in descending score order.
+    fn loss(&mut self, dets: &[Detection], sorted: bool) -> FusionLoss {
+        let LossScratch { gts, gt_matched, det_matched, order } = self;
+        let mut loss = FusionLoss::default();
+        gt_matched.clear();
+        gt_matched.resize(gts.len(), false);
+        det_matched.clear();
+        det_matched.resize(dets.len(), false);
+        // Greedy matching in descending score order, ties in index order.
+        order.clear();
+        order.extend(0..dets.len());
+        if !sorted {
+            order
+                .sort_unstable_by(|&a, &b| dets[b].score.total_cmp(&dets[a].score).then(a.cmp(&b)));
+        }
+        for &di in order.iter() {
+            let d = &dets[di];
+            let d_area = d.bbox.area();
+            let mut best: Option<(usize, f32)> = None;
+            for (gi, gt) in gts.iter().enumerate() {
+                if gt_matched[gi] {
+                    continue;
+                }
+                let iou = d.bbox.iou_with_areas(d_area, &gt.bbox, gt.area);
+                if iou >= MATCH_IOU && best.is_none_or(|(_, b)| iou > b) {
+                    best = Some((gi, iou));
+                }
+            }
+            if let Some((gi, _)) = best {
+                gt_matched[gi] = true;
+                det_matched[di] = true;
+                let gt = &gts[gi];
+                let gb = &gt.bbox;
+                // Confidence cross-entropy: reward confident correct class,
+                // punish confident wrong class.
+                let p = d.score.clamp(1e-4, 1.0 - 1e-4);
+                loss.classification +=
+                    if d.class_id == gt.class_id { -p.ln() } else { -(1.0 - p).ln() };
+                // Size-normalized corner regression.
+                let sw = gb.width().max(1.0);
+                let sh = gb.height().max(1.0);
+                loss.regression += smooth_l1_scalar((d.bbox.x1 - gb.x1) / sw)
+                    + smooth_l1_scalar((d.bbox.y1 - gb.y1) / sh)
+                    + smooth_l1_scalar((d.bbox.x2 - gb.x2) / sw)
+                    + smooth_l1_scalar((d.bbox.y2 - gb.y2) / sh);
+            }
+        }
+        for matched in gt_matched.iter() {
+            if !matched {
+                loss.misses += MISS_PENALTY;
+            }
+        }
+        for (d, matched) in dets.iter().zip(det_matched.iter()) {
+            if !matched {
+                loss.false_positives += d.score;
+            }
+        }
+        let norm = gts.len().max(1) as f32;
+        FusionLoss {
+            classification: loss.classification / norm,
+            regression: loss.regression / norm,
+            misses: loss.misses / norm,
+            false_positives: loss.false_positives / norm,
+        }
+    }
+}
+
 /// Computes the fusion loss of `dets` against `gts`.
 ///
 /// An empty frame with no detections scores zero.
 pub fn fusion_loss(dets: &[Detection], gts: &[GtBox]) -> FusionLoss {
-    let mut loss = FusionLoss::default();
-    let mut gt_matched = vec![false; gts.len()];
-    let mut det_matched = vec![false; dets.len()];
-    // Greedy matching in descending score order.
-    let mut order: Vec<usize> = (0..dets.len()).collect();
-    order.sort_by(|&a, &b| {
-        dets[b].score.partial_cmp(&dets[a].score).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    for &di in &order {
-        let d = &dets[di];
-        let mut best: Option<(usize, f32)> = None;
-        for (gi, gt) in gts.iter().enumerate() {
-            if gt_matched[gi] {
-                continue;
-            }
-            let gb: BBox = (*gt).into();
-            let iou = d.bbox.iou(&gb);
-            if iou >= MATCH_IOU && best.is_none_or(|(_, b)| iou > b) {
-                best = Some((gi, iou));
-            }
-        }
-        if let Some((gi, _)) = best {
-            gt_matched[gi] = true;
-            det_matched[di] = true;
-            let gt = &gts[gi];
-            let gb: BBox = (*gt).into();
-            // Confidence cross-entropy: reward confident correct class,
-            // punish confident wrong class.
-            let p = d.score.clamp(1e-4, 1.0 - 1e-4);
-            loss.classification +=
-                if d.class_id == gt.class_id { -p.ln() } else { -(1.0 - p).ln() };
-            // Size-normalized corner regression.
-            let sw = gb.width().max(1.0);
-            let sh = gb.height().max(1.0);
-            loss.regression += smooth_l1_scalar((d.bbox.x1 - gb.x1) / sw)
-                + smooth_l1_scalar((d.bbox.y1 - gb.y1) / sh)
-                + smooth_l1_scalar((d.bbox.x2 - gb.x2) / sw)
-                + smooth_l1_scalar((d.bbox.y2 - gb.y2) / sh);
-        }
+    let mut scratch = LossScratch::default();
+    scratch.load_gts(gts);
+    scratch.loss(dets, false)
+}
+
+/// Total fusion loss `L_f(φ)` of every branch subset in `masks` (bit `b`
+/// of a mask selects `branch_dets[b]`), in the order given.
+///
+/// Equal, bit for bit, to fusing each subset's detections with
+/// [`weighted_boxes_fusion`](crate::weighted_boxes_fusion) over as many
+/// models as the subset has branches — a one-branch subset passes through
+/// unfused, as in the model's Fuse stage — and taking
+/// [`fusion_loss`]`(..).total()` of the result, but the frame's boxes are
+/// sorted and its ground truth converted once, not once per subset.
+///
+/// # Panics
+/// Panics if a mask is zero or selects a branch `branch_dets` lacks.
+pub fn subset_fusion_losses(
+    branch_dets: &[Vec<Detection>],
+    masks: impl IntoIterator<Item = u8>,
+    gts: &[GtBox],
+    params: &WbfParams,
+    scratch: &mut FusionScratch,
+) -> Vec<f32> {
+    scratch.load(branch_dets);
+    scratch.index_pairs(params.iou_thresh);
+    scratch.loss.load_gts(gts);
+    let masks = masks.into_iter();
+    let mut losses = Vec::with_capacity(masks.size_hint().0);
+    for mask in masks {
+        assert!(
+            mask != 0 && (mask as usize) >> branch_dets.len() == 0,
+            "mask {mask:#b} is not a subset of {} branches",
+            branch_dets.len()
+        );
+        let loss = if mask.is_power_of_two() {
+            scratch.loss.loss(&branch_dets[mask.trailing_zeros() as usize], false)
+        } else {
+            scratch.fuse_where(|e| mask >> e.branch & 1 != 0, params, mask.count_ones() as usize);
+            scratch.loss.loss(&scratch.fused, true)
+        };
+        losses.push(loss.total());
     }
-    for (gi, matched) in gt_matched.iter().enumerate() {
-        let _ = gi;
-        if !matched {
-            loss.misses += MISS_PENALTY;
-        }
-    }
-    for (di, matched) in det_matched.iter().enumerate() {
-        if !matched {
-            loss.false_positives += dets[di].score;
-        }
-    }
-    let norm = gts.len().max(1) as f32;
-    FusionLoss {
-        classification: loss.classification / norm,
-        regression: loss.regression / norm,
-        misses: loss.misses / norm,
-        false_positives: loss.false_positives / norm,
-    }
+    losses
 }
 
 #[cfg(test)]
@@ -184,6 +269,25 @@ mod tests {
         let l2 = fusion_loss(&[], &two);
         // Average per-object loss is the same.
         assert!((l1.total() - l2.total()).abs() < 1e-6);
+    }
+
+    /// A NaN score makes the loss NaN, not the matching order undefined.
+    #[test]
+    fn nan_scores_do_not_break_matching() {
+        let gts = [gt(0, 10.0, 10.0, 20.0, 20.0)];
+        let mut dets: Vec<Detection> = (0..30)
+            .map(|i| {
+                det(0, 40.0 + i as f32, 40.0, 50.0 + i as f32, 50.0, 0.1 + (i % 5) as f32 * 0.1)
+            })
+            .collect();
+        dets.push(det(0, 10.0, 10.0, 20.0, 20.0, 0.9));
+        for i in [2, 3, 17] {
+            dets[i].score = f32::NAN;
+        }
+        let l = fusion_loss(&dets, &gts);
+        assert_eq!(l.misses, 0.0);
+        assert!(l.classification.is_finite() && l.regression.is_finite());
+        assert!(l.false_positives.is_nan());
     }
 
     #[test]

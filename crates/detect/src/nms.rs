@@ -11,7 +11,7 @@ use crate::bbox::Detection;
 /// Panics if `iou_thresh` is outside `[0, 1]`.
 pub fn nms(mut dets: Vec<Detection>, iou_thresh: f32) -> Vec<Detection> {
     assert!((0.0..=1.0).contains(&iou_thresh), "iou_thresh must be in [0, 1]");
-    dets.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
+    dets.sort_by(|a, b| b.score.total_cmp(&a.score));
     let mut keep: Vec<Detection> = Vec::with_capacity(dets.len());
     'outer: for d in dets {
         for k in &keep {
@@ -38,7 +38,7 @@ pub fn soft_nms(mut dets: Vec<Detection>, sigma: f32, score_thresh: f32) -> Vec<
         let (mi, _) = dets
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.score.partial_cmp(&b.1.score).unwrap_or(std::cmp::Ordering::Equal))
+            .max_by(|a, b| a.1.score.total_cmp(&b.1.score))
             .expect("non-empty");
         let m = dets.swap_remove(mi);
         out.push(m);
@@ -114,6 +114,22 @@ mod tests {
         let dets = vec![det(0.0, 0.9, 0), det(0.1, 0.2, 0)];
         let kept = soft_nms(dets, 0.1, 0.15);
         assert_eq!(kept.len(), 1);
+    }
+
+    /// NaN scores must not reach a comparator that is no total order
+    /// (std's sort may panic on one): they rank first and nothing breaks.
+    #[test]
+    fn nan_scores_are_ordered_not_fatal() {
+        let mut dets: Vec<Detection> =
+            (0..40).map(|i| det(i as f32 * 10.0, 0.1 + (i % 7) as f32 * 0.1, 0)).collect();
+        for i in [3, 11, 12, 29] {
+            dets[i].score = f32::NAN;
+        }
+        let kept = nms(dets.clone(), 0.5);
+        assert_eq!(kept.len(), 40);
+        assert!(kept[..4].iter().all(|d| d.score.is_nan()));
+        assert!(kept[4..].windows(2).all(|w| w[0].score >= w[1].score));
+        assert!(soft_nms(dets, 0.5, 0.01).len() <= 40);
     }
 
     #[test]
