@@ -1,7 +1,7 @@
 //! End-to-end pipeline wall-clock benchmarks (this machine's latency — a
 //! different quantity from the calibrated PX2 latencies the tables report).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ecofusion_bench::bench_fixture;
 use ecofusion_core::{EcoFusionModel, Frame, InferenceOptions};
 use ecofusion_faults::{FaultInjector, FaultKind, FaultSchedule, SensorHealthMonitor};
@@ -254,6 +254,11 @@ fn bench_stage_breakdown(c: &mut Criterion) {
 /// `CompiledPlan::execute_into` on a warm plan: one im2col + GEMM per
 /// conv block with the BN+ReLU epilogue fused into the write-back, zero
 /// steady-state allocations.
+///
+/// Then batch scaling: one stem, one branch and the attention gate's
+/// plan, each executed at batch 1, 16 and 64 with its GMAC/s
+/// (`thrpt`, in Gelem/s of multiply-accumulates) — a plan streams
+/// cache-sized tiles, so the rate should hold flat from 16 to 64.
 fn bench_fused_pipeline(c: &mut Criterion) {
     use ecofusion_tensor::graph::compile_quant_pipe;
     use ecofusion_tensor::layer::Layer;
@@ -270,7 +275,7 @@ fn bench_fused_pipeline(c: &mut Criterion) {
     {
         let stem = &mut model.stems_mut()[SensorKind::Lidar.index()];
         let mut plan = stem.compile(x.shape()).expect("stem compiles");
-        let mut out = Tensor::zeros(plan.out_shape());
+        let mut out = Tensor::zeros(&plan.out_shape_for(8));
         group.bench_function("stem_batch8_eager", |bench| {
             bench.iter(|| black_box(Layer::forward(stem, &x, false)));
         });
@@ -287,7 +292,7 @@ fn bench_fused_pipeline(c: &mut Criterion) {
             let branch = &model.branches_mut()[0];
             branch.compile(feats.shape()).expect("branch compiles")
         };
-        let mut bout = Tensor::zeros(bplan.out_shape());
+        let mut bout = Tensor::zeros(&bplan.out_shape_for(8));
         let branch = &mut model.branches_mut()[0];
         group.bench_function("branch_batch8_eager", |bench| {
             bench.iter(|| black_box(branch.forward(&feats, false)));
@@ -303,7 +308,7 @@ fn bench_fused_pipeline(c: &mut Criterion) {
     {
         let pipe = qsnap.stem(SensorKind::Lidar.index());
         let mut qplan = compile_quant_pipe(pipe, x.shape()).expect("stem pipe compiles");
-        let mut out = Tensor::zeros(qplan.out_shape());
+        let mut out = Tensor::zeros(&qplan.out_shape_for(8));
         group.bench_function("stem_batch8_int8_eager", |bench| {
             bench.iter(|| black_box(pipe.forward(&x)));
         });
@@ -314,13 +319,32 @@ fn bench_fused_pipeline(c: &mut Criterion) {
     {
         let qbranch = qsnap.branch(0);
         let mut qbplan = qbranch.compile(feats.shape()).expect("quant branch compiles");
-        let mut bout = Tensor::zeros(qbplan.out_shape());
+        let mut bout = Tensor::zeros(&qbplan.out_shape_for(8));
         group.bench_function("branch_batch8_int8_eager", |bench| {
             bench.iter(|| black_box(qbranch.forward(&feats)));
         });
         group.bench_function("branch_batch8_int8_compiled", |bench| {
             bench.iter(|| qbplan.execute_into(black_box(&feats), &mut bout));
         });
+    }
+
+    let gate_shape = [1, 8 * SensorKind::COUNT, side, side];
+    let plans = [
+        ("stem", model.stems_mut()[0].compile(x.shape()), vec![1, 1, grid, grid]),
+        ("branch", model.branches_mut()[0].compile(feats.shape()), vec![1, 8, side, side]),
+        ("gate", model.gates_mut().attention.compile(&gate_shape), gate_shape.to_vec()),
+    ];
+    for (name, plan, mut shape) in plans {
+        let mut plan = plan.expect("canonical stacks compile");
+        for batch in [1usize, 16, 64] {
+            shape[0] = batch;
+            let x = Tensor::randn(&shape, 1.0, &mut rng);
+            let mut out = Tensor::zeros(&plan.out_shape_for(batch));
+            group.throughput(Throughput::Elements((batch * plan.macs_per_sample()) as u64));
+            group.bench_function(format!("{name}_plan_batch{batch}"), |bench| {
+                bench.iter(|| plan.execute_into(black_box(&x), &mut out));
+            });
+        }
     }
     group.finish();
 }

@@ -238,7 +238,7 @@ fn measure_compiled_speedup() -> CompiledSpeedup {
     let (pipe, _) = stem.quantize(&calib).expect("stem quantizes");
     let x = Tensor::randn(&[BATCH, 1, grid, grid], 1.0, &mut rng);
     let mut plan = stem.compile(x.shape()).expect("stem compiles");
-    let mut out = Tensor::zeros(plan.out_shape());
+    let mut out = Tensor::zeros(&plan.out_shape_for(BATCH));
     let stem_f32 = ratio_median(
         ITERS,
         || {
@@ -274,7 +274,7 @@ fn measure_compiled_speedup() -> CompiledSpeedup {
     let qbranch = branch.quantize(&calib).expect("branch quantizes");
     let feats = Tensor::randn(&[BATCH, c_in, side, side], 1.0, &mut rng);
     let mut bplan = branch.compile(feats.shape()).expect("branch compiles");
-    let mut bout = Tensor::zeros(bplan.out_shape());
+    let mut bout = Tensor::zeros(&bplan.out_shape_for(BATCH));
     let branch_f32 = ratio_median(
         ITERS,
         || {

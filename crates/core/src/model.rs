@@ -196,9 +196,10 @@ pub struct EcoFusionModel {
     /// any mutable weight access ([`EcoFusionModel::stems_mut`] /
     /// [`EcoFusionModel::branches_mut`]).
     pub(crate) quant: Option<crate::snapshot::QuantSnapshot>,
-    /// Memoized fused-operator plans for the staged pipeline, keyed by
-    /// (structural fingerprint, input shape, precision). Invalidation
-    /// mirrors the int8 image: every mutable weight access clears it.
+    /// Memoized fused-operator plans of the stems and branches, keyed by
+    /// (structural fingerprint, per-sample input shape, precision).
+    /// Invalidation mirrors the int8 image: every mutable weight access
+    /// clears it.
     pub(crate) plans: ecofusion_tensor::graph::PlanCache,
 }
 
@@ -351,7 +352,9 @@ impl EcoFusionModel {
         &mut self.branches
     }
 
-    /// Mutable access to the gates (training).
+    /// Mutable access to the gates (training). Nothing is invalidated
+    /// here: a learned gate drops its own compiled plan whenever its
+    /// parameters are visited.
     pub fn gates_mut(&mut self) -> &mut GateSet {
         &mut self.gates
     }

@@ -73,6 +73,21 @@
 //! quantized). Stem-feature caches are bypassed for int8 batches — they
 //! hold f32 features.
 //!
+//! # Compiled execution
+//!
+//! All three network stacks of the model run as
+//! [`CompiledPlan`](ecofusion_tensor::graph::CompiledPlan)s (unless
+//! `ECOFUSION_COMPILED=0`): the four stems and seven branches through the
+//! model's [`PlanCache`], the learned gates through a plan each gate owns
+//! behind `Gate::predict_batch` (lowered on first scoring, dropped by any
+//! access to the gate's parameters). Plans are batch-agnostic — they
+//! stream cache-sized tiles of whatever batch they are handed — so the
+//! cache keys carry the **per-sample** shape only: a replica compiles
+//! 4 + 7 plans per precision the first time each unit runs and nothing
+//! afterwards, whatever sub-batch sizes selection goes on to produce,
+//! and a plan's arena is sized for a tile, not for the largest batch
+//! met.
+//!
 //! # Stem-feature caching
 //!
 //! [`StemFeatureCache`] memoizes one `(grid, stem features)` pair per
@@ -81,7 +96,13 @@
 //! [`EcoFusionModel::infer_batch_cached`] via a [`StemCacheRouter`];
 //! identical grids inside one micro-batch are deduplicated too. Because
 //! stems are batch-invariant in eval mode (asserted by the detect
-//! crate's tests), a cached row is bit-identical to recomputing it.
+//! crate's tests), a cached row is bit-identical to recomputing it. An
+//! entry's buffers are overwritten in place, so a stream that never hits
+//! pays two copies per miss and no allocation. When one stacked forward
+//! produced every frame's row of a sensor, the bank keeps that output
+//! whole, and every consumer (gate features, branch inputs) copies each
+//! (frame, sensor) block exactly once, straight into its
+//! channel-concatenated input.
 
 use crate::config::ConfigId;
 use crate::dataset::Frame;
@@ -109,12 +130,19 @@ pub const ALL_SENSOR_BITS: u8 = (1 << SensorKind::COUNT) - 1;
 const STEM_SALT_BASE: u64 = 0;
 const BRANCH_SALT_BASE: u64 = 0x100;
 
+/// The cache key of one unit's plan. Plans run any batch (see
+/// [`ecofusion_tensor::graph`]), so the key carries the per-sample shape
+/// of `x` only: a unit compiles once per precision, whatever sub-batch
+/// sizes the steps go on to produce.
+fn plan_key(fingerprint: u64, x: &Tensor, precision: PlanPrecision) -> PlanKey {
+    PlanKey { fingerprint, shape: x.shape()[1..].to_vec(), precision }
+}
+
 /// Runs stem `s` over a stacked input through the fused-execution layer
 /// when the `ECOFUSION_COMPILED` gate allows: the matching compiled plan
-/// is fetched from (or built into) `plans`, keyed by structural
-/// fingerprint + shape + precision. Falls back to the eager forward when
-/// compiled execution is disabled or lowering fails — both paths are
-/// bit-identical by the graph compiler's contract.
+/// is fetched from (or built into) `plans`. Falls back to the eager
+/// forward when compiled execution is disabled or lowering fails — both
+/// paths are bit-identical by the graph compiler's contract.
 fn stem_forward(
     plans: &mut PlanCache,
     stems: &mut [Stem],
@@ -126,20 +154,16 @@ fn stem_forward(
         let salt = STEM_SALT_BASE + s as u64;
         let attempt = match quant {
             Some(q) => {
-                let key = PlanKey {
-                    fingerprint: graph::fingerprint_quant_pipe(&q.stems[s], salt),
-                    shape: x.shape().to_vec(),
-                    precision: PlanPrecision::Int8,
-                };
-                plans.try_get_or_compile(key, || graph::compile_quant_pipe(&q.stems[s], x.shape()))
+                let fp = graph::fingerprint_quant_pipe(&q.stems[s], salt);
+                plans.try_get_or_compile(plan_key(fp, x, PlanPrecision::Int8), || {
+                    graph::compile_quant_pipe(&q.stems[s], x.shape())
+                })
             }
             None => {
-                let key = PlanKey {
-                    fingerprint: stems[s].plan_fingerprint(salt),
-                    shape: x.shape().to_vec(),
-                    precision: PlanPrecision::F32,
-                };
-                plans.try_get_or_compile(key, || stems[s].compile(x.shape()))
+                let fp = stems[s].plan_fingerprint(salt);
+                plans.try_get_or_compile(plan_key(fp, x, PlanPrecision::F32), || {
+                    stems[s].compile(x.shape())
+                })
             }
         };
         if let Ok(plan) = attempt {
@@ -252,8 +276,23 @@ impl StemFeatureCache {
         }
     }
 
-    fn store(&mut self, sensor: usize, grid: Tensor, feat: Tensor) {
-        self.entries[sensor] = Some(CacheEntry { grid, feat });
+    /// Memoizes `(grid, feat)` for `sensor`, overwriting the entry's
+    /// buffers in place: a stream's grids and features keep their shapes,
+    /// so a stream whose every lookup misses allocates once, not per
+    /// frame. `feat` is one `(1, C, h, w)` row of shape `feat_shape`.
+    fn store(&mut self, sensor: usize, grid: &Tensor, feat: &[f32], feat_shape: &[usize]) {
+        match &mut self.entries[sensor] {
+            Some(e) if e.grid.shape() == grid.shape() && e.feat.shape() == feat_shape => {
+                e.grid.data_mut().copy_from_slice(grid.data());
+                e.feat.data_mut().copy_from_slice(feat);
+            }
+            slot => {
+                *slot = Some(CacheEntry {
+                    grid: grid.clone(),
+                    feat: Tensor::from_vec(feat_shape, feat.to_vec()),
+                });
+            }
+        }
     }
 
     /// Lookups that matched the cached grid.
@@ -290,10 +329,11 @@ impl<'a> StemCacheRouter<'a> {
 struct BatchStemBank {
     n: usize,
     half: usize,
-    /// Per-sensor stacked `(N, C, h, w)` features; `None` until
-    /// materialized from rows (or computed whole on the fast path).
+    /// Per-sensor `(N, C, h, w)` features of the whole batch, kept exactly
+    /// as computed when one stacked forward produced every frame's row.
     stacked: Vec<Option<Tensor>>,
-    /// Per-sensor per-frame rows `(1, C, h, w)`.
+    /// Per-sensor per-frame rows `(1, C, h, w)`, for sensors whose rows
+    /// came from caches, aliases or a partial forward.
     rows: Vec<Vec<Option<Tensor>>>,
     /// Per-frame bits of stems run fresh.
     computed: Vec<u8>,
@@ -335,6 +375,7 @@ impl BatchStemBank {
         quant: Option<&QuantSnapshot>,
         plans: &mut PlanCache,
     ) {
+        let row_shape = [1, STEM_CHANNELS, self.half, self.half];
         for k in SensorKind::ALL {
             let s = k.index();
             let bit = 1u8 << s;
@@ -370,39 +411,39 @@ impl BatchStemBank {
             } else {
                 misses = pending;
             }
-            let whole_batch = misses.len() == self.n;
             if !misses.is_empty() {
                 let grids: Vec<&Tensor> = misses.iter().map(|&i| observations[i].grid(k)).collect();
                 let stacked_in = Tensor::stack_batch(&grids);
                 let out = stem_forward(plans, stems, quant, s, &stacked_in);
-                if whole_batch && router.is_none() {
-                    // Fast path (the default all-healthy learned-gate
-                    // batch): keep the stacked output whole — the exact
-                    // tensor the monolithic path produced.
-                    for i in 0..self.n {
-                        self.computed[i] |= bit;
+                let per = out.len() / misses.len();
+                for (row, &i) in out.data().chunks_exact(per).zip(&misses) {
+                    if let Some(r) = router.as_deref_mut() {
+                        r.caches[r.lane_of[i]].store(s, observations[i].grid(k), row, &row_shape);
                     }
+                    self.computed[i] |= bit;
+                }
+                if misses.len() == self.n {
+                    // One forward produced every frame's row (a fleet
+                    // batch that misses every cache, or any uncached
+                    // batch): keep the stacked output whole instead of
+                    // splitting it into rows that are stacked again.
                     self.stacked[s] = Some(out);
                 } else {
                     for (j, &i) in misses.iter().enumerate() {
-                        let row = out.select_batch(j);
-                        if let Some(r) = router.as_deref_mut() {
-                            r.caches[r.lane_of[i]].store(
-                                s,
-                                observations[i].grid(k).clone(),
-                                row.clone(),
-                            );
-                        }
-                        self.rows[s][i] = Some(row);
-                        self.computed[i] |= bit;
+                        self.rows[s][i] = Some(out.select_batch(j));
                     }
                 }
             }
             for (i, pos) in aliases {
-                let src = misses[pos];
-                let row = self.rows[s][src].clone().expect("aliased miss was computed");
+                // Aliases imply a partial forward, so the miss has a row.
+                let row = self.rows[s][misses[pos]].clone().expect("aliased miss was computed");
                 if let Some(r) = router.as_deref_mut() {
-                    r.caches[r.lane_of[i]].store(s, observations[i].grid(k).clone(), row.clone());
+                    r.caches[r.lane_of[i]].store(
+                        s,
+                        observations[i].grid(k),
+                        row.data(),
+                        &row_shape,
+                    );
                 }
                 self.rows[s][i] = Some(row);
                 self.cached[i] |= bit;
@@ -410,50 +451,37 @@ impl BatchStemBank {
         }
     }
 
-    /// Builds the stacked `(N, C, h, w)` tensor of every sensor in
-    /// `bits` from its rows (zero rows for frames that never demanded
-    /// the stem — those rows are never read downstream).
-    fn materialize(&mut self, bits: u8) {
-        for s in 0..SensorKind::COUNT {
-            if bits & (1 << s) == 0 || self.stacked[s].is_some() {
-                continue;
-            }
-            let zero = Tensor::zeros(&[1, STEM_CHANNELS, self.half, self.half]);
-            let refs: Vec<&Tensor> =
-                self.rows[s].iter().map(|r| r.as_ref().unwrap_or(&zero)).collect();
-            self.stacked[s] = Some(Tensor::stack_batch(&refs));
-        }
-    }
-
-    fn stacked_ref(&self, sensor: usize) -> &Tensor {
-        self.stacked[sensor].as_ref().expect("sensor materialized before use")
-    }
-
-    /// One frame's row of a sensor.
-    fn row(&self, sensor: usize, frame: usize) -> Tensor {
+    /// One frame's features of a sensor, wherever the bank holds them.
+    fn feat(&self, sensor: usize, frame: usize) -> Option<&[f32]> {
         match &self.stacked[sensor] {
-            Some(t) => t.select_batch(frame),
-            None => self.rows[sensor][frame].clone().expect("stem demanded by the plan"),
+            Some(t) => {
+                let per = t.len() / self.n;
+                Some(&t.data()[frame * per..(frame + 1) * per])
+            }
+            None => self.rows[sensor][frame].as_ref().map(Tensor::data),
         }
     }
 
-    /// Stacks the rows of `frames` for one sensor (the sub-batch input
-    /// of a partially demanded branch).
-    fn stack_rows(&self, sensor: usize, frames: &[usize]) -> Tensor {
-        let rows: Vec<Tensor> = frames.iter().map(|&i| self.row(sensor, i)).collect();
-        let refs: Vec<&Tensor> = rows.iter().collect();
-        Tensor::stack_batch(&refs)
-    }
-
-    /// The gate-feature batch: per-sensor stacked features in canonical
-    /// order, zero-filled for sensors outside `bits`.
-    fn gate_features(&mut self, bits: u8) -> Tensor {
-        self.materialize(bits);
-        let zero = Tensor::zeros(&[self.n, STEM_CHANNELS, self.half, self.half]);
-        let parts: Vec<&Tensor> = (0..SensorKind::COUNT)
-            .map(|s| if bits & (1 << s) != 0 { self.stacked_ref(s) } else { &zero })
-            .collect();
-        Tensor::concat_channels(&parts)
+    /// The `(k, C·m, h, w)` input of a unit that reads `sensors`, in that
+    /// order, over `frames`: one copy per (frame, sensor) straight from
+    /// the bank into the channel-concatenated tensor. A sensor outside
+    /// `live_bits` contributes a zero block.
+    ///
+    /// # Panics
+    /// Panics if a live sensor's stem has not run for one of `frames` —
+    /// the plan demands every stem before the stage that reads it.
+    fn gather(&self, sensors: &[usize], live_bits: u8, frames: &[usize]) -> Tensor {
+        let per = STEM_CHANNELS * self.half * self.half;
+        let channels = STEM_CHANNELS * sensors.len();
+        let mut out = Tensor::zeros(&[frames.len(), channels, self.half, self.half]);
+        for (sample, &i) in out.data_mut().chunks_exact_mut(per * sensors.len()).zip(frames) {
+            for (block, &s) in sample.chunks_exact_mut(per).zip(sensors) {
+                if live_bits & (1 << s) != 0 {
+                    block.copy_from_slice(self.feat(s, i).expect("stem demanded by the plan"));
+                }
+            }
+        }
+        out
     }
 
     fn counts(&self, frame: usize) -> (u8, u8, u8) {
@@ -553,11 +581,11 @@ impl EcoFusionModel {
         // Oracle detections + losses if the loss-based gate is active
         // (kept: Branch reuses them instead of re-running branches).
         let oracle_dets: Option<Vec<Vec<Vec<Detection>>>> = if plan.needs_oracle {
-            bank.materialize(ALL_SENSOR_BITS);
+            let all: Vec<usize> = (0..n).collect();
             let mut per_frame: Vec<Vec<Vec<Detection>>> =
                 (0..n).map(|_| Vec::with_capacity(self.branches.len())).collect();
             for b in 0..self.branches.len() {
-                let dets = self.branch_batch_from_bank(b, &bank, None, opts);
+                let dets = self.branch_batch_from_bank(b, &bank, &all, opts);
                 for (frame_dets, d) in per_frame.iter_mut().zip(dets) {
                     frame_dets.push(d);
                 }
@@ -581,7 +609,11 @@ impl EcoFusionModel {
         // `oracle_losses` — so the batch tensor serves as every frame's
         // features view and no per-frame copies are made.
         let gate_batch = if plan.gate_reads_features {
-            bank.gate_features(plan.gate_stem_bits)
+            // Per-sensor features in canonical order, zero-filled for the
+            // sensors the health mask rules out.
+            let sensors: [usize; SensorKind::COUNT] = std::array::from_fn(|s| s);
+            let all: Vec<usize> = (0..n).collect();
+            bank.gather(&sensors, plan.gate_stem_bits, &all)
         } else {
             Tensor::zeros(&[n, 1, 1, 1])
         };
@@ -631,19 +663,11 @@ impl EcoFusionModel {
                 }
             }
         }
-        // Sensors demanded by a whole-batch branch must be materialized.
-        let full_bits = demand
-            .iter()
-            .enumerate()
-            .filter(|(_, idxs)| idxs.len() == n)
-            .fold(0u8, |bits, (b, _)| bits | self.branch_sensor_bits(b));
-        bank.materialize(full_bits);
         for (b, idxs) in demand.iter().enumerate() {
             if idxs.is_empty() || branch_dets[b].iter().all(|d| d.is_some()) {
                 continue;
             }
-            let sub = (idxs.len() < n).then_some(idxs.as_slice());
-            let dets = self.branch_batch_from_bank(b, &bank, sub, opts);
+            let dets = self.branch_batch_from_bank(b, &bank, idxs, opts);
             for (slot, d) in idxs.iter().zip(dets) {
                 branch_dets[b][*slot] = Some(d);
             }
@@ -699,86 +723,52 @@ impl EcoFusionModel {
         Ok(outputs)
     }
 
-    /// Required-sensor bits of one branch.
-    fn branch_sensor_bits(&self, branch: usize) -> u8 {
-        self.space.branches()[branch].sensors().iter().fold(0u8, |bits, k| bits | (1 << k.index()))
-    }
-
-    /// Runs one branch over banked batch features — over the whole batch
-    /// (`sub = None`, stacked tensors) or a sub-batch of frames.
+    /// Runs one branch over the banked stem features of `frames` (the
+    /// whole batch or the sub-batch that selected the branch) and decodes
+    /// one detection list per frame.
     fn branch_batch_from_bank(
         &mut self,
         branch: usize,
         bank: &BatchStemBank,
-        sub: Option<&[usize]>,
+        frames: &[usize],
         opts: &InferenceOptions,
     ) -> Vec<Vec<Detection>> {
-        let sensors = self.space.branches()[branch].sensors();
-        let input = match sub {
-            None => {
-                let parts: Vec<&Tensor> =
-                    sensors.iter().map(|k| bank.stacked_ref(k.index())).collect();
-                Tensor::concat_channels(&parts)
-            }
-            Some(idxs) => {
-                let per_sensor: Vec<Tensor> =
-                    sensors.iter().map(|k| bank.stack_rows(k.index(), idxs)).collect();
-                let refs: Vec<&Tensor> = per_sensor.iter().collect();
-                Tensor::concat_channels(&refs)
-            }
-        };
-        let n = input.shape()[0];
+        let sensors: Vec<usize> =
+            self.space.branches()[branch].sensors().iter().map(|k| k.index()).collect();
+        let input = bank.gather(&sensors, ALL_SENSOR_BITS, frames);
         let salt = BRANCH_SALT_BASE + branch as u64;
-        if opts.precision == Precision::Int8 {
-            // Int8 backbone + head produce the same raw map layout; the
-            // f32 head decodes it (sigmoid/softmax/NMS stay full
-            // precision). The fused plan applies dequant + folded-BN +
-            // ReLU straight to the i32 accumulators — bit-identical to
-            // the eager pipe.
-            let q = self.quant.as_ref().expect("int8 image built before the Branch stage");
-            let qb = &q.branches[branch];
-            let map = if graph::compiled_enabled() {
-                let key = PlanKey {
-                    fingerprint: qb.plan_fingerprint(salt),
-                    shape: input.shape().to_vec(),
-                    precision: PlanPrecision::Int8,
-                };
-                match self.plans.try_get_or_compile(key, || qb.compile(input.shape())) {
-                    Ok(plan) => plan.execute(&input),
-                    Err(_) => qb.forward(&input).map,
+        // Int8 backbone + head produce the same raw map layout as the f32
+        // branch; the f32 head decodes it (sigmoid/softmax/NMS stay full
+        // precision). The fused plans are bit-identical to the eager
+        // forwards they stand in for.
+        let quant = (opts.precision == Precision::Int8)
+            .then(|| self.quant.as_ref().expect("int8 image built before the Branch stage"));
+        let compiled = if graph::compiled_enabled() {
+            match quant {
+                Some(q) => {
+                    let qb = &q.branches[branch];
+                    let key = plan_key(qb.plan_fingerprint(salt), &input, PlanPrecision::Int8);
+                    self.plans.try_get_or_compile(key, || qb.compile(input.shape()))
                 }
-            } else {
-                qb.forward(&input).map
-            };
-            let out = HeadOutput { map };
-            return (0..n)
-                .map(|i| {
-                    self.branches[branch].decode_sample(&out, i, opts.score_thresh, opts.nms_iou)
-                })
-                .collect();
-        }
-        if graph::compiled_enabled() {
-            let det = &self.branches[branch];
-            let key = PlanKey {
-                fingerprint: det.plan_fingerprint(salt),
-                shape: input.shape().to_vec(),
-                precision: PlanPrecision::F32,
-            };
-            if let Ok(plan) = self.plans.try_get_or_compile(key, || det.compile(input.shape())) {
-                let out = HeadOutput { map: plan.execute(&input) };
-                return (0..n)
-                    .map(|i| {
-                        self.branches[branch].decode_sample(
-                            &out,
-                            i,
-                            opts.score_thresh,
-                            opts.nms_iou,
-                        )
-                    })
-                    .collect();
+                None => {
+                    let det = &self.branches[branch];
+                    let key = plan_key(det.plan_fingerprint(salt), &input, PlanPrecision::F32);
+                    self.plans.try_get_or_compile(key, || det.compile(input.shape()))
+                }
             }
-        }
-        self.branches[branch].detect_batch(&input, opts.score_thresh, opts.nms_iou)
+            .ok()
+            .map(|plan| HeadOutput { map: plan.execute(&input) })
+        } else {
+            None
+        };
+        let out = compiled.unwrap_or_else(|| match quant {
+            Some(q) => q.branches[branch].forward(&input),
+            None => self.branches[branch].forward(&input, false),
+        });
+        let det = &self.branches[branch];
+        (0..frames.len())
+            .map(|j| det.decode_sample(&out, j, opts.score_thresh, opts.nms_iou))
+            .collect()
     }
 
     /// [`EcoFusionModel::infer_batch`] with per-stream stem-feature
@@ -1042,6 +1032,27 @@ mod tests {
         assert_eq!(outs[1].detections, plain_out.detections);
         assert_eq!(outs2[0].detections, plain_out.detections);
         assert_eq!(outs[0].selected_config, plain_out.selected_config);
+    }
+
+    #[test]
+    fn stem_cache_store_overwrites_its_entry_in_place() {
+        let mut cache = StemFeatureCache::new();
+        let (g1, g2) = (Tensor::full(&[1, 1, 4, 4], 1.0), Tensor::full(&[1, 1, 4, 4], 2.0));
+        let shape = [1, 2, 2, 2];
+        cache.store(0, &g1, &[1.0; 8], &shape);
+        let buffers = |c: &StemFeatureCache| {
+            let e = c.entries[0].as_ref().expect("stored");
+            (e.grid.data().as_ptr(), e.feat.data().as_ptr())
+        };
+        let first = buffers(&cache);
+        cache.store(0, &g2, &[2.0; 8], &shape);
+        assert_eq!(buffers(&cache), first, "same shapes must reuse the entry's buffers");
+        assert!(cache.lookup(0, &g1).is_none(), "the old grid is gone");
+        assert_eq!(cache.lookup(0, &g2).expect("hit"), Tensor::full(&shape, 2.0));
+        // A differently shaped pair replaces the entry.
+        let g3 = Tensor::full(&[1, 1, 2, 2], 3.0);
+        cache.store(0, &g3, &[3.0; 2], &[1, 2, 1, 1]);
+        assert_eq!(cache.lookup(0, &g3).expect("hit"), Tensor::full(&[1, 2, 1, 1], 3.0));
     }
 
     #[test]

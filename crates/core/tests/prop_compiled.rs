@@ -6,28 +6,36 @@
 //! 1. **Bit-identity** — with compiled execution forced on, `infer_batch`
 //!    produces byte-for-byte the same detections, selected
 //!    configurations, and gate losses as the eager path, across seeds ×
-//!    contexts × health masks × batch sizes × `Precision::{F32, Int8}`.
-//!    The compiled gate is process-global, so every case runs under one
-//!    mutex and restores the environment default afterwards.
-//! 2. **Zero steady-state allocations** — once a plan is warm,
-//!    `CompiledPlan::execute_into` performs no heap allocation at all
-//!    (f32 and int8), measured with a counting global allocator. Shapes
-//!    stay under the backend's parallel-GEMM threshold so no scoped
-//!    threads (which allocate stacks) are spawned. The same allocator
-//!    holds the oracle's configuration scorer to one allocation per
-//!    frame — the returned losses — once its scratch is warm.
+//!    contexts × health masks × batch sizes (below and across the plans'
+//!    tiles) × learned gates × `Precision::{F32, Int8}`, and again after
+//!    the gate weights change under a compiled gate plan. The compiled
+//!    gate is process-global, so every case runs under one mutex and
+//!    restores the environment default afterwards.
+//! 2. **Compile once** — plans are keyed by per-sample shape, so a model
+//!    served sub-batches of every size compiles nothing after the step
+//!    that first ran each unit.
+//! 3. **Zero steady-state allocations** — once a plan is warm,
+//!    `CompiledPlan::execute_into` performs no heap allocation at all at
+//!    any batch size (stem f32 and int8, attention gate), measured with
+//!    a counting global allocator; a plan lowers a tile at a time, so no
+//!    GEMM reaches the backend's parallel threshold and no scoped thread
+//!    (which allocates a stack) is spawned. The same allocator holds the
+//!    oracle's configuration scorer to one allocation per frame — the
+//!    returned losses — once its scratch is warm.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Mutex;
 
-use ecofusion_core::{EcoFusionModel, Frame, InferenceOptions};
+use ecofusion_core::{EcoFusionModel, Frame, InferenceOptions, InferenceOutput};
 use ecofusion_detect::stem::{Stem, STEM_CHANNELS};
 use ecofusion_detect::{subset_fusion_losses, BBox, Detection, FusionScratch, WbfParams};
 use ecofusion_energy::Precision;
+use ecofusion_gating::{AttentionGate, GateKind};
 use ecofusion_scene::{Context, GtBox, ScenarioGenerator};
 use ecofusion_sensors::{SensorMask, SensorSuite};
-use ecofusion_tensor::graph::{compile_quant_pipe, set_compiled};
+use ecofusion_tensor::graph::{compile_quant_pipe, set_compiled, CompiledPlan};
+use ecofusion_tensor::layer::Layer;
 use ecofusion_tensor::rng::Rng;
 use ecofusion_tensor::Tensor;
 use proptest::prelude::*;
@@ -93,22 +101,41 @@ fn arb_context() -> impl Strategy<Value = Context> {
     (0usize..Context::ALL.len()).prop_map(|i| Context::ALL[i])
 }
 
+/// `infer_batch` with compiled execution forced off, then on.
+fn eager_and_compiled(
+    model: &mut EcoFusionModel,
+    frames: &[Frame],
+    opts: &InferenceOptions,
+) -> (Vec<InferenceOutput>, Vec<InferenceOutput>) {
+    set_compiled(Some(false));
+    let compiles = model.plan_cache_stats().compiles;
+    let eager = model.infer_batch(frames, opts).expect("eager batch");
+    assert_eq!(model.plan_cache_stats().compiles, compiles, "eager run must not compile plans");
+    set_compiled(Some(true));
+    let compiled = model.infer_batch(frames, opts).expect("compiled batch");
+    set_compiled(None);
+    (eager, compiled)
+}
+
 proptest! {
-    // Each case builds one model and runs the batch twice (eager +
-    // compiled); twelve cases sweep both precisions, a spread of health
-    // masks, and batch sizes 1..4.
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    // Each case builds one model and runs the batch four times (eager +
+    // compiled, before and after a gate-weight update); sixteen cases
+    // sweep both precisions, both learned gates, a spread of health
+    // masks, and batch sizes 1..8 (the plans' tiles hold 2 or 3 samples).
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn compiled_inference_is_bit_identical_to_eager(
         seed in 0u64..1000,
         context in arb_context(),
         mask_bits in 0u8..16,
-        batch in 1usize..5,
+        batch in 1usize..9,
         int8 in (0u8..2).prop_map(|b| b == 1),
+        deep in (0u8..2).prop_map(|b| b == 1),
     ) {
         let frames = render_frames(seed, context, batch);
         let mut opts = InferenceOptions::new(0.01, 0.5)
+            .with_gate(if deep { GateKind::Deep } else { GateKind::Attention })
             .with_health(SensorMask::from_bits(mask_bits));
         if int8 {
             opts = opts.with_precision(Precision::Int8);
@@ -116,82 +143,127 @@ proptest! {
         let mut model = EcoFusionModel::new(GRID, 8, &mut Rng::new(seed ^ 0x7ACE));
 
         let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
-        set_compiled(Some(false));
-        let eager = model.infer_batch(&frames, &opts).expect("eager batch");
-        prop_assert_eq!(model.plan_cache_len(), 0, "eager run must not compile plans");
-        set_compiled(Some(true));
-        let compiled = model.infer_batch(&frames, &opts).expect("compiled batch");
-        set_compiled(None);
+        let (eager, compiled) = eager_and_compiled(&mut model, &frames, &opts);
         prop_assert!(model.plan_cache_len() > 0, "compiled run must populate the cache");
+        // The learned gates now hold a compiled plan of their old
+        // weights; an update through `gates_mut` must reach the next
+        // compiled scoring exactly as it reaches the eager one.
+        let gates = model.gates_mut();
+        gates.deep.visit_params(&mut |p| p.value.scale(0.5));
+        gates.attention.visit_params(&mut |p| p.value.scale(0.5));
+        let (eager_updated, compiled_updated) = eager_and_compiled(&mut model, &frames, &opts);
+        prop_assert!(
+            compiled[0].predicted_losses != compiled_updated[0].predicted_losses,
+            "the gate update must show in the compiled scores"
+        );
 
-        prop_assert_eq!(eager.len(), compiled.len());
-        for (e, c) in eager.iter().zip(&compiled) {
-            prop_assert_eq!(&e.detections, &c.detections, "detections differ");
-            prop_assert_eq!(e.selected_config, c.selected_config);
-            prop_assert_eq!(&e.selected_label, &c.selected_label);
-            prop_assert_eq!(e.precision, c.precision);
-            prop_assert_eq!(
-                e.predicted_losses.len(), c.predicted_losses.len());
-            for (a, b) in e.predicted_losses.iter().zip(&c.predicted_losses) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "gate losses differ: {} vs {}", a, b);
+        for (eager, compiled) in [(eager, compiled), (eager_updated, compiled_updated)] {
+            prop_assert_eq!(eager.len(), compiled.len());
+            for (e, c) in eager.iter().zip(&compiled) {
+                prop_assert_eq!(&e.detections, &c.detections, "detections differ");
+                prop_assert_eq!(e.selected_config, c.selected_config);
+                prop_assert_eq!(&e.selected_label, &c.selected_label);
+                prop_assert_eq!(e.precision, c.precision);
+                prop_assert_eq!(e.predicted_losses.len(), c.predicted_losses.len());
+                for (a, b) in e.predicted_losses.iter().zip(&c.predicted_losses) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "gate losses differ: {} vs {}", a, b);
+                }
+                prop_assert_eq!(e.energy_joules().to_bits(), c.energy_joules().to_bits());
             }
-            prop_assert_eq!(e.energy_joules().to_bits(), c.energy_joules().to_bits());
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Compile once
+// ---------------------------------------------------------------------------
+
+/// Plans are keyed by per-sample shape: once a step has run every unit
+/// (the oracle gate runs all four stems and all seven branches), serving
+/// sub-batches of every size from 1 to 64 compiles nothing more — per
+/// precision.
+#[test]
+fn plan_compiles_stop_after_the_first_step() {
+    let frames = render_frames(11, Context::City, 64);
+    let mut model = EcoFusionModel::new(GRID, 8, &mut Rng::new(0xC0DE));
+    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    set_compiled(Some(true));
+    let mut expected = 0;
+    for precision in [Precision::F32, Precision::Int8] {
+        let opts = InferenceOptions::new(0.01, 0.5).with_precision(precision);
+        let first = opts.with_gate(GateKind::LossBased);
+        model.infer_batch(&frames[..3], &first).expect("first step");
+        expected += 4 + 7;
+        assert_eq!(
+            model.plan_cache_stats().compiles,
+            expected,
+            "{precision:?}: 4 stems + 7 branches"
+        );
+        for n in 1..=frames.len() {
+            model.infer_batch(&frames[..n], &opts).expect("sub-batch");
+            assert_eq!(
+                model.plan_cache_stats().compiles,
+                expected,
+                "{precision:?}: a sub-batch of {n} compiled a plan"
+            );
+        }
+    }
+    set_compiled(None);
 }
 
 // ---------------------------------------------------------------------------
 // Zero steady-state allocations
 // ---------------------------------------------------------------------------
 
-/// Warm f32 stem plan: `execute_into` on a live arena must not allocate.
-/// Batch 4 at grid 32 stays under the backend's parallel-GEMM flop
-/// threshold, so the whole frame runs on this thread.
+/// Allocations of `plan.execute_into` at batch 1, 7 and 64 after one warm
+/// run at the largest batch (which sizes any per-thread GEMM pack buffer).
+fn steady_state_allocs(plan: &mut CompiledPlan, rng: &mut Rng) -> u64 {
+    let sample = plan.sample_shape().to_vec();
+    let mut pair = |n: usize| {
+        let x = Tensor::randn(&[&[n], &sample[..]].concat(), 1.0, rng);
+        (x, Tensor::zeros(&plan.out_shape_for(n)))
+    };
+    let (warm_x, mut warm_out) = pair(64);
+    let mut runs = [pair(1), pair(7), pair(64)];
+    plan.execute_into(&warm_x, &mut warm_out);
+    let before = allocs_on_this_thread();
+    for (x, out) in &mut runs {
+        for _ in 0..3 {
+            plan.execute_into(x, out);
+        }
+    }
+    allocs_on_this_thread() - before
+}
+
+/// One warm plan serves batch 1, 7 and 64 without touching the heap: the
+/// arena is sized for a tile at compile time, whatever the batch. Stem in
+/// f32 and int8 (the fused dequant+BN+ReLU epilogue runs out of the
+/// arena's own buffers) and the attention gate's trunk (its per-sample
+/// attention scratch lives in the arena too).
 #[test]
-fn warm_f32_plan_executes_without_allocating() {
+fn warm_plans_execute_any_batch_without_allocating() {
     let mut rng = Rng::new(77);
     let mut stem = Stem::new(1, &mut rng);
     let warm = Tensor::randn(&[4, 1, GRID, GRID], 1.0, &mut rng);
     for _ in 0..3 {
-        let _ = ecofusion_tensor::layer::Layer::forward(&mut stem, &warm, true);
-    }
-    let x = Tensor::randn(&[4, 1, GRID, GRID], 1.0, &mut rng);
-    let mut plan = stem.compile(x.shape()).expect("stem compiles");
-    let mut out = Tensor::zeros(&[4, STEM_CHANNELS, GRID / 2, GRID / 2]);
-    // Warm-up: grows the arena scratch and any thread-local pack buffers.
-    plan.execute_into(&x, &mut out);
-    let before = allocs_on_this_thread();
-    for _ in 0..8 {
-        plan.execute_into(&x, &mut out);
-    }
-    let after = allocs_on_this_thread();
-    assert_eq!(after - before, 0, "steady-state f32 frame allocated {} times", after - before);
-}
-
-/// Warm int8 stem plan: the fused dequant+BN+ReLU epilogue runs out of
-/// the plan arena's own buffers, so the steady state is allocation-free
-/// too.
-#[test]
-fn warm_int8_plan_executes_without_allocating() {
-    let mut rng = Rng::new(78);
-    let mut stem = Stem::new(1, &mut rng);
-    let warm = Tensor::randn(&[4, 1, GRID, GRID], 1.0, &mut rng);
-    for _ in 0..3 {
-        let _ = ecofusion_tensor::layer::Layer::forward(&mut stem, &warm, true);
+        let _ = stem.forward(&warm, true);
     }
     let calib: Vec<Tensor> =
         (0..3).map(|_| Tensor::randn(&[1, 1, GRID, GRID], 1.0, &mut rng)).collect();
     let (pipe, _) = stem.quantize(&calib).expect("stem quantizes");
-    let x = Tensor::randn(&[4, 1, GRID, GRID], 1.0, &mut rng);
-    let mut plan = compile_quant_pipe(&pipe, x.shape()).expect("pipe compiles");
-    let mut out = Tensor::zeros(&[4, STEM_CHANNELS, GRID / 2, GRID / 2]);
-    plan.execute_into(&x, &mut out);
-    let before = allocs_on_this_thread();
-    for _ in 0..8 {
-        plan.execute_into(&x, &mut out);
+    let gate = AttentionGate::new(4 * STEM_CHANNELS, GRID / 2, 127, &mut rng);
+    let plans = [
+        ("f32 stem", stem.compile(warm.shape()).expect("stem compiles")),
+        ("int8 stem", compile_quant_pipe(&pipe, warm.shape()).expect("pipe compiles")),
+        (
+            "attention gate",
+            gate.compile(&[1, 4 * STEM_CHANNELS, GRID / 2, GRID / 2]).expect("gate compiles"),
+        ),
+    ];
+    for (name, mut plan) in plans {
+        let allocs = steady_state_allocs(&mut plan, &mut rng);
+        assert_eq!(allocs, 0, "steady-state {name} plan allocated {allocs} times");
     }
-    let after = allocs_on_this_thread();
-    assert_eq!(after - before, 0, "steady-state int8 frame allocated {} times", after - before);
 }
 
 /// Scoring all 127 configurations of a frame through a scratch that has

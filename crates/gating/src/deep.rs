@@ -2,6 +2,7 @@
 
 use crate::input::GateInput;
 use crate::{Gate, GateKind};
+use ecofusion_tensor::graph::{self, CompiledPlan};
 use ecofusion_tensor::layer::{Conv2d, Flatten, Layer, Linear, ReLU, SelfAttention2d, Sequential};
 use ecofusion_tensor::loss;
 use ecofusion_tensor::param::Param;
@@ -49,6 +50,10 @@ macro_rules! learned_gate {
         pub struct $name {
             net: Sequential,
             num_configs: usize,
+            /// The trunk lowered to a fused plan on first scoring; dropped
+            /// by every mutable weight access so a stale snapshot of the
+            /// weights can never score a frame.
+            plan: Option<CompiledPlan>,
         }
 
         impl std::fmt::Debug for $name {
@@ -67,7 +72,39 @@ macro_rules! learned_gate {
                 num_configs: usize,
                 rng: &mut Rng,
             ) -> Self {
-                $name { net: build_net(in_channels, spatial, num_configs, $attention, rng), num_configs }
+                $name {
+                    net: build_net(in_channels, spatial, num_configs, $attention, rng),
+                    num_configs,
+                    plan: None,
+                }
+            }
+
+            /// Lowers the trunk into a fused [`CompiledPlan`] for stem
+            /// features shaped like `in_shape` (batch extent ignored),
+            /// bit-identical to the eager eval forward.
+            ///
+            /// # Errors
+            /// Propagates the graph compiler's error (the shape does not
+            /// feed the trunk).
+            pub fn compile(&self, in_shape: &[usize]) -> Result<CompiledPlan, graph::CompileError> {
+                graph::compile_sequential(&self.net, in_shape)
+            }
+
+            /// The trunk's raw `(N, configs)` output for a batch of stem
+            /// features: through the compiled plan (built on first use,
+            /// any batch size) when compiled execution is enabled, else
+            /// the eager eval forward — bit-identical by the graph
+            /// compiler's contract.
+            fn score(&mut self, features: &Tensor) -> Tensor {
+                if graph::compiled_enabled() {
+                    if self.plan.is_none() {
+                        self.plan = self.compile(features.shape()).ok();
+                    }
+                    if let Some(plan) = &mut self.plan {
+                        return plan.execute(features);
+                    }
+                }
+                self.net.forward(features, false)
             }
 
             /// One regression training step against the true per-config
@@ -104,7 +141,7 @@ macro_rules! learned_gate {
             }
 
             fn predict(&mut self, input: &GateInput<'_>) -> Vec<f32> {
-                let out = self.net.forward(input.features, false);
+                let out = self.score(input.features);
                 // Inverse of the log1p squash used in training, clamped so
                 // a slightly-negative regression output stays a valid loss.
                 out.into_vec().into_iter().map(|v| v.exp_m1().max(0.0)).collect()
@@ -120,10 +157,8 @@ macro_rules! learned_gate {
                     inputs.len(),
                     "predict_batch length mismatch"
                 );
-                // One batched pass through the gate network: the stem
-                // features of every frame share the convolution lowering
-                // and the final linear GEMM.
-                let out = self.net.forward(features, false); // (N, configs)
+                // One pass through the gate network for the whole batch.
+                let out = self.score(features); // (N, configs)
                 out.data()
                     .chunks(self.num_configs)
                     .map(|row| row.iter().map(|v| v.exp_m1().max(0.0)).collect())
@@ -141,10 +176,12 @@ macro_rules! learned_gate {
             }
 
             fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+                self.plan = None;
                 self.net.visit_params(f);
             }
 
             fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+                self.plan = None;
                 self.net.visit_buffers(f);
             }
 
@@ -273,6 +310,37 @@ mod tests {
     fn bad_spatial_panics() {
         let mut rng = Rng::new(7);
         let _ = DeepGate::new(4, 12, 3, &mut rng);
+    }
+
+    #[test]
+    fn compiled_scoring_is_bit_identical_and_tracks_weight_updates() {
+        use ecofusion_tensor::graph::set_compiled;
+        let mut rng = Rng::new(9);
+        let mut deep = DeepGate::new(4, 16, 5, &mut rng);
+        let mut attn = AttentionGate::new(4, 16, 5, &mut rng);
+        let batch = Tensor::randn(&[5, 4, 16, 16], 1.0, &mut rng);
+        let inputs: Vec<GateInput<'_>> = (0..5).map(|_| GateInput::features_only(&batch)).collect();
+        // The only test of this crate that flips the process-wide gate;
+        // the others hold on either path.
+        let both = |gate: &mut dyn Gate| {
+            set_compiled(Some(false));
+            let eager = gate.predict_batch(&batch, &inputs);
+            set_compiled(Some(true));
+            let compiled = gate.predict_batch(&batch, &inputs);
+            for (e, c) in eager.iter().flatten().zip(compiled.iter().flatten()) {
+                assert_eq!(e.to_bits(), c.to_bits(), "{e} vs {c}");
+            }
+            compiled
+        };
+        let (d0, a0) = (both(&mut deep), both(&mut attn));
+        assert!(deep.plan.is_some() && attn.plan.is_some(), "first scoring compiles the trunk");
+        // A weight update drops the plan; the next scoring sees it.
+        deep.visit_params(&mut |p| p.value.scale(1.25));
+        attn.visit_params(&mut |p| p.value.scale(1.25));
+        assert!(deep.plan.is_none() && attn.plan.is_none(), "stale plan must be dropped");
+        assert_ne!(both(&mut deep), d0);
+        assert_ne!(both(&mut attn), a0);
+        set_compiled(None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Implements the measurement surface this workspace's benches use:
 //! `criterion_group!` / `criterion_main!`, [`Criterion::bench_function`],
 //! [`Criterion::benchmark_group`] with `bench_function` /
-//! `bench_with_input`, [`BenchmarkId`], and [`black_box`]. Each benchmark
+//! `bench_with_input` / `throughput`, [`BenchmarkId`], and [`black_box`]. Each benchmark
 //! is timed adaptively (warm-up, then enough iterations to fill the
 //! measurement window) and the median per-iteration wall time is printed.
 //! A `--quick` CLI flag (or `ECOFUSION_BENCH_QUICK=1`) shrinks the window
@@ -39,14 +39,14 @@ impl Criterion {
         if self.matches(name) {
             let mut bencher = Bencher { samples: Vec::new() };
             f(&mut bencher);
-            self.report(name, &bencher);
+            self.report(name, &bencher, None);
         }
         self
     }
 
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { criterion: self, name: name.to_string() }
+        BenchmarkGroup { criterion: self, name: name.to_string(), throughput: None }
     }
 
     /// Prints a trailing summary (called by `criterion_main!`).
@@ -58,7 +58,7 @@ impl Criterion {
         self.filter.as_deref().is_none_or(|f| name.contains(f))
     }
 
-    fn report(&mut self, name: &str, bencher: &Bencher) {
+    fn report(&mut self, name: &str, bencher: &Bencher, throughput: Option<Throughput>) {
         self.ran += 1;
         let mut per_iter: Vec<f64> = bencher.samples.clone();
         if per_iter.is_empty() {
@@ -75,16 +75,35 @@ impl Criterion {
             format_time(median),
             format_time(hi)
         );
+        if let Some(Throughput::Elements(n)) = throughput {
+            eprintln!("{:<50} thrpt: {:.3} Gelem/s", "", n as f64 / median / 1e9);
+        }
     }
+}
+
+/// Work one iteration of the following benchmarks does, so the report
+/// can print a rate beside the time (mirrors `criterion::Throughput`).
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Elements (of whatever the benchmark counts) per iteration.
+    Elements(u64),
 }
 
 /// A named group of benchmarks sharing a prefix.
 pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
+    /// Sets the per-iteration work of the benchmarks that follow; their
+    /// reports gain a `thrpt` line at the median time.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
+        self
+    }
+
     /// Runs one benchmark inside the group.
     pub fn bench_function<F>(&mut self, id: impl IntoBenchmarkId, mut f: F) -> &mut Self
     where
@@ -94,7 +113,7 @@ impl BenchmarkGroup<'_> {
         if self.criterion.matches(&full) {
             let mut bencher = Bencher { samples: Vec::new() };
             f(&mut bencher);
-            self.criterion.report(&full, &bencher);
+            self.criterion.report(&full, &bencher, self.throughput);
         }
         self
     }
@@ -114,7 +133,7 @@ impl BenchmarkGroup<'_> {
         if self.criterion.matches(&full) {
             let mut bencher = Bencher { samples: Vec::new() };
             f(&mut bencher, input);
-            self.criterion.report(&full, &bencher);
+            self.criterion.report(&full, &bencher, self.throughput);
         }
         self
     }

@@ -125,64 +125,49 @@ pub trait Backend: Send + Sync {
         cols_valid: bool,
     ) -> ConvGrads;
 
-    /// Pre-bias convolution output in GEMM row layout `(N·Ho·Wo, C_out)`:
-    /// exactly this backend's [`Backend::conv2d_forward`] minus the bias
-    /// add and the NCHW rearrangement, so a caller-supplied write-back
-    /// epilogue (bias, folded batch-norm, ReLU) reproduces the eager
-    /// layer chain bit for bit. `x` is NCHW data with `dims = [n, c, h,
-    /// w]`; `cols` and `rows` are caller-owned scratch, cleared and
-    /// resized (no steady-state allocation once capacity is established).
+    /// Pre-bias convolution output, channel-major `(C_out, N·Ho·Wo)`:
+    /// exactly this backend's [`Backend::conv2d_forward`] reduction minus
+    /// the bias add and the NCHW rearrangement, so a caller-supplied
+    /// write-back epilogue (bias, folded batch-norm, ReLU) reproduces the
+    /// eager layer chain bit for bit, reading one contiguous run of
+    /// positions per output channel. `x` is NCHW data with `dims = [n, c,
+    /// h, w]`; `cols` (at least `C_in·k·k × N·Ho·Wo`) and `rows` (at
+    /// least `C_out × N·Ho·Wo`) are caller-owned scratch whose used
+    /// prefixes are fully overwritten — no zeroing is asked of the caller
+    /// and none is done here.
     ///
-    /// The default lowers with [`im2col`] and runs [`Backend::gemm_nt`] —
-    /// the blocked forward path. Backends whose `conv2d_forward` computes
-    /// a different reduction (e.g. the direct reference loops) must
-    /// override so the rows match their own forward exactly.
-    fn conv2d_rows(
-        &self,
-        x: &[f32],
-        dims: [usize; 4],
-        weight: &Tensor,
-        spec: &ConvSpec,
-        cols: &mut Vec<f32>,
-        rows: &mut Vec<f32>,
-    ) {
-        let [n, _, h, w] = dims;
-        let (ho, wo) = spec.out_size(h, w);
-        let rows_n = n * ho * wo;
-        let ck = spec.patch_len();
-        im2col_slice(x, dims, spec, cols);
-        rows.clear();
-        rows.resize(rows_n * spec.out_channels, 0.0);
-        self.gemm_nt(rows_n, ck, spec.out_channels, cols, weight.data(), rows);
-    }
-
-    /// [`Backend::conv2d_rows`] with the output transposed to
-    /// `(C_out, N·Ho·Wo)`: one contiguous run of positions per output
-    /// channel, so a fused write-back epilogue reads and writes
-    /// contiguously (no strided rows→NCHW gather). Bit-identical to
-    /// `conv2d_rows` element for element — the default lowers to the
-    /// transposed column layout ([`im2col_t`], pure data movement) and
-    /// accumulates each output element with the same ascending-k
-    /// `mul_add` chain as the packed GEMM microkernels (f32
-    /// multiplication commutes exactly, so swapping the operand roles
-    /// changes no bits).
+    /// The default lowers to the transposed column layout ([`im2col_t`],
+    /// pure data movement) and accumulates each output element with the
+    /// same ascending-k `mul_add` chain from zero as the packed GEMM
+    /// microkernels behind `conv2d_forward` (f32 multiplication commutes
+    /// exactly, so swapping the operand roles changes no bits). An
+    /// element's chain reads only its own patch, so the result does not
+    /// depend on which other samples share the call. Backends whose
+    /// `conv2d_forward` computes a different reduction (the direct
+    /// reference loops) must override so the rows match their own forward.
     fn conv2d_rows_t(
         &self,
         x: &[f32],
         dims: [usize; 4],
         weight: &Tensor,
         spec: &ConvSpec,
-        cols: &mut Vec<f32>,
-        rows: &mut Vec<f32>,
+        cols: &mut [f32],
+        rows: &mut [f32],
     ) {
         let [n, _, h, w] = dims;
         let (ho, wo) = spec.out_size(h, w);
-        let rows_n = n * ho * wo;
+        let m = n * ho * wo;
         let ck = spec.patch_len();
+        let cols = &mut cols[..ck * m];
         im2col_t(x, 0.0f32, dims, spec, cols);
-        rows.clear();
-        rows.resize(spec.out_channels * rows_n, 0.0);
-        gemm_tn_f32(spec.out_channels, ck, rows_n, weight.data(), cols, rows);
+        gemm_tn_f32(
+            spec.out_channels,
+            ck,
+            m,
+            weight.data(),
+            cols,
+            &mut rows[..spec.out_channels * m],
+        );
     }
 }
 
@@ -264,20 +249,19 @@ pub(crate) fn im2col_slice(xdata: &[f32], dims: [usize; 4], spec: &ConvSpec, col
 /// model) each run is a clipped copy of an input row, so the whole
 /// lowering is memcpys plus edge zeroing; the patch-major layouts need a
 /// strided write or gather per element. Pure data movement, fully
-/// overwritten each call.
+/// overwritten each call (`cols` is exactly `C_in·k·k × N·Ho·Wo` long).
 pub(crate) fn im2col_t<T: Copy>(
     xdata: &[T],
     zero: T,
     dims: [usize; 4],
     spec: &ConvSpec,
-    cols: &mut Vec<T>,
+    cols: &mut [T],
 ) {
     let [n, c, h, w] = dims;
     let (ho, wo) = spec.out_size(h, w);
     let m = n * ho * wo;
     let (k, s, pd) = (spec.kernel, spec.stride, spec.padding);
-    cols.clear();
-    cols.resize(spec.patch_len() * m, zero);
+    debug_assert_eq!(cols.len(), spec.patch_len() * m);
     for ci in 0..c {
         for ky in 0..k {
             for kx in 0..k {
@@ -326,9 +310,8 @@ pub(crate) fn im2col_t<T: Copy>(
 /// result is bit-identical to `gemm_nt` on the swapped operands.
 /// Register-tiled `IR_T×JR_T` so each B row chunk is read once per
 /// channel group (not once per channel) and needs no packing: the
-/// transposed layout is already contiguous along j. `c` must be
-/// caller-zeroed (only the sub-tile tails read it as the accumulator
-/// start).
+/// transposed layout is already contiguous along j. `c` is fully
+/// overwritten (the sub-tile tails start their chains from zero too).
 fn gemm_tn_f32(co: usize, ck: usize, m: usize, a: &[f32], bt: &[f32], c: &mut [f32]) {
     debug_assert!(a.len() >= co * ck && bt.len() >= ck * m && c.len() >= co * m);
     let jm = m - m % JR_T;
@@ -353,7 +336,7 @@ fn gemm_tn_f32(co: usize, ck: usize, m: usize, a: &[f32], bt: &[f32], c: &mut [f
         for ii in 0..ir {
             let arow = &a_grp[ii * ck..(ii + 1) * ck];
             for j in jm..m {
-                let mut acc = c_grp[ii * m + j];
+                let mut acc = 0.0f32;
                 for (p, &av) in arow.iter().enumerate() {
                     acc = av.mul_add(bt[p * m + j], acc);
                 }
@@ -369,6 +352,20 @@ fn gemm_tn_f32(co: usize, ck: usize, m: usize, a: &[f32], bt: &[f32], c: &mut [f
 /// register budget as the packed microkernel's `MR×NR` tile.
 pub(crate) const IR_T: usize = 8;
 pub(crate) const JR_T: usize = 16;
+
+/// Working-set budget of one compiled-plan tile: a plan streams as many
+/// samples at a time as keep its lowering buffers (im2col columns, GEMM
+/// rows / i32 accumulators, ping/pong intermediates) within this many
+/// bytes, so a tile's columns are still cache-resident when its GEMM
+/// reads them and its rows when the epilogue does. 256 KiB is an eighth
+/// of the reference host's per-core L2 — the tile's input, output and
+/// the weights need room beside it — and resolves to two samples for
+/// every f32 stem, branch and gate of the canonical model. Measured at
+/// 128 / 256 / 512 KiB (`BENCH_14.json`, `tile_constant`): 128 and 256
+/// are within run-to-run spread of each other (256 a little ahead on the
+/// 64-frame f32 fleet batches, 128 on the int8 rung), 512 is behind on
+/// the int8 rung and costs resident memory everywhere.
+pub(crate) const TILE_BYTES: usize = 256 * 1024;
 
 /// One `IR×JR_T` tile of [`gemm_tn_f32`]: broadcast-A times contiguous-B
 /// rows, accumulators in registers (the const height lets the row loop
@@ -716,6 +713,17 @@ pub(crate) fn dims4(x: &Tensor) -> (usize, usize, usize, usize) {
     (s[0], s[1], s[2], s[3])
 }
 
+/// Serializes the unit tests of this crate that flip a process-wide
+/// switch (the backend selection, the compiled-execution gate) with the
+/// ones whose assertions read it — every eager-vs-compiled bit-identity
+/// test does, through [`active`].
+#[cfg(test)]
+pub(crate) fn lock_test_globals() -> std::sync::MutexGuard<'static, ()> {
+    static GLOBALS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed assertion under the lock must not fail the other tests.
+    GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -723,6 +731,7 @@ mod tests {
 
     #[test]
     fn backend_selection_roundtrip() {
+        let _guard = lock_test_globals();
         let before = backend_kind();
         set_backend(BackendKind::Reference);
         assert_eq!(backend_kind(), BackendKind::Reference);

@@ -188,81 +188,27 @@ impl Backend for Reference {
         ConvGrads { dw, db, dx }
     }
 
-    fn conv2d_rows(
-        &self,
-        x: &[f32],
-        dims: [usize; 4],
-        weight: &Tensor,
-        spec: &ConvSpec,
-        _cols: &mut Vec<f32>,
-        rows: &mut Vec<f32>,
-    ) {
-        // The direct loops of `conv2d_forward` with the bias add and NCHW
-        // write elided: the reference forward skips out-of-bounds taps
-        // rather than multiplying padded zeros, so the rows must come
-        // from the same reduction to keep the epilogue bit-identical.
-        let [n, ci_n, h, w] = dims;
-        debug_assert_eq!(ci_n, spec.in_channels);
-        let (ho, wo) = spec.out_size(h, w);
-        let k = spec.kernel;
-        let co_n = spec.out_channels;
-        rows.clear();
-        rows.resize(n * ho * wo * co_n, 0.0);
-        let wd = weight.data();
-        for b in 0..n {
-            for co in 0..co_n {
-                let w_base = co * spec.patch_len();
-                for oy in 0..ho {
-                    let iy0 = (oy * spec.stride) as isize - spec.padding as isize;
-                    for ox in 0..wo {
-                        let ix0 = (ox * spec.stride) as isize - spec.padding as isize;
-                        let mut acc = 0.0f32;
-                        for ci in 0..ci_n {
-                            let ch_base = (b * ci_n + ci) * h * w;
-                            let wk_base = w_base + ci * k * k;
-                            for ky in 0..k {
-                                let iy = iy0 + ky as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                let src_row = ch_base + iy as usize * w;
-                                let wrow = wk_base + ky * k;
-                                for kx in 0..k {
-                                    let ix = ix0 + kx as isize;
-                                    if ix < 0 || ix >= w as isize {
-                                        continue;
-                                    }
-                                    acc += wd[wrow + kx] * x[src_row + ix as usize];
-                                }
-                            }
-                        }
-                        rows[((b * ho + oy) * wo + ox) * co_n + co] = acc;
-                    }
-                }
-            }
-        }
-    }
-
     fn conv2d_rows_t(
         &self,
         x: &[f32],
         dims: [usize; 4],
         weight: &Tensor,
         spec: &ConvSpec,
-        _cols: &mut Vec<f32>,
-        rows: &mut Vec<f32>,
+        _cols: &mut [f32],
+        rows: &mut [f32],
     ) {
-        // Same direct reduction as `conv2d_rows` above; only the output
-        // index is transposed to `(C_out, N·Ho·Wo)`, so each element's
-        // accumulation chain is untouched.
+        // The direct loops of `conv2d_forward` with the bias add elided
+        // and the output index transposed to `(C_out, N·Ho·Wo)`: the
+        // reference forward skips out-of-bounds taps rather than
+        // multiplying padded zeros, so the rows must come from the same
+        // reduction to keep the epilogue bit-identical. Every element of
+        // the used prefix is written.
         let [n, ci_n, h, w] = dims;
         debug_assert_eq!(ci_n, spec.in_channels);
         let (ho, wo) = spec.out_size(h, w);
         let k = spec.kernel;
         let co_n = spec.out_channels;
         let m_total = n * ho * wo;
-        rows.clear();
-        rows.resize(m_total * co_n, 0.0);
         let wd = weight.data();
         for b in 0..n {
             for co in 0..co_n {

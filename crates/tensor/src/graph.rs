@@ -10,9 +10,43 @@
 //!   write-back).
 //! * `MaxPool2d` becomes a plan step over the arena; `Flatten` becomes
 //!   pure shape bookkeeping (no copy).
+//! * `SelfAttention2d` becomes one per-sample step: the layer's own six
+//!   backend GEMMs, scale, row softmax and residual, on arena slices
+//!   instead of nine tensors per sample.
 //! * Quantized convolutions get a fused dequant + folded-BN + ReLU
 //!   epilogue applied directly to the i32 accumulators, removing the
 //!   stage-boundary dequant round-trips of the eager [`QuantPipe`].
+//!
+//! # Tiles
+//!
+//! A plan is compiled for a **per-sample** shape and runs any batch: the
+//! leading extent of the shape handed to the compiler is ignored, and
+//! [`CompiledPlan::execute_into`] accepts every input whose trailing
+//! dimensions match. Execution is cache-blocked over the batch: the plan
+//! takes `T` samples at a time through *all* of its steps before it
+//! touches the next `T`, so the im2col columns a convolution writes are
+//! still cache-resident when its GEMM reads them, the GEMM rows when the
+//! epilogue reads them, and one step's output when the next step lowers
+//! it. `T` is fixed at compile time from the plan's own step shapes as
+//! the largest count whose columns + rows / i32 accumulators + quantized
+//! input + ping/pong intermediates (plus the attention scratch, which
+//! does not scale with `T`) fit `TILE_BYTES` (256 KiB, beside the
+//! register-tile constants in [`crate::backend`]) — at least one sample.
+//! The
+//! arena holds exactly those buffers, for at most one tile — it grows to
+//! the largest tile a plan has actually run, so its size is O(tile), not
+//! O(batch), and a plan that only serves batch 1 keeps one sample's
+//! worth. Nothing in it survives from one tile to the next and every
+//! position a step reads was written by the step before it, so no
+//! buffer is ever cleared.
+//!
+//! Results cannot depend on how a batch is cut into tiles: every output
+//! element is one accumulation chain over its own sample's patch
+//! (ascending-k `mul_add` from zero in f32, exact i32 sums in int8), the
+//! epilogues, pooling and attention are per element or per sample, and
+//! the lowering is pure data movement — no step reads across samples.
+//! A batch of `N` therefore equals the concatenation of `N` batch-1 runs
+//! bit for bit (property-tested in `crates/tensor/tests/prop_tiles.rs`).
 //!
 //! # Bit-identity contract
 //!
@@ -20,7 +54,8 @@
 //! replaces, on both f32 and int8:
 //!
 //! * f32: the plan obtains pre-bias GEMM rows from
-//!   [`Backend::conv2d_rows_t`] — each backend's own forward reduction,
+//!   [`Backend::conv2d_rows_t`](crate::backend::Backend::conv2d_rows_t) —
+//!   each backend's own forward reduction,
 //!   laid out channel-major so the epilogue streams contiguously —
 //!   and the epilogue applies, per element and in order, exactly the
 //!   eager arithmetic: `v = rows + bias`, then the [`BatchNorm2d`] eval
@@ -30,24 +65,28 @@
 //! * int8: integer accumulation is exact, and the epilogue mirrors the
 //!   eager per-element order `v = acc·(s_x·s_w[c]) + bias[c]`, then
 //!   `v·scale[c] + shift[c]`, then `v.max(0.0)`.
+//! * attention: the same backend GEMM entry points on the same operands
+//!   in the same order as [`SelfAttention2d`]'s forward, and the shared
+//!   row-softmax routine.
 //!
 //! The golden traces and the perf-gate baselines therefore hold
 //! unchanged whether `ECOFUSION_COMPILED` is `0` or `1`.
 //!
 //! # Memory
 //!
-//! A plan pre-sizes a ping-pong scratch arena at compile time (including
-//! the im2col / GEMM-row / int8 lowering buffers), so steady-state
-//! [`CompiledPlan::execute_into`] performs **zero heap allocations** —
-//! property-tested in `crates/core/tests/prop_compiled.rs`. Plans are
-//! memoized in a [`PlanCache`] keyed by (stack fingerprint, input shape
-//! incl. batch, precision) and invalidated on weight mutation, mirroring
-//! the quantization image's invalidation discipline.
+//! The arena stops growing once a plan has run a full tile (or its
+//! largest batch, if smaller), so steady-state
+//! [`CompiledPlan::execute_into`] performs **zero heap allocations** at
+//! any batch size — tested with a counting allocator in
+//! `crates/core/tests/prop_compiled.rs`. Plans are memoized in a
+//! [`PlanCache`] keyed by (stack fingerprint, per-sample input shape,
+//! precision) and invalidated on weight mutation, mirroring the
+//! quantization image's invalidation discipline.
 
-use crate::backend::{self, ConvSpec};
-use crate::layer::{BatchNorm2d, Conv2d, Linear, Sequential};
+use crate::backend::{self, ConvSpec, TILE_BYTES};
+use crate::layer::{BatchNorm2d, Conv2d, Linear, SelfAttention2d, Sequential};
 use crate::quant::{conv_rows_t_i8, quantize_activations, QuantConv2d, QuantPipe, QuantStage};
-use crate::tensor::Tensor;
+use crate::tensor::{softmax_rows_in_place, Tensor};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -69,9 +108,10 @@ fn env_default() -> bool {
     })
 }
 
-/// Whether the staged pipeline routes stems/branches through compiled
-/// plans: [`set_compiled`] if called, otherwise `ECOFUSION_COMPILED`
-/// (default **on**; `0`/`off`/`false` disable for A/B comparison).
+/// Whether the staged pipeline routes stems, learned gates and branches
+/// through compiled plans: [`set_compiled`] if called, otherwise
+/// `ECOFUSION_COMPILED` (default **on**; `0`/`off`/`false` disable for
+/// A/B comparison).
 pub fn compiled_enabled() -> bool {
     match OVERRIDE.load(Ordering::Relaxed) {
         COMPILED_OFF => false,
@@ -145,61 +185,119 @@ enum Op {
     LinearF32 { weight: Tensor, bias: Vec<f32>, relu: bool },
     /// Max pooling, stride = kernel (the eval fast path of `MaxPool2d`).
     MaxPool { kernel: usize },
+    /// Residual single-head self-attention over the spatial positions,
+    /// one sample at a time. `proj` is `[Wq, Wk, Wv, Wo]`, each `(C, C)`.
+    SelfAttention { proj: [Tensor; 4] },
     /// Shape bookkeeping only — executes as a no-op on the flat arena.
     Flatten,
 }
 
-/// One plan step: a fused op plus its compile-time-resolved shapes.
+/// One plan step: a fused op plus its compile-time-resolved per-sample
+/// shapes (no batch axis) and their element counts.
 #[derive(Debug, Clone)]
 struct Step {
     op: Op,
     in_shape: Vec<usize>,
     out_shape: Vec<usize>,
+    in_numel: usize,
+    out_numel: usize,
 }
 
-/// The pre-sized scratch arena of one plan. All lowering buffers live
-/// here (never in layer state), sized once at compile time for the
-/// plan's fixed input shape.
+/// The lowering buffers of one plan, never cleared: each step overwrites
+/// the prefix it uses.
 #[derive(Debug, Clone, Default)]
-struct PlanArena {
-    /// Ping-pong intermediate activation buffers.
-    ping: Vec<f32>,
-    pong: Vec<f32>,
+struct Lowering {
     /// f32 im2col columns.
     cols: Vec<f32>,
-    /// Pre-bias GEMM rows `(N·Ho·Wo, C_out)`.
+    /// Pre-bias GEMM rows `(C_out, T·Ho·Wo)`.
     rows: Vec<f32>,
-    /// Quantized activations.
+    /// Quantized activations (refilled per step, which also grows it).
     qx: Vec<i8>,
     /// Int8 im2col columns.
     cols_i8: Vec<i8>,
     /// i32 GEMM accumulators.
     acc: Vec<i32>,
+    /// Self-attention scratch of one sample: tokens, Q, K, V, context
+    /// and projection `(T, C)` each, plus the `(T, T)` score matrix.
+    attn: Vec<f32>,
 }
 
-/// A compiled, fused execution plan for one stack × input shape ×
-/// precision. Owns weight snapshots and a pre-sized arena; see the
-/// module docs for the fusion rules and the bit-identity contract.
+/// Per-sample element counts of a plan's tiled buffers (`qx` and
+/// `cols_i8` hold bytes, the rest 4-byte elements) and the per-plan
+/// attention scratch — what the tile rule divides the budget by.
+#[derive(Debug, Clone, Copy, Default)]
+struct ArenaSpec {
+    ping: usize,
+    pong: usize,
+    cols: usize,
+    rows: usize,
+    qx: usize,
+    cols_i8: usize,
+    acc: usize,
+    attn: usize,
+}
+
+/// The scratch arena of one plan: ping-pong intermediate activations of
+/// one tile plus the lowering buffers.
+#[derive(Debug, Clone, Default)]
+struct PlanArena {
+    ping: Vec<f32>,
+    pong: Vec<f32>,
+    low: Lowering,
+    /// Samples the buffers currently hold (at most the plan's tile).
+    samples: usize,
+}
+
+impl PlanArena {
+    /// Grows the buffers to hold a tile of `samples`; a no-op once they
+    /// do, so a plan that only ever serves batch 1 keeps a one-sample
+    /// arena and any plan stops allocating after its largest tile.
+    fn reserve(&mut self, spec: &ArenaSpec, samples: usize) {
+        if samples <= self.samples {
+            return;
+        }
+        self.ping.resize(samples * spec.ping, 0.0);
+        self.pong.resize(samples * spec.pong, 0.0);
+        self.low.cols.resize(samples * spec.cols, 0.0);
+        self.low.rows.resize(samples * spec.rows, 0.0);
+        self.low.cols_i8.resize(samples * spec.cols_i8, 0);
+        self.low.acc.resize(samples * spec.acc, 0);
+        self.low.attn.resize(spec.attn, 0.0);
+        self.samples = samples;
+    }
+}
+
+/// A compiled, fused execution plan for one stack × per-sample input
+/// shape × precision. Owns weight snapshots and a tile-sized arena; see
+/// the module docs for the fusion rules, the tile rule and the
+/// bit-identity contract.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
     steps: Vec<Step>,
     arena: PlanArena,
+    spec: ArenaSpec,
     in_shape: Vec<usize>,
     out_shape: Vec<usize>,
+    /// Samples taken through all steps at a time.
+    tile: usize,
     /// Index of the last step that moves data (everything after is
     /// `Flatten` shape bookkeeping); `None` when no step moves data.
     last_compute: Option<usize>,
 }
 
 impl CompiledPlan {
-    /// The input shape the plan was compiled for (batch included).
-    pub fn in_shape(&self) -> &[usize] {
+    /// The per-sample input shape the plan was compiled for (no batch
+    /// axis).
+    pub fn sample_shape(&self) -> &[usize] {
         &self.in_shape
     }
 
-    /// The output shape the plan produces.
-    pub fn out_shape(&self) -> &[usize] {
-        &self.out_shape
+    /// The output shape for a batch of `n` samples.
+    pub fn out_shape_for(&self, n: usize) -> Vec<usize> {
+        let mut shape = Vec::with_capacity(1 + self.out_shape.len());
+        shape.push(n);
+        shape.extend_from_slice(&self.out_shape);
+        shape
     }
 
     /// Fused steps in the plan (diagnostics).
@@ -207,34 +305,72 @@ impl CompiledPlan {
         self.steps.len()
     }
 
-    /// Runs the plan, allocating only the output tensor.
+    /// Multiply-accumulates one sample costs across the plan's GEMMs
+    /// (convolutions, linears, attention) — the operation count a
+    /// throughput figure divides by.
+    pub fn macs_per_sample(&self) -> usize {
+        self.steps
+            .iter()
+            .map(|step| match &step.op {
+                Op::ConvF32 { spec, .. } | Op::ConvI8 { spec, .. } => {
+                    step.out_numel * spec.patch_len()
+                }
+                Op::LinearF32 { .. } => step.in_numel * step.out_numel,
+                Op::SelfAttention { .. } => {
+                    let c = step.in_shape[0];
+                    let t = step.in_numel / c;
+                    4 * t * c * c + 2 * t * t * c
+                }
+                Op::MaxPool { .. } | Op::Flatten => 0,
+            })
+            .sum()
+    }
+
+    /// Samples the plan takes through all of its steps at a time (the
+    /// module docs give the rule).
+    pub fn tile(&self) -> usize {
+        self.tile
+    }
+
+    /// Runs the plan over a batch of any size, allocating only the
+    /// output tensor. An empty batch yields an empty output.
     ///
     /// # Panics
-    /// Panics if `x` does not match the compiled input shape.
+    /// Panics if the trailing dimensions of `x` do not match the
+    /// compiled per-sample shape.
     pub fn execute(&mut self, x: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(&self.out_shape.clone());
+        let mut out = Tensor::zeros(&self.out_shape_for(x.shape()[0]));
         self.execute_into(x, &mut out);
         out
     }
 
     /// Runs the plan into a caller-owned output tensor: the steady-state
-    /// zero-allocation path (no heap allocation once per-thread GEMM
-    /// pack buffers are warm).
+    /// zero-allocation path at any batch size (no heap allocation once
+    /// per-thread GEMM pack buffers are warm).
     ///
     /// # Panics
-    /// Panics if `x` or `out` does not match the compiled shapes.
+    /// Panics if the trailing dimensions of `x` or `out` do not match
+    /// the compiled per-sample shapes, or their batch extents differ.
     pub fn execute_into(&mut self, x: &Tensor, out: &mut Tensor) {
-        assert_eq!(x.shape(), &self.in_shape[..], "plan compiled for a different input shape");
-        assert_eq!(out.shape(), &self.out_shape[..], "plan output shape mismatch");
+        assert_eq!(
+            &x.shape()[1..],
+            &self.in_shape[..],
+            "plan compiled for a different input shape"
+        );
+        assert_eq!(&out.shape()[1..], &self.out_shape[..], "plan output shape mismatch");
+        let n = x.shape()[0];
+        assert_eq!(out.shape()[0], n, "plan output batch mismatch");
         let Some(last_compute) = self.last_compute else {
             // Shape-only plan (empty or all-Flatten): copy through.
             out.data_mut().copy_from_slice(x.data());
             return;
         };
+        let (in_per, out_per) = (x.len() / n.max(1), out.len() / n.max(1));
+        self.arena.reserve(&self.spec, self.tile.min(n));
         // `steps` and `arena` are disjoint fields, so the plan can read
         // its program while mutating its scratch.
         let steps = &self.steps;
-        let arena = &mut self.arena;
+        let PlanArena { ping, pong, low, .. } = &mut self.arena;
         // Which buffer holds the current intermediate activation.
         #[derive(Clone, Copy, PartialEq)]
         enum Loc {
@@ -242,60 +378,54 @@ impl CompiledPlan {
             Ping,
             Pong,
         }
-        let mut cur = Loc::Input;
-        for (i, step) in steps.iter().enumerate() {
-            if matches!(step.op, Op::Flatten) {
-                continue;
+        let mut t0 = 0;
+        while t0 < n {
+            // One tile through every step before the next tile starts.
+            let tn = self.tile.min(n - t0);
+            let x_tile = &x.data()[t0 * in_per..(t0 + tn) * in_per];
+            let out_tile = &mut out.data_mut()[t0 * out_per..(t0 + tn) * out_per];
+            let mut cur = Loc::Input;
+            for (i, step) in steps.iter().enumerate() {
+                if matches!(step.op, Op::Flatten) {
+                    continue;
+                }
+                let (in_len, out_len) = (tn * step.in_numel, tn * step.out_numel);
+                let to_out = i == last_compute;
+                let (src, dst, next): (&[f32], &mut [f32], Loc) = match (cur, to_out) {
+                    (Loc::Input, true) => (x_tile, &mut *out_tile, cur),
+                    (Loc::Input, false) => (x_tile, &mut ping[..out_len], Loc::Ping),
+                    (Loc::Ping, true) => (&ping[..in_len], &mut *out_tile, cur),
+                    (Loc::Ping, false) => (&ping[..in_len], &mut pong[..out_len], Loc::Pong),
+                    (Loc::Pong, true) => (&pong[..in_len], &mut *out_tile, cur),
+                    (Loc::Pong, false) => (&pong[..in_len], &mut ping[..out_len], Loc::Ping),
+                };
+                run_step(step, tn, src, dst, low);
+                cur = next;
+                if to_out {
+                    break;
+                }
             }
-            let in_numel: usize = step.in_shape.iter().product();
-            let out_numel: usize = step.out_shape.iter().product();
-            let to_out = i == last_compute;
-            // Split the arena so src and dst can borrow different
-            // buffers simultaneously.
-            let PlanArena { ping, pong, cols, rows, qx, cols_i8, acc } = arena;
-            let (src, dst, next): (&[f32], &mut [f32], Loc) = match (cur, to_out) {
-                (Loc::Input, true) => (x.data(), out.data_mut(), cur),
-                (Loc::Input, false) => (x.data(), &mut ping[..out_numel], Loc::Ping),
-                (Loc::Ping, true) => (&ping[..in_numel], out.data_mut(), cur),
-                (Loc::Ping, false) => (&ping[..in_numel], &mut pong[..out_numel], Loc::Pong),
-                (Loc::Pong, true) => (&pong[..in_numel], out.data_mut(), cur),
-                (Loc::Pong, false) => (&pong[..in_numel], &mut ping[..out_numel], Loc::Ping),
-            };
-            run_step(step, src, dst, cols, rows, qx, cols_i8, acc);
-            cur = next;
-            if to_out {
-                break;
-            }
+            t0 += tn;
         }
     }
 }
 
-/// Executes one fused step from `src` into `dst` using the plan's
-/// lowering buffers.
-#[allow(clippy::too_many_arguments)]
-fn run_step(
-    step: &Step,
-    src: &[f32],
-    dst: &mut [f32],
-    cols: &mut Vec<f32>,
-    rows: &mut Vec<f32>,
-    qx: &mut Vec<i8>,
-    cols_i8: &mut Vec<i8>,
-    acc: &mut Vec<i32>,
-) {
+/// Executes one fused step over `n` samples from `src` into `dst` using
+/// the plan's lowering buffers.
+fn run_step(step: &Step, n: usize, src: &[f32], dst: &mut [f32], low: &mut Lowering) {
     match &step.op {
         Op::ConvF32 { weight, bias, spec, bn, relu } => {
-            let dims = [step.in_shape[0], step.in_shape[1], step.in_shape[2], step.in_shape[3]];
-            let (n, co) = (dims[0], spec.out_channels);
-            let (ho, wo) = spec.out_size(dims[2], dims[3]);
-            backend::active().conv2d_rows_t(src, dims, weight, spec, cols, rows);
+            let dims = [n, step.in_shape[0], step.in_shape[1], step.in_shape[2]];
+            let co = spec.out_channels;
+            let plane = step.out_shape[1] * step.out_shape[2];
+            let rows = &mut low.rows[..co * n * plane];
+            backend::active().conv2d_rows_t(src, dims, weight, spec, &mut low.cols, rows);
             // Fused write-back: bias, batch-norm eval affine, ReLU — the
             // exact eager per-element arithmetic, in the eager order.
             // The transposed rows make both sides of the epilogue
-            // contiguous: each (batch, channel) pair streams one GEMM run
+            // contiguous: each (sample, channel) pair streams one GEMM run
             // straight into its NCHW plane with scalar per-channel
             // constants, so the inner loop vectorizes with no scatter.
-            let plane = ho * wo;
             let m_total = n * plane;
             for b in 0..n {
                 for c in 0..co {
@@ -326,22 +456,21 @@ fn run_step(
             }
         }
         Op::ConvI8 { q, deq, bias, spec, act_scale, affine, relu } => {
-            let [n, c, h, w] =
-                [step.in_shape[0], step.in_shape[1], step.in_shape[2], step.in_shape[3]];
-            let (ho, wo) = spec.out_size(h, w);
+            let dims = [n, step.in_shape[0], step.in_shape[1], step.in_shape[2]];
             let co = spec.out_channels;
-            let rows_n = n * ho * wo;
-            quantize_activations(src, *act_scale, qx);
+            let plane = step.out_shape[1] * step.out_shape[2];
+            let rows_n = n * plane;
+            quantize_activations(src, *act_scale, &mut low.qx);
             // Transposed lowering: i32 accumulation is exact, so the
             // summation order is immaterial and the accumulators land
-            // channel-major — one contiguous run per (batch, channel)
+            // channel-major — one contiguous run per (sample, channel)
             // for the epilogue below.
-            conv_rows_t_i8(qx, [n, c, h, w], spec, q, cols_i8, acc);
+            let acc = &mut low.acc[..co * rows_n];
+            conv_rows_t_i8(&low.qx, dims, spec, q, &mut low.cols_i8, acc);
             // Fused dequant + folded-BN affine + ReLU straight off the
             // i32 accumulators — the eager pipe's per-element op order
             // (Conv dequant+bias, Affine, ReLU) without the two
             // intermediate tensors.
-            let plane = ho * wo;
             for b in 0..n {
                 for ci in 0..co {
                     let run = &acc[ci * rows_n + b * plane..ci * rows_n + (b + 1) * plane];
@@ -371,8 +500,7 @@ fn run_step(
             }
         }
         Op::LinearF32 { weight, bias, relu } => {
-            let (n, in_f) = (step.in_shape[0], step.in_shape[1]);
-            let out_f = step.out_shape[1];
+            let (in_f, out_f) = (step.in_numel, step.out_numel);
             // GEMM methods write into a caller-zeroed buffer.
             dst.fill(0.0);
             backend::active().gemm_nt(n, in_f, out_f, src, weight.data(), dst);
@@ -388,8 +516,7 @@ fn run_step(
             }
         }
         Op::MaxPool { kernel } => {
-            let [n, c, h, w] =
-                [step.in_shape[0], step.in_shape[1], step.in_shape[2], step.in_shape[3]];
+            let [c, h, w] = [step.in_shape[0], step.in_shape[1], step.in_shape[2]];
             let k = *kernel;
             let (ho, wo) = (h / k, w / k);
             // The eval fast path of `MaxPool2d::forward`, on arena slices.
@@ -442,6 +569,52 @@ fn run_step(
                 }
             }
         }
+        Op::SelfAttention { proj } => {
+            let c = step.in_shape[0];
+            let t = step.in_shape[1] * step.in_shape[2];
+            let [wq, wk, wv, wo] = proj;
+            let be = backend::active();
+            let scale = 1.0 / (c as f32).sqrt();
+            // `SelfAttention2d::forward` per sample, tensor for tensor:
+            // the same backend entry points on the same operands, every
+            // GEMM into a zeroed buffer as `Tensor::matmul*` allocates
+            // one.
+            let (xt, rest) = low.attn.split_at_mut(t * c);
+            let (q, rest) = rest.split_at_mut(t * c);
+            let (k, rest) = rest.split_at_mut(t * c);
+            let (v, rest) = rest.split_at_mut(t * c);
+            let (z, rest) = rest.split_at_mut(t * c);
+            let (o, rest) = rest.split_at_mut(t * c);
+            let s = &mut rest[..t * t];
+            for b in 0..n {
+                let x = &src[b * c * t..(b + 1) * c * t];
+                for (ci, plane) in x.chunks_exact(t).enumerate() {
+                    for (i, &val) in plane.iter().enumerate() {
+                        xt[i * c + ci] = val;
+                    }
+                }
+                for (w, y) in [(wq, &mut *q), (wk, &mut *k), (wv, &mut *v)] {
+                    y.fill(0.0);
+                    be.gemm(t, c, c, xt, w.data(), y);
+                }
+                s.fill(0.0);
+                be.gemm_nt(t, c, t, q, k, s);
+                for val in s.iter_mut() {
+                    *val *= scale;
+                }
+                softmax_rows_in_place(s, t);
+                z.fill(0.0);
+                be.gemm(t, t, c, s, v, z);
+                o.fill(0.0);
+                be.gemm(t, c, c, z, wo.data(), o);
+                let y = &mut dst[b * c * t..(b + 1) * c * t];
+                for (ci, plane) in y.chunks_exact_mut(t).enumerate() {
+                    for (i, out) in plane.iter_mut().enumerate() {
+                        *out = xt[i * c + ci] + o[i * c + ci];
+                    }
+                }
+            }
+        }
         Op::Flatten => unreachable!("Flatten steps are skipped by the executor"),
     }
 }
@@ -481,38 +654,50 @@ impl std::error::Error for CompileError {}
 
 /// Incrementally lowers layer stacks into a [`CompiledPlan`]. Callers
 /// compose heterogeneous stacks (e.g. a branch backbone followed by its
-/// detection-head convolution) before [`PlanBuilder::finish`] sizes the
-/// arena.
+/// detection-head convolution) before [`PlanBuilder::finish`] derives
+/// the tile and sizes the arena.
 #[derive(Debug)]
 pub struct PlanBuilder {
     steps: Vec<Step>,
     in_shape: Vec<usize>,
+    /// Per-sample shape the next pushed layer will receive.
     cur_shape: Vec<usize>,
 }
 
 impl PlanBuilder {
-    /// Starts a plan for inputs of `in_shape` (batch included).
+    /// Starts a plan for inputs shaped like `in_shape` — a full batched
+    /// shape such as `(N, C, H, W)`, of which only the trailing
+    /// per-sample dimensions are kept: plans are batch-agnostic.
     pub fn new(in_shape: &[usize]) -> PlanBuilder {
-        PlanBuilder { steps: Vec::new(), in_shape: in_shape.to_vec(), cur_shape: in_shape.to_vec() }
-    }
-
-    /// The shape the next pushed layer will receive.
-    pub fn current_shape(&self) -> &[usize] {
-        &self.cur_shape
+        let sample = in_shape.get(1..).unwrap_or_default().to_vec();
+        PlanBuilder { steps: Vec::new(), in_shape: sample.clone(), cur_shape: sample }
     }
 
     fn push_step(&mut self, op: Op, out_shape: Vec<usize>) {
+        let in_shape = std::mem::replace(&mut self.cur_shape, out_shape.clone());
         self.steps.push(Step {
             op,
-            in_shape: self.cur_shape.clone(),
-            out_shape: out_shape.clone(),
+            in_numel: in_shape.iter().product(),
+            out_numel: out_shape.iter().product(),
+            in_shape,
+            out_shape,
         });
-        self.cur_shape = out_shape;
+    }
+
+    /// The tracked shape as `(C, H, W)` if it feeds `channels` input
+    /// channels.
+    fn chw_for(&self, layer: &'static str, channels: usize) -> Result<[usize; 3], CompileError> {
+        match self.cur_shape[..] {
+            [c, h, w] if c == channels => Ok([c, h, w]),
+            [c, _, _] => Err(CompileError::ShapeMismatch { layer, expected: channels, found: c }),
+            _ => Err(CompileError::ShapeMismatch { layer, expected: channels, found: 0 }),
+        }
     }
 
     /// Lowers a whole [`Sequential`] with peephole fusion: `Conv2d [→
     /// BatchNorm2d] [→ ReLU]` and `Linear [→ ReLU]` runs collapse into
-    /// single fused steps; `MaxPool2d` and `Flatten` become plan steps.
+    /// single fused steps; `MaxPool2d`, `SelfAttention2d` and `Flatten`
+    /// become plan steps.
     ///
     /// # Errors
     /// [`CompileError::Unsupported`] on any other layer kind (including
@@ -535,6 +720,9 @@ impl PlanBuilder {
                 i += 1 + usize::from(relu);
             } else if let Some(pool) = layer.as_maxpool() {
                 self.push_maxpool(pool.kernel())?;
+                i += 1;
+            } else if let Some(attn) = layer.as_self_attention() {
+                self.push_self_attention(attn)?;
                 i += 1;
             } else if layer.name() == "Flatten" {
                 self.push_flatten();
@@ -559,14 +747,7 @@ impl PlanBuilder {
         relu: bool,
     ) -> Result<(), CompileError> {
         let spec = conv.spec();
-        if self.cur_shape.len() != 4 || self.cur_shape[1] != spec.in_channels {
-            return Err(CompileError::ShapeMismatch {
-                layer: "Conv2d",
-                expected: spec.in_channels,
-                found: if self.cur_shape.len() == 4 { self.cur_shape[1] } else { 0 },
-            });
-        }
-        let (n, h, w) = (self.cur_shape[0], self.cur_shape[2], self.cur_shape[3]);
+        let [_, h, w] = self.chw_for("Conv2d", spec.in_channels)?;
         let (ho, wo) = spec.out_size(h, w);
         let op = Op::ConvF32 {
             weight: conv.weight().clone(),
@@ -575,7 +756,7 @@ impl PlanBuilder {
             bn: bn.map(BnFold::capture),
             relu,
         };
-        self.push_step(op, vec![n, spec.out_channels, ho, wo]);
+        self.push_step(op, vec![spec.out_channels, ho, wo]);
         Ok(())
     }
 
@@ -592,14 +773,7 @@ impl PlanBuilder {
         relu: bool,
     ) -> Result<(), CompileError> {
         let spec = qc.spec;
-        if self.cur_shape.len() != 4 || self.cur_shape[1] != spec.in_channels {
-            return Err(CompileError::ShapeMismatch {
-                layer: "QuantConv2d",
-                expected: spec.in_channels,
-                found: if self.cur_shape.len() == 4 { self.cur_shape[1] } else { 0 },
-            });
-        }
-        let (n, h, w) = (self.cur_shape[0], self.cur_shape[2], self.cur_shape[3]);
+        let [_, h, w] = self.chw_for("QuantConv2d", spec.in_channels)?;
         let (ho, wo) = spec.out_size(h, w);
         let deq: Vec<f32> = qc.weights.scales.iter().map(|s| qc.act_scale * s).collect();
         let op = Op::ConvI8 {
@@ -611,7 +785,7 @@ impl PlanBuilder {
             affine,
             relu,
         };
-        self.push_step(op, vec![n, spec.out_channels, ho, wo]);
+        self.push_step(op, vec![spec.out_channels, ho, wo]);
         Ok(())
     }
 
@@ -652,112 +826,123 @@ impl PlanBuilder {
     /// Pushes one fused `Linear [+ ReLU]` step.
     ///
     /// # Errors
-    /// [`CompileError::ShapeMismatch`] if the tracked shape is not
-    /// `(N, in_features)`.
+    /// [`CompileError::ShapeMismatch`] if the tracked per-sample shape is
+    /// not `(in_features)`.
     pub fn push_linear(&mut self, linear: &Linear, relu: bool) -> Result<(), CompileError> {
-        if self.cur_shape.len() != 2 || self.cur_shape[1] != linear.in_features() {
+        if self.cur_shape[..] != [linear.in_features()] {
             return Err(CompileError::ShapeMismatch {
                 layer: "Linear",
                 expected: linear.in_features(),
-                found: if self.cur_shape.len() == 2 { self.cur_shape[1] } else { 0 },
+                found: if self.cur_shape.len() == 1 { self.cur_shape[0] } else { 0 },
             });
         }
-        let n = self.cur_shape[0];
         let op = Op::LinearF32 {
             weight: linear.weight().clone(),
             bias: linear.bias().data().to_vec(),
             relu,
         };
-        self.push_step(op, vec![n, linear.out_features()]);
+        self.push_step(op, vec![linear.out_features()]);
         Ok(())
     }
 
     /// Pushes a max-pool step (stride = kernel).
     ///
     /// # Errors
-    /// [`CompileError::ShapeMismatch`] if the tracked shape is not NCHW
-    /// at least as large as the kernel.
+    /// [`CompileError::ShapeMismatch`] if the tracked per-sample shape is
+    /// not `(C, H, W)` at least as large as the kernel.
     pub fn push_maxpool(&mut self, kernel: usize) -> Result<(), CompileError> {
-        if self.cur_shape.len() != 4 || self.cur_shape[2] < kernel || self.cur_shape[3] < kernel {
-            return Err(CompileError::ShapeMismatch {
+        match self.cur_shape[..] {
+            [c, h, w] if h >= kernel && w >= kernel => {
+                self.push_step(Op::MaxPool { kernel }, vec![c, h / kernel, w / kernel]);
+                Ok(())
+            }
+            _ => Err(CompileError::ShapeMismatch {
                 layer: "MaxPool2d",
                 expected: kernel,
-                found: if self.cur_shape.len() == 4 { self.cur_shape[2] } else { 0 },
-            });
+                found: if self.cur_shape.len() == 3 { self.cur_shape[1] } else { 0 },
+            }),
         }
-        let (n, c, h, w) =
-            (self.cur_shape[0], self.cur_shape[1], self.cur_shape[2], self.cur_shape[3]);
-        self.push_step(Op::MaxPool { kernel }, vec![n, c, h / kernel, w / kernel]);
+    }
+
+    /// Pushes one residual self-attention step, snapshotting the four
+    /// projection matrices.
+    ///
+    /// # Errors
+    /// [`CompileError::ShapeMismatch`] if the tracked shape does not
+    /// carry the layer's token width.
+    pub fn push_self_attention(&mut self, attn: &SelfAttention2d) -> Result<(), CompileError> {
+        let shape = self.chw_for("SelfAttention2d", attn.channels())?;
+        self.push_step(
+            Op::SelfAttention { proj: attn.projections().map(Tensor::clone) },
+            shape.to_vec(),
+        );
         Ok(())
     }
 
-    /// Pushes a copy-free flatten step (`(N, …) → (N, F)` shape
+    /// Pushes a copy-free flatten step (per-sample `(…) → (F)` shape
     /// bookkeeping only).
     pub fn push_flatten(&mut self) {
-        let n = self.cur_shape[0];
-        let f: usize = self.cur_shape.iter().skip(1).product();
-        self.push_step(Op::Flatten, vec![n, f]);
+        let f: usize = self.cur_shape.iter().product();
+        self.push_step(Op::Flatten, vec![f]);
     }
 
-    /// Finalizes the plan: resolves the ping-pong schedule and pre-sizes
-    /// every arena buffer for the plan's fixed shapes so steady-state
-    /// execution never allocates.
+    /// Finalizes the plan: resolves the ping-pong schedule and derives
+    /// the tile from the per-sample scratch the steps need (module docs).
+    /// The arena itself grows on first use, to the tile or to the batch
+    /// if that is smaller.
     pub fn finish(self) -> CompiledPlan {
         let last_compute = self.steps.iter().rposition(|s| !matches!(s.op, Op::Flatten));
-        let mut inter = 0usize; // max intermediate activation numel
-        let mut cols = 0usize;
-        let mut rows = 0usize;
-        let mut qx = 0usize;
-        let mut cols_i8 = 0usize;
-        let mut acc = 0usize;
+        let mut spec = ArenaSpec::default();
+        let mut in_ping = false;
         for (i, step) in self.steps.iter().enumerate() {
-            let in_numel: usize = step.in_shape.iter().product();
-            let out_numel: usize = step.out_shape.iter().product();
             if Some(i) != last_compute && !matches!(step.op, Op::Flatten) {
-                inter = inter.max(out_numel);
+                // The executor alternates, starting with ping.
+                in_ping = !in_ping;
+                let buf = if in_ping { &mut spec.ping } else { &mut spec.pong };
+                *buf = (*buf).max(step.out_numel);
             }
             match &step.op {
-                Op::ConvF32 { spec, .. } => {
-                    let [n, _, h, w] =
-                        [step.in_shape[0], step.in_shape[1], step.in_shape[2], step.in_shape[3]];
-                    let (ho, wo) = spec.out_size(h, w);
-                    let rows_n = n * ho * wo;
-                    cols = cols.max(rows_n * spec.patch_len());
-                    rows = rows.max(rows_n * spec.out_channels);
+                Op::ConvF32 { spec: conv, .. } => {
+                    let plane = step.out_shape[1] * step.out_shape[2];
+                    spec.cols = spec.cols.max(plane * conv.patch_len());
+                    spec.rows = spec.rows.max(step.out_numel);
                 }
-                Op::ConvI8 { spec, .. } => {
-                    let [n, _, h, w] =
-                        [step.in_shape[0], step.in_shape[1], step.in_shape[2], step.in_shape[3]];
-                    let (ho, wo) = spec.out_size(h, w);
-                    let rows_n = n * ho * wo;
-                    qx = qx.max(in_numel);
-                    cols_i8 = cols_i8.max(rows_n * spec.patch_len());
-                    acc = acc.max(rows_n * spec.out_channels);
+                Op::ConvI8 { spec: conv, .. } => {
+                    let plane = step.out_shape[1] * step.out_shape[2];
+                    spec.qx = spec.qx.max(step.in_numel);
+                    spec.cols_i8 = spec.cols_i8.max(plane * conv.patch_len());
+                    spec.acc = spec.acc.max(step.out_numel);
+                }
+                Op::SelfAttention { .. } => {
+                    let t = step.in_shape[1] * step.in_shape[2];
+                    spec.attn = spec.attn.max(6 * step.in_numel + t * t);
                 }
                 Op::LinearF32 { .. } | Op::MaxPool { .. } | Op::Flatten => {}
             }
         }
+        let f32s = std::mem::size_of::<f32>();
+        let per_sample = f32s * (spec.ping + spec.pong + spec.cols + spec.rows + spec.acc)
+            + spec.qx
+            + spec.cols_i8;
+        // A scratch-free plan (`per_sample` 0) gets the budget itself as
+        // its tile: its buffers stay empty and any real batch is one pass.
+        let tile = (TILE_BYTES.saturating_sub(f32s * spec.attn) / per_sample.max(1)).max(1);
         let out_shape =
             self.steps.last().map_or_else(|| self.in_shape.clone(), |s| s.out_shape.clone());
         CompiledPlan {
             steps: self.steps,
-            arena: PlanArena {
-                ping: vec![0.0; inter],
-                pong: vec![0.0; inter],
-                cols: Vec::with_capacity(cols),
-                rows: Vec::with_capacity(rows),
-                qx: Vec::with_capacity(qx),
-                cols_i8: Vec::with_capacity(cols_i8),
-                acc: Vec::with_capacity(acc),
-            },
+            arena: PlanArena::default(),
+            spec,
             in_shape: self.in_shape,
             out_shape,
+            tile,
             last_compute,
         }
     }
 }
 
-/// Compiles a whole [`Sequential`] for one input shape. Convenience for
+/// Compiles a whole [`Sequential`] for inputs shaped like `in_shape`
+/// (batch extent ignored). Convenience for
 /// [`PlanBuilder::push_sequential`] + [`PlanBuilder::finish`].
 ///
 /// # Errors
@@ -772,7 +957,8 @@ pub fn compile_sequential(
     Ok(b.finish())
 }
 
-/// Compiles a whole [`QuantPipe`] for one input shape.
+/// Compiles a whole [`QuantPipe`] for inputs shaped like `in_shape`
+/// (batch extent ignored).
 ///
 /// # Errors
 /// Propagates the builder's [`CompileError`].
@@ -883,13 +1069,14 @@ pub enum PlanPrecision {
     Int8,
 }
 
-/// Cache key: (structural fingerprint incl. caller salt, input shape
-/// incl. batch, precision).
+/// Cache key: (structural fingerprint incl. caller salt, per-sample
+/// input shape, precision). Plans run any batch, so the batch extent is
+/// not part of the key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Structural fingerprint (salted per unit).
     pub fingerprint: u64,
-    /// Input shape, batch included.
+    /// Per-sample input shape (no batch axis).
     pub shape: Vec<usize>,
     /// Precision axis.
     pub precision: PlanPrecision,
@@ -1003,13 +1190,10 @@ impl Clone for PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::lock_test_globals;
     use crate::layer::{Flatten, Layer, MaxPool2d, ReLU};
     use crate::quant::quantize_sequential;
     use crate::rng::Rng;
-    use std::sync::Mutex;
-
-    /// Serializes tests that flip the process-wide compiled gate.
-    static GATE: Mutex<()> = Mutex::new(());
 
     fn conv_bn_relu_pool(rng: &mut Rng) -> Sequential {
         let mut seq = Sequential::new(vec![
@@ -1026,37 +1210,56 @@ mod tests {
         seq
     }
 
+    /// The learned gates' trunk: strided convs, attention, flatten, linear.
+    fn gate_like(rng: &mut Rng) -> Sequential {
+        Sequential::new(vec![
+            Box::new(Conv2d::new(3, 4, 3, 2, 1, rng)),
+            Box::new(ReLU::new()),
+            Box::new(SelfAttention2d::new(4, rng)),
+            Box::new(Conv2d::new(4, 2, 3, 2, 1, rng)),
+            Box::new(ReLU::new()),
+            Box::new(Flatten::new()),
+            Box::new(Linear::new(2 * 2 * 2, 5, rng)),
+        ])
+    }
+
+    fn assert_bits_eq(compiled: &Tensor, eager: &Tensor, what: &str) {
+        assert_eq!(compiled.shape(), eager.shape(), "{what}");
+        for (a, b) in compiled.data().iter().zip(eager.data()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} vs {b}");
+        }
+    }
+
     #[test]
     fn compiled_conv_bn_relu_pool_is_bit_identical() {
+        let _guard = lock_test_globals();
         let mut rng = Rng::new(41);
         let mut seq = conv_bn_relu_pool(&mut rng);
+        // One plan serves every batch size.
+        let mut plan = compile_sequential(&seq, &[1, 2, 8, 8]).expect("compiles");
+        assert_eq!(plan.num_steps(), 2, "Conv+BN+ReLU fuse into one step, pool is one more");
         for batch in [1usize, 3, 8] {
             let x = Tensor::randn(&[batch, 2, 8, 8], 1.0, &mut rng);
             let eager = seq.forward(&x, false);
-            let mut plan = compile_sequential(&seq, x.shape()).expect("compiles");
-            assert_eq!(plan.num_steps(), 2, "Conv+BN+ReLU fuse into one step, pool is one more");
-            let compiled = plan.execute(&x);
-            assert_eq!(compiled.shape(), eager.shape());
-            for (a, b) in compiled.data().iter().zip(eager.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "batch {batch}: {a} vs {b}");
-            }
+            assert_bits_eq(&plan.execute(&x), &eager, &format!("batch {batch}"));
         }
     }
 
     #[test]
     fn compiled_matches_eager_on_both_backends() {
-        let _guard = GATE.lock().unwrap();
+        let _guard = lock_test_globals();
         let mut rng = Rng::new(43);
-        let mut seq = conv_bn_relu_pool(&mut rng);
-        let x = Tensor::randn(&[2, 2, 9, 9], 1.0, &mut rng);
+        let mut stem = conv_bn_relu_pool(&mut rng);
+        let mut gate = gate_like(&mut rng);
+        let xs = Tensor::randn(&[2, 2, 9, 9], 1.0, &mut rng);
+        let xg = Tensor::randn(&[3, 3, 8, 8], 1.0, &mut rng);
         let before = backend::backend_kind();
         for kind in [backend::BackendKind::Reference, backend::BackendKind::Blocked] {
             backend::set_backend(kind);
-            let eager = seq.forward(&x, false);
-            let mut plan = compile_sequential(&seq, x.shape()).expect("compiles");
-            let compiled = plan.execute(&x);
-            for (a, b) in compiled.data().iter().zip(eager.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{kind:?}: {a} vs {b}");
+            for (seq, x) in [(&mut stem, &xs), (&mut gate, &xg)] {
+                let eager = seq.forward(x, false);
+                let mut plan = compile_sequential(seq, x.shape()).expect("compiles");
+                assert_bits_eq(&plan.execute(x), &eager, &format!("{kind:?}"));
             }
         }
         backend::set_backend(before);
@@ -1064,6 +1267,7 @@ mod tests {
 
     #[test]
     fn compiled_linear_relu_and_flatten_are_bit_identical() {
+        let _guard = lock_test_globals();
         let mut rng = Rng::new(44);
         let mut seq = Sequential::new(vec![
             Box::new(Flatten::new()),
@@ -1075,71 +1279,95 @@ mod tests {
         let eager = seq.forward(&x, false);
         let mut plan = compile_sequential(&seq, x.shape()).expect("compiles");
         assert_eq!(plan.num_steps(), 3, "Flatten + fused Linear/ReLU + Linear");
-        let compiled = plan.execute(&x);
-        assert_eq!(compiled.shape(), eager.shape());
-        for (a, b) in compiled.data().iter().zip(eager.data()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-        }
+        assert_bits_eq(&plan.execute(&x), &eager, "linear stack");
     }
 
     #[test]
     fn compiled_quant_pipe_is_bit_identical() {
+        let _guard = lock_test_globals();
         let mut rng = Rng::new(45);
         let seq = conv_bn_relu_pool(&mut rng);
         let calib: Vec<Tensor> =
             (0..3).map(|_| Tensor::randn(&[1, 2, 8, 8], 1.0, &mut rng)).collect();
         let (pipe, _) = quantize_sequential(&seq, &calib).expect("quantizes");
+        let mut plan = compile_quant_pipe(&pipe, &[1, 2, 8, 8]).expect("compiles");
+        assert_eq!(plan.num_steps(), 2, "Conv+Affine+ReLU fuse, pool is one more");
         for batch in [1usize, 4] {
             let x = Tensor::randn(&[batch, 2, 8, 8], 1.0, &mut rng);
-            let eager = pipe.forward(&x);
-            let mut plan = compile_quant_pipe(&pipe, x.shape()).expect("compiles");
-            assert_eq!(plan.num_steps(), 2, "Conv+Affine+ReLU fuse, pool is one more");
-            let compiled = plan.execute(&x);
-            assert_eq!(compiled.shape(), eager.shape());
-            for (a, b) in compiled.data().iter().zip(eager.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "batch {batch}: {a} vs {b}");
-            }
+            assert_bits_eq(&plan.execute(&x), &pipe.forward(&x), &format!("batch {batch}"));
         }
     }
 
     #[test]
-    fn execute_into_reuses_the_arena() {
+    fn tile_follows_the_scratch_the_steps_need() {
         let mut rng = Rng::new(46);
         let seq = conv_bn_relu_pool(&mut rng);
-        let x = Tensor::randn(&[2, 2, 8, 8], 1.0, &mut rng);
-        let mut plan = compile_sequential(&seq, x.shape()).expect("compiles");
-        let mut out = Tensor::zeros(plan.out_shape());
+        let plan = compile_sequential(&seq, &[64, 2, 8, 8]).expect("compiles");
+        // Per sample: columns 18×64, rows 8×64 and the conv output in ping
+        // 8×64 (the pool writes the caller's output), all f32.
+        let per_sample = 4 * (18 * 64 + 8 * 64 + 8 * 64);
+        assert_eq!(plan.tile(), TILE_BYTES / per_sample);
+        assert_eq!(plan.sample_shape(), &[2, 8, 8]);
+        assert_eq!(plan.macs_per_sample(), 8 * 64 * 18);
+        assert_eq!(plan.out_shape_for(5), vec![5, 8, 4, 4]);
+        assert_eq!(plan.arena.samples, 0, "nothing is allocated before the first run");
+    }
+
+    #[test]
+    fn arena_grows_to_one_tile_and_no_further() {
+        let _guard = lock_test_globals();
+        let mut rng = Rng::new(46);
+        let seq = conv_bn_relu_pool(&mut rng);
+        let mut plan = compile_sequential(&seq, &[1, 2, 8, 8]).expect("compiles");
+        let tile = plan.tile();
+        let sizes = |p: &CompiledPlan| {
+            let a = &p.arena;
+            (a.low.cols.len(), a.low.rows.len(), a.ping.len(), a.pong.len())
+        };
+        // A batch-1 caller holds one sample's scratch, not a tile's.
+        let one = Tensor::randn(&[1, 2, 8, 8], 1.0, &mut rng);
+        let first = plan.execute(&one);
+        assert_eq!(sizes(&plan), (18 * 64, 8 * 64, 8 * 64, 0));
+        // A batch beyond the tile grows the arena to the tile, once.
+        let n = 2 * tile + 3;
+        let x = Tensor::randn(&[n, 2, 8, 8], 1.0, &mut rng);
+        let mut out = Tensor::zeros(&plan.out_shape_for(n));
         plan.execute_into(&x, &mut out);
-        let first = out.clone();
-        // Arena buffers must not regrow across steady-state executions.
-        let caps = (
-            plan.arena.cols.capacity(),
-            plan.arena.rows.capacity(),
-            plan.arena.ping.capacity(),
-            plan.arena.pong.capacity(),
-        );
+        let (full, whole) = (sizes(&plan), out.clone());
+        assert_eq!(full, (tile * 18 * 64, tile * 8 * 64, tile * 8 * 64, 0));
         for _ in 0..3 {
             plan.execute_into(&x, &mut out);
         }
-        assert_eq!(out, first, "steady-state executions must be identical");
-        assert_eq!(
-            caps,
-            (
-                plan.arena.cols.capacity(),
-                plan.arena.rows.capacity(),
-                plan.arena.ping.capacity(),
-                plan.arena.pong.capacity(),
-            ),
-            "arena regrew mid-flight"
-        );
+        assert_eq!(out, whole, "steady-state executions must be identical");
+        assert_eq!(plan.execute(&one), first);
+        assert_eq!(sizes(&plan), full, "arena regrew mid-flight");
+    }
+
+    #[test]
+    fn empty_batch_yields_empty_output() {
+        let mut rng = Rng::new(52);
+        for seq in [conv_bn_relu_pool(&mut rng), Sequential::new(vec![Box::new(Flatten::new())])] {
+            let mut plan = compile_sequential(&seq, &[4, 2, 8, 8]).expect("compiles");
+            let y = plan.execute(&Tensor::zeros(&[0, 2, 8, 8]));
+            assert_eq!(y.shape(), &plan.out_shape_for(0)[..]);
+            assert!(y.is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different input shape")]
+    fn mismatched_sample_shape_panics() {
+        let mut rng = Rng::new(53);
+        let seq = conv_bn_relu_pool(&mut rng);
+        let mut plan = compile_sequential(&seq, &[1, 2, 8, 8]).expect("compiles");
+        let _ = plan.execute(&Tensor::zeros(&[1, 2, 8, 9]));
     }
 
     #[test]
     fn unsupported_layer_reports_its_name() {
-        let mut rng = Rng::new(47);
-        let seq = Sequential::new(vec![Box::new(crate::layer::SelfAttention2d::new(4, &mut rng))]);
+        let seq = Sequential::new(vec![Box::new(crate::layer::Sigmoid::new())]);
         match compile_sequential(&seq, &[1, 4, 4, 4]) {
-            Err(CompileError::Unsupported(name)) => assert_eq!(name, "SelfAttention2d"),
+            Err(CompileError::Unsupported(name)) => assert_eq!(name, "Sigmoid"),
             other => panic!("expected Unsupported, got {other:?}"),
         }
     }
@@ -1154,6 +1382,11 @@ mod tests {
             }
             other => panic!("expected ShapeMismatch, got {other:?}"),
         }
+        let attn = Sequential::new(vec![Box::new(SelfAttention2d::new(4, &mut rng))]);
+        assert!(matches!(
+            compile_sequential(&attn, &[1, 3, 4, 4]),
+            Err(CompileError::ShapeMismatch { layer: "SelfAttention2d", expected: 4, found: 3 })
+        ));
     }
 
     #[test]
@@ -1163,7 +1396,7 @@ mod tests {
         let mut cache = PlanCache::new();
         let key = PlanKey {
             fingerprint: fingerprint_sequential(&seq, 7),
-            shape: vec![1, 2, 8, 8],
+            shape: vec![2, 8, 8],
             precision: PlanPrecision::F32,
         };
         let build = || compile_sequential(&seq, &[1, 2, 8, 8]).expect("compiles");
@@ -1194,7 +1427,7 @@ mod tests {
 
     #[test]
     fn compiled_gate_override_roundtrip() {
-        let _guard = GATE.lock().unwrap();
+        let _guard = lock_test_globals();
         let env = env_default();
         set_compiled(Some(false));
         assert!(!compiled_enabled());

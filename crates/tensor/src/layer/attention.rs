@@ -55,6 +55,17 @@ impl SelfAttention2d {
         }
     }
 
+    /// Token width `C`.
+    pub fn channels(&self) -> usize {
+        self.channels
+    }
+
+    /// The `(C, C)` projection matrices `[Wq, Wk, Wv, Wo]` (read-only
+    /// view for the graph compiler).
+    pub fn projections(&self) -> [&Tensor; 4] {
+        [&self.wq.value, &self.wk.value, &self.wv.value, &self.wo.value]
+    }
+
     /// Extracts the `(T, C)` token matrix for sample `b`.
     fn tokens(x: &Tensor, b: usize) -> Tensor {
         let [_, c, h, w] = [x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]];
@@ -194,6 +205,10 @@ impl Layer for SelfAttention2d {
 
     fn name(&self) -> &'static str {
         "SelfAttention2d"
+    }
+
+    fn as_self_attention(&self) -> Option<&SelfAttention2d> {
+        Some(self)
     }
 }
 

@@ -85,6 +85,13 @@ pub trait Layer: Send {
         None
     }
 
+    /// Downcast hook for the graph compiler: self-attention layers return
+    /// themselves so their projections can be snapshotted into a plan
+    /// step.
+    fn as_self_attention(&self) -> Option<&SelfAttention2d> {
+        None
+    }
+
     /// Clears accumulated gradients on all parameters.
     fn zero_grad(&mut self) {
         self.visit_params(&mut |p| p.zero_grad());

@@ -253,23 +253,25 @@ pub fn im2col_i8(
 /// channel-major i32 accumulators `acc[co][pos]`, so the fused dequant
 /// epilogue streams one contiguous run per (batch, channel). Integer
 /// accumulation is exact, so the j-blocked widening-AXPY order below is
-/// bit-identical to [`gemm_i8_nt`] on either operand order.
+/// bit-identical to [`gemm_i8_nt`] on either operand order. `cols` (at
+/// least `C_in·k·k × N·Ho·Wo`) and `acc` (at least `C_out × N·Ho·Wo`)
+/// are caller-owned scratch; their used prefixes are fully overwritten.
 pub fn conv_rows_t_i8(
     qx: &[i8],
     dims: [usize; 4],
     spec: &ConvSpec,
     q: &[i8],
-    cols: &mut Vec<i8>,
-    acc: &mut Vec<i32>,
+    cols: &mut [i8],
+    acc: &mut [i32],
 ) {
     let [n, _, h, w] = dims;
     let (ho, wo) = spec.out_size(h, w);
     let m = n * ho * wo;
     let (co, ck) = (spec.out_channels, spec.patch_len());
     assert_eq!(q.len(), co * ck, "weight length mismatch");
+    let cols = &mut cols[..ck * m];
     crate::backend::im2col_t(qx, 0i8, dims, spec, cols);
-    acc.clear();
-    acc.resize(co * m, 0);
+    let acc = &mut acc[..co * m];
     use crate::backend::{IR_T, JR_T};
     let jm = m - m % JR_T;
     let mut i0 = 0;

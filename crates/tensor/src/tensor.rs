@@ -435,23 +435,31 @@ impl Tensor {
     /// Row-wise softmax for a 2-D tensor.
     pub fn softmax_rows(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "softmax_rows needs a 2-D tensor");
-        let (m, n) = (self.shape[0], self.shape[1]);
         let mut out = self.clone();
-        for i in 0..m {
-            let row = &mut out.data[i * n..(i + 1) * n];
-            let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut s = 0.0;
+        softmax_rows_in_place(&mut out.data, self.shape[1]);
+        out
+    }
+}
+
+/// Max-shifted softmax over each `n`-wide row of `data`, in place — the
+/// arithmetic of [`Tensor::softmax_rows`], shared with the compiled
+/// self-attention step so the two cannot drift apart.
+pub(crate) fn softmax_rows_in_place(data: &mut [f32], n: usize) {
+    if n == 0 {
+        return;
+    }
+    for row in data.chunks_exact_mut(n) {
+        let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut s = 0.0;
+        for v in row.iter_mut() {
+            *v = (*v - mx).exp();
+            s += *v;
+        }
+        if s > 0.0 {
             for v in row.iter_mut() {
-                *v = (*v - mx).exp();
-                s += *v;
-            }
-            if s > 0.0 {
-                for v in row.iter_mut() {
-                    *v /= s;
-                }
+                *v /= s;
             }
         }
-        out
     }
 }
 
