@@ -168,11 +168,14 @@ fn bench_stage_breakdown(c: &mut Criterion) {
     }
     assert!(any_pruned, "demand-driven stems must prune at least one context below 4");
 
-    // Per-stage wall-clock on this machine.
+    // Per-stage wall-clock on this machine: the stem, branch and gate
+    // rows execute what a serving step executes — a warm compiled plan
+    // (the gate through `Gate::predict`, which owns its plan).
     let stem_grid = frame.obs.grid(SensorKind::Lidar).clone();
     group.bench_function("stems_one_sensor", |bench| {
-        let stem = &mut model.stems_mut()[SensorKind::Lidar.index()];
-        bench.iter(|| black_box(ecofusion_tensor::layer::Layer::forward(stem, &stem_grid, false)));
+        let stem = &model.stems_mut()[SensorKind::Lidar.index()];
+        let mut plan = stem.compile(stem_grid.shape()).expect("stem compiles");
+        bench.iter(|| black_box(plan.execute(&stem_grid)));
     });
     let feats = model.stem_features(&frame.obs, false);
     let gate_feats = EcoFusionModel::gate_features(&feats);
@@ -196,23 +199,32 @@ fn bench_stage_breakdown(c: &mut Criterion) {
             ))
         });
     });
+    let branch0_input = model.branch_input(0, &feats);
     group.bench_function("branch_single_camera", |bench| {
-        bench.iter(|| black_box(model.run_branch(0, &feats, opts.score_thresh, opts.nms_iou)));
+        let branch = &model.branches_mut()[0];
+        let mut plan = branch.compile(branch0_input.shape()).expect("branch compiles");
+        bench.iter(|| {
+            let out = ecofusion_detect::HeadOutput { map: plan.execute(&branch0_input) };
+            black_box(branch.decode(&out, opts.score_thresh, opts.nms_iou))
+        });
     });
 
-    // Int8 counterparts of the stem and branch stages — the kernels the
+    // Int8 counterparts of the stem and branch stages — the plans the
     // quantized emergency rung serves with. Same inputs as the f32 rows
-    // above, so the pairs read as direct per-stage speedups.
+    // above (the int8 branch row stops at the raw map; decoding is the
+    // f32 head's either way), so the pairs read as per-stage speedups.
     model.ensure_quant().expect("model quantizes");
     let qsnap = model.quantized().expect("quant image cached").clone();
     group.bench_function("stems_one_sensor_int8", |bench| {
         let pipe = qsnap.stem(SensorKind::Lidar.index());
-        bench.iter(|| black_box(pipe.forward(&stem_grid)));
+        let mut plan = ecofusion_tensor::graph::compile_quant_pipe(pipe, stem_grid.shape())
+            .expect("stem pipe compiles");
+        bench.iter(|| black_box(plan.execute(&stem_grid)));
     });
-    let branch0_input = model.branch_input(0, &feats);
     group.bench_function("branch_single_camera_int8", |bench| {
-        let qbranch = qsnap.branch(0);
-        bench.iter(|| black_box(qbranch.forward(&branch0_input)));
+        let mut plan =
+            qsnap.branch(0).compile(branch0_input.shape()).expect("quant branch compiles");
+        bench.iter(|| black_box(plan.execute(&branch0_input)));
     });
     let branch_outs: Vec<Vec<ecofusion_detect::Detection>> =
         (0..4).map(|b| model.run_branch(b, &feats, opts.score_thresh, opts.nms_iou)).collect();
@@ -248,12 +260,12 @@ fn bench_stage_breakdown(c: &mut Criterion) {
     group.finish();
 }
 
-/// Eager vs fused-compiled execution of the Stems and Branch stage
-/// kernels on batch-8 shapes, f32 and int8 — the graph compiler's
-/// speedup, read as adjacent pairs. The compiled rows run
-/// `CompiledPlan::execute_into` on a warm plan: one im2col + GEMM per
-/// conv block with the BN+ReLU epilogue fused into the write-back, zero
-/// steady-state allocations.
+/// The compiled plans of the Stems and Branch stages on batch-8 shapes,
+/// f32 and int8: `CompiledPlan::execute_into` on a warm plan — one
+/// im2col + GEMM per conv block with the BN+ReLU epilogue fused into the
+/// write-back, zero steady-state allocations. The f32 `*_eager` rows
+/// beside them are the layers' own eval forward, which training runs and
+/// serving does not: what a training step pays per forward.
 ///
 /// Then batch scaling: one stem, one branch and the attention gate's
 /// plan, each executed at batch 1, 16 and 64 with its GMAC/s
@@ -309,9 +321,6 @@ fn bench_fused_pipeline(c: &mut Criterion) {
         let pipe = qsnap.stem(SensorKind::Lidar.index());
         let mut qplan = compile_quant_pipe(pipe, x.shape()).expect("stem pipe compiles");
         let mut out = Tensor::zeros(&qplan.out_shape_for(8));
-        group.bench_function("stem_batch8_int8_eager", |bench| {
-            bench.iter(|| black_box(pipe.forward(&x)));
-        });
         group.bench_function("stem_batch8_int8_compiled", |bench| {
             bench.iter(|| qplan.execute_into(black_box(&x), &mut out));
         });
@@ -320,9 +329,6 @@ fn bench_fused_pipeline(c: &mut Criterion) {
         let qbranch = qsnap.branch(0);
         let mut qbplan = qbranch.compile(feats.shape()).expect("quant branch compiles");
         let mut bout = Tensor::zeros(&qbplan.out_shape_for(8));
-        group.bench_function("branch_batch8_int8_eager", |bench| {
-            bench.iter(|| black_box(qbranch.forward(&feats)));
-        });
         group.bench_function("branch_batch8_int8_compiled", |bench| {
             bench.iter(|| qbplan.execute_into(black_box(&feats), &mut bout));
         });

@@ -9,16 +9,17 @@
 //! ```
 //!
 //! The harness runs the full workload-suite registry once at f32 and once
-//! with `ECOFUSION_PRECISION=int8` (the same env hook the suites expose to
-//! CI), pairs the per-suite mAP numbers into an
+//! at int8 (`run_report`'s precision argument — what `bench_report
+//! --precision int8` passes too), pairs the per-suite mAP numbers into an
 //! [`ecofusion_eval::ParityReport`], and exits nonzero when any suite's
 //! drift exceeds the bound (default
 //! [`ecofusion_eval::DEFAULT_MAX_DRIFT_PP`]). NaN mAP on either side is a
 //! violation, never a vacuous pass.
 //!
-//! It also times the int8 stem and branch kernels against their f32
-//! counterparts on the build host and records the ratios in the written
-//! report's `int8_speedup` field — informational provenance for the
+//! It also times the int8 stem and branch plans against their f32
+//! counterparts — the compiled plans serving executes, nothing else — on
+//! the build host and records the ratios in the written report's
+//! `int8_speedup` field — informational provenance for the
 //! acceptance criterion ("int8 stems/branches measurably cheaper"), never
 //! gated, because wall clock on a shared runner is not a stable
 //! measurement device.
@@ -26,11 +27,13 @@
 //! `--out <path>` (default `results/int8_parity.json`) receives the int8
 //! run's `BenchReport` with the measured speedups attached.
 
+use ecofusion_core::Precision;
 use ecofusion_detect::stem::STEM_CHANNELS;
 use ecofusion_detect::{BranchConfig, BranchDetector, Stem};
 use ecofusion_eval::experiments::common::Scale;
 use ecofusion_eval::{ParityReport, ParityRow, DEFAULT_MAX_DRIFT_PP};
 use ecofusion_harness::{run_report, BenchReport, Int8Speedup};
+use ecofusion_tensor::graph::{compile_quant_pipe, CompiledPlan};
 use ecofusion_tensor::layer::Layer;
 use ecofusion_tensor::rng::Rng;
 use ecofusion_tensor::tensor::Tensor;
@@ -55,25 +58,17 @@ fn parse_f64(args: &[String], flag: &str, default: f64) -> f64 {
     }
 }
 
-/// Runs every suite at `scale` under the given precision label
-/// (`None` = f32 default), restoring the environment afterwards so the
-/// two passes cannot leak into each other.
-fn run_at(scale: Scale, precision: Option<&str>) -> BenchReport {
-    match precision {
-        Some(p) => std::env::set_var("ECOFUSION_PRECISION", p),
-        None => std::env::remove_var("ECOFUSION_PRECISION"),
-    }
-    let label = precision.unwrap_or("f32");
+/// Runs every suite at `scale` with every stream starting at `precision`.
+fn run_at(scale: Scale, precision: Precision) -> BenchReport {
+    let label = precision.label();
     eprintln!("running workload suites at {label} ({scale:?})...");
-    let report = match run_report(scale, &[], 1) {
+    match run_report(scale, &[], 1, precision) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("error: {label} suite run failed: {e:?}");
+            eprintln!("error: {label} suite run failed: {e}");
             std::process::exit(1);
         }
-    };
-    std::env::remove_var("ECOFUSION_PRECISION");
-    report
+    }
 }
 
 /// Median wall-clock seconds of `f` over `iters` runs (after one warmup).
@@ -90,8 +85,14 @@ fn time_median(iters: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Times the f32 stem/branch forwards against their quantized
-/// counterparts on suite-shaped inputs and returns the speedup ratios.
+/// Median seconds of one warm `plan` execution over `x`.
+fn time_plan(iters: usize, plan: &mut CompiledPlan, x: &Tensor) -> f64 {
+    let mut out = Tensor::zeros(&plan.out_shape_for(x.shape()[0]));
+    time_median(iters, || plan.execute_into(x, &mut out))
+}
+
+/// Times the f32 stem/branch plans against their int8 counterparts on
+/// suite-shaped inputs and returns the speedup ratios.
 fn measure_speedups() -> Int8Speedup {
     const ITERS: usize = 9;
     let mut rng = Rng::new(0xBE9C);
@@ -108,12 +109,9 @@ fn measure_speedups() -> Int8Speedup {
         (0..4).map(|_| Tensor::randn(&[1, 1, grid, grid], 1.0, &mut rng)).collect();
     let (pipe, _) = stem.quantize(&calib).expect("stem quantizes");
     let x = Tensor::randn(&[4, 1, grid, grid], 1.0, &mut rng);
-    let stem_f32 = time_median(ITERS, || {
-        let _ = stem.forward(&x, false);
-    });
-    let stem_int8 = time_median(ITERS, || {
-        let _ = pipe.forward(&x);
-    });
+    let stem_f32 = time_plan(ITERS, &mut stem.compile(x.shape()).expect("stem compiles"), &x);
+    let mut qplan = compile_quant_pipe(&pipe, x.shape()).expect("stem pipe compiles");
+    let stem_int8 = time_plan(ITERS, &mut qplan, &x);
 
     // Branch: the 4-sensor early-fusion head (the widest branch the
     // gate can select), fed stem features at the suite raster.
@@ -133,12 +131,10 @@ fn measure_speedups() -> Int8Speedup {
         (0..4).map(|_| Tensor::randn(&[1, c_in, side, side], 1.0, &mut rng)).collect();
     let qbranch = branch.quantize(&calib).expect("branch quantizes");
     let feats = Tensor::randn(&[4, c_in, side, side], 1.0, &mut rng);
-    let branch_f32 = time_median(ITERS, || {
-        let _ = branch.forward(&feats, false);
-    });
-    let branch_int8 = time_median(ITERS, || {
-        let _ = qbranch.forward(&feats);
-    });
+    let mut bplan = branch.compile(feats.shape()).expect("branch compiles");
+    let branch_f32 = time_plan(ITERS, &mut bplan, &feats);
+    let mut qbplan = qbranch.compile(feats.shape()).expect("quant branch compiles");
+    let branch_int8 = time_plan(ITERS, &mut qbplan, &feats);
 
     Int8Speedup { stem: stem_f32 / stem_int8, branch: branch_f32 / branch_int8 }
 }
@@ -158,11 +154,11 @@ fn main() -> ExitCode {
         flag_value(&args, "--out").unwrap_or_else(|| "results/int8_parity.json".into()),
     );
 
-    let f32_report = run_at(scale, None);
-    let mut int8_report = run_at(scale, Some("int8"));
+    let f32_report = run_at(scale, Precision::F32);
+    let mut int8_report = run_at(scale, Precision::Int8);
 
     // Pair suites by name; a suite present in one run but not the other
-    // would mean the env hook changed the registry, which must never
+    // would mean the precision changed the registry, which must never
     // happen silently.
     let mut rows = Vec::new();
     for f in &f32_report.suites {
@@ -182,10 +178,10 @@ fn main() -> ExitCode {
     }
     let parity = ParityReport::new(rows).with_bound(bound);
 
-    eprintln!("timing int8 kernels vs f32...");
+    eprintln!("timing int8 plans vs f32...");
     let speedup = measure_speedups();
     println!(
-        "kernel speedup (f32 time / int8 time): stem {:.2}x, branch {:.2}x (informational)",
+        "plan speedup (f32 time / int8 time): stem {:.2}x, branch {:.2}x (informational)",
         speedup.stem, speedup.branch
     );
     int8_report.int8_speedup = Some(speedup);

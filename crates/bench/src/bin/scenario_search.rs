@@ -34,9 +34,8 @@
 //!   `--diff-out` (default `results/scenario_drift.json`) and the exit
 //!   code is 1 — the artifact the CI job uploads on failure.
 //!
-//! Replay is hermetic (fixed model seed, paper-default options, no env
-//! precision override) and shard/compile-invariant, so the CI job runs
-//! it under `ECOFUSION_COMPILED={0,1}` expecting bit-identical results.
+//! Replay is hermetic (fixed model seed, paper-default options, nothing
+//! read from the environment) and shard-invariant.
 
 use ecofusion_harness::{load_distilled_dir, replay_distilled, ReplayDrift, DEFAULT_DISTILLED_DIR};
 use ecofusion_search::distill;

@@ -118,7 +118,15 @@ fn main() -> ExitCode {
 
     eprintln!("tracing suite {suite_label} ({scale:?}, {shards} shard(s), ring {capacity})...");
     let provider = ModelProvider::prepare(scale);
-    let (report, sink) = match run_suite_traced(&provider, id, scale, shards, Some(capacity)) {
+    let traced = run_suite_traced(
+        &provider,
+        id,
+        scale,
+        shards,
+        ecofusion_core::Precision::F32,
+        Some(capacity),
+    );
+    let (report, sink) = match traced {
         Ok(pair) => pair,
         Err(e) => {
             eprintln!("error: suite run failed: {e:?}");

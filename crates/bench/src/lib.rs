@@ -1,9 +1,10 @@
 //! Shared helpers for the benchmark binaries and criterion benches.
 //!
-//! The `[[bin]]` targets (`table1`, `table2`, `table3`, `fig1`, `fig4`,
-//! `fig5`, `ablations`) regenerate the paper's tables and figures; run them
-//! with `cargo run --release -p ecofusion-bench --bin <name>` (add `--full`
-//! for the full-scale harness). The criterion benches measure the
+//! The `paper` binary regenerates the paper's tables and figures, one
+//! subcommand each (`table1`, `table2`, `table3`, `fig1`, `fig4`, `fig5`,
+//! `ablations`, `robustness`, `all`); run it with `cargo run --release -p
+//! ecofusion-bench --bin paper -- <artifact>` (add `--full` for the
+//! full-scale harness). The criterion benches measure the
 //! wall-clock cost of the pipeline components on this machine — a separate
 //! quantity from the calibrated PX2 numbers the tables report.
 

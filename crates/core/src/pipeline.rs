@@ -76,11 +76,12 @@
 //! # Compiled execution
 //!
 //! All three network stacks of the model run as
-//! [`CompiledPlan`](ecofusion_tensor::graph::CompiledPlan)s (unless
-//! `ECOFUSION_COMPILED=0`): the four stems and seven branches through the
-//! model's [`PlanCache`], the learned gates through a plan each gate owns
-//! behind `Gate::predict_batch` (lowered on first scoring, dropped by any
-//! access to the gate's parameters). Plans are batch-agnostic — they
+//! [`CompiledPlan`](ecofusion_tensor::graph::CompiledPlan)s and as
+//! nothing else: the four stems and seven branches through the model's
+//! [`PlanCache`], the learned gates through a plan each gate owns behind
+//! `Gate::predict_batch` (lowered on first scoring, dropped by any access
+//! to the gate's parameters). The layers' own `forward` is for training
+//! and for the tests' oracles. Plans are batch-agnostic — they
 //! stream cache-sized tiles of whatever batch they are handed — so the
 //! cache keys carry the **per-sample** shape only: a replica compiles
 //! 4 + 7 plans per precision the first time each unit runs and nothing
@@ -106,7 +107,7 @@
 
 use crate::config::ConfigId;
 use crate::dataset::Frame;
-use crate::model::{EcoFusionModel, InferError, InferenceOptions, InferenceOutput};
+use crate::model::{EcoFusionModel, InferError, InferenceOptions, InferenceOutput, PlanUnit};
 use crate::snapshot::QuantSnapshot;
 use ecofusion_detect::stem::STEM_CHANNELS;
 use ecofusion_detect::{Detection, FusionScratch, HeadOutput, Stem};
@@ -116,7 +117,6 @@ use ecofusion_energy::{
 use ecofusion_gating::{Gate, GateInput, GateKind};
 use ecofusion_sensors::{Observation, SensorKind};
 use ecofusion_tensor::graph::{self, PlanCache, PlanKey, PlanPrecision};
-use ecofusion_tensor::layer::Layer;
 use ecofusion_tensor::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -138,42 +138,36 @@ fn plan_key(fingerprint: u64, x: &Tensor, precision: PlanPrecision) -> PlanKey {
     PlanKey { fingerprint, shape: x.shape()[1..].to_vec(), precision }
 }
 
-/// Runs stem `s` over a stacked input through the fused-execution layer
-/// when the `ECOFUSION_COMPILED` gate allows: the matching compiled plan
-/// is fetched from (or built into) `plans`. Falls back to the eager
-/// forward when compiled execution is disabled or lowering fails — both
-/// paths are bit-identical by the graph compiler's contract.
+/// Runs stem `s` over a stacked input: the matching compiled plan is
+/// fetched from (or built into) `plans` and executed.
+///
+/// # Errors
+/// [`InferError::Compile`] if the stem does not lower — only an installed
+/// int8 image can do that; the f32 stems are built to the grid.
 fn stem_forward(
     plans: &mut PlanCache,
-    stems: &mut [Stem],
+    stems: &[Stem],
     quant: Option<&QuantSnapshot>,
     s: usize,
     x: &Tensor,
-) -> Tensor {
-    if graph::compiled_enabled() {
-        let salt = STEM_SALT_BASE + s as u64;
-        let attempt = match quant {
-            Some(q) => {
-                let fp = graph::fingerprint_quant_pipe(&q.stems[s], salt);
-                plans.try_get_or_compile(plan_key(fp, x, PlanPrecision::Int8), || {
-                    graph::compile_quant_pipe(&q.stems[s], x.shape())
-                })
-            }
-            None => {
-                let fp = stems[s].plan_fingerprint(salt);
-                plans.try_get_or_compile(plan_key(fp, x, PlanPrecision::F32), || {
-                    stems[s].compile(x.shape())
-                })
-            }
-        };
-        if let Ok(plan) = attempt {
-            return plan.execute(x);
+) -> Result<Tensor, InferError> {
+    let salt = STEM_SALT_BASE + s as u64;
+    let plan = match quant {
+        Some(q) => {
+            let fp = graph::fingerprint_quant_pipe(&q.stems[s], salt);
+            plans.try_get_or_compile(plan_key(fp, x, PlanPrecision::Int8), || {
+                graph::compile_quant_pipe(&q.stems[s], x.shape())
+            })
+        }
+        None => {
+            let fp = stems[s].plan_fingerprint(salt);
+            plans.try_get_or_compile(plan_key(fp, x, PlanPrecision::F32), || {
+                stems[s].compile(x.shape())
+            })
         }
     }
-    match quant {
-        Some(q) => q.stems[s].forward(x),
-        None => stems[s].forward(x, false),
-    }
+    .map_err(|source| InferError::Compile { unit: PlanUnit::Stem(s), source })?;
+    Ok(plan.execute(x))
 }
 
 /// What the stage graph will execute for one set of inference options,
@@ -364,17 +358,20 @@ impl BatchStemBank {
     /// stems are batch-invariant, so subsets are bit-identical). With
     /// `quant` set, the int8 stem pipes execute instead of the f32 stems
     /// (the caller guarantees the router is disabled then — caches hold
-    /// f32 features). Stem compute routes through `plans` (the model's
-    /// fused-plan cache) unless compiled execution is gated off.
+    /// f32 features). Stem compute runs as plans out of `plans` (the
+    /// model's fused-plan cache).
+    ///
+    /// # Errors
+    /// [`InferError::Compile`] from the first stem that does not lower.
     fn ensure(
         &mut self,
-        stems: &mut [Stem],
+        stems: &[Stem],
         observations: &[&Observation],
         need_bits: &[u8],
         mut router: Option<&mut StemCacheRouter<'_>>,
         quant: Option<&QuantSnapshot>,
         plans: &mut PlanCache,
-    ) {
+    ) -> Result<(), InferError> {
         let row_shape = [1, STEM_CHANNELS, self.half, self.half];
         for k in SensorKind::ALL {
             let s = k.index();
@@ -414,7 +411,7 @@ impl BatchStemBank {
             if !misses.is_empty() {
                 let grids: Vec<&Tensor> = misses.iter().map(|&i| observations[i].grid(k)).collect();
                 let stacked_in = Tensor::stack_batch(&grids);
-                let out = stem_forward(plans, stems, quant, s, &stacked_in);
+                let out = stem_forward(plans, stems, quant, s, &stacked_in)?;
                 let per = out.len() / misses.len();
                 for (row, &i) in out.data().chunks_exact(per).zip(&misses) {
                     if let Some(r) = router.as_deref_mut() {
@@ -449,6 +446,7 @@ impl BatchStemBank {
                 self.cached[i] |= bit;
             }
         }
+        Ok(())
     }
 
     /// One frame's features of a sensor, wherever the bank holds them.
@@ -571,13 +569,13 @@ impl EcoFusionModel {
         let pre_gate = vec![plan.pre_gate_bits(); n];
         let quant = if quant_active { self.quant.as_ref() } else { None };
         bank.ensure(
-            &mut self.stems,
+            &self.stems,
             &observations,
             &pre_gate,
             router.as_mut(),
             quant,
             &mut self.plans,
-        );
+        )?;
         // Oracle detections + losses if the loss-based gate is active
         // (kept: Branch reuses them instead of re-running branches).
         let oracle_dets: Option<Vec<Vec<Vec<Detection>>>> = if plan.needs_oracle {
@@ -585,7 +583,7 @@ impl EcoFusionModel {
             let mut per_frame: Vec<Vec<Vec<Detection>>> =
                 (0..n).map(|_| Vec::with_capacity(self.branches.len())).collect();
             for b in 0..self.branches.len() {
-                let dets = self.branch_batch_from_bank(b, &bank, &all, opts);
+                let dets = self.branch_batch_from_bank(b, &bank, &all, opts)?;
                 for (frame_dets, d) in per_frame.iter_mut().zip(dets) {
                     frame_dets.push(d);
                 }
@@ -638,13 +636,13 @@ impl EcoFusionModel {
         let need_bits: Vec<u8> = selected.iter().map(|s| self.config_sensors[s.0]).collect();
         let quant = if quant_active { self.quant.as_ref() } else { None };
         bank.ensure(
-            &mut self.stems,
+            &self.stems,
             &observations,
             &need_bits,
             router.as_mut(),
             quant,
             &mut self.plans,
-        );
+        )?;
         let n_branches = self.branches.len();
         let mut demand: Vec<Vec<usize>> = vec![Vec::new(); n_branches];
         let masks: Vec<u8> = selected.iter().map(|sel| self.space.branch_mask(*sel)).collect();
@@ -667,7 +665,7 @@ impl EcoFusionModel {
             if idxs.is_empty() || branch_dets[b].iter().all(|d| d.is_some()) {
                 continue;
             }
-            let dets = self.branch_batch_from_bank(b, &bank, idxs, opts);
+            let dets = self.branch_batch_from_bank(b, &bank, idxs, opts)?;
             for (slot, d) in idxs.iter().zip(dets) {
                 branch_dets[b][*slot] = Some(d);
             }
@@ -723,52 +721,43 @@ impl EcoFusionModel {
         Ok(outputs)
     }
 
-    /// Runs one branch over the banked stem features of `frames` (the
-    /// whole batch or the sub-batch that selected the branch) and decodes
-    /// one detection list per frame.
+    /// Runs one branch's plan over the banked stem features of `frames`
+    /// (the whole batch or the sub-batch that selected the branch) and
+    /// decodes one detection list per frame.
+    ///
+    /// # Errors
+    /// [`InferError::Compile`] if the branch does not lower (an installed
+    /// int8 image whose shapes do not chain).
     fn branch_batch_from_bank(
         &mut self,
         branch: usize,
         bank: &BatchStemBank,
         frames: &[usize],
         opts: &InferenceOptions,
-    ) -> Vec<Vec<Detection>> {
+    ) -> Result<Vec<Vec<Detection>>, InferError> {
         let sensors: Vec<usize> =
             self.space.branches()[branch].sensors().iter().map(|k| k.index()).collect();
         let input = bank.gather(&sensors, ALL_SENSOR_BITS, frames);
         let salt = BRANCH_SALT_BASE + branch as u64;
         // Int8 backbone + head produce the same raw map layout as the f32
         // branch; the f32 head decodes it (sigmoid/softmax/NMS stay full
-        // precision). The fused plans are bit-identical to the eager
-        // forwards they stand in for.
-        let quant = (opts.precision == Precision::Int8)
-            .then(|| self.quant.as_ref().expect("int8 image built before the Branch stage"));
-        let compiled = if graph::compiled_enabled() {
-            match quant {
-                Some(q) => {
-                    let qb = &q.branches[branch];
-                    let key = plan_key(qb.plan_fingerprint(salt), &input, PlanPrecision::Int8);
-                    self.plans.try_get_or_compile(key, || qb.compile(input.shape()))
-                }
-                None => {
-                    let det = &self.branches[branch];
-                    let key = plan_key(det.plan_fingerprint(salt), &input, PlanPrecision::F32);
-                    self.plans.try_get_or_compile(key, || det.compile(input.shape()))
-                }
-            }
-            .ok()
-            .map(|plan| HeadOutput { map: plan.execute(&input) })
+        // precision).
+        let plan = if opts.precision == Precision::Int8 {
+            let q = self.quant.as_ref().expect("int8 image built before the Branch stage");
+            let qb = &q.branches[branch];
+            let key = plan_key(qb.plan_fingerprint(salt), &input, PlanPrecision::Int8);
+            self.plans.try_get_or_compile(key, || qb.compile(input.shape()))
         } else {
-            None
-        };
-        let out = compiled.unwrap_or_else(|| match quant {
-            Some(q) => q.branches[branch].forward(&input),
-            None => self.branches[branch].forward(&input, false),
-        });
+            let det = &self.branches[branch];
+            let key = plan_key(det.plan_fingerprint(salt), &input, PlanPrecision::F32);
+            self.plans.try_get_or_compile(key, || det.compile(input.shape()))
+        }
+        .map_err(|source| InferError::Compile { unit: PlanUnit::Branch(branch), source })?;
+        let out = HeadOutput { map: plan.execute(&input) };
         let det = &self.branches[branch];
-        (0..frames.len())
+        Ok((0..frames.len())
             .map(|j| det.decode_sample(&out, j, opts.score_thresh, opts.nms_iou))
-            .collect()
+            .collect())
     }
 
     /// [`EcoFusionModel::infer_batch`] with per-stream stem-feature
@@ -778,8 +767,7 @@ impl EcoFusionModel {
     /// batch-invariant in eval mode) — only the stem compute changes.
     ///
     /// # Errors
-    /// Returns [`InferError::GridMismatch`] if any frame was rendered at
-    /// a different grid size than the model.
+    /// As [`EcoFusionModel::infer`].
     ///
     /// # Panics
     /// Panics if `lane_of.len() != frames.len()` or a lane index is out

@@ -394,4 +394,55 @@ mod tests {
         assert!(matches!(err, RestoreModelError::QuantMismatch { what: "grid", .. }), "{err}");
         assert!(!err.to_string().is_empty());
     }
+
+    /// A version-skewed image whose layer shapes do not chain still passes
+    /// `install_quant`'s header checks. The inference that first lowers
+    /// the broken unit must say which unit it was — not panic inside an
+    /// int8 forward — and leave the model serving f32.
+    #[test]
+    fn stale_quant_image_fails_inference_with_a_typed_error() {
+        use crate::model::{InferError, PlanUnit};
+        use ecofusion_energy::Precision;
+        use ecofusion_tensor::graph::CompileError;
+        use ecofusion_tensor::quant::QuantStage;
+
+        let mut model = EcoFusionModel::new(32, 8, &mut Rng::new(5));
+        let data = Dataset::generate(&DatasetSpec::small(53));
+        let frames = &data.test()[..2];
+        let good = model.ensure_quant().expect("quantize").clone();
+        let int8 = InferenceOptions::new(0.01, 0.5).with_precision(Precision::Int8);
+
+        // Stem 2's first convolution claims one input channel too many.
+        let mut image = good.clone();
+        let QuantStage::Conv(conv) = &mut image.stems[2].stages[0] else {
+            panic!("a stem pipe starts with its convolution");
+        };
+        conv.spec.in_channels += 1;
+        model.install_quant(image).expect("header checks pass");
+        let err = model.infer(&frames[0], &int8).unwrap_err();
+        let mismatch = CompileError::ShapeMismatch { layer: "QuantConv2d", expected: 2, found: 1 };
+        assert_eq!(err, InferError::Compile { unit: PlanUnit::Stem(2), source: mismatch });
+        assert!(err.to_string().contains("stem 2"), "{err}");
+        assert_eq!(model.infer_batch(frames, &int8).unwrap_err(), err);
+        model.infer(&frames[0], &InferenceOptions::new(0.01, 0.5)).expect("f32 still serves");
+
+        // Branch 5's head convolution, reached by the oracle gate (it
+        // runs every branch).
+        let mut image = good.clone();
+        let expected = image.branches[5].head.spec.in_channels + 1;
+        image.branches[5].head.spec.in_channels = expected;
+        model.install_quant(image).expect("header checks pass");
+        let err = model.infer_batch(frames, &int8.with_gate(GateKind::LossBased)).unwrap_err();
+        let InferError::Compile { unit, source } = &err else { panic!("{err}") };
+        assert_eq!(*unit, PlanUnit::Branch(5));
+        assert!(
+            matches!(source, CompileError::ShapeMismatch { expected: e, .. } if *e == expected),
+            "{source}"
+        );
+        assert!(err.to_string().contains("branch 5"), "{err}");
+
+        // A sound image serves again.
+        model.install_quant(good).expect("installs");
+        model.infer_batch(frames, &int8).expect("int8 serves");
+    }
 }

@@ -1,16 +1,16 @@
 //! Property tests of the fused-operator compiled execution layer
 //! ([`ecofusion_tensor::graph`]) as seen through the full pipeline.
 //!
-//! Two contracts:
+//! Three contracts:
 //!
-//! 1. **Bit-identity** — with compiled execution forced on, `infer_batch`
-//!    produces byte-for-byte the same detections, selected
-//!    configurations, and gate losses as the eager path, across seeds ×
-//!    contexts × health masks × batch sizes (below and across the plans'
-//!    tiles) × learned gates × `Precision::{F32, Int8}`, and again after
-//!    the gate weights change under a compiled gate plan. The compiled
-//!    gate is process-global, so every case runs under one mutex and
-//!    restores the environment default afterwards.
+//! 1. **Bit-identity** — `infer_batch`, which runs every network as a
+//!    compiled plan, produces byte-for-byte the detections, selected
+//!    configurations and gate losses of the monolithic reference built
+//!    from the layers' own eval forwards (`common::monolithic_infer_batch`,
+//!    shared with `prop_pipeline.rs`), across seeds × contexts × health
+//!    masks × batch sizes (below and across the plans' tiles) × learned
+//!    gates × `Precision::{F32, Int8}`, and again after the gate weights
+//!    change under a compiled gate plan.
 //! 2. **Compile once** — plans are keyed by per-sample shape, so a model
 //!    served sub-batches of every size compiles nothing after the step
 //!    that first ran each unit.
@@ -23,27 +23,24 @@
 //!    oracle's configuration scorer to one allocation per frame — the
 //!    returned losses — once its scratch is warm.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
 
-use ecofusion_core::{EcoFusionModel, Frame, InferenceOptions, InferenceOutput};
+use common::{arb_context, monolithic_infer_batch, render_frames, Reference, GRID};
+use ecofusion_core::{EcoFusionModel, InferenceOptions, InferenceOutput};
 use ecofusion_detect::stem::{Stem, STEM_CHANNELS};
 use ecofusion_detect::{subset_fusion_losses, BBox, Detection, FusionScratch, WbfParams};
 use ecofusion_energy::Precision;
 use ecofusion_gating::{AttentionGate, GateKind};
-use ecofusion_scene::{Context, GtBox, ScenarioGenerator};
-use ecofusion_sensors::{SensorMask, SensorSuite};
-use ecofusion_tensor::graph::{compile_quant_pipe, set_compiled, CompiledPlan};
+use ecofusion_scene::{Context, GtBox};
+use ecofusion_sensors::SensorMask;
+use ecofusion_tensor::graph::{compile_quant_pipe, CompiledPlan};
 use ecofusion_tensor::layer::Layer;
 use ecofusion_tensor::rng::Rng;
 use ecofusion_tensor::Tensor;
 use proptest::prelude::*;
-
-const GRID: usize = 32;
-
-/// Serializes tests that flip the process-global compiled gate.
-static GATE: Mutex<()> = Mutex::new(());
 
 // ---------------------------------------------------------------------------
 // Counting allocator (per-thread, so concurrent tests don't bleed in)
@@ -82,44 +79,25 @@ fn allocs_on_this_thread() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Fixtures
+// Bit-identity
 // ---------------------------------------------------------------------------
 
-fn render_frames(seed: u64, context: Context, n: usize) -> Vec<Frame> {
-    let mut generator = ScenarioGenerator::new(seed);
-    let suite = SensorSuite::new(GRID);
-    (0..n)
-        .map(|i| {
-            let scene = generator.scene(context);
-            let obs = suite.observe(&scene, &mut Rng::new(seed ^ (0xF00D + i as u64)));
-            Frame { scene, obs }
-        })
-        .collect()
-}
-
-fn arb_context() -> impl Strategy<Value = Context> {
-    (0usize..Context::ALL.len()).prop_map(|i| Context::ALL[i])
-}
-
-/// `infer_batch` with compiled execution forced off, then on.
-fn eager_and_compiled(
-    model: &mut EcoFusionModel,
-    frames: &[Frame],
-    opts: &InferenceOptions,
-) -> (Vec<InferenceOutput>, Vec<InferenceOutput>) {
-    set_compiled(Some(false));
-    let compiles = model.plan_cache_stats().compiles;
-    let eager = model.infer_batch(frames, opts).expect("eager batch");
-    assert_eq!(model.plan_cache_stats().compiles, compiles, "eager run must not compile plans");
-    set_compiled(Some(true));
-    let compiled = model.infer_batch(frames, opts).expect("compiled batch");
-    set_compiled(None);
-    (eager, compiled)
+/// Every frame of a served batch against its reference, bit for bit.
+fn assert_matches_reference(served: &[InferenceOutput], reference: &[Reference]) {
+    assert_eq!(served.len(), reference.len());
+    for (out, (selected, detections, predicted)) in served.iter().zip(reference) {
+        assert_eq!(&out.detections, detections, "detections differ");
+        assert_eq!(out.selected_config, *selected);
+        assert_eq!(out.predicted_losses.len(), predicted.len());
+        for (a, b) in out.predicted_losses.iter().zip(predicted) {
+            assert_eq!(a.to_bits(), b.to_bits(), "gate losses differ: {a} vs {b}");
+        }
+    }
 }
 
 proptest! {
-    // Each case builds one model and runs the batch four times (eager +
-    // compiled, before and after a gate-weight update); sixteen cases
+    // Each case builds one model and runs the batch four times (served +
+    // reference, before and after a gate-weight update); sixteen cases
     // sweep both precisions, both learned gates, a spread of health
     // masks, and batch sizes 1..8 (the plans' tiles hold 2 or 3 samples).
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -134,43 +112,28 @@ proptest! {
         deep in (0u8..2).prop_map(|b| b == 1),
     ) {
         let frames = render_frames(seed, context, batch);
-        let mut opts = InferenceOptions::new(0.01, 0.5)
+        let opts = InferenceOptions::new(0.01, 0.5)
             .with_gate(if deep { GateKind::Deep } else { GateKind::Attention })
-            .with_health(SensorMask::from_bits(mask_bits));
-        if int8 {
-            opts = opts.with_precision(Precision::Int8);
-        }
+            .with_health(SensorMask::from_bits(mask_bits))
+            .with_precision(if int8 { Precision::Int8 } else { Precision::F32 });
         let mut model = EcoFusionModel::new(GRID, 8, &mut Rng::new(seed ^ 0x7ACE));
 
-        let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
-        let (eager, compiled) = eager_and_compiled(&mut model, &frames, &opts);
-        prop_assert!(model.plan_cache_len() > 0, "compiled run must populate the cache");
+        let served = model.infer_batch(&frames, &opts).expect("served batch");
+        prop_assert!(model.plan_cache_len() > 0, "serving must populate the plan cache");
+        prop_assert!(served.iter().all(|o| o.precision == opts.precision));
+        assert_matches_reference(&served, &monolithic_infer_batch(&mut model, &frames, &opts));
         // The learned gates now hold a compiled plan of their old
         // weights; an update through `gates_mut` must reach the next
-        // compiled scoring exactly as it reaches the eager one.
+        // served scoring exactly as it reaches the layers' own forward.
         let gates = model.gates_mut();
         gates.deep.visit_params(&mut |p| p.value.scale(0.5));
         gates.attention.visit_params(&mut |p| p.value.scale(0.5));
-        let (eager_updated, compiled_updated) = eager_and_compiled(&mut model, &frames, &opts);
+        let updated = model.infer_batch(&frames, &opts).expect("served batch");
         prop_assert!(
-            compiled[0].predicted_losses != compiled_updated[0].predicted_losses,
-            "the gate update must show in the compiled scores"
+            served[0].predicted_losses != updated[0].predicted_losses,
+            "the gate update must show in the served scores"
         );
-
-        for (eager, compiled) in [(eager, compiled), (eager_updated, compiled_updated)] {
-            prop_assert_eq!(eager.len(), compiled.len());
-            for (e, c) in eager.iter().zip(&compiled) {
-                prop_assert_eq!(&e.detections, &c.detections, "detections differ");
-                prop_assert_eq!(e.selected_config, c.selected_config);
-                prop_assert_eq!(&e.selected_label, &c.selected_label);
-                prop_assert_eq!(e.precision, c.precision);
-                prop_assert_eq!(e.predicted_losses.len(), c.predicted_losses.len());
-                for (a, b) in e.predicted_losses.iter().zip(&c.predicted_losses) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "gate losses differ: {} vs {}", a, b);
-                }
-                prop_assert_eq!(e.energy_joules().to_bits(), c.energy_joules().to_bits());
-            }
-        }
+        assert_matches_reference(&updated, &monolithic_infer_batch(&mut model, &frames, &opts));
     }
 }
 
@@ -186,8 +149,6 @@ proptest! {
 fn plan_compiles_stop_after_the_first_step() {
     let frames = render_frames(11, Context::City, 64);
     let mut model = EcoFusionModel::new(GRID, 8, &mut Rng::new(0xC0DE));
-    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    set_compiled(Some(true));
     let mut expected = 0;
     for precision in [Precision::F32, Precision::Int8] {
         let opts = InferenceOptions::new(0.01, 0.5).with_precision(precision);
@@ -208,7 +169,6 @@ fn plan_compiles_stop_after_the_first_step() {
             );
         }
     }
-    set_compiled(None);
 }
 
 // ---------------------------------------------------------------------------

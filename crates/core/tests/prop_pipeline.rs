@@ -4,93 +4,40 @@
 //! `infer` is *bit-identical* to a monolithic reference that always runs
 //! every stem eagerly and then executes gate → select → branch → fuse in
 //! one straight line — across seeds × contexts × health masks × gates.
-//! The reference reproduces the pipeline's semantic spec (masked sensors
-//! contribute zero-filled gate features) without any pruning, so the
-//! comparison isolates exactly what the refactor changed: *when* stems
-//! run, never *what* the frame produces.
+//! The reference (`common::monolithic_infer_batch`, shared with
+//! `prop_compiled.rs`) reproduces the pipeline's semantic spec (masked
+//! sensors contribute zero-filled gate features) without any pruning and
+//! through the layers' own eval forwards, so the comparison isolates what
+//! the pipeline adds: *when* stems run and *how* (compiled plans), never
+//! *what* the frame produces.
 //!
 //! A second property pins the accounting: `StageTrace` energies and
 //! latencies sum to the `EnergyBreakdown` totals for every configuration
 //! under both stem policies.
 
+mod common;
+
+use common::{arb_context, monolithic_infer_batch, render_frames, Reference, GRID};
 use ecofusion_core::model::InferenceOutput;
 use ecofusion_core::{ConfigId, EcoFusionModel, Frame, InferenceOptions};
-use ecofusion_detect::stem::STEM_CHANNELS;
-use ecofusion_detect::Detection;
 use ecofusion_energy::{StageTrace, StemPolicy};
-use ecofusion_gating::{Gate, GateInput, GateKind};
-use ecofusion_scene::{Context, ScenarioGenerator};
-use ecofusion_sensors::{SensorKind, SensorMask, SensorSuite};
+use ecofusion_gating::GateKind;
+use ecofusion_scene::Context;
+use ecofusion_sensors::{SensorKind, SensorMask};
 use ecofusion_tensor::rng::Rng;
-use ecofusion_tensor::tensor::Tensor;
 use proptest::prelude::*;
 
-const GRID: usize = 32;
-
 fn render_frame(seed: u64, context: Context) -> Frame {
-    let mut generator = ScenarioGenerator::new(seed);
-    let scene = generator.scene(context);
-    let suite = SensorSuite::new(GRID);
-    let obs = suite.observe(&scene, &mut Rng::new(seed ^ 0xF00D));
-    Frame { scene, obs }
+    render_frames(seed, context, 1).pop().expect("one frame")
 }
 
-/// The legacy monolithic path, reconstructed from public APIs: every
-/// stem runs unconditionally, masked sensors are zeroed in the gate
-/// features, then gate → Eq. 7-9 select → selected branches → fuse.
+/// The reference on one frame: a batch of one.
 fn monolithic_infer(
     model: &mut EcoFusionModel,
     frame: &Frame,
     opts: &InferenceOptions,
-) -> (ConfigId, Vec<Detection>, Vec<f32>) {
-    // Stems: always all four.
-    let feats = model.stem_features(&frame.obs, false);
-    // Gate features with the masked sensors zero-filled (the staged
-    // pipeline's spec for unavailable modalities).
-    let zero = Tensor::zeros(&[1, STEM_CHANNELS, GRID / 2, GRID / 2]);
-    let gate_parts: Vec<&Tensor> = SensorKind::ALL
-        .iter()
-        .map(|k| if opts.health.is_available(*k) { &feats[k.index()] } else { &zero })
-        .collect();
-    let gate_feats = Tensor::concat_channels(&gate_parts);
-    // Oracle losses for the loss-based gate (all branches, a posteriori).
-    let oracle: Option<Vec<f32>> = (opts.gate == GateKind::LossBased).then(|| {
-        let dets = model.all_branch_detections(&feats, opts.score_thresh, opts.nms_iou);
-        model.config_losses_from(&dets, &frame.gt_boxes())
-    });
-    let input = GateInput {
-        features: &gate_feats,
-        context: Some(frame.scene.context),
-        oracle_losses: oracle.as_deref(),
-        sensor_health: Some(opts.health),
-    };
-    let predicted = match opts.gate {
-        GateKind::Knowledge => model.gates_mut().knowledge.predict(&input),
-        GateKind::Deep => model.gates_mut().deep.predict(&input),
-        GateKind::Attention => model.gates_mut().attention.predict(&input),
-        GateKind::LossBased => model.gates_mut().loss_based.predict(&input),
-    };
-    // Eq. 7-9 with the fault-aware penalty, via the same public pieces
-    // the model composes internally.
-    let mut adjusted = predicted.clone();
-    model.penalize_unavailable(&mut adjusted, opts.health);
-    let energies = model.space().energies(model.px2(), StemPolicy::Adaptive);
-    let idx =
-        ecofusion_core::select_config(&adjusted, &energies, opts.lambda_e, opts.gamma, opts.rule);
-    let selected = ConfigId(idx);
-    // Selected branches on the eagerly computed stems, then fuse.
-    let outputs: Vec<Vec<Detection>> = model
-        .space()
-        .branch_ids(selected)
-        .iter()
-        .map(|b| model.run_branch(b.0, &feats, opts.score_thresh, opts.nms_iou))
-        .collect();
-    let detections = model.fuse(&outputs);
-    (selected, detections, predicted)
-}
-
-fn arb_context() -> impl Strategy<Value = Context> {
-    (0usize..Context::ALL.len()).prop_map(|i| Context::ALL[i])
+) -> Reference {
+    monolithic_infer_batch(model, std::slice::from_ref(frame), opts).pop().expect("one frame")
 }
 
 fn arb_gate() -> impl Strategy<Value = GateKind> {

@@ -27,7 +27,9 @@ pub struct QuantBranch {
 
 impl QuantBranch {
     /// Runs the quantized backbone + head over stem features of shape
-    /// `(N, 8·m, S, S)`, producing the same map layout as the f32 branch.
+    /// `(N, 8·m, S, S)`, stage by stage, producing the same map layout as
+    /// the f32 branch. Inference runs [`QuantBranch::compile`]'s plan;
+    /// this is the oracle the tests hold that plan to.
     ///
     /// # Panics
     /// Panics if the feature channel count does not match the backbone's

@@ -91,20 +91,22 @@ macro_rules! learned_gate {
             }
 
             /// The trunk's raw `(N, configs)` output for a batch of stem
-            /// features: through the compiled plan (built on first use,
-            /// any batch size) when compiled execution is enabled, else
-            /// the eager eval forward — bit-identical by the graph
-            /// compiler's contract.
+            /// features, through the compiled plan (built on first use,
+            /// any batch size) — bit-identical to the eval
+            /// `Layer::forward` by the graph compiler's contract.
+            ///
+            /// # Panics
+            /// Panics if `features` does not carry the channel count and
+            /// spatial size the gate was built for, as `Layer::forward`
+            /// does: the pipeline builds the tensor from its own stems,
+            /// so a mismatch is a bug in the caller.
             fn score(&mut self, features: &Tensor) -> Tensor {
-                if graph::compiled_enabled() {
-                    if self.plan.is_none() {
-                        self.plan = self.compile(features.shape()).ok();
-                    }
-                    if let Some(plan) = &mut self.plan {
-                        return plan.execute(features);
-                    }
-                }
-                self.net.forward(features, false)
+                let net = &self.net;
+                let plan = self.plan.get_or_insert_with(|| {
+                    graph::compile_sequential(net, features.shape())
+                        .expect("gate features must match the shape the gate was built for")
+                });
+                plan.execute(features)
             }
 
             /// One regression training step against the true per-config
@@ -314,33 +316,42 @@ mod tests {
 
     #[test]
     fn compiled_scoring_is_bit_identical_and_tracks_weight_updates() {
-        use ecofusion_tensor::graph::set_compiled;
         let mut rng = Rng::new(9);
         let mut deep = DeepGate::new(4, 16, 5, &mut rng);
         let mut attn = AttentionGate::new(4, 16, 5, &mut rng);
         let batch = Tensor::randn(&[5, 4, 16, 16], 1.0, &mut rng);
         let inputs: Vec<GateInput<'_>> = (0..5).map(|_| GateInput::features_only(&batch)).collect();
-        // The only test of this crate that flips the process-wide gate;
-        // the others hold on either path.
-        let both = |gate: &mut dyn Gate| {
-            set_compiled(Some(false));
-            let eager = gate.predict_batch(&batch, &inputs);
-            set_compiled(Some(true));
-            let compiled = gate.predict_batch(&batch, &inputs);
-            for (e, c) in eager.iter().flatten().zip(compiled.iter().flatten()) {
-                assert_eq!(e.to_bits(), c.to_bits(), "{e} vs {c}");
+        // The oracle: the eval `Layer::forward` of the trunk plus the
+        // inverse squash, against what `predict_batch` scores by plan.
+        fn both<G: Gate + Layer>(
+            gate: &mut G,
+            batch: &Tensor,
+            inputs: &[GateInput<'_>],
+        ) -> Vec<Vec<f32>> {
+            let eager = gate.forward(batch, false);
+            let compiled = gate.predict_batch(batch, inputs);
+            for (e, c) in eager.data().iter().zip(compiled.iter().flatten()) {
+                assert_eq!(e.exp_m1().max(0.0).to_bits(), c.to_bits(), "{e} vs {c}");
             }
             compiled
-        };
-        let (d0, a0) = (both(&mut deep), both(&mut attn));
+        }
+        let (d0, a0) = (both(&mut deep, &batch, &inputs), both(&mut attn, &batch, &inputs));
         assert!(deep.plan.is_some() && attn.plan.is_some(), "first scoring compiles the trunk");
         // A weight update drops the plan; the next scoring sees it.
         deep.visit_params(&mut |p| p.value.scale(1.25));
         attn.visit_params(&mut |p| p.value.scale(1.25));
         assert!(deep.plan.is_none() && attn.plan.is_none(), "stale plan must be dropped");
-        assert_ne!(both(&mut deep), d0);
-        assert_ne!(both(&mut attn), a0);
-        set_compiled(None);
+        assert_ne!(both(&mut deep, &batch, &inputs), d0);
+        assert_ne!(both(&mut attn, &batch, &inputs), a0);
+    }
+
+    #[test]
+    #[should_panic(expected = "shape the gate was built for")]
+    fn mis_shaped_features_panic_like_the_eval_forward() {
+        let mut rng = Rng::new(10);
+        let mut g = DeepGate::new(4, 16, 3, &mut rng);
+        let wrong = Tensor::zeros(&[1, 3, 16, 16]);
+        let _ = g.predict(&GateInput::features_only(&wrong));
     }
 
     #[test]

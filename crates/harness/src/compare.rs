@@ -377,7 +377,6 @@ mod tests {
                 fleet: Vec::new(),
             }],
             int8_speedup: None,
-            compiled_speedup: None,
         }
     }
 

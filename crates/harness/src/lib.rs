@@ -70,8 +70,8 @@ pub mod suites;
 
 pub use compare::{compare, Tolerances, Violation};
 pub use report::{
-    BenchReport, BuildMeta, CompiledSpeedup, FleetPoint, Int8Speedup, LatencyStats, ShardPoint,
-    SuiteReport, SCHEMA_VERSION,
+    BenchReport, BuildMeta, FleetPoint, Int8Speedup, LatencyStats, ShardPoint, SuiteReport,
+    SCHEMA_VERSION,
 };
 pub use run::{
     run_report, run_report_traced, run_suite, run_suite_traced, ModelProvider,
@@ -82,10 +82,7 @@ pub use scenario::{
     DistilledSuite, ReplayDrift, Scenario, ScenarioCounters, ScenarioOutcome, ScenarioSize,
     ScenarioStream, DEFAULT_DISTILLED_DIR, DISTILLED_SCHEMA_VERSION,
 };
-pub use suites::{
-    apply_env_precision, base_options, plan, stream_specs, SuiteId, SuitePlan, MODEL_SEED,
-    SUITE_CLASSES, SUITE_GRID,
-};
+pub use suites::{plan, stream_specs, SuiteId, SuitePlan, MODEL_SEED, SUITE_CLASSES, SUITE_GRID};
 
 /// Default location of the committed baseline the CI perf gate compares
 /// against.

@@ -184,29 +184,15 @@ pub struct BuildMeta {
     pub shards: usize,
 }
 
-/// Measured int8-vs-f32 kernel speedups, recorded by the parity harness.
-/// Wall-clock ratios on the build host — informational, never gated.
+/// Measured int8-vs-f32 speedups of the compiled plans serving runs,
+/// recorded by the parity harness. Wall-clock ratios on the build host —
+/// informational, never gated.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct Int8Speedup {
-    /// f32 stem forward time / int8 stem forward time.
+    /// f32 stem plan time / int8 stem plan time.
     pub stem: f64,
-    /// f32 branch (backbone + head) time / int8 branch time.
+    /// f32 branch (backbone + head) plan time / int8 branch plan time.
     pub branch: f64,
-}
-
-/// Measured eager-vs-compiled stage speedups of the fused-operator
-/// execution layer, recorded by `bench_report`'s default mode.
-/// Wall-clock ratios on the build host — informational, never gated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct CompiledSpeedup {
-    /// Eager f32 stem time / compiled f32 stem time (batch 8).
-    pub stem_f32: f64,
-    /// Eager f32 branch time / compiled f32 branch time (batch 8).
-    pub branch_f32: f64,
-    /// Eager int8 stem time / compiled int8 stem time (batch 8).
-    pub stem_int8: f64,
-    /// Eager int8 branch time / compiled int8 branch time (batch 8).
-    pub branch_int8: f64,
 }
 
 /// A full harness run: metadata plus one report per suite.
@@ -222,10 +208,6 @@ pub struct BenchReport {
     /// (`None` in ordinary gate runs and older reports; not gated).
     #[serde(default)]
     pub int8_speedup: Option<Int8Speedup>,
-    /// Eager-vs-compiled stage speedups when `bench_report` measured
-    /// them (`None` in older reports and gate-only runs; not gated).
-    #[serde(default)]
-    pub compiled_speedup: Option<CompiledSpeedup>,
 }
 
 impl BenchReport {
@@ -367,7 +349,6 @@ mod tests {
                 fleet
             }],
             int8_speedup: None,
-            compiled_speedup: None,
         }
     }
 
@@ -411,6 +392,24 @@ mod tests {
         )
         .expect("old build meta parses");
         assert_eq!(build.shards, 0);
+    }
+
+    /// The committed baselines predate this schema: they carry a
+    /// `compiled_speedup` key the report no longer has. Unknown keys are
+    /// ignored on load, so both files parse untouched and survive a
+    /// write → parse round trip with every field they do share.
+    #[test]
+    fn committed_baselines_load_and_roundtrip() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for rel in ["baselines/bench_baseline.json", "baselines/bench_baseline_int8.json"] {
+            let text = std::fs::read_to_string(root.join(rel)).expect(rel);
+            assert!(text.contains("\"compiled_speedup\""), "{rel} lost the key this test is for");
+            let loaded = BenchReport::from_json(&text).expect(rel);
+            assert_eq!(loaded.schema, SCHEMA_VERSION, "{rel}");
+            assert!(!loaded.suites.is_empty(), "{rel}");
+            let back = BenchReport::from_json(&loaded.to_json()).expect("round trip");
+            assert_eq!(back, loaded, "{rel}");
+        }
     }
 
     #[test]

@@ -5,12 +5,10 @@ use crate::digest::{absorb_stream, format_digest, Fnv1a};
 use crate::report::{
     BenchReport, BuildMeta, FleetPoint, LatencyStats, ShardPoint, SuiteReport, SCHEMA_VERSION,
 };
-use crate::suites::{
-    apply_env_precision, plan, stream_specs, SuiteId, MODEL_SEED, SUITE_CLASSES, SUITE_GRID,
-};
+use crate::suites::{plan, stream_specs, SuiteId, MODEL_SEED, SUITE_CLASSES, SUITE_GRID};
 use ecofusion_core::model::InferError;
 use ecofusion_core::{
-    Dataset, DatasetSpec, EcoFusionModel, Frame, ModelSnapshot, TrainConfig, Trainer,
+    Dataset, DatasetSpec, EcoFusionModel, Frame, ModelSnapshot, Precision, TrainConfig, Trainer,
 };
 use ecofusion_energy::StageRollup;
 use ecofusion_eval::experiments::common::Scale;
@@ -77,7 +75,8 @@ impl ModelProvider {
 }
 
 /// Runs every suite (or the `only` subset, by label) at `scale` on
-/// `shards` runtime worker shards and assembles the full report.
+/// `shards` runtime worker shards, every stream starting at `precision`,
+/// and assembles the full report.
 ///
 /// Every deterministic report field is shard-invariant (the runtime's
 /// core invariant), so reports taken at different shard counts diff
@@ -85,8 +84,13 @@ impl ModelProvider {
 ///
 /// # Errors
 /// Propagates [`InferError`] from the serving model.
-pub fn run_report(scale: Scale, only: &[String], shards: usize) -> Result<BenchReport, InferError> {
-    run_report_traced(scale, only, shards, None).map(|(report, _)| report)
+pub fn run_report(
+    scale: Scale,
+    only: &[String],
+    shards: usize,
+    precision: Precision,
+) -> Result<BenchReport, InferError> {
+    run_report_traced(scale, only, shards, precision, None).map(|(report, _)| report)
 }
 
 /// [`run_report`] with an optional flight recorder: with
@@ -102,6 +106,7 @@ pub fn run_report_traced(
     scale: Scale,
     only: &[String],
     shards: usize,
+    precision: Precision,
     trace_capacity: Option<usize>,
 ) -> Result<(BenchReport, Vec<(String, TraceSink)>), InferError> {
     let provider = ModelProvider::prepare(scale);
@@ -111,7 +116,8 @@ pub fn run_report_traced(
         if !only.is_empty() && !only.iter().any(|s| s == id.label()) {
             continue;
         }
-        let (suite, sink) = run_suite_traced(&provider, id, scale, shards, trace_capacity)?;
+        let (suite, sink) =
+            run_suite_traced(&provider, id, scale, shards, precision, trace_capacity)?;
         suites.push(suite);
         if let Some(sink) = sink {
             sinks.push((id.label().to_string(), sink));
@@ -120,7 +126,6 @@ pub fn run_report_traced(
     let report = BenchReport {
         schema: SCHEMA_VERSION,
         int8_speedup: None,
-        compiled_speedup: None,
         build: BuildMeta {
             backend: match backend::backend_kind() {
                 BackendKind::Reference => "reference".to_string(),
@@ -141,7 +146,7 @@ pub fn run_report_traced(
     Ok((report, sinks))
 }
 
-/// Runs one suite end to end and aggregates its report.
+/// Runs one suite end to end at f32 and aggregates its report.
 ///
 /// # Errors
 /// Propagates [`InferError`] from the serving model.
@@ -151,13 +156,14 @@ pub fn run_suite(
     scale: Scale,
     shards: usize,
 ) -> Result<SuiteReport, InferError> {
-    run_suite_traced(provider, id, scale, shards, None).map(|(report, _)| report)
+    run_suite_traced(provider, id, scale, shards, Precision::F32, None).map(|(report, _)| report)
 }
 
-/// [`run_suite`] with an optional tracer: with `trace_capacity` set, one
-/// enabled [`TraceSink`] rides through every fleet sub-run of the suite
-/// (installed on each server, taken back after its drive) and is
-/// returned for export. Trace timestamps restart per sub-run — only
+/// [`run_suite`] at a chosen starting `precision` (int8 drives the whole
+/// suite quantized — what the int8 baseline gates) and with an optional
+/// tracer: with `trace_capacity` set, one enabled [`TraceSink`] rides
+/// through every fleet sub-run of the suite (installed on each server,
+/// taken back after its drive) and is returned for export. Trace timestamps restart per sub-run — only
 /// `fleet_scale` has more than one — and the ring keeps the most recent
 /// events, the flight-recorder property.
 ///
@@ -168,6 +174,7 @@ pub fn run_suite_traced(
     id: SuiteId,
     scale: Scale,
     shards: usize,
+    precision: Precision,
     trace_capacity: Option<usize>,
 ) -> Result<(SuiteReport, Option<TraceSink>), InferError> {
     let plan = plan(id, scale);
@@ -176,12 +183,12 @@ pub fn run_suite_traced(
     for &fleet in &plan.fleets {
         let specs_faults = stream_specs(id, fleet, plan.ticks);
         // Patch the base options exactly once; server and streams must be
-        // configured from the very same specs. The env-precision override
-        // is applied to each spec's *own* options, so suites with
-        // heterogeneous per-stream policies (mixed_policy) keep them.
+        // configured from the very same specs. The precision is applied
+        // to each spec's *own* options, so suites with heterogeneous
+        // per-stream policies (mixed_policy) keep them.
         let specs: Vec<StreamSpec> = specs_faults
             .iter()
-            .map(|(s, _)| StreamSpec { base_opts: apply_env_precision(s.base_opts), ..*s })
+            .map(|(s, _)| StreamSpec { base_opts: s.base_opts.with_precision(precision), ..*s })
             .collect();
         let mut streams: Vec<VehicleStream> = specs
             .iter()

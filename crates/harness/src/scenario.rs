@@ -15,10 +15,9 @@
 //!
 //! Execution is hermetic on purpose: the model is always the untrained
 //! [`MODEL_SEED`] quick-scale model and the base inference options are
-//! the paper defaults, with *no* environment overrides — a distilled
-//! suite must mean the same thing on every machine that replays it. The
-//! `ECOFUSION_COMPILED` / `ECOFUSION_SHARDS` hooks remain legitimate
-//! because both are proven output-invariant.
+//! the paper defaults — nothing outside the scenario's JSON reaches the
+//! run, so a distilled suite means the same thing on every machine that
+//! replays it.
 
 use crate::digest::{absorb_stream, format_digest, Fnv1a};
 use crate::suites::{MODEL_SEED, SUITE_CLASSES, SUITE_GRID};

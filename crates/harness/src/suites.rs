@@ -216,31 +216,6 @@ pub fn stream_specs(
     }
 }
 
-/// The inference options every suite starts from (the paper defaults; the
-/// budget ladder may move a stream off them mid-run).
-///
-/// The `ECOFUSION_PRECISION` environment variable (`int8` / `f32`,
-/// case-insensitive) overrides the perception precision — the CI
-/// int8-parity step uses it to drive the whole gate quantized without
-/// touching every suite definition. Unset or unrecognized values keep the
-/// f32 default, so ordinary runs are unchanged.
-pub fn base_options() -> InferenceOptions {
-    apply_env_precision(InferenceOptions::new(0.01, 0.5))
-}
-
-/// Applies the `ECOFUSION_PRECISION` override to `opts` (see
-/// [`base_options`]). Suites with per-stream policies (e.g.
-/// `mixed_policy`'s heterogeneous gates) run their own options through
-/// this instead of replacing them wholesale with [`base_options`].
-pub fn apply_env_precision(mut opts: InferenceOptions) -> InferenceOptions {
-    if let Ok(v) = std::env::var("ECOFUSION_PRECISION") {
-        if v.eq_ignore_ascii_case("int8") {
-            opts.precision = ecofusion_core::Precision::Int8;
-        }
-    }
-    opts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -50,7 +50,6 @@ fn steady_city_quick_rerun_is_report_identical() {
         },
         suites: vec![suite],
         int8_speedup: None,
-        compiled_speedup: None,
     };
     let (base, fresh) = (wrap(a), wrap(b));
     let violations = compare(&base, &fresh, &Tolerances::default());
@@ -79,7 +78,6 @@ fn hand_edited_baseline_map_fails_the_gate() {
         },
         suites: vec![suite],
         int8_speedup: None,
-        compiled_speedup: None,
     };
     // Simulate a baseline whose mAP was edited upward by hand: the
     // honest fresh run must fail the accuracy gate with exactly that

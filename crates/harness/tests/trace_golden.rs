@@ -19,9 +19,15 @@ fn traced_steady_city(
     provider: &ModelProvider,
     shards: usize,
 ) -> (ecofusion_harness::SuiteReport, TraceSink) {
-    let (report, sink) =
-        run_suite_traced(provider, SuiteId::SteadyCity, Scale::Quick, shards, Some(CAPACITY))
-            .expect("traced steady_city run");
+    let (report, sink) = run_suite_traced(
+        provider,
+        SuiteId::SteadyCity,
+        Scale::Quick,
+        shards,
+        ecofusion_core::Precision::F32,
+        Some(CAPACITY),
+    )
+    .expect("traced steady_city run");
     (report, sink.expect("traced run returns its sink"))
 }
 

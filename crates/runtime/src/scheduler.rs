@@ -50,17 +50,13 @@ pub struct RuntimeConfig {
 }
 
 impl Default for RuntimeConfig {
-    /// `max_batch` 8, 8 classes, work stealing on, no fleet budget, and
-    /// the shard count from the `ECOFUSION_SHARDS` environment variable
-    /// (default 1). The env hook exists so the whole test suite can be
-    /// re-run under a shard matrix in CI without touching each test; it
-    /// cannot change any asserted output, because outputs are
-    /// shard-count-invariant.
+    /// `max_batch` 8, 8 classes, one shard, work stealing on, no fleet
+    /// budget.
     fn default() -> Self {
         RuntimeConfig {
             max_batch: 8,
             num_classes: 8,
-            shards: shards_from_env(),
+            shards: 1,
             work_stealing: true,
             fleet_budget: None,
         }
@@ -68,7 +64,7 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Same config with a fixed shard count (ignores `ECOFUSION_SHARDS`).
+    /// Same config with a different shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -85,15 +81,6 @@ impl RuntimeConfig {
         self.fleet_budget = Some(policy);
         self
     }
-}
-
-/// Shard count from `ECOFUSION_SHARDS` (CI matrix hook), default 1.
-fn shards_from_env() -> usize {
-    std::env::var("ECOFUSION_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 /// A totally ordered grouping key over [`InferenceOptions`]: float fields
@@ -601,7 +588,8 @@ impl PerceptionServer {
     ///
     /// # Errors
     /// Propagates [`InferError`] from the model (a queued frame rendered
-    /// at the wrong grid size).
+    /// at the wrong grid size, or an installed int8 image that does not
+    /// lower to plans).
     pub fn process_step(&mut self) -> Result<usize, InferError> {
         self.process_step_stats().map(|stats| stats.frames)
     }

@@ -6,9 +6,9 @@
 //! `bench_with_input` / `throughput`, [`BenchmarkId`], and [`black_box`]. Each benchmark
 //! is timed adaptively (warm-up, then enough iterations to fill the
 //! measurement window) and the median per-iteration wall time is printed.
-//! A `--quick` CLI flag (or `ECOFUSION_BENCH_QUICK=1`) shrinks the window
-//! for smoke runs; any benchmark name passed on the command line acts as a
-//! substring filter, mirroring `cargo bench -- <filter>`.
+//! A `--quick` CLI flag shrinks the window for smoke runs; any benchmark
+//! name passed on the command line acts as a substring filter, mirroring
+//! `cargo bench -- <filter>`.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -194,9 +194,7 @@ pub struct Bencher {
 /// `Criterion`'s windows are fixed at construction, so `Bencher` reads the
 /// global quick flag directly to stay a plain value type.
 fn windows() -> (Duration, Duration) {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("ECOFUSION_BENCH_QUICK").is_ok_and(|v| v == "1");
-    if quick {
+    if std::env::args().any(|a| a == "--quick") {
         (Duration::from_millis(50), Duration::from_millis(10))
     } else {
         (Duration::from_millis(400), Duration::from_millis(100))
@@ -279,7 +277,6 @@ mod tests {
 
     #[test]
     fn bencher_records_samples() {
-        std::env::set_var("ECOFUSION_BENCH_QUICK", "1");
         let mut b = Bencher { samples: Vec::new() };
         b.iter(|| black_box(3u64.wrapping_mul(7)));
         assert!(!b.samples.is_empty());

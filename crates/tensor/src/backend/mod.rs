@@ -5,8 +5,8 @@
 //! correctness oracle, while [`Blocked`] provides register-tiled,
 //! cache-aware kernels with scoped-thread data parallelism over output
 //! rows and the batch dimension. Layers call [`active`], so swapping the
-//! whole model's compute substrate is one call to [`set_backend`] (or the
-//! `ECOFUSION_BACKEND` environment variable — `reference` or `blocked`).
+//! whole model's compute substrate is one call to [`set_backend`]; a
+//! process that never calls it runs [`Blocked`].
 //!
 //! # Numerical contract
 //!
@@ -27,7 +27,6 @@ pub use reference::Reference;
 
 use crate::tensor::Tensor;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Selects one of the built-in backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,31 +182,17 @@ pub fn get(kind: BackendKind) -> &'static dyn Backend {
     }
 }
 
-const KIND_UNSET: u8 = 0;
 const KIND_REFERENCE: u8 = 1;
 const KIND_BLOCKED: u8 = 2;
 
-static OVERRIDE: AtomicU8 = AtomicU8::new(KIND_UNSET);
-static ENV_DEFAULT: OnceLock<BackendKind> = OnceLock::new();
+static SELECTED: AtomicU8 = AtomicU8::new(KIND_BLOCKED);
 
-fn env_default() -> BackendKind {
-    *ENV_DEFAULT.get_or_init(|| match std::env::var("ECOFUSION_BACKEND").as_deref() {
-        Ok("reference") | Ok("ref") => BackendKind::Reference,
-        Ok("blocked") | Err(_) => BackendKind::Blocked,
-        Ok(other) => {
-            eprintln!("warning: unknown ECOFUSION_BACKEND `{other}`, using blocked");
-            BackendKind::Blocked
-        }
-    })
-}
-
-/// The globally selected backend kind: [`set_backend`] if called,
-/// otherwise `ECOFUSION_BACKEND`, otherwise [`BackendKind::Blocked`].
+/// The globally selected backend kind: the last [`set_backend`] call,
+/// [`BackendKind::Blocked`] if there was none.
 pub fn backend_kind() -> BackendKind {
-    match OVERRIDE.load(Ordering::Relaxed) {
+    match SELECTED.load(Ordering::Relaxed) {
         KIND_REFERENCE => BackendKind::Reference,
-        KIND_BLOCKED => BackendKind::Blocked,
-        _ => env_default(),
+        _ => BackendKind::Blocked,
     }
 }
 
@@ -218,7 +203,7 @@ pub fn set_backend(kind: BackendKind) {
         BackendKind::Reference => KIND_REFERENCE,
         BackendKind::Blocked => KIND_BLOCKED,
     };
-    OVERRIDE.store(v, Ordering::Relaxed);
+    SELECTED.store(v, Ordering::Relaxed);
 }
 
 /// The active backend instance.
@@ -232,16 +217,25 @@ pub fn active() -> &'static dyn Backend {
 // ---------------------------------------------------------------------------
 
 /// Lowers NCHW input to a `(N·Ho·Wo, C_in·k·k)` column matrix in `cols`
-/// (resized and fully overwritten; padding positions become zeros).
+/// for the eager convolution forward and backward. Pure data movement —
+/// the emitted matrix is element-for-element the naive lowering, so the
+/// downstream GEMM sees identical values (bit-identity is untouched).
+/// Every position of the matrix is written (copies or explicit padding
+/// zeros), so the buffer is reused across calls without a full memset.
+///
+/// Two layouts of the same loop nest, picked by patch width:
+/// * narrow patches (≲ one cache line): column sweep — contiguous source
+///   reads, short-stride writes;
+/// * wide patches: patch-major — each patch's destination row is
+///   contiguous, with a branch-free interior fast path (const-k copies)
+///   and per-element clipping only on boundary patches.
 pub(crate) fn im2col(x: &Tensor, spec: &ConvSpec, cols: &mut Vec<f32>) {
     let (n, c, h, w) = dims4(x);
-    im2col_slice(x.data(), [n, c, h, w], spec, cols);
-}
-
-/// [`im2col`] over raw NCHW data (`dims = [n, c, h, w]`) — the compiled
-/// plan executor feeds arena slices that never materialize a `Tensor`.
-pub(crate) fn im2col_slice(xdata: &[f32], dims: [usize; 4], spec: &ConvSpec, cols: &mut Vec<f32>) {
-    im2col_sweep(xdata, 0.0f32, dims, spec, cols);
+    if spec.patch_len() * std::mem::size_of::<f32>() > 64 && spec.kernel > 1 {
+        im2col_patches(x.data(), [n, c, h, w], spec, cols);
+    } else {
+        im2col_columns(x.data(), [n, c, h, w], spec, cols);
+    }
 }
 
 /// Transposed im2col: `(C_in·k·k, N·Ho·Wo)` — one contiguous run of
@@ -420,54 +414,22 @@ fn tile_tn_f32_partial(
     }
 }
 
-/// Shared im2col for the f32 and int8 lowerings. Pure data movement —
-/// the emitted matrix is element-for-element the naive lowering, so the
-/// downstream GEMM sees identical values (bit-identity is untouched).
-/// Every position of the matrix is written (copies or explicit padding
-/// zeros), so the buffer is reused across calls without a full memset.
-///
-/// Two layouts of the same loop nest, picked by patch width:
-/// * narrow patches (≲ one cache line): column sweep — contiguous source
-///   reads, short-stride writes;
-/// * wide patches: patch-major — each patch's destination row is
-///   contiguous, with a branch-free interior fast path (const-k copies)
-///   and per-element clipping only on boundary patches.
-pub(crate) fn im2col_sweep<T: Copy>(
-    xdata: &[T],
-    zero: T,
-    dims: [usize; 4],
-    spec: &ConvSpec,
-    cols: &mut Vec<T>,
-) {
-    if spec.patch_len() * std::mem::size_of::<T>() > 64 && spec.kernel > 1 {
-        im2col_patches(xdata, zero, dims, spec, cols);
-    } else {
-        im2col_columns(xdata, zero, dims, spec, cols);
-    }
-}
-
 /// Column-sweep layout: for each patch-column index `(ci, ky, kx)` the
 /// valid output positions along a row form one contiguous source span,
 /// so the inner loop is a branch-free contiguous read / strided write.
-fn im2col_columns<T: Copy>(
-    xdata: &[T],
-    zero: T,
-    dims: [usize; 4],
-    spec: &ConvSpec,
-    cols: &mut Vec<T>,
-) {
+fn im2col_columns(xdata: &[f32], dims: [usize; 4], spec: &ConvSpec, cols: &mut Vec<f32>) {
     let [n, c, h, w] = dims;
     let (ho, wo) = spec.out_size(h, w);
     let k = spec.kernel;
     let s = spec.stride;
     let p = spec.padding;
     let cols_w = spec.patch_len();
-    cols.resize(n * ho * wo * cols_w, zero);
+    cols.resize(n * ho * wo * cols_w, 0.0);
     // Zero a strided patch-column range [ox_a, ox_b).
-    let zero_range = |cols: &mut [T], base: usize, ox_a: usize, ox_b: usize| {
+    let zero_range = |cols: &mut [f32], base: usize, ox_a: usize, ox_b: usize| {
         if ox_a < ox_b {
             for o in cols[base + ox_a * cols_w..].iter_mut().step_by(cols_w).take(ox_b - ox_a) {
-                *o = zero;
+                *o = 0.0;
             }
         }
     };
@@ -524,9 +486,9 @@ fn im2col_columns<T: Copy>(
 /// row copies lower to straight-line moves instead of `memcpy` calls.
 #[inline]
 #[allow(clippy::too_many_arguments)] // hot-loop geometry scalars, not state
-fn patch_interior<T: Copy, const K: usize>(
-    x: &[T],
-    dst: &mut [T],
+fn patch_interior<const K: usize>(
+    x: &[f32],
+    dst: &mut [f32],
     c: usize,
     hw: usize,
     bc: usize,
@@ -547,20 +509,14 @@ fn patch_interior<T: Copy, const K: usize>(
 /// Patch-major layout for wide patches: each patch's destination row is
 /// contiguous; interior patches take the branch-free const-k fast path,
 /// boundary patches clip per kernel row and zero the clipped positions.
-fn im2col_patches<T: Copy>(
-    xdata: &[T],
-    zero: T,
-    dims: [usize; 4],
-    spec: &ConvSpec,
-    cols: &mut Vec<T>,
-) {
+fn im2col_patches(xdata: &[f32], dims: [usize; 4], spec: &ConvSpec, cols: &mut Vec<f32>) {
     let [n, c, h, w] = dims;
     let (ho, wo) = spec.out_size(h, w);
     let k = spec.kernel;
     let s = spec.stride;
     let p = spec.padding;
     let cols_w = spec.patch_len();
-    cols.resize(n * ho * wo * cols_w, zero);
+    cols.resize(n * ho * wo * cols_w, 0.0);
     let hw = h * w;
     for b in 0..n {
         for oy in 0..ho {
@@ -573,8 +529,8 @@ fn im2col_patches<T: Copy>(
                 if interior_y && ix0 >= 0 && ix0 + k as isize <= w as isize {
                     let (iy0, ix0) = (iy0 as usize, ix0 as usize);
                     match k {
-                        3 => patch_interior::<T, 3>(xdata, dst, c, hw, b * c, iy0, ix0, w),
-                        5 => patch_interior::<T, 5>(xdata, dst, c, hw, b * c, iy0, ix0, w),
+                        3 => patch_interior::<3>(xdata, dst, c, hw, b * c, iy0, ix0, w),
+                        5 => patch_interior::<5>(xdata, dst, c, hw, b * c, iy0, ix0, w),
                         _ => {
                             for ci in 0..c {
                                 let ch = (b * c + ci) * hw;
@@ -599,15 +555,15 @@ fn im2col_patches<T: Copy>(
                         let d0 = cb + ky * k;
                         let iy = iy0 + ky as isize;
                         if iy < 0 || iy >= h as isize {
-                            dst[d0..d0 + k].fill(zero);
+                            dst[d0..d0 + k].fill(0.0);
                             continue;
                         }
                         let srow = ch + iy as usize * w;
                         for v in &mut dst[d0..d0 + kx_lo] {
-                            *v = zero;
+                            *v = 0.0;
                         }
                         for v in &mut dst[d0 + kx_hi..d0 + k] {
-                            *v = zero;
+                            *v = 0.0;
                         }
                         if kx_lo < kx_hi {
                             let s0 = (srow as isize + ix0 + kx_lo as isize) as usize;
@@ -713,10 +669,9 @@ pub(crate) fn dims4(x: &Tensor) -> (usize, usize, usize, usize) {
     (s[0], s[1], s[2], s[3])
 }
 
-/// Serializes the unit tests of this crate that flip a process-wide
-/// switch (the backend selection, the compiled-execution gate) with the
-/// ones whose assertions read it — every eager-vs-compiled bit-identity
-/// test does, through [`active`].
+/// Serializes the unit tests of this crate that flip the process-wide
+/// backend selection with the ones whose assertions read it — every
+/// eager-vs-compiled bit-identity test does, through [`active`].
 #[cfg(test)]
 pub(crate) fn lock_test_globals() -> std::sync::MutexGuard<'static, ()> {
     static GLOBALS: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -14,8 +14,8 @@
 //!   backend GEMMs, scale, row softmax and residual, on arena slices
 //!   instead of nine tensors per sample.
 //! * Quantized convolutions get a fused dequant + folded-BN + ReLU
-//!   epilogue applied directly to the i32 accumulators, removing the
-//!   stage-boundary dequant round-trips of the eager [`QuantPipe`].
+//!   epilogue applied directly to the i32 accumulators, with none of the
+//!   stage-boundary tensors [`QuantPipe::forward`] materializes.
 //!
 //! # Tiles
 //!
@@ -50,8 +50,11 @@
 //!
 //! # Bit-identity contract
 //!
-//! Compiled execution is **bit-identical** to the eager eval path it
-//! replaces, on both f32 and int8:
+//! A plan is the only inference executor; the layer-by-layer ("eager")
+//! eval forwards — `Layer::forward(_, false)` on the f32 stacks,
+//! [`QuantPipe::forward`] on the int8 ones — run training and serve the
+//! tests as oracles. Compiled execution is **bit-identical** to them, on
+//! both f32 and int8:
 //!
 //! * f32: the plan obtains pre-bias GEMM rows from
 //!   [`Backend::conv2d_rows_t`](crate::backend::Backend::conv2d_rows_t) —
@@ -69,8 +72,8 @@
 //!   in the same order as [`SelfAttention2d`]'s forward, and the shared
 //!   row-softmax routine.
 //!
-//! The golden traces and the perf-gate baselines therefore hold
-//! unchanged whether `ECOFUSION_COMPILED` is `0` or `1`.
+//! The golden traces and the perf-gate baselines were recorded through
+//! the eager forwards and hold unchanged under plans.
 //!
 //! # Memory
 //!
@@ -88,49 +91,6 @@ use crate::layer::{BatchNorm2d, Conv2d, Linear, SelfAttention2d, Sequential};
 use crate::quant::{conv_rows_t_i8, quantize_activations, QuantConv2d, QuantPipe, QuantStage};
 use crate::tensor::{softmax_rows_in_place, Tensor};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
-
-// ---------------------------------------------------------------------------
-// Compiled-execution gate
-// ---------------------------------------------------------------------------
-
-const COMPILED_UNSET: u8 = 0;
-const COMPILED_OFF: u8 = 1;
-const COMPILED_ON: u8 = 2;
-
-static OVERRIDE: AtomicU8 = AtomicU8::new(COMPILED_UNSET);
-static ENV_DEFAULT: OnceLock<bool> = OnceLock::new();
-
-fn env_default() -> bool {
-    *ENV_DEFAULT.get_or_init(|| {
-        !matches!(std::env::var("ECOFUSION_COMPILED").as_deref(), Ok("0") | Ok("off") | Ok("false"))
-    })
-}
-
-/// Whether the staged pipeline routes stems, learned gates and branches
-/// through compiled plans: [`set_compiled`] if called, otherwise
-/// `ECOFUSION_COMPILED` (default **on**; `0`/`off`/`false` disable for
-/// A/B comparison).
-pub fn compiled_enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        COMPILED_OFF => false,
-        COMPILED_ON => true,
-        _ => env_default(),
-    }
-}
-
-/// Overrides the compiled-execution gate process-wide. `None` restores
-/// the `ECOFUSION_COMPILED` environment default. Used by A/B benches and
-/// the compiled-vs-eager property suite.
-pub fn set_compiled(on: Option<bool>) {
-    let v = match on {
-        None => COMPILED_UNSET,
-        Some(false) => COMPILED_OFF,
-        Some(true) => COMPILED_ON,
-    };
-    OVERRIDE.store(v, Ordering::Relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Plan representation
@@ -701,8 +661,7 @@ impl PlanBuilder {
     ///
     /// # Errors
     /// [`CompileError::Unsupported`] on any other layer kind (including
-    /// a ReLU that does not follow a conv/linear) — callers fall back to
-    /// eager execution.
+    /// a ReLU that does not follow a conv/linear).
     pub fn push_sequential(&mut self, seq: &Sequential) -> Result<(), CompileError> {
         let layers = seq.layers();
         let mut i = 0;
@@ -946,8 +905,7 @@ impl PlanBuilder {
 /// [`PlanBuilder::push_sequential`] + [`PlanBuilder::finish`].
 ///
 /// # Errors
-/// Propagates the builder's [`CompileError`]; callers fall back to eager
-/// execution.
+/// Propagates the builder's [`CompileError`].
 pub fn compile_sequential(
     seq: &Sequential,
     in_shape: &[usize],
@@ -1156,8 +1114,8 @@ impl PlanCache {
     }
 
     /// Fallible variant of [`PlanCache::get_or_compile`]: a failed build
-    /// counts as a miss (not a compile) and inserts nothing, so the
-    /// caller's eager fallback re-attempts (and re-fails fast) next time.
+    /// counts as a miss (not a compile) and inserts nothing, so the next
+    /// lookup re-attempts (and re-fails fast).
     ///
     /// # Errors
     /// Propagates the builder's [`CompileError`].
@@ -1423,18 +1381,6 @@ mod tests {
         assert_ne!(fingerprint_sequential(&a, 0), fingerprint_sequential(&b, 0));
         assert_ne!(fingerprint_sequential(&a, 0), fingerprint_sequential(&a, 1));
         assert_eq!(fingerprint_sequential(&a, 3), fingerprint_sequential(&a, 3));
-    }
-
-    #[test]
-    fn compiled_gate_override_roundtrip() {
-        let _guard = lock_test_globals();
-        let env = env_default();
-        set_compiled(Some(false));
-        assert!(!compiled_enabled());
-        set_compiled(Some(true));
-        assert!(compiled_enabled());
-        set_compiled(None);
-        assert_eq!(compiled_enabled(), env);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Post-training int8 quantization: per-channel symmetric weights, an
-//! i8×i8→i32 GEMM with the blocked backend's packing/microtile structure,
-//! and a quantized stage chain built by walking a trained [`Sequential`].
+//! Post-training int8 quantization: per-channel symmetric weights, the
+//! i8×i8→i32 convolution kernel of the compiled plans, and a quantized
+//! stage chain built by walking a trained [`Sequential`].
 //!
 //! # Scheme
 //!
@@ -23,39 +23,23 @@
 //!
 //! # Kernel structure
 //!
-//! [`gemm_i8_nt`] mirrors the `Blocked` f32 backend: the B operand is
-//! packed into contiguous column panels, an `MR×NR` register microtile
-//! accumulates `[[i32; NR]; MR]`, and every reduction runs over `k` in
-//! increasing order (determinism contract — trivially exact here since
-//! integer addition is associative, but the structure keeps the two
-//! kernels reviewable side by side).
+//! [`conv_rows_t_i8`] is the one int8 kernel: the transposed im2col of
+//! the compiled plans plus a register-tiled widening multiply-accumulate
+//! (`IR_T×JR_T` tiles, shared with the f32 `gemm_tn_f32`). Inference
+//! reaches it only through a [`CompiledPlan`](crate::graph::CompiledPlan).
+//! [`QuantPipe::forward`] and [`QuantConv2d::forward`] are the tests'
+//! oracle for those plans: same quantizer, same per-element epilogue
+//! order, but the accumulators come from [`conv_direct_i8`], a plain
+//! nested-loop reduction with no lowering, tiling or scratch. Integer
+//! addition is associative, so oracle and kernel agree bit for bit.
 
 use crate::backend::ConvSpec;
 use crate::layer::{BatchNorm2d, Conv2d, Sequential};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-
-thread_local! {
-    /// Per-thread quantized-activation buffer (avoids an allocation per
-    /// forward, mirroring the blocked backend's scratch reuse).
-    static QX_I8: RefCell<Vec<i8>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread im2col column buffer.
-    static COLS_I8: RefCell<Vec<i8>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread i32 GEMM accumulator buffer.
-    static ACC_I32: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread packed B panel for [`gemm_i8_nt`] (steady-state int8
-    /// inference must not allocate per call).
-    static PANEL_I8: RefCell<Vec<i8>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Largest representable quantized magnitude (symmetric int8).
 pub const QMAX: f32 = 127.0;
-
-/// Register microtile rows (A rows per microkernel call).
-const MR_I8: usize = 8;
-/// Register microtile columns (packed B panel width).
-const NR_I8: usize = 8;
 
 // ---------------------------------------------------------------------------
 // Quantize / dequantize primitives
@@ -140,112 +124,55 @@ pub fn fold_batchnorm(bn: &BatchNorm2d) -> (Vec<f32>, Vec<f32>) {
 }
 
 // ---------------------------------------------------------------------------
-// Int8 GEMM kernel
+// Int8 convolution: the plans' kernel and the oracle's direct reduction
 // ---------------------------------------------------------------------------
 
-/// Scalar i8 dot product with i32 accumulation (row/column tails).
-#[inline]
-fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    let mut acc = 0i32;
-    for (&x, &y) in a.iter().zip(b) {
-        acc += x as i32 * y as i32;
-    }
-    acc
-}
-
-/// `C (m×n) = A (m×k) · Bᵀ` where `B` is stored `(n×k)`, accumulating in
-/// `i32`. `c` is fully overwritten. Matches the f32 `gemm_nt` orientation
-/// used by the im2col convolution lowering (B rows are weight channels).
+/// The i32 accumulators of an int8 convolution by direct reduction: for
+/// every output channel and position, one sum over the input patch in
+/// `(c_in, ky, kx)` order, padding skipped. Returns them channel-major,
+/// `(C_out, N·Ho·Wo)` — the layout [`conv_rows_t_i8`] writes — so the
+/// two compare element for element. This is the test oracle's reduction
+/// ([`QuantConv2d::forward`]); nothing on the inference path calls it.
 ///
 /// # Panics
-/// Panics if the slice lengths disagree with `m`, `k`, `n`.
-pub fn gemm_i8_nt(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
-    assert_eq!(a.len(), m * k, "A length mismatch");
-    assert_eq!(b.len(), n * k, "B length mismatch");
-    assert_eq!(c.len(), m * n, "C length mismatch");
-    c.fill(0);
-    PANEL_I8.with(|panel_buf| {
-        let mut panel = panel_buf.borrow_mut();
-        panel.clear();
-        panel.resize(k * NR_I8, 0);
-        let mut j0 = 0;
-        while j0 < n {
-            let jw = NR_I8.min(n - j0);
-            if jw == NR_I8 {
-                // Pack the B column panel interleaved: panel[p*NR + j] holds
-                // B[(j0+j), p], so the microkernel streams one contiguous
-                // chunk per k step.
-                for p in 0..k {
-                    for j in 0..NR_I8 {
-                        panel[p * NR_I8 + j] = b[(j0 + j) * k + p];
-                    }
-                }
-                let mut i0 = 0;
-                while i0 < m {
-                    let iw = MR_I8.min(m - i0);
-                    if iw == MR_I8 {
-                        microkernel_i8(k, n, &a[i0 * k..], &panel, &mut c[i0 * n + j0..]);
-                    } else {
-                        for i in i0..m {
-                            let arow = &a[i * k..(i + 1) * k];
-                            for j in 0..jw {
-                                c[i * n + j0 + j] =
-                                    dot_i8(arow, &b[(j0 + j) * k..(j0 + j + 1) * k]);
+/// Panics if `qx` or `q` disagree with `dims` and `spec`.
+pub fn conv_direct_i8(qx: &[i8], dims: [usize; 4], spec: &ConvSpec, q: &[i8]) -> Vec<i32> {
+    let [n, c, h, w] = dims;
+    assert_eq!(c, spec.in_channels, "input channel mismatch");
+    assert_eq!(qx.len(), n * c * h * w, "input length mismatch");
+    assert_eq!(q.len(), spec.out_channels * spec.patch_len(), "weight length mismatch");
+    let (ho, wo) = spec.out_size(h, w);
+    let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
+    let m = n * ho * wo;
+    let mut acc = vec![0i32; spec.out_channels * m];
+    for (co, acc_c) in acc.chunks_exact_mut(m.max(1)).enumerate() {
+        let qw = &q[co * c * k * k..(co + 1) * c * k * k];
+        for b in 0..n {
+            for oy in 0..ho {
+                for ox in 0..wo {
+                    let mut sum = 0i32;
+                    for ci in 0..c {
+                        for ky in 0..k {
+                            // Input row `oy·s + ky − p`; rows in the padding contribute 0.
+                            let Some(iy) = (oy * s + ky).checked_sub(p).filter(|&iy| iy < h) else {
+                                continue;
+                            };
+                            for kx in 0..k {
+                                let Some(ix) = (ox * s + kx).checked_sub(p).filter(|&ix| ix < w)
+                                else {
+                                    continue;
+                                };
+                                let xv = qx[((b * c + ci) * h + iy) * w + ix];
+                                sum += xv as i32 * qw[(ci * k + ky) * k + kx] as i32;
                             }
                         }
                     }
-                    i0 += iw;
+                    acc_c[(b * ho + oy) * wo + ox] = sum;
                 }
-            } else {
-                // Narrow column tail: scalar dots.
-                for i in 0..m {
-                    let arow = &a[i * k..(i + 1) * k];
-                    for j in 0..jw {
-                        c[i * n + j0 + j] = dot_i8(arow, &b[(j0 + j) * k..(j0 + j + 1) * k]);
-                    }
-                }
-            }
-            j0 += jw;
-        }
-    })
-}
-
-/// `MR×NR` register microtile over a packed B panel: `acc[i][j] += A[i,p]
-/// · panel[p][j]` with `p` increasing.
-#[inline]
-fn microkernel_i8(k: usize, n: usize, a: &[i8], panel: &[i8], c: &mut [i32]) {
-    let mut arows: [&[i8]; MR_I8] = [&[]; MR_I8];
-    for (r, row) in arows.iter_mut().enumerate() {
-        *row = &a[r * k..(r + 1) * k];
-    }
-    let mut acc = [[0i32; NR_I8]; MR_I8];
-    for (p, bchunk) in panel.chunks_exact(NR_I8).enumerate().take(k) {
-        let bc: &[i8; NR_I8] = bchunk.try_into().unwrap();
-        for (row, acc_row) in arows.iter().zip(acc.iter_mut()) {
-            let av = row[p] as i32;
-            for (cell, &bv) in acc_row.iter_mut().zip(bc) {
-                *cell += av * bv as i32;
             }
         }
     }
-    for (i, acc_row) in acc.iter().enumerate() {
-        c[i * n..i * n + NR_I8].copy_from_slice(acc_row);
-    }
-}
-
-/// Lowers quantized NCHW input to a `(N·Ho·Wo, C_in·k·k)` column matrix
-/// (padding positions become zeros). Mirrors the f32 `im2col` exactly so
-/// the int8 convolution sees the same patch geometry.
-pub fn im2col_i8(
-    x: &[i8],
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    spec: &ConvSpec,
-    cols: &mut Vec<i8>,
-) {
-    crate::backend::im2col_sweep(x, 0i8, [n, c, h, w], spec, cols);
+    acc
 }
 
 /// Transposed int8 conv lowering for the compiled plan: quantized input
@@ -253,7 +180,7 @@ pub fn im2col_i8(
 /// channel-major i32 accumulators `acc[co][pos]`, so the fused dequant
 /// epilogue streams one contiguous run per (batch, channel). Integer
 /// accumulation is exact, so the j-blocked widening-AXPY order below is
-/// bit-identical to [`gemm_i8_nt`] on either operand order. `cols` (at
+/// bit-identical to [`conv_direct_i8`]'s patch-order sums. `cols` (at
 /// least `C_in·k·k × N·Ho·Wo`) and `acc` (at least `C_out × N·Ho·Wo`)
 /// are caller-owned scratch; their used prefixes are fully overwritten.
 pub fn conv_rows_t_i8(
@@ -357,9 +284,11 @@ fn tile_tn_i8_partial(
 
 /// A quantized convolution: int8 weights + calibrated activation scale.
 ///
-/// `forward` quantizes the f32 input, lowers with [`im2col_i8`], runs
-/// [`gemm_i8_nt`], and dequantizes into an f32 NCHW tensor with the bias
-/// added — int8 in the GEMM only, f32 at the stage boundary.
+/// Inference lowers it into a compiled plan step
+/// ([`PlanBuilder::push_quant_conv`](crate::graph::PlanBuilder::push_quant_conv)).
+/// `forward` is that step's oracle: it quantizes the f32 input, reduces
+/// with [`conv_direct_i8`], and dequantizes into an f32 NCHW tensor with
+/// the bias added.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantConv2d {
     /// Per-output-channel symmetric weights, `(C_out, C_in·k·k)`.
@@ -381,7 +310,8 @@ impl QuantConv2d {
         QuantConv2d { weights, bias: conv.bias().data().to_vec(), spec, act_scale }
     }
 
-    /// Int8 convolution forward over an f32 NCHW input.
+    /// Int8 convolution forward over an f32 NCHW input (the oracle of
+    /// the compiled int8 conv step; see the type docs).
     ///
     /// # Panics
     /// Panics if the input is not 4-D with `spec.in_channels` channels.
@@ -391,44 +321,26 @@ impl QuantConv2d {
         assert_eq!(c, self.spec.in_channels, "QuantConv2d channel mismatch");
         let (ho, wo) = self.spec.out_size(h, w);
         let co = self.spec.out_channels;
-        let ck = self.spec.patch_len();
-        let rows_n = n * ho * wo;
-
-        QX_I8.with(|qx_buf| {
-            COLS_I8.with(|cols_buf| {
-                ACC_I32.with(|acc_buf| {
-                    let mut qx = qx_buf.borrow_mut();
-                    let mut cols = cols_buf.borrow_mut();
-                    let mut acc = acc_buf.borrow_mut();
-                    quantize_activations(x.data(), self.act_scale, &mut qx);
-                    im2col_i8(&qx, n, c, h, w, &self.spec, &mut cols);
-                    acc.clear();
-                    acc.resize(rows_n * co, 0);
-                    gemm_i8_nt(rows_n, ck, co, &cols, &self.weights.q, &mut acc);
-
-                    // Dequantize straight into NCHW, fusing the bias add:
-                    // per-channel scales hoisted, contiguous plane writes,
-                    // strided accumulator reads via step_by (no per-element
-                    // bounds checks).
-                    let deq: Vec<f32> =
-                        self.weights.scales.iter().map(|s| self.act_scale * s).collect();
-                    let plane = ho * wo;
-                    let mut y = Tensor::zeros(&[n, co, ho, wo]);
-                    let yd = y.data_mut();
-                    for b in 0..n {
-                        let acc_b = &acc[b * plane * co..(b + 1) * plane * co];
-                        for ci in 0..co {
-                            let (d, bias) = (deq[ci], self.bias[ci]);
-                            let out = &mut yd[(b * co + ci) * plane..(b * co + ci + 1) * plane];
-                            for (o, &a) in out.iter_mut().zip(acc_b[ci..].iter().step_by(co)) {
-                                *o = a as f32 * d + bias;
-                            }
-                        }
-                    }
-                    y
-                })
-            })
-        })
+        let (plane, m) = (ho * wo, n * ho * wo);
+        let mut qx = Vec::new();
+        quantize_activations(x.data(), self.act_scale, &mut qx);
+        let acc = conv_direct_i8(&qx, [n, c, h, w], &self.spec, &self.weights.q);
+        // Dequantize into NCHW with the bias add, per element
+        // `acc · (s_x · s_w[c]) + bias[c]` — the order the plan's fused
+        // epilogue reproduces.
+        let mut y = Tensor::zeros(&[n, co, ho, wo]);
+        let yd = y.data_mut();
+        for b in 0..n {
+            for ci in 0..co {
+                let (d, bias) = (self.act_scale * self.weights.scales[ci], self.bias[ci]);
+                let run = &acc[ci * m + b * plane..ci * m + (b + 1) * plane];
+                let out = &mut yd[(b * co + ci) * plane..(b * co + ci + 1) * plane];
+                for (o, &a) in out.iter_mut().zip(run) {
+                    *o = a as f32 * d + bias;
+                }
+            }
+        }
+        y
     }
 }
 
@@ -616,35 +528,21 @@ mod tests {
     use crate::layer::{Layer, MaxPool2d, ReLU};
     use crate::rng::Rng;
 
-    fn naive_gemm_nt_i32(m: usize, k: usize, n: usize, a: &[i8], b: &[i8]) -> Vec<i32> {
-        let mut c = vec![0i32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0i32;
-                for p in 0..k {
-                    acc += a[i * k + p] as i32 * b[j * k + p] as i32;
-                }
-                c[i * n + j] = acc;
-            }
-        }
-        c
-    }
-
-    fn rand_i8(len: usize, rng: &mut Rng) -> Vec<i8> {
-        (0..len).map(|_| rng.uniform(-127.0, 128.0).floor() as i8).collect()
-    }
-
     #[test]
-    fn gemm_i8_matches_naive_across_shapes() {
-        let mut rng = Rng::new(11);
-        for &(m, k, n) in &[(1, 1, 1), (3, 5, 2), (8, 16, 8), (9, 7, 17), (16, 9, 8), (13, 27, 11)]
-        {
-            let a = rand_i8(m * k, &mut rng);
-            let b = rand_i8(n * k, &mut rng);
-            let mut c = vec![0i32; m * n];
-            gemm_i8_nt(m, k, n, &a, &b, &mut c);
-            assert_eq!(c, naive_gemm_nt_i32(m, k, n, &a, &b), "shape ({m},{k},{n})");
-        }
+    fn direct_reduction_matches_hand_computed_patches() {
+        // 1×1×3×3 input, one 2×2 kernel of ones, stride 1, padding 1:
+        // every output is the sum of the input cells its window covers.
+        let qx: Vec<i8> = (1..=9).collect();
+        let spec = ConvSpec { in_channels: 1, out_channels: 1, kernel: 2, stride: 1, padding: 1 };
+        let acc = conv_direct_i8(&qx, [1, 1, 3, 3], &spec, &[1, 1, 1, 1]);
+        #[rustfmt::skip]
+        let expect = vec![
+            1,  3,  5,  3,
+            5, 12, 16,  9,
+            11, 24, 28, 15,
+            7, 15, 17,  9,
+        ];
+        assert_eq!(acc, expect);
     }
 
     #[test]

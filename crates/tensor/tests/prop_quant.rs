@@ -1,10 +1,13 @@
 //! Property-based tests for the int8 quantization path: the symmetric
 //! per-channel scheme must round-trip every weight within half a
-//! quantization step, the int8 GEMM must agree exactly with a naive i32
-//! reduction, and the activation quantizer must saturate instead of
-//! wrapping.
+//! quantization step, the plans' int8 convolution kernel must agree
+//! exactly with the oracle's direct i32 reduction, and the activation
+//! quantizer must saturate instead of wrapping.
 
-use ecofusion_tensor::quant::{gemm_i8_nt, quantize_activations, quantize_per_channel, QMAX};
+use ecofusion_tensor::backend::ConvSpec;
+use ecofusion_tensor::quant::{
+    conv_direct_i8, conv_rows_t_i8, quantize_activations, quantize_per_channel, QMAX,
+};
 use ecofusion_tensor::rng::Rng;
 use proptest::prelude::*;
 
@@ -87,29 +90,38 @@ proptest! {
         }
     }
 
-    /// The packed-panel microtiled int8 GEMM agrees EXACTLY with the
-    /// naive i32 triple loop — integer accumulation leaves no rounding
-    /// slack.
+    /// The plans' register-tiled int8 convolution agrees EXACTLY with
+    /// the oracle's direct reduction — integer accumulation leaves no
+    /// rounding slack — on geometries that leave tile tails in both
+    /// dimensions (`m % JR_T ≠ 0`, `C_out % IR_T ≠ 0`; the tile is 8
+    /// channels × 16 positions) as well as whole tiles, at stride 1 and 2,
+    /// with and without padding. The scratch is handed over dirty and oversized: the
+    /// kernel must overwrite the prefix it uses and read nothing else.
     #[test]
-    fn gemm_i8_exact_vs_naive(
-        m in 1usize..24,
-        k in 1usize..40,
-        n in 1usize..24,
+    fn conv_rows_t_i8_exact_vs_direct_reduction(
+        n in 1usize..4,
+        c in 1usize..5,
+        h in 3usize..12,
+        w in 3usize..12,
+        co in 1usize..20,
+        k in 1usize..4,
+        stride in 1usize..3,
+        padding in 0usize..2,
         seed in 0u64..1000,
     ) {
+        let spec = ConvSpec { in_channels: c, out_channels: co, kernel: k, stride, padding };
         let mut rng = Rng::new(seed);
-        let a: Vec<i8> = (0..m * k).map(|_| rng.uniform(-127.0, 128.0).floor() as i8).collect();
-        let b: Vec<i8> = (0..n * k).map(|_| rng.uniform(-127.0, 128.0).floor() as i8).collect();
-        let mut c = vec![0i32; m * n];
-        gemm_i8_nt(m, k, n, &a, &b, &mut c);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0i32;
-                for p in 0..k {
-                    acc += a[i * k + p] as i32 * b[j * k + p] as i32;
-                }
-                prop_assert_eq!(c[i * n + j], acc, "({}, {})", i, j);
-            }
-        }
+        let mut rand_i8 =
+            |len: usize| -> Vec<i8> { (0..len).map(|_| rng.uniform(-127.0, 128.0).floor() as i8).collect() };
+        let qx = rand_i8(n * c * h * w);
+        let q = rand_i8(co * spec.patch_len());
+        let (ho, wo) = spec.out_size(h, w);
+        let m = n * ho * wo;
+        let mut cols = vec![77i8; spec.patch_len() * m + 5];
+        let mut acc = vec![-1i32; co * m + 3];
+        conv_rows_t_i8(&qx, [n, c, h, w], &spec, &q, &mut cols, &mut acc);
+        let direct = conv_direct_i8(&qx, [n, c, h, w], &spec, &q);
+        prop_assert_eq!(&acc[..co * m], &direct[..], "{:?} on {}x{}x{}x{}", spec, n, c, h, w);
+        prop_assert!(acc[co * m..].iter().all(|&v| v == -1), "wrote past the used prefix");
     }
 }
