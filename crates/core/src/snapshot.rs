@@ -445,4 +445,67 @@ mod tests {
         model.install_quant(good).expect("installs");
         model.infer_batch(frames, &int8).expect("int8 serves");
     }
+
+    /// An image whose shapes chain but whose buffers disagree with their
+    /// own geometry (truncated weights, a short scale/bias/affine vector,
+    /// a non-positive activation scale) passes the header checks too. The
+    /// plan compiler packs the weights by the geometry, so it must refuse
+    /// the unit by name — not index out of bounds, or reach an assertion
+    /// inside the step — and leave the model serving f32.
+    #[test]
+    fn skewed_quant_image_fails_at_compile_with_a_typed_error() {
+        use crate::model::{InferError, PlanUnit};
+        use ecofusion_energy::Precision;
+        use ecofusion_tensor::graph::CompileError;
+        use ecofusion_tensor::quant::{QuantConv2d, QuantStage};
+
+        let mut model = EcoFusionModel::new(32, 8, &mut Rng::new(5));
+        let data = Dataset::generate(&DatasetSpec::small(53));
+        let frame = &data.test()[0];
+        let good = model.ensure_quant().expect("quantize").clone();
+        let int8 = InferenceOptions::new(0.01, 0.5).with_precision(Precision::Int8);
+        let oracle = int8.with_gate(GateKind::LossBased);
+
+        type Skew = fn(&mut QuantSnapshot);
+        fn stem_conv(image: &mut QuantSnapshot, stem: usize) -> &mut QuantConv2d {
+            let QuantStage::Conv(conv) = &mut image.stems[stem].stages[0] else {
+                panic!("a stem pipe starts with its convolution");
+            };
+            conv
+        }
+        let cases: [(Skew, PlanUnit, &str); 7] = [
+            (|i| stem_conv(i, 0).weights.q.truncate(1), PlanUnit::Stem(0), "weight length"),
+            (
+                |i| stem_conv(i, 1).weights.scales.push(1.0),
+                PlanUnit::Stem(1),
+                "weight scale length",
+            ),
+            (|i| stem_conv(i, 3).bias.clear(), PlanUnit::Stem(3), "bias length"),
+            (
+                |i| {
+                    let QuantStage::Affine(_, shift) = &mut i.stems[2].stages[1] else {
+                        panic!("a stem's batch-norm follows its convolution");
+                    };
+                    shift.pop();
+                },
+                PlanUnit::Stem(2),
+                "affine length",
+            ),
+            (|i| i.branches[5].head.act_scale = 0.0, PlanUnit::Branch(5), "activation scale"),
+            (|i| i.branches[5].head.act_scale = -0.5, PlanUnit::Branch(5), "activation scale"),
+            (|i| i.branches[5].head.act_scale = f32::NAN, PlanUnit::Branch(5), "activation scale"),
+        ];
+        for (skew, unit, what) in cases {
+            let mut image = good.clone();
+            skew(&mut image);
+            model.install_quant(image).expect("header checks pass");
+            // The oracle gate runs every branch, so it reaches branch 5.
+            let err = model.infer(frame, &oracle).unwrap_err();
+            let source = CompileError::Malformed { layer: "QuantConv2d", what };
+            assert_eq!(err, InferError::Compile { unit, source }, "{what}");
+            model.infer(frame, &InferenceOptions::new(0.01, 0.5)).expect("f32 still serves");
+        }
+        model.install_quant(good).expect("installs");
+        model.infer(frame, &int8).expect("int8 serves");
+    }
 }

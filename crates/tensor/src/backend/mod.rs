@@ -239,11 +239,26 @@ pub(crate) fn im2col(x: &Tensor, spec: &ConvSpec, cols: &mut Vec<f32>) {
 }
 
 /// Transposed im2col: `(C_in·k·k, N·Ho·Wo)` — one contiguous run of
-/// output positions per patch element. At stride 1 (every conv in the
-/// model) each run is a clipped copy of an input row, so the whole
-/// lowering is memcpys plus edge zeroing; the patch-major layouts need a
-/// strided write or gather per element. Pure data movement, fully
-/// overwritten each call (`cols` is exactly `C_in·k·k × N·Ho·Wo` long).
+/// output positions per patch element `(ci, ky, kx)`. The unit `T` is
+/// whatever one input position holds: an `f32`, or the `[i8; 2]` channel
+/// pair of the int8 plans (`dims[1]` then counts pairs). Pure data
+/// movement, fully overwritten each call.
+///
+/// Two arms:
+/// * **plane shift** — a same-size stride-1 convolution (`s == 1`,
+///   `2p == k − 1`: every stem, branch 3×3 and 1×1 head). The run of one
+///   sample is its input plane shifted by `(ky − p)·w + (kx − p)`: one
+///   clipped copy per plane, then zeros over the rows the shift pushed
+///   out of the image and over the edge columns that wrapped in from the
+///   neighbouring row.
+/// * **row by row** — everything else (the strided first conv of a
+///   branch, the attention/deep gate convs): per output row, clip the
+///   in-bounds span and gather it; stride 2 de-interleaves a source row
+///   sliced once.
+///
+/// # Panics
+/// Panics unless `dims[1] == spec.in_channels`, `xdata` holds exactly
+/// `dims` units and `cols` exactly `C_in·k·k × N·Ho·Wo`.
 pub(crate) fn im2col_t<T: Copy>(
     xdata: &[T],
     zero: T,
@@ -255,45 +270,118 @@ pub(crate) fn im2col_t<T: Copy>(
     let (ho, wo) = spec.out_size(h, w);
     let m = n * ho * wo;
     let (k, s, pd) = (spec.kernel, spec.stride, spec.padding);
-    debug_assert_eq!(cols.len(), spec.patch_len() * m);
-    for ci in 0..c {
-        for ky in 0..k {
-            for kx in 0..k {
+    // Release-mode checks: a short input or oversized `cols` would leave
+    // stale columns behind and the GEMM would sum them silently.
+    assert!(
+        c == spec.in_channels && xdata.len() == n * c * h * w && cols.len() == c * k * k * m,
+        "im2col_t: operands disagree with {dims:?} and {spec:?}"
+    );
+    let same_size = s == 1 && 2 * pd + 1 == k;
+    let plane_out = (ho * wo).max(1);
+    // Kernel taps outermost: the in-image span of output rows depends on
+    // `ky` alone and that of output columns on `kx` alone.
+    for ky in 0..k {
+        let oy = in_bounds_span(ky, pd, s, h, ho);
+        for kx in 0..k {
+            let ox = in_bounds_span(kx, pd, s, w, wo);
+            // `None`: the tap reads padding only.
+            let tap = (oy.0 < oy.1 && ox.0 < ox.1).then(|| Tap {
+                oy,
+                ox,
+                iy0: oy.0 * s + ky - pd,
+                ix0: ox.0 * s + kx - pd,
+            });
+            for ci in 0..c {
                 let prow = &mut cols[((ci * k + ky) * k + kx) * m..][..m];
-                let off = kx as isize - pd as isize;
-                // ox span with an in-bounds column: 0 <= ox·s + off < w.
-                let ox_lo = if off < 0 { ((-off) as usize).div_ceil(s) } else { 0 }.min(wo);
-                let ox_hi = if off >= w as isize {
-                    0
-                } else {
-                    (((w as isize - 1 - off) as usize) / s + 1).min(wo)
-                };
-                for b in 0..n {
-                    let ch_base = (b * c + ci) * h * w;
-                    for oy in 0..ho {
-                        let iy = (oy * s + ky) as isize - pd as isize;
-                        let drow = &mut prow[(b * ho + oy) * wo..(b * ho + oy + 1) * wo];
-                        if iy < 0 || iy >= h as isize || ox_lo >= ox_hi {
-                            drow.fill(zero);
-                            continue;
-                        }
-                        drow[..ox_lo].fill(zero);
-                        drow[ox_hi..].fill(zero);
-                        let src = ch_base + iy as usize * w;
-                        if s == 1 {
-                            // ox_lo·1 + off ≥ 0 by construction of ox_lo.
-                            let ix0 = (ox_lo as isize + off) as usize;
-                            drow[ox_lo..ox_hi]
-                                .copy_from_slice(&xdata[src + ix0..src + ix0 + (ox_hi - ox_lo)]);
-                        } else {
-                            for (d, ox) in drow[ox_lo..ox_hi].iter_mut().zip(ox_lo..) {
-                                *d = xdata[src + ((ox * s) as isize + off) as usize];
-                            }
-                        }
+                let planes = (0..n).map(|b| &xdata[(b * c + ci) * h * w..][..h * w]);
+                for (dst, src) in prow.chunks_exact_mut(plane_out).zip(planes) {
+                    match &tap {
+                        None => dst.fill(zero),
+                        Some(tap) if same_size => shift_plane(src, zero, w, tap, dst),
+                        Some(tap) => gather_rows(src, zero, [w, wo], s, tap, dst),
                     }
                 }
             }
         }
+    }
+}
+
+/// The output indices `lo..hi` (within `0..out`) whose tap
+/// `o·s + t − p` lands inside `0..len`; empty as `lo ≥ hi`.
+fn in_bounds_span(t: usize, p: usize, s: usize, len: usize, out: usize) -> (usize, usize) {
+    let lo = p.saturating_sub(t).div_ceil(s).min(out);
+    let hi = if len + p > t { ((len + p - t - 1) / s + 1).min(out) } else { 0 };
+    (lo, hi)
+}
+
+/// Where one kernel tap `(ky, kx)` reads: the non-empty spans of output
+/// rows and columns whose source lies inside the image, and the source
+/// row and column of the first of them.
+struct Tap {
+    oy: (usize, usize),
+    ox: (usize, usize),
+    iy0: usize,
+    ix0: usize,
+}
+
+/// One tap of a same-size stride-1 lowering over one plane of width
+/// `w`: `dst[oy·w + ox] = src[(oy + dy)·w + ox + dx]` with
+/// `(dy, dx) = (ky − p, kx − p)`, zero where that leaves the image.
+fn shift_plane<T: Copy>(src: &[T], zero: T, w: usize, tap: &Tap, dst: &mut [T]) {
+    let ((oy_lo, oy_hi), (ox_lo, ox_hi)) = (tap.oy, tap.ox);
+    dst[..oy_lo * w].fill(zero);
+    dst[oy_hi * w..].fill(zero);
+    // The in-image rows as one flat copy, clipped by the column shift at
+    // both ends; what wraps across a row boundary lands in an edge
+    // column and is zeroed below.
+    let (d0, d1) = (oy_lo * w + ox_lo, (oy_hi - 1) * w + ox_hi);
+    let s0 = tap.iy0 * w + tap.ix0;
+    dst[d0..d1].copy_from_slice(&src[s0..s0 + (d1 - d0)]);
+    if ox_lo > 0 || ox_hi < w {
+        for row in dst[oy_lo * w..oy_hi * w].chunks_exact_mut(w) {
+            row[..ox_lo].fill(zero);
+            row[ox_hi..].fill(zero);
+        }
+    }
+}
+
+/// One tap of the general lowering over one plane (input rows `w` wide,
+/// output rows `wo`): zero rows above and below the in-image span, then
+/// per output row zeros outside the in-image columns and a gather at
+/// stride `s` inside.
+fn gather_rows<T: Copy>(
+    src: &[T],
+    zero: T,
+    [w, wo]: [usize; 2],
+    s: usize,
+    tap: &Tap,
+    dst: &mut [T],
+) {
+    let ((oy_lo, oy_hi), (ox_lo, ox_hi)) = (tap.oy, tap.ox);
+    dst[..oy_lo * wo].fill(zero);
+    dst[oy_hi * wo..].fill(zero);
+    // Source rows `iy0, iy0 + s, …`, each cut once to the columns
+    // `ix0, ix0 + s, …` the row reads, so the gathers below carry no
+    // bounds checks.
+    let reach = (ox_hi - ox_lo - 1) * s + 1;
+    let src_rows = src[tap.iy0 * w..].chunks(s * w).map(|row| &row[tap.ix0..][..reach]);
+    for (drow, span) in dst[oy_lo * wo..oy_hi * wo].chunks_exact_mut(wo).zip(src_rows) {
+        drow[..ox_lo].fill(zero);
+        drow[ox_hi..].fill(zero);
+        let (last, body) = drow[ox_lo..ox_hi].split_last_mut().expect("ox_lo < ox_hi");
+        match s {
+            2 => {
+                for (d, pair) in body.iter_mut().zip(span.chunks_exact(2)) {
+                    *d = pair[0];
+                }
+            }
+            _ => {
+                for (d, &v) in body.iter_mut().zip(span.iter().step_by(s)) {
+                    *d = v;
+                }
+            }
+        }
+        *last = span[reach - 1];
     }
 }
 
@@ -702,6 +790,87 @@ mod tests {
         let spec = ConvSpec { in_channels: 3, out_channels: 8, kernel: 3, stride: 2, padding: 1 };
         assert_eq!(spec.out_size(8, 8), (4, 4));
         assert_eq!(spec.patch_len(), 27);
+    }
+
+    /// `im2col_t` against the index formula, for one unit type: dirty
+    /// `cols` in, every unit checked.
+    fn assert_im2col_t_is_naive<T: Copy + PartialEq + std::fmt::Debug>(
+        dims: [usize; 4],
+        spec: &ConvSpec,
+        zero: T,
+        dirt: T,
+        mut unit: impl FnMut() -> T,
+    ) {
+        let [n, c, h, w] = dims;
+        let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
+        let (ho, wo) = spec.out_size(h, w);
+        let m = n * ho * wo;
+        let x: Vec<T> = (0..n * c * h * w).map(|_| unit()).collect();
+        let mut cols = vec![dirt; spec.patch_len() * m];
+        im2col_t(&x, zero, dims, spec, &mut cols);
+        for (row, got) in cols.chunks_exact(m.max(1)).enumerate() {
+            let (ci, ky, kx) = (row / (k * k), row / k % k, row % k);
+            for (pos, got) in got.iter().enumerate() {
+                let (b, oy, ox) = (pos / (ho * wo), pos / wo % ho, pos % wo);
+                let iy = (oy * s + ky).checked_sub(p).filter(|&iy| iy < h);
+                let ix = (ox * s + kx).checked_sub(p).filter(|&ix| ix < w);
+                let want = match (iy, ix) {
+                    (Some(iy), Some(ix)) => x[((b * c + ci) * h + iy) * w + ix],
+                    _ => zero,
+                };
+                assert_eq!(*got, want, "{spec:?} on {dims:?}: patch row {row}, position {pos}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Both arms of `im2col_t` move exactly the units the index
+        /// formula names, for every unit type the plans lower: the
+        /// plane-shift arm on same-size stride-1 geometries (`k` 1, 3, 5,
+        /// kernels wider than the image, one-row and one-column images),
+        /// the row-by-row arm at stride 2 (the de-interleave), stride 3
+        /// and stride 1 with any other padding.
+        #[test]
+        fn im2col_t_matches_the_index_formula(
+            n in 1usize..4,
+            c in 1usize..4,
+            h in 1usize..9,
+            w in 1usize..9,
+            half in 0usize..3,
+            stride in 1usize..4,
+            k_any in 1usize..5,
+            pad_any in 0usize..3,
+            same_size in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let (kernel, stride, padding) = if same_size == 1 {
+                (2 * half + 1, 1, half)
+            } else {
+                (k_any.min(h + 2 * pad_any).min(w + 2 * pad_any), stride, pad_any)
+            };
+            let spec = ConvSpec { in_channels: c, out_channels: 1, kernel, stride, padding };
+            let dims = [n, c, h, w];
+            let mut rng = Rng::new(seed);
+            let mut byte = move || rng.uniform(-128.0, 128.0).floor() as i8;
+            assert_im2col_t_is_naive(dims, &spec, 0.0f32, -7.5, {
+                let mut i = 0.0f32;
+                move || { i += 1.0; i }
+            });
+            assert_im2col_t_is_naive(dims, &spec, 0i8, 77, &mut byte);
+            assert_im2col_t_is_naive(dims, &spec, [0i8; 2], [77, -77], || [byte(), byte()]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "im2col_t: operands disagree")]
+    fn im2col_t_rejects_a_short_input_in_release_too() {
+        // One channel fewer than the spec: a `debug_assert` would let a
+        // release build leave the last patch rows stale.
+        let spec = ConvSpec { in_channels: 3, out_channels: 1, kernel: 3, stride: 1, padding: 1 };
+        let mut cols = vec![0.0f32; spec.patch_len() * 16];
+        im2col_t(&[0.0f32; 2 * 16], 0.0, [1, 2, 4, 4], &spec, &mut cols);
     }
 
     #[test]

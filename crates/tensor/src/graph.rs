@@ -17,6 +17,28 @@
 //!   epilogue applied directly to the i32 accumulators, with none of the
 //!   stage-boundary tensors [`QuantPipe::forward`] materializes.
 //!
+//! # Lowering
+//!
+//! Every convolution step lowers its input to the transposed column
+//! matrix `(C_in·k·k, T·Ho·Wo)` — one contiguous run of output positions
+//! per patch element — and multiplies it by the weights in `IR_T×JR_T`
+//! register tiles that land channel-major, so the epilogue streams one
+//! contiguous run per (sample, channel). The lowering is one generic
+//! routine over the unit a position holds. For a same-size stride-1
+//! convolution (every stem, branch 3×3 and 1×1 head) a run is the input
+//! plane *shifted* by the tap's offset: one clipped copy per plane plus
+//! edge zeroing. Strided convolutions (a branch's first block, the
+//! learned gates) gather row by row, stride 2 as a de-interleave.
+//!
+//! An f32 step lowers `f32` units. An int8 step quantizes its input
+//! straight into **channel pairs** — `(T, ⌈C/2⌉, H, W)` units of
+//! `[i8; 2]`, an odd last channel paired with 0 — lowers those, and
+//! multiplies by weights paired the same way and packed when the plan is
+//! compiled ([`PackedConvWeights`]), so that one step of the reduction is
+//! an `i16×i16→i32` pair dot (`vpmaddwd` where the build has AVX2); see
+//! [`crate::quant`]'s "Kernel structure". The serialized int8 image keeps
+//! its row-major `i8` weights; pairing is a property of the plan.
+//!
 //! # Tiles
 //!
 //! A plan is compiled for a **per-sample** shape and runs any batch: the
@@ -88,7 +110,10 @@
 
 use crate::backend::{self, ConvSpec, TILE_BYTES};
 use crate::layer::{BatchNorm2d, Conv2d, Linear, SelfAttention2d, Sequential};
-use crate::quant::{conv_rows_t_i8, quantize_activations, QuantConv2d, QuantPipe, QuantStage};
+use crate::quant::{
+    conv_rows_t_i8, quantize_activation_pairs, PackedConvWeights, QuantConv2d, QuantPipe,
+    QuantStage,
+};
 use crate::tensor::{softmax_rows_in_place, Tensor};
 use std::collections::HashMap;
 
@@ -130,13 +155,13 @@ enum Op {
     /// write-back epilogue.
     ConvF32 { weight: Tensor, bias: Vec<f32>, spec: ConvSpec, bn: Option<BnFold>, relu: bool },
     /// Int8 convolution with dequant + folded-BN affine + ReLU fused
-    /// into the i32-accumulator write-back. `deq[c] = act_scale ·
-    /// w_scale[c]` is precomputed at compile time.
+    /// into the i32-accumulator write-back. The weights are pair-packed
+    /// for the kernel and `deq[c] = act_scale · w_scale[c]` precomputed,
+    /// both at compile time.
     ConvI8 {
-        q: Vec<i8>,
+        weights: PackedConvWeights,
         deq: Vec<f32>,
         bias: Vec<f32>,
-        spec: ConvSpec,
         act_scale: f32,
         affine: Option<(Vec<f32>, Vec<f32>)>,
         relu: bool,
@@ -171,10 +196,10 @@ struct Lowering {
     cols: Vec<f32>,
     /// Pre-bias GEMM rows `(C_out, T·Ho·Wo)`.
     rows: Vec<f32>,
-    /// Quantized activations (refilled per step, which also grows it).
-    qx: Vec<i8>,
-    /// Int8 im2col columns.
-    cols_i8: Vec<i8>,
+    /// Quantized activations, channel pairs `(T, ⌈C/2⌉, H, W)`.
+    qx: Vec<[i8; 2]>,
+    /// Int8 im2col columns, channel pairs.
+    cols_i8: Vec<[i8; 2]>,
     /// i32 GEMM accumulators.
     acc: Vec<i32>,
     /// Self-attention scratch of one sample: tokens, Q, K, V, context
@@ -183,8 +208,9 @@ struct Lowering {
 }
 
 /// Per-sample element counts of a plan's tiled buffers (`qx` and
-/// `cols_i8` hold bytes, the rest 4-byte elements) and the per-plan
-/// attention scratch — what the tile rule divides the budget by.
+/// `cols_i8` hold 2-byte channel pairs, the rest 4-byte elements) and
+/// the per-plan attention scratch — what the tile rule divides the
+/// budget by.
 #[derive(Debug, Clone, Copy, Default)]
 struct ArenaSpec {
     ping: usize,
@@ -220,7 +246,8 @@ impl PlanArena {
         self.pong.resize(samples * spec.pong, 0.0);
         self.low.cols.resize(samples * spec.cols, 0.0);
         self.low.rows.resize(samples * spec.rows, 0.0);
-        self.low.cols_i8.resize(samples * spec.cols_i8, 0);
+        self.low.qx.resize(samples * spec.qx, [0; 2]);
+        self.low.cols_i8.resize(samples * spec.cols_i8, [0; 2]);
         self.low.acc.resize(samples * spec.acc, 0);
         self.low.attn.resize(spec.attn, 0.0);
         self.samples = samples;
@@ -272,9 +299,8 @@ impl CompiledPlan {
         self.steps
             .iter()
             .map(|step| match &step.op {
-                Op::ConvF32 { spec, .. } | Op::ConvI8 { spec, .. } => {
-                    step.out_numel * spec.patch_len()
-                }
+                Op::ConvF32 { spec, .. } => step.out_numel * spec.patch_len(),
+                Op::ConvI8 { weights, .. } => step.out_numel * weights.spec().patch_len(),
                 Op::LinearF32 { .. } => step.in_numel * step.out_numel,
                 Op::SelfAttention { .. } => {
                     let c = step.in_shape[0];
@@ -415,18 +441,19 @@ fn run_step(step: &Step, n: usize, src: &[f32], dst: &mut [f32], low: &mut Lower
                 }
             }
         }
-        Op::ConvI8 { q, deq, bias, spec, act_scale, affine, relu } => {
-            let dims = [n, step.in_shape[0], step.in_shape[1], step.in_shape[2]];
-            let co = spec.out_channels;
+        Op::ConvI8 { weights, deq, bias, act_scale, affine, relu } => {
+            let [c, h, w] = [step.in_shape[0], step.in_shape[1], step.in_shape[2]];
+            let co = step.out_shape[0];
             let plane = step.out_shape[1] * step.out_shape[2];
             let rows_n = n * plane;
-            quantize_activations(src, *act_scale, &mut low.qx);
+            let qx = &mut low.qx[..n * c.div_ceil(2) * h * w];
+            quantize_activation_pairs(src, [n, c, h * w], *act_scale, qx);
             // Transposed lowering: i32 accumulation is exact, so the
             // summation order is immaterial and the accumulators land
             // channel-major — one contiguous run per (sample, channel)
             // for the epilogue below.
             let acc = &mut low.acc[..co * rows_n];
-            conv_rows_t_i8(&low.qx, dims, spec, q, &mut low.cols_i8, acc);
+            conv_rows_t_i8(qx, [n, c, h, w], weights, &mut low.cols_i8, acc);
             // Fused dequant + folded-BN affine + ReLU straight off the
             // i32 accumulators — the eager pipe's per-element op order
             // (Conv dequant+bias, Affine, ReLU) without the two
@@ -597,6 +624,14 @@ pub enum CompileError {
         /// What the tracked shape provides.
         found: usize,
     },
+    /// A quantized stage whose own fields disagree with its geometry (a
+    /// skewed or hand-edited int8 image).
+    Malformed {
+        /// The stage kind.
+        layer: &'static str,
+        /// The field that does not fit.
+        what: &'static str,
+    },
 }
 
 impl std::fmt::Display for CompileError {
@@ -606,6 +641,7 @@ impl std::fmt::Display for CompileError {
             CompileError::ShapeMismatch { layer, expected, found } => {
                 write!(f, "{layer} expects {expected} input channels/features, got {found}")
             }
+            CompileError::Malformed { layer, what } => write!(f, "{layer} has a malformed {what}"),
         }
     }
 }
@@ -724,7 +760,10 @@ impl PlanBuilder {
     ///
     /// # Errors
     /// [`CompileError::ShapeMismatch`] if the tracked shape does not
-    /// feed the convolution.
+    /// feed the convolution; [`CompileError::Malformed`] if the stage's
+    /// weight, scale, bias or affine lengths disagree with its own
+    /// geometry or its activation scale is not finite and positive — an
+    /// image is outside input, and the kernel indexes by the geometry.
     pub fn push_quant_conv(
         &mut self,
         qc: &QuantConv2d,
@@ -733,13 +772,23 @@ impl PlanBuilder {
     ) -> Result<(), CompileError> {
         let spec = qc.spec;
         let [_, h, w] = self.chw_for("QuantConv2d", spec.in_channels)?;
+        let co = spec.out_channels;
+        let checks = [
+            (qc.weights.q.len() == co * spec.patch_len(), "weight length"),
+            (qc.weights.scales.len() == co, "weight scale length"),
+            (qc.bias.len() == co, "bias length"),
+            (affine.as_ref().is_none_or(|(s, t)| s.len() == co && t.len() == co), "affine length"),
+            (qc.act_scale.is_finite() && qc.act_scale > 0.0, "activation scale"),
+        ];
+        if let Some(&(_, what)) = checks.iter().find(|(ok, _)| !ok) {
+            return Err(CompileError::Malformed { layer: "QuantConv2d", what });
+        }
         let (ho, wo) = spec.out_size(h, w);
         let deq: Vec<f32> = qc.weights.scales.iter().map(|s| qc.act_scale * s).collect();
         let op = Op::ConvI8 {
-            q: qc.weights.q.clone(),
+            weights: PackedConvWeights::pack(&qc.weights.q, &spec),
             deq,
             bias: qc.bias.clone(),
-            spec,
             act_scale: qc.act_scale,
             affine,
             relu,
@@ -866,10 +915,11 @@ impl PlanBuilder {
                     spec.cols = spec.cols.max(plane * conv.patch_len());
                     spec.rows = spec.rows.max(step.out_numel);
                 }
-                Op::ConvI8 { spec: conv, .. } => {
+                Op::ConvI8 { weights, .. } => {
+                    let pairs = weights.pair_spec();
                     let plane = step.out_shape[1] * step.out_shape[2];
-                    spec.qx = spec.qx.max(step.in_numel);
-                    spec.cols_i8 = spec.cols_i8.max(plane * conv.patch_len());
+                    spec.qx = spec.qx.max(pairs.in_channels * step.in_shape[1] * step.in_shape[2]);
+                    spec.cols_i8 = spec.cols_i8.max(plane * pairs.patch_len());
                     spec.acc = spec.acc.max(step.out_numel);
                 }
                 Op::SelfAttention { .. } => {
@@ -881,8 +931,7 @@ impl PlanBuilder {
         }
         let f32s = std::mem::size_of::<f32>();
         let per_sample = f32s * (spec.ping + spec.pong + spec.cols + spec.rows + spec.acc)
-            + spec.qx
-            + spec.cols_i8;
+            + std::mem::size_of::<[i8; 2]>() * (spec.qx + spec.cols_i8);
         // A scratch-free plan (`per_sample` 0) gets the budget itself as
         // its tile: its buffers stay empty and any real batch is one pass.
         let tile = (TILE_BYTES.saturating_sub(f32s * spec.attn) / per_sample.max(1)).max(1);

@@ -23,15 +23,39 @@
 //!
 //! # Kernel structure
 //!
-//! [`conv_rows_t_i8`] is the one int8 kernel: the transposed im2col of
-//! the compiled plans plus a register-tiled widening multiply-accumulate
-//! (`IR_T×JR_T` tiles, shared with the f32 `gemm_tn_f32`). Inference
-//! reaches it only through a [`CompiledPlan`](crate::graph::CompiledPlan).
+//! [`conv_rows_t_i8`] is the one int8 kernel, and inference reaches it
+//! only through a [`CompiledPlan`](crate::graph::CompiledPlan). Its
+//! operands are **channel pairs** (cudnn's `NCHWVectC` idea at vector
+//! width 2): [`quantize_activation_pairs`] writes the activations as
+//! `(N, ⌈C/2⌉, H, W)` units of `[i8; 2]` — channels `2c` and `2c + 1` of
+//! one position side by side, an odd last channel padded with 0 — the
+//! transposed im2col lowers those units like any other element, and
+//! [`PackedConvWeights`] holds the weights paired the same way, widened
+//! to `i16` and interleaved by groups of `IR_T` output channels, packed
+//! once when the plan is compiled (the serialized [`QuantWeights`] stay
+//! row-major `i8`). One step of the reduction is then a pair dot
+//! `w₀·x₀ + w₁·x₁` in `i32` — on x86-64 a single `vpmaddwd` lane, sixteen
+//! multiply-accumulates per instruction over eight positions (one
+//! `vpdpwssd`, accumulate included, where the build also has VNNI) —
+//! instead of a widening multiply per element. A zero-padded odd channel
+//! adds 0.
+//!
+//! The register tile (`IR_T×JR_T` accumulators, the block shape of the
+//! f32 `gemm_tn_f32`) has two bodies behind one function: a portable
+//! safe loop, and `std::arch` AVX2 intrinsics compiled in when the build
+//! enables `avx2` (the repository's `target-cpu=native`). Four safe
+//! spellings of the pair dot were measured first and none made rustc
+//! emit `vpmaddwd` (CHANGES.md, PR 16), which is why the second body
+//! exists; `i32` sums are exact and every product of two `i8` fits, so
+//! the bodies — and the oracle — agree bit for bit on the whole `i8`
+//! range, −128 included.
+//!
 //! [`QuantPipe::forward`] and [`QuantConv2d::forward`] are the tests'
-//! oracle for those plans: same quantizer, same per-element epilogue
-//! order, but the accumulators come from [`conv_direct_i8`], a plain
-//! nested-loop reduction with no lowering, tiling or scratch. Integer
-//! addition is associative, so oracle and kernel agree bit for bit.
+//! oracle for those plans: same rounding ([`quantize_activations`], the
+//! flat form of the same quantizer), same per-element epilogue order,
+//! but the accumulators come from [`conv_direct_i8`], a plain
+//! nested-loop reduction over row-major operands with no pairing,
+//! lowering, tiling or scratch.
 
 use crate::backend::ConvSpec;
 use crate::layer::{BatchNorm2d, Conv2d, Sequential};
@@ -81,17 +105,67 @@ pub fn quantize_per_channel(w: &[f32], rows: usize, cols: usize) -> QuantWeights
     QuantWeights { q, scales, rows, cols }
 }
 
+/// One activation at `inv = 1/scale`: `round(v · inv)` clamped to ±127,
+/// ties to even (the half-step cases that `round()` decides differently
+/// are measure-zero against calibrated scales and stay inside the
+/// ±scale/2 round-trip bound either way); NaN quantizes to 0.
+///
+/// Spelled without a float→int cast, whose saturating lowering keeps the
+/// quantizer passes scalar: clamping first leaves `|x| ≤ 127`, and adding
+/// `1.5·2²³` to such a value makes the FPU round it to an integer in the
+/// sum's low mantissa bits — ties to even, the default rounding mode —
+/// so the low byte of the sum's bit pattern is the two's-complement
+/// result. Equal to `(v · inv).round_ties_even().clamp(−127, 127) as i8`
+/// for every input (`prop_quant` pins it).
+#[inline]
+fn quantize_value(v: f32, inv: f32) -> i8 {
+    const ROUND_TO_LOW_BITS: f32 = 12_582_912.0; // 1.5 · 2^23
+    let x = v * inv;
+    let x = if x.is_nan() { 0.0 } else { x };
+    (x.clamp(-QMAX, QMAX) + ROUND_TO_LOW_BITS).to_bits() as i8
+}
+
 /// Quantizes activations with a symmetric per-tensor scale into `out`
-/// (cleared and refilled): `q = round(x / scale)` clamped to ±127.
-/// Rounding is ties-to-even — the single-instruction vector rounding mode,
-/// so this pass auto-vectorizes; the half-step tie cases it decides
-/// differently from `round()` are measure-zero against calibrated scales
-/// and stay inside the ±scale/2 round-trip bound either way.
+/// (cleared and refilled), element for element — the oracle's flat form
+/// of [`quantize_activation_pairs`].
 pub fn quantize_activations(x: &[f32], scale: f32, out: &mut Vec<i8>) {
     let inv = 1.0 / scale;
     out.clear();
     out.reserve(x.len());
-    out.extend(x.iter().map(|&v| (v * inv).round_ties_even().clamp(-QMAX, QMAX) as i8));
+    out.extend(x.iter().map(|&v| quantize_value(v, inv)));
+}
+
+/// Quantizes `(N, C, plane)` activations into the kernel's channel-pair
+/// layout `(N, ⌈C/2⌉, plane)` of `[i8; 2]`: unit `(b, c, i)` holds
+/// channels `2c` and `2c + 1` of position `i`, each rounded exactly as
+/// [`quantize_activations`] rounds it; an odd last channel pairs with 0.
+/// Every unit of `out` is written.
+///
+/// # Panics
+/// Panics if `x` or `out` disagree with `dims`.
+pub fn quantize_activation_pairs(x: &[f32], dims: [usize; 3], scale: f32, out: &mut [[i8; 2]]) {
+    let [n, c, plane] = dims;
+    let c2 = c.div_ceil(2);
+    assert_eq!(x.len(), n * c * plane, "input length mismatch");
+    assert_eq!(out.len(), n * c2 * plane, "pair buffer length mismatch");
+    if x.is_empty() {
+        return;
+    }
+    let inv = 1.0 / scale;
+    for (xs, os) in x.chunks_exact(c * plane).zip(out.chunks_exact_mut(c2 * plane)) {
+        for (pair, o) in xs.chunks(2 * plane).zip(os.chunks_exact_mut(plane)) {
+            let (even, odd) = pair.split_at(plane);
+            if odd.is_empty() {
+                for (o, &a) in o.iter_mut().zip(even) {
+                    *o = [quantize_value(a, inv), 0];
+                }
+            } else {
+                for ((o, &a), &b) in o.iter_mut().zip(even).zip(odd) {
+                    *o = [quantize_value(a, inv), quantize_value(b, inv)];
+                }
+            }
+        }
+    }
 }
 
 /// Symmetric per-tensor activation scale from a calibration sample:
@@ -175,106 +249,217 @@ pub fn conv_direct_i8(qx: &[i8], dims: [usize; 4], spec: &ConvSpec, q: &[i8]) ->
     acc
 }
 
-/// Transposed int8 conv lowering for the compiled plan: quantized input
-/// → `(C_in·k·k, N·Ho·Wo)` columns ([`crate::backend::im2col_t`]) →
-/// channel-major i32 accumulators `acc[co][pos]`, so the fused dequant
-/// epilogue streams one contiguous run per (batch, channel). Integer
-/// accumulation is exact, so the j-blocked widening-AXPY order below is
-/// bit-identical to [`conv_direct_i8`]'s patch-order sums. `cols` (at
-/// least `C_in·k·k × N·Ho·Wo`) and `acc` (at least `C_out × N·Ho·Wo`)
-/// are caller-owned scratch; their used prefixes are fully overwritten.
+/// The weights of one int8 convolution as [`conv_rows_t_i8`] reads them:
+/// channel pairs `[w(co, 2c, ky, kx), w(co, 2c+1, ky, kx)]` widened to
+/// `i16` (an odd last input channel pairs with 0), laid out
+/// `(⌈C_out/IR_T⌉, ⌈C_in/2⌉·k·k, IR_T)` so that the `IR_T` output
+/// channels of a register tile sit side by side for every patch pair.
+/// Output channels past `C_out` in the last group are zero rows: the
+/// tile always computes a full group and stores the rows that exist.
+/// Built once per plan from the row-major [`QuantWeights::q`].
+#[derive(Debug, Clone)]
+pub struct PackedConvWeights {
+    w: Vec<[i16; 2]>,
+    spec: ConvSpec,
+}
+
+impl PackedConvWeights {
+    /// Packs row-major `(C_out, C_in·k·k)` int8 weights for `spec`.
+    ///
+    /// # Panics
+    /// Panics if `q.len() != C_out · C_in·k·k`.
+    pub fn pack(q: &[i8], spec: &ConvSpec) -> PackedConvWeights {
+        use crate::backend::IR_T;
+        let (co, c, kk) = (spec.out_channels, spec.in_channels, spec.kernel * spec.kernel);
+        assert_eq!(q.len(), co * c * kk, "weight length mismatch");
+        let ck2 = c.div_ceil(2) * kk;
+        let mut w = vec![[0i16; 2]; co.div_ceil(IR_T) * ck2 * IR_T];
+        for (o, row) in q.chunks_exact((c * kk).max(1)).enumerate() {
+            let group = &mut w[o / IR_T * ck2 * IR_T..][..ck2 * IR_T];
+            for (ci, taps) in row.chunks_exact(kk).enumerate() {
+                for (t, &v) in taps.iter().enumerate() {
+                    group[((ci / 2) * kk + t) * IR_T + o % IR_T][ci % 2] = v as i16;
+                }
+            }
+        }
+        PackedConvWeights { w, spec: *spec }
+    }
+
+    /// The geometry the weights were packed for.
+    pub fn spec(&self) -> &ConvSpec {
+        &self.spec
+    }
+
+    /// The same convolution over channel pairs: `⌈C_in/2⌉` input units,
+    /// so `patch_len()` counts the pair dots of one output element.
+    pub(crate) fn pair_spec(&self) -> ConvSpec {
+        ConvSpec { in_channels: self.spec.in_channels.div_ceil(2), ..self.spec }
+    }
+}
+
+/// Transposed int8 conv lowering for the compiled plan: pair-packed
+/// activations `(N, ⌈C_in/2⌉, H, W)` → `(⌈C_in/2⌉·k·k, N·Ho·Wo)` columns
+/// of channel pairs ([`crate::backend::im2col_t`]) → channel-major i32
+/// accumulators `acc[co][pos]`, so the fused dequant epilogue streams one
+/// contiguous run per (batch, channel). Integer accumulation is exact, so
+/// the tiled pair-dot order below is bit-identical to
+/// [`conv_direct_i8`]'s patch-order sums. `dims` carries the real channel
+/// count; `cols` (at least `⌈C_in/2⌉·k·k × N·Ho·Wo`) and `acc` (at least
+/// `C_out × N·Ho·Wo`) are caller-owned scratch; their used prefixes are
+/// fully overwritten.
+///
+/// # Panics
+/// Panics if `dims` disagrees with the spec the weights were packed for,
+/// `qx` is not `N·⌈C_in/2⌉·H·W` pairs, or the scratch is too short.
 pub fn conv_rows_t_i8(
-    qx: &[i8],
+    qx: &[[i8; 2]],
     dims: [usize; 4],
-    spec: &ConvSpec,
-    q: &[i8],
-    cols: &mut [i8],
+    weights: &PackedConvWeights,
+    cols: &mut [[i8; 2]],
     acc: &mut [i32],
 ) {
-    let [n, _, h, w] = dims;
-    let (ho, wo) = spec.out_size(h, w);
-    let m = n * ho * wo;
-    let (co, ck) = (spec.out_channels, spec.patch_len());
-    assert_eq!(q.len(), co * ck, "weight length mismatch");
-    let cols = &mut cols[..ck * m];
-    crate::backend::im2col_t(qx, 0i8, dims, spec, cols);
-    let acc = &mut acc[..co * m];
-    use crate::backend::{IR_T, JR_T};
-    let jm = m - m % JR_T;
-    let mut i0 = 0;
-    while i0 < co {
-        let ir = IR_T.min(co - i0);
-        let q_grp = &q[i0 * ck..(i0 + ir) * ck];
-        let acc_grp = &mut acc[i0 * m..(i0 + ir) * m];
-        let mut j0 = 0;
-        while j0 < jm {
-            // Register-tiled block: broadcast-A widening multiply against
-            // contiguous B rows, so B streams once per channel group
-            // instead of once per channel. Full-height groups take the
-            // const-height tile (accumulators stay in registers).
-            if ir == IR_T {
-                tile_tn_i8::<IR_T>(ck, m, q_grp, cols, acc_grp, j0);
-            } else {
-                tile_tn_i8_partial(ir, ck, m, q_grp, cols, acc_grp, j0);
-            }
-            j0 += JR_T;
-        }
-        for ii in 0..ir {
-            let qrow = &q_grp[ii * ck..(ii + 1) * ck];
-            for j in jm..m {
-                let mut s = 0i32;
-                for (p, &qv) in qrow.iter().enumerate() {
-                    s += qv as i32 * cols[p * m + j] as i32;
-                }
-                acc_grp[ii * m + j] = s;
-            }
-        }
-        i0 += ir;
-    }
+    conv_rows_pairs(tile_i8, qx, dims, weights, cols, acc);
 }
 
-/// One `IR×JR_T` tile of [`conv_rows_t_i8`]'s accumulation.
+/// [`conv_rows_t_i8`] through the portable tile body whatever the build
+/// enables, so that a host which compiles the AVX2 body tests both.
+#[doc(hidden)]
+pub fn conv_rows_t_i8_portable(
+    qx: &[[i8; 2]],
+    dims: [usize; 4],
+    weights: &PackedConvWeights,
+    cols: &mut [[i8; 2]],
+    acc: &mut [i32],
+) {
+    conv_rows_pairs(tile_i8_portable, qx, dims, weights, cols, acc);
+}
+
+/// [`conv_rows_t_i8`] over a tile body `(group weights, columns, m, j0,
+/// accumulator rows)`.
 #[inline]
-fn tile_tn_i8<const IR: usize>(ck: usize, m: usize, q: &[i8], bt: &[i8], c: &mut [i32], j0: usize) {
-    use crate::backend::JR_T;
-    let mut acc = [[0i32; JR_T]; IR];
-    for p in 0..ck {
-        let b = &bt[p * m + j0..p * m + j0 + JR_T];
-        for ii in 0..IR {
-            let av = q[ii * ck + p] as i32;
-            for (x, &bv) in acc[ii].iter_mut().zip(b) {
-                *x += av * bv as i32;
-            }
-        }
-    }
-    for (ii, accr) in acc.iter().enumerate() {
-        c[ii * m + j0..ii * m + j0 + JR_T].copy_from_slice(accr);
-    }
-}
-
-/// Runtime-height tail variant of [`tile_tn_i8`].
-fn tile_tn_i8_partial(
-    ir: usize,
-    ck: usize,
-    m: usize,
-    q: &[i8],
-    bt: &[i8],
-    c: &mut [i32],
-    j0: usize,
+fn conv_rows_pairs(
+    tile: impl Fn(&[[i16; 2]], &[[i8; 2]], usize, usize, &mut [i32]),
+    qx: &[[i8; 2]],
+    dims: [usize; 4],
+    weights: &PackedConvWeights,
+    cols: &mut [[i8; 2]],
+    acc: &mut [i32],
 ) {
     use crate::backend::{IR_T, JR_T};
-    let mut acc = [[0i32; JR_T]; IR_T];
-    for p in 0..ck {
-        let b = &bt[p * m + j0..p * m + j0 + JR_T];
-        for (ii, accr) in acc[..ir].iter_mut().enumerate() {
-            let av = q[ii * ck + p] as i32;
-            for (x, &bv) in accr.iter_mut().zip(b) {
-                *x += av * bv as i32;
+    let [n, c, h, w] = dims;
+    // The lowering re-checks `qx` and `cols` against the pair geometry.
+    assert_eq!(c, weights.spec.in_channels, "input channel mismatch");
+    let pairs = weights.pair_spec();
+    let (ho, wo) = pairs.out_size(h, w);
+    let m = n * ho * wo;
+    let (co, ck2) = (pairs.out_channels, pairs.patch_len());
+    let cols = &mut cols[..ck2 * m];
+    crate::backend::im2col_t(qx, [0i8; 2], [n, pairs.in_channels, h, w], &pairs, cols);
+    let acc = &mut acc[..co * m];
+    let jm = m - m % JR_T;
+    for (wg, acc_grp) in weights.w.chunks_exact(ck2 * IR_T).zip(acc.chunks_mut(IR_T * m.max(1))) {
+        // Register-tiled blocks: each column chunk is read once per
+        // channel group, not once per channel.
+        for j0 in (0..jm).step_by(JR_T) {
+            tile(wg, cols, m, j0, acc_grp);
+        }
+        // Sub-tile j tail: one pair-dot chain per element.
+        for (ii, row) in acc_grp.chunks_exact_mut(m.max(1)).enumerate() {
+            for (j, out) in row.iter_mut().enumerate().skip(jm) {
+                let taps = wg.iter().skip(ii).step_by(IR_T);
+                *out = taps.zip(cols[j..].iter().step_by(m)).map(|(wv, x)| pair_dot(*wv, *x)).sum();
             }
         }
     }
-    for (ii, accr) in acc[..ir].iter().enumerate() {
-        c[ii * m + j0..ii * m + j0 + JR_T].copy_from_slice(accr);
+}
+
+/// `w₀·x₀ + w₁·x₁` in `i32`: at most `2·128²`, nowhere near overflow.
+#[inline]
+fn pair_dot(w: [i16; 2], x: [i8; 2]) -> i32 {
+    w[0] as i32 * x[0] as i32 + w[1] as i32 * x[1] as i32
+}
+
+/// One `IR_T×JR_T` tile of [`conv_rows_t_i8`]: the pair dots of one
+/// output-channel group (`w`, `(ck2, IR_T)` pairs) against `JR_T`
+/// positions of the columns (`cols`, `(ck2, m)`, from `j0`), stored to
+/// the rows of `c` (`(ir, m)`, `ir ≤ IR_T` — a short last group drops
+/// its zero-padded rows here). The AVX2 body is chosen at compile time
+/// (module docs); both produce the same exact sums.
+#[inline]
+fn tile_i8(w: &[[i16; 2]], cols: &[[i8; 2]], m: usize, j0: usize, c: &mut [i32]) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+    // SAFETY: `tile_i8_avx2` is unsafe to call only for its
+    // `#[target_feature(enable = "avx2")]`; this call is compiled under
+    // `cfg(target_feature = "avx2")`, so every CPU the build may run on
+    // has it.
+    unsafe {
+        tile_i8_avx2(w, cols, m, j0, c)
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+    tile_i8_portable(w, cols, m, j0, c)
+}
+
+/// The portable body of [`tile_i8`].
+fn tile_i8_portable(w: &[[i16; 2]], cols: &[[i8; 2]], m: usize, j0: usize, c: &mut [i32]) {
+    use crate::backend::{IR_T, JR_T};
+    let mut acc = [[0i32; JR_T]; IR_T];
+    for (wp, brow) in w.chunks_exact(IR_T).zip(cols.chunks_exact(m)) {
+        let b = &brow[j0..j0 + JR_T];
+        for (accr, &wv) in acc.iter_mut().zip(wp) {
+            for (x, &bv) in accr.iter_mut().zip(b) {
+                *x += pair_dot(wv, bv);
+            }
+        }
+    }
+    for (row, accr) in c.chunks_exact_mut(m).zip(&acc) {
+        row[j0..j0 + JR_T].copy_from_slice(accr);
+    }
+}
+
+/// The AVX2 body of [`tile_i8`]: per patch pair, the 16 positions are
+/// sign-extended to two vectors of eight `i16` pairs and each channel's
+/// broadcast weight pair multiplies into both with `vpmaddwd` — eight
+/// `i32` pair dots per instruction, added to that channel's accumulators
+/// (a build that also has VNNI folds the multiply and the add into one
+/// `vpdpwssd`).
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+#[target_feature(enable = "avx2")]
+fn tile_i8_avx2(w: &[[i16; 2]], cols: &[[i8; 2]], m: usize, j0: usize, c: &mut [i32]) {
+    use crate::backend::{IR_T, JR_T};
+    use std::arch::x86_64::{
+        __m128i, __m256i, _mm256_add_epi32, _mm256_cvtepi8_epi16, _mm256_madd_epi16,
+        _mm256_set1_epi32, _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128,
+    };
+    const { assert!(JR_T == 16, "the body below moves 16 positions as two 8-lane halves") };
+    let mut acc = [[_mm256_setzero_si256(); 2]; IR_T];
+    for (wp, brow) in w.chunks_exact(IR_T).zip(cols.chunks_exact(m)) {
+        let b: &[[i8; 2]] = &brow[j0..j0 + JR_T];
+        let src = b.as_ptr().cast::<__m128i>();
+        // SAFETY: `b` is a bounds-checked slice of `JR_T` = 16 `[i8; 2]`
+        // units, 32 bytes; the two unaligned 16-byte loads cover exactly
+        // those bytes. (The instructions themselves are covered by this
+        // function's `target_feature`, which the `cfg` at its one call
+        // site guarantees.)
+        let (lo, hi) = unsafe { (_mm_loadu_si128(src), _mm_loadu_si128(src.add(1))) };
+        let (lo, hi) = (_mm256_cvtepi8_epi16(lo), _mm256_cvtepi8_epi16(hi));
+        for (accr, wv) in acc.iter_mut().zip(wp) {
+            // Little-endian lanes: `w[0]` is the even `i16` of every pair.
+            let pair = (wv[0] as u16 as u32 | (wv[1] as u16 as u32) << 16) as i32;
+            let pair = _mm256_set1_epi32(pair);
+            accr[0] = _mm256_add_epi32(accr[0], _mm256_madd_epi16(lo, pair));
+            accr[1] = _mm256_add_epi32(accr[1], _mm256_madd_epi16(hi, pair));
+        }
+    }
+    for (row, accr) in c.chunks_exact_mut(m).zip(&acc) {
+        let out: &mut [i32] = &mut row[j0..j0 + JR_T];
+        let dst = out.as_mut_ptr().cast::<__m256i>();
+        // SAFETY: `out` is a bounds-checked slice of `JR_T` = 16 `i32`s,
+        // 64 bytes; the two unaligned 32-byte stores cover exactly those
+        // bytes (AVX by this function's `target_feature`, as above).
+        unsafe {
+            _mm256_storeu_si256(dst, accr[0]);
+            _mm256_storeu_si256(dst.add(1), accr[1]);
+        }
     }
 }
 

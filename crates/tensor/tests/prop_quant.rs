@@ -6,7 +6,8 @@
 
 use ecofusion_tensor::backend::ConvSpec;
 use ecofusion_tensor::quant::{
-    conv_direct_i8, conv_rows_t_i8, quantize_activations, quantize_per_channel, QMAX,
+    conv_direct_i8, conv_rows_t_i8, conv_rows_t_i8_portable, quantize_activation_pairs,
+    quantize_activations, quantize_per_channel, PackedConvWeights, QMAX,
 };
 use ecofusion_tensor::rng::Rng;
 use proptest::prelude::*;
@@ -90,38 +91,122 @@ proptest! {
         }
     }
 
+    /// The quantizer is `round_ties_even` + clamp + saturating cast for
+    /// every input — exact half steps (a power-of-two scale makes them
+    /// representable), values far out of range, infinities and NaNs of
+    /// any payload included — however it is spelled inside.
+    #[test]
+    fn quantizer_rounds_ties_to_even_and_saturates(
+        len in 1usize..64,
+        exp in 0i32..9,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = Rng::new(seed);
+        let scale = 0.5f32.powi(exp);
+        let mut x: Vec<f32> = (0..len)
+            .flat_map(|_| {
+                let half_step = (rng.uniform(-140.0, 140.0).floor() as f32 + 0.5) * scale;
+                [half_step, rng.uniform(-200.0, 200.0) as f32 * scale, rng.normal(0.0, 1e6) as f32]
+            })
+            .collect();
+        x.extend([f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN, -0.0]);
+        x.extend([0x7fc0_0055u32, 0xffc0_1234, 0x7f80_0001].map(f32::from_bits));
+        let mut q = Vec::new();
+        quantize_activations(&x, scale, &mut q);
+        let inv = 1.0 / scale;
+        for (&v, &got) in x.iter().zip(&q) {
+            let want = (v * inv).round_ties_even().clamp(-QMAX, QMAX) as i8;
+            prop_assert_eq!(got, want, "{} (bits {:#x}) at scale {}", v, v.to_bits(), scale);
+        }
+    }
+
+    /// The pair quantizer is the flat quantizer re-laid: unit `(b, c, i)`
+    /// holds channels `2c` and `2c + 1` of position `i`, and an odd last
+    /// channel pairs with 0.
+    #[test]
+    fn pair_quantizer_is_the_flat_quantizer_paired(
+        n in 1usize..4,
+        c in 1usize..7,
+        plane in 1usize..40,
+        scale in 0.001f32..2.0,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = Rng::new(seed);
+        let x: Vec<f32> =
+            (0..n * c * plane).map(|_| rng.uniform(-400.0, 400.0) as f32).collect();
+        let mut flat = Vec::new();
+        quantize_activations(&x, scale, &mut flat);
+        let mut pairs = vec![[55i8; 2]; n * c.div_ceil(2) * plane];
+        quantize_activation_pairs(&x, [n, c, plane], scale, &mut pairs);
+        prop_assert_eq!(pairs, pair_channels(&flat, n, c, plane));
+    }
+
     /// The plans' register-tiled int8 convolution agrees EXACTLY with
     /// the oracle's direct reduction — integer accumulation leaves no
-    /// rounding slack — on geometries that leave tile tails in both
-    /// dimensions (`m % JR_T ≠ 0`, `C_out % IR_T ≠ 0`; the tile is 8
-    /// channels × 16 positions) as well as whole tiles, at stride 1 and 2,
-    /// with and without padding. The scratch is handed over dirty and oversized: the
-    /// kernel must overwrite the prefix it uses and read nothing else.
+    /// rounding slack — through BOTH tile bodies (the portable one is
+    /// called directly, so a build that compiles the AVX2 body tests the
+    /// two). Geometries leave tile tails in both dimensions
+    /// (`m % JR_T ≠ 0`, `C_out % IR_T ≠ 0`; the tile is 8 channels × 16
+    /// positions) as well as whole tiles, odd and even `C_in` (an odd
+    /// last channel pairs with zero), stride 1 and 2, padding 0–2, the
+    /// plane-shift and the row-by-row lowering. Values span the whole
+    /// `i8` range; one case in four is all −128, where a pair sum held in
+    /// `i16` would overflow. The scratch is handed over dirty and
+    /// oversized: the kernel must overwrite the prefix it uses and read
+    /// nothing else.
     #[test]
     fn conv_rows_t_i8_exact_vs_direct_reduction(
         n in 1usize..4,
-        c in 1usize..5,
+        c in 1usize..7,
         h in 3usize..12,
         w in 3usize..12,
         co in 1usize..20,
-        k in 1usize..4,
+        k in 1usize..6,
         stride in 1usize..3,
-        padding in 0usize..2,
+        padding in 0usize..3,
+        extreme in 0usize..4,
         seed in 0u64..1000,
     ) {
+        let k = k.min(3 + 2 * padding);
         let spec = ConvSpec { in_channels: c, out_channels: co, kernel: k, stride, padding };
         let mut rng = Rng::new(seed);
-        let mut rand_i8 =
-            |len: usize| -> Vec<i8> { (0..len).map(|_| rng.uniform(-127.0, 128.0).floor() as i8).collect() };
+        let mut rand_i8 = |len: usize| -> Vec<i8> {
+            (0..len)
+                .map(|_| if extreme == 0 { -128 } else { rng.uniform(-128.0, 128.0).floor() as i8 })
+                .collect()
+        };
         let qx = rand_i8(n * c * h * w);
         let q = rand_i8(co * spec.patch_len());
+        let direct = conv_direct_i8(&qx, [n, c, h, w], &spec, &q);
+        let pairs = pair_channels(&qx, n, c, h * w);
+        let weights = PackedConvWeights::pack(&q, &spec);
         let (ho, wo) = spec.out_size(h, w);
         let m = n * ho * wo;
-        let mut cols = vec![77i8; spec.patch_len() * m + 5];
-        let mut acc = vec![-1i32; co * m + 3];
-        conv_rows_t_i8(&qx, [n, c, h, w], &spec, &q, &mut cols, &mut acc);
-        let direct = conv_direct_i8(&qx, [n, c, h, w], &spec, &q);
-        prop_assert_eq!(&acc[..co * m], &direct[..], "{:?} on {}x{}x{}x{}", spec, n, c, h, w);
-        prop_assert!(acc[co * m..].iter().all(|&v| v == -1), "wrote past the used prefix");
+        for (body, conv) in [("dispatched", conv_rows_t_i8 as ConvRows), ("portable", conv_rows_t_i8_portable)] {
+            let mut cols = vec![[77i8; 2]; c.div_ceil(2) * k * k * m + 5];
+            let mut acc = vec![-1i32; co * m + 3];
+            conv(&pairs, [n, c, h, w], &weights, &mut cols, &mut acc);
+            prop_assert_eq!(
+                &acc[..co * m], &direct[..], "{} body, {:?} on {}x{}x{}x{}", body, spec, n, c, h, w
+            );
+            prop_assert!(acc[co * m..].iter().all(|&v| v == -1), "wrote past the used prefix");
+        }
     }
+}
+
+type ConvRows = fn(&[[i8; 2]], [usize; 4], &PackedConvWeights, &mut [[i8; 2]], &mut [i32]);
+
+/// Row-major `(outer, c, plane)` int8 values in the kernel's channel-pair
+/// layout `(outer, ⌈c/2⌉, plane)`, by the index formula.
+fn pair_channels(q: &[i8], outer: usize, c: usize, plane: usize) -> Vec<[i8; 2]> {
+    let c2 = c.div_ceil(2);
+    let mut out = vec![[0i8; 2]; outer * c2 * plane];
+    for o in 0..outer {
+        for ci in 0..c {
+            for i in 0..plane {
+                out[(o * c2 + ci / 2) * plane + i][ci % 2] = q[(o * c + ci) * plane + i];
+            }
+        }
+    }
+    out
 }
