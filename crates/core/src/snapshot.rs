@@ -448,10 +448,13 @@ mod tests {
 
     /// An image whose shapes chain but whose buffers disagree with their
     /// own geometry (truncated weights, a short scale/bias/affine vector,
-    /// a non-positive activation scale) passes the header checks too. The
-    /// plan compiler packs the weights by the geometry, so it must refuse
-    /// the unit by name — not index out of bounds, or reach an assertion
-    /// inside the step — and leave the model serving f32.
+    /// a non-positive activation scale), or whose geometry is not a
+    /// convolution or a pool at all (stride 0, pool kernel 0, a padding
+    /// no allocation could hold), passes the header checks too. The plan
+    /// compiler packs the weights and sizes its planes by the geometry,
+    /// so it must refuse the unit by name — not index out of bounds,
+    /// divide by zero inside the step, or abort the process on the first
+    /// execute — and leave the model serving f32.
     #[test]
     fn skewed_quant_image_fails_at_compile_with_a_typed_error() {
         use crate::model::{InferError, PlanUnit};
@@ -473,14 +476,16 @@ mod tests {
             };
             conv
         }
-        let cases: [(Skew, PlanUnit, &str); 7] = [
-            (|i| stem_conv(i, 0).weights.q.truncate(1), PlanUnit::Stem(0), "weight length"),
+        const CONV: &str = "QuantConv2d";
+        let cases: [(Skew, PlanUnit, &str, &str); 10] = [
+            (|i| stem_conv(i, 0).weights.q.truncate(1), PlanUnit::Stem(0), CONV, "weight length"),
             (
                 |i| stem_conv(i, 1).weights.scales.push(1.0),
                 PlanUnit::Stem(1),
+                CONV,
                 "weight scale length",
             ),
-            (|i| stem_conv(i, 3).bias.clear(), PlanUnit::Stem(3), "bias length"),
+            (|i| stem_conv(i, 3).bias.clear(), PlanUnit::Stem(3), CONV, "bias length"),
             (
                 |i| {
                     let QuantStage::Affine(_, shift) = &mut i.stems[2].stages[1] else {
@@ -489,19 +494,48 @@ mod tests {
                     shift.pop();
                 },
                 PlanUnit::Stem(2),
+                CONV,
                 "affine length",
             ),
-            (|i| i.branches[5].head.act_scale = 0.0, PlanUnit::Branch(5), "activation scale"),
-            (|i| i.branches[5].head.act_scale = -0.5, PlanUnit::Branch(5), "activation scale"),
-            (|i| i.branches[5].head.act_scale = f32::NAN, PlanUnit::Branch(5), "activation scale"),
+            (|i| i.branches[5].head.act_scale = 0.0, PlanUnit::Branch(5), CONV, "activation scale"),
+            (
+                |i| i.branches[5].head.act_scale = -0.5,
+                PlanUnit::Branch(5),
+                CONV,
+                "activation scale",
+            ),
+            (
+                |i| i.branches[5].head.act_scale = f32::NAN,
+                PlanUnit::Branch(5),
+                CONV,
+                "activation scale",
+            ),
+            // Each of these three took the step or the process down from
+            // inside `infer`: a division by zero in `ConvSpec::out_size`,
+            // the same in the pool's output shape, and a 10¹⁵-byte
+            // allocation on the first execute.
+            (|i| stem_conv(i, 0).spec.stride = 0, PlanUnit::Stem(0), CONV, "geometry"),
+            (
+                |i| {
+                    let pool = i.stems[1].stages.iter_mut().find_map(|s| match s {
+                        QuantStage::MaxPool(k) => Some(k),
+                        _ => None,
+                    });
+                    *pool.expect("a stem pipe ends in its pool") = 0;
+                },
+                PlanUnit::Stem(1),
+                "MaxPool2d",
+                "geometry",
+            ),
+            (|i| stem_conv(i, 2).spec.padding = 1 << 40, PlanUnit::Stem(2), CONV, "geometry"),
         ];
-        for (skew, unit, what) in cases {
+        for (skew, unit, layer, what) in cases {
             let mut image = good.clone();
             skew(&mut image);
             model.install_quant(image).expect("header checks pass");
             // The oracle gate runs every branch, so it reaches branch 5.
             let err = model.infer(frame, &oracle).unwrap_err();
-            let source = CompileError::Malformed { layer: "QuantConv2d", what };
+            let source = CompileError::Malformed { layer, what };
             assert_eq!(err, InferError::Compile { unit, source }, "{what}");
             model.infer(frame, &InferenceOptions::new(0.01, 0.5)).expect("f32 still serves");
         }

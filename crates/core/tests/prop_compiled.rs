@@ -16,7 +16,8 @@
 //!    that first ran each unit.
 //! 3. **Zero steady-state allocations** — once a plan is warm,
 //!    `CompiledPlan::execute_into` performs no heap allocation at all at
-//!    any batch size (stem f32 and int8, attention gate), measured with
+//!    any batch size (stem and branch in f32 and int8, both learned
+//!    gates), measured with
 //!    a counting global allocator; a plan lowers a tile at a time, so no
 //!    GEMM reaches the backend's parallel threshold and no scoped thread
 //!    (which allocates a stack) is spawned. The same allocator holds the
@@ -31,9 +32,11 @@ use std::cell::Cell;
 use common::{arb_context, monolithic_infer_batch, render_frames, Reference, GRID};
 use ecofusion_core::{EcoFusionModel, InferenceOptions, InferenceOutput};
 use ecofusion_detect::stem::{Stem, STEM_CHANNELS};
-use ecofusion_detect::{subset_fusion_losses, BBox, Detection, FusionScratch, WbfParams};
+use ecofusion_detect::{
+    subset_fusion_losses, BBox, BranchConfig, BranchDetector, Detection, FusionScratch, WbfParams,
+};
 use ecofusion_energy::Precision;
-use ecofusion_gating::{AttentionGate, GateKind};
+use ecofusion_gating::{AttentionGate, DeepGate, GateKind};
 use ecofusion_scene::{Context, GtBox};
 use ecofusion_sensors::SensorMask;
 use ecofusion_tensor::graph::{compile_quant_pipe, CompiledPlan};
@@ -196,10 +199,13 @@ fn steady_state_allocs(plan: &mut CompiledPlan, rng: &mut Rng) -> u64 {
 }
 
 /// One warm plan serves batch 1, 7 and 64 without touching the heap: the
-/// arena is sized for a tile at compile time, whatever the batch. Stem in
-/// f32 and int8 (the fused dequant+BN+ReLU epilogue runs out of the
-/// arena's own buffers) and the attention gate's trunk (its per-sample
-/// attention scratch lives in the arena too).
+/// arena is sized for a tile at compile time, whatever the batch, and a
+/// convolution's offset table is built when the plan is compiled, never
+/// per call. Stem and two-sensor branch in f32 and int8 (the fused
+/// dequant+BN+ReLU epilogue runs out of the arena's own buffers; the
+/// branch has the strided, the same-size and the 1×1 geometry) and the
+/// trunks of both learned gates (the attention gate's per-sample scratch
+/// lives in the arena too).
 #[test]
 fn warm_plans_execute_any_batch_without_allocating() {
     let mut rng = Rng::new(77);
@@ -211,14 +217,21 @@ fn warm_plans_execute_any_batch_without_allocating() {
     let calib: Vec<Tensor> =
         (0..3).map(|_| Tensor::randn(&[1, 1, GRID, GRID], 1.0, &mut rng)).collect();
     let (pipe, _) = stem.quantize(&calib).expect("stem quantizes");
-    let gate = AttentionGate::new(4 * STEM_CHANNELS, GRID / 2, 127, &mut rng);
+    let config = BranchConfig { num_sensors: 2, num_classes: 8, raster: GRID };
+    let branch = BranchDetector::new(config, &mut rng);
+    let feats = [1, config.in_channels(), GRID / 2, GRID / 2];
+    let branch_calib: Vec<Tensor> = (0..3).map(|_| Tensor::randn(&feats, 1.0, &mut rng)).collect();
+    let qbranch = branch.quantize(&branch_calib).expect("branch quantizes");
+    let gate_in = [1, 4 * STEM_CHANNELS, GRID / 2, GRID / 2];
+    let attention = AttentionGate::new(4 * STEM_CHANNELS, GRID / 2, 127, &mut rng);
+    let deep = DeepGate::new(4 * STEM_CHANNELS, GRID / 2, 127, &mut rng);
     let plans = [
         ("f32 stem", stem.compile(warm.shape()).expect("stem compiles")),
         ("int8 stem", compile_quant_pipe(&pipe, warm.shape()).expect("pipe compiles")),
-        (
-            "attention gate",
-            gate.compile(&[1, 4 * STEM_CHANNELS, GRID / 2, GRID / 2]).expect("gate compiles"),
-        ),
+        ("f32 branch", branch.compile(&feats).expect("branch compiles")),
+        ("int8 branch", qbranch.compile(&feats).expect("quantized branch compiles")),
+        ("attention gate", attention.compile(&gate_in).expect("gate compiles")),
+        ("deep gate", deep.compile(&gate_in).expect("gate compiles")),
     ];
     for (name, mut plan) in plans {
         let allocs = steady_state_allocs(&mut plan, &mut rng);

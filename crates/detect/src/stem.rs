@@ -65,8 +65,8 @@ impl Stem {
 
     /// Lowers the stem into a fused [`CompiledPlan`] for inputs shaped
     /// like `in_shape` (the batch extent is ignored — a plan runs any
-    /// batch): the Conv+BN+ReLU block becomes one im2col + GEMM with a
-    /// fused epilogue, bit-identical to the eager eval forward.
+    /// batch): the Conv+BN+ReLU block becomes one direct convolution with
+    /// a fused epilogue, bit-identical to the eager eval forward.
     ///
     /// # Errors
     /// Propagates the graph compiler's error (never fires for the stem's

@@ -60,6 +60,19 @@ impl ConvSpec {
         (ho, wo)
     }
 
+    /// Whether this is a convolution over an `h × w` image at all, as the
+    /// plan compiler requires before it sizes anything by these numbers
+    /// (an int8 image's geometry is outside input): at least one input
+    /// channel, a stride of at least 1, and a kernel of at least 1 that
+    /// is no larger than the padded image, so that the output is at
+    /// least `1 × 1`.
+    pub fn fits(&self, h: usize, w: usize) -> bool {
+        let padded = self.padding.checked_mul(2).and_then(|p| p.checked_add(h.min(w)));
+        self.in_channels >= 1
+            && self.stride >= 1
+            && padded.is_some_and(|padded| (1..=padded).contains(&self.kernel))
+    }
+
     /// Width of one im2col row: `C_in · k · k`.
     pub fn patch_len(&self) -> usize {
         self.in_channels * self.kernel * self.kernel
@@ -129,44 +142,43 @@ pub trait Backend: Send + Sync {
     /// the bias add and the NCHW rearrangement, so a caller-supplied
     /// write-back epilogue (bias, folded batch-norm, ReLU) reproduces the
     /// eager layer chain bit for bit, reading one contiguous run of
-    /// positions per output channel. `x` is NCHW data with `dims = [n, c,
-    /// h, w]`; `cols` (at least `C_in·k·k × N·Ho·Wo`) and `rows` (at
-    /// least `C_out × N·Ho·Wo`) are caller-owned scratch whose used
-    /// prefixes are fully overwritten — no zeroing is asked of the caller
-    /// and none is done here.
+    /// positions per output channel. `x` is the NCHW data of `n` samples
+    /// shaped as `direct` was built for; `scratch` (at least
+    /// [`DirectConv::scratch_len`]`(n)`) and `rows` (at least
+    /// `C_out × N·Ho·Wo`) are caller-owned buffers whose used prefixes
+    /// are fully overwritten — no zeroing is asked of the caller and
+    /// none is done here.
     ///
-    /// The default lowers to the transposed column layout ([`im2col_t`],
-    /// pure data movement) and accumulates each output element with the
-    /// same ascending-k `mul_add` chain from zero as the packed GEMM
-    /// microkernels behind `conv2d_forward` (f32 multiplication commutes
-    /// exactly, so swapping the operand roles changes no bits). An
-    /// element's chain reads only its own patch, so the result does not
-    /// depend on which other samples share the call. Backends whose
-    /// `conv2d_forward` computes a different reduction (the direct
-    /// reference loops) must override so the rows match their own forward.
+    /// The default is a **direct convolution**: the input is copied once
+    /// into `direct`'s padded, phase-split planes (pure data movement,
+    /// a ninth of what a `k = 3` column matrix moved), after which every
+    /// kernel tap of every output position is a fixed offset from the
+    /// position's base, and an `IR_T`-channel × two-run register tile
+    /// ([`RUN`] consecutive positions of one output row per run) reads
+    /// its operands straight from those planes. Each output element is
+    /// the same chain the packed GEMM microkernels behind
+    /// `conv2d_forward` run — ascending `(ci, ky, kx)`, one fused
+    /// multiply-add per step, from zero, padding multiplied as explicit
+    /// zeros (f32 multiplication commutes exactly, so swapping the
+    /// operand roles changes no bits) — and reads only its own sample,
+    /// so the result does not depend on which other samples share the
+    /// call. Backends whose `conv2d_forward` computes a different
+    /// reduction (the direct reference loops, which skip padding) must
+    /// override so the rows match their own forward.
+    ///
+    /// # Panics
+    /// Panics if `x`, `weight`, `scratch` or `rows` are shorter than
+    /// `direct` and `n` require — in release builds too.
     fn conv2d_rows_t(
         &self,
         x: &[f32],
-        dims: [usize; 4],
+        n: usize,
         weight: &Tensor,
-        spec: &ConvSpec,
-        cols: &mut [f32],
+        direct: &DirectConv,
+        scratch: &mut [f32],
         rows: &mut [f32],
     ) {
-        let [n, _, h, w] = dims;
-        let (ho, wo) = spec.out_size(h, w);
-        let m = n * ho * wo;
-        let ck = spec.patch_len();
-        let cols = &mut cols[..ck * m];
-        im2col_t(x, 0.0f32, dims, spec, cols);
-        gemm_tn_f32(
-            spec.out_channels,
-            ck,
-            m,
-            weight.data(),
-            cols,
-            &mut rows[..spec.out_channels * m],
-        );
+        conv_rows_direct::<false>(x, n, weight.data(), direct, scratch, rows);
     }
 }
 
@@ -212,8 +224,9 @@ pub fn active() -> &'static dyn Backend {
 }
 
 // ---------------------------------------------------------------------------
-// Shared lowering helpers (used by the GEMM-based backend; the reference
-// backend convolves directly and never materializes columns)
+// Column lowering of the eager convolution (used by the GEMM-based backend
+// for training and as the plans' oracle; the reference backend convolves
+// directly and never materializes columns)
 // ---------------------------------------------------------------------------
 
 /// Lowers NCHW input to a `(N·Ho·Wo, C_in·k·k)` column matrix in `cols`
@@ -238,267 +251,517 @@ pub(crate) fn im2col(x: &Tensor, spec: &ConvSpec, cols: &mut Vec<f32>) {
     }
 }
 
-/// Transposed im2col: `(C_in·k·k, N·Ho·Wo)` — one contiguous run of
-/// output positions per patch element `(ci, ky, kx)`. The unit `T` is
-/// whatever one input position holds: an `f32`, or the `[i8; 2]` channel
-/// pair of the int8 plans (`dims[1]` then counts pairs). Pure data
-/// movement, fully overwritten each call.
+// ---------------------------------------------------------------------------
+// Direct convolution of the compiled plans: padded, phase-split planes under
+// one register tile
+// ---------------------------------------------------------------------------
+
+/// Channel-group height of the plans' register tiles (f32 and int8): with
+/// two runs of [`RUN`] positions an `8×16` accumulator block, the same
+/// register budget as the packed microkernel's `MR×NR` tile.
+pub(crate) const IR_T: usize = 8;
+
+/// Output positions of one run: consecutive positions of **one output
+/// row**, as many as a 256-bit vector holds `f32`s. A run never crosses
+/// a row, so every kernel tap of a run is one contiguous vector load;
+/// a row end shorter than a run is computed full width — the lanes past
+/// it read whatever follows inside the scratch — and stored partially.
+pub const RUN: usize = 8;
+
+/// Working-set budget of one compiled-plan tile: a plan streams as many
+/// samples at a time as keep its lowering buffers (the padded input
+/// planes of a convolution, its pre-bias rows / i32 accumulators,
+/// ping/pong intermediates) within this many bytes, so a tile's planes
+/// are still cache-resident when the register tiles read them and its
+/// rows when the epilogue does. 256 KiB is an eighth of the reference
+/// host's per-core L2 — the tile's input, output and the weights need
+/// room beside it — and resolves to three samples for an f32 stem, seven
+/// for a one-sensor f32 branch and four for the attention gate of the
+/// canonical model (two each while the f32 plans lowered to a column
+/// matrix nine times the size of their input). Measured at 128 / 256 /
+/// 512 KiB (`BENCH_14.json`, `tile_constant`): 128 and 256 are within
+/// run-to-run spread of each other (256 a little ahead on the 64-frame
+/// f32 fleet batches, 128 on the int8 rung), 512 is behind on the int8
+/// rung and costs resident memory everywhere.
+pub(crate) const TILE_BYTES: usize = 256 * 1024;
+
+/// The addressing of one direct convolution, fixed when a plan is
+/// compiled: where [`DirectConv::lower`] puts every input element
+/// and at which fixed offset from a run's base every kernel tap finds it.
 ///
-/// Two arms:
-/// * **plane shift** — a same-size stride-1 convolution (`s == 1`,
-///   `2p == k − 1`: every stem, branch 3×3 and 1×1 head). The run of one
-///   sample is its input plane shifted by `(ky − p)·w + (kx − p)`: one
-///   clipped copy per plane, then zeros over the rows the shift pushed
-///   out of the image and over the edge columns that wrapped in from the
-///   neighbouring row.
-/// * **row by row** — everything else (the strided first conv of a
-///   branch, the attention/deep gate convs): per output row, clip the
-///   in-bounds span and gather it; stride 2 de-interleaves a source row
-///   sliced once.
+/// The input of a stride-1 convolution is copied into zero-padded planes.
+/// For stride `s > 1` each plane is de-interleaved into its `s²`
+/// row/column-parity **sub-planes**: per axis, kernel index `κ` is the tap
+/// `t = κ − p`, which reads sub-plane `r = t mod s` (Euclidean) at shift
+/// `d = (t − r)/s`, because input index `o·s + t = (o + d)·s + r`. All
+/// sub-planes are padded to one common extent `Hp × Wp`
+/// (`Ho + d_max − d_min` by `Wo + d_max − d_min`, `d_min ≤ 0` cells of
+/// lead on both axes), stored row `j` of sub-plane `r` holding input row
+/// `(j + d_min)·s + r` or zeros where that leaves the image. One sample
+/// is `C·s²` such sub-planes, channel-major. Then for every geometry —
+/// same-size, strided, `1×1`, kernels wider than the image —
 ///
-/// # Panics
-/// Panics unless `dims[1] == spec.in_channels`, `xdata` holds exactly
-/// `dims` units and `cols` exactly `C_in·k·k × N·Ho·Wo`.
-pub(crate) fn im2col_t<T: Copy>(
-    xdata: &[T],
-    zero: T,
-    dims: [usize; 4],
-    spec: &ConvSpec,
-    cols: &mut [T],
-) {
-    let [n, c, h, w] = dims;
-    let (ho, wo) = spec.out_size(h, w);
-    let m = n * ho * wo;
-    let (k, s, pd) = (spec.kernel, spec.stride, spec.padding);
-    // Release-mode checks: a short input or oversized `cols` would leave
-    // stale columns behind and the GEMM would sum them silently.
-    assert!(
-        c == spec.in_channels && xdata.len() == n * c * h * w && cols.len() == c * k * k * m,
-        "im2col_t: operands disagree with {dims:?} and {spec:?}"
-    );
-    let same_size = s == 1 && 2 * pd + 1 == k;
-    let plane_out = (ho * wo).max(1);
-    // Kernel taps outermost: the in-image span of output rows depends on
-    // `ky` alone and that of output columns on `kx` alone.
-    for ky in 0..k {
-        let oy = in_bounds_span(ky, pd, s, h, ho);
-        for kx in 0..k {
-            let ox = in_bounds_span(kx, pd, s, w, wo);
-            // `None`: the tap reads padding only.
-            let tap = (oy.0 < oy.1 && ox.0 < ox.1).then(|| Tap {
-                oy,
-                ox,
-                iy0: oy.0 * s + ky - pd,
-                ix0: ox.0 * s + kx - pd,
-            });
-            for ci in 0..c {
-                let prow = &mut cols[((ci * k + ky) * k + kx) * m..][..m];
-                let planes = (0..n).map(|b| &xdata[(b * c + ci) * h * w..][..h * w]);
-                for (dst, src) in prow.chunks_exact_mut(plane_out).zip(planes) {
-                    match &tap {
-                        None => dst.fill(zero),
-                        Some(tap) if same_size => shift_plane(src, zero, w, tap, dst),
-                        Some(tap) => gather_rows(src, zero, [w, wo], s, tap, dst),
+/// ```text
+/// off[(ci, ky, kx)] = (ci·s² + ry·s + rx)·Hp·Wp + (dy − d_min)·Wp + (dx − d_min)
+/// base(b, oy, ox)   = b·C·s²·Hp·Wp + oy·Wp + ox
+/// ```
+///
+/// and `base + off[p]` holds what the index formula names for patch
+/// element `p` of output position `(b, oy, ox)`, pad zeros included.
+/// The unit a cell holds is the caller's: an `f32`, or the `[i8; 2]`
+/// channel pair of the int8 plans (`spec.in_channels` then counts
+/// pairs).
+#[derive(Debug, Clone)]
+pub struct DirectConv {
+    spec: ConvSpec,
+    /// The stride the planes are split by: `spec.stride`, cut to the
+    /// padded image. A longer stride leaves one output position whose
+    /// taps are where any such stride puts them, and cutting it bounds
+    /// the `s²` sub-planes by the image instead of by an outside number.
+    stride: usize,
+    in_hw: [usize; 2],
+    out_hw: [usize; 2],
+    /// `[Hp, Wp]`, the common extent of every sub-plane.
+    plane: [usize; 2],
+    /// `−d_min`: zero rows above and zero columns left of the image in
+    /// every sub-plane.
+    lead: usize,
+    off: Vec<usize>,
+    /// The largest of `off` (0 for an empty patch).
+    off_max: usize,
+}
+
+impl DirectConv {
+    /// The addressing of `spec` over `h × w` input planes.
+    ///
+    /// # Panics
+    /// Panics unless [`ConvSpec::fits`] — the plan compiler checks that
+    /// before it gets here.
+    pub fn new(spec: &ConvSpec, h: usize, w: usize) -> DirectConv {
+        assert!(spec.fits(h, w), "DirectConv: {spec:?} does not fit a {h}x{w} image");
+        let (k, p) = (spec.kernel, spec.padding);
+        let s = spec.stride.min((2 * p).saturating_add(h.max(w)));
+        let (ho, wo) = spec.out_size(h, w);
+        // Kernel index κ on either axis → (sub-plane, shift).
+        let tap = |kappa: usize| {
+            let t = kappa as isize - p as isize;
+            (t.rem_euclid(s as isize) as usize, t.div_euclid(s as isize))
+        };
+        let (d_min, d_max) = (tap(0).1, tap(k - 1).1);
+        let lead = d_min.unsigned_abs();
+        let (hp, wp) = (ho + (d_max - d_min) as usize, wo + (d_max - d_min) as usize);
+        let mut off = Vec::with_capacity(spec.patch_len());
+        for ci in 0..spec.in_channels {
+            for (ry, dy) in (0..k).map(tap) {
+                for (rx, dx) in (0..k).map(tap) {
+                    let sub = ci * s * s + ry * s + rx;
+                    let (row, col) = ((dy - d_min) as usize, (dx - d_min) as usize);
+                    off.push(sub * hp * wp + row * wp + col);
+                }
+            }
+        }
+        let off_max = off.iter().copied().max().unwrap_or(0);
+        DirectConv {
+            spec: *spec,
+            stride: s,
+            in_hw: [h, w],
+            out_hw: [ho, wo],
+            plane: [hp, wp],
+            lead,
+            off,
+            off_max,
+        }
+    }
+
+    /// The convolution this addresses.
+    pub fn spec(&self) -> &ConvSpec {
+        &self.spec
+    }
+
+    /// Input plane size `[h, w]`.
+    pub fn in_hw(&self) -> [usize; 2] {
+        self.in_hw
+    }
+
+    /// Output plane size `[Ho, Wo]`.
+    pub fn out_hw(&self) -> [usize; 2] {
+        self.out_hw
+    }
+
+    /// Offset of every patch element `(ci, ky, kx)` from a run's base.
+    pub fn offsets(&self) -> &[usize] {
+        &self.off
+    }
+
+    /// Cells of one `(sample, channel)` block: `s²` sub-planes.
+    fn block_len(&self) -> usize {
+        self.stride * self.stride * self.plane[0] * self.plane[1]
+    }
+
+    /// Cells one sample's padded planes take: `C·s²·Hp·Wp`.
+    pub fn sample_len(&self) -> usize {
+        self.spec.in_channels * self.block_len()
+    }
+
+    /// Cells the scratch of `n` samples must hold: their planes plus one
+    /// run of slack, which the last row end's full-width loads fall in.
+    pub fn scratch_len(&self, n: usize) -> usize {
+        n * self.sample_len() + RUN
+    }
+
+    /// The base of the run that starts at output position `(b, oy, ox)`.
+    pub fn base(&self, b: usize, oy: usize, ox: usize) -> usize {
+        b * self.sample_len() + oy * self.plane[1] + ox
+    }
+
+    /// One past the last cell a full-width load of any run of `n ≥ 1`
+    /// samples touches: largest base + largest offset + run width.
+    pub(crate) fn reach(&self, n: usize) -> usize {
+        let [ho, wo] = self.out_hw;
+        self.base(n - 1, ho - 1, (wo - 1) / RUN * RUN) + self.off_max + RUN
+    }
+
+    /// Writes the padded, phase-split planes of the `n` samples in `x`
+    /// (`(n, C, h, w)` units) into the prefix of `scratch` they take —
+    /// every cell of it, `zero` wherever the type docs say padding. Pure
+    /// data movement.
+    ///
+    /// # Panics
+    /// Panics if `x` is not `n` samples or `scratch` is shorter than
+    /// their planes.
+    pub fn lower<U: Copy>(&self, x: &[U], n: usize, zero: U, scratch: &mut [U]) {
+        let (c, s) = (self.spec.in_channels, self.stride);
+        let ([h, w], [hp, wp], lead) = (self.in_hw, self.plane, self.lead);
+        assert!(
+            x.len() == n * c * h * w && scratch.len() >= n * self.sample_len(),
+            "DirectConv::lower: operands disagree with {n} samples of {:?} over {h}x{w}",
+            self.spec
+        );
+        // Input rows (columns) of one parity, cut to what a sub-plane has
+        // room for: a trailing row no tap reads is not stored.
+        let held = |len: usize, r: usize, room: usize| len.saturating_sub(r).div_ceil(s).min(room);
+        let sub = hp * wp;
+        // One large fill, then the image rows over it: the pad cells are
+        // single columns and rows between them, and a fill per gap costs
+        // more in calls than writing the image cells twice.
+        let cells = &mut scratch[..n * self.sample_len()];
+        cells.fill(zero);
+        let planes = cells.chunks_exact_mut(self.block_len()).zip(x.chunks_exact((h * w).max(1)));
+        for (block, src) in planes {
+            // Input row `j·s + ry` lands in stored row `lead + j` of the
+            // `s` sub-planes of row parity `ry`, one per column parity.
+            for (ry, parity) in block.chunks_exact_mut(s * sub).enumerate() {
+                let rows = held(h, ry, hp - lead);
+                let stored = |j: usize| (lead + j) * wp + lead;
+                if s == 2 {
+                    // Both column parities of a row in one pass over it.
+                    let (even, odd) = parity.split_at_mut(sub);
+                    let (ne, no) = (held(w, 0, wp - lead), held(w, 1, wp - lead));
+                    for j in 0..rows {
+                        let (at, row) = (stored(j), &src[(2 * j + ry) * w..][..w]);
+                        deinterleave(&mut even[at..at + ne], &mut odd[at..at + no], row);
+                    }
+                    continue;
+                }
+                for (rx, dst) in parity.chunks_exact_mut(sub).enumerate() {
+                    let cols = held(w, rx, wp - lead);
+                    if cols == 0 {
+                        continue;
+                    }
+                    for j in 0..rows {
+                        let at = stored(j);
+                        gather_strided(&mut dst[at..at + cols], &src[(j * s + ry) * w + rx..], s);
                     }
                 }
             }
         }
     }
-}
 
-/// The output indices `lo..hi` (within `0..out`) whose tap
-/// `o·s + t − p` lands inside `0..len`; empty as `lo ≥ hi`.
-fn in_bounds_span(t: usize, p: usize, s: usize, len: usize, out: usize) -> (usize, usize) {
-    let lo = p.saturating_sub(t).div_ceil(s).min(out);
-    let hi = if len + p > t { ((len + p - t - 1) / s + 1).min(out) } else { 0 };
-    (lo, hi)
-}
-
-/// Where one kernel tap `(ky, kx)` reads: the non-empty spans of output
-/// rows and columns whose source lies inside the image, and the source
-/// row and column of the first of them.
-struct Tap {
-    oy: (usize, usize),
-    ox: (usize, usize),
-    iy0: usize,
-    ix0: usize,
-}
-
-/// One tap of a same-size stride-1 lowering over one plane of width
-/// `w`: `dst[oy·w + ox] = src[(oy + dy)·w + ox + dx]` with
-/// `(dy, dx) = (ky − p, kx − p)`, zero where that leaves the image.
-fn shift_plane<T: Copy>(src: &[T], zero: T, w: usize, tap: &Tap, dst: &mut [T]) {
-    let ((oy_lo, oy_hi), (ox_lo, ox_hi)) = (tap.oy, tap.ox);
-    dst[..oy_lo * w].fill(zero);
-    dst[oy_hi * w..].fill(zero);
-    // The in-image rows as one flat copy, clipped by the column shift at
-    // both ends; what wraps across a row boundary lands in an edge
-    // column and is zeroed below.
-    let (d0, d1) = (oy_lo * w + ox_lo, (oy_hi - 1) * w + ox_hi);
-    let s0 = tap.iy0 * w + tap.ix0;
-    dst[d0..d1].copy_from_slice(&src[s0..s0 + (d1 - d0)]);
-    if ox_lo > 0 || ox_hi < w {
-        for row in dst[oy_lo * w..oy_hi * w].chunks_exact_mut(w) {
-            row[..ox_lo].fill(zero);
-            row[ox_hi..].fill(zero);
-        }
+    /// The register tiles of `n` samples: their runs in output order —
+    /// sample, output row, then [`RUN`] positions at a time along the
+    /// row — taken two at a time.
+    pub(crate) fn tiles(&self, n: usize) -> Tiles<'_> {
+        Tiles { direct: self, n, at: [0; 3] }
     }
 }
 
-/// One tap of the general lowering over one plane (input rows `w` wide,
-/// output rows `wo`): zero rows above and below the in-image span, then
-/// per output row zeros outside the in-image columns and a gather at
-/// stride `s` inside.
-fn gather_rows<T: Copy>(
-    src: &[T],
-    zero: T,
-    [w, wo]: [usize; 2],
-    s: usize,
-    tap: &Tap,
-    dst: &mut [T],
-) {
-    let ((oy_lo, oy_hi), (ox_lo, ox_hi)) = (tap.oy, tap.ox);
-    dst[..oy_lo * wo].fill(zero);
-    dst[oy_hi * wo..].fill(zero);
-    // Source rows `iy0, iy0 + s, …`, each cut once to the columns
-    // `ix0, ix0 + s, …` the row reads, so the gathers below carry no
-    // bounds checks.
-    let reach = (ox_hi - ox_lo - 1) * s + 1;
-    let src_rows = src[tap.iy0 * w..].chunks(s * w).map(|row| &row[tap.ix0..][..reach]);
-    for (drow, span) in dst[oy_lo * wo..oy_hi * wo].chunks_exact_mut(wo).zip(src_rows) {
-        drow[..ox_lo].fill(zero);
-        drow[ox_hi..].fill(zero);
-        let (last, body) = drow[ox_lo..ox_hi].split_last_mut().expect("ox_lo < ox_hi");
-        match s {
-            2 => {
-                for (d, pair) in body.iter_mut().zip(span.chunks_exact(2)) {
-                    *d = pair[0];
-                }
-            }
-            _ => {
-                for (d, &v) in body.iter_mut().zip(span.iter().step_by(s)) {
-                    *d = v;
-                }
-            }
+/// One run of a register tile: where its loads start in the scratch,
+/// where its outputs go in a channel's row, and how many of its [`RUN`]
+/// lanes are real positions (0: a tile's unpaired second run, computed
+/// and dropped).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TileRun {
+    pub(crate) base: usize,
+    pub(crate) pos: usize,
+    pub(crate) width: usize,
+}
+
+/// [`DirectConv::tiles`]: the next run starts at `at = [b, oy, ox]`.
+pub(crate) struct Tiles<'a> {
+    direct: &'a DirectConv,
+    n: usize,
+    at: [usize; 3],
+}
+
+impl Tiles<'_> {
+    fn next_run(&mut self) -> Option<TileRun> {
+        let ([ho, wo], [b, oy, ox]) = (self.direct.out_hw, self.at);
+        if b == self.n {
+            return None;
         }
-        *last = span[reach - 1];
+        self.at = match (oy + 1 == ho, ox + RUN >= wo) {
+            (_, false) => [b, oy, ox + RUN],
+            (false, true) => [b, oy + 1, 0],
+            (true, true) => [b + 1, 0, 0],
+        };
+        Some(TileRun {
+            base: self.direct.base(b, oy, ox),
+            pos: (b * ho + oy) * wo + ox,
+            width: RUN.min(wo - ox),
+        })
     }
 }
 
-/// `C (co×m) = A (co×ck) · Bᵀ` where B is the transposed column matrix
-/// from [`im2col_t`] (`ck×m`): `c[i][j] = Σ_p a[i·ck+p] · bt[p·m+j]`,
-/// accumulated p-ascending with one `mul_add` chain per element from
-/// zero — the identical chain the packed microkernels run, so the
-/// result is bit-identical to `gemm_nt` on the swapped operands.
-/// Register-tiled `IR_T×JR_T` so each B row chunk is read once per
-/// channel group (not once per channel) and needs no packing: the
-/// transposed layout is already contiguous along j. `c` is fully
-/// overwritten (the sub-tile tails start their chains from zero too).
-fn gemm_tn_f32(co: usize, ck: usize, m: usize, a: &[f32], bt: &[f32], c: &mut [f32]) {
-    debug_assert!(a.len() >= co * ck && bt.len() >= ck * m && c.len() >= co * m);
-    let jm = m - m % JR_T;
-    let mut i0 = 0;
-    while i0 < co {
-        let ir = IR_T.min(co - i0);
-        let a_grp = &a[i0 * ck..(i0 + ir) * ck];
-        let c_grp = &mut c[i0 * m..(i0 + ir) * m];
-        let mut j0 = 0;
-        while j0 < jm {
-            // Full-height groups go through the const-height tile so the
-            // accumulator block stays in registers; only the final
-            // sub-8-channel group takes the runtime-height fallback.
-            if ir == IR_T {
-                tile_tn_f32::<IR_T>(ck, m, a_grp, bt, c_grp, j0);
-            } else {
-                tile_tn_f32_partial(ir, ck, m, a_grp, bt, c_grp, j0);
-            }
-            j0 += JR_T;
-        }
-        // Sub-tile j tail: scalar dots, the same ascending-p chain.
-        for ii in 0..ir {
-            let arow = &a_grp[ii * ck..(ii + 1) * ck];
-            for j in jm..m {
-                let mut acc = 0.0f32;
-                for (p, &av) in arow.iter().enumerate() {
-                    acc = av.mul_add(bt[p * m + j], acc);
-                }
-                c_grp[ii * m + j] = acc;
-            }
-        }
-        i0 += ir;
+impl Iterator for Tiles<'_> {
+    type Item = [TileRun; 2];
+
+    fn next(&mut self) -> Option<[TileRun; 2]> {
+        let first = self.next_run()?;
+        Some([first, self.next_run().unwrap_or(TileRun { width: 0, ..first })])
     }
 }
 
-/// Channel-group height and position-tile width of the transposed-GEMM
-/// register tiles (f32 and int8): an `8×16` accumulator block, the same
-/// register budget as the packed microkernel's `MR×NR` tile.
-pub(crate) const IR_T: usize = 8;
-pub(crate) const JR_T: usize = 16;
-
-/// Working-set budget of one compiled-plan tile: a plan streams as many
-/// samples at a time as keep its lowering buffers (im2col columns, GEMM
-/// rows / i32 accumulators, ping/pong intermediates) within this many
-/// bytes, so a tile's columns are still cache-resident when its GEMM
-/// reads them and its rows when the epilogue does. 256 KiB is an eighth
-/// of the reference host's per-core L2 — the tile's input, output and
-/// the weights need room beside it — and resolves to two samples for
-/// every f32 stem, branch and gate of the canonical model. Measured at
-/// 128 / 256 / 512 KiB (`BENCH_14.json`, `tile_constant`): 128 and 256
-/// are within run-to-run spread of each other (256 a little ahead on the
-/// 64-frame f32 fleet batches, 128 on the int8 rung), 512 is behind on
-/// the int8 rung and costs resident memory everywhere.
-pub(crate) const TILE_BYTES: usize = 256 * 1024;
-
-/// One `IR×JR_T` tile of [`gemm_tn_f32`]: broadcast-A times contiguous-B
-/// rows, accumulators in registers (the const height lets the row loop
-/// fully unroll), p ascending from zero.
+/// `dst[i] = src[i·s]`: one row of one sub-plane. Stride 1 copies in
+/// fixed chunks of a run — the rows are a few runs long, and a length
+/// known at compile time is a vector move where `copy_from_slice` is a
+/// call.
 #[inline]
-fn tile_tn_f32<const IR: usize>(
-    ck: usize,
-    m: usize,
-    a: &[f32],
-    bt: &[f32],
-    c: &mut [f32],
-    j0: usize,
-) {
-    let mut acc = [[0.0f32; JR_T]; IR];
-    for p in 0..ck {
-        let b = &bt[p * m + j0..p * m + j0 + JR_T];
-        for ii in 0..IR {
-            let av = a[ii * ck + p];
-            for (x, &bv) in acc[ii].iter_mut().zip(b) {
-                *x = av.mul_add(bv, *x);
-            }
+fn gather_strided<U: Copy>(dst: &mut [U], src: &[U], s: usize) {
+    if s == 1 {
+        let src = &src[..dst.len()];
+        let (mut d, mut v) = (dst.chunks_exact_mut(RUN), src.chunks_exact(RUN));
+        for (d, v) in (&mut d).zip(&mut v) {
+            d.copy_from_slice(v);
         }
-    }
-    for (ii, accr) in acc.iter().enumerate() {
-        c[ii * m + j0..ii * m + j0 + JR_T].copy_from_slice(accr);
+        for (d, &v) in d.into_remainder().iter_mut().zip(v.remainder()) {
+            *d = v;
+        }
+    } else {
+        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(s)) {
+            *d = v;
+        }
     }
 }
 
-/// Runtime-height variant of [`tile_tn_f32`] for the sub-`IR_T` channel
-/// tail — identical per-element accumulation chain.
-fn tile_tn_f32_partial(
-    ir: usize,
-    ck: usize,
-    m: usize,
+/// One row at stride 2, read once: `even[i] = src[2i]`, `odd[i] =
+/// src[2i + 1]`. `even` is as long as `odd` or one longer (an odd row's
+/// last unit).
+#[inline]
+fn deinterleave<U: Copy>(even: &mut [U], odd: &mut [U], src: &[U]) {
+    for ((e, o), pair) in even.iter_mut().zip(odd.iter_mut()).zip(src.chunks_exact(2)) {
+        (*e, *o) = (pair[0], pair[1]);
+    }
+    if let Some(last) = even.get_mut(odd.len()) {
+        *last = src[2 * odd.len()];
+    }
+}
+
+/// The default [`Backend::conv2d_rows_t`]: lowers `x` into `direct`'s
+/// planes and runs the register tiles over them, `IR_T` output channels ×
+/// two runs at a time, a short last channel group through the tile of
+/// its own const height. `PORTABLE` forces the safe tile body whatever
+/// the build enables.
+fn conv_rows_direct<const PORTABLE: bool>(
+    x: &[f32],
+    n: usize,
     a: &[f32],
-    bt: &[f32],
-    c: &mut [f32],
-    j0: usize,
+    direct: &DirectConv,
+    scratch: &mut [f32],
+    rows: &mut [f32],
 ) {
-    let mut acc = [[0.0f32; JR_T]; IR_T];
-    for p in 0..ck {
-        let b = &bt[p * m + j0..p * m + j0 + JR_T];
-        for (ii, accr) in acc[..ir].iter_mut().enumerate() {
-            let av = a[ii * ck + p];
-            for (x, &bv) in accr.iter_mut().zip(b) {
-                *x = av.mul_add(bv, *x);
+    if n == 0 {
+        return;
+    }
+    let (co, [ho, wo]) = (direct.spec.out_channels, direct.out_hw);
+    let (ck, m) = (direct.off.len(), n * ho * wo);
+    // The one release-mode check the tiles below rest on, per call and
+    // never per tile: operand lengths, and that the farthest full-width
+    // load of any run stays inside the scratch.
+    let ([h, w], c) = (direct.in_hw, direct.spec.in_channels);
+    assert!(
+        x.len() == n * c * h * w
+            && a.len() == co * ck
+            && rows.len() >= co * m
+            && direct.reach(n) <= scratch.len(),
+        "conv2d_rows_t: operands disagree with {n} samples of {:?} over {h}x{w}",
+        direct.spec
+    );
+    direct.lower(x, n, 0.0f32, scratch);
+    for (a_grp, c_grp) in a.chunks(IR_T * ck).zip(rows[..co * m].chunks_mut(IR_T * m)) {
+        let group = (a_grp, &*scratch, direct, n, m, c_grp);
+        // SAFETY: `a_grp` is `ir·ck` weights for the `ir` of its arm, and
+        // the `assert!` above checked `reach(n)` — the end of the
+        // farthest full-width load of any run of `tiles(n)` — against the
+        // scratch.
+        unsafe {
+            match a_grp.len() / ck {
+                1 => group_tiles::<1, PORTABLE>(group),
+                2 => group_tiles::<2, PORTABLE>(group),
+                3 => group_tiles::<3, PORTABLE>(group),
+                4 => group_tiles::<4, PORTABLE>(group),
+                5 => group_tiles::<5, PORTABLE>(group),
+                6 => group_tiles::<6, PORTABLE>(group),
+                7 => group_tiles::<7, PORTABLE>(group),
+                IR_T => group_tiles::<IR_T, PORTABLE>(group),
+                ir => unreachable!("a channel group of {ir}"),
             }
         }
     }
-    for (ii, accr) in acc[..ir].iter().enumerate() {
-        c[ii * m + j0..ii * m + j0 + JR_T].copy_from_slice(accr);
+}
+
+/// All register tiles of one group of `IR` output channels: `(weights
+/// (IR, ck), planes, addressing, samples, m, rows (IR, m))`. One tile is
+/// `IR` channels × two runs, every lane one chain `acc = a[p]·x[base +
+/// off[p]] + acc` over ascending `p` from zero, fused; each run's real
+/// positions are stored to the rows. The tile has two bodies that
+/// produce the same bits, AVX2 + FMA where the build enables both and
+/// `PORTABLE` does not force the other.
+///
+/// Inlined into its eight call sites: the portable body's loops are
+/// vectorised by the compiler, and out of line they ran at 17.7 GMAC/s
+/// where inlined they run at 25.5 (the explicit body does not care).
+///
+/// # Safety
+/// `a.len() ≥ IR·ck`, and `run.base + o + RUN ≤ x.len()` for every run
+/// of `direct.tiles(n)` and every offset `o` of `direct`.
+#[inline(always)]
+unsafe fn group_tiles<const IR: usize, const PORTABLE: bool>(
+    (a, x, direct, n, m, c): (&[f32], &[f32], &DirectConv, usize, usize, &mut [f32]),
+) {
+    for tile in direct.tiles(n) {
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"))]
+        if !PORTABLE {
+            // SAFETY: compiled under `cfg(target_feature = "avx2",
+            // "fma")`, so every CPU the build may run on has the features
+            // `tile_f32_avx2` enables; its operand ranges are this
+            // function's own contract.
+            unsafe { tile_f32_avx2::<IR>(a, x, &direct.off, &tile, m, c) };
+            continue;
+        }
+        tile_f32_portable::<IR>(a, x, &direct.off, &tile, m, c);
+    }
+}
+
+/// [`Backend::conv2d_rows_t`]'s default through the portable tile body
+/// whatever the build enables, so that a host which compiles the AVX2
+/// body tests both.
+#[doc(hidden)]
+pub fn conv2d_rows_t_portable(
+    x: &[f32],
+    n: usize,
+    weight: &[f32],
+    direct: &DirectConv,
+    scratch: &mut [f32],
+    rows: &mut [f32],
+) {
+    conv_rows_direct::<true>(x, n, weight, direct, scratch, rows);
+}
+
+/// The portable body of a [`group_tiles`] tile: lane arrays and `mul_add`,
+/// every index checked.
+#[inline]
+fn tile_f32_portable<const IR: usize>(
+    a: &[f32],
+    x: &[f32],
+    off: &[usize],
+    tile: &[TileRun; 2],
+    m: usize,
+    c: &mut [f32],
+) {
+    let ck = off.len();
+    let mut acc = [[0.0f32; 2 * RUN]; IR];
+    let a = &a[..IR * ck];
+    for (p, &o) in off.iter().enumerate() {
+        let mut b = [0.0f32; 2 * RUN];
+        b[..RUN].copy_from_slice(&x[tile[0].base + o..][..RUN]);
+        b[RUN..].copy_from_slice(&x[tile[1].base + o..][..RUN]);
+        for (ii, acc) in acc.iter_mut().enumerate() {
+            let av = a[ii * ck + p];
+            for (lane, &bv) in acc.iter_mut().zip(&b) {
+                *lane = av.mul_add(bv, *lane);
+            }
+        }
+    }
+    for (row, acc) in c.chunks_exact_mut(m).zip(&acc) {
+        for (run, lanes) in tile.iter().zip(acc.chunks_exact(RUN)) {
+            if run.width == RUN {
+                row[run.pos..][..RUN].copy_from_slice(lanes);
+            } else {
+                row[run.pos..][..run.width].copy_from_slice(&lanes[..run.width]);
+            }
+        }
+    }
+}
+
+/// The AVX2 + FMA body of a [`group_tiles`] tile: per patch element two
+/// unaligned 8-lane loads and, per channel, one broadcast weight fused
+/// into both runs' accumulators (`vfmadd231ps`).
+///
+/// # Safety
+/// `a.len() ≥ IR·off.len()`, and `run.base + o + RUN ≤ x.len()` for both
+/// runs of `tile` and every `o` in `off`.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"))]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn tile_f32_avx2<const IR: usize>(
+    a: &[f32],
+    x: &[f32],
+    off: &[usize],
+    tile: &[TileRun; 2],
+    m: usize,
+    c: &mut [f32],
+) {
+    use std::arch::x86_64::{
+        _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+    };
+    let ck = off.len();
+    let mut acc = [[_mm256_setzero_ps(); 2]; IR];
+    for (p, &o) in off.iter().enumerate() {
+        // SAFETY: the caller guarantees `base + o + RUN ≤ x.len()` for
+        // both runs, so each unaligned load reads 8 floats of `x`.
+        let b = unsafe {
+            [
+                _mm256_loadu_ps(x.as_ptr().add(tile[0].base + o)),
+                _mm256_loadu_ps(x.as_ptr().add(tile[1].base + o)),
+            ]
+        };
+        for (ii, acc) in acc.iter_mut().enumerate() {
+            // SAFETY: `ii < IR` and `p < ck`, and the caller guarantees
+            // `a.len() ≥ IR·ck`.
+            let av = unsafe { _mm256_broadcast_ss(a.get_unchecked(ii * ck + p)) };
+            acc[0] = _mm256_fmadd_ps(av, b[0], acc[0]);
+            acc[1] = _mm256_fmadd_ps(av, b[1], acc[1]);
+        }
+    }
+    // Whole runs — every tile but a row end's — store straight from the
+    // registers, their bounds checked once for the tile.
+    if c.len() >= IR * m && tile.iter().all(|run| run.width == RUN && run.pos + RUN <= m) {
+        for (ii, acc) in acc.into_iter().enumerate() {
+            for (run, v) in tile.iter().zip(acc) {
+                // SAFETY: `ii < IR` and `run.pos + RUN ≤ m`, so the 8
+                // floats from `ii·m + run.pos` end inside the first
+                // `IR·m` of `c`, which the branch condition checked it has.
+                unsafe { _mm256_storeu_ps(c.as_mut_ptr().add(ii * m + run.pos), v) };
+            }
+        }
+        return;
+    }
+    for (ii, acc) in acc.into_iter().enumerate() {
+        for (run, v) in tile.iter().zip(acc) {
+            let mut lanes = [0.0f32; RUN];
+            // SAFETY: `lanes` is 8 floats, the width of the store.
+            unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), v) };
+            c[ii * m + run.pos..][..run.width].copy_from_slice(&lanes[..run.width]);
+        }
     }
 }
 
@@ -790,87 +1053,6 @@ mod tests {
         let spec = ConvSpec { in_channels: 3, out_channels: 8, kernel: 3, stride: 2, padding: 1 };
         assert_eq!(spec.out_size(8, 8), (4, 4));
         assert_eq!(spec.patch_len(), 27);
-    }
-
-    /// `im2col_t` against the index formula, for one unit type: dirty
-    /// `cols` in, every unit checked.
-    fn assert_im2col_t_is_naive<T: Copy + PartialEq + std::fmt::Debug>(
-        dims: [usize; 4],
-        spec: &ConvSpec,
-        zero: T,
-        dirt: T,
-        mut unit: impl FnMut() -> T,
-    ) {
-        let [n, c, h, w] = dims;
-        let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
-        let (ho, wo) = spec.out_size(h, w);
-        let m = n * ho * wo;
-        let x: Vec<T> = (0..n * c * h * w).map(|_| unit()).collect();
-        let mut cols = vec![dirt; spec.patch_len() * m];
-        im2col_t(&x, zero, dims, spec, &mut cols);
-        for (row, got) in cols.chunks_exact(m.max(1)).enumerate() {
-            let (ci, ky, kx) = (row / (k * k), row / k % k, row % k);
-            for (pos, got) in got.iter().enumerate() {
-                let (b, oy, ox) = (pos / (ho * wo), pos / wo % ho, pos % wo);
-                let iy = (oy * s + ky).checked_sub(p).filter(|&iy| iy < h);
-                let ix = (ox * s + kx).checked_sub(p).filter(|&ix| ix < w);
-                let want = match (iy, ix) {
-                    (Some(iy), Some(ix)) => x[((b * c + ci) * h + iy) * w + ix],
-                    _ => zero,
-                };
-                assert_eq!(*got, want, "{spec:?} on {dims:?}: patch row {row}, position {pos}");
-            }
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
-
-        /// Both arms of `im2col_t` move exactly the units the index
-        /// formula names, for every unit type the plans lower: the
-        /// plane-shift arm on same-size stride-1 geometries (`k` 1, 3, 5,
-        /// kernels wider than the image, one-row and one-column images),
-        /// the row-by-row arm at stride 2 (the de-interleave), stride 3
-        /// and stride 1 with any other padding.
-        #[test]
-        fn im2col_t_matches_the_index_formula(
-            n in 1usize..4,
-            c in 1usize..4,
-            h in 1usize..9,
-            w in 1usize..9,
-            half in 0usize..3,
-            stride in 1usize..4,
-            k_any in 1usize..5,
-            pad_any in 0usize..3,
-            same_size in 0usize..2,
-            seed in 0u64..1000,
-        ) {
-            let (kernel, stride, padding) = if same_size == 1 {
-                (2 * half + 1, 1, half)
-            } else {
-                (k_any.min(h + 2 * pad_any).min(w + 2 * pad_any), stride, pad_any)
-            };
-            let spec = ConvSpec { in_channels: c, out_channels: 1, kernel, stride, padding };
-            let dims = [n, c, h, w];
-            let mut rng = Rng::new(seed);
-            let mut byte = move || rng.uniform(-128.0, 128.0).floor() as i8;
-            assert_im2col_t_is_naive(dims, &spec, 0.0f32, -7.5, {
-                let mut i = 0.0f32;
-                move || { i += 1.0; i }
-            });
-            assert_im2col_t_is_naive(dims, &spec, 0i8, 77, &mut byte);
-            assert_im2col_t_is_naive(dims, &spec, [0i8; 2], [77, -77], || [byte(), byte()]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "im2col_t: operands disagree")]
-    fn im2col_t_rejects_a_short_input_in_release_too() {
-        // One channel fewer than the spec: a `debug_assert` would let a
-        // release build leave the last patch rows stale.
-        let spec = ConvSpec { in_channels: 3, out_channels: 1, kernel: 3, stride: 1, padding: 1 };
-        let mut cols = vec![0.0f32; spec.patch_len() * 16];
-        im2col_t(&[0.0f32; 2 * 16], 0.0, [1, 2, 4, 4], &spec, &mut cols);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The reference backend: the workspace's original scalar loops, kept as
 //! the correctness oracle every optimized backend is validated against.
 
-use super::{dims4, Backend, ConvGrads, ConvSpec};
+use super::{dims4, Backend, ConvGrads, ConvSpec, DirectConv};
 use crate::tensor::Tensor;
 
 /// Straightforward scalar kernels. Slow but obviously correct: GEMM is the
@@ -191,10 +191,10 @@ impl Backend for Reference {
     fn conv2d_rows_t(
         &self,
         x: &[f32],
-        dims: [usize; 4],
+        n: usize,
         weight: &Tensor,
-        spec: &ConvSpec,
-        _cols: &mut [f32],
+        direct: &DirectConv,
+        _scratch: &mut [f32],
         rows: &mut [f32],
     ) {
         // The direct loops of `conv2d_forward` with the bias add elided
@@ -203,9 +203,8 @@ impl Backend for Reference {
         // multiplying padded zeros, so the rows must come from the same
         // reduction to keep the epilogue bit-identical. Every element of
         // the used prefix is written.
-        let [n, ci_n, h, w] = dims;
-        debug_assert_eq!(ci_n, spec.in_channels);
-        let (ho, wo) = spec.out_size(h, w);
+        let (spec, [h, w], [ho, wo]) = (direct.spec(), direct.in_hw(), direct.out_hw());
+        let ci_n = spec.in_channels;
         let k = spec.kernel;
         let co_n = spec.out_channels;
         let m_total = n * ho * wo;

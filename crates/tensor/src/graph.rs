@@ -3,9 +3,10 @@
 //! A one-time lowering pass walks a [`Sequential`] stack (or a
 //! [`QuantPipe`]) and emits a [`CompiledPlan`] of fused steps:
 //!
-//! * `Conv2d → BatchNorm2d → ReLU` collapses to **one** im2col + GEMM
-//!   whose write-back epilogue applies the bias, the batch-norm eval
-//!   affine, and the ReLU clamp per element — no intermediate tensors.
+//! * `Conv2d → BatchNorm2d → ReLU` collapses to **one** direct
+//!   convolution whose write-back epilogue applies the bias, the
+//!   batch-norm eval affine, and the ReLU clamp per element — no
+//!   intermediate tensors.
 //! * `Linear → ReLU` fuses the same way (bias + clamp in the GEMM
 //!   write-back).
 //! * `MaxPool2d` becomes a plan step over the arena; `Flatten` becomes
@@ -19,25 +20,45 @@
 //!
 //! # Lowering
 //!
-//! Every convolution step lowers its input to the transposed column
-//! matrix `(C_in·k·k, T·Ho·Wo)` — one contiguous run of output positions
-//! per patch element — and multiplies it by the weights in `IR_T×JR_T`
-//! register tiles that land channel-major, so the epilogue streams one
-//! contiguous run per (sample, channel). The lowering is one generic
-//! routine over the unit a position holds. For a same-size stride-1
-//! convolution (every stem, branch 3×3 and 1×1 head) a run is the input
-//! plane *shifted* by the tap's offset: one clipped copy per plane plus
-//! edge zeroing. Strided convolutions (a branch's first block, the
-//! learned gates) gather row by row, stride 2 as a de-interleave.
+//! Every convolution step is a **direct convolution**: no column matrix
+//! is built. The step copies its input once into zero-padded planes —
+//! for stride `s > 1` de-interleaved into the `s²` row/column-parity
+//! sub-planes of each plane, all padded to one common extent — after
+//! which every kernel tap of every output position is a *fixed offset*
+//! from the position's base ([`DirectConv`]; the offset table is built
+//! here, when the plan is compiled, and held in the step). A register
+//! tile of `IR_T` output channels × two **runs** — a run is up to
+//! [`RUN`](crate::backend::RUN) consecutive positions of one output row —
+//! then reads its operands straight from those planes with one vector
+//! load per tap and run, and lands its results channel-major, so the
+//! epilogue streams one contiguous run per (sample, channel). One rule
+//! covers every geometry (same-size, strided, `1×1`, kernels wider than
+//! the image); a row end shorter than a run is computed full width and
+//! stored partially, so the learned gates' 4- and 2-wide planes run in
+//! vector lanes too. The copy moves `C·s²·Hp·Wp` cells per sample where
+//! the column matrix it replaced moved `C·k²·Ho·Wo`: for a 3×3 same-size
+//! convolution over an 8×8 plane, 100 cells per channel instead of 576.
 //!
-//! An f32 step lowers `f32` units. An int8 step quantizes its input
-//! straight into **channel pairs** — `(T, ⌈C/2⌉, H, W)` units of
-//! `[i8; 2]`, an odd last channel paired with 0 — lowers those, and
-//! multiplies by weights paired the same way and packed when the plan is
-//! compiled ([`PackedConvWeights`]), so that one step of the reduction is
-//! an `i16×i16→i32` pair dot (`vpmaddwd` where the build has AVX2); see
-//! [`crate::quant`]'s "Kernel structure". The serialized int8 image keeps
-//! its row-major `i8` weights; pairing is a property of the plan.
+//! An f32 step's cells are `f32`s and its tile is one fused multiply-add
+//! per tap, channel and lane (`vfmadd231ps` where the build has AVX2 and
+//! FMA, lane arrays and `mul_add` elsewhere — the same bits). Measured
+//! on the reference host at `target-cpu=native` (`BENCH_17.json`,
+//! `kernel`): the tiles of the branch's same-size 3×3 convolutions run
+//! at 48 GMAC/s and those of the strided ones at 41 (this host's 256-bit
+//! FMA peak is 52; the autovectorised tile they replace ran at 32–35),
+//! and whole plans — copy, tiles, epilogues, pooling, attention — at 38
+//! GMAC/s for a one-sensor branch, 17 for a stem and 14 for the
+//! attention gate, against 22, 12.5 and 8.5 through the column matrix.
+//!
+//! An int8 step quantizes its input straight into **channel pairs** —
+//! `(T, ⌈C/2⌉, H, W)` units of `[i8; 2]`, an odd last channel paired
+//! with 0 — copies those into the same planes (a cell is then a pair),
+//! and multiplies by weights paired the same way and packed when the
+//! plan is compiled ([`PackedConvWeights`]), so that one step of the
+//! reduction is an `i16×i16→i32` pair dot (`vpmaddwd` where the build has
+//! AVX2); see [`crate::quant`]'s "Kernel structure". The serialized int8
+//! image keeps its row-major `i8` weights; pairing is a property of the
+//! plan.
 //!
 //! # Tiles
 //!
@@ -46,29 +67,33 @@
 //! [`CompiledPlan::execute_into`] accepts every input whose trailing
 //! dimensions match. Execution is cache-blocked over the batch: the plan
 //! takes `T` samples at a time through *all* of its steps before it
-//! touches the next `T`, so the im2col columns a convolution writes are
-//! still cache-resident when its GEMM reads them, the GEMM rows when the
-//! epilogue reads them, and one step's output when the next step lowers
-//! it. `T` is fixed at compile time from the plan's own step shapes as
-//! the largest count whose columns + rows / i32 accumulators + quantized
-//! input + ping/pong intermediates (plus the attention scratch, which
-//! does not scale with `T`) fit `TILE_BYTES` (256 KiB, beside the
-//! register-tile constants in [`crate::backend`]) — at least one sample.
-//! The
-//! arena holds exactly those buffers, for at most one tile — it grows to
-//! the largest tile a plan has actually run, so its size is O(tile), not
-//! O(batch), and a plan that only serves batch 1 keeps one sample's
-//! worth. Nothing in it survives from one tile to the next and every
-//! position a step reads was written by the step before it, so no
-//! buffer is ever cleared.
+//! touches the next `T`, so the padded planes a convolution writes are
+//! still cache-resident when its register tiles read them, their rows
+//! when the epilogue reads them, and one step's output when the next step
+//! copies it. `T` is fixed at compile time from the plan's own step
+//! shapes as the largest count whose padded planes + rows / i32
+//! accumulators + quantized input + ping/pong intermediates (plus the
+//! attention scratch, which does not scale with `T`) fit `TILE_BYTES`
+//! (256 KiB, beside the register-tile constants in [`crate::backend`]) —
+//! at least one sample. For the canonical model that is three samples
+//! for a stem (f32 and int8), seven for a one-sensor f32 branch (three
+//! with all four sensors), eight for its int8 twin and four for the
+//! learned gates. The arena holds exactly those buffers, for at most one
+//! tile — it grows to the largest tile a plan has actually run, so its
+//! size is O(tile), not O(batch), and a plan that only serves batch 1
+//! keeps one sample's worth. Nothing in it survives from one tile to the
+//! next and every position a step reads was written by the step before
+//! it, so no buffer is ever cleared.
 //!
 //! Results cannot depend on how a batch is cut into tiles: every output
 //! element is one accumulation chain over its own sample's patch
 //! (ascending-k `mul_add` from zero in f32, exact i32 sums in int8), the
 //! epilogues, pooling and attention are per element or per sample, and
-//! the lowering is pure data movement — no step reads across samples.
-//! A batch of `N` therefore equals the concatenation of `N` batch-1 runs
-//! bit for bit (property-tested in `crates/tensor/tests/prop_tiles.rs`).
+//! the copy into planes is pure data movement — no step reads across
+//! samples (what a short run's spare lanes read is dropped, never
+//! stored). A batch of `N` therefore equals the concatenation of `N`
+//! batch-1 runs bit for bit (property-tested in
+//! `crates/tensor/tests/prop_tiles.rs`).
 //!
 //! # Bit-identity contract
 //!
@@ -78,9 +103,11 @@
 //! tests as oracles. Compiled execution is **bit-identical** to them, on
 //! both f32 and int8:
 //!
-//! * f32: the plan obtains pre-bias GEMM rows from
+//! * f32: the plan obtains pre-bias rows from
 //!   [`Backend::conv2d_rows_t`](crate::backend::Backend::conv2d_rows_t) —
-//!   each backend's own forward reduction,
+//!   each backend's own forward reduction (for the blocked backend the
+//!   im2col + GEMM chain: ascending `(ci, ky, kx)`, one fused
+//!   multiply-add per step, from zero, pad zeros multiplied),
 //!   laid out channel-major so the epilogue streams contiguously —
 //!   and the epilogue applies, per element and in order, exactly the
 //!   eager arithmetic: `v = rows + bias`, then the [`BatchNorm2d`] eval
@@ -108,7 +135,7 @@
 //! precision) and invalidated on weight mutation, mirroring the
 //! quantization image's invalidation discipline.
 
-use crate::backend::{self, ConvSpec, TILE_BYTES};
+use crate::backend::{self, DirectConv, TILE_BYTES};
 use crate::layer::{BatchNorm2d, Conv2d, Linear, SelfAttention2d, Sequential};
 use crate::quant::{
     conv_rows_t_i8, quantize_activation_pairs, PackedConvWeights, QuantConv2d, QuantPipe,
@@ -151,15 +178,18 @@ impl BnFold {
 /// replicas cannot share or regrow per-layer scratch through a plan.
 #[derive(Debug, Clone)]
 enum Op {
-    /// `Conv2d` with optional folded `BatchNorm2d` and ReLU in the GEMM
-    /// write-back epilogue.
-    ConvF32 { weight: Tensor, bias: Vec<f32>, spec: ConvSpec, bn: Option<BnFold>, relu: bool },
+    /// `Conv2d` with optional folded `BatchNorm2d` and ReLU in the
+    /// write-back epilogue. `direct` is the step's geometry and the
+    /// offset table of its direct convolution, built here once.
+    ConvF32 { weight: Tensor, bias: Vec<f32>, direct: DirectConv, bn: Option<BnFold>, relu: bool },
     /// Int8 convolution with dequant + folded-BN affine + ReLU fused
     /// into the i32-accumulator write-back. The weights are pair-packed
     /// for the kernel and `deq[c] = act_scale · w_scale[c]` precomputed,
     /// both at compile time.
     ConvI8 {
         weights: PackedConvWeights,
+        /// The addressing of the same convolution over channel pairs.
+        direct: DirectConv,
         deq: Vec<f32>,
         bias: Vec<f32>,
         act_scale: f32,
@@ -192,15 +222,16 @@ struct Step {
 /// the prefix it uses.
 #[derive(Debug, Clone, Default)]
 struct Lowering {
-    /// f32 im2col columns.
-    cols: Vec<f32>,
-    /// Pre-bias GEMM rows `(C_out, T·Ho·Wo)`.
+    /// Padded, phase-split f32 input planes of one convolution
+    /// ([`DirectConv`]), plus one run of slack.
+    planes: Vec<f32>,
+    /// Pre-bias convolution rows `(C_out, T·Ho·Wo)`.
     rows: Vec<f32>,
     /// Quantized activations, channel pairs `(T, ⌈C/2⌉, H, W)`.
     qx: Vec<[i8; 2]>,
-    /// Int8 im2col columns, channel pairs.
-    cols_i8: Vec<[i8; 2]>,
-    /// i32 GEMM accumulators.
+    /// The same planes of an int8 convolution, channel pairs.
+    planes_i8: Vec<[i8; 2]>,
+    /// i32 accumulators of an int8 convolution, laid out like `rows`.
     acc: Vec<i32>,
     /// Self-attention scratch of one sample: tokens, Q, K, V, context
     /// and projection `(T, C)` each, plus the `(T, T)` score matrix.
@@ -208,17 +239,17 @@ struct Lowering {
 }
 
 /// Per-sample element counts of a plan's tiled buffers (`qx` and
-/// `cols_i8` hold 2-byte channel pairs, the rest 4-byte elements) and
+/// `planes_i8` hold 2-byte channel pairs, the rest 4-byte elements) and
 /// the per-plan attention scratch — what the tile rule divides the
 /// budget by.
 #[derive(Debug, Clone, Copy, Default)]
 struct ArenaSpec {
     ping: usize,
     pong: usize,
-    cols: usize,
+    planes: usize,
     rows: usize,
     qx: usize,
-    cols_i8: usize,
+    planes_i8: usize,
     acc: usize,
     attn: usize,
 }
@@ -242,12 +273,15 @@ impl PlanArena {
         if samples <= self.samples {
             return;
         }
+        // One run of slack behind the planes (`DirectConv::scratch_len`)
+        // of a plan that has any.
+        let planes = |cells: usize| if cells == 0 { 0 } else { samples * cells + backend::RUN };
         self.ping.resize(samples * spec.ping, 0.0);
         self.pong.resize(samples * spec.pong, 0.0);
-        self.low.cols.resize(samples * spec.cols, 0.0);
+        self.low.planes.resize(planes(spec.planes), 0.0);
         self.low.rows.resize(samples * spec.rows, 0.0);
         self.low.qx.resize(samples * spec.qx, [0; 2]);
-        self.low.cols_i8.resize(samples * spec.cols_i8, [0; 2]);
+        self.low.planes_i8.resize(planes(spec.planes_i8), [0; 2]);
         self.low.acc.resize(samples * spec.acc, 0);
         self.low.attn.resize(spec.attn, 0.0);
         self.samples = samples;
@@ -299,7 +333,7 @@ impl CompiledPlan {
         self.steps
             .iter()
             .map(|step| match &step.op {
-                Op::ConvF32 { spec, .. } => step.out_numel * spec.patch_len(),
+                Op::ConvF32 { direct, .. } => step.out_numel * direct.spec().patch_len(),
                 Op::ConvI8 { weights, .. } => step.out_numel * weights.spec().patch_len(),
                 Op::LinearF32 { .. } => step.in_numel * step.out_numel,
                 Op::SelfAttention { .. } => {
@@ -400,17 +434,16 @@ impl CompiledPlan {
 /// the plan's lowering buffers.
 fn run_step(step: &Step, n: usize, src: &[f32], dst: &mut [f32], low: &mut Lowering) {
     match &step.op {
-        Op::ConvF32 { weight, bias, spec, bn, relu } => {
-            let dims = [n, step.in_shape[0], step.in_shape[1], step.in_shape[2]];
-            let co = spec.out_channels;
+        Op::ConvF32 { weight, bias, direct, bn, relu } => {
+            let co = direct.spec().out_channels;
             let plane = step.out_shape[1] * step.out_shape[2];
             let rows = &mut low.rows[..co * n * plane];
-            backend::active().conv2d_rows_t(src, dims, weight, spec, &mut low.cols, rows);
+            backend::active().conv2d_rows_t(src, n, weight, direct, &mut low.planes, rows);
             // Fused write-back: bias, batch-norm eval affine, ReLU — the
             // exact eager per-element arithmetic, in the eager order.
-            // The transposed rows make both sides of the epilogue
-            // contiguous: each (sample, channel) pair streams one GEMM run
-            // straight into its NCHW plane with scalar per-channel
+            // The channel-major rows make both sides of the epilogue
+            // contiguous: each (sample, channel) pair streams one run of
+            // them straight into its NCHW plane with scalar per-channel
             // constants, so the inner loop vectorizes with no scatter.
             let m_total = n * plane;
             for b in 0..n {
@@ -441,19 +474,19 @@ fn run_step(step: &Step, n: usize, src: &[f32], dst: &mut [f32], low: &mut Lower
                 }
             }
         }
-        Op::ConvI8 { weights, deq, bias, act_scale, affine, relu } => {
+        Op::ConvI8 { weights, direct, deq, bias, act_scale, affine, relu } => {
             let [c, h, w] = [step.in_shape[0], step.in_shape[1], step.in_shape[2]];
             let co = step.out_shape[0];
             let plane = step.out_shape[1] * step.out_shape[2];
             let rows_n = n * plane;
             let qx = &mut low.qx[..n * c.div_ceil(2) * h * w];
             quantize_activation_pairs(src, [n, c, h * w], *act_scale, qx);
-            // Transposed lowering: i32 accumulation is exact, so the
-            // summation order is immaterial and the accumulators land
-            // channel-major — one contiguous run per (sample, channel)
-            // for the epilogue below.
+            // i32 accumulation is exact, so the summation order is
+            // immaterial and the accumulators land channel-major — one
+            // contiguous run per (sample, channel) for the epilogue
+            // below.
             let acc = &mut low.acc[..co * rows_n];
-            conv_rows_t_i8(qx, [n, c, h, w], weights, &mut low.cols_i8, acc);
+            conv_rows_t_i8(qx, n, weights, direct, &mut low.planes_i8, acc);
             // Fused dequant + folded-BN affine + ReLU straight off the
             // i32 accumulators — the eager pipe's per-element op order
             // (Conv dequant+bias, Affine, ReLU) without the two
@@ -734,7 +767,9 @@ impl PlanBuilder {
     ///
     /// # Errors
     /// [`CompileError::ShapeMismatch`] if the tracked shape does not
-    /// feed the convolution.
+    /// feed the convolution; [`CompileError::Malformed`] if its geometry
+    /// is not a convolution over that shape
+    /// ([`ConvSpec::fits`](crate::backend::ConvSpec::fits)).
     pub fn push_conv(
         &mut self,
         conv: &Conv2d,
@@ -743,11 +778,15 @@ impl PlanBuilder {
     ) -> Result<(), CompileError> {
         let spec = conv.spec();
         let [_, h, w] = self.chw_for("Conv2d", spec.in_channels)?;
-        let (ho, wo) = spec.out_size(h, w);
+        if !spec.fits(h, w) {
+            return Err(CompileError::Malformed { layer: "Conv2d", what: "geometry" });
+        }
+        let direct = DirectConv::new(&spec, h, w);
+        let [ho, wo] = direct.out_hw();
         let op = Op::ConvF32 {
             weight: conv.weight().clone(),
             bias: conv.bias().data().to_vec(),
-            spec,
+            direct,
             bn: bn.map(BnFold::capture),
             relu,
         };
@@ -761,9 +800,13 @@ impl PlanBuilder {
     /// # Errors
     /// [`CompileError::ShapeMismatch`] if the tracked shape does not
     /// feed the convolution; [`CompileError::Malformed`] if the stage's
-    /// weight, scale, bias or affine lengths disagree with its own
-    /// geometry or its activation scale is not finite and positive — an
-    /// image is outside input, and the kernel indexes by the geometry.
+    /// geometry is not a convolution over that shape
+    /// ([`ConvSpec::fits`](crate::backend::ConvSpec::fits)) or pads by a
+    /// whole kernel or more (taps that read nothing but zeros; the
+    /// canonical quantizer never emits it),
+    /// if its weight, scale, bias or affine lengths disagree with the
+    /// geometry, or if its activation scale is not finite and positive —
+    /// an image is outside input, and the kernel indexes by the geometry.
     pub fn push_quant_conv(
         &mut self,
         qc: &QuantConv2d,
@@ -773,8 +816,14 @@ impl PlanBuilder {
         let spec = qc.spec;
         let [_, h, w] = self.chw_for("QuantConv2d", spec.in_channels)?;
         let co = spec.out_channels;
+        // Geometry first, and the weight count in checked arithmetic:
+        // everything after is sized by numbers these two have bounded.
+        let weight_count = [co, spec.in_channels, spec.kernel, spec.kernel]
+            .iter()
+            .try_fold(1usize, |len, &d| len.checked_mul(d));
         let checks = [
-            (qc.weights.q.len() == co * spec.patch_len(), "weight length"),
+            (spec.fits(h, w) && spec.padding < spec.kernel, "geometry"),
+            (weight_count == Some(qc.weights.q.len()), "weight length"),
             (qc.weights.scales.len() == co, "weight scale length"),
             (qc.bias.len() == co, "bias length"),
             (affine.as_ref().is_none_or(|(s, t)| s.len() == co && t.len() == co), "affine length"),
@@ -783,10 +832,13 @@ impl PlanBuilder {
         if let Some(&(_, what)) = checks.iter().find(|(ok, _)| !ok) {
             return Err(CompileError::Malformed { layer: "QuantConv2d", what });
         }
-        let (ho, wo) = spec.out_size(h, w);
+        let weights = PackedConvWeights::pack(&qc.weights.q, &spec);
+        let direct = DirectConv::new(&weights.pair_spec(), h, w);
+        let [ho, wo] = direct.out_hw();
         let deq: Vec<f32> = qc.weights.scales.iter().map(|s| qc.act_scale * s).collect();
         let op = Op::ConvI8 {
-            weights: PackedConvWeights::pack(&qc.weights.q, &spec),
+            weights,
+            direct,
             deq,
             bias: qc.bias.clone(),
             act_scale: qc.act_scale,
@@ -856,9 +908,13 @@ impl PlanBuilder {
     /// Pushes a max-pool step (stride = kernel).
     ///
     /// # Errors
+    /// [`CompileError::Malformed`] on a kernel of 0;
     /// [`CompileError::ShapeMismatch`] if the tracked per-sample shape is
     /// not `(C, H, W)` at least as large as the kernel.
     pub fn push_maxpool(&mut self, kernel: usize) -> Result<(), CompileError> {
+        if kernel == 0 {
+            return Err(CompileError::Malformed { layer: "MaxPool2d", what: "geometry" });
+        }
         match self.cur_shape[..] {
             [c, h, w] if h >= kernel && w >= kernel => {
                 self.push_step(Op::MaxPool { kernel }, vec![c, h / kernel, w / kernel]);
@@ -910,16 +966,14 @@ impl PlanBuilder {
                 *buf = (*buf).max(step.out_numel);
             }
             match &step.op {
-                Op::ConvF32 { spec: conv, .. } => {
-                    let plane = step.out_shape[1] * step.out_shape[2];
-                    spec.cols = spec.cols.max(plane * conv.patch_len());
+                Op::ConvF32 { direct, .. } => {
+                    spec.planes = spec.planes.max(direct.sample_len());
                     spec.rows = spec.rows.max(step.out_numel);
                 }
-                Op::ConvI8 { weights, .. } => {
-                    let pairs = weights.pair_spec();
-                    let plane = step.out_shape[1] * step.out_shape[2];
-                    spec.qx = spec.qx.max(pairs.in_channels * step.in_shape[1] * step.in_shape[2]);
-                    spec.cols_i8 = spec.cols_i8.max(plane * pairs.patch_len());
+                Op::ConvI8 { direct, .. } => {
+                    let [h, w] = direct.in_hw();
+                    spec.qx = spec.qx.max(direct.spec().in_channels * h * w);
+                    spec.planes_i8 = spec.planes_i8.max(direct.sample_len());
                     spec.acc = spec.acc.max(step.out_numel);
                 }
                 Op::SelfAttention { .. } => {
@@ -930,8 +984,8 @@ impl PlanBuilder {
             }
         }
         let f32s = std::mem::size_of::<f32>();
-        let per_sample = f32s * (spec.ping + spec.pong + spec.cols + spec.rows + spec.acc)
-            + std::mem::size_of::<[i8; 2]>() * (spec.qx + spec.cols_i8);
+        let per_sample = f32s * (spec.ping + spec.pong + spec.planes + spec.rows + spec.acc)
+            + std::mem::size_of::<[i8; 2]>() * (spec.qx + spec.planes_i8);
         // A scratch-free plan (`per_sample` 0) gets the budget itself as
         // its tile: its buffers stay empty and any real batch is one pass.
         let tile = (TILE_BYTES.saturating_sub(f32s * spec.attn) / per_sample.max(1)).max(1);
@@ -1310,9 +1364,10 @@ mod tests {
         let mut rng = Rng::new(46);
         let seq = conv_bn_relu_pool(&mut rng);
         let plan = compile_sequential(&seq, &[64, 2, 8, 8]).expect("compiles");
-        // Per sample: columns 18×64, rows 8×64 and the conv output in ping
-        // 8×64 (the pool writes the caller's output), all f32.
-        let per_sample = 4 * (18 * 64 + 8 * 64 + 8 * 64);
+        // Per sample: two zero-padded 10×10 input planes, rows 8×64 and
+        // the conv output in ping 8×64 (the pool writes the caller's
+        // output), all f32.
+        let per_sample = 4 * (2 * 100 + 8 * 64 + 8 * 64);
         assert_eq!(plan.tile(), TILE_BYTES / per_sample);
         assert_eq!(plan.sample_shape(), &[2, 8, 8]);
         assert_eq!(plan.macs_per_sample(), 8 * 64 * 18);
@@ -1329,19 +1384,20 @@ mod tests {
         let tile = plan.tile();
         let sizes = |p: &CompiledPlan| {
             let a = &p.arena;
-            (a.low.cols.len(), a.low.rows.len(), a.ping.len(), a.pong.len())
+            (a.low.planes.len(), a.low.rows.len(), a.ping.len(), a.pong.len())
         };
         // A batch-1 caller holds one sample's scratch, not a tile's.
         let one = Tensor::randn(&[1, 2, 8, 8], 1.0, &mut rng);
         let first = plan.execute(&one);
-        assert_eq!(sizes(&plan), (18 * 64, 8 * 64, 8 * 64, 0));
+        // (The padded planes carry one run of slack, whatever the tile.)
+        assert_eq!(sizes(&plan), (2 * 100 + backend::RUN, 8 * 64, 8 * 64, 0));
         // A batch beyond the tile grows the arena to the tile, once.
         let n = 2 * tile + 3;
         let x = Tensor::randn(&[n, 2, 8, 8], 1.0, &mut rng);
         let mut out = Tensor::zeros(&plan.out_shape_for(n));
         plan.execute_into(&x, &mut out);
         let (full, whole) = (sizes(&plan), out.clone());
-        assert_eq!(full, (tile * 18 * 64, tile * 8 * 64, tile * 8 * 64, 0));
+        assert_eq!(full, (tile * 2 * 100 + backend::RUN, tile * 8 * 64, tile * 8 * 64, 0));
         for _ in 0..3 {
             plan.execute_into(&x, &mut out);
         }
@@ -1394,6 +1450,57 @@ mod tests {
             compile_sequential(&attn, &[1, 3, 4, 4]),
             Err(CompileError::ShapeMismatch { layer: "SelfAttention2d", expected: 4, found: 3 })
         ));
+    }
+
+    /// Geometry is checked before anything is sized by it: what is not
+    /// a convolution (or a pool) over the tracked shape is a typed error
+    /// at compile — these used to divide by zero or underflow in
+    /// `ConvSpec::out_size`, or abort on an allocation, inside the first
+    /// execute. A stride past the image *is* a convolution (one output
+    /// position) and must compile and run on planes no larger than the
+    /// image makes them.
+    #[test]
+    fn geometry_that_is_no_convolution_is_rejected() {
+        use crate::quant::QuantConv2d;
+        let mut rng = Rng::new(54);
+        let conv = Conv2d::new(2, 4, 3, 1, 1, &mut rng);
+        let good = QuantConv2d::from_conv(&conv, 0.05);
+        let shape = [1, 2, 8, 8];
+        let skews: [fn(&mut crate::backend::ConvSpec); 7] = [
+            |s| s.stride = 0,
+            |s| s.kernel = 0,
+            |s| s.kernel = 11,
+            |s| s.kernel = 1 << 40,
+            |s| s.padding = 3,
+            |s| s.padding = 1 << 40,
+            |s| s.padding = usize::MAX / 2 + 1,
+        ];
+        for (i, skew) in skews.into_iter().enumerate() {
+            let mut qc = good.clone();
+            skew(&mut qc.spec);
+            let err = PlanBuilder::new(&shape).push_quant_conv(&qc, None, false).unwrap_err();
+            let geometry = CompileError::Malformed { layer: "QuantConv2d", what: "geometry" };
+            assert_eq!(err, geometry, "skew {i}: {:?}", qc.spec);
+        }
+        assert_eq!(
+            PlanBuilder::new(&shape).push_maxpool(0),
+            Err(CompileError::Malformed { layer: "MaxPool2d", what: "geometry" })
+        );
+        // An f32 kernel wider than the padded image.
+        let wide = Sequential::new(vec![Box::new(Conv2d::new(2, 4, 5, 1, 0, &mut rng))]);
+        assert_eq!(
+            compile_sequential(&wide, &[1, 2, 4, 4]).unwrap_err(),
+            CompileError::Malformed { layer: "Conv2d", what: "geometry" }
+        );
+
+        let mut far = good.clone();
+        far.spec.stride = 1 << 40;
+        let mut b = PlanBuilder::new(&shape);
+        b.push_quant_conv(&far, None, false).expect("one output position");
+        let mut plan = b.finish();
+        assert!(plan.spec.planes_i8 <= 10 * 10 * 10 * 10, "planes sized by the stride");
+        let x = Tensor::randn(&[3, 2, 8, 8], 1.0, &mut rng);
+        assert_bits_eq(&plan.execute(&x), &far.forward(&x), "stride past the image");
     }
 
     #[test]

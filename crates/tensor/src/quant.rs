@@ -29,8 +29,9 @@
 //! width 2): [`quantize_activation_pairs`] writes the activations as
 //! `(N, ⌈C/2⌉, H, W)` units of `[i8; 2]` — channels `2c` and `2c + 1` of
 //! one position side by side, an odd last channel padded with 0 — the
-//! transposed im2col lowers those units like any other element, and
-//! [`PackedConvWeights`] holds the weights paired the same way, widened
+//! direct convolution's padded, phase-split planes ([`DirectConv`], the
+//! addressing the f32 plans use) hold those units like any other cell,
+//! and [`PackedConvWeights`] holds the weights paired the same way, widened
 //! to `i16` and interleaved by groups of `IR_T` output channels, packed
 //! once when the plan is compiled (the serialized [`QuantWeights`] stay
 //! row-major `i8`). One step of the reduction is then a pair dot
@@ -40,8 +41,10 @@
 //! instead of a widening multiply per element. A zero-padded odd channel
 //! adds 0.
 //!
-//! The register tile (`IR_T×JR_T` accumulators, the block shape of the
-//! f32 `gemm_tn_f32`) has two bodies behind one function: a portable
+//! The register tile (`IR_T` output channels × two runs of [`RUN`]
+//! positions, the block shape of the f32 tile; every kernel tap of a run
+//! is one 16-byte load at a fixed offset from the run's base) has two
+//! bodies behind one function: a portable
 //! safe loop, and `std::arch` AVX2 intrinsics compiled in when the build
 //! enables `avx2` (the repository's `target-cpu=native`). Four safe
 //! spellings of the pair dot were measured first and none made rustc
@@ -55,9 +58,9 @@
 //! flat form of the same quantizer), same per-element epilogue order,
 //! but the accumulators come from [`conv_direct_i8`], a plain
 //! nested-loop reduction over row-major operands with no pairing,
-//! lowering, tiling or scratch.
+//! planes, tiling or scratch.
 
-use crate::backend::ConvSpec;
+use crate::backend::{ConvSpec, DirectConv, TileRun, RUN};
 use crate::layer::{BatchNorm2d, Conv2d, Sequential};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -291,34 +294,41 @@ impl PackedConvWeights {
     }
 
     /// The same convolution over channel pairs: `⌈C_in/2⌉` input units,
-    /// so `patch_len()` counts the pair dots of one output element.
-    pub(crate) fn pair_spec(&self) -> ConvSpec {
+    /// so `patch_len()` counts the pair dots of one output element. The
+    /// geometry [`conv_rows_t_i8`]'s [`DirectConv`] is built for.
+    pub fn pair_spec(&self) -> ConvSpec {
         ConvSpec { in_channels: self.spec.in_channels.div_ceil(2), ..self.spec }
     }
 }
 
-/// Transposed int8 conv lowering for the compiled plan: pair-packed
-/// activations `(N, ⌈C_in/2⌉, H, W)` → `(⌈C_in/2⌉·k·k, N·Ho·Wo)` columns
-/// of channel pairs ([`crate::backend::im2col_t`]) → channel-major i32
-/// accumulators `acc[co][pos]`, so the fused dequant epilogue streams one
-/// contiguous run per (batch, channel). Integer accumulation is exact, so
-/// the tiled pair-dot order below is bit-identical to
-/// [`conv_direct_i8`]'s patch-order sums. `dims` carries the real channel
-/// count; `cols` (at least `⌈C_in/2⌉·k·k × N·Ho·Wo`) and `acc` (at least
-/// `C_out × N·Ho·Wo`) are caller-owned scratch; their used prefixes are
+/// The int8 convolution of the compiled plans, a direct convolution on
+/// the addressing the f32 plans use ([`DirectConv`], built for
+/// [`PackedConvWeights::pair_spec`] — its cells are channel pairs):
+/// pair-packed activations `qx`, `(n, ⌈C_in/2⌉, H, W)`, are copied into
+/// `direct`'s padded, phase-split planes, and a register tile of `IR_T`
+/// output channels × two runs of [`RUN`] positions reads every kernel
+/// tap of a run as one 16-byte load at a fixed offset from the run's
+/// base. The i32 accumulators land channel-major, `acc[co][pos]`, so the
+/// fused dequant epilogue streams one contiguous run per (sample,
+/// channel). Integer accumulation is exact, so the tiled pair-dot order
+/// is bit-identical to [`conv_direct_i8`]'s patch-order sums. `planes`
+/// (at least [`DirectConv::scratch_len`]`(n)`) and `acc` (at least
+/// `C_out × n·Ho·Wo`) are caller-owned scratch; their used prefixes are
 /// fully overwritten.
 ///
 /// # Panics
-/// Panics if `dims` disagrees with the spec the weights were packed for,
-/// `qx` is not `N·⌈C_in/2⌉·H·W` pairs, or the scratch is too short.
+/// Panics — in release builds too — if `direct` was not built for the
+/// weights' pair geometry, `qx` is not `n` samples of it, or the scratch
+/// is too short.
 pub fn conv_rows_t_i8(
     qx: &[[i8; 2]],
-    dims: [usize; 4],
+    n: usize,
     weights: &PackedConvWeights,
-    cols: &mut [[i8; 2]],
+    direct: &DirectConv,
+    planes: &mut [[i8; 2]],
     acc: &mut [i32],
 ) {
-    conv_rows_pairs(tile_i8, qx, dims, weights, cols, acc);
+    conv_rows_pairs::<false>(qx, n, weights, direct, planes, acc);
 }
 
 /// [`conv_rows_t_i8`] through the portable tile body whatever the build
@@ -326,49 +336,66 @@ pub fn conv_rows_t_i8(
 #[doc(hidden)]
 pub fn conv_rows_t_i8_portable(
     qx: &[[i8; 2]],
-    dims: [usize; 4],
+    n: usize,
     weights: &PackedConvWeights,
-    cols: &mut [[i8; 2]],
+    direct: &DirectConv,
+    planes: &mut [[i8; 2]],
     acc: &mut [i32],
 ) {
-    conv_rows_pairs(tile_i8_portable, qx, dims, weights, cols, acc);
+    conv_rows_pairs::<true>(qx, n, weights, direct, planes, acc);
 }
 
-/// [`conv_rows_t_i8`] over a tile body `(group weights, columns, m, j0,
-/// accumulator rows)`.
+/// [`conv_rows_t_i8`]. One register tile is the pair dots of one
+/// output-channel group (`(ck2, IR_T)` weight pairs) against two runs —
+/// for patch pair `p`, the [`RUN`] cells of the planes from `run.base +
+/// off[p]` — each run's real positions stored to the group's accumulator
+/// rows (`(ir, m)`, `ir ≤ IR_T`: a short last group drops its zero-padded
+/// rows there). The tile has two bodies that produce the same exact
+/// sums, AVX2 where the build enables it (module docs) and `PORTABLE`
+/// does not force the other.
 #[inline]
-fn conv_rows_pairs(
-    tile: impl Fn(&[[i16; 2]], &[[i8; 2]], usize, usize, &mut [i32]),
+fn conv_rows_pairs<const PORTABLE: bool>(
     qx: &[[i8; 2]],
-    dims: [usize; 4],
+    n: usize,
     weights: &PackedConvWeights,
-    cols: &mut [[i8; 2]],
+    direct: &DirectConv,
+    planes: &mut [[i8; 2]],
     acc: &mut [i32],
 ) {
-    use crate::backend::{IR_T, JR_T};
-    let [n, c, h, w] = dims;
-    // The lowering re-checks `qx` and `cols` against the pair geometry.
-    assert_eq!(c, weights.spec.in_channels, "input channel mismatch");
-    let pairs = weights.pair_spec();
-    let (ho, wo) = pairs.out_size(h, w);
-    let m = n * ho * wo;
-    let (co, ck2) = (pairs.out_channels, pairs.patch_len());
-    let cols = &mut cols[..ck2 * m];
-    crate::backend::im2col_t(qx, [0i8; 2], [n, pairs.in_channels, h, w], &pairs, cols);
-    let acc = &mut acc[..co * m];
-    let jm = m - m % JR_T;
-    for (wg, acc_grp) in weights.w.chunks_exact(ck2 * IR_T).zip(acc.chunks_mut(IR_T * m.max(1))) {
-        // Register-tiled blocks: each column chunk is read once per
-        // channel group, not once per channel.
-        for j0 in (0..jm).step_by(JR_T) {
-            tile(wg, cols, m, j0, acc_grp);
-        }
-        // Sub-tile j tail: one pair-dot chain per element.
-        for (ii, row) in acc_grp.chunks_exact_mut(m.max(1)).enumerate() {
-            for (j, out) in row.iter_mut().enumerate().skip(jm) {
-                let taps = wg.iter().skip(ii).step_by(IR_T);
-                *out = taps.zip(cols[j..].iter().step_by(m)).map(|(wv, x)| pair_dot(*wv, *x)).sum();
+    use crate::backend::IR_T;
+    if n == 0 {
+        return;
+    }
+    let [ho, wo] = direct.out_hw();
+    let (co, off, m) = (weights.spec.out_channels, direct.offsets(), n * ho * wo);
+    // Per call, never per tile: the geometry the weights were packed for,
+    // the accumulator rows, and that the farthest full-width load of any
+    // run stays inside the planes (`lower` checks `qx`).
+    assert!(
+        *direct.spec() == weights.pair_spec()
+            && acc.len() >= co * m
+            && direct.reach(n) <= planes.len(),
+        "conv_rows_t_i8: operands disagree with {n} samples of {:?} over {:?}",
+        direct.spec(),
+        direct.in_hw()
+    );
+    direct.lower(qx, n, [0i8; 2], planes);
+    let planes = &*planes;
+    // Each run is read once per channel group, not once per channel.
+    let groups = weights.w.chunks_exact(off.len() * IR_T).zip(acc[..co * m].chunks_mut(IR_T * m));
+    for (wg, acc_grp) in groups {
+        for runs in direct.tiles(n) {
+            #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+            if !PORTABLE {
+                // SAFETY: compiled under `cfg(target_feature = "avx2")`,
+                // so every CPU the build may run on has the feature
+                // `tile_i8_avx2` enables; and the `assert!` above checked
+                // `reach(n)` — the end of the farthest full-width load of
+                // any run of `tiles(n)` — against the planes.
+                unsafe { tile_i8_avx2(wg, planes, off, &runs, m, acc_grp) };
+                continue;
             }
+            tile_i8_portable(wg, planes, off, &runs, m, acc_grp);
         }
     }
 }
@@ -379,86 +406,102 @@ fn pair_dot(w: [i16; 2], x: [i8; 2]) -> i32 {
     w[0] as i32 * x[0] as i32 + w[1] as i32 * x[1] as i32
 }
 
-/// One `IR_T×JR_T` tile of [`conv_rows_t_i8`]: the pair dots of one
-/// output-channel group (`w`, `(ck2, IR_T)` pairs) against `JR_T`
-/// positions of the columns (`cols`, `(ck2, m)`, from `j0`), stored to
-/// the rows of `c` (`(ir, m)`, `ir ≤ IR_T` — a short last group drops
-/// its zero-padded rows here). The AVX2 body is chosen at compile time
-/// (module docs); both produce the same exact sums.
-#[inline]
-fn tile_i8(w: &[[i16; 2]], cols: &[[i8; 2]], m: usize, j0: usize, c: &mut [i32]) {
-    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-    // SAFETY: `tile_i8_avx2` is unsafe to call only for its
-    // `#[target_feature(enable = "avx2")]`; this call is compiled under
-    // `cfg(target_feature = "avx2")`, so every CPU the build may run on
-    // has it.
-    unsafe {
-        tile_i8_avx2(w, cols, m, j0, c)
-    }
-    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
-    tile_i8_portable(w, cols, m, j0, c)
-}
-
-/// The portable body of [`tile_i8`].
-fn tile_i8_portable(w: &[[i16; 2]], cols: &[[i8; 2]], m: usize, j0: usize, c: &mut [i32]) {
-    use crate::backend::{IR_T, JR_T};
-    let mut acc = [[0i32; JR_T]; IR_T];
-    for (wp, brow) in w.chunks_exact(IR_T).zip(cols.chunks_exact(m)) {
-        let b = &brow[j0..j0 + JR_T];
+/// The portable body of [`conv_rows_pairs`]' tile: every index checked.
+fn tile_i8_portable(
+    w: &[[i16; 2]],
+    planes: &[[i8; 2]],
+    off: &[usize],
+    runs: &[TileRun; 2],
+    m: usize,
+    c: &mut [i32],
+) {
+    use crate::backend::IR_T;
+    let mut acc = [[[0i32; RUN]; 2]; IR_T];
+    for (wp, &o) in w.chunks_exact(IR_T).zip(off) {
+        let b = runs.map(|run| &planes[run.base + o..][..RUN]);
         for (accr, &wv) in acc.iter_mut().zip(wp) {
-            for (x, &bv) in accr.iter_mut().zip(b) {
-                *x += pair_dot(wv, bv);
+            for (lanes, b) in accr.iter_mut().zip(b) {
+                for (x, &bv) in lanes.iter_mut().zip(b) {
+                    *x += pair_dot(wv, bv);
+                }
             }
         }
     }
     for (row, accr) in c.chunks_exact_mut(m).zip(&acc) {
-        row[j0..j0 + JR_T].copy_from_slice(accr);
+        for (run, lanes) in runs.iter().zip(accr) {
+            row[run.pos..][..run.width].copy_from_slice(&lanes[..run.width]);
+        }
     }
 }
 
-/// The AVX2 body of [`tile_i8`]: per patch pair, the 16 positions are
-/// sign-extended to two vectors of eight `i16` pairs and each channel's
+/// The AVX2 body of [`conv_rows_pairs`]' tile: per patch pair, each
+/// run's 8 cells are
+/// sign-extended to a vector of eight `i16` pairs and each channel's
 /// broadcast weight pair multiplies into both with `vpmaddwd` — eight
 /// `i32` pair dots per instruction, added to that channel's accumulators
 /// (a build that also has VNNI folds the multiply and the add into one
 /// `vpdpwssd`).
+///
+/// # Safety
+/// `run.base + o + RUN ≤ planes.len()` for both runs of `runs` and every
+/// `o` in `off`.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
 #[target_feature(enable = "avx2")]
-fn tile_i8_avx2(w: &[[i16; 2]], cols: &[[i8; 2]], m: usize, j0: usize, c: &mut [i32]) {
-    use crate::backend::{IR_T, JR_T};
+unsafe fn tile_i8_avx2(
+    w: &[[i16; 2]],
+    planes: &[[i8; 2]],
+    off: &[usize],
+    runs: &[TileRun; 2],
+    m: usize,
+    c: &mut [i32],
+) {
+    use crate::backend::IR_T;
     use std::arch::x86_64::{
         __m128i, __m256i, _mm256_add_epi32, _mm256_cvtepi8_epi16, _mm256_madd_epi16,
         _mm256_set1_epi32, _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128,
     };
-    const { assert!(JR_T == 16, "the body below moves 16 positions as two 8-lane halves") };
     let mut acc = [[_mm256_setzero_si256(); 2]; IR_T];
-    for (wp, brow) in w.chunks_exact(IR_T).zip(cols.chunks_exact(m)) {
-        let b: &[[i8; 2]] = &brow[j0..j0 + JR_T];
-        let src = b.as_ptr().cast::<__m128i>();
-        // SAFETY: `b` is a bounds-checked slice of `JR_T` = 16 `[i8; 2]`
-        // units, 32 bytes; the two unaligned 16-byte loads cover exactly
-        // those bytes. (The instructions themselves are covered by this
-        // function's `target_feature`, which the `cfg` at its one call
-        // site guarantees.)
-        let (lo, hi) = unsafe { (_mm_loadu_si128(src), _mm_loadu_si128(src.add(1))) };
-        let (lo, hi) = (_mm256_cvtepi8_epi16(lo), _mm256_cvtepi8_epi16(hi));
+    for (wp, &o) in w.chunks_exact(IR_T).zip(off) {
+        let b = runs.map(|run| {
+            // SAFETY: the caller guarantees `run.base + o + RUN ≤
+            // planes.len()`, so the unaligned 16-byte load reads `RUN` =
+            // 8 `[i8; 2]` cells of `planes`.
+            let cells =
+                unsafe { _mm_loadu_si128(planes.as_ptr().add(run.base + o).cast::<__m128i>()) };
+            _mm256_cvtepi8_epi16(cells)
+        });
         for (accr, wv) in acc.iter_mut().zip(wp) {
             // Little-endian lanes: `w[0]` is the even `i16` of every pair.
             let pair = (wv[0] as u16 as u32 | (wv[1] as u16 as u32) << 16) as i32;
             let pair = _mm256_set1_epi32(pair);
-            accr[0] = _mm256_add_epi32(accr[0], _mm256_madd_epi16(lo, pair));
-            accr[1] = _mm256_add_epi32(accr[1], _mm256_madd_epi16(hi, pair));
+            accr[0] = _mm256_add_epi32(accr[0], _mm256_madd_epi16(b[0], pair));
+            accr[1] = _mm256_add_epi32(accr[1], _mm256_madd_epi16(b[1], pair));
         }
     }
-    for (row, accr) in c.chunks_exact_mut(m).zip(&acc) {
-        let out: &mut [i32] = &mut row[j0..j0 + JR_T];
-        let dst = out.as_mut_ptr().cast::<__m256i>();
-        // SAFETY: `out` is a bounds-checked slice of `JR_T` = 16 `i32`s,
-        // 64 bytes; the two unaligned 32-byte stores cover exactly those
-        // bytes (AVX by this function's `target_feature`, as above).
-        unsafe {
-            _mm256_storeu_si256(dst, accr[0]);
-            _mm256_storeu_si256(dst.add(1), accr[1]);
+    // A whole channel group of whole runs — every tile but a row end's
+    // or a short last group's — stores straight from the registers, its
+    // bounds checked once for the tile.
+    if c.len() == IR_T * m && runs.iter().all(|run| run.width == RUN && run.pos + RUN <= m) {
+        for (ii, accr) in acc.into_iter().enumerate() {
+            for (run, v) in runs.iter().zip(accr) {
+                // SAFETY: `ii < IR_T` and `run.pos + RUN ≤ m`, so the 8
+                // `i32`s from `ii·m + run.pos` end inside the `IR_T·m` of
+                // `c` the branch condition checked it has.
+                unsafe {
+                    let dst = c.as_mut_ptr().add(ii * m + run.pos).cast::<__m256i>();
+                    _mm256_storeu_si256(dst, v);
+                }
+            }
+        }
+        return;
+    }
+    for (row, accr) in c.chunks_exact_mut(m).zip(acc) {
+        for (run, v) in runs.iter().zip(accr) {
+            let mut lanes = [0i32; RUN];
+            // SAFETY: `lanes` is 8 `i32`s, 32 bytes, the width of the
+            // unaligned store.
+            unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), v) };
+            row[run.pos..][..run.width].copy_from_slice(&lanes[..run.width]);
         }
     }
 }

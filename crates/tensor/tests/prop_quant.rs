@@ -4,7 +4,7 @@
 //! exactly with the oracle's direct i32 reduction, and the activation
 //! quantizer must saturate instead of wrapping.
 
-use ecofusion_tensor::backend::ConvSpec;
+use ecofusion_tensor::backend::{ConvSpec, DirectConv};
 use ecofusion_tensor::quant::{
     conv_direct_i8, conv_rows_t_i8, conv_rows_t_i8_portable, quantize_activation_pairs,
     quantize_activations, quantize_per_channel, PackedConvWeights, QMAX,
@@ -145,29 +145,30 @@ proptest! {
     /// the oracle's direct reduction — integer accumulation leaves no
     /// rounding slack — through BOTH tile bodies (the portable one is
     /// called directly, so a build that compiles the AVX2 body tests the
-    /// two). Geometries leave tile tails in both dimensions
-    /// (`m % JR_T ≠ 0`, `C_out % IR_T ≠ 0`; the tile is 8 channels × 16
-    /// positions) as well as whole tiles, odd and even `C_in` (an odd
-    /// last channel pairs with zero), stride 1 and 2, padding 0–2, the
-    /// plane-shift and the row-by-row lowering. Values span the whole
-    /// `i8` range; one case in four is all −128, where a pair sum held in
-    /// `i16` would overflow. The scratch is handed over dirty and
-    /// oversized: the kernel must overwrite the prefix it uses and read
-    /// nothing else.
+    /// two). Geometries leave short channel groups (`C_out % IR_T ≠ 0`;
+    /// the tile is 8 channels × two runs of 8 positions), output rows
+    /// shorter than, equal to and longer than a run, an odd number of
+    /// runs, odd and even `C_in` (an odd last channel pairs with zero),
+    /// stride 1 to 3, padding 0–2, kernels wider than the image and
+    /// one-row / one-column images. Values span the whole `i8` range;
+    /// one case in four is all −128, where a pair sum held in `i16`
+    /// would overflow. The scratch is handed over dirty and oversized:
+    /// the kernel must overwrite the prefix it uses, drop what its short
+    /// runs read past a row end, and write nothing else.
     #[test]
     fn conv_rows_t_i8_exact_vs_direct_reduction(
         n in 1usize..4,
         c in 1usize..7,
-        h in 3usize..12,
-        w in 3usize..12,
+        h in 1usize..12,
+        w in 1usize..20,
         co in 1usize..20,
         k in 1usize..6,
-        stride in 1usize..3,
+        stride in 1usize..4,
         padding in 0usize..3,
         extreme in 0usize..4,
         seed in 0u64..1000,
     ) {
-        let k = k.min(3 + 2 * padding);
+        let k = k.min(h.min(w) + 2 * padding);
         let spec = ConvSpec { in_channels: c, out_channels: co, kernel: k, stride, padding };
         let mut rng = Rng::new(seed);
         let mut rand_i8 = |len: usize| -> Vec<i8> {
@@ -180,12 +181,13 @@ proptest! {
         let direct = conv_direct_i8(&qx, [n, c, h, w], &spec, &q);
         let pairs = pair_channels(&qx, n, c, h * w);
         let weights = PackedConvWeights::pack(&q, &spec);
+        let lowering = DirectConv::new(&weights.pair_spec(), h, w);
         let (ho, wo) = spec.out_size(h, w);
         let m = n * ho * wo;
         for (body, conv) in [("dispatched", conv_rows_t_i8 as ConvRows), ("portable", conv_rows_t_i8_portable)] {
-            let mut cols = vec![[77i8; 2]; c.div_ceil(2) * k * k * m + 5];
+            let mut planes = vec![[77i8; 2]; lowering.scratch_len(n) + 5];
             let mut acc = vec![-1i32; co * m + 3];
-            conv(&pairs, [n, c, h, w], &weights, &mut cols, &mut acc);
+            conv(&pairs, n, &weights, &lowering, &mut planes, &mut acc);
             prop_assert_eq!(
                 &acc[..co * m], &direct[..], "{} body, {:?} on {}x{}x{}x{}", body, spec, n, c, h, w
             );
@@ -194,7 +196,7 @@ proptest! {
     }
 }
 
-type ConvRows = fn(&[[i8; 2]], [usize; 4], &PackedConvWeights, &mut [[i8; 2]], &mut [i32]);
+type ConvRows = fn(&[[i8; 2]], usize, &PackedConvWeights, &DirectConv, &mut [[i8; 2]], &mut [i32]);
 
 /// Row-major `(outer, c, plane)` int8 values in the kernel's channel-pair
 /// layout `(outer, ⌈c/2⌉, plane)`, by the index formula.
@@ -209,4 +211,51 @@ fn pair_channels(q: &[i8], outer: usize, c: usize, plane: usize) -> Vec<[i8; 2]>
         }
     }
     out
+}
+
+/// `conv_rows_t_i8`'s per-call checks are `assert!`s: planes too short
+/// for the last run's full-width load, or a lowering built for another
+/// geometry than the weights were packed for, must stop a release build
+/// too — there they are what keeps the AVX2 body's raw-pointer loads
+/// inside the planes.
+mod release_checks {
+    use super::*;
+
+    const SPEC: ConvSpec =
+        ConvSpec { in_channels: 3, out_channels: 2, kernel: 3, stride: 1, padding: 1 };
+
+    fn weights() -> PackedConvWeights {
+        PackedConvWeights::pack(&[1; 2 * 27], &SPEC)
+    }
+
+    fn call(lowering: &DirectConv, planes_len: usize) {
+        let weights = weights();
+        let (mut planes, mut acc) = (vec![[0i8; 2]; planes_len], vec![0i32; 2 * 16]);
+        conv_rows_t_i8(&[[1; 2]; 2 * 16], 1, &weights, lowering, &mut planes, &mut acc);
+    }
+
+    fn pair_lowering() -> DirectConv {
+        DirectConv::new(&weights().pair_spec(), 4, 4)
+    }
+
+    #[test]
+    fn exact_operands_pass() {
+        call(&pair_lowering(), pair_lowering().scratch_len(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "conv_rows_t_i8: operands disagree")]
+    fn short_planes_are_rejected_in_release_too() {
+        // The planes fit; the slack the last run's full-width load falls
+        // in does not.
+        call(&pair_lowering(), pair_lowering().sample_len());
+    }
+
+    #[test]
+    #[should_panic(expected = "conv_rows_t_i8: operands disagree")]
+    fn a_lowering_for_other_weights_is_rejected_in_release_too() {
+        // Built for the unpaired channel count.
+        let unpaired = DirectConv::new(&SPEC, 4, 4);
+        call(&unpaired, unpaired.scratch_len(1));
+    }
 }
