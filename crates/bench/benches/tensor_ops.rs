@@ -1,16 +1,14 @@
-//! Microbenchmarks of the NN substrate kernels, including the
-//! reference-vs-blocked backend comparison the backend layer is judged
-//! by: the blocked backend must hold a ≥3× advantage on the 128³ matmul
-//! and the representative stem convolution below.
+//! Microbenchmarks of the NN substrate kernels: the blocked kernels
+//! against the reference oracle, the comparison the kernel layer is
+//! judged by — `Blocked` must hold a ≥3× advantage on the 128³ matmul and
+//! the representative stem convolution below.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use ecofusion_tensor::backend::{get, BackendKind, ConvSpec};
-use ecofusion_tensor::layer::{Conv2d, Layer, SelfAttention2d};
+use ecofusion_tensor::backend::{Backend, Blocked, ConvSpec, Reference};
 use ecofusion_tensor::rng::Rng;
 use ecofusion_tensor::tensor::Tensor;
 
-const BACKENDS: [(&str, BackendKind); 2] =
-    [("reference", BackendKind::Reference), ("blocked", BackendKind::Blocked)];
+const BACKENDS: [(&str, &dyn Backend); 2] = [("reference", &Reference), ("blocked", &Blocked)];
 
 /// The acceptance shape: 128×128×128 matmul per backend.
 fn bench_backend_matmul(c: &mut Criterion) {
@@ -18,8 +16,7 @@ fn bench_backend_matmul(c: &mut Criterion) {
     let a = Tensor::randn(&[128, 128], 1.0, &mut rng);
     let b = Tensor::randn(&[128, 128], 1.0, &mut rng);
     let mut group = c.benchmark_group("backend_matmul_128x128x128");
-    for (name, kind) in BACKENDS {
-        let backend = get(kind);
+    for (name, backend) in BACKENDS {
         group.bench_with_input(BenchmarkId::from_parameter(name), &backend, |bench, be| {
             bench.iter(|| black_box(a.matmul_with(&b, *be)));
         });
@@ -36,8 +33,7 @@ fn bench_backend_stem_conv(c: &mut Criterion) {
     let w = Tensor::randn(&[8, spec.patch_len()], 0.2, &mut rng);
     let bias = vec![0.1f32; 8];
     let mut group = c.benchmark_group("backend_stem_conv_1to8_64px");
-    for (name, kind) in BACKENDS {
-        let backend = get(kind);
+    for (name, backend) in BACKENDS {
         let mut scratch = Vec::new();
         group.bench_with_input(BenchmarkId::from_parameter(name), &backend, |bench, be| {
             bench.iter(|| black_box(be.conv2d_forward(&x, &w, &bias, &spec, &mut scratch)));
@@ -56,8 +52,7 @@ fn bench_backend_branch_conv(c: &mut Criterion) {
     let (ho, wo) = spec.out_size(32, 32);
     let grad = Tensor::randn(&[1, 16, ho, wo], 1.0, &mut rng);
     let mut group = c.benchmark_group("backend_branch_conv_8to16_s2_32px");
-    for (name, kind) in BACKENDS {
-        let backend = get(kind);
+    for (name, backend) in BACKENDS {
         let mut scratch = Vec::new();
         group.bench_with_input(BenchmarkId::new("forward", name), &backend, |bench, be| {
             bench.iter(|| black_box(be.conv2d_forward(&x, &w, &bias, &spec, &mut scratch)));
@@ -69,51 +64,5 @@ fn bench_backend_branch_conv(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_matmul(c: &mut Criterion) {
-    let mut rng = Rng::new(1);
-    let a = Tensor::randn(&[64, 128], 1.0, &mut rng);
-    let b = Tensor::randn(&[128, 64], 1.0, &mut rng);
-    c.bench_function("matmul_64x128x64", |bench| {
-        bench.iter(|| black_box(a.matmul(&b)));
-    });
-    c.bench_function("matmul_tn_64x128x64", |bench| {
-        let at = a.transpose();
-        bench.iter(|| black_box(at.matmul_tn(&b)));
-    });
-}
-
-fn bench_conv(c: &mut Criterion) {
-    let mut rng = Rng::new(2);
-    let mut conv = Conv2d::new(8, 16, 3, 2, 1, &mut rng);
-    let x = Tensor::randn(&[1, 8, 32, 32], 1.0, &mut rng);
-    c.bench_function("conv2d_8to16_s2_32px_forward", |bench| {
-        bench.iter(|| black_box(conv.forward(&x, false)));
-    });
-    c.bench_function("conv2d_8to16_s2_32px_train_step", |bench| {
-        bench.iter(|| {
-            let y = conv.forward(&x, true);
-            conv.zero_grad();
-            black_box(conv.backward(&y));
-        });
-    });
-}
-
-fn bench_attention(c: &mut Criterion) {
-    let mut rng = Rng::new(3);
-    let mut attn = SelfAttention2d::new(16, &mut rng);
-    let x = Tensor::randn(&[1, 16, 16, 16], 1.0, &mut rng);
-    c.bench_function("self_attention_16ch_256tokens", |bench| {
-        bench.iter(|| black_box(attn.forward(&x, false)));
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_backend_matmul,
-    bench_backend_stem_conv,
-    bench_backend_branch_conv,
-    bench_matmul,
-    bench_conv,
-    bench_attention
-);
+criterion_group!(benches, bench_backend_matmul, bench_backend_stem_conv, bench_backend_branch_conv);
 criterion_main!(benches);

@@ -16,30 +16,20 @@
 //! [`ecofusion_eval::DEFAULT_MAX_DRIFT_PP`]). NaN mAP on either side is a
 //! violation, never a vacuous pass.
 //!
-//! It also times the int8 stem and branch plans against their f32
-//! counterparts — the compiled plans serving executes, nothing else — on
-//! the build host and records the ratios in the written report's
-//! `int8_speedup` field — informational provenance for the
-//! acceptance criterion ("int8 stems/branches measurably cheaper"), never
-//! gated, because wall clock on a shared runner is not a stable
-//! measurement device.
+//! What the int8 plans cost against f32 is the serving benchmark's to
+//! say (`benchmark/run.sh --trace 1`: `tensor.stem_plan_us.{f32,i8}`, and
+//! the `squeeze_int8` workload end to end); this harness gates accuracy
+//! only.
 //!
 //! `--out <path>` (default `results/int8_parity.json`) receives the int8
-//! run's `BenchReport` with the measured speedups attached.
+//! run's `BenchReport`.
 
 use ecofusion_core::Precision;
-use ecofusion_detect::stem::STEM_CHANNELS;
-use ecofusion_detect::{BranchConfig, BranchDetector, Stem};
 use ecofusion_eval::experiments::common::Scale;
 use ecofusion_eval::{ParityReport, ParityRow, DEFAULT_MAX_DRIFT_PP};
-use ecofusion_harness::{run_report, BenchReport, Int8Speedup};
-use ecofusion_tensor::graph::{compile_quant_pipe, CompiledPlan};
-use ecofusion_tensor::layer::Layer;
-use ecofusion_tensor::rng::Rng;
-use ecofusion_tensor::tensor::Tensor;
+use ecofusion_harness::{run_report, BenchReport};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// Flags that consume the following argument as their value.
 const VALUE_FLAGS: &[&str] = &["--out", "--bound"];
@@ -71,74 +61,6 @@ fn run_at(scale: Scale, precision: Precision) -> BenchReport {
     }
 }
 
-/// Median wall-clock seconds of `f` over `iters` runs (after one warmup).
-fn time_median(iters: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup: page in weights, settle allocator
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-/// Median seconds of one warm `plan` execution over `x`.
-fn time_plan(iters: usize, plan: &mut CompiledPlan, x: &Tensor) -> f64 {
-    let mut out = Tensor::zeros(&plan.out_shape_for(x.shape()[0]));
-    time_median(iters, || plan.execute_into(x, &mut out))
-}
-
-/// Times the f32 stem/branch plans against their int8 counterparts on
-/// suite-shaped inputs and returns the speedup ratios.
-fn measure_speedups() -> Int8Speedup {
-    const ITERS: usize = 9;
-    let mut rng = Rng::new(0xBE9C);
-    let grid = ecofusion_harness::SUITE_GRID;
-
-    // Stem: one 1-channel sensor at the suite grid, batch of 4 (the
-    // scheduler's typical micro-batch shape).
-    let mut stem = Stem::new(1, &mut rng);
-    let warm = Tensor::randn(&[4, 1, grid, grid], 1.0, &mut rng);
-    for _ in 0..5 {
-        let _ = stem.forward(&warm, true); // settle batch-norm stats
-    }
-    let calib: Vec<Tensor> =
-        (0..4).map(|_| Tensor::randn(&[1, 1, grid, grid], 1.0, &mut rng)).collect();
-    let (pipe, _) = stem.quantize(&calib).expect("stem quantizes");
-    let x = Tensor::randn(&[4, 1, grid, grid], 1.0, &mut rng);
-    let stem_f32 = time_plan(ITERS, &mut stem.compile(x.shape()).expect("stem compiles"), &x);
-    let mut qplan = compile_quant_pipe(&pipe, x.shape()).expect("stem pipe compiles");
-    let stem_int8 = time_plan(ITERS, &mut qplan, &x);
-
-    // Branch: the 4-sensor early-fusion head (the widest branch the
-    // gate can select), fed stem features at the suite raster.
-    let cfg = BranchConfig {
-        num_sensors: 4,
-        num_classes: ecofusion_harness::SUITE_CLASSES,
-        raster: grid,
-    };
-    let mut branch = BranchDetector::new(cfg, &mut rng);
-    let side = Stem::out_size(grid);
-    let c_in = STEM_CHANNELS * cfg.num_sensors;
-    let warm = Tensor::randn(&[4, c_in, side, side], 1.0, &mut rng);
-    for _ in 0..5 {
-        let _ = branch.forward(&warm, true);
-    }
-    let calib: Vec<Tensor> =
-        (0..4).map(|_| Tensor::randn(&[1, c_in, side, side], 1.0, &mut rng)).collect();
-    let qbranch = branch.quantize(&calib).expect("branch quantizes");
-    let feats = Tensor::randn(&[4, c_in, side, side], 1.0, &mut rng);
-    let mut bplan = branch.compile(feats.shape()).expect("branch compiles");
-    let branch_f32 = time_plan(ITERS, &mut bplan, &feats);
-    let mut qbplan = qbranch.compile(feats.shape()).expect("quant branch compiles");
-    let branch_int8 = time_plan(ITERS, &mut qbplan, &feats);
-
-    Int8Speedup { stem: stem_f32 / stem_int8, branch: branch_f32 / branch_int8 }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     for (i, a) in args.iter().enumerate() {
@@ -155,7 +77,7 @@ fn main() -> ExitCode {
     );
 
     let f32_report = run_at(scale, Precision::F32);
-    let mut int8_report = run_at(scale, Precision::Int8);
+    let int8_report = run_at(scale, Precision::Int8);
 
     // Pair suites by name; a suite present in one run but not the other
     // would mean the precision changed the registry, which must never
@@ -177,14 +99,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let parity = ParityReport::new(rows).with_bound(bound);
-
-    eprintln!("timing int8 plans vs f32...");
-    let speedup = measure_speedups();
-    println!(
-        "plan speedup (f32 time / int8 time): stem {:.2}x, branch {:.2}x (informational)",
-        speedup.stem, speedup.branch
-    );
-    int8_report.int8_speedup = Some(speedup);
 
     print!("{}", parity.render());
     if let Err(e) = int8_report.write_json(&out) {

@@ -102,9 +102,7 @@ fn robustness(scale: Scale, args: &[String]) {
 /// Every paper artifact from one shared training run.
 fn all(scale: Scale, args: &[String]) {
     eprintln!("preparing shared setup ({scale:?})...");
-    let t0 = std::time::Instant::now();
     let mut setup = Setup::prepare(scale, 42);
-    eprintln!("setup ready in {:.1}s", t0.elapsed().as_secs_f64());
     emit!(args, "table3", table3::run());
     emit!(args, "table1", table1::run(&mut setup));
     emit!(args, "table2", table2::run(&mut setup));
@@ -112,7 +110,6 @@ fn all(scale: Scale, args: &[String]) {
     emit!(args, "fig5", fig5::run(&mut setup));
     emit!(args, "fig4", fig4::run(&mut setup));
     ablation_tables(&mut setup, args, "all");
-    eprintln!("all artifacts regenerated in {:.1}s total", t0.elapsed().as_secs_f64());
 }
 
 fn usize_flag(args: &[String], flag: &str, default: usize) -> usize {

@@ -340,6 +340,34 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A tensor whose `data` disagrees with its `shape` must fail at the
+    /// load boundary: `restore` compares shapes only, so it used to get
+    /// through and panic in the first convolution of the serving step.
+    #[test]
+    fn length_skewed_tensors_fail_at_load() {
+        let mut model = EcoFusionModel::new(32, 8, &mut Rng::new(5));
+        let json = serde_json::to_string(&model.snapshot()).expect("serializes");
+        let back: ModelSnapshot = serde_json::from_str(&json).expect("canonical snapshot loads");
+        assert_eq!(serde_json::to_string(&back).expect("serializes"), json, "bit for bit");
+
+        // The first tensor is the first stem's convolution weight.
+        let data = json.find("\"data\":[").expect("a tensor") + "\"data\":[".len();
+        let first_value = json[data..].find(',').expect("more than one value") + 1;
+        let tensor = json.find("{\"shape\":").expect("a tensor");
+        let tensor_end = tensor + json[tensor..].find('}').expect("closes") + 1;
+        let short = format!("{}{}", &json[..data], &json[data + first_value..]);
+        let long = format!("{}0.0,{}", &json[..data], &json[data..]);
+        let wrapping = format!(
+            "{}{{\"shape\":[9223372036854775808,2],\"data\":[]}}{}",
+            &json[..tensor],
+            &json[tensor_end..]
+        );
+        for (what, skewed) in [("short", short), ("long", long), ("wrapping", wrapping)] {
+            let err = serde_json::from_str::<ModelSnapshot>(&skewed).expect_err(what);
+            assert!(err.to_string().contains("does not hold"), "{what}: {err}");
+        }
+    }
+
     #[test]
     fn snapshot_metadata() {
         let (mut model, _) = small_trained();

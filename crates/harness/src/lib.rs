@@ -50,9 +50,9 @@
 //!
 //! Every suite is a pure function of its definition: stream seeds, drift
 //! walks, sensor noise, fault schedules, and the model weights are all
-//! seeded. The report splits metrics into deterministic fields (gated
-//! strictly or with explicit bands) and host-dependent wall-clock fields
-//! (recorded, never gated) — see [`compare`] for the exact rules.
+//! seeded, and a report records no clock, so every suite-level field is
+//! gated strictly or with an explicit band — see [`compare`] for the
+//! exact rules.
 //!
 //! Run it via the `bench_report` binary:
 //!
@@ -70,8 +70,7 @@ pub mod suites;
 
 pub use compare::{compare, Tolerances, Violation};
 pub use report::{
-    BenchReport, BuildMeta, FleetPoint, Int8Speedup, LatencyStats, ShardPoint, SuiteReport,
-    SCHEMA_VERSION,
+    BenchReport, BuildMeta, FleetPoint, LatencyStats, ShardPoint, SuiteReport, SCHEMA_VERSION,
 };
 pub use run::{
     run_report, run_report_traced, run_suite, run_suite_traced, ModelProvider,

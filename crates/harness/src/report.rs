@@ -2,15 +2,15 @@
 //!
 //! One [`BenchReport`] is the artifact of one harness run: build
 //! metadata plus one [`SuiteReport`] per workload suite. The schema is
-//! versioned ([`SCHEMA_VERSION`]) and every field is either
-//!
-//! * **deterministic** — a pure function of the suite definition and the
-//!   code (mAP, modeled energy/latency, stem counters, selection digest);
-//!   the regression gate compares these strictly or with an explicit
-//!   tolerance band, or
-//! * **host-dependent** — wall-clock throughput; recorded for trend
-//!   plots and artifacts but never gated against a committed baseline,
-//!   because shared CI runners are not a stable measurement device.
+//! versioned ([`SCHEMA_VERSION`]) and a [`SuiteReport`] holds no clock:
+//! every field is a function of the suite definition and the code (mAP,
+//! modeled energy/latency, stem counters, selection digest), so two
+//! seeded runs compare with `==` and the regression gate checks the
+//! fields strictly or with an explicit tolerance band. (The per-shard
+//! steal counters of a multi-shard `fleet_scale` run are the one
+//! exception — they follow the host's thread schedule and are never
+//! gated.) Wall-clock serving cost is measured in one place, the
+//! closed-loop benchmark under `benchmark/`.
 
 use ecofusion_energy::StageRollup;
 use serde::{Deserialize, Serialize};
@@ -39,7 +39,7 @@ pub struct LatencyStats {
     pub max_ms: f64,
 }
 
-/// One fleet size's throughput point inside the `fleet_scale` suite.
+/// One fleet size's point inside the `fleet_scale` suite.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetPoint {
     /// Streams in the fleet.
@@ -48,10 +48,6 @@ pub struct FleetPoint {
     pub frames: u64,
     /// Mean frames per micro-batch the scheduler achieved.
     pub avg_batch_size: f64,
-    /// Host wall-clock throughput, frames/s (not gated).
-    pub throughput_fps: f64,
-    /// Host wall-clock duration of the sub-run, ms (not gated).
-    pub wall_ms: f64,
     /// Worker shards the sub-run executed on (0 in reports that predate
     /// sharding).
     #[serde(default)]
@@ -61,9 +57,9 @@ pub struct FleetPoint {
     pub per_shard: Vec<ShardPoint>,
 }
 
-/// One worker shard's share of a fleet sub-run. Steal counters and
-/// throughput are host-/schedule-dependent and never gated; they exist so
-/// artifacts show how the work actually spread across cores.
+/// One worker shard's share of a fleet sub-run. Steal counters are
+/// schedule-dependent and never gated; they exist so artifacts show how
+/// the work actually spread across cores.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardPoint {
     /// Shard index.
@@ -78,8 +74,6 @@ pub struct ShardPoint {
     pub steals: u64,
     /// Frames inside those stolen units (not gated).
     pub stolen_frames: u64,
-    /// Wall-clock time the worker spent executing, ms (not gated).
-    pub busy_ms: f64,
 }
 
 /// Everything the report says about one workload suite.
@@ -119,10 +113,6 @@ pub struct SuiteReport {
     pub stem_cache_misses: u64,
     /// `hits / (hits + misses)`, 0 when the cache was never consulted.
     pub cache_hit_rate: f64,
-    /// Wall-clock throughput over all sub-runs, frames/s (not gated).
-    pub throughput_fps: f64,
-    /// Wall-clock duration over all sub-runs, ms (not gated).
-    pub wall_ms: f64,
     /// Frames evicted by drop-oldest backpressure.
     pub dropped: u64,
     /// Producer stalls under stall backpressure.
@@ -154,8 +144,7 @@ pub struct SuiteReport {
     /// cost-model recalibration trips the banded energy checks without
     /// also invalidating the digest.
     pub determinism_digest: String,
-    /// Per-fleet throughput points (only the `fleet_scale` suite fills
-    /// this).
+    /// Per-fleet points (only the `fleet_scale` suite fills this).
     #[serde(default)]
     pub fleet: Vec<FleetPoint>,
 }
@@ -163,8 +152,6 @@ pub struct SuiteReport {
 /// Build/provenance metadata of a report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BuildMeta {
-    /// Active compute backend (`blocked` or `reference`).
-    pub backend: String,
     /// `git rev-parse --short HEAD` of the working tree, `GITHUB_SHA`
     /// when git is unavailable, else `unknown`.
     pub git_rev: String,
@@ -184,17 +171,6 @@ pub struct BuildMeta {
     pub shards: usize,
 }
 
-/// Measured int8-vs-f32 speedups of the compiled plans serving runs,
-/// recorded by the parity harness. Wall-clock ratios on the build host —
-/// informational, never gated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct Int8Speedup {
-    /// f32 stem plan time / int8 stem plan time.
-    pub stem: f64,
-    /// f32 branch (backbone + head) plan time / int8 branch plan time.
-    pub branch: f64,
-}
-
 /// A full harness run: metadata plus one report per suite.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchReport {
@@ -204,10 +180,6 @@ pub struct BenchReport {
     pub build: BuildMeta,
     /// Per-suite reports, in [`SuiteId::ALL`](crate::SuiteId::ALL) order.
     pub suites: Vec<SuiteReport>,
-    /// Int8 kernel speedups when the parity harness measured them
-    /// (`None` in ordinary gate runs and older reports; not gated).
-    #[serde(default)]
-    pub int8_speedup: Option<Int8Speedup>,
 }
 
 impl BenchReport {
@@ -287,8 +259,6 @@ mod tests {
             stem_cache_hits: 12,
             stem_cache_misses: 180,
             cache_hit_rate: 12.0 / 192.0,
-            throughput_fps: 210.0,
-            wall_ms: 304.8,
             dropped: 0,
             stalls: 0,
             escalations: 0,
@@ -308,7 +278,6 @@ mod tests {
         BenchReport {
             schema: SCHEMA_VERSION,
             build: BuildMeta {
-                backend: "blocked".to_string(),
                 git_rev: "abc1234".to_string(),
                 scale: "quick".to_string(),
                 model: format!("untrained({})", crate::MODEL_SEED),
@@ -322,8 +291,6 @@ mod tests {
                     streams: 4,
                     frames: 64,
                     avg_batch_size: 3.5,
-                    throughput_fps: 400.0,
-                    wall_ms: 160.0,
                     shards: 2,
                     per_shard: vec![
                         ShardPoint {
@@ -333,7 +300,6 @@ mod tests {
                             batches: 12,
                             steals: 0,
                             stolen_frames: 0,
-                            busy_ms: 80.0,
                         },
                         ShardPoint {
                             shard: 1,
@@ -342,13 +308,11 @@ mod tests {
                             batches: 8,
                             steals: 1,
                             stolen_frames: 4,
-                            busy_ms: 60.0,
                         },
                     ],
                 }];
                 fleet
             }],
-            int8_speedup: None,
         }
     }
 
@@ -380,7 +344,9 @@ mod tests {
     fn pre_sharding_reports_still_parse() {
         // Baselines written before the sharded runtime have no `shards`
         // or `per_shard` fields; they must load with defaults so compare
-        // mode can still diff against them.
+        // mode can still diff against them. They do have the wall-clock
+        // and `backend` keys the schema has since dropped: unknown keys
+        // are ignored.
         let point: FleetPoint = serde_json::from_str(
             r#"{"streams":4,"frames":64,"avg_batch_size":3.5,"throughput_fps":400.0,"wall_ms":160.0}"#,
         )
@@ -394,21 +360,17 @@ mod tests {
         assert_eq!(build.shards, 0);
     }
 
-    /// The committed baselines predate this schema: they carry a
-    /// `compiled_speedup` key the report no longer has. Unknown keys are
-    /// ignored on load, so both files parse untouched and survive a
-    /// write → parse round trip with every field they do share.
+    /// Each committed baseline is byte for byte what the current schema
+    /// writes: no key the report no longer has, none it has gained.
     #[test]
     fn committed_baselines_load_and_roundtrip() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         for rel in ["baselines/bench_baseline.json", "baselines/bench_baseline_int8.json"] {
             let text = std::fs::read_to_string(root.join(rel)).expect(rel);
-            assert!(text.contains("\"compiled_speedup\""), "{rel} lost the key this test is for");
             let loaded = BenchReport::from_json(&text).expect(rel);
             assert_eq!(loaded.schema, SCHEMA_VERSION, "{rel}");
             assert!(!loaded.suites.is_empty(), "{rel}");
-            let back = BenchReport::from_json(&loaded.to_json()).expect("round trip");
-            assert_eq!(back, loaded, "{rel}");
+            assert_eq!(loaded.to_json() + "\n", text, "{rel}");
         }
     }
 

@@ -16,11 +16,9 @@ use ecofusion_runtime::{
     run_simulation_observed, LatencyHistogram, PerceptionServer, RuntimeConfig, StreamSpec,
     VehicleStream,
 };
-use ecofusion_tensor::backend::{self, BackendKind};
 use ecofusion_tensor::rng::Rng;
 use ecofusion_trace::TraceSink;
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
 
 /// Default ring capacity of the flight recorder: the last few thousand
 /// events per suite — enough to cover the decision trail of a quick-scale
@@ -78,9 +76,9 @@ impl ModelProvider {
 /// `shards` runtime worker shards, every stream starting at `precision`,
 /// and assembles the full report.
 ///
-/// Every deterministic report field is shard-invariant (the runtime's
-/// core invariant), so reports taken at different shard counts diff
-/// cleanly; only wall-clock fields and the per-shard breakdown change.
+/// Every gated report field is shard-invariant (the runtime's core
+/// invariant), so reports taken at different shard counts diff cleanly;
+/// only the per-shard breakdown changes.
 ///
 /// # Errors
 /// Propagates [`InferError`] from the serving model.
@@ -125,12 +123,7 @@ pub fn run_report_traced(
     }
     let report = BenchReport {
         schema: SCHEMA_VERSION,
-        int8_speedup: None,
         build: BuildMeta {
-            backend: match backend::backend_kind() {
-                BackendKind::Reference => "reference".to_string(),
-                BackendKind::Blocked => "blocked".to_string(),
-            },
             git_rev: git_rev(),
             scale: match scale {
                 Scale::Quick => "quick".to_string(),
@@ -208,16 +201,14 @@ pub fn run_suite_traced(
         if let Some(s) = sink.take() {
             server.set_tracer(s);
         }
-        let started = Instant::now();
         // The real runtime loop, observed only to record which contexts
         // the workload's scenes actually visited.
         let contexts = &mut agg.contexts;
         run_simulation_observed(&mut server, &mut streams, plan.ticks, |frame: &Frame| {
             contexts.insert(frame.scene.context.label());
         })?;
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         sink = server.take_tracer();
-        agg.absorb(&server, specs.len(), wall_ms);
+        agg.absorb(&server, specs.len());
     }
     Ok((agg.into_report(id, &plan), sink))
 }
@@ -249,12 +240,11 @@ struct SuiteAccum {
     gate_fallbacks: u64,
     histogram: BTreeMap<String, usize>,
     digest: Fnv1a,
-    wall_ms: f64,
     fleet: Vec<FleetPoint>,
 }
 
 impl SuiteAccum {
-    fn absorb(&mut self, server: &PerceptionServer, fleet_streams: usize, wall_ms: f64) {
+    fn absorb(&mut self, server: &PerceptionServer, fleet_streams: usize) {
         let report = server.report();
         let hist = self.hist.get_or_insert_with(LatencyHistogram::new);
         for s in &report.per_stream {
@@ -295,17 +285,10 @@ impl SuiteAccum {
         }
         self.frames += report.frames;
         self.streams += fleet_streams;
-        self.wall_ms += wall_ms;
         self.fleet.push(FleetPoint {
             streams: fleet_streams,
             frames: report.frames,
             avg_batch_size: report.avg_batch_size,
-            throughput_fps: if wall_ms > 0.0 {
-                report.frames as f64 / (wall_ms / 1e3)
-            } else {
-                0.0
-            },
-            wall_ms,
             shards: server.num_shards(),
             per_shard: report
                 .shards
@@ -317,7 +300,6 @@ impl SuiteAccum {
                     batches: s.batches,
                     steals: s.steals,
                     stolen_frames: s.stolen_frames,
-                    busy_ms: s.busy_ms,
                 })
                 .collect(),
         });
@@ -351,12 +333,6 @@ impl SuiteAccum {
             stem_cache_hits: self.cache_hits,
             stem_cache_misses: self.cache_misses,
             cache_hit_rate: if lookups > 0 { self.cache_hits as f64 / lookups as f64 } else { 0.0 },
-            throughput_fps: if self.wall_ms > 0.0 {
-                self.frames as f64 / (self.wall_ms / 1e3)
-            } else {
-                0.0
-            },
-            wall_ms: self.wall_ms,
             dropped: self.dropped,
             stalls: self.stalls,
             escalations: self.escalations,

@@ -1,6 +1,6 @@
 //! Golden-trace determinism: a seeded suite run emits a bit-identical
 //! event sequence across reruns and across shard counts, and arming the
-//! tracer never perturbs the gated report fields.
+//! tracer never perturbs the suite report.
 //!
 //! Stream-track events replay the global pick order (the runtime sorts
 //! accounting rows by pick index), so they are shard-invariant by
@@ -81,12 +81,5 @@ fn arming_the_tracer_changes_no_gated_report_field() {
     let untraced = run_suite(&provider, SuiteId::SteadyCity, Scale::Quick, 1)
         .expect("untraced steady_city run");
     let (traced, _) = traced_steady_city(&provider, 1);
-    assert_eq!(untraced.determinism_digest, traced.determinism_digest);
-    assert_eq!(untraced.frames, traced.frames);
-    assert_eq!(untraced.map_pct, traced.map_pct);
-    assert_eq!(untraced.total_gated_j, traced.total_gated_j);
-    assert_eq!(untraced.stems_executed, traced.stems_executed);
-    assert_eq!(untraced.cache_hit_rate, traced.cache_hit_rate);
-    assert_eq!(untraced.latency.p50_ms, traced.latency.p50_ms);
-    assert_eq!(untraced.latency.p99_ms, traced.latency.p99_ms);
+    assert_eq!(untraced, traced);
 }

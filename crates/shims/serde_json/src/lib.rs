@@ -56,7 +56,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 /// # Errors
 /// Returns an error describing the first syntax or shape mismatch.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.parse_value()?;
     p.skip_ws();
@@ -157,9 +157,17 @@ fn write_escaped(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest container nesting [`from_str`] accepts (the real crate's
+/// limit). The parser recurses once per level, so without a bound a file
+/// of 200 000 `[` overflows the stack and aborts the process that loads
+/// it.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -188,8 +196,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at byte {}",
@@ -197,6 +205,20 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses the container that opens at `pos`, one level down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, kw: &str, value: Value) -> Result<Value, Error> {
@@ -401,6 +423,22 @@ mod tests {
         let s = to_string_pretty(&v).unwrap();
         assert!(s.contains('\n'));
         assert_eq!(from_str::<Vec<(u32, String)>>(&s).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let nest = |n: usize| format!("{}0{}", open.repeat(n), close.repeat(n));
+            assert!(from_str::<Value>(&nest(MAX_DEPTH)).is_ok(), "{open} at the limit");
+            for n in [MAX_DEPTH + 1, 200_000] {
+                // Unclosed, as a truncated or hostile file would be.
+                for text in [nest(n), open.repeat(n)] {
+                    let err = from_str::<Value>(&text).expect_err("too deep").to_string();
+                    let at = MAX_DEPTH * open.len();
+                    assert!(err.contains(&format!("levels at byte {at}")), "{open} x {n}: {err}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The blocked backend: register-tiled GEMM with scoped-thread data
+//! The blocked kernels: register-tiled GEMM with scoped-thread data
 //! parallelism, and im2col + GEMM convolution.
 //!
 //! The GEMM microkernel computes an `MR × NR` output tile with fused
@@ -9,7 +9,7 @@
 //! load/store traffic that bounds the reference loops and lets the FMA
 //! units run at throughput (~4× the reference on a 128³ matmul on one
 //! AVX-512 core). Each output element accumulates over `k` in increasing
-//! order; results differ from the reference backend only by FMA rounding,
+//! order; results differ from the reference kernels only by FMA rounding,
 //! which the parity suite bounds at `1e-4` (see `backend/mod.rs`).
 //!
 //! Parallelism uses `std::thread::scope` over disjoint row blocks of the
@@ -47,15 +47,12 @@ thread_local! {
     static PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Register-tiled, cache-aware, parallel kernels (the default backend).
+/// Register-tiled, cache-aware, parallel kernels: what every GEMM and
+/// eager convolution in the workspace runs on.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Blocked;
 
 impl Backend for Blocked {
-    fn name(&self) -> &'static str {
-        "blocked"
-    }
-
     fn gemm(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(b.len(), k * n);

@@ -1,23 +1,30 @@
-//! Pluggable compute backends for the hot linear-algebra kernels.
+//! The hot linear-algebra kernels: GEMM and convolution.
 //!
-//! Every GEMM and convolution in the workspace dispatches through a
-//! [`Backend`]: [`Reference`] keeps the original straightforward loops as a
-//! correctness oracle, while [`Blocked`] provides register-tiled,
-//! cache-aware kernels with scoped-thread data parallelism over output
-//! rows and the batch dimension. Layers call [`active`], so swapping the
-//! whole model's compute substrate is one call to [`set_backend`]; a
-//! process that never calls it runs [`Blocked`].
+//! Everything above the tensor layer — [`Tensor::matmul`] and its
+//! transposed forms, [`Conv2d`](crate::layer::Conv2d) forward and
+//! backward, the int8 calibration pass and the compiled plans' GEMM steps
+//! — runs on [`Blocked`]: register-tiled, cache-aware kernels with
+//! scoped-thread data parallelism over output rows and the batch
+//! dimension. The call is static; there is no process-wide selection.
+//! The compiled plans' convolution steps run [`conv2d_rows_t`], the direct
+//! convolution below, which reproduces [`Blocked`]'s forward reduction
+//! bit for bit.
+//!
+//! [`Reference`] keeps the original straightforward loops behind the same
+//! [`Backend`] trait as the **kernel oracle**: tests and the `tensor_ops`
+//! bench call it directly or hand it to
+//! [`Tensor::matmul_with`] and friends. Nothing serves or trains on it.
 //!
 //! # Numerical contract
 //!
-//! Both backends accumulate every output element over the shared dimension
-//! in the same (increasing) order and never split a single reduction
-//! across threads, so each backend is individually deterministic on every
-//! machine and thread count. They differ only in rounding: the blocked
-//! kernels use fused multiply-adds (one rounding per multiply-add instead
-//! of two). The parity suite in `crates/tensor/tests/prop_backend.rs`
-//! bounds the divergence at `1e-4` across randomized shapes for matmul and
-//! convolution forward + backward.
+//! Both implementations accumulate every output element over the shared
+//! dimension in the same (increasing) order and never split a single
+//! reduction across threads, so each is individually deterministic on
+//! every machine and thread count. They differ only in rounding: the
+//! blocked kernels use fused multiply-adds (one rounding per multiply-add
+//! instead of two). The parity suite in
+//! `crates/tensor/tests/prop_backend.rs` bounds the divergence at `1e-4`
+//! across randomized shapes for matmul and convolution forward + backward.
 
 mod blocked;
 mod reference;
@@ -26,16 +33,6 @@ pub use blocked::Blocked;
 pub use reference::Reference;
 
 use crate::tensor::Tensor;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Selects one of the built-in backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Original scalar loops: the correctness oracle.
-    Reference,
-    /// Register-tiled, parallel kernels (the default).
-    Blocked,
-}
 
 /// Shape parameters of a 2-D convolution (NCHW, square kernel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -90,16 +87,14 @@ pub struct ConvGrads {
     pub dx: Tensor,
 }
 
-/// A compute backend: the GEMM and convolution kernels everything above
-/// the tensor layer runs on.
+/// The GEMM and convolution kernels, implemented by [`Blocked`] (what
+/// everything runs on) and by [`Reference`] (the oracle the tests hold it
+/// to).
 ///
 /// GEMM methods write into a caller-zeroed `c` buffer. Slices are
 /// row-major; dimension names follow `C (m×n) = A · B` with shared
 /// dimension `k`.
 pub trait Backend: Send + Sync {
-    /// Backend name for diagnostics and bench labels.
-    fn name(&self) -> &'static str;
-
     /// `C (m×n) = A (m×k) · B (k×n)`.
     fn gemm(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]);
 
@@ -111,7 +106,8 @@ pub trait Backend: Send + Sync {
 
     /// Convolution forward over NCHW input `x` with weight `(C_out,
     /// C_in·k·k)` and bias `(C_out)`. `scratch` is a caller-owned buffer
-    /// backends may use to avoid per-call allocation (im2col columns).
+    /// an implementation may use to avoid per-call allocation (im2col
+    /// columns).
     fn conv2d_forward(
         &self,
         x: &Tensor,
@@ -125,8 +121,8 @@ pub trait Backend: Send + Sync {
     /// the forward input `x` and `grad_out` in NCHW layout.
     ///
     /// `cols_valid` promises that `scratch` still holds exactly what this
-    /// backend's `conv2d_forward` left there for the same `x` — backends
-    /// that lower to columns may then skip recomputing the lowering.
+    /// implementation's `conv2d_forward` left there for the same `x` — one
+    /// that lowers to columns may then skip recomputing the lowering.
     fn conv2d_backward(
         &self,
         x: &Tensor,
@@ -136,97 +132,12 @@ pub trait Backend: Send + Sync {
         scratch: &mut Vec<f32>,
         cols_valid: bool,
     ) -> ConvGrads;
-
-    /// Pre-bias convolution output, channel-major `(C_out, N·Ho·Wo)`:
-    /// exactly this backend's [`Backend::conv2d_forward`] reduction minus
-    /// the bias add and the NCHW rearrangement, so a caller-supplied
-    /// write-back epilogue (bias, folded batch-norm, ReLU) reproduces the
-    /// eager layer chain bit for bit, reading one contiguous run of
-    /// positions per output channel. `x` is the NCHW data of `n` samples
-    /// shaped as `direct` was built for; `scratch` (at least
-    /// [`DirectConv::scratch_len`]`(n)`) and `rows` (at least
-    /// `C_out × N·Ho·Wo`) are caller-owned buffers whose used prefixes
-    /// are fully overwritten — no zeroing is asked of the caller and
-    /// none is done here.
-    ///
-    /// The default is a **direct convolution**: the input is copied once
-    /// into `direct`'s padded, phase-split planes (pure data movement,
-    /// a ninth of what a `k = 3` column matrix moved), after which every
-    /// kernel tap of every output position is a fixed offset from the
-    /// position's base, and an `IR_T`-channel × two-run register tile
-    /// ([`RUN`] consecutive positions of one output row per run) reads
-    /// its operands straight from those planes. Each output element is
-    /// the same chain the packed GEMM microkernels behind
-    /// `conv2d_forward` run — ascending `(ci, ky, kx)`, one fused
-    /// multiply-add per step, from zero, padding multiplied as explicit
-    /// zeros (f32 multiplication commutes exactly, so swapping the
-    /// operand roles changes no bits) — and reads only its own sample,
-    /// so the result does not depend on which other samples share the
-    /// call. Backends whose `conv2d_forward` computes a different
-    /// reduction (the direct reference loops, which skip padding) must
-    /// override so the rows match their own forward.
-    ///
-    /// # Panics
-    /// Panics if `x`, `weight`, `scratch` or `rows` are shorter than
-    /// `direct` and `n` require — in release builds too.
-    fn conv2d_rows_t(
-        &self,
-        x: &[f32],
-        n: usize,
-        weight: &Tensor,
-        direct: &DirectConv,
-        scratch: &mut [f32],
-        rows: &mut [f32],
-    ) {
-        conv_rows_direct::<false>(x, n, weight.data(), direct, scratch, rows);
-    }
-}
-
-static REFERENCE: Reference = Reference;
-static BLOCKED: Blocked = Blocked;
-
-/// The backend instance for a kind (useful for benches and parity tests
-/// that must pin a backend regardless of the global selection).
-pub fn get(kind: BackendKind) -> &'static dyn Backend {
-    match kind {
-        BackendKind::Reference => &REFERENCE,
-        BackendKind::Blocked => &BLOCKED,
-    }
-}
-
-const KIND_REFERENCE: u8 = 1;
-const KIND_BLOCKED: u8 = 2;
-
-static SELECTED: AtomicU8 = AtomicU8::new(KIND_BLOCKED);
-
-/// The globally selected backend kind: the last [`set_backend`] call,
-/// [`BackendKind::Blocked`] if there was none.
-pub fn backend_kind() -> BackendKind {
-    match SELECTED.load(Ordering::Relaxed) {
-        KIND_REFERENCE => BackendKind::Reference,
-        _ => BackendKind::Blocked,
-    }
-}
-
-/// Selects the process-wide backend. Affects every subsequent tensor and
-/// layer operation; typically called once at startup.
-pub fn set_backend(kind: BackendKind) {
-    let v = match kind {
-        BackendKind::Reference => KIND_REFERENCE,
-        BackendKind::Blocked => KIND_BLOCKED,
-    };
-    SELECTED.store(v, Ordering::Relaxed);
-}
-
-/// The active backend instance.
-pub fn active() -> &'static dyn Backend {
-    get(backend_kind())
 }
 
 // ---------------------------------------------------------------------------
-// Column lowering of the eager convolution (used by the GEMM-based backend
-// for training and as the plans' oracle; the reference backend convolves
-// directly and never materializes columns)
+// Column lowering of the eager convolution (`Blocked`'s forward and backward:
+// training, and the plans' oracle; `Reference` convolves directly and never
+// materializes columns)
 // ---------------------------------------------------------------------------
 
 /// Lowers NCHW input to a `(N·Ho·Wo, C_in·k·k)` column matrix in `cols`
@@ -566,11 +477,10 @@ fn deinterleave<U: Copy>(even: &mut [U], odd: &mut [U], src: &[U]) {
     }
 }
 
-/// The default [`Backend::conv2d_rows_t`]: lowers `x` into `direct`'s
-/// planes and runs the register tiles over them, `IR_T` output channels ×
-/// two runs at a time, a short last channel group through the tile of
-/// its own const height. `PORTABLE` forces the safe tile body whatever
-/// the build enables.
+/// [`conv2d_rows_t`]: lowers `x` into `direct`'s planes and runs the
+/// register tiles over them, `IR_T` output channels × two runs at a time,
+/// a short last channel group through the tile of its own const height.
+/// `PORTABLE` forces the safe tile body whatever the build enables.
 fn conv_rows_direct<const PORTABLE: bool>(
     x: &[f32],
     n: usize,
@@ -652,9 +562,48 @@ unsafe fn group_tiles<const IR: usize, const PORTABLE: bool>(
     }
 }
 
-/// [`Backend::conv2d_rows_t`]'s default through the portable tile body
-/// whatever the build enables, so that a host which compiles the AVX2
-/// body tests both.
+/// Pre-bias convolution output of a compiled plan's f32 step,
+/// channel-major `(C_out, N·Ho·Wo)`: exactly [`Blocked`]'s
+/// [`Backend::conv2d_forward`] reduction minus the bias add and the NCHW
+/// rearrangement, so a caller-supplied write-back epilogue (bias, folded
+/// batch-norm, ReLU) reproduces the eager layer chain bit for bit,
+/// reading one contiguous run of positions per output channel. `x` is
+/// the NCHW data of `n` samples shaped as `direct` was built for and
+/// `weight` the `(C_out, C_in·k·k)` matrix; `scratch` (at least
+/// [`DirectConv::scratch_len`]`(n)`) and `rows` (at least
+/// `C_out × N·Ho·Wo`) are caller-owned buffers whose used prefixes are
+/// fully overwritten — no zeroing is asked of the caller and none is done
+/// here.
+///
+/// This is a **direct convolution**: the input is copied once into
+/// `direct`'s padded, phase-split planes (pure data movement, a ninth of
+/// what a `k = 3` column matrix moved), after which every kernel tap of
+/// every output position is a fixed offset from the position's base, and
+/// an `IR_T`-channel × two-run register tile ([`RUN`] consecutive
+/// positions of one output row per run) reads its operands straight from
+/// those planes. Each output element is the same chain the packed GEMM
+/// microkernels behind `conv2d_forward` run — ascending `(ci, ky, kx)`,
+/// one fused multiply-add per step, from zero, padding multiplied as
+/// explicit zeros (f32 multiplication commutes exactly, so swapping the
+/// operand roles changes no bits) — and reads only its own sample, so the
+/// result does not depend on which other samples share the call.
+///
+/// # Panics
+/// Panics if `x`, `weight`, `scratch` or `rows` are shorter than `direct`
+/// and `n` require — in release builds too.
+pub fn conv2d_rows_t(
+    x: &[f32],
+    n: usize,
+    weight: &[f32],
+    direct: &DirectConv,
+    scratch: &mut [f32],
+    rows: &mut [f32],
+) {
+    conv_rows_direct::<false>(x, n, weight, direct, scratch, rows);
+}
+
+/// [`conv2d_rows_t`] through the portable tile body whatever the build
+/// enables, so that a host which compiles the AVX2 body tests both.
 #[doc(hidden)]
 pub fn conv2d_rows_t_portable(
     x: &[f32],
@@ -1020,33 +969,10 @@ pub(crate) fn dims4(x: &Tensor) -> (usize, usize, usize, usize) {
     (s[0], s[1], s[2], s[3])
 }
 
-/// Serializes the unit tests of this crate that flip the process-wide
-/// backend selection with the ones whose assertions read it — every
-/// eager-vs-compiled bit-identity test does, through [`active`].
-#[cfg(test)]
-pub(crate) fn lock_test_globals() -> std::sync::MutexGuard<'static, ()> {
-    static GLOBALS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    // A failed assertion under the lock must not fail the other tests.
-    GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Rng;
-
-    #[test]
-    fn backend_selection_roundtrip() {
-        let _guard = lock_test_globals();
-        let before = backend_kind();
-        set_backend(BackendKind::Reference);
-        assert_eq!(backend_kind(), BackendKind::Reference);
-        assert_eq!(active().name(), "reference");
-        set_backend(BackendKind::Blocked);
-        assert_eq!(backend_kind(), BackendKind::Blocked);
-        assert_eq!(active().name(), "blocked");
-        set_backend(before);
-    }
 
     #[test]
     fn conv_spec_geometry() {

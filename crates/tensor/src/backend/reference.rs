@@ -1,7 +1,7 @@
-//! The reference backend: the workspace's original scalar loops, kept as
-//! the correctness oracle every optimized backend is validated against.
+//! The reference kernels: the workspace's original scalar loops, kept as
+//! the correctness oracle the optimized kernels are validated against.
 
-use super::{dims4, Backend, ConvGrads, ConvSpec, DirectConv};
+use super::{dims4, Backend, ConvGrads, ConvSpec};
 use crate::tensor::Tensor;
 
 /// Straightforward scalar kernels. Slow but obviously correct: GEMM is the
@@ -11,10 +11,6 @@ use crate::tensor::Tensor;
 pub struct Reference;
 
 impl Backend for Reference {
-    fn name(&self) -> &'static str {
-        "reference"
-    }
-
     fn gemm(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         // ikj loop order: stream over rhs rows for cache locality.
         for i in 0..m {
@@ -186,60 +182,5 @@ impl Backend for Reference {
             }
         }
         ConvGrads { dw, db, dx }
-    }
-
-    fn conv2d_rows_t(
-        &self,
-        x: &[f32],
-        n: usize,
-        weight: &Tensor,
-        direct: &DirectConv,
-        _scratch: &mut [f32],
-        rows: &mut [f32],
-    ) {
-        // The direct loops of `conv2d_forward` with the bias add elided
-        // and the output index transposed to `(C_out, N·Ho·Wo)`: the
-        // reference forward skips out-of-bounds taps rather than
-        // multiplying padded zeros, so the rows must come from the same
-        // reduction to keep the epilogue bit-identical. Every element of
-        // the used prefix is written.
-        let (spec, [h, w], [ho, wo]) = (direct.spec(), direct.in_hw(), direct.out_hw());
-        let ci_n = spec.in_channels;
-        let k = spec.kernel;
-        let co_n = spec.out_channels;
-        let m_total = n * ho * wo;
-        let wd = weight.data();
-        for b in 0..n {
-            for co in 0..co_n {
-                let w_base = co * spec.patch_len();
-                for oy in 0..ho {
-                    let iy0 = (oy * spec.stride) as isize - spec.padding as isize;
-                    for ox in 0..wo {
-                        let ix0 = (ox * spec.stride) as isize - spec.padding as isize;
-                        let mut acc = 0.0f32;
-                        for ci in 0..ci_n {
-                            let ch_base = (b * ci_n + ci) * h * w;
-                            let wk_base = w_base + ci * k * k;
-                            for ky in 0..k {
-                                let iy = iy0 + ky as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                let src_row = ch_base + iy as usize * w;
-                                let wrow = wk_base + ky * k;
-                                for kx in 0..k {
-                                    let ix = ix0 + kx as isize;
-                                    if ix < 0 || ix >= w as isize {
-                                        continue;
-                                    }
-                                    acc += wd[wrow + kx] * x[src_row + ix as usize];
-                                }
-                            }
-                        }
-                        rows[co * m_total + (b * ho + oy) * wo + ox] = acc;
-                    }
-                }
-            }
-        }
     }
 }

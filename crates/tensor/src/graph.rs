@@ -12,8 +12,8 @@
 //! * `MaxPool2d` becomes a plan step over the arena; `Flatten` becomes
 //!   pure shape bookkeeping (no copy).
 //! * `SelfAttention2d` becomes one per-sample step: the layer's own six
-//!   backend GEMMs, scale, row softmax and residual, on arena slices
-//!   instead of nine tensors per sample.
+//!   GEMMs, scale, row softmax and residual, on arena slices instead of
+//!   nine tensors per sample.
 //! * Quantized convolutions get a fused dequant + folded-BN + ReLU
 //!   epilogue applied directly to the i32 accumulators, with none of the
 //!   stage-boundary tensors [`QuantPipe::forward`] materializes.
@@ -104,11 +104,10 @@
 //! both f32 and int8:
 //!
 //! * f32: the plan obtains pre-bias rows from
-//!   [`Backend::conv2d_rows_t`](crate::backend::Backend::conv2d_rows_t) —
-//!   each backend's own forward reduction (for the blocked backend the
-//!   im2col + GEMM chain: ascending `(ci, ky, kx)`, one fused
-//!   multiply-add per step, from zero, pad zeros multiplied),
-//!   laid out channel-major so the epilogue streams contiguously —
+//!   [`conv2d_rows_t`] — the reduction of the eager `Conv2d` forward's
+//!   im2col + GEMM chain (ascending `(ci, ky, kx)`, one fused
+//!   multiply-add per step, from zero, pad zeros multiplied), laid out
+//!   channel-major so the epilogue streams contiguously —
 //!   and the epilogue applies, per element and in order, exactly the
 //!   eager arithmetic: `v = rows + bias`, then the [`BatchNorm2d`] eval
 //!   fast path `γ·((v − mean)·inv_std) + β` with
@@ -117,8 +116,8 @@
 //! * int8: integer accumulation is exact, and the epilogue mirrors the
 //!   eager per-element order `v = acc·(s_x·s_w[c]) + bias[c]`, then
 //!   `v·scale[c] + shift[c]`, then `v.max(0.0)`.
-//! * attention: the same backend GEMM entry points on the same operands
-//!   in the same order as [`SelfAttention2d`]'s forward, and the shared
+//! * attention: the same GEMM entry points on the same operands in the
+//!   same order as [`SelfAttention2d`]'s forward, and the shared
 //!   row-softmax routine.
 //!
 //! The golden traces and the perf-gate baselines were recorded through
@@ -135,7 +134,7 @@
 //! precision) and invalidated on weight mutation, mirroring the
 //! quantization image's invalidation discipline.
 
-use crate::backend::{self, DirectConv, TILE_BYTES};
+use crate::backend::{self, conv2d_rows_t, Backend, Blocked, DirectConv, TILE_BYTES};
 use crate::layer::{BatchNorm2d, Conv2d, Linear, SelfAttention2d, Sequential};
 use crate::quant::{
     conv_rows_t_i8, quantize_activation_pairs, PackedConvWeights, QuantConv2d, QuantPipe,
@@ -438,7 +437,7 @@ fn run_step(step: &Step, n: usize, src: &[f32], dst: &mut [f32], low: &mut Lower
             let co = direct.spec().out_channels;
             let plane = step.out_shape[1] * step.out_shape[2];
             let rows = &mut low.rows[..co * n * plane];
-            backend::active().conv2d_rows_t(src, n, weight, direct, &mut low.planes, rows);
+            conv2d_rows_t(src, n, weight.data(), direct, &mut low.planes, rows);
             // Fused write-back: bias, batch-norm eval affine, ReLU — the
             // exact eager per-element arithmetic, in the eager order.
             // The channel-major rows make both sides of the epilogue
@@ -523,7 +522,7 @@ fn run_step(step: &Step, n: usize, src: &[f32], dst: &mut [f32], low: &mut Lower
             let (in_f, out_f) = (step.in_numel, step.out_numel);
             // GEMM methods write into a caller-zeroed buffer.
             dst.fill(0.0);
-            backend::active().gemm_nt(n, in_f, out_f, src, weight.data(), dst);
+            Blocked.gemm_nt(n, in_f, out_f, src, weight.data(), dst);
             for row in dst.chunks_exact_mut(out_f) {
                 for (v, b) in row.iter_mut().zip(bias) {
                     *v += b;
@@ -593,10 +592,9 @@ fn run_step(step: &Step, n: usize, src: &[f32], dst: &mut [f32], low: &mut Lower
             let c = step.in_shape[0];
             let t = step.in_shape[1] * step.in_shape[2];
             let [wq, wk, wv, wo] = proj;
-            let be = backend::active();
             let scale = 1.0 / (c as f32).sqrt();
             // `SelfAttention2d::forward` per sample, tensor for tensor:
-            // the same backend entry points on the same operands, every
+            // the same GEMM entry points on the same operands, every
             // GEMM into a zeroed buffer as `Tensor::matmul*` allocates
             // one.
             let (xt, rest) = low.attn.split_at_mut(t * c);
@@ -615,18 +613,18 @@ fn run_step(step: &Step, n: usize, src: &[f32], dst: &mut [f32], low: &mut Lower
                 }
                 for (w, y) in [(wq, &mut *q), (wk, &mut *k), (wv, &mut *v)] {
                     y.fill(0.0);
-                    be.gemm(t, c, c, xt, w.data(), y);
+                    Blocked.gemm(t, c, c, xt, w.data(), y);
                 }
                 s.fill(0.0);
-                be.gemm_nt(t, c, t, q, k, s);
+                Blocked.gemm_nt(t, c, t, q, k, s);
                 for val in s.iter_mut() {
                     *val *= scale;
                 }
                 softmax_rows_in_place(s, t);
                 z.fill(0.0);
-                be.gemm(t, t, c, s, v, z);
+                Blocked.gemm(t, t, c, s, v, z);
                 o.fill(0.0);
-                be.gemm(t, c, c, z, wo.data(), o);
+                Blocked.gemm(t, c, c, z, wo.data(), o);
                 let y = &mut dst[b * c * t..(b + 1) * c * t];
                 for (ci, plane) in y.chunks_exact_mut(t).enumerate() {
                     for (i, out) in plane.iter_mut().enumerate() {
@@ -1251,7 +1249,6 @@ impl Clone for PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::lock_test_globals;
     use crate::layer::{Flatten, Layer, MaxPool2d, ReLU};
     use crate::quant::quantize_sequential;
     use crate::rng::Rng;
@@ -1293,7 +1290,6 @@ mod tests {
 
     #[test]
     fn compiled_conv_bn_relu_pool_is_bit_identical() {
-        let _guard = lock_test_globals();
         let mut rng = Rng::new(41);
         let mut seq = conv_bn_relu_pool(&mut rng);
         // One plan serves every batch size.
@@ -1307,28 +1303,21 @@ mod tests {
     }
 
     #[test]
-    fn compiled_matches_eager_on_both_backends() {
-        let _guard = lock_test_globals();
+    fn compiled_stem_and_gate_stacks_are_bit_identical() {
         let mut rng = Rng::new(43);
         let mut stem = conv_bn_relu_pool(&mut rng);
         let mut gate = gate_like(&mut rng);
         let xs = Tensor::randn(&[2, 2, 9, 9], 1.0, &mut rng);
         let xg = Tensor::randn(&[3, 3, 8, 8], 1.0, &mut rng);
-        let before = backend::backend_kind();
-        for kind in [backend::BackendKind::Reference, backend::BackendKind::Blocked] {
-            backend::set_backend(kind);
-            for (seq, x) in [(&mut stem, &xs), (&mut gate, &xg)] {
-                let eager = seq.forward(x, false);
-                let mut plan = compile_sequential(seq, x.shape()).expect("compiles");
-                assert_bits_eq(&plan.execute(x), &eager, &format!("{kind:?}"));
-            }
+        for (seq, x, what) in [(&mut stem, &xs, "stem"), (&mut gate, &xg, "gate")] {
+            let eager = seq.forward(x, false);
+            let mut plan = compile_sequential(seq, x.shape()).expect("compiles");
+            assert_bits_eq(&plan.execute(x), &eager, what);
         }
-        backend::set_backend(before);
     }
 
     #[test]
     fn compiled_linear_relu_and_flatten_are_bit_identical() {
-        let _guard = lock_test_globals();
         let mut rng = Rng::new(44);
         let mut seq = Sequential::new(vec![
             Box::new(Flatten::new()),
@@ -1345,7 +1334,6 @@ mod tests {
 
     #[test]
     fn compiled_quant_pipe_is_bit_identical() {
-        let _guard = lock_test_globals();
         let mut rng = Rng::new(45);
         let seq = conv_bn_relu_pool(&mut rng);
         let calib: Vec<Tensor> =
@@ -1377,7 +1365,6 @@ mod tests {
 
     #[test]
     fn arena_grows_to_one_tile_and_no_further() {
-        let _guard = lock_test_globals();
         let mut rng = Rng::new(46);
         let seq = conv_bn_relu_pool(&mut rng);
         let mut plan = compile_sequential(&seq, &[1, 2, 8, 8]).expect("compiles");

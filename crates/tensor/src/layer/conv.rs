@@ -1,7 +1,7 @@
-//! 2-D convolution, dispatched through the compute backend.
+//! 2-D convolution on the blocked kernels.
 
 use super::Layer;
-use crate::backend::{self, ConvSpec};
+use crate::backend::{Backend, Blocked, ConvSpec};
 use crate::init;
 use crate::param::Param;
 use crate::rng::Rng;
@@ -9,13 +9,11 @@ use crate::tensor::Tensor;
 
 /// 2-D convolution over NCHW inputs.
 ///
-/// Weight layout is `(C_out, C_in·kh·kw)`. The actual kernel runs on the
-/// active [`crate::backend::Backend`]: the blocked backend lowers the
-/// input to column-matrix form (im2col) and performs one GEMM — the
-/// standard CPU strategy — while the reference backend convolves directly
-/// from the definition. The layer owns a scratch buffer the backend reuses
-/// across calls, so steady-state inference does not allocate for the
-/// lowering.
+/// Weight layout is `(C_out, C_in·kh·kw)`. The kernel is
+/// [`Blocked`]'s: it lowers the input to column-matrix form (im2col) and
+/// performs one GEMM — the standard CPU strategy. The layer owns the
+/// scratch buffer the lowering reuses across calls, so a steady-state
+/// forward does not allocate for it.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Param,
@@ -27,7 +25,6 @@ pub struct Conv2d {
     /// still holds the lowering of the cached training input.
     scratch_epoch: u64,
     cached_epoch: Option<u64>,
-    cached_backend: Option<&'static str>,
 }
 
 impl Conv2d {
@@ -55,7 +52,6 @@ impl Conv2d {
             scratch: Vec::new(),
             scratch_epoch: 0,
             cached_epoch: None,
-            cached_backend: None,
         }
     }
 
@@ -90,8 +86,7 @@ impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.ndim(), 4, "Conv2d expects NCHW input");
         assert_eq!(x.shape()[1], self.spec.in_channels, "Conv2d channel mismatch");
-        let backend = backend::active();
-        let y = backend.conv2d_forward(
+        let y = Blocked.conv2d_forward(
             x,
             &self.weight.value,
             self.bias.value.data(),
@@ -102,21 +97,17 @@ impl Layer for Conv2d {
         if train {
             self.cached_input = Some(x.clone());
             self.cached_epoch = Some(self.scratch_epoch);
-            self.cached_backend = Some(backend.name());
         }
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let x = self.cached_input.take().expect("Conv2d::backward before forward(train)");
-        let backend = backend::active();
         // If no forward ran since the training forward (the common
-        // train-step sequence) and the backend is unchanged, the scratch
-        // buffer still holds this input's im2col lowering and the backend
-        // may skip recomputing it.
-        let cols_valid = self.cached_epoch == Some(self.scratch_epoch)
-            && self.cached_backend == Some(backend.name());
-        let grads = backend.conv2d_backward(
+        // train-step sequence), the scratch buffer still holds this
+        // input's im2col lowering and the kernel may skip recomputing it.
+        let cols_valid = self.cached_epoch == Some(self.scratch_epoch);
+        let grads = Blocked.conv2d_backward(
             &x,
             &self.weight.value,
             grad_out,
@@ -216,35 +207,17 @@ mod tests {
 
     #[test]
     fn scratch_reused_across_eval_calls() {
-        // Pin the backend instance: the global selection is process-wide
-        // mutable state another test may be toggling concurrently.
-        let backend = crate::backend::Blocked;
         let mut rng = Rng::new(6);
-        let conv = Conv2d::new(2, 4, 3, 1, 1, &mut rng);
+        let mut conv = Conv2d::new(2, 4, 3, 1, 1, &mut rng);
         let x = Tensor::randn(&[1, 2, 8, 8], 1.0, &mut rng);
-        let mut scratch = Vec::new();
-        let _ = crate::backend::Backend::conv2d_forward(
-            &backend,
-            &x,
-            &conv.weight.value,
-            conv.bias.value.data(),
-            &conv.spec,
-            &mut scratch,
-        );
-        let cap = scratch.capacity();
+        let _ = conv.forward(&x, false);
+        let cap = conv.scratch.capacity();
         assert!(cap > 0);
         for _ in 0..3 {
-            let _ = crate::backend::Backend::conv2d_forward(
-                &backend,
-                &x,
-                &conv.weight.value,
-                conv.bias.value.data(),
-                &conv.spec,
-                &mut scratch,
-            );
+            let _ = conv.forward(&x, false);
         }
         // Steady-state eval must not regrow the lowering buffer.
-        assert_eq!(scratch.capacity(), cap);
+        assert_eq!(conv.scratch.capacity(), cap);
     }
 
     #[test]

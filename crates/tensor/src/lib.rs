@@ -62,7 +62,7 @@ pub mod rng;
 pub mod serialize;
 pub mod tensor;
 
-pub use backend::{Backend, BackendKind};
+pub use backend::Backend;
 pub use graph::{
     CompileError, CompiledPlan, PlanBuilder, PlanCache, PlanCacheStats, PlanKey, PlanPrecision,
 };

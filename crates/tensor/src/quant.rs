@@ -60,7 +60,7 @@
 //! nested-loop reduction over row-major operands with no pairing,
 //! planes, tiling or scratch.
 
-use crate::backend::{ConvSpec, DirectConv, TileRun, RUN};
+use crate::backend::{Backend, Blocked, ConvSpec, DirectConv, TileRun, RUN};
 use crate::layer::{BatchNorm2d, Conv2d, Sequential};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -718,12 +718,11 @@ pub fn quantize_sequential(
             stages.push(QuantStage::Conv(QuantConv2d::from_conv(conv, act_scale)));
             // Propagate calibration in f32 so later scales reflect the
             // float activations the branches were trained on.
-            let backend = crate::backend::active();
             let spec = conv.spec();
             acts = acts
                 .iter()
                 .map(|a| {
-                    backend.conv2d_forward(
+                    Blocked.conv2d_forward(
                         a,
                         conv.weight(),
                         conv.bias().data(),

@@ -1,8 +1,8 @@
 //! Dense `f32` tensor in row-major (NCHW for 4-D) layout.
 
-use crate::backend::{self, Backend};
+use crate::backend::{Backend, Blocked};
 use crate::rng::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
 /// A dense, heap-allocated `f32` tensor.
@@ -18,10 +18,34 @@ use std::fmt;
 /// assert_eq!(t.shape(), &[2, 3]);
 /// assert_eq!(t.get2(1, 2), 6.0);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Serialize)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
+}
+
+/// Hand-written so that no loader can build a tensor whose `data` is not
+/// what its `shape` holds: every kernel sizes its reads by the shape, and
+/// a snapshot restore compares shapes only.
+impl Deserialize for Tensor {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        #[derive(Deserialize)]
+        struct Unchecked {
+            shape: Vec<usize>,
+            data: Vec<f32>,
+        }
+        let Unchecked { shape, data } = Unchecked::from_value(v)?;
+        // Checked: a shape like `[1 << 63, 2]` must not wrap to 0 and
+        // match an empty `data`.
+        let numel = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        if shape.is_empty() || numel != Some(data.len()) {
+            return Err(DeError::custom(format!(
+                "Tensor shape {shape:?} does not hold {} values",
+                data.len()
+            )));
+        }
+        Ok(Tensor { shape, data })
+    }
 }
 
 impl fmt::Debug for Tensor {
@@ -273,16 +297,17 @@ impl Tensor {
     }
 
     /// Matrix multiplication `self (M,K) × other (K,N) → (M,N)` on the
-    /// globally active [`Backend`].
+    /// [`Blocked`] kernels.
     ///
     /// # Panics
     /// Panics if either tensor is not 2-D or the inner dimensions differ.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        self.matmul_with(other, backend::active())
+        self.matmul_with(other, &Blocked)
     }
 
-    /// [`Tensor::matmul`] on an explicit backend.
-    pub fn matmul_with(&self, other: &Tensor, backend: &dyn Backend) -> Tensor {
+    /// [`Tensor::matmul`] on explicit kernels: how the parity tests reach
+    /// the oracle kept in [`crate::backend`].
+    pub fn matmul_with<B: Backend + ?Sized>(&self, other: &Tensor, backend: &B) -> Tensor {
         assert_eq!(self.ndim(), 2, "matmul lhs must be 2-D");
         assert_eq!(other.ndim(), 2, "matmul rhs must be 2-D");
         let (m, k) = (self.shape[0], self.shape[1]);
@@ -294,13 +319,13 @@ impl Tensor {
     }
 
     /// `selfᵀ (K,M)ᵀ × other (K,N) → (M,N)` without materializing the
-    /// transpose, on the globally active [`Backend`].
+    /// transpose, on the [`Blocked`] kernels.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        self.matmul_tn_with(other, backend::active())
+        self.matmul_tn_with(other, &Blocked)
     }
 
-    /// [`Tensor::matmul_tn`] on an explicit backend.
-    pub fn matmul_tn_with(&self, other: &Tensor, backend: &dyn Backend) -> Tensor {
+    /// [`Tensor::matmul_tn`] on explicit kernels.
+    pub fn matmul_tn_with<B: Backend + ?Sized>(&self, other: &Tensor, backend: &B) -> Tensor {
         assert_eq!(self.ndim(), 2, "matmul_tn lhs must be 2-D");
         assert_eq!(other.ndim(), 2, "matmul_tn rhs must be 2-D");
         let (k, m) = (self.shape[0], self.shape[1]);
@@ -312,13 +337,13 @@ impl Tensor {
     }
 
     /// `self (M,K) × otherᵀ (N,K)ᵀ → (M,N)` without materializing the
-    /// transpose, on the globally active [`Backend`].
+    /// transpose, on the [`Blocked`] kernels.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        self.matmul_nt_with(other, backend::active())
+        self.matmul_nt_with(other, &Blocked)
     }
 
-    /// [`Tensor::matmul_nt`] on an explicit backend.
-    pub fn matmul_nt_with(&self, other: &Tensor, backend: &dyn Backend) -> Tensor {
+    /// [`Tensor::matmul_nt`] on explicit kernels.
+    pub fn matmul_nt_with<B: Backend + ?Sized>(&self, other: &Tensor, backend: &B) -> Tensor {
         assert_eq!(self.ndim(), 2, "matmul_nt lhs must be 2-D");
         assert_eq!(other.ndim(), 2, "matmul_nt rhs must be 2-D");
         let (m, k) = (self.shape[0], self.shape[1]);

@@ -1,8 +1,8 @@
 //! The direct convolution of the compiled plans against its definition.
 //!
-//! [`Backend::conv2d_rows_t`]'s default lowers the input into padded,
-//! phase-split planes and reads every kernel tap at a fixed offset from a
-//! run's base ([`DirectConv`]). The oracle here is the definition the
+//! [`conv2d_rows_t`] lowers the input into padded, phase-split planes and
+//! reads every kernel tap at a fixed offset from a run's base
+//! ([`DirectConv`]). The oracle here is the definition the
 //! column-matrix lowering it replaced was built from: the patch of an
 //! output position by the **index formula** (`x[b, ci, oy·s + ky − p,
 //! ox·s + kx − p]`, `+0.0` outside the image), reduced by one scalar
@@ -12,9 +12,7 @@
 //! tests the two — and the offset table must address exactly the cells
 //! the formula names.
 
-use ecofusion_tensor::backend::{
-    conv2d_rows_t_portable, Backend, Blocked, ConvSpec, DirectConv, RUN,
-};
+use ecofusion_tensor::backend::{conv2d_rows_t, conv2d_rows_t_portable, ConvSpec, DirectConv, RUN};
 use ecofusion_tensor::rng::Rng;
 use ecofusion_tensor::Tensor;
 use proptest::prelude::*;
@@ -133,7 +131,7 @@ proptest! {
             if body == "portable" {
                 conv2d_rows_t_portable(x.data(), n, wt.data(), &direct, &mut scratch, &mut rows);
             } else {
-                Blocked.conv2d_rows_t(x.data(), n, &wt, &direct, &mut scratch, &mut rows);
+                conv2d_rows_t(x.data(), n, wt.data(), &direct, &mut scratch, &mut rows);
             }
             let what = format!("{body} body, {spec:?} on {n}x{c}x{h}x{w}");
             assert_same_bits(&rows[..co * m], &want, &what);
@@ -207,7 +205,7 @@ mod release_checks {
         let direct = DirectConv::new(&spec, 4, 4);
         let wt = Tensor::zeros(&[3, spec.patch_len()]);
         let (mut scratch, mut rows) = (vec![0.0f32; scratch_len], vec![0.0f32; rows_len]);
-        Blocked.conv2d_rows_t(&vec![0.0; x_len], 1, &wt, &direct, &mut scratch, &mut rows);
+        conv2d_rows_t(&vec![0.0; x_len], 1, wt.data(), &direct, &mut scratch, &mut rows);
     }
 
     #[test]
@@ -243,6 +241,6 @@ mod release_checks {
         let direct = DirectConv::new(&spec, 4, 4);
         let wt = Tensor::zeros(&[3, spec.patch_len() - 1]);
         let mut scratch = vec![0.0f32; direct.scratch_len(1)];
-        Blocked.conv2d_rows_t(&[0.0; 32], 1, &wt, &direct, &mut scratch, &mut [0.0; 48]);
+        conv2d_rows_t(&[0.0; 32], 1, wt.data(), &direct, &mut scratch, &mut [0.0; 48]);
     }
 }

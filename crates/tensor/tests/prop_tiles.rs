@@ -4,13 +4,11 @@
 //! samples at a time. Which samples share a tile must not be visible in
 //! the output: a plan executed on a batch of `N` has to equal the
 //! concatenation of `N` batch-1 executions **bit for bit**, for batches
-//! below, at and across the tile boundary — on both backends, in f32 and
-//! int8, for the three stack shapes the model compiles (stem, branch,
+//! below, at and across the tile boundary — in f32 and int8, for the three stack shapes the model compiles (stem, branch,
 //! learned gate). The stacks use the model's real per-sample shapes, so
 //! the tiles are the ones the serving path runs (`T` = 3 for the stems,
 //! 7 and 8 for the f32 and int8 branch, 4 for the gate).
 
-use ecofusion_tensor::backend::{self, BackendKind};
 use ecofusion_tensor::graph::{compile_quant_pipe, compile_sequential, CompiledPlan, PlanBuilder};
 use ecofusion_tensor::layer::{
     BatchNorm2d, Conv2d, Flatten, Layer, Linear, MaxPool2d, ReLU, SelfAttention2d, Sequential,
@@ -70,8 +68,6 @@ fn assert_tile_invariant(plan: &mut CompiledPlan, tile: usize, what: &str, rng: 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    // The only test of this binary, so it owns the process-wide backend
-    // selection it flips.
     #[test]
     fn batch_equals_concatenated_singles(seed in 0u64..1000) {
         let mut rng = Rng::new(seed);
@@ -113,30 +109,25 @@ proptest! {
             Box::new(Linear::new(8 * 2 * 2, 127, &mut rng)),
         ]);
 
-        let before = backend::backend_kind();
-        for kind in [BackendKind::Reference, BackendKind::Blocked] {
-            backend::set_backend(kind);
-            let mut branch = PlanBuilder::new(&batched(1, &branch_shape));
-            branch.push_sequential(&backbone).unwrap();
-            branch.push_conv(&head, None, false).unwrap();
-            let mut branch_i8 = PlanBuilder::new(&batched(1, &branch_shape));
-            branch_i8.push_quant_pipe(&backbone_q).unwrap();
-            branch_i8.push_quant_conv(&head_q, None, false).unwrap();
-            // With each plan's tile: the padded input planes of a direct
-            // convolution are a ninth of the column matrix they replaced,
-            // so more samples fit the tile budget than the two or three
-            // (five for the int8 branch) that did then.
-            let plans = [
-                ("stem f32", 3, compile_sequential(&stem, &batched(1, &stem_shape)).unwrap()),
-                ("stem int8", 3, compile_quant_pipe(&stem_q, &batched(1, &stem_shape)).unwrap()),
-                ("branch f32", 7, branch.finish()),
-                ("branch int8", 8, branch_i8.finish()),
-                ("gate f32", 4, compile_sequential(&gate, &batched(1, &gate_shape)).unwrap()),
-            ];
-            for (name, tile, mut plan) in plans {
-                assert_tile_invariant(&mut plan, tile, &format!("{kind:?} {name}"), &mut rng);
-            }
+        let mut branch = PlanBuilder::new(&batched(1, &branch_shape));
+        branch.push_sequential(&backbone).unwrap();
+        branch.push_conv(&head, None, false).unwrap();
+        let mut branch_i8 = PlanBuilder::new(&batched(1, &branch_shape));
+        branch_i8.push_quant_pipe(&backbone_q).unwrap();
+        branch_i8.push_quant_conv(&head_q, None, false).unwrap();
+        // With each plan's tile: the padded input planes of a direct
+        // convolution are a ninth of the column matrix they replaced,
+        // so more samples fit the tile budget than the two or three
+        // (five for the int8 branch) that did then.
+        let plans = [
+            ("stem f32", 3, compile_sequential(&stem, &batched(1, &stem_shape)).unwrap()),
+            ("stem int8", 3, compile_quant_pipe(&stem_q, &batched(1, &stem_shape)).unwrap()),
+            ("branch f32", 7, branch.finish()),
+            ("branch int8", 8, branch_i8.finish()),
+            ("gate f32", 4, compile_sequential(&gate, &batched(1, &gate_shape)).unwrap()),
+        ];
+        for (name, tile, mut plan) in plans {
+            assert_tile_invariant(&mut plan, tile, name, &mut rng);
         }
-        backend::set_backend(before);
     }
 }

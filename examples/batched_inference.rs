@@ -1,11 +1,8 @@
-//! Batched inference and compute-backend selection.
+//! Batched inference.
 //!
-//! Demonstrates the two speed levers the compute layer exposes:
-//!
-//! * `EcoFusionModel::infer_batch` — amortizes the four stems, the gate
-//!   pass, and branch execution across a whole batch of frames;
-//! * `ecofusion_tensor::backend` — swaps every GEMM/conv kernel in the
-//!   process between the `Blocked` default and the `Reference` oracle.
+//! `EcoFusionModel::infer_batch` amortizes the four stems, the gate pass,
+//! and branch execution across a whole batch of frames, with per-frame
+//! results identical to sequential `infer`.
 //!
 //! ```text
 //! cargo run --release --example batched_inference            # demo scale
@@ -13,7 +10,6 @@
 //! ```
 
 use ecofusion::prelude::*;
-use ecofusion::tensor::backend::{self, BackendKind};
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -54,23 +50,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t_batch.as_secs_f64() * 1e3,
         t_seq.as_secs_f64() / t_batch.as_secs_f64()
     );
-
-    // Same model on the reference backend: the correctness oracle every
-    // optimized backend is validated against (expect a several-fold
-    // slowdown; see crates/bench/benches/tensor_ops.rs for exact ratios).
-    backend::set_backend(BackendKind::Reference);
-    let t = Instant::now();
-    let oracle = model.infer_batch(&frames, &opts)?;
-    let t_ref = t.elapsed();
-    backend::set_backend(BackendKind::Blocked);
-    println!(
-        "reference backend: {:>7.1} ms ({:.2}x slower than blocked)",
-        t_ref.as_secs_f64() * 1e3,
-        t_ref.as_secs_f64() / t_batch.as_secs_f64()
-    );
-    // Backends agree on what was selected (they differ only in rounding).
-    let agree =
-        oracle.iter().zip(&batched).filter(|(a, b)| a.selected_config == b.selected_config).count();
-    println!("backend agreement: {agree}/{} configs identical", batched.len());
     Ok(())
 }

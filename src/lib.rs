@@ -28,29 +28,18 @@
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios.
 //!
-//! ## Performance & backends
+//! ## Performance
 //!
-//! All linear algebra dispatches through a pluggable compute backend
-//! ([`tensor::backend`]): `Reference` keeps the original scalar loops as a
-//! correctness oracle, `Blocked` (the default) provides register-tiled FMA
-//! GEMM kernels, im2col+GEMM convolution with scratch reuse, and
-//! scoped-thread parallelism. Select per process:
-//!
-//! ```
-//! use ecofusion::tensor::backend::{self, BackendKind};
-//!
-//! // The slow-but-obviously-correct oracle...
-//! backend::set_backend(BackendKind::Reference);
-//! assert_eq!(backend::active().name(), "reference");
-//! // ...and back to the fast default.
-//! backend::set_backend(BackendKind::Blocked);
-//! assert_eq!(backend::active().name(), "blocked");
-//! ```
-//!
-//! `Blocked` is what a process runs unless it calls `set_backend`.
-//! Backends agree within `1e-4` (enforced by property tests); the blocked backend is ≥3× faster on GEMM-bound shapes
-//! and >10× on branch convolutions — `cargo bench -p ecofusion-bench
-//! --bench tensor_ops -- backend` measures it on your machine.
+//! All linear algebra runs on the `Blocked` kernels of
+//! [`tensor::backend`]: register-tiled FMA GEMM, im2col+GEMM convolution
+//! with scratch reuse for training, direct convolution inside the
+//! compiled inference plans, and scoped-thread parallelism. The call is
+//! static — there is no mode to select. `Reference` keeps the original
+//! scalar loops as the oracle the kernel tests hold `Blocked` to (they
+//! agree within `1e-4`, enforced by property tests); `Blocked` is ≥3×
+//! faster on GEMM-bound shapes and >10× on branch convolutions — `cargo
+//! bench -p ecofusion-bench --bench tensor_ops -- backend` measures it on
+//! your machine.
 //!
 //! For throughput over many frames, prefer
 //! [`core::EcoFusionModel::infer_batch`] over per-frame
