@@ -105,13 +105,17 @@ fn bench_fused_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-frame cost of the fault subsystem next to the inference it rides
-/// along with: injector passthrough (clean frame), injector with three
-/// active faults, and one health-monitor update. All three must be
-/// negligible vs. one inference (`core.infer_us_per_frame` in the serving
-/// benchmark) — the subsystem's overhead budget.
+/// Per-frame cost of the glue that rides along with inference: injector
+/// passthrough (clean frame), injector with three active faults, one
+/// health-monitor update, and one head decode + NMS. The overhead budget
+/// is a number: a monitor update costs at most one third of the int8
+/// branch plan's time per frame (`fused_pipeline/branch_batch8_int8_compiled`
+/// ÷ 8) — the emergency rung's one branch is the least inference a frame
+/// can ride with, and the monitor runs in the server's serial pick phase.
+/// `decode_sample` is the benchmark's shape: 64 cells of an untrained
+/// 8-class head, every cell a candidate, most of them kept.
 fn bench_fault_pipeline(c: &mut Criterion) {
-    let (_, data) = bench_fixture(11);
+    let (mut model, data) = bench_fixture(11);
     let frame = data.test()[0].clone();
     let context = frame.scene.context;
     let mut group = c.benchmark_group("fault_pipeline");
@@ -138,6 +142,19 @@ fn bench_fault_pipeline(c: &mut Criterion) {
         bench.iter(|| {
             monitor.update(black_box(&frame.obs));
             black_box(monitor.mask())
+        });
+    });
+
+    let feats = model.stem_features(&frame.obs, false);
+    let input = model.branch_input(0, &feats);
+    let branch = &mut model.branches_mut()[0];
+    let head = branch.forward(&input, false);
+    let opts = ecofusion_core::InferenceOptions::new(0.01, 0.5);
+    let kept = branch.decode_sample(&head, 0, opts.score_thresh, opts.nms_iou).len();
+    assert!(kept > 40, "an untrained head keeps most of its 64 cells, not {kept}");
+    group.bench_function("decode_sample", |bench| {
+        bench.iter(|| {
+            black_box(branch.decode_sample(black_box(&head), 0, opts.score_thresh, opts.nms_iou))
         });
     });
     group.finish();

@@ -2,7 +2,7 @@
 
 use ecofusion_energy::{BranchSpec, Joules, Millis, Px2Model, StemPolicy};
 use ecofusion_sensors::SensorKind;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Index of a branch in [`ConfigSpace::branches`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -18,9 +18,37 @@ pub struct ConfigId(pub usize);
 /// of sensors"), and every non-empty ensemble of those branches as a
 /// configuration (late fusion over the ensemble, so the model can mix
 /// no / early / late fusion freely).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConfigSpace {
     branches: Vec<BranchSpec>,
+    /// [`ConfigSpace::label`] of every configuration, indexed by
+    /// `ConfigId`: derived from `branches`, so not serialized.
+    labels: Vec<String>,
+}
+
+impl Serialize for ConfigSpace {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![("branches".to_string(), self.branches.to_value())])
+    }
+}
+
+impl Deserialize for ConfigSpace {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        #[derive(Deserialize)]
+        struct Branches {
+            branches: Vec<BranchSpec>,
+        }
+        let Branches { branches } = Branches::from_value(v)?;
+        // Bounded before the `2^branches` labels are built (and a branch
+        // mask is a `u8`).
+        if branches.len() > 8 {
+            return Err(DeError::custom(format!(
+                "a configuration space has at most 8 branches, not {}",
+                branches.len()
+            )));
+        }
+        Ok(ConfigSpace::new(branches))
+    }
 }
 
 impl ConfigSpace {
@@ -39,20 +67,35 @@ impl ConfigSpace {
     /// Early fusion of lidar + radar (heterogeneous set).
     pub const EARLY_LR: BranchId = BranchId(6);
 
+    /// The space of every non-empty ensemble of `branches`, with its
+    /// labels built once.
+    fn new(branches: Vec<BranchSpec>) -> Self {
+        let mut space = ConfigSpace { branches, labels: Vec::new() };
+        space.labels = (0..space.num_configs())
+            .map(|i| {
+                let parts: Vec<String> = space
+                    .branch_ids(ConfigId(i))
+                    .iter()
+                    .map(|b| space.branches[b.0].label())
+                    .collect();
+                format!("{{{}}}", parts.join(", "))
+            })
+            .collect();
+        space
+    }
+
     /// Builds the canonical 7-branch space.
     pub fn canonical() -> Self {
         use SensorKind::{CameraLeft as CL, CameraRight as CR, Lidar as L, Radar as R};
-        ConfigSpace {
-            branches: vec![
-                BranchSpec::Single(CL),
-                BranchSpec::Single(CR),
-                BranchSpec::Single(L),
-                BranchSpec::Single(R),
-                BranchSpec::Early(vec![CL, CR]),
-                BranchSpec::Early(vec![CL, CR, L]),
-                BranchSpec::Early(vec![L, R]),
-            ],
-        }
+        ConfigSpace::new(vec![
+            BranchSpec::Single(CL),
+            BranchSpec::Single(CR),
+            BranchSpec::Single(L),
+            BranchSpec::Single(R),
+            BranchSpec::Early(vec![CL, CR]),
+            BranchSpec::Early(vec![CL, CR, L]),
+            BranchSpec::Early(vec![L, R]),
+        ])
     }
 
     /// The branch specifications.
@@ -111,10 +154,12 @@ impl ConfigSpace {
     }
 
     /// Human-readable configuration label, e.g. `{C_L, E(C_L+C_R+L)}`.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
     pub fn label(&self, id: ConfigId) -> String {
-        let parts: Vec<String> =
-            self.branch_ids(id).iter().map(|b| self.branches[b.0].label()).collect();
-        format!("{{{}}}", parts.join(", "))
+        assert!(id.0 < self.num_configs(), "config id {} out of range", id.0);
+        self.labels[id.0].clone()
     }
 
     /// PX2 platform energy of every configuration under `policy`, indexed
@@ -201,6 +246,22 @@ mod tests {
         assert_eq!(s.branch_ids(b.early), vec![ConfigSpace::EARLY_CCL]);
         assert_eq!(s.label(b.camera_left), "{C_L}");
         assert_eq!(s.label(b.early), "{E(C_L+C_R+L)}");
+    }
+
+    /// The label table is derived, not stored: a serialized space holds
+    /// its branches only, reloads equal, and a branch list too long to
+    /// enumerate is refused before any label is built.
+    #[test]
+    fn serialized_space_rebuilds_its_labels() {
+        let s = ConfigSpace::canonical();
+        let json = serde_json::to_string(&s).expect("serializes");
+        assert!(!json.contains("labels"), "{json}");
+        let back: ConfigSpace = serde_json::from_str(&json).expect("reloads");
+        assert_eq!(back, s);
+        assert_eq!(back.label(ConfigId(126)), s.label(ConfigId(126)));
+        let wide = format!("{{\"branches\":[{}]}}", ["{\"Single\":\"Lidar\"}"; 40].join(","));
+        let err = serde_json::from_str::<ConfigSpace>(&wide).unwrap_err();
+        assert!(err.to_string().contains("at most 8 branches"), "{err}");
     }
 
     #[test]

@@ -227,6 +227,11 @@ pub struct EcoFusionModel {
     pub(crate) sensor_power: SensorPowerModel,
     wbf: WbfParams,
     adaptive_energies: Vec<Joules>,
+    /// The `Account` stage's result per `[precision][configuration]`
+    /// under the adaptive stem policy, filled on first use: both values
+    /// are a pure function of the pair for a given model, whose cost
+    /// tables never change after construction.
+    adaptive_accounts: [Vec<Option<(EnergyBreakdown, StageTrace)>>; 2],
     /// Required-sensor bitmask per configuration (bit `i` = canonical
     /// sensor `i`), for fault-aware selection.
     pub(crate) config_sensors: Vec<u8>,
@@ -241,6 +246,12 @@ pub struct EcoFusionModel {
     /// Invalidation mirrors the int8 image: every mutable weight access
     /// clears it.
     pub(crate) plans: ecofusion_tensor::graph::PlanCache,
+    /// The replica's step buffers (see [`crate::pipeline`]): stem inputs
+    /// and outputs, gathered gate and branch inputs, the branch head map.
+    /// Grown by the first steps that need them, rewritten by every step;
+    /// they hold activations, never weights, so no weight access
+    /// invalidates them and no snapshot carries them.
+    pub(crate) scratch: crate::pipeline::StepScratch,
 }
 
 impl EcoFusionModel {
@@ -296,11 +307,13 @@ impl EcoFusionModel {
             sensor_power: SensorPowerModel::default(),
             wbf: WbfParams::default(),
             adaptive_energies,
+            adaptive_accounts: [vec![None; n], vec![None; n]],
             config_sensors,
             grid,
             num_classes,
             quant: None,
             plans: ecofusion_tensor::graph::PlanCache::new(),
+            scratch: crate::pipeline::StepScratch::default(),
         }
     }
 
@@ -364,6 +377,28 @@ impl EcoFusionModel {
             select_config(&adjusted, &self.adaptive_energies, opts.lambda_e, opts.gamma, opts.rule)
         };
         ConfigId(idx)
+    }
+
+    /// The `Account` stage of an adaptive inference that selected
+    /// `config` at `precision`: [`crate::pipeline::account_prec`] over
+    /// the configuration's branch specs, computed the first time the
+    /// pair is selected and copied afterwards.
+    pub(crate) fn account_adaptive(
+        &mut self,
+        config: ConfigId,
+        precision: Precision,
+    ) -> (EnergyBreakdown, StageTrace) {
+        let slot = &mut self.adaptive_accounts[usize::from(precision.discriminant())][config.0];
+        slot.get_or_insert_with(|| {
+            crate::pipeline::account_prec(
+                &self.px2,
+                &self.sensor_power,
+                &self.space.branch_specs(config),
+                StemPolicy::Adaptive,
+                precision,
+            )
+        })
+        .clone()
     }
 
     /// Observation grid size the model expects.

@@ -99,11 +99,44 @@
 //! stems are batch-invariant in eval mode (asserted by the detect
 //! crate's tests), a cached row is bit-identical to recomputing it. An
 //! entry's buffers are overwritten in place, so a stream that never hits
-//! pays two copies per miss and no allocation. When one stacked forward
-//! produced every frame's row of a sensor, the bank keeps that output
-//! whole, and every consumer (gate features, branch inputs) copies each
-//! (frame, sensor) block exactly once, straight into its
-//! channel-concatenated input.
+//! pays two copies per miss and no allocation. The bank keeps each
+//! sensor's stacked stem output whole — a frame's row is an index into
+//! it, shared by the frames whose grid repeats it — and every consumer
+//! (gate features, branch inputs) copies each (frame, sensor) block
+//! exactly once, straight into its channel-concatenated input.
+//!
+//! # Step buffers
+//!
+//! Every tensor one stage hands to the next lives in the replica's
+//! `StepScratch` (one per [`EcoFusionModel`], so one per shard; private,
+//! never serialized, and holding activations only, so no weight access
+//! invalidates it) instead of being allocated, zeroed, used once and
+//! freed every step — at batch 64 those were 0.25–2 MiB each, above the
+//! allocator's trim threshold, so every step faulted its pages in again.
+//! Who owns what:
+//!
+//! | buffer | written by | read by |
+//! |---|---|---|
+//! | `bank.stem_in` `(m, 1, g, g)` | `BatchStemBank::ensure`, stacking the grids of the frames that miss | the stem's plan |
+//! | `bank.stem_out[s]` `(m, C, h, w)` | stem `s`'s plan (`execute_into`) | `gather`, the stem caches' `store` |
+//! | `gate_in` `(N, 4·C, h, w)` | `gather` over all frames | the learned gate |
+//! | `branch_in` `(k, C·m, h, w)` | `gather` over the frames that selected the branch | the branch's plan |
+//! | `head` `(k, 5 + K, S, S)` | the branch's plan (`execute_into`) | `decode_sample` |
+//!
+//! Each grows to the largest batch it has been asked for and no further
+//! ([`Tensor::resize`]), and is resized per use without being cleared.
+//! The rule that makes stale contents harmless is **the producer
+//! overwrites everything it hands on**: a compiled plan writes every
+//! element of its output, the stem input is assembled grid by grid, and
+//! `gather` writes every (frame, sensor) block — including an explicit
+//! zero block for a sensor the health mask rules out, which a freshly
+//! zeroed tensor used to supply for free and a reused buffer would
+//! otherwise inherit from the last step's features. A step that fails
+//! half-way (a stem that does not lower) leaves the buffers with whatever
+//! it wrote; the next step starts from `BatchStemBank::reset`, which
+//! forgets every row, and rewrites what it reads. What a warm step still
+//! requests from the allocator is per frame: the returned detections and
+//! gate losses, decode's candidate list, small per-batch index vectors.
 
 use crate::config::ConfigId;
 use crate::dataset::Frame;
@@ -138,19 +171,22 @@ fn plan_key(fingerprint: u64, x: &Tensor, precision: PlanPrecision) -> PlanKey {
     PlanKey { fingerprint, shape: x.shape()[1..].to_vec(), precision }
 }
 
-/// Runs stem `s` over a stacked input: the matching compiled plan is
-/// fetched from (or built into) `plans` and executed.
+/// Runs stem `s` over a stacked input into `out`: the matching compiled
+/// plan is fetched from (or built into) `plans`, `out` is given the
+/// plan's output shape for the batch and the plan overwrites all of it.
 ///
 /// # Errors
 /// [`InferError::Compile`] if the stem does not lower — only an installed
-/// int8 image can do that; the f32 stems are built to the grid.
+/// int8 image can do that; the f32 stems are built to the grid. `out` is
+/// untouched then.
 fn stem_forward(
     plans: &mut PlanCache,
     stems: &[Stem],
     quant: Option<&QuantSnapshot>,
     s: usize,
     x: &Tensor,
-) -> Result<Tensor, InferError> {
+    out: &mut Tensor,
+) -> Result<(), InferError> {
     let salt = STEM_SALT_BASE + s as u64;
     let plan = match quant {
         Some(q) => {
@@ -167,7 +203,9 @@ fn stem_forward(
         }
     }
     .map_err(|source| InferError::Compile { unit: PlanUnit::Stem(s), source })?;
-    Ok(plan.execute(x))
+    out.resize(&plan.out_shape_for(x.shape()[0]));
+    plan.execute_into(x, out);
+    Ok(())
 }
 
 /// What the stage graph will execute for one set of inference options,
@@ -318,17 +356,51 @@ impl<'a> StemCacheRouter<'a> {
     }
 }
 
+/// The buffers of one replica's serving step, kept across steps: every
+/// tensor a step hands from one stage to the next lives here instead of
+/// being allocated, zeroed, used once and freed (module docs, *Step
+/// buffers*). Holds no weights, so nothing ever invalidates it.
+#[derive(Debug, Default)]
+pub(crate) struct StepScratch {
+    /// Stem inputs, stem outputs and where each frame's rows are.
+    bank: BatchStemBank,
+    /// The gate's gathered `(N, 4·C, h, w)` features (`(N, 1, 1, 1)`
+    /// zeros for a gate that reads none).
+    gate_in: Tensor,
+    /// One branch's gathered `(k, C·m, h, w)` input.
+    branch_in: Tensor,
+    /// The raw head map that branch's plan produced from it.
+    head: HeadOutput,
+}
+
+/// Where the bank holds one frame's features of one sensor.
+#[derive(Debug)]
+enum StemRow {
+    /// Nowhere: no stage has demanded them (yet).
+    Missing,
+    /// Row `j` of the sensor's stacked stem output.
+    Forward(usize),
+    /// A `(1, C, h, w)` row replayed from a stream's cache.
+    Cached(Tensor),
+}
+
 /// Lazily computed per-sensor stem features for a batch of frames, with
-/// optional per-stream cache routing and intra-batch deduplication.
+/// optional per-stream cache routing and intra-batch deduplication. Lives
+/// in the replica's [`StepScratch`]; [`BatchStemBank::reset`] starts a
+/// batch.
+#[derive(Debug, Default)]
 struct BatchStemBank {
     n: usize,
     half: usize,
-    /// Per-sensor `(N, C, h, w)` features of the whole batch, kept exactly
-    /// as computed when one stacked forward produced every frame's row.
-    stacked: Vec<Option<Tensor>>,
-    /// Per-sensor per-frame rows `(1, C, h, w)`, for sensors whose rows
-    /// came from caches, aliases or a partial forward.
-    rows: Vec<Vec<Option<Tensor>>>,
+    /// The stacked `(m, 1, g, g)` grids of the frames one stem forward
+    /// runs — written whole by `ensure` before each forward.
+    stem_in: Tensor,
+    /// Per sensor, the `(m, C, h, w)` output of that forward — written
+    /// whole by the stem's plan; a sensor runs at most one forward per
+    /// batch, so its rows stay put until the next `reset`.
+    stem_out: [Tensor; SensorKind::COUNT],
+    /// Per sensor, per frame: where the features are.
+    rows: [Vec<StemRow>; SensorKind::COUNT],
     /// Per-frame bits of stems run fresh.
     computed: Vec<u8>,
     /// Per-frame bits of stems served from a cache or an identical
@@ -337,14 +409,20 @@ struct BatchStemBank {
 }
 
 impl BatchStemBank {
-    fn new(n: usize, half: usize) -> Self {
-        BatchStemBank {
-            n,
-            half,
-            stacked: vec![None; SensorKind::COUNT],
-            rows: vec![vec![None; n]; SensorKind::COUNT],
-            computed: vec![0; n],
-            cached: vec![0; n],
+    /// Forgets the last batch and sizes the per-frame maps for `n` frames
+    /// of `half`-sided stem features. The tensors keep their allocations
+    /// and their stale contents; nothing reads them before a forward has
+    /// rewritten them, because every row starts out [`StemRow::Missing`].
+    fn reset(&mut self, n: usize, half: usize) {
+        self.n = n;
+        self.half = half;
+        for rows in &mut self.rows {
+            rows.clear();
+            rows.resize_with(n, || StemRow::Missing);
+        }
+        for bits in [&mut self.computed, &mut self.cached] {
+            bits.clear();
+            bits.resize(n, 0);
         }
     }
 
@@ -363,6 +441,11 @@ impl BatchStemBank {
     ///
     /// # Errors
     /// [`InferError::Compile`] from the first stem that does not lower.
+    ///
+    /// # Panics
+    /// Panics if a sensor that already ran a forward this batch needs a
+    /// second one: the pipeline demands a sensor either before the gate,
+    /// for every frame, or after selection, for the winners' frames.
     fn ensure(
         &mut self,
         stems: &[Stem],
@@ -373,6 +456,8 @@ impl BatchStemBank {
         plans: &mut PlanCache,
     ) -> Result<(), InferError> {
         let row_shape = [1, STEM_CHANNELS, self.half, self.half];
+        let per = STEM_CHANNELS * self.half * self.half;
+        let side = 2 * self.half;
         for k in SensorKind::ALL {
             let s = k.index();
             let bit = 1u8 << s;
@@ -390,7 +475,7 @@ impl BatchStemBank {
                     let grid = observations[i].grid(k);
                     if let Some(feat) = r.caches[r.lane_of[i]].lookup(s, grid) {
                         r.caches[r.lane_of[i]].note(true);
-                        self.rows[s][i] = Some(feat);
+                        self.rows[s][i] = StemRow::Cached(feat);
                         self.cached[i] |= bit;
                     } else if let Some(pos) =
                         misses.iter().position(|&j| observations[j].grid(k) == grid)
@@ -409,41 +494,33 @@ impl BatchStemBank {
                 misses = pending;
             }
             if !misses.is_empty() {
-                let grids: Vec<&Tensor> = misses.iter().map(|&i| observations[i].grid(k)).collect();
-                let stacked_in = Tensor::stack_batch(&grids);
-                let out = stem_forward(plans, stems, quant, s, &stacked_in)?;
-                let per = out.len() / misses.len();
-                for (row, &i) in out.data().chunks_exact(per).zip(&misses) {
-                    if let Some(r) = router.as_deref_mut() {
-                        r.caches[r.lane_of[i]].store(s, observations[i].grid(k), row, &row_shape);
-                    }
-                    self.computed[i] |= bit;
+                assert!(
+                    !self.rows[s].iter().any(|row| matches!(row, StemRow::Forward(_))),
+                    "a second forward would overwrite the rows of sensor {s}'s first"
+                );
+                self.stem_in.resize(&[misses.len(), 1, side, side]);
+                for (grid, &i) in self.stem_in.data_mut().chunks_exact_mut(side * side).zip(&misses)
+                {
+                    grid.copy_from_slice(observations[i].grid(k).data());
                 }
-                if misses.len() == self.n {
-                    // One forward produced every frame's row (a fleet
-                    // batch that misses every cache, or any uncached
-                    // batch): keep the stacked output whole instead of
-                    // splitting it into rows that are stacked again.
-                    self.stacked[s] = Some(out);
-                } else {
-                    for (j, &i) in misses.iter().enumerate() {
-                        self.rows[s][i] = Some(out.select_batch(j));
-                    }
-                }
+                stem_forward(plans, stems, quant, s, &self.stem_in, &mut self.stem_out[s])?;
             }
-            for (i, pos) in aliases {
-                // Aliases imply a partial forward, so the miss has a row.
-                let row = self.rows[s][misses[pos]].clone().expect("aliased miss was computed");
-                if let Some(r) = router.as_deref_mut() {
-                    r.caches[r.lane_of[i]].store(
-                        s,
-                        observations[i].grid(k),
-                        row.data(),
-                        &row_shape,
-                    );
-                }
-                self.rows[s][i] = Some(row);
+            // Row `j` of the forward is miss `j`'s, and that of every
+            // frame whose grid repeats it.
+            for (j, &i) in misses.iter().enumerate() {
+                self.rows[s][i] = StemRow::Forward(j);
+                self.computed[i] |= bit;
+            }
+            for &(i, pos) in &aliases {
+                self.rows[s][i] = StemRow::Forward(pos);
                 self.cached[i] |= bit;
+            }
+            if let Some(r) = router.as_deref_mut() {
+                let misses = misses.iter().copied().enumerate();
+                for (j, i) in misses.chain(aliases.iter().map(|&(i, pos)| (pos, i))) {
+                    let row = &self.stem_out[s].data()[j * per..(j + 1) * per];
+                    r.caches[r.lane_of[i]].store(s, observations[i].grid(k), row, &row_shape);
+                }
             }
         }
         Ok(())
@@ -451,35 +528,38 @@ impl BatchStemBank {
 
     /// One frame's features of a sensor, wherever the bank holds them.
     fn feat(&self, sensor: usize, frame: usize) -> Option<&[f32]> {
-        match &self.stacked[sensor] {
-            Some(t) => {
-                let per = t.len() / self.n;
-                Some(&t.data()[frame * per..(frame + 1) * per])
+        match &self.rows[sensor][frame] {
+            StemRow::Missing => None,
+            StemRow::Forward(j) => {
+                let per = STEM_CHANNELS * self.half * self.half;
+                Some(&self.stem_out[sensor].data()[j * per..(j + 1) * per])
             }
-            None => self.rows[sensor][frame].as_ref().map(Tensor::data),
+            StemRow::Cached(row) => Some(row.data()),
         }
     }
 
-    /// The `(k, C·m, h, w)` input of a unit that reads `sensors`, in that
-    /// order, over `frames`: one copy per (frame, sensor) straight from
-    /// the bank into the channel-concatenated tensor. A sensor outside
-    /// `live_bits` contributes a zero block.
+    /// Writes into `out` the `(k, C·m, h, w)` input of a unit that reads
+    /// `sensors`, in that order, over `frames`: one copy per (frame,
+    /// sensor) straight from the bank into the channel-concatenated
+    /// tensor. A sensor outside `live_bits` contributes a zero block,
+    /// written like any other — `out` is a step buffer and holds the last
+    /// step's values, so every block is overwritten.
     ///
     /// # Panics
     /// Panics if a live sensor's stem has not run for one of `frames` —
     /// the plan demands every stem before the stage that reads it.
-    fn gather(&self, sensors: &[usize], live_bits: u8, frames: &[usize]) -> Tensor {
+    fn gather(&self, sensors: &[usize], live_bits: u8, frames: &[usize], out: &mut Tensor) {
         let per = STEM_CHANNELS * self.half * self.half;
-        let channels = STEM_CHANNELS * sensors.len();
-        let mut out = Tensor::zeros(&[frames.len(), channels, self.half, self.half]);
+        out.resize(&[frames.len(), STEM_CHANNELS * sensors.len(), self.half, self.half]);
         for (sample, &i) in out.data_mut().chunks_exact_mut(per * sensors.len()).zip(frames) {
             for (block, &s) in sample.chunks_exact_mut(per).zip(sensors) {
                 if live_bits & (1 << s) != 0 {
                     block.copy_from_slice(self.feat(s, i).expect("stem demanded by the plan"));
+                } else {
+                    block.fill(0.0);
                 }
             }
         }
-        out
     }
 
     fn counts(&self, frame: usize) -> (u8, u8, u8) {
@@ -540,9 +620,25 @@ impl EcoFusionModel {
 
     /// Staged Algorithm 1 over a batch (the body behind
     /// [`EcoFusionModel::infer_batch`] and
-    /// [`EcoFusionModel::infer_batch_cached`]).
+    /// [`EcoFusionModel::infer_batch_cached`]), on the replica's step
+    /// buffers.
     pub(crate) fn run_staged_batch(
         &mut self,
+        frames: &[Frame],
+        opts: &InferenceOptions,
+        router: Option<StemCacheRouter<'_>>,
+    ) -> Result<Vec<InferenceOutput>, InferError> {
+        // The stages borrow the model and its buffers side by side; a
+        // failed step hands the buffers back like any other.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let outputs = self.run_stages(&mut scratch, frames, opts, router);
+        self.scratch = scratch;
+        outputs
+    }
+
+    fn run_stages(
+        &mut self,
+        scratch: &mut StepScratch,
         frames: &[Frame],
         opts: &InferenceOptions,
         router: Option<StemCacheRouter<'_>>,
@@ -564,7 +660,9 @@ impl EcoFusionModel {
         let n = frames.len();
         let plan = self.plan(opts);
         let observations: Vec<&Observation> = frames.iter().map(|f| &f.obs).collect();
-        let mut bank = BatchStemBank::new(n, self.grid / 2);
+        let StepScratch { bank, gate_in, branch_in, head } = scratch;
+        bank.reset(n, self.grid / 2);
+        let all: Vec<usize> = (0..n).collect();
         // Stems demanded before gating, across the whole batch.
         let pre_gate = vec![plan.pre_gate_bits(); n];
         let quant = if quant_active { self.quant.as_ref() } else { None };
@@ -579,11 +677,10 @@ impl EcoFusionModel {
         // Oracle detections + losses if the loss-based gate is active
         // (kept: Branch reuses them instead of re-running branches).
         let oracle_dets: Option<Vec<Vec<Vec<Detection>>>> = if plan.needs_oracle {
-            let all: Vec<usize> = (0..n).collect();
             let mut per_frame: Vec<Vec<Vec<Detection>>> =
                 (0..n).map(|_| Vec::with_capacity(self.branches.len())).collect();
             for b in 0..self.branches.len() {
-                let dets = self.branch_batch_from_bank(b, &bank, &all, opts)?;
+                let dets = self.branch_batch_from_bank(b, bank, &all, opts, branch_in, head)?;
                 for (frame_dets, d) in per_frame.iter_mut().zip(dets) {
                     frame_dets.push(d);
                 }
@@ -606,26 +703,27 @@ impl EcoFusionModel {
         // knowledge gate reads only `context`, the oracle only
         // `oracle_losses` — so the batch tensor serves as every frame's
         // features view and no per-frame copies are made.
-        let gate_batch = if plan.gate_reads_features {
+        if plan.gate_reads_features {
             // Per-sensor features in canonical order, zero-filled for the
             // sensors the health mask rules out.
             let sensors: [usize; SensorKind::COUNT] = std::array::from_fn(|s| s);
-            let all: Vec<usize> = (0..n).collect();
-            bank.gather(&sensors, plan.gate_stem_bits, &all)
+            bank.gather(&sensors, plan.gate_stem_bits, &all, gate_in);
         } else {
-            Tensor::zeros(&[n, 1, 1, 1])
-        };
+            gate_in.resize(&[n, 1, 1, 1]);
+            gate_in.data_mut().fill(0.0);
+        }
+        let gate_batch: &Tensor = gate_in;
         let inputs: Vec<GateInput<'_>> = frames
             .iter()
             .enumerate()
             .map(|(i, f)| GateInput {
-                features: &gate_batch,
+                features: gate_batch,
                 context: Some(f.scene.context),
                 oracle_losses: oracle.as_ref().map(|o| o[i].as_slice()),
                 sensor_health: Some(opts.health),
             })
             .collect();
-        let predicted = self.predict_gate_batch(&gate_batch, &inputs, opts.gate);
+        let predicted = self.predict_gate_batch(gate_batch, &inputs, opts.gate);
         drop(inputs);
         // Select per frame, then group frames by branch so every branch
         // the batch needs executes exactly once.
@@ -665,7 +763,7 @@ impl EcoFusionModel {
             if idxs.is_empty() || branch_dets[b].iter().all(|d| d.is_some()) {
                 continue;
             }
-            let dets = self.branch_batch_from_bank(b, &bank, idxs, opts)?;
+            let dets = self.branch_batch_from_bank(b, bank, idxs, opts, branch_in, head)?;
             for (slot, d) in idxs.iter().zip(dets) {
                 branch_dets[b][*slot] = Some(d);
             }
@@ -681,49 +779,40 @@ impl EcoFusionModel {
             vec![0; n]
         };
         // Fuse + Account per frame.
-        let outputs = frames
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                // Frame `i` is the only reader of its slots, so it takes
-                // them; a lone branch's detections move into the output.
-                let mask = masks[i];
-                let mut take =
-                    |b: usize| branch_dets[b][i].take().expect("demanded branch executed");
-                let detections = if mask.is_power_of_two() {
-                    take(mask.trailing_zeros() as usize)
-                } else {
-                    let outs: Vec<Vec<Detection>> =
-                        (0..n_branches).filter(|b| mask >> b & 1 != 0).map(&mut take).collect();
-                    self.fuse(&outs)
-                };
-                let specs = self.space.branch_specs(selected[i]);
-                let (energy, trace) = account_prec(
-                    &self.px2,
-                    &self.sensor_power,
-                    &specs,
-                    StemPolicy::Adaptive,
-                    opts.precision,
-                );
-                let (executed, cached, skipped) = bank.counts(i);
-                InferenceOutput {
-                    detections,
-                    selected_config: selected[i],
-                    selected_label: self.space.label(selected[i]),
-                    predicted_losses: predicted[i].clone(),
-                    energy,
-                    stage_trace: trace.with_stem_counts(executed, cached, skipped),
-                    precision: opts.precision,
-                    gate_fallbacks: fallbacks[i],
-                }
-            })
-            .collect();
+        let mut outputs = Vec::with_capacity(n);
+        for (i, predicted_losses) in predicted.into_iter().enumerate() {
+            // Frame `i` is the only reader of its slots, so it takes
+            // them; a lone branch's detections move into the output.
+            let mask = masks[i];
+            let mut take = |b: usize| branch_dets[b][i].take().expect("demanded branch executed");
+            let detections = if mask.is_power_of_two() {
+                take(mask.trailing_zeros() as usize)
+            } else {
+                let outs: Vec<Vec<Detection>> =
+                    (0..n_branches).filter(|b| mask >> b & 1 != 0).map(&mut take).collect();
+                self.fuse(&outs)
+            };
+            let (energy, trace) = self.account_adaptive(selected[i], opts.precision);
+            let (executed, cached, skipped) = bank.counts(i);
+            outputs.push(InferenceOutput {
+                detections,
+                selected_config: selected[i],
+                selected_label: self.space.label(selected[i]),
+                predicted_losses,
+                energy,
+                stage_trace: trace.with_stem_counts(executed, cached, skipped),
+                precision: opts.precision,
+                gate_fallbacks: fallbacks[i],
+            });
+        }
         Ok(outputs)
     }
 
     /// Runs one branch's plan over the banked stem features of `frames`
     /// (the whole batch or the sub-batch that selected the branch) and
-    /// decodes one detection list per frame.
+    /// decodes one detection list per frame. `input` and `head` are the
+    /// replica's step buffers: the gather rewrites `input` whole, the
+    /// plan `head`.
     ///
     /// # Errors
     /// [`InferError::Compile`] if the branch does not lower (an installed
@@ -734,10 +823,12 @@ impl EcoFusionModel {
         bank: &BatchStemBank,
         frames: &[usize],
         opts: &InferenceOptions,
+        input: &mut Tensor,
+        head: &mut HeadOutput,
     ) -> Result<Vec<Vec<Detection>>, InferError> {
         let sensors: Vec<usize> =
             self.space.branches()[branch].sensors().iter().map(|k| k.index()).collect();
-        let input = bank.gather(&sensors, ALL_SENSOR_BITS, frames);
+        bank.gather(&sensors, ALL_SENSOR_BITS, frames, input);
         let salt = BRANCH_SALT_BASE + branch as u64;
         // Int8 backbone + head produce the same raw map layout as the f32
         // branch; the f32 head decodes it (sigmoid/softmax/NMS stay full
@@ -745,18 +836,19 @@ impl EcoFusionModel {
         let plan = if opts.precision == Precision::Int8 {
             let q = self.quant.as_ref().expect("int8 image built before the Branch stage");
             let qb = &q.branches[branch];
-            let key = plan_key(qb.plan_fingerprint(salt), &input, PlanPrecision::Int8);
+            let key = plan_key(qb.plan_fingerprint(salt), input, PlanPrecision::Int8);
             self.plans.try_get_or_compile(key, || qb.compile(input.shape()))
         } else {
             let det = &self.branches[branch];
-            let key = plan_key(det.plan_fingerprint(salt), &input, PlanPrecision::F32);
+            let key = plan_key(det.plan_fingerprint(salt), input, PlanPrecision::F32);
             self.plans.try_get_or_compile(key, || det.compile(input.shape()))
         }
         .map_err(|source| InferError::Compile { unit: PlanUnit::Branch(branch), source })?;
-        let out = HeadOutput { map: plan.execute(&input) };
+        head.map.resize(&plan.out_shape_for(frames.len()));
+        plan.execute_into(input, &mut head.map);
         let det = &self.branches[branch];
         Ok((0..frames.len())
-            .map(|j| det.decode_sample(&out, j, opts.score_thresh, opts.nms_iou))
+            .map(|j| det.decode_sample(head, j, opts.score_thresh, opts.nms_iou))
             .collect())
     }
 

@@ -10,7 +10,11 @@
 //!    shared with `prop_pipeline.rs`), across seeds × contexts × health
 //!    masks × batch sizes (below and across the plans' tiles) × learned
 //!    gates × `Precision::{F32, Int8}`, and again after the gate weights
-//!    change under a compiled gate plan.
+//!    change under a compiled gate plan. Reuse changes nothing either:
+//!    one warm replica serving a sequence of batches of changing size,
+//!    health mask, precision and gate — a failed step among them — out
+//!    of its step buffers produces every batch exactly as a fresh model
+//!    does.
 //! 2. **Compile once** — plans are keyed by per-sample shape, so a model
 //!    served sub-batches of every size compiles nothing after the step
 //!    that first ran each unit.
@@ -22,7 +26,10 @@
 //!    GEMM reaches the backend's parallel threshold and no scoped thread
 //!    (which allocates a stack) is spawned. The same allocator holds the
 //!    oracle's configuration scorer to one allocation per frame — the
-//!    returned losses — once its scratch is warm.
+//!    returned losses — once its scratch is warm — and a whole warm
+//!    `infer_batch` to what is per frame: it counts requested bytes and
+//!    the largest single request too, and a batch-64 step may ask for no
+//!    buffer that scales with the batch.
 
 mod common;
 
@@ -51,16 +58,25 @@ use proptest::prelude::*;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// One request of `size` bytes (an `alloc`, or a `realloc` to `size`).
+fn count(size: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|c| c.set(c.get() + size as u64));
+    LARGEST.with(|c| c.set(c.get().max(size)));
 }
 
 struct CountingAlloc;
 
-// SAFETY: defers to `System` for every operation; the thread-local is a
-// `Cell<u64>` with const init (no lazy allocation, no destructor), so
-// counting from inside the allocator cannot recurse.
+// SAFETY: defers to `System` for every operation; the thread-locals are
+// `Cell`s of integers with const init (no lazy allocation, no
+// destructor), so counting from inside the allocator cannot recurse.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -69,7 +85,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -138,6 +154,70 @@ proptest! {
         );
         assert_matches_reference(&updated, &monolithic_infer_batch(&mut model, &frames, &opts));
     }
+}
+
+/// One warm replica against a fresh model per batch: the step buffers a
+/// replica keeps across steps hold the last batch's values, so every
+/// producer must rewrite all of what it hands on. The sequence shrinks
+/// and regrows the batch (64 → 3 → 64 → 1), masks a sensor after a step
+/// that left its features in the gate's buffer (the zero block must be
+/// written, not inherited) and unmasks it again, alternates f32 and
+/// int8, visits all four gates, and fails one step at plan compile in
+/// the middle of the Stems stage before serving the next.
+#[test]
+fn a_warm_replica_serves_every_batch_like_a_fresh_model() {
+    use ecofusion_core::model::{InferError, PlanUnit};
+    use ecofusion_core::QuantSnapshot;
+    use ecofusion_sensors::SensorKind;
+    use GateKind::{Attention, Deep, Knowledge, LossBased};
+    use Precision::{Int8, F32};
+
+    const SEED: u64 = 0x5C4A;
+    let fresh = || EcoFusionModel::new(GRID, 8, &mut Rng::new(SEED));
+    let frames = render_frames(23, Context::City, 64);
+    let all = SensorMask::all_available();
+    let no_lidar = all.without(SensorKind::Lidar);
+    let no_cameras = all.without(SensorKind::CameraLeft).without(SensorKind::CameraRight);
+    let mut warm = fresh();
+    let serve = |warm: &mut EcoFusionModel, n, mask, precision, gate| {
+        let opts = InferenceOptions::new(0.01, 0.5)
+            .with_gate(gate)
+            .with_health(mask)
+            .with_precision(precision);
+        let served = warm.infer_batch(&frames[..n], &opts).expect("served batch");
+        assert_matches_reference(
+            &served,
+            &monolithic_infer_batch(&mut fresh(), &frames[..n], &opts),
+        );
+    };
+    for (n, mask, precision, gate) in [
+        (64, all, F32, Attention),
+        (3, no_lidar, F32, Attention),
+        (64, all, Int8, Attention),
+        (1, no_cameras, Int8, Deep),
+        (64, all, F32, Deep),
+        (3, all, Int8, Knowledge),
+        (64, no_cameras, F32, Knowledge),
+        (1, all, F32, LossBased),
+        (3, no_lidar, Int8, LossBased),
+    ] {
+        serve(&mut warm, n, mask, precision, gate);
+    }
+    // A version-skewed int8 image: the first stem's convolution has
+    // stride 0, which the plan compiler refuses — after the step has
+    // stacked its stem input and before any stem output is written.
+    let good = warm.ensure_quant().expect("quantizes").clone();
+    let json = serde_json::to_string(&good).expect("serializes");
+    let skewed = json.replacen("\"stride\":1", "\"stride\":0", 1);
+    assert_ne!(skewed, json, "the image's first convolution has stride 1");
+    let skewed: QuantSnapshot = serde_json::from_str(&skewed).expect("a loadable image");
+    warm.install_quant(skewed).expect("header and counts still match");
+    let int8 = InferenceOptions::new(0.01, 0.5).with_precision(Int8);
+    let err = warm.infer_batch(&frames, &int8).expect_err("stem 0 does not lower");
+    assert!(matches!(err, InferError::Compile { unit: PlanUnit::Stem(0), .. }), "{err}");
+    warm.install_quant(good).expect("the good image again");
+    serve(&mut warm, 64, no_lidar, Int8, Attention);
+    serve(&mut warm, 64, all, F32, Attention);
 }
 
 // ---------------------------------------------------------------------------
@@ -277,4 +357,32 @@ fn warm_scratch_scores_a_frame_with_one_allocation() {
     let after = allocs_on_this_thread();
     assert_eq!(losses.len(), 127);
     assert_eq!(after - before, 1, "a warm frame allocated {} times", after - before);
+}
+
+/// A warm batch-64 step asks the allocator for what is per frame — the
+/// returned detections and gate losses, decode's candidate list and
+/// chains — and for nothing sized by the batch: stem inputs and outputs,
+/// the gathered gate and branch inputs and the head maps are the
+/// replica's step buffers, rewritten in place. At most 24 requests and
+/// 16 KiB per frame, and no single request above 64 KiB (the largest
+/// left is the gate's `(64, 127)` score matrix; a `plan.execute` per unit
+/// used to ask for up to 2 MiB, zeroed, every step).
+#[test]
+fn a_warm_step_requests_no_batch_sized_buffer() {
+    let frames = render_frames(29, Context::City, 64);
+    let opts = InferenceOptions::new(0.01, 0.5);
+    let mut model = EcoFusionModel::new(GRID, 8, &mut Rng::new(0xA110C));
+    for _ in 0..2 {
+        model.infer_batch(&frames, &opts).expect("warm-up step");
+    }
+    LARGEST.with(|c| c.set(0));
+    let (allocs, bytes) = (allocs_on_this_thread(), BYTES.with(|c| c.get()));
+    let served = model.infer_batch(&frames, &opts).expect("warm step");
+    let allocs = (allocs_on_this_thread() - allocs) as f64 / frames.len() as f64;
+    let kib = (BYTES.with(|c| c.get()) - bytes) as f64 / 1024.0 / frames.len() as f64;
+    let largest = LARGEST.with(|c| c.get());
+    assert_eq!(served.len(), frames.len());
+    assert!(allocs <= 24.0, "{allocs:.1} allocations per frame");
+    assert!(kib <= 16.0, "{kib:.1} KiB requested per frame");
+    assert!(largest <= 64 * 1024, "one request of {largest} bytes");
 }

@@ -37,7 +37,7 @@ impl DetectionLoss {
 /// Raw head output: a `(1, 5 + K, S, S)` map. Channel 0 holds objectness
 /// logits, channels `1..=K` class logits, channels `K+1..K+5` box
 /// regression parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HeadOutput {
     /// The raw output map.
     pub map: Tensor,
@@ -120,7 +120,8 @@ impl DenseHead {
     /// Decodes one sample of a (possibly batched) head output.
     ///
     /// # Panics
-    /// Panics if `sample` is outside the output's batch dimension.
+    /// Panics if `sample` is outside the output's batch dimension or the
+    /// map is not `(N, 5 + K, S, S)` for this head.
     pub fn decode_sample(
         &self,
         out: &HeadOutput,
@@ -128,50 +129,52 @@ impl DenseHead {
         score_thresh: f32,
         nms_iou: f32,
     ) -> Vec<Detection> {
-        assert!(sample < out.map.shape()[0], "decode_sample batch index out of range");
         let s = self.grid.cells;
         let k = self.num_classes;
+        let shape = out.map.shape();
+        assert!(sample < shape[0], "decode_sample batch index out of range");
+        assert_eq!(&shape[1..], [5 + k, s, s], "head map does not match the head");
         let raster = self.grid.stride * s as f32;
-        let mut dets = Vec::new();
-        for row in 0..s {
-            for col in 0..s {
-                let obj = sigmoid(out.map.get4(sample, 0, row, col));
-                // A NaN objectness (non-finite weights or input) goes with
-                // the low scores.
-                if obj < score_thresh || obj.is_nan() {
-                    continue;
-                }
-                // Class softmax.
-                let mut best_c = 0;
-                let mut best_l = f32::NEG_INFINITY;
-                let mut denom = 0.0;
-                let mut max_l = f32::NEG_INFINITY;
-                for c in 0..k {
-                    max_l = max_l.max(out.map.get4(sample, 1 + c, row, col));
-                }
-                for c in 0..k {
-                    let l = out.map.get4(sample, 1 + c, row, col);
-                    denom += (l - max_l).exp();
-                    if l > best_l {
-                        best_l = l;
-                        best_c = c;
-                    }
-                }
-                let class_prob = (best_l - max_l).exp() / denom.max(1e-12);
-                // A softmax probability is at most 1; NaN, or the floor
-                // under a NaN `denom`, means non-finite class logits.
-                if class_prob > 1.0 || class_prob.is_nan() {
-                    continue;
-                }
-                let t = [
-                    out.map.get4(sample, 1 + k, row, col),
-                    out.map.get4(sample, 2 + k, row, col),
-                    out.map.get4(sample, 3 + k, row, col),
-                    out.map.get4(sample, 4 + k, row, col),
-                ];
-                let bbox = self.grid.decode(row, col, t).clamped(raster);
-                dets.push(Detection::new(bbox, best_c, obj * class_prob));
+        // The sample's channel planes, sliced once: objectness, the `k`
+        // class planes, the four box planes.
+        let cells = s * s;
+        let planes = &out.map.data()[sample * (5 + k) * cells..(sample + 1) * (5 + k) * cells];
+        let (objectness, planes) = planes.split_at(cells);
+        let (classes, boxes) = planes.split_at(k * cells);
+        // Every cell may be a candidate.
+        let mut dets = Vec::with_capacity(cells);
+        for (cell, &logit) in objectness.iter().enumerate() {
+            let obj = sigmoid(logit);
+            // A NaN objectness (non-finite weights or input) goes with
+            // the low scores.
+            if obj < score_thresh || obj.is_nan() {
+                continue;
             }
+            // Class softmax.
+            let mut best_c = 0;
+            let mut best_l = f32::NEG_INFINITY;
+            let mut denom = 0.0;
+            let mut max_l = f32::NEG_INFINITY;
+            for plane in classes.chunks_exact(cells) {
+                max_l = max_l.max(plane[cell]);
+            }
+            for (c, plane) in classes.chunks_exact(cells).enumerate() {
+                let l = plane[cell];
+                denom += (l - max_l).exp();
+                if l > best_l {
+                    best_l = l;
+                    best_c = c;
+                }
+            }
+            let class_prob = (best_l - max_l).exp() / denom.max(1e-12);
+            // A softmax probability is at most 1; NaN, or the floor
+            // under a NaN `denom`, means non-finite class logits.
+            if class_prob > 1.0 || class_prob.is_nan() {
+                continue;
+            }
+            let t: [f32; 4] = std::array::from_fn(|b| boxes[b * cells + cell]);
+            let bbox = self.grid.decode(cell / s, cell % s, t).clamped(raster);
+            dets.push(Detection::new(bbox, best_c, obj * class_prob));
         }
         nms(dets, nms_iou)
     }

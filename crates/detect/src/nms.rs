@@ -7,21 +7,50 @@ use crate::bbox::Detection;
 ///
 /// Output is sorted by descending score.
 ///
+/// Kept detections are chained per class (an intrusive `next` index per
+/// kept box, and one `(class_id, newest kept box)` entry per class met,
+/// found by a linear scan — `class_id` arrives from outside, so it never
+/// indexes a table), and a candidate is measured only against the chain
+/// of its own class: after the sort, `Σ_c k_c · n_c` IoU tests for `n_c`
+/// candidates and `k_c` kept boxes of class `c`, where one list of all
+/// kept boxes costs `k · n`. The tests made are the ones that list would
+/// make with the cross-class ones left out, so the same boxes are kept.
+/// The kept prefix is compacted inside `dets` itself; the result is
+/// `dets`, truncated.
+///
 /// # Panics
 /// Panics if `iou_thresh` is outside `[0, 1]`.
 pub fn nms(mut dets: Vec<Detection>, iou_thresh: f32) -> Vec<Detection> {
     assert!((0.0..=1.0).contains(&iou_thresh), "iou_thresh must be in [0, 1]");
     dets.sort_by(|a, b| b.score.total_cmp(&a.score));
-    let mut keep: Vec<Detection> = Vec::with_capacity(dets.len());
-    'outer: for d in dets {
-        for k in &keep {
-            if k.class_id == d.class_id && k.bbox.iou(&d.bbox) > iou_thresh {
+    /// Ends a chain (no kept box has this index: `kept < dets.len()`).
+    const END: usize = usize::MAX;
+    // `dets[..kept]` are the kept boxes; `next[k]` is the kept box of
+    // `dets[k]`'s class that was kept just before it.
+    let mut kept = 0;
+    let mut next: Vec<usize> = Vec::with_capacity(dets.len());
+    let mut heads: Vec<(usize, usize)> = Vec::new();
+    'outer: for i in 0..dets.len() {
+        let d = dets[i];
+        let class = heads.iter().position(|&(class_id, _)| class_id == d.class_id);
+        let head = class.map_or(END, |c| heads[c].1);
+        let mut k = head;
+        while k != END {
+            if dets[k].bbox.iou(&d.bbox) > iou_thresh {
                 continue 'outer;
             }
+            k = next[k];
         }
-        keep.push(d);
+        dets[kept] = d;
+        next.push(head);
+        match class {
+            Some(c) => heads[c].1 = kept,
+            None => heads.push((d.class_id, kept)),
+        }
+        kept += 1;
     }
-    keep
+    dets.truncate(kept);
+    dets
 }
 
 /// Soft-NMS (Bodla et al.): instead of removing overlapping detections,
@@ -130,6 +159,87 @@ mod tests {
         assert!(kept[..4].iter().all(|d| d.score.is_nan()));
         assert!(kept[4..].windows(2).all(|w| w[0].score >= w[1].score));
         assert!(soft_nms(dets, 0.5, 0.01).len() <= 40);
+    }
+
+    /// The definition: every candidate against every kept box, in one
+    /// list. The oracle of the class-chained form.
+    fn nms_double_loop(mut dets: Vec<Detection>, iou_thresh: f32) -> Vec<Detection> {
+        dets.sort_by(|a, b| b.score.total_cmp(&a.score));
+        let mut keep: Vec<Detection> = Vec::with_capacity(dets.len());
+        'outer: for d in dets {
+            for k in &keep {
+                if k.class_id == d.class_id && k.bbox.iou(&d.bbox) > iou_thresh {
+                    continue 'outer;
+                }
+            }
+            keep.push(d);
+        }
+        keep
+    }
+
+    /// Bitwise, so that NaN scores compare too.
+    fn assert_same(a: &[Detection], b: &[Detection], what: &str) {
+        let bits = |d: &Detection| {
+            let b = d.bbox;
+            ([b.x1, b.y1, b.x2, b.y2].map(f32::to_bits), d.class_id, d.score.to_bits())
+        };
+        assert_eq!(
+            a.iter().map(bits).collect::<Vec<_>>(),
+            b.iter().map(bits).collect::<Vec<_>>(),
+            "{what}"
+        );
+    }
+
+    /// The chained form keeps what the double loop keeps, in its order:
+    /// crowded random boxes with tied and NaN scores and repeated boxes,
+    /// under every way of assigning classes and at the thresholds'
+    /// extremes.
+    #[test]
+    fn chained_nms_matches_the_double_loop() {
+        use ecofusion_tensor::rng::Rng;
+        type ClassOf = fn(usize, &mut Rng) -> usize;
+        let class_of: [(&str, ClassOf); 4] = [
+            ("one class", |_, _| 3),
+            ("eight classes", |_, rng| rng.uniform_usize(0, 8)),
+            ("a class per box", |i, _| i),
+            ("outside ids", |i, _| if i % 3 == 0 { usize::MAX } else { usize::MAX - i % 4 }),
+        ];
+        for (name, class) in class_of {
+            for seed in 0..12u64 {
+                let mut rng = Rng::new(0x0A15 ^ seed);
+                let n = rng.uniform_usize(0, 90);
+                let mut dets: Vec<Detection> = Vec::with_capacity(n);
+                for i in 0..n {
+                    let d = if i > 0 && rng.chance(0.15) {
+                        // An identical box, or the same box under another
+                        // score.
+                        let mut twin = dets[rng.uniform_usize(0, i)];
+                        if rng.chance(0.5) {
+                            twin.score = rng.uniform(0.0, 1.0) as f32;
+                        }
+                        twin
+                    } else {
+                        let (x, y) = (rng.uniform(0.0, 24.0) as f32, rng.uniform(0.0, 24.0) as f32);
+                        let (w, h) = (rng.uniform(0.0, 10.0) as f32, rng.uniform(0.0, 10.0) as f32);
+                        // Scores on a coarse lattice tie often.
+                        let score = match rng.uniform_usize(0, 12) {
+                            0 => f32::NAN,
+                            q => q as f32 / 8.0,
+                        };
+                        Detection::new(BBox::new(x, y, x + w, y + h), class(i, &mut rng), score)
+                    };
+                    dets.push(d);
+                }
+                for thresh in [0.0, 0.3, 0.5, 1.0] {
+                    let what = format!("{name}, seed {seed}, {n} boxes, iou {thresh}");
+                    assert_same(
+                        &nms(dets.clone(), thresh),
+                        &nms_double_loop(dets.clone(), thresh),
+                        &what,
+                    );
+                }
+            }
+        }
     }
 
     #[test]

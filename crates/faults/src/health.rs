@@ -70,7 +70,9 @@ struct SensorTracker {
     slow_var: f64,
     fast_delta: f64,
     slow_delta: f64,
-    prev: Option<Vec<f32>>,
+    /// The previous frame's grid, overwritten in place every frame (empty
+    /// before the first).
+    prev: Vec<f32>,
     score: f64,
     state: HealthState,
 }
@@ -85,11 +87,102 @@ impl SensorTracker {
             slow_var: 0.0,
             fast_delta: 0.0,
             slow_delta: 0.0,
-            prev: None,
+            prev: Vec::new(),
             score: 1.0,
             state: HealthState::Healthy,
         }
     }
+
+    /// The previous grid a `len`-cell grid can be differenced against:
+    /// none on a first frame, and none when the grid changed length — a
+    /// delta over the common prefix would compare unrelated cells.
+    fn prev_for(&self, len: usize) -> Option<&[f32]> {
+        (self.frames > 0 && self.prev.len() == len).then_some(&self.prev[..])
+    }
+}
+
+/// One frame's grid statistics of one sensor.
+#[derive(Debug, Clone, Copy)]
+struct GridStats {
+    /// Mean absolute cell value.
+    energy: f64,
+    /// Population variance of the cells.
+    var: f64,
+    /// Mean absolute change against the previous frame, when there is one
+    /// to compare with ([`SensorTracker::prev_for`]).
+    delta: Option<f64>,
+}
+
+/// [`GridStats`] of one sensor, a pass per statistic: the definition the
+/// one-pass [`fused_stats`] is bit-identical to, the path of an
+/// observation whose grids differ in length, and the tests' oracle.
+fn sensor_stats(data: &[f32], prev: Option<&[f32]>) -> GridStats {
+    let n = data.len().max(1) as f64;
+    let mut sum = 0.0f64;
+    let mut sum_abs = 0.0f64;
+    for &v in data {
+        sum += v as f64;
+        sum_abs += v.abs() as f64;
+    }
+    let mean = sum / n;
+    let mut var = 0.0f64;
+    for &v in data {
+        let d = v as f64 - mean;
+        var += d * d;
+    }
+    let delta = prev.map(|prev| {
+        let mut d = 0.0f64;
+        for (&a, &b) in data.iter().zip(prev) {
+            d += (a - b).abs() as f64;
+        }
+        d / n
+    });
+    GridStats { energy: sum_abs / n, var: var / n, delta }
+}
+
+/// [`sensor_stats`] of all four sensors in one pass over four grids of
+/// one length: the sums, absolute sums and frame deltas as twelve
+/// independent accumulators in one loop, the four variances in a second.
+/// Every accumulator adds the terms [`sensor_stats`] adds, in its order —
+/// floating-point addition is never reassociated — so each statistic is
+/// the same `f64` bit for bit; what changes is that twelve serial add
+/// chains overlap instead of running one after another, and each grid is
+/// read twice instead of three times.
+///
+/// # Panics
+/// Panics if the grids (or a present `prev`) differ in length.
+fn fused_stats(grids: [&[f32]; 4], prevs: [Option<&[f32]>; 4]) -> [GridStats; 4] {
+    let len = grids[0].len();
+    let n = len.max(1) as f64;
+    // A sensor with nothing to difference against reads its own grid as
+    // `prev`; its delta is discarded below.
+    let against: [&[f32]; 4] = std::array::from_fn(|s| prevs[s].unwrap_or(grids[s]));
+    assert!(grids.iter().chain(&against).all(|g| g.len() == len), "grids of one length");
+    /// Cell `i` of all four slices, for every `i`.
+    fn cells<'a>([a, b, c, d]: [&'a [f32]; 4]) -> impl Iterator<Item = [f32; 4]> + 'a {
+        a.iter().zip(b).zip(c).zip(d).map(|(((&a, &b), &c), &d)| [a, b, c, d])
+    }
+    let (mut sum, mut sum_abs, mut diff) = ([0.0f64; 4], [0.0f64; 4], [0.0f64; 4]);
+    for (v, prev) in cells(grids).zip(cells(against)) {
+        for s in 0..4 {
+            sum[s] += v[s] as f64;
+            sum_abs[s] += v[s].abs() as f64;
+            diff[s] += (v[s] - prev[s]).abs() as f64;
+        }
+    }
+    let mean = sum.map(|s| s / n);
+    let mut var = [0.0f64; 4];
+    for v in cells(grids) {
+        for s in 0..4 {
+            let d = v[s] as f64 - mean[s];
+            var[s] += d * d;
+        }
+    }
+    std::array::from_fn(|s| GridStats {
+        energy: sum_abs[s] / n,
+        var: var[s] / n,
+        delta: prevs[s].map(|_| diff[s] / n),
+    })
 }
 
 /// Estimates per-sensor health online, with no ground truth, from three
@@ -108,9 +201,30 @@ impl SensorTracker {
 /// [`SensorHealthMonitor::mask`] summarizes failed sensors as a
 /// [`SensorMask`] for the fault-aware gating layer.
 ///
-/// The monitor is pure observation-side accounting — one O(grid²) pass per
-/// sensor per frame, negligible next to branch inference — and is fully
-/// deterministic in its input sequence.
+/// The monitor is pure observation-side accounting and fully
+/// deterministic in its input sequence. Its cost is measured, not
+/// assumed: ≈ 5 µs per 32×32 observation on the reference host
+/// (`fault_pipeline/health_monitor_update`), against a budget of one
+/// third of the int8 branch plan's time per frame — it runs in the
+/// server's serial pick phase, so on the int8 emergency rung it is a
+/// visible share of the step. [`SensorHealthMonitor::update`] therefore
+/// reads the four grids of an observation together (`fused_stats`): one
+/// loop carries the sum, absolute sum and frame delta of all four
+/// sensors as twelve independent `f64` chains, a second the four
+/// variances. Each chain adds exactly the terms of the sensor-at-a-time
+/// definition (`sensor_stats`) in exactly its order, so every score,
+/// state, mask and transition count is bit-identical to it; grids of
+/// unequal length (reachable only through [`Observation::grid_mut`]) take
+/// the sensor-at-a-time path.
+///
+/// # Grid length changes
+///
+/// The frame delta compares a grid with the previous frame's, cell for
+/// cell. A sensor whose grid changes length between two updates has no
+/// such pairing: it gets **no delta sample on that frame** — exactly as
+/// on its first frame — its previous-frame buffer is re-seeded with the
+/// new grid, and its EWMAs and the energy and variance statistics carry
+/// on. The frame after takes its delta over every cell again.
 ///
 /// # Limitation: faults present from stream start
 ///
@@ -170,41 +284,29 @@ impl SensorHealthMonitor {
 
     /// Ingests one observation and refreshes every sensor's score/state.
     pub fn update(&mut self, obs: &Observation) {
-        for kind in SensorKind::ALL {
-            self.update_sensor(kind, obs);
+        let grids = SensorKind::ALL.map(|k| obs.grid(k).data());
+        let prevs: [Option<&[f32]>; 4] =
+            std::array::from_fn(|s| self.trackers[s].prev_for(grids[s].len()));
+        let stats = if grids.iter().all(|g| g.len() == grids[0].len()) {
+            fused_stats(grids, prevs)
+        } else {
+            std::array::from_fn(|s| sensor_stats(grids[s], prevs[s]))
+        };
+        for (s, stats) in stats.into_iter().enumerate() {
+            self.judge(s, grids[s], stats);
         }
     }
 
-    fn update_sensor(&mut self, kind: SensorKind, obs: &Observation) {
+    /// The verdict half of an update for the sensor with canonical index
+    /// `s`: remembers `data` as the previous frame, folds the frame's
+    /// statistics into the EWMAs and re-derives score and state.
+    fn judge(&mut self, s: usize, data: &[f32], stats: GridStats) {
         let cfg = self.cfg;
-        let data = obs.grid(kind).data();
-        let n = data.len().max(1) as f64;
-        let mut sum = 0.0f64;
-        let mut sum_abs = 0.0f64;
-        for &v in data {
-            sum += v as f64;
-            sum_abs += v.abs() as f64;
-        }
-        let mean = sum / n;
-        let energy = sum_abs / n;
-        let mut var = 0.0f64;
-        for &v in data {
-            let d = v as f64 - mean;
-            var += d * d;
-        }
-        var /= n;
-        let t = &mut self.trackers[kind.index()];
-        let delta = match &t.prev {
-            Some(prev) => {
-                let mut d = 0.0f64;
-                for (&a, &b) in data.iter().zip(prev.iter()) {
-                    d += (a - b).abs() as f64;
-                }
-                Some(d / n)
-            }
-            None => None,
-        };
-        t.prev = Some(data.to_vec());
+        let GridStats { energy, var, delta } = stats;
+        let t = &mut self.trackers[s];
+        // In place once the buffer has the grid's length.
+        t.prev.clear();
+        t.prev.extend_from_slice(data);
 
         if t.frames == 0 {
             t.fast_energy = energy;
@@ -516,5 +618,158 @@ mod tests {
         // failed_below + hysteresis.
         let downward = monitor.transitions() - baseline_transitions;
         assert!(downward <= 8, "state flapped: {downward} transitions during hover");
+    }
+    /// `update` the sensor-at-a-time way, whatever the grids' lengths:
+    /// the oracle of the one-pass form.
+    fn update_sensor_at_a_time(monitor: &mut SensorHealthMonitor, obs: &Observation) {
+        for (s, kind) in SensorKind::ALL.into_iter().enumerate() {
+            let data = obs.grid(kind).data();
+            let stats = sensor_stats(data, monitor.trackers[s].prev_for(data.len()));
+            monitor.judge(s, data, stats);
+        }
+    }
+
+    /// Bit equality, except that two NaNs are equal whatever their sign
+    /// and payload: Rust leaves both unspecified, and which operand's NaN
+    /// an addition propagates is the code generator's choice.
+    fn assert_same_scores(a: &SensorHealthMonitor, b: &SensorHealthMonitor, what: &str) {
+        for (kind, (x, y)) in
+            SensorKind::ALL.into_iter().zip(a.scores().into_iter().zip(b.scores()))
+        {
+            assert!(
+                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                "{what}: {kind:?} scores differ: {x:?} vs {y:?}"
+            );
+        }
+        assert_eq!(a.states(), b.states(), "{what}");
+        assert_eq!(a.transitions(), b.transitions(), "{what}");
+    }
+
+    fn grid(side: usize, cell: impl FnMut(usize) -> f32) -> ecofusion_tensor::tensor::Tensor {
+        let data = (0..side * side).map(cell).collect();
+        ecofusion_tensor::tensor::Tensor::from_vec(&[1, 1, side, side], data)
+    }
+
+    /// A ±1 grid with as many of each sign: energy 1, mean 0, variance 1,
+    /// all exact, so only the frame delta moves. `flipped` cells (an even
+    /// number of neighbours) have their sign inverted.
+    fn signs(side: usize, flipped: impl Fn(usize) -> bool) -> ecofusion_tensor::tensor::Tensor {
+        grid(side, |i| {
+            let v = if i % 2 == 0 { 1.0 } else { -1.0 };
+            if flipped(i) {
+                -v
+            } else {
+                v
+            }
+        })
+    }
+
+    /// A grid that changes length yields no delta sample on that frame —
+    /// not one over the common prefix scaled by the new length — and the
+    /// frame after takes its delta over every cell of the new grid.
+    #[test]
+    fn grid_length_change_skips_one_delta_sample() {
+        let cfg = HealthConfig { warmup_frames: 3, ..HealthConfig::default() };
+        let frames = [
+            signs(16, |_| false),
+            // Half the cells flip: delta 128 · 2 / 256 = 1, the baseline.
+            signs(16, |i| i < 128),
+            // The grid grows; its first 256 cells repeat the last frame.
+            signs(32, |i| i < 128),
+            // 128 more flips, all beyond the old length: 128 · 2 / 1024.
+            signs(32, |i| i < 128 || (256..384).contains(&i)),
+        ];
+        let run = || {
+            let mut monitor = SensorHealthMonitor::new(cfg);
+            for g in &frames {
+                monitor.update(&Observation::from_grids([0, 1, 2, 3].map(|_| g.clone())));
+            }
+            monitor
+        };
+        let monitor = run();
+        // Fast and slow delta are both 1 when the grid grows and are left
+        // alone by that frame; the last frame folds 0.25 into each.
+        let fast = ewma(cfg.alpha_fast, 0.25, 1.0);
+        let slow = ewma(cfg.alpha_slow, 0.25, 1.0);
+        let expected = fast / (slow + 1e-6);
+        assert!(expected < 0.7, "the delta score must be the binding one: {expected}");
+        for kind in SensorKind::ALL {
+            assert_eq!(monitor.score(kind).to_bits(), expected.to_bits(), "{kind:?}");
+            assert_eq!(monitor.state(kind), HealthState::Degraded, "{kind:?}");
+        }
+        assert_same_scores(&monitor, &run(), "two runs");
+    }
+
+    /// One sensor's grid changing length (the other three keep theirs)
+    /// sends the observation down the sensor-at-a-time path and must not
+    /// touch the other three sensors' statistics.
+    #[test]
+    fn one_sensors_length_change_leaves_the_others_bit_equal() {
+        let (_, clean) = sequence(29, 12);
+        let mut plain = SensorHealthMonitor::default();
+        let mut resized = SensorHealthMonitor::default();
+        for (i, obs) in clean.iter().enumerate() {
+            plain.update(obs);
+            let mut obs = obs.clone();
+            if i >= 5 {
+                let mut rng = Rng::new(i as u64);
+                *obs.grid_mut(SensorKind::Lidar) = grid(16, |_| rng.uniform(0.0, 1.0) as f32);
+            }
+            resized.update(&obs);
+        }
+        for kind in SensorKind::ALL {
+            let (a, b) = (plain.score(kind), resized.score(kind));
+            if kind == SensorKind::Lidar {
+                assert!(b.is_finite(), "the resized sensor keeps a score: {b}");
+            } else {
+                assert_eq!(a.to_bits(), b.to_bits(), "{kind:?}: {a} vs {b}");
+                assert_eq!(plain.state(kind), resized.state(kind), "{kind:?}");
+            }
+        }
+    }
+
+    /// The one-pass `update` is the sensor-at-a-time monitor bit for bit:
+    /// random grid sequences salted with the values that break careless
+    /// float code, a constant grid, a length change for all four sensors
+    /// and observations whose four grids have four different lengths.
+    #[test]
+    fn one_pass_update_matches_the_sensor_at_a_time_oracle() {
+        const SPECIALS: [f32; 7] =
+            [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, f32::MAX, f32::MIN_POSITIVE];
+        for seed in 0..24u64 {
+            let mut rng = Rng::new(0x4EA1 ^ seed);
+            let mut fused = SensorHealthMonitor::default();
+            let mut oracle = SensorHealthMonitor::default();
+            for frame in 0..20usize {
+                // Seeds below 8 stay finite, so their scores compare by
+                // bits alone; the rest meet a special value now and then.
+                let special_rate = if seed < 8 { 0.0 } else { 0.002 };
+                let scale = if frame % 7 == 6 { 0.2 } else { 1.0 };
+                let side = if frame < 9 { 16 } else { 32 };
+                let constant = frame == 4;
+                let mut obs = Observation::from_grids([0, 1, 2, 3].map(|_| {
+                    grid(side, |_| {
+                        if constant {
+                            0.5
+                        } else if rng.chance(special_rate) {
+                            SPECIALS[rng.uniform_usize(0, SPECIALS.len())]
+                        } else {
+                            (scale * rng.normal(0.0, 1.0)) as f32
+                        }
+                    })
+                }));
+                if frame == 13 || frame == 14 {
+                    for (kind, side) in SensorKind::ALL.into_iter().zip([8, 16, 24, 32]) {
+                        *obs.grid_mut(kind) = grid(side, |_| rng.normal(0.0, 1.0) as f32);
+                    }
+                }
+                fused.update(&obs);
+                update_sensor_at_a_time(&mut oracle, &obs);
+                assert_same_scores(&fused, &oracle, &format!("seed {seed} frame {frame}"));
+                if seed < 8 {
+                    assert!(fused.scores().iter().all(|s| s.is_finite()), "seed {seed}");
+                }
+            }
+        }
     }
 }

@@ -70,7 +70,14 @@ impl StreamTelemetry {
             self.stage_energy_j[i] += trace.cost(stage).energy.joules();
             self.stage_latency_ms[i] += trace.cost(stage).latency.millis();
         }
-        *self.config_histogram.entry(output.selected_label.clone()).or_default() += 1;
+        // The label is cloned the first time a configuration is seen,
+        // not once a frame to look it up.
+        match self.config_histogram.get_mut(output.selected_label.as_str()) {
+            Some(count) => *count += 1,
+            None => {
+                self.config_histogram.insert(output.selected_label.clone(), 1);
+            }
+        }
         if self.dets_per_frame.len() >= HISTORY_CAP {
             // Drop the oldest half in one amortized move so unbounded
             // serving cannot grow memory without limit.

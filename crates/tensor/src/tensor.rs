@@ -178,6 +178,21 @@ impl Tensor {
         self.shape = shape.to_vec();
     }
 
+    /// Gives the tensor a new shape in place, keeping its allocation: the
+    /// buffer is truncated, or extended (zeros behind the old contents)
+    /// within its capacity, and reallocated only to grow past it. For
+    /// buffers that live across calls and are rewritten whole by each one
+    /// — what the old contents mean under the new shape is unspecified.
+    ///
+    /// # Panics
+    /// Panics if `shape` is empty.
+    pub fn resize(&mut self, shape: &[usize]) {
+        assert!(!shape.is_empty(), "tensor shape must be non-empty");
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        self.data.resize(shape.iter().product(), 0.0);
+    }
+
     #[inline]
     fn idx2(&self, r: usize, c: usize) -> usize {
         debug_assert_eq!(self.shape.len(), 2);
@@ -505,6 +520,25 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn zeros_empty_shape_panics() {
         let _ = Tensor::zeros(&[]);
+    }
+
+    #[test]
+    fn resize_keeps_the_allocation_and_the_shape_invariant() {
+        let mut t = Tensor::full(&[4, 2, 3], 7.0);
+        let buffer = t.data().as_ptr();
+        t.resize(&[2, 3]);
+        assert_eq!((t.shape(), t.len()), (&[2usize, 3][..], 6));
+        t.resize(&[3, 2, 3]);
+        assert_eq!((t.shape(), t.len()), (&[3usize, 2, 3][..], 18));
+        assert_eq!(t.data().as_ptr(), buffer, "within capacity nothing is reallocated");
+        // What a shrink cut off comes back as zeros, not as stale values.
+        assert_eq!(t.data()[..6], [7.0; 6]);
+        assert_eq!(t.data()[6..], [0.0; 12]);
+        t.resize(&[8, 2, 3]);
+        assert_eq!(t.len(), 48);
+        let mut empty = Tensor::default();
+        empty.resize(&[0, 5]);
+        assert!(empty.is_empty());
     }
 
     #[test]
