@@ -8,7 +8,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use ecofusion_bench::bench_fixture;
 use ecofusion_faults::{FaultInjector, FaultKind, FaultSchedule, SensorHealthMonitor};
 use ecofusion_sensors::SensorKind;
+use ecofusion_tensor::layer::Layer;
 use ecofusion_tensor::rng::Rng;
+use ecofusion_tensor::tensor::Tensor;
 
 /// The compiled plans of the Stems and Branch stages on batch-8 shapes,
 /// f32 and int8: `CompiledPlan::execute_into` on a warm plan — one
@@ -145,8 +147,13 @@ fn bench_fault_pipeline(c: &mut Criterion) {
         });
     });
 
-    let feats = model.stem_features(&frame.obs, false);
-    let input = model.branch_input(0, &feats);
+    // Branch 0's head map through the layers' own eval forward.
+    let feats: Vec<Tensor> = model.space().branches()[0]
+        .sensors()
+        .iter()
+        .map(|k| model.stems_mut()[k.index()].forward(frame.obs.grid(*k), false))
+        .collect();
+    let input = Tensor::concat_channels(&feats.iter().collect::<Vec<_>>());
     let branch = &mut model.branches_mut()[0];
     let head = branch.forward(&input, false);
     let opts = ecofusion_core::InferenceOptions::new(0.01, 0.5);

@@ -73,10 +73,11 @@ fn ablation_tables(setup: &mut Setup, args: &[String], which: &str) {
 /// Gate-quality analytics: how close the learned gates get to the oracle
 /// (paper §5.1 attributes the gap to modeling limitations).
 fn gate_quality(setup: &mut Setup) {
-    let frames: Vec<&ecofusion_core::Frame> = setup.dataset.test().iter().collect();
+    let opts = InferenceOptions::new(0.05, 0.5);
+    let samples = setup.model.oracle_pass(setup.dataset.test(), &opts).expect("matching grid");
     println!("Gate quality vs oracle (lambda_E = 0.05, gamma = 0.5)");
     for gate in [GateKind::Deep, GateKind::Attention] {
-        let q = ecofusion_eval::assess_gate(&mut setup.model, &frames, gate, 0.05, 0.5);
+        let q = ecofusion_eval::assess_gate(&mut setup.model, &samples, gate, 0.05, 0.5);
         println!(
             "  {:<10} spearman {:.3}, top-1 agreement {:.1}%, joint regret {:.4}",
             q.gate,
@@ -149,6 +150,7 @@ fn debug_detect(args: &[String]) {
     let branch_labels: Vec<String> = model.space().branches().iter().map(|b| b.label()).collect();
     for (split, frames) in [("train", data.train()), ("test", data.test())] {
         println!("--- split: {split} ---");
+        let samples = model.oracle_pass(frames, &opts).expect("matching grid");
         for (b, label) in branch_labels.iter().enumerate() {
             let mut n_dets = 0usize;
             let mut n_gts = 0usize;
@@ -156,9 +158,8 @@ fn debug_detect(args: &[String]) {
             let mut matched = 0usize;
             let mut dets_per_frame = Vec::new();
             let mut gt_frames = Vec::new();
-            for f in frames {
-                let feats = model.stem_features(&f.obs, false);
-                let dets = model.run_branch(b, &feats, opts.score_thresh, opts.nms_iou);
+            for (f, sample) in frames.iter().zip(&samples) {
+                let dets = sample.branch_dets[b].clone();
                 let gts = f.gt_boxes();
                 n_dets += dets.len();
                 n_gts += gts.len();
@@ -193,7 +194,7 @@ fn debug_detect(args: &[String]) {
     let mut dets_per_frame = Vec::new();
     let mut gt_frames = Vec::new();
     for f in data.test() {
-        let (dets, _) = model.detect_static(f, late, &opts);
+        let (dets, _, _) = model.detect_static(f, late, &opts).expect("matching grid");
         dets_per_frame.push(dets);
         gt_frames.push(GtFrame { boxes: f.gt_boxes() });
     }

@@ -14,10 +14,13 @@
 //!    weighted boxes fusion.
 //!
 //! Main types: [`ConfigSpace`] (Φ: the 7 canonical branches and their 127
-//! ensembles), [`EcoFusionModel`] (the runnable pipeline),
-//! [`Trainer`]/[`TrainConfig`] (supervised branch training followed by gate
-//! regression), and [`Dataset`]/[`DatasetSpec`] (synthetic RADIATE-like
-//! frames).
+//! ensembles), [`EcoFusionModel`] (the runnable pipeline — `infer`,
+//! `infer_batch`, `infer_batch_cached`, `detect_static` for a fixed
+//! configuration and `oracle_pass` for the [`OracleSample`]s gates are
+//! trained and judged on, all five over one staged executor),
+//! [`Trainer`]/[`TrainConfig`] (supervised branch training, the oracle
+//! pass, then gate regression on its samples — each callable on its own),
+//! and [`Dataset`]/[`DatasetSpec`] (synthetic RADIATE-like frames).
 //!
 //! [`Stem`]: ecofusion_detect::Stem
 
@@ -39,7 +42,9 @@ pub use model::{
     EcoFusionModel, GateSet, InferenceOptions, InferenceOutput, UNAVAILABLE_SENSOR_PENALTY,
 };
 pub use optimizer::{joint_loss, select_candidates, select_config, CandidateRule};
-pub use pipeline::{trace_frame, PipelinePlan, StemCacheRouter, StemFeatureCache, ALL_SENSOR_BITS};
+pub use pipeline::{
+    trace_frame, OracleSample, PipelinePlan, StemCacheRouter, StemFeatureCache, ALL_SENSOR_BITS,
+};
 pub use snapshot::{ModelSnapshot, QuantSnapshot, RestoreModelError};
 pub use temporal::{ClockGatingController, EpisodeEnergyReport, SensorSchedule};
 pub use trainer::{TrainConfig, TrainError, Trainer};

@@ -11,7 +11,7 @@ use ecofusion_energy::{
 };
 use ecofusion_gating::{AttentionGate, DeepGate, GateKind, KnowledgeGate, LossBasedGate};
 use ecofusion_scene::GtBox;
-use ecofusion_sensors::{Observation, SensorKind, SensorMask};
+use ecofusion_sensors::{SensorKind, SensorMask};
 use ecofusion_tensor::graph::CompileError;
 use ecofusion_tensor::layer::Layer;
 use ecofusion_tensor::rng::Rng;
@@ -260,12 +260,11 @@ impl EcoFusionModel {
     ///
     /// # Panics
     /// Panics if `grid` is not a multiple of 16 (stems halve the
-    /// resolution and branches need a multiple of 8).
+    /// resolution and branches need a multiple of 8), at least 32.
     pub fn new(grid: usize, num_classes: usize, rng: &mut Rng) -> Self {
-        assert!(
-            grid.is_multiple_of(16) && grid >= 32,
-            "grid must be a multiple of 16, at least 32"
-        );
+        if let Some((field, value, rule)) = Self::dimension_rule(grid) {
+            panic!("{field} {value} {rule}");
+        }
         let space = ConfigSpace::canonical();
         let stems: Vec<Stem> = (0..SensorKind::COUNT).map(|_| Stem::new(1, rng)).collect();
         let branches: Vec<BranchDetector> = space
@@ -315,6 +314,17 @@ impl EcoFusionModel {
             plans: ecofusion_tensor::graph::PlanCache::new(),
             scratch: crate::pipeline::StepScratch::default(),
         }
+    }
+
+    /// Everything [`EcoFusionModel::new`] requires of its arguments, as
+    /// the `(field, value, rule)` they break; any class count builds.
+    /// `new` asserts it, a snapshot restore checks it first.
+    pub(crate) fn dimension_rule(grid: usize) -> Option<(&'static str, usize, &'static str)> {
+        (!grid.is_multiple_of(16) || grid < 32).then_some((
+            "grid",
+            grid,
+            "must be a multiple of 16, at least 32",
+        ))
     }
 
     /// The configuration space Φ.
@@ -434,101 +444,10 @@ impl EcoFusionModel {
         &mut self.gates
     }
 
-    /// Runs every stem over an observation. `train` controls batch-norm
-    /// statistics and activation caching.
-    pub fn stem_features(&mut self, obs: &Observation, train: bool) -> Vec<Tensor> {
-        SensorKind::ALL.iter().map(|k| self.stems[k.index()].forward(obs.grid(*k), train)).collect()
-    }
-
-    /// Runs every stem once over a whole batch of observations: each
-    /// sensor's grids are stacked along the batch axis, so the stem's
-    /// convolution lowering and GEMM amortize across frames. Returns one
-    /// `(N, 8, g/2, g/2)` tensor per sensor.
-    ///
-    /// Only meaningful in eval mode (`train = false` semantics): batched
-    /// batch-norm statistics would couple the frames during training.
-    pub fn stem_features_batch(&mut self, observations: &[&Observation]) -> Vec<Tensor> {
-        SensorKind::ALL
-            .iter()
-            .map(|k| {
-                let grids: Vec<&Tensor> = observations.iter().map(|o| o.grid(*k)).collect();
-                let stacked = Tensor::stack_batch(&grids);
-                self.stems[k.index()].forward(&stacked, false)
-            })
-            .collect()
-    }
-
     /// Concatenates per-sensor stem features into the gate input F.
     pub fn gate_features(stem_feats: &[Tensor]) -> Tensor {
         let refs: Vec<&Tensor> = stem_feats.iter().collect();
         Tensor::concat_channels(&refs)
-    }
-
-    /// The stem-feature input of one branch (concatenation of the stems of
-    /// the sensors the branch consumes, in spec order).
-    pub fn branch_input(&self, branch: usize, stem_feats: &[Tensor]) -> Tensor {
-        let spec = &self.space.branches()[branch];
-        let parts: Vec<&Tensor> = spec.sensors().iter().map(|k| &stem_feats[k.index()]).collect();
-        Tensor::concat_channels(&parts)
-    }
-
-    /// Runs one branch and decodes its detections.
-    pub fn run_branch(
-        &mut self,
-        branch: usize,
-        stem_feats: &[Tensor],
-        score_thresh: f32,
-        nms_iou: f32,
-    ) -> Vec<Detection> {
-        let input = self.branch_input(branch, stem_feats);
-        self.branches[branch].detect(&input, score_thresh, nms_iou)
-    }
-
-    /// Runs all branches once, returning per-branch detections.
-    pub fn all_branch_detections(
-        &mut self,
-        stem_feats: &[Tensor],
-        score_thresh: f32,
-        nms_iou: f32,
-    ) -> Vec<Vec<Detection>> {
-        (0..self.branches.len())
-            .map(|b| self.run_branch(b, stem_feats, score_thresh, nms_iou))
-            .collect()
-    }
-
-    /// Runs one branch over batched per-sensor stem features (from
-    /// [`EcoFusionModel::stem_features_batch`]), returning detections for
-    /// every frame in the batch.
-    pub fn run_branch_batch(
-        &mut self,
-        branch: usize,
-        batch_feats: &[Tensor],
-        score_thresh: f32,
-        nms_iou: f32,
-    ) -> Vec<Vec<Detection>> {
-        let input = self.branch_input(branch, batch_feats);
-        self.branches[branch].detect_batch(&input, score_thresh, nms_iou)
-    }
-
-    /// Runs all branches over batched stem features, returning detections
-    /// indexed `[frame][branch]` (the shape `config_losses_from` expects
-    /// per frame).
-    pub fn all_branch_detections_batch(
-        &mut self,
-        batch_feats: &[Tensor],
-        score_thresh: f32,
-        nms_iou: f32,
-    ) -> Vec<Vec<Vec<Detection>>> {
-        let n = batch_feats[0].shape()[0];
-        let mut per_frame: Vec<Vec<Vec<Detection>>> =
-            (0..n).map(|_| Vec::with_capacity(self.branches.len())).collect();
-        for b in 0..self.branches.len() {
-            let dets = self.run_branch_batch(b, batch_feats, score_thresh, nms_iou);
-            for (frame_dets, d) in per_frame.iter_mut().zip(dets) {
-                frame_dets.push(d);
-            }
-        }
-        per_frame
     }
 
     /// Late-fuses branch outputs with weighted boxes fusion (§4.4). A
@@ -558,36 +477,6 @@ impl EcoFusionModel {
     ) -> Vec<f32> {
         let masks = (0..self.space.num_configs()).map(|i| self.space.branch_mask(ConfigId(i)));
         subset_fusion_losses(branch_dets, masks, gts, &self.wbf, scratch)
-    }
-
-    /// Convenience: stem features + all branches + per-config losses for a
-    /// frame (used by the trainer and the loss-based oracle).
-    pub fn config_losses(&mut self, frame: &Frame, opts: &InferenceOptions) -> Vec<f32> {
-        let feats = self.stem_features(&frame.obs, false);
-        let dets = self.all_branch_detections(&feats, opts.score_thresh, opts.nms_iou);
-        self.config_losses_from(&dets, &frame.gt_boxes())
-    }
-
-    /// Runs a *fixed* configuration as a static baseline (paper Table 1
-    /// rows: None / Early / Late). Only the stems of the used sensors are
-    /// charged, and no gate runs.
-    pub fn detect_static(
-        &mut self,
-        frame: &Frame,
-        config: ConfigId,
-        opts: &InferenceOptions,
-    ) -> (Vec<Detection>, EnergyBreakdown) {
-        let feats = self.stem_features(&frame.obs, false);
-        let ids = self.space.branch_ids(config);
-        let outputs: Vec<Vec<Detection>> = ids
-            .iter()
-            .map(|b| self.run_branch(b.0, &feats, opts.score_thresh, opts.nms_iou))
-            .collect();
-        let fused = self.fuse(&outputs);
-        let specs = self.space.branch_specs(config);
-        let (breakdown, _) =
-            crate::pipeline::account(&self.px2, &self.sensor_power, &specs, StemPolicy::Static);
-        (fused, breakdown)
     }
 
     /// Algorithm 1: adaptive inference on one frame.
@@ -835,7 +724,7 @@ mod tests {
         let data = Dataset::generate(&DatasetSpec::small(7));
         let opts = InferenceOptions::new(0.0, 0.5);
         let late = m.baseline_ids().late;
-        let (_, breakdown) = m.detect_static(&data.test()[0], late, &opts);
+        let (_, breakdown, _) = m.detect_static(&data.test()[0], late, &opts).unwrap();
         assert!((breakdown.platform.joules() - 3.798).abs() < 1e-9);
     }
 
@@ -1054,7 +943,8 @@ mod tests {
         let mut m = tiny_model();
         let data = Dataset::generate(&DatasetSpec::small(8));
         let opts = InferenceOptions::new(0.0, 0.5);
-        let losses = m.config_losses(&data.test()[0], &opts);
+        let sample = m.oracle_pass(&data.test()[..1], &opts).unwrap().pop().unwrap();
+        let losses = sample.losses;
         assert_eq!(losses.len(), 127);
         assert!(losses.iter().all(|l| l.is_finite() && *l >= 0.0));
     }

@@ -46,6 +46,33 @@
 //! every stem before `GateScore`, and execution is bit-identical to the
 //! original monolithic `infer` (the golden traces pin this).
 //!
+//! # Two blocks with entries of their own
+//!
+//! Outside `train_branches` nothing else turns a frame into detections or
+//! losses: two blocks of the executor are also reachable on their own,
+//! and `infer` runs the very same functions.
+//!
+//! * **The oracle pass** ([`EcoFusionModel::oracle_pass`]): every stem,
+//!   all seven branches over every frame, and from their detections the
+//!   true fusion loss of all 127 configurations — the block `GateScore`
+//!   runs for the loss-based gate — returned per frame as an
+//!   [`OracleSample`] together with the learned gates' input. It reads
+//!   ground truth, so its callers are gate training
+//!   ([`Trainer::gate_samples`](crate::trainer::Trainer::gate_samples)),
+//!   gate assessment and the per-branch diagnostics of the experiment
+//!   harness; the serving path reaches the block only through
+//!   [`GateKind::LossBased`].
+//! * **A fixed selection** ([`EcoFusionModel::detect_static`]): the
+//!   `Branch` and `Fuse` stages with the frame "selecting" a given
+//!   configuration and no gate. It demands only that configuration's own
+//!   stems, and charges only them ([`StemPolicy::Static`]).
+//!
+//! Both take [`InferenceOptions`] as they are (decode thresholds,
+//! precision, health mask), fail a wrong-sized frame with
+//! [`InferError::GridMismatch`], and run on the replica's `StepScratch`
+//! like any step — so they obey the rule below, *the producer overwrites
+//! everything it hands on*, and may be interleaved with `infer` freely.
+//!
 //! # Accounting
 //!
 //! The `Account` stage is the single place an [`EnergyBreakdown`] is
@@ -80,8 +107,10 @@
 //! nothing else: the four stems and seven branches through the model's
 //! [`PlanCache`], the learned gates through a plan each gate owns behind
 //! `Gate::predict_batch` (lowered on first scoring, dropped by any access
-//! to the gate's parameters). The layers' own `forward` is for training
-//! and for the tests' oracles. Plans are batch-agnostic — they
+//! to the gate's parameters). That covers the static baselines, the
+//! gate-training targets and gate assessment too (the two blocks above).
+//! The layers' own `forward` is for training — in eval mode, for the
+//! tests' oracles and the benches. Plans are batch-agnostic — they
 //! stream cache-sized tiles of whatever batch they are handed — so the
 //! cache keys carry the **per-sample** shape only: a replica compiles
 //! 4 + 7 plans per precision the first time each unit runs and nothing
@@ -238,10 +267,8 @@ impl PipelinePlan {
     }
 }
 
-/// The single `Account` stage: computes the Eq. 11 breakdown once and
-/// its per-stage decomposition with it. Every accounting call site
-/// (`infer`, `infer_batch`, `detect_static`) goes through here, so the
-/// breakdown and the trace can never disagree.
+/// The `Account` stage at f32: the Eq. 11 breakdown and its per-stage
+/// decomposition, computed together so the two can never disagree.
 pub fn account(
     px2: &Px2Model,
     sensors: &SensorPowerModel,
@@ -253,7 +280,9 @@ pub fn account(
 
 /// [`account`] under a given precision: int8 frames charge the
 /// int8-scaled stem/branch costs; the trace still sums exactly to the
-/// breakdown.
+/// breakdown. The single place the model computes either — adaptive
+/// inference through its per-`(configuration, precision)` memo, a static
+/// baseline directly.
 pub fn account_prec(
     px2: &Px2Model,
     sensors: &SensorPowerModel,
@@ -562,12 +591,77 @@ impl BatchStemBank {
         }
     }
 
+    /// [`BatchStemBank::gather`] of the learned gates' input: every
+    /// sensor in canonical order, a zero block for each one outside
+    /// `live_bits`.
+    fn gather_gate_features(&self, live_bits: u8, frames: &[usize], out: &mut Tensor) {
+        let sensors: [usize; SensorKind::COUNT] = std::array::from_fn(|s| s);
+        self.gather(&sensors, live_bits, frames, out);
+    }
+
     fn counts(&self, frame: usize) -> (u8, u8, u8) {
         let executed = self.computed[frame].count_ones() as u8;
         let cached = self.cached[frame].count_ones() as u8;
         (executed, cached, SensorKind::COUNT as u8 - executed - cached)
     }
 }
+
+/// One frame's decoded detections per branch, in branch-table order.
+type BranchDets = Vec<Vec<Detection>>;
+
+/// One validated batch on its way through the stages.
+struct StepBatch<'f> {
+    frames: &'f [Frame],
+    observations: Vec<&'f Observation>,
+    /// `0..n`, for the units every frame of the batch takes part in.
+    all: Vec<usize>,
+}
+
+/// What the `Branch` stage leaves for `Fuse`.
+struct BranchOutputs {
+    /// Per frame, the branch mask of its configuration.
+    masks: Vec<u8>,
+    /// Per branch and frame, the detections of the frames that demanded
+    /// the branch.
+    dets: Vec<Vec<Option<Vec<Detection>>>>,
+}
+
+impl BranchOutputs {
+    /// The `Fuse` stage of frame `i`. The frame is the only reader of its
+    /// slots, so it takes them; a lone branch's detections move through.
+    fn fuse_frame(&mut self, model: &EcoFusionModel, i: usize) -> Vec<Detection> {
+        let mask = self.masks[i];
+        let n_branches = self.dets.len();
+        let mut take = |b: usize| self.dets[b][i].take().expect("demanded branch executed");
+        if mask.is_power_of_two() {
+            take(mask.trailing_zeros() as usize)
+        } else {
+            let outs: Vec<Vec<Detection>> =
+                (0..n_branches).filter(|b| mask >> b & 1 != 0).map(&mut take).collect();
+            model.fuse(&outs)
+        }
+    }
+}
+
+/// What the oracle pass ([`EcoFusionModel::oracle_pass`]) knows about one
+/// frame: a gate-training sample `(features, losses)` and the branch
+/// outputs the losses were scored from.
+#[derive(Debug, Clone)]
+pub struct OracleSample {
+    /// The learned gates' input F, `(1, 4·C, h, w)`: the four stem
+    /// outputs concatenated along channels, zero-filled for a sensor the
+    /// options' health mask rules out.
+    pub features: Tensor,
+    /// Decoded detections of every branch, in branch-table order.
+    pub branch_dets: Vec<Vec<Detection>>,
+    /// True fusion loss `L_f(φ)` of every configuration.
+    pub losses: Vec<f32>,
+}
+
+/// Frames one [`EcoFusionModel::oracle_pass`] step runs, so that scoring
+/// a whole dataset leaves the replica's step buffers no larger than a
+/// serving step does.
+const ORACLE_PASS_BATCH: usize = 16;
 
 impl EcoFusionModel {
     /// Derives the stage-graph plan for one set of inference options:
@@ -618,6 +712,57 @@ impl EcoFusionModel {
         Ok(())
     }
 
+    /// Runs `stages` on the replica's step buffers. The stages borrow the
+    /// model and its buffers side by side; a failed step hands the
+    /// buffers back like any other.
+    fn with_scratch<T>(&mut self, stages: impl FnOnce(&mut Self, &mut StepScratch) -> T) -> T {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let out = stages(self, &mut scratch);
+        self.scratch = scratch;
+        out
+    }
+
+    /// Opens a step: `Sense` over every frame, the int8 image if the
+    /// options run on it, and a bank that has forgotten the last batch.
+    fn begin_step<'f>(
+        &mut self,
+        bank: &mut BatchStemBank,
+        frames: &'f [Frame],
+        opts: &InferenceOptions,
+    ) -> Result<StepBatch<'f>, InferError> {
+        for frame in frames {
+            self.sense(frame)?;
+        }
+        if opts.precision == Precision::Int8 {
+            self.ensure_quant().map_err(InferError::Quantize)?;
+        }
+        bank.reset(frames.len(), self.grid / 2);
+        Ok(StepBatch {
+            frames,
+            observations: frames.iter().map(|f| &f.obs).collect(),
+            all: (0..frames.len()).collect(),
+        })
+    }
+
+    /// The `Stems` stage: banks every `(frame, sensor)` stem `need_bits`
+    /// demands and the bank lacks, at the options' precision.
+    fn ensure_stems(
+        &mut self,
+        bank: &mut BatchStemBank,
+        batch: &StepBatch<'_>,
+        need_bits: &[u8],
+        router: Option<&mut StemCacheRouter<'_>>,
+        precision: Precision,
+    ) -> Result<(), InferError> {
+        // Stem-feature caches hold f32 features; an int8 batch must
+        // neither consult nor fill them (cross-precision poisoning).
+        let (quant, router) = match precision {
+            Precision::Int8 => (self.quant.as_ref(), None),
+            Precision::F32 => (None, router),
+        };
+        bank.ensure(&self.stems, &batch.observations, need_bits, router, quant, &mut self.plans)
+    }
+
     /// Staged Algorithm 1 over a batch (the body behind
     /// [`EcoFusionModel::infer_batch`] and
     /// [`EcoFusionModel::infer_batch_cached`]), on the replica's step
@@ -628,12 +773,7 @@ impl EcoFusionModel {
         opts: &InferenceOptions,
         router: Option<StemCacheRouter<'_>>,
     ) -> Result<Vec<InferenceOutput>, InferError> {
-        // The stages borrow the model and its buffers side by side; a
-        // failed step hands the buffers back like any other.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let outputs = self.run_stages(&mut scratch, frames, opts, router);
-        self.scratch = scratch;
-        outputs
+        self.with_scratch(|model, scratch| model.run_stages(scratch, frames, opts, router))
     }
 
     fn run_stages(
@@ -641,62 +781,32 @@ impl EcoFusionModel {
         scratch: &mut StepScratch,
         frames: &[Frame],
         opts: &InferenceOptions,
-        router: Option<StemCacheRouter<'_>>,
+        mut router: Option<StemCacheRouter<'_>>,
     ) -> Result<Vec<InferenceOutput>, InferError> {
         if frames.is_empty() {
             return Ok(Vec::new());
         }
-        // Sense.
-        for frame in frames {
-            self.sense(frame)?;
-        }
-        let quant_active = opts.precision == Precision::Int8;
-        if quant_active {
-            self.ensure_quant().map_err(InferError::Quantize)?;
-        }
-        // Stem-feature caches hold f32 features; an int8 batch must
-        // neither consult nor fill them (cross-precision poisoning).
-        let mut router = if quant_active { None } else { router };
         let n = frames.len();
         let plan = self.plan(opts);
-        let observations: Vec<&Observation> = frames.iter().map(|f| &f.obs).collect();
-        let StepScratch { bank, gate_in, branch_in, head } = scratch;
-        bank.reset(n, self.grid / 2);
-        let all: Vec<usize> = (0..n).collect();
-        // Stems demanded before gating, across the whole batch.
-        let pre_gate = vec![plan.pre_gate_bits(); n];
-        let quant = if quant_active { self.quant.as_ref() } else { None };
-        bank.ensure(
-            &self.stems,
-            &observations,
-            &pre_gate,
-            router.as_mut(),
-            quant,
-            &mut self.plans,
-        )?;
-        // Oracle detections + losses if the loss-based gate is active
-        // (kept: Branch reuses them instead of re-running branches).
-        let oracle_dets: Option<Vec<Vec<Vec<Detection>>>> = if plan.needs_oracle {
-            let mut per_frame: Vec<Vec<Vec<Detection>>> =
-                (0..n).map(|_| Vec::with_capacity(self.branches.len())).collect();
-            for b in 0..self.branches.len() {
-                let dets = self.branch_batch_from_bank(b, bank, &all, opts, branch_in, head)?;
-                for (frame_dets, d) in per_frame.iter_mut().zip(dets) {
-                    frame_dets.push(d);
-                }
-            }
-            Some(per_frame)
+        let batch = self.begin_step(&mut scratch.bank, frames, opts)?;
+        // Stems demanded before gating, across the whole batch — inside
+        // the oracle block when the loss-based gate is active, whose
+        // detections are kept: Branch reuses them instead of re-running
+        // branches.
+        let (oracle_dets, oracle) = if plan.needs_oracle {
+            let (dets, losses) = self.oracle_stages(scratch, &batch, opts, router.as_mut())?;
+            (Some(dets), Some(losses))
         } else {
-            None
+            let pre_gate = vec![plan.pre_gate_bits(); n];
+            self.ensure_stems(
+                &mut scratch.bank,
+                &batch,
+                &pre_gate,
+                router.as_mut(),
+                opts.precision,
+            )?;
+            (None, None)
         };
-        let oracle: Option<Vec<Vec<f32>>> = oracle_dets.as_ref().map(|per_frame| {
-            let mut scratch = FusionScratch::default();
-            frames
-                .iter()
-                .zip(per_frame)
-                .map(|(f, dets)| self.config_losses_scratch(dets, &f.gt_boxes(), &mut scratch))
-                .collect()
-        });
         // GateScore. None of the four built-in gates reads
         // `GateInput::features` per frame on this path — learned gates
         // run one batched network pass over the gate batch, the
@@ -704,15 +814,16 @@ impl EcoFusionModel {
         // `oracle_losses` — so the batch tensor serves as every frame's
         // features view and no per-frame copies are made.
         if plan.gate_reads_features {
-            // Per-sensor features in canonical order, zero-filled for the
-            // sensors the health mask rules out.
-            let sensors: [usize; SensorKind::COUNT] = std::array::from_fn(|s| s);
-            bank.gather(&sensors, plan.gate_stem_bits, &all, gate_in);
+            scratch.bank.gather_gate_features(
+                plan.gate_stem_bits,
+                &batch.all,
+                &mut scratch.gate_in,
+            );
         } else {
-            gate_in.resize(&[n, 1, 1, 1]);
-            gate_in.data_mut().fill(0.0);
+            scratch.gate_in.resize(&[n, 1, 1, 1]);
+            scratch.gate_in.data_mut().fill(0.0);
         }
-        let gate_batch: &Tensor = gate_in;
+        let gate_batch: &Tensor = &scratch.gate_in;
         let inputs: Vec<GateInput<'_>> = frames
             .iter()
             .enumerate()
@@ -725,49 +836,11 @@ impl EcoFusionModel {
             .collect();
         let predicted = self.predict_gate_batch(gate_batch, &inputs, opts.gate);
         drop(inputs);
-        // Select per frame, then group frames by branch so every branch
-        // the batch needs executes exactly once.
+        // Select per frame; Branch over what was selected.
         let selected: Vec<ConfigId> =
             predicted.iter().map(|p| self.select_with_health(p, opts)).collect();
-        // Branch: demand-driven stems for the winners, then each
-        // demanded branch over exactly the frames that selected it.
-        let need_bits: Vec<u8> = selected.iter().map(|s| self.config_sensors[s.0]).collect();
-        let quant = if quant_active { self.quant.as_ref() } else { None };
-        bank.ensure(
-            &self.stems,
-            &observations,
-            &need_bits,
-            router.as_mut(),
-            quant,
-            &mut self.plans,
-        )?;
-        let n_branches = self.branches.len();
-        let mut demand: Vec<Vec<usize>> = vec![Vec::new(); n_branches];
-        let masks: Vec<u8> = selected.iter().map(|sel| self.space.branch_mask(*sel)).collect();
-        for (i, mask) in masks.iter().enumerate() {
-            for (b, idxs) in demand.iter_mut().enumerate() {
-                if mask >> b & 1 != 0 {
-                    idxs.push(i);
-                }
-            }
-        }
-        let mut branch_dets: Vec<Vec<Option<Vec<Detection>>>> = vec![vec![None; n]; n_branches];
-        if let Some(per_frame) = oracle_dets {
-            for (i, frame_dets) in per_frame.into_iter().enumerate() {
-                for (b, dets) in frame_dets.into_iter().enumerate() {
-                    branch_dets[b][i] = Some(dets);
-                }
-            }
-        }
-        for (b, idxs) in demand.iter().enumerate() {
-            if idxs.is_empty() || branch_dets[b].iter().all(|d| d.is_some()) {
-                continue;
-            }
-            let dets = self.branch_batch_from_bank(b, bank, idxs, opts, branch_in, head)?;
-            for (slot, d) in idxs.iter().zip(dets) {
-                branch_dets[b][*slot] = Some(d);
-            }
-        }
+        let mut branches =
+            self.run_branches(scratch, &batch, &selected, oracle_dets, opts, router.as_mut())?;
         // Knowledge-gate fallback attribution: a frame whose context has
         // no rule was served by the gate's cheapest-config fallback.
         let fallbacks: Vec<u32> = if opts.gate == GateKind::Knowledge {
@@ -781,19 +854,9 @@ impl EcoFusionModel {
         // Fuse + Account per frame.
         let mut outputs = Vec::with_capacity(n);
         for (i, predicted_losses) in predicted.into_iter().enumerate() {
-            // Frame `i` is the only reader of its slots, so it takes
-            // them; a lone branch's detections move into the output.
-            let mask = masks[i];
-            let mut take = |b: usize| branch_dets[b][i].take().expect("demanded branch executed");
-            let detections = if mask.is_power_of_two() {
-                take(mask.trailing_zeros() as usize)
-            } else {
-                let outs: Vec<Vec<Detection>> =
-                    (0..n_branches).filter(|b| mask >> b & 1 != 0).map(&mut take).collect();
-                self.fuse(&outs)
-            };
+            let detections = branches.fuse_frame(self, i);
             let (energy, trace) = self.account_adaptive(selected[i], opts.precision);
-            let (executed, cached, skipped) = bank.counts(i);
+            let (executed, cached, skipped) = scratch.bank.counts(i);
             outputs.push(InferenceOutput {
                 detections,
                 selected_config: selected[i],
@@ -806,6 +869,94 @@ impl EcoFusionModel {
             });
         }
         Ok(outputs)
+    }
+
+    /// The oracle block of a step that [`EcoFusionModel::begin_step`]
+    /// opened: every stem, every branch over every frame, and from those
+    /// the true fusion loss of all 127 configurations. Returns the
+    /// detections indexed `[frame][branch]` and the losses per frame.
+    ///
+    /// # Errors
+    /// [`InferError::Compile`] from the first unit that does not lower.
+    fn oracle_stages(
+        &mut self,
+        scratch: &mut StepScratch,
+        batch: &StepBatch<'_>,
+        opts: &InferenceOptions,
+        router: Option<&mut StemCacheRouter<'_>>,
+    ) -> Result<(Vec<BranchDets>, Vec<Vec<f32>>), InferError> {
+        let n = batch.frames.len();
+        let StepScratch { bank, branch_in, head, .. } = scratch;
+        self.ensure_stems(bank, batch, &vec![ALL_SENSOR_BITS; n], router, opts.precision)?;
+        let mut per_frame: Vec<BranchDets> =
+            (0..n).map(|_| Vec::with_capacity(self.branches.len())).collect();
+        for b in 0..self.branches.len() {
+            let dets = self.branch_batch_from_bank(b, bank, &batch.all, opts, branch_in, head)?;
+            for (frame_dets, d) in per_frame.iter_mut().zip(dets) {
+                frame_dets.push(d);
+            }
+        }
+        let mut fusion = FusionScratch::default();
+        let losses = batch
+            .frames
+            .iter()
+            .zip(&per_frame)
+            .map(|(f, dets)| self.config_losses_scratch(dets, &f.gt_boxes(), &mut fusion))
+            .collect();
+        Ok((per_frame, losses))
+    }
+
+    /// The `Branch` stage of a batch whose selection is decided — by
+    /// `Select`, or by a caller that fixes it: demand-driven stems for
+    /// the configurations' sensors only, then each demanded branch once,
+    /// over exactly the frames that selected it. `oracle_dets`, when the
+    /// oracle block ran, already holds every branch's output.
+    ///
+    /// # Errors
+    /// [`InferError::Compile`] from the first unit that does not lower.
+    fn run_branches(
+        &mut self,
+        scratch: &mut StepScratch,
+        batch: &StepBatch<'_>,
+        selected: &[ConfigId],
+        oracle_dets: Option<Vec<BranchDets>>,
+        opts: &InferenceOptions,
+        router: Option<&mut StemCacheRouter<'_>>,
+    ) -> Result<BranchOutputs, InferError> {
+        let n = selected.len();
+        let StepScratch { bank, branch_in, head, .. } = scratch;
+        let need_bits: Vec<u8> = selected.iter().map(|s| self.config_sensors[s.0]).collect();
+        self.ensure_stems(bank, batch, &need_bits, router, opts.precision)?;
+        // Group frames by branch so every branch the batch needs
+        // executes exactly once.
+        let n_branches = self.branches.len();
+        let mut demand: Vec<Vec<usize>> = vec![Vec::new(); n_branches];
+        let masks: Vec<u8> = selected.iter().map(|sel| self.space.branch_mask(*sel)).collect();
+        for (i, mask) in masks.iter().enumerate() {
+            for (b, idxs) in demand.iter_mut().enumerate() {
+                if mask >> b & 1 != 0 {
+                    idxs.push(i);
+                }
+            }
+        }
+        let mut dets: Vec<Vec<Option<Vec<Detection>>>> = vec![vec![None; n]; n_branches];
+        if let Some(per_frame) = oracle_dets {
+            for (i, frame_dets) in per_frame.into_iter().enumerate() {
+                for (b, d) in frame_dets.into_iter().enumerate() {
+                    dets[b][i] = Some(d);
+                }
+            }
+        }
+        for (b, idxs) in demand.iter().enumerate() {
+            if idxs.is_empty() || dets[b].iter().all(|d| d.is_some()) {
+                continue;
+            }
+            let decoded = self.branch_batch_from_bank(b, bank, idxs, opts, branch_in, head)?;
+            for (slot, d) in idxs.iter().zip(decoded) {
+                dets[b][*slot] = Some(d);
+            }
+        }
+        Ok(BranchOutputs { masks, dets })
     }
 
     /// Runs one branch's plan over the banked stem features of `frames`
@@ -874,6 +1025,67 @@ impl EcoFusionModel {
         assert_eq!(lane_of.len(), frames.len(), "one cache lane per frame");
         let router = StemCacheRouter::new(caches, lane_of);
         self.run_staged_batch(frames, opts, Some(router))
+    }
+
+    /// Runs a *fixed* configuration as a static baseline (paper Table 1
+    /// rows: None / Early / Late): the `Branch` and `Fuse` stages with
+    /// the frame "selecting" `config` and no gate. Only the
+    /// configuration's own stems execute — the returned trace counts
+    /// them — and only they are charged ([`StemPolicy::Static`]), at the
+    /// options' precision.
+    ///
+    /// # Errors
+    /// As [`EcoFusionModel::infer`].
+    pub fn detect_static(
+        &mut self,
+        frame: &Frame,
+        config: ConfigId,
+        opts: &InferenceOptions,
+    ) -> Result<(Vec<Detection>, EnergyBreakdown, StageTrace), InferError> {
+        let (detections, (executed, cached, skipped)) = self.with_scratch(|model, scratch| {
+            let batch = model.begin_step(&mut scratch.bank, std::slice::from_ref(frame), opts)?;
+            let mut branches = model.run_branches(scratch, &batch, &[config], None, opts, None)?;
+            Ok((branches.fuse_frame(model, 0), scratch.bank.counts(0)))
+        })?;
+        let specs = self.space.branch_specs(config);
+        let (energy, trace) =
+            account_prec(&self.px2, &self.sensor_power, &specs, StemPolicy::Static, opts.precision);
+        Ok((detections, energy, trace.with_stem_counts(executed, cached, skipped)))
+    }
+
+    /// The oracle pass (module docs, *Two blocks with entries of their
+    /// own*): per frame, the learned gates' input, every branch's
+    /// detections and the true fusion loss of all 127 configurations —
+    /// what the loss-based gate scores a frame from, returned instead of
+    /// consumed. `opts` supplies the decode thresholds, the precision and
+    /// the health mask of the features; gate, `λ_E` and `γ` are not read.
+    /// Frames run `ORACLE_PASS_BATCH` at a time; plans are batch-agnostic,
+    /// so the result does not depend on it.
+    ///
+    /// # Errors
+    /// As [`EcoFusionModel::infer`].
+    pub fn oracle_pass(
+        &mut self,
+        frames: &[Frame],
+        opts: &InferenceOptions,
+    ) -> Result<Vec<OracleSample>, InferError> {
+        self.with_scratch(|model, scratch| {
+            let mut samples = Vec::with_capacity(frames.len());
+            for chunk in frames.chunks(ORACLE_PASS_BATCH) {
+                let batch = model.begin_step(&mut scratch.bank, chunk, opts)?;
+                let (dets, losses) = model.oracle_stages(scratch, &batch, opts, None)?;
+                let StepScratch { bank, gate_in, .. } = &mut *scratch;
+                bank.gather_gate_features(opts.health.bits(), &batch.all, gate_in);
+                samples.extend(dets.into_iter().zip(losses).enumerate().map(
+                    |(i, (branch_dets, losses))| OracleSample {
+                        features: gate_in.select_batch(i),
+                        branch_dets,
+                        losses,
+                    },
+                ));
+            }
+            Ok(samples)
+        })
     }
 }
 

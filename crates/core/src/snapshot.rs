@@ -58,9 +58,13 @@ impl ModelSnapshot {
     /// Rebuilds a runnable model from the snapshot.
     ///
     /// # Errors
-    /// Returns [`RestoreModelError`] if any component's parameter count or
+    /// Returns [`RestoreModelError`] if the header names dimensions no
+    /// model can be built for, or any component's parameter count or
     /// shape does not match (e.g. a snapshot from a different version).
     pub fn restore(&self) -> Result<EcoFusionModel, RestoreModelError> {
+        if let Some((field, value, rule)) = EcoFusionModel::dimension_rule(self.grid) {
+            return Err(RestoreModelError::Dimension { field, value, rule });
+        }
         // Seed is irrelevant: every weight is overwritten.
         let mut rng = Rng::new(0);
         let mut model = EcoFusionModel::new(self.grid, self.num_classes, &mut rng);
@@ -234,6 +238,15 @@ impl QuantSnapshot {
 /// Error restoring a [`ModelSnapshot`].
 #[derive(Debug)]
 pub enum RestoreModelError {
+    /// The snapshot's header asks for a model that cannot be built.
+    Dimension {
+        /// Which header field ("grid").
+        field: &'static str,
+        /// Its value in the snapshot.
+        value: usize,
+        /// The rule it breaks.
+        rule: &'static str,
+    },
     /// A component group has the wrong cardinality.
     ComponentCount {
         /// Which group ("stems", "branches").
@@ -266,6 +279,9 @@ pub enum RestoreModelError {
 impl fmt::Display for RestoreModelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            RestoreModelError::Dimension { field, value, rule } => {
+                write!(f, "snapshot {field} {value} {rule}")
+            }
             RestoreModelError::ComponentCount { component, expected, found } => {
                 write!(f, "snapshot has {expected} {component} but the model wants {found}")
             }
@@ -366,6 +382,40 @@ mod tests {
             let err = serde_json::from_str::<ModelSnapshot>(&skewed).expect_err(what);
             assert!(err.to_string().contains("does not hold"), "{what}: {err}");
         }
+    }
+
+    /// A hand-edited header must come back as a typed error: `restore`
+    /// used to hand the grid to `EcoFusionModel::new`, whose assertion
+    /// fired. Dimensions `new` accepts still fail on the tensors.
+    #[test]
+    fn edited_header_fields_are_typed_errors() {
+        let mut model = EcoFusionModel::new(32, 8, &mut Rng::new(5));
+        let json = serde_json::to_string(&model.snapshot()).expect("serializes");
+        let edited = |from: &str, to: &str| {
+            assert_eq!(json.matches(from).count(), 1, "{from} names one header field");
+            serde_json::from_str::<ModelSnapshot>(&json.replace(from, to)).expect("deserializes")
+        };
+        for grid in [0, 17, 24] {
+            let err = edited("\"grid\":32", &format!("\"grid\":{grid}")).restore().unwrap_err();
+            assert!(
+                matches!(err, RestoreModelError::Dimension { field: "grid", value, .. } if value == grid),
+                "grid {grid}: {err}"
+            );
+            assert!(err.to_string().contains("multiple of 16"), "{err}");
+        }
+        let mismatched = [
+            edited("\"grid\":32", "\"grid\":48"),
+            edited("\"num_classes\":8", "\"num_classes\":0"),
+            edited("\"num_classes\":8", "\"num_classes\":9"),
+        ];
+        for snap in mismatched {
+            let err = snap.restore().unwrap_err();
+            assert!(matches!(err, RestoreModelError::Component { .. }), "{err}");
+        }
+        // Untouched, it restores bit for bit.
+        let back: ModelSnapshot = serde_json::from_str(&json).expect("loads");
+        let restored = back.restore().expect("restores").snapshot();
+        assert_eq!(serde_json::to_string(&restored).expect("serializes"), json);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Training pipeline (§5): supervised branch training, then gate
 //! regression on frozen stems/branches.
 
-use crate::dataset::Dataset;
-use crate::model::{EcoFusionModel, InferenceOptions};
+use crate::dataset::{Dataset, Frame};
+use crate::model::{EcoFusionModel, InferError, InferenceOptions};
+use crate::pipeline::OracleSample;
 use ecofusion_detect::stem::STEM_CHANNELS;
-use ecofusion_detect::FusionScratch;
+use ecofusion_sensors::SensorKind;
 use ecofusion_tensor::layer::Layer;
 use ecofusion_tensor::optim::{Adam, Optimizer};
 use ecofusion_tensor::rng::Rng;
@@ -118,7 +119,11 @@ impl Trainer {
         &self.config
     }
 
-    /// Runs the full pipeline and returns the trained model.
+    /// Runs the full pipeline and returns the trained model: the branch
+    /// phase, the oracle pass over the training frames, the gate phase.
+    /// Each is callable on its own — a gate experiment keeps the model
+    /// and the samples of the first two and reruns only
+    /// [`Trainer::train_gates`].
     ///
     /// # Errors
     /// Returns [`TrainError`] when the dataset is empty or its grid does
@@ -136,14 +141,17 @@ impl Trainer {
         let mut model =
             EcoFusionModel::new(self.config.grid, self.config.num_classes, &mut self.rng);
         self.train_branches(&mut model, dataset);
-        self.train_gates(&mut model, dataset);
+        let samples = self.gate_samples(&mut model, dataset.train()).expect("grid checked above");
+        self.train_gates(&mut model, &samples);
         Ok(model)
     }
 
     /// Phase 1: supervised stem + branch training. Every branch trains on
     /// every frame; stem gradients accumulate from all branches that
     /// consume the stem (the paper trains all stems and branches jointly).
-    fn train_branches(&mut self, model: &mut EcoFusionModel, dataset: &Dataset) {
+    /// The dataset must be rendered at the model's grid
+    /// ([`Trainer::train`] checks it).
+    pub fn train_branches(&mut self, model: &mut EcoFusionModel, dataset: &Dataset) {
         // Adam: batch-1 detection gradients are too noisy for plain SGD to
         // make progress in the few epochs the harness budgets.
         let mut opt = Adam::new(self.config.branch_lr, 1e-5);
@@ -170,15 +178,17 @@ impl Trainer {
             for &fi in &order {
                 let frame = &dataset.train()[fi];
                 let gts = frame.gt_boxes();
-                let feats = model.stem_features(&frame.obs, true);
+                let feats: Vec<Tensor> = SensorKind::ALL
+                    .iter()
+                    .map(|k| model.stems[k.index()].forward(frame.obs.grid(*k), true))
+                    .collect();
                 let mut stem_grads: Vec<Tensor> =
                     feats.iter().map(|f| Tensor::zeros(f.shape())).collect();
-                #[allow(clippy::needless_range_loop)] // b indexes model internals too
-                for b in 0..n_branches {
-                    let input = model.branch_input(b, &feats);
+                for (b, sensors) in sensors_per_branch.iter().enumerate() {
+                    let parts: Vec<&Tensor> = sensors.iter().map(|s| &feats[*s]).collect();
+                    let input = Tensor::concat_channels(&parts);
                     let (loss, grad_in) = model.branches_mut()[b].train_step(&input, &gts);
                     epoch_loss += loss.total() as f64;
-                    let sensors = &sensors_per_branch[b];
                     let split = grad_in.split_channels(&vec![STEM_CHANNELS; sensors.len()]);
                     for (s, g) in sensors.iter().zip(split) {
                         stem_grads[*s].add_assign(&g);
@@ -201,33 +211,31 @@ impl Trainer {
         }
     }
 
-    /// Phase 2: gate training. Targets are the true fusion losses of every
-    /// configuration, computed with the (now frozen) stems and branches,
-    /// exactly as §5 describes: "we take the trained stem and branch
-    /// outputs and use them to separately train the gate model".
-    fn train_gates(&mut self, model: &mut EcoFusionModel, dataset: &Dataset) {
+    /// The gate-training samples of `frames`: the oracle pass
+    /// ([`EcoFusionModel::oracle_pass`]) under the configuration's decode
+    /// thresholds — per frame the gate features and the true fusion loss
+    /// of every configuration, computed with the (now frozen) stems and
+    /// branches, exactly as §5 describes: "we take the trained stem and
+    /// branch outputs and use them to separately train the gate model".
+    ///
+    /// # Errors
+    /// As [`EcoFusionModel::infer`].
+    pub fn gate_samples(
+        &self,
+        model: &mut EcoFusionModel,
+        frames: &[Frame],
+    ) -> Result<Vec<OracleSample>, InferError> {
         let opts = InferenceOptions {
             score_thresh: self.config.score_thresh,
             nms_iou: self.config.nms_iou,
             ..InferenceOptions::new(0.0, 0.5)
         };
-        // Precompute (gate features, target losses) for every train frame,
-        // in batches: stems and branches are frozen here, so frames share
-        // one batched forward per chunk instead of a pass per frame.
-        const PRECOMPUTE_BATCH: usize = 16;
-        let mut samples: Vec<(Tensor, Vec<f32>)> = Vec::with_capacity(dataset.train().len());
-        let mut scratch = FusionScratch::default();
-        for chunk in dataset.train().chunks(PRECOMPUTE_BATCH) {
-            let observations: Vec<_> = chunk.iter().map(|f| &f.obs).collect();
-            let batch_feats = model.stem_features_batch(&observations);
-            let gate_feats = EcoFusionModel::gate_features(&batch_feats);
-            let dets =
-                model.all_branch_detections_batch(&batch_feats, opts.score_thresh, opts.nms_iou);
-            for (i, frame) in chunk.iter().enumerate() {
-                let losses = model.config_losses_scratch(&dets[i], &frame.gt_boxes(), &mut scratch);
-                samples.push((gate_feats.select_batch(i), losses));
-            }
-        }
+        model.oracle_pass(frames, &opts)
+    }
+
+    /// Phase 2: gate training, regressing each sample's losses from its
+    /// features. Reads nothing of the model but the two learned gates.
+    pub fn train_gates(&mut self, model: &mut EcoFusionModel, samples: &[OracleSample]) {
         let mut opt_deep = Adam::new(self.config.gate_lr, 0.0);
         let mut opt_attn = Adam::new(self.config.gate_lr, 0.0);
         let mut order: Vec<usize> = (0..samples.len()).collect();
@@ -236,13 +244,13 @@ impl Trainer {
             let mut deep_loss = 0.0f64;
             let mut attn_loss = 0.0f64;
             for &si in &order {
-                let (feats, targets) = &samples[si];
+                let OracleSample { features, losses, .. } = &samples[si];
                 let gates = model.gates_mut();
                 gates.deep.zero_grad();
-                deep_loss += gates.deep.train_step(feats, targets) as f64;
+                deep_loss += gates.deep.train_step(features, losses) as f64;
                 opt_deep.step(&mut gates.deep);
                 gates.attention.zero_grad();
-                attn_loss += gates.attention.train_step(feats, targets) as f64;
+                attn_loss += gates.attention.train_step(features, losses) as f64;
                 opt_attn.step(&mut gates.attention);
             }
             if self.config.verbose {
@@ -326,11 +334,8 @@ mod tests {
         );
         let mut trained = trainer.train(&data).unwrap();
         let avg = |m: &mut EcoFusionModel| {
-            let mut s = 0.0;
-            for f in data.test() {
-                s += m.config_losses(f, &opts)[late.0];
-            }
-            s / data.test().len() as f32
+            let samples = m.oracle_pass(data.test(), &opts).unwrap();
+            samples.iter().map(|s| s.losses[late.0]).sum::<f32>() / samples.len() as f32
         };
         let before = avg(&mut untrained);
         let after = avg(&mut trained);

@@ -13,13 +13,13 @@
 //! *what* a frame produces, and a compiled plan computes exactly what the
 //! layers it was lowered from compute.
 
-use ecofusion_core::{ConfigId, EcoFusionModel, Frame, InferenceOptions};
+use ecofusion_core::{ConfigId, EcoFusionModel, Frame, InferenceOptions, QuantSnapshot};
 use ecofusion_detect::stem::STEM_CHANNELS;
 use ecofusion_detect::Detection;
 use ecofusion_energy::{Precision, StemPolicy};
 use ecofusion_gating::{Gate, GateInput, GateKind};
 use ecofusion_scene::{Context, ScenarioGenerator};
-use ecofusion_sensors::{Observation, SensorKind, SensorSuite};
+use ecofusion_sensors::{SensorKind, SensorSuite};
 use ecofusion_tensor::layer::Layer;
 use ecofusion_tensor::rng::Rng;
 use ecofusion_tensor::tensor::Tensor;
@@ -45,6 +45,58 @@ pub fn arb_context() -> impl Strategy<Value = Context> {
     (0usize..Context::ALL.len()).prop_map(|i| Context::ALL[i])
 }
 
+/// The model's int8 image when `opts` run on it. A clone: the eager
+/// forwards below reach the f32 weights through `stems_mut` /
+/// `branches_mut`, which drop the model's image and compiled plans; both
+/// rebuild identically on the next inference, so only a caller that
+/// counts compiles needs to care.
+pub fn eager_quant(model: &mut EcoFusionModel, opts: &InferenceOptions) -> Option<QuantSnapshot> {
+    (opts.precision == Precision::Int8)
+        .then(|| model.ensure_quant().expect("canonical model quantizes").clone())
+}
+
+/// All four stems, each through its layers' eval forward over the whole
+/// stacked batch: one `(N, C, h, w)` tensor per sensor.
+pub fn eager_stems(
+    model: &mut EcoFusionModel,
+    quant: Option<&QuantSnapshot>,
+    frames: &[Frame],
+) -> Vec<Tensor> {
+    SensorKind::ALL
+        .iter()
+        .map(|k| {
+            let grids: Vec<&Tensor> = frames.iter().map(|f| f.obs.grid(*k)).collect();
+            let stacked = Tensor::stack_batch(&grids);
+            match quant {
+                None => model.stems_mut()[k.index()].forward(&stacked, false),
+                Some(q) => q.stem(k.index()).forward(&stacked),
+            }
+        })
+        .collect()
+}
+
+/// Branch `b` through its layers' eval forward over the whole batch of
+/// eager stem features, decoded per frame by the f32 head.
+pub fn eager_branch(
+    model: &mut EcoFusionModel,
+    quant: Option<&QuantSnapshot>,
+    b: usize,
+    feats: &[Tensor],
+    opts: &InferenceOptions,
+) -> Vec<Vec<Detection>> {
+    let parts: Vec<&Tensor> =
+        model.space().branches()[b].sensors().iter().map(|k| &feats[k.index()]).collect();
+    let input = Tensor::concat_channels(&parts);
+    let branch = &mut model.branches_mut()[b];
+    let out = match quant {
+        None => branch.forward(&input, false),
+        Some(q) => q.branch(b).forward(&input),
+    };
+    (0..input.shape()[0])
+        .map(|j| branch.decode_sample(&out, j, opts.score_thresh, opts.nms_iou))
+        .collect()
+}
+
 /// What the reference produces per frame: the selected configuration,
 /// the fused detections and the gate's per-configuration losses.
 pub type Reference = (ConfigId, Vec<Detection>, Vec<f32>);
@@ -55,42 +107,19 @@ pub type Reference = (ConfigId, Vec<Detection>, Vec<f32>);
 /// the selected branches → fuse, per frame.
 ///
 /// It runs on `model` itself, so both sides share one set of weights by
-/// construction. At int8 the f32 head's decoder is reached through
-/// `branches_mut`, which drops the model's int8 image and compiled plans;
-/// both rebuild identically on the next inference, so only a caller that
-/// counts compiles needs to care.
+/// construction.
 pub fn monolithic_infer_batch(
     model: &mut EcoFusionModel,
     frames: &[Frame],
     opts: &InferenceOptions,
 ) -> Vec<Reference> {
     let n = frames.len();
-    let observations: Vec<&Observation> = frames.iter().map(|f| &f.obs).collect();
-    let quant = (opts.precision == Precision::Int8)
-        .then(|| model.ensure_quant().expect("canonical model quantizes").clone());
+    let quant = eager_quant(model, opts);
     // Stems: always all four, each over the whole stacked batch.
-    let feats: Vec<Tensor> = match &quant {
-        None => model.stem_features_batch(&observations),
-        Some(q) => SensorKind::ALL
-            .iter()
-            .map(|k| {
-                let grids: Vec<&Tensor> = observations.iter().map(|o| o.grid(*k)).collect();
-                q.stem(k.index()).forward(&Tensor::stack_batch(&grids))
-            })
-            .collect(),
-    };
-    // One branch over the whole batch, decoded per frame by the f32 head.
-    let (thresh, nms) = (opts.score_thresh, opts.nms_iou);
-    let run_branch = |model: &mut EcoFusionModel, b: usize| -> Vec<Vec<Detection>> {
-        match &quant {
-            None => model.run_branch_batch(b, &feats, thresh, nms),
-            Some(q) => {
-                let out = q.branch(b).forward(&model.branch_input(b, &feats));
-                let head = &model.branches_mut()[b];
-                (0..n).map(|j| head.decode_sample(&out, j, thresh, nms)).collect()
-            }
-        }
-    };
+    let feats = eager_stems(model, quant.as_ref(), frames);
+    // One branch over the whole batch.
+    let run_branch =
+        |model: &mut EcoFusionModel, b: usize| eager_branch(model, quant.as_ref(), b, &feats, opts);
     let num_branches = model.space().num_branches();
     let mut branch_dets: Vec<Option<Vec<Vec<Detection>>>> = vec![None; num_branches];
     // Oracle losses for the loss-based gate (all branches, a posteriori).

@@ -32,11 +32,14 @@
 //!    buffer that scales with the batch.
 
 mod common;
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+// The counting global allocator, shared with the runtime crate's
+// `telemetry_scorekeeper.rs` (a test binary holds one global allocator,
+// and the workspace one copy of its `unsafe impl`).
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
 use common::{arb_context, monolithic_infer_batch, render_frames, Reference, GRID};
+use counting_alloc::{allocs_on_this_thread, bytes_on_this_thread, LARGEST};
 use ecofusion_core::{EcoFusionModel, InferenceOptions, InferenceOutput};
 use ecofusion_detect::stem::{Stem, STEM_CHANNELS};
 use ecofusion_detect::{
@@ -51,51 +54,6 @@ use ecofusion_tensor::layer::Layer;
 use ecofusion_tensor::rng::Rng;
 use ecofusion_tensor::Tensor;
 use proptest::prelude::*;
-
-// ---------------------------------------------------------------------------
-// Counting allocator (per-thread, so concurrent tests don't bleed in)
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-/// One request of `size` bytes (an `alloc`, or a `realloc` to `size`).
-fn count(size: usize) {
-    ALLOCS.with(|c| c.set(c.get() + 1));
-    BYTES.with(|c| c.set(c.get() + size as u64));
-    LARGEST.with(|c| c.set(c.get().max(size)));
-}
-
-struct CountingAlloc;
-
-// SAFETY: defers to `System` for every operation; the thread-locals are
-// `Cell`s of integers with const init (no lazy allocation, no
-// destructor), so counting from inside the allocator cannot recurse.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocs_on_this_thread() -> u64 {
-    ALLOCS.with(|c| c.get())
-}
 
 // ---------------------------------------------------------------------------
 // Bit-identity
@@ -376,10 +334,10 @@ fn a_warm_step_requests_no_batch_sized_buffer() {
         model.infer_batch(&frames, &opts).expect("warm-up step");
     }
     LARGEST.with(|c| c.set(0));
-    let (allocs, bytes) = (allocs_on_this_thread(), BYTES.with(|c| c.get()));
+    let (allocs, bytes) = (allocs_on_this_thread(), bytes_on_this_thread());
     let served = model.infer_batch(&frames, &opts).expect("warm step");
     let allocs = (allocs_on_this_thread() - allocs) as f64 / frames.len() as f64;
-    let kib = (BYTES.with(|c| c.get()) - bytes) as f64 / 1024.0 / frames.len() as f64;
+    let kib = (bytes_on_this_thread() - bytes) as f64 / 1024.0 / frames.len() as f64;
     let largest = LARGEST.with(|c| c.get());
     assert_eq!(served.len(), frames.len());
     assert!(allocs <= 24.0, "{allocs:.1} allocations per frame");

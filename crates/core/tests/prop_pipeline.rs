@@ -14,13 +14,23 @@
 //! A second property pins the accounting: `StageTrace` energies and
 //! latencies sum to the `EnergyBreakdown` totals for every configuration
 //! under both stem policies.
+//!
+//! The two blocks of the executor that have entries of their own are
+//! held to the same oracle: the oracle pass (gate features, per-branch
+//! detections, the 127 true losses) and `detect_static` (a fixed
+//! selection), at both precisions.
 
 mod common;
 
-use common::{arb_context, monolithic_infer_batch, render_frames, Reference, GRID};
-use ecofusion_core::model::InferenceOutput;
+use common::{
+    arb_context, eager_branch, eager_quant, eager_stems, monolithic_infer_batch, render_frames,
+    Reference, GRID,
+};
+use ecofusion_core::model::{InferError, InferenceOutput};
 use ecofusion_core::{ConfigId, EcoFusionModel, Frame, InferenceOptions};
-use ecofusion_energy::{StageTrace, StemPolicy};
+use ecofusion_detect::stem::STEM_CHANNELS;
+use ecofusion_detect::Detection;
+use ecofusion_energy::{Precision, StageTrace, StemPolicy};
 use ecofusion_gating::GateKind;
 use ecofusion_scene::Context;
 use ecofusion_sensors::{SensorKind, SensorMask};
@@ -101,6 +111,105 @@ proptest! {
     }
 
     #[test]
+    fn oracle_pass_matches_the_eager_oracle(
+        seed in 0u64..1000,
+        context in arb_context(),
+        // One frame, a tile's worth, one chunk of the pass, and across
+        // its chunk border.
+        batch in (0usize..4).prop_map(|i| [1, 3, 16, 20][i]),
+        mask_bits in (0u8..3).prop_map(|i| [0b1111, 0b1011, 0b0110][i as usize]),
+        int8 in (0u8..2).prop_map(|b| b == 1),
+    ) {
+        let frames = render_frames(seed, context, batch);
+        let mask = SensorMask::from_bits(mask_bits);
+        let opts = InferenceOptions::new(0.01, 0.5)
+            .with_health(mask)
+            .with_precision(if int8 { Precision::Int8 } else { Precision::F32 });
+        let mut model = EcoFusionModel::new(GRID, 8, &mut Rng::new(seed ^ 0x04AC1E));
+        let samples = model.oracle_pass(&frames, &opts).expect("matching grid");
+        prop_assert_eq!(samples.len(), batch);
+
+        let quant = eager_quant(&mut model, &opts);
+        let feats = eager_stems(&mut model, quant.as_ref(), &frames);
+        let branch_dets: Vec<Vec<Vec<Detection>>> = (0..model.space().num_branches())
+            .map(|b| eager_branch(&mut model, quant.as_ref(), b, &feats, &opts))
+            .collect();
+        let per = STEM_CHANNELS * (GRID / 2) * (GRID / 2);
+        for (i, (sample, frame)) in samples.iter().zip(&frames).enumerate() {
+            // Gate features: the eager stems' channel concatenation, a
+            // zero block for each masked sensor.
+            prop_assert_eq!(
+                sample.features.shape(),
+                &[1, SensorKind::COUNT * STEM_CHANNELS, GRID / 2, GRID / 2]
+            );
+            for k in SensorKind::ALL {
+                let s = k.index();
+                let got = &sample.features.data()[s * per..(s + 1) * per];
+                let want = &feats[s].data()[i * per..(i + 1) * per];
+                let equal = if mask.is_available(k) {
+                    got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits())
+                } else {
+                    got.iter().all(|g| g.to_bits() == 0)
+                };
+                prop_assert!(equal, "frame {} sensor {:?} int8 {}", i, k, int8);
+            }
+            let dets: Vec<Vec<Detection>> = branch_dets.iter().map(|b| b[i].clone()).collect();
+            prop_assert_eq!(&sample.branch_dets, &dets, "frame {} int8 {}", i, int8);
+            let losses = model.config_losses_from(&dets, &frame.gt_boxes());
+            prop_assert_eq!(
+                sample.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+                losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+                "frame {} int8 {}", i, int8
+            );
+        }
+    }
+
+    #[test]
+    fn detect_static_matches_eager_branches_and_runs_only_its_stems(
+        seed in 0u64..1000,
+        context in arb_context(),
+        int8 in (0u8..2).prop_map(|b| b == 1),
+    ) {
+        let frame = render_frame(seed, context);
+        let opts = InferenceOptions::new(0.0, 0.5)
+            .with_precision(if int8 { Precision::Int8 } else { Precision::F32 });
+        let mut model = EcoFusionModel::new(GRID, 8, &mut Rng::new(seed ^ 0x57A71C));
+        let b = model.baseline_ids();
+        for config in [b.camera_left, b.camera_right, b.lidar, b.radar, b.early, b.late] {
+            let (dets, energy, trace) =
+                model.detect_static(&frame, config, &opts).expect("matching grid");
+            // Host work: the configuration's stems and no other (the
+            // eager path this replaced ran all four).
+            let sensors = model.config_sensor_bits()[config.0].count_ones() as u8;
+            prop_assert_eq!(
+                (trace.stems_executed, trace.stems_cached, trace.stems_skipped),
+                (sensors, 0, SensorKind::COUNT as u8 - sensors)
+            );
+            // Charge: the static policy at the options' precision.
+            let (want_energy, want_trace) = ecofusion_core::pipeline::account_prec(
+                model.px2(),
+                model.sensor_power(),
+                &model.space().branch_specs(config),
+                StemPolicy::Static,
+                opts.precision,
+            );
+            prop_assert_eq!(energy, want_energy);
+            prop_assert!(trace.matches(&energy));
+            prop_assert_eq!(trace.total_energy().joules(), want_trace.total_energy().joules());
+
+            let quant = eager_quant(&mut model, &opts);
+            let feats = eager_stems(&mut model, quant.as_ref(), std::slice::from_ref(&frame));
+            let outs: Vec<Vec<Detection>> = model
+                .space()
+                .branch_ids(config)
+                .iter()
+                .map(|id| eager_branch(&mut model, quant.as_ref(), id.0, &feats, &opts).remove(0))
+                .collect();
+            prop_assert_eq!(dets, model.fuse(&outs), "config {} int8 {}", config.0, int8);
+        }
+    }
+
+    #[test]
     fn stage_trace_sums_to_energy_breakdown(config in 0usize..127) {
         let model = EcoFusionModel::new(GRID, 8, &mut Rng::new(3));
         let specs = model.space().branch_specs(ConfigId(config));
@@ -163,4 +272,23 @@ fn live_inference_trace_decomposes_breakdown() {
         assert!(trace.matches(&out.energy), "{gate:?}");
         assert_eq!(trace.stems_executed + trace.stems_cached + trace.stems_skipped, 4, "{gate:?}");
     }
+}
+
+/// A frame of the wrong size is an error from the `Sense` stage of both
+/// blocks, not a panic inside a convolution.
+#[test]
+fn oracle_pass_and_detect_static_reject_a_wrong_sized_frame() {
+    let mut model = EcoFusionModel::new(GRID, 8, &mut Rng::new(5));
+    let scene = ecofusion_scene::ScenarioGenerator::new(9).scene(Context::City);
+    let obs = ecofusion_sensors::SensorSuite::new(48).observe(&scene, &mut Rng::new(10));
+    let frame = Frame { scene, obs };
+    let opts = InferenceOptions::new(0.0, 0.5);
+    let late = model.baseline_ids().late;
+    let mismatch = InferError::GridMismatch { expected: GRID, found: 48 };
+    assert_eq!(model.detect_static(&frame, late, &opts).unwrap_err(), mismatch);
+    assert_eq!(model.oracle_pass(std::slice::from_ref(&frame), &opts).unwrap_err(), mismatch);
+    // The replica still serves.
+    let good = render_frame(11, Context::City);
+    assert!(model.detect_static(&good, late, &opts).is_ok());
+    assert_eq!(model.oracle_pass(std::slice::from_ref(&good), &opts).unwrap().len(), 1);
 }

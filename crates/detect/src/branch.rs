@@ -141,11 +141,6 @@ impl BranchDetector {
         self.head.forward(&feats, train)
     }
 
-    /// Decodes detections from a head output (sample 0).
-    pub fn decode(&self, out: &HeadOutput, score_thresh: f32, nms_iou: f32) -> Vec<Detection> {
-        self.head.decode(out, score_thresh, nms_iou)
-    }
-
     /// Decodes one sample of a batched head output.
     pub fn decode_sample(
         &self,
@@ -155,31 +150,6 @@ impl BranchDetector {
         nms_iou: f32,
     ) -> Vec<Detection> {
         self.head.decode_sample(out, sample, score_thresh, nms_iou)
-    }
-
-    /// Convenience: forward + decode in eval mode.
-    pub fn detect(
-        &mut self,
-        stem_features: &Tensor,
-        score_thresh: f32,
-        nms_iou: f32,
-    ) -> Vec<Detection> {
-        let out = self.forward(stem_features, false);
-        self.decode(&out, score_thresh, nms_iou)
-    }
-
-    /// Batched forward + decode in eval mode: one backbone/head pass over
-    /// `(N, 8·m, S, S)` stem features, returning per-frame detections.
-    pub fn detect_batch(
-        &mut self,
-        stem_features: &Tensor,
-        score_thresh: f32,
-        nms_iou: f32,
-    ) -> Vec<Vec<Detection>> {
-        let out = self.forward(stem_features, false);
-        (0..stem_features.shape()[0])
-            .map(|i| self.decode_sample(&out, i, score_thresh, nms_iou))
-            .collect()
     }
 
     /// Computes the loss of a head output against ground truth.

@@ -15,8 +15,7 @@
 //! * [`anchors`] — the cell grid and ground-truth assignment used by the
 //!   dense detection head.
 //! * [`Stem`] — the first convolution block, one per sensing modality.
-//! * [`BranchDetector`] — backbone blocks + RPN-style dense head, with an
-//!   optional two-stage ROI refinement ([`RoiHead`]).
+//! * [`BranchDetector`] — backbone blocks + RPN-style dense head.
 //!
 //! The dense head plays the role of Faster R-CNN's RPN + classification
 //! head in a single stage — the same loss structure (objectness BCE, class
@@ -31,7 +30,6 @@ pub mod head;
 pub mod metrics;
 pub mod nms;
 pub mod quant;
-pub mod roi;
 pub mod stem;
 pub mod wbf;
 
@@ -42,6 +40,5 @@ pub use head::{DenseHead, DetectionLoss, HeadOutput};
 pub use metrics::{fusion_loss, subset_fusion_losses, FusionLoss};
 pub use nms::{nms, soft_nms};
 pub use quant::QuantBranch;
-pub use roi::RoiHead;
 pub use stem::Stem;
 pub use wbf::{weighted_boxes_fusion, FusionScratch, WbfParams};

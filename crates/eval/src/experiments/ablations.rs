@@ -130,23 +130,27 @@ pub fn fusion_block(setup: &mut Setup) -> AblationResult {
             }),
         ),
     ];
+    // Every fuser reads the same branch outputs: one oracle pass.
+    let model = &mut setup.model;
+    let samples = model.oracle_pass(setup.dataset.test(), &opts).expect("matching grid");
+    let energy = ecofusion_energy::EnergyBreakdown::compute(
+        model.px2(),
+        model.sensor_power(),
+        &model.space().branch_specs(late),
+        ecofusion_energy::StemPolicy::Static,
+    );
     for (label, fuser) in fusers {
-        let model = &mut setup.model;
-        let s = evaluate_frames(&frames, setup.num_classes, |f| {
-            let feats = model.stem_features(&f.obs, false);
-            let outs: Vec<Vec<Detection>> = late_ids
-                .iter()
-                .map(|b| model.run_branch(b.0, &feats, opts.score_thresh, opts.nms_iou))
-                .collect();
-            let detections = fuser(&outs);
-            let specs = model.space().branch_specs(late);
-            let energy = ecofusion_energy::EnergyBreakdown::compute(
-                model.px2(),
-                model.sensor_power(),
-                &specs,
-                ecofusion_energy::StemPolicy::Static,
-            );
-            FrameOutcome { detections, energy, config_label: label.to_string(), stage: None }
+        let mut samples = samples.iter();
+        let s = evaluate_frames(&frames, setup.num_classes, |_| {
+            let sample = samples.next().expect("one sample per frame");
+            let outs: Vec<Vec<Detection>> =
+                late_ids.iter().map(|b| sample.branch_dets[b.0].clone()).collect();
+            FrameOutcome {
+                detections: fuser(&outs),
+                energy,
+                config_label: label.to_string(),
+                stage: None,
+            }
         });
         rows.push(AblationRow {
             variant: label.to_string(),

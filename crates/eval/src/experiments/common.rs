@@ -95,7 +95,7 @@ pub fn static_summary(
     let opts = InferenceOptions::new(0.0, 0.5);
     let label = model.space().label(config);
     evaluate_frames(frames, num_classes, |f| {
-        let (detections, energy) = model.detect_static(f, config, &opts);
+        let (detections, energy, _) = model.detect_static(f, config, &opts).expect("matching grid");
         FrameOutcome { detections, energy, config_label: label.clone(), stage: None }
     })
 }

@@ -6,9 +6,7 @@
 //! losses, and how much joint-objective regret its selections incur
 //! against the oracle.
 
-use ecofusion_core::{
-    joint_loss, select_config, CandidateRule, EcoFusionModel, Frame, InferenceOptions,
-};
+use ecofusion_core::{joint_loss, select_config, CandidateRule, EcoFusionModel, OracleSample};
 use ecofusion_energy::Joules;
 use ecofusion_gating::{Gate, GateInput, GateKind};
 use serde::Serialize;
@@ -82,7 +80,9 @@ pub struct GateQualityReport {
     pub frames: usize,
 }
 
-/// Assesses a learned gate against the oracle on `frames`.
+/// Assesses a learned gate against the oracle over `samples` — one
+/// [`EcoFusionModel::oracle_pass`] of the frames to judge it on, which
+/// every gate and every `(λ_E, γ)` can then share.
 ///
 /// # Panics
 /// Panics if `gate` is [`GateKind::LossBased`] (the oracle has no gap to
@@ -90,7 +90,7 @@ pub struct GateQualityReport {
 /// not loss estimates).
 pub fn assess_gate(
     model: &mut EcoFusionModel,
-    frames: &[&Frame],
+    samples: &[OracleSample],
     gate: GateKind,
     lambda_e: f64,
     gamma: f32,
@@ -99,41 +99,35 @@ pub fn assess_gate(
         matches!(gate, GateKind::Deep | GateKind::Attention),
         "assess_gate expects a learned gate"
     );
-    let opts = InferenceOptions::new(lambda_e, gamma);
     let energies: Vec<Joules> =
         model.space().energies(model.px2(), ecofusion_energy::StemPolicy::Adaptive);
     let mut sum_rho = 0.0;
     let mut top1 = 0usize;
     let mut sum_regret = 0.0;
-    for frame in frames {
-        let true_losses = model.config_losses(frame, &opts);
-        let feats = model.stem_features(&frame.obs, false);
-        let gate_feats = EcoFusionModel::gate_features(&feats);
-        let input = GateInput::features_only(&gate_feats);
+    for OracleSample { features, losses: true_losses, .. } in samples {
+        let input = GateInput::features_only(features);
         let predicted = match gate {
             GateKind::Deep => model.gates_mut().deep.predict(&input),
             GateKind::Attention => model.gates_mut().attention.predict(&input),
             _ => unreachable!(),
         };
-        sum_rho += spearman(&predicted, &true_losses);
-        let pred_argmin = argmin(&predicted);
-        let true_argmin = argmin(&true_losses);
-        if pred_argmin == true_argmin {
+        sum_rho += spearman(&predicted, true_losses);
+        if argmin(&predicted) == argmin(true_losses) {
             top1 += 1;
         }
         let chosen = select_config(&predicted, &energies, lambda_e, gamma, CandidateRule::Margin);
-        let oracle = select_config(&true_losses, &energies, lambda_e, gamma, CandidateRule::Margin);
+        let oracle = select_config(true_losses, &energies, lambda_e, gamma, CandidateRule::Margin);
         let regret = joint_loss(true_losses[chosen], energies[chosen], lambda_e)
             - joint_loss(true_losses[oracle], energies[oracle], lambda_e);
         sum_regret += regret;
     }
-    let n = frames.len().max(1) as f64;
+    let n = samples.len().max(1) as f64;
     GateQualityReport {
         gate: gate.to_string(),
         mean_spearman: sum_rho / n,
         top1_agreement: top1 as f64 / n,
         mean_regret: sum_regret / n,
-        frames: frames.len(),
+        frames: samples.len(),
     }
 }
 

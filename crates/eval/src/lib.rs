@@ -3,7 +3,9 @@
 //! * [`map_voc`] — PASCAL-VOC mean average precision at IoU ≥ 0.5, the
 //!   paper's detection metric (§5).
 //! * [`EvalSummary`] — aggregate mAP / average fusion loss / average
-//!   energy / latency for one method over a frame set.
+//!   energy / latency for one method over a frame set, folded by the one
+//!   [`EvalAccumulator`] that [`evaluate_frames`] and the runtime's
+//!   per-stream telemetry both drive.
 //! * [`experiments`] — one runner per table and figure of the paper's
 //!   evaluation section (Fig. 1, Fig. 4, Fig. 5, Tables 1–3) plus the
 //!   ablation studies promised in DESIGN.md. Each runner returns typed
@@ -20,5 +22,5 @@ pub mod tables;
 pub use gate_quality::{assess_gate, spearman, GateQualityReport};
 pub use map::{average_precision, map_voc, per_class_ap, GtFrame};
 pub use parity::{ParityReport, ParityRow, DEFAULT_MAX_DRIFT_PP};
-pub use summary::{evaluate_frames, EvalSummary, FrameOutcome};
+pub use summary::{evaluate_frames, EvalAccumulator, EvalSummary, FrameOutcome};
 pub use tables::Table;

@@ -4,6 +4,7 @@ use crate::map::{map_voc, GtFrame};
 use ecofusion_core::Frame;
 use ecofusion_detect::{fusion_loss, Detection};
 use ecofusion_energy::{EnergyBreakdown, StageKind, StageTrace};
+use ecofusion_scene::GtBox;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -51,6 +52,137 @@ pub struct EvalSummary {
     pub config_histogram: BTreeMap<String, usize>,
 }
 
+/// The one scorekeeper of the paper's metrics: running sums, per-stage
+/// sums, the configuration histogram and the retained detections and
+/// ground truth that mAP is computed from when a summary is asked for.
+/// [`evaluate_frames`] drives one per method; the runtime's
+/// `StreamTelemetry` keeps one per stream beside its serving counters.
+#[derive(Debug, Default)]
+pub struct EvalAccumulator {
+    frames: usize,
+    loss_sum: f64,
+    platform_j: f64,
+    latency_ms: f64,
+    total_gated_j: f64,
+    traced_frames: usize,
+    stems_executed: u64,
+    stage_energy_j: [f64; StageKind::COUNT],
+    stage_latency_ms: [f64; StageKind::COUNT],
+    config_histogram: BTreeMap<String, usize>,
+    dets_per_frame: Vec<Vec<Detection>>,
+    gt_frames: Vec<GtFrame>,
+}
+
+impl EvalAccumulator {
+    /// Records one frame: its fused detections and ground truth (both
+    /// retained), the energy of the executed configuration, its label,
+    /// and the per-stage accounting when the method reports one.
+    pub fn record(
+        &mut self,
+        detections: Vec<Detection>,
+        energy: &EnergyBreakdown,
+        config_label: &str,
+        stage: Option<&StageTrace>,
+        gts: Vec<GtBox>,
+    ) {
+        self.frames += 1;
+        self.loss_sum += fusion_loss(&detections, &gts).total() as f64;
+        self.platform_j += energy.platform.joules();
+        self.latency_ms += energy.latency.millis();
+        self.total_gated_j += energy.total_gated().joules();
+        if let Some(trace) = stage {
+            self.traced_frames += 1;
+            self.stems_executed += trace.stems_executed as u64;
+            for (i, stage) in StageKind::ALL.into_iter().enumerate() {
+                self.stage_energy_j[i] += trace.cost(stage).energy.joules();
+                self.stage_latency_ms[i] += trace.cost(stage).latency.millis();
+            }
+        }
+        // The label is cloned the first time a configuration is seen,
+        // not once a frame to look it up.
+        match self.config_histogram.get_mut(config_label) {
+            Some(count) => *count += 1,
+            None => {
+                self.config_histogram.insert(config_label.to_string(), 1);
+            }
+        }
+        self.dets_per_frame.push(detections);
+        self.gt_frames.push(GtFrame { boxes: gts });
+    }
+
+    /// Forgets the detections and ground truth of all but the `keep`
+    /// most recent frames; every sum stays exact over the whole run.
+    pub fn truncate_history(&mut self, keep: usize) {
+        let drop = self.dets_per_frame.len().saturating_sub(keep);
+        self.dets_per_frame.drain(..drop);
+        self.gt_frames.drain(..drop);
+    }
+
+    /// Frames recorded.
+    pub fn frames(&self) -> usize {
+        self.frames
+    }
+
+    /// Fused detections of the retained frames, in recording order.
+    pub fn detections(&self) -> &[Vec<Detection>] {
+        &self.dets_per_frame
+    }
+
+    /// Total platform (PX2) energy, Joules.
+    pub fn platform_j(&self) -> f64 {
+        self.platform_j
+    }
+
+    /// Total platform + clock-gated sensor energy, Joules (Eq. 11).
+    pub fn total_gated_j(&self) -> f64 {
+        self.total_gated_j
+    }
+
+    /// Total stems executed over the frames that reported a trace.
+    pub fn stems_executed(&self) -> u64 {
+        self.stems_executed
+    }
+
+    /// Total modeled per-stage energy, Joules, in [`StageKind::ALL`]
+    /// order (sums to the Eq. 11 total of the traced frames).
+    pub fn stage_energy_j(&self) -> &[f64; StageKind::COUNT] {
+        &self.stage_energy_j
+    }
+
+    /// Total modeled per-stage latency, ms, in [`StageKind::ALL`] order.
+    pub fn stage_latency_ms(&self) -> &[f64; StageKind::COUNT] {
+        &self.stage_latency_ms
+    }
+
+    /// The paper's metrics so far: mAP over the retained frames, every
+    /// mean over all recorded frames (stage means over the traced ones).
+    /// A zeroed summary when nothing was recorded.
+    pub fn summary(&self, num_classes: usize) -> EvalSummary {
+        let n = self.frames.max(1) as f64;
+        let map = if self.frames == 0 {
+            0.0
+        } else {
+            map_voc(&self.dets_per_frame, &self.gt_frames, num_classes, 0.5) as f64
+        };
+        let traced = self.traced_frames.max(1) as f64;
+        EvalSummary {
+            map_pct: map * 100.0,
+            avg_loss: self.loss_sum / n,
+            avg_energy_j: self.platform_j / n,
+            avg_latency_ms: self.latency_ms / n,
+            avg_total_gated_j: self.total_gated_j / n,
+            avg_stems_executed: self.stems_executed as f64 / traced,
+            stage_energy_j: if self.traced_frames == 0 {
+                Vec::new()
+            } else {
+                self.stage_energy_j.iter().map(|s| s / traced).collect()
+            },
+            frames: self.frames,
+            config_histogram: self.config_histogram.clone(),
+        }
+    }
+}
+
 /// Evaluates a method (any closure producing a [`FrameOutcome`] per frame)
 /// over `frames` and aggregates the paper's metrics.
 ///
@@ -60,56 +192,18 @@ pub fn evaluate_frames(
     num_classes: usize,
     mut run: impl FnMut(&Frame) -> FrameOutcome,
 ) -> EvalSummary {
-    let mut dets_per_frame: Vec<Vec<Detection>> = Vec::with_capacity(frames.len());
-    let mut gt_frames: Vec<GtFrame> = Vec::with_capacity(frames.len());
-    let mut loss_sum = 0.0f64;
-    let mut energy_sum = 0.0f64;
-    let mut latency_sum = 0.0f64;
-    let mut total_gated_sum = 0.0f64;
-    let mut stems_sum = 0.0f64;
-    let mut stage_sums = [0.0f64; StageKind::COUNT];
-    let mut traced_frames = 0usize;
-    let mut histogram: BTreeMap<String, usize> = BTreeMap::new();
+    let mut acc = EvalAccumulator::default();
     for frame in frames {
         let outcome = run(frame);
-        let gts = frame.gt_boxes();
-        loss_sum += fusion_loss(&outcome.detections, &gts).total() as f64;
-        energy_sum += outcome.energy.platform.joules();
-        latency_sum += outcome.energy.latency.millis();
-        total_gated_sum += outcome.energy.total_gated().joules();
-        if let Some(trace) = &outcome.stage {
-            stems_sum += trace.stems_executed as f64;
-            for (sum, stage) in stage_sums.iter_mut().zip(StageKind::ALL) {
-                *sum += trace.cost(stage).energy.joules();
-            }
-            traced_frames += 1;
-        }
-        *histogram.entry(outcome.config_label.clone()).or_default() += 1;
-        dets_per_frame.push(outcome.detections);
-        gt_frames.push(GtFrame { boxes: gts });
+        acc.record(
+            outcome.detections,
+            &outcome.energy,
+            &outcome.config_label,
+            outcome.stage.as_ref(),
+            frame.gt_boxes(),
+        );
     }
-    let n = frames.len().max(1) as f64;
-    let map = if frames.is_empty() {
-        0.0
-    } else {
-        map_voc(&dets_per_frame, &gt_frames, num_classes, 0.5) as f64
-    };
-    let traced = traced_frames.max(1) as f64;
-    EvalSummary {
-        map_pct: map * 100.0,
-        avg_loss: loss_sum / n,
-        avg_energy_j: energy_sum / n,
-        avg_latency_ms: latency_sum / n,
-        avg_total_gated_j: total_gated_sum / n,
-        avg_stems_executed: stems_sum / traced,
-        stage_energy_j: if traced_frames == 0 {
-            Vec::new()
-        } else {
-            stage_sums.iter().map(|s| s / traced).collect()
-        },
-        frames: frames.len(),
-        config_histogram: histogram,
-    }
+    acc.summary(num_classes)
 }
 
 #[cfg(test)]
@@ -160,8 +254,8 @@ mod tests {
         let frames: Vec<&ecofusion_core::Frame> = data.test().iter().collect();
         let label = model.space().label(late);
         let summary = evaluate_frames(&frames, 8, |f| {
-            let (dets, energy) = model.detect_static(f, late, &opts);
-            FrameOutcome { detections: dets, energy, config_label: label.clone(), stage: None }
+            let (detections, energy, _) = model.detect_static(f, late, &opts).unwrap();
+            FrameOutcome { detections, energy, config_label: label.clone(), stage: None }
         });
         assert_eq!(summary.frames, data.test().len());
         assert!((summary.avg_energy_j - 3.798).abs() < 1e-6);

@@ -1,6 +1,6 @@
 //! Integration test: gate-quality analytics on a trained model.
 
-use ecofusion_core::{Dataset, DatasetSpec, Frame, TrainConfig, Trainer};
+use ecofusion_core::{Dataset, DatasetSpec, InferenceOptions, TrainConfig, Trainer};
 use ecofusion_eval::assess_gate;
 use ecofusion_gating::GateKind;
 
@@ -11,10 +11,10 @@ fn learned_gates_rank_better_than_chance() {
     let data = Dataset::generate(&spec);
     let config = TrainConfig { branch_epochs: 2, gate_epochs: 4, ..TrainConfig::fast_demo() };
     let mut model = Trainer::new(config, 62).train(&data).expect("train");
-    let frames: Vec<&Frame> = data.test().iter().collect();
+    let samples = model.oracle_pass(data.test(), &InferenceOptions::new(0.05, 0.5)).expect("pass");
     for gate in [GateKind::Deep, GateKind::Attention] {
-        let q = assess_gate(&mut model, &frames, gate, 0.05, 0.5);
-        assert_eq!(q.frames, frames.len());
+        let q = assess_gate(&mut model, &samples, gate, 0.05, 0.5);
+        assert_eq!(q.frames, data.test().len());
         // A trained gate must correlate positively with the true losses
         // (chance would hover around zero).
         assert!(q.mean_spearman > 0.1, "{gate}: spearman {}", q.mean_spearman);
@@ -31,6 +31,6 @@ fn assessing_oracle_gate_panics() {
     let data = Dataset::generate(&spec);
     let config = TrainConfig { branch_epochs: 1, gate_epochs: 1, ..TrainConfig::fast_demo() };
     let mut model = Trainer::new(config, 64).train(&data).expect("train");
-    let frames: Vec<&Frame> = data.test().iter().collect();
-    let _ = assess_gate(&mut model, &frames, GateKind::LossBased, 0.0, 0.5);
+    let samples = model.oracle_pass(data.test(), &InferenceOptions::new(0.0, 0.5)).expect("pass");
+    let _ = assess_gate(&mut model, &samples, GateKind::LossBased, 0.0, 0.5);
 }

@@ -3,11 +3,10 @@
 
 use crate::hist::LatencyHistogram;
 use ecofusion_core::{ConfigId, InferenceOutput, Precision};
-use ecofusion_detect::{fusion_loss, Detection};
+use ecofusion_detect::Detection;
 use ecofusion_energy::StageKind;
-use ecofusion_eval::{map_voc, EvalSummary, GtFrame};
+use ecofusion_eval::{EvalAccumulator, EvalSummary};
 use ecofusion_scene::GtBox;
-use std::collections::BTreeMap;
 
 /// Upper bound on retained per-frame history (detections + ground truth
 /// for the mAP computation). Beyond it the oldest half is discarded, so a
@@ -16,30 +15,21 @@ use std::collections::BTreeMap;
 /// while the summary's mAP covers the most recent window.
 pub const HISTORY_CAP: usize = 65_536;
 
-/// Rolling per-stream counters plus the per-frame record needed to compute
-/// detection accuracy at report time.
+/// Per-stream serving telemetry: the paper's metrics, kept by the same
+/// [`EvalAccumulator`] the offline harness drives, beside the counters
+/// only a runtime has (queueing, health, caches, precision, fallbacks).
 #[derive(Debug, Default)]
 pub struct StreamTelemetry {
-    frames: u64,
-    platform_j: f64,
-    total_gated_j: f64,
-    latency_ms: f64,
+    eval: EvalAccumulator,
     latency_hist: LatencyHistogram,
-    loss_sum: f64,
     queue_wait_ticks: u64,
-    config_histogram: BTreeMap<String, usize>,
-    dets_per_frame: Vec<Vec<Detection>>,
     selected_configs: Vec<ConfigId>,
-    gt_frames: Vec<GtFrame>,
     degraded_frames: u64,
     masked_frames: u64,
-    stems_executed: u64,
     stems_cached: u64,
     stems_skipped: u64,
     int8_frames: u64,
     gate_fallbacks: u64,
-    stage_energy_j: [f64; StageKind::COUNT],
-    stage_latency_ms: [f64; StageKind::COUNT],
 }
 
 impl StreamTelemetry {
@@ -51,50 +41,35 @@ impl StreamTelemetry {
     /// Records one processed frame: the inference output, the frame's
     /// ground truth, and how many scheduler ticks it waited in queue.
     pub fn record(&mut self, output: &InferenceOutput, gts: Vec<GtBox>, wait_ticks: u64) {
-        self.frames += 1;
-        self.platform_j += output.energy.platform.joules();
-        self.total_gated_j += output.energy.total_gated().joules();
-        self.latency_ms += output.energy.latency.millis();
         self.latency_hist.record(output.energy.latency.millis());
-        self.loss_sum += fusion_loss(&output.detections, &gts).total() as f64;
         self.queue_wait_ticks += wait_ticks;
-        let trace = &output.stage_trace;
-        self.stems_executed += trace.stems_executed as u64;
-        self.stems_cached += trace.stems_cached as u64;
-        self.stems_skipped += trace.stems_skipped as u64;
+        self.stems_cached += output.stage_trace.stems_cached as u64;
+        self.stems_skipped += output.stage_trace.stems_skipped as u64;
         if output.precision == Precision::Int8 {
             self.int8_frames += 1;
         }
         self.gate_fallbacks += u64::from(output.gate_fallbacks);
-        for (i, stage) in StageKind::ALL.into_iter().enumerate() {
-            self.stage_energy_j[i] += trace.cost(stage).energy.joules();
-            self.stage_latency_ms[i] += trace.cost(stage).latency.millis();
-        }
-        // The label is cloned the first time a configuration is seen,
-        // not once a frame to look it up.
-        match self.config_histogram.get_mut(output.selected_label.as_str()) {
-            Some(count) => *count += 1,
-            None => {
-                self.config_histogram.insert(output.selected_label.clone(), 1);
-            }
-        }
-        if self.dets_per_frame.len() >= HISTORY_CAP {
+        if self.selected_configs.len() >= HISTORY_CAP {
             // Drop the oldest half in one amortized move so unbounded
             // serving cannot grow memory without limit.
             let keep = HISTORY_CAP / 2;
-            self.dets_per_frame.drain(..self.dets_per_frame.len() - keep);
+            self.eval.truncate_history(keep);
             self.selected_configs.drain(..self.selected_configs.len() - keep);
-            self.gt_frames.drain(..self.gt_frames.len() - keep);
         }
-        self.dets_per_frame.push(output.detections.clone());
+        self.eval.record(
+            output.detections.clone(),
+            &output.energy,
+            &output.selected_label,
+            Some(&output.stage_trace),
+            gts,
+        );
         self.selected_configs.push(output.selected_config);
-        self.gt_frames.push(GtFrame { boxes: gts });
     }
 
     /// Fused detections of the retained frames (the most recent
     /// [`HISTORY_CAP`]-bounded window), in processing order.
     pub fn detections(&self) -> &[Vec<Detection>] {
-        &self.dets_per_frame
+        self.eval.detections()
     }
 
     /// Configuration selected for each retained frame, in processing
@@ -129,7 +104,7 @@ impl StreamTelemetry {
 
     /// Total stems the demand-driven pipeline actually ran.
     pub fn stems_executed(&self) -> u64 {
-        self.stems_executed
+        self.eval.stems_executed()
     }
 
     /// Total stems served from the stream's feature cache (or an
@@ -158,12 +133,12 @@ impl StreamTelemetry {
     /// Total modeled per-stage energy, Joules, in [`StageKind::ALL`]
     /// order (sums to the whole-run Eq. 11 total).
     pub fn stage_energy_j(&self) -> &[f64; StageKind::COUNT] {
-        &self.stage_energy_j
+        self.eval.stage_energy_j()
     }
 
     /// Total modeled per-stage latency, ms, in [`StageKind::ALL`] order.
     pub fn stage_latency_ms(&self) -> &[f64; StageKind::COUNT] {
-        &self.stage_latency_ms
+        self.eval.stage_latency_ms()
     }
 
     /// Fixed-bucket histogram of per-frame modeled latency (every
@@ -180,7 +155,7 @@ impl StreamTelemetry {
 
     /// Frames recorded.
     pub fn frames(&self) -> u64 {
-        self.frames
+        self.eval.frames() as u64
     }
 
     /// Frames currently inside the retained mAP window — what
@@ -190,25 +165,24 @@ impl StreamTelemetry {
     /// [`StreamReport::map_window_frames`](crate::StreamReport::map_window_frames)
     /// so long-run reports say which frames their mAP covers.
     pub fn retained_frames(&self) -> usize {
-        self.dets_per_frame.len()
+        self.selected_configs.len()
     }
 
     /// Total platform (PX2) energy spent, Joules.
     pub fn platform_j(&self) -> f64 {
-        self.platform_j
+        self.eval.platform_j()
     }
 
     /// Total platform + clock-gated sensor energy spent, Joules (Eq. 11).
     pub fn total_gated_j(&self) -> f64 {
-        self.total_gated_j
+        self.eval.total_gated_j()
     }
 
     /// Mean queueing delay per frame, in scheduler ticks.
     pub fn avg_queue_wait_ticks(&self) -> f64 {
-        if self.frames == 0 {
-            0.0
-        } else {
-            self.queue_wait_ticks as f64 / self.frames as f64
+        match self.frames() {
+            0 => 0.0,
+            frames => self.queue_wait_ticks as f64 / frames as f64,
         }
     }
 
@@ -224,27 +198,7 @@ impl StreamTelemetry {
     /// whole run — while every scalar mean in the summary stays exact
     /// over all [`StreamTelemetry::frames`] frames.
     pub fn summary(&self, num_classes: usize) -> EvalSummary {
-        let n = self.frames.max(1) as f64;
-        let map = if self.frames == 0 {
-            0.0
-        } else {
-            map_voc(&self.dets_per_frame, &self.gt_frames, num_classes, 0.5) as f64
-        };
-        EvalSummary {
-            map_pct: map * 100.0,
-            avg_loss: self.loss_sum / n,
-            avg_energy_j: self.platform_j / n,
-            avg_latency_ms: self.latency_ms / n,
-            avg_total_gated_j: self.total_gated_j / n,
-            avg_stems_executed: self.stems_executed as f64 / n,
-            stage_energy_j: if self.frames == 0 {
-                Vec::new()
-            } else {
-                self.stage_energy_j.iter().map(|s| s / n).collect()
-            },
-            frames: self.frames as usize,
-            config_histogram: self.config_histogram.clone(),
-        }
+        self.eval.summary(num_classes)
     }
 }
 

@@ -40,44 +40,6 @@ impl Layer for ReLU {
     }
 }
 
-/// Leaky rectified linear unit with fixed negative slope.
-#[derive(Debug, Clone)]
-pub struct LeakyReLU {
-    slope: f32,
-    mask: Option<Vec<bool>>,
-}
-
-impl LeakyReLU {
-    /// Creates a LeakyReLU with the given negative-side slope.
-    pub fn new(slope: f32) -> Self {
-        LeakyReLU { slope, mask: None }
-    }
-}
-
-impl Layer for LeakyReLU {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.mask = Some(x.data().iter().map(|&v| v > 0.0).collect());
-        }
-        let s = self.slope;
-        x.map(|v| if v > 0.0 { v } else { s * v })
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mask = self.mask.as_ref().expect("LeakyReLU::backward before forward(train)");
-        let s = self.slope;
-        let data =
-            grad_out.data().iter().zip(mask).map(|(&g, &m)| if m { g } else { s * g }).collect();
-        Tensor::from_vec(grad_out.shape(), data)
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-
-    fn name(&self) -> &'static str {
-        "LeakyReLU"
-    }
-}
-
 /// Logistic sigmoid.
 #[derive(Debug, Clone, Default)]
 pub struct Sigmoid {
@@ -92,7 +54,7 @@ impl Sigmoid {
 }
 
 /// Numerically-stable scalar sigmoid.
-pub(crate) fn sigmoid(v: f32) -> f32 {
+fn sigmoid(v: f32) -> f32 {
     if v >= 0.0 {
         1.0 / (1.0 + (-v).exp())
     } else {
@@ -145,22 +107,6 @@ mod tests {
         let x = Tensor::from_vec(&[5], vec![-2.0, -1.0, 1.0, 2.0, 3.0]);
         gradcheck(&mut r, &x, 1e-3, 1e-2);
         let _ = &mut rng;
-    }
-
-    #[test]
-    fn leaky_relu_negative_slope() {
-        let mut r = LeakyReLU::new(0.1);
-        let x = Tensor::from_vec(&[2], vec![-10.0, 10.0]);
-        let y = r.forward(&x, false);
-        assert!((y.data()[0] + 1.0).abs() < 1e-6);
-        assert!((y.data()[1] - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn leaky_relu_gradcheck() {
-        let mut r = LeakyReLU::new(0.2);
-        let x = Tensor::from_vec(&[4], vec![-2.0, -0.5, 0.5, 2.0]);
-        gradcheck(&mut r, &x, 1e-3, 1e-2);
     }
 
     #[test]

@@ -15,8 +15,7 @@ mod norm;
 mod pool;
 mod sequential;
 
-pub(crate) use activation::sigmoid as sigmoid_scalar;
-pub use activation::{LeakyReLU, ReLU, Sigmoid};
+pub use activation::{ReLU, Sigmoid};
 pub use attention::SelfAttention2d;
 pub use conv::Conv2d;
 pub use flatten::Flatten;

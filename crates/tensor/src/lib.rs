@@ -11,8 +11,8 @@
 //! * [`layer`] — neural-network layers with hand-written backpropagation:
 //!   [`Conv2d`], [`Linear`], [`ReLU`], [`MaxPool2d`], [`BatchNorm2d`],
 //!   [`SelfAttention2d`], and the [`Sequential`] container.
-//! * [`loss`] — the paper's loss functions: softmax cross-entropy and smooth
-//!   L1 (from Faster R-CNN) plus binary cross-entropy for objectness.
+//! * [`loss`] — smooth L1 (from Faster R-CNN), the loss the learned gates
+//!   regress the fusion losses with.
 //! * [`optim`] — [`optim::Sgd`] (momentum + weight decay) and
 //!   [`optim::Adam`].
 //! * [`rng`] — seeded RNG with Box–Muller normal sampling so every
@@ -38,11 +38,11 @@
 //!     Box::new(Linear::new(16, 3, &mut rng)),
 //! ]);
 //! let x = Tensor::randn(&[8, 4], 1.0, &mut rng);
-//! let labels = vec![0usize, 1, 2, 0, 1, 2, 0, 1];
+//! let target = Tensor::randn(&[8, 3], 1.0, &mut rng);
 //! let mut opt = Sgd::new(0.1, 0.9, 0.0);
 //! for _ in 0..50 {
-//!     let logits = net.forward(&x, true);
-//!     let (l, grad) = loss::softmax_cross_entropy(&logits, &labels);
+//!     let y = net.forward(&x, true);
+//!     let (l, grad) = loss::smooth_l1(&y, &target, 1.0);
 //!     net.zero_grad();
 //!     net.backward(&grad);
 //!     opt.step(&mut net);
@@ -67,8 +67,7 @@ pub use graph::{
     CompileError, CompiledPlan, PlanBuilder, PlanCache, PlanCacheStats, PlanKey, PlanPrecision,
 };
 pub use layer::{
-    BatchNorm2d, Conv2d, Layer, LeakyReLU, Linear, MaxPool2d, ReLU, SelfAttention2d, Sequential,
-    Sigmoid,
+    BatchNorm2d, Conv2d, Layer, Linear, MaxPool2d, ReLU, SelfAttention2d, Sequential, Sigmoid,
 };
 pub use param::Param;
 pub use quant::{QuantConv2d, QuantPipe, QuantStage, QuantizeError};

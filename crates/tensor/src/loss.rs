@@ -1,34 +1,10 @@
-//! Loss functions used by the paper's detector and gate training.
+//! The loss function of the paper's gate training.
 //!
-//! Each function returns `(mean_loss, gradient)` where the gradient is with
-//! respect to the first argument and already includes the `1/N` averaging
-//! factor, so it can be fed straight into [`crate::layer::Layer::backward`].
+//! It returns `(mean_loss, gradient)` where the gradient is with respect
+//! to the first argument and already includes the `1/N` averaging factor,
+//! so it can be fed straight into [`crate::layer::Layer::backward`].
 
 use crate::tensor::Tensor;
-
-/// Softmax cross-entropy over rows of `logits` against integer labels.
-///
-/// Matches the classification term of the Faster R-CNN loss (Ren et al.).
-///
-/// # Panics
-/// Panics if `logits` is not 2-D, `labels.len()` differs from the batch
-/// size, or any label is out of range.
-pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-    assert_eq!(logits.ndim(), 2, "softmax_cross_entropy expects (N, K) logits");
-    let (n, k) = (logits.shape()[0], logits.shape()[1]);
-    assert_eq!(labels.len(), n, "label count mismatch");
-    let probs = logits.softmax_rows();
-    let mut grad = probs.clone();
-    let mut loss = 0.0f64;
-    for (i, &y) in labels.iter().enumerate() {
-        assert!(y < k, "label {y} out of range for {k} classes");
-        let p = probs.get2(i, y).max(1e-12);
-        loss -= (p as f64).ln();
-        grad.set2(i, y, grad.get2(i, y) - 1.0);
-    }
-    grad.scale(1.0 / n as f32);
-    ((loss / n as f64) as f32, grad)
-}
 
 /// Smooth L1 (Huber) loss, element-wise mean, as used for bounding-box
 /// regression in Faster R-CNN:
@@ -59,36 +35,6 @@ pub fn smooth_l1(pred: &Tensor, target: &Tensor, beta: f32) -> (f32, Tensor) {
     ((loss / n as f64) as f32, grad)
 }
 
-/// Binary cross-entropy on logits with optional per-element weights, used
-/// for the objectness term of the detection head.
-///
-/// # Panics
-/// Panics if shapes differ (including the weights, when provided).
-pub fn bce_with_logits(
-    logits: &Tensor,
-    targets: &Tensor,
-    weights: Option<&Tensor>,
-) -> (f32, Tensor) {
-    assert_eq!(logits.shape(), targets.shape(), "bce shape mismatch");
-    if let Some(w) = weights {
-        assert_eq!(w.shape(), logits.shape(), "bce weight shape mismatch");
-    }
-    let n = logits.len().max(1) as f32;
-    let mut grad = Tensor::zeros(logits.shape());
-    let mut loss = 0.0f64;
-    for i in 0..logits.len() {
-        let x = logits.data()[i];
-        let t = targets.data()[i];
-        let w = weights.map_or(1.0, |w| w.data()[i]);
-        // log(1 + e^{-|x|}) + max(x,0) - x*t  (numerically stable form)
-        let l = x.max(0.0) - x * t + (1.0 + (-x.abs()).exp()).ln();
-        loss += (w * l) as f64;
-        let p = crate::layer::sigmoid_scalar(x);
-        grad.data_mut()[i] = w * (p - t) / n;
-    }
-    ((loss / n as f64) as f32, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,36 +57,6 @@ mod tests {
                 "grad mismatch at {i}: numeric {num}, analytic {ana}"
             );
         }
-    }
-
-    #[test]
-    fn cross_entropy_perfect_prediction_near_zero() {
-        let logits = Tensor::from_vec(&[1, 3], vec![100.0, 0.0, 0.0]);
-        let (l, _) = softmax_cross_entropy(&logits, &[0]);
-        assert!(l < 1e-6);
-    }
-
-    #[test]
-    fn cross_entropy_uniform_is_log_k() {
-        let logits = Tensor::zeros(&[2, 4]);
-        let (l, _) = softmax_cross_entropy(&logits, &[1, 3]);
-        assert!((l - (4.0f32).ln()).abs() < 1e-5);
-    }
-
-    #[test]
-    fn cross_entropy_grad_matches_finite_differences() {
-        let mut rng = Rng::new(1);
-        let logits = Tensor::randn(&[3, 4], 1.0, &mut rng);
-        let labels = vec![0, 2, 3];
-        let (_, grad) = softmax_cross_entropy(&logits, &labels);
-        finite_diff_scalar(|x| softmax_cross_entropy(x, &labels).0, &logits, &grad, 1e-2);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn cross_entropy_bad_label_panics() {
-        let logits = Tensor::zeros(&[1, 2]);
-        let _ = softmax_cross_entropy(&logits, &[5]);
     }
 
     #[test]
@@ -167,41 +83,5 @@ mod tests {
         let target = Tensor::randn(&[6], 2.0, &mut rng);
         let (_, grad) = smooth_l1(&pred, &target, 1.0);
         finite_diff_scalar(|x| smooth_l1(x, &target, 1.0).0, &pred, &grad, 1e-2);
-    }
-
-    #[test]
-    fn bce_known_value() {
-        let logits = Tensor::from_vec(&[1], vec![0.0]);
-        let targets = Tensor::from_vec(&[1], vec![1.0]);
-        let (l, _) = bce_with_logits(&logits, &targets, None);
-        assert!((l - (2.0f32).ln()).abs() < 1e-5);
-    }
-
-    #[test]
-    fn bce_grad_matches_finite_differences() {
-        let mut rng = Rng::new(3);
-        let logits = Tensor::randn(&[5], 1.5, &mut rng);
-        let targets = Tensor::from_vec(&[5], vec![1.0, 0.0, 1.0, 0.0, 1.0]);
-        let (_, grad) = bce_with_logits(&logits, &targets, None);
-        finite_diff_scalar(|x| bce_with_logits(x, &targets, None).0, &logits, &grad, 1e-2);
-    }
-
-    #[test]
-    fn bce_weights_scale_loss() {
-        let logits = Tensor::from_vec(&[2], vec![0.3, -0.7]);
-        let targets = Tensor::from_vec(&[2], vec![1.0, 0.0]);
-        let w2 = Tensor::full(&[2], 2.0);
-        let (l1, _) = bce_with_logits(&logits, &targets, None);
-        let (l2, _) = bce_with_logits(&logits, &targets, Some(&w2));
-        assert!((l2 - 2.0 * l1).abs() < 1e-6);
-    }
-
-    #[test]
-    fn bce_extreme_logits_stable() {
-        let logits = Tensor::from_vec(&[2], vec![500.0, -500.0]);
-        let targets = Tensor::from_vec(&[2], vec![1.0, 0.0]);
-        let (l, g) = bce_with_logits(&logits, &targets, None);
-        assert!(l.is_finite());
-        assert!(g.data().iter().all(|v| v.is_finite()));
     }
 }

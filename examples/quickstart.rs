@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Compare with the static late-fusion baseline on the same frames.
     let late = model.baseline_ids().late;
-    let (dets, energy) = model.detect_static(&dataset.test()[0], late, &opts);
+    let (dets, energy, _) = model.detect_static(&dataset.test()[0], late, &opts)?;
     println!(
         "late fusion baseline: {} detections at {:.3} J / {:.2} ms per frame",
         dets.len(),

@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let avg_loss = |model: &mut EcoFusionModel, config| {
             let mut s = 0.0;
             for f in &frames {
-                let (dets, _) = model.detect_static(f, config, &opts);
+                let (dets, _, _) = model.detect_static(f, config, &opts).expect("matching grid");
                 s += fusion_loss(&dets, &f.gt_boxes()).total();
             }
             s / frames.len() as f32

@@ -52,7 +52,11 @@
 //!
 //! Both entry points are thin drivers over an explicit stage graph
 //! ([`core::pipeline`]): Sense → Stems → GateScore → Select → Branch →
-//! Fuse → Account. A [`core::PipelinePlan`] prunes the Stems stage
+//! Fuse → Account — and so is everything else that infers: a static
+//! baseline ([`core::EcoFusionModel::detect_static`]) is its Branch and
+//! Fuse stages under a fixed selection, and gate targets and gate
+//! assessment read the loss-based oracle's block
+//! ([`core::EcoFusionModel::oracle_pass`]). A [`core::PipelinePlan`] prunes the Stems stage
 //! *before* execution: feature-free gates (knowledge, oracle) gate and
 //! select first and run only the winning configuration's stems — a City
 //! stream rerouted to `{E(L+R)}` runs 2 of 4, the budget ladder's
@@ -91,8 +95,9 @@
 //! `λ_E`, widens the candidate margin `γ`, and ultimately runs the
 //! knowledge gate with every configuration a candidate (the single
 //! cheapest branch), relaxing back with hysteresis once spend falls. Each
-//! stream's accuracy/energy/latency telemetry aggregates into the same
-//! [`eval::EvalSummary`] the offline harness reports. See
+//! stream's accuracy/energy/latency telemetry aggregates — through the
+//! same [`eval::EvalAccumulator`] — into the [`eval::EvalSummary`] the
+//! offline harness reports. See
 //! `examples/streaming_server.rs`.
 //!
 //! ## Sensor faults & fault-aware gating

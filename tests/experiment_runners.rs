@@ -1,8 +1,10 @@
 //! Integration tests of the experiment runners (shape and invariants, at a
 //! scale small enough for CI).
 
-use ecofusion::core::{Dataset, DatasetMix, DatasetSpec, TrainConfig, Trainer};
+use ecofusion::core::{Dataset, DatasetMix, DatasetSpec, InferenceOptions, TrainConfig, Trainer};
+use ecofusion::eval::assess_gate;
 use ecofusion::eval::experiments::{common::Setup, fig1, table1, table2, table3};
+use ecofusion::gating::GateKind;
 
 fn tiny_setup() -> Setup {
     let mut spec = DatasetSpec::small(33);
@@ -66,4 +68,39 @@ fn fig1_runner_covers_city_and_rain() {
         assert!((row.avg_energy_j - 3.798).abs() < 1e-6);
     }
     r.print();
+}
+
+/// A trained-model golden: FNV-1a over the bits of every Table 1 and
+/// Table 2 cell and of `assess_gate`'s three numbers per learned gate, on
+/// `tiny_setup`. Recorded at the parent of the PR that moved gate
+/// targets, gate assessment and the static baselines from the layers'
+/// eager forwards onto the staged pipeline — it pins that the move
+/// changed no trained weight and no table, and holds training, the
+/// compiled plans and the scorekeeper to it from then on.
+#[test]
+fn trained_tables_and_gate_quality_match_the_recorded_digest() {
+    let mut setup = tiny_setup();
+    let t1 = table1::run(&mut setup);
+    let t2 = table2::run(&mut setup);
+    let mut cells: Vec<f64> = Vec::new();
+    for r in &t1.rows {
+        cells.extend([r.map_pct, r.energy_j, r.latency_ms]);
+    }
+    for r in &t2.rows {
+        cells.extend([r.lambda_e, r.map_pct, r.avg_loss, r.energy_j, r.stems_per_frame]);
+    }
+    let opts = InferenceOptions::new(0.05, 0.5);
+    let samples = setup.model.oracle_pass(setup.dataset.test(), &opts).expect("matching grid");
+    for gate in [GateKind::Deep, GateKind::Attention] {
+        let q = assess_gate(&mut setup.model, &samples, gate, 0.05, 0.5);
+        cells.extend([q.mean_spearman, q.top1_agreement, q.mean_regret]);
+    }
+    assert_eq!(cells.len(), 93);
+    let digest = cells
+        .iter()
+        .flat_map(|c| c.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(digest, 0x241b_203f_f064_b75b, "cells {cells:?}");
 }
