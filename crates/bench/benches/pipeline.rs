@@ -13,16 +13,17 @@ use ecofusion_tensor::rng::Rng;
 use ecofusion_tensor::tensor::Tensor;
 
 /// The compiled plans of the Stems and Branch stages on batch-8 shapes,
-/// f32 and int8: `CompiledPlan::execute_into` on a warm plan — one
-/// im2col + GEMM per conv block with the BN+ReLU epilogue fused into the
-/// write-back, zero steady-state allocations. The f32 `*_eager` rows
+/// f32 and int8: `CompiledPlan::execute_into` on a warm plan — one direct
+/// convolution per conv block, its BN + ReLU (+ pooling) epilogue writing
+/// what the next block reads, zero steady-state allocations. The f32 `*_eager` rows
 /// beside them are the layers' own eval forward, which training runs and
 /// serving does not: what a training step pays per forward.
 ///
 /// Then batch scaling: one stem, one branch and the attention gate's
-/// plan, each executed at batch 1, 16 and 64 with its GMAC/s
-/// (`thrpt`, in Gelem/s of multiply-accumulates) — a plan streams
-/// cache-sized tiles, so the rate should hold flat from 16 to 64.
+/// plan, each executed at batch 1, 16 and 64 — the last is the batch
+/// `fleet_wide` serves — with its GMAC/s (`thrpt`, in Gelem/s of
+/// multiply-accumulates): a plan streams cache-sized tiles, so the rate
+/// should hold flat from 16 to 64.
 fn bench_fused_pipeline(c: &mut Criterion) {
     use ecofusion_tensor::graph::compile_quant_pipe;
     use ecofusion_tensor::layer::Layer;
@@ -90,7 +91,7 @@ fn bench_fused_pipeline(c: &mut Criterion) {
     let plans = [
         ("stem", model.stems_mut()[0].compile(x.shape()), vec![1, 1, grid, grid]),
         ("branch", model.branches_mut()[0].compile(feats.shape()), vec![1, 8, side, side]),
-        ("gate", model.gates_mut().attention.compile(&gate_shape), gate_shape.to_vec()),
+        ("attention_gate", model.gates_mut().attention.compile(&gate_shape), gate_shape.to_vec()),
     ];
     for (name, plan, mut shape) in plans {
         let mut plan = plan.expect("canonical stacks compile");

@@ -83,7 +83,7 @@ pub struct InferenceOptions {
 
 impl InferenceOptions {
     /// Creates options with the paper's defaults: attention gating, margin
-    /// rule, decode thresholds 0.3 / 0.5.
+    /// rule, decode thresholds 0.2 (score) / 0.5 (NMS IoU).
     pub fn new(lambda_e: f64, gamma: f32) -> Self {
         InferenceOptions {
             lambda_e,

@@ -127,12 +127,13 @@
 //! identical grids inside one micro-batch are deduplicated too. Because
 //! stems are batch-invariant in eval mode (asserted by the detect
 //! crate's tests), a cached row is bit-identical to recomputing it. An
-//! entry's buffers are overwritten in place, so a stream that never hits
-//! pays two copies per miss and no allocation. The bank keeps each
-//! sensor's stacked stem output whole — a frame's row is an index into
-//! it, shared by the frames whose grid repeats it — and every consumer
-//! (gate features, branch inputs) copies each (frame, sensor) block
-//! exactly once, straight into its channel-concatenated input.
+//! entry's buffers are overwritten in place: a miss costs two copies, a
+//! hit one (into the bank's replayed rows), neither an allocation. The
+//! bank keeps each sensor's stacked stem output whole — a frame's row is
+//! an index into it, shared by the frames whose grid repeats it — and no
+//! consumer copies a row: the plans of the gate and the branches read
+//! every (frame, sensor) block where the bank holds it
+//! ([`CompiledPlan::execute_blocks_into`](ecofusion_tensor::graph::CompiledPlan::execute_blocks_into)).
 //!
 //! # Step buffers
 //!
@@ -146,26 +147,24 @@
 //!
 //! | buffer | written by | read by |
 //! |---|---|---|
-//! | `bank.stem_in` `(m, 1, g, g)` | `BatchStemBank::ensure`, stacking the grids of the frames that miss | the stem's plan |
-//! | `bank.stem_out[s]` `(m, C, h, w)` | stem `s`'s plan (`execute_into`) | `gather`, the stem caches' `store` |
-//! | `gate_in` `(N, 4·C, h, w)` | `gather` over all frames | the learned gate |
-//! | `branch_in` `(k, C·m, h, w)` | `gather` over the frames that selected the branch | the branch's plan |
-//! | `head` `(k, 5 + K, S, S)` | the branch's plan (`execute_into`) | `decode_sample` |
+//! | `bank.stem_out[s]` `(m, C, h, w)` | stem `s`'s plan, from the grids of the frames that miss, read in their observations | the plans of the learned gate and the branches, row by row; the stem caches' `store` |
+//! | `bank.replayed` `(j, C, h, w)` | `BatchStemBank::ensure`, one copy per cache hit | the same plans |
+//! | `bank.zero` `(C, h, w)` | nobody after it is sized | the learned gate's plan, for every sensor the health mask rules out |
+//! | `head` `(k, 5 + K, S, S)` | the branch's plan | `decode_sample` |
 //!
-//! Each grows to the largest batch it has been asked for and no further
-//! ([`Tensor::resize`]), and is resized per use without being cleared.
-//! The rule that makes stale contents harmless is **the producer
-//! overwrites everything it hands on**: a compiled plan writes every
-//! element of its output, the stem input is assembled grid by grid, and
-//! `gather` writes every (frame, sensor) block — including an explicit
-//! zero block for a sensor the health mask rules out, which a freshly
-//! zeroed tensor used to supply for free and a reused buffer would
-//! otherwise inherit from the last step's features. A step that fails
-//! half-way (a stem that does not lower) leaves the buffers with whatever
-//! it wrote; the next step starts from `BatchStemBank::reset`, which
-//! forgets every row, and rewrites what it reads. What a warm step still
-//! requests from the allocator is per frame: the returned detections and
-//! gate losses, decode's candidate list, small per-batch index vectors.
+//! Nothing is stacked, gathered or concatenated between two stages: a
+//! plan's first convolution lowers the blocks it is handed into its own
+//! planes. Each buffer grows to the largest batch it has been asked for
+//! ([`Tensor::resize`]) and is never cleared. What makes stale contents
+//! harmless is that **the producer overwrites everything it hands on**: a
+//! plan writes every element of its output, and a row is read only
+//! through the index `ensure` set for it in this batch. Debug builds — so
+//! every test — hold that to account: `begin_step` fills the stem outputs
+//! and the head map with NaN, as a plan does its arena before every tile.
+//! A step that fails half-way leaves the buffers as they are; the next
+//! starts from `BatchStemBank::reset`, which forgets every row. What a
+//! warm step still requests from the allocator is per frame: detections,
+//! gate losses, decode's candidates, small per-batch index vectors.
 
 use crate::config::ConfigId;
 use crate::dataset::Frame;
@@ -181,6 +180,7 @@ use ecofusion_sensors::{Observation, SensorKind};
 use ecofusion_tensor::graph::{self, PlanCache, PlanKey, PlanPrecision};
 use ecofusion_tensor::tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Bitmask covering every canonical sensor.
 pub const ALL_SENSOR_BITS: u8 = (1 << SensorKind::COUNT) - 1;
@@ -194,15 +194,16 @@ const BRANCH_SALT_BASE: u64 = 0x100;
 
 /// The cache key of one unit's plan. Plans run any batch (see
 /// [`ecofusion_tensor::graph`]), so the key carries the per-sample shape
-/// of `x` only: a unit compiles once per precision, whatever sub-batch
-/// sizes the steps go on to produce.
-fn plan_key(fingerprint: u64, x: &Tensor, precision: PlanPrecision) -> PlanKey {
-    PlanKey { fingerprint, shape: x.shape()[1..].to_vec(), precision }
+/// only: a unit compiles once per precision, whatever sub-batch sizes the
+/// steps go on to produce.
+fn plan_key(fingerprint: u64, sample: &[usize], precision: PlanPrecision) -> PlanKey {
+    PlanKey { fingerprint, shape: sample.to_vec(), precision }
 }
 
-/// Runs stem `s` over a stacked input into `out`: the matching compiled
-/// plan is fetched from (or built into) `plans`, `out` is given the
-/// plan's output shape for the batch and the plan overwrites all of it.
+/// Runs stem `s` over `grids` — one `side × side` raster a sample, read
+/// where each lies — into `out`: the matching compiled plan is fetched
+/// from (or built into) `plans`, `out` is given the plan's output shape
+/// for the batch and the plan overwrites all of it.
 ///
 /// # Errors
 /// [`InferError::Compile`] if the stem does not lower — only an installed
@@ -213,27 +214,28 @@ fn stem_forward(
     stems: &[Stem],
     quant: Option<&QuantSnapshot>,
     s: usize,
-    x: &Tensor,
+    (grids, side): (&[&[f32]], usize),
     out: &mut Tensor,
 ) -> Result<(), InferError> {
     let salt = STEM_SALT_BASE + s as u64;
+    let shape = [grids.len(), 1, side, side];
     let plan = match quant {
         Some(q) => {
             let fp = graph::fingerprint_quant_pipe(&q.stems[s], salt);
-            plans.try_get_or_compile(plan_key(fp, x, PlanPrecision::Int8), || {
-                graph::compile_quant_pipe(&q.stems[s], x.shape())
+            plans.try_get_or_compile(plan_key(fp, &shape[1..], PlanPrecision::Int8), || {
+                graph::compile_quant_pipe(&q.stems[s], &shape)
             })
         }
         None => {
             let fp = stems[s].plan_fingerprint(salt);
-            plans.try_get_or_compile(plan_key(fp, x, PlanPrecision::F32), || {
-                stems[s].compile(x.shape())
+            plans.try_get_or_compile(plan_key(fp, &shape[1..], PlanPrecision::F32), || {
+                stems[s].compile(&shape)
             })
         }
     }
     .map_err(|source| InferError::Compile { unit: PlanUnit::Stem(s), source })?;
-    out.resize(&plan.out_shape_for(x.shape()[0]));
-    plan.execute_into(x, out);
+    out.resize(&plan.out_shape_for(grids.len()));
+    plan.execute_blocks_into(grids, 1, out);
     Ok(())
 }
 
@@ -319,12 +321,13 @@ impl StemFeatureCache {
         StemFeatureCache::default()
     }
 
-    /// Returns the memoized features when `grid` matches the cached one
-    /// bit for bit. Counting is explicit ([`StemFeatureCache::note`])
-    /// because an intra-batch alias also counts as a reuse.
-    fn lookup(&self, sensor: usize, grid: &Tensor) -> Option<Tensor> {
+    /// Returns the memoized `(C, h, w)` features when `grid` matches the
+    /// cached one bit for bit. Counting is explicit
+    /// ([`StemFeatureCache::note`]) because an intra-batch alias also
+    /// counts as a reuse.
+    fn lookup(&self, sensor: usize, grid: &Tensor) -> Option<&[f32]> {
         match &self.entries[sensor] {
-            Some(e) if e.grid == *grid => Some(e.feat.clone()),
+            Some(e) if e.grid == *grid => Some(e.feat.data()),
             _ => None,
         }
     }
@@ -391,26 +394,64 @@ impl<'a> StemCacheRouter<'a> {
 /// buffers*). Holds no weights, so nothing ever invalidates it.
 #[derive(Debug, Default)]
 pub(crate) struct StepScratch {
-    /// Stem inputs, stem outputs and where each frame's rows are.
+    /// Stem outputs and where each frame's rows are.
     bank: BatchStemBank,
-    /// The gate's gathered `(N, 4·C, h, w)` features (`(N, 1, 1, 1)`
-    /// zeros for a gate that reads none).
-    gate_in: Tensor,
-    /// One branch's gathered `(k, C·m, h, w)` input.
-    branch_in: Tensor,
-    /// The raw head map that branch's plan produced from it.
+    /// The raw head map one branch's plan produced.
     head: HeadOutput,
 }
 
 /// Where the bank holds one frame's features of one sensor.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum StemRow {
     /// Nowhere: no stage has demanded them (yet).
     Missing,
     /// Row `j` of the sensor's stacked stem output.
     Forward(usize),
-    /// A `(1, C, h, w)` row replayed from a stream's cache.
-    Cached(Tensor),
+    /// Row `j` of the rows replayed from the streams' caches.
+    Replayed(usize),
+}
+
+/// The misses of one sensor's batch so far, bucketed by the first cache
+/// line of their grids: a pending grid is compared in full only with the
+/// misses in its bucket, not with every earlier miss of the batch.
+#[derive(Debug, Default)]
+struct GridBuckets {
+    /// Per key, the last miss with it.
+    last: HashMap<[u32; 16], usize>,
+    /// Per miss `j`: its frame, and the miss before it in its bucket.
+    misses: Vec<(usize, Option<usize>)>,
+    /// Full-grid comparisons made since the bank was created.
+    #[cfg(test)]
+    compares: usize,
+}
+
+impl GridBuckets {
+    /// The miss whose grid of sensor `k` equals `frame`'s — at most one
+    /// does, or the later would have been its alias — else `frame`
+    /// becomes the next miss.
+    fn alias_or_insert(
+        &mut self,
+        frame: usize,
+        k: SensorKind,
+        of: &[&Observation],
+    ) -> Option<usize> {
+        let grid = of[frame].grid(k);
+        // `+ 0.0` folds −0.0 onto 0.0, which `==` holds equal.
+        let key = std::array::from_fn(|i| grid.data().get(i).map_or(0, |v| (v + 0.0).to_bits()));
+        let mut at = self.last.get(&key).copied();
+        while let Some(j) = at {
+            let (other, before) = self.misses[j];
+            #[cfg(test)]
+            (self.compares += 1);
+            if of[other].grid(k) == grid {
+                return Some(j);
+            }
+            at = before;
+        }
+        let before = self.last.insert(key, self.misses.len());
+        self.misses.push((frame, before));
+        None
+    }
 }
 
 /// Lazily computed per-sensor stem features for a batch of frames, with
@@ -421,13 +462,16 @@ enum StemRow {
 struct BatchStemBank {
     n: usize,
     half: usize,
-    /// The stacked `(m, 1, g, g)` grids of the frames one stem forward
-    /// runs — written whole by `ensure` before each forward.
-    stem_in: Tensor,
-    /// Per sensor, the `(m, C, h, w)` output of that forward — written
-    /// whole by the stem's plan; a sensor runs at most one forward per
-    /// batch, so its rows stay put until the next `reset`.
+    /// Per sensor, the `(m, C, h, w)` output of its stem forward —
+    /// written whole by the stem's plan; a sensor runs at most one
+    /// forward per batch, so its rows stay put until the next `reset`.
     stem_out: [Tensor; SensorKind::COUNT],
+    /// The `(C, h, w)` rows the streams' caches replayed this batch, back
+    /// to back: a hit is copied here once and read in place.
+    replayed: Vec<f32>,
+    /// One `(C, h, w)` block of zeros, shared: what a sensor the health
+    /// mask rules out contributes to the learned gates' input.
+    zero: Vec<f32>,
     /// Per sensor, per frame: where the features are.
     rows: [Vec<StemRow>; SensorKind::COUNT],
     /// Per-frame bits of stems run fresh.
@@ -435,23 +479,30 @@ struct BatchStemBank {
     /// Per-frame bits of stems served from a cache or an identical
     /// in-batch grid.
     cached: Vec<u8>,
+    dedupe: GridBuckets,
 }
 
 impl BatchStemBank {
     /// Forgets the last batch and sizes the per-frame maps for `n` frames
     /// of `half`-sided stem features. The tensors keep their allocations
-    /// and their stale contents; nothing reads them before a forward has
-    /// rewritten them, because every row starts out [`StemRow::Missing`].
+    /// and stale contents (NaN in debug builds); nothing reads them before
+    /// a forward rewrites them: every row starts [`StemRow::Missing`].
     fn reset(&mut self, n: usize, half: usize) {
         self.n = n;
         self.half = half;
         for rows in &mut self.rows {
             rows.clear();
-            rows.resize_with(n, || StemRow::Missing);
+            rows.resize(n, StemRow::Missing);
         }
         for bits in [&mut self.computed, &mut self.cached] {
             bits.clear();
             bits.resize(n, 0);
+        }
+        self.replayed.clear();
+        self.zero.resize(STEM_CHANNELS * half * half, 0.0);
+        #[cfg(debug_assertions)]
+        for out in &mut self.stem_out {
+            out.data_mut().fill(f32::NAN);
         }
     }
 
@@ -461,12 +512,12 @@ impl BatchStemBank {
 
     /// Runs every `(frame, sensor)` stem demanded by `need_bits` that is
     /// not yet present, consulting `router` first when given. All missing
-    /// rows of one sensor run in a single stacked forward (eval-mode
-    /// stems are batch-invariant, so subsets are bit-identical). With
-    /// `quant` set, the int8 stem pipes execute instead of the f32 stems
-    /// (the caller guarantees the router is disabled then — caches hold
-    /// f32 features). Stem compute runs as plans out of `plans` (the
-    /// model's fused-plan cache).
+    /// rows of one sensor run in a single forward over their grids, read
+    /// where the observations hold them (eval-mode stems are
+    /// batch-invariant, so subsets are bit-identical). With `quant` set,
+    /// the int8 stem pipes execute instead of the f32 stems (the caller
+    /// guarantees the router is disabled then — caches hold f32
+    /// features), as plans out of `plans`.
     ///
     /// # Errors
     /// [`InferError::Compile`] from the first stem that does not lower.
@@ -486,117 +537,78 @@ impl BatchStemBank {
     ) -> Result<(), InferError> {
         let row_shape = [1, STEM_CHANNELS, self.half, self.half];
         let per = STEM_CHANNELS * self.half * self.half;
-        let side = 2 * self.half;
         for k in SensorKind::ALL {
             let s = k.index();
             let bit = 1u8 << s;
-            let pending: Vec<usize> =
-                (0..self.n).filter(|&i| need_bits[i] & bit != 0 && !self.has(s, i)).collect();
-            if pending.is_empty() {
+            let ran = self.rows[s].iter().any(|row| matches!(row, StemRow::Forward(_)));
+            // The grids one forward runs: row `j` of it is miss `j`'s,
+            // and that of every frame whose grid repeats it.
+            let mut grids: Vec<&[f32]> = Vec::new();
+            self.dedupe.last.clear();
+            self.dedupe.misses.clear();
+            for i in (0..self.n).filter(|&i| need_bits[i] & bit != 0) {
+                if self.has(s, i) {
+                    continue;
+                }
+                let grid = observations[i].grid(k);
+                // Cache lookups + intra-batch dedupe (identical grids of
+                // one micro-batch compute once and share the row: a hit
+                // the entry-based cache cannot serve yet).
+                let reused = router.as_deref_mut().and_then(|r| {
+                    let cache = &mut r.caches[r.lane_of[i]];
+                    let row = if let Some(feat) = cache.lookup(s, grid) {
+                        self.replayed.extend_from_slice(feat);
+                        Some(StemRow::Replayed(self.replayed.len() / per - 1))
+                    } else {
+                        self.dedupe.alias_or_insert(i, k, observations).map(StemRow::Forward)
+                    };
+                    cache.note(row.is_some());
+                    row
+                });
+                let served = if reused.is_some() { &mut self.cached } else { &mut self.computed };
+                served[i] |= bit;
+                self.rows[s][i] = reused.unwrap_or(StemRow::Forward(grids.len()));
+                if reused.is_none() {
+                    grids.reserve_exact(if grids.is_empty() { self.n - i } else { 0 });
+                    grids.push(grid.data());
+                }
+            }
+            if grids.is_empty() {
                 continue;
             }
-            // Cache lookups + intra-batch dedupe (identical grids in the
-            // same micro-batch compute once and share the row).
-            let mut misses: Vec<usize> = Vec::new();
-            let mut aliases: Vec<(usize, usize)> = Vec::new();
+            assert!(!ran, "a second forward would overwrite the rows of sensor {s}'s first");
+            stem_forward(plans, stems, quant, s, (&grids, 2 * self.half), &mut self.stem_out[s])?;
             if let Some(r) = router.as_deref_mut() {
-                for &i in &pending {
-                    let grid = observations[i].grid(k);
-                    if let Some(feat) = r.caches[r.lane_of[i]].lookup(s, grid) {
-                        r.caches[r.lane_of[i]].note(true);
-                        self.rows[s][i] = StemRow::Cached(feat);
-                        self.cached[i] |= bit;
-                    } else if let Some(pos) =
-                        misses.iter().position(|&j| observations[j].grid(k) == grid)
-                    {
-                        // An identical grid earlier in this batch: reuse
-                        // its row — a hit the entry-based cache cannot
-                        // serve yet because the row is not computed.
-                        r.caches[r.lane_of[i]].note(true);
-                        aliases.push((i, pos));
-                    } else {
-                        r.caches[r.lane_of[i]].note(false);
-                        misses.push(i);
+                // The misses' streams first, then the aliases'.
+                for served in [&self.computed, &self.cached] {
+                    for i in (0..self.n).filter(|&i| served[i] & bit != 0) {
+                        if let StemRow::Forward(j) = self.rows[s][i] {
+                            let (cache, grid) =
+                                (&mut r.caches[r.lane_of[i]], observations[i].grid(k));
+                            let row = &self.stem_out[s].data()[j * per..(j + 1) * per];
+                            cache.store(s, grid, row, &row_shape);
+                        }
                     }
-                }
-            } else {
-                misses = pending;
-            }
-            if !misses.is_empty() {
-                assert!(
-                    !self.rows[s].iter().any(|row| matches!(row, StemRow::Forward(_))),
-                    "a second forward would overwrite the rows of sensor {s}'s first"
-                );
-                self.stem_in.resize(&[misses.len(), 1, side, side]);
-                for (grid, &i) in self.stem_in.data_mut().chunks_exact_mut(side * side).zip(&misses)
-                {
-                    grid.copy_from_slice(observations[i].grid(k).data());
-                }
-                stem_forward(plans, stems, quant, s, &self.stem_in, &mut self.stem_out[s])?;
-            }
-            // Row `j` of the forward is miss `j`'s, and that of every
-            // frame whose grid repeats it.
-            for (j, &i) in misses.iter().enumerate() {
-                self.rows[s][i] = StemRow::Forward(j);
-                self.computed[i] |= bit;
-            }
-            for &(i, pos) in &aliases {
-                self.rows[s][i] = StemRow::Forward(pos);
-                self.cached[i] |= bit;
-            }
-            if let Some(r) = router.as_deref_mut() {
-                let misses = misses.iter().copied().enumerate();
-                for (j, i) in misses.chain(aliases.iter().map(|&(i, pos)| (pos, i))) {
-                    let row = &self.stem_out[s].data()[j * per..(j + 1) * per];
-                    r.caches[r.lane_of[i]].store(s, observations[i].grid(k), row, &row_shape);
                 }
             }
         }
         Ok(())
     }
 
-    /// One frame's features of a sensor, wherever the bank holds them.
-    fn feat(&self, sensor: usize, frame: usize) -> Option<&[f32]> {
-        match &self.rows[sensor][frame] {
-            StemRow::Missing => None,
-            StemRow::Forward(j) => {
-                let per = STEM_CHANNELS * self.half * self.half;
-                Some(&self.stem_out[sensor].data()[j * per..(j + 1) * per])
-            }
-            StemRow::Cached(row) => Some(row.data()),
-        }
-    }
-
-    /// Writes into `out` the `(k, C·m, h, w)` input of a unit that reads
-    /// `sensors`, in that order, over `frames`: one copy per (frame,
-    /// sensor) straight from the bank into the channel-concatenated
-    /// tensor. A sensor outside `live_bits` contributes a zero block,
-    /// written like any other — `out` is a step buffer and holds the last
-    /// step's values, so every block is overwritten.
+    /// One frame's `(C, h, w)` features of a sensor, where the bank holds
+    /// them — what the plans of the gate and the branches read, in place.
+    /// A sensor outside `live_bits` is the shared block of zeros.
     ///
     /// # Panics
-    /// Panics if a live sensor's stem has not run for one of `frames` —
-    /// the plan demands every stem before the stage that reads it.
-    fn gather(&self, sensors: &[usize], live_bits: u8, frames: &[usize], out: &mut Tensor) {
-        let per = STEM_CHANNELS * self.half * self.half;
-        out.resize(&[frames.len(), STEM_CHANNELS * sensors.len(), self.half, self.half]);
-        for (sample, &i) in out.data_mut().chunks_exact_mut(per * sensors.len()).zip(frames) {
-            for (block, &s) in sample.chunks_exact_mut(per).zip(sensors) {
-                if live_bits & (1 << s) != 0 {
-                    block.copy_from_slice(self.feat(s, i).expect("stem demanded by the plan"));
-                } else {
-                    block.fill(0.0);
-                }
-            }
+    /// Panics if a live sensor's stem has not run for the frame.
+    fn block(&self, live_bits: u8, sensor: usize, frame: usize) -> &[f32] {
+        let per = self.zero.len();
+        match self.rows[sensor][frame] {
+            _ if live_bits & (1 << sensor) == 0 => &self.zero,
+            StemRow::Missing => panic!("stem {sensor} of frame {frame}: demanded by the plan"),
+            StemRow::Forward(j) => &self.stem_out[sensor].data()[j * per..(j + 1) * per],
+            StemRow::Replayed(j) => &self.replayed[j * per..(j + 1) * per],
         }
-    }
-
-    /// [`BatchStemBank::gather`] of the learned gates' input: every
-    /// sensor in canonical order, a zero block for each one outside
-    /// `live_bits`.
-    fn gather_gate_features(&self, live_bits: u8, frames: &[usize], out: &mut Tensor) {
-        let sensors: [usize; SensorKind::COUNT] = std::array::from_fn(|s| s);
-        self.gather(&sensors, live_bits, frames, out);
     }
 
     fn counts(&self, frame: usize) -> (u8, u8, u8) {
@@ -685,20 +697,6 @@ impl EcoFusionModel {
         }
     }
 
-    fn predict_gate_batch(
-        &mut self,
-        features: &Tensor,
-        inputs: &[GateInput<'_>],
-        gate: GateKind,
-    ) -> Vec<Vec<f32>> {
-        match gate {
-            GateKind::Knowledge => self.gates.knowledge.predict_batch(features, inputs),
-            GateKind::Deep => self.gates.deep.predict_batch(features, inputs),
-            GateKind::Attention => self.gates.attention.predict_batch(features, inputs),
-            GateKind::LossBased => self.gates.loss_based.predict_batch(features, inputs),
-        }
-    }
-
     /// The `Sense` stage: the observation already exists (sensing
     /// happened upstream), so the stage validates it against the model
     /// and accounts the sensor energy later.
@@ -726,7 +724,7 @@ impl EcoFusionModel {
     /// options run on it, and a bank that has forgotten the last batch.
     fn begin_step<'f>(
         &mut self,
-        bank: &mut BatchStemBank,
+        scratch: &mut StepScratch,
         frames: &'f [Frame],
         opts: &InferenceOptions,
     ) -> Result<StepBatch<'f>, InferError> {
@@ -736,7 +734,9 @@ impl EcoFusionModel {
         if opts.precision == Precision::Int8 {
             self.ensure_quant().map_err(InferError::Quantize)?;
         }
-        bank.reset(frames.len(), self.grid / 2);
+        scratch.bank.reset(frames.len(), self.grid / 2);
+        #[cfg(debug_assertions)]
+        scratch.head.map.data_mut().fill(f32::NAN);
         Ok(StepBatch {
             frames,
             observations: frames.iter().map(|f| &f.obs).collect(),
@@ -788,7 +788,7 @@ impl EcoFusionModel {
         }
         let n = frames.len();
         let plan = self.plan(opts);
-        let batch = self.begin_step(&mut scratch.bank, frames, opts)?;
+        let batch = self.begin_step(scratch, frames, opts)?;
         // Stems demanded before gating, across the whole batch — inside
         // the oracle block when the loss-based gate is active, whose
         // detections are kept: Branch reuses them instead of re-running
@@ -797,45 +797,39 @@ impl EcoFusionModel {
             let (dets, losses) = self.oracle_stages(scratch, &batch, opts, router.as_mut())?;
             (Some(dets), Some(losses))
         } else {
-            let pre_gate = vec![plan.pre_gate_bits(); n];
-            self.ensure_stems(
-                &mut scratch.bank,
-                &batch,
-                &pre_gate,
-                router.as_mut(),
-                opts.precision,
-            )?;
+            let (bank, pre_gate) = (&mut scratch.bank, vec![plan.pre_gate_bits(); n]);
+            self.ensure_stems(bank, &batch, &pre_gate, router.as_mut(), opts.precision)?;
             (None, None)
         };
-        // GateScore. None of the four built-in gates reads
-        // `GateInput::features` per frame on this path — learned gates
-        // run one batched network pass over the gate batch, the
+        // GateScore. The learned gates run one batched pass over each
+        // frame's four stem rows, read where the bank holds them; the
         // knowledge gate reads only `context`, the oracle only
-        // `oracle_losses` — so the batch tensor serves as every frame's
-        // features view and no per-frame copies are made.
-        if plan.gate_reads_features {
-            scratch.bank.gather_gate_features(
-                plan.gate_stem_bits,
-                &batch.all,
-                &mut scratch.gate_in,
-            );
+        // `oracle_losses`, so their `features` are empty.
+        let predicted: Vec<Vec<f32>> = if plan.gate_reads_features {
+            let (bank, live) = (&scratch.bank, plan.gate_stem_bits);
+            let rows: Vec<&[f32]> = (0..n * SensorKind::COUNT)
+                .map(|at| bank.block(live, at % SensorKind::COUNT, at / SensorKind::COUNT))
+                .collect();
+            match opts.gate {
+                GateKind::Deep => self.gates.deep.predict_blocks(&rows, SensorKind::COUNT),
+                _ => self.gates.attention.predict_blocks(&rows, SensorKind::COUNT),
+            }
         } else {
-            scratch.gate_in.resize(&[n, 1, 1, 1]);
-            scratch.gate_in.data_mut().fill(0.0);
-        }
-        let gate_batch: &Tensor = &scratch.gate_in;
-        let inputs: Vec<GateInput<'_>> = frames
-            .iter()
-            .enumerate()
-            .map(|(i, f)| GateInput {
-                features: gate_batch,
-                context: Some(f.scene.context),
-                oracle_losses: oracle.as_ref().map(|o| o[i].as_slice()),
-                sensor_health: Some(opts.health),
-            })
-            .collect();
-        let predicted = self.predict_gate_batch(gate_batch, &inputs, opts.gate);
-        drop(inputs);
+            let no_features = Tensor::default();
+            let score = |(i, f): (usize, &Frame)| {
+                let input = GateInput {
+                    features: &no_features,
+                    context: Some(f.scene.context),
+                    oracle_losses: oracle.as_ref().map(|o| o[i].as_slice()),
+                    sensor_health: Some(opts.health),
+                };
+                match opts.gate {
+                    GateKind::Knowledge => self.gates.knowledge.predict(&input),
+                    _ => self.gates.loss_based.predict(&input),
+                }
+            };
+            frames.iter().enumerate().map(score).collect()
+        };
         // Select per frame; Branch over what was selected.
         let selected: Vec<ConfigId> =
             predicted.iter().map(|p| self.select_with_health(p, opts)).collect();
@@ -886,12 +880,12 @@ impl EcoFusionModel {
         router: Option<&mut StemCacheRouter<'_>>,
     ) -> Result<(Vec<BranchDets>, Vec<Vec<f32>>), InferError> {
         let n = batch.frames.len();
-        let StepScratch { bank, branch_in, head, .. } = scratch;
+        let StepScratch { bank, head } = scratch;
         self.ensure_stems(bank, batch, &vec![ALL_SENSOR_BITS; n], router, opts.precision)?;
         let mut per_frame: Vec<BranchDets> =
             (0..n).map(|_| Vec::with_capacity(self.branches.len())).collect();
         for b in 0..self.branches.len() {
-            let dets = self.branch_batch_from_bank(b, bank, &batch.all, opts, branch_in, head)?;
+            let dets = self.branch_batch_from_bank(b, bank, &batch.all, opts, head)?;
             for (frame_dets, d) in per_frame.iter_mut().zip(dets) {
                 frame_dets.push(d);
             }
@@ -924,7 +918,7 @@ impl EcoFusionModel {
         router: Option<&mut StemCacheRouter<'_>>,
     ) -> Result<BranchOutputs, InferError> {
         let n = selected.len();
-        let StepScratch { bank, branch_in, head, .. } = scratch;
+        let StepScratch { bank, head } = scratch;
         let need_bits: Vec<u8> = selected.iter().map(|s| self.config_sensors[s.0]).collect();
         self.ensure_stems(bank, batch, &need_bits, router, opts.precision)?;
         // Group frames by branch so every branch the batch needs
@@ -951,7 +945,7 @@ impl EcoFusionModel {
             if idxs.is_empty() || dets[b].iter().all(|d| d.is_some()) {
                 continue;
             }
-            let decoded = self.branch_batch_from_bank(b, bank, idxs, opts, branch_in, head)?;
+            let decoded = self.branch_batch_from_bank(b, bank, idxs, opts, head)?;
             for (slot, d) in idxs.iter().zip(decoded) {
                 dets[b][*slot] = Some(d);
             }
@@ -960,10 +954,10 @@ impl EcoFusionModel {
     }
 
     /// Runs one branch's plan over the banked stem features of `frames`
-    /// (the whole batch or the sub-batch that selected the branch) and
-    /// decodes one detection list per frame. `input` and `head` are the
-    /// replica's step buffers: the gather rewrites `input` whole, the
-    /// plan `head`.
+    /// (the whole batch or the sub-batch that selected the branch) — each
+    /// (frame, sensor) row read in the bank where it lies — and decodes
+    /// one detection list per frame. `head` is the replica's step buffer;
+    /// the plan rewrites it whole.
     ///
     /// # Errors
     /// [`InferError::Compile`] if the branch does not lower (an installed
@@ -974,12 +968,14 @@ impl EcoFusionModel {
         bank: &BatchStemBank,
         frames: &[usize],
         opts: &InferenceOptions,
-        input: &mut Tensor,
         head: &mut HeadOutput,
     ) -> Result<Vec<Vec<Detection>>, InferError> {
-        let sensors: Vec<usize> =
-            self.space.branches()[branch].sensors().iter().map(|k| k.index()).collect();
-        bank.gather(&sensors, ALL_SENSOR_BITS, frames, input);
+        let sensors = self.space.branches()[branch].sensors();
+        let m = sensors.len();
+        let rows: Vec<&[f32]> = (0..frames.len() * m)
+            .map(|at| bank.block(ALL_SENSOR_BITS, sensors[at % m].index(), frames[at / m]))
+            .collect();
+        let shape = [frames.len(), STEM_CHANNELS * m, bank.half, bank.half];
         let salt = BRANCH_SALT_BASE + branch as u64;
         // Int8 backbone + head produce the same raw map layout as the f32
         // branch; the f32 head decodes it (sigmoid/softmax/NMS stay full
@@ -987,16 +983,16 @@ impl EcoFusionModel {
         let plan = if opts.precision == Precision::Int8 {
             let q = self.quant.as_ref().expect("int8 image built before the Branch stage");
             let qb = &q.branches[branch];
-            let key = plan_key(qb.plan_fingerprint(salt), input, PlanPrecision::Int8);
-            self.plans.try_get_or_compile(key, || qb.compile(input.shape()))
+            let key = plan_key(qb.plan_fingerprint(salt), &shape[1..], PlanPrecision::Int8);
+            self.plans.try_get_or_compile(key, || qb.compile(&shape))
         } else {
             let det = &self.branches[branch];
-            let key = plan_key(det.plan_fingerprint(salt), input, PlanPrecision::F32);
-            self.plans.try_get_or_compile(key, || det.compile(input.shape()))
+            let key = plan_key(det.plan_fingerprint(salt), &shape[1..], PlanPrecision::F32);
+            self.plans.try_get_or_compile(key, || det.compile(&shape))
         }
         .map_err(|source| InferError::Compile { unit: PlanUnit::Branch(branch), source })?;
         head.map.resize(&plan.out_shape_for(frames.len()));
-        plan.execute_into(input, &mut head.map);
+        plan.execute_blocks_into(&rows, m, &mut head.map);
         let det = &self.branches[branch];
         Ok((0..frames.len())
             .map(|j| det.decode_sample(head, j, opts.score_thresh, opts.nms_iou))
@@ -1043,7 +1039,7 @@ impl EcoFusionModel {
         opts: &InferenceOptions,
     ) -> Result<(Vec<Detection>, EnergyBreakdown, StageTrace), InferError> {
         let (detections, (executed, cached, skipped)) = self.with_scratch(|model, scratch| {
-            let batch = model.begin_step(&mut scratch.bank, std::slice::from_ref(frame), opts)?;
+            let batch = model.begin_step(scratch, std::slice::from_ref(frame), opts)?;
             let mut branches = model.run_branches(scratch, &batch, &[config], None, opts, None)?;
             Ok((branches.fuse_frame(model, 0), scratch.bank.counts(0)))
         })?;
@@ -1072,13 +1068,17 @@ impl EcoFusionModel {
         self.with_scratch(|model, scratch| {
             let mut samples = Vec::with_capacity(frames.len());
             for chunk in frames.chunks(ORACLE_PASS_BATCH) {
-                let batch = model.begin_step(&mut scratch.bank, chunk, opts)?;
+                let batch = model.begin_step(scratch, chunk, opts)?;
                 let (dets, losses) = model.oracle_stages(scratch, &batch, opts, None)?;
-                let StepScratch { bank, gate_in, .. } = &mut *scratch;
-                bank.gather_gate_features(opts.health.bits(), &batch.all, gate_in);
+                let (bank, live) = (&scratch.bank, opts.health.bits());
+                let shape = [1, SensorKind::COUNT * STEM_CHANNELS, bank.half, bank.half];
+                let features = |i: usize| {
+                    let rows = (0..SensorKind::COUNT).flat_map(|s| bank.block(live, s, i));
+                    Tensor::from_vec(&shape, rows.copied().collect())
+                };
                 samples.extend(dets.into_iter().zip(losses).enumerate().map(
                     |(i, (branch_dets, losses))| OracleSample {
-                        features: gate_in.select_batch(i),
+                        features: features(i),
                         branch_dets,
                         losses,
                     },
@@ -1326,6 +1326,73 @@ mod tests {
         assert_eq!(outs[0].selected_config, plain_out.selected_config);
     }
 
+    /// In-batch dedupe against the quadratic form it replaced — every
+    /// pending grid compared with every earlier miss of the batch, kept
+    /// here as the oracle: 256 frames, duplicates placed adjacent, first
+    /// and last, and in the middle, give the same rows and the same
+    /// hit/miss counters, and the bank compares whole grids once per
+    /// duplicate instead of 32 640 times per sensor.
+    #[test]
+    fn in_batch_dedupe_matches_the_quadratic_form_in_linear_compares() {
+        let mut m = tiny_model();
+        let base = city_data(54);
+        let n = 256;
+        let mut frames: Vec<Frame> = (0..n)
+            .map(|i| {
+                // The same few scenes, made distinct where the key looks.
+                let mut frame = base.test()[i % base.test().len()].clone();
+                for k in SensorKind::ALL {
+                    frame.obs.grid_mut(k).data_mut()[5] += i as f32;
+                }
+                frame
+            })
+            .collect();
+        for (copy, of) in [(1, 0), (255, 0), (101, 100), (250, 3)] {
+            frames[copy] = frames[of].clone();
+        }
+        let observations: Vec<&Observation> = frames.iter().map(|f| &f.obs).collect();
+        let mut caches: Vec<StemFeatureCache> = (0..n).map(|_| StemFeatureCache::new()).collect();
+        let lanes: Vec<usize> = (0..n).collect();
+        let mut router = StemCacheRouter::new(&mut caches, &lanes);
+        let mut bank = BatchStemBank::default();
+        bank.reset(n, m.grid / 2);
+        let all = vec![ALL_SENSOR_BITS; n];
+        bank.ensure(&m.stems, &observations, &all, Some(&mut router), None, &mut m.plans)
+            .expect("stems lower");
+        let (mut hits, mut misses) = (vec![0u64; n], vec![0u64; n]);
+        for k in SensorKind::ALL {
+            let mut missed: Vec<usize> = Vec::new();
+            for i in 0..n {
+                let earlier =
+                    missed.iter().position(|&j| observations[j].grid(k) == frames[i].obs.grid(k));
+                let row = earlier.unwrap_or(missed.len());
+                assert!(
+                    matches!(bank.rows[k.index()][i], StemRow::Forward(j) if j == row),
+                    "{k:?} of frame {i}: {:?}, the quadratic form has row {row}",
+                    bank.rows[k.index()][i]
+                );
+                match earlier {
+                    Some(_) => hits[i] += 1,
+                    None => {
+                        misses[i] += 1;
+                        missed.push(i);
+                    }
+                }
+            }
+            let (first, last) = (
+                bank.block(ALL_SENSOR_BITS, k.index(), 0),
+                bank.block(ALL_SENSOR_BITS, k.index(), 255),
+            );
+            assert_eq!(first, last, "a duplicate reads the row of its original");
+        }
+        for (i, cache) in caches.iter().enumerate() {
+            assert_eq!((cache.hits(), cache.misses()), (hits[i], misses[i]), "frame {i}");
+        }
+        // One whole-grid comparison per duplicate and sensor; the
+        // quadratic form makes n·(n − 1)/2 per sensor.
+        assert_eq!(bank.dedupe.compares, 4 * SensorKind::COUNT);
+    }
+
     #[test]
     fn stem_cache_store_overwrites_its_entry_in_place() {
         let mut cache = StemFeatureCache::new();
@@ -1340,11 +1407,11 @@ mod tests {
         cache.store(0, &g2, &[2.0; 8], &shape);
         assert_eq!(buffers(&cache), first, "same shapes must reuse the entry's buffers");
         assert!(cache.lookup(0, &g1).is_none(), "the old grid is gone");
-        assert_eq!(cache.lookup(0, &g2).expect("hit"), Tensor::full(&shape, 2.0));
+        assert_eq!(cache.lookup(0, &g2).expect("hit"), [2.0; 8]);
         // A differently shaped pair replaces the entry.
         let g3 = Tensor::full(&[1, 1, 2, 2], 3.0);
         cache.store(0, &g3, &[3.0; 2], &[1, 2, 1, 1]);
-        assert_eq!(cache.lookup(0, &g3).expect("hit"), Tensor::full(&[1, 2, 1, 1], 3.0));
+        assert_eq!(cache.lookup(0, &g3).expect("hit"), [3.0; 2]);
     }
 
     #[test]

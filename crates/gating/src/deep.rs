@@ -50,6 +50,8 @@ macro_rules! learned_gate {
         pub struct $name {
             net: Sequential,
             num_configs: usize,
+            /// Per-sample shape `(C, h, w)` of the stem features scored.
+            in_shape: [usize; 3],
             /// The trunk lowered to a fused plan on first scoring; dropped
             /// by every mutable weight access so a stale snapshot of the
             /// weights can never score a frame.
@@ -75,6 +77,7 @@ macro_rules! learned_gate {
                 $name {
                     net: build_net(in_channels, spatial, num_configs, $attention, rng),
                     num_configs,
+                    in_shape: [in_channels, spatial, spatial],
                     plan: None,
                 }
             }
@@ -90,23 +93,52 @@ macro_rules! learned_gate {
                 graph::compile_sequential(&self.net, in_shape)
             }
 
-            /// The trunk's raw `(N, configs)` output for a batch of stem
-            /// features, through the compiled plan (built on first use,
-            /// any batch size) — bit-identical to the eval
-            /// `Layer::forward` by the graph compiler's contract.
+            /// Scores frames whose stem features lie scattered: frame `i`
+            /// is the channel-wise concatenation of
+            /// `blocks[i·per_sample..][..per_sample]` (the pipeline passes
+            /// each sensor's row of its stem bank, and one shared block of
+            /// zeros for a sensor the health mask rules out). One pass of
+            /// the compiled trunk (built on first use, any batch size),
+            /// whose first convolution reads the blocks where they are —
+            /// bit-identical to the eval `Layer::forward` over the
+            /// concatenation by the graph compiler's contract.
             ///
             /// # Panics
-            /// Panics if `features` does not carry the channel count and
-            /// spatial size the gate was built for, as `Layer::forward`
-            /// does: the pipeline builds the tensor from its own stems,
-            /// so a mismatch is a bug in the caller.
-            fn score(&mut self, features: &Tensor) -> Tensor {
-                let net = &self.net;
+            /// Panics if the blocks of a frame do not add up to the
+            /// channel count and spatial size the gate was built for, as
+            /// `Layer::forward` does: the pipeline builds them from its
+            /// own stems, so a mismatch is a bug in the caller.
+            pub fn predict_blocks(
+                &mut self,
+                blocks: &[&[f32]],
+                per_sample: usize,
+            ) -> Vec<Vec<f32>> {
+                let (net, [c, h, w]) = (&self.net, self.in_shape);
                 let plan = self.plan.get_or_insert_with(|| {
-                    graph::compile_sequential(net, features.shape())
-                        .expect("gate features must match the shape the gate was built for")
+                    graph::compile_sequential(net, &[1, c, h, w])
+                        .expect("the trunk lowers for the shape the gate was built for")
                 });
-                plan.execute(features)
+                let mut out = Tensor::zeros(&plan.out_shape_for(blocks.len() / per_sample.max(1)));
+                plan.execute_blocks_into(blocks, per_sample, &mut out); // (N, configs)
+                // Inverse of the log1p squash used in training, clamped so
+                // a slightly-negative regression output stays a valid loss.
+                out.data()
+                    .chunks(self.num_configs)
+                    .map(|row| row.iter().map(|v| v.exp_m1().max(0.0)).collect())
+                    .collect()
+            }
+
+            /// [`Self::predict_blocks`] over a stacked `(N, C, h, w)`
+            /// tensor: one block a frame.
+            fn predict_stacked(&mut self, features: &Tensor) -> Vec<Vec<f32>> {
+                assert_eq!(
+                    features.shape().get(1..),
+                    Some(&self.in_shape[..]),
+                    "gate features must match the shape the gate was built for"
+                );
+                let per: usize = self.in_shape.iter().product();
+                let frames: Vec<&[f32]> = features.data().chunks_exact(per).collect();
+                self.predict_blocks(&frames, 1)
             }
 
             /// One regression training step against the true per-config
@@ -143,10 +175,7 @@ macro_rules! learned_gate {
             }
 
             fn predict(&mut self, input: &GateInput<'_>) -> Vec<f32> {
-                let out = self.score(input.features);
-                // Inverse of the log1p squash used in training, clamped so
-                // a slightly-negative regression output stays a valid loss.
-                out.into_vec().into_iter().map(|v| v.exp_m1().max(0.0)).collect()
+                self.predict_stacked(input.features).into_iter().flatten().collect()
             }
 
             fn predict_batch(
@@ -160,11 +189,7 @@ macro_rules! learned_gate {
                     "predict_batch length mismatch"
                 );
                 // One pass through the gate network for the whole batch.
-                let out = self.score(features); // (N, configs)
-                out.data()
-                    .chunks(self.num_configs)
-                    .map(|row| row.iter().map(|v| v.exp_m1().max(0.0)).collect())
-                    .collect()
+                self.predict_stacked(features)
             }
         }
 

@@ -330,6 +330,9 @@ pub struct PerceptionServer {
     /// Per-stream stem-feature caches (parallel to `lanes`), kept out of
     /// `Lane` so they can be moved into work units during a step.
     stem_caches: Vec<StemFeatureCache>,
+    /// Per lane, its slot in the cache list of the unit being built
+    /// (`usize::MAX` between units: none yet).
+    cache_slot_of: Vec<usize>,
     cfg: RuntimeConfig,
     tick: u64,
     batches: u64,
@@ -410,6 +413,7 @@ impl PerceptionServer {
             shards,
             lanes: specs.iter().map(Lane::new).collect(),
             stem_caches: specs.iter().map(|_| StemFeatureCache::new()).collect(),
+            cache_slot_of: vec![usize::MAX; specs.len()],
             cfg,
             tick: 0,
             batches: 0,
@@ -776,14 +780,18 @@ impl PerceptionServer {
                 // Move the distinct lanes' stem caches into the unit so a
                 // stolen unit still serves its streams' caches (hit/miss
                 // counters stay invariant under stealing).
+                let slot_of = &mut self.cache_slot_of;
                 let mut cache_lanes: Vec<usize> = Vec::new();
                 let mut cache_slot = Vec::with_capacity(frames.len());
                 for &lane in &lane_ids {
-                    let slot = cache_lanes.iter().position(|&l| l == lane).unwrap_or_else(|| {
+                    if slot_of[lane] == usize::MAX {
+                        slot_of[lane] = cache_lanes.len();
                         cache_lanes.push(lane);
-                        cache_lanes.len() - 1
-                    });
-                    cache_slot.push(slot);
+                    }
+                    cache_slot.push(slot_of[lane]);
+                }
+                for &lane in &cache_lanes {
+                    slot_of[lane] = usize::MAX;
                 }
                 let caches = cache_lanes
                     .iter()

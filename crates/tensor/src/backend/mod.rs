@@ -7,8 +7,8 @@
 //! scoped-thread data parallelism over output rows and the batch
 //! dimension. The call is static; there is no process-wide selection.
 //! The compiled plans' convolution steps run [`conv2d_rows_t`], the direct
-//! convolution below, which reproduces [`Blocked`]'s forward reduction
-//! bit for bit.
+//! convolution below over planes the step before it wrote, which
+//! reproduces [`Blocked`]'s forward reduction bit for bit.
 //!
 //! [`Reference`] keeps the original straightforward loops behind the same
 //! [`Backend`] trait as the **kernel oracle**: tests and the `tensor_ops`
@@ -186,21 +186,25 @@ pub const RUN: usize = 8;
 /// are still cache-resident when the register tiles read them and its
 /// rows when the epilogue does. 256 KiB is an eighth of the reference
 /// host's per-core L2 — the tile's input, output and the weights need
-/// room beside it — and resolves to three samples for an f32 stem, seven
-/// for a one-sensor f32 branch and four for the attention gate of the
-/// canonical model (two each while the f32 plans lowered to a column
-/// matrix nine times the size of their input). Measured at 128 / 256 /
-/// 512 KiB (`BENCH_14.json`, `tile_constant`): 128 and 256 are within
-/// run-to-run spread of each other (256 a little ahead on the 64-frame
-/// f32 fleet batches, 128 on the int8 rung), 512 is behind on the int8
-/// rung and costs resident memory everywhere.
+/// room beside it — and resolves to seven samples for a stem, twelve for
+/// a one-sensor f32 branch and four for the attention gate of the
+/// canonical model (three, seven and four while every convolution wrote
+/// an NCHW map for the next to copy; two each while the f32 plans lowered
+/// to a column matrix nine times the size of their input). Measured at
+/// 128 / 256 / 512 KiB (`BENCH_14.json`, `tile_constant`): 128 and 256
+/// are within run-to-run spread of each other (256 a little ahead on the
+/// 64-frame f32 fleet batches, 128 on the int8 rung), 512 is behind on
+/// the int8 rung and costs resident memory everywhere; at the larger
+/// tiles of today 128 and 256 still read alike (`BENCH_22.json`).
 pub(crate) const TILE_BYTES: usize = 256 * 1024;
 
 /// The addressing of one direct convolution, fixed when a plan is
-/// compiled: where [`DirectConv::lower`] puts every input element
-/// and at which fixed offset from a run's base every kernel tap finds it.
+/// compiled: where [`DirectConv::store_plane`] — the one function that
+/// writes planes; [`DirectConv::lower`] and every epilogue that feeds a
+/// convolution are loops over it — puts every input element, and at which
+/// fixed offset from a run's base every kernel tap finds it.
 ///
-/// The input of a stride-1 convolution is copied into zero-padded planes.
+/// The input of a stride-1 convolution is held in zero-padded planes.
 /// For stride `s > 1` each plane is de-interleaved into its `s²`
 /// row/column-parity **sub-planes**: per axis, kernel index `κ` is the tap
 /// `t = κ − p`, which reads sub-plane `r = t mod s` (Euclidean) at shift
@@ -332,60 +336,160 @@ impl DirectConv {
         self.base(n - 1, ho - 1, (wo - 1) / RUN * RUN) + self.off_max + RUN
     }
 
+    /// Zeroes the planes of `n` samples. Whoever is about to write them —
+    /// [`DirectConv::lower`], or the epilogue of the step before — does
+    /// this once per tile: one large fill, then the image rows over it
+    /// (the pad cells are single columns and rows between them, and a
+    /// fill per gap costs more in calls than writing the image cells
+    /// twice).
+    pub fn clear<U: Copy>(&self, cells: &mut [U], n: usize, zero: U) {
+        cells[..n * self.sample_len()].fill(zero);
+    }
+
+    /// **The plane store**, the one addressing function of the planes:
+    /// puts every row of input plane `p` — the flat `(sample, channel)`
+    /// index `b·C + ci` — where the type docs say it lives, cell `(y, x)`
+    /// being `f` of the `K` source planes' elements `(y, x)`. Everything
+    /// that writes planes is a loop over this: [`DirectConv::lower`] with
+    /// the identity over one plane, the epilogue of a convolution that
+    /// feeds another with its per-element arithmetic over a plane of its
+    /// accumulators, the int8 quantizers with two channels' planes into
+    /// one plane of pairs. A trailing row or column no tap reads is not
+    /// stored. The pad cells are not touched: [`DirectConv::clear`] comes
+    /// first.
+    ///
+    /// Rows go [`RUN`] columns at a time through arrays of a fixed size —
+    /// at stride 2 into half a run of each column parity — so that the
+    /// map is straight-line vector code and the de-interleave two
+    /// shuffles, where a loop over a run-time length need be neither.
+    ///
+    /// # Panics
+    /// Panics if a source is smaller than an input plane, or `cells`
+    /// shorter than the planes up to `p`.
+    #[inline(always)]
+    pub fn store_plane<V: Copy, U: Copy, const K: usize>(
+        &self,
+        cells: &mut [U],
+        p: usize,
+        src: [&[V]; K],
+        f: impl Fn([V; K]) -> U,
+    ) {
+        let (s, [h, w], [hp, wp], lead) = (self.stride, self.in_hw, self.plane, self.lead);
+        // Input rows (columns) of one parity, cut to what a sub-plane has
+        // room for behind its lead.
+        let sub = hp * wp;
+        let held = |len: usize, r: usize, room: usize| len.saturating_sub(r).div_ceil(s).min(room);
+        let (rows, cols) = (|ry| held(h, ry, hp - lead), |rx| held(w, rx, wp - lead));
+        let src = src.map(|plane| &plane[..h * w]);
+        let row = |y: usize| src.map(|plane| &plane[y * w..][..w]);
+        // Cells `x..x + RUN` of a row.
+        let run = |row: [&[V]; K], x: usize| -> [U; RUN] {
+            let cols = row.map(|row| <&[V; RUN]>::try_from(&row[x..x + RUN]).expect("a run"));
+            std::array::from_fn(|i| f(cols.map(|col| col[i])))
+        };
+        let block = &mut cells[p * self.block_len()..][..self.block_len()];
+        // Input row `j·s + ry` lands in stored row `lead + j` of the `s`
+        // sub-planes of row parity `ry`, one per column parity: from cell
+        // `lead` of it on. One loop nest per stride, so that each is
+        // compiled for itself.
+        let first = lead * wp + lead;
+        // (A sub-plane of a convolution that pads by a kernel or more may
+        // have no room behind its lead at all.)
+        fn behind_lead<U>(sub: &mut [U], first: usize) -> &mut [U] {
+            sub.get_mut(first..).unwrap_or_default()
+        }
+        match s {
+            1 => {
+                for (y, dst) in block[first..].chunks_mut(wp).take(h).enumerate() {
+                    let (row, mut dst) = (row(y), dst[..w].chunks_exact_mut(RUN));
+                    for (c, d) in (&mut dst).enumerate() {
+                        d.copy_from_slice(&run(row, RUN * c));
+                    }
+                    for (d, x) in dst.into_remainder().iter_mut().zip(w / RUN * RUN..) {
+                        *d = f(row.map(|row| row[x]));
+                    }
+                }
+            }
+            2 => {
+                let (ne, no) = (cols(0), cols(1));
+                for (ry, parity) in block.chunks_exact_mut(2 * sub).enumerate() {
+                    let (even, odd) = parity.split_at_mut(sub);
+                    let (even, odd) = (behind_lead(even, first), behind_lead(odd, first));
+                    let stored = even.chunks_mut(wp).zip(odd.chunks_mut(wp));
+                    for (j, (even, odd)) in stored.take(rows(ry)).enumerate() {
+                        let row = row(2 * j + ry);
+                        // A run of columns into half a run of each parity.
+                        const HALF: usize = RUN / 2;
+                        let runs =
+                            even[..ne].chunks_exact_mut(HALF).zip(odd[..no].chunks_exact_mut(HALF));
+                        for (c, (e, o)) in runs.enumerate() {
+                            let cols = run(row, RUN * c);
+                            e.copy_from_slice(&std::array::from_fn::<U, HALF, _>(|i| cols[2 * i]));
+                            o.copy_from_slice(&std::array::from_fn::<U, HALF, _>(|i| {
+                                cols[2 * i + 1]
+                            }));
+                        }
+                        for i in no / HALF * HALF..ne {
+                            even[i] = f(row.map(|row| row[2 * i]));
+                        }
+                        for i in no / HALF * HALF..no {
+                            odd[i] = f(row.map(|row| row[2 * i + 1]));
+                        }
+                    }
+                }
+            }
+            _ => {
+                for (r, dst) in block.chunks_exact_mut(sub).enumerate() {
+                    let (ry, rx) = (r / s, r % s);
+                    for (j, dst) in
+                        behind_lead(dst, first).chunks_mut(wp).take(rows(ry)).enumerate()
+                    {
+                        let row = row(j * s + ry);
+                        for (i, d) in dst[..cols(rx)].iter_mut().enumerate() {
+                            *d = f(row.map(|row| row[rx + i * s]));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The plane store over whole planes, copied: `x` holds consecutive
+    /// `h × w` planes, the first of them plane `p0`.
+    ///
+    /// # Panics
+    /// Panics if `x` is not a whole number of planes.
+    pub fn store_planes<U: Copy>(&self, cells: &mut [U], p0: usize, x: &[U]) {
+        let [h, w] = self.in_hw;
+        assert!(
+            x.len().is_multiple_of(h * w),
+            "DirectConv::store_planes: not whole {h}x{w} planes"
+        );
+        for (p, plane) in x.chunks_exact(h * w).enumerate() {
+            self.store_plane(cells, p0 + p, [plane], |[v]| v);
+        }
+    }
+
     /// Writes the padded, phase-split planes of the `n` samples in `x`
     /// (`(n, C, h, w)` units) into the prefix of `scratch` they take —
-    /// every cell of it, `zero` wherever the type docs say padding. Pure
-    /// data movement.
+    /// every cell of it, `zero` wherever the type docs say padding:
+    /// [`DirectConv::clear`], then the row store over every source row.
+    /// Pure data movement. A plan runs it for its first convolution, and
+    /// for one whose input no convolution wrote; every other convolution
+    /// finds its planes written by the epilogue before it.
     ///
     /// # Panics
     /// Panics if `x` is not `n` samples or `scratch` is shorter than
     /// their planes.
     pub fn lower<U: Copy>(&self, x: &[U], n: usize, zero: U, scratch: &mut [U]) {
-        let (c, s) = (self.spec.in_channels, self.stride);
-        let ([h, w], [hp, wp], lead) = (self.in_hw, self.plane, self.lead);
+        let (c, [h, w]) = (self.spec.in_channels, self.in_hw);
         assert!(
             x.len() == n * c * h * w && scratch.len() >= n * self.sample_len(),
             "DirectConv::lower: operands disagree with {n} samples of {:?} over {h}x{w}",
             self.spec
         );
-        // Input rows (columns) of one parity, cut to what a sub-plane has
-        // room for: a trailing row no tap reads is not stored.
-        let held = |len: usize, r: usize, room: usize| len.saturating_sub(r).div_ceil(s).min(room);
-        let sub = hp * wp;
-        // One large fill, then the image rows over it: the pad cells are
-        // single columns and rows between them, and a fill per gap costs
-        // more in calls than writing the image cells twice.
-        let cells = &mut scratch[..n * self.sample_len()];
-        cells.fill(zero);
-        let planes = cells.chunks_exact_mut(self.block_len()).zip(x.chunks_exact((h * w).max(1)));
-        for (block, src) in planes {
-            // Input row `j·s + ry` lands in stored row `lead + j` of the
-            // `s` sub-planes of row parity `ry`, one per column parity.
-            for (ry, parity) in block.chunks_exact_mut(s * sub).enumerate() {
-                let rows = held(h, ry, hp - lead);
-                let stored = |j: usize| (lead + j) * wp + lead;
-                if s == 2 {
-                    // Both column parities of a row in one pass over it.
-                    let (even, odd) = parity.split_at_mut(sub);
-                    let (ne, no) = (held(w, 0, wp - lead), held(w, 1, wp - lead));
-                    for j in 0..rows {
-                        let (at, row) = (stored(j), &src[(2 * j + ry) * w..][..w]);
-                        deinterleave(&mut even[at..at + ne], &mut odd[at..at + no], row);
-                    }
-                    continue;
-                }
-                for (rx, dst) in parity.chunks_exact_mut(sub).enumerate() {
-                    let cols = held(w, rx, wp - lead);
-                    if cols == 0 {
-                        continue;
-                    }
-                    for j in 0..rows {
-                        let at = stored(j);
-                        gather_strided(&mut dst[at..at + cols], &src[(j * s + ry) * w + rx..], s);
-                    }
-                }
-            }
-        }
+        self.clear(scratch, n, zero);
+        self.store_planes(scratch, 0, x);
     }
 
     /// The register tiles of `n` samples: their runs in output order —
@@ -442,51 +546,15 @@ impl Iterator for Tiles<'_> {
     }
 }
 
-/// `dst[i] = src[i·s]`: one row of one sub-plane. Stride 1 copies in
-/// fixed chunks of a run — the rows are a few runs long, and a length
-/// known at compile time is a vector move where `copy_from_slice` is a
-/// call.
-#[inline]
-fn gather_strided<U: Copy>(dst: &mut [U], src: &[U], s: usize) {
-    if s == 1 {
-        let src = &src[..dst.len()];
-        let (mut d, mut v) = (dst.chunks_exact_mut(RUN), src.chunks_exact(RUN));
-        for (d, v) in (&mut d).zip(&mut v) {
-            d.copy_from_slice(v);
-        }
-        for (d, &v) in d.into_remainder().iter_mut().zip(v.remainder()) {
-            *d = v;
-        }
-    } else {
-        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(s)) {
-            *d = v;
-        }
-    }
-}
-
-/// One row at stride 2, read once: `even[i] = src[2i]`, `odd[i] =
-/// src[2i + 1]`. `even` is as long as `odd` or one longer (an odd row's
-/// last unit).
-#[inline]
-fn deinterleave<U: Copy>(even: &mut [U], odd: &mut [U], src: &[U]) {
-    for ((e, o), pair) in even.iter_mut().zip(odd.iter_mut()).zip(src.chunks_exact(2)) {
-        (*e, *o) = (pair[0], pair[1]);
-    }
-    if let Some(last) = even.get_mut(odd.len()) {
-        *last = src[2 * odd.len()];
-    }
-}
-
-/// [`conv2d_rows_t`]: lowers `x` into `direct`'s planes and runs the
-/// register tiles over them, `IR_T` output channels × two runs at a time,
-/// a short last channel group through the tile of its own const height.
-/// `PORTABLE` forces the safe tile body whatever the build enables.
+/// [`conv2d_rows_t`]: the register tiles over `direct`'s planes, `IR_T`
+/// output channels × two runs at a time, a short last channel group
+/// through the tile of its own const height. `PORTABLE` forces the safe
+/// tile body whatever the build enables.
 fn conv_rows_direct<const PORTABLE: bool>(
-    x: &[f32],
+    planes: &[f32],
     n: usize,
     a: &[f32],
     direct: &DirectConv,
-    scratch: &mut [f32],
     rows: &mut [f32],
 ) {
     if n == 0 {
@@ -496,23 +564,19 @@ fn conv_rows_direct<const PORTABLE: bool>(
     let (ck, m) = (direct.off.len(), n * ho * wo);
     // The one release-mode check the tiles below rest on, per call and
     // never per tile: operand lengths, and that the farthest full-width
-    // load of any run stays inside the scratch.
-    let ([h, w], c) = (direct.in_hw, direct.spec.in_channels);
+    // load of any run stays inside the planes.
     assert!(
-        x.len() == n * c * h * w
-            && a.len() == co * ck
-            && rows.len() >= co * m
-            && direct.reach(n) <= scratch.len(),
-        "conv2d_rows_t: operands disagree with {n} samples of {:?} over {h}x{w}",
-        direct.spec
+        a.len() == co * ck && rows.len() >= co * m && direct.reach(n) <= planes.len(),
+        "conv2d_rows_t: operands disagree with {n} samples of {:?} over {:?}",
+        direct.spec,
+        direct.in_hw
     );
-    direct.lower(x, n, 0.0f32, scratch);
     for (a_grp, c_grp) in a.chunks(IR_T * ck).zip(rows[..co * m].chunks_mut(IR_T * m)) {
-        let group = (a_grp, &*scratch, direct, n, m, c_grp);
+        let group = (a_grp, planes, direct, n, m, c_grp);
         // SAFETY: `a_grp` is `ir·ck` weights for the `ir` of its arm, and
         // the `assert!` above checked `reach(n)` — the end of the
         // farthest full-width load of any run of `tiles(n)` — against the
-        // scratch.
+        // planes.
         unsafe {
             match a_grp.len() / ck {
                 1 => group_tiles::<1, PORTABLE>(group),
@@ -567,21 +631,19 @@ unsafe fn group_tiles<const IR: usize, const PORTABLE: bool>(
 /// [`Backend::conv2d_forward`] reduction minus the bias add and the NCHW
 /// rearrangement, so a caller-supplied write-back epilogue (bias, folded
 /// batch-norm, ReLU) reproduces the eager layer chain bit for bit,
-/// reading one contiguous run of positions per output channel. `x` is
-/// the NCHW data of `n` samples shaped as `direct` was built for and
-/// `weight` the `(C_out, C_in·k·k)` matrix; `scratch` (at least
-/// [`DirectConv::scratch_len`]`(n)`) and `rows` (at least
-/// `C_out × N·Ho·Wo`) are caller-owned buffers whose used prefixes are
-/// fully overwritten — no zeroing is asked of the caller and none is done
-/// here.
+/// reading one contiguous run of positions per output channel. `planes`
+/// holds `direct`'s padded, phase-split planes of `n` samples (at least
+/// [`DirectConv::scratch_len`]`(n)` cells) — written by
+/// [`DirectConv::lower`] or, row by row, by [`DirectConv::store_plane`] —
+/// and `weight` the `(C_out, C_in·k·k)` matrix; the used prefix of `rows`
+/// (at least `C_out × N·Ho·Wo`) is fully overwritten.
 ///
-/// This is a **direct convolution**: the input is copied once into
-/// `direct`'s padded, phase-split planes (pure data movement, a ninth of
-/// what a `k = 3` column matrix moved), after which every kernel tap of
+/// This is a **direct convolution**: with the input in those planes
+/// (a ninth of what a `k = 3` column matrix held), every kernel tap of
 /// every output position is a fixed offset from the position's base, and
 /// an `IR_T`-channel × two-run register tile ([`RUN`] consecutive
 /// positions of one output row per run) reads its operands straight from
-/// those planes. Each output element is the same chain the packed GEMM
+/// them. Each output element is the same chain the packed GEMM
 /// microkernels behind `conv2d_forward` run — ascending `(ci, ky, kx)`,
 /// one fused multiply-add per step, from zero, padding multiplied as
 /// explicit zeros (f32 multiplication commutes exactly, so swapping the
@@ -589,31 +651,29 @@ unsafe fn group_tiles<const IR: usize, const PORTABLE: bool>(
 /// result does not depend on which other samples share the call.
 ///
 /// # Panics
-/// Panics if `x`, `weight`, `scratch` or `rows` are shorter than `direct`
-/// and `n` require — in release builds too.
+/// Panics if `weight`, `planes` or `rows` are shorter than `direct` and
+/// `n` require — in release builds too.
 pub fn conv2d_rows_t(
-    x: &[f32],
+    planes: &[f32],
     n: usize,
     weight: &[f32],
     direct: &DirectConv,
-    scratch: &mut [f32],
     rows: &mut [f32],
 ) {
-    conv_rows_direct::<false>(x, n, weight, direct, scratch, rows);
+    conv_rows_direct::<false>(planes, n, weight, direct, rows);
 }
 
 /// [`conv2d_rows_t`] through the portable tile body whatever the build
 /// enables, so that a host which compiles the AVX2 body tests both.
 #[doc(hidden)]
 pub fn conv2d_rows_t_portable(
-    x: &[f32],
+    planes: &[f32],
     n: usize,
     weight: &[f32],
     direct: &DirectConv,
-    scratch: &mut [f32],
     rows: &mut [f32],
 ) {
-    conv_rows_direct::<true>(x, n, weight, direct, scratch, rows);
+    conv_rows_direct::<true>(planes, n, weight, direct, rows);
 }
 
 /// The portable body of a [`group_tiles`] tile: lane arrays and `mul_add`,

@@ -3,40 +3,77 @@
 //! A one-time lowering pass walks a [`Sequential`] stack (or a
 //! [`QuantPipe`]) and emits a [`CompiledPlan`] of fused steps:
 //!
-//! * `Conv2d → BatchNorm2d → ReLU` collapses to **one** direct
-//!   convolution whose write-back epilogue applies the bias, the
-//!   batch-norm eval affine, and the ReLU clamp per element — no
-//!   intermediate tensors.
+//! * `Conv2d → BatchNorm2d → ReLU → MaxPool2d` collapses to **one**
+//!   direct convolution whose write-back epilogue applies the bias, the
+//!   batch-norm eval affine and the ReLU clamp per element, and pools the
+//!   values on their way out — no intermediate tensors, pooled or not.
 //! * `Linear → ReLU` fuses the same way (bias + clamp in the GEMM
-//!   write-back).
-//! * `MaxPool2d` becomes a plan step over the arena; `Flatten` becomes
-//!   pure shape bookkeeping (no copy).
+//!   write-back); the weight is transposed for the GEMM once, here.
+//! * `MaxPool2d` is a step of its own only where no convolution comes
+//!   before it; `Flatten` is pure shape bookkeeping (no copy).
 //! * `SelfAttention2d` becomes one per-sample step: the layer's own six
 //!   GEMMs, scale, row softmax and residual, on arena slices instead of
 //!   nine tensors per sample.
 //! * Quantized convolutions get a fused dequant + folded-BN + ReLU
-//!   epilogue applied directly to the i32 accumulators, with none of the
-//!   stage-boundary tensors [`QuantPipe::forward`] materializes.
+//!   (+ pooling) epilogue applied directly to the i32 accumulators, with
+//!   none of the stage-boundary tensors [`QuantPipe::forward`]
+//!   materializes.
 //!
 //! # Lowering
 //!
 //! Every convolution step is a **direct convolution**: no column matrix
-//! is built. The step copies its input once into zero-padded planes —
-//! for stride `s > 1` de-interleaved into the `s²` row/column-parity
-//! sub-planes of each plane, all padded to one common extent — after
-//! which every kernel tap of every output position is a *fixed offset*
-//! from the position's base ([`DirectConv`]; the offset table is built
-//! here, when the plan is compiled, and held in the step). A register
-//! tile of `IR_T` output channels × two **runs** — a run is up to
-//! [`RUN`](crate::backend::RUN) consecutive positions of one output row —
-//! then reads its operands straight from those planes with one vector
-//! load per tap and run, and lands its results channel-major, so the
-//! epilogue streams one contiguous run per (sample, channel). One rule
-//! covers every geometry (same-size, strided, `1×1`, kernels wider than
-//! the image); a row end shorter than a run is computed full width and
-//! stored partially, so the learned gates' 4- and 2-wide planes run in
-//! vector lanes too. The copy moves `C·s²·Hp·Wp` cells per sample where
-//! the column matrix it replaced moved `C·k²·Ho·Wo`: for a 3×3 same-size
+//! is built. Its input lies in zero-padded planes — for stride `s > 1`
+//! de-interleaved into the `s²` row/column-parity sub-planes of each
+//! plane, all padded to one common extent — in which every kernel tap of
+//! every output position is a *fixed offset* from the position's base
+//! ([`DirectConv`]; the offset table is built here, when the plan is
+//! compiled, and held in the step). A register tile of `IR_T` output
+//! channels × two **runs** — a run is up to [`RUN`] consecutive positions
+//! of one output row — reads its operands straight from those planes with
+//! one vector load per tap and run, and lands its results channel-major,
+//! so the epilogue streams one contiguous run per (sample, channel). One
+//! rule covers every geometry (same-size, strided, `1×1`, kernels wider
+//! than the image); a row end shorter than a run is computed full width
+//! and stored partially, so the learned gates' 4- and 2-wide planes run
+//! in vector lanes too.
+//!
+//! **Who writes the planes.** The compiler knows every step's reader when
+//! the plan is finished, so each activation is written once, in the
+//! layout its reader wants (`Loc`):
+//!
+//! * A convolution that feeds a convolution never writes an NCHW map: its
+//!   epilogue stores each (sample, channel) plane of values through the
+//!   *reader's* addressing ([`DirectConv::store_plane`], the one function
+//!   that knows where a cell of the planes lives), after one fill that
+//!   zeroes the reader's pads for the tile. An int8 reader gets them
+//!   requantized in the same pass — `quantize_value` of the very f32 the
+//!   epilogue computes, at the reader's activation scale, two output
+//!   channels into one channel pair — so nothing is carried in f32
+//!   between two int8 convolutions, and nothing copied.
+//! * A convolution followed by max pooling pools in its epilogue, one
+//!   (sample, channel) run at a time while it is in L1: the per-element
+//!   arithmetic in place of the accumulators it is made from (an i32 one
+//!   holds the f32's bits), then each window's comparisons in
+//!   `MaxPool2d`'s order. No unpooled map is written anywhere else, and
+//!   the pooled rows are plain. (One fused pass — values and comparisons
+//!   in the same loop — was measured first and is slower: the shuffles
+//!   keep the arithmetic from streaming.)
+//! * [`DirectConv::lower`] — a fill, then `store_plane` with the identity
+//!   over every source plane — runs only where no convolution wrote the
+//!   input: for a plan's **first** step, which reads the caller's input
+//!   where it lies ([`CompiledPlan::execute_blocks_into`]: one sample may
+//!   be several channel blocks in different places, and
+//!   [`CompiledPlan::execute_into`] is the case of one), and behind a
+//!   pooling convolution or the attention step, whose plain output lies
+//!   in `ping` / `pong`. An int8 convolution quantizes such an input
+//!   straight into its channel pairs ([`quantize_planes`]).
+//! * A first step that is no convolution gets the caller's blocks copied
+//!   into one piece first (`stage_input`).
+//!
+//! So along `conv → conv` chains — a branch's three blocks and its `1×1`
+//! head, the last two convolutions of a learned gate — `ping` and `pong`
+//! carry nothing. The planes hold `C·s²·Hp·Wp` cells per sample where the
+//! column matrix of old held `C·k²·Ho·Wo`: for a 3×3 same-size
 //! convolution over an 8×8 plane, 100 cells per channel instead of 576.
 //!
 //! An f32 step's cells are `f32`s and its tile is one fused multiply-add
@@ -45,20 +82,21 @@
 //! on the reference host at `target-cpu=native` (`BENCH_17.json`,
 //! `kernel`): the tiles of the branch's same-size 3×3 convolutions run
 //! at 48 GMAC/s and those of the strided ones at 41 (this host's 256-bit
-//! FMA peak is 52; the autovectorised tile they replace ran at 32–35),
-//! and whole plans — copy, tiles, epilogues, pooling, attention — at 38
-//! GMAC/s for a one-sensor branch, 17 for a stem and 14 for the
-//! attention gate, against 22, 12.5 and 8.5 through the column matrix.
+//! FMA peak is 52). Whole plans — first-step lowering, tiles, epilogues,
+//! pooling, attention — run at batch 64 at ≈ 34 GMAC/s for a one-sensor
+//! branch, 16 for a stem and 13 for the attention gate (`BENCH_22.json`,
+//! `criterion`; a plan handed one contiguous tensor gains little from
+//! any of the above — what it saves is what stood around the plans: the
+//! gathers into such tensors).
 //!
-//! An int8 step quantizes its input straight into **channel pairs** —
-//! `(T, ⌈C/2⌉, H, W)` units of `[i8; 2]`, an odd last channel paired
-//! with 0 — copies those into the same planes (a cell is then a pair),
-//! and multiplies by weights paired the same way and packed when the
-//! plan is compiled ([`PackedConvWeights`]), so that one step of the
-//! reduction is an `i16×i16→i32` pair dot (`vpmaddwd` where the build has
-//! AVX2); see [`crate::quant`]'s "Kernel structure". The serialized int8
-//! image keeps its row-major `i8` weights; pairing is a property of the
-//! plan.
+//! An int8 step's cells are **channel pairs** — `[i8; 2]`, channels `2c`
+//! and `2c + 1` of one position, an odd last channel paired with 0 — in
+//! the same planes, multiplied by weights paired the same way and packed
+//! when the plan is compiled ([`PackedConvWeights`]), so that one step of
+//! the reduction is an `i16×i16→i32` pair dot (`vpmaddwd` where the build
+//! has AVX2); see [`crate::quant`]'s "Kernel structure". The serialized
+//! int8 image keeps its row-major `i8` weights; pairing is a property of
+//! the plan.
 //!
 //! # Tiles
 //!
@@ -67,30 +105,32 @@
 //! [`CompiledPlan::execute_into`] accepts every input whose trailing
 //! dimensions match. Execution is cache-blocked over the batch: the plan
 //! takes `T` samples at a time through *all* of its steps before it
-//! touches the next `T`, so the padded planes a convolution writes are
-//! still cache-resident when its register tiles read them, their rows
-//! when the epilogue reads them, and one step's output when the next step
-//! copies it. `T` is fixed at compile time from the plan's own step
-//! shapes as the largest count whose padded planes + rows / i32
-//! accumulators + quantized input + ping/pong intermediates (plus the
+//! touches the next `T`, so the padded planes an epilogue writes are
+//! still cache-resident when the next convolution's register tiles read
+//! them, and their rows when its epilogue does. `T` is fixed at compile
+//! time from the plan's own step shapes as the largest count whose padded
+//! planes + rows / i32 accumulators + ping/pong intermediates (plus the
 //! attention scratch, which does not scale with `T`) fit `TILE_BYTES`
 //! (256 KiB, beside the register-tile constants in [`crate::backend`]) —
-//! at least one sample. For the canonical model that is three samples
-//! for a stem (f32 and int8), seven for a one-sensor f32 branch (three
-//! with all four sensors), eight for its int8 twin and four for the
-//! learned gates. The arena holds exactly those buffers, for at most one
-//! tile — it grows to the largest tile a plan has actually run, so its
-//! size is O(tile), not O(batch), and a plan that only serves batch 1
-//! keeps one sample's worth. Nothing in it survives from one tile to the
-//! next and every position a step reads was written by the step before
-//! it, so no buffer is ever cleared.
+//! at least one sample. For the canonical model that is seven samples for
+//! a stem (f32 and int8: its planes and its rows; the unpooled map lies
+//! nowhere), twelve for a one-sensor f32 branch (five with all four
+//! sensors), twenty-three for its int8 twin and four for the learned
+//! gates. The arena holds exactly those buffers, for at most one tile —
+//! it grows to the largest tile a plan has actually run, so its size is
+//! O(tile), not O(batch), and a plan that only serves batch 1 keeps one
+//! sample's worth. Nothing in it survives from one tile to the next, and
+//! every cell a step reads was written by the step before it or zeroed
+//! by whoever wrote the planes around it, so no buffer is cleared between
+//! tiles — debug builds, and so every test, fill the whole arena with NaN
+//! before each tile to hold that to account.
 //!
 //! Results cannot depend on how a batch is cut into tiles: every output
 //! element is one accumulation chain over its own sample's patch
 //! (ascending-k `mul_add` from zero in f32, exact i32 sums in int8), the
 //! epilogues, pooling and attention are per element or per sample, and
-//! the copy into planes is pure data movement — no step reads across
-//! samples (what a short run's spare lanes read is dropped, never
+//! writing planes is data movement (and per-element rounding) — no step
+//! reads across samples (what a short run's spare lanes read is dropped, never
 //! stored). A batch of `N` therefore equals the concatenation of `N`
 //! batch-1 runs bit for bit (property-tested in
 //! `crates/tensor/tests/prop_tiles.rs`).
@@ -115,7 +155,12 @@
 //!   is not associative), then `v.max(0.0)`.
 //! * int8: integer accumulation is exact, and the epilogue mirrors the
 //!   eager per-element order `v = acc·(s_x·s_w[c]) + bias[c]`, then
-//!   `v·scale[c] + shift[c]`, then `v.max(0.0)`.
+//!   `v·scale[c] + shift[c]`, then `v.max(0.0)`; where it requantizes,
+//!   it rounds that `v` with the quantizer the next stage of the eager
+//!   pipe applies to it.
+//! * pooling: `v > best` from −∞ over the window's values, row by row
+//!   and left to right, as `MaxPool2d` — which zero of two signs and
+//!   which of several NaN-free maxima wins depends on that order.
 //! * attention: the same GEMM entry points on the same operands in the
 //!   same order as [`SelfAttention2d`]'s forward, and the shared
 //!   row-softmax routine.
@@ -134,10 +179,10 @@
 //! precision) and invalidated on weight mutation, mirroring the
 //! quantization image's invalidation discipline.
 
-use crate::backend::{self, conv2d_rows_t, Backend, Blocked, DirectConv, TILE_BYTES};
+use crate::backend::{conv2d_rows_t, Backend, Blocked, DirectConv, RUN, TILE_BYTES};
 use crate::layer::{BatchNorm2d, Conv2d, Linear, SelfAttention2d, Sequential};
 use crate::quant::{
-    conv_rows_t_i8, quantize_activation_pairs, PackedConvWeights, QuantConv2d, QuantPipe,
+    conv_rows_t_i8, quantize_planes, quantize_value, PackedConvWeights, QuantConv2d, QuantPipe,
     QuantStage,
 };
 use crate::tensor::{softmax_rows_in_place, Tensor};
@@ -177,14 +222,22 @@ impl BnFold {
 /// replicas cannot share or regrow per-layer scratch through a plan.
 #[derive(Debug, Clone)]
 enum Op {
-    /// `Conv2d` with optional folded `BatchNorm2d` and ReLU in the
-    /// write-back epilogue. `direct` is the step's geometry and the
-    /// offset table of its direct convolution, built here once.
-    ConvF32 { weight: Tensor, bias: Vec<f32>, direct: DirectConv, bn: Option<BnFold>, relu: bool },
-    /// Int8 convolution with dequant + folded-BN affine + ReLU fused
-    /// into the i32-accumulator write-back. The weights are pair-packed
-    /// for the kernel and `deq[c] = act_scale · w_scale[c]` precomputed,
-    /// both at compile time.
+    /// `Conv2d` with optional folded `BatchNorm2d`, ReLU and max pooling
+    /// (stride = kernel) in the write-back epilogue. `direct` is the
+    /// step's geometry and the offset table of its direct convolution,
+    /// built here once.
+    ConvF32 {
+        weight: Tensor,
+        bias: Vec<f32>,
+        direct: DirectConv,
+        bn: Option<BnFold>,
+        relu: bool,
+        pool: Option<usize>,
+    },
+    /// Int8 convolution with dequant + folded-BN affine + ReLU (+ max
+    /// pooling) fused into the i32-accumulator write-back. The weights
+    /// are pair-packed for the kernel and `deq[c] = act_scale ·
+    /// w_scale[c]` precomputed, both at compile time.
     ConvI8 {
         weights: PackedConvWeights,
         /// The addressing of the same convolution over channel pairs.
@@ -194,10 +247,15 @@ enum Op {
         act_scale: f32,
         affine: Option<(Vec<f32>, Vec<f32>)>,
         relu: bool,
+        pool: Option<usize>,
     },
     /// `Linear` with bias (+ optional ReLU) in the GEMM write-back.
-    LinearF32 { weight: Tensor, bias: Vec<f32>, relu: bool },
-    /// Max pooling, stride = kernel (the eval fast path of `MaxPool2d`).
+    /// `weight_t` is the layer's `(out, in)` weight transposed to
+    /// `(in, out)` once, here — the operand `gemm_nt` would re-pack for
+    /// every tile.
+    LinearF32 { weight_t: Tensor, bias: Vec<f32>, relu: bool },
+    /// Max pooling, stride = kernel (the eval fast path of `MaxPool2d`),
+    /// where no convolution comes before it to pool in its epilogue.
     MaxPool { kernel: usize },
     /// Residual single-head self-attention over the spatial positions,
     /// one sample at a time. `proj` is `[Wq, Wk, Wv, Wo]`, each `(C, C)`.
@@ -206,8 +264,38 @@ enum Op {
     Flatten,
 }
 
+impl Op {
+    fn is_conv(&self) -> bool {
+        matches!(self, Op::ConvF32 { .. } | Op::ConvI8 { .. })
+    }
+
+    /// Whether the epilogue can store rows through a consuming
+    /// convolution's addressing: a convolution that does not pool.
+    fn feeds_planes(&self) -> bool {
+        matches!(self, Op::ConvF32 { pool: None, .. } | Op::ConvI8 { pool: None, .. })
+    }
+}
+
+/// Where a step finds or leaves one tile of activations. Resolved for
+/// every step when the plan is finished, from the step on either side of
+/// it, so each activation is written once, in the layout its reader
+/// wants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Loc {
+    /// The caller's input blocks, or the caller's output tensor.
+    Caller,
+    /// Plain `(T, …)` rows in one of the two intermediate buffers.
+    Ping,
+    /// See [`Loc::Ping`].
+    Pong,
+    /// The padded planes of convolution step `.0`: written by the
+    /// epilogue of the convolution before it, read by its register tiles.
+    Planes(usize),
+}
+
 /// One plan step: a fused op plus its compile-time-resolved per-sample
-/// shapes (no batch axis) and their element counts.
+/// shapes (no batch axis), their element counts, and where it reads and
+/// writes.
 #[derive(Debug, Clone)]
 struct Step {
     op: Op,
@@ -215,6 +303,8 @@ struct Step {
     out_shape: Vec<usize>,
     in_numel: usize,
     out_numel: usize,
+    src: Loc,
+    dst: Loc,
 }
 
 /// The lowering buffers of one plan, never cleared: each step overwrites
@@ -226,8 +316,6 @@ struct Lowering {
     planes: Vec<f32>,
     /// Pre-bias convolution rows `(C_out, T·Ho·Wo)`.
     rows: Vec<f32>,
-    /// Quantized activations, channel pairs `(T, ⌈C/2⌉, H, W)`.
-    qx: Vec<[i8; 2]>,
     /// The same planes of an int8 convolution, channel pairs.
     planes_i8: Vec<[i8; 2]>,
     /// i32 accumulators of an int8 convolution, laid out like `rows`.
@@ -237,17 +325,15 @@ struct Lowering {
     attn: Vec<f32>,
 }
 
-/// Per-sample element counts of a plan's tiled buffers (`qx` and
-/// `planes_i8` hold 2-byte channel pairs, the rest 4-byte elements) and
-/// the per-plan attention scratch — what the tile rule divides the
-/// budget by.
+/// Per-sample element counts of a plan's tiled buffers (`planes_i8` holds
+/// 2-byte channel pairs, the rest 4-byte elements) and the per-plan
+/// attention scratch — what the tile rule divides the budget by.
 #[derive(Debug, Clone, Copy, Default)]
 struct ArenaSpec {
     ping: usize,
     pong: usize,
     planes: usize,
     rows: usize,
-    qx: usize,
     planes_i8: usize,
     acc: usize,
     attn: usize,
@@ -274,16 +360,32 @@ impl PlanArena {
         }
         // One run of slack behind the planes (`DirectConv::scratch_len`)
         // of a plan that has any.
-        let planes = |cells: usize| if cells == 0 { 0 } else { samples * cells + backend::RUN };
+        let planes = |cells: usize| if cells == 0 { 0 } else { samples * cells + RUN };
         self.ping.resize(samples * spec.ping, 0.0);
         self.pong.resize(samples * spec.pong, 0.0);
         self.low.planes.resize(planes(spec.planes), 0.0);
         self.low.rows.resize(samples * spec.rows, 0.0);
-        self.low.qx.resize(samples * spec.qx, [0; 2]);
         self.low.planes_i8.resize(planes(spec.planes_i8), [0; 2]);
         self.low.acc.resize(samples * spec.acc, 0);
         self.low.attn.resize(spec.attn, 0.0);
         self.samples = samples;
+    }
+
+    /// The buffer rule made executable (debug builds, so every test):
+    /// nothing in the arena survives from one tile to the next, so
+    /// before each tile every buffer is filled with what no step writes —
+    /// NaN, and for the integer buffers values outside the quantizer's
+    /// range. A step that read a pad cell its writer did not zero, or a
+    /// row the step before did not write, would carry it into the
+    /// output.
+    #[cfg(debug_assertions)]
+    fn poison(&mut self) {
+        for buf in [&mut self.ping, &mut self.pong, &mut self.low.planes, &mut self.low.rows] {
+            buf.fill(f32::NAN);
+        }
+        self.low.attn.fill(f32::NAN);
+        self.low.planes_i8.fill([i8::MIN; 2]);
+        self.low.acc.fill(i32::MIN);
     }
 }
 
@@ -300,9 +402,10 @@ pub struct CompiledPlan {
     out_shape: Vec<usize>,
     /// Samples taken through all steps at a time.
     tile: usize,
-    /// Index of the last step that moves data (everything after is
-    /// `Flatten` shape bookkeeping); `None` when no step moves data.
-    last_compute: Option<usize>,
+    /// Whether the first step that moves data is no convolution: it needs
+    /// its tile in one piece, so the caller's blocks are copied into
+    /// `pong` first. (A convolution lowers them into its planes itself.)
+    stage_input: bool,
 }
 
 impl CompiledPlan {
@@ -329,11 +432,15 @@ impl CompiledPlan {
     /// (convolutions, linears, attention) — the operation count a
     /// throughput figure divides by.
     pub fn macs_per_sample(&self) -> usize {
+        let conv = |direct: &DirectConv, patch: usize| {
+            let [ho, wo] = direct.out_hw();
+            direct.spec().out_channels * ho * wo * patch
+        };
         self.steps
             .iter()
             .map(|step| match &step.op {
-                Op::ConvF32 { direct, .. } => step.out_numel * direct.spec().patch_len(),
-                Op::ConvI8 { weights, .. } => step.out_numel * weights.spec().patch_len(),
+                Op::ConvF32 { direct, .. } => conv(direct, direct.spec().patch_len()),
+                Op::ConvI8 { weights, direct, .. } => conv(direct, weights.spec().patch_len()),
                 Op::LinearF32 { .. } => step.in_numel * step.out_numel,
                 Op::SelfAttention { .. } => {
                     let c = step.in_shape[0];
@@ -365,7 +472,8 @@ impl CompiledPlan {
 
     /// Runs the plan into a caller-owned output tensor: the steady-state
     /// zero-allocation path at any batch size (no heap allocation once
-    /// per-thread GEMM pack buffers are warm).
+    /// per-thread GEMM pack buffers are warm). The one-block-per-sample
+    /// case of [`CompiledPlan::execute_blocks_into`].
     ///
     /// # Panics
     /// Panics if the trailing dimensions of `x` or `out` do not match
@@ -376,153 +484,426 @@ impl CompiledPlan {
             &self.in_shape[..],
             "plan compiled for a different input shape"
         );
+        let (n, data) = (x.shape()[0], x.data());
+        let per = data.len() / n.max(1);
+        self.run(n, 1, &|b| &data[b * per..(b + 1) * per], out);
+    }
+
+    /// Runs the plan over samples that lie scattered: sample `b` is the
+    /// channel-wise concatenation of `blocks[b·per_sample..][..per_sample]`,
+    /// each a whole number of its channels. The first step reads the
+    /// blocks where they are — a convolution lowers (or quantizes) them
+    /// straight into its planes — so a caller that holds the parts of its
+    /// input in different places concatenates nothing.
+    ///
+    /// # Panics
+    /// Panics if `blocks` is not a whole number of samples of the
+    /// compiled per-sample shape, or `out` is not the plan's output for
+    /// that many.
+    pub fn execute_blocks_into(&mut self, blocks: &[&[f32]], per_sample: usize, out: &mut Tensor) {
+        assert!(
+            per_sample > 0 && blocks.len().is_multiple_of(per_sample),
+            "{} blocks are not whole samples of {per_sample}",
+            blocks.len()
+        );
+        self.run(blocks.len() / per_sample, per_sample, &|i| blocks[i], out);
+    }
+
+    /// The executor: `n` samples, sample `b` made of blocks `b·per_sample
+    /// ..` of `block`, one tile through every step before the next tile
+    /// starts.
+    fn run<'a>(
+        &mut self,
+        n: usize,
+        per_sample: usize,
+        block: &dyn Fn(usize) -> &'a [f32],
+        out: &mut Tensor,
+    ) {
         assert_eq!(&out.shape()[1..], &self.out_shape[..], "plan output shape mismatch");
-        let n = x.shape()[0];
         assert_eq!(out.shape()[0], n, "plan output batch mismatch");
-        let Some(last_compute) = self.last_compute else {
+        let in_numel: usize = self.in_shape.iter().product();
+        for b in 0..n {
+            let len: usize = (0..per_sample).map(|j| block(b * per_sample + j).len()).sum();
+            assert_eq!(len, in_numel, "plan compiled for a different input shape");
+        }
+        if self.steps.iter().all(|step| matches!(step.op, Op::Flatten)) {
             // Shape-only plan (empty or all-Flatten): copy through.
-            out.data_mut().copy_from_slice(x.data());
+            let mut out = out.data_mut();
+            for i in 0..n * per_sample {
+                let (head, rest) = out.split_at_mut(block(i).len());
+                head.copy_from_slice(block(i));
+                out = rest;
+            }
             return;
-        };
-        let (in_per, out_per) = (x.len() / n.max(1), out.len() / n.max(1));
+        }
+        let out_per = out.len() / n.max(1);
         self.arena.reserve(&self.spec, self.tile.min(n));
         // `steps` and `arena` are disjoint fields, so the plan can read
         // its program while mutating its scratch.
         let steps = &self.steps;
-        let PlanArena { ping, pong, low, .. } = &mut self.arena;
-        // Which buffer holds the current intermediate activation.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Loc {
-            Input,
-            Ping,
-            Pong,
-        }
         let mut t0 = 0;
         while t0 < n {
-            // One tile through every step before the next tile starts.
             let tn = self.tile.min(n - t0);
-            let x_tile = &x.data()[t0 * in_per..(t0 + tn) * in_per];
+            #[cfg(debug_assertions)]
+            self.arena.poison();
+            let PlanArena { ping, pong, low, .. } = &mut self.arena;
             let out_tile = &mut out.data_mut()[t0 * out_per..(t0 + tn) * out_per];
-            let mut cur = Loc::Input;
-            for (i, step) in steps.iter().enumerate() {
-                if matches!(step.op, Op::Flatten) {
-                    continue;
+            let caller = |b: usize, j: usize| block((t0 + b) * per_sample + j);
+            if self.stage_input {
+                let mut staged = &mut pong[..tn * in_numel];
+                for i in t0 * per_sample..(t0 + tn) * per_sample {
+                    let (head, rest) = staged.split_at_mut(block(i).len());
+                    head.copy_from_slice(block(i));
+                    staged = rest;
                 }
-                let (in_len, out_len) = (tn * step.in_numel, tn * step.out_numel);
-                let to_out = i == last_compute;
-                let (src, dst, next): (&[f32], &mut [f32], Loc) = match (cur, to_out) {
-                    (Loc::Input, true) => (x_tile, &mut *out_tile, cur),
-                    (Loc::Input, false) => (x_tile, &mut ping[..out_len], Loc::Ping),
-                    (Loc::Ping, true) => (&ping[..in_len], &mut *out_tile, cur),
-                    (Loc::Ping, false) => (&ping[..in_len], &mut pong[..out_len], Loc::Pong),
-                    (Loc::Pong, true) => (&pong[..in_len], &mut *out_tile, cur),
-                    (Loc::Pong, false) => (&pong[..in_len], &mut ping[..out_len], Loc::Ping),
+            }
+            for step in steps.iter().filter(|step| !matches!(step.op, Op::Flatten)) {
+                let (src, dst) = match (step.src, step.dst) {
+                    (Loc::Ping, Loc::Pong) => (Some(&ping[..]), Some(&mut pong[..])),
+                    (Loc::Pong, Loc::Ping) => (Some(&pong[..]), Some(&mut ping[..])),
+                    (Loc::Ping, _) => (Some(&ping[..]), None),
+                    (Loc::Pong, _) => (Some(&pong[..]), None),
+                    (_, Loc::Ping) => (None, Some(&mut ping[..])),
+                    (_, Loc::Pong) => (None, Some(&mut pong[..])),
+                    _ => (None, None),
                 };
-                run_step(step, tn, src, dst, low);
-                cur = next;
-                if to_out {
-                    break;
-                }
+                let input = match (step.src, src) {
+                    (Loc::Planes(_), _) => Input::Planes,
+                    (_, Some(src)) => Input::Plain(&src[..tn * step.in_numel]),
+                    (_, None) => Input::Caller(&caller, per_sample),
+                };
+                let (consumer, dst) = match step.dst {
+                    Loc::Planes(reader) => (Some(&steps[reader].op), None),
+                    Loc::Caller => (None, Some(&mut *out_tile)),
+                    Loc::Ping | Loc::Pong => (None, dst.map(|dst| &mut dst[..tn * step.out_numel])),
+                };
+                run_step(step, tn, input, consumer, dst, low);
             }
             t0 += tn;
         }
     }
 }
 
-/// Executes one fused step over `n` samples from `src` into `dst` using
-/// the plan's lowering buffers.
-fn run_step(step: &Step, n: usize, src: &[f32], dst: &mut [f32], low: &mut Lowering) {
-    match &step.op {
-        Op::ConvF32 { weight, bias, direct, bn, relu } => {
-            let co = direct.spec().out_channels;
-            let plane = step.out_shape[1] * step.out_shape[2];
-            let rows = &mut low.rows[..co * n * plane];
-            conv2d_rows_t(src, n, weight.data(), direct, &mut low.planes, rows);
-            // Fused write-back: bias, batch-norm eval affine, ReLU — the
-            // exact eager per-element arithmetic, in the eager order.
-            // The channel-major rows make both sides of the epilogue
-            // contiguous: each (sample, channel) pair streams one run of
-            // them straight into its NCHW plane with scalar per-channel
-            // constants, so the inner loop vectorizes with no scatter.
-            let m_total = n * plane;
-            for b in 0..n {
-                for c in 0..co {
-                    let run = &rows[c * m_total + b * plane..c * m_total + (b + 1) * plane];
-                    let out = &mut dst[(b * co + c) * plane..(b * co + c + 1) * plane];
-                    let bias_c = bias[c];
-                    if let Some(f) = bn {
-                        let (g, mu, is, bt) = (f.gamma[c], f.mean[c], f.inv_std[c], f.beta[c]);
-                        if *relu {
-                            for (o, &r) in out.iter_mut().zip(run) {
-                                *o = (g * (((r + bias_c) - mu) * is) + bt).max(0.0);
+/// What one step reads.
+enum Input<'s, 'a> {
+    /// The caller's blocks: `(sample of the tile, block of the sample)`
+    /// and the blocks per sample. Convolutions only — any other first
+    /// step has them staged (`CompiledPlan::stage_input`).
+    Caller(&'s dyn Fn(usize, usize) -> &'a [f32], usize),
+    /// `(T, …)` rows in ping or pong.
+    Plain(&'s [f32]),
+    /// The step's own planes, written by the epilogue before it.
+    Planes,
+}
+
+/// Where a convolution's epilogue stores its rows.
+enum Sink<'a> {
+    /// NCHW `(T, C_out, Ho, Wo)`: ping, pong or the caller's output.
+    Plain(&'a mut [f32]),
+    /// The planes of the f32 convolution that reads next.
+    F32(&'a DirectConv, &'a mut [f32]),
+    /// The planes of the int8 convolution that reads next and `1 /` its
+    /// activation scale: the epilogue requantizes.
+    I8(&'a DirectConv, f32, &'a mut [[i8; 2]]),
+}
+
+impl<'a> Sink<'a> {
+    fn new(
+        consumer: Option<&'a Op>,
+        dst: Option<&'a mut [f32]>,
+        planes: &'a mut [f32],
+        planes_i8: &'a mut [[i8; 2]],
+    ) -> Sink<'a> {
+        match (consumer, dst) {
+            (Some(Op::ConvF32 { direct, .. }), _) => Sink::F32(direct, planes),
+            (Some(Op::ConvI8 { direct, act_scale, .. }), _) => {
+                Sink::I8(direct, 1.0 / act_scale, planes_i8)
+            }
+            (None, Some(dst)) => Sink::Plain(dst),
+            _ => unreachable!("`finish` gives every step a destination"),
+        }
+    }
+}
+
+/// An accumulator that can hold, in its own place, the f32 value the
+/// epilogue makes of it (an `i32` by its bit pattern).
+trait Held: Copy {
+    fn hold(v: f32) -> Self;
+    fn held(self) -> f32;
+}
+
+impl Held for f32 {
+    fn hold(v: f32) -> f32 {
+        v
+    }
+    fn held(self) -> f32 {
+        self
+    }
+}
+
+impl Held for i32 {
+    fn hold(v: f32) -> i32 {
+        v.to_bits() as i32
+    }
+    fn held(self) -> f32 {
+        f32::from_bits(self as u32)
+    }
+}
+
+/// The write-back of a convolution: `value(c)` of every accumulator of
+/// output channel `c` — the epilogue's per-element arithmetic, its
+/// channel constants captured — streamed from the channel-major `acc`
+/// (`(C_out, n·Ho·Wo)`, one contiguous run per (sample, channel)) to
+/// wherever the next step reads it, once:
+///
+/// * plain NCHW rows, each (sample, channel) run into its plane;
+/// * the same, max-pooled `pool × pool` on the way: a run's values are
+///   held in place of its accumulators, then each window's are compared
+///   in `MaxPool2d`'s order (`v > best`, row by row, from −∞) — the
+///   unpooled map is written nowhere else;
+/// * the planes of the convolution that reads next, each (sample,
+///   channel) run through its [`DirectConv::store_plane`] — an int8
+///   reader's two output channels at a time, `quantize_value` of each f32
+///   value at the reader's scale into its channel pair.
+fn write_back<A: Held, F: Fn(A) -> f32>(
+    acc: &mut [A],
+    [n, co, ho, wo]: [usize; 4],
+    pool: Option<usize>,
+    value: impl Fn(usize) -> F,
+    sink: Sink<'_>,
+) {
+    let plane = ho * wo;
+    // Where the run of (sample, channel) starts.
+    let at = |b: usize, c: usize| c * n * plane + b * plane;
+    let run = |b: usize, c: usize| &acc[at(b, c)..][..plane];
+    match (sink, pool) {
+        (Sink::Plain(dst), None) => {
+            for (i, out) in dst.chunks_exact_mut(plane).enumerate() {
+                let f = value(i % co);
+                for (o, &a) in out.iter_mut().zip(run(i / co, i % co)) {
+                    *o = f(a);
+                }
+            }
+        }
+        (Sink::Plain(dst), Some(k)) => {
+            let (hp, wp) = (ho / k, wo / k);
+            for (i, out) in dst.chunks_exact_mut(hp * wp).enumerate() {
+                // Two passes over one (sample, channel) run, which stays
+                // in L1: its values, held in place of the accumulators
+                // they are made of — one flat loop, as the unpooled
+                // write-back is — then each window's comparisons.
+                let (f, run) = (value(i % co), &mut acc[at(i / co, i % co)..][..plane]);
+                for a in run.iter_mut() {
+                    *a = A::hold(f(*a));
+                }
+                for (out_row, rows) in out.chunks_exact_mut(wp).zip(run.chunks_exact(k * wo)) {
+                    // The model's only pool, `RUN` windows at a time
+                    // through arrays of a fixed size, which the compiler
+                    // turns into two shuffles and three selects; the
+                    // order is that of the loop below.
+                    let done = if k == 2 { wp / RUN * RUN } else { 0 };
+                    let (r0, r1) = rows.split_at(wo);
+                    let cols = r0.chunks_exact(2 * RUN).zip(r1.chunks_exact(2 * RUN));
+                    for (o, (c0, c1)) in out_row[..done].chunks_exact_mut(RUN).zip(cols) {
+                        o.copy_from_slice(&std::array::from_fn::<f32, RUN, _>(|x| {
+                            let mut best = f32::NEG_INFINITY;
+                            for v in [c0[2 * x], c0[2 * x + 1], c1[2 * x], c1[2 * x + 1]] {
+                                if v.held() > best {
+                                    best = v.held();
+                                }
                             }
-                        } else {
-                            for (o, &r) in out.iter_mut().zip(run) {
-                                *o = g * (((r + bias_c) - mu) * is) + bt;
+                            best
+                        }));
+                    }
+                    for (ox, o) in out_row.iter_mut().enumerate().skip(done) {
+                        let mut best = f32::NEG_INFINITY;
+                        for row in rows.chunks_exact(wo) {
+                            for v in &row[ox * k..][..k] {
+                                if v.held() > best {
+                                    best = v.held();
+                                }
                             }
                         }
-                    } else if *relu {
-                        for (o, &r) in out.iter_mut().zip(run) {
-                            *o = (r + bias_c).max(0.0);
-                        }
-                    } else {
-                        for (o, &r) in out.iter_mut().zip(run) {
-                            *o = r + bias_c;
-                        }
+                        *o = best;
                     }
                 }
             }
         }
-        Op::ConvI8 { weights, direct, deq, bias, act_scale, affine, relu } => {
-            let [c, h, w] = [step.in_shape[0], step.in_shape[1], step.in_shape[2]];
-            let co = step.out_shape[0];
-            let plane = step.out_shape[1] * step.out_shape[2];
-            let rows_n = n * plane;
-            let qx = &mut low.qx[..n * c.div_ceil(2) * h * w];
-            quantize_activation_pairs(src, [n, c, h * w], *act_scale, qx);
+        (Sink::F32(reader, cells), None) => {
+            reader.clear(cells, n, 0.0);
+            for p in 0..n * co {
+                let f = value(p % co);
+                reader.store_plane(cells, p, [run(p / co, p % co)], |[a]| f(a));
+            }
+        }
+        (Sink::I8(reader, inv, cells), None) => {
+            reader.clear(cells, n, [0; 2]);
+            let pairs = co.div_ceil(2);
+            for p in 0..n * pairs {
+                let (b, c) = (p / pairs, 2 * (p % pairs));
+                let (f0, even) = (value(c), run(b, c));
+                if c + 1 < co {
+                    let (f1, odd) = (value(c + 1), run(b, c + 1));
+                    reader.store_plane(cells, p, [even, odd], |[a0, a1]| {
+                        [quantize_value(f0(a0), inv), quantize_value(f1(a1), inv)]
+                    });
+                } else {
+                    reader.store_plane(cells, p, [even], |[a]| [quantize_value(f0(a), inv), 0]);
+                }
+            }
+        }
+        (Sink::F32(..) | Sink::I8(..), Some(_)) => {
+            unreachable!("a pooling convolution writes plain rows")
+        }
+    }
+}
+
+/// Executes one fused step over `n` samples using the plan's lowering
+/// buffers: from `input` to `dst`, or into the planes of `consumer`.
+fn run_step(
+    step: &Step,
+    n: usize,
+    input: Input<'_, '_>,
+    consumer: Option<&Op>,
+    dst: Option<&mut [f32]>,
+    low: &mut Lowering,
+) {
+    let Lowering { planes, rows, planes_i8, acc, attn } = low;
+    /// What every step but a convolution reads and writes.
+    fn plain<'s>(input: Input<'s, '_>, dst: Option<&'s mut [f32]>) -> (&'s [f32], &'s mut [f32]) {
+        match (input, dst) {
+            (Input::Plain(src), Some(dst)) => (src, dst),
+            _ => unreachable!("`finish` stages what a first step that is no convolution reads"),
+        }
+    }
+    match &step.op {
+        Op::ConvF32 { weight, bias, direct, bn, relu, pool } => {
+            let ([ho, wo], channels) = (direct.out_hw(), direct.spec().in_channels);
+            let co = direct.spec().out_channels;
+            match input {
+                Input::Planes => {}
+                Input::Plain(src) => direct.lower(src, n, 0.0, planes),
+                Input::Caller(block, per_sample) => {
+                    direct.clear(planes, n, 0.0);
+                    let [h, w] = direct.in_hw();
+                    for b in 0..n {
+                        let mut p = b * channels;
+                        for block in (0..per_sample).map(|j| block(b, j)) {
+                            direct.store_planes(planes, p, block);
+                            p += block.len() / (h * w);
+                        }
+                    }
+                }
+            }
+            let rows = &mut rows[..co * n * ho * wo];
+            conv2d_rows_t(planes, n, weight.data(), direct, rows);
+            // Fused write-back: bias, batch-norm eval affine, ReLU — the
+            // exact eager per-element arithmetic, in the eager order.
+            let (dims, sink) = ([n, co, ho, wo], Sink::new(consumer, dst, planes, planes_i8));
+            match (bn, relu) {
+                (Some(f), true) => {
+                    let value = |c: usize| {
+                        let (g, mu, is, bt) = (f.gamma[c], f.mean[c], f.inv_std[c], f.beta[c]);
+                        let bias_c = bias[c];
+                        move |r: f32| (g * (((r + bias_c) - mu) * is) + bt).max(0.0)
+                    };
+                    write_back(rows, dims, *pool, value, sink);
+                }
+                (Some(f), false) => {
+                    let value = |c: usize| {
+                        let (g, mu, is, bt) = (f.gamma[c], f.mean[c], f.inv_std[c], f.beta[c]);
+                        let bias_c = bias[c];
+                        move |r: f32| g * (((r + bias_c) - mu) * is) + bt
+                    };
+                    write_back(rows, dims, *pool, value, sink);
+                }
+                (None, true) => {
+                    let value = |c: usize| {
+                        let bias_c = bias[c];
+                        move |r: f32| (r + bias_c).max(0.0)
+                    };
+                    write_back(rows, dims, *pool, value, sink);
+                }
+                (None, false) => {
+                    let value = |c: usize| {
+                        let bias_c = bias[c];
+                        move |r: f32| r + bias_c
+                    };
+                    write_back(rows, dims, *pool, value, sink);
+                }
+            }
+        }
+        Op::ConvI8 { weights, direct, deq, bias, act_scale, affine, relu, pool } => {
+            let ([h, w], [ho, wo]) = (direct.in_hw(), direct.out_hw());
+            let (co, pairs) = (weights.spec().out_channels, direct.spec().in_channels);
+            match input {
+                Input::Planes => {}
+                Input::Plain(src) => {
+                    direct.clear(planes_i8, n, [0; 2]);
+                    for (b, sample) in src.chunks_exact(step.in_numel).enumerate() {
+                        let channels = sample.chunks_exact(h * w);
+                        quantize_planes(direct, planes_i8, b * pairs, channels, *act_scale);
+                    }
+                }
+                Input::Caller(block, per_sample) => {
+                    direct.clear(planes_i8, n, [0; 2]);
+                    for b in 0..n {
+                        let channels = (0..per_sample).flat_map(|j| {
+                            let block = block(b, j);
+                            assert!(block.len().is_multiple_of(h * w), "not whole {h}x{w} planes");
+                            block.chunks_exact(h * w)
+                        });
+                        quantize_planes(direct, planes_i8, b * pairs, channels, *act_scale);
+                    }
+                }
+            }
             // i32 accumulation is exact, so the summation order is
             // immaterial and the accumulators land channel-major — one
-            // contiguous run per (sample, channel) for the epilogue
-            // below.
-            let acc = &mut low.acc[..co * rows_n];
-            conv_rows_t_i8(qx, n, weights, direct, &mut low.planes_i8, acc);
+            // contiguous run per (sample, channel) for the write-back.
+            let acc = &mut acc[..co * n * ho * wo];
+            conv_rows_t_i8(planes_i8, n, weights, direct, acc);
             // Fused dequant + folded-BN affine + ReLU straight off the
             // i32 accumulators — the eager pipe's per-element op order
             // (Conv dequant+bias, Affine, ReLU) without the two
             // intermediate tensors.
-            for b in 0..n {
-                for ci in 0..co {
-                    let run = &acc[ci * rows_n + b * plane..ci * rows_n + (b + 1) * plane];
-                    let out = &mut dst[(b * co + ci) * plane..(b * co + ci + 1) * plane];
-                    let (dq, bias_c) = (deq[ci], bias[ci]);
-                    if let Some((s, t)) = affine {
-                        let (sc, sh) = (s[ci], t[ci]);
-                        if *relu {
-                            for (o, &a) in out.iter_mut().zip(run) {
-                                *o = ((a as f32 * dq + bias_c) * sc + sh).max(0.0);
-                            }
-                        } else {
-                            for (o, &a) in out.iter_mut().zip(run) {
-                                *o = (a as f32 * dq + bias_c) * sc + sh;
-                            }
-                        }
-                    } else if *relu {
-                        for (o, &a) in out.iter_mut().zip(run) {
-                            *o = (a as f32 * dq + bias_c).max(0.0);
-                        }
-                    } else {
-                        for (o, &a) in out.iter_mut().zip(run) {
-                            *o = a as f32 * dq + bias_c;
-                        }
-                    }
+            let (dims, sink) = ([n, co, ho, wo], Sink::new(consumer, dst, planes, planes_i8));
+            match (affine, relu) {
+                (Some((s, t)), true) => {
+                    let value = |c: usize| {
+                        let (dq, bias_c, sc, sh) = (deq[c], bias[c], s[c], t[c]);
+                        move |a: i32| ((a as f32 * dq + bias_c) * sc + sh).max(0.0)
+                    };
+                    write_back(acc, dims, *pool, value, sink);
+                }
+                (Some((s, t)), false) => {
+                    let value = |c: usize| {
+                        let (dq, bias_c, sc, sh) = (deq[c], bias[c], s[c], t[c]);
+                        move |a: i32| (a as f32 * dq + bias_c) * sc + sh
+                    };
+                    write_back(acc, dims, *pool, value, sink);
+                }
+                (None, true) => {
+                    let value = |c: usize| {
+                        let (dq, bias_c) = (deq[c], bias[c]);
+                        move |a: i32| (a as f32 * dq + bias_c).max(0.0)
+                    };
+                    write_back(acc, dims, *pool, value, sink);
+                }
+                (None, false) => {
+                    let value = |c: usize| {
+                        let (dq, bias_c) = (deq[c], bias[c]);
+                        move |a: i32| a as f32 * dq + bias_c
+                    };
+                    write_back(acc, dims, *pool, value, sink);
                 }
             }
         }
-        Op::LinearF32 { weight, bias, relu } => {
+        Op::LinearF32 { weight_t, bias, relu } => {
+            let (src, dst) = plain(input, dst);
             let (in_f, out_f) = (step.in_numel, step.out_numel);
             // GEMM methods write into a caller-zeroed buffer.
             dst.fill(0.0);
-            Blocked.gemm_nt(n, in_f, out_f, src, weight.data(), dst);
+            Blocked.gemm(n, in_f, out_f, src, weight_t.data(), dst);
             for row in dst.chunks_exact_mut(out_f) {
                 for (v, b) in row.iter_mut().zip(bias) {
                     *v += b;
@@ -535,40 +916,11 @@ fn run_step(step: &Step, n: usize, src: &[f32], dst: &mut [f32], low: &mut Lower
             }
         }
         Op::MaxPool { kernel } => {
+            let (src, dst) = plain(input, dst);
             let [c, h, w] = [step.in_shape[0], step.in_shape[1], step.in_shape[2]];
             let k = *kernel;
             let (ho, wo) = (h / k, w / k);
             // The eval fast path of `MaxPool2d::forward`, on arena slices.
-            // The 2×2 case (the model's only pool) walks both input rows
-            // pairwise with the same per-element comparison sequence as
-            // the generic loop, minus the per-window slicing.
-            if k == 2 {
-                for plane in 0..n * c {
-                    let base = plane * h * w;
-                    for oy in 0..ho {
-                        let r0 = &src[base + (oy * 2) * w..base + (oy * 2) * w + w];
-                        let r1 = &src[base + (oy * 2 + 1) * w..base + (oy * 2 + 1) * w + w];
-                        let out_row = &mut dst[(plane * ho + oy) * wo..(plane * ho + oy + 1) * wo];
-                        for ((out, c0), c1) in
-                            out_row.iter_mut().zip(r0.chunks_exact(2)).zip(r1.chunks_exact(2))
-                        {
-                            let mut best = f32::NEG_INFINITY;
-                            for &v in c0 {
-                                if v > best {
-                                    best = v;
-                                }
-                            }
-                            for &v in c1 {
-                                if v > best {
-                                    best = v;
-                                }
-                            }
-                            *out = best;
-                        }
-                    }
-                }
-                return;
-            }
             for plane in 0..n * c {
                 let base = plane * h * w;
                 for oy in 0..ho {
@@ -589,6 +941,7 @@ fn run_step(step: &Step, n: usize, src: &[f32], dst: &mut [f32], low: &mut Lower
             }
         }
         Op::SelfAttention { proj } => {
+            let (src, dst) = plain(input, dst);
             let c = step.in_shape[0];
             let t = step.in_shape[1] * step.in_shape[2];
             let [wq, wk, wv, wo] = proj;
@@ -597,7 +950,7 @@ fn run_step(step: &Step, n: usize, src: &[f32], dst: &mut [f32], low: &mut Lower
             // the same GEMM entry points on the same operands, every
             // GEMM into a zeroed buffer as `Tensor::matmul*` allocates
             // one.
-            let (xt, rest) = low.attn.split_at_mut(t * c);
+            let (xt, rest) = attn.split_at_mut(t * c);
             let (q, rest) = rest.split_at_mut(t * c);
             let (k, rest) = rest.split_at_mut(t * c);
             let (v, rest) = rest.split_at_mut(t * c);
@@ -702,12 +1055,15 @@ impl PlanBuilder {
 
     fn push_step(&mut self, op: Op, out_shape: Vec<usize>) {
         let in_shape = std::mem::replace(&mut self.cur_shape, out_shape.clone());
+        // `finish` says where the step reads and writes.
         self.steps.push(Step {
             op,
             in_numel: in_shape.iter().product(),
             out_numel: out_shape.iter().product(),
             in_shape,
             out_shape,
+            src: Loc::Caller,
+            dst: Loc::Caller,
         });
     }
 
@@ -787,6 +1143,7 @@ impl PlanBuilder {
             direct,
             bn: bn.map(BnFold::capture),
             relu,
+            pool: None,
         };
         self.push_step(op, vec![spec.out_channels, ho, wo]);
         Ok(())
@@ -842,6 +1199,7 @@ impl PlanBuilder {
             act_scale: qc.act_scale,
             affine,
             relu,
+            pool: None,
         };
         self.push_step(op, vec![spec.out_channels, ho, wo]);
         Ok(())
@@ -895,7 +1253,7 @@ impl PlanBuilder {
             });
         }
         let op = Op::LinearF32 {
-            weight: linear.weight().clone(),
+            weight_t: linear.weight().transpose(),
             bias: linear.bias().data().to_vec(),
             relu,
         };
@@ -903,7 +1261,9 @@ impl PlanBuilder {
         Ok(())
     }
 
-    /// Pushes a max-pool step (stride = kernel).
+    /// Pushes max pooling (stride = kernel). Behind a convolution that
+    /// does not pool yet it is no step of its own: the convolution's
+    /// epilogue pools, and the unpooled map is never written.
     ///
     /// # Errors
     /// [`CompileError::Malformed`] on a kernel of 0;
@@ -913,17 +1273,32 @@ impl PlanBuilder {
         if kernel == 0 {
             return Err(CompileError::Malformed { layer: "MaxPool2d", what: "geometry" });
         }
-        match self.cur_shape[..] {
-            [c, h, w] if h >= kernel && w >= kernel => {
-                self.push_step(Op::MaxPool { kernel }, vec![c, h / kernel, w / kernel]);
-                Ok(())
+        let [c, h, w] = match self.cur_shape[..] {
+            [c, h, w] if h >= kernel && w >= kernel => [c, h, w],
+            _ => {
+                return Err(CompileError::ShapeMismatch {
+                    layer: "MaxPool2d",
+                    expected: kernel,
+                    found: if self.cur_shape.len() == 3 { self.cur_shape[1] } else { 0 },
+                })
             }
-            _ => Err(CompileError::ShapeMismatch {
-                layer: "MaxPool2d",
-                expected: kernel,
-                found: if self.cur_shape.len() == 3 { self.cur_shape[1] } else { 0 },
-            }),
+        };
+        let pooled = vec![c, h / kernel, w / kernel];
+        match self.steps.last_mut() {
+            Some(Step {
+                op: Op::ConvF32 { pool: pool @ None, .. } | Op::ConvI8 { pool: pool @ None, .. },
+                out_shape,
+                out_numel,
+                ..
+            }) => {
+                *pool = Some(kernel);
+                *out_numel = pooled.iter().product();
+                out_shape.clone_from(&pooled);
+                self.cur_shape = pooled;
+            }
+            _ => self.push_step(Op::MaxPool { kernel }, pooled),
         }
+        Ok(())
     }
 
     /// Pushes one residual self-attention step, snapshotting the four
@@ -948,31 +1323,55 @@ impl PlanBuilder {
         self.push_step(Op::Flatten, vec![f]);
     }
 
-    /// Finalizes the plan: resolves the ping-pong schedule and derives
-    /// the tile from the per-sample scratch the steps need (module docs).
-    /// The arena itself grows on first use, to the tile or to the batch
-    /// if that is smaller.
-    pub fn finish(self) -> CompiledPlan {
-        let last_compute = self.steps.iter().rposition(|s| !matches!(s.op, Op::Flatten));
+    /// Finalizes the plan: decides where every step reads and writes,
+    /// and derives the tile from the per-sample scratch the steps need
+    /// (module docs). The arena itself grows on first use, to the tile or
+    /// to the batch if that is smaller.
+    pub fn finish(mut self) -> CompiledPlan {
+        let compute: Vec<usize> =
+            (0..self.steps.len()).filter(|&i| !matches!(self.steps[i].op, Op::Flatten)).collect();
         let mut spec = ArenaSpec::default();
-        let mut in_ping = false;
-        for (i, step) in self.steps.iter().enumerate() {
-            if Some(i) != last_compute && !matches!(step.op, Op::Flatten) {
-                // The executor alternates, starting with ping.
-                in_ping = !in_ping;
-                let buf = if in_ping { &mut spec.ping } else { &mut spec.pong };
-                *buf = (*buf).max(step.out_numel);
-            }
+        let stage_input = compute.first().is_some_and(|&first| !self.steps[first].op.is_conv());
+        // A staged input lies in pong; the executor alternates, starting
+        // with ping.
+        let (mut src, mut in_ping) = (Loc::Caller, false);
+        if stage_input {
+            src = Loc::Pong;
+            spec.pong = self.in_shape.iter().product();
+        }
+        for (k, &i) in compute.iter().enumerate() {
+            let dst = match compute.get(k + 1) {
+                None => Loc::Caller,
+                // A convolution's epilogue writes what a convolution
+                // behind it reads: that one's planes.
+                Some(&reader)
+                    if self.steps[i].op.feeds_planes() && self.steps[reader].op.is_conv() =>
+                {
+                    Loc::Planes(reader)
+                }
+                Some(_) => {
+                    in_ping = !in_ping;
+                    let (loc, buf) = match in_ping {
+                        true => (Loc::Ping, &mut spec.ping),
+                        false => (Loc::Pong, &mut spec.pong),
+                    };
+                    *buf = (*buf).max(self.steps[i].out_numel);
+                    loc
+                }
+            };
+            let step = &mut self.steps[i];
+            (step.src, step.dst) = (src, dst);
+            src = dst;
             match &step.op {
                 Op::ConvF32 { direct, .. } => {
+                    let [ho, wo] = direct.out_hw();
                     spec.planes = spec.planes.max(direct.sample_len());
-                    spec.rows = spec.rows.max(step.out_numel);
+                    spec.rows = spec.rows.max(direct.spec().out_channels * ho * wo);
                 }
-                Op::ConvI8 { direct, .. } => {
-                    let [h, w] = direct.in_hw();
-                    spec.qx = spec.qx.max(direct.spec().in_channels * h * w);
+                Op::ConvI8 { weights, direct, .. } => {
+                    let [ho, wo] = direct.out_hw();
                     spec.planes_i8 = spec.planes_i8.max(direct.sample_len());
-                    spec.acc = spec.acc.max(step.out_numel);
+                    spec.acc = spec.acc.max(weights.spec().out_channels * ho * wo);
                 }
                 Op::SelfAttention { .. } => {
                     let t = step.in_shape[1] * step.in_shape[2];
@@ -983,7 +1382,7 @@ impl PlanBuilder {
         }
         let f32s = std::mem::size_of::<f32>();
         let per_sample = f32s * (spec.ping + spec.pong + spec.planes + spec.rows + spec.acc)
-            + std::mem::size_of::<[i8; 2]>() * (spec.qx + spec.planes_i8);
+            + std::mem::size_of::<[i8; 2]>() * spec.planes_i8;
         // A scratch-free plan (`per_sample` 0) gets the budget itself as
         // its tile: its buffers stay empty and any real batch is one pass.
         let tile = (TILE_BYTES.saturating_sub(f32s * spec.attn) / per_sample.max(1)).max(1);
@@ -996,7 +1395,7 @@ impl PlanBuilder {
             in_shape: self.in_shape,
             out_shape,
             tile,
-            last_compute,
+            stage_input,
         }
     }
 }
@@ -1294,7 +1693,7 @@ mod tests {
         let mut seq = conv_bn_relu_pool(&mut rng);
         // One plan serves every batch size.
         let mut plan = compile_sequential(&seq, &[1, 2, 8, 8]).expect("compiles");
-        assert_eq!(plan.num_steps(), 2, "Conv+BN+ReLU fuse into one step, pool is one more");
+        assert_eq!(plan.num_steps(), 1, "Conv+BN+ReLU+MaxPool fuse into one step");
         for batch in [1usize, 3, 8] {
             let x = Tensor::randn(&[batch, 2, 8, 8], 1.0, &mut rng);
             let eager = seq.forward(&x, false);
@@ -1340,7 +1739,7 @@ mod tests {
             (0..3).map(|_| Tensor::randn(&[1, 2, 8, 8], 1.0, &mut rng)).collect();
         let (pipe, _) = quantize_sequential(&seq, &calib).expect("quantizes");
         let mut plan = compile_quant_pipe(&pipe, &[1, 2, 8, 8]).expect("compiles");
-        assert_eq!(plan.num_steps(), 2, "Conv+Affine+ReLU fuse, pool is one more");
+        assert_eq!(plan.num_steps(), 1, "Conv+Affine+ReLU+MaxPool fuse into one step");
         for batch in [1usize, 4] {
             let x = Tensor::randn(&[batch, 2, 8, 8], 1.0, &mut rng);
             assert_bits_eq(&plan.execute(&x), &pipe.forward(&x), &format!("batch {batch}"));
@@ -1352,10 +1751,10 @@ mod tests {
         let mut rng = Rng::new(46);
         let seq = conv_bn_relu_pool(&mut rng);
         let plan = compile_sequential(&seq, &[64, 2, 8, 8]).expect("compiles");
-        // Per sample: two zero-padded 10×10 input planes, rows 8×64 and
-        // the conv output in ping 8×64 (the pool writes the caller's
-        // output), all f32.
-        let per_sample = 4 * (2 * 100 + 8 * 64 + 8 * 64);
+        // Per sample: two zero-padded 10×10 input planes and rows 8×64,
+        // all f32 (the epilogue pools into the caller's output; the
+        // unpooled map lies nowhere).
+        let per_sample = 4 * (2 * 100 + 8 * 64);
         assert_eq!(plan.tile(), TILE_BYTES / per_sample);
         assert_eq!(plan.sample_shape(), &[2, 8, 8]);
         assert_eq!(plan.macs_per_sample(), 8 * 64 * 18);
@@ -1377,14 +1776,14 @@ mod tests {
         let one = Tensor::randn(&[1, 2, 8, 8], 1.0, &mut rng);
         let first = plan.execute(&one);
         // (The padded planes carry one run of slack, whatever the tile.)
-        assert_eq!(sizes(&plan), (2 * 100 + backend::RUN, 8 * 64, 8 * 64, 0));
+        assert_eq!(sizes(&plan), (2 * 100 + RUN, 8 * 64, 0, 0));
         // A batch beyond the tile grows the arena to the tile, once.
         let n = 2 * tile + 3;
         let x = Tensor::randn(&[n, 2, 8, 8], 1.0, &mut rng);
         let mut out = Tensor::zeros(&plan.out_shape_for(n));
         plan.execute_into(&x, &mut out);
         let (full, whole) = (sizes(&plan), out.clone());
-        assert_eq!(full, (tile * 2 * 100 + backend::RUN, tile * 8 * 64, tile * 8 * 64, 0));
+        assert_eq!(full, (tile * 2 * 100 + RUN, tile * 8 * 64, 0, 0));
         for _ in 0..3 {
             plan.execute_into(&x, &mut out);
         }

@@ -26,12 +26,11 @@
 //! [`conv_rows_t_i8`] is the one int8 kernel, and inference reaches it
 //! only through a [`CompiledPlan`](crate::graph::CompiledPlan). Its
 //! operands are **channel pairs** (cudnn's `NCHWVectC` idea at vector
-//! width 2): [`quantize_activation_pairs`] writes the activations as
-//! `(N, ⌈C/2⌉, H, W)` units of `[i8; 2]` — channels `2c` and `2c + 1` of
-//! one position side by side, an odd last channel padded with 0 — the
-//! direct convolution's padded, phase-split planes ([`DirectConv`], the
-//! addressing the f32 plans use) hold those units like any other cell,
-//! and [`PackedConvWeights`] holds the weights paired the same way, widened
+//! width 2): the direct convolution's padded, phase-split planes
+//! ([`DirectConv`], the addressing the f32 plans use) hold units of
+//! `[i8; 2]` — channels `2c` and `2c + 1` of one position side by side,
+//! an odd last channel padded with 0 — like any other cell, and
+//! [`PackedConvWeights`] holds the weights paired the same way, widened
 //! to `i16` and interleaved by groups of `IR_T` output channels, packed
 //! once when the plan is compiled (the serialized [`QuantWeights`] stay
 //! row-major `i8`). One step of the reduction is then a pair dot
@@ -40,6 +39,20 @@
 //! `vpdpwssd`, accumulate included, where the build also has VNNI) —
 //! instead of a widening multiply per element. A zero-padded odd channel
 //! adds 0.
+//!
+//! Nothing stands between an f32 value and its cell in those planes.
+//! A plan's first convolution quantizes the caller's channel blocks
+//! straight into them ([`quantize_planes`]: two channels' rows → one row
+//! of pairs through [`DirectConv::store_plane`]). Every later convolution
+//! finds them written by the **requantizing epilogue** of the convolution
+//! before it: the f32 value the dequant + folded-BN + ReLU epilogue
+//! computes per element — `(acc·(s_x·s_w[c]) + bias[c])·scale[c] +
+//! shift[c]`, clamped — is rounded at the *consumer's* activation scale in
+//! the same pass, two output channels at a time, into the consumer's
+//! channel pair; the f32 map between two int8 convolutions, the flat `i8`
+//! tensor and the copy into planes are never written. The quantizer is
+//! the one the oracle applies to that same f32 value, so the cells are
+//! the oracle's bits.
 //!
 //! The register tile (`IR_T` output channels × two runs of [`RUN`]
 //! positions, the block shape of the f32 tile; every kernel tap of a run
@@ -121,7 +134,7 @@ pub fn quantize_per_channel(w: &[f32], rows: usize, cols: usize) -> QuantWeights
 /// result. Equal to `(v · inv).round_ties_even().clamp(−127, 127) as i8`
 /// for every input (`prop_quant` pins it).
 #[inline]
-fn quantize_value(v: f32, inv: f32) -> i8 {
+pub(crate) fn quantize_value(v: f32, inv: f32) -> i8 {
     const ROUND_TO_LOW_BITS: f32 = 12_582_912.0; // 1.5 · 2^23
     let x = v * inv;
     let x = if x.is_nan() { 0.0 } else { x };
@@ -130,7 +143,7 @@ fn quantize_value(v: f32, inv: f32) -> i8 {
 
 /// Quantizes activations with a symmetric per-tensor scale into `out`
 /// (cleared and refilled), element for element — the oracle's flat form
-/// of [`quantize_activation_pairs`].
+/// of [`quantize_planes`].
 pub fn quantize_activations(x: &[f32], scale: f32, out: &mut Vec<i8>) {
     let inv = 1.0 / scale;
     out.clear();
@@ -138,36 +151,36 @@ pub fn quantize_activations(x: &[f32], scale: f32, out: &mut Vec<i8>) {
     out.extend(x.iter().map(|&v| quantize_value(v, inv)));
 }
 
-/// Quantizes `(N, C, plane)` activations into the kernel's channel-pair
-/// layout `(N, ⌈C/2⌉, plane)` of `[i8; 2]`: unit `(b, c, i)` holds
-/// channels `2c` and `2c + 1` of position `i`, each rounded exactly as
-/// [`quantize_activations`] rounds it; an odd last channel pairs with 0.
-/// Every unit of `out` is written.
+/// Quantizes the channels of one sample straight into the planes of the
+/// int8 convolution that reads them, as the kernel's **channel pairs**:
+/// `planes` yields the sample's `h × w` channel planes in order, and unit
+/// `x` of row `y` of pair-plane `p0 + c` holds channels `2c` and `2c + 1`
+/// of that position, each rounded exactly as [`quantize_activations`]
+/// rounds it; an odd last channel pairs with 0. One pass through
+/// [`DirectConv::store_plane`] — no flat `i8` tensor in between. The pad
+/// cells are the caller's ([`DirectConv::clear`] first).
 ///
 /// # Panics
-/// Panics if `x` or `out` disagree with `dims`.
-pub fn quantize_activation_pairs(x: &[f32], dims: [usize; 3], scale: f32, out: &mut [[i8; 2]]) {
-    let [n, c, plane] = dims;
-    let c2 = c.div_ceil(2);
-    assert_eq!(x.len(), n * c * plane, "input length mismatch");
-    assert_eq!(out.len(), n * c2 * plane, "pair buffer length mismatch");
-    if x.is_empty() {
-        return;
-    }
+/// Panics if a plane is smaller than `direct`'s input or `cells` shorter
+/// than the planes written.
+pub fn quantize_planes<'a>(
+    direct: &DirectConv,
+    cells: &mut [[i8; 2]],
+    p0: usize,
+    planes: impl IntoIterator<Item = &'a [f32]>,
+    scale: f32,
+) {
     let inv = 1.0 / scale;
-    for (xs, os) in x.chunks_exact(c * plane).zip(out.chunks_exact_mut(c2 * plane)) {
-        for (pair, o) in xs.chunks(2 * plane).zip(os.chunks_exact_mut(plane)) {
-            let (even, odd) = pair.split_at(plane);
-            if odd.is_empty() {
-                for (o, &a) in o.iter_mut().zip(even) {
-                    *o = [quantize_value(a, inv), 0];
-                }
-            } else {
-                for ((o, &a), &b) in o.iter_mut().zip(even).zip(odd) {
-                    *o = [quantize_value(a, inv), quantize_value(b, inv)];
-                }
-            }
+    let mut planes = planes.into_iter();
+    let mut p = p0;
+    while let Some(even) = planes.next() {
+        match planes.next() {
+            Some(odd) => direct.store_plane(cells, p, [even, odd], |[a, b]| {
+                [quantize_value(a, inv), quantize_value(b, inv)]
+            }),
+            None => direct.store_plane(cells, p, [even], |[a]| [quantize_value(a, inv), 0]),
         }
+        p += 1;
     }
 }
 
@@ -304,45 +317,42 @@ impl PackedConvWeights {
 /// The int8 convolution of the compiled plans, a direct convolution on
 /// the addressing the f32 plans use ([`DirectConv`], built for
 /// [`PackedConvWeights::pair_spec`] — its cells are channel pairs):
-/// pair-packed activations `qx`, `(n, ⌈C_in/2⌉, H, W)`, are copied into
-/// `direct`'s padded, phase-split planes, and a register tile of `IR_T`
-/// output channels × two runs of [`RUN`] positions reads every kernel
-/// tap of a run as one 16-byte load at a fixed offset from the run's
-/// base. The i32 accumulators land channel-major, `acc[co][pos]`, so the
-/// fused dequant epilogue streams one contiguous run per (sample,
-/// channel). Integer accumulation is exact, so the tiled pair-dot order
-/// is bit-identical to [`conv_direct_i8`]'s patch-order sums. `planes`
-/// (at least [`DirectConv::scratch_len`]`(n)`) and `acc` (at least
-/// `C_out × n·Ho·Wo`) are caller-owned scratch; their used prefixes are
-/// fully overwritten.
+/// `planes` holds `direct`'s padded, phase-split planes of `n` samples
+/// (at least [`DirectConv::scratch_len`]`(n)` cells), written by
+/// [`quantize_planes`] or by the requantizing epilogue of the step
+/// before, and a register tile of `IR_T` output channels × two runs of
+/// [`RUN`] positions reads every kernel tap of a run as one 16-byte load
+/// at a fixed offset from the run's base. The i32 accumulators land
+/// channel-major, `acc[co][pos]`, so the fused dequant epilogue streams
+/// one contiguous run per (sample, channel). Integer accumulation is
+/// exact, so the tiled pair-dot order is bit-identical to
+/// [`conv_direct_i8`]'s patch-order sums. The used prefix of `acc` (at
+/// least `C_out × n·Ho·Wo`) is fully overwritten.
 ///
 /// # Panics
 /// Panics — in release builds too — if `direct` was not built for the
-/// weights' pair geometry, `qx` is not `n` samples of it, or the scratch
-/// is too short.
+/// weights' pair geometry, or `planes` or `acc` is too short.
 pub fn conv_rows_t_i8(
-    qx: &[[i8; 2]],
+    planes: &[[i8; 2]],
     n: usize,
     weights: &PackedConvWeights,
     direct: &DirectConv,
-    planes: &mut [[i8; 2]],
     acc: &mut [i32],
 ) {
-    conv_rows_pairs::<false>(qx, n, weights, direct, planes, acc);
+    conv_rows_pairs::<false>(planes, n, weights, direct, acc);
 }
 
 /// [`conv_rows_t_i8`] through the portable tile body whatever the build
 /// enables, so that a host which compiles the AVX2 body tests both.
 #[doc(hidden)]
 pub fn conv_rows_t_i8_portable(
-    qx: &[[i8; 2]],
+    planes: &[[i8; 2]],
     n: usize,
     weights: &PackedConvWeights,
     direct: &DirectConv,
-    planes: &mut [[i8; 2]],
     acc: &mut [i32],
 ) {
-    conv_rows_pairs::<true>(qx, n, weights, direct, planes, acc);
+    conv_rows_pairs::<true>(planes, n, weights, direct, acc);
 }
 
 /// [`conv_rows_t_i8`]. One register tile is the pair dots of one
@@ -355,11 +365,10 @@ pub fn conv_rows_t_i8_portable(
 /// does not force the other.
 #[inline]
 fn conv_rows_pairs<const PORTABLE: bool>(
-    qx: &[[i8; 2]],
+    planes: &[[i8; 2]],
     n: usize,
     weights: &PackedConvWeights,
     direct: &DirectConv,
-    planes: &mut [[i8; 2]],
     acc: &mut [i32],
 ) {
     use crate::backend::IR_T;
@@ -370,7 +379,7 @@ fn conv_rows_pairs<const PORTABLE: bool>(
     let (co, off, m) = (weights.spec.out_channels, direct.offsets(), n * ho * wo);
     // Per call, never per tile: the geometry the weights were packed for,
     // the accumulator rows, and that the farthest full-width load of any
-    // run stays inside the planes (`lower` checks `qx`).
+    // run stays inside the planes.
     assert!(
         *direct.spec() == weights.pair_spec()
             && acc.len() >= co * m
@@ -379,8 +388,6 @@ fn conv_rows_pairs<const PORTABLE: bool>(
         direct.spec(),
         direct.in_hw()
     );
-    direct.lower(qx, n, [0i8; 2], planes);
-    let planes = &*planes;
     // Each run is read once per channel group, not once per channel.
     let groups = weights.w.chunks_exact(off.len() * IR_T).zip(acc[..co * m].chunks_mut(IR_T * m));
     for (wg, acc_grp) in groups {

@@ -127,11 +127,12 @@ proptest! {
         let m = n * ho * wo;
         for body in ["dispatched", "portable"] {
             let mut scratch = vec![f32::NAN; direct.scratch_len(n) + 11];
+            direct.lower(x.data(), n, 0.0, &mut scratch);
             let mut rows = vec![-7.5f32; co * m + 3];
             if body == "portable" {
-                conv2d_rows_t_portable(x.data(), n, wt.data(), &direct, &mut scratch, &mut rows);
+                conv2d_rows_t_portable(&scratch, n, wt.data(), &direct, &mut rows);
             } else {
-                conv2d_rows_t(x.data(), n, wt.data(), &direct, &mut scratch, &mut rows);
+                conv2d_rows_t(&scratch, n, wt.data(), &direct, &mut rows);
             }
             let what = format!("{body} body, {spec:?} on {n}x{c}x{h}x{w}");
             assert_same_bits(&rows[..co * m], &want, &what);
@@ -153,7 +154,7 @@ proptest! {
         n in 1usize..4,
         c in 1usize..4,
         h in 1usize..13,
-        w in 1usize..13,
+        w in 1usize..37,
         k in 1usize..6,
         stride in 1usize..4,
         padding in 0usize..3,
@@ -205,7 +206,8 @@ mod release_checks {
         let direct = DirectConv::new(&spec, 4, 4);
         let wt = Tensor::zeros(&[3, spec.patch_len()]);
         let (mut scratch, mut rows) = (vec![0.0f32; scratch_len], vec![0.0f32; rows_len]);
-        conv2d_rows_t(&vec![0.0; x_len], 1, wt.data(), &direct, &mut scratch, &mut rows);
+        direct.lower(&vec![0.0; x_len], 1, 0.0, &mut scratch);
+        conv2d_rows_t(&scratch, 1, wt.data(), &direct, &mut rows);
     }
 
     #[test]
@@ -215,7 +217,7 @@ mod release_checks {
     }
 
     #[test]
-    #[should_panic(expected = "conv2d_rows_t: operands disagree")]
+    #[should_panic(expected = "DirectConv::lower: operands disagree")]
     fn a_short_input_is_rejected_in_release_too() {
         call(2 * 16 - 1, 2 * 36 + RUN, 3 * 16);
     }
@@ -241,6 +243,7 @@ mod release_checks {
         let direct = DirectConv::new(&spec, 4, 4);
         let wt = Tensor::zeros(&[3, spec.patch_len() - 1]);
         let mut scratch = vec![0.0f32; direct.scratch_len(1)];
-        conv2d_rows_t(&[0.0; 32], 1, wt.data(), &direct, &mut scratch, &mut [0.0; 48]);
+        direct.lower(&[0.0; 32], 1, 0.0, &mut scratch);
+        conv2d_rows_t(&scratch, 1, wt.data(), &direct, &mut [0.0; 48]);
     }
 }

@@ -6,8 +6,8 @@
 
 use ecofusion_tensor::backend::{ConvSpec, DirectConv};
 use ecofusion_tensor::quant::{
-    conv_direct_i8, conv_rows_t_i8, conv_rows_t_i8_portable, quantize_activation_pairs,
-    quantize_activations, quantize_per_channel, PackedConvWeights, QMAX,
+    conv_direct_i8, conv_rows_t_i8, conv_rows_t_i8_portable, quantize_activations,
+    quantize_per_channel, quantize_planes, PackedConvWeights, QMAX,
 };
 use ecofusion_tensor::rng::Rng;
 use proptest::prelude::*;
@@ -122,23 +122,43 @@ proptest! {
 
     /// The pair quantizer is the flat quantizer re-laid: unit `(b, c, i)`
     /// holds channels `2c` and `2c + 1` of position `i`, and an odd last
-    /// channel pairs with 0.
+    /// channel pairs with 0. Through the planes of a `1 × 1` convolution,
+    /// which are the plain `(N, ⌈C/2⌉, plane)` layout, and of a padded
+    /// strided one against its own lowering of the flat quantizer's pairs.
     #[test]
     fn pair_quantizer_is_the_flat_quantizer_paired(
         n in 1usize..4,
         c in 1usize..7,
-        plane in 1usize..40,
+        h in 1usize..5,
+        w in 1usize..40,
+        stride in 1usize..3,
         scale in 0.001f32..2.0,
         seed in 0u64..1000,
     ) {
         let mut rng = Rng::new(seed);
+        let plane = h * w;
         let x: Vec<f32> =
             (0..n * c * plane).map(|_| rng.uniform(-400.0, 400.0) as f32).collect();
         let mut flat = Vec::new();
         quantize_activations(&x, scale, &mut flat);
-        let mut pairs = vec![[55i8; 2]; n * c.div_ceil(2) * plane];
-        quantize_activation_pairs(&x, [n, c, plane], scale, &mut pairs);
-        prop_assert_eq!(pairs, pair_channels(&flat, n, c, plane));
+        let want = pair_channels(&flat, n, c, plane);
+        let c2 = c.div_ceil(2);
+        let geometries = [(1, 1, 0), (3.min(h.min(w) + 2), stride, 1)];
+        for (kernel, stride, padding) in geometries {
+            let spec = ConvSpec { in_channels: c2, out_channels: 1, kernel, stride, padding };
+            let direct = DirectConv::new(&spec, h, w);
+            let mut lowered = vec![[55i8; 2]; direct.scratch_len(n)];
+            direct.lower(&want, n, [0; 2], &mut lowered);
+            let mut pairs = vec![[55i8; 2]; direct.scratch_len(n)];
+            direct.clear(&mut pairs, n, [0; 2]);
+            for (b, sample) in x.chunks_exact(c * plane).enumerate() {
+                quantize_planes(&direct, &mut pairs, b * c2, sample.chunks_exact(plane), scale);
+            }
+            prop_assert_eq!(&pairs, &lowered, "{:?}", spec);
+            if kernel == 1 {
+                prop_assert_eq!(&pairs[..n * c2 * plane], &want[..]);
+            }
+        }
     }
 
     /// The plans' register-tiled int8 convolution agrees EXACTLY with
@@ -186,8 +206,9 @@ proptest! {
         let m = n * ho * wo;
         for (body, conv) in [("dispatched", conv_rows_t_i8 as ConvRows), ("portable", conv_rows_t_i8_portable)] {
             let mut planes = vec![[77i8; 2]; lowering.scratch_len(n) + 5];
+            lowering.lower(&pairs, n, [0; 2], &mut planes);
             let mut acc = vec![-1i32; co * m + 3];
-            conv(&pairs, n, &weights, &lowering, &mut planes, &mut acc);
+            conv(&planes, n, &weights, &lowering, &mut acc);
             prop_assert_eq!(
                 &acc[..co * m], &direct[..], "{} body, {:?} on {}x{}x{}x{}", body, spec, n, c, h, w
             );
@@ -196,7 +217,7 @@ proptest! {
     }
 }
 
-type ConvRows = fn(&[[i8; 2]], usize, &PackedConvWeights, &DirectConv, &mut [[i8; 2]], &mut [i32]);
+type ConvRows = fn(&[[i8; 2]], usize, &PackedConvWeights, &DirectConv, &mut [i32]);
 
 /// Row-major `(outer, c, plane)` int8 values in the kernel's channel-pair
 /// layout `(outer, ⌈c/2⌉, plane)`, by the index formula.
@@ -230,8 +251,8 @@ mod release_checks {
 
     fn call(lowering: &DirectConv, planes_len: usize) {
         let weights = weights();
-        let (mut planes, mut acc) = (vec![[0i8; 2]; planes_len], vec![0i32; 2 * 16]);
-        conv_rows_t_i8(&[[1; 2]; 2 * 16], 1, &weights, lowering, &mut planes, &mut acc);
+        let (planes, mut acc) = (vec![[1i8; 2]; planes_len], vec![0i32; 2 * 16]);
+        conv_rows_t_i8(&planes, 1, &weights, lowering, &mut acc);
     }
 
     fn pair_lowering() -> DirectConv {

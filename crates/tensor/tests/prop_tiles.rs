@@ -4,10 +4,11 @@
 //! samples at a time. Which samples share a tile must not be visible in
 //! the output: a plan executed on a batch of `N` has to equal the
 //! concatenation of `N` batch-1 executions **bit for bit**, for batches
-//! below, at and across the tile boundary — in f32 and int8, for the three stack shapes the model compiles (stem, branch,
-//! learned gate). The stacks use the model's real per-sample shapes, so
-//! the tiles are the ones the serving path runs (`T` = 3 for the stems,
-//! 7 and 8 for the f32 and int8 branch, 4 for the gate).
+//! below, at and across the tile boundary — in f32 and int8, for the
+//! three stack shapes the model compiles (stem, branch, learned gate).
+//! The stacks use the model's real per-sample shapes, so the tiles are
+//! the ones the serving path runs (`T` = 7 for the stems, 12 and 23 for
+//! the f32 and int8 branch, 4 for the gate).
 
 use ecofusion_tensor::graph::{compile_quant_pipe, compile_sequential, CompiledPlan, PlanBuilder};
 use ecofusion_tensor::layer::{
@@ -115,15 +116,15 @@ proptest! {
         let mut branch_i8 = PlanBuilder::new(&batched(1, &branch_shape));
         branch_i8.push_quant_pipe(&backbone_q).unwrap();
         branch_i8.push_quant_conv(&head_q, None, false).unwrap();
-        // With each plan's tile: the padded input planes of a direct
-        // convolution are a ninth of the column matrix they replaced,
-        // so more samples fit the tile budget than the two or three
-        // (five for the int8 branch) that did then.
+        // With each plan's tile: a stem holds its planes and its rows
+        // (the epilogue pools into the output), a branch the planes and
+        // rows of its widest convolution and no map between two of them
+        // — the int8 one's planes two bytes a channel pair.
         let plans = [
-            ("stem f32", 3, compile_sequential(&stem, &batched(1, &stem_shape)).unwrap()),
-            ("stem int8", 3, compile_quant_pipe(&stem_q, &batched(1, &stem_shape)).unwrap()),
-            ("branch f32", 7, branch.finish()),
-            ("branch int8", 8, branch_i8.finish()),
+            ("stem f32", 7, compile_sequential(&stem, &batched(1, &stem_shape)).unwrap()),
+            ("stem int8", 7, compile_quant_pipe(&stem_q, &batched(1, &stem_shape)).unwrap()),
+            ("branch f32", 12, branch.finish()),
+            ("branch int8", 23, branch_i8.finish()),
             ("gate f32", 4, compile_sequential(&gate, &batched(1, &gate_shape)).unwrap()),
         ];
         for (name, tile, mut plan) in plans {
