@@ -23,7 +23,9 @@ use ecofusion_tensor::tensor::Tensor;
 /// plan, each executed at batch 1, 16 and 64 — the last is the batch
 /// `fleet_wide` serves — with its GMAC/s (`thrpt`, in Gelem/s of
 /// multiply-accumulates): a plan streams cache-sized tiles, so the rate
-/// should hold flat from 16 to 64.
+/// should hold flat from 16 to 64. `stem_plan_batch64_int8` is the int8
+/// stem beside `stem_plan_batch64`: the same pooled tile shape over
+/// channel pairs that are half padding, so it is no cheaper.
 fn bench_fused_pipeline(c: &mut Criterion) {
     use ecofusion_tensor::graph::compile_quant_pipe;
     use ecofusion_tensor::layer::Layer;
@@ -104,6 +106,15 @@ fn bench_fused_pipeline(c: &mut Criterion) {
                 bench.iter(|| plan.execute_into(black_box(&x), &mut out));
             });
         }
+    }
+    {
+        let x = Tensor::randn(&[64, 1, grid, grid], 1.0, &mut rng);
+        let mut qplan = compile_quant_pipe(qsnap.stem(0), x.shape()).expect("stem pipe compiles");
+        let mut out = Tensor::zeros(&qplan.out_shape_for(64));
+        group.throughput(Throughput::Elements((64 * qplan.macs_per_sample()) as u64));
+        group.bench_function("stem_plan_batch64_int8", |bench| {
+            bench.iter(|| qplan.execute_into(black_box(&x), &mut out));
+        });
     }
     group.finish();
 }

@@ -126,13 +126,19 @@
 //! [`EcoFusionModel::infer_batch_cached`] via a [`StemCacheRouter`];
 //! identical grids inside one micro-batch are deduplicated too. Because
 //! stems are batch-invariant in eval mode (asserted by the detect
-//! crate's tests), a cached row is bit-identical to recomputing it. An
-//! entry's buffers are overwritten in place: a miss costs two copies, a
-//! hit one (into the bank's replayed rows), neither an allocation. The
-//! bank keeps each sensor's stacked stem output whole — a frame's row is
-//! an index into it, shared by the frames whose grid repeats it — and no
-//! consumer copies a row: the plans of the gate and the branches read
-//! every (frame, sensor) block where the bank holds it
+//! crate's tests), a cached row is bit-identical to recomputing it. A
+//! stem's row is written once, by the register tiles of the stem's plan
+//! ([`CompiledPlan::execute_blocks_to`](ecofusion_tensor::graph::CompiledPlan::execute_blocks_to):
+//! a destination per sample), into a buffer of its own that the bank
+//! holds for the step — a frame's row is an index to it, shared by the
+//! frames whose grid repeats it — and that **the stream's cache entry
+//! owns when the step ends**: `BatchStemBank::publish` swaps it for the
+//! entry's old buffer, which the next step's forward fills. So a miss
+//! costs its stream one copy, the 4 KiB grid, and no copy of the 8 KiB
+//! features; a hit one (into the bank's replayed rows); an in-batch
+//! alias's own stream its two; none an allocation. No consumer copies a
+//! row either: the plans of the gate and the branches read every (frame,
+//! sensor) block where the bank holds it
 //! ([`CompiledPlan::execute_blocks_into`](ecofusion_tensor::graph::CompiledPlan::execute_blocks_into)).
 //!
 //! # Step buffers
@@ -147,7 +153,8 @@
 //!
 //! | buffer | written by | read by |
 //! |---|---|---|
-//! | `bank.stem_out[s]` `(m, C, h, w)` | stem `s`'s plan, from the grids of the frames that miss, read in their observations | the plans of the learned gate and the branches, row by row; the stem caches' `store` |
+//! | `bank.stem_out[s][j]` `(C, h, w)`, one buffer a miss | stem `s`'s plan — row `j` from the grid of miss `j`, read in its observation | the plans of the learned gate and the branches; after them `publish`, which hands the buffer to the stream's cache entry (cached f32 steps) and keeps the entry's old one |
+//! | `fusion` | the oracle's configuration scorer, per frame of a loss-based step | itself |
 //! | `bank.replayed` `(j, C, h, w)` | `BatchStemBank::ensure`, one copy per cache hit | the same plans |
 //! | `bank.zero` `(C, h, w)` | nobody after it is sized | the learned gate's plan, for every sensor the health mask rules out |
 //! | `head` `(k, 5 + K, S, S)` | the branch's plan | `decode_sample` |
@@ -159,8 +166,9 @@
 //! harmless is that **the producer overwrites everything it hands on**: a
 //! plan writes every element of its output, and a row is read only
 //! through the index `ensure` set for it in this batch. Debug builds — so
-//! every test — hold that to account: `begin_step` fills the stem outputs
-//! and the head map with NaN, as a plan does its arena before every tile.
+//! every test — hold that to account: `begin_step` fills the stem rows —
+//! whichever buffers the bank holds after the last step's swaps — and the
+//! head map with NaN, as a plan does its arena before every tile.
 //! A step that fails half-way leaves the buffers as they are; the next
 //! starts from `BatchStemBank::reset`, which forgets every row. What a
 //! warm step still requests from the allocator is per frame: detections,
@@ -201,13 +209,13 @@ fn plan_key(fingerprint: u64, sample: &[usize], precision: PlanPrecision) -> Pla
 }
 
 /// Runs stem `s` over `grids` — one `side × side` raster a sample, read
-/// where each lies — into `out`: the matching compiled plan is fetched
-/// from (or built into) `plans`, `out` is given the plan's output shape
-/// for the batch and the plan overwrites all of it.
+/// where each lies — into `rows`, one sample's `(C, h, w)` features each:
+/// the matching compiled plan is fetched from (or built into) `plans` and
+/// stores every sample straight to its row, all of it.
 ///
 /// # Errors
 /// [`InferError::Compile`] if the stem does not lower — only an installed
-/// int8 image can do that; the f32 stems are built to the grid. `out` is
+/// int8 image can do that; the f32 stems are built to the grid. `rows` is
 /// untouched then.
 fn stem_forward(
     plans: &mut PlanCache,
@@ -215,7 +223,7 @@ fn stem_forward(
     quant: Option<&QuantSnapshot>,
     s: usize,
     (grids, side): (&[&[f32]], usize),
-    out: &mut Tensor,
+    rows: &mut [Vec<f32>],
 ) -> Result<(), InferError> {
     let salt = STEM_SALT_BASE + s as u64;
     let shape = [grids.len(), 1, side, side];
@@ -234,8 +242,7 @@ fn stem_forward(
         }
     }
     .map_err(|source| InferError::Compile { unit: PlanUnit::Stem(s), source })?;
-    out.resize(&plan.out_shape_for(grids.len()));
-    plan.execute_blocks_into(grids, 1, out);
+    plan.execute_blocks_to(grids, 1, rows.iter_mut().map(Vec::as_mut_slice));
     Ok(())
 }
 
@@ -309,10 +316,13 @@ pub struct StemFeatureCache {
     misses: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct CacheEntry {
     grid: Tensor,
-    feat: Tensor,
+    feat: Vec<f32>,
+    /// Set only inside [`BatchStemBank::publish`]: the row of the step's
+    /// forward the entry is about to take over.
+    claim: Option<usize>,
 }
 
 impl StemFeatureCache {
@@ -327,7 +337,7 @@ impl StemFeatureCache {
     /// counts as a reuse.
     fn lookup(&self, sensor: usize, grid: &Tensor) -> Option<&[f32]> {
         match &self.entries[sensor] {
-            Some(e) if e.grid == *grid => Some(e.feat.data()),
+            Some(e) if e.grid == *grid => Some(&e.feat),
             _ => None,
         }
     }
@@ -340,23 +350,32 @@ impl StemFeatureCache {
         }
     }
 
-    /// Memoizes `(grid, feat)` for `sensor`, overwriting the entry's
-    /// buffers in place: a stream's grids and features keep their shapes,
-    /// so a stream whose every lookup misses allocates once, not per
-    /// frame. `feat` is one `(1, C, h, w)` row of shape `feat_shape`.
-    fn store(&mut self, sensor: usize, grid: &Tensor, feat: &[f32], feat_shape: &[usize]) {
-        match &mut self.entries[sensor] {
-            Some(e) if e.grid.shape() == grid.shape() && e.feat.shape() == feat_shape => {
-                e.grid.data_mut().copy_from_slice(grid.data());
-                e.feat.data_mut().copy_from_slice(feat);
-            }
-            slot => {
-                *slot = Some(CacheEntry {
-                    grid: grid.clone(),
-                    feat: Tensor::from_vec(feat_shape, feat.to_vec()),
-                });
-            }
+    /// Memoizes `(grid, feat)` for `sensor` by copy, overwriting the
+    /// entry's buffers in place: a stream's grids and features keep their
+    /// sizes, so this allocates once per stream, not per frame.
+    fn store(&mut self, sensor: usize, grid: &Tensor, feat: &[f32]) {
+        let e = self.entries[sensor].get_or_insert_default();
+        e.claim = None;
+        e.remember(grid);
+        e.feat.clear();
+        e.feat.extend_from_slice(feat);
+    }
+
+    /// Memoizes `(grid, row)` for `sensor` if the entry still waits for
+    /// row `j` (`claim`), **taking** the row's buffer and leaving the
+    /// entry's old one in its place: the features a stem's plan wrote
+    /// there are not copied again.
+    fn adopt(&mut self, sensor: usize, j: usize, grid: &Tensor, row: &mut Vec<f32>) {
+        let e = self.entries[sensor].as_mut().expect("claimed before it is adopted");
+        if e.claim == Some(j) {
+            e.claim = None;
+            e.remember(grid);
+            std::mem::swap(&mut e.feat, row);
         }
+    }
+
+    fn claim(&mut self, sensor: usize, j: usize) {
+        self.entries[sensor].get_or_insert_default().claim = Some(j);
     }
 
     /// Lookups that matched the cached grid.
@@ -367,6 +386,17 @@ impl StemFeatureCache {
     /// Lookups that missed (and forced a stem execution).
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+}
+
+impl CacheEntry {
+    /// Copies `grid` over the entry's own, in place when the shapes agree.
+    fn remember(&mut self, grid: &Tensor) {
+        if self.grid.shape() == grid.shape() {
+            self.grid.data_mut().copy_from_slice(grid.data());
+        } else {
+            self.grid = grid.clone();
+        }
     }
 }
 
@@ -398,6 +428,9 @@ pub(crate) struct StepScratch {
     bank: BatchStemBank,
     /// The raw head map one branch's plan produced.
     head: HeadOutput,
+    /// The oracle's configuration scorer: warm after the first loss-based
+    /// step, it scores a frame out of its own buffers.
+    fusion: FusionScratch,
 }
 
 /// Where the bank holds one frame's features of one sensor.
@@ -405,7 +438,7 @@ pub(crate) struct StepScratch {
 enum StemRow {
     /// Nowhere: no stage has demanded them (yet).
     Missing,
-    /// Row `j` of the sensor's stacked stem output.
+    /// Row `j` of the sensor's stem forward.
     Forward(usize),
     /// Row `j` of the rows replayed from the streams' caches.
     Replayed(usize),
@@ -462,10 +495,12 @@ impl GridBuckets {
 struct BatchStemBank {
     n: usize,
     half: usize,
-    /// Per sensor, the `(m, C, h, w)` output of its stem forward —
-    /// written whole by the stem's plan; a sensor runs at most one
-    /// forward per batch, so its rows stay put until the next `reset`.
-    stem_out: [Tensor; SensorKind::COUNT],
+    /// Per sensor, the rows of its stem forward: one `(C, h, w)` buffer a
+    /// miss, each written whole by the stem's plan. A sensor runs at most
+    /// one forward per batch, so its rows stay put until the step ends —
+    /// when [`BatchStemBank::publish`] swaps a row's buffer for the one
+    /// its stream's cache entry held.
+    stem_out: [Vec<Vec<f32>>; SensorKind::COUNT],
     /// The `(C, h, w)` rows the streams' caches replayed this batch, back
     /// to back: a hit is copied here once and read in place.
     replayed: Vec<f32>,
@@ -484,9 +519,9 @@ struct BatchStemBank {
 
 impl BatchStemBank {
     /// Forgets the last batch and sizes the per-frame maps for `n` frames
-    /// of `half`-sided stem features. The tensors keep their allocations
-    /// and stale contents (NaN in debug builds); nothing reads them before
-    /// a forward rewrites them: every row starts [`StemRow::Missing`].
+    /// of `half`-sided stem features. The rows keep their allocations and
+    /// stale contents (NaN in debug builds); nothing reads them before a
+    /// forward rewrites them: every row starts [`StemRow::Missing`].
     fn reset(&mut self, n: usize, half: usize) {
         self.n = n;
         self.half = half;
@@ -501,8 +536,8 @@ impl BatchStemBank {
         self.replayed.clear();
         self.zero.resize(STEM_CHANNELS * half * half, 0.0);
         #[cfg(debug_assertions)]
-        for out in &mut self.stem_out {
-            out.data_mut().fill(f32::NAN);
+        for row in self.stem_out.iter_mut().flatten() {
+            row.fill(f32::NAN);
         }
     }
 
@@ -511,9 +546,11 @@ impl BatchStemBank {
     }
 
     /// Runs every `(frame, sensor)` stem demanded by `need_bits` that is
-    /// not yet present, consulting `router` first when given. All missing
-    /// rows of one sensor run in a single forward over their grids, read
-    /// where the observations hold them (eval-mode stems are
+    /// not yet present, consulting `router` first when given (what the
+    /// step computes reaches the caches when it ends:
+    /// [`BatchStemBank::publish`]). All missing rows of one sensor run in
+    /// a single forward over their grids, read where the observations hold
+    /// them, each into a row of its own (eval-mode stems are
     /// batch-invariant, so subsets are bit-identical). With `quant` set,
     /// the int8 stem pipes execute instead of the f32 stems (the caller
     /// guarantees the router is disabled then — caches hold f32
@@ -535,7 +572,6 @@ impl BatchStemBank {
         quant: Option<&QuantSnapshot>,
         plans: &mut PlanCache,
     ) -> Result<(), InferError> {
-        let row_shape = [1, STEM_CHANNELS, self.half, self.half];
         let per = STEM_CHANNELS * self.half * self.half;
         for k in SensorKind::ALL {
             let s = k.index();
@@ -577,22 +613,55 @@ impl BatchStemBank {
                 continue;
             }
             assert!(!ran, "a second forward would overwrite the rows of sensor {s}'s first");
-            stem_forward(plans, stems, quant, s, (&grids, 2 * self.half), &mut self.stem_out[s])?;
-            if let Some(r) = router.as_deref_mut() {
-                // The misses' streams first, then the aliases'.
-                for served in [&self.computed, &self.cached] {
-                    for i in (0..self.n).filter(|&i| served[i] & bit != 0) {
-                        if let StemRow::Forward(j) = self.rows[s][i] {
-                            let (cache, grid) =
-                                (&mut r.caches[r.lane_of[i]], observations[i].grid(k));
-                            let row = &self.stem_out[s].data()[j * per..(j + 1) * per];
-                            cache.store(s, grid, row, &row_shape);
-                        }
-                    }
-                }
-            }
+            let out = &mut self.stem_out[s];
+            out.resize_with(out.len().max(grids.len()), Vec::new);
+            let rows = &mut out[..grids.len()];
+            // (A warm row has its size; one a cache took, or a new one,
+            // starts as debug builds leave the others: NaN.)
+            rows.iter_mut().for_each(|row| row.resize(per, f32::NAN));
+            stem_forward(plans, stems, quant, s, (&grids, 2 * self.half), rows)?;
         }
         Ok(())
+    }
+
+    /// Memoizes what the step's stem forwards computed in the caches of
+    /// the frames' streams, once nothing reads the bank any more. A miss
+    /// costs its stream the copy of the grid and no copy of the features:
+    /// the plan wrote them into a row of their own, and the stream's entry
+    /// **takes that buffer**, leaving its old one for the next step's
+    /// forward to fill. An in-batch alias's stream gets the copy it always
+    /// got. Per sensor the misses' streams come first, then the aliases',
+    /// and of several stores to one entry the last stands — the order they
+    /// were always made in — so a miss only claims its entry, the aliases
+    /// copy while every row is still where `block` finds it, and then each
+    /// miss whose claim stands hands its row over.
+    fn publish(&mut self, observations: &[&Observation], router: &mut StemCacheRouter<'_>) {
+        for k in SensorKind::ALL {
+            let (s, bit) = (k.index(), 1u8 << k.index());
+            // `(frame, row)` of the frames `served` lists whose features
+            // are a row of the forward.
+            fn forward<'a>(
+                served: &'a [u8],
+                rows: &'a [StemRow],
+                bit: u8,
+            ) -> impl Iterator<Item = (usize, usize)> + 'a {
+                rows.iter().enumerate().filter_map(move |(i, row)| match row {
+                    StemRow::Forward(j) if served[i] & bit != 0 => Some((i, *j)),
+                    _ => None,
+                })
+            }
+            for (i, j) in forward(&self.computed, &self.rows[s], bit) {
+                router.caches[router.lane_of[i]].claim(s, j);
+            }
+            for (i, j) in forward(&self.cached, &self.rows[s], bit) {
+                let cache = &mut router.caches[router.lane_of[i]];
+                cache.store(s, observations[i].grid(k), &self.stem_out[s][j]);
+            }
+            for (i, j) in forward(&self.computed, &self.rows[s], bit) {
+                let cache = &mut router.caches[router.lane_of[i]];
+                cache.adopt(s, j, observations[i].grid(k), &mut self.stem_out[s][j]);
+            }
+        }
     }
 
     /// One frame's `(C, h, w)` features of a sensor, where the bank holds
@@ -606,7 +675,7 @@ impl BatchStemBank {
         match self.rows[sensor][frame] {
             _ if live_bits & (1 << sensor) == 0 => &self.zero,
             StemRow::Missing => panic!("stem {sensor} of frame {frame}: demanded by the plan"),
-            StemRow::Forward(j) => &self.stem_out[sensor].data()[j * per..(j + 1) * per],
+            StemRow::Forward(j) => &self.stem_out[sensor][j],
             StemRow::Replayed(j) => &self.replayed[j * per..(j + 1) * per],
         }
     }
@@ -835,6 +904,11 @@ impl EcoFusionModel {
             predicted.iter().map(|p| self.select_with_health(p, opts)).collect();
         let mut branches =
             self.run_branches(scratch, &batch, &selected, oracle_dets, opts, router.as_mut())?;
+        // Nothing reads the bank's rows past this point. (Int8 rows are
+        // not what the caches hold, and were computed without them.)
+        if let (Some(router), Precision::F32) = (router.as_mut(), opts.precision) {
+            scratch.bank.publish(&batch.observations, router);
+        }
         // Knowledge-gate fallback attribution: a frame whose context has
         // no rule was served by the gate's cheapest-config fallback.
         let fallbacks: Vec<u32> = if opts.gate == GateKind::Knowledge {
@@ -880,7 +954,7 @@ impl EcoFusionModel {
         router: Option<&mut StemCacheRouter<'_>>,
     ) -> Result<(Vec<BranchDets>, Vec<Vec<f32>>), InferError> {
         let n = batch.frames.len();
-        let StepScratch { bank, head } = scratch;
+        let StepScratch { bank, head, fusion } = scratch;
         self.ensure_stems(bank, batch, &vec![ALL_SENSOR_BITS; n], router, opts.precision)?;
         let mut per_frame: Vec<BranchDets> =
             (0..n).map(|_| Vec::with_capacity(self.branches.len())).collect();
@@ -890,12 +964,11 @@ impl EcoFusionModel {
                 frame_dets.push(d);
             }
         }
-        let mut fusion = FusionScratch::default();
         let losses = batch
             .frames
             .iter()
             .zip(&per_frame)
-            .map(|(f, dets)| self.config_losses_scratch(dets, &f.gt_boxes(), &mut fusion))
+            .map(|(f, dets)| self.config_losses_scratch(dets, &f.gt_boxes(), fusion))
             .collect();
         Ok((per_frame, losses))
     }
@@ -918,7 +991,7 @@ impl EcoFusionModel {
         router: Option<&mut StemCacheRouter<'_>>,
     ) -> Result<BranchOutputs, InferError> {
         let n = selected.len();
-        let StepScratch { bank, head } = scratch;
+        let StepScratch { bank, head, .. } = scratch;
         let need_bits: Vec<u8> = selected.iter().map(|s| self.config_sensors[s.0]).collect();
         self.ensure_stems(bank, batch, &need_bits, router, opts.precision)?;
         // Group frames by branch so every branch the batch needs
@@ -1397,20 +1470,19 @@ mod tests {
     fn stem_cache_store_overwrites_its_entry_in_place() {
         let mut cache = StemFeatureCache::new();
         let (g1, g2) = (Tensor::full(&[1, 1, 4, 4], 1.0), Tensor::full(&[1, 1, 4, 4], 2.0));
-        let shape = [1, 2, 2, 2];
-        cache.store(0, &g1, &[1.0; 8], &shape);
+        cache.store(0, &g1, &[1.0; 8]);
         let buffers = |c: &StemFeatureCache| {
             let e = c.entries[0].as_ref().expect("stored");
-            (e.grid.data().as_ptr(), e.feat.data().as_ptr())
+            (e.grid.data().as_ptr(), e.feat.as_ptr())
         };
         let first = buffers(&cache);
-        cache.store(0, &g2, &[2.0; 8], &shape);
+        cache.store(0, &g2, &[2.0; 8]);
         assert_eq!(buffers(&cache), first, "same shapes must reuse the entry's buffers");
         assert!(cache.lookup(0, &g1).is_none(), "the old grid is gone");
         assert_eq!(cache.lookup(0, &g2).expect("hit"), [2.0; 8]);
         // A differently shaped pair replaces the entry.
         let g3 = Tensor::full(&[1, 1, 2, 2], 3.0);
-        cache.store(0, &g3, &[3.0; 2], &[1, 2, 1, 1]);
+        cache.store(0, &g3, &[3.0; 2]);
         assert_eq!(cache.lookup(0, &g3).expect("hit"), [3.0; 2]);
     }
 

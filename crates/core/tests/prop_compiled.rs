@@ -26,7 +26,8 @@
 //!    GEMM reaches the backend's parallel threshold and no scoped thread
 //!    (which allocates a stack) is spawned. The same allocator holds the
 //!    oracle's configuration scorer to one allocation per frame — the
-//!    returned losses — once its scratch is warm — and a whole warm
+//!    returned losses — once its scratch is warm, which in a replica's
+//!    second loss-based step it is — and a whole warm
 //!    `infer_batch` to what is per frame: it counts requested bytes and
 //!    the largest single request too, and a batch-64 step may ask for no
 //!    buffer that scales with the batch.
@@ -365,4 +366,30 @@ fn a_warm_step_requests_no_batch_sized_buffer() {
     assert!(allocs <= 24.0, "all hits: {allocs:.1} allocations per frame");
     assert!(kib <= 16.0, "all hits: {kib:.1} KiB requested per frame");
     assert!(largest <= 64 * 1024, "all hits: one request of {largest} bytes");
+}
+
+/// The oracle's configuration scorer lives in the replica's step buffers:
+/// a warm loss-based step — `mixed_policy` serves one per frame, at batch
+/// 1 — scores its frame out of buffers an earlier step grew. While each
+/// step built its `FusionScratch` from nothing it regrew seven vectors
+/// through the frame's ≈ 420 boxes: the four steps below asked for 149–174
+/// allocations and 106–141 KiB each; they ask for 102–127 and 24–58 KiB
+/// (detections, losses, decode's lists — what is per frame).
+#[test]
+fn a_warm_loss_based_step_grows_no_fusion_scratch() {
+    let frames = render_frames(31, Context::City, 4);
+    let opts = InferenceOptions::new(0.01, 0.5).with_gate(GateKind::LossBased);
+    let mut model = EcoFusionModel::new(GRID, 8, &mut Rng::new(0xA110C));
+    for frame in frames.iter().chain(&frames) {
+        model.infer_batch(std::slice::from_ref(frame), &opts).expect("warm-up step");
+    }
+    for (i, frame) in frames.iter().enumerate() {
+        let (allocs, bytes) = (allocs_on_this_thread(), bytes_on_this_thread());
+        let served = model.infer_batch(std::slice::from_ref(frame), &opts).expect("warm step");
+        let allocs = allocs_on_this_thread() - allocs;
+        let kib = (bytes_on_this_thread() - bytes) as f64 / 1024.0;
+        assert_eq!(served[0].predicted_losses.len(), 127);
+        assert!(allocs <= 138, "frame {i}: {allocs} allocations");
+        assert!(kib <= 82.0, "frame {i}: {kib:.1} KiB requested");
+    }
 }

@@ -45,7 +45,8 @@ pub fn spearman(a: &[f32], b: &[f32]) -> f64 {
 fn ranks(v: &[f32]) -> Vec<f64> {
     let n = v.len();
     let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&i, &j| v[i].partial_cmp(&v[j]).unwrap_or(std::cmp::Ordering::Equal));
+    // A NaN — a diverged gate predicts them — gets the worst rank.
+    idx.sort_by(|&i, &j| crate::nan_last(v[i], v[j]));
     let mut out = vec![0.0; n];
     let mut i = 0;
     while i < n {
@@ -159,6 +160,38 @@ mod tests {
         assert!(spearman(&a, &b) > 0.9);
         assert_eq!(spearman(&[1.0], &[2.0]), 0.0);
         assert_eq!(spearman(&[1.0, 1.0], &[2.0, 3.0]), 0.0);
+    }
+
+    /// `assess_gate` ranks whatever a gate predicts, and a diverged one
+    /// predicts NaN: the sort used to have no total order then and could
+    /// panic. Now a NaN takes the worst rank, the ranks of the others are
+    /// what they are without it, and the correlation is a number.
+    #[test]
+    fn a_nan_prediction_gets_the_worst_rank_instead_of_panicking() {
+        let mut rng = ecofusion_tensor::rng::Rng::new(0x5EA);
+        for case in 0..64 {
+            let n = rng.uniform_usize(64, 231);
+            let truth: Vec<f32> = (0..n).map(|_| rng.uniform(0.0, 4.0) as f32).collect();
+            let predicted: Vec<f32> = truth
+                .iter()
+                .map(|&t| match rng.uniform_usize(0, 7) {
+                    0 => f32::NAN,
+                    _ => t + rng.uniform(-0.5, 0.5) as f32,
+                })
+                .collect();
+            let (finite, nans): (Vec<f32>, Vec<f32>) = predicted.iter().partition(|p| !p.is_nan());
+            assert!(!nans.is_empty(), "case {case} holds a NaN");
+            let got = ranks(&predicted);
+            let mut worst: Vec<f64> =
+                predicted.iter().zip(&got).filter(|(p, _)| p.is_nan()).map(|(_, &r)| r).collect();
+            worst.sort_by(f64::total_cmp);
+            let tail: Vec<f64> = (finite.len() + 1..=n).map(|r| r as f64).collect();
+            assert_eq!(worst, tail, "case {case}: the NaNs take the last ranks");
+            let kept: Vec<f64> =
+                predicted.iter().zip(&got).filter(|(p, _)| !p.is_nan()).map(|(_, &r)| r).collect();
+            assert_eq!(kept, ranks(&finite), "case {case}: the others rank as without them");
+            assert!(spearman(&predicted, &truth).is_finite(), "case {case}");
+        }
     }
 
     #[test]

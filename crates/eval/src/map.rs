@@ -28,11 +28,10 @@ pub fn average_precision(
     if n_gt == 0 {
         return None;
     }
-    // Sort detections by descending confidence.
+    // Sort detections by descending confidence; one scored NaN ranks
+    // behind every other, where all it can be is the last to claim a box.
     let mut order: Vec<usize> = (0..dets.len()).collect();
-    order.sort_by(|&a, &b| {
-        dets[b].1.score.partial_cmp(&dets[a].1.score).unwrap_or(std::cmp::Ordering::Equal)
-    });
+    order.sort_by(|&a, &b| crate::nan_last(-dets[a].1.score, -dets[b].1.score));
     // Track which GT boxes are already matched.
     let mut matched: Vec<Vec<bool>> =
         gt_frames.iter().map(|f| vec![false; f.boxes.len()]).collect();
@@ -144,6 +143,38 @@ mod tests {
 
     fn det(class: usize, x: f32, score: f32) -> Detection {
         Detection::new(BBox::new(x, 0.0, x + 10.0, 10.0), class, score)
+    }
+
+    /// A NaN among the scores used to leave `sort_by` without a total
+    /// order, and since Rust 1.81 it may panic on that ("user-provided
+    /// comparison function does not correctly implement a total order");
+    /// about one in three such vectors did. Now a NaN ranks last, exactly
+    /// where a score of −∞ would have put the detection.
+    #[test]
+    fn a_nan_score_ranks_last_instead_of_panicking() {
+        let mut rng = ecofusion_tensor::rng::Rng::new(0xA9);
+        for case in 0..64 {
+            let n = rng.uniform_usize(64, 231);
+            let gts = vec![GtFrame { boxes: (0..8).map(|i| gt(0, 30.0 * i as f32)).collect() }];
+            let dets: Vec<Detection> = (0..n)
+                .map(|_| {
+                    let score = match rng.uniform_usize(0, 7) {
+                        0 => f32::NAN,
+                        _ => rng.uniform(0.0, 1.0) as f32,
+                    };
+                    det(0, rng.uniform(0.0, 240.0) as f32, score)
+                })
+                .collect();
+            assert!(dets.iter().any(|d| d.score.is_nan()), "case {case} holds a NaN");
+            let last: Vec<Detection> = dets
+                .iter()
+                .map(|d| Detection { score: d.score.max(f32::NEG_INFINITY), ..*d })
+                .collect();
+            assert!(last.iter().all(|d| !d.score.is_nan()));
+            let (got, want) = (map_voc(&[dets], &gts, 8, 0.5), map_voc(&[last], &gts, 8, 0.5));
+            assert!(got.is_finite(), "case {case}: {got}");
+            assert_eq!(got.to_bits(), want.to_bits(), "case {case}: {got} vs {want}");
+        }
     }
 
     #[test]

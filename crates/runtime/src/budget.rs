@@ -215,7 +215,12 @@ impl PolicyStep {
 /// every configuration a candidate and `λ_E = 1`, which executes the
 /// single cheapest branch — and finally run that same emergency rung with
 /// int8-quantized stems and branch heads, so the last escalation runs one
-/// stem *quantized* at the measured int8 stage costs.
+/// stem *quantized* at the measured int8 stage costs. In this host's time
+/// the rung's saving is the branch (its int8 plan runs in about half its
+/// f32 twin's time); the int8 stem is **not** cheaper than the f32 stem —
+/// a stem has one input channel, so half of every `[i8; 2]` channel pair
+/// the int8 tile multiplies is padding (README, *The quantized emergency
+/// rung*; `fused_pipeline/stem_plan_batch64{,_int8}`).
 ///
 /// Consecutive rungs that the `max` clamps make identical to their
 /// predecessor (a base `λ_E` already at 0.7, say) are dropped, so every

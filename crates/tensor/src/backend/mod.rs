@@ -8,7 +8,10 @@
 //! dimension. The call is static; there is no process-wide selection.
 //! The compiled plans' convolution steps run [`conv2d_rows_t`], the direct
 //! convolution below over planes the step before it wrote, which
-//! reproduces [`Blocked`]'s forward reduction bit for bit.
+//! reproduces [`Blocked`]'s forward reduction bit for bit — and, where a
+//! step pools `2×2` over a geometry that puts whole windows in a register
+//! tile (the stems), [`conv2d_pooled_t`], the same reduction in tiles that
+//! apply the epilogue and pool before they store.
 //!
 //! [`Reference`] keeps the original straightforward loops behind the same
 //! [`Backend`] trait as the **kernel oracle**: tests and the `tensor_ops`
@@ -186,11 +189,14 @@ pub const RUN: usize = 8;
 /// are still cache-resident when the register tiles read them and its
 /// rows when the epilogue does. 256 KiB is an eighth of the reference
 /// host's per-core L2 — the tile's input, output and the weights need
-/// room beside it — and resolves to seven samples for a stem, twelve for
-/// a one-sensor f32 branch and four for the attention gate of the
-/// canonical model (three, seven and four while every convolution wrote
-/// an NCHW map for the next to copy; two each while the f32 plans lowered
-/// to a column matrix nine times the size of their input). Measured at
+/// room beside it — and resolves to fifty-six samples for a stem (one
+/// padded 34×34 plane each and no rows: its tiles pool; 113 in int8),
+/// twelve for a one-sensor f32 branch and four for the attention gate of
+/// the canonical model (seven, twelve and four while the stem's tiles
+/// wrote rows for an epilogue to pool; three, seven and four while every
+/// convolution wrote an NCHW map for the next to copy; two each while the
+/// f32 plans lowered to a column matrix nine times the size of their
+/// input). Measured at
 /// 128 / 256 / 512 KiB (`BENCH_14.json`, `tile_constant`): 128 and 256
 /// are within run-to-run spread of each other (256 a little ahead on the
 /// 64-frame f32 fleet batches, 128 on the int8 rung), 512 is behind on
@@ -772,6 +778,355 @@ unsafe fn tile_f32_avx2<const IR: usize>(
             c[ii * m + run.pos..][..run.width].copy_from_slice(&lanes[..run.width]);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The pooled tile: a convolution whose epilogue pools 2×2 finishes its
+// windows in registers
+// ---------------------------------------------------------------------------
+
+/// Channel-group height of the pooled register tiles (f32 and int8): with
+/// **two output rows** × two runs a `4×(2×16)` accumulator block — the
+/// register budget of the `IR_T×16` tile, turned so that it covers whole
+/// `2×2` windows.
+pub(crate) const IR_P: usize = 4;
+
+/// The per-channel constants of a pooled f32 tile's epilogue: bias, then
+/// the batch-norm eval affine, then ReLU — per element
+/// `(γ·(((r + bias) − mean)·inv_std) + β).max(0)`, unfused and in that
+/// order, which is the eager `Conv2d → BatchNorm2d → ReLU` arithmetic.
+/// One value per output channel in every slice.
+#[derive(Debug, Clone, Copy)]
+pub struct BnRelu<'a> {
+    /// Convolution bias.
+    pub bias: &'a [f32],
+    /// Running mean.
+    pub mean: &'a [f32],
+    /// `1/√(var + ε)`.
+    pub inv_std: &'a [f32],
+    /// Batch-norm weight γ.
+    pub gamma: &'a [f32],
+    /// Batch-norm bias β.
+    pub beta: &'a [f32],
+}
+
+impl BnRelu<'_> {
+    /// `[bias, mean, inv_std, γ, β]` of output channel `c`.
+    #[inline]
+    fn at(&self, c: usize) -> [f32; 5] {
+        [self.bias[c], self.mean[c], self.inv_std[c], self.gamma[c], self.beta[c]]
+    }
+}
+
+/// The `2×2` max pool of two output rows × two runs of values, `rows[y]`
+/// holding columns `0..2·RUN` of row `y`: each window compared in
+/// `MaxPool2d`'s order — top row first, left to right, `v > best` from
+/// −∞, so a NaN or an equal `v` keeps `best`.
+#[inline]
+pub(crate) fn pool_windows(rows: [&[f32; 2 * RUN]; 2]) -> [f32; RUN] {
+    std::array::from_fn(|x| {
+        let mut best = f32::NEG_INFINITY;
+        for v in [rows[0][2 * x], rows[0][2 * x + 1], rows[1][2 * x], rows[1][2 * x + 1]] {
+            if v > best {
+                best = v;
+            }
+        }
+        best
+    })
+}
+
+/// [`pool_windows`] on registers, `v = [row 0 run 0, row 0 run 1, row 1
+/// run 0, row 1 run 1]`: per row two `vshufps` split the sixteen columns
+/// into their even and their odd ones (both in the lane order `0 1 4 5 2
+/// 3 6 7` of windows), `vmaxps(v, best)` — which returns `best` unless
+/// `v > best` — takes them in `MaxPool2d`'s order, and one `vpermpd` puts
+/// the eight windows back in column order.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+#[target_feature(enable = "avx2")]
+pub(crate) fn pool_windows_avx2(v: [std::arch::x86_64::__m256; 4]) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::{
+        _mm256_castpd_ps, _mm256_castps_pd, _mm256_max_ps, _mm256_permute4x64_pd, _mm256_set1_ps,
+        _mm256_shuffle_ps,
+    };
+    let mut best = _mm256_set1_ps(f32::NEG_INFINITY);
+    for [a, b] in [[v[0], v[1]], [v[2], v[3]]] {
+        best = _mm256_max_ps(_mm256_shuffle_ps::<0b10_00_10_00>(a, b), best);
+        best = _mm256_max_ps(_mm256_shuffle_ps::<0b11_01_11_01>(a, b), best);
+    }
+    _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_castps_pd(best)))
+}
+
+impl DirectConv {
+    /// Whether [`conv2d_pooled_t`] (and its int8 twin) covers this
+    /// geometry: register tiles of two output rows × two runs hold whole
+    /// `2×2` windows when the stride is 1 (the second row's taps are one
+    /// plane row on), `Ho` is even and `Wo` a multiple of `2·RUN`. The
+    /// plan compiler asks once, when it fuses the pooling; any other
+    /// pooling convolution keeps the two-pass write-back.
+    pub fn pools_in_tile(&self) -> bool {
+        let [ho, wo] = self.out_hw;
+        self.stride == 1 && ho.is_multiple_of(2) && wo.is_multiple_of(2 * RUN)
+    }
+
+    /// The bases of sample `b`'s pooled tiles — the upper-left run of two
+    /// output rows × two runs — each with where its [`RUN`] pooled outputs
+    /// go in a channel's `(Ho/2, Wo/2)` plane.
+    pub(crate) fn pooled_tiles(&self, b: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let [ho, wo] = self.out_hw;
+        (0..ho / 2).flat_map(move |y| {
+            (0..wo / (2 * RUN))
+                .map(move |x| (self.base(b, 2 * y, 2 * RUN * x), y * (wo / 2) + RUN * x))
+        })
+    }
+}
+
+/// [`conv2d_pooled_t`], `PORTABLE` forcing the safe tile body.
+fn conv_pooled_direct<const PORTABLE: bool>(
+    planes: &[f32],
+    b: usize,
+    a: &[f32],
+    direct: &DirectConv,
+    epilogue: &BnRelu<'_>,
+    out: &mut [f32],
+) {
+    let (co, [ho, wo], ck) = (direct.spec.out_channels, direct.out_hw, direct.off.len());
+    let pooled = ho / 2 * (wo / 2);
+    let BnRelu { bias, mean, inv_std, gamma, beta } = epilogue;
+    // The one release-mode check per call (a call is one sample): the
+    // geometry the tiles assume, operand lengths, and that the farthest
+    // full-width load of the sample's last tile stays inside the planes.
+    assert!(
+        direct.pools_in_tile()
+            && a.len() == co * ck
+            && [bias, mean, inv_std, gamma, beta].iter().all(|k| k.len() == co)
+            && out.len() == co * pooled
+            && direct.reach(b + 1) <= planes.len(),
+        "conv2d_pooled_t: operands disagree with sample {b} of {:?} over {:?}",
+        direct.spec,
+        direct.in_hw
+    );
+    let groups = a.chunks(IR_P * ck).zip(out.chunks_mut(IR_P * pooled));
+    for (g, (a_grp, out_grp)) in groups.enumerate() {
+        let group = (a_grp, planes, direct, b, epilogue, IR_P * g, out_grp);
+        // SAFETY: `a_grp` is `ir·ck` weights and `out_grp` `ir` pooled
+        // planes for the `ir` of its arm, and the `assert!` above checked
+        // `pools_in_tile()` and `reach(b + 1)` — the end of the farthest
+        // full-width load of any tile of `pooled_tiles(b)` — against the
+        // planes.
+        unsafe {
+            match a_grp.len() / ck {
+                1 => group_pooled_tiles::<1, PORTABLE>(group),
+                2 => group_pooled_tiles::<2, PORTABLE>(group),
+                3 => group_pooled_tiles::<3, PORTABLE>(group),
+                IR_P => group_pooled_tiles::<IR_P, PORTABLE>(group),
+                ir => unreachable!("a channel group of {ir}"),
+            }
+        }
+    }
+}
+
+/// All pooled tiles of one sample and one group of `IR` output channels:
+/// `(weights (IR, ck), planes, addressing, sample, epilogue, first
+/// channel, pooled planes (IR, Ho/2·Wo/2))`. One tile is `IR` channels ×
+/// two output rows × two runs: every lane the chain of [`group_tiles`],
+/// then [`BnRelu`]'s arithmetic on the accumulators where they are, each
+/// `2×2` window's comparisons ([`pool_windows`]) and one store of [`RUN`]
+/// pooled outputs per channel — the unpooled values are written nowhere.
+/// Two bodies that produce the same bits, as for [`group_tiles`].
+///
+/// # Safety
+/// `direct.pools_in_tile()`, `a.len() ≥ IR·ck`, `out.len() ≥
+/// IR·(Ho/2)·(Wo/2)`, and `direct.reach(b + 1) ≤ x.len()`.
+#[inline(always)]
+unsafe fn group_pooled_tiles<const IR: usize, const PORTABLE: bool>(
+    (a, x, direct, b, epilogue, c0, out): (
+        &[f32],
+        &[f32],
+        &DirectConv,
+        usize,
+        &BnRelu<'_>,
+        usize,
+        &mut [f32],
+    ),
+) {
+    let consts: [[f32; 5]; IR] = std::array::from_fn(|ii| epilogue.at(c0 + ii));
+    let (pooled, below) = (out.len() / IR, direct.plane[1]);
+    for (base, pos) in direct.pooled_tiles(b) {
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"))]
+        if !PORTABLE {
+            // SAFETY: compiled under `cfg(target_feature = "avx2",
+            // "fma")`, so every CPU the build may run on has the features
+            // the body enables; its operand ranges follow from this
+            // function's contract — `base` is that of two output rows ×
+            // two runs inside sample `b`, whose farthest load
+            // `reach(b + 1)` bounds, and `pos + RUN ≤ pooled`.
+            unsafe {
+                pooled_tile_f32_avx2::<IR>(
+                    a,
+                    x,
+                    &direct.off,
+                    [base, below],
+                    &consts,
+                    pos,
+                    pooled,
+                    out,
+                )
+            };
+            continue;
+        }
+        pooled_tile_f32_portable::<IR>(a, x, &direct.off, [base, below], &consts, pos, pooled, out);
+    }
+}
+
+/// `(γ·(((r + bias) − mean)·inv_std) + β).max(0)`: [`BnRelu`] per element.
+#[inline]
+fn bn_relu([bias, mean, inv_std, gamma, beta]: [f32; 5], r: f32) -> f32 {
+    (gamma * (((r + bias) - mean) * inv_std) + beta).max(0.0)
+}
+
+/// The portable body of a [`group_pooled_tiles`] tile: lane arrays and
+/// `mul_add`, every index checked. `[base, below]` is the tile's base and
+/// the distance to the same column one output row down.
+#[inline]
+#[allow(clippy::too_many_arguments)] // one tile's operands, not state
+fn pooled_tile_f32_portable<const IR: usize>(
+    a: &[f32],
+    x: &[f32],
+    off: &[usize],
+    [base, below]: [usize; 2],
+    consts: &[[f32; 5]; IR],
+    pos: usize,
+    pooled: usize,
+    out: &mut [f32],
+) {
+    let ck = off.len();
+    let mut acc = [[[0.0f32; 2 * RUN]; 2]; IR];
+    let a = &a[..IR * ck];
+    for (p, &o) in off.iter().enumerate() {
+        let b: [&[f32]; 2] = [&x[base + o..][..2 * RUN], &x[base + below + o..][..2 * RUN]];
+        for (ii, acc) in acc.iter_mut().enumerate() {
+            let av = a[ii * ck + p];
+            for (row, b) in acc.iter_mut().zip(b) {
+                for (lane, &bv) in row.iter_mut().zip(b) {
+                    *lane = av.mul_add(bv, *lane);
+                }
+            }
+        }
+    }
+    for (ii, (acc, &k)) in acc.iter().zip(consts).enumerate() {
+        let v = acc.map(|row| row.map(|r| bn_relu(k, r)));
+        out[ii * pooled + pos..][..RUN].copy_from_slice(&pool_windows([&v[0], &v[1]]));
+    }
+}
+
+/// The AVX2 + FMA body of a [`group_pooled_tiles`] tile: per patch element
+/// four unaligned 8-lane loads (two runs of two output rows) and, per
+/// channel, one broadcast weight fused into the four accumulators; then
+/// the epilogue on the sixteen registers — five broadcast constants a
+/// channel, six vector operations a register — and
+/// [`pool_windows_avx2`], one 8-lane store per channel.
+///
+/// # Safety
+/// `a.len() ≥ IR·off.len()`; `base + d + o + RUN ≤ x.len()` for every `o`
+/// in `off` and `d` in `{0, RUN, below, below + RUN}`; and
+/// `(IR − 1)·pooled + pos + RUN ≤ out.len()`.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"))]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)] // one tile's operands, not state
+unsafe fn pooled_tile_f32_avx2<const IR: usize>(
+    a: &[f32],
+    x: &[f32],
+    off: &[usize],
+    [base, below]: [usize; 2],
+    consts: &[[f32; 5]; IR],
+    pos: usize,
+    pooled: usize,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_max_ps,
+        _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps,
+    };
+    let ck = off.len();
+    let mut acc = [[_mm256_setzero_ps(); 4]; IR];
+    for (p, &o) in off.iter().enumerate() {
+        // SAFETY: the caller guarantees `base + d + o + RUN ≤ x.len()`
+        // for these four `d`, so each unaligned load reads 8 floats of
+        // `x`.
+        let b = unsafe {
+            let at = x.as_ptr().add(base + o);
+            [
+                _mm256_loadu_ps(at),
+                _mm256_loadu_ps(at.add(RUN)),
+                _mm256_loadu_ps(at.add(below)),
+                _mm256_loadu_ps(at.add(below + RUN)),
+            ]
+        };
+        for (ii, acc) in acc.iter_mut().enumerate() {
+            // SAFETY: `ii < IR` and `p < ck`, and the caller guarantees
+            // `a.len() ≥ IR·ck`.
+            let av = unsafe { _mm256_broadcast_ss(a.get_unchecked(ii * ck + p)) };
+            for (acc, b) in acc.iter_mut().zip(b) {
+                *acc = _mm256_fmadd_ps(av, b, *acc);
+            }
+        }
+    }
+    let zero = _mm256_setzero_ps();
+    for (ii, (acc, k)) in acc.into_iter().zip(consts).enumerate() {
+        let [bias, mean, inv_std, gamma, beta] = k.map(|k| _mm256_set1_ps(k));
+        // `bn_relu` per lane; `vmaxps(v, 0)` is what `v.max(0.0)` compiles
+        // to: 0 for a NaN and for either zero.
+        let v = acc.map(|r| {
+            let t = _mm256_mul_ps(_mm256_sub_ps(_mm256_add_ps(r, bias), mean), inv_std);
+            _mm256_max_ps(_mm256_add_ps(_mm256_mul_ps(gamma, t), beta), zero)
+        });
+        // SAFETY: the caller guarantees `(IR − 1)·pooled + pos + RUN ≤
+        // out.len()` and `ii < IR`, so the 8 floats from `ii·pooled + pos`
+        // lie inside `out`.
+        unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(ii * pooled + pos), pool_windows_avx2(v)) };
+    }
+}
+
+/// A convolution, its batch-norm eval affine, ReLU and `2×2` max pooling
+/// in one pass over the planes: sample `b` of `planes` (as
+/// [`conv2d_rows_t`] reads them) into `out`, its pooled `(C_out, Ho/2,
+/// Wo/2)` map. Register tiles cover whole pooling windows — `IR_P` output
+/// channels × two output rows × two runs — so a tile finishes what it
+/// computes: the reduction of [`conv2d_rows_t`] (the same chain per
+/// element), [`BnRelu`]'s per-element arithmetic on the accumulators in
+/// their registers, each window's comparisons in `MaxPool2d`'s order, and
+/// one store of [`RUN`] pooled outputs per channel. Neither pre-bias rows
+/// nor the unpooled map are written anywhere. Bit for bit
+/// [`conv2d_rows_t`] followed by the two-pass write-back; for the
+/// geometries of [`DirectConv::pools_in_tile`] only.
+///
+/// # Panics
+/// Panics — in release builds too — if `direct` does not pool in tiles,
+/// `weight`, `epilogue` or `out` disagree with it, or `planes` is shorter
+/// than `b + 1` samples require.
+pub fn conv2d_pooled_t(
+    planes: &[f32],
+    b: usize,
+    weight: &[f32],
+    direct: &DirectConv,
+    epilogue: &BnRelu<'_>,
+    out: &mut [f32],
+) {
+    conv_pooled_direct::<false>(planes, b, weight, direct, epilogue, out);
+}
+
+/// [`conv2d_pooled_t`] through the portable tile body whatever the build
+/// enables, so that a host which compiles the AVX2 body tests both.
+#[doc(hidden)]
+pub fn conv2d_pooled_t_portable(
+    planes: &[f32],
+    b: usize,
+    weight: &[f32],
+    direct: &DirectConv,
+    epilogue: &BnRelu<'_>,
+    out: &mut [f32],
+) {
+    conv_pooled_direct::<true>(planes, b, weight, direct, epilogue, out);
 }
 
 /// Column-sweep layout: for each patch-column index `(ci, ky, kx)` the

@@ -7,6 +7,9 @@
 //!   direct convolution whose write-back epilogue applies the bias, the
 //!   batch-norm eval affine and the ReLU clamp per element, and pools the
 //!   values on their way out — no intermediate tensors, pooled or not.
+//!   Where whole `2×2` windows fit a register tile (every stem), the
+//!   tile does all of it on its accumulators and stores the pooled row
+//!   only.
 //! * `Linear → ReLU` fuses the same way (bias + clamp in the GEMM
 //!   write-back); the weight is transposed for the GEMM once, here.
 //! * `MaxPool2d` is a step of its own only where no convolution comes
@@ -50,14 +53,31 @@
 //!   epilogue computes, at the reader's activation scale, two output
 //!   channels into one channel pair — so nothing is carried in f32
 //!   between two int8 convolutions, and nothing copied.
-//! * A convolution followed by max pooling pools in its epilogue, one
-//!   (sample, channel) run at a time while it is in L1: the per-element
-//!   arithmetic in place of the accumulators it is made from (an i32 one
-//!   holds the f32's bits), then each window's comparisons in
-//!   `MaxPool2d`'s order. No unpooled map is written anywhere else, and
-//!   the pooled rows are plain. (One fused pass — values and comparisons
-//!   in the same loop — was measured first and is slower: the shuffles
-//!   keep the arithmetic from streaming.)
+//! * A convolution followed by max pooling pools before it stores, and
+//!   the pooled rows are plain; no unpooled map is written anywhere.
+//!   **A stem's block finishes in its register tiles**
+//!   (`Step::pooled_tile`): behind a batch-norm affine and ReLU, with a
+//!   `2×2` pool over a stride-1 geometry whose `Ho` is even and `Wo` a
+//!   multiple of `2·RUN`, a tile is `IR_P` channels × **two output rows**
+//!   × two runs — whole windows — and applies the per-element arithmetic
+//!   to its accumulators where they are, compares each window in
+//!   `MaxPool2d`'s order, de-interleaves and stores [`RUN`] pooled outputs
+//!   per channel ([`conv2d_pooled_t`], [`conv_pooled_t_i8`]). Such a step
+//!   writes neither rows nor `acc`: a stem's 8 192 values a sample are
+//!   never in memory, only its 2 048 pooled ones, once. The choice is
+//!   made here, from the step's geometry, when the plan is finished. Any
+//!   other pooling convolution takes the write-back's generic two passes
+//!   over one (sample, channel) run at a time while it is in L1: the
+//!   per-element arithmetic in place of the accumulators it is made from
+//!   (an i32 one holds the f32's bits), then each window's comparisons.
+//! * **The last step stores each sample where the caller wants it**
+//!   ([`CompiledPlan::execute_blocks_to`]: a destination per sample, in
+//!   any order; one tensor of rows — [`CompiledPlan::execute_into`],
+//!   [`CompiledPlan::execute_blocks_into`] — is the case of one
+//!   destination behind the other). A convolution's tiles or epilogue
+//!   store there directly; a last step that is no convolution writes its
+//!   tile in one piece (a GEMM does), and the executor hands the rows
+//!   out.
 //! * [`DirectConv::lower`] — a fill, then `store_plane` with the identity
 //!   over every source plane — runs only where no convolution wrote the
 //!   input: for a plan's **first** step, which reads the caller's input
@@ -112,11 +132,11 @@
 //! planes + rows / i32 accumulators + ping/pong intermediates (plus the
 //! attention scratch, which does not scale with `T`) fit `TILE_BYTES`
 //! (256 KiB, beside the register-tile constants in [`crate::backend`]) —
-//! at least one sample. For the canonical model that is seven samples for
-//! a stem (f32 and int8: its planes and its rows; the unpooled map lies
-//! nowhere), twelve for a one-sensor f32 branch (five with all four
-//! sensors), twenty-three for its int8 twin and four for the learned
-//! gates. The arena holds exactly those buffers, for at most one tile —
+//! at least one sample. For the canonical model that is fifty-six samples
+//! for a stem (113 in int8: one padded plane each — its tiles pool, so it
+//! holds neither rows nor accumulators), twelve for a one-sensor f32
+//! branch (five with all four sensors), twenty-three for its int8 twin
+//! and four for the learned gates. The arena holds exactly those buffers, for at most one tile —
 //! it grows to the largest tile a plan has actually run, so its size is
 //! O(tile), not O(batch), and a plan that only serves batch 1 keeps one
 //! sample's worth. Nothing in it survives from one tile to the next, and
@@ -160,7 +180,9 @@
 //!   pipe applies to it.
 //! * pooling: `v > best` from −∞ over the window's values, row by row
 //!   and left to right, as `MaxPool2d` — which zero of two signs and
-//!   which of several NaN-free maxima wins depends on that order.
+//!   which of several NaN-free maxima wins depends on that order. The
+//!   pooled tiles keep it (`vmaxps(v, best)` is that comparison) and the
+//!   unfolded per-element arithmetic, on both of their bodies.
 //! * attention: the same GEMM entry points on the same operands in the
 //!   same order as [`SelfAttention2d`]'s forward, and the shared
 //!   row-softmax routine.
@@ -179,11 +201,13 @@
 //! precision) and invalidated on weight mutation, mirroring the
 //! quantization image's invalidation discipline.
 
-use crate::backend::{conv2d_rows_t, Backend, Blocked, DirectConv, RUN, TILE_BYTES};
+use crate::backend::{
+    conv2d_pooled_t, conv2d_rows_t, Backend, Blocked, BnRelu, DirectConv, RUN, TILE_BYTES,
+};
 use crate::layer::{BatchNorm2d, Conv2d, Linear, SelfAttention2d, Sequential};
 use crate::quant::{
-    conv_rows_t_i8, quantize_planes, quantize_value, PackedConvWeights, QuantConv2d, QuantPipe,
-    QuantStage,
+    conv_pooled_t_i8, conv_rows_t_i8, quantize_planes, quantize_value, DequantAffineRelu,
+    PackedConvWeights, QuantConv2d, QuantPipe, QuantStage,
 };
 use crate::tensor::{softmax_rows_in_place, Tensor};
 use std::collections::HashMap;
@@ -274,6 +298,22 @@ impl Op {
     fn feeds_planes(&self) -> bool {
         matches!(self, Op::ConvF32 { pool: None, .. } | Op::ConvI8 { pool: None, .. })
     }
+
+    /// Whether the step's register tiles cover whole pooling windows and
+    /// finish them ([`conv2d_pooled_t`], [`conv_pooled_t_i8`]): a
+    /// convolution with the batch-norm affine, ReLU and a `2×2` pool in
+    /// its epilogue — a stem's block — over a geometry that puts the
+    /// windows in tiles ([`DirectConv::pools_in_tile`]). All of it is
+    /// fixed once the layers are pushed, so `finish` asks once.
+    fn pools_in_tile(&self) -> bool {
+        match self {
+            Op::ConvF32 { direct, bn: Some(_), relu: true, pool: Some(2), .. }
+            | Op::ConvI8 { direct, affine: Some(_), relu: true, pool: Some(2), .. } => {
+                direct.pools_in_tile()
+            }
+            _ => false,
+        }
+    }
 }
 
 /// Where a step finds or leaves one tile of activations. Resolved for
@@ -282,7 +322,8 @@ impl Op {
 /// wants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Loc {
-    /// The caller's input blocks, or the caller's output tensor.
+    /// The caller's input blocks, or the caller's per-sample
+    /// destinations.
     Caller,
     /// Plain `(T, …)` rows in one of the two intermediate buffers.
     Ping,
@@ -294,8 +335,9 @@ enum Loc {
 }
 
 /// One plan step: a fused op plus its compile-time-resolved per-sample
-/// shapes (no batch axis), their element counts, and where it reads and
-/// writes.
+/// shapes (no batch axis), their element counts, where it reads and
+/// writes, and whether it pools in its register tiles
+/// ([`Op::pools_in_tile`]).
 #[derive(Debug, Clone)]
 struct Step {
     op: Op,
@@ -305,6 +347,7 @@ struct Step {
     out_numel: usize,
     src: Loc,
     dst: Loc,
+    pooled_tile: bool,
 }
 
 /// The lowering buffers of one plan, never cleared: each step overwrites
@@ -486,7 +529,7 @@ impl CompiledPlan {
         );
         let (n, data) = (x.shape()[0], x.data());
         let per = data.len() / n.max(1);
-        self.run(n, 1, &|b| &data[b * per..(b + 1) * per], out);
+        self.run(n, 1, &|b| &data[b * per..(b + 1) * per], &mut self.rows_of(out, n));
     }
 
     /// Runs the plan over samples that lie scattered: sample `b` is the
@@ -494,60 +537,94 @@ impl CompiledPlan {
     /// each a whole number of its channels. The first step reads the
     /// blocks where they are — a convolution lowers (or quantizes) them
     /// straight into its planes — so a caller that holds the parts of its
-    /// input in different places concatenates nothing.
+    /// input in different places concatenates nothing. The
+    /// one-tensor-of-rows case of [`CompiledPlan::execute_blocks_to`].
     ///
     /// # Panics
     /// Panics if `blocks` is not a whole number of samples of the
     /// compiled per-sample shape, or `out` is not the plan's output for
     /// that many.
     pub fn execute_blocks_into(&mut self, blocks: &[&[f32]], per_sample: usize, out: &mut Tensor) {
+        let n = blocks.len() / per_sample.max(1);
+        self.execute_blocks_to(blocks, per_sample, self.rows_of(out, n));
+    }
+
+    /// [`CompiledPlan::execute_blocks_into`] with a destination per
+    /// sample: `rows` yields, in sample order, where each sample's output
+    /// — the elements of the plan's per-sample output shape — is to be
+    /// stored. The last step stores every sample straight there, so a
+    /// caller that keeps its rows in different places copies nothing
+    /// either.
+    ///
+    /// # Panics
+    /// Panics if `blocks` is not a whole number of samples of the
+    /// compiled per-sample shape, or `rows` is not one destination of the
+    /// plan's per-sample output size for each.
+    pub fn execute_blocks_to<'o>(
+        &mut self,
+        blocks: &[&[f32]],
+        per_sample: usize,
+        rows: impl IntoIterator<Item = &'o mut [f32]>,
+    ) {
         assert!(
             per_sample > 0 && blocks.len().is_multiple_of(per_sample),
             "{} blocks are not whole samples of {per_sample}",
             blocks.len()
         );
-        self.run(blocks.len() / per_sample, per_sample, &|i| blocks[i], out);
+        self.run(blocks.len() / per_sample, per_sample, &|i| blocks[i], &mut rows.into_iter());
+    }
+
+    /// The rows of `out`, the plan's output for `n` samples, as
+    /// per-sample destinations.
+    fn rows_of<'o>(&self, out: &'o mut Tensor, n: usize) -> std::slice::ChunksExactMut<'o, f32> {
+        assert_eq!(&out.shape()[1..], &self.out_shape[..], "plan output shape mismatch");
+        assert_eq!(out.shape()[0], n, "plan output batch mismatch");
+        out.data_mut().chunks_exact_mut(self.out_shape.iter().product::<usize>().max(1))
     }
 
     /// The executor: `n` samples, sample `b` made of blocks `b·per_sample
-    /// ..` of `block`, one tile through every step before the next tile
-    /// starts.
-    fn run<'a>(
+    /// ..` of `block` and stored to the `b`-th destination `out` yields,
+    /// one tile through every step before the next tile starts.
+    fn run<'a, 'o>(
         &mut self,
         n: usize,
         per_sample: usize,
         block: &dyn Fn(usize) -> &'a [f32],
-        out: &mut Tensor,
+        out: &mut dyn Iterator<Item = &'o mut [f32]>,
     ) {
-        assert_eq!(&out.shape()[1..], &self.out_shape[..], "plan output shape mismatch");
-        assert_eq!(out.shape()[0], n, "plan output batch mismatch");
         let in_numel: usize = self.in_shape.iter().product();
         for b in 0..n {
             let len: usize = (0..per_sample).map(|j| block(b * per_sample + j).len()).sum();
             assert_eq!(len, in_numel, "plan compiled for a different input shape");
         }
-        if self.steps.iter().all(|step| matches!(step.op, Op::Flatten)) {
-            // Shape-only plan (empty or all-Flatten): copy through.
-            let mut out = out.data_mut();
-            for i in 0..n * per_sample {
-                let (head, rest) = out.split_at_mut(block(i).len());
-                head.copy_from_slice(block(i));
-                out = rest;
-            }
-            return;
-        }
-        let out_per = out.len() / n.max(1);
-        self.arena.reserve(&self.spec, self.tile.min(n));
+        let out_numel: usize = self.out_shape.iter().product();
+        let out = &mut out.inspect(|row| {
+            assert_eq!(row.len(), out_numel, "plan output shape mismatch");
+        });
         // `steps` and `arena` are disjoint fields, so the plan can read
         // its program while mutating its scratch.
         let steps = &self.steps;
+        let last = steps.iter().rfind(|step| !matches!(step.op, Op::Flatten));
+        let Some(last) = last else {
+            // Shape-only plan (empty or all-Flatten): copy through.
+            for b in 0..n {
+                let mut row = next_row(out);
+                for i in b * per_sample..(b + 1) * per_sample {
+                    let (head, rest) = row.split_at_mut(block(i).len());
+                    head.copy_from_slice(block(i));
+                    row = rest;
+                }
+            }
+            assert!(out.next().is_none(), "plan output batch mismatch");
+            return;
+        };
+        self.arena.reserve(&self.spec, self.tile.min(n));
         let mut t0 = 0;
         while t0 < n {
             let tn = self.tile.min(n - t0);
             #[cfg(debug_assertions)]
             self.arena.poison();
             let PlanArena { ping, pong, low, .. } = &mut self.arena;
-            let out_tile = &mut out.data_mut()[t0 * out_per..(t0 + tn) * out_per];
             let caller = |b: usize, j: usize| block((t0 + b) * per_sample + j);
             if self.stage_input {
                 let mut staged = &mut pong[..tn * in_numel];
@@ -572,15 +649,28 @@ impl CompiledPlan {
                     (_, Some(src)) => Input::Plain(&src[..tn * step.in_numel]),
                     (_, None) => Input::Caller(&caller, per_sample),
                 };
-                let (consumer, dst) = match step.dst {
-                    Loc::Planes(reader) => (Some(&steps[reader].op), None),
-                    Loc::Caller => (None, Some(&mut *out_tile)),
-                    Loc::Ping | Loc::Pong => (None, dst.map(|dst| &mut dst[..tn * step.out_numel])),
+                let output = match (step.dst, dst) {
+                    (Loc::Planes(reader), _) => Output::Planes(&steps[reader].op),
+                    (_, Some(dst)) => {
+                        Output::Rows(Rows::Whole(&mut dst[..tn * step.out_numel], step.out_numel))
+                    }
+                    (_, None) => Output::Rows(Rows::Caller(&mut *out)),
                 };
-                run_step(step, tn, input, consumer, dst, low);
+                run_step(step, tn, input, output, low);
+            }
+            // A last step that is no convolution left its tile in one
+            // piece: hand it out.
+            let tail = match last.dst {
+                Loc::Ping => &ping[..tn * out_numel],
+                Loc::Pong => &pong[..tn * out_numel],
+                Loc::Caller | Loc::Planes(_) => &[],
+            };
+            for row in tail.chunks_exact(out_numel.max(1)) {
+                next_row(out).copy_from_slice(row);
             }
             t0 += tn;
         }
+        assert!(out.next().is_none(), "plan output batch mismatch");
     }
 }
 
@@ -596,10 +686,48 @@ enum Input<'s, 'a> {
     Planes,
 }
 
+/// Where plain rows go: one destination per sample, taken in sample
+/// order. The rows of one buffer are the case of one destination behind
+/// the other.
+enum Rows<'s, 'o> {
+    /// `(T, …)` in ping or pong: what is left of it, and a sample's share.
+    Whole(&'s mut [f32], usize),
+    /// The caller's destinations.
+    Caller(&'s mut dyn Iterator<Item = &'o mut [f32]>),
+}
+
+impl Rows<'_, '_> {
+    /// The next sample's destination.
+    fn next(&mut self) -> &mut [f32] {
+        match self {
+            Rows::Whole(rest, per) => {
+                let (row, tail) = std::mem::take(rest).split_at_mut(*per);
+                *rest = tail;
+                row
+            }
+            Rows::Caller(rows) => next_row(rows),
+        }
+    }
+}
+
+/// The next of the caller's destinations.
+fn next_row<'o>(rows: &mut dyn Iterator<Item = &'o mut [f32]>) -> &'o mut [f32] {
+    rows.next().expect("plan output batch mismatch: a destination per sample")
+}
+
+/// What one step writes.
+enum Output<'s, 'o> {
+    /// Plain rows: ping, pong, or — a convolution that is the plan's last
+    /// step — the caller's destinations.
+    Rows(Rows<'s, 'o>),
+    /// The planes of the convolution that reads next.
+    Planes(&'s Op),
+}
+
 /// Where a convolution's epilogue stores its rows.
-enum Sink<'a> {
-    /// NCHW `(T, C_out, Ho, Wo)`: ping, pong or the caller's output.
-    Plain(&'a mut [f32]),
+enum Sink<'a, 'o> {
+    /// NCHW `(C_out, Ho, Wo)` a sample.
+    Plain(Rows<'a, 'o>),
     /// The planes of the f32 convolution that reads next.
     F32(&'a DirectConv, &'a mut [f32]),
     /// The planes of the int8 convolution that reads next and `1 /` its
@@ -607,20 +735,19 @@ enum Sink<'a> {
     I8(&'a DirectConv, f32, &'a mut [[i8; 2]]),
 }
 
-impl<'a> Sink<'a> {
+impl<'a, 'o> Sink<'a, 'o> {
     fn new(
-        consumer: Option<&'a Op>,
-        dst: Option<&'a mut [f32]>,
+        output: Output<'a, 'o>,
         planes: &'a mut [f32],
         planes_i8: &'a mut [[i8; 2]],
-    ) -> Sink<'a> {
-        match (consumer, dst) {
-            (Some(Op::ConvF32 { direct, .. }), _) => Sink::F32(direct, planes),
-            (Some(Op::ConvI8 { direct, act_scale, .. }), _) => {
+    ) -> Sink<'a, 'o> {
+        match output {
+            Output::Rows(rows) => Sink::Plain(rows),
+            Output::Planes(Op::ConvF32 { direct, .. }) => Sink::F32(direct, planes),
+            Output::Planes(Op::ConvI8 { direct, act_scale, .. }) => {
                 Sink::I8(direct, 1.0 / act_scale, planes_i8)
             }
-            (None, Some(dst)) => Sink::Plain(dst),
-            _ => unreachable!("`finish` gives every step a destination"),
+            Output::Planes(_) => unreachable!("`finish` hands planes to a convolution"),
         }
     }
 }
@@ -656,11 +783,14 @@ impl Held for i32 {
 /// (`(C_out, n·Ho·Wo)`, one contiguous run per (sample, channel)) to
 /// wherever the next step reads it, once:
 ///
-/// * plain NCHW rows, each (sample, channel) run into its plane;
+/// * plain NCHW rows, each (sample, channel) run into its plane of the
+///   sample's destination;
 /// * the same, max-pooled `pool × pool` on the way: a run's values are
 ///   held in place of its accumulators, then each window's are compared
 ///   in `MaxPool2d`'s order (`v > best`, row by row, from −∞) — the
-///   unpooled map is written nowhere else;
+///   unpooled map is written nowhere else. (Any pool and any geometry;
+///   the stems' `2×2` over whole tiles never gets here — their register
+///   tiles pool, `Step::pooled_tile`);
 /// * the planes of the convolution that reads next, each (sample,
 ///   channel) run through its [`DirectConv::store_plane`] — an int8
 ///   reader's two output channels at a time, `quantize_value` of each f32
@@ -670,61 +800,48 @@ fn write_back<A: Held, F: Fn(A) -> f32>(
     [n, co, ho, wo]: [usize; 4],
     pool: Option<usize>,
     value: impl Fn(usize) -> F,
-    sink: Sink<'_>,
+    sink: Sink<'_, '_>,
 ) {
     let plane = ho * wo;
     // Where the run of (sample, channel) starts.
     let at = |b: usize, c: usize| c * n * plane + b * plane;
     let run = |b: usize, c: usize| &acc[at(b, c)..][..plane];
     match (sink, pool) {
-        (Sink::Plain(dst), None) => {
-            for (i, out) in dst.chunks_exact_mut(plane).enumerate() {
-                let f = value(i % co);
-                for (o, &a) in out.iter_mut().zip(run(i / co, i % co)) {
-                    *o = f(a);
+        (Sink::Plain(mut rows), None) => {
+            for b in 0..n {
+                for (c, out) in rows.next().chunks_exact_mut(plane).enumerate() {
+                    let f = value(c);
+                    for (o, &a) in out.iter_mut().zip(run(b, c)) {
+                        *o = f(a);
+                    }
                 }
             }
         }
-        (Sink::Plain(dst), Some(k)) => {
+        (Sink::Plain(mut rows), Some(k)) => {
             let (hp, wp) = (ho / k, wo / k);
-            for (i, out) in dst.chunks_exact_mut(hp * wp).enumerate() {
-                // Two passes over one (sample, channel) run, which stays
-                // in L1: its values, held in place of the accumulators
-                // they are made of — one flat loop, as the unpooled
-                // write-back is — then each window's comparisons.
-                let (f, run) = (value(i % co), &mut acc[at(i / co, i % co)..][..plane]);
-                for a in run.iter_mut() {
-                    *a = A::hold(f(*a));
-                }
-                for (out_row, rows) in out.chunks_exact_mut(wp).zip(run.chunks_exact(k * wo)) {
-                    // The model's only pool, `RUN` windows at a time
-                    // through arrays of a fixed size, which the compiler
-                    // turns into two shuffles and three selects; the
-                    // order is that of the loop below.
-                    let done = if k == 2 { wp / RUN * RUN } else { 0 };
-                    let (r0, r1) = rows.split_at(wo);
-                    let cols = r0.chunks_exact(2 * RUN).zip(r1.chunks_exact(2 * RUN));
-                    for (o, (c0, c1)) in out_row[..done].chunks_exact_mut(RUN).zip(cols) {
-                        o.copy_from_slice(&std::array::from_fn::<f32, RUN, _>(|x| {
-                            let mut best = f32::NEG_INFINITY;
-                            for v in [c0[2 * x], c0[2 * x + 1], c1[2 * x], c1[2 * x + 1]] {
-                                if v.held() > best {
-                                    best = v.held();
-                                }
-                            }
-                            best
-                        }));
+            for b in 0..n {
+                for (c, out) in rows.next().chunks_exact_mut(hp * wp).enumerate() {
+                    // Two passes over one (sample, channel) run, which
+                    // stays in L1: its values, held in place of the
+                    // accumulators they are made of — one flat loop, as
+                    // the unpooled write-back is — then each window's
+                    // comparisons.
+                    let (f, run) = (value(c), &mut acc[at(b, c)..][..plane]);
+                    for a in run.iter_mut() {
+                        *a = A::hold(f(*a));
                     }
-                    for (ox, o) in out_row.iter_mut().enumerate().skip(done) {
-                        let mut best = f32::NEG_INFINITY;
-                        for row in rows.chunks_exact(wo) {
-                            for v in &row[ox * k..][..k] {
-                                if v.held() > best {
-                                    best = v.held();
+                    for (out_row, rows) in out.chunks_exact_mut(wp).zip(run.chunks_exact(k * wo)) {
+                        for (ox, o) in out_row.iter_mut().enumerate() {
+                            let mut best = f32::NEG_INFINITY;
+                            for row in rows.chunks_exact(wo) {
+                                for v in &row[ox * k..][..k] {
+                                    if v.held() > best {
+                                        best = v.held();
+                                    }
                                 }
                             }
+                            *o = best;
                         }
-                        *o = best;
                     }
                 }
             }
@@ -759,21 +876,30 @@ fn write_back<A: Held, F: Fn(A) -> f32>(
 }
 
 /// Executes one fused step over `n` samples using the plan's lowering
-/// buffers: from `input` to `dst`, or into the planes of `consumer`.
-fn run_step(
+/// buffers: from `input` to `output`.
+fn run_step<'s>(
     step: &Step,
     n: usize,
-    input: Input<'_, '_>,
-    consumer: Option<&Op>,
-    dst: Option<&mut [f32]>,
-    low: &mut Lowering,
+    input: Input<'s, '_>,
+    output: Output<'s, '_>,
+    low: &'s mut Lowering,
 ) {
     let Lowering { planes, rows, planes_i8, acc, attn } = low;
     /// What every step but a convolution reads and writes.
-    fn plain<'s>(input: Input<'s, '_>, dst: Option<&'s mut [f32]>) -> (&'s [f32], &'s mut [f32]) {
-        match (input, dst) {
-            (Input::Plain(src), Some(dst)) => (src, dst),
-            _ => unreachable!("`finish` stages what a first step that is no convolution reads"),
+    fn plain<'s>(input: Input<'s, '_>, output: Output<'s, '_>) -> (&'s [f32], &'s mut [f32]) {
+        match (input, output) {
+            (Input::Plain(src), Output::Rows(Rows::Whole(dst, _))) => (src, dst),
+            _ => unreachable!(
+                "`finish` stages what a first step that is no convolution reads, and has a last \
+                 one write ping or pong"
+            ),
+        }
+    }
+    /// Where a pooling convolution's rows go.
+    fn pooled<'s, 'o>(output: Output<'s, 'o>) -> Rows<'s, 'o> {
+        match output {
+            Output::Rows(rows) => rows,
+            Output::Planes(_) => unreachable!("a pooling convolution writes plain rows"),
         }
     }
     match &step.op {
@@ -795,11 +921,21 @@ fn run_step(
                     }
                 }
             }
+            if let (true, Some(f)) = (step.pooled_tile, bn) {
+                // The register tiles finish the windows they cover: no
+                // rows, and each sample straight to its destination.
+                let (BnFold { mean, inv_std, gamma, beta }, mut dsts) = (f, pooled(output));
+                let epilogue = BnRelu { bias, mean, inv_std, gamma, beta };
+                for b in 0..n {
+                    conv2d_pooled_t(planes, b, weight.data(), direct, &epilogue, dsts.next());
+                }
+                return;
+            }
             let rows = &mut rows[..co * n * ho * wo];
             conv2d_rows_t(planes, n, weight.data(), direct, rows);
             // Fused write-back: bias, batch-norm eval affine, ReLU — the
             // exact eager per-element arithmetic, in the eager order.
-            let (dims, sink) = ([n, co, ho, wo], Sink::new(consumer, dst, planes, planes_i8));
+            let (dims, sink) = ([n, co, ho, wo], Sink::new(output, planes, planes_i8));
             match (bn, relu) {
                 (Some(f), true) => {
                     let value = |c: usize| {
@@ -857,6 +993,14 @@ fn run_step(
                     }
                 }
             }
+            if let (true, Some((scale, shift))) = (step.pooled_tile, affine) {
+                let (epilogue, mut dsts) =
+                    (DequantAffineRelu { deq, bias, scale, shift }, pooled(output));
+                for b in 0..n {
+                    conv_pooled_t_i8(planes_i8, b, weights, direct, &epilogue, dsts.next());
+                }
+                return;
+            }
             // i32 accumulation is exact, so the summation order is
             // immaterial and the accumulators land channel-major — one
             // contiguous run per (sample, channel) for the write-back.
@@ -866,7 +1010,7 @@ fn run_step(
             // i32 accumulators — the eager pipe's per-element op order
             // (Conv dequant+bias, Affine, ReLU) without the two
             // intermediate tensors.
-            let (dims, sink) = ([n, co, ho, wo], Sink::new(consumer, dst, planes, planes_i8));
+            let (dims, sink) = ([n, co, ho, wo], Sink::new(output, planes, planes_i8));
             match (affine, relu) {
                 (Some((s, t)), true) => {
                     let value = |c: usize| {
@@ -899,7 +1043,7 @@ fn run_step(
             }
         }
         Op::LinearF32 { weight_t, bias, relu } => {
-            let (src, dst) = plain(input, dst);
+            let (src, dst) = plain(input, output);
             let (in_f, out_f) = (step.in_numel, step.out_numel);
             // GEMM methods write into a caller-zeroed buffer.
             dst.fill(0.0);
@@ -916,7 +1060,7 @@ fn run_step(
             }
         }
         Op::MaxPool { kernel } => {
-            let (src, dst) = plain(input, dst);
+            let (src, dst) = plain(input, output);
             let [c, h, w] = [step.in_shape[0], step.in_shape[1], step.in_shape[2]];
             let k = *kernel;
             let (ho, wo) = (h / k, w / k);
@@ -941,7 +1085,7 @@ fn run_step(
             }
         }
         Op::SelfAttention { proj } => {
-            let (src, dst) = plain(input, dst);
+            let (src, dst) = plain(input, output);
             let c = step.in_shape[0];
             let t = step.in_shape[1] * step.in_shape[2];
             let [wq, wk, wv, wo] = proj;
@@ -1064,6 +1208,7 @@ impl PlanBuilder {
             out_shape,
             src: Loc::Caller,
             dst: Loc::Caller,
+            pooled_tile: false,
         });
     }
 
@@ -1341,7 +1486,9 @@ impl PlanBuilder {
         }
         for (k, &i) in compute.iter().enumerate() {
             let dst = match compute.get(k + 1) {
-                None => Loc::Caller,
+                // A last convolution stores each sample where the caller
+                // wants it.
+                None if self.steps[i].op.is_conv() => Loc::Caller,
                 // A convolution's epilogue writes what a convolution
                 // behind it reads: that one's planes.
                 Some(&reader)
@@ -1349,7 +1496,10 @@ impl PlanBuilder {
                 {
                     Loc::Planes(reader)
                 }
-                Some(_) => {
+                // Plain rows in ping or pong: for the step behind, or —
+                // a last step that is no convolution writes its tile in
+                // one piece — for the executor to hand out.
+                _ => {
                     in_ping = !in_ping;
                     let (loc, buf) = match in_ping {
                         true => (Loc::Ping, &mut spec.ping),
@@ -1360,18 +1510,21 @@ impl PlanBuilder {
                 }
             };
             let step = &mut self.steps[i];
-            (step.src, step.dst) = (src, dst);
+            (step.src, step.dst, step.pooled_tile) = (src, dst, step.op.pools_in_tile());
             src = dst;
+            // A pooled tile keeps its accumulators in registers: such a
+            // step needs its planes and neither rows nor `acc`.
+            let held = usize::from(!step.pooled_tile);
             match &step.op {
                 Op::ConvF32 { direct, .. } => {
                     let [ho, wo] = direct.out_hw();
                     spec.planes = spec.planes.max(direct.sample_len());
-                    spec.rows = spec.rows.max(direct.spec().out_channels * ho * wo);
+                    spec.rows = spec.rows.max(held * direct.spec().out_channels * ho * wo);
                 }
                 Op::ConvI8 { weights, direct, .. } => {
                     let [ho, wo] = direct.out_hw();
                     spec.planes_i8 = spec.planes_i8.max(direct.sample_len());
-                    spec.acc = spec.acc.max(weights.spec().out_channels * ho * wo);
+                    spec.acc = spec.acc.max(held * weights.spec().out_channels * ho * wo);
                 }
                 Op::SelfAttention { .. } => {
                     let t = step.in_shape[1] * step.in_shape[2];

@@ -23,8 +23,9 @@
 //!
 //! # Kernel structure
 //!
-//! [`conv_rows_t_i8`] is the one int8 kernel, and inference reaches it
-//! only through a [`CompiledPlan`](crate::graph::CompiledPlan). Its
+//! [`conv_rows_t_i8`] is the int8 kernel ([`conv_pooled_t_i8`], below,
+//! its form for a stem), and inference reaches it only through a
+//! [`CompiledPlan`](crate::graph::CompiledPlan). Its
 //! operands are **channel pairs** (cudnn's `NCHWVectC` idea at vector
 //! width 2): the direct convolution's padded, phase-split planes
 //! ([`DirectConv`], the addressing the f32 plans use) hold units of
@@ -54,10 +55,22 @@
 //! the one the oracle applies to that same f32 value, so the cells are
 //! the oracle's bits.
 //!
+//! A convolution that pools `2×2` behind its affine and ReLU over a
+//! geometry whose windows fit register tiles — a stem — runs
+//! [`conv_pooled_t_i8`] instead: tiles of half a packed channel group ×
+//! two output rows × two runs, which dequantize, apply the affine and the
+//! clamp, compare each window and store the pooled row from their
+//! registers, so that no i32 accumulator is ever written
+//! ([`DirectConv::pools_in_tile`]; the f32 plans' `conv2d_pooled_t` is the
+//! same tile over `f32` cells). It does not make the int8 stem cheaper
+//! than the f32 one: a stem has one input channel, so half of every
+//! `[i8; 2]` pair is padding and the tile issues as many vector
+//! multiplies as the f32 tile — what the int8 rung saves is the branch.
+//!
 //! The register tile (`IR_T` output channels × two runs of [`RUN`]
 //! positions, the block shape of the f32 tile; every kernel tap of a run
 //! is one 16-byte load at a fixed offset from the run's base) has two
-//! bodies behind one function: a portable
+//! bodies behind one function, as has the pooled one: a portable
 //! safe loop, and `std::arch` AVX2 intrinsics compiled in when the build
 //! enables `avx2` (the repository's `target-cpu=native`). Four safe
 //! spellings of the pair dot were measured first and none made rustc
@@ -510,6 +523,228 @@ unsafe fn tile_i8_avx2(
             unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), v) };
             row[run.pos..][..run.width].copy_from_slice(&lanes[..run.width]);
         }
+    }
+}
+
+/// The per-channel constants of a pooled int8 tile's epilogue: dequant +
+/// bias, the folded batch-norm affine, ReLU — per element
+/// `((acc·deq + bias)·scale + shift).max(0)`, unfused and in that order,
+/// the eager `Conv → Affine → ReLU` arithmetic of a [`QuantPipe`]. One
+/// value per output channel in every slice.
+#[derive(Debug, Clone, Copy)]
+pub struct DequantAffineRelu<'a> {
+    /// `act_scale · w_scale[c]`.
+    pub deq: &'a [f32],
+    /// Convolution bias.
+    pub bias: &'a [f32],
+    /// Folded batch-norm scale.
+    pub scale: &'a [f32],
+    /// Folded batch-norm shift.
+    pub shift: &'a [f32],
+}
+
+/// `((acc·deq + bias)·scale + shift).max(0)`: [`DequantAffineRelu`] per
+/// element.
+#[inline]
+fn dequant_affine_relu([deq, bias, scale, shift]: [f32; 4], acc: i32) -> f32 {
+    ((acc as f32 * deq + bias) * scale + shift).max(0.0)
+}
+
+/// The int8 twin of [`conv2d_pooled_t`](crate::backend::conv2d_pooled_t):
+/// sample `b` of `planes` (as [`conv_rows_t_i8`] reads them) into `out`,
+/// its pooled `(C_out, Ho/2, Wo/2)` f32 map, in one pass. A register tile
+/// is half a packed channel group × two output rows × two runs of pair
+/// dots — whole `2×2` windows — and finishes what it computes:
+/// [`DequantAffineRelu`] on the i32 accumulators in their registers, each
+/// window's comparisons in `MaxPool2d`'s order, one store of [`RUN`]
+/// pooled outputs per channel. No accumulator is written anywhere. The
+/// same exact sums and per-element arithmetic as [`conv_rows_t_i8`]
+/// followed by the two-pass write-back; for the geometries of
+/// [`DirectConv::pools_in_tile`] only.
+///
+/// # Panics
+/// Panics — in release builds too — if `direct` does not pool in tiles or
+/// was not built for the weights' pair geometry, `epilogue` or `out`
+/// disagree with it, or `planes` is shorter than `b + 1` samples require.
+pub fn conv_pooled_t_i8(
+    planes: &[[i8; 2]],
+    b: usize,
+    weights: &PackedConvWeights,
+    direct: &DirectConv,
+    epilogue: &DequantAffineRelu<'_>,
+    out: &mut [f32],
+) {
+    conv_pooled_pairs::<false>(planes, b, weights, direct, epilogue, out);
+}
+
+/// [`conv_pooled_t_i8`] through the portable tile body whatever the build
+/// enables, so that a host which compiles the AVX2 body tests both.
+#[doc(hidden)]
+pub fn conv_pooled_t_i8_portable(
+    planes: &[[i8; 2]],
+    b: usize,
+    weights: &PackedConvWeights,
+    direct: &DirectConv,
+    epilogue: &DequantAffineRelu<'_>,
+    out: &mut [f32],
+) {
+    conv_pooled_pairs::<true>(planes, b, weights, direct, epilogue, out);
+}
+
+/// [`conv_pooled_t_i8`]: per packed channel group and half of it (`IR_P`
+/// of its `IR_T` weight columns), the pooled tiles of the sample. A half
+/// past `C_out` is zero rows and is skipped; a short last half computes
+/// `IR_P` channels and stores those that exist.
+fn conv_pooled_pairs<const PORTABLE: bool>(
+    planes: &[[i8; 2]],
+    b: usize,
+    weights: &PackedConvWeights,
+    direct: &DirectConv,
+    epilogue: &DequantAffineRelu<'_>,
+    out: &mut [f32],
+) {
+    use crate::backend::{IR_P, IR_T};
+    let [ho, wo] = direct.out_hw();
+    let (co, off, pooled) = (weights.spec.out_channels, direct.offsets(), ho / 2 * (wo / 2));
+    let DequantAffineRelu { deq, bias, scale, shift } = epilogue;
+    // Per call — a call is one sample — never per tile: the geometry the
+    // tiles assume and the weights were packed for, the constants, the
+    // pooled planes, and that the farthest full-width load of the sample's
+    // last tile stays inside the planes.
+    assert!(
+        direct.pools_in_tile()
+            && *direct.spec() == weights.pair_spec()
+            && [deq, bias, scale, shift].iter().all(|k| k.len() == co)
+            && out.len() == co * pooled
+            && direct.reach(b + 1) <= planes.len(),
+        "conv_pooled_t_i8: operands disagree with sample {b} of {:?} over {:?}",
+        direct.spec(),
+        direct.in_hw()
+    );
+    let below = direct.base(0, 1, 0);
+    for (c0, out_grp) in (0..co).step_by(IR_P).zip(out.chunks_mut(IR_P * pooled)) {
+        let wg = &weights.w[c0 / IR_T * off.len() * IR_T..][..off.len() * IR_T];
+        let consts: [[f32; 4]; IR_P] = std::array::from_fn(|ii| {
+            let c = (c0 + ii).min(co - 1);
+            [deq[c], bias[c], scale[c], shift[c]]
+        });
+        for (base, pos) in direct.pooled_tiles(b) {
+            let tile = ([base, below], c0 % IR_T, pos, pooled);
+            #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+            if !PORTABLE {
+                // SAFETY: compiled under `cfg(target_feature = "avx2")`,
+                // so every CPU the build may run on has the feature the
+                // body enables. The `assert!` above checked
+                // `pools_in_tile()` and `reach(b + 1)` — the end of the
+                // farthest full-width load of any tile of
+                // `pooled_tiles(b)`, two output rows × two runs each —
+                // against the planes; `wg` is one whole packed group and
+                // `c0 % IR_T + IR_P ≤ IR_T`; and `pos + RUN ≤ pooled`,
+                // `out_grp` holding whole pooled planes.
+                unsafe { pooled_tile_i8_avx2(wg, planes, off, tile, &consts, out_grp) };
+                continue;
+            }
+            pooled_tile_i8_portable(wg, planes, off, tile, &consts, out_grp);
+        }
+    }
+}
+
+/// One pooled tile's place: `([base, below], first weight column of the
+/// packed group, pos, pooled)` — the base of its upper-left run and the
+/// distance to the same column one output row down, and where its [`RUN`]
+/// pooled outputs go in each channel's plane of `pooled` elements.
+type PooledTile = ([usize; 2], usize, usize, usize);
+
+/// The portable body of [`conv_pooled_pairs`]' tile: every index checked.
+fn pooled_tile_i8_portable(
+    w: &[[i16; 2]],
+    planes: &[[i8; 2]],
+    off: &[usize],
+    ([base, below], col, pos, pooled): PooledTile,
+    consts: &[[f32; 4]; crate::backend::IR_P],
+    out: &mut [f32],
+) {
+    use crate::backend::{pool_windows, IR_P, IR_T};
+    let mut acc = [[[0i32; 2 * RUN]; 2]; IR_P];
+    for (wp, &o) in w.chunks_exact(IR_T).zip(off) {
+        let b = [&planes[base + o..][..2 * RUN], &planes[base + below + o..][..2 * RUN]];
+        for (accr, &wv) in acc.iter_mut().zip(&wp[col..col + IR_P]) {
+            for (row, b) in accr.iter_mut().zip(b) {
+                for (x, &bv) in row.iter_mut().zip(b) {
+                    *x += pair_dot(wv, bv);
+                }
+            }
+        }
+    }
+    for (plane, (acc, &k)) in out.chunks_exact_mut(pooled).zip(acc.iter().zip(consts)) {
+        let v = acc.map(|row| row.map(|a| dequant_affine_relu(k, a)));
+        plane[pos..][..RUN].copy_from_slice(&pool_windows([&v[0], &v[1]]));
+    }
+}
+
+/// The AVX2 body of [`conv_pooled_pairs`]' tile: per patch pair four
+/// 16-byte loads (two runs of two output rows) sign-extended to `i16`
+/// pairs, each channel's broadcast weight pair multiplied into the four
+/// with `vpmaddwd`; then the epilogue on the sixteen accumulators —
+/// `vcvtdq2ps`, four broadcast constants a channel — and
+/// [`pool_windows_avx2`](crate::backend::pool_windows_avx2), one 8-lane
+/// store per channel that exists.
+///
+/// # Safety
+/// `w` is one packed group (`off.len()·IR_T` pairs) and `col + IR_P ≤
+/// IR_T`; `base + d + o + RUN ≤ planes.len()` for every `o` in `off` and
+/// `d` in `{0, RUN, below, below + RUN}`; `pos + RUN ≤ pooled`, and
+/// `out` is whole planes of `pooled` elements.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+#[target_feature(enable = "avx2")]
+unsafe fn pooled_tile_i8_avx2(
+    w: &[[i16; 2]],
+    planes: &[[i8; 2]],
+    off: &[usize],
+    ([base, below], col, pos, pooled): PooledTile,
+    consts: &[[f32; 4]; crate::backend::IR_P],
+    out: &mut [f32],
+) {
+    use crate::backend::{pool_windows_avx2, IR_P, IR_T};
+    use std::arch::x86_64::{
+        __m128i, _mm256_add_epi32, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi16,
+        _mm256_madd_epi16, _mm256_max_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_setzero_si256, _mm256_storeu_ps, _mm_loadu_si128,
+    };
+    let mut acc = [[_mm256_setzero_si256(); 4]; IR_P];
+    for (p, &o) in off.iter().enumerate() {
+        let b = [0, RUN, below, below + RUN].map(|d| {
+            // SAFETY: the caller guarantees `base + d + o + RUN ≤
+            // planes.len()`, so the unaligned 16-byte load reads `RUN` = 8
+            // `[i8; 2]` cells of `planes`.
+            let cells =
+                unsafe { _mm_loadu_si128(planes.as_ptr().add(base + d + o).cast::<__m128i>()) };
+            _mm256_cvtepi8_epi16(cells)
+        });
+        for (ii, accr) in acc.iter_mut().enumerate() {
+            // SAFETY: `p < off.len()` and `col + ii < IR_T`, inside the
+            // `off.len()·IR_T` pairs the caller guarantees `w` has.
+            let wv = unsafe { *w.get_unchecked(p * IR_T + col + ii) };
+            // Little-endian lanes: `w[0]` is the even `i16` of every pair.
+            let pair = (wv[0] as u16 as u32 | (wv[1] as u16 as u32) << 16) as i32;
+            let pair = _mm256_set1_epi32(pair);
+            for (acc, b) in accr.iter_mut().zip(b) {
+                *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(b, pair));
+            }
+        }
+    }
+    let zero = _mm256_setzero_ps();
+    for (plane, (acc, k)) in out.chunks_exact_mut(pooled).zip(acc.into_iter().zip(consts)) {
+        let [deq, bias, scale, shift] = k.map(|k| _mm256_set1_ps(k));
+        // `dequant_affine_relu` per lane; `vmaxps(v, 0)` is what
+        // `v.max(0.0)` compiles to: 0 for a NaN and for either zero.
+        let v = acc.map(|a| {
+            let t = _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(a), deq), bias);
+            _mm256_max_ps(_mm256_add_ps(_mm256_mul_ps(t, scale), shift), zero)
+        });
+        // SAFETY: `plane` is `pooled` floats and the caller guarantees
+        // `pos + RUN ≤ pooled`.
+        unsafe { _mm256_storeu_ps(plane.as_mut_ptr().add(pos), pool_windows_avx2(v)) };
     }
 }
 

@@ -16,12 +16,26 @@
 //! straddle a tile, and inputs that hold ±0, ±∞, NaN and `f32::MAX`.
 //! (Debug builds also poison the plan's arena before every tile, so a cell
 //! nobody wrote shows up as NaN in the output.)
+//!
+//! A stem's block goes one step further: where whole `2 × 2` windows fit
+//! register tiles, the tiles apply the epilogue and pool, and nothing but
+//! the pooled row is written. Both tile bodies of both precisions run here
+//! against the two-pass write-back they replace — rows, then values, then
+//! comparisons, kept below as the oracle — and against the layers, on
+//! both sides of the rule that selects them; and a plan's last step stores
+//! each sample to a destination of its own, in whatever order those lie.
 
+use ecofusion_tensor::backend::{
+    conv2d_pooled_t, conv2d_pooled_t_portable, conv2d_rows_t, BnRelu, DirectConv, RUN,
+};
 use ecofusion_tensor::graph::{compile_quant_pipe, compile_sequential, CompiledPlan, PlanBuilder};
 use ecofusion_tensor::layer::{
     BatchNorm2d, Conv2d, Flatten, Layer, Linear, MaxPool2d, ReLU, SelfAttention2d, Sequential,
 };
-use ecofusion_tensor::quant::{calib_scale, quantize_sequential, QuantConv2d};
+use ecofusion_tensor::quant::{
+    calib_scale, conv_pooled_t_i8, conv_pooled_t_i8_portable, conv_rows_t_i8, quantize_planes,
+    quantize_sequential, DequantAffineRelu, PackedConvWeights, QuantConv2d, QuantStage,
+};
 use ecofusion_tensor::rng::Rng;
 use ecofusion_tensor::Tensor;
 use proptest::prelude::*;
@@ -263,6 +277,258 @@ proptest! {
     }
 }
 
+/// `Conv → BN → ReLU → MaxPool(pool)` with every batch-norm constant of
+/// either sign: a negative `γ` reverses the order of a window's values, so
+/// pooling before the affine — or comparing in any order but the pool's —
+/// would show.
+fn stem_like(
+    [c, co]: [usize; 2],
+    (k, s, p): (usize, usize, usize),
+    pool: usize,
+    rng: &mut Rng,
+) -> Sequential {
+    let mut signed = |scale: f64| -> Vec<f32> {
+        (0..co)
+            .map(|_| rng.uniform(0.2, scale) as f32 * [-1.0, 1.0][rng.uniform_usize(0, 2)])
+            .collect()
+    };
+    let (gamma, beta, mean) = (signed(2.0), signed(1.0), signed(1.5));
+    let var: Vec<f32> = (0..co).map(|_| rng.uniform(0.05, 4.0) as f32).collect();
+    let mut bn = BatchNorm2d::new(co);
+    bn.set_running_stats(mean, var);
+    let mut values = [gamma, beta].into_iter();
+    bn.visit_params(&mut |param| {
+        param.value.data_mut().copy_from_slice(&values.next().expect("γ, then β"));
+    });
+    Sequential::new(vec![
+        Box::new(Conv2d::new(c, co, k, s, p, rng)),
+        Box::new(bn),
+        Box::new(ReLU::new()),
+        Box::new(MaxPool2d::new(pool)),
+    ])
+}
+
+/// The two-pass write-back the pooled tiles replace, on one sample's
+/// `(C_out, Ho·Wo)` accumulators: every value first, then each `2 × 2`
+/// window's comparisons in `MaxPool2d`'s order.
+fn two_pass<A: Copy>(
+    acc: &[A],
+    [co, ho, wo]: [usize; 3],
+    value: impl Fn(usize, A) -> f32,
+) -> Vec<f32> {
+    let values: Vec<f32> = acc.iter().enumerate().map(|(i, &a)| value(i / (ho * wo), a)).collect();
+    let mut pooled = Vec::with_capacity(co * ho * wo / 4);
+    for plane in values.chunks_exact(ho * wo) {
+        for (oy, ox) in (0..ho / 2).flat_map(|oy| (0..wo / 2).map(move |ox| (oy, ox))) {
+            let mut best = f32::NEG_INFINITY;
+            for at in [(0, 0), (0, 1), (1, 0), (1, 1)].map(|(y, x)| (2 * oy + y) * wo + 2 * ox + x)
+            {
+                if plane[at] > best {
+                    best = plane[at];
+                }
+            }
+            pooled.push(best);
+        }
+    }
+    pooled
+}
+
+/// `(h, w, (k, s, p), pool, selected)`.
+type PooledGeometry = (usize, usize, (usize, usize, usize), usize, bool);
+
+/// `(h, w, (k, s, p), pool)` and whether the compiler gives the step
+/// pooled tiles: stride 1, even `Ho`, `Wo` a multiple of 16, a `2 × 2`
+/// pool. `Wo` = 16 / 32 / 48 through three kernels on the one side; odd
+/// `Ho`, `Wo` = 8 / 24 / 40, stride 2 and a pool of 3 on the other.
+const POOLED_GEOMETRIES: [PooledGeometry; 12] = [
+    (4, 16, (3, 1, 1), 2, true),
+    (32, 32, (3, 1, 1), 2, true),
+    (2, 48, (3, 1, 1), 2, true),
+    (6, 16, (1, 1, 0), 2, true),
+    (4, 32, (5, 1, 2), 2, true),
+    (6, 18, (3, 1, 0), 2, true),
+    (5, 16, (3, 1, 1), 2, false),
+    (4, 8, (3, 1, 1), 2, false),
+    (4, 24, (3, 1, 1), 2, false),
+    (2, 40, (1, 1, 0), 2, false),
+    (8, 32, (3, 2, 1), 2, false),
+    (6, 48, (3, 1, 1), 3, false),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A stem's block, f32 and int8, on both sides of the selection rule:
+    /// plan ≡ layers, and where the tiles pool, AVX2 body ≡ portable body
+    /// ≡ the two-pass write-back over the rows the unfused kernel makes.
+    /// A selected step holds no rows (its tile is the planes' alone); the
+    /// others keep the write-back's generic loop exercised.
+    #[test]
+    fn pooled_tiles_match_the_two_pass_write_back_and_the_layers(
+        c in 1usize..4,
+        co in 1usize..11,
+        geometry in 0usize..POOLED_GEOMETRIES.len(),
+        special in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = Rng::new(seed);
+        let (h, w, (k, s, p), pool, selected) = POOLED_GEOMETRIES[geometry];
+        let mut seq = stem_like([c, co], (k, s, p), pool, &mut rng);
+        let what = format!("{c}->{co} k{k} s{s} p{p} pool {pool} on {h}x{w}");
+        let spec = seq.layers()[0].as_conv2d().expect("a convolution").spec();
+        let direct = DirectConv::new(&spec, h, w);
+        prop_assert_eq!(direct.pools_in_tile() && pool == 2, selected, "{}", what);
+        let [ho, wo] = direct.out_hw();
+
+        let mut plan = compile_sequential(&seq, &[1, c, h, w]).expect("compiles");
+        prop_assert_eq!(plan.num_steps(), 1);
+        let rows = if selected { 0 } else { co * ho * wo };
+        prop_assert_eq!(plan.tile(), (256 * 1024 / (4 * (direct.sample_len() + rows))).max(1), "{}", what);
+        let x = input(&plan, special == 0, &mut rng);
+        let n = x.shape()[0];
+        let eager = seq.forward(&x, false);
+        assert_same_bits(&plan.execute(&x), &eager, &format!("f32 plan, {what}"));
+
+        let calib: Vec<Tensor> = (0..3).map(|_| Tensor::randn(&[1, c, h, w], 1.0, &mut rng)).collect();
+        let (pipe, _) = quantize_sequential(&seq, &calib).expect("quantizes");
+        let mut plan_i8 = compile_quant_pipe(&pipe, &[1, c, h, w]).expect("compiles");
+        let eager_i8 = pipe.forward(&x);
+        assert_same_bits(&plan_i8.execute(&x), &eager_i8, &format!("int8 plan, {what}"));
+        if !selected {
+            return;
+        }
+
+        // f32 tiles, both bodies, against rows → values → comparisons.
+        let (conv, bn) = (
+            seq.layers()[0].as_conv2d().expect("a convolution"),
+            seq.layers()[1].as_batchnorm().expect("a batch norm"),
+        );
+        let inv_std: Vec<f32> = bn.running_var().iter().map(|v| 1.0 / (v + bn.eps()).sqrt()).collect();
+        let epilogue = BnRelu {
+            bias: conv.bias().data(),
+            mean: bn.running_mean(),
+            inv_std: &inv_std,
+            gamma: bn.gamma(),
+            beta: bn.beta(),
+        };
+        let mut planes = vec![f32::NAN; direct.scratch_len(n)];
+        direct.lower(x.data(), n, 0.0, &mut planes);
+        let mut rows = vec![0.0f32; co * n * ho * wo];
+        conv2d_rows_t(&planes, n, conv.weight().data(), &direct, &mut rows);
+        let pooled = co * ho * wo / 4;
+        for b in 0..n {
+            let sample: Vec<f32> = (0..co)
+                .flat_map(|ch| &rows[(ch * n + b) * ho * wo..][..ho * wo])
+                .copied()
+                .collect();
+            let want = two_pass(&sample, [co, ho, wo], |ch, r| {
+                let normed = ((r + epilogue.bias[ch]) - epilogue.mean[ch]) * inv_std[ch];
+                (epilogue.gamma[ch] * normed + epilogue.beta[ch]).max(0.0)
+            });
+            let want = Tensor::from_vec(&[pooled], want);
+            assert_same_bits(&want, &Tensor::from_vec(&[pooled], eager.data()[b * pooled..][..pooled].to_vec()), "oracle vs layers");
+            for (body, tiles) in [
+                ("dispatched", conv2d_pooled_t as fn(&[f32], usize, &[f32], &DirectConv, &BnRelu<'_>, &mut [f32])),
+                ("portable", conv2d_pooled_t_portable),
+            ] {
+                let mut got = Tensor::full(&[pooled], f32::NAN);
+                tiles(&planes, b, conv.weight().data(), &direct, &epilogue, got.data_mut());
+                assert_same_bits(&got, &want, &format!("f32 {body} body, sample {b}, {what}"));
+            }
+        }
+
+        // int8 tiles, both bodies, against accumulators → values →
+        // comparisons.
+        let [QuantStage::Conv(qc), QuantStage::Affine(scale, shift), ..] = &pipe.stages[..] else {
+            panic!("Conv, Affine, ReLU, MaxPool");
+        };
+        let weights = PackedConvWeights::pack(&qc.weights.q, &qc.spec);
+        let direct = DirectConv::new(&weights.pair_spec(), h, w);
+        let deq: Vec<f32> = qc.weights.scales.iter().map(|s| qc.act_scale * s).collect();
+        let epilogue = DequantAffineRelu { deq: &deq, bias: &qc.bias, scale, shift };
+        let mut cells = vec![[i8::MIN; 2]; direct.scratch_len(n)];
+        direct.clear(&mut cells, n, [0; 2]);
+        for (b, sample) in x.data().chunks_exact(c * h * w).enumerate() {
+            let channels = sample.chunks_exact(h * w);
+            quantize_planes(&direct, &mut cells, b * c.div_ceil(2), channels, qc.act_scale);
+        }
+        let mut acc = vec![0i32; co * n * ho * wo];
+        conv_rows_t_i8(&cells, n, &weights, &direct, &mut acc);
+        for b in 0..n {
+            let sample: Vec<i32> = (0..co)
+                .flat_map(|ch| &acc[(ch * n + b) * ho * wo..][..ho * wo])
+                .copied()
+                .collect();
+            let want = two_pass(&sample, [co, ho, wo], |ch, a| {
+                ((a as f32 * deq[ch] + qc.bias[ch]) * scale[ch] + shift[ch]).max(0.0)
+            });
+            let want = Tensor::from_vec(&[pooled], want);
+            assert_same_bits(&want, &Tensor::from_vec(&[pooled], eager_i8.data()[b * pooled..][..pooled].to_vec()), "oracle vs pipe");
+            for (body, tiles) in [
+                ("dispatched", conv_pooled_t_i8 as fn(&[[i8; 2]], usize, &PackedConvWeights, &DirectConv, &DequantAffineRelu<'_>, &mut [f32])),
+                ("portable", conv_pooled_t_i8_portable),
+            ] {
+                let mut got = Tensor::full(&[pooled], f32::NAN);
+                tiles(&cells, b, &weights, &direct, &epilogue, got.data_mut());
+                assert_same_bits(&got, &want, &format!("int8 {body} body, sample {b}, {what}"));
+            }
+        }
+    }
+
+    /// `execute_blocks_to` over destinations in any order ≡
+    /// `execute_blocks_into`'s one tensor of rows: a plan whose last step
+    /// is a pooled tile (f32 and int8), one that ends in the generic
+    /// write-back, pooled and not, and one that ends in no convolution at
+    /// all and has its tile handed out.
+    #[test]
+    fn destinations_in_any_order_equal_the_contiguous_output(
+        n in 1usize..70,
+        shuffle in 0u64..1000,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = Rng::new(seed);
+        let stem = stem_like([1, 8], (3, 1, 1), 2, &mut rng);
+        let calib: Vec<Tensor> = (0..3).map(|_| Tensor::randn(&[1, 1, 4, 16], 1.0, &mut rng)).collect();
+        let (stem_i8, _) = quantize_sequential(&stem, &calib).expect("quantizes");
+        let linear = Sequential::new(vec![
+            Box::new(Conv2d::new(1, 2, 3, 2, 1, &mut rng)),
+            Box::new(Flatten::new()),
+            Box::new(Linear::new(2 * 2 * 8, 5, &mut rng)),
+        ]);
+        let shape = [1, 1, 4, 16];
+        let plans = [
+            ("pooled tile", compile_sequential(&stem, &shape).expect("compiles")),
+            ("int8 pooled tile", compile_quant_pipe(&stem_i8, &shape).expect("compiles")),
+            ("two-pass pool", compile_sequential(&stem_like([1, 3], (3, 1, 1), 3, &mut rng), &shape).expect("compiles")),
+            ("unpooled", compile_sequential(&chain([1, 4, 3], [0, 1], (true, true, Pool::Nowhere), [4, 16], &mut rng), &shape).expect("compiles")),
+            ("linear", compile_sequential(&linear, &shape).expect("compiles")),
+            ("flatten", compile_sequential(&Sequential::new(vec![Box::new(Flatten::new())]), &shape).expect("compiles")),
+        ];
+        let x = Tensor::randn(&[n, 1, 4, 16], 1.0, &mut rng);
+        let blocks: Vec<&[f32]> = x.data().chunks_exact(4 * 16).collect();
+        // Sample `b` goes to row `order[b]` of a buffer twice as long.
+        let mut order: Vec<usize> = (0..2 * n).collect();
+        let mut pick = Rng::new(shuffle);
+        for i in (1..order.len()).rev() {
+            order.swap(i, pick.uniform_usize(0, i + 1));
+        }
+        for (name, mut plan) in plans {
+            let whole = plan.execute(&x);
+            let per = whole.len() / n;
+            let mut scattered = vec![f32::NAN; 2 * n * per];
+            let mut rows: Vec<Option<&mut [f32]>> = scattered.chunks_exact_mut(per).map(Some).collect();
+            let dsts: Vec<&mut [f32]> = order[..n].iter().map(|&at| rows[at].take().expect("a permutation")).collect();
+            plan.execute_blocks_to(&blocks, 1, dsts);
+            for (b, want) in whole.data().chunks_exact(per).enumerate() {
+                let got = &scattered[order[b] * per..][..per];
+                prop_assert!(got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits()), "{}: sample {}", name, b);
+            }
+            let unused = order[n..].iter().all(|&at| scattered[at * per..][..per].iter().all(|v| v.is_nan()));
+            prop_assert!(unused, "{}: wrote a row nobody handed it", name);
+        }
+    }
+}
+
 /// The pooling epilogue compares a window's values in `MaxPool2d`'s order:
 /// left to right, top row first, `v > best` from −∞. Only a window whose
 /// maximum is a zero of either sign can tell — the first one met wins — so
@@ -323,5 +589,121 @@ mod malformed_blocks {
     fn a_ragged_batch_is_rejected() {
         let a = [0.0f32; 16];
         plan().execute_blocks_into(&[&a, &a, &a], 2, &mut Tensor::zeros(&[1, 3, 4, 4]));
+    }
+}
+
+/// The pooled tiles' per-call checks are `assert!`s: a geometry whose
+/// windows do not fit the tiles, short planes, a short destination or
+/// short constants must stop a release build too — they are what keeps the
+/// raw-pointer loads and stores of the AVX2 bodies in bounds — and a
+/// caller that hands a plan too few, too many or wrong-sized destinations
+/// is stopped before anything is stored past them.
+mod pooled_release_checks {
+    use super::*;
+    use ecofusion_tensor::backend::ConvSpec;
+
+    /// One sample of a `1 → 3` convolution over `h × 16` through the f32
+    /// tiles, `short` elements missing from the named operand.
+    fn call_f32(h: usize, short: [usize; 3]) {
+        let spec = ConvSpec { in_channels: 1, out_channels: 3, kernel: 3, stride: 1, padding: 1 };
+        let direct = DirectConv::new(&spec, h, 16);
+        let planes = vec![0.0f32; direct.scratch_len(1) - short[0]];
+        let mut out = vec![0.0f32; 3 * (h / 2) * 8 - short[1]];
+        let (k, weight) = (vec![1.0f32; 3 - short[2]], vec![0.0f32; 3 * 9]);
+        let epilogue = BnRelu { bias: &k, mean: &k, inv_std: &k, gamma: &k, beta: &k };
+        conv2d_pooled_t(&planes, 0, &weight, &direct, &epilogue, &mut out);
+    }
+
+    fn call_i8(h: usize, short: [usize; 3]) {
+        let spec = ConvSpec { in_channels: 1, out_channels: 3, kernel: 3, stride: 1, padding: 1 };
+        let weights = PackedConvWeights::pack(&[0; 3 * 9], &spec);
+        let direct = DirectConv::new(&weights.pair_spec(), h, 16);
+        let planes = vec![[0i8; 2]; direct.scratch_len(1) - short[0]];
+        let mut out = vec![0.0f32; 3 * (h / 2) * 8 - short[1]];
+        let k = vec![1.0f32; 3 - short[2]];
+        let epilogue = DequantAffineRelu { deq: &k, bias: &k, scale: &k, shift: &k };
+        conv_pooled_t_i8(&planes, 0, &weights, &direct, &epilogue, &mut out);
+    }
+
+    #[test]
+    fn exact_operands_pass() {
+        call_f32(4, [0; 3]);
+        call_i8(4, [0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d_pooled_t: operands disagree")]
+    fn an_odd_height_is_rejected_in_release_too() {
+        call_f32(5, [0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d_pooled_t: operands disagree")]
+    fn short_planes_are_rejected_in_release_too() {
+        // (A row of whole runs ends with the planes: the slack behind
+        // them goes unread, so cut into the last plane row itself.)
+        call_f32(4, [RUN + 1, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d_pooled_t: operands disagree")]
+    fn a_short_destination_is_rejected_in_release_too() {
+        call_f32(4, [0, 1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d_pooled_t: operands disagree")]
+    fn short_constants_are_rejected_in_release_too() {
+        call_f32(4, [0, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv_pooled_t_i8: operands disagree")]
+    fn an_odd_height_is_rejected_by_the_int8_tiles_too() {
+        call_i8(5, [0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv_pooled_t_i8: operands disagree")]
+    fn short_pair_planes_are_rejected_in_release_too() {
+        call_i8(4, [RUN + 1, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv_pooled_t_i8: operands disagree")]
+    fn a_short_int8_destination_is_rejected_in_release_too() {
+        call_i8(4, [0, 1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv_pooled_t_i8: operands disagree")]
+    fn short_int8_constants_are_rejected_in_release_too() {
+        call_i8(4, [0, 0, 1]);
+    }
+
+    fn stem_plan() -> CompiledPlan {
+        compile_sequential(&stem_like([1, 2], (3, 1, 1), 2, &mut Rng::new(5)), &[1, 1, 4, 16])
+            .expect("compiles")
+    }
+
+    #[test]
+    #[should_panic(expected = "plan output shape mismatch")]
+    fn a_short_destination_stops_the_plan() {
+        let (x, mut row) = ([0.0f32; 64], [0.0f32; 2 * 2 * 8 - 1]);
+        stem_plan().execute_blocks_to(&[&x], 1, [&mut row[..]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "plan output batch mismatch")]
+    fn a_missing_destination_stops_the_plan() {
+        let (x, mut row) = ([0.0f32; 64], [0.0f32; 2 * 2 * 8]);
+        stem_plan().execute_blocks_to(&[&x, &x], 1, [&mut row[..]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "plan output batch mismatch")]
+    fn a_destination_too_many_stops_the_plan() {
+        let (x, mut rows) = ([0.0f32; 64], [[0.0f32; 2 * 2 * 8]; 2]);
+        stem_plan().execute_blocks_to(&[&x], 1, rows.iter_mut().map(|row| &mut row[..]));
     }
 }

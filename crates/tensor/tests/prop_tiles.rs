@@ -7,8 +7,8 @@
 //! below, at and across the tile boundary — in f32 and int8, for the
 //! three stack shapes the model compiles (stem, branch, learned gate).
 //! The stacks use the model's real per-sample shapes, so the tiles are
-//! the ones the serving path runs (`T` = 7 for the stems, 12 and 23 for
-//! the f32 and int8 branch, 4 for the gate).
+//! the ones the serving path runs (`T` = 56 and 113 for the f32 and int8
+//! stem, 12 and 23 for the f32 and int8 branch, 4 for the gate).
 
 use ecofusion_tensor::graph::{compile_quant_pipe, compile_sequential, CompiledPlan, PlanBuilder};
 use ecofusion_tensor::layer::{
@@ -116,13 +116,14 @@ proptest! {
         let mut branch_i8 = PlanBuilder::new(&batched(1, &branch_shape));
         branch_i8.push_quant_pipe(&backbone_q).unwrap();
         branch_i8.push_quant_conv(&head_q, None, false).unwrap();
-        // With each plan's tile: a stem holds its planes and its rows
-        // (the epilogue pools into the output), a branch the planes and
-        // rows of its widest convolution and no map between two of them
-        // — the int8 one's planes two bytes a channel pair.
+        // With each plan's tile: a stem holds its one padded 34×34 plane
+        // and nothing else (its register tiles pool into the output, so
+        // it has no rows; the int8 one's cells are two bytes a channel
+        // pair), a branch the planes and rows of its widest convolution
+        // and no map between two of them.
         let plans = [
-            ("stem f32", 7, compile_sequential(&stem, &batched(1, &stem_shape)).unwrap()),
-            ("stem int8", 7, compile_quant_pipe(&stem_q, &batched(1, &stem_shape)).unwrap()),
+            ("stem f32", 56, compile_sequential(&stem, &batched(1, &stem_shape)).unwrap()),
+            ("stem int8", 113, compile_quant_pipe(&stem_q, &batched(1, &stem_shape)).unwrap()),
             ("branch f32", 12, branch.finish()),
             ("branch int8", 23, branch_i8.finish()),
             ("gate f32", 4, compile_sequential(&gate, &batched(1, &gate_shape)).unwrap()),
