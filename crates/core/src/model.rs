@@ -459,6 +459,18 @@ impl EcoFusionModel {
         weighted_boxes_fusion(outputs, &self.wbf, outputs.len())
     }
 
+    /// [`EcoFusionModel::fuse`] of `num_branches` (two or more) branch
+    /// outputs out of a scratch kept across frames — the `Fuse` stage,
+    /// which asks the allocator for the returned detections only.
+    pub(crate) fn fuse_scratch<'a>(
+        &self,
+        outputs: impl IntoIterator<Item = &'a [Detection]>,
+        num_branches: usize,
+        scratch: &mut FusionScratch,
+    ) -> Vec<Detection> {
+        scratch.fuse(outputs, &self.wbf, num_branches).to_vec()
+    }
+
     /// True fusion loss of every configuration for one frame given the
     /// per-branch detections (the gate-training target and the oracle
     /// input).

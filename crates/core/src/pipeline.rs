@@ -36,10 +36,13 @@
 //! * The **loss-based oracle** runs every branch a posteriori (§4.2.4),
 //!   so all stems stay demanded. Its `GateScore` input — the true fusion
 //!   loss of all 127 configurations, also the gate-training target — is
-//!   one pass of [`ecofusion_detect::subset_fusion_losses`] per frame:
-//!   the frame's branch detections are sorted and pair-indexed once, and
-//!   every configuration is fused and scored out of one
-//!   [`FusionScratch`] held across the batch's frames. `Branch` then
+//!   one call of [`ecofusion_detect::subset_fusion_losses`] per frame:
+//!   the frame's branch detections are sorted, bitmasked per branch and
+//!   pair-indexed (a sweep by left edge) once, and each of the 120
+//!   multi-branch configurations is one fusion pass that walks the boxes
+//!   its mask admits, keeps the ones that join nothing implicit and
+//!   measures only clusters that merged — out of one [`FusionScratch`]
+//!   held across steps, which the `Fuse` stage shares. `Branch` then
 //!   reuses the oracle's detections instead of re-running branches.
 //!
 //! On the default all-healthy path with a learned gate the plan demands
@@ -154,7 +157,7 @@
 //! | buffer | written by | read by |
 //! |---|---|---|
 //! | `bank.stem_out[s][j]` `(C, h, w)`, one buffer a miss | stem `s`'s plan — row `j` from the grid of miss `j`, read in its observation | the plans of the learned gate and the branches; after them `publish`, which hands the buffer to the stream's cache entry (cached f32 steps) and keeps the entry's old one |
-//! | `fusion` | the oracle's configuration scorer, per frame of a loss-based step | itself |
+//! | `fusion` | the oracle's configuration scorer, per frame of a loss-based step; the `Fuse` stage, per frame that selected two or more branches | itself |
 //! | `bank.replayed` `(j, C, h, w)` | `BatchStemBank::ensure`, one copy per cache hit | the same plans |
 //! | `bank.zero` `(C, h, w)` | nobody after it is sized | the learned gate's plan, for every sensor the health mask rules out |
 //! | `head` `(k, 5 + K, S, S)` | the branch's plan | `decode_sample` |
@@ -428,8 +431,9 @@ pub(crate) struct StepScratch {
     bank: BatchStemBank,
     /// The raw head map one branch's plan produced.
     head: HeadOutput,
-    /// The oracle's configuration scorer: warm after the first loss-based
-    /// step, it scores a frame out of its own buffers.
+    /// The fusion pass of the oracle's configuration scorer and of the
+    /// `Fuse` stage: warm after the first step that needs it, it scores
+    /// or fuses a frame out of its own buffers.
     fusion: FusionScratch,
 }
 
@@ -708,19 +712,23 @@ struct BranchOutputs {
 }
 
 impl BranchOutputs {
-    /// The `Fuse` stage of frame `i`. The frame is the only reader of its
-    /// slots, so it takes them; a lone branch's detections move through.
-    fn fuse_frame(&mut self, model: &EcoFusionModel, i: usize) -> Vec<Detection> {
+    /// The `Fuse` stage of frame `i`, out of the replica's `fusion`
+    /// scratch. A lone branch's detections move through: the frame is the
+    /// only reader of its slots.
+    fn fuse_frame(
+        &mut self,
+        model: &EcoFusionModel,
+        i: usize,
+        fusion: &mut FusionScratch,
+    ) -> Vec<Detection> {
         let mask = self.masks[i];
-        let n_branches = self.dets.len();
-        let mut take = |b: usize| self.dets[b][i].take().expect("demanded branch executed");
         if mask.is_power_of_two() {
-            take(mask.trailing_zeros() as usize)
-        } else {
-            let outs: Vec<Vec<Detection>> =
-                (0..n_branches).filter(|b| mask >> b & 1 != 0).map(&mut take).collect();
-            model.fuse(&outs)
+            let slot = &mut self.dets[mask.trailing_zeros() as usize][i];
+            return slot.take().expect("demanded branch executed");
         }
+        let outs = self.dets.iter().enumerate().filter(|(b, _)| mask >> b & 1 != 0);
+        let outs = outs.map(|(_, d)| d[i].as_deref().expect("demanded branch executed"));
+        model.fuse_scratch(outs, mask.count_ones() as usize, fusion)
     }
 }
 
@@ -922,7 +930,7 @@ impl EcoFusionModel {
         // Fuse + Account per frame.
         let mut outputs = Vec::with_capacity(n);
         for (i, predicted_losses) in predicted.into_iter().enumerate() {
-            let detections = branches.fuse_frame(self, i);
+            let detections = branches.fuse_frame(self, i, &mut scratch.fusion);
             let (energy, trace) = self.account_adaptive(selected[i], opts.precision);
             let (executed, cached, skipped) = scratch.bank.counts(i);
             outputs.push(InferenceOutput {
@@ -1114,7 +1122,7 @@ impl EcoFusionModel {
         let (detections, (executed, cached, skipped)) = self.with_scratch(|model, scratch| {
             let batch = model.begin_step(scratch, std::slice::from_ref(frame), opts)?;
             let mut branches = model.run_branches(scratch, &batch, &[config], None, opts, None)?;
-            Ok((branches.fuse_frame(model, 0), scratch.bank.counts(0)))
+            Ok((branches.fuse_frame(model, 0, &mut scratch.fusion), scratch.bank.counts(0)))
         })?;
         let specs = self.space.branch_specs(config);
         let (energy, trace) =

@@ -27,7 +27,8 @@
 //!    (which allocates a stack) is spawned. The same allocator holds the
 //!    oracle's configuration scorer to one allocation per frame — the
 //!    returned losses — once its scratch is warm, which in a replica's
-//!    second loss-based step it is — and a whole warm
+//!    second loss-based step it is, holds the `Fuse` stage of a
+//!    four-branch frame to fusing out of that scratch, and a whole warm
 //!    `infer_batch` to what is per frame: it counts requested bytes and
 //!    the largest single request too, and a batch-64 step may ask for no
 //!    buffer that scales with the batch.
@@ -373,8 +374,10 @@ fn a_warm_step_requests_no_batch_sized_buffer() {
 /// 1 — scores its frame out of buffers an earlier step grew. While each
 /// step built its `FusionScratch` from nothing it regrew seven vectors
 /// through the frame's ≈ 420 boxes: the four steps below asked for 149–174
-/// allocations and 106–141 KiB each; they ask for 102–127 and 24–58 KiB
-/// (detections, losses, decode's lists — what is per frame).
+/// allocations and 106–141 KiB each; they ask for 100–106 and 23–24 KiB
+/// (detections, losses, decode's lists — what is per frame; 102–127 and
+/// 24–58 KiB until the `Fuse` stage of the frames that select two or
+/// more branches fused out of the same scratch).
 #[test]
 fn a_warm_loss_based_step_grows_no_fusion_scratch() {
     let frames = render_frames(31, Context::City, 4);
@@ -392,4 +395,27 @@ fn a_warm_loss_based_step_grows_no_fusion_scratch() {
         assert!(allocs <= 138, "frame {i}: {allocs} allocations");
         assert!(kib <= 82.0, "frame {i}: {kib:.1} KiB requested");
     }
+}
+
+/// The `Fuse` stage fuses out of the replica's step buffers too. A Rain
+/// frame under the knowledge gate selects full late fusion, four
+/// branches; while the stage built a `FusionScratch` from nothing for
+/// every such frame it asked for 45.5 allocations and 47.9 KiB a frame
+/// (eight frames, third step); out of the warm scratch it asks for 26.0 and
+/// 12.3 KiB — decode's lists and the detections it returns.
+#[test]
+fn a_warm_multi_branch_step_fuses_out_of_the_step_buffers() {
+    let frames = render_frames(37, Context::Rain, 8);
+    let opts = InferenceOptions::new(0.01, 0.5).with_gate(GateKind::Knowledge);
+    let mut model = EcoFusionModel::new(GRID, 8, &mut Rng::new(0xA110C));
+    for _ in 0..2 {
+        model.infer_batch(&frames, &opts).expect("warm-up step");
+    }
+    let (allocs, bytes) = (allocs_on_this_thread(), bytes_on_this_thread());
+    let served = model.infer_batch(&frames, &opts).expect("warm step");
+    let allocs = (allocs_on_this_thread() - allocs) as f64 / frames.len() as f64;
+    let kib = (bytes_on_this_thread() - bytes) as f64 / 1024.0 / frames.len() as f64;
+    assert!(served.iter().all(|o| o.selected_label == "{C_L, C_R, L, R}"));
+    assert!(allocs <= 28.0, "{allocs:.1} allocations per frame");
+    assert!(kib <= 16.0, "{kib:.1} KiB requested per frame");
 }

@@ -13,7 +13,11 @@
 //! The generators aim at what could tell the two apart: score ties within
 //! and across branches, identical boxes, empty branches, frames entirely
 //! below `skip_box_thresh`, zero ground-truth boxes, and more classes than
-//! the model's eight.
+//! the model's eight. A second, dense generator aims at the bitset pass:
+//! frames as full as the served model's (up to 64 boxes a branch, so the
+//! loaded boxes span one to seven bitmask words, some exactly 64 or 128),
+//! clusters of many members, tied IoUs and tied scaled scores, IoU
+//! thresholds at 0, 1 and below 0, zero-area boxes, NaN and ±∞ scores.
 
 use ecofusion_core::{ConfigId, EcoFusionModel};
 use ecofusion_detect::{
@@ -54,8 +58,10 @@ mod naive {
         }
     }
 
+    /// Descending score; a NaN score (only the dense frames have them)
+    /// counts as the largest, where `f32::total_cmp` puts it.
     fn by_score_desc(a: f32, b: f32) -> Ordering {
-        b.partial_cmp(&a).unwrap_or(Ordering::Equal)
+        b.partial_cmp(&a).unwrap_or_else(|| b.is_nan().cmp(&a.is_nan()))
     }
 
     pub fn wbf(
@@ -175,6 +181,7 @@ fn naive_config_losses(
     model: &EcoFusionModel,
     branch_dets: &[Vec<Detection>],
     gts: &[GtBox],
+    params: &WbfParams,
 ) -> Vec<f32> {
     let space = model.space();
     (0..space.num_configs())
@@ -184,7 +191,7 @@ fn naive_config_losses(
             let fused = if outputs.len() == 1 {
                 outputs[0].clone()
             } else {
-                naive::wbf(&outputs, &WbfParams::default(), outputs.len())
+                naive::wbf(&outputs, params, outputs.len())
             };
             naive::loss(&fused, gts).total()
         })
@@ -193,6 +200,12 @@ fn naive_config_losses(
 
 fn bits(losses: &[f32]) -> Vec<u32> {
     losses.iter().map(|l| l.to_bits()).collect()
+}
+
+/// [`bits`], every NaN one: a NaN score makes a loss NaN whichever box the
+/// greedy matcher takes first, but not always the same NaN.
+fn bits_any_nan(losses: &[f32]) -> Vec<u32> {
+    losses.iter().map(|l| if l.is_nan() { f32::NAN.to_bits() } else { l.to_bits() }).collect()
 }
 
 fn det_bits(dets: &[Detection]) -> Vec<(usize, [u32; 5])> {
@@ -273,6 +286,77 @@ fn arb_gts() -> impl Strategy<Value = Vec<GtBox>> {
     prop_oneof![prop::collection::vec(arb_gt(), 0..1), prop::collection::vec(arb_gt(), 0..5)]
 }
 
+/// Boxes on a tight lattice around three anchors — mirrored offsets, so
+/// a box between two lone boxes can tie in IoU, and some sizes zero — or,
+/// one offset in three, anywhere near one, so that some pairs overlap by a
+/// sliver.
+fn arb_dense_bbox() -> impl Strategy<Value = BBox> {
+    const ANCHORS: [(f32, f32); 3] = [(4.0, 4.0), (20.0, 6.0), (10.0, 18.0)];
+    const JITTER: [f32; 7] = [-3.0, -1.5, -1.0, 0.0, 1.0, 1.5, 3.0];
+    const SIZE: [f32; 6] = [0.0, 6.0, 8.0, 8.0, 8.0, 10.0];
+    let jitter = || prop_oneof![(0usize..7).prop_map(|i| JITTER[i]), Just(0.0f32), -4.0f32..4.0];
+    (0usize..3, jitter(), jitter(), 0usize..6, 0usize..6).prop_map(|(a, jx, jy, w, h)| {
+        let (x, y) = (ANCHORS[a].0 + jx, ANCHORS[a].1 + jy);
+        BBox::new(x, y, x + SIZE[w], y + SIZE[h])
+    })
+}
+
+/// Scores whose scaled values tie across lone boxes and merged clusters
+/// (`0.8 · 1/4` = `0.4 · 2/4`, `0.6 · 1/2` = `0.3 · 2/2`), all admitted.
+fn arb_dense_detection() -> impl Strategy<Value = Detection> {
+    const SCORES: [f32; 9] = [0.15, 0.2, 0.3, 0.3, 0.4, 0.4, 0.6, 0.8, 0.9];
+    (arb_dense_bbox(), 0usize..3, 0usize..9)
+        .prop_map(|(bbox, class_id, s)| Detection::new(bbox, class_id, SCORES[s]))
+}
+
+/// Seven branches of up to 64 boxes, `total` of them dealt out by branch
+/// hint (a full branch passes a box on). One frame in four has a few
+/// scores replaced by NaN, ±∞ or one under `skip_box_thresh`.
+fn arb_dense_branch_dets() -> impl Strategy<Value = Vec<Vec<Detection>>> {
+    let total = prop_oneof![
+        Just(63usize),
+        Just(64usize),
+        Just(65usize),
+        Just(127usize),
+        Just(128usize),
+        Just(129usize),
+        1usize..449,
+        300usize..449,
+    ];
+    let hinted = prop::collection::vec((arb_dense_detection(), 0usize..7), 448..449);
+    let poison = prop::collection::vec((0usize..448, 0usize..4), 0..5);
+    (total, hinted, 0usize..4, poison).prop_map(|(total, hinted, quiet, poison)| {
+        let mut branches: Vec<Vec<Detection>> = vec![Vec::new(); 7];
+        for (det, hint) in hinted.into_iter().take(total) {
+            let b = (hint..hint + 7).map(|b| b % 7).find(|&b| branches[b].len() < 64).unwrap();
+            branches[b].push(det);
+        }
+        if quiet == 0 {
+            const SPECIAL: [f32; 4] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.01];
+            for (at, kind) in poison {
+                let b = at % 7;
+                if !branches[b].is_empty() {
+                    let i = at % branches[b].len();
+                    branches[b][i].score = SPECIAL[kind];
+                }
+            }
+        }
+        branches
+    })
+}
+
+/// Up to five ground-truth boxes on the dense lattice.
+fn arb_dense_gts() -> impl Strategy<Value = Vec<GtBox>> {
+    let gt = (arb_dense_bbox(), 0usize..3).prop_map(|(b, class_id)| GtBox {
+        class_id,
+        x1: b.x1,
+        y1: b.y1,
+        x2: b.x2,
+        y2: b.y2,
+    });
+    prop::collection::vec(gt, 0..6)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -286,7 +370,7 @@ proptest! {
         // anything over.
         let mut scratch = FusionScratch::default();
         for (branch_dets, gts) in [&first, &second] {
-            let expected = bits(&naive_config_losses(&model, branch_dets, gts));
+            let expected = bits(&naive_config_losses(&model, branch_dets, gts, &WbfParams::default()));
             prop_assert_eq!(&bits(&model.config_losses_from(branch_dets, gts)), &expected);
             let reused = subset_fusion_losses(
                 branch_dets,
@@ -306,6 +390,10 @@ proptest! {
         iou_thresh in prop_oneof![Just(0.55f32), 0.1f32..0.9],
     ) {
         let params = WbfParams { iou_thresh, ..WbfParams::default() };
+        for k in 2..7 {
+            let fused = weighted_boxes_fusion(&branch_dets, &params, k);
+            prop_assert_eq!(det_bits(&fused), det_bits(&naive::wbf(&branch_dets, &params, k)));
+        }
         let fused = weighted_boxes_fusion(&branch_dets, &params, 7);
         prop_assert_eq!(det_bits(&fused), det_bits(&naive::wbf(&branch_dets, &params, 7)));
         // Fused (sorted) and raw (unsorted) lists both.
@@ -315,6 +403,39 @@ proptest! {
                 bits(&[got.classification, got.regression, got.misses, got.false_positives]),
                 bits(&[want.classification, want.regression, want.misses, want.false_positives])
             );
+        }
+    }
+}
+
+proptest! {
+    // Each case fuses up to 448 boxes 127 times on both sides.
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn dense_frames_score_like_the_naive_composition(
+        first in (arb_dense_branch_dets(), arb_dense_gts()),
+        second in (arb_dense_branch_dets(), arb_dense_gts()),
+        iou_thresh in prop_oneof![
+            Just(0.55f32),
+            Just(0.0f32),
+            Just(1.0f32),
+            Just(-0.25f32),
+            0.0f32..0.2,
+            0.1f32..0.9,
+        ],
+    ) {
+        let model = EcoFusionModel::new(32, 8, &mut Rng::new(13));
+        let params = WbfParams { iou_thresh, ..WbfParams::default() };
+        // One scratch across both frames, the denser one second or first.
+        let mut scratch = FusionScratch::default();
+        for (branch_dets, gts) in [&first, &second] {
+            let expected = bits_any_nan(&naive_config_losses(&model, branch_dets, gts, &params));
+            let got = subset_fusion_losses(branch_dets, 1..=127u8, gts, &params, &mut scratch);
+            prop_assert_eq!(&bits_any_nan(&got), &expected);
+            for k in 2..8 {
+                let fused = weighted_boxes_fusion(branch_dets, &params, k);
+                prop_assert_eq!(det_bits(&fused), det_bits(&naive::wbf(branch_dets, &params, k)));
+            }
         }
     }
 }

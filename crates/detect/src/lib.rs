@@ -8,10 +8,11 @@
 //! * [`BBox`] / [`Detection`] — axis-aligned boxes, IoU/GIoU.
 //! * [`nms()`](nms::nms) — greedy and soft non-maximum suppression.
 //! * [`wbf`] — Weighted Boxes Fusion (Solovyev et al. 2021), the paper's
-//!   late-fusion block (§4.4): one cluster loop behind both the one-shot
-//!   [`weighted_boxes_fusion`] and, with [`metrics`]' loss kernel and a
-//!   reusable [`FusionScratch`], [`subset_fusion_losses`] — the fusion
-//!   loss `L_f(φ)` of every branch subset of a frame in one pass.
+//!   late-fusion block (§4.4): one fusion pass behind the one-shot
+//!   [`weighted_boxes_fusion`], [`FusionScratch::fuse`] (the same out of
+//!   a reusable scratch) and, with [`metrics`]' loss kernel,
+//!   [`subset_fusion_losses`] — the fusion loss `L_f(φ)` of every branch
+//!   subset of a frame from boxes sorted and indexed once.
 //! * [`anchors`] — the cell grid and ground-truth assignment used by the
 //!   dense detection head.
 //! * [`Stem`] — the first convolution block, one per sensing modality.

@@ -171,7 +171,7 @@ pub fn fusion_loss(dets: &[Detection], gts: &[GtBox]) -> FusionLoss {
 /// models as the subset has branches — a one-branch subset passes through
 /// unfused, as in the model's Fuse stage — and taking
 /// [`fusion_loss`]`(..).total()` of the result, but the frame's boxes are
-/// sorted and its ground truth converted once, not once per subset.
+/// sorted, masked and pair-indexed and its ground truth converted once.
 ///
 /// # Panics
 /// Panics if a mask is zero or selects a branch `branch_dets` lacks.
@@ -182,8 +182,7 @@ pub fn subset_fusion_losses(
     params: &WbfParams,
     scratch: &mut FusionScratch,
 ) -> Vec<f32> {
-    scratch.load(branch_dets);
-    scratch.index_pairs(params.iou_thresh);
+    scratch.load(branch_dets.iter().map(Vec::as_slice), params);
     scratch.loss.load_gts(gts);
     let masks = masks.into_iter();
     let mut losses = Vec::with_capacity(masks.size_hint().0);
@@ -196,7 +195,8 @@ pub fn subset_fusion_losses(
         let loss = if mask.is_power_of_two() {
             scratch.loss.loss(&branch_dets[mask.trailing_zeros() as usize], false)
         } else {
-            scratch.fuse_where(|e| mask >> e.branch & 1 != 0, params, mask.count_ones() as usize);
+            scratch
+                .fuse_branches((0..8).filter(|b| mask >> b & 1 != 0), mask.count_ones() as usize);
             scratch.loss.loss(&scratch.fused, true)
         };
         losses.push(loss.total());

@@ -117,6 +117,36 @@ fn infer_trace_matches_snapshot_and_reruns() {
     }
 }
 
+/// The loss-based oracle on the input the benchmark serves it: the
+/// untrained serving model (`EcoFusionModel::new(32, 8, 0xEC0F)`) over
+/// `mixed_policy`'s oracle stream at seed 7, decoded at
+/// `InferenceOptions::new(0.01, 0.5)` — ≈ 420 boxes a frame, 60-odd per
+/// branch. FNV-1a over the bits of all 127 losses of ten frames, recorded
+/// with the scorer that clustered every configuration's boxes in full
+/// (before the bitset pass of PR 25).
+#[test]
+fn oracle_losses_of_the_served_stream_match_snapshot() {
+    let spec = ecofusion::runtime::StreamSpec::new(711, 32).with_context(Context::ALL[6]);
+    let mut stream = ecofusion::runtime::VehicleStream::new(spec);
+    let frames: Vec<Frame> = (0..10).map(|_| stream.next_frame()).collect();
+    let mut model = EcoFusionModel::new(32, 8, &mut Rng::new(0xEC0F));
+    let samples = model.oracle_pass(&frames, &InferenceOptions::new(0.01, 0.5)).unwrap();
+    let boxes: usize = samples.iter().flat_map(|s| &s.branch_dets).map(Vec::len).sum();
+    assert_eq!(boxes, ORACLE_BOXES, "the oracle's input drifted");
+    let digest = samples
+        .iter()
+        .flat_map(|s| &s.losses)
+        .flat_map(|l| l.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(samples.iter().map(|s| s.losses.len()).sum::<usize>(), 1270);
+    assert_eq!(digest, ORACLE_LOSSES_DIGEST, "losses {:?}", samples[0].losses);
+}
+
+const ORACLE_BOXES: usize = 4390;
+const ORACLE_LOSSES_DIGEST: u64 = 0xc7a6_1f85_5cf6_4fb8;
+
 #[test]
 fn dataset_and_runtime_streams_rerun_identically() {
     // Dataset: scene sampling + parallel rendering + split.
