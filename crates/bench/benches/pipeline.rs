@@ -23,9 +23,13 @@ use ecofusion_tensor::tensor::Tensor;
 /// plan, each executed at batch 1, 16 and 64 — the last is the batch
 /// `fleet_wide` serves — with its GMAC/s (`thrpt`, in Gelem/s of
 /// multiply-accumulates): a plan streams cache-sized tiles, so the rate
-/// should hold flat from 16 to 64. `stem_plan_batch64_int8` is the int8
-/// stem beside `stem_plan_batch64`: the same pooled tile shape over
-/// channel pairs that are half padding, so it is no cheaper.
+/// should hold flat from 16 to 64. Beside them the emergency rung's int8
+/// plans: `stem_plan_batch64_int8`, the same pooled tile shape as
+/// `stem_plan_batch64` over channel quads that are three quarters
+/// padding (one `vpdpbusd` where the f32 tile has one FMA, so it costs
+/// about the same), and `branch_plan_batch16_int8` beside
+/// `branch_plan_batch16` — 16 is `squeeze_int8`'s unit batch — whose
+/// quads are whole, four multiply-accumulates a lane a step.
 fn bench_fused_pipeline(c: &mut Criterion) {
     use ecofusion_tensor::graph::compile_quant_pipe;
     use ecofusion_tensor::layer::Layer;
@@ -107,12 +111,16 @@ fn bench_fused_pipeline(c: &mut Criterion) {
             });
         }
     }
-    {
-        let x = Tensor::randn(&[64, 1, grid, grid], 1.0, &mut rng);
-        let mut qplan = compile_quant_pipe(qsnap.stem(0), x.shape()).expect("stem pipe compiles");
-        let mut out = Tensor::zeros(&qplan.out_shape_for(64));
-        group.throughput(Throughput::Elements((64 * qplan.macs_per_sample()) as u64));
-        group.bench_function("stem_plan_batch64_int8", |bench| {
+    let int8 = [
+        ("stem", compile_quant_pipe(qsnap.stem(0), x.shape()), vec![64, 1, grid, grid]),
+        ("branch", qsnap.branch(0).compile(feats.shape()), vec![16, 8, side, side]),
+    ];
+    for (name, plan, shape) in int8 {
+        let mut qplan = plan.expect("quantized stacks compile");
+        let x = Tensor::randn(&shape, 1.0, &mut rng);
+        let mut out = Tensor::zeros(&qplan.out_shape_for(shape[0]));
+        group.throughput(Throughput::Elements((shape[0] * qplan.macs_per_sample()) as u64));
+        group.bench_function(format!("{name}_plan_batch{}_int8", shape[0]), |bench| {
             bench.iter(|| qplan.execute_into(black_box(&x), &mut out));
         });
     }
@@ -121,11 +129,13 @@ fn bench_fused_pipeline(c: &mut Criterion) {
 
 /// Per-frame cost of the glue that rides along with inference: injector
 /// passthrough (clean frame), injector with three active faults, one
-/// health-monitor update, and one head decode + NMS. The overhead budget
-/// is a number: a monitor update costs at most one third of the int8
-/// branch plan's time per frame (`fused_pipeline/branch_batch8_int8_compiled`
-/// ÷ 8) — the emergency rung's one branch is the least inference a frame
-/// can ride with, and the monitor runs in the server's serial pick phase.
+/// health-monitor update, and one head decode + NMS. The monitor's cost is
+/// read against the int8 branch plan's time per frame
+/// (`fused_pipeline/branch_batch8_int8_compiled` ÷ 8) — the emergency
+/// rung's one branch is the least inference a frame can ride with, and the
+/// monitor runs in the server's serial pick phase: about half of it on the
+/// reference host since that plan runs on channel quads (`BENCH_27.json`;
+/// a third before).
 /// `decode_sample` is the benchmark's shape: 64 cells of an untrained
 /// 8-class head, every cell a candidate, most of them kept.
 fn bench_fault_pipeline(c: &mut Criterion) {

@@ -28,17 +28,22 @@ use crate::units::{Joules, Millis, Watts};
 use ecofusion_sensors::SensorKind;
 use serde::{Deserialize, Serialize};
 
-/// Default int8/f32 cost ratio of a stem execution, measured on the host
-/// GEMM kernels (i8×i8→i32 blocked vs f32 blocked) and applied to the PX2
-/// calibration as a multiplicative scale. The PX2's Pascal GPUs expose
-/// dp4a int8 dot products at ~4× the f32 MAC rate; the measured host
-/// ratio lands in the same regime.
+/// Default int8/f32 cost ratio of a stem execution, applied to the PX2
+/// calibration as a multiplicative scale: the model's `dp4a` regime — the
+/// PX2's Pascal GPUs run int8 dot products four wide at ~4× the f32 MAC
+/// rate. It is not the host's ratio: the reference host's compiled int8
+/// stem plan takes 1.08× its f32 twin's time (`fused_pipeline/
+/// stem_plan_batch64{_int8,}`, `BENCH_27.json`), since a one-channel
+/// input fills one lane of each 4-channel quad.
 pub const INT8_STEM_SCALE: f64 = 0.41;
 
-/// Default int8/f32 cost ratio of a branch-body execution. Branches are
-/// deeper (three convolution blocks + head) and pay more dequantization
-/// traffic at stage boundaries, so the ratio is slightly worse than the
-/// stem's.
+/// Default int8/f32 cost ratio of a branch-body execution, the model's
+/// `dp4a` regime like [`INT8_STEM_SCALE`]: branches are deeper (three
+/// convolution blocks + head) and pay more dequantization traffic at
+/// stage boundaries, so the ratio is slightly worse than the stem's. On
+/// the reference host the compiled int8 branch plan takes 0.36× its f32
+/// twin's time (`fused_pipeline/branch_plan_batch16{_int8,}`,
+/// `BENCH_27.json`).
 pub const INT8_BRANCH_SCALE: f64 = 0.45;
 
 /// What a branch consumes: one sensor (no fusion) or an early-fused set.

@@ -204,10 +204,10 @@ fn fused_stats(grids: [&[f32]; 4], prevs: [Option<&[f32]>; 4]) -> [GridStats; 4]
 /// The monitor is pure observation-side accounting and fully
 /// deterministic in its input sequence. Its cost is measured, not
 /// assumed: ≈ 5 µs per 32×32 observation on the reference host
-/// (`fault_pipeline/health_monitor_update`), against a budget of one
-/// third of the int8 branch plan's time per frame — it runs in the
-/// server's serial pick phase, so on the int8 emergency rung it is a
-/// visible share of the step. [`SensorHealthMonitor::update`] therefore
+/// (`fault_pipeline/health_monitor_update`), about half the int8 branch
+/// plan's ≈ 11 µs per frame (`BENCH_27.json`) — it runs in the server's
+/// serial pick phase, so on the int8 emergency rung it is a visible share
+/// of the step. [`SensorHealthMonitor::update`] therefore
 /// reads the four grids of an observation together (`fused_stats`): one
 /// loop carries the sum, absolute sum and frame delta of all four
 /// sensors as twelve independent `f64` chains, a second the four

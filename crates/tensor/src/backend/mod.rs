@@ -190,7 +190,7 @@ pub const RUN: usize = 8;
 /// rows when the epilogue does. 256 KiB is an eighth of the reference
 /// host's per-core L2 — the tile's input, output and the weights need
 /// room beside it — and resolves to fifty-six samples for a stem (one
-/// padded 34×34 plane each and no rows: its tiles pool; 113 in int8),
+/// padded 34×34 plane each and no rows: its tiles pool; int8 alike),
 /// twelve for a one-sensor f32 branch and four for the attention gate of
 /// the canonical model (seven, twelve and four while the stem's tiles
 /// wrote rows for an epilogue to pool; three, seven and four while every
@@ -229,9 +229,8 @@ pub(crate) const TILE_BYTES: usize = 256 * 1024;
 ///
 /// and `base + off[p]` holds what the index formula names for patch
 /// element `p` of output position `(b, oy, ox)`, pad zeros included.
-/// The unit a cell holds is the caller's: an `f32`, or the `[i8; 2]`
-/// channel pair of the int8 plans (`spec.in_channels` then counts
-/// pairs).
+/// The unit a cell holds is the caller's: an `f32`, or the `[u8; 4]`
+/// channel quad of the int8 plans (`spec.in_channels` then counts quads).
 #[derive(Debug, Clone)]
 pub struct DirectConv {
     spec: ConvSpec,
@@ -355,30 +354,32 @@ impl DirectConv {
     /// **The plane store**, the one addressing function of the planes:
     /// puts every row of input plane `p` — the flat `(sample, channel)`
     /// index `b·C + ci` — where the type docs say it lives, cell `(y, x)`
-    /// being `f` of the `K` source planes' elements `(y, x)`. Everything
+    /// being `f` folded over the `K` source planes' elements `(y, x)` from
+    /// `U::default()`: `f(cell, k, v)` takes in source `k`'s. Everything
     /// that writes planes is a loop over this: [`DirectConv::lower`] with
     /// the identity over one plane, the epilogue of a convolution that
     /// feeds another with its per-element arithmetic over a plane of its
-    /// accumulators, the int8 quantizers with two channels' planes into
-    /// one plane of pairs. A trailing row or column no tap reads is not
-    /// stored. The pad cells are not touched: [`DirectConv::clear`] comes
-    /// first.
+    /// accumulators, the int8 quantizers with up to four channels' planes
+    /// into one plane of quads. A trailing row or column no tap reads is
+    /// not stored. The pad cells are not touched: [`DirectConv::clear`]
+    /// comes first.
     ///
     /// Rows go [`RUN`] columns at a time through arrays of a fixed size —
     /// at stride 2 into half a run of each column parity — so that the
     /// map is straight-line vector code and the de-interleave two
-    /// shuffles, where a loop over a run-time length need be neither.
+    /// shuffles, where a loop over a run-time length need be neither (and
+    /// source by source: a map of `K > 1` values at a time stays scalar).
     ///
     /// # Panics
     /// Panics if a source is smaller than an input plane, or `cells`
     /// shorter than the planes up to `p`.
     #[inline(always)]
-    pub fn store_plane<V: Copy, U: Copy, const K: usize>(
+    pub fn store_plane<V: Copy, U: Copy + Default, const K: usize>(
         &self,
         cells: &mut [U],
         p: usize,
         src: [&[V]; K],
-        f: impl Fn([V; K]) -> U,
+        f: impl Fn(U, usize, V) -> U,
     ) {
         let (s, [h, w], [hp, wp], lead) = (self.stride, self.in_hw, self.plane, self.lead);
         // Input rows (columns) of one parity, cut to what a sub-plane has
@@ -387,12 +388,15 @@ impl DirectConv {
         let held = |len: usize, r: usize, room: usize| len.saturating_sub(r).div_ceil(s).min(room);
         let (rows, cols) = (|ry| held(h, ry, hp - lead), |rx| held(w, rx, wp - lead));
         let src = src.map(|plane| &plane[..h * w]);
-        let row = |y: usize| src.map(|plane| &plane[y * w..][..w]);
-        // Cells `x..x + RUN` of a row.
-        let run = |row: [&[V]; K], x: usize| -> [U; RUN] {
-            let cols = row.map(|row| <&[V; RUN]>::try_from(&row[x..x + RUN]).expect("a run"));
-            std::array::from_fn(|i| f(cols.map(|col| col[i])))
+        let row = |y: usize| {
+            let mut row = [<&[V]>::default(); K];
+            for (row, plane) in row.iter_mut().zip(src) {
+                *row = &plane[y * w..][..w];
+            }
+            row
         };
+        // The cell of column `x` of a row alone.
+        let one = |row, x| fold_cells::<V, U, K, 1>(row, x, &f)[0];
         let block = &mut cells[p * self.block_len()..][..self.block_len()];
         // Input row `j·s + ry` lands in stored row `lead + j` of the `s`
         // sub-planes of row parity `ry`, one per column parity: from cell
@@ -409,10 +413,10 @@ impl DirectConv {
                 for (y, dst) in block[first..].chunks_mut(wp).take(h).enumerate() {
                     let (row, mut dst) = (row(y), dst[..w].chunks_exact_mut(RUN));
                     for (c, d) in (&mut dst).enumerate() {
-                        d.copy_from_slice(&run(row, RUN * c));
+                        d.copy_from_slice(&fold_cells::<V, U, K, RUN>(row, RUN * c, &f));
                     }
                     for (d, x) in dst.into_remainder().iter_mut().zip(w / RUN * RUN..) {
-                        *d = f(row.map(|row| row[x]));
+                        *d = one(row, x);
                     }
                 }
             }
@@ -429,17 +433,18 @@ impl DirectConv {
                         let runs =
                             even[..ne].chunks_exact_mut(HALF).zip(odd[..no].chunks_exact_mut(HALF));
                         for (c, (e, o)) in runs.enumerate() {
-                            let cols = run(row, RUN * c);
+                            let cols = fold_cells::<V, U, K, RUN>(row, RUN * c, &f);
                             e.copy_from_slice(&std::array::from_fn::<U, HALF, _>(|i| cols[2 * i]));
                             o.copy_from_slice(&std::array::from_fn::<U, HALF, _>(|i| {
                                 cols[2 * i + 1]
                             }));
                         }
-                        for i in no / HALF * HALF..ne {
-                            even[i] = f(row.map(|row| row[2 * i]));
+                        let done = no / HALF * HALF;
+                        for (e, i) in even[done..ne].iter_mut().zip(done..) {
+                            *e = one(row, 2 * i);
                         }
-                        for i in no / HALF * HALF..no {
-                            odd[i] = f(row.map(|row| row[2 * i + 1]));
+                        for (o, i) in odd[done..no].iter_mut().zip(done..) {
+                            *o = one(row, 2 * i + 1);
                         }
                     }
                 }
@@ -452,7 +457,7 @@ impl DirectConv {
                     {
                         let row = row(j * s + ry);
                         for (i, d) in dst[..cols(rx)].iter_mut().enumerate() {
-                            *d = f(row.map(|row| row[rx + i * s]));
+                            *d = one(row, rx + i * s);
                         }
                     }
                 }
@@ -465,14 +470,14 @@ impl DirectConv {
     ///
     /// # Panics
     /// Panics if `x` is not a whole number of planes.
-    pub fn store_planes<U: Copy>(&self, cells: &mut [U], p0: usize, x: &[U]) {
+    pub fn store_planes<U: Copy + Default>(&self, cells: &mut [U], p0: usize, x: &[U]) {
         let [h, w] = self.in_hw;
         assert!(
             x.len().is_multiple_of(h * w),
             "DirectConv::store_planes: not whole {h}x{w} planes"
         );
         for (p, plane) in x.chunks_exact(h * w).enumerate() {
-            self.store_plane(cells, p0 + p, [plane], |[v]| v);
+            self.store_plane(cells, p0 + p, [plane], |_, _, v| v);
         }
     }
 
@@ -487,7 +492,7 @@ impl DirectConv {
     /// # Panics
     /// Panics if `x` is not `n` samples or `scratch` is shorter than
     /// their planes.
-    pub fn lower<U: Copy>(&self, x: &[U], n: usize, zero: U, scratch: &mut [U]) {
+    pub fn lower<U: Copy + Default>(&self, x: &[U], n: usize, zero: U, scratch: &mut [U]) {
         let (c, [h, w]) = (self.spec.in_channels, self.in_hw);
         assert!(
             x.len() == n * c * h * w && scratch.len() >= n * self.sample_len(),
@@ -504,6 +509,24 @@ impl DirectConv {
     pub(crate) fn tiles(&self, n: usize) -> Tiles<'_> {
         Tiles { direct: self, n, at: [0; 3] }
     }
+}
+
+/// Cells `x..x + N` of a row of [`DirectConv::store_plane`]'s sources,
+/// folded source by source in plain loops: no closure or `array::map`,
+/// which inside a large caller may stay a call per element.
+#[inline(always)]
+fn fold_cells<V: Copy, U: Copy + Default, const K: usize, const N: usize>(
+    row: [&[V]; K],
+    x: usize,
+    f: &impl Fn(U, usize, V) -> U,
+) -> [U; N] {
+    let mut cells = [U::default(); N];
+    for (k, row) in row.iter().enumerate() {
+        for (c, &v) in cells.iter_mut().zip(&row[x..x + N]) {
+            *c = f(*c, k, v);
+        }
+    }
+    cells
 }
 
 /// One run of a register tile: where its loads start in the scratch,

@@ -50,8 +50,8 @@
 //!   that knows where a cell of the planes lives), after one fill that
 //!   zeroes the reader's pads for the tile. An int8 reader gets them
 //!   requantized in the same pass — `quantize_value` of the very f32 the
-//!   epilogue computes, at the reader's activation scale, two output
-//!   channels into one channel pair — so nothing is carried in f32
+//!   epilogue computes, at the reader's activation scale, four output
+//!   channels into one channel quad — so nothing is carried in f32
 //!   between two int8 convolutions, and nothing copied.
 //! * A convolution followed by max pooling pools before it stores, and
 //!   the pooled rows are plain; no unpooled map is written anywhere.
@@ -86,7 +86,7 @@
 //!   [`CompiledPlan::execute_into`] is the case of one), and behind a
 //!   pooling convolution or the attention step, whose plain output lies
 //!   in `ping` / `pong`. An int8 convolution quantizes such an input
-//!   straight into its channel pairs ([`quantize_planes`]).
+//!   straight into its channel quads ([`quantize_planes`]).
 //! * A first step that is no convolution gets the caller's blocks copied
 //!   into one piece first (`stage_input`).
 //!
@@ -109,14 +109,15 @@
 //! any of the above — what it saves is what stood around the plans: the
 //! gathers into such tensors).
 //!
-//! An int8 step's cells are **channel pairs** — `[i8; 2]`, channels `2c`
-//! and `2c + 1` of one position, an odd last channel paired with 0 — in
-//! the same planes, multiplied by weights paired the same way and packed
+//! An int8 step's cells are **channel quads** — `[u8; 4]`, channels `4c …
+//! 4c + 3` of one position as `q + 128`, byte `0x80` being q = 0 (a pad
+//! cell, a last quad's missing channels) — in the same planes, multiplied
+//! by weight quads packed with each output channel's correction `−128·Σw`
 //! when the plan is compiled ([`PackedConvWeights`]), so that one step of
-//! the reduction is an `i16×i16→i32` pair dot (`vpmaddwd` where the build
-//! has AVX2); see [`crate::quant`]'s "Kernel structure". The serialized
-//! int8 image keeps its row-major `i8` weights; pairing is a property of
-//! the plan.
+//! the reduction is a 4-way `u8×i8→i32` dot (`vpdpbusd` with VNNI, two
+//! `vpmaddwd` with AVX2 alone); see [`crate::quant`]'s "Kernel structure".
+//! The serialized int8 image keeps its row-major `i8` weights; quads are a
+//! property of the plan.
 //!
 //! # Tiles
 //!
@@ -133,7 +134,7 @@
 //! attention scratch, which does not scale with `T`) fit `TILE_BYTES`
 //! (256 KiB, beside the register-tile constants in [`crate::backend`]) —
 //! at least one sample. For the canonical model that is fifty-six samples
-//! for a stem (113 in int8: one padded plane each — its tiles pool, so it
+//! for a stem, f32 or int8 (one padded plane each — its tiles pool, so it
 //! holds neither rows nor accumulators), twelve for a one-sensor f32
 //! branch (five with all four sensors), twenty-three for its int8 twin
 //! and four for the learned gates. The arena holds exactly those buffers, for at most one tile —
@@ -206,8 +207,8 @@ use crate::backend::{
 };
 use crate::layer::{BatchNorm2d, Conv2d, Linear, SelfAttention2d, Sequential};
 use crate::quant::{
-    conv_pooled_t_i8, conv_rows_t_i8, quantize_planes, quantize_value, DequantAffineRelu,
-    PackedConvWeights, QuantConv2d, QuantPipe, QuantStage,
+    conv_pooled_t_i8, conv_rows_t_i8, quantize_planes, quantize_value, store_quad,
+    DequantAffineRelu, PackedConvWeights, QuantConv2d, QuantPipe, QuantStage, QUAD_ZERO,
 };
 use crate::tensor::{softmax_rows_in_place, Tensor};
 use std::collections::HashMap;
@@ -260,11 +261,11 @@ enum Op {
     },
     /// Int8 convolution with dequant + folded-BN affine + ReLU (+ max
     /// pooling) fused into the i32-accumulator write-back. The weights
-    /// are pair-packed for the kernel and `deq[c] = act_scale ·
-    /// w_scale[c]` precomputed, both at compile time.
+    /// are quad-packed for the kernel, with their corrections, and
+    /// `deq[c] = act_scale · w_scale[c]` precomputed, all at compile time.
     ConvI8 {
         weights: PackedConvWeights,
-        /// The addressing of the same convolution over channel pairs.
+        /// The addressing of the same convolution over channel quads.
         direct: DirectConv,
         deq: Vec<f32>,
         bias: Vec<f32>,
@@ -359,8 +360,8 @@ struct Lowering {
     planes: Vec<f32>,
     /// Pre-bias convolution rows `(C_out, T·Ho·Wo)`.
     rows: Vec<f32>,
-    /// The same planes of an int8 convolution, channel pairs.
-    planes_i8: Vec<[i8; 2]>,
+    /// The same planes of an int8 convolution, channel quads.
+    planes_i8: Vec<[u8; 4]>,
     /// i32 accumulators of an int8 convolution, laid out like `rows`.
     acc: Vec<i32>,
     /// Self-attention scratch of one sample: tokens, Q, K, V, context
@@ -369,7 +370,7 @@ struct Lowering {
 }
 
 /// Per-sample element counts of a plan's tiled buffers (`planes_i8` holds
-/// 2-byte channel pairs, the rest 4-byte elements) and the per-plan
+/// 4-byte channel quads, the rest 4-byte elements) and the per-plan
 /// attention scratch — what the tile rule divides the budget by.
 #[derive(Debug, Clone, Copy, Default)]
 struct ArenaSpec {
@@ -408,7 +409,7 @@ impl PlanArena {
         self.pong.resize(samples * spec.pong, 0.0);
         self.low.planes.resize(planes(spec.planes), 0.0);
         self.low.rows.resize(samples * spec.rows, 0.0);
-        self.low.planes_i8.resize(planes(spec.planes_i8), [0; 2]);
+        self.low.planes_i8.resize(planes(spec.planes_i8), QUAD_ZERO);
         self.low.acc.resize(samples * spec.acc, 0);
         self.low.attn.resize(spec.attn, 0.0);
         self.samples = samples;
@@ -418,16 +419,16 @@ impl PlanArena {
     /// nothing in the arena survives from one tile to the next, so
     /// before each tile every buffer is filled with what no step writes —
     /// NaN, and for the integer buffers values outside the quantizer's
-    /// range. A step that read a pad cell its writer did not zero, or a
-    /// row the step before did not write, would carry it into the
-    /// output.
+    /// range (a quad of `0x00` bytes is q = −128). A step that read a pad
+    /// cell its writer did not zero, or a row the step before did not
+    /// write, would carry it into the output.
     #[cfg(debug_assertions)]
     fn poison(&mut self) {
         for buf in [&mut self.ping, &mut self.pong, &mut self.low.planes, &mut self.low.rows] {
             buf.fill(f32::NAN);
         }
         self.low.attn.fill(f32::NAN);
-        self.low.planes_i8.fill([i8::MIN; 2]);
+        self.low.planes_i8.fill([0; 4]);
         self.low.acc.fill(i32::MIN);
     }
 }
@@ -732,14 +733,14 @@ enum Sink<'a, 'o> {
     F32(&'a DirectConv, &'a mut [f32]),
     /// The planes of the int8 convolution that reads next and `1 /` its
     /// activation scale: the epilogue requantizes.
-    I8(&'a DirectConv, f32, &'a mut [[i8; 2]]),
+    I8(&'a DirectConv, f32, &'a mut [[u8; 4]]),
 }
 
 impl<'a, 'o> Sink<'a, 'o> {
     fn new(
         output: Output<'a, 'o>,
         planes: &'a mut [f32],
-        planes_i8: &'a mut [[i8; 2]],
+        planes_i8: &'a mut [[u8; 4]],
     ) -> Sink<'a, 'o> {
         match output {
             Output::Rows(rows) => Sink::Plain(rows),
@@ -793,8 +794,8 @@ impl Held for i32 {
 ///   tiles pool, `Step::pooled_tile`);
 /// * the planes of the convolution that reads next, each (sample,
 ///   channel) run through its [`DirectConv::store_plane`] — an int8
-///   reader's two output channels at a time, `quantize_value` of each f32
-///   value at the reader's scale into its channel pair.
+///   reader's four output channels at a time, `quantize_value` of each
+///   f32 value at the reader's scale into its channel quad.
 fn write_back<A: Held, F: Fn(A) -> f32>(
     acc: &mut [A],
     [n, co, ho, wo]: [usize; 4],
@@ -850,23 +851,19 @@ fn write_back<A: Held, F: Fn(A) -> f32>(
             reader.clear(cells, n, 0.0);
             for p in 0..n * co {
                 let f = value(p % co);
-                reader.store_plane(cells, p, [run(p / co, p % co)], |[a]| f(a));
+                reader.store_plane(cells, p, [run(p / co, p % co)], |_, _, a| f(a));
             }
         }
         (Sink::I8(reader, inv, cells), None) => {
-            reader.clear(cells, n, [0; 2]);
-            let pairs = co.div_ceil(2);
-            for p in 0..n * pairs {
-                let (b, c) = (p / pairs, 2 * (p % pairs));
-                let (f0, even) = (value(c), run(b, c));
-                if c + 1 < co {
-                    let (f1, odd) = (value(c + 1), run(b, c + 1));
-                    reader.store_plane(cells, p, [even, odd], |[a0, a1]| {
-                        [quantize_value(f0(a0), inv), quantize_value(f1(a1), inv)]
-                    });
-                } else {
-                    reader.store_plane(cells, p, [even], |[a]| [quantize_value(f0(a), inv), 0]);
-                }
+            reader.clear(cells, n, QUAD_ZERO);
+            let quads = co.div_ceil(4);
+            for p in 0..n * quads {
+                let (b, c) = (p / quads, 4 * (p % quads));
+                let channel = |k: usize| (c + k).min(co - 1);
+                let f: [F; 4] = std::array::from_fn(|k| value(channel(k)));
+                let src: [&[A]; 4] = std::array::from_fn(|k| run(b, channel(k)));
+                let q = |k: usize, a: A| quantize_value(f[k](a), inv);
+                store_quad(reader, cells, p, &src[..(co - c).min(4)], q);
             }
         }
         (Sink::F32(..) | Sink::I8(..), Some(_)) => {
@@ -971,25 +968,25 @@ fn run_step<'s>(
         }
         Op::ConvI8 { weights, direct, deq, bias, act_scale, affine, relu, pool } => {
             let ([h, w], [ho, wo]) = (direct.in_hw(), direct.out_hw());
-            let (co, pairs) = (weights.spec().out_channels, direct.spec().in_channels);
+            let (co, quads) = (weights.spec().out_channels, direct.spec().in_channels);
             match input {
                 Input::Planes => {}
                 Input::Plain(src) => {
-                    direct.clear(planes_i8, n, [0; 2]);
+                    direct.clear(planes_i8, n, QUAD_ZERO);
                     for (b, sample) in src.chunks_exact(step.in_numel).enumerate() {
                         let channels = sample.chunks_exact(h * w);
-                        quantize_planes(direct, planes_i8, b * pairs, channels, *act_scale);
+                        quantize_planes(direct, planes_i8, b * quads, channels, *act_scale);
                     }
                 }
                 Input::Caller(block, per_sample) => {
-                    direct.clear(planes_i8, n, [0; 2]);
+                    direct.clear(planes_i8, n, QUAD_ZERO);
                     for b in 0..n {
                         let channels = (0..per_sample).flat_map(|j| {
                             let block = block(b, j);
                             assert!(block.len().is_multiple_of(h * w), "not whole {h}x{w} planes");
                             block.chunks_exact(h * w)
                         });
-                        quantize_planes(direct, planes_i8, b * pairs, channels, *act_scale);
+                        quantize_planes(direct, planes_i8, b * quads, channels, *act_scale);
                     }
                 }
             }
@@ -1333,7 +1330,7 @@ impl PlanBuilder {
             return Err(CompileError::Malformed { layer: "QuantConv2d", what });
         }
         let weights = PackedConvWeights::pack(&qc.weights.q, &spec);
-        let direct = DirectConv::new(&weights.pair_spec(), h, w);
+        let direct = DirectConv::new(&weights.quad_spec(), h, w);
         let [ho, wo] = direct.out_hw();
         let deq: Vec<f32> = qc.weights.scales.iter().map(|s| qc.act_scale * s).collect();
         let op = Op::ConvI8 {
@@ -1535,7 +1532,7 @@ impl PlanBuilder {
         }
         let f32s = std::mem::size_of::<f32>();
         let per_sample = f32s * (spec.ping + spec.pong + spec.planes + spec.rows + spec.acc)
-            + std::mem::size_of::<[i8; 2]>() * spec.planes_i8;
+            + std::mem::size_of::<[u8; 4]>() * spec.planes_i8;
         // A scratch-free plan (`per_sample` 0) gets the budget itself as
         // its tile: its buffers stay empty and any real batch is one pass.
         let tile = (TILE_BYTES.saturating_sub(f32s * spec.attn) / per_sample.max(1)).max(1);

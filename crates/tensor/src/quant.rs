@@ -25,32 +25,31 @@
 //!
 //! [`conv_rows_t_i8`] is the int8 kernel ([`conv_pooled_t_i8`], below,
 //! its form for a stem), and inference reaches it only through a
-//! [`CompiledPlan`](crate::graph::CompiledPlan). Its
-//! operands are **channel pairs** (cudnn's `NCHWVectC` idea at vector
-//! width 2): the direct convolution's padded, phase-split planes
-//! ([`DirectConv`], the addressing the f32 plans use) hold units of
-//! `[i8; 2]` — channels `2c` and `2c + 1` of one position side by side,
-//! an odd last channel padded with 0 — like any other cell, and
-//! [`PackedConvWeights`] holds the weights paired the same way, widened
-//! to `i16` and interleaved by groups of `IR_T` output channels, packed
-//! once when the plan is compiled (the serialized [`QuantWeights`] stay
-//! row-major `i8`). One step of the reduction is then a pair dot
-//! `w₀·x₀ + w₁·x₁` in `i32` — on x86-64 a single `vpmaddwd` lane, sixteen
-//! multiply-accumulates per instruction over eight positions (one
-//! `vpdpwssd`, accumulate included, where the build also has VNNI) —
-//! instead of a widening multiply per element. A zero-padded odd channel
-//! adds 0.
+//! [`CompiledPlan`](crate::graph::CompiledPlan). Its operands are
+//! **channel quads** (cuDNN's `NCHW_VECT_C` at int8's width of 4, the
+//! operand of a `dp4a` and of `vpdpbusd`): the direct convolution's
+//! padded, phase-split planes ([`DirectConv`], the addressing the f32
+//! plans use) hold `[u8; 4]` cells — channels `4c … 4c + 3` of one
+//! position, each as `q + 128`, so that a pad cell and a last quad's
+//! missing channels hold q = 0 as `0x80` ([`QUAD_ZERO`]) — and
+//! [`PackedConvWeights`] the weights as quads, interleaved by groups of
+//! `IR_T` output channels when a plan is compiled (the serialized
+//! [`QuantWeights`] stay row-major `i8`). One reduction step is a 4-way
+//! dot of activation bytes and weights, thirty-two multiply-accumulates
+//! per `vpdpbusd` over eight positions; each accumulator starts at its
+//! channel's correction `−128·Σw`, packed with the weights, which takes
+//! the `+ 128` off again.
 //!
 //! Nothing stands between an f32 value and its cell in those planes.
 //! A plan's first convolution quantizes the caller's channel blocks
-//! straight into them ([`quantize_planes`]: two channels' rows → one row
-//! of pairs through [`DirectConv::store_plane`]). Every later convolution
+//! straight into them ([`quantize_planes`]: four channels' rows → one row
+//! of quads through [`DirectConv::store_plane`]). Every later convolution
 //! finds them written by the **requantizing epilogue** of the convolution
 //! before it: the f32 value the dequant + folded-BN + ReLU epilogue
 //! computes per element — `(acc·(s_x·s_w[c]) + bias[c])·scale[c] +
 //! shift[c]`, clamped — is rounded at the *consumer's* activation scale in
-//! the same pass, two output channels at a time, into the consumer's
-//! channel pair; the f32 map between two int8 convolutions, the flat `i8`
+//! the same pass, four output channels at a time, into the consumer's
+//! channel quad; the f32 map between two int8 convolutions, the flat `i8`
 //! tensor and the copy into planes are never written. The quantizer is
 //! the one the oracle applies to that same f32 value, so the cells are
 //! the oracle's bits.
@@ -63,33 +62,37 @@
 //! registers, so that no i32 accumulator is ever written
 //! ([`DirectConv::pools_in_tile`]; the f32 plans' `conv2d_pooled_t` is the
 //! same tile over `f32` cells). It does not make the int8 stem cheaper
-//! than the f32 one: a stem has one input channel, so half of every
-//! `[i8; 2]` pair is padding and the tile issues as many vector
-//! multiplies as the f32 tile — what the int8 rung saves is the branch.
+//! than the f32 one: a stem has one input channel, so three quarters of
+//! every quad is padding and the tile issues a `vpdpbusd` where the f32
+//! tile issues an FMA — what the int8 rung saves is the branch.
 //!
 //! The register tile (`IR_T` output channels × two runs of [`RUN`]
 //! positions, the block shape of the f32 tile; every kernel tap of a run
-//! is one 16-byte load at a fixed offset from the run's base) has two
-//! bodies behind one function, as has the pooled one: a portable
-//! safe loop, and `std::arch` AVX2 intrinsics compiled in when the build
-//! enables `avx2` (the repository's `target-cpu=native`). Four safe
-//! spellings of the pair dot were measured first and none made rustc
-//! emit `vpmaddwd` (CHANGES.md, PR 16), which is why the second body
-//! exists; `i32` sums are exact and every product of two `i8` fits, so
-//! the bodies — and the oracle — agree bit for bit on the whole `i8`
-//! range, −128 included.
+//! is one 32-byte load at a fixed offset from the run's base) has two
+//! bodies behind one function, as has the pooled one: a portable safe
+//! loop, and `std::arch` AVX2 intrinsics where the build enables `avx2`,
+//! whose dot `dot_quads` is `vpdpbusd` where it has VNNI and two
+//! `vpmaddwd` elsewhere — of the even and the odd bytes, against weights
+//! packed for it as two `i16` pairs a quad (`SPLIT`), and of the even
+//! bytes alone where the odd ones are pads (a one-channel convolution:
+//! a stem), so that a build without VNNI issues the multiplies of the
+//! pair dots it replaced. The sums are exact (`|acc| ≤ 255·128·C·k²`),
+//! so the bodies, the spellings and the oracle agree bit for bit on the
+//! whole `i8` range, −128 included.
 //!
 //! [`QuantPipe::forward`] and [`QuantConv2d::forward`] are the tests'
 //! oracle for those plans: same rounding ([`quantize_activations`], the
 //! flat form of the same quantizer), same per-element epilogue order,
 //! but the accumulators come from [`conv_direct_i8`], a plain
-//! nested-loop reduction over row-major operands with no pairing,
-//! planes, tiling or scratch.
+//! nested-loop reduction over row-major operands with no quads, planes,
+//! tiling or scratch.
 
-use crate::backend::{Backend, Blocked, ConvSpec, DirectConv, TileRun, RUN};
+use crate::backend::{Backend, Blocked, ConvSpec, DirectConv, TileRun, IR_P, IR_T, RUN};
 use crate::layer::{BatchNorm2d, Conv2d, Sequential};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+use std::arch::x86_64::__m256i;
 
 /// Largest representable quantized magnitude (symmetric int8).
 pub const QMAX: f32 = 127.0;
@@ -164,36 +167,62 @@ pub fn quantize_activations(x: &[f32], scale: f32, out: &mut Vec<i8>) {
     out.extend(x.iter().map(|&v| quantize_value(v, inv)));
 }
 
+/// A cell of q = 0 in every lane: a pad cell, a last quad's missing lanes.
+pub const QUAD_ZERO: [u8; 4] = [0x80; 4];
+
 /// Quantizes the channels of one sample straight into the planes of the
-/// int8 convolution that reads them, as the kernel's **channel pairs**:
-/// `planes` yields the sample's `h × w` channel planes in order, and unit
-/// `x` of row `y` of pair-plane `p0 + c` holds channels `2c` and `2c + 1`
-/// of that position, each rounded exactly as [`quantize_activations`]
-/// rounds it; an odd last channel pairs with 0. One pass through
-/// [`DirectConv::store_plane`] — no flat `i8` tensor in between. The pad
-/// cells are the caller's ([`DirectConv::clear`] first).
+/// int8 convolution that reads them, as the kernel's **channel quads**:
+/// `planes` yields the sample's `h × w` channel planes in order, and cell
+/// `x` of row `y` of quad-plane `p0 + c` holds channels `4c … 4c + 3` of
+/// that position, each rounded exactly as [`quantize_activations`] rounds
+/// it and stored as `q + 128`; a last quad's missing channels hold q = 0.
+/// One pass through [`DirectConv::store_plane`] — no flat `i8` tensor in
+/// between. The pad cells are the caller's ([`DirectConv::clear`] with
+/// [`QUAD_ZERO`] first).
 ///
 /// # Panics
 /// Panics if a plane is smaller than `direct`'s input or `cells` shorter
 /// than the planes written.
 pub fn quantize_planes<'a>(
     direct: &DirectConv,
-    cells: &mut [[i8; 2]],
+    cells: &mut [[u8; 4]],
     p0: usize,
     planes: impl IntoIterator<Item = &'a [f32]>,
     scale: f32,
 ) {
-    let inv = 1.0 / scale;
-    let mut planes = planes.into_iter();
-    let mut p = p0;
-    while let Some(even) = planes.next() {
-        match planes.next() {
-            Some(odd) => direct.store_plane(cells, p, [even, odd], |[a, b]| {
-                [quantize_value(a, inv), quantize_value(b, inv)]
+    let (inv, mut planes) = (1.0 / scale, planes.into_iter().fuse());
+    for p in p0.. {
+        let quad: [Option<&[f32]>; 4] = std::array::from_fn(|_| planes.next());
+        match quad.iter().flatten().count() {
+            0 => return,
+            k => store_quad(direct, cells, p, &quad.map(Option::unwrap_or_default)[..k], |_, v| {
+                quantize_value(v, inv)
             }),
-            None => direct.store_plane(cells, p, [even], |[a]| [quantize_value(a, inv), 0]),
         }
-        p += 1;
+    }
+}
+
+/// Stores one to four channels' planes `src` into quad-plane `p` (the
+/// quantizer's and the requantizing epilogue's store): lane `k` is `q(k,
+/// ·)` of `src[k]` as `q + 128`, shifted in channel by channel.
+#[inline(always)]
+pub(crate) fn store_quad<V: Copy>(
+    direct: &DirectConv,
+    cells: &mut [[u8; 4]],
+    p: usize,
+    src: &[&[V]],
+    q: impl Fn(usize, V) -> i8,
+) {
+    let f = |cell: [u8; 4], k: usize, v: V| {
+        let cell = if k == 0 { u32::from_le_bytes(QUAD_ZERO) } else { u32::from_le_bytes(cell) };
+        (cell & !(0xff << (8 * k)) | u32::from(q(k, v) as u8 ^ 0x80) << (8 * k)).to_le_bytes()
+    };
+    match *src {
+        [a] => direct.store_plane(cells, p, [a], f),
+        [a, b] => direct.store_plane(cells, p, [a, b], f),
+        [a, b, c] => direct.store_plane(cells, p, [a, b, c], f),
+        [a, b, c, d] => direct.store_plane(cells, p, [a, b, c, d], f),
+        _ => unreachable!("a quad holds one to four channels"),
     }
 }
 
@@ -278,17 +307,53 @@ pub fn conv_direct_i8(qx: &[i8], dims: [usize; 4], spec: &ConvSpec, q: &[i8]) ->
     acc
 }
 
-/// The weights of one int8 convolution as [`conv_rows_t_i8`] reads them:
-/// channel pairs `[w(co, 2c, ky, kx), w(co, 2c+1, ky, kx)]` widened to
-/// `i16` (an odd last input channel pairs with 0), laid out
-/// `(⌈C_out/IR_T⌉, ⌈C_in/2⌉·k·k, IR_T)` so that the `IR_T` output
-/// channels of a register tile sit side by side for every patch pair.
-/// Output channels past `C_out` in the last group are zero rows: the
-/// tile always computes a full group and stores the rows that exist.
-/// Built once per plan from the row-major [`QuantWeights::q`].
+/// Whether the tiles' dot is the two `vpmaddwd` of a build with AVX2 and
+/// no VNNI (module docs), which multiply `i16` lanes: a packed weight quad
+/// is then [`WORDS`] = 2 words, its even and its odd bytes as
+/// sign-extended `i16` pairs, so that the tile broadcasts them as they
+/// are. Elsewhere a quad is one word, its four bytes.
+const SPLIT: bool = cfg!(all(
+    target_feature = "avx2",
+    not(any(
+        target_feature = "avxvnni",
+        all(target_feature = "avx512vnni", target_feature = "avx512vl")
+    ))
+));
+
+/// `i32` words a packed weight quad takes ([`SPLIT`]).
+const WORDS: usize = 1 + SPLIT as usize;
+
+/// Weight quad `[w₀, w₁, w₂, w₃]` packed: word `h` is bytes `h` and `h + 2`
+/// as an `i16` pair where the build [`SPLIT`]s, else the four bytes.
+fn quad_words(w: [i8; 4]) -> [i32; WORDS] {
+    std::array::from_fn(|h| match SPLIT {
+        true => i32::from(w[h]) & 0xffff | i32::from(w[h + 2]) << 16,
+        false => i32::from_le_bytes(w.map(|v| v as u8)),
+    })
+}
+
+/// The inverse of [`quad_words`]: the quad's weights, channel order.
+fn quad_weights(w: [i32; WORDS]) -> [i32; 4] {
+    // Where the build splits, `WORDS` is 2 and the odd bytes' pairs the last word.
+    let halves = [w[0], w[WORDS - 1]];
+    std::array::from_fn(|j| match SPLIT {
+        true => halves[j % 2] << (16 - 16 * (j / 2)) >> 16,
+        false => i32::from(w[0].to_le_bytes()[j] as i8),
+    })
+}
+
+/// The weights of one int8 convolution as [`conv_rows_t_i8`] reads them,
+/// in groups of `IR_T` output channels: the correction `−128·Σw` of each
+/// channel of the group, then channel quads `[w(co, 4c, ky, kx), …, w(co,
+/// 4c + 3, ky, kx)]` (missing channels 0) packed by `quad_words`, laid
+/// out `(⌈C_in/4⌉·k·k, IR_T)` so that the group's channels sit side by
+/// side for every patch quad. Output channels past `C_out` in the last
+/// group are zero rows: the tile always computes a full group and stores
+/// the rows that exist. Built once per plan from the row-major
+/// [`QuantWeights::q`].
 #[derive(Debug, Clone)]
 pub struct PackedConvWeights {
-    w: Vec<[i16; 2]>,
+    w: Vec<i32>,
     spec: ConvSpec,
 }
 
@@ -298,20 +363,29 @@ impl PackedConvWeights {
     /// # Panics
     /// Panics if `q.len() != C_out · C_in·k·k`.
     pub fn pack(q: &[i8], spec: &ConvSpec) -> PackedConvWeights {
-        use crate::backend::IR_T;
         let (co, c, kk) = (spec.out_channels, spec.in_channels, spec.kernel * spec.kernel);
         assert_eq!(q.len(), co * c * kk, "weight length mismatch");
-        let ck2 = c.div_ceil(2) * kk;
-        let mut w = vec![[0i16; 2]; co.div_ceil(IR_T) * ck2 * IR_T];
+        let len = IR_T + c.div_ceil(4) * kk * IR_T * WORDS;
+        let mut w = vec![0; co.div_ceil(IR_T) * len];
         for (o, row) in q.chunks_exact((c * kk).max(1)).enumerate() {
-            let group = &mut w[o / IR_T * ck2 * IR_T..][..ck2 * IR_T];
-            for (ci, taps) in row.chunks_exact(kk).enumerate() {
-                for (t, &v) in taps.iter().enumerate() {
-                    group[((ci / 2) * kk + t) * IR_T + o % IR_T][ci % 2] = v as i16;
+            let group = &mut w[o / IR_T * len..][..len];
+            group[o % IR_T] = -128 * row.iter().map(|&v| i32::from(v)).sum::<i32>();
+            for (c4, channels) in row.chunks(4 * kk).enumerate() {
+                for t in 0..kk {
+                    let quad = std::array::from_fn(|j| channels.get(j * kk + t).map_or(0, |&v| v));
+                    let at = IR_T + ((c4 * kk + t) * IR_T + o % IR_T) * WORDS;
+                    group[at..at + WORDS].copy_from_slice(&quad_words(quad));
                 }
             }
         }
         PackedConvWeights { w, spec: *spec }
+    }
+
+    /// Group `g`: its corrections and its packed quads, `(tap, IR_T)`.
+    fn group(&self, g: usize) -> (&[i32; IR_T], &[[i32; WORDS]]) {
+        let len = self.w.len() / self.spec.out_channels.div_ceil(IR_T);
+        let (corr, quads) = self.w[g * len..][..len].split_first_chunk().expect("a packed group");
+        (corr, quads.as_chunks().0)
     }
 
     /// The geometry the weights were packed for.
@@ -319,72 +393,71 @@ impl PackedConvWeights {
         &self.spec
     }
 
-    /// The same convolution over channel pairs: `⌈C_in/2⌉` input units,
-    /// so `patch_len()` counts the pair dots of one output element. The
+    /// The same convolution over channel quads: `⌈C_in/4⌉` input units,
+    /// so `patch_len()` counts the 4-way dots of one output element. The
     /// geometry [`conv_rows_t_i8`]'s [`DirectConv`] is built for.
-    pub fn pair_spec(&self) -> ConvSpec {
-        ConvSpec { in_channels: self.spec.in_channels.div_ceil(2), ..self.spec }
+    pub fn quad_spec(&self) -> ConvSpec {
+        ConvSpec { in_channels: self.spec.in_channels.div_ceil(4), ..self.spec }
     }
 }
 
 /// The int8 convolution of the compiled plans, a direct convolution on
 /// the addressing the f32 plans use ([`DirectConv`], built for
-/// [`PackedConvWeights::pair_spec`] — its cells are channel pairs):
+/// [`PackedConvWeights::quad_spec`] — its cells are channel quads):
 /// `planes` holds `direct`'s padded, phase-split planes of `n` samples
 /// (at least [`DirectConv::scratch_len`]`(n)` cells), written by
 /// [`quantize_planes`] or by the requantizing epilogue of the step
 /// before, and a register tile of `IR_T` output channels × two runs of
-/// [`RUN`] positions reads every kernel tap of a run as one 16-byte load
+/// [`RUN`] positions reads every kernel tap of a run as one 32-byte load
 /// at a fixed offset from the run's base. The i32 accumulators land
 /// channel-major, `acc[co][pos]`, so the fused dequant epilogue streams
 /// one contiguous run per (sample, channel). Integer accumulation is
-/// exact, so the tiled pair-dot order is bit-identical to
-/// [`conv_direct_i8`]'s patch-order sums. The used prefix of `acc` (at
-/// least `C_out × n·Ho·Wo`) is fully overwritten.
+/// exact, so the tiled quad-dot order from the correction on is
+/// bit-identical to [`conv_direct_i8`]'s patch-order sums. The used
+/// prefix of `acc` (at least `C_out × n·Ho·Wo`) is fully overwritten.
 ///
 /// # Panics
 /// Panics — in release builds too — if `direct` was not built for the
-/// weights' pair geometry, or `planes` or `acc` is too short.
+/// weights' quad geometry, or `planes` or `acc` is too short.
 pub fn conv_rows_t_i8(
-    planes: &[[i8; 2]],
+    planes: &[[u8; 4]],
     n: usize,
     weights: &PackedConvWeights,
     direct: &DirectConv,
     acc: &mut [i32],
 ) {
-    conv_rows_pairs::<false>(planes, n, weights, direct, acc);
+    conv_rows_quads::<false>(planes, n, weights, direct, acc);
 }
 
 /// [`conv_rows_t_i8`] through the portable tile body whatever the build
 /// enables, so that a host which compiles the AVX2 body tests both.
 #[doc(hidden)]
 pub fn conv_rows_t_i8_portable(
-    planes: &[[i8; 2]],
+    planes: &[[u8; 4]],
     n: usize,
     weights: &PackedConvWeights,
     direct: &DirectConv,
     acc: &mut [i32],
 ) {
-    conv_rows_pairs::<true>(planes, n, weights, direct, acc);
+    conv_rows_quads::<true>(planes, n, weights, direct, acc);
 }
 
-/// [`conv_rows_t_i8`]. One register tile is the pair dots of one
-/// output-channel group (`(ck2, IR_T)` weight pairs) against two runs —
-/// for patch pair `p`, the [`RUN`] cells of the planes from `run.base +
-/// off[p]` — each run's real positions stored to the group's accumulator
-/// rows (`(ir, m)`, `ir ≤ IR_T`: a short last group drops its zero-padded
-/// rows there). The tile has two bodies that produce the same exact
-/// sums, AVX2 where the build enables it (module docs) and `PORTABLE`
-/// does not force the other.
+/// [`conv_rows_t_i8`]. One register tile is the 4-way dots of one
+/// output-channel group (`(ck4, IR_T)` weight quads) against two runs —
+/// for patch quad `p`, the [`RUN`] cells of the planes from `run.base +
+/// off[p]` — added to the group's corrections, each run's real positions
+/// stored to the group's accumulator rows (`(ir, m)`, `ir ≤ IR_T`: a
+/// short last group drops its zero-padded rows there). The tile has two
+/// bodies that produce the same exact sums, AVX2 where the build enables
+/// it (module docs) and `PORTABLE` does not force the other.
 #[inline]
-fn conv_rows_pairs<const PORTABLE: bool>(
-    planes: &[[i8; 2]],
+fn conv_rows_quads<const PORTABLE: bool>(
+    planes: &[[u8; 4]],
     n: usize,
     weights: &PackedConvWeights,
     direct: &DirectConv,
     acc: &mut [i32],
 ) {
-    use crate::backend::IR_T;
     if n == 0 {
         return;
     }
@@ -394,7 +467,7 @@ fn conv_rows_pairs<const PORTABLE: bool>(
     // the accumulator rows, and that the farthest full-width load of any
     // run stays inside the planes.
     assert!(
-        *direct.spec() == weights.pair_spec()
+        *direct.spec() == weights.quad_spec()
             && acc.len() >= co * m
             && direct.reach(n) <= planes.len(),
         "conv_rows_t_i8: operands disagree with {n} samples of {:?} over {:?}",
@@ -402,8 +475,8 @@ fn conv_rows_pairs<const PORTABLE: bool>(
         direct.in_hw()
     );
     // Each run is read once per channel group, not once per channel.
-    let groups = weights.w.chunks_exact(off.len() * IR_T).zip(acc[..co * m].chunks_mut(IR_T * m));
-    for (wg, acc_grp) in groups {
+    for (g, acc_grp) in acc[..co * m].chunks_mut(IR_T * m).enumerate() {
+        let (corr, wg) = weights.group(g);
         for runs in direct.tiles(n) {
             #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
             if !PORTABLE {
@@ -412,37 +485,39 @@ fn conv_rows_pairs<const PORTABLE: bool>(
                 // `tile_i8_avx2` enables; and the `assert!` above checked
                 // `reach(n)` — the end of the farthest full-width load of
                 // any run of `tiles(n)` — against the planes.
-                unsafe { tile_i8_avx2(wg, planes, off, &runs, m, acc_grp) };
+                unsafe { tile_i8_avx2(wg, corr, planes, off, &runs, m, acc_grp) };
                 continue;
             }
-            tile_i8_portable(wg, planes, off, &runs, m, acc_grp);
+            tile_i8_portable(wg, corr, planes, off, &runs, m, acc_grp);
         }
     }
 }
 
-/// `w₀·x₀ + w₁·x₁` in `i32`: at most `2·128²`, nowhere near overflow.
+/// `Σ x_j·w_j` of a cell's bytes (`q + 128`) and a quad's
+/// [`quad_weights`], in `i32`.
 #[inline]
-fn pair_dot(w: [i16; 2], x: [i8; 2]) -> i32 {
-    w[0] as i32 * x[0] as i32 + w[1] as i32 * x[1] as i32
+fn quad_dot(w: [i32; 4], x: [u8; 4]) -> i32 {
+    w.iter().zip(x).map(|(&w, x)| w * i32::from(x)).sum()
 }
 
-/// The portable body of [`conv_rows_pairs`]' tile: every index checked.
+/// The portable body of [`conv_rows_quads`]' tile: every index checked.
 fn tile_i8_portable(
-    w: &[[i16; 2]],
-    planes: &[[i8; 2]],
+    w: &[[i32; WORDS]],
+    corr: &[i32; IR_T],
+    planes: &[[u8; 4]],
     off: &[usize],
     runs: &[TileRun; 2],
     m: usize,
     c: &mut [i32],
 ) {
-    use crate::backend::IR_T;
-    let mut acc = [[[0i32; RUN]; 2]; IR_T];
-    for (wp, &o) in w.chunks_exact(IR_T).zip(off) {
-        let b = runs.map(|run| &planes[run.base + o..][..RUN]);
-        for (accr, &wv) in acc.iter_mut().zip(wp) {
-            for (lanes, b) in accr.iter_mut().zip(b) {
-                for (x, &bv) in lanes.iter_mut().zip(b) {
-                    *x += pair_dot(wv, bv);
+    let mut acc = corr.map(|k| [[k; RUN]; 2]);
+    for (wq, &o) in w.chunks_exact(IR_T).zip(off) {
+        let x = runs.map(|run| &planes[run.base + o..][..RUN]);
+        for (accr, &wv) in acc.iter_mut().zip(wq) {
+            let wv = quad_weights(wv);
+            for (lanes, x) in accr.iter_mut().zip(x) {
+                for (a, &xv) in lanes.iter_mut().zip(x) {
+                    *a += quad_dot(wv, xv);
                 }
             }
         }
@@ -454,13 +529,36 @@ fn tile_i8_portable(
     }
 }
 
-/// The AVX2 body of [`conv_rows_pairs`]' tile: per patch pair, each
-/// run's 8 cells are
-/// sign-extended to a vector of eight `i16` pairs and each channel's
-/// broadcast weight pair multiplies into both with `vpmaddwd` — eight
-/// `i32` pair dots per instruction, added to that channel's accumulators
-/// (a build that also has VNNI folds the multiply and the add into one
-/// `vpdpwssd`).
+/// `acc + Σ_j x_j·w_j` in eight `i32` lanes — eight cells' bytes `x`,
+/// one packed weight quad `w` broadcast word by word — the AVX2 bodies'
+/// one vector step: a `vpdpbusd` where the build has VNNI on 256 bits,
+/// elsewhere ([`SPLIT`]) a `vpmaddwd` of the zero-extended even bytes
+/// and, unless `ODD` says the odd ones are pads, one of the odd bytes
+/// (nothing saturates).
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+#[inline(always)]
+fn dot_quads<const ODD: bool>(acc: __m256i, x: __m256i, w: [__m256i; WORDS]) -> __m256i {
+    use std::arch::x86_64::*;
+    // SAFETY: `cfg!` is a constant, so each spelling runs only where the
+    // build enables every feature its intrinsics require.
+    unsafe {
+        if cfg!(target_feature = "avxvnni") {
+            _mm256_dpbusd_avx_epi32(acc, x, w[0])
+        } else if cfg!(all(target_feature = "avx512vnni", target_feature = "avx512vl")) {
+            _mm256_dpbusd_epi32(acc, x, w[0])
+        } else {
+            let even = _mm256_madd_epi16(_mm256_and_si256(x, _mm256_set1_epi16(0xff)), w[0]);
+            // `WORDS` is 2 here and the odd bytes' pairs the last word.
+            let odd = _mm256_madd_epi16(_mm256_srli_epi16::<8>(x), w[WORDS - 1]);
+            _mm256_add_epi32(acc, if ODD { _mm256_add_epi32(even, odd) } else { even })
+        }
+    }
+}
+
+/// The AVX2 body of [`conv_rows_quads`]' tile: per patch quad each run's
+/// eight cells in one 32-byte load, and per channel its weight quad
+/// broadcast and [`dot_quads`] into both runs' accumulators, which start
+/// at the channel's correction.
 ///
 /// # Safety
 /// `run.base + o + RUN ≤ planes.len()` for both runs of `runs` and every
@@ -468,34 +566,27 @@ fn tile_i8_portable(
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
 #[target_feature(enable = "avx2")]
 unsafe fn tile_i8_avx2(
-    w: &[[i16; 2]],
-    planes: &[[i8; 2]],
+    w: &[[i32; WORDS]],
+    corr: &[i32; IR_T],
+    planes: &[[u8; 4]],
     off: &[usize],
     runs: &[TileRun; 2],
     m: usize,
     c: &mut [i32],
 ) {
-    use crate::backend::IR_T;
-    use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi32, _mm256_cvtepi8_epi16, _mm256_madd_epi16,
-        _mm256_set1_epi32, _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128,
-    };
-    let mut acc = [[_mm256_setzero_si256(); 2]; IR_T];
-    for (wp, &o) in w.chunks_exact(IR_T).zip(off) {
-        let b = runs.map(|run| {
+    use std::arch::x86_64::{_mm256_loadu_si256, _mm256_set1_epi32, _mm256_storeu_si256};
+    let mut acc = corr.map(|k| [_mm256_set1_epi32(k); 2]);
+    for (wq, &o) in w.chunks_exact(IR_T).zip(off) {
+        let x = runs.map(|run| {
             // SAFETY: the caller guarantees `run.base + o + RUN ≤
-            // planes.len()`, so the unaligned 16-byte load reads `RUN` =
-            // 8 `[i8; 2]` cells of `planes`.
-            let cells =
-                unsafe { _mm_loadu_si128(planes.as_ptr().add(run.base + o).cast::<__m128i>()) };
-            _mm256_cvtepi8_epi16(cells)
+            // planes.len()`, so the unaligned 32-byte load reads `RUN` =
+            // 8 `[u8; 4]` cells of `planes`.
+            unsafe { _mm256_loadu_si256(planes.as_ptr().add(run.base + o).cast::<__m256i>()) }
         });
-        for (accr, wv) in acc.iter_mut().zip(wp) {
-            // Little-endian lanes: `w[0]` is the even `i16` of every pair.
-            let pair = (wv[0] as u16 as u32 | (wv[1] as u16 as u32) << 16) as i32;
-            let pair = _mm256_set1_epi32(pair);
-            accr[0] = _mm256_add_epi32(accr[0], _mm256_madd_epi16(b[0], pair));
-            accr[1] = _mm256_add_epi32(accr[1], _mm256_madd_epi16(b[1], pair));
+        for (accr, wv) in acc.iter_mut().zip(wq) {
+            let wv: [__m256i; WORDS] = std::array::from_fn(|h| _mm256_set1_epi32(wv[h]));
+            accr[0] = dot_quads::<true>(accr[0], x[0], wv);
+            accr[1] = dot_quads::<true>(accr[1], x[1], wv);
         }
     }
     // A whole channel group of whole runs — every tile but a row end's
@@ -553,7 +644,7 @@ fn dequant_affine_relu([deq, bias, scale, shift]: [f32; 4], acc: i32) -> f32 {
 /// The int8 twin of [`conv2d_pooled_t`](crate::backend::conv2d_pooled_t):
 /// sample `b` of `planes` (as [`conv_rows_t_i8`] reads them) into `out`,
 /// its pooled `(C_out, Ho/2, Wo/2)` f32 map, in one pass. A register tile
-/// is half a packed channel group × two output rows × two runs of pair
+/// is half a packed channel group × two output rows × two runs of 4-way
 /// dots — whole `2×2` windows — and finishes what it computes:
 /// [`DequantAffineRelu`] on the i32 accumulators in their registers, each
 /// window's comparisons in `MaxPool2d`'s order, one store of [`RUN`]
@@ -564,46 +655,51 @@ fn dequant_affine_relu([deq, bias, scale, shift]: [f32; 4], acc: i32) -> f32 {
 ///
 /// # Panics
 /// Panics — in release builds too — if `direct` does not pool in tiles or
-/// was not built for the weights' pair geometry, `epilogue` or `out`
+/// was not built for the weights' quad geometry, `epilogue` or `out`
 /// disagree with it, or `planes` is shorter than `b + 1` samples require.
 pub fn conv_pooled_t_i8(
-    planes: &[[i8; 2]],
+    planes: &[[u8; 4]],
     b: usize,
     weights: &PackedConvWeights,
     direct: &DirectConv,
     epilogue: &DequantAffineRelu<'_>,
     out: &mut [f32],
 ) {
-    conv_pooled_pairs::<false>(planes, b, weights, direct, epilogue, out);
+    // A one-channel convolution's odd bytes are pads, which the two
+    // `vpmaddwd` of a build without VNNI then skip.
+    match weights.spec.in_channels {
+        1 => conv_pooled_quads::<false, false>(planes, b, weights, direct, epilogue, out),
+        _ => conv_pooled_quads::<false, true>(planes, b, weights, direct, epilogue, out),
+    }
 }
 
 /// [`conv_pooled_t_i8`] through the portable tile body whatever the build
 /// enables, so that a host which compiles the AVX2 body tests both.
 #[doc(hidden)]
 pub fn conv_pooled_t_i8_portable(
-    planes: &[[i8; 2]],
+    planes: &[[u8; 4]],
     b: usize,
     weights: &PackedConvWeights,
     direct: &DirectConv,
     epilogue: &DequantAffineRelu<'_>,
     out: &mut [f32],
 ) {
-    conv_pooled_pairs::<true>(planes, b, weights, direct, epilogue, out);
+    conv_pooled_quads::<true, true>(planes, b, weights, direct, epilogue, out);
 }
 
 /// [`conv_pooled_t_i8`]: per packed channel group and half of it (`IR_P`
 /// of its `IR_T` weight columns), the pooled tiles of the sample. A half
 /// past `C_out` is zero rows and is skipped; a short last half computes
-/// `IR_P` channels and stores those that exist.
-fn conv_pooled_pairs<const PORTABLE: bool>(
-    planes: &[[i8; 2]],
+/// `IR_P` channels and stores those that exist. `ODD`: whether the AVX2
+/// body's dot reads the quads' odd bytes.
+fn conv_pooled_quads<const PORTABLE: bool, const ODD: bool>(
+    planes: &[[u8; 4]],
     b: usize,
     weights: &PackedConvWeights,
     direct: &DirectConv,
     epilogue: &DequantAffineRelu<'_>,
     out: &mut [f32],
 ) {
-    use crate::backend::{IR_P, IR_T};
     let [ho, wo] = direct.out_hw();
     let (co, off, pooled) = (weights.spec.out_channels, direct.offsets(), ho / 2 * (wo / 2));
     let DequantAffineRelu { deq, bias, scale, shift } = epilogue;
@@ -613,7 +709,7 @@ fn conv_pooled_pairs<const PORTABLE: bool>(
     // last tile stays inside the planes.
     assert!(
         direct.pools_in_tile()
-            && *direct.spec() == weights.pair_spec()
+            && *direct.spec() == weights.quad_spec()
             && [deq, bias, scale, shift].iter().all(|k| k.len() == co)
             && out.len() == co * pooled
             && direct.reach(b + 1) <= planes.len(),
@@ -623,7 +719,8 @@ fn conv_pooled_pairs<const PORTABLE: bool>(
     );
     let below = direct.base(0, 1, 0);
     for (c0, out_grp) in (0..co).step_by(IR_P).zip(out.chunks_mut(IR_P * pooled)) {
-        let wg = &weights.w[c0 / IR_T * off.len() * IR_T..][..off.len() * IR_T];
+        let (corr, wg) = weights.group(c0 / IR_T);
+        let corr = corr[c0 % IR_T..].first_chunk().expect("half a packed group");
         let consts: [[f32; 4]; IR_P] = std::array::from_fn(|ii| {
             let c = (c0 + ii).min(co - 1);
             [deq[c], bias[c], scale[c], shift[c]]
@@ -641,10 +738,12 @@ fn conv_pooled_pairs<const PORTABLE: bool>(
                 // against the planes; `wg` is one whole packed group and
                 // `c0 % IR_T + IR_P ≤ IR_T`; and `pos + RUN ≤ pooled`,
                 // `out_grp` holding whole pooled planes.
-                unsafe { pooled_tile_i8_avx2(wg, planes, off, tile, &consts, out_grp) };
+                unsafe {
+                    pooled_tile_i8_avx2::<ODD>(wg, corr, planes, off, tile, &consts, out_grp)
+                };
                 continue;
             }
-            pooled_tile_i8_portable(wg, planes, off, tile, &consts, out_grp);
+            pooled_tile_i8_portable(wg, corr, planes, off, tile, &consts, out_grp);
         }
     }
 }
@@ -655,23 +754,25 @@ fn conv_pooled_pairs<const PORTABLE: bool>(
 /// pooled outputs go in each channel's plane of `pooled` elements.
 type PooledTile = ([usize; 2], usize, usize, usize);
 
-/// The portable body of [`conv_pooled_pairs`]' tile: every index checked.
+/// The portable body of [`conv_pooled_quads`]' tile: every index checked.
 fn pooled_tile_i8_portable(
-    w: &[[i16; 2]],
-    planes: &[[i8; 2]],
+    w: &[[i32; WORDS]],
+    corr: &[i32; IR_P],
+    planes: &[[u8; 4]],
     off: &[usize],
     ([base, below], col, pos, pooled): PooledTile,
-    consts: &[[f32; 4]; crate::backend::IR_P],
+    consts: &[[f32; 4]; IR_P],
     out: &mut [f32],
 ) {
-    use crate::backend::{pool_windows, IR_P, IR_T};
-    let mut acc = [[[0i32; 2 * RUN]; 2]; IR_P];
-    for (wp, &o) in w.chunks_exact(IR_T).zip(off) {
-        let b = [&planes[base + o..][..2 * RUN], &planes[base + below + o..][..2 * RUN]];
-        for (accr, &wv) in acc.iter_mut().zip(&wp[col..col + IR_P]) {
-            for (row, b) in accr.iter_mut().zip(b) {
-                for (x, &bv) in row.iter_mut().zip(b) {
-                    *x += pair_dot(wv, bv);
+    use crate::backend::pool_windows;
+    let mut acc = corr.map(|k| [[k; 2 * RUN]; 2]);
+    for (wq, &o) in w.chunks_exact(IR_T).zip(off) {
+        let x = [&planes[base + o..][..2 * RUN], &planes[base + below + o..][..2 * RUN]];
+        for (accr, &wv) in acc.iter_mut().zip(&wq[col..col + IR_P]) {
+            let wv = quad_weights(wv);
+            for (row, x) in accr.iter_mut().zip(x) {
+                for (a, &xv) in row.iter_mut().zip(x) {
+                    *a += quad_dot(wv, xv);
                 }
             }
         }
@@ -682,54 +783,51 @@ fn pooled_tile_i8_portable(
     }
 }
 
-/// The AVX2 body of [`conv_pooled_pairs`]' tile: per patch pair four
-/// 16-byte loads (two runs of two output rows) sign-extended to `i16`
-/// pairs, each channel's broadcast weight pair multiplied into the four
-/// with `vpmaddwd`; then the epilogue on the sixteen accumulators —
+/// The AVX2 body of [`conv_pooled_quads`]' tile: per patch quad four
+/// 32-byte loads (two runs of two output rows), each channel's weight
+/// quad broadcast and [`dot_quads`] (`ODD`: whether the odd bytes are
+/// real) into the four accumulators, which start at the channel's
+/// correction; then the epilogue on the sixteen accumulators —
 /// `vcvtdq2ps`, four broadcast constants a channel — and
 /// [`pool_windows_avx2`](crate::backend::pool_windows_avx2), one 8-lane
 /// store per channel that exists.
 ///
 /// # Safety
-/// `w` is one packed group (`off.len()·IR_T` pairs) and `col + IR_P ≤
+/// `w` is one packed group (`off.len()·IR_T` quads) and `col + IR_P ≤
 /// IR_T`; `base + d + o + RUN ≤ planes.len()` for every `o` in `off` and
 /// `d` in `{0, RUN, below, below + RUN}`; `pos + RUN ≤ pooled`, and
 /// `out` is whole planes of `pooled` elements.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
 #[target_feature(enable = "avx2")]
-unsafe fn pooled_tile_i8_avx2(
-    w: &[[i16; 2]],
-    planes: &[[i8; 2]],
+unsafe fn pooled_tile_i8_avx2<const ODD: bool>(
+    w: &[[i32; WORDS]],
+    corr: &[i32; IR_P],
+    planes: &[[u8; 4]],
     off: &[usize],
     ([base, below], col, pos, pooled): PooledTile,
-    consts: &[[f32; 4]; crate::backend::IR_P],
+    consts: &[[f32; 4]; IR_P],
     out: &mut [f32],
 ) {
-    use crate::backend::{pool_windows_avx2, IR_P, IR_T};
+    use crate::backend::pool_windows_avx2;
     use std::arch::x86_64::{
-        __m128i, _mm256_add_epi32, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi16,
-        _mm256_madd_epi16, _mm256_max_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps,
-        _mm256_setzero_ps, _mm256_setzero_si256, _mm256_storeu_ps, _mm_loadu_si128,
+        _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_loadu_si256, _mm256_max_ps, _mm256_mul_ps,
+        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
     };
-    let mut acc = [[_mm256_setzero_si256(); 4]; IR_P];
+    let mut acc = corr.map(|k| [_mm256_set1_epi32(k); 4]);
     for (p, &o) in off.iter().enumerate() {
-        let b = [0, RUN, below, below + RUN].map(|d| {
+        let x = [0, RUN, below, below + RUN].map(|d| {
             // SAFETY: the caller guarantees `base + d + o + RUN ≤
-            // planes.len()`, so the unaligned 16-byte load reads `RUN` = 8
-            // `[i8; 2]` cells of `planes`.
-            let cells =
-                unsafe { _mm_loadu_si128(planes.as_ptr().add(base + d + o).cast::<__m128i>()) };
-            _mm256_cvtepi8_epi16(cells)
+            // planes.len()`, so the unaligned 32-byte load reads `RUN` = 8
+            // `[u8; 4]` cells of `planes`.
+            unsafe { _mm256_loadu_si256(planes.as_ptr().add(base + d + o).cast::<__m256i>()) }
         });
         for (ii, accr) in acc.iter_mut().enumerate() {
             // SAFETY: `p < off.len()` and `col + ii < IR_T`, inside the
-            // `off.len()·IR_T` pairs the caller guarantees `w` has.
-            let wv = unsafe { *w.get_unchecked(p * IR_T + col + ii) };
-            // Little-endian lanes: `w[0]` is the even `i16` of every pair.
-            let pair = (wv[0] as u16 as u32 | (wv[1] as u16 as u32) << 16) as i32;
-            let pair = _mm256_set1_epi32(pair);
-            for (acc, b) in accr.iter_mut().zip(b) {
-                *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(b, pair));
+            // `off.len()·IR_T` quads the caller guarantees `w` has.
+            let wv = unsafe { w.get_unchecked(p * IR_T + col + ii) };
+            let wv: [__m256i; WORDS] = std::array::from_fn(|h| _mm256_set1_epi32(wv[h]));
+            for (acc, x) in accr.iter_mut().zip(x) {
+                *acc = dot_quads::<ODD>(*acc, x, wv);
             }
         }
     }
@@ -1012,6 +1110,18 @@ mod tests {
             7, 15, 17,  9,
         ];
         assert_eq!(acc, expect);
+    }
+
+    #[test]
+    fn packed_quads_decode_to_their_weights() {
+        let values = [i8::MIN, -127, -1, 0, 1, 126, i8::MAX];
+        for (i, &a) in values.iter().enumerate() {
+            for &b in &values[i..] {
+                for quad in [[a, b, 0, 0], [0, a, b, 0], [a, 0, 0, b], [b, a, a, b], [a, b, b, a]] {
+                    assert_eq!(quad_weights(quad_words(quad)), quad.map(i32::from), "{quad:?}");
+                }
+            }
+        }
     }
 
     #[test]

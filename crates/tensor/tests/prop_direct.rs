@@ -144,7 +144,7 @@ proptest! {
     /// The offset table: after the lowering, for every output position
     /// and every patch element `p`, the cell `base + off[p]` holds the
     /// input element the index formula names, or a pad zero — for `f32`
-    /// cells and for the `[i8; 2]` channel pairs of the int8 plans alike.
+    /// cells and for the `[u8; 4]` channel quads of the int8 plans alike.
     /// Every cell a full-width load of any run can touch lies inside
     /// `scratch_len`, and the lowering writes every cell of the planes
     /// (the scratch comes dirty; what is neither image nor named by the
@@ -166,15 +166,15 @@ proptest! {
         prop_assert_eq!(direct.offsets().len(), spec.patch_len());
         // Distinct non-zero cells, so a wrong address cannot pass by luck.
         let x: Vec<f32> = (1..=n * c * h * w).map(|i| i as f32).collect();
-        let pair = |v: f32| [v as i8, -(v as i8)];
+        let quad = |v: f32| (v as u32 ^ 0x8080_8080).to_le_bytes();
         let mut cells = vec![f32::NAN; direct.scratch_len(n)];
         direct.lower(&x, n, 0.0f32, &mut cells);
-        let xp: Vec<[i8; 2]> = x.iter().map(|&v| pair(v)).collect();
-        let mut pairs = vec![[77i8; 2]; direct.scratch_len(n)];
-        direct.lower(&xp, n, [0i8; 2], &mut pairs);
+        let xq: Vec<[u8; 4]> = x.iter().map(|&v| quad(v)).collect();
+        let mut quads = vec![[77u8; 4]; direct.scratch_len(n)];
+        direct.lower(&xq, n, quad(0.0), &mut quads);
         let planes = n * direct.sample_len();
         prop_assert!(cells[..planes].iter().all(|v| !v.is_nan()), "a cell was left unwritten");
-        prop_assert!(pairs[..planes].iter().all(|&v| v != [77, 77]), "a pair was left unwritten");
+        prop_assert!(quads[..planes].iter().all(|&v| v != [77; 4]), "a quad was left unwritten");
         for b in 0..n {
             for oy in 0..ho {
                 for ox in 0..wo {
@@ -185,7 +185,7 @@ proptest! {
                             .map_or(0.0, |i| x[i]);
                         let at = (b, oy, ox, p);
                         prop_assert_eq!(cells[base + off], want, "{:?} at {:?}", spec, at);
-                        prop_assert_eq!(pairs[base + off], pair(want));
+                        prop_assert_eq!(quads[base + off], quad(want));
                         // A run starting here loads `RUN` cells.
                         prop_assert!(base + off + RUN <= direct.scratch_len(n));
                     }

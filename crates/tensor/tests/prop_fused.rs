@@ -3,7 +3,7 @@
 //! A compiled plan writes each activation once, in the layout its reader
 //! wants: a convolution's epilogue stores its rows straight into the
 //! padded (at stride 2 phase-split) planes of the convolution behind it —
-//! requantized into channel pairs when that one is int8 — or pools them on
+//! requantized into channel quads when that one is int8 — or pools them on
 //! the way, and the first step reads the caller's input where it lies,
 //! whole or in channel blocks. Each of those is a place where a wrong
 //! address, a stale pad cell, a dropped last channel or a reordered
@@ -11,8 +11,9 @@
 //! producer → consumer pair the compiler fuses runs against the
 //! layer-by-layer oracle — `Layer::forward(_, false)` and
 //! `QuantPipe::forward` — **bit for bit**: same-size, stride-2 and `1 × 1`
-//! consumers, kernels wider than the plane, odd extents, odd channel counts
-//! (an int8 pair that is half padding), pooling epilogues, batches that
+//! consumers, kernels wider than the plane, odd extents, channel counts of
+//! every residue mod 4 (an int8 quad that is partly padding), pooling
+//! epilogues, batches that
 //! straddle a tile, and inputs that hold ±0, ±∞, NaN and `f32::MAX`.
 //! (Debug builds also poison the plan's arena before every tile, so a cell
 //! nobody wrote shows up as NaN in the output.)
@@ -34,7 +35,7 @@ use ecofusion_tensor::layer::{
 };
 use ecofusion_tensor::quant::{
     calib_scale, conv_pooled_t_i8, conv_pooled_t_i8_portable, conv_rows_t_i8, quantize_planes,
-    quantize_sequential, DequantAffineRelu, PackedConvWeights, QuantConv2d, QuantStage,
+    quantize_sequential, DequantAffineRelu, PackedConvWeights, QuantConv2d, QuantStage, QUAD_ZERO,
 };
 use ecofusion_tensor::rng::Rng;
 use ecofusion_tensor::Tensor;
@@ -127,10 +128,11 @@ proptest! {
     /// second's pools into the output. Planes of 6..13 cells a side are
     /// large enough for the second convolution to keep something to pool
     /// and small enough for `k = 5` to be wider than what a stride-2
-    /// first convolution leaves.
+    /// first convolution leaves. Channel counts of every residue mod 4 on
+    /// each side of an int8 → int8 chain.
     #[test]
     fn fused_chains_match_the_layer_by_layer_forwards(
-        c in 1usize..6,
+        c in 1usize..10,
         mid in 1usize..10,
         co in 1usize..10,
         first in 0usize..4,
@@ -173,12 +175,12 @@ proptest! {
 
     /// The two crossings of precision a builder can compose: an f32
     /// convolution whose epilogue requantizes into an int8 one's channel
-    /// pairs, and an int8 one whose dequantizing epilogue writes an f32
+    /// quads, and an int8 one whose dequantizing epilogue writes an f32
     /// one's planes.
     #[test]
     fn epilogues_cross_precisions(
-        c in 1usize..6,
-        mid in 1usize..8,
+        c in 1usize..10,
+        mid in 1usize..10,
         co in 1usize..8,
         first in 0usize..4,
         second in 0usize..4,
@@ -216,12 +218,12 @@ proptest! {
     /// `execute_blocks_into` over any split of a sample's channels into
     /// blocks ≡ `execute_into` over their concatenation: a plan that
     /// starts with an f32 convolution (same-size and strided), its int8
-    /// twin (a channel pair may straddle two blocks), the learned gates'
-    /// stack with an attention layer in the middle, and one whose first
-    /// step is no convolution and has its input staged.
+    /// twin (a channel quad may straddle two or more blocks), the learned
+    /// gates' stack with an attention layer in the middle, and one whose
+    /// first step is no convolution and has its input staged.
     #[test]
     fn blocks_in_equal_the_concatenation(
-        c in 1usize..7,
+        c in 1usize..10,
         kind in 0usize..4,
         side in 4usize..10,
         n in 1usize..5,
@@ -365,7 +367,7 @@ proptest! {
     /// others keep the write-back's generic loop exercised.
     #[test]
     fn pooled_tiles_match_the_two_pass_write_back_and_the_layers(
-        c in 1usize..4,
+        c in 1usize..6,
         co in 1usize..11,
         geometry in 0usize..POOLED_GEOMETRIES.len(),
         special in 0usize..3,
@@ -443,14 +445,15 @@ proptest! {
             panic!("Conv, Affine, ReLU, MaxPool");
         };
         let weights = PackedConvWeights::pack(&qc.weights.q, &qc.spec);
-        let direct = DirectConv::new(&weights.pair_spec(), h, w);
+        let direct = DirectConv::new(&weights.quad_spec(), h, w);
         let deq: Vec<f32> = qc.weights.scales.iter().map(|s| qc.act_scale * s).collect();
         let epilogue = DequantAffineRelu { deq: &deq, bias: &qc.bias, scale, shift };
-        let mut cells = vec![[i8::MIN; 2]; direct.scratch_len(n)];
-        direct.clear(&mut cells, n, [0; 2]);
+        // Dirty with q = −128, which the quantizer never writes.
+        let mut cells = vec![[0u8; 4]; direct.scratch_len(n)];
+        direct.clear(&mut cells, n, QUAD_ZERO);
         for (b, sample) in x.data().chunks_exact(c * h * w).enumerate() {
             let channels = sample.chunks_exact(h * w);
-            quantize_planes(&direct, &mut cells, b * c.div_ceil(2), channels, qc.act_scale);
+            quantize_planes(&direct, &mut cells, b * c.div_ceil(4), channels, qc.act_scale);
         }
         let mut acc = vec![0i32; co * n * ho * wo];
         conv_rows_t_i8(&cells, n, &weights, &direct, &mut acc);
@@ -465,7 +468,7 @@ proptest! {
             let want = Tensor::from_vec(&[pooled], want);
             assert_same_bits(&want, &Tensor::from_vec(&[pooled], eager_i8.data()[b * pooled..][..pooled].to_vec()), "oracle vs pipe");
             for (body, tiles) in [
-                ("dispatched", conv_pooled_t_i8 as fn(&[[i8; 2]], usize, &PackedConvWeights, &DirectConv, &DequantAffineRelu<'_>, &mut [f32])),
+                ("dispatched", conv_pooled_t_i8 as fn(&[[u8; 4]], usize, &PackedConvWeights, &DirectConv, &DequantAffineRelu<'_>, &mut [f32])),
                 ("portable", conv_pooled_t_i8_portable),
             ] {
                 let mut got = Tensor::full(&[pooled], f32::NAN);
@@ -617,8 +620,8 @@ mod pooled_release_checks {
     fn call_i8(h: usize, short: [usize; 3]) {
         let spec = ConvSpec { in_channels: 1, out_channels: 3, kernel: 3, stride: 1, padding: 1 };
         let weights = PackedConvWeights::pack(&[0; 3 * 9], &spec);
-        let direct = DirectConv::new(&weights.pair_spec(), h, 16);
-        let planes = vec![[0i8; 2]; direct.scratch_len(1) - short[0]];
+        let direct = DirectConv::new(&weights.quad_spec(), h, 16);
+        let planes = vec![QUAD_ZERO; direct.scratch_len(1) - short[0]];
         let mut out = vec![0.0f32; 3 * (h / 2) * 8 - short[1]];
         let k = vec![1.0f32; 3 - short[2]];
         let epilogue = DequantAffineRelu { deq: &k, bias: &k, scale: &k, shift: &k };
@@ -665,7 +668,7 @@ mod pooled_release_checks {
 
     #[test]
     #[should_panic(expected = "conv_pooled_t_i8: operands disagree")]
-    fn short_pair_planes_are_rejected_in_release_too() {
+    fn short_quad_planes_are_rejected_in_release_too() {
         call_i8(4, [RUN + 1, 0, 0]);
     }
 

@@ -1,13 +1,15 @@
 //! Property-based tests for the int8 quantization path: the symmetric
 //! per-channel scheme must round-trip every weight within half a
-//! quantization step, the plans' int8 convolution kernel must agree
-//! exactly with the oracle's direct i32 reduction, and the activation
-//! quantizer must saturate instead of wrapping.
+//! quantization step, the plans' int8 convolution kernel — channel quads
+//! of `q + 128` bytes against weight quads, from a per-channel correction
+//! on — must agree exactly with the oracle's direct i32 reduction, and
+//! the activation quantizer must saturate instead of wrapping.
 
 use ecofusion_tensor::backend::{ConvSpec, DirectConv};
 use ecofusion_tensor::quant::{
-    conv_direct_i8, conv_rows_t_i8, conv_rows_t_i8_portable, quantize_activations,
-    quantize_per_channel, quantize_planes, PackedConvWeights, QMAX,
+    conv_direct_i8, conv_pooled_t_i8, conv_pooled_t_i8_portable, conv_rows_t_i8,
+    conv_rows_t_i8_portable, quantize_activations, quantize_per_channel, quantize_planes,
+    DequantAffineRelu, PackedConvWeights, QMAX, QUAD_ZERO,
 };
 use ecofusion_tensor::rng::Rng;
 use proptest::prelude::*;
@@ -120,43 +122,47 @@ proptest! {
         }
     }
 
-    /// The pair quantizer is the flat quantizer re-laid: unit `(b, c, i)`
-    /// holds channels `2c` and `2c + 1` of position `i`, and an odd last
-    /// channel pairs with 0. Through the planes of a `1 × 1` convolution,
-    /// which are the plain `(N, ⌈C/2⌉, plane)` layout, and of a padded
-    /// strided one against its own lowering of the flat quantizer's pairs.
+    /// The quad quantizer is the flat quantizer re-laid: cell `(b, c, i)`
+    /// holds channels `4c … 4c + 3` of position `i` as `q + 128`, and a
+    /// last quad's missing channels hold q = 0 (`0x80`). Every channel
+    /// count's residue mod 4, through the planes of a `1 × 1` convolution,
+    /// which are the plain `(N, ⌈C/4⌉, plane)` layout, and of padded ones
+    /// at strides 1 to 3 against their own lowering of the flat
+    /// quantizer's quads — rows shorter and longer than a run, so that
+    /// both the run and the remainder store are taken.
     #[test]
-    fn pair_quantizer_is_the_flat_quantizer_paired(
+    fn quad_quantizer_is_the_flat_quantizer_in_quads(
         n in 1usize..4,
-        c in 1usize..7,
+        c in 0usize..CHANNELS.len(),
         h in 1usize..5,
         w in 1usize..40,
-        stride in 1usize..3,
+        stride in 1usize..4,
         scale in 0.001f32..2.0,
         seed in 0u64..1000,
     ) {
+        let c = CHANNELS[c];
         let mut rng = Rng::new(seed);
         let plane = h * w;
         let x: Vec<f32> =
             (0..n * c * plane).map(|_| rng.uniform(-400.0, 400.0) as f32).collect();
         let mut flat = Vec::new();
         quantize_activations(&x, scale, &mut flat);
-        let want = pair_channels(&flat, n, c, plane);
-        let c2 = c.div_ceil(2);
+        let want = quad_channels(&flat, n, c, plane);
+        let c4 = c.div_ceil(4);
         let geometries = [(1, 1, 0), (3.min(h.min(w) + 2), stride, 1)];
         for (kernel, stride, padding) in geometries {
-            let spec = ConvSpec { in_channels: c2, out_channels: 1, kernel, stride, padding };
+            let spec = ConvSpec { in_channels: c4, out_channels: 1, kernel, stride, padding };
             let direct = DirectConv::new(&spec, h, w);
-            let mut lowered = vec![[55i8; 2]; direct.scratch_len(n)];
-            direct.lower(&want, n, [0; 2], &mut lowered);
-            let mut pairs = vec![[55i8; 2]; direct.scratch_len(n)];
-            direct.clear(&mut pairs, n, [0; 2]);
+            let mut lowered = vec![[55u8; 4]; direct.scratch_len(n)];
+            direct.lower(&want, n, QUAD_ZERO, &mut lowered);
+            let mut quads = vec![[55u8; 4]; direct.scratch_len(n)];
+            direct.clear(&mut quads, n, QUAD_ZERO);
             for (b, sample) in x.chunks_exact(c * plane).enumerate() {
-                quantize_planes(&direct, &mut pairs, b * c2, sample.chunks_exact(plane), scale);
+                quantize_planes(&direct, &mut quads, b * c4, sample.chunks_exact(plane), scale);
             }
-            prop_assert_eq!(&pairs, &lowered, "{:?}", spec);
+            prop_assert_eq!(&quads, &lowered, "{:?}", spec);
             if kernel == 1 {
-                prop_assert_eq!(&pairs[..n * c2 * plane], &want[..]);
+                prop_assert_eq!(&quads[..n * c4 * plane], &want[..]);
             }
         }
     }
@@ -165,48 +171,49 @@ proptest! {
     /// the oracle's direct reduction — integer accumulation leaves no
     /// rounding slack — through BOTH tile bodies (the portable one is
     /// called directly, so a build that compiles the AVX2 body tests the
-    /// two). Geometries leave short channel groups (`C_out % IR_T ≠ 0`;
-    /// the tile is 8 channels × two runs of 8 positions), output rows
-    /// shorter than, equal to and longer than a run, an odd number of
-    /// runs, odd and even `C_in` (an odd last channel pairs with zero),
-    /// stride 1 to 3, padding 0–2, kernels wider than the image and
-    /// one-row / one-column images. Values span the whole `i8` range;
-    /// one case in four is all −128, where a pair sum held in `i16`
-    /// would overflow. The scratch is handed over dirty and oversized:
-    /// the kernel must overwrite the prefix it uses, drop what its short
-    /// runs read past a row end, and write nothing else.
+    /// two; built for `x86-64-v3`, that body's dot is the two-`vpmaddwd`
+    /// spelling, and natively on a VNNI host `vpdpbusd`). Geometries leave
+    /// short channel groups (`C_out % IR_T ≠ 0`; the tile is 8 channels ×
+    /// two runs of 8 positions), output rows shorter than, equal to and
+    /// longer than a run, an odd number of runs, every `C_in` residue mod
+    /// 4 (a last quad's missing channels multiply weight 0 by byte 0x80)
+    /// up to four whole quads and eight, stride 1 to 3, padding 0–2 (pad
+    /// cells are the zero byte, which the correction takes off), `1 × 1`
+    /// kernels, kernels wider than the image and one-row / one-column
+    /// images. Values span the whole `i8` range on both operands; one
+    /// case in six is all −128, where a `u8`·`i8` product is largest, one
+    /// has −128 activations only (cells of byte 0x00) and one −128
+    /// weights only. The scratch is handed over dirty and oversized: the
+    /// kernel must overwrite the prefix it uses, drop what its short runs
+    /// read past a row end, and write nothing else.
     #[test]
     fn conv_rows_t_i8_exact_vs_direct_reduction(
         n in 1usize..4,
-        c in 1usize..7,
+        c in 0usize..CHANNELS.len(),
         h in 1usize..12,
         w in 1usize..20,
         co in 1usize..20,
         k in 1usize..6,
         stride in 1usize..4,
         padding in 0usize..3,
-        extreme in 0usize..4,
+        extreme in 0usize..6,
         seed in 0u64..1000,
     ) {
+        let c = CHANNELS[c];
         let k = k.min(h.min(w) + 2 * padding);
         let spec = ConvSpec { in_channels: c, out_channels: co, kernel: k, stride, padding };
         let mut rng = Rng::new(seed);
-        let mut rand_i8 = |len: usize| -> Vec<i8> {
-            (0..len)
-                .map(|_| if extreme == 0 { -128 } else { rng.uniform(-128.0, 128.0).floor() as i8 })
-                .collect()
-        };
-        let qx = rand_i8(n * c * h * w);
-        let q = rand_i8(co * spec.patch_len());
+        let qx = rand_i8(&mut rng, n * c * h * w, extreme == 0 || extreme == 1);
+        let q = rand_i8(&mut rng, co * spec.patch_len(), extreme == 0 || extreme == 2);
         let direct = conv_direct_i8(&qx, [n, c, h, w], &spec, &q);
-        let pairs = pair_channels(&qx, n, c, h * w);
+        let quads = quad_channels(&qx, n, c, h * w);
         let weights = PackedConvWeights::pack(&q, &spec);
-        let lowering = DirectConv::new(&weights.pair_spec(), h, w);
+        let lowering = DirectConv::new(&weights.quad_spec(), h, w);
         let (ho, wo) = spec.out_size(h, w);
         let m = n * ho * wo;
         for (body, conv) in [("dispatched", conv_rows_t_i8 as ConvRows), ("portable", conv_rows_t_i8_portable)] {
-            let mut planes = vec![[77i8; 2]; lowering.scratch_len(n) + 5];
-            lowering.lower(&pairs, n, [0; 2], &mut planes);
+            let mut planes = vec![[77u8; 4]; lowering.scratch_len(n) + 5];
+            lowering.lower(&quads, n, QUAD_ZERO, &mut planes);
             let mut acc = vec![-1i32; co * m + 3];
             conv(&planes, n, &weights, &lowering, &mut acc);
             prop_assert_eq!(
@@ -215,19 +222,91 @@ proptest! {
             prop_assert!(acc[co * m..].iter().all(|&v| v == -1), "wrote past the used prefix");
         }
     }
+
+    /// The pooled tile, a stem's, on the same terms: both bodies ≡ the
+    /// direct reduction's accumulators through the dequant-affine-ReLU
+    /// epilogue and each `2 × 2` window in `MaxPool2d`'s order, bit for
+    /// bit — the whole `i8` range of both operands (−128 included, as
+    /// above), every `C_in` residue mod 4, short channel halves, same-size
+    /// `3 × 3` (pad cells) and `1 × 1` geometries whose windows fit the
+    /// tiles, and the second sample of two.
+    #[test]
+    fn conv_pooled_t_i8_exact_vs_direct_reduction(
+        c in 0usize..CHANNELS.len(),
+        co in 1usize..11,
+        rows in 1usize..4,
+        runs in 1usize..3,
+        one_by_one in 0usize..2,
+        extreme in 0usize..6,
+        seed in 0u64..1000,
+    ) {
+        let (c, h, w) = (CHANNELS[c], 2 * rows, 16 * runs);
+        let (k, padding) = [(3, 1), (1, 0)][one_by_one];
+        let spec = ConvSpec { in_channels: c, out_channels: co, kernel: k, stride: 1, padding };
+        let mut rng = Rng::new(seed);
+        let qx = rand_i8(&mut rng, 2 * c * h * w, extreme == 0 || extreme == 1);
+        let q = rand_i8(&mut rng, co * spec.patch_len(), extreme == 0 || extreme == 2);
+        let consts: Vec<Vec<f32>> =
+            (0..4).map(|_| (0..co).map(|_| rng.uniform(-2.0, 2.0) as f32).collect()).collect();
+        let epilogue =
+            DequantAffineRelu { deq: &consts[0], bias: &consts[1], scale: &consts[2], shift: &consts[3] };
+        let acc = conv_direct_i8(&qx, [2, c, h, w], &spec, &q);
+        let weights = PackedConvWeights::pack(&q, &spec);
+        let lowering = DirectConv::new(&weights.quad_spec(), h, w);
+        prop_assert!(lowering.pools_in_tile());
+        let mut planes = vec![[0u8; 4]; lowering.scratch_len(2)];
+        lowering.lower(&quad_channels(&qx, 2, c, h * w), 2, QUAD_ZERO, &mut planes);
+        let value = |ch: usize, a: i32| {
+            let DequantAffineRelu { deq, bias, scale, shift } = epilogue;
+            ((a as f32 * deq[ch] + bias[ch]) * scale[ch] + shift[ch]).max(0.0)
+        };
+        let mut want = Vec::new();
+        for (ch, plane) in acc.chunks_exact(2 * h * w).enumerate() {
+            let plane = &plane[h * w..];
+            for (oy, ox) in (0..h / 2).flat_map(|oy| (0..w / 2).map(move |ox| (oy, ox))) {
+                let mut best = f32::NEG_INFINITY;
+                for (y, x) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                    let v = value(ch, plane[(2 * oy + y) * w + 2 * ox + x]);
+                    if v > best {
+                        best = v;
+                    }
+                }
+                want.push(best);
+            }
+        }
+        for (body, tiles) in [("dispatched", conv_pooled_t_i8 as PooledTiles), ("portable", conv_pooled_t_i8_portable)] {
+            let mut got = vec![f32::NAN; want.len()];
+            tiles(&planes, 1, &weights, &lowering, &epilogue, &mut got);
+            let same = got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits());
+            prop_assert!(same, "{} body, {:?} on {}x{}: {:?} vs {:?}", body, spec, h, w, got, want);
+        }
+    }
 }
 
-type ConvRows = fn(&[[i8; 2]], usize, &PackedConvWeights, &DirectConv, &mut [i32]);
+/// `len` values over the whole `i8` range, or all −128.
+fn rand_i8(rng: &mut Rng, len: usize, min: bool) -> Vec<i8> {
+    (0..len).map(|_| if min { -128 } else { rng.uniform(-128.0, 128.0).floor() as i8 }).collect()
+}
 
-/// Row-major `(outer, c, plane)` int8 values in the kernel's channel-pair
-/// layout `(outer, ⌈c/2⌉, plane)`, by the index formula.
-fn pair_channels(q: &[i8], outer: usize, c: usize, plane: usize) -> Vec<[i8; 2]> {
-    let c2 = c.div_ceil(2);
-    let mut out = vec![[0i8; 2]; outer * c2 * plane];
+/// Input channel counts: every residue mod 4 from one quad to three, and
+/// four and eight whole quads (the branch's widths).
+const CHANNELS: [usize; 11] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32];
+
+type ConvRows = fn(&[[u8; 4]], usize, &PackedConvWeights, &DirectConv, &mut [i32]);
+type PooledTiles =
+    fn(&[[u8; 4]], usize, &PackedConvWeights, &DirectConv, &DequantAffineRelu<'_>, &mut [f32]);
+
+/// Row-major `(outer, c, plane)` int8 values in the kernel's channel-quad
+/// layout `(outer, ⌈c/4⌉, plane)` of `q + 128` bytes, by the index
+/// formula: a missing last channel is q = 0.
+fn quad_channels(q: &[i8], outer: usize, c: usize, plane: usize) -> Vec<[u8; 4]> {
+    let c4 = c.div_ceil(4);
+    let mut out = vec![QUAD_ZERO; outer * c4 * plane];
     for o in 0..outer {
         for ci in 0..c {
             for i in 0..plane {
-                out[(o * c2 + ci / 2) * plane + i][ci % 2] = q[(o * c + ci) * plane + i];
+                out[(o * c4 + ci / 4) * plane + i][ci % 4] =
+                    (q[(o * c + ci) * plane + i] as u8) ^ 0x80;
             }
         }
     }
@@ -251,17 +330,17 @@ mod release_checks {
 
     fn call(lowering: &DirectConv, planes_len: usize) {
         let weights = weights();
-        let (planes, mut acc) = (vec![[1i8; 2]; planes_len], vec![0i32; 2 * 16]);
+        let (planes, mut acc) = (vec![QUAD_ZERO; planes_len], vec![0i32; 2 * 16]);
         conv_rows_t_i8(&planes, 1, &weights, lowering, &mut acc);
     }
 
-    fn pair_lowering() -> DirectConv {
-        DirectConv::new(&weights().pair_spec(), 4, 4)
+    fn quad_lowering() -> DirectConv {
+        DirectConv::new(&weights().quad_spec(), 4, 4)
     }
 
     #[test]
     fn exact_operands_pass() {
-        call(&pair_lowering(), pair_lowering().scratch_len(1));
+        call(&quad_lowering(), quad_lowering().scratch_len(1));
     }
 
     #[test]
@@ -269,14 +348,14 @@ mod release_checks {
     fn short_planes_are_rejected_in_release_too() {
         // The planes fit; the slack the last run's full-width load falls
         // in does not.
-        call(&pair_lowering(), pair_lowering().sample_len());
+        call(&quad_lowering(), quad_lowering().sample_len());
     }
 
     #[test]
     #[should_panic(expected = "conv_rows_t_i8: operands disagree")]
     fn a_lowering_for_other_weights_is_rejected_in_release_too() {
-        // Built for the unpaired channel count.
-        let unpaired = DirectConv::new(&SPEC, 4, 4);
-        call(&unpaired, unpaired.scratch_len(1));
+        // Built for the channel count, not the quads.
+        let unpacked = DirectConv::new(&SPEC, 4, 4);
+        call(&unpacked, unpacked.scratch_len(1));
     }
 }

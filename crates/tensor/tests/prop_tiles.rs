@@ -7,7 +7,7 @@
 //! below, at and across the tile boundary — in f32 and int8, for the
 //! three stack shapes the model compiles (stem, branch, learned gate).
 //! The stacks use the model's real per-sample shapes, so the tiles are
-//! the ones the serving path runs (`T` = 56 and 113 for the f32 and int8
+//! the ones the serving path runs (`T` = 56 for the f32 and the int8
 //! stem, 12 and 23 for the f32 and int8 branch, 4 for the gate).
 
 use ecofusion_tensor::graph::{compile_quant_pipe, compile_sequential, CompiledPlan, PlanBuilder};
@@ -118,12 +118,12 @@ proptest! {
         branch_i8.push_quant_conv(&head_q, None, false).unwrap();
         // With each plan's tile: a stem holds its one padded 34×34 plane
         // and nothing else (its register tiles pool into the output, so
-        // it has no rows; the int8 one's cells are two bytes a channel
-        // pair), a branch the planes and rows of its widest convolution
-        // and no map between two of them.
+        // it has no rows; the int8 one's cells are four bytes a channel
+        // quad, as many as an f32's), a branch the planes and rows of its
+        // widest convolution and no map between two of them.
         let plans = [
             ("stem f32", 56, compile_sequential(&stem, &batched(1, &stem_shape)).unwrap()),
-            ("stem int8", 113, compile_quant_pipe(&stem_q, &batched(1, &stem_shape)).unwrap()),
+            ("stem int8", 56, compile_quant_pipe(&stem_q, &batched(1, &stem_shape)).unwrap()),
             ("branch f32", 12, branch.finish()),
             ("branch int8", 23, branch_i8.finish()),
             ("gate f32", 4, compile_sequential(&gate, &batched(1, &gate_shape)).unwrap()),
