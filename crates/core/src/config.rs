@@ -1,6 +1,8 @@
 //! The configuration space Φ.
 
-use ecofusion_energy::{BranchSpec, Joules, Millis, Px2Model, StemPolicy};
+use ecofusion_energy::{
+    BranchSpec, Joules, Millis, Precision, Px2Model, SensorPowerModel, StageTrace, StemPolicy,
+};
 use ecofusion_sensors::SensorKind;
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -163,18 +165,26 @@ impl ConfigSpace {
     }
 
     /// PX2 platform energy of every configuration under `policy`, indexed
-    /// by `ConfigId`.
+    /// by `ConfigId`: each one's f32 [`StageTrace::platform_energy`].
     pub fn energies(&self, px2: &Px2Model, policy: StemPolicy) -> Vec<Joules> {
         (0..self.num_configs())
-            .map(|i| px2.config_energy(&self.branch_specs(ConfigId(i)), policy))
+            .map(|i| self.trace(ConfigId(i), px2, policy).platform_energy())
             .collect()
     }
 
-    /// PX2 latency of every configuration under `policy`.
+    /// PX2 latency of every configuration under `policy`: each one's f32
+    /// [`StageTrace::total_latency`].
     pub fn latencies(&self, px2: &Px2Model, policy: StemPolicy) -> Vec<Millis> {
         (0..self.num_configs())
-            .map(|i| px2.config_latency(&self.branch_specs(ConfigId(i)), policy))
+            .map(|i| self.trace(ConfigId(i), px2, policy).total_latency())
             .collect()
+    }
+
+    /// The f32 stage trace of a configuration under `policy`. Its platform
+    /// energy and latency do not read the sensor model; the default serves.
+    fn trace(&self, id: ConfigId, px2: &Px2Model, policy: StemPolicy) -> StageTrace {
+        let sensors = SensorPowerModel::default();
+        StageTrace::compute_prec(px2, &sensors, &self.branch_specs(id), policy, Precision::F32)
     }
 
     /// Convenience ids for the paper's static baselines.

@@ -215,6 +215,17 @@ impl Error for InferError {
     }
 }
 
+/// Eq. 11 of every configuration under the adaptive stem policy, built
+/// once by [`EcoFusionModel::new`]: a model's cost models never change
+/// after construction.
+#[derive(Debug)]
+struct CostTable {
+    /// [`crate::pipeline::account_prec`] per `[precision][configuration]`.
+    accounts: [Vec<(EnergyBreakdown, StageTrace)>; 2],
+    /// The F32 platform energies: the column Eq. 8 selects over.
+    energies: Vec<Joules>,
+}
+
 /// The full adaptive perception model: four stems, seven branches, four
 /// gates, the joint optimizer, and the WBF fusion block.
 #[derive(Debug)]
@@ -226,12 +237,8 @@ pub struct EcoFusionModel {
     pub(crate) px2: Px2Model,
     pub(crate) sensor_power: SensorPowerModel,
     wbf: WbfParams,
-    adaptive_energies: Vec<Joules>,
-    /// The `Account` stage's result per `[precision][configuration]`
-    /// under the adaptive stem policy, filled on first use: both values
-    /// are a pure function of the pair for a given model, whose cost
-    /// tables never change after construction.
-    adaptive_accounts: [Vec<Option<(EnergyBreakdown, StageTrace)>>; 2],
+    /// Eq. 11 of every configuration under the adaptive stem policy.
+    costs: CostTable,
     /// Required-sensor bitmask per configuration (bit `i` = canonical
     /// sensor `i`), for fault-aware selection.
     pub(crate) config_sensors: Vec<u8>,
@@ -278,8 +285,24 @@ impl EcoFusionModel {
             })
             .collect();
         let px2 = Px2Model::default();
-        let adaptive_energies = space.energies(&px2, StemPolicy::Adaptive);
+        let sensor_power = SensorPowerModel::default();
         let n = space.num_configs();
+        let accounts = [Precision::F32, Precision::Int8].map(|precision| {
+            (0..n)
+                .map(|i| {
+                    let specs = space.branch_specs(ConfigId(i));
+                    crate::pipeline::account_prec(
+                        &px2,
+                        &sensor_power,
+                        &specs,
+                        StemPolicy::Adaptive,
+                        precision,
+                    )
+                })
+                .collect::<Vec<_>>()
+        });
+        let costs =
+            CostTable { energies: accounts[0].iter().map(|(b, _)| b.platform).collect(), accounts };
         let config_sensors: Vec<u8> = (0..n)
             .map(|i| {
                 space
@@ -303,10 +326,9 @@ impl EcoFusionModel {
             space,
             gates,
             px2,
-            sensor_power: SensorPowerModel::default(),
+            sensor_power,
             wbf: WbfParams::default(),
-            adaptive_energies,
-            adaptive_accounts: [vec![None; n], vec![None; n]],
+            costs,
             config_sensors,
             grid,
             num_classes,
@@ -380,35 +402,23 @@ impl EcoFusionModel {
         opts: &InferenceOptions,
     ) -> ConfigId {
         let idx = if opts.health.is_all_available() {
-            select_config(predicted, &self.adaptive_energies, opts.lambda_e, opts.gamma, opts.rule)
+            select_config(predicted, &self.costs.energies, opts.lambda_e, opts.gamma, opts.rule)
         } else {
             let mut adjusted = predicted.to_vec();
             self.penalize_unavailable(&mut adjusted, opts.health);
-            select_config(&adjusted, &self.adaptive_energies, opts.lambda_e, opts.gamma, opts.rule)
+            select_config(&adjusted, &self.costs.energies, opts.lambda_e, opts.gamma, opts.rule)
         };
         ConfigId(idx)
     }
 
     /// The `Account` stage of an adaptive inference that selected
-    /// `config` at `precision`: [`crate::pipeline::account_prec`] over
-    /// the configuration's branch specs, computed the first time the
-    /// pair is selected and copied afterwards.
+    /// `config` at `precision`: its row of the cost table.
     pub(crate) fn account_adaptive(
-        &mut self,
+        &self,
         config: ConfigId,
         precision: Precision,
     ) -> (EnergyBreakdown, StageTrace) {
-        let slot = &mut self.adaptive_accounts[usize::from(precision.discriminant())][config.0];
-        slot.get_or_insert_with(|| {
-            crate::pipeline::account_prec(
-                &self.px2,
-                &self.sensor_power,
-                &self.space.branch_specs(config),
-                StemPolicy::Adaptive,
-                precision,
-            )
-        })
-        .clone()
+        self.costs.accounts[usize::from(precision.discriminant())][config.0].clone()
     }
 
     /// Observation grid size the model expects.

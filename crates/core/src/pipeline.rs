@@ -78,14 +78,18 @@
 //!
 //! # Accounting
 //!
-//! The `Account` stage is the single place an [`EnergyBreakdown`] is
-//! computed; it also produces a [`StageTrace`] decomposing the same
-//! Eq. 11 totals per stage and recording how many stems actually ran,
-//! were served from a cache, or were pruned. The *charged* energy always
-//! follows the configured [`StemPolicy`] (the paper's compiled engine
-//! runs all four stems), so pruning shows up in the counters — real
-//! compute saved on this host — without re-calibrating the published
-//! numbers.
+//! The `Account` stage charges a frame its configuration's [`StageTrace`]
+//! — Eq. 11 per stage, composed by [`StageTrace::compute_prec`] alone —
+//! and the [`EnergyBreakdown`] that is a view of it, so the stage costs
+//! sum to the breakdown's totals bit for bit. Adaptive inference reads
+//! both from the model's per-configuration cost table ([`account_prec`]
+//! for every configuration at both precisions, built once by
+//! [`EcoFusionModel::new`]); the trace then records how many stems
+//! actually ran, were served from a cache, or were pruned. The *charged*
+//! energy always follows the configured [`StemPolicy`] (the paper's
+//! compiled engine runs all four stems), so pruning shows up in the
+//! counters — real compute saved on this host — without re-calibrating
+//! the published numbers.
 //!
 //! # Precision axis
 //!
@@ -279,22 +283,11 @@ impl PipelinePlan {
     }
 }
 
-/// The `Account` stage at f32: the Eq. 11 breakdown and its per-stage
-/// decomposition, computed together so the two can never disagree.
-pub fn account(
-    px2: &Px2Model,
-    sensors: &SensorPowerModel,
-    specs: &[ecofusion_energy::BranchSpec],
-    policy: StemPolicy,
-) -> (EnergyBreakdown, StageTrace) {
-    account_prec(px2, sensors, specs, policy, Precision::F32)
-}
-
-/// [`account`] under a given precision: int8 frames charge the
-/// int8-scaled stem/branch costs; the trace still sums exactly to the
-/// breakdown. The single place the model computes either — adaptive
-/// inference through its per-`(configuration, precision)` memo, a static
-/// baseline directly.
+/// The `Account` stage: the Eq. 11 stage trace of `specs` under `policy`
+/// at `precision` ([`StageTrace::compute_prec`], the one composition) and
+/// the breakdown it is a view of. Adaptive inference reads it from the
+/// model's per-configuration cost table, which `EcoFusionModel::new`
+/// builds with it; a static baseline calls it directly.
 pub fn account_prec(
     px2: &Px2Model,
     sensors: &SensorPowerModel,
@@ -302,10 +295,8 @@ pub fn account_prec(
     policy: StemPolicy,
     precision: Precision,
 ) -> (EnergyBreakdown, StageTrace) {
-    (
-        EnergyBreakdown::compute_prec(px2, sensors, specs, policy, precision),
-        StageTrace::compute_prec(px2, sensors, specs, policy, precision),
-    )
+    let trace = StageTrace::compute_prec(px2, sensors, specs, policy, precision);
+    (trace.breakdown(sensors), trace)
 }
 
 /// Per-sensor memo of the last `(grid, stem features)` pair, plus

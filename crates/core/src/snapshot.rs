@@ -328,6 +328,24 @@ mod tests {
         (model, data)
     }
 
+    /// A knowledge gate serialized while it still kept a fallback counter
+    /// of its own (`fallback_events`; the pipeline's `gate_fallbacks`
+    /// counts those frames) loads, the field ignored, to the same rules.
+    #[test]
+    fn a_knowledge_gate_written_with_a_fallback_counter_still_loads() {
+        use ecofusion_gating::{Gate, GateInput, KnowledgeGate};
+        use ecofusion_scene::Context;
+        let rules = r#"{"rules":{"City":0,"Fog":0,"Junction":0,"Motorway":0,"Night":2,"Rain":0,"Rural":0},"num_configs":3,"fallbacks":{"City":[2,1]},"config_sensors":[3,4,12]"#;
+        let mut gate: KnowledgeGate =
+            serde_json::from_str(&format!("{rules},\"fallback_events\":1}}")).expect("loads");
+        assert!(!gate.has_rule(Context::Snow));
+        assert_eq!(gate.choice(Context::Snow), 1, "the fewest-sensor configuration");
+        assert_eq!(gate.choice(Context::Night), 2);
+        let t = ecofusion_tensor::tensor::Tensor::zeros(&[1, 1, 2, 2]);
+        assert_eq!(gate.predict(&GateInput::with_context(&t, Context::City))[0], 0.0);
+        assert_eq!(serde_json::to_string(&gate).expect("serializes"), format!("{rules}}}"));
+    }
+
     #[test]
     fn snapshot_roundtrip_preserves_inference() {
         let (mut model, data) = small_trained();

@@ -11,9 +11,10 @@
 //! the pipeline adds: *when* stems run and *how* (compiled plans), never
 //! *what* the frame produces.
 //!
-//! A second property pins the accounting: `StageTrace` energies and
-//! latencies sum to the `EnergyBreakdown` totals for every configuration
-//! under both stem policies.
+//! A second test pins the accounting: `StageTrace` energies and latencies
+//! sum to the `EnergyBreakdown` totals bit for bit for every configuration
+//! under both stem policies at both precisions, and the whole cost table
+//! to a digest recorded before the composition was moved into the trace.
 //!
 //! The two blocks of the executor that have entries of their own are
 //! held to the same oracle: the oracle pass (gate features, per-branch
@@ -217,35 +218,6 @@ proptest! {
     }
 
     #[test]
-    fn stage_trace_sums_to_energy_breakdown(config in 0usize..127) {
-        let model = EcoFusionModel::new(GRID, 8, &mut Rng::new(3));
-        let specs = model.space().branch_specs(ConfigId(config));
-        for policy in [StemPolicy::Static, StemPolicy::Adaptive] {
-            let (breakdown, trace) = ecofusion_core::pipeline::account(
-                model.px2(),
-                model.sensor_power(),
-                &specs,
-                policy,
-            );
-            prop_assert!(
-                (trace.total_energy().joules() - breakdown.total_gated().joules()).abs() < 1e-9,
-                "config {} {:?}: {} vs {}",
-                config,
-                policy,
-                trace.total_energy(),
-                breakdown.total_gated()
-            );
-            prop_assert!(
-                (trace.total_latency().millis() - breakdown.latency.millis()).abs() < 1e-9,
-                "config {} {:?}",
-                config,
-                policy
-            );
-            prop_assert!(trace.matches(&breakdown));
-        }
-    }
-
-    #[test]
     fn demand_driven_knowledge_gate_never_runs_unused_stems(
         seed in 0u64..1000,
         context in arb_context(),
@@ -381,6 +353,88 @@ fn live_inference_trace_decomposes_breakdown() {
         assert!(trace.matches(&out.energy), "{gate:?}");
         assert_eq!(trace.stems_executed + trace.stems_cached + trace.stems_skipped, 4, "{gate:?}");
     }
+}
+
+/// The accounting: for all 127 configurations, both stem policies and
+/// both precisions, a `StageTrace`'s totals are its `EnergyBreakdown`'s
+/// bit for bit.
+#[test]
+fn stage_trace_sums_to_energy_breakdown() {
+    let model = EcoFusionModel::new(GRID, 8, &mut Rng::new(3));
+    for config in 0..model.space().num_configs() {
+        let specs = model.space().branch_specs(ConfigId(config));
+        for policy in [StemPolicy::Static, StemPolicy::Adaptive] {
+            for precision in [Precision::F32, Precision::Int8] {
+                let (breakdown, trace) = ecofusion_core::pipeline::account_prec(
+                    model.px2(),
+                    model.sensor_power(),
+                    &specs,
+                    policy,
+                    precision,
+                );
+                let what = format!("config {config} {policy:?} {precision:?}");
+                assert_eq!(
+                    trace.total_energy().joules().to_bits(),
+                    breakdown.total_gated().joules().to_bits(),
+                    "{what}"
+                );
+                assert_eq!(
+                    trace.total_latency().millis().to_bits(),
+                    breakdown.latency.millis().to_bits(),
+                    "{what}"
+                );
+                assert!(trace.matches(&breakdown), "{what}");
+            }
+        }
+    }
+}
+
+/// The whole Eq. 11 cost table, bit for bit: every `EnergyBreakdown` field
+/// and every `StageCost` that `account_prec` returns for the 127
+/// configurations × {Static, Adaptive} × {F32, Int8}, plus
+/// `ConfigSpace::{energies, latencies}` under both policies, folded by
+/// FNV-1a over their `to_bits()`. Recorded while the PX2 model still
+/// composed configuration costs beside the stage trace: it holds the one
+/// composition to the numbers every table, selection and report was
+/// served with.
+#[test]
+fn cost_table_matches_the_recorded_digest() {
+    use ecofusion_core::pipeline::account_prec;
+    use ecofusion_core::ConfigSpace;
+    use ecofusion_energy::{Px2Model, SensorPowerModel};
+    let (px2, sensors, space) =
+        (Px2Model::default(), SensorPowerModel::default(), ConfigSpace::canonical());
+    let policies = [StemPolicy::Static, StemPolicy::Adaptive];
+    let mut cells: Vec<f64> = Vec::new();
+    for config in 0..space.num_configs() {
+        let specs = space.branch_specs(ConfigId(config));
+        for policy in policies {
+            for precision in [Precision::F32, Precision::Int8] {
+                let (b, trace) = account_prec(&px2, &sensors, &specs, policy, precision);
+                cells.extend([
+                    b.platform.joules(),
+                    b.sensors_gated.joules(),
+                    b.sensors_all_active.joules(),
+                    b.latency.millis(),
+                ]);
+                for cost in trace.costs {
+                    cells.extend([cost.energy.joules(), cost.latency.millis()]);
+                }
+            }
+        }
+    }
+    for policy in policies {
+        cells.extend(space.energies(&px2, policy).iter().map(|e| e.joules()));
+        cells.extend(space.latencies(&px2, policy).iter().map(|t| t.millis()));
+    }
+    assert_eq!(cells.len(), 127 * 2 * 2 * (4 + 2 * 7) + 2 * 2 * 127);
+    let digest = cells
+        .iter()
+        .flat_map(|c| c.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(digest, 0x7326_e44c_977b_853c, "digest {digest:#018x}");
 }
 
 /// A frame of the wrong size is an error from the `Sense` stage of both

@@ -7,11 +7,12 @@
 //!    `End` with the same name in LIFO order, timestamps never run
 //!    backwards, and the seven stage spans sit exactly one level inside
 //!    the `frame` span.
-//! 2. **Exact accounting** — the `energy_j`/`latency_ms` args on the
-//!    stage spans sum *bit-for-bit* to the frame's [`StageTrace`]
-//!    totals (`trace_frame` copies the per-stage `f64`s unrounded, and
-//!    both sides fold in stage order), and the virtual-time cursor
-//!    advances by exactly the modeled latency of each stage.
+//! 2. **Exact accounting** — the `energy_j`/`latency_ms` args of each
+//!    stage span are that stage's [`StageTrace`] cost bit for bit
+//!    (`trace_frame` copies the per-stage `f64`s unrounded), the trace's
+//!    totals are the frame's Eq. 11 breakdown bit for bit, and the
+//!    virtual-time cursor advances by exactly the modeled latency of each
+//!    stage.
 //!
 //! Plus the zero-overhead contract: a disabled sink records nothing and
 //! leaves the time cursor untouched.
@@ -92,25 +93,34 @@ proptest! {
         }
         prop_assert!(stack.is_empty(), "unclosed spans: {:?}", stack);
 
-        // Property 2: stage args replay the StageTrace exactly, in stage
-        // order, and the cursor advances by the modeled latencies.
+        // Property 2: each stage span carries its stage's cost bit for
+        // bit, the cursor advances by the modeled latencies, and the
+        // trace's totals are the frame's Eq. 11 breakdown.
         let trace: &StageTrace = &out.stage_trace;
-        let mut energy = 0.0_f64;
-        let mut latency = 0.0_f64;
         let mut cursor = start_ns;
         let mut seen = 0usize;
         for e in sink.events().filter(|e| e.kind == EventKind::Begin && e.name != "frame") {
-            prop_assert_eq!(e.name, StageKind::ALL[seen].label(), "stage order");
+            let stage = StageKind::ALL[seen];
+            prop_assert_eq!(e.name, stage.label(), "stage order");
             prop_assert_eq!(e.t_ns, cursor, "stage `{}` start", e.name);
-            energy += e.arg_f64("energy_j").expect("stage span carries energy_j");
+            let energy = e.arg_f64("energy_j").expect("stage span carries energy_j");
             let ms = e.arg_f64("latency_ms").expect("stage span carries latency_ms");
-            latency += ms;
+            prop_assert_eq!(energy.to_bits(), trace.cost(stage).energy.joules().to_bits());
+            prop_assert_eq!(ms.to_bits(), trace.cost(stage).latency.millis().to_bits());
             cursor += ns_from_ms(ms);
             seen += 1;
         }
         prop_assert_eq!(seen, StageKind::ALL.len(), "one span per pipeline stage");
-        prop_assert_eq!(energy, trace.total_energy().joules(), "exact energy sum");
-        prop_assert_eq!(latency, trace.total_latency().millis(), "exact latency sum");
+        prop_assert_eq!(
+            trace.total_energy().joules().to_bits(),
+            out.energy.total_gated().joules().to_bits(),
+            "exact energy sum"
+        );
+        prop_assert_eq!(
+            trace.total_latency().millis().to_bits(),
+            out.energy.latency.millis().to_bits(),
+            "exact latency sum"
+        );
         prop_assert_eq!(end_ns, cursor, "returned cursor is the frame end");
 
         // Zero-overhead contract: disabled sink records nothing and the

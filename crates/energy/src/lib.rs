@@ -7,15 +7,19 @@
 //! numbers *are* the measurement — so this crate encodes them as a
 //! calibrated analytical model:
 //!
-//! * [`Px2Model`] — per-component (stem / branch / gate / fusion-block)
-//!   energy and latency calibrated to Table 1, with additive composition
-//!   for ensembles. The paper's own data validates additivity: its
+//! * [`Px2Model`] — the calibration table: per-component (stem / branch /
+//!   gate / fusion-block) energy and latency calibrated to Table 1. The
+//!   paper's own data validates additive composition for ensembles: its
 //!   late-fusion energy 3.798 J is exactly the sum of the four
 //!   single-sensor configuration energies.
 //! * [`SensorPowerModel`] — Navtech CTS350-X radar (24 W, 2.4 W motor),
 //!   Velodyne HDL-32e lidar (12 W, 9.6 W measurement power), ZED camera
 //!   (1.9 W), with Eq. 10–11 clock gating: a gated rotating sensor still
 //!   pays its motor power.
+//! * [`StageTrace::compute_prec`] — the one composition: it turns the two
+//!   models into a configuration's Eq. 11 cost, stage by stage.
+//!   [`EnergyBreakdown`] is a view of that trace, so the stage costs sum
+//!   to its totals bit for bit.
 //! * Typed units ([`Joules`], [`Watts`], [`Millis`]) so energies and
 //!   latencies cannot be mixed up.
 //!

@@ -22,6 +22,14 @@
 //! applied to the branch sum when two or more branches run (the PX2's two
 //! GPUs pipeline independent branches): 8 + 0.958·78.84 + 0.8 ≈ 84.3 ms
 //! matches the late-4 row.
+//!
+//! # Calibration, not composition
+//!
+//! [`Px2Model`] is the calibration table: per-component costs and the
+//! int8 scales. Turning them into one configuration's cost — stems per
+//! [`StemPolicy`], the branch sum and its ensemble overlap, gate and
+//! fusion block, and the sensors' Eq. 10 share — is done in one place,
+//! [`StageTrace::compute_prec`](crate::stage::StageTrace::compute_prec).
 
 use crate::precision::Precision;
 use crate::units::{Joules, Millis, Watts};
@@ -224,65 +232,6 @@ impl Px2Model {
         (e * s, t * s)
     }
 
-    /// [`config_energy`](Self::config_energy) under a given precision.
-    /// Only the stem and branch shares scale; the gate and fusion block
-    /// always run at full precision (Eq. 11 with int8 stage costs).
-    pub fn config_energy_prec(
-        &self,
-        branches: &[BranchSpec],
-        policy: StemPolicy,
-        precision: Precision,
-    ) -> Joules {
-        if precision == Precision::F32 {
-            return self.config_energy(branches, policy);
-        }
-        let stems: usize = match policy {
-            StemPolicy::Static => branches.iter().map(|b| b.arity()).sum(),
-            StemPolicy::Adaptive => SensorKind::COUNT,
-        };
-        let gate = match policy {
-            StemPolicy::Static => Joules::zero(),
-            StemPolicy::Adaptive => self.gate.0,
-        };
-        let branch_total: Joules =
-            branches.iter().map(|b| self.branch_cost_prec(b, precision).0).sum();
-        let fusion = if branches.len() >= 2 { self.fusion_block.0 } else { Joules::zero() };
-        self.stem_energy * (stems as f64 * self.stem_scale(precision))
-            + branch_total
-            + gate
-            + fusion
-    }
-
-    /// [`config_latency`](Self::config_latency) under a given precision.
-    pub fn config_latency_prec(
-        &self,
-        branches: &[BranchSpec],
-        policy: StemPolicy,
-        precision: Precision,
-    ) -> Millis {
-        if precision == Precision::F32 {
-            return self.config_latency(branches, policy);
-        }
-        let stem_lat = match policy {
-            StemPolicy::Static => {
-                self.stem_latency
-                    * (branches.iter().map(|b| b.arity()).sum::<usize>() as f64
-                        * self.stem_scale(precision))
-            }
-            StemPolicy::Adaptive => self.stem_latency * self.stem_scale(precision),
-        };
-        let gate_lat = match policy {
-            StemPolicy::Static => Millis::zero(),
-            StemPolicy::Adaptive => self.gate.1,
-        };
-        let branch_sum: Millis =
-            branches.iter().map(|b| self.branch_cost_prec(b, precision).1).sum();
-        let branch_lat =
-            if branches.len() >= 2 { branch_sum * self.ensemble_overlap } else { branch_sum };
-        let fusion = if branches.len() >= 2 { self.fusion_block.1 } else { Millis::zero() };
-        stem_lat + gate_lat + branch_lat + fusion
-    }
-
     /// The unique sensors used by a set of branches.
     pub fn sensors_used(branches: &[BranchSpec]) -> Vec<SensorKind> {
         let mut used = [false; SensorKind::COUNT];
@@ -293,68 +242,41 @@ impl Px2Model {
         }
         SensorKind::ALL.iter().copied().filter(|s| used[s.index()]).collect()
     }
-
-    /// Total platform energy of running `branches` under a stem policy
-    /// (Eq. 6, composed per DESIGN.md's calibration).
-    pub fn config_energy(&self, branches: &[BranchSpec], policy: StemPolicy) -> Joules {
-        let stems = match policy {
-            StemPolicy::Static => branches.iter().map(|b| b.arity()).sum(),
-            StemPolicy::Adaptive => SensorKind::COUNT,
-        };
-        let gate = match policy {
-            StemPolicy::Static => Joules::zero(),
-            StemPolicy::Adaptive => self.gate.0,
-        };
-        let branch_total: Joules = branches.iter().map(|b| self.branch_cost(b).0).sum();
-        let fusion = if branches.len() >= 2 { self.fusion_block.0 } else { Joules::zero() };
-        self.stem_energy * stems as f64 + branch_total + gate + fusion
-    }
-
-    /// Total pipeline latency of running `branches` under a stem policy.
-    pub fn config_latency(&self, branches: &[BranchSpec], policy: StemPolicy) -> Millis {
-        let stem_lat = match policy {
-            StemPolicy::Static => {
-                self.stem_latency * branches.iter().map(|b| b.arity()).sum::<usize>() as f64
-            }
-            // All four stems run concurrently in the compiled adaptive
-            // engine: one stem of latency.
-            StemPolicy::Adaptive => self.stem_latency,
-        };
-        let gate_lat = match policy {
-            StemPolicy::Static => Millis::zero(),
-            StemPolicy::Adaptive => self.gate.1,
-        };
-        let branch_sum: Millis = branches.iter().map(|b| self.branch_cost(b).1).sum();
-        let branch_lat =
-            if branches.len() >= 2 { branch_sum * self.ensemble_overlap } else { branch_sum };
-        let fusion = if branches.len() >= 2 { self.fusion_block.1 } else { Millis::zero() };
-        stem_lat + gate_lat + branch_lat + fusion
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sensors::SensorPowerModel;
+    use crate::stage::StageTrace;
     use SensorKind::{CameraLeft as CL, CameraRight as CR, Lidar as L, Radar as R};
 
     fn m() -> Px2Model {
         Px2Model::default()
     }
 
+    /// Platform energy and pipeline latency of `b`, as the one
+    /// composition gives them.
+    fn cost(
+        px2: &Px2Model,
+        b: &[BranchSpec],
+        policy: StemPolicy,
+        p: Precision,
+    ) -> (Joules, Millis) {
+        let trace = StageTrace::compute_prec(px2, &SensorPowerModel::default(), b, policy, p);
+        (trace.platform_energy(), trace.total_latency())
+    }
+
     #[test]
     fn single_camera_matches_table1() {
-        let b = [BranchSpec::Single(CL)];
-        let e = m().config_energy(&b, StemPolicy::Static);
-        let t = m().config_latency(&b, StemPolicy::Static);
+        let (e, t) = cost(&m(), &[BranchSpec::Single(CL)], StemPolicy::Static, Precision::F32);
         assert!((e.joules() - 0.945).abs() < 1e-9, "{e}");
         assert!((t.millis() - 21.57).abs() < 1e-9, "{t}");
     }
 
     #[test]
     fn single_radar_matches_table1() {
-        let b = [BranchSpec::Single(R)];
-        let e = m().config_energy(&b, StemPolicy::Static);
-        let t = m().config_latency(&b, StemPolicy::Static);
+        let (e, t) = cost(&m(), &[BranchSpec::Single(R)], StemPolicy::Static, Precision::F32);
         assert!((e.joules() - 0.954).abs() < 1e-9);
         assert!((t.millis() - 21.85).abs() < 1e-9);
     }
@@ -362,8 +284,7 @@ mod tests {
     #[test]
     fn early3_matches_table1() {
         let b = [BranchSpec::Early(vec![CL, CR, L])];
-        let e = m().config_energy(&b, StemPolicy::Static);
-        let t = m().config_latency(&b, StemPolicy::Static);
+        let (e, t) = cost(&m(), &b, StemPolicy::Static, Precision::F32);
         assert!((e.joules() - 1.379).abs() < 1e-9, "{e}");
         assert!((t.millis() - 31.36).abs() < 1e-9, "{t}");
     }
@@ -376,8 +297,7 @@ mod tests {
             BranchSpec::Single(L),
             BranchSpec::Single(R),
         ];
-        let e = m().config_energy(&b, StemPolicy::Static);
-        let t = m().config_latency(&b, StemPolicy::Static);
+        let (e, t) = cost(&m(), &b, StemPolicy::Static, Precision::F32);
         assert!((e.joules() - 3.798).abs() < 1e-9, "{e}");
         assert!((t.millis() - 84.32).abs() < 0.35, "{t}");
     }
@@ -385,11 +305,10 @@ mod tests {
     #[test]
     fn adaptive_charges_all_stems() {
         let b = [BranchSpec::Early(vec![CL, CR, L])];
-        let e = m().config_energy(&b, StemPolicy::Adaptive);
+        let (e, t) = cost(&m(), &b, StemPolicy::Adaptive, Precision::F32);
         // 4 stems + early3 branch.
         assert!((e.joules() - (0.088 * 4.0 + 1.115)).abs() < 1e-9);
         // Latency: 1 stem (parallel) + gate + branch.
-        let t = m().config_latency(&b, StemPolicy::Adaptive);
         assert!((t.millis() - (2.0 + 1.0 + 25.36)).abs() < 1e-9, "{t}");
     }
 
@@ -399,7 +318,7 @@ mod tests {
         // that mostly selects the early-3 branch gives 1.467 J / 28.36 ms;
         // mixing in heavier picks raises the mean. Sanity: within range.
         let b = [BranchSpec::Early(vec![CL, CR, L])];
-        let e = m().config_energy(&b, StemPolicy::Adaptive).joules();
+        let e = cost(&m(), &b, StemPolicy::Adaptive, Precision::F32).0.joules();
         assert!(e > 1.3 && e < 1.6, "{e}");
     }
 
@@ -414,16 +333,11 @@ mod tests {
 
     #[test]
     fn more_branches_cost_more() {
-        let small = [BranchSpec::Single(CL)];
+        let small = cost(&m(), &[BranchSpec::Single(CL)], StemPolicy::Static, Precision::F32);
         let big = [BranchSpec::Single(CL), BranchSpec::Single(R)];
-        assert!(
-            m().config_energy(&big, StemPolicy::Static).joules()
-                > m().config_energy(&small, StemPolicy::Static).joules()
-        );
-        assert!(
-            m().config_latency(&big, StemPolicy::Static).millis()
-                > m().config_latency(&small, StemPolicy::Static).millis()
-        );
+        let big = cost(&m(), &big, StemPolicy::Static, Precision::F32);
+        assert!(big.0.joules() > small.0.joules());
+        assert!(big.1.millis() > small.1.millis());
     }
 
     #[test]
@@ -448,32 +362,26 @@ mod tests {
         assert_eq!(BranchSpec::Early(vec![CL, CR, L]).label(), "E(C_L+C_R+L)");
     }
 
+    /// At f32 the scales are exactly 1, so every scaled cost is bit for
+    /// bit the calibrated one.
     #[test]
     fn f32_precision_delegates_exactly() {
-        let b = [BranchSpec::Early(vec![CL, CR, L]), BranchSpec::Single(R)];
-        for policy in [StemPolicy::Static, StemPolicy::Adaptive] {
-            assert_eq!(
-                m().config_energy_prec(&b, policy, Precision::F32),
-                m().config_energy(&b, policy)
-            );
-            assert_eq!(
-                m().config_latency_prec(&b, policy, Precision::F32),
-                m().config_latency(&b, policy)
-            );
+        assert_eq!(m().stem_scale(Precision::F32).to_bits(), 1.0f64.to_bits());
+        assert_eq!(m().branch_scale(Precision::F32).to_bits(), 1.0f64.to_bits());
+        for b in [BranchSpec::Early(vec![CL, CR, L]), BranchSpec::Single(R)] {
+            assert_eq!(m().branch_cost_prec(&b, Precision::F32), m().branch_cost(&b));
         }
     }
 
     #[test]
     fn int8_is_cheaper_on_stems_and_branches_only() {
         let b = [BranchSpec::Single(CL)];
-        let e8 = m().config_energy_prec(&b, StemPolicy::Adaptive, Precision::Int8);
-        let e32 = m().config_energy(&b, StemPolicy::Adaptive);
+        let (e8, t8) = cost(&m(), &b, StemPolicy::Adaptive, Precision::Int8);
+        let (e32, t32) = cost(&m(), &b, StemPolicy::Adaptive, Precision::F32);
         // 4 stems and the camera branch scale; the gate does not.
         let expected = 0.088 * 4.0 * INT8_STEM_SCALE + 0.857 * INT8_BRANCH_SCALE;
         assert!((e8.joules() - expected).abs() < 1e-9, "{e8}");
         assert!(e8.joules() < e32.joules());
-        let t8 = m().config_latency_prec(&b, StemPolicy::Adaptive, Precision::Int8);
-        let t32 = m().config_latency(&b, StemPolicy::Adaptive);
         assert!(t8.millis() < t32.millis());
         // Gate latency share is unscaled (1 ms sits in both totals).
         assert!(
@@ -493,8 +401,8 @@ mod tests {
         assert_eq!(px2.stem_scale(Precision::F32), 1.0);
         let b = [BranchSpec::Single(R)];
         assert_eq!(
-            px2.config_energy_prec(&b, StemPolicy::Static, Precision::Int8),
-            m().config_energy_prec(&b, StemPolicy::Static, Precision::Int8)
+            cost(&px2, &b, StemPolicy::Static, Precision::Int8),
+            cost(&m(), &b, StemPolicy::Static, Precision::Int8)
         );
     }
 }

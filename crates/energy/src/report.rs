@@ -1,13 +1,16 @@
-//! Combined energy reporting (Eq. 11).
+//! Combined energy reporting (Eq. 11): the platform / sensor split of a
+//! [`StageTrace`], which is where the numbers are composed.
 
+use crate::precision::Precision;
 use crate::px2::{BranchSpec, Px2Model, StemPolicy};
 use crate::sensors::SensorPowerModel;
+use crate::stage::StageTrace;
 use crate::units::{Joules, Millis};
-use ecofusion_sensors::SensorKind;
 use serde::{Deserialize, Serialize};
 
 /// Energy and latency of one frame under a configuration, split into the
-/// platform (PX2) share and the sensor share.
+/// platform (PX2) share and the sensor share: a view of a [`StageTrace`]
+/// ([`StageTrace::breakdown`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnergyBreakdown {
     /// PX2 platform energy `E(φ)` (Eq. 6).
@@ -21,34 +24,15 @@ pub struct EnergyBreakdown {
 }
 
 impl EnergyBreakdown {
-    /// Computes the full breakdown for a set of branches.
+    /// The f32 breakdown of a set of branches: their
+    /// [`StageTrace::compute_prec`], viewed.
     pub fn compute(
         px2: &Px2Model,
         sensors: &SensorPowerModel,
         branches: &[BranchSpec],
         policy: StemPolicy,
     ) -> Self {
-        Self::compute_prec(px2, sensors, branches, policy, crate::Precision::F32)
-    }
-
-    /// [`compute`](Self::compute) under a given precision: the platform
-    /// share scales its stem/branch components by the measured int8
-    /// ratios; sensor energy is precision-invariant (the sensors measure
-    /// the same either way).
-    pub fn compute_prec(
-        px2: &Px2Model,
-        sensors: &SensorPowerModel,
-        branches: &[BranchSpec],
-        policy: StemPolicy,
-        precision: crate::Precision,
-    ) -> Self {
-        let active: Vec<SensorKind> = Px2Model::sensors_used(branches);
-        EnergyBreakdown {
-            platform: px2.config_energy_prec(branches, policy, precision),
-            sensors_gated: sensors.total_frame_energy(&active),
-            sensors_all_active: sensors.total_frame_energy_all_active(),
-            latency: px2.config_latency_prec(branches, policy, precision),
-        }
+        StageTrace::compute_prec(px2, sensors, branches, policy, Precision::F32).breakdown(sensors)
     }
 
     /// Total energy with clock gating: `E_total = E(φ) + Σ_{s∈φ} E_s`
@@ -66,6 +50,7 @@ impl EnergyBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecofusion_sensors::SensorKind;
     use SensorKind::{CameraLeft as CL, CameraRight as CR, Lidar as L, Radar as R};
 
     fn late4() -> Vec<BranchSpec> {

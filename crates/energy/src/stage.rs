@@ -2,11 +2,13 @@
 //!
 //! The staged perception pipeline (`ecofusion-core`'s `pipeline` module)
 //! executes seven explicit stage units per frame. This module gives each
-//! stage its share of the calibrated cost model, such that the per-stage
-//! energies sum *exactly* to [`EnergyBreakdown::total_gated`] and the
-//! per-stage latencies to `EnergyBreakdown::latency` — the decomposition
-//! is an accounting view of the same Eq. 6/10/11 numbers, never a second
-//! model that could drift from the first.
+//! stage its share of the calibrated cost model, and it is where that
+//! model is composed: [`StageTrace::compute_prec`] is the only code that
+//! turns the PX2 calibration ([`Px2Model`]) and the sensor model into a
+//! configuration's Eq. 6/10/11 cost. [`EnergyBreakdown`] is a view of the
+//! trace ([`StageTrace::breakdown`]) that adds the stages in the
+//! breakdown's own order, so a trace and its breakdown agree bit for bit
+//! by construction.
 
 use crate::precision::Precision;
 use crate::px2::{BranchSpec, Px2Model, StemPolicy};
@@ -112,24 +114,13 @@ pub struct StageTrace {
 }
 
 impl StageTrace {
-    /// Decomposes the Eq. 11 accounting of `branches` under `policy` into
-    /// per-stage costs. The counters default to the modeled stem count
-    /// (everything executed); the pipeline executor overwrites them with
-    /// what actually ran.
-    pub fn compute(
-        px2: &Px2Model,
-        sensors: &SensorPowerModel,
-        branches: &[BranchSpec],
-        policy: StemPolicy,
-    ) -> Self {
-        Self::compute_prec(px2, sensors, branches, policy, Precision::F32)
-    }
-
-    /// [`compute`](Self::compute) under a given precision: the `Stems` and
-    /// `Branch` stages carry the int8-scaled costs
-    /// ([`Px2Model::stem_scale`] / [`Px2Model::branch_scale`]); every
-    /// other stage is precision-invariant. The decomposition still sums
-    /// exactly to [`EnergyBreakdown::compute_prec`] at the same precision.
+    /// Eq. 11 of `branches` under `policy` at `precision`, stage by stage:
+    /// the one place the PX2 calibration and the sensor model become a
+    /// configuration's cost. Int8 scales the `Stems` and `Branch` stages
+    /// ([`Px2Model::stem_scale`] / [`Px2Model::branch_scale`], `× 1.0` at
+    /// f32); every other stage is precision-invariant. The counters
+    /// default to the modeled stem count (everything executed); the
+    /// pipeline executor overwrites them with what actually ran.
     pub fn compute_prec(
         px2: &Px2Model,
         sensors: &SensorPowerModel,
@@ -187,17 +178,35 @@ impl StageTrace {
         self.costs[stage.index()]
     }
 
-    /// Sum of per-stage energies: equals
-    /// [`EnergyBreakdown::total_gated`] for the breakdown computed from
-    /// the same branches and policy.
-    pub fn total_energy(&self) -> Joules {
-        self.costs.iter().map(|c| c.energy).sum()
+    /// Eq. 6's platform energy `E(φ)`: the Stems, Branch, GateScore and
+    /// Fuse energies, added in that order.
+    pub fn platform_energy(&self) -> Joules {
+        let e = |stage: StageKind| self.cost(stage).energy;
+        e(StageKind::Stems) + e(StageKind::Branch) + e(StageKind::GateScore) + e(StageKind::Fuse)
     }
 
-    /// Sum of per-stage latencies: equals the breakdown's pipeline
-    /// latency.
+    /// Eq. 11's clock-gated total: [`platform_energy`](Self::platform_energy),
+    /// then the Sense stage — [`EnergyBreakdown::total_gated`]'s order.
+    pub fn total_energy(&self) -> Joules {
+        self.platform_energy() + self.cost(StageKind::Sense).energy
+    }
+
+    /// The pipeline latency: the Stems, GateScore, Branch and Fuse
+    /// latencies, added in that order.
     pub fn total_latency(&self) -> Millis {
-        self.costs.iter().map(|c| c.latency).sum()
+        let t = |stage: StageKind| self.cost(stage).latency;
+        t(StageKind::Stems) + t(StageKind::GateScore) + t(StageKind::Branch) + t(StageKind::Fuse)
+    }
+
+    /// The Eq. 11 breakdown this trace decomposes. The all-active sensor
+    /// energy is no stage's cost, so `sensors` supplies it.
+    pub fn breakdown(&self, sensors: &SensorPowerModel) -> EnergyBreakdown {
+        EnergyBreakdown {
+            platform: self.platform_energy(),
+            sensors_gated: self.cost(StageKind::Sense).energy,
+            sensors_all_active: sensors.total_frame_energy_all_active(),
+            latency: self.total_latency(),
+        }
     }
 
     /// Same trace with the executor's observed stem counters.
@@ -212,11 +221,14 @@ impl StageTrace {
         self
     }
 
-    /// Checks the decomposition against its breakdown (used by tests and
-    /// the `stage_profile` example).
+    /// Whether this trace decomposes `breakdown` bit for bit: its platform
+    /// energy, Sense energy and latency are the breakdown's, so its totals
+    /// are too.
     pub fn matches(&self, breakdown: &EnergyBreakdown) -> bool {
-        (self.total_energy().joules() - breakdown.total_gated().joules()).abs() < 1e-9
-            && (self.total_latency().millis() - breakdown.latency.millis()).abs() < 1e-9
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        same(self.platform_energy().joules(), breakdown.platform.joules())
+            && same(self.cost(StageKind::Sense).energy.joules(), breakdown.sensors_gated.joules())
+            && same(self.total_latency().millis(), breakdown.latency.millis())
     }
 }
 
@@ -262,66 +274,71 @@ mod tests {
     use super::*;
     use SensorKind::{CameraLeft as CL, CameraRight as CR, Lidar as L, Radar as R};
 
+    /// Every configuration of the canonical space: each non-empty subset
+    /// of its seven branches (four single-sensor, three early-fusion).
     fn configs() -> Vec<Vec<BranchSpec>> {
-        vec![
-            vec![BranchSpec::Single(CL)],
-            vec![BranchSpec::Single(R)],
-            vec![BranchSpec::Early(vec![CL, CR, L])],
-            vec![
-                BranchSpec::Single(CL),
-                BranchSpec::Single(CR),
-                BranchSpec::Single(L),
-                BranchSpec::Single(R),
-            ],
-            vec![BranchSpec::Early(vec![L, R]), BranchSpec::Single(CR)],
-        ]
+        let branches = [
+            BranchSpec::Single(CL),
+            BranchSpec::Single(CR),
+            BranchSpec::Single(L),
+            BranchSpec::Single(R),
+            BranchSpec::Early(vec![CL, CR]),
+            BranchSpec::Early(vec![CL, CR, L]),
+            BranchSpec::Early(vec![L, R]),
+        ];
+        (1..1usize << branches.len())
+            .map(|mask| {
+                let members = branches.iter().enumerate().filter(|(b, _)| mask & (1 << b) != 0);
+                members.map(|(_, spec)| spec.clone()).collect()
+            })
+            .collect()
+    }
+
+    /// A trace's totals are its breakdown's, bit for bit, for all 127
+    /// configurations under both policies at `precision`.
+    fn assert_sums_exactly(
+        precision: Precision,
+        breakdown_of: impl Fn(&[BranchSpec], StemPolicy) -> EnergyBreakdown,
+    ) {
+        let px2 = Px2Model::default();
+        let sensors = SensorPowerModel::default();
+        let configs = configs();
+        assert_eq!(configs.len(), 127);
+        for branches in &configs {
+            for policy in [StemPolicy::Static, StemPolicy::Adaptive] {
+                let trace = StageTrace::compute_prec(&px2, &sensors, branches, policy, precision);
+                let breakdown = breakdown_of(branches, policy);
+                let what = format!("{branches:?} {policy:?} {precision:?}");
+                assert!(trace.matches(&breakdown), "{what}");
+                assert_eq!(
+                    trace.total_energy().joules().to_bits(),
+                    breakdown.total_gated().joules().to_bits(),
+                    "{what}"
+                );
+                assert_eq!(
+                    trace.total_latency().millis().to_bits(),
+                    breakdown.latency.millis().to_bits(),
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]
     fn trace_sums_to_breakdown_for_both_policies() {
-        let px2 = Px2Model::default();
-        let sensors = SensorPowerModel::default();
-        for branches in configs() {
-            for policy in [StemPolicy::Static, StemPolicy::Adaptive] {
-                let breakdown = EnergyBreakdown::compute(&px2, &sensors, &branches, policy);
-                let trace = StageTrace::compute(&px2, &sensors, &branches, policy);
-                assert!(
-                    trace.matches(&breakdown),
-                    "{branches:?} {policy:?}: trace {} J / {} vs breakdown {} J / {}",
-                    trace.total_energy(),
-                    trace.total_latency(),
-                    breakdown.total_gated(),
-                    breakdown.latency
-                );
-            }
-        }
+        let (px2, sensors) = (Px2Model::default(), SensorPowerModel::default());
+        assert_sums_exactly(Precision::F32, |branches, policy| {
+            EnergyBreakdown::compute(&px2, &sensors, branches, policy)
+        });
     }
 
     #[test]
     fn int8_trace_sums_to_int8_breakdown() {
-        let px2 = Px2Model::default();
-        let sensors = SensorPowerModel::default();
-        for branches in configs() {
-            for policy in [StemPolicy::Static, StemPolicy::Adaptive] {
-                let breakdown = EnergyBreakdown::compute_prec(
-                    &px2,
-                    &sensors,
-                    &branches,
-                    policy,
-                    Precision::Int8,
-                );
-                let trace =
-                    StageTrace::compute_prec(&px2, &sensors, &branches, policy, Precision::Int8);
-                assert!(
-                    trace.matches(&breakdown),
-                    "{branches:?} {policy:?}: trace {} J / {} vs breakdown {} J / {}",
-                    trace.total_energy(),
-                    trace.total_latency(),
-                    breakdown.total_gated(),
-                    breakdown.latency
-                );
-            }
-        }
+        let (px2, sensors) = (Px2Model::default(), SensorPowerModel::default());
+        assert_sums_exactly(Precision::Int8, |branches, policy| {
+            StageTrace::compute_prec(&px2, &sensors, branches, policy, Precision::Int8)
+                .breakdown(&sensors)
+        });
     }
 
     #[test]
@@ -358,11 +375,12 @@ mod tests {
 
     #[test]
     fn single_branch_has_no_fuse_cost() {
-        let trace = StageTrace::compute(
+        let trace = StageTrace::compute_prec(
             &Px2Model::default(),
             &SensorPowerModel::default(),
             &[BranchSpec::Single(L)],
             StemPolicy::Adaptive,
+            Precision::F32,
         );
         assert_eq!(trace.cost(StageKind::Fuse), StageCost::default());
         assert_eq!(trace.cost(StageKind::Select), StageCost::default());
@@ -372,11 +390,12 @@ mod tests {
     #[test]
     fn adaptive_charges_four_stems_regardless_of_counters() {
         let px2 = Px2Model::default();
-        let trace = StageTrace::compute(
+        let trace = StageTrace::compute_prec(
             &px2,
             &SensorPowerModel::default(),
             &[BranchSpec::Early(vec![L, R])],
             StemPolicy::Adaptive,
+            Precision::F32,
         )
         .with_stem_counts(2, 0, 2);
         assert_eq!(trace.stems_executed, 2);

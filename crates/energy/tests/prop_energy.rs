@@ -1,7 +1,8 @@
 //! Property-based tests of the energy models.
 
 use ecofusion_energy::{
-    BranchSpec, EnergyBreakdown, Px2Model, SensorPowerModel, SensorState, StemPolicy,
+    BranchSpec, EnergyBreakdown, Joules, Millis, Precision, Px2Model, SensorPowerModel,
+    SensorState, StageTrace, StemPolicy,
 };
 use ecofusion_sensors::SensorKind;
 use proptest::prelude::*;
@@ -18,19 +19,27 @@ fn arb_branch() -> impl Strategy<Value = BranchSpec> {
     ]
 }
 
+/// Platform energy and pipeline latency of `branches`, as the one
+/// composition gives them.
+fn cost(px2: &Px2Model, branches: &[BranchSpec], policy: StemPolicy) -> (Joules, Millis) {
+    let sensors = SensorPowerModel::default();
+    let trace = StageTrace::compute_prec(px2, &sensors, branches, policy, Precision::F32);
+    (trace.platform_energy(), trace.total_latency())
+}
+
 proptest! {
     #[test]
-    fn config_energy_positive_and_monotone(
+    fn platform_energy_positive_and_monotone(
         branches in prop::collection::vec(arb_branch(), 1..6),
         extra in arb_branch(),
     ) {
         let px2 = Px2Model::default();
         for policy in [StemPolicy::Static, StemPolicy::Adaptive] {
-            let base = px2.config_energy(&branches, policy);
+            let base = cost(&px2, &branches, policy).0;
             prop_assert!(base.joules() > 0.0);
             let mut bigger = branches.clone();
             bigger.push(extra.clone());
-            let more = px2.config_energy(&bigger, policy);
+            let more = cost(&px2, &bigger, policy).0;
             prop_assert!(more.joules() > base.joules(), "{policy:?}");
         }
     }
@@ -41,9 +50,9 @@ proptest! {
         b in arb_branch(),
     ) {
         let px2 = Px2Model::default();
-        let ea = px2.config_energy(std::slice::from_ref(&a), StemPolicy::Static);
-        let eb = px2.config_energy(std::slice::from_ref(&b), StemPolicy::Static);
-        let eab = px2.config_energy(&[a, b], StemPolicy::Static);
+        let ea = cost(&px2, std::slice::from_ref(&a), StemPolicy::Static).0;
+        let eb = cost(&px2, std::slice::from_ref(&b), StemPolicy::Static).0;
+        let eab = cost(&px2, &[a, b], StemPolicy::Static).0;
         // Static pipelines replicate stems per branch, so energy adds
         // exactly (the paper's late-4 row validates this).
         prop_assert!((eab.joules() - (ea.joules() + eb.joules())).abs() < 1e-9);
@@ -56,18 +65,18 @@ proptest! {
     ) {
         let px2 = Px2Model::default();
         for policy in [StemPolicy::Static, StemPolicy::Adaptive] {
-            let t = px2.config_latency(&branches, policy);
+            let t = cost(&px2, &branches, policy).1;
             prop_assert!(t.millis() > 0.0);
             let mut bigger = branches.clone();
             bigger.push(extra.clone());
-            prop_assert!(px2.config_latency(&bigger, policy).millis() > t.millis());
+            prop_assert!(cost(&px2, &bigger, policy).1.millis() > t.millis());
         }
     }
 
     #[test]
     fn adaptive_charges_at_least_four_stems(branches in prop::collection::vec(arb_branch(), 1..4)) {
         let px2 = Px2Model::default();
-        let e = px2.config_energy(&branches, StemPolicy::Adaptive);
+        let e = cost(&px2, &branches, StemPolicy::Adaptive).0;
         let branch_only: f64 = branches.iter().map(|b| px2.branch_cost(b).0.joules()).sum();
         prop_assert!(e.joules() >= branch_only + 4.0 * px2.stem_energy.joules() - 1e-9);
     }

@@ -6,37 +6,10 @@ use ecofusion_scene::Context;
 use ecofusion_sensors::SensorMask;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
 
 /// Loss value assigned to configurations the knowledge gate did not pick:
 /// large enough that the joint optimizer never selects them.
 pub const KNOWLEDGE_REJECT_LOSS: f32 = 1.0e6;
-
-/// Typed error from strict knowledge-gate construction
-/// ([`KnowledgeGate::try_new`]) or lookup ([`KnowledgeGate::try_choice`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateError {
-    /// No rule maps this context to a configuration.
-    MissingRule(Context),
-    /// A context's rule points beyond the configuration space.
-    RuleOutOfRange(Context, usize),
-}
-
-impl fmt::Display for GateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GateError::MissingRule(c) => {
-                write!(f, "knowledge gate missing rule for context {c:?}")
-            }
-            GateError::RuleOutOfRange(c, idx) => {
-                write!(f, "knowledge gate rule for {c:?} points at config {idx}, out of range")
-            }
-        }
-    }
-}
-
-impl Error for GateError {}
 
 /// Static, rule-based gate: domain knowledge maps each rigidly defined
 /// driving context to one configuration. The context is assumed to come
@@ -66,9 +39,8 @@ impl Error for GateError {}
 /// not panic: they degrade to [`KnowledgeGate::fallback_choice`] — the
 /// configuration with the fewest required sensors (the cheapest
 /// single-sensor branch when degraded rules are configured, index 0
-/// otherwise) — and [`Gate::predict`] counts the event in
-/// [`KnowledgeGate::fallback_events`]. Use [`KnowledgeGate::try_new`]
-/// when an incomplete map should be a hard error instead.
+/// otherwise). [`KnowledgeGate::has_rule`] tells such a context apart;
+/// the pipeline counts the frames it served this way.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KnowledgeGate {
     rules: BTreeMap<Context, usize>,
@@ -80,10 +52,6 @@ pub struct KnowledgeGate {
     /// `i` required); empty when degraded rules are not configured.
     #[serde(default)]
     config_sensors: Vec<u8>,
-    /// Times a prediction hit a context with no rule and degraded to the
-    /// fallback choice.
-    #[serde(default)]
-    fallback_events: u64,
 }
 
 impl KnowledgeGate {
@@ -97,32 +65,7 @@ impl KnowledgeGate {
         for (c, idx) in &rules {
             assert!(*idx < num_configs, "rule for {c:?} out of range");
         }
-        KnowledgeGate {
-            rules,
-            num_configs,
-            fallbacks: BTreeMap::new(),
-            config_sensors: Vec::new(),
-            fallback_events: 0,
-        }
-    }
-
-    /// Strict construction: every context in [`Context::ALL`] must have an
-    /// in-range rule.
-    ///
-    /// # Errors
-    /// Returns [`GateError::MissingRule`] for the first unmapped context
-    /// or [`GateError::RuleOutOfRange`] for the first bad index.
-    pub fn try_new(rules: BTreeMap<Context, usize>, num_configs: usize) -> Result<Self, GateError> {
-        for c in Context::ALL {
-            match rules.get(&c) {
-                None => return Err(GateError::MissingRule(c)),
-                Some(&idx) if idx >= num_configs => {
-                    return Err(GateError::RuleOutOfRange(c, idx));
-                }
-                Some(_) => {}
-            }
-        }
-        Ok(Self::new(rules, num_configs))
+        KnowledgeGate { rules, num_configs, fallbacks: BTreeMap::new(), config_sensors: Vec::new() }
     }
 
     /// Equips the gate with degraded-context rules: `fallbacks` lists, per
@@ -177,20 +120,6 @@ impl KnowledgeGate {
         self.rules.get(&context).copied().unwrap_or_else(|| self.fallback_choice())
     }
 
-    /// Strict lookup of a context's rule.
-    ///
-    /// # Errors
-    /// Returns [`GateError::MissingRule`] when the context is unmapped.
-    pub fn try_choice(&self, context: Context) -> Result<usize, GateError> {
-        self.rules.get(&context).copied().ok_or(GateError::MissingRule(context))
-    }
-
-    /// Predictions that degraded to the fallback choice because the
-    /// context had no rule.
-    pub fn fallback_events(&self) -> u64 {
-        self.fallback_events
-    }
-
     /// The choice for a context given an availability mask: the primary
     /// rule when its sensors are all available (or degraded rules are not
     /// configured), otherwise the first healthy fallback. Falls back to
@@ -210,11 +139,6 @@ impl KnowledgeGate {
             })
             .unwrap_or(primary)
     }
-
-    /// Whether degraded-context rules are configured.
-    pub fn has_degraded_rules(&self) -> bool {
-        !self.config_sensors.is_empty()
-    }
 }
 
 impl Gate for KnowledgeGate {
@@ -229,9 +153,6 @@ impl Gate for KnowledgeGate {
     fn predict(&mut self, input: &GateInput<'_>) -> Vec<f32> {
         let context =
             input.context.expect("knowledge gating requires an externally identified context");
-        if !self.has_rule(context) {
-            self.fallback_events += 1;
-        }
         let chosen = match input.sensor_health {
             Some(mask) => self.choice_with_health(context, mask),
             None => self.choice(context),
@@ -275,34 +196,11 @@ mod tests {
         r.remove(&Context::Snow);
         let mut g = KnowledgeGate::new(r, 3);
         assert!(!g.has_rule(Context::Snow));
-        assert_eq!(g.try_choice(Context::Snow), Err(GateError::MissingRule(Context::Snow)));
         // Without sensor usage configured, the fallback is config 0.
         assert_eq!(g.choice(Context::Snow), 0);
         let t = Tensor::zeros(&[1, 1, 2, 2]);
         let pred = g.predict(&GateInput::with_context(&t, Context::Snow));
         assert_eq!(pred[0], 0.0);
-        assert_eq!(g.fallback_events(), 1);
-        // Mapped contexts do not count as fallbacks.
-        let _ = g.predict(&GateInput::with_context(&t, Context::City));
-        assert_eq!(g.fallback_events(), 1);
-    }
-
-    #[test]
-    fn try_new_rejects_incomplete_or_out_of_range_rules() {
-        let mut r = rules();
-        r.remove(&Context::Snow);
-        assert_eq!(
-            KnowledgeGate::try_new(r, 3).unwrap_err(),
-            GateError::MissingRule(Context::Snow)
-        );
-        let mut bad = rules();
-        bad.insert(Context::City, 99);
-        assert_eq!(
-            KnowledgeGate::try_new(bad, 3).unwrap_err(),
-            GateError::RuleOutOfRange(Context::City, 99)
-        );
-        assert!(KnowledgeGate::try_new(rules(), 3).is_ok());
-        assert!(!GateError::MissingRule(Context::Snow).to_string().is_empty());
     }
 
     #[test]
@@ -317,7 +215,6 @@ mod tests {
             &GateInput::with_context(&t, Context::Snow).with_health(SensorMask::all_available()),
         );
         assert_eq!(pred[1], 0.0);
-        assert_eq!(g.fallback_events(), 1);
     }
 
     #[test]
@@ -401,7 +298,6 @@ mod tests {
     #[test]
     fn gate_without_degraded_rules_ignores_mask() {
         let mut g = KnowledgeGate::new(rules(), 3);
-        assert!(!g.has_degraded_rules());
         let t = Tensor::zeros(&[1, 1, 2, 2]);
         let no_cams = SensorMask::all_available().without(SensorKind::CameraLeft);
         let with_mask = g.predict(&GateInput::with_context(&t, Context::City).with_health(no_cams));

@@ -25,7 +25,7 @@ pub mod oracle;
 
 pub use deep::{AttentionGate, DeepGate};
 pub use input::GateInput;
-pub use knowledge::{GateError, KnowledgeGate};
+pub use knowledge::KnowledgeGate;
 pub use oracle::LossBasedGate;
 
 use serde::{Deserialize, Serialize};

@@ -57,16 +57,23 @@ fn main() {
         fused[0].score
     );
 
-    // 5. Energy accounting for a custom branch mix via the PX2 model.
-    let px2 = Px2Model::default();
-    use ecofusion::energy::{BranchSpec, StemPolicy};
+    // 5. Energy accounting for a custom branch mix: the Eq. 11 stage
+    //    trace of the PX2 and sensor models.
+    use ecofusion::energy::{BranchSpec, Precision, StemPolicy};
     let my_config = vec![
         BranchSpec::Single(SensorKind::Radar),
         BranchSpec::Early(vec![SensorKind::CameraLeft, SensorKind::CameraRight]),
     ];
+    let trace = StageTrace::compute_prec(
+        &Px2Model::default(),
+        &SensorPowerModel::default(),
+        &my_config,
+        StemPolicy::Static,
+        Precision::F32,
+    );
     println!(
         "\ncustom config {{R + E(C_L+C_R)}}: {} / {} (static pipeline)",
-        px2.config_energy(&my_config, StemPolicy::Static),
-        px2.config_latency(&my_config, StemPolicy::Static),
+        trace.platform_energy(),
+        trace.total_latency(),
     );
 }

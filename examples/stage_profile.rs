@@ -11,8 +11,8 @@
 //! cargo run --release --example stage_profile -- --smoke # CI smoke
 //! ```
 
-use ecofusion::core::pipeline::account;
-use ecofusion::energy::{StageKind, StemPolicy};
+use ecofusion::core::pipeline::account_prec;
+use ecofusion::energy::{Precision, StageKind, StemPolicy};
 use ecofusion::prelude::*;
 use ecofusion::tensor::rng::Rng;
 
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let k = model.infer(&frame, &knowledge)?;
         let d = model.infer(&frame, &knowledge.with_health(no_cams))?;
         let e = model.infer(&frame, &emergency)?;
-        // Every trace must decompose its own Eq. 11 breakdown exactly.
+        // Every trace decomposes its own Eq. 11 breakdown bit for bit.
         for out in [&a, &k, &d, &e] {
             assert!(out.stage_trace.matches(&out.energy), "trace/breakdown mismatch");
         }
@@ -75,8 +75,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Per-stage accounting of one representative selection (City's
     // early-3 under the adaptive policy), decomposed stage by stage.
     let city = model.space().branch_specs(model.baseline_ids().early);
-    let (breakdown, trace) =
-        account(model.px2(), model.sensor_power(), &city, StemPolicy::Adaptive);
+    let (breakdown, trace) = account_prec(
+        model.px2(),
+        model.sensor_power(),
+        &city,
+        StemPolicy::Adaptive,
+        Precision::F32,
+    );
     println!("\nstage accounting for {{E(C_L+C_R+L)}} (adaptive policy):");
     println!("{:<10} {:>12} {:>14}", "stage", "energy (J)", "latency (ms)");
     for stage in StageKind::ALL {

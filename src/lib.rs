@@ -63,8 +63,8 @@
 //! emergency rung just 1 — while sensors a health mask rules out
 //! contribute zero-filled gate features and skip their stems. Every
 //! inference carries an [`energy::StageTrace`]: the Eq. 11 breakdown
-//! decomposed per stage (summing exactly to
-//! [`energy::EnergyBreakdown::total_gated`]) plus
+//! decomposed per stage (summing bit for bit to
+//! [`energy::EnergyBreakdown::total_gated`], a view of the trace) plus
 //! executed/cached/pruned stem counters, threaded through
 //! [`core::InferenceOutput`], the runtime's telemetry and reports, and
 //! [`eval::EvalSummary`]. The runtime additionally keeps one
