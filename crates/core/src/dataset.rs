@@ -20,6 +20,11 @@ impl Frame {
     pub fn gt_boxes(&self) -> Vec<GtBox> {
         self.scene.ground_truth_boxes(self.obs.grid_size())
     }
+
+    /// [`Frame::gt_boxes`], box by box.
+    pub fn gt_iter(&self) -> impl ExactSizeIterator<Item = GtBox> + '_ {
+        self.scene.ground_truth_iter(self.obs.grid_size())
+    }
 }
 
 /// How scene contexts are drawn.

@@ -3,7 +3,7 @@
 use crate::config::{BaselineIds, ConfigId, ConfigSpace};
 use crate::optimizer::{select_config, CandidateRule};
 use ecofusion_detect::{
-    subset_fusion_losses, weighted_boxes_fusion, BranchConfig, BranchDetector, Detection,
+    subset_fusion_losses_into, weighted_boxes_fusion, BranchConfig, BranchDetector, Detection,
     FusionScratch, Stem, WbfParams,
 };
 use ecofusion_energy::{
@@ -253,12 +253,13 @@ pub struct EcoFusionModel {
     /// Invalidation mirrors the int8 image: every mutable weight access
     /// clears it.
     pub(crate) plans: ecofusion_tensor::graph::PlanCache,
-    /// The replica's step buffers (see [`crate::pipeline`]): stem inputs
-    /// and outputs, gathered gate and branch inputs, the branch head map.
-    /// Grown by the first steps that need them, rewritten by every step;
-    /// they hold activations, never weights, so no weight access
-    /// invalidates them and no snapshot carries them.
-    pub(crate) scratch: crate::pipeline::StepScratch,
+    /// The replica's step buffers (see [`crate::pipeline`]): stem rows,
+    /// the branch head map, decode, fusion and the per-frame lists of the
+    /// stages. Grown by the first steps that need them, rewritten by
+    /// every step; they hold activations, never weights, so no weight
+    /// access invalidates them and no snapshot carries them. Lent out
+    /// for the length of a step (`None` then).
+    pub(crate) scratch: Option<Box<crate::pipeline::StepScratch>>,
 }
 
 impl EcoFusionModel {
@@ -334,7 +335,7 @@ impl EcoFusionModel {
             num_classes,
             quant: None,
             plans: ecofusion_tensor::graph::PlanCache::new(),
-            scratch: crate::pipeline::StepScratch::default(),
+            scratch: None,
         }
     }
 
@@ -391,22 +392,24 @@ impl EcoFusionModel {
 
     /// Eq. 7–9 selection over predicted losses, with fault-aware masking:
     /// configurations needing a sensor the options' health mask rules out
-    /// are penalized out of contention first. The all-available mask is a
-    /// guaranteed no-op that also skips the copy — the single selection
-    /// path both [`EcoFusionModel::infer`] and
-    /// [`EcoFusionModel::infer_batch`] go through, so the two can never
-    /// diverge on masking policy.
+    /// are penalized out of contention first, in `adjusted` (the step's
+    /// buffer). The all-available mask is a guaranteed no-op that also
+    /// skips the copy — the single selection path both
+    /// [`EcoFusionModel::infer`] and [`EcoFusionModel::infer_batch`] go
+    /// through, so the two can never diverge on masking policy.
     pub(crate) fn select_with_health(
         &self,
         predicted: &[f32],
         opts: &InferenceOptions,
+        adjusted: &mut Vec<f32>,
     ) -> ConfigId {
         let idx = if opts.health.is_all_available() {
             select_config(predicted, &self.costs.energies, opts.lambda_e, opts.gamma, opts.rule)
         } else {
-            let mut adjusted = predicted.to_vec();
-            self.penalize_unavailable(&mut adjusted, opts.health);
-            select_config(&adjusted, &self.costs.energies, opts.lambda_e, opts.gamma, opts.rule)
+            adjusted.clear();
+            adjusted.extend_from_slice(predicted);
+            self.penalize_unavailable(adjusted, opts.health);
+            select_config(adjusted, &self.costs.energies, opts.lambda_e, opts.gamma, opts.rule)
         };
         ConfigId(idx)
     }
@@ -485,20 +488,23 @@ impl EcoFusionModel {
     /// per-branch detections (the gate-training target and the oracle
     /// input).
     pub fn config_losses_from(&self, branch_dets: &[Vec<Detection>], gts: &[GtBox]) -> Vec<f32> {
-        self.config_losses_scratch(branch_dets, gts, &mut FusionScratch::default())
+        let mut losses = Vec::with_capacity(self.space.num_configs());
+        self.config_losses_into(branch_dets, gts, &mut FusionScratch::default(), &mut losses);
+        losses
     }
 
-    /// [`EcoFusionModel::config_losses_from`] for callers that score many
-    /// frames: a scratch kept across calls makes every frame after the
-    /// first allocation-free apart from the returned losses.
-    pub(crate) fn config_losses_scratch(
+    /// [`EcoFusionModel::config_losses_from`] appended to `losses`, for
+    /// callers that score many frames: a scratch and a vector kept across
+    /// calls make every frame after the first allocation-free.
+    pub(crate) fn config_losses_into<D: AsRef<[Detection]>>(
         &self,
-        branch_dets: &[Vec<Detection>],
+        branch_dets: &[D],
         gts: &[GtBox],
         scratch: &mut FusionScratch,
-    ) -> Vec<f32> {
+        losses: &mut Vec<f32>,
+    ) {
         let masks = (0..self.space.num_configs()).map(|i| self.space.branch_mask(ConfigId(i)));
-        subset_fusion_losses(branch_dets, masks, gts, &self.wbf, scratch)
+        subset_fusion_losses_into(branch_dets, masks, gts, &self.wbf, scratch, losses);
     }
 
     /// Algorithm 1: adaptive inference on one frame.
@@ -522,7 +528,8 @@ impl EcoFusionModel {
         // One staged executor serves both entry points: a single frame
         // is a batch of one (stems are batch-invariant in eval mode, so
         // the results are bit-identical — the golden traces pin it).
-        let mut outputs = self.run_staged_batch(std::slice::from_ref(frame), opts, None)?;
+        let mut outputs = Vec::with_capacity(1);
+        self.run_staged_batch(std::slice::from_ref(frame), opts, None, &mut outputs)?;
         Ok(outputs.pop().expect("one output per frame"))
     }
 
@@ -544,7 +551,9 @@ impl EcoFusionModel {
         frames: &[Frame],
         opts: &InferenceOptions,
     ) -> Result<Vec<InferenceOutput>, InferError> {
-        self.run_staged_batch(frames, opts, None)
+        let mut outputs = Vec::with_capacity(frames.len());
+        self.run_staged_batch(frames, opts, None, &mut outputs)?;
+        Ok(outputs)
     }
 
     /// Applies `f` to every trainable parameter of stems and branches

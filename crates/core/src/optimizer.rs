@@ -24,25 +24,58 @@ pub enum CandidateRule {
 /// # Panics
 /// Panics if `losses` is empty or `gamma < 0`.
 pub fn select_candidates(losses: &[f32], gamma: f32, rule: CandidateRule) -> Vec<usize> {
-    assert!(!losses.is_empty(), "candidate selection needs at least one configuration");
-    assert!(gamma >= 0.0, "gamma must be non-negative");
-    let best = losses.iter().copied().fold(f32::INFINITY, f32::min);
-    let bound = match rule {
-        CandidateRule::Margin => best + gamma,
-        CandidateRule::PaperEq7 => 2.0 * best + gamma,
-    };
-    let mut out: Vec<usize> = (0..losses.len()).filter(|&i| losses[i] <= bound + 1e-9).collect();
-    if out.is_empty() {
-        // Guard against NaN-contaminated predictions: fall back to argmin.
-        let arg = losses
+    Candidates::new(losses, gamma, rule).iter().collect()
+}
+
+/// Φ* of one set of predicted losses, as a test on indices: what
+/// [`select_candidates`] lists, without the list.
+struct Candidates<'a> {
+    losses: &'a [f32],
+    bound: f32,
+}
+
+impl<'a> Candidates<'a> {
+    /// # Panics
+    /// As [`select_candidates`].
+    fn new(losses: &'a [f32], gamma: f32, rule: CandidateRule) -> Self {
+        assert!(!losses.is_empty(), "candidate selection needs at least one configuration");
+        assert!(gamma >= 0.0, "gamma must be non-negative");
+        let best = losses.iter().copied().fold(f32::INFINITY, f32::min);
+        let bound = match rule {
+            CandidateRule::Margin => best + gamma,
+            CandidateRule::PaperEq7 => 2.0 * best + gamma,
+        };
+        Candidates { losses, bound }
+    }
+
+    /// Whether configuration `i` is in Φ* by the rule.
+    fn admits(&self, i: usize) -> bool {
+        self.losses[i] <= self.bound + 1e-9
+    }
+
+    /// Φ* in index order; never empty.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let fallback = self.argmin_fallback();
+        let admitted =
+            (0..self.losses.len()).filter(move |&i| fallback.is_none() && self.admits(i));
+        fallback.into_iter().chain(admitted)
+    }
+
+    /// The argmin, when the rule admits nothing: a guard against
+    /// NaN-contaminated predictions. `None` when the rule admits some.
+    fn argmin_fallback(&self) -> Option<usize> {
+        if (0..self.losses.len()).any(|i| self.admits(i)) {
+            return None;
+        }
+        let arg = self
+            .losses
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
             .map(|(i, _)| i)
             .unwrap_or(0);
-        out.push(arg);
+        Some(arg)
     }
-    out
 }
 
 /// The joint objective `L_joint(φ, λ_E) = (1 − λ_E)·L_f(φ) + λ_E·E(φ)`
@@ -70,10 +103,12 @@ pub fn select_config(
     rule: CandidateRule,
 ) -> usize {
     assert_eq!(losses.len(), energies.len(), "losses/energies length mismatch");
-    let candidates = select_candidates(losses, gamma, rule);
-    let mut best_idx = candidates[0];
+    // Φ* is scanned where it lies, not listed: selection allocates
+    // nothing.
+    let candidates = Candidates::new(losses, gamma, rule);
+    let mut best_idx = candidates.iter().next().expect("Φ* is never empty");
     let mut best_joint = f64::INFINITY;
-    for &i in &candidates {
+    for i in candidates.iter() {
         let j = joint_loss(losses[i], energies[i], lambda_e);
         let better = j < best_joint - 1e-12
             || ((j - best_joint).abs() <= 1e-12

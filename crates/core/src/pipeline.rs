@@ -164,7 +164,9 @@
 //! | `fusion` | the oracle's configuration scorer, per frame of a loss-based step; the `Fuse` stage, per frame that selected two or more branches | itself |
 //! | `bank.replayed` `(j, C, h, w)` | `BatchStemBank::ensure`, one copy per cache hit | the same plans |
 //! | `bank.zero` `(C, h, w)` | nobody after it is sized | the learned gate's plan, for every sensor the health mask rules out |
-//! | `head` `(k, 5 + K, S, S)` | the branch's plan | `decode_sample` |
+//! | `branch.head` `(k, 5 + K, S, S)` | the branch's plan | `decode_sample_into` |
+//! | `branch.dets`, one list per (frame, branch) decoded, back to back | `decode_sample_into`, via `branch.kept` | the oracle's scorer; the `Fuse` stage, which copies a lone branch's list or fuses several into the frame's own |
+//! | `predicted`, `oracle`, `selected`, `masks`, `need`, `demand`, `all` — per-frame and per-branch lists | the stage that decides them | the stages after it; `Account` moves each frame's predicted losses into its output |
 //!
 //! Nothing is stacked, gathered or concatenated between two stages: a
 //! plan's first convolution lowers the blocks it is handed into its own
@@ -177,22 +179,26 @@
 //! whichever buffers the bank holds after the last step's swaps — and the
 //! head map with NaN, as a plan does its arena before every tile.
 //! A step that fails half-way leaves the buffers as they are; the next
-//! starts from `BatchStemBank::reset`, which forgets every row. What a
-//! warm step still requests from the allocator is per frame: detections,
-//! gate losses, decode's candidates, small per-batch index vectors.
+//! starts from `BatchStemBank::reset`, which forgets every row. Lists
+//! are cleared and refilled, never dropped, and plan lookups borrow
+//! their key ([`PlanCache::try_get_or_compile_by`]), so once the buffers
+//! have grown a step requests from the allocator only what its outputs
+//! hand out — per frame the fused detections (a list of exactly their
+//! length), the predicted losses and the configuration's label.
 
 use crate::config::ConfigId;
 use crate::dataset::Frame;
 use crate::model::{EcoFusionModel, InferError, InferenceOptions, InferenceOutput, PlanUnit};
 use crate::snapshot::QuantSnapshot;
 use ecofusion_detect::stem::STEM_CHANNELS;
-use ecofusion_detect::{Detection, FusionScratch, HeadOutput, Stem};
+use ecofusion_detect::{DecodeScratch, Detection, FusionScratch, HeadOutput, Stem};
 use ecofusion_energy::{
     EnergyBreakdown, Precision, Px2Model, SensorPowerModel, StageKind, StageTrace, StemPolicy,
 };
 use ecofusion_gating::{Gate, GateInput, GateKind};
-use ecofusion_sensors::{Observation, SensorKind};
-use ecofusion_tensor::graph::{self, PlanCache, PlanKey, PlanPrecision};
+use ecofusion_scene::GtBox;
+use ecofusion_sensors::SensorKind;
+use ecofusion_tensor::graph::{self, PlanCache, PlanPrecision};
 use ecofusion_tensor::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -207,18 +213,14 @@ pub const ALL_SENSOR_BITS: u8 = (1 << SensorKind::COUNT) - 1;
 const STEM_SALT_BASE: u64 = 0;
 const BRANCH_SALT_BASE: u64 = 0x100;
 
-/// The cache key of one unit's plan. Plans run any batch (see
-/// [`ecofusion_tensor::graph`]), so the key carries the per-sample shape
-/// only: a unit compiles once per precision, whatever sub-batch sizes the
-/// steps go on to produce.
-fn plan_key(fingerprint: u64, sample: &[usize], precision: PlanPrecision) -> PlanKey {
-    PlanKey { fingerprint, shape: sample.to_vec(), precision }
-}
-
-/// Runs stem `s` over `grids` — one `side × side` raster a sample, read
-/// where each lies — into `rows`, one sample's `(C, h, w)` features each:
-/// the matching compiled plan is fetched from (or built into) `plans` and
-/// stores every sample straight to its row, all of it.
+/// Runs stem `s` over the grids of sensor `k` of `misses` — frames of
+/// `frames`, each grid read where its observation holds it — into `rows`,
+/// one sample's `(C, h, w)` features each: the matching compiled plan is
+/// fetched from (or built into) `plans` and stores every sample straight
+/// to its row, all of it. Plans run any batch (see
+/// [`ecofusion_tensor::graph`]), so the plan's key carries the per-sample
+/// shape only: a unit compiles once per precision, whatever sub-batch
+/// sizes the steps go on to produce.
 ///
 /// # Errors
 /// [`InferError::Compile`] if the stem does not lower — only an installed
@@ -228,28 +230,31 @@ fn stem_forward(
     plans: &mut PlanCache,
     stems: &[Stem],
     quant: Option<&QuantSnapshot>,
-    s: usize,
-    (grids, side): (&[&[f32]], usize),
+    k: SensorKind,
+    (frames, misses): (&[Frame], &[usize]),
     rows: &mut [Vec<f32>],
 ) -> Result<(), InferError> {
+    let s = k.index();
     let salt = STEM_SALT_BASE + s as u64;
-    let shape = [grids.len(), 1, side, side];
+    let side = frames.first().map_or(0, |f| f.obs.grid_size());
+    let shape = [misses.len(), 1, side, side];
     let plan = match quant {
         Some(q) => {
             let fp = graph::fingerprint_quant_pipe(&q.stems[s], salt);
-            plans.try_get_or_compile(plan_key(fp, &shape[1..], PlanPrecision::Int8), || {
+            plans.try_get_or_compile_by(fp, &shape[1..], PlanPrecision::Int8, || {
                 graph::compile_quant_pipe(&q.stems[s], &shape)
             })
         }
         None => {
             let fp = stems[s].plan_fingerprint(salt);
-            plans.try_get_or_compile(plan_key(fp, &shape[1..], PlanPrecision::F32), || {
+            plans.try_get_or_compile_by(fp, &shape[1..], PlanPrecision::F32, || {
                 stems[s].compile(&shape)
             })
         }
     }
     .map_err(|source| InferError::Compile { unit: PlanUnit::Stem(s), source })?;
-    plan.execute_blocks_to(grids, 1, rows.iter_mut().map(Vec::as_mut_slice));
+    let grid = |j: usize| frames[misses[j]].obs.grid(k).data();
+    plan.execute_indexed_to(misses.len(), 1, &grid, rows.iter_mut().map(Vec::as_mut_slice));
     Ok(())
 }
 
@@ -413,19 +418,111 @@ impl<'a> StemCacheRouter<'a> {
 }
 
 /// The buffers of one replica's serving step, kept across steps: every
-/// tensor a step hands from one stage to the next lives here instead of
-/// being allocated, zeroed, used once and freed (module docs, *Step
-/// buffers*). Holds no weights, so nothing ever invalidates it.
+/// tensor a step hands from one stage to the next, and every per-frame
+/// list a stage keeps, lives here instead of being allocated, used once
+/// and freed (module docs, *Step buffers*). Holds no weights, so nothing
+/// ever invalidates it. What it owns:
+///
+/// * `bank` — the stem rows and where each frame's are, the grids a
+///   forward runs, the in-batch dedupe buckets;
+/// * `branch` — the head map a branch's plan writes, decode's candidates
+///   and suppression buffers, and per frame and branch the decoded
+///   detections;
+/// * `fusion` — the fusion pass of the oracle's scorer and of `Fuse`;
+/// * per frame: the stems a stage demands (`need`), the gate's predicted
+///   losses until `Account` hands them out (`predicted`), the oracle's
+///   true losses (`oracle`), the selection and its branch mask
+///   (`selected`, `masks`);
+/// * per branch: the frames that demand it (`demand`); `all`, the frames
+///   of a block every frame takes part in;
+/// * the oracle frame's ground truth (`gts`), the penalized copy of a
+///   masked frame's predictions (`adjusted`), and the empty features a
+///   feature-free gate is handed (`no_features`).
 #[derive(Debug, Default)]
 pub(crate) struct StepScratch {
     /// Stem outputs and where each frame's rows are.
     bank: BatchStemBank,
-    /// The raw head map one branch's plan produced.
-    head: HeadOutput,
+    /// What the `Branch` stage leaves for `Fuse`.
+    branch: BranchOut,
     /// The fusion pass of the oracle's configuration scorer and of the
     /// `Fuse` stage: warm after the first step that needs it, it scores
     /// or fuses a frame out of its own buffers.
     fusion: FusionScratch,
+    /// `0..n`, for the blocks every frame of the step takes part in.
+    all: Vec<usize>,
+    /// Per frame, the stems a stage demands.
+    need: Vec<u8>,
+    /// Per frame, the gate's predicted losses; `Account` moves each into
+    /// its frame's output.
+    predicted: Vec<Vec<f32>>,
+    /// Per frame, the oracle's true loss of every configuration, back to
+    /// back (loss-based steps only).
+    oracle: Vec<f32>,
+    /// The ground truth of the frame the oracle scores.
+    gts: Vec<GtBox>,
+    /// Per frame, the configuration `Select` chose, and its branch mask.
+    selected: Vec<ConfigId>,
+    masks: Vec<u8>,
+    /// Per branch, the frames that demand it.
+    demand: Vec<Vec<usize>>,
+    /// A frame's predictions with the sensors its health mask rules out
+    /// penalized.
+    adjusted: Vec<f32>,
+    /// The `features` a gate that reads none is handed.
+    no_features: Tensor,
+}
+
+/// The `Branch` stage's buffers: what a branch's plan writes, what decode
+/// works in, and per frame and branch the detections — what `Fuse` (or
+/// the oracle's scorer) reads.
+#[derive(Debug, Default)]
+struct BranchOut {
+    /// The raw head map one branch's plan produced.
+    head: HeadOutput,
+    /// Decode's candidates and suppression buffers, and the list it
+    /// decodes a frame into.
+    decode: DecodeScratch,
+    kept: Vec<Detection>,
+    /// Every list decoded this step, back to back: one buffer whatever
+    /// the batch, as large as the largest step's lists.
+    dets: Vec<Detection>,
+    /// `spans[i · branches + b]`: `(start, len)` of frame `i`'s list of
+    /// branch `b` in `dets`, valid this step only where bit `b` of
+    /// `decoded[i]` is set.
+    spans: Vec<(usize, usize)>,
+    /// Per frame, the branches decoded for it this step.
+    decoded: Vec<u8>,
+    branches: usize,
+}
+
+impl BranchOut {
+    /// Forgets the last step's detections and makes room for `n` frames
+    /// of `branches` branches.
+    fn reset(&mut self, n: usize, branches: usize) {
+        self.branches = branches;
+        self.dets.clear();
+        self.spans.clear();
+        self.spans.resize(n * branches, (0, 0));
+        self.decoded.clear();
+        self.decoded.resize(n, 0);
+    }
+
+    /// Files `self.kept` as frame `i`'s list of branch `b`.
+    fn keep(&mut self, i: usize, b: usize) {
+        self.spans[i * self.branches + b] = (self.dets.len(), self.kept.len());
+        self.dets.extend_from_slice(&self.kept);
+        self.decoded[i] |= 1 << b;
+    }
+
+    /// Frame `i`'s detections of branch `b`.
+    ///
+    /// # Panics
+    /// Panics unless the branch was decoded for the frame.
+    fn of(&self, i: usize, b: usize) -> &[Detection] {
+        assert!(self.decoded[i] >> b & 1 != 0, "demanded branch {b} of frame {i} executed");
+        let (start, len) = self.spans[i * self.branches + b];
+        &self.dets[start..start + len]
+    }
 }
 
 /// Where the bank holds one frame's features of one sensor.
@@ -457,13 +554,8 @@ impl GridBuckets {
     /// The miss whose grid of sensor `k` equals `frame`'s — at most one
     /// does, or the later would have been its alias — else `frame`
     /// becomes the next miss.
-    fn alias_or_insert(
-        &mut self,
-        frame: usize,
-        k: SensorKind,
-        of: &[&Observation],
-    ) -> Option<usize> {
-        let grid = of[frame].grid(k);
+    fn alias_or_insert(&mut self, frame: usize, k: SensorKind, of: &[Frame]) -> Option<usize> {
+        let grid = of[frame].obs.grid(k);
         // `+ 0.0` folds −0.0 onto 0.0, which `==` holds equal.
         let key = std::array::from_fn(|i| grid.data().get(i).map_or(0, |v| (v + 0.0).to_bits()));
         let mut at = self.last.get(&key).copied();
@@ -471,7 +563,7 @@ impl GridBuckets {
             let (other, before) = self.misses[j];
             #[cfg(test)]
             (self.compares += 1);
-            if of[other].grid(k) == grid {
+            if of[other].obs.grid(k) == grid {
                 return Some(j);
             }
             at = before;
@@ -496,6 +588,9 @@ struct BatchStemBank {
     /// when [`BatchStemBank::publish`] swaps a row's buffer for the one
     /// its stream's cache entry held.
     stem_out: [Vec<Vec<f32>>; SensorKind::COUNT],
+    /// The frames whose grids the forward of the sensor being ensured
+    /// runs: row `j` is frame `misses[j]`'s (and its in-batch aliases').
+    misses: Vec<usize>,
     /// The `(C, h, w)` rows the streams' caches replayed this batch, back
     /// to back: a hit is copied here once and read in place.
     replayed: Vec<f32>,
@@ -561,7 +656,7 @@ impl BatchStemBank {
     fn ensure(
         &mut self,
         stems: &[Stem],
-        observations: &[&Observation],
+        frames: &[Frame],
         need_bits: &[u8],
         mut router: Option<&mut StemCacheRouter<'_>>,
         quant: Option<&QuantSnapshot>,
@@ -574,14 +669,14 @@ impl BatchStemBank {
             let ran = self.rows[s].iter().any(|row| matches!(row, StemRow::Forward(_)));
             // The grids one forward runs: row `j` of it is miss `j`'s,
             // and that of every frame whose grid repeats it.
-            let mut grids: Vec<&[f32]> = Vec::new();
+            self.misses.clear();
             self.dedupe.last.clear();
             self.dedupe.misses.clear();
             for i in (0..self.n).filter(|&i| need_bits[i] & bit != 0) {
                 if self.has(s, i) {
                     continue;
                 }
-                let grid = observations[i].grid(k);
+                let grid = frames[i].obs.grid(k);
                 // Cache lookups + intra-batch dedupe (identical grids of
                 // one micro-batch compute once and share the row: a hit
                 // the entry-based cache cannot serve yet).
@@ -591,30 +686,29 @@ impl BatchStemBank {
                         self.replayed.extend_from_slice(feat);
                         Some(StemRow::Replayed(self.replayed.len() / per - 1))
                     } else {
-                        self.dedupe.alias_or_insert(i, k, observations).map(StemRow::Forward)
+                        self.dedupe.alias_or_insert(i, k, frames).map(StemRow::Forward)
                     };
                     cache.note(row.is_some());
                     row
                 });
                 let served = if reused.is_some() { &mut self.cached } else { &mut self.computed };
                 served[i] |= bit;
-                self.rows[s][i] = reused.unwrap_or(StemRow::Forward(grids.len()));
+                self.rows[s][i] = reused.unwrap_or(StemRow::Forward(self.misses.len()));
                 if reused.is_none() {
-                    grids.reserve_exact(if grids.is_empty() { self.n - i } else { 0 });
-                    grids.push(grid.data());
+                    self.misses.push(i);
                 }
             }
-            if grids.is_empty() {
+            if self.misses.is_empty() {
                 continue;
             }
             assert!(!ran, "a second forward would overwrite the rows of sensor {s}'s first");
             let out = &mut self.stem_out[s];
-            out.resize_with(out.len().max(grids.len()), Vec::new);
-            let rows = &mut out[..grids.len()];
+            out.resize_with(out.len().max(self.misses.len()), Vec::new);
+            let rows = &mut out[..self.misses.len()];
             // (A warm row has its size; one a cache took, or a new one,
             // starts as debug builds leave the others: NaN.)
             rows.iter_mut().for_each(|row| row.resize(per, f32::NAN));
-            stem_forward(plans, stems, quant, s, (&grids, 2 * self.half), rows)?;
+            stem_forward(plans, stems, quant, k, (frames, &self.misses), rows)?;
         }
         Ok(())
     }
@@ -630,7 +724,7 @@ impl BatchStemBank {
     /// were always made in — so a miss only claims its entry, the aliases
     /// copy while every row is still where `block` finds it, and then each
     /// miss whose claim stands hands its row over.
-    fn publish(&mut self, observations: &[&Observation], router: &mut StemCacheRouter<'_>) {
+    fn publish(&mut self, frames: &[Frame], router: &mut StemCacheRouter<'_>) {
         for k in SensorKind::ALL {
             let (s, bit) = (k.index(), 1u8 << k.index());
             // `(frame, row)` of the frames `served` lists whose features
@@ -650,11 +744,11 @@ impl BatchStemBank {
             }
             for (i, j) in forward(&self.cached, &self.rows[s], bit) {
                 let cache = &mut router.caches[router.lane_of[i]];
-                cache.store(s, observations[i].grid(k), &self.stem_out[s][j]);
+                cache.store(s, frames[i].obs.grid(k), &self.stem_out[s][j]);
             }
             for (i, j) in forward(&self.computed, &self.rows[s], bit) {
                 let cache = &mut router.caches[router.lane_of[i]];
-                cache.adopt(s, j, observations[i].grid(k), &mut self.stem_out[s][j]);
+                cache.adopt(s, j, frames[i].obs.grid(k), &mut self.stem_out[s][j]);
             }
         }
     }
@@ -679,47 +773,6 @@ impl BatchStemBank {
         let executed = self.computed[frame].count_ones() as u8;
         let cached = self.cached[frame].count_ones() as u8;
         (executed, cached, SensorKind::COUNT as u8 - executed - cached)
-    }
-}
-
-/// One frame's decoded detections per branch, in branch-table order.
-type BranchDets = Vec<Vec<Detection>>;
-
-/// One validated batch on its way through the stages.
-struct StepBatch<'f> {
-    frames: &'f [Frame],
-    observations: Vec<&'f Observation>,
-    /// `0..n`, for the units every frame of the batch takes part in.
-    all: Vec<usize>,
-}
-
-/// What the `Branch` stage leaves for `Fuse`.
-struct BranchOutputs {
-    /// Per frame, the branch mask of its configuration.
-    masks: Vec<u8>,
-    /// Per branch and frame, the detections of the frames that demanded
-    /// the branch.
-    dets: Vec<Vec<Option<Vec<Detection>>>>,
-}
-
-impl BranchOutputs {
-    /// The `Fuse` stage of frame `i`, out of the replica's `fusion`
-    /// scratch. A lone branch's detections move through: the frame is the
-    /// only reader of its slots.
-    fn fuse_frame(
-        &mut self,
-        model: &EcoFusionModel,
-        i: usize,
-        fusion: &mut FusionScratch,
-    ) -> Vec<Detection> {
-        let mask = self.masks[i];
-        if mask.is_power_of_two() {
-            let slot = &mut self.dets[mask.trailing_zeros() as usize][i];
-            return slot.take().expect("demanded branch executed");
-        }
-        let outs = self.dets.iter().enumerate().filter(|(b, _)| mask >> b & 1 != 0);
-        let outs = outs.map(|(_, d)| d[i].as_deref().expect("demanded branch executed"));
-        model.fuse_scratch(outs, mask.count_ones() as usize, fusion)
     }
 }
 
@@ -782,34 +835,35 @@ impl EcoFusionModel {
     /// model and its buffers side by side; a failed step hands the
     /// buffers back like any other.
     fn with_scratch<T>(&mut self, stages: impl FnOnce(&mut Self, &mut StepScratch) -> T) -> T {
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut scratch = self.scratch.take().unwrap_or_default();
         let out = stages(self, &mut scratch);
-        self.scratch = scratch;
+        self.scratch = Some(scratch);
         out
     }
 
     /// Opens a step: `Sense` over every frame, the int8 image if the
-    /// options run on it, and a bank that has forgotten the last batch.
-    fn begin_step<'f>(
+    /// options run on it, and step buffers that have forgotten the last
+    /// batch.
+    fn begin_step(
         &mut self,
         scratch: &mut StepScratch,
-        frames: &'f [Frame],
+        frames: &[Frame],
         opts: &InferenceOptions,
-    ) -> Result<StepBatch<'f>, InferError> {
+    ) -> Result<(), InferError> {
         for frame in frames {
             self.sense(frame)?;
         }
         if opts.precision == Precision::Int8 {
             self.ensure_quant().map_err(InferError::Quantize)?;
         }
-        scratch.bank.reset(frames.len(), self.grid / 2);
+        let n = frames.len();
+        scratch.bank.reset(n, self.grid / 2);
+        scratch.branch.reset(n, self.branches.len());
+        scratch.all.clear();
+        scratch.all.extend(0..n);
         #[cfg(debug_assertions)]
-        scratch.head.map.data_mut().fill(f32::NAN);
-        Ok(StepBatch {
-            frames,
-            observations: frames.iter().map(|f| &f.obs).collect(),
-            all: (0..frames.len()).collect(),
-        })
+        scratch.branch.head.map.data_mut().fill(f32::NAN);
+        Ok(())
     }
 
     /// The `Stems` stage: banks every `(frame, sensor)` stem `need_bits`
@@ -817,7 +871,7 @@ impl EcoFusionModel {
     fn ensure_stems(
         &mut self,
         bank: &mut BatchStemBank,
-        batch: &StepBatch<'_>,
+        frames: &[Frame],
         need_bits: &[u8],
         router: Option<&mut StemCacheRouter<'_>>,
         precision: Precision,
@@ -828,20 +882,21 @@ impl EcoFusionModel {
             Precision::Int8 => (self.quant.as_ref(), None),
             Precision::F32 => (None, router),
         };
-        bank.ensure(&self.stems, &batch.observations, need_bits, router, quant, &mut self.plans)
+        bank.ensure(&self.stems, frames, need_bits, router, quant, &mut self.plans)
     }
 
     /// Staged Algorithm 1 over a batch (the body behind
     /// [`EcoFusionModel::infer_batch`] and
-    /// [`EcoFusionModel::infer_batch_cached`]), on the replica's step
-    /// buffers.
+    /// [`EcoFusionModel::infer_batch_cached_into`]), on the replica's step
+    /// buffers: appends one output per frame to `out`.
     pub(crate) fn run_staged_batch(
         &mut self,
         frames: &[Frame],
         opts: &InferenceOptions,
         router: Option<StemCacheRouter<'_>>,
-    ) -> Result<Vec<InferenceOutput>, InferError> {
-        self.with_scratch(|model, scratch| model.run_stages(scratch, frames, opts, router))
+        out: &mut Vec<InferenceOutput>,
+    ) -> Result<(), InferError> {
+        self.with_scratch(|model, scratch| model.run_stages(scratch, frames, opts, router, out))
     }
 
     fn run_stages(
@@ -850,186 +905,191 @@ impl EcoFusionModel {
         frames: &[Frame],
         opts: &InferenceOptions,
         mut router: Option<StemCacheRouter<'_>>,
-    ) -> Result<Vec<InferenceOutput>, InferError> {
+        out: &mut Vec<InferenceOutput>,
+    ) -> Result<(), InferError> {
         if frames.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let n = frames.len();
         let plan = self.plan(opts);
-        let batch = self.begin_step(scratch, frames, opts)?;
+        self.begin_step(scratch, frames, opts)?;
         // Stems demanded before gating, across the whole batch — inside
         // the oracle block when the loss-based gate is active, whose
         // detections are kept: Branch reuses them instead of re-running
         // branches.
-        let (oracle_dets, oracle) = if plan.needs_oracle {
-            let (dets, losses) = self.oracle_stages(scratch, &batch, opts, router.as_mut())?;
-            (Some(dets), Some(losses))
+        if plan.needs_oracle {
+            self.oracle_stages(scratch, frames, opts, router.as_mut())?;
         } else {
-            let (bank, pre_gate) = (&mut scratch.bank, vec![plan.pre_gate_bits(); n]);
-            self.ensure_stems(bank, &batch, &pre_gate, router.as_mut(), opts.precision)?;
-            (None, None)
-        };
+            let StepScratch { bank, need, .. } = scratch;
+            need.clear();
+            need.resize(n, plan.pre_gate_bits());
+            self.ensure_stems(bank, frames, need, router.as_mut(), opts.precision)?;
+        }
         // GateScore. The learned gates run one batched pass over each
         // frame's four stem rows, read where the bank holds them; the
         // knowledge gate reads only `context`, the oracle only
         // `oracle_losses`, so their `features` are empty.
-        let predicted: Vec<Vec<f32>> = if plan.gate_reads_features {
-            let (bank, live) = (&scratch.bank, plan.gate_stem_bits);
-            let rows: Vec<&[f32]> = (0..n * SensorKind::COUNT)
-                .map(|at| bank.block(live, at % SensorKind::COUNT, at / SensorKind::COUNT))
-                .collect();
+        let StepScratch { bank, predicted, oracle, no_features, .. } = scratch;
+        predicted.clear();
+        if plan.gate_reads_features {
+            let live = plan.gate_stem_bits;
+            let block =
+                |at: usize| bank.block(live, at % SensorKind::COUNT, at / SensorKind::COUNT);
             match opts.gate {
-                GateKind::Deep => self.gates.deep.predict_blocks(&rows, SensorKind::COUNT),
-                _ => self.gates.attention.predict_blocks(&rows, SensorKind::COUNT),
+                GateKind::Deep => {
+                    self.gates.deep.predict_blocks(n, SensorKind::COUNT, &block, predicted)
+                }
+                _ => self.gates.attention.predict_blocks(n, SensorKind::COUNT, &block, predicted),
             }
         } else {
-            let no_features = Tensor::default();
-            let score = |(i, f): (usize, &Frame)| {
+            let configs = self.space.num_configs();
+            for (i, f) in frames.iter().enumerate() {
                 let input = GateInput {
-                    features: &no_features,
+                    features: no_features,
                     context: Some(f.scene.context),
-                    oracle_losses: oracle.as_ref().map(|o| o[i].as_slice()),
+                    oracle_losses: plan.needs_oracle.then(|| &oracle[i * configs..][..configs]),
                     sensor_health: Some(opts.health),
                 };
-                match opts.gate {
+                predicted.push(match opts.gate {
                     GateKind::Knowledge => self.gates.knowledge.predict(&input),
                     _ => self.gates.loss_based.predict(&input),
-                }
-            };
-            frames.iter().enumerate().map(score).collect()
-        };
+                });
+            }
+        }
         // Select per frame; Branch over what was selected.
-        let selected: Vec<ConfigId> =
-            predicted.iter().map(|p| self.select_with_health(p, opts)).collect();
-        let mut branches =
-            self.run_branches(scratch, &batch, &selected, oracle_dets, opts, router.as_mut())?;
+        let StepScratch { predicted, selected, adjusted, .. } = scratch;
+        selected.clear();
+        for p in predicted.iter() {
+            selected.push(self.select_with_health(p, opts, adjusted));
+        }
+        self.run_branches(scratch, frames, opts, router.as_mut())?;
         // Nothing reads the bank's rows past this point. (Int8 rows are
         // not what the caches hold, and were computed without them.)
         if let (Some(router), Precision::F32) = (router.as_mut(), opts.precision) {
-            scratch.bank.publish(&batch.observations, router);
+            scratch.bank.publish(frames, router);
         }
-        // Knowledge-gate fallback attribution: a frame whose context has
-        // no rule was served by the gate's cheapest-config fallback.
-        let fallbacks: Vec<u32> = if opts.gate == GateKind::Knowledge {
-            frames
-                .iter()
-                .map(|f| u32::from(!self.gates.knowledge.has_rule(f.scene.context)))
-                .collect()
-        } else {
-            vec![0; n]
-        };
         // Fuse + Account per frame.
-        let mut outputs = Vec::with_capacity(n);
-        for (i, predicted_losses) in predicted.into_iter().enumerate() {
-            let detections = branches.fuse_frame(self, i, &mut scratch.fusion);
-            let (energy, trace) = self.account_adaptive(selected[i], opts.precision);
+        out.reserve(n);
+        for (i, frame) in frames.iter().enumerate() {
+            let selected = scratch.selected[i];
+            let detections = self.fuse_frame(scratch, i);
+            let (energy, trace) = self.account_adaptive(selected, opts.precision);
             let (executed, cached, skipped) = scratch.bank.counts(i);
-            outputs.push(InferenceOutput {
+            // Knowledge-gate fallback attribution: a frame whose context
+            // has no rule was served by the gate's cheapest-config
+            // fallback.
+            let fallback = opts.gate == GateKind::Knowledge
+                && !self.gates.knowledge.has_rule(frame.scene.context);
+            out.push(InferenceOutput {
                 detections,
-                selected_config: selected[i],
-                selected_label: self.space.label(selected[i]),
-                predicted_losses,
+                selected_config: selected,
+                selected_label: self.space.label(selected),
+                predicted_losses: std::mem::take(&mut scratch.predicted[i]),
                 energy,
                 stage_trace: trace.with_stem_counts(executed, cached, skipped),
                 precision: opts.precision,
-                gate_fallbacks: fallbacks[i],
+                gate_fallbacks: u32::from(fallback),
             });
         }
-        Ok(outputs)
+        Ok(())
+    }
+
+    /// The `Fuse` stage of frame `i`, out of the step's `fusion` scratch:
+    /// the detections of its configuration's branches, fused when there
+    /// are several, as a list of their own of exactly their length — what
+    /// the frame's output hands out.
+    fn fuse_frame(&self, scratch: &mut StepScratch, i: usize) -> Vec<Detection> {
+        let StepScratch { branch, fusion, masks, .. } = scratch;
+        let mask = masks[i];
+        if mask.is_power_of_two() {
+            return branch.of(i, mask.trailing_zeros() as usize).to_vec();
+        }
+        let outs = (0..self.branches.len()).filter(|b| mask >> b & 1 != 0);
+        let outs = outs.map(|b| branch.of(i, b));
+        self.fuse_scratch(outs, mask.count_ones() as usize, fusion)
     }
 
     /// The oracle block of a step that [`EcoFusionModel::begin_step`]
     /// opened: every stem, every branch over every frame, and from those
-    /// the true fusion loss of all 127 configurations. Returns the
-    /// detections indexed `[frame][branch]` and the losses per frame.
+    /// the true fusion loss of all 127 configurations. Leaves every
+    /// branch's detections of every frame in `scratch.branch`, and the
+    /// losses, frame after frame, in `scratch.oracle`.
     ///
     /// # Errors
     /// [`InferError::Compile`] from the first unit that does not lower.
     fn oracle_stages(
         &mut self,
         scratch: &mut StepScratch,
-        batch: &StepBatch<'_>,
+        frames: &[Frame],
         opts: &InferenceOptions,
         router: Option<&mut StemCacheRouter<'_>>,
-    ) -> Result<(Vec<BranchDets>, Vec<Vec<f32>>), InferError> {
-        let n = batch.frames.len();
-        let StepScratch { bank, head, fusion } = scratch;
-        self.ensure_stems(bank, batch, &vec![ALL_SENSOR_BITS; n], router, opts.precision)?;
-        let mut per_frame: Vec<BranchDets> =
-            (0..n).map(|_| Vec::with_capacity(self.branches.len())).collect();
+    ) -> Result<(), InferError> {
+        let StepScratch { bank, branch, fusion, all, need, oracle, gts, .. } = scratch;
+        need.clear();
+        need.resize(frames.len(), ALL_SENSOR_BITS);
+        self.ensure_stems(bank, frames, need, router, opts.precision)?;
         for b in 0..self.branches.len() {
-            let dets = self.branch_batch_from_bank(b, bank, &batch.all, opts, head)?;
-            for (frame_dets, d) in per_frame.iter_mut().zip(dets) {
-                frame_dets.push(d);
-            }
+            self.branch_batch_from_bank(b, bank, all, opts, branch)?;
         }
-        let losses = batch
-            .frames
-            .iter()
-            .zip(&per_frame)
-            .map(|(f, dets)| self.config_losses_scratch(dets, &f.gt_boxes(), fusion))
-            .collect();
-        Ok((per_frame, losses))
+        oracle.clear();
+        for (i, f) in frames.iter().enumerate() {
+            gts.clear();
+            gts.extend(f.gt_iter());
+            // (A branch mask is a `u8`: at most eight branches.)
+            let mut dets: [&[Detection]; 8] = [&[]; 8];
+            let dets = &mut dets[..self.branches.len()];
+            for (b, list) in dets.iter_mut().enumerate() {
+                *list = branch.of(i, b);
+            }
+            self.config_losses_into(dets, gts, fusion, oracle);
+        }
+        Ok(())
     }
 
-    /// The `Branch` stage of a batch whose selection is decided — by
-    /// `Select`, or by a caller that fixes it: demand-driven stems for
-    /// the configurations' sensors only, then each demanded branch once,
-    /// over exactly the frames that selected it. `oracle_dets`, when the
-    /// oracle block ran, already holds every branch's output.
+    /// The `Branch` stage of a batch whose selection (`scratch.selected`)
+    /// is decided — by `Select`, or by a caller that fixes it:
+    /// demand-driven stems for the configurations' sensors only, then each
+    /// demanded branch once, over exactly the frames that selected it. A
+    /// branch the oracle block already decoded for every frame is not run
+    /// again.
     ///
     /// # Errors
     /// [`InferError::Compile`] from the first unit that does not lower.
     fn run_branches(
         &mut self,
         scratch: &mut StepScratch,
-        batch: &StepBatch<'_>,
-        selected: &[ConfigId],
-        oracle_dets: Option<Vec<BranchDets>>,
+        frames: &[Frame],
         opts: &InferenceOptions,
         router: Option<&mut StemCacheRouter<'_>>,
-    ) -> Result<BranchOutputs, InferError> {
-        let n = selected.len();
-        let StepScratch { bank, head, .. } = scratch;
-        let need_bits: Vec<u8> = selected.iter().map(|s| self.config_sensors[s.0]).collect();
-        self.ensure_stems(bank, batch, &need_bits, router, opts.precision)?;
+    ) -> Result<(), InferError> {
+        let StepScratch { bank, branch, selected, masks, need, demand, .. } = scratch;
+        need.clear();
+        need.extend(selected.iter().map(|s| self.config_sensors[s.0]));
+        self.ensure_stems(bank, frames, need, router, opts.precision)?;
         // Group frames by branch so every branch the batch needs
         // executes exactly once.
         let n_branches = self.branches.len();
-        let mut demand: Vec<Vec<usize>> = vec![Vec::new(); n_branches];
-        let masks: Vec<u8> = selected.iter().map(|sel| self.space.branch_mask(*sel)).collect();
-        for (i, mask) in masks.iter().enumerate() {
-            for (b, idxs) in demand.iter_mut().enumerate() {
-                if mask >> b & 1 != 0 {
-                    idxs.push(i);
-                }
-            }
-        }
-        let mut dets: Vec<Vec<Option<Vec<Detection>>>> = vec![vec![None; n]; n_branches];
-        if let Some(per_frame) = oracle_dets {
-            for (i, frame_dets) in per_frame.into_iter().enumerate() {
-                for (b, d) in frame_dets.into_iter().enumerate() {
-                    dets[b][i] = Some(d);
-                }
-            }
+        masks.clear();
+        masks.extend(selected.iter().map(|sel| self.space.branch_mask(*sel)));
+        demand.resize_with(n_branches, Vec::new);
+        for (b, idxs) in demand.iter_mut().enumerate() {
+            idxs.clear();
+            idxs.extend(masks.iter().enumerate().filter(|(_, m)| *m >> b & 1 != 0).map(|(i, _)| i));
         }
         for (b, idxs) in demand.iter().enumerate() {
-            if idxs.is_empty() || dets[b].iter().all(|d| d.is_some()) {
+            if idxs.is_empty() || branch.decoded.iter().all(|d| d >> b & 1 != 0) {
                 continue;
             }
-            let decoded = self.branch_batch_from_bank(b, bank, idxs, opts, head)?;
-            for (slot, d) in idxs.iter().zip(decoded) {
-                dets[b][*slot] = Some(d);
-            }
+            self.branch_batch_from_bank(b, bank, idxs, opts, branch)?;
         }
-        Ok(BranchOutputs { masks, dets })
+        Ok(())
     }
 
     /// Runs one branch's plan over the banked stem features of `frames`
     /// (the whole batch or the sub-batch that selected the branch) — each
     /// (frame, sensor) row read in the bank where it lies — and decodes
-    /// one detection list per frame. `head` is the replica's step buffer;
-    /// the plan rewrites it whole.
+    /// one detection list per frame into its slot of `out`. The plan
+    /// rewrites `out.head` whole.
     ///
     /// # Errors
     /// [`InferError::Compile`] if the branch does not lower (an installed
@@ -1040,13 +1100,10 @@ impl EcoFusionModel {
         bank: &BatchStemBank,
         frames: &[usize],
         opts: &InferenceOptions,
-        head: &mut HeadOutput,
-    ) -> Result<Vec<Vec<Detection>>, InferError> {
-        let sensors = self.space.branches()[branch].sensors();
+        out: &mut BranchOut,
+    ) -> Result<(), InferError> {
+        let sensors = self.space.branches()[branch].sensor_slice();
         let m = sensors.len();
-        let rows: Vec<&[f32]> = (0..frames.len() * m)
-            .map(|at| bank.block(ALL_SENSOR_BITS, sensors[at % m].index(), frames[at / m]))
-            .collect();
         let shape = [frames.len(), STEM_CHANNELS * m, bank.half, bank.half];
         let salt = BRANCH_SALT_BASE + branch as u64;
         // Int8 backbone + head produce the same raw map layout as the f32
@@ -1055,20 +1112,27 @@ impl EcoFusionModel {
         let plan = if opts.precision == Precision::Int8 {
             let q = self.quant.as_ref().expect("int8 image built before the Branch stage");
             let qb = &q.branches[branch];
-            let key = plan_key(qb.plan_fingerprint(salt), &shape[1..], PlanPrecision::Int8);
-            self.plans.try_get_or_compile(key, || qb.compile(&shape))
+            let fp = qb.plan_fingerprint(salt);
+            self.plans
+                .try_get_or_compile_by(fp, &shape[1..], PlanPrecision::Int8, || qb.compile(&shape))
         } else {
             let det = &self.branches[branch];
-            let key = plan_key(det.plan_fingerprint(salt), &shape[1..], PlanPrecision::F32);
-            self.plans.try_get_or_compile(key, || det.compile(&shape))
+            let fp = det.plan_fingerprint(salt);
+            self.plans
+                .try_get_or_compile_by(fp, &shape[1..], PlanPrecision::F32, || det.compile(&shape))
         }
         .map_err(|source| InferError::Compile { unit: PlanUnit::Branch(branch), source })?;
-        head.map.resize(&plan.out_shape_for(frames.len()));
-        plan.execute_blocks_into(&rows, m, &mut head.map);
+        let block =
+            |at: usize| bank.block(ALL_SENSOR_BITS, sensors[at % m].index(), frames[at / m]);
+        plan.resize_output(frames.len(), &mut out.head.map);
+        plan.execute_indexed_into(frames.len(), m, &block, &mut out.head.map);
         let det = &self.branches[branch];
-        Ok((0..frames.len())
-            .map(|j| det.decode_sample(head, j, opts.score_thresh, opts.nms_iou))
-            .collect())
+        for (j, &i) in frames.iter().enumerate() {
+            let (score, iou) = (opts.score_thresh, opts.nms_iou);
+            det.decode_sample_into(&out.head, j, score, iou, &mut out.decode, &mut out.kept);
+            out.keep(i, branch);
+        }
+        Ok(())
     }
 
     /// [`EcoFusionModel::infer_batch`] with per-stream stem-feature
@@ -1090,9 +1154,33 @@ impl EcoFusionModel {
         caches: &mut [StemFeatureCache],
         lane_of: &[usize],
     ) -> Result<Vec<InferenceOutput>, InferError> {
+        let mut out = Vec::with_capacity(frames.len());
+        self.infer_batch_cached_into(frames, opts, caches, lane_of, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`EcoFusionModel::infer_batch_cached`] appending the outputs to
+    /// `out`: a caller that keeps the vector across steps (the runtime's
+    /// work units do) leaves a warm step allocating only what the outputs
+    /// hand out — per frame its detections, its predicted losses and its
+    /// label. On an error `out` holds the outputs it held before.
+    ///
+    /// # Errors
+    /// As [`EcoFusionModel::infer`].
+    ///
+    /// # Panics
+    /// As [`EcoFusionModel::infer_batch_cached`].
+    pub fn infer_batch_cached_into(
+        &mut self,
+        frames: &[Frame],
+        opts: &InferenceOptions,
+        caches: &mut [StemFeatureCache],
+        lane_of: &[usize],
+        out: &mut Vec<InferenceOutput>,
+    ) -> Result<(), InferError> {
         assert_eq!(lane_of.len(), frames.len(), "one cache lane per frame");
         let router = StemCacheRouter::new(caches, lane_of);
-        self.run_staged_batch(frames, opts, Some(router))
+        self.run_staged_batch(frames, opts, Some(router), out)
     }
 
     /// Runs a *fixed* configuration as a static baseline (paper Table 1
@@ -1111,9 +1199,12 @@ impl EcoFusionModel {
         opts: &InferenceOptions,
     ) -> Result<(Vec<Detection>, EnergyBreakdown, StageTrace), InferError> {
         let (detections, (executed, cached, skipped)) = self.with_scratch(|model, scratch| {
-            let batch = model.begin_step(scratch, std::slice::from_ref(frame), opts)?;
-            let mut branches = model.run_branches(scratch, &batch, &[config], None, opts, None)?;
-            Ok((branches.fuse_frame(model, 0, &mut scratch.fusion), scratch.bank.counts(0)))
+            let frames = std::slice::from_ref(frame);
+            model.begin_step(scratch, frames, opts)?;
+            scratch.selected.clear();
+            scratch.selected.push(config);
+            model.run_branches(scratch, frames, opts, None)?;
+            Ok((model.fuse_frame(scratch, 0), scratch.bank.counts(0)))
         })?;
         let specs = self.space.branch_specs(config);
         let (energy, trace) =
@@ -1137,24 +1228,24 @@ impl EcoFusionModel {
         frames: &[Frame],
         opts: &InferenceOptions,
     ) -> Result<Vec<OracleSample>, InferError> {
+        let (branches, configs) = (self.branches.len(), self.space.num_configs());
         self.with_scratch(|model, scratch| {
             let mut samples = Vec::with_capacity(frames.len());
             for chunk in frames.chunks(ORACLE_PASS_BATCH) {
-                let batch = model.begin_step(scratch, chunk, opts)?;
-                let (dets, losses) = model.oracle_stages(scratch, &batch, opts, None)?;
+                model.begin_step(scratch, chunk, opts)?;
+                model.oracle_stages(scratch, chunk, opts, None)?;
                 let (bank, live) = (&scratch.bank, opts.health.bits());
                 let shape = [1, SensorKind::COUNT * STEM_CHANNELS, bank.half, bank.half];
-                let features = |i: usize| {
+                samples.extend((0..chunk.len()).map(|i| {
                     let rows = (0..SensorKind::COUNT).flat_map(|s| bank.block(live, s, i));
-                    Tensor::from_vec(&shape, rows.copied().collect())
-                };
-                samples.extend(dets.into_iter().zip(losses).enumerate().map(
-                    |(i, (branch_dets, losses))| OracleSample {
-                        features: features(i),
-                        branch_dets,
-                        losses,
-                    },
-                ));
+                    OracleSample {
+                        features: Tensor::from_vec(&shape, rows.copied().collect()),
+                        branch_dets: (0..branches)
+                            .map(|b| scratch.branch.of(i, b).to_vec())
+                            .collect(),
+                        losses: scratch.oracle[i * configs..][..configs].to_vec(),
+                    }
+                }));
             }
             Ok(samples)
         })
@@ -1422,21 +1513,20 @@ mod tests {
         for (copy, of) in [(1, 0), (255, 0), (101, 100), (250, 3)] {
             frames[copy] = frames[of].clone();
         }
-        let observations: Vec<&Observation> = frames.iter().map(|f| &f.obs).collect();
         let mut caches: Vec<StemFeatureCache> = (0..n).map(|_| StemFeatureCache::new()).collect();
         let lanes: Vec<usize> = (0..n).collect();
         let mut router = StemCacheRouter::new(&mut caches, &lanes);
         let mut bank = BatchStemBank::default();
         bank.reset(n, m.grid / 2);
         let all = vec![ALL_SENSOR_BITS; n];
-        bank.ensure(&m.stems, &observations, &all, Some(&mut router), None, &mut m.plans)
+        bank.ensure(&m.stems, &frames, &all, Some(&mut router), None, &mut m.plans)
             .expect("stems lower");
         let (mut hits, mut misses) = (vec![0u64; n], vec![0u64; n]);
         for k in SensorKind::ALL {
             let mut missed: Vec<usize> = Vec::new();
             for i in 0..n {
                 let earlier =
-                    missed.iter().position(|&j| observations[j].grid(k) == frames[i].obs.grid(k));
+                    missed.iter().position(|&j| frames[j].obs.grid(k) == frames[i].obs.grid(k));
                 let row = earlier.unwrap_or(missed.len());
                 assert!(
                     matches!(bank.rows[k.index()][i], StemRow::Forward(j) if j == row),

@@ -2,7 +2,7 @@
 
 use crate::anchors::CellGrid;
 use crate::bbox::Detection;
-use crate::head::{DenseHead, DetectionLoss, HeadOutput};
+use crate::head::{DecodeScratch, DenseHead, DetectionLoss, HeadOutput};
 use crate::stem::STEM_CHANNELS;
 use ecofusion_scene::GtBox;
 use ecofusion_tensor::layer::{BatchNorm2d, Conv2d, Layer, ReLU, Sequential};
@@ -150,6 +150,20 @@ impl BranchDetector {
         nms_iou: f32,
     ) -> Vec<Detection> {
         self.head.decode_sample(out, sample, score_thresh, nms_iou)
+    }
+
+    /// [`BranchDetector::decode_sample`] into `dets`, out of `scratch`
+    /// ([`DenseHead::decode_sample_into`]).
+    pub fn decode_sample_into(
+        &self,
+        out: &HeadOutput,
+        sample: usize,
+        score_thresh: f32,
+        nms_iou: f32,
+        scratch: &mut DecodeScratch,
+        dets: &mut Vec<Detection>,
+    ) {
+        self.head.decode_sample_into(out, sample, score_thresh, nms_iou, scratch, dets);
     }
 
     /// Computes the loss of a head output against ground truth.

@@ -2,7 +2,7 @@
 
 use crate::anchors::{assign_targets, CellGrid};
 use crate::bbox::Detection;
-use crate::nms::nms;
+use crate::nms::NmsScratch;
 use ecofusion_scene::GtBox;
 use ecofusion_tensor::layer::{Conv2d, Layer};
 use ecofusion_tensor::rng::Rng;
@@ -32,6 +32,14 @@ impl DetectionLoss {
     pub fn zero() -> Self {
         DetectionLoss { objectness: 0.0, class: 0.0, bbox: 0.0 }
     }
+}
+
+/// The buffers of [`DenseHead::decode_sample_into`]: a frame's candidate
+/// boxes and their suppression.
+#[derive(Debug, Default)]
+pub struct DecodeScratch {
+    candidates: Vec<Detection>,
+    nms: NmsScratch,
 }
 
 /// Raw head output: a `(1, 5 + K, S, S)` map. Channel 0 holds objectness
@@ -129,6 +137,27 @@ impl DenseHead {
         score_thresh: f32,
         nms_iou: f32,
     ) -> Vec<Detection> {
+        let mut dets = Vec::new();
+        let scratch = &mut DecodeScratch::default();
+        self.decode_sample_into(out, sample, score_thresh, nms_iou, scratch, &mut dets);
+        dets
+    }
+
+    /// [`DenseHead::decode_sample`] into `dets` (cleared first), out of
+    /// `scratch`'s buffers: once they and `dets` have grown to a frame's
+    /// candidates, decoding allocates nothing.
+    ///
+    /// # Panics
+    /// As [`DenseHead::decode_sample`].
+    pub fn decode_sample_into(
+        &self,
+        out: &HeadOutput,
+        sample: usize,
+        score_thresh: f32,
+        nms_iou: f32,
+        scratch: &mut DecodeScratch,
+        dets: &mut Vec<Detection>,
+    ) {
         let s = self.grid.cells;
         let k = self.num_classes;
         let shape = out.map.shape();
@@ -142,7 +171,8 @@ impl DenseHead {
         let (objectness, planes) = planes.split_at(cells);
         let (classes, boxes) = planes.split_at(k * cells);
         // Every cell may be a candidate.
-        let mut dets = Vec::with_capacity(cells);
+        let candidates = &mut scratch.candidates;
+        candidates.clear();
         for (cell, &logit) in objectness.iter().enumerate() {
             let obj = sigmoid(logit);
             // A NaN objectness (non-finite weights or input) goes with
@@ -174,9 +204,9 @@ impl DenseHead {
             }
             let t: [f32; 4] = std::array::from_fn(|b| boxes[b * cells + cell]);
             let bbox = self.grid.decode(cell / s, cell % s, t).clamped(raster);
-            dets.push(Detection::new(bbox, best_c, obj * class_prob));
+            candidates.push(Detection::new(bbox, best_c, obj * class_prob));
         }
-        nms(dets, nms_iou)
+        scratch.nms.nms_into(candidates, nms_iou, dets);
     }
 
     /// Computes the detection loss of `out` against ground truth and the

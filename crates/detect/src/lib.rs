@@ -37,9 +37,11 @@ pub mod wbf;
 pub use anchors::{assign_targets, CellGrid, CellTarget};
 pub use bbox::{BBox, Detection};
 pub use branch::{BranchConfig, BranchDetector};
-pub use head::{DenseHead, DetectionLoss, HeadOutput};
-pub use metrics::{fusion_loss, subset_fusion_losses, FusionLoss};
-pub use nms::{nms, soft_nms};
+pub use head::{DecodeScratch, DenseHead, DetectionLoss, HeadOutput};
+pub use metrics::{
+    fusion_loss, subset_fusion_losses, subset_fusion_losses_into, FusionLoss, LossScratch,
+};
+pub use nms::{nms, soft_nms, NmsScratch};
 pub use quant::QuantBranch;
 pub use stem::Stem;
 pub use wbf::{weighted_boxes_fusion, FusionScratch, WbfParams};

@@ -65,9 +65,11 @@ struct GtRef {
     class_id: usize,
 }
 
-/// Buffers of the loss kernel (part of [`FusionScratch`]).
+/// The buffers of the loss kernel, for a caller that scores many frames
+/// ([`LossScratch::fusion_loss`]); every [`FusionScratch`] holds one.
+/// Once they have grown to a frame's boxes, a loss allocates nothing.
 #[derive(Debug, Default)]
-pub(crate) struct LossScratch {
+pub struct LossScratch {
     gts: Vec<GtRef>,
     gt_matched: Vec<bool>,
     det_matched: Vec<bool>,
@@ -76,6 +78,13 @@ pub(crate) struct LossScratch {
 }
 
 impl LossScratch {
+    /// [`fusion_loss`] of `dets` against `gts`, out of this scratch's
+    /// buffers.
+    pub fn fusion_loss(&mut self, dets: &[Detection], gts: &[GtBox]) -> FusionLoss {
+        self.load_gts(gts);
+        self.loss(dets, false)
+    }
+
     /// Loads a frame's ground truth, converted once for every loss taken
     /// against it.
     fn load_gts(&mut self, gts: &[GtBox]) {
@@ -158,9 +167,7 @@ impl LossScratch {
 ///
 /// An empty frame with no detections scores zero.
 pub fn fusion_loss(dets: &[Detection], gts: &[GtBox]) -> FusionLoss {
-    let mut scratch = LossScratch::default();
-    scratch.load_gts(gts);
-    scratch.loss(dets, false)
+    LossScratch::default().fusion_loss(dets, gts)
 }
 
 /// Total fusion loss `L_f(φ)` of every branch subset in `masks` (bit `b`
@@ -182,10 +189,28 @@ pub fn subset_fusion_losses(
     params: &WbfParams,
     scratch: &mut FusionScratch,
 ) -> Vec<f32> {
-    scratch.load(branch_dets.iter().map(Vec::as_slice), params);
-    scratch.loss.load_gts(gts);
     let masks = masks.into_iter();
     let mut losses = Vec::with_capacity(masks.size_hint().0);
+    subset_fusion_losses_into(branch_dets, masks, gts, params, scratch, &mut losses);
+    losses
+}
+
+/// [`subset_fusion_losses`] appended to `losses`: a caller that keeps
+/// the vector (and `scratch`) across frames allocates nothing once both
+/// have grown.
+///
+/// # Panics
+/// As [`subset_fusion_losses`].
+pub fn subset_fusion_losses_into<D: AsRef<[Detection]>>(
+    branch_dets: &[D],
+    masks: impl IntoIterator<Item = u8>,
+    gts: &[GtBox],
+    params: &WbfParams,
+    scratch: &mut FusionScratch,
+    losses: &mut Vec<f32>,
+) {
+    scratch.load(branch_dets.iter().map(AsRef::as_ref), params);
+    scratch.loss.load_gts(gts);
     for mask in masks {
         assert!(
             mask != 0 && (mask as usize) >> branch_dets.len() == 0,
@@ -193,7 +218,7 @@ pub fn subset_fusion_losses(
             branch_dets.len()
         );
         let loss = if mask.is_power_of_two() {
-            scratch.loss.loss(&branch_dets[mask.trailing_zeros() as usize], false)
+            scratch.loss.loss(branch_dets[mask.trailing_zeros() as usize].as_ref(), false)
         } else {
             scratch
                 .fuse_branches((0..8).filter(|b| mask >> b & 1 != 0), mask.count_ones() as usize);
@@ -201,7 +226,6 @@ pub fn subset_fusion_losses(
         };
         losses.push(loss.total());
     }
-    losses
 }
 
 #[cfg(test)]

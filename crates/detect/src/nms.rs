@@ -5,52 +5,91 @@ use crate::bbox::Detection;
 /// Greedy per-class NMS: keeps the highest-scoring detection and removes
 /// same-class detections with IoU above `iou_thresh`.
 ///
-/// Output is sorted by descending score.
-///
-/// Kept detections are chained per class (an intrusive `next` index per
-/// kept box, and one `(class_id, newest kept box)` entry per class met,
-/// found by a linear scan — `class_id` arrives from outside, so it never
-/// indexes a table), and a candidate is measured only against the chain
-/// of its own class: after the sort, `Σ_c k_c · n_c` IoU tests for `n_c`
-/// candidates and `k_c` kept boxes of class `c`, where one list of all
-/// kept boxes costs `k · n`. The tests made are the ones that list would
-/// make with the cross-class ones left out, so the same boxes are kept.
-/// The kept prefix is compacted inside `dets` itself; the result is
-/// `dets`, truncated.
+/// Output is sorted by descending score (a stable sort: ties keep their
+/// input order). [`NmsScratch::nms_into`] is the same out of buffers a
+/// caller keeps.
 ///
 /// # Panics
 /// Panics if `iou_thresh` is outside `[0, 1]`.
-pub fn nms(mut dets: Vec<Detection>, iou_thresh: f32) -> Vec<Detection> {
-    assert!((0.0..=1.0).contains(&iou_thresh), "iou_thresh must be in [0, 1]");
-    dets.sort_by(|a, b| b.score.total_cmp(&a.score));
-    /// Ends a chain (no kept box has this index: `kept < dets.len()`).
-    const END: usize = usize::MAX;
-    // `dets[..kept]` are the kept boxes; `next[k]` is the kept box of
-    // `dets[k]`'s class that was kept just before it.
-    let mut kept = 0;
-    let mut next: Vec<usize> = Vec::with_capacity(dets.len());
-    let mut heads: Vec<(usize, usize)> = Vec::new();
-    'outer: for i in 0..dets.len() {
-        let d = dets[i];
-        let class = heads.iter().position(|&(class_id, _)| class_id == d.class_id);
-        let head = class.map_or(END, |c| heads[c].1);
-        let mut k = head;
-        while k != END {
-            if dets[k].bbox.iou(&d.bbox) > iou_thresh {
-                continue 'outer;
+pub fn nms(dets: Vec<Detection>, iou_thresh: f32) -> Vec<Detection> {
+    let mut kept = Vec::with_capacity(dets.len());
+    NmsScratch::default().nms_into(&dets, iou_thresh, &mut kept);
+    kept
+}
+
+/// The buffers of [`nms`], for a caller that suppresses many lists: once
+/// they have grown to the longest list met, a suppression allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub struct NmsScratch {
+    /// Candidate indices by descending score, ties in index order.
+    order: Vec<usize>,
+    /// Per kept box: the kept box of its class kept just before it.
+    next: Vec<usize>,
+    /// `(class_id, newest kept box)` per class met.
+    heads: Vec<(usize, usize)>,
+}
+
+impl NmsScratch {
+    /// [`nms`] of `candidates` into `kept`, which is cleared first.
+    ///
+    /// The candidates are ranked by an unstable sort of their indices
+    /// keyed on `(score, index)` — the order a stable sort by score gives
+    /// — and copied into `kept` in that order. Kept detections are then
+    /// chained per class (an intrusive `next` index per kept box, and one
+    /// `(class_id, newest kept box)` entry per class met, found by a
+    /// linear scan — `class_id` arrives from outside, so it never indexes
+    /// a table), and a candidate is measured only against the chain of its
+    /// own class: `Σ_c k_c · n_c` IoU tests for `n_c` candidates and `k_c`
+    /// kept boxes of class `c`, where one list of all kept boxes costs
+    /// `k · n`. The tests made are the ones that list would make with the
+    /// cross-class ones left out, so the same boxes are kept. The kept
+    /// prefix is compacted inside `kept` itself.
+    ///
+    /// # Panics
+    /// Panics if `iou_thresh` is outside `[0, 1]`.
+    pub fn nms_into(
+        &mut self,
+        candidates: &[Detection],
+        iou_thresh: f32,
+        kept: &mut Vec<Detection>,
+    ) {
+        assert!((0.0..=1.0).contains(&iou_thresh), "iou_thresh must be in [0, 1]");
+        let NmsScratch { order, next, heads } = self;
+        order.clear();
+        order.extend(0..candidates.len());
+        order.sort_unstable_by(|&a, &b| {
+            candidates[b].score.total_cmp(&candidates[a].score).then(a.cmp(&b))
+        });
+        kept.clear();
+        kept.extend(order.iter().map(|&i| candidates[i]));
+        /// Ends a chain (no kept box has this index: `k < kept.len()`).
+        const END: usize = usize::MAX;
+        // `kept[..k]` are the kept boxes.
+        let mut k = 0;
+        next.clear();
+        heads.clear();
+        'outer: for i in 0..kept.len() {
+            let d = kept[i];
+            let class = heads.iter().position(|&(class_id, _)| class_id == d.class_id);
+            let head = class.map_or(END, |c| heads[c].1);
+            let mut at = head;
+            while at != END {
+                if kept[at].bbox.iou(&d.bbox) > iou_thresh {
+                    continue 'outer;
+                }
+                at = next[at];
             }
-            k = next[k];
+            kept[k] = d;
+            next.push(head);
+            match class {
+                Some(c) => heads[c].1 = k,
+                None => heads.push((d.class_id, k)),
+            }
+            k += 1;
         }
-        dets[kept] = d;
-        next.push(head);
-        match class {
-            Some(c) => heads[c].1 = kept,
-            None => heads.push((d.class_id, kept)),
-        }
-        kept += 1;
+        kept.truncate(k);
     }
-    dets.truncate(kept);
-    dets
 }
 
 /// Soft-NMS (Bodla et al.): instead of removing overlapping detections,

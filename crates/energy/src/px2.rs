@@ -66,9 +66,14 @@ pub enum BranchSpec {
 impl BranchSpec {
     /// The sensors this branch consumes.
     pub fn sensors(&self) -> Vec<SensorKind> {
+        self.sensor_slice().to_vec()
+    }
+
+    /// [`BranchSpec::sensors`], borrowed.
+    pub fn sensor_slice(&self) -> &[SensorKind] {
         match self {
-            BranchSpec::Single(s) => vec![*s],
-            BranchSpec::Early(v) => v.clone(),
+            BranchSpec::Single(s) => std::slice::from_ref(s),
+            BranchSpec::Early(v) => v,
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::map::{map_voc, GtFrame};
 use ecofusion_core::Frame;
-use ecofusion_detect::{fusion_loss, Detection};
+use ecofusion_detect::{Detection, LossScratch};
 use ecofusion_energy::{EnergyBreakdown, StageKind, StageTrace};
 use ecofusion_scene::GtBox;
 use serde::{Deserialize, Serialize};
@@ -71,6 +71,9 @@ pub struct EvalAccumulator {
     config_histogram: BTreeMap<String, usize>,
     dets_per_frame: Vec<Vec<Detection>>,
     gt_frames: Vec<GtFrame>,
+    /// The fusion-loss kernel's buffers, kept so that a frame's loss
+    /// allocates nothing once they have grown.
+    loss: LossScratch,
 }
 
 impl EvalAccumulator {
@@ -86,7 +89,7 @@ impl EvalAccumulator {
         gts: Vec<GtBox>,
     ) {
         self.frames += 1;
-        self.loss_sum += fusion_loss(&detections, &gts).total() as f64;
+        self.loss_sum += self.loss.fusion_loss(&detections, &gts).total() as f64;
         self.platform_j += energy.platform.joules();
         self.latency_ms += energy.latency.millis();
         self.total_gated_j += energy.total_gated().joules();

@@ -56,6 +56,10 @@ macro_rules! learned_gate {
             /// by every mutable weight access so a stale snapshot of the
             /// weights can never score a frame.
             plan: Option<CompiledPlan>,
+            /// The trunk's raw `(N, configs)` output of the last scoring,
+            /// rewritten whole by the next: kept so that scoring allocates
+            /// only the loss vectors it hands out.
+            scores: Tensor,
         }
 
         impl std::fmt::Debug for $name {
@@ -79,6 +83,7 @@ macro_rules! learned_gate {
                     num_configs,
                     in_shape: [in_channels, spatial, spatial],
                     plan: None,
+                    scores: Tensor::default(),
                 }
             }
 
@@ -93,39 +98,47 @@ macro_rules! learned_gate {
                 graph::compile_sequential(&self.net, in_shape)
             }
 
-            /// Scores frames whose stem features lie scattered: frame `i`
-            /// is the channel-wise concatenation of
-            /// `blocks[i·per_sample..][..per_sample]` (the pipeline passes
-            /// each sensor's row of its stem bank, and one shared block of
-            /// zeros for a sensor the health mask rules out). One pass of
-            /// the compiled trunk (built on first use, any batch size),
-            /// whose first convolution reads the blocks where they are —
+            /// Scores `n` frames whose stem features lie scattered: frame
+            /// `i` is the channel-wise concatenation of blocks
+            /// `block(i·per_sample + j)`, `j` in `0..per_sample` (the
+            /// pipeline names each sensor's row of its stem bank, and one
+            /// shared block of zeros
+            /// for a sensor the health mask rules out), and appends each
+            /// frame's predicted losses to `losses`. One pass of the
+            /// compiled trunk (built on first use, any batch size), whose
+            /// first convolution reads the blocks where they are —
             /// bit-identical to the eval `Layer::forward` over the
-            /// concatenation by the graph compiler's contract.
+            /// concatenation by the graph compiler's contract. The trunk's
+            /// output lives in the gate, so once it has scored a batch this
+            /// large the loss vectors are all a call allocates.
             ///
             /// # Panics
             /// Panics if the blocks of a frame do not add up to the
             /// channel count and spatial size the gate was built for, as
             /// `Layer::forward` does: the pipeline builds them from its
             /// own stems, so a mismatch is a bug in the caller.
-            pub fn predict_blocks(
+            pub fn predict_blocks<'a>(
                 &mut self,
-                blocks: &[&[f32]],
+                n: usize,
                 per_sample: usize,
-            ) -> Vec<Vec<f32>> {
+                block: &dyn Fn(usize) -> &'a [f32],
+                losses: &mut Vec<Vec<f32>>,
+            ) {
                 let (net, [c, h, w]) = (&self.net, self.in_shape);
                 let plan = self.plan.get_or_insert_with(|| {
                     graph::compile_sequential(net, &[1, c, h, w])
                         .expect("the trunk lowers for the shape the gate was built for")
                 });
-                let mut out = Tensor::zeros(&plan.out_shape_for(blocks.len() / per_sample.max(1)));
-                plan.execute_blocks_into(blocks, per_sample, &mut out); // (N, configs)
+                plan.resize_output(n, &mut self.scores);
+                plan.execute_indexed_into(n, per_sample, block, &mut self.scores); // (N, configs)
                 // Inverse of the log1p squash used in training, clamped so
                 // a slightly-negative regression output stays a valid loss.
-                out.data()
-                    .chunks(self.num_configs)
-                    .map(|row| row.iter().map(|v| v.exp_m1().max(0.0)).collect())
-                    .collect()
+                losses.extend(
+                    self.scores
+                        .data()
+                        .chunks(self.num_configs)
+                        .map(|row| row.iter().map(|v| v.exp_m1().max(0.0)).collect()),
+                );
             }
 
             /// [`Self::predict_blocks`] over a stacked `(N, C, h, w)`
@@ -137,8 +150,11 @@ macro_rules! learned_gate {
                     "gate features must match the shape the gate was built for"
                 );
                 let per: usize = self.in_shape.iter().product();
-                let frames: Vec<&[f32]> = features.data().chunks_exact(per).collect();
-                self.predict_blocks(&frames, 1)
+                let n = features.shape()[0];
+                let mut losses = Vec::with_capacity(n);
+                let block = |i: usize| &features.data()[i * per..(i + 1) * per];
+                self.predict_blocks(n, 1, &block, &mut losses);
+                losses
             }
 
             /// One regression training step against the true per-config

@@ -24,7 +24,6 @@ use ecofusion_gating::GateKind;
 use ecofusion_sensors::{SensorKind, SensorMask};
 use ecofusion_trace::{ns_from_ms, ArgValue, TraceSink, Track, TICK_NS};
 use serde::Serialize;
-use std::collections::BTreeMap;
 
 /// Scheduler parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -350,6 +349,40 @@ pub struct PerceptionServer {
     /// Scheduler-track clock, ns: disambiguates the multiple processing
     /// steps a drain runs within one tick.
     sched_clock_ns: u64,
+    /// The buffers of the scheduler's own phases.
+    step: StepBuffers,
+}
+
+/// The scheduler's step buffers — what `coalesce`, `build_units` and
+/// `account_units` would otherwise allocate every step, the work units
+/// themselves included. A unit slot keeps its frame, lane, wait, pick,
+/// cache and output lists across steps, cleared and refilled, so a warm
+/// step allocates only what it hands out: per frame the output's
+/// detections, predicted losses and label and the ground truth telemetry
+/// keeps, and per step [`StepStats::batch_sizes`].
+#[derive(Default)]
+struct StepBuffers {
+    /// The frames `coalesce` picked, in pick order.
+    picked: Vec<(usize, QueuedFrame)>,
+    /// The unit slots; the first `live` are this step's units, in
+    /// first-seen group order.
+    units: Vec<StepUnit>,
+    live: usize,
+    /// `((home shard, options), slot)` of this step's units, sorted by
+    /// key: the grouping index.
+    groups: Vec<((usize, OptionsKey), usize)>,
+    /// This step's frames with their outputs, put in global pick order
+    /// for accounting.
+    rows: Vec<Row>,
+}
+
+/// One executed frame on its way through accounting.
+struct Row {
+    pick: u64,
+    lane: usize,
+    frame: Frame,
+    output: InferenceOutput,
+    wait: u64,
 }
 
 /// What one [`PerceptionServer::process_step_stats`] call did — the
@@ -422,6 +455,7 @@ impl PerceptionServer {
             stream_clock_ns: vec![0; specs.len()],
             shard_clock_ns: vec![0; num_shards],
             sched_clock_ns: 0,
+            step: StepBuffers::default(),
         }
     }
 
@@ -608,8 +642,8 @@ impl PerceptionServer {
     pub fn process_step_stats(&mut self) -> Result<StepStats, InferError> {
         let tick = self.tick;
         self.apply_budget_timelines();
-        let picked = self.coalesce();
-        if picked.is_empty() {
+        self.coalesce();
+        if self.step.picked.is_empty() {
             return Ok(StepStats { tick, ..StepStats::default() });
         }
         let tracing = self.tracing();
@@ -624,7 +658,7 @@ impl PerceptionServer {
         // options — and therefore every inference result — stay
         // untouched.
         let mut transitions: Vec<(usize, usize, HealthState, HealthState)> = Vec::new();
-        for (lane_idx, queued) in &picked {
+        for (lane_idx, queued) in &self.step.picked {
             let monitor = &mut self.lanes[*lane_idx].monitor;
             let before = monitor.states();
             monitor.update(&queued.frame.obs);
@@ -641,7 +675,7 @@ impl PerceptionServer {
                 lane.opts.health = lane.active_mask();
             }
         }
-        for (lane_idx, _) in &picked {
+        for (lane_idx, _) in &self.step.picked {
             let lane = &mut self.lanes[*lane_idx];
             let mask = lane.active_mask();
             lane.telemetry.note_health(lane.monitor.degraded_count() > 0, !mask.is_all_available());
@@ -664,19 +698,19 @@ impl PerceptionServer {
                 tr.bump("ecofusion_health_transitions_total", 1.0);
             }
         }
-        let processed = picked.len();
+        let processed = self.step.picked.len();
         let step_ns = self.sched_clock_ns.max(tick * TICK_NS);
         let steals_before: (u64, u64) =
             self.shards.iter().fold((0, 0), |(s, f), sh| (s + sh.steals, f + sh.stolen_frames));
-        let units = self.build_units(picked);
-        let num_units = units.len();
-        execute_units(&mut self.shards, &units, self.cfg.work_stealing);
+        self.build_units();
+        let num_units = self.step.live;
+        execute_units(&mut self.shards, &self.step.units[..num_units], self.cfg.work_stealing);
         let (steals, stolen_frames) = {
             let after: (u64, u64) =
                 self.shards.iter().fold((0, 0), |(s, f), sh| (s + sh.steals, f + sh.stolen_frames));
             (after.0 - steals_before.0, after.1 - steals_before.1)
         };
-        let batch_sizes = self.account_units(units, step_ns)?;
+        let batch_sizes = self.account_units(step_ns)?;
         self.coordinate_fleet_budget();
         let queued_after = self.queued();
         // Flush fused-plan-cache deltas from every replica. Deltas only
@@ -730,90 +764,63 @@ impl PerceptionServer {
         })
     }
 
-    /// Partitions picked frames into work units keyed on `(home shard,
-    /// options)`, preserving first-seen order. Keyed grouping is O(n log
-    /// g) in the number of distinct groups, instead of the old O(n·g)
-    /// linear scan per frame.
+    /// Partitions the picked frames into work units keyed on `(home
+    /// shard, options)`, in first-seen order, filling the scheduler's unit
+    /// slots. The grouping index is kept sorted, so grouping costs O(n log
+    /// g) comparisons in the number of distinct groups, instead of the old
+    /// O(n·g) linear scan per frame.
     ///
     /// Each lane contributes to exactly one unit per step (one home
     /// shard, one current options value), so moving its stem cache into
     /// the unit is safe, and all its frames stay in FIFO pick order
     /// inside that unit — the property that lets work stealing hand off
     /// whole units without ever reordering a stream.
-    fn build_units(&mut self, picked: Vec<(usize, QueuedFrame)>) -> Vec<StepUnit> {
+    fn build_units(&mut self) {
         let tick = self.tick;
         let num_shards = self.shards.len();
-        struct UnitBuild {
-            shard: usize,
-            opts: InferenceOptions,
-            lane_ids: Vec<usize>,
-            frames: Vec<Frame>,
-            waits: Vec<u64>,
-            picks: Vec<u64>,
-        }
-        let mut index: BTreeMap<(usize, OptionsKey), usize> = BTreeMap::new();
-        let mut builds: Vec<UnitBuild> = Vec::new();
-        for (pick, (lane_idx, queued)) in picked.into_iter().enumerate() {
+        let StepBuffers { picked, units, live, groups, .. } = &mut self.step;
+        groups.clear();
+        *live = 0;
+        for (pick, (lane_idx, queued)) in picked.drain(..).enumerate() {
             let opts = self.lanes[lane_idx].opts;
             let shard = shard_of(lane_idx, num_shards);
-            let wait = tick.saturating_sub(queued.enqueue_tick);
-            let slot = *index.entry((shard, OptionsKey::of(&opts))).or_insert_with(|| {
-                builds.push(UnitBuild {
-                    shard,
-                    opts,
-                    lane_ids: Vec::new(),
-                    frames: Vec::new(),
-                    waits: Vec::new(),
-                    picks: Vec::new(),
-                });
-                builds.len() - 1
-            });
-            let entry = &mut builds[slot];
-            entry.lane_ids.push(lane_idx);
-            entry.frames.push(queued.frame);
-            entry.waits.push(wait);
-            entry.picks.push(pick as u64);
-        }
-        builds
-            .into_iter()
-            .map(|UnitBuild { shard, opts, lane_ids, frames, waits, picks }| {
-                // Move the distinct lanes' stem caches into the unit so a
-                // stolen unit still serves its streams' caches (hit/miss
-                // counters stay invariant under stealing).
-                let slot_of = &mut self.cache_slot_of;
-                let mut cache_lanes: Vec<usize> = Vec::new();
-                let mut cache_slot = Vec::with_capacity(frames.len());
-                for &lane in &lane_ids {
-                    if slot_of[lane] == usize::MAX {
-                        slot_of[lane] = cache_lanes.len();
-                        cache_lanes.push(lane);
+            let key = (shard, OptionsKey::of(&opts));
+            let slot = match groups.binary_search_by(|(k, _)| k.cmp(&key)) {
+                Ok(at) => groups[at].1,
+                Err(at) => {
+                    groups.insert(at, (key, *live));
+                    if *live == units.len() {
+                        units.push(StepUnit::new(shard, opts));
                     }
-                    cache_slot.push(slot_of[lane]);
+                    units[*live].reset(shard, opts);
+                    *live += 1;
+                    *live - 1
                 }
-                for &lane in &cache_lanes {
-                    slot_of[lane] = usize::MAX;
+            };
+            let payload = units[slot].payload_mut();
+            payload.lane_ids.push(lane_idx);
+            payload.frames.push(queued.frame);
+            payload.waits.push(tick.saturating_sub(queued.enqueue_tick));
+            payload.picks.push(pick as u64);
+        }
+        // Move the distinct lanes' stem caches into the unit so a stolen
+        // unit still serves its streams' caches (hit/miss counters stay
+        // invariant under stealing).
+        let slot_of = &mut self.cache_slot_of;
+        for unit in &mut units[..*live] {
+            let payload = unit.payload_mut();
+            for &lane in &payload.lane_ids {
+                if slot_of[lane] == usize::MAX {
+                    slot_of[lane] = payload.cache_lanes.len();
+                    payload.cache_lanes.push(lane);
                 }
-                let caches = cache_lanes
-                    .iter()
-                    .map(|&lane| std::mem::take(&mut self.stem_caches[lane]))
-                    .collect();
-                StepUnit::new(
-                    shard,
-                    UnitPayload {
-                        opts,
-                        lane_ids,
-                        frames,
-                        waits,
-                        picks,
-                        executed_by: shard,
-                        caches,
-                        cache_lanes,
-                        cache_slot,
-                        outputs: None,
-                    },
-                )
-            })
-            .collect()
+                payload.cache_slot.push(slot_of[lane]);
+            }
+            for &lane in &payload.cache_lanes {
+                slot_of[lane] = usize::MAX;
+                payload.caches.push(std::mem::take(&mut self.stem_caches[lane]));
+            }
+        }
     }
 
     /// Serial post-join accounting: restores the moved stem caches and
@@ -825,41 +832,30 @@ impl PerceptionServer {
     /// emitted stream-track event sequence — and any future cross-lane
     /// accounting — independent of how units were grouped across shards.
     /// Returns the executed batch sizes, in unit order.
-    fn account_units(
-        &mut self,
-        units: Vec<StepUnit>,
-        step_ns: u64,
-    ) -> Result<Vec<usize>, InferError> {
+    fn account_units(&mut self, step_ns: u64) -> Result<Vec<usize>, InferError> {
         let tick = self.tick;
         let tracing = self.tracing();
         let mut first_err = None;
-        let mut batch_sizes = Vec::with_capacity(units.len());
-        struct Row {
-            pick: u64,
-            lane: usize,
-            frame: Frame,
-            output: InferenceOutput,
-            wait: u64,
-        }
-        let mut rows: Vec<Row> = Vec::new();
-        for unit in units {
+        let StepBuffers { units, live, rows, .. } = &mut self.step;
+        let mut batch_sizes = Vec::with_capacity(*live);
+        rows.clear();
+        for unit in &mut units[..*live] {
             let home = unit.shard;
-            let payload = unit.into_payload();
+            let payload = unit.payload_mut();
             // Caches go back even when a unit failed: a lost step must
             // not silently reset a stream's stem cache.
-            for (lane, cache) in payload.cache_lanes.into_iter().zip(payload.caches) {
-                self.stem_caches[lane] = cache;
+            for (lane, cache) in payload.cache_lanes.iter().zip(payload.caches.drain(..)) {
+                self.stem_caches[*lane] = cache;
             }
-            let outputs = match payload.outputs.expect("every unit was executed") {
-                Ok(outputs) => outputs,
-                Err(e) => {
-                    first_err = first_err.or(Some(e));
-                    continue;
-                }
-            };
+            if let Some(e) = payload.error.take() {
+                first_err = first_err.or(Some(e));
+                payload.frames.clear();
+                continue;
+            }
+            let frames = payload.outputs.len();
             self.batches += 1;
-            self.batched_frames += outputs.len() as u64;
-            batch_sizes.push(outputs.len());
+            self.batched_frames += frames as u64;
+            batch_sizes.push(frames);
             if tracing {
                 // Unit span on the executing worker's shard track; with
                 // stealing on and several shards the executor (and so
@@ -870,7 +866,8 @@ impl PerceptionServer {
                 let tr = self.tracer.as_mut().expect("tracing implies a sink");
                 let track = Track::Shard(worker as u32);
                 let start = self.shard_clock_ns[worker].max(step_ns);
-                let dur: u64 = outputs.iter().map(|o| ns_from_ms(o.energy.latency.millis())).sum();
+                let dur: u64 =
+                    payload.outputs.iter().map(|o| ns_from_ms(o.energy.latency.millis())).sum();
                 let streams =
                     payload.lane_ids.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
                 tr.begin(
@@ -880,7 +877,7 @@ impl PerceptionServer {
                     vec![
                         ("home", ArgValue::U64(home as u64)),
                         ("worker", ArgValue::U64(worker as u64)),
-                        ("frames", ArgValue::U64(outputs.len() as u64)),
+                        ("frames", ArgValue::U64(frames as u64)),
                         ("streams", ArgValue::Text(streams)),
                         ("tick", ArgValue::U64(tick)),
                     ],
@@ -893,46 +890,49 @@ impl PerceptionServer {
                         vec![
                             ("victim", ArgValue::U64(home as u64)),
                             ("thief", ArgValue::U64(worker as u64)),
-                            ("frames", ArgValue::U64(outputs.len() as u64)),
+                            ("frames", ArgValue::U64(frames as u64)),
                         ],
                     );
                 }
                 tr.end(track, start + dur, "unit");
                 self.shard_clock_ns[worker] = start + dur;
             }
-            for ((((lane, frame), output), wait), pick) in payload
-                .lane_ids
-                .into_iter()
-                .zip(payload.frames)
-                .zip(outputs)
-                .zip(payload.waits)
-                .zip(payload.picks)
-            {
-                rows.push(Row { pick, lane, frame, output, wait });
-            }
+            let UnitPayload { lane_ids, frames, outputs, waits, picks, .. } = payload;
+            let taken = lane_ids.iter().zip(frames.drain(..)).zip(outputs.drain(..));
+            rows.extend(taken.zip(waits.iter()).zip(picks.iter()).map(
+                |((((&lane, frame), output), &wait), &pick)| Row {
+                    pick,
+                    lane,
+                    frame,
+                    output,
+                    wait,
+                },
+            ));
         }
-        rows.sort_by_key(|r| r.pick);
-        for row in rows {
-            let lane = &mut self.lanes[row.lane];
-            lane.telemetry.record(&row.output, row.frame.gt_boxes(), row.wait);
+        // Picks are distinct, so an unstable sort is the pick order.
+        rows.sort_unstable_by_key(|r| r.pick);
+        for Row { lane: lane_idx, frame, output, wait, .. } in rows.drain(..) {
+            let lane = &mut self.lanes[lane_idx];
             let mut frame_end_ns = 0;
             if tracing {
                 let tr = self.tracer.as_mut().expect("tracing implies a sink");
-                let start = self.stream_clock_ns[row.lane].max(tick * TICK_NS);
-                frame_end_ns = trace_frame(tr, row.lane as u32, tick, start, &row.output);
-                self.stream_clock_ns[row.lane] = frame_end_ns;
-                if row.output.gate_fallbacks > 0 {
+                let start = self.stream_clock_ns[lane_idx].max(tick * TICK_NS);
+                frame_end_ns = trace_frame(tr, lane_idx as u32, tick, start, &output);
+                self.stream_clock_ns[lane_idx] = frame_end_ns;
+                if output.gate_fallbacks > 0 {
                     tr.instant(
-                        Track::Stream(row.lane as u32),
+                        Track::Stream(lane_idx as u32),
                         start,
                         "gate_fallback",
                         vec![("tick", ArgValue::U64(tick))],
                     );
-                    tr.bump("ecofusion_gate_fallbacks_total", row.output.gate_fallbacks as f64);
+                    tr.bump("ecofusion_gate_fallbacks_total", output.gate_fallbacks as f64);
                 }
             }
+            let spent_j = output.energy.total_gated().joules();
+            lane.telemetry.record(output, frame.gt_boxes(), wait);
             let level_before = lane.controller.level();
-            if let Some(step) = lane.controller.record(row.output.energy.total_gated().joules()) {
+            if let Some(step) = lane.controller.record(spent_j) {
                 lane.opts = step.apply(&lane.base_opts);
                 // Policy rungs are built from the base options; the
                 // health mask must survive ladder moves.
@@ -948,7 +948,7 @@ impl PerceptionServer {
                     };
                     let tr = self.tracer.as_mut().expect("tracing implies a sink");
                     tr.instant(
-                        Track::Stream(row.lane as u32),
+                        Track::Stream(lane_idx as u32),
                         frame_end_ns,
                         "ladder",
                         vec![
@@ -1033,16 +1033,18 @@ impl PerceptionServer {
         tr.bump("ecofusion_fault_events_total", events as f64);
     }
 
-    /// Round-robin pick of up to `max_batch` queued frames across lanes.
-    fn coalesce(&mut self) -> Vec<(usize, QueuedFrame)> {
-        let mut picked = Vec::with_capacity(self.cfg.max_batch);
+    /// Round-robin pick of up to `max_batch` queued frames across lanes,
+    /// into `step.picked`.
+    fn coalesce(&mut self) {
+        let picked = &mut self.step.picked;
+        picked.clear();
         'fill: loop {
             let mut any = false;
-            for i in 0..self.lanes.len() {
+            for (i, lane) in self.lanes.iter_mut().enumerate() {
                 if picked.len() >= self.cfg.max_batch {
                     break 'fill;
                 }
-                if let Some(q) = self.lanes[i].queue.pop() {
+                if let Some(q) = lane.queue.pop() {
                     picked.push((i, q));
                     any = true;
                 }
@@ -1051,7 +1053,6 @@ impl PerceptionServer {
                 break;
             }
         }
-        picked
     }
 
     /// Builds the aggregate report.

@@ -32,7 +32,7 @@ use ecofusion_core::model::InferError;
 use ecofusion_core::{EcoFusionModel, Frame, InferenceOptions, InferenceOutput, StemFeatureCache};
 use serde::Serialize;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// The home shard of a stream: streams are dealt round-robin so
@@ -83,7 +83,10 @@ pub struct ShardReport {
 /// The mutable payload of one work unit: one shard's frames sharing one
 /// set of inference options, plus the stem-feature caches of the lanes
 /// involved (moved in so a stolen unit still hits its streams' caches,
-/// keeping hit/miss counters shard- and steal-invariant).
+/// keeping hit/miss counters shard- and steal-invariant). The scheduler
+/// keeps its units across steps: every list here is cleared and refilled,
+/// never dropped, so a warm step builds and accounts its units without
+/// allocating.
 pub(crate) struct UnitPayload {
     pub(crate) opts: InferenceOptions,
     /// Global lane index per frame, in pick order.
@@ -110,8 +113,28 @@ pub(crate) struct UnitPayload {
     pub(crate) cache_lanes: Vec<usize>,
     /// Cache-slot index per frame (parallel to `frames`).
     pub(crate) cache_slot: Vec<usize>,
-    /// Filled by the executing worker.
-    pub(crate) outputs: Option<Result<Vec<InferenceOutput>, InferError>>,
+    /// Filled by the executing worker: one output per frame, or none and
+    /// the error that failed the unit.
+    pub(crate) outputs: Vec<InferenceOutput>,
+    pub(crate) error: Option<InferError>,
+}
+
+impl UnitPayload {
+    fn new(opts: InferenceOptions) -> Self {
+        UnitPayload {
+            opts,
+            lane_ids: Vec::new(),
+            frames: Vec::new(),
+            waits: Vec::new(),
+            picks: Vec::new(),
+            executed_by: 0,
+            caches: Vec::new(),
+            cache_lanes: Vec::new(),
+            cache_slot: Vec::new(),
+            outputs: Vec::new(),
+            error: None,
+        }
+    }
 }
 
 /// One claimable piece of a step: the unit of parallel execution and of
@@ -124,13 +147,41 @@ pub(crate) struct StepUnit {
 }
 
 impl StepUnit {
-    pub(crate) fn new(shard: usize, payload: UnitPayload) -> Self {
-        StepUnit { shard, claimed: AtomicBool::new(false), payload: Mutex::new(payload) }
+    /// An empty unit for `shard` running `opts`.
+    pub(crate) fn new(shard: usize, opts: InferenceOptions) -> Self {
+        StepUnit {
+            shard,
+            claimed: AtomicBool::new(false),
+            payload: Mutex::new(UnitPayload::new(opts)),
+        }
     }
 
-    /// Consumes the unit after the join (single-threaded again).
-    pub(crate) fn into_payload(self) -> UnitPayload {
-        self.payload.into_inner().expect("no worker panicked holding a unit")
+    /// Makes the unit a new, unclaimed one for `shard` running `opts`,
+    /// its lists emptied but kept: what the scheduler does to a unit slot
+    /// it fills again.
+    pub(crate) fn reset(&mut self, shard: usize, opts: InferenceOptions) {
+        self.shard = shard;
+        *self.claimed.get_mut() = false;
+        let payload = self.payload_mut();
+        payload.opts = opts;
+        payload.executed_by = shard;
+        payload.error = None;
+        payload.lane_ids.clear();
+        payload.frames.clear();
+        payload.waits.clear();
+        payload.picks.clear();
+        payload.caches.clear();
+        payload.cache_lanes.clear();
+        payload.cache_slot.clear();
+        payload.outputs.clear();
+    }
+
+    /// The payload, outside the parallel phase (single-threaded again).
+    /// A worker that panicked holding the lock took its step down with
+    /// it; a later step may take the payload as it stands, since
+    /// [`StepUnit::reset`] rewrites every field before the unit is used.
+    pub(crate) fn payload_mut(&mut self) -> &mut UnitPayload {
+        self.payload.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn try_claim(&self) -> bool {
@@ -144,24 +195,32 @@ impl StepUnit {
 
 /// Executes every unit, fanning out one scoped worker thread per shard
 /// when there is parallelism to exploit. Outputs land inside the units;
-/// callers account them serially afterwards, in unit order.
+/// callers account them serially afterwards, in unit order. Every unit
+/// leaves executed: what no worker claimed runs serially at the end.
 pub(crate) fn execute_units(shards: &mut [ShardState], units: &[StepUnit], stealing: bool) {
-    // Serial fast path: a single shard (the default) or a single unit
-    // gains nothing from threads; run inline with zero overhead. Each
-    // unit still executes on its home shard's model so the counters
-    // attribute work the same way the parallel path does.
-    if shards.len() == 1 || units.len() == 1 {
-        for unit in units {
-            if !unit.try_claim() {
-                continue;
-            }
-            let started = Instant::now();
-            let shard = unit.shard.min(shards.len() - 1);
-            run_unit(unit, &mut shards[shard], shard);
-            shards[shard].busy_ns += started.elapsed().as_nanos() as u64;
-        }
-        return;
+    if shards.len() > 1 && units.len() > 1 {
+        run_workers(shards, units, stealing);
     }
+    // Serially, each unit on its home shard's model (so the counters
+    // attribute work as the workers do), every unit no worker claimed:
+    // all of them on the serial path — a single shard (the default) or a
+    // single unit gains nothing from threads — and none after the
+    // workers, each of which drains its own shard's units before it
+    // exits.
+    for unit in units {
+        if !unit.try_claim() {
+            continue;
+        }
+        let started = Instant::now();
+        let shard = unit.shard.min(shards.len() - 1);
+        run_unit(unit, &mut shards[shard], shard);
+        shards[shard].busy_ns += started.elapsed().as_nanos() as u64;
+    }
+}
+
+/// One scoped worker thread per shard, each running its own shard's
+/// units in unit order and then, with `stealing`, other shards' units.
+fn run_workers(shards: &mut [ShardState], units: &[StepUnit], stealing: bool) {
     let num_shards = shards.len();
     std::thread::scope(|scope| {
         for (sid, state) in shards.iter_mut().enumerate() {
@@ -189,11 +248,14 @@ pub(crate) fn execute_units(shards: &mut [ShardState], units: &[StepUnit], steal
 /// Runs one claimed unit on `state`'s model replica, recording the
 /// executing worker's counters.
 fn run_unit(unit: &StepUnit, state: &mut ShardState, worker: usize) {
-    let mut payload = unit.payload.lock().expect("unit payload lock");
-    let UnitPayload { opts, frames, caches, cache_slot, outputs, executed_by, .. } = &mut *payload;
-    let result = state.model.infer_batch_cached(frames, opts, caches, cache_slot);
+    // Poisoned only by a panic in an earlier step, after which `reset`
+    // rewrote every field (`StepUnit::payload_mut`).
+    let mut payload = unit.payload.lock().unwrap_or_else(PoisonError::into_inner);
+    let UnitPayload { opts, frames, caches, cache_slot, outputs, error, executed_by, .. } =
+        &mut *payload;
+    outputs.clear();
+    *error = state.model.infer_batch_cached_into(frames, opts, caches, cache_slot, outputs).err();
     let n = frames.len() as u64;
-    *outputs = Some(result);
     *executed_by = worker;
     state.frames += n;
     state.batches += 1;
@@ -208,18 +270,13 @@ fn run_unit(unit: &StepUnit, state: &mut ShardState, worker: usize) {
 /// unclaimed unit. Retries on claim races until no unclaimed foreign work
 /// remains.
 fn claim_steal(units: &[StepUnit], thief: usize, num_shards: usize) -> Option<&StepUnit> {
+    let backlog = |sid: usize| units.iter().filter(|u| u.shard == sid && !u.is_claimed()).count();
     loop {
-        let mut backlog = vec![0usize; num_shards];
-        for u in units {
-            if !u.is_claimed() {
-                backlog[u.shard] += 1;
-            }
-        }
-        let victim = backlog
-            .iter()
-            .enumerate()
-            .filter(|&(sid, &n)| sid != thief && n > 0)
-            .max_by_key(|&(sid, &n)| (n, std::cmp::Reverse(sid)))?
+        let victim = (0..num_shards)
+            .filter(|&sid| sid != thief)
+            .map(|sid| (sid, backlog(sid)))
+            .filter(|&(_, n)| n > 0)
+            .max_by_key(|&(sid, n)| (n, std::cmp::Reverse(sid)))?
             .0;
         // Newest first: the oldest units are what the victim's own worker
         // is about to reach, so stealing from the back minimizes claim

@@ -39,8 +39,10 @@ impl StreamTelemetry {
     }
 
     /// Records one processed frame: the inference output, the frame's
-    /// ground truth, and how many scheduler ticks it waited in queue.
-    pub fn record(&mut self, output: &InferenceOutput, gts: Vec<GtBox>, wait_ticks: u64) {
+    /// ground truth, and how many scheduler ticks it waited in queue. The
+    /// output's detections and the ground truth are kept (the mAP window)
+    /// as they come, not copied.
+    pub fn record(&mut self, output: InferenceOutput, gts: Vec<GtBox>, wait_ticks: u64) {
         self.latency_hist.record(output.energy.latency.millis());
         self.queue_wait_ticks += wait_ticks;
         self.stems_cached += output.stage_trace.stems_cached as u64;
@@ -57,7 +59,7 @@ impl StreamTelemetry {
             self.selected_configs.drain(..self.selected_configs.len() - keep);
         }
         self.eval.record(
-            output.detections.clone(),
+            output.detections,
             &output.energy,
             &output.selected_label,
             Some(&output.stage_trace),
@@ -227,7 +229,7 @@ mod tests {
         for (i, f) in data.test().iter().take(3).enumerate() {
             let out = model.infer(f, &opts)?;
             manual_platform += out.energy.platform.joules();
-            t.record(&out, f.gt_boxes(), i as u64);
+            t.record(out, f.gt_boxes(), i as u64);
         }
         assert_eq!(t.frames(), 3);
         assert!((t.platform_j() - manual_platform).abs() < 1e-12);
@@ -255,12 +257,12 @@ mod tests {
         let mut t = StreamTelemetry::new();
         let frame = &data.test()[0];
         let f32_out = model.infer(frame, &InferenceOptions::new(0.01, 0.5))?;
-        t.record(&f32_out, frame.gt_boxes(), 0);
+        t.record(f32_out, frame.gt_boxes(), 0);
         assert_eq!(t.int8_frames(), 0);
         let int8_opts = InferenceOptions::new(0.01, 0.5).with_precision(Precision::Int8);
         let mut int8_out = model.infer(frame, &int8_opts)?;
         int8_out.gate_fallbacks = 2;
-        t.record(&int8_out, frame.gt_boxes(), 0);
+        t.record(int8_out, frame.gt_boxes(), 0);
         assert_eq!(t.frames(), 2);
         assert_eq!(t.int8_frames(), 1);
         assert_eq!(t.gate_fallbacks(), 2);

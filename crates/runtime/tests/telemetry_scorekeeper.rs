@@ -41,7 +41,7 @@ fn summary_equals_evaluate_frames_over_the_same_outputs() {
     let (frames, outputs) = served();
     let mut telemetry = StreamTelemetry::new();
     for (f, out) in frames.iter().zip(&outputs) {
-        telemetry.record(out, f.gt_boxes(), 0);
+        telemetry.record(out.clone(), f.gt_boxes(), 0);
     }
     let refs: Vec<&Frame> = frames.iter().collect();
     let mut outs = outputs.into_iter();
@@ -75,7 +75,7 @@ fn record_requests_no_more_than_it_did() {
     let gts: Vec<_> = frames.iter().map(Frame::gt_boxes).collect();
     let mut telemetry = StreamTelemetry::new();
     let (allocs, bytes) = (allocs_on_this_thread(), bytes_on_this_thread());
-    for (out, gt) in outputs.iter().zip(gts) {
+    for (out, gt) in outputs.into_iter().zip(gts) {
         telemetry.record(out, gt, 1);
     }
     let (allocs, bytes) = (allocs_on_this_thread() - allocs, bytes_on_this_thread() - bytes);

@@ -78,25 +78,28 @@ impl Scene {
     /// raster, clamped to the raster bounds. Boxes are never smaller than
     /// `2 × MIN_BOX_HALF_PX` per side (sensor point-spread).
     pub fn ground_truth_boxes(&self, grid: usize) -> Vec<GtBox> {
+        self.ground_truth_iter(grid).collect()
+    }
+
+    /// [`Scene::ground_truth_boxes`], box by box, for a caller that keeps
+    /// its own buffer.
+    pub fn ground_truth_iter(&self, grid: usize) -> impl ExactSizeIterator<Item = GtBox> + '_ {
         let g = grid as f32;
-        self.objects
-            .iter()
-            .map(|o| {
-                let (hx, hy) = o.half_extents_m();
-                let (px1, py1) = Self::world_to_grid(o.x - hx, o.y + hy, grid);
-                let (px2, py2) = Self::world_to_grid(o.x + hx, o.y - hy, grid);
-                let (cx, cy) = ((px1 + px2) / 2.0, (py1 + py2) / 2.0);
-                let hw = ((px2 - px1) / 2.0).max(MIN_BOX_HALF_PX);
-                let hh = ((py2 - py1) / 2.0).max(MIN_BOX_HALF_PX);
-                GtBox {
-                    class_id: o.class.id(),
-                    x1: ((cx - hw) as f32).clamp(0.0, g),
-                    y1: ((cy - hh) as f32).clamp(0.0, g),
-                    x2: ((cx + hw) as f32).clamp(0.0, g),
-                    y2: ((cy + hh) as f32).clamp(0.0, g),
-                }
-            })
-            .collect()
+        self.objects.iter().map(move |o| {
+            let (hx, hy) = o.half_extents_m();
+            let (px1, py1) = Self::world_to_grid(o.x - hx, o.y + hy, grid);
+            let (px2, py2) = Self::world_to_grid(o.x + hx, o.y - hy, grid);
+            let (cx, cy) = ((px1 + px2) / 2.0, (py1 + py2) / 2.0);
+            let hw = ((px2 - px1) / 2.0).max(MIN_BOX_HALF_PX);
+            let hh = ((py2 - py1) / 2.0).max(MIN_BOX_HALF_PX);
+            GtBox {
+                class_id: o.class.id(),
+                x1: ((cx - hw) as f32).clamp(0.0, g),
+                y1: ((cy - hh) as f32).clamp(0.0, g),
+                x2: ((cx + hw) as f32).clamp(0.0, g),
+                y2: ((cy + hh) as f32).clamp(0.0, g),
+            }
+        })
     }
 
     /// Whether a world-frame point is inside the observed region.

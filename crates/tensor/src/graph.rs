@@ -467,6 +467,12 @@ impl CompiledPlan {
         shape
     }
 
+    /// Sizes `out` as the plan's output for `n` samples, in place: what
+    /// [`CompiledPlan::out_shape_for`] names, without building the shape.
+    pub fn resize_output(&self, n: usize, out: &mut Tensor) {
+        out.resize_batch(n, &self.out_shape);
+    }
+
     /// Fused steps in the plan (diagnostics).
     pub fn num_steps(&self) -> usize {
         self.steps.len()
@@ -550,6 +556,23 @@ impl CompiledPlan {
         self.execute_blocks_to(blocks, per_sample, self.rows_of(out, n));
     }
 
+    /// [`CompiledPlan::execute_blocks_into`] over blocks named by index:
+    /// sample `b` is the concatenation of `block(b·per_sample + j)` for `j`
+    /// in `0..per_sample`. A caller that can say where each block lies
+    /// needs no list of them.
+    ///
+    /// # Panics
+    /// As [`CompiledPlan::execute_blocks_into`], for `n` samples.
+    pub fn execute_indexed_into<'a>(
+        &mut self,
+        n: usize,
+        per_sample: usize,
+        block: &dyn Fn(usize) -> &'a [f32],
+        out: &mut Tensor,
+    ) {
+        self.execute_indexed_to(n, per_sample, block, self.rows_of(out, n));
+    }
+
     /// [`CompiledPlan::execute_blocks_into`] with a destination per
     /// sample: `rows` yields, in sample order, where each sample's output
     /// — the elements of the plan's per-sample output shape — is to be
@@ -572,7 +595,23 @@ impl CompiledPlan {
             "{} blocks are not whole samples of {per_sample}",
             blocks.len()
         );
-        self.run(blocks.len() / per_sample, per_sample, &|i| blocks[i], &mut rows.into_iter());
+        self.execute_indexed_to(blocks.len() / per_sample, per_sample, &|i| blocks[i], rows);
+    }
+
+    /// [`CompiledPlan::execute_blocks_to`] over blocks named by index, as
+    /// in [`CompiledPlan::execute_indexed_into`].
+    ///
+    /// # Panics
+    /// As [`CompiledPlan::execute_blocks_to`], for `n` samples.
+    pub fn execute_indexed_to<'a, 'o>(
+        &mut self,
+        n: usize,
+        per_sample: usize,
+        block: &dyn Fn(usize) -> &'a [f32],
+        rows: impl IntoIterator<Item = &'o mut [f32]>,
+    ) {
+        assert!(per_sample > 0, "a sample is at least one block");
+        self.run(n, per_sample, block, &mut rows.into_iter());
     }
 
     /// The rows of `out`, the plan's output for `n` samples, as
@@ -1702,6 +1741,9 @@ pub struct PlanCacheStats {
     pub compiles: u64,
 }
 
+/// A cached plan and the per-sample input shape it was compiled for.
+type ShapedPlan = (Vec<usize>, CompiledPlan);
+
 /// Memoized compiled plans for one model replica.
 ///
 /// Invalidation is event-driven and mirrors the int8 image
@@ -1711,7 +1753,9 @@ pub struct PlanCacheStats {
 /// replicas never share or regrow each other's arenas.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    map: HashMap<PlanKey, CompiledPlan>,
+    /// Plans by `(fingerprint, precision)`, then by per-sample shape, so
+    /// a lookup that hits builds no key.
+    map: HashMap<(u64, PlanPrecision), Vec<ShapedPlan>>,
     stats: PlanCacheStats,
     taken: PlanCacheStats,
 }
@@ -1724,7 +1768,7 @@ impl PlanCache {
 
     /// Cached plans currently resident.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.map.values().map(Vec::len).sum()
     }
 
     /// Whether no plans are resident.
@@ -1774,15 +1818,41 @@ impl PlanCache {
         key: PlanKey,
         build: impl FnOnce() -> Result<CompiledPlan, CompileError>,
     ) -> Result<&mut CompiledPlan, CompileError> {
-        if self.map.contains_key(&key) {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-            let plan = build()?;
-            self.stats.compiles += 1;
-            self.map.insert(key.clone(), plan);
-        }
-        Ok(self.map.get_mut(&key).expect("plan just ensured"))
+        let PlanKey { fingerprint, shape, precision } = &key;
+        self.try_get_or_compile_by(*fingerprint, shape, *precision, build)
+    }
+
+    /// [`PlanCache::try_get_or_compile`] for the key `(fingerprint, shape,
+    /// precision)`, borrowed: a hit builds no key (the key's shape is a
+    /// `Vec`); a miss builds the one it stores.
+    ///
+    /// # Errors
+    /// Propagates the builder's [`CompileError`].
+    pub fn try_get_or_compile_by(
+        &mut self,
+        fingerprint: u64,
+        shape: &[usize],
+        precision: PlanPrecision,
+        build: impl FnOnce() -> Result<CompiledPlan, CompileError>,
+    ) -> Result<&mut CompiledPlan, CompileError> {
+        let unit = (fingerprint, precision);
+        let at = self.map.get(&unit).and_then(|plans| plans.iter().position(|(s, _)| s == shape));
+        let plans = match at {
+            Some(_) => {
+                self.stats.hits += 1;
+                self.map.get_mut(&unit).expect("plan just found")
+            }
+            None => {
+                self.stats.misses += 1;
+                let plan = build()?;
+                self.stats.compiles += 1;
+                let plans = self.map.entry(unit).or_default();
+                plans.push((shape.to_vec(), plan));
+                plans
+            }
+        };
+        let at = at.unwrap_or(plans.len() - 1);
+        Ok(&mut plans[at].1)
     }
 }
 

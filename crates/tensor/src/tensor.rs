@@ -193,6 +193,15 @@ impl Tensor {
         self.data.resize(shape.iter().product(), 0.0);
     }
 
+    /// [`Tensor::resize`] to `(n, sample…)`: a batch of `n` samples of
+    /// shape `sample`, with no shape built to say so.
+    pub fn resize_batch(&mut self, n: usize, sample: &[usize]) {
+        self.shape.clear();
+        self.shape.push(n);
+        self.shape.extend_from_slice(sample);
+        self.data.resize(n * sample.iter().product::<usize>(), 0.0);
+    }
+
     #[inline]
     fn idx2(&self, r: usize, c: usize) -> usize {
         debug_assert_eq!(self.shape.len(), 2);
