@@ -22,7 +22,8 @@
 //!   combined exit code), load the baseline from `--baseline`
 //!   (default `baselines/bench_baseline.json`), and diff under the gate
 //!   tolerances. Exits nonzero on any violation. Bands are tunable:
-//!   `--map-band <pp>`, `--energy-band <frac>`, `--latency-band <frac>`.
+//!   `--map-band <pp>`, `--energy-band <frac>`, `--latency-band <frac>`,
+//!   each finite and ≥ 0 (else, as on an unknown flag, exit 2).
 //! * `refresh-baseline` — run the suites and overwrite the baseline file.
 //!
 //! `--suite <name>` (repeatable) restricts a run to named suites —
@@ -51,76 +52,16 @@
 //! untraced one (tracing observes the serial accounting phases only), so
 //! arming the recorder never changes the gate verdict.
 
+use ecofusion_bench::cli::{usage_error, Args, BENCH_REPORT};
+use ecofusion_bench::write_file;
 use ecofusion_core::Precision;
-use ecofusion_eval::experiments::common::Scale;
 use ecofusion_harness::{
-    compare, run_report_traced, BenchReport, Tolerances, DEFAULT_BASELINE_PATH,
+    compare, run_report_traced, BenchReport, SuiteId, Tolerances, DEFAULT_BASELINE_PATH,
     FLIGHT_RECORDER_EVENTS,
 };
 use ecofusion_trace::{chrome_trace_json, prometheus_snapshot, TraceSink};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-/// Flags that consume the following argument as their value.
-const VALUE_FLAGS: &[&str] = &[
-    "--out",
-    "--baseline",
-    "--report",
-    "--suite",
-    "--shards",
-    "--precision",
-    "--map-band",
-    "--energy-band",
-    "--latency-band",
-    "--flight-dir",
-];
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
-
-/// The positional (non-flag, non-flag-value) arguments, wherever they
-/// appear. At most one is allowed — the mode — so a misplaced mode like
-/// `--quick compare` errors out instead of silently running the default
-/// mode with the gate never executed.
-fn positionals(args: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            i += 2;
-        } else if a.starts_with("--") {
-            i += 1;
-        } else {
-            out.push(a.clone());
-            i += 1;
-        }
-    }
-    out
-}
-
-fn flag_values(args: &[String], flag: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            if let Some(v) = args.get(i + 1) {
-                out.push(v.clone());
-            }
-        }
-    }
-    out
-}
-
-fn parse_f64(args: &[String], flag: &str, default: f64) -> f64 {
-    match flag_value(args, flag) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: {flag} expects a number, got `{v}`");
-            std::process::exit(2);
-        }),
-    }
-}
 
 fn print_table(report: &BenchReport) {
     println!(
@@ -170,75 +111,17 @@ fn print_table(report: &BenchReport) {
     }
 }
 
-fn fresh_report(scale: Scale, args: &[String]) -> BenchReport {
-    fresh_report_traced(scale, args, None).0
-}
-
-/// Runs the suites, optionally with the flight recorder armed
-/// (`trace_capacity = Some(..)` attaches a bounded `TraceSink` per suite).
-fn fresh_report_traced(
-    scale: Scale,
-    args: &[String],
-    trace_capacity: Option<usize>,
-) -> (BenchReport, Vec<(String, TraceSink)>) {
-    let only = flag_values(args, "--suite");
-    let shards = match flag_value(args, "--shards") {
-        None => 1,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("error: --shards expects a positive integer, got `{v}`");
-                std::process::exit(2);
-            }
-        },
-    };
-    let precision = match flag_value(args, "--precision").as_deref() {
-        None | Some("f32") => Precision::F32,
-        Some("int8") => Precision::Int8,
-        Some(other) => {
-            eprintln!("error: --precision expects `f32` or `int8`, got `{other}`");
-            std::process::exit(2);
-        }
-    };
-    // A typo here must not produce an empty report (or clobber the
-    // baseline) with exit 0.
-    for name in &only {
-        if ecofusion_harness::SuiteId::from_label(name).is_none() {
-            let known: Vec<&str> =
-                ecofusion_harness::SuiteId::ALL.iter().map(|id| id.label()).collect();
-            eprintln!("error: unknown suite `{name}` (known: {})", known.join(", "));
-            std::process::exit(2);
-        }
-    }
-    let armed = if trace_capacity.is_some() { ", flight recorder armed" } else { "" };
-    eprintln!(
-        "running workload suites ({scale:?}, {shards} shard(s), {}{armed})...",
-        precision.label()
-    );
-    match run_report_traced(scale, &only, shards, precision, trace_capacity) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("error: suite run failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// Writes one Chrome trace and one Prometheus snapshot per suite into
 /// `dir`. Only called on a failed gate — a passing run leaves no files.
 fn dump_flight(dir: &Path, sinks: &[(String, TraceSink)]) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("error: cannot create flight dir {}: {e}", dir.display());
-        return;
-    }
     for (suite, sink) in sinks {
         let trace_path = dir.join(format!("{suite}.trace.json"));
         let prom_path = dir.join(format!("{suite}.prom"));
-        if let Err(e) = std::fs::write(&trace_path, chrome_trace_json(sink)) {
+        if let Err(e) = write_file(&trace_path, chrome_trace_json(sink)) {
             eprintln!("error: cannot write {}: {e}", trace_path.display());
             continue;
         }
-        if let Err(e) = std::fs::write(&prom_path, prometheus_snapshot(sink)) {
+        if let Err(e) = write_file(&prom_path, prometheus_snapshot(sink)) {
             eprintln!("error: cannot write {}: {e}", prom_path.display());
         }
         eprintln!(
@@ -252,26 +135,40 @@ fn dump_flight(dir: &Path, sinks: &[(String, TraceSink)]) {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(&args);
-    let baseline_path = PathBuf::from(
-        flag_value(&args, "--baseline").unwrap_or_else(|| DEFAULT_BASELINE_PATH.to_string()),
-    );
-    // The mode is the single positional argument (flags may come before
-    // or after it); `bench_report --quick` runs the default report mode.
-    let modes = positionals(&args);
-    if modes.len() > 1 {
-        eprintln!("error: more than one mode given: {modes:?}");
-        return ExitCode::from(2);
+    let args = Args::from_env(&BENCH_REPORT);
+    let (scale, shards, only) = (args.scale(), args.count("--shards", 1), args.strs("--suite"));
+    let precision = match args.str("--precision") {
+        None | Some("f32") => Precision::F32,
+        Some("int8") => Precision::Int8,
+        Some(other) => usage_error(&format!("--precision expects `f32` or `int8`, got `{other}`")),
+    };
+    // A suite typo must not produce an empty report (or clobber the
+    // baseline) with exit 0.
+    if let Some(name) = only.iter().find(|name| SuiteId::from_label(name).is_none()) {
+        let known: Vec<&str> = SuiteId::ALL.iter().map(|id| id.label()).collect();
+        usage_error(&format!("unknown suite `{name}` (known: {})", known.join(", ")));
     }
-    let mode = modes.first().map(String::as_str);
+    let baseline_path = PathBuf::from(args.str("--baseline").unwrap_or(DEFAULT_BASELINE_PATH));
+    // Runs the suites, optionally with the flight recorder armed
+    // (`Some(capacity)` attaches a bounded `TraceSink` per suite).
+    let run_suites = |trace_capacity: Option<usize>| {
+        let armed = if trace_capacity.is_some() { ", flight recorder armed" } else { "" };
+        eprintln!(
+            "running workload suites ({scale:?}, {shards} shard(s), {}{armed})...",
+            precision.label()
+        );
+        run_report_traced(scale, &only, shards, precision, trace_capacity).unwrap_or_else(|e| {
+            eprintln!("error: suite run failed: {e}");
+            std::process::exit(1);
+        })
+    };
 
-    match mode {
+    // The mode is the one positional argument (flags may come before or
+    // after it); `bench_report --quick` runs the default report mode.
+    match args.positional(0) {
         None => {
-            let out = PathBuf::from(
-                flag_value(&args, "--out").unwrap_or_else(|| "results/bench_report.json".into()),
-            );
-            let report = fresh_report(scale, &args);
+            let out = PathBuf::from(args.str("--out").unwrap_or("results/bench_report.json"));
+            let report = run_suites(None).0;
             print_table(&report);
             if let Err(e) = report.write_json(&out) {
                 eprintln!("error: cannot write {}: {e}", out.display());
@@ -281,21 +178,14 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("compare") => {
+            let default = Tolerances::default();
             let tol = Tolerances {
-                map_drop_pct: parse_f64(&args, "--map-band", Tolerances::default().map_drop_pct),
-                energy_growth_frac: parse_f64(
-                    &args,
-                    "--energy-band",
-                    Tolerances::default().energy_growth_frac,
-                ),
-                latency_growth_frac: parse_f64(
-                    &args,
-                    "--latency-band",
-                    Tolerances::default().latency_growth_frac,
-                ),
+                map_drop_pct: args.band("--map-band", default.map_drop_pct),
+                energy_growth_frac: args.band("--energy-band", default.energy_growth_frac),
+                latency_growth_frac: args.band("--latency-band", default.latency_growth_frac),
                 // Absolute floors stay at their defaults; the bands above
                 // are the CI-tunable knobs.
-                ..Tolerances::default()
+                ..default
             };
             let baseline = match BenchReport::load_json(&baseline_path) {
                 Ok(b) => b,
@@ -308,24 +198,21 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let flight = args.iter().any(|a| a == "--flight-recorder");
-            let flight_dir = PathBuf::from(
-                flag_value(&args, "--flight-dir").unwrap_or_else(|| "results/flight".into()),
-            );
+            let flight = args.switch("--flight-recorder");
+            let flight_dir = PathBuf::from(args.str("--flight-dir").unwrap_or("results/flight"));
             // `--report` is repeatable: every given report is diffed
             // against the baseline and ALL band violations are printed
             // in one run, with a single exit at the end — so a matrix
             // job can gate several recorded reports in one invocation.
-            let report_paths = flag_values(&args, "--report");
+            let report_paths = args.strs("--report");
             let (labeled, flight_sinks) = if report_paths.is_empty() {
-                let (fresh, sinks) =
-                    fresh_report_traced(scale, &args, flight.then_some(FLIGHT_RECORDER_EVENTS));
+                let (fresh, sinks) = run_suites(flight.then_some(FLIGHT_RECORDER_EVENTS));
                 (vec![("fresh run".to_string(), fresh)], sinks)
             } else {
                 let mut labeled = Vec::with_capacity(report_paths.len());
-                for path in &report_paths {
-                    match BenchReport::load_json(&PathBuf::from(path)) {
-                        Ok(r) => labeled.push((path.clone(), r)),
+                for path in report_paths {
+                    match BenchReport::load_json(&PathBuf::from(&path)) {
+                        Ok(r) => labeled.push((path, r)),
                         Err(e) => {
                             eprintln!("error: cannot load report {path}: {e}");
                             return ExitCode::FAILURE;
@@ -369,7 +256,7 @@ fn main() -> ExitCode {
             }
         }
         Some("refresh-baseline") => {
-            let report = fresh_report(scale, &args);
+            let report = run_suites(None).0;
             print_table(&report);
             if let Err(e) = report.write_json(&baseline_path) {
                 eprintln!("error: cannot write {}: {e}", baseline_path.display());
@@ -378,11 +265,8 @@ fn main() -> ExitCode {
             eprintln!("refreshed baseline {}", baseline_path.display());
             ExitCode::SUCCESS
         }
-        Some(other) => {
-            eprintln!(
-                "error: unknown mode `{other}` (expected no mode, `compare`, or `refresh-baseline`)"
-            );
-            ExitCode::from(2)
-        }
+        Some(other) => usage_error(&format!(
+            "unknown mode `{other}` (expected no mode, `compare`, or `refresh-baseline`)"
+        )),
     }
 }

@@ -22,31 +22,15 @@
 //! only.
 //!
 //! `--out <path>` (default `results/int8_parity.json`) receives the int8
-//! run's `BenchReport`.
+//! run's `BenchReport`. `--bound` is finite and ≥ 0; a typo exits 2.
 
+use ecofusion_bench::cli::{Args, INT8_PARITY};
 use ecofusion_core::Precision;
 use ecofusion_eval::experiments::common::Scale;
 use ecofusion_eval::{ParityReport, ParityRow, DEFAULT_MAX_DRIFT_PP};
 use ecofusion_harness::{run_report, BenchReport};
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-/// Flags that consume the following argument as their value.
-const VALUE_FLAGS: &[&str] = &["--out", "--bound"];
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse_f64(args: &[String], flag: &str, default: f64) -> f64 {
-    match flag_value(args, flag) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: {flag} expects a number, got `{v}`");
-            std::process::exit(2);
-        }),
-    }
-}
 
 /// Runs every suite at `scale` with every stream starting at `precision`.
 fn run_at(scale: Scale, precision: Precision) -> BenchReport {
@@ -62,19 +46,10 @@ fn run_at(scale: Scale, precision: Precision) -> BenchReport {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    for (i, a) in args.iter().enumerate() {
-        let consumed_value = i > 0 && VALUE_FLAGS.contains(&args[i - 1].as_str());
-        if !a.starts_with("--") && !consumed_value {
-            eprintln!("error: unexpected argument `{a}`");
-            return ExitCode::from(2);
-        }
-    }
-    let scale = Scale::from_args(&args);
-    let bound = parse_f64(&args, "--bound", DEFAULT_MAX_DRIFT_PP);
-    let out = PathBuf::from(
-        flag_value(&args, "--out").unwrap_or_else(|| "results/int8_parity.json".into()),
-    );
+    let args = Args::from_env(&INT8_PARITY);
+    let scale = args.scale();
+    let bound = args.band("--bound", DEFAULT_MAX_DRIFT_PP);
+    let out = PathBuf::from(args.str("--out").unwrap_or("results/int8_parity.json"));
 
     let f32_report = run_at(scale, Precision::F32);
     let int8_report = run_at(scale, Precision::Int8);

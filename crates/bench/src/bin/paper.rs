@@ -21,7 +21,8 @@
 //! `--full` runs the full-scale harness instead of the quick one; `--json`
 //! also writes each result to `results/<artifact>.json`.
 
-use ecofusion_bench::maybe_write_json;
+use ecofusion_bench::cli::{usage_error, Args, PAPER};
+use ecofusion_bench::write_file;
 use ecofusion_core::{Dataset, DatasetMix, DatasetSpec, InferenceOptions, TrainConfig, Trainer};
 use ecofusion_detect::BBox;
 use ecofusion_eval::experiments::robustness::{run_robustness, RobustnessSpec};
@@ -32,18 +33,33 @@ use ecofusion_eval::{map_voc, GtFrame};
 use ecofusion_faults::FaultKind;
 use ecofusion_gating::GateKind;
 use ecofusion_scene::Context;
-use std::process::ExitCode;
+use serde::Serialize;
+use std::path::PathBuf;
 
 const ARTIFACTS: &str =
     "table1, table2, table3, fig1, fig4, fig5, ablations, robustness, all, debug_detect";
+const ABLATIONS: [&str; 5] = ["gamma", "rule", "fusion", "gate", "all"];
 
 /// Prints one result and, under `--json`, writes it to `results/<name>.json`.
 macro_rules! emit {
-    ($args:expr, $name:literal, $result:expr) => {{
+    ($json:expr, $name:literal, $result:expr) => {{
         let result = $result;
         result.print();
-        maybe_write_json($args, $name, &result);
+        if $json {
+            save_json($name, &result);
+        }
     }};
+}
+
+/// Writes `value` to `results/<name>.json`. A failure is a warning: the
+/// table on stdout is the primary artifact.
+fn save_json<T: Serialize>(name: &str, value: &T) {
+    let path = PathBuf::from(format!("results/{name}.json"));
+    match serde_json::to_string_pretty(value).map(|text| write_file(&path, text)) {
+        Ok(Ok(())) => eprintln!("wrote {}", path.display()),
+        Ok(Err(e)) => eprintln!("warning: cannot write {}: {e}", path.display()),
+        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
+    }
 }
 
 fn prepare(scale: Scale, seed: u64) -> Setup {
@@ -53,7 +69,7 @@ fn prepare(scale: Scale, seed: u64) -> Setup {
 
 /// The ablation tables selected by `which` (`gamma`, `rule`, `fusion` or
 /// `all`), printed and written as one `ablations` artifact.
-fn ablation_tables(setup: &mut Setup, args: &[String], which: &str) {
+fn ablation_tables(setup: &mut Setup, json: bool, which: &str) {
     let mut results = Vec::new();
     if which == "gamma" || which == "all" {
         results.push(ablations::gamma_sweep(setup));
@@ -67,7 +83,9 @@ fn ablation_tables(setup: &mut Setup, args: &[String], which: &str) {
     for r in &results {
         r.print();
     }
-    maybe_write_json(args, "ablations", &results);
+    if json {
+        save_json("ablations", &results);
+    }
 }
 
 /// Gate-quality analytics: how close the learned gates get to the oracle
@@ -88,7 +106,7 @@ fn gate_quality(setup: &mut Setup) {
     }
 }
 
-fn robustness(scale: Scale, args: &[String]) {
+fn robustness(scale: Scale, json: bool) {
     let mut setup = Setup::prepare(scale, 97);
     let mut spec = RobustnessSpec::quick(97, setup.model.grid());
     if scale == Scale::Full {
@@ -97,35 +115,26 @@ fn robustness(scale: Scale, args: &[String]) {
         spec.severities = vec![0.25, 0.5, 1.0];
         spec.contexts = Context::ALL.to_vec();
     }
-    emit!(args, "robustness", run_robustness(&mut setup.model, setup.num_classes, &spec));
+    emit!(json, "robustness", run_robustness(&mut setup.model, setup.num_classes, &spec));
 }
 
 /// Every paper artifact from one shared training run.
-fn all(scale: Scale, args: &[String]) {
+fn all(scale: Scale, json: bool) {
     eprintln!("preparing shared setup ({scale:?})...");
     let mut setup = Setup::prepare(scale, 42);
-    emit!(args, "table3", table3::run());
-    emit!(args, "table1", table1::run(&mut setup));
-    emit!(args, "table2", table2::run(&mut setup));
-    emit!(args, "fig1", fig1::run(&mut setup));
-    emit!(args, "fig5", fig5::run(&mut setup));
-    emit!(args, "fig4", fig4::run(&mut setup));
-    ablation_tables(&mut setup, args, "all");
+    emit!(json, "table3", table3::run());
+    emit!(json, "table1", table1::run(&mut setup));
+    emit!(json, "table2", table2::run(&mut setup));
+    emit!(json, "fig1", fig1::run(&mut setup));
+    emit!(json, "fig5", fig5::run(&mut setup));
+    emit!(json, "fig4", fig4::run(&mut setup));
+    ablation_tables(&mut setup, json, "all");
 }
 
-fn usize_flag(args: &[String], flag: &str, default: usize) -> usize {
-    args.iter().position(|a| a == flag).map_or(default, |i| {
-        args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("error: {flag} expects a number");
-            std::process::exit(2);
-        })
-    })
-}
-
-fn debug_detect(args: &[String]) {
-    let grid = usize_flag(args, "--grid", 48);
-    let epochs = usize_flag(args, "--epochs", 10);
-    let scenes = usize_flag(args, "--scenes", 100);
+fn debug_detect(args: &Args) {
+    let grid = args.int("--grid", 48);
+    let epochs = args.int("--epochs", 10);
+    let scenes = args.int("--scenes", 100);
     let spec = DatasetSpec {
         seed: 5,
         grid,
@@ -205,35 +214,36 @@ fn debug_detect(args: &[String]) {
     );
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(&args);
-    // The artifact is the first argument; flags follow it.
-    match args.first().map(String::as_str) {
-        Some("table3") => emit!(&args, "table3", table3::run()),
-        Some("table1") => emit!(&args, "table1", table1::run(&mut prepare(scale, 42))),
-        Some("table2") => emit!(&args, "table2", table2::run(&mut prepare(scale, 42))),
-        Some("fig1") => emit!(&args, "fig1", fig1::run(&mut prepare(scale, 42))),
-        Some("fig4") => emit!(&args, "fig4", fig4::run(&mut prepare(scale, 42))),
-        Some("fig5") => emit!(&args, "fig5", fig5::run(&mut prepare(scale, 42))),
+fn main() {
+    let args = Args::from_env(&PAPER);
+    let (scale, json) = (args.scale(), args.switch("--json"));
+    let artifact = args.positional(0);
+    // Only `ablations` takes a second positional: which tables.
+    let which = match (artifact, args.positional(1)) {
+        (_, None) => "all",
+        (Some("ablations"), Some(w)) if ABLATIONS.contains(&w) => w,
+        (_, Some(other)) => usage_error(&format!("unexpected argument `{other}`")),
+    };
+    match artifact {
+        Some("table3") => emit!(json, "table3", table3::run()),
+        Some("table1") => emit!(json, "table1", table1::run(&mut prepare(scale, 42))),
+        Some("table2") => emit!(json, "table2", table2::run(&mut prepare(scale, 42))),
+        Some("fig1") => emit!(json, "fig1", fig1::run(&mut prepare(scale, 42))),
+        Some("fig4") => emit!(json, "fig4", fig4::run(&mut prepare(scale, 42))),
+        Some("fig5") => emit!(json, "fig5", fig5::run(&mut prepare(scale, 42))),
         Some("ablations") => {
-            let which = args.get(1).filter(|a| !a.starts_with("--")).map_or("all", String::as_str);
             let mut setup = prepare(scale, 42);
-            ablation_tables(&mut setup, &args, which);
+            ablation_tables(&mut setup, json, which);
             if which == "gate" || which == "all" {
                 gate_quality(&mut setup);
             }
         }
-        Some("robustness") => robustness(scale, &args),
-        Some("all") => all(scale, &args),
+        Some("robustness") => robustness(scale, json),
+        Some("all") => all(scale, json),
         Some("debug_detect") => debug_detect(&args),
-        other => {
-            eprintln!(
-                "error: expected an artifact ({ARTIFACTS}), got {}",
-                other.map_or("nothing".to_string(), |o| format!("`{o}`"))
-            );
-            return ExitCode::from(2);
-        }
+        other => usage_error(&format!(
+            "expected an artifact ({ARTIFACTS}), got {}",
+            other.map_or("nothing".to_string(), |o| format!("`{o}`"))
+        )),
     }
-    ExitCode::SUCCESS
 }

@@ -37,6 +37,8 @@
 //! Replay is hermetic (fixed model seed, paper-default options, nothing
 //! read from the environment) and shard-invariant.
 
+use ecofusion_bench::cli::{usage_error, Args, SCENARIO_SEARCH};
+use ecofusion_bench::write_file;
 use ecofusion_harness::{load_distilled_dir, replay_distilled, ReplayDrift, DEFAULT_DISTILLED_DIR};
 use ecofusion_search::distill;
 use ecofusion_search::search::{search, CorpusEntry, Evaluator, SearchConfig};
@@ -44,58 +46,11 @@ use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Flags that consume the following argument as their value.
-const VALUE_FLAGS: &[&str] = &[
-    "--seed",
-    "--candidates",
-    "--ticks",
-    "--emit",
-    "--out",
-    "--out-dir",
-    "--corpus",
-    "--dir",
-    "--diff-out",
-];
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse_u64(args: &[String], flag: &str, default: u64) -> u64 {
-    match flag_value(args, flag) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: {flag} expects an integer, got `{v}`");
-            std::process::exit(2);
-        }),
-    }
-}
-
-/// Rejects unknown flags and stray positionals so a typo'd mode (say
-/// `--serach`) fails loudly instead of silently replaying nothing.
-fn validate_args(args: &[String]) {
-    let modes = ["--search", "--minimize", "--replay"];
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            i += 2;
-        } else if modes.contains(&a.as_str()) {
-            i += 1;
-        } else {
-            eprintln!("error: unknown argument `{a}`");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn write_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
+/// Writes `value` as pretty JSON with a trailing newline.
+fn save_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
     let json = serde_json::to_string_pretty(value)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e:?}")))?;
-    std::fs::write(path, json + "\n")
+    write_file(path, json + "\n")
 }
 
 /// Minimizes + distills `count` corpus entries and writes each as
@@ -116,7 +71,7 @@ fn emit_distilled(corpus: &[CorpusEntry], count: usize, seed: u64, out_dir: &Pat
         };
         let after = suite.scenario.size().total();
         let path = out_dir.join(format!("{name}.json"));
-        match write_json(&path, &suite) {
+        match save_json(&path, &suite) {
             Ok(()) => eprintln!(
                 "distilled {} ({} -> {} mutable inputs, digest {})",
                 path.display(),
@@ -163,26 +118,20 @@ struct SuiteDrift {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    validate_args(&args);
-    let modes: Vec<&str> = ["--search", "--minimize", "--replay"]
-        .into_iter()
-        .filter(|m| args.iter().any(|a| a == m))
-        .collect();
+    let args = Args::from_env(&SCENARIO_SEARCH);
+    let modes: Vec<&str> =
+        ["--search", "--minimize", "--replay"].into_iter().filter(|m| args.switch(m)).collect();
     if modes.len() != 1 {
-        eprintln!("error: pass exactly one of --search / --minimize / --replay");
-        return ExitCode::from(2);
+        usage_error("pass exactly one of --search / --minimize / --replay");
     }
-    let out_dir = PathBuf::from(
-        flag_value(&args, "--out-dir").unwrap_or_else(|| DEFAULT_DISTILLED_DIR.to_string()),
-    );
+    let out_dir = PathBuf::from(args.str("--out-dir").unwrap_or(DEFAULT_DISTILLED_DIR));
 
     match modes[0] {
         "--search" => {
             let cfg = SearchConfig {
-                seed: parse_u64(&args, "--seed", 2024),
-                candidates: parse_u64(&args, "--candidates", 48) as usize,
-                ticks: parse_u64(&args, "--ticks", 48),
+                seed: args.int("--seed", 2024) as u64,
+                candidates: args.int("--candidates", 48),
+                ticks: args.count("--ticks", 48) as u64,
             };
             eprintln!(
                 "searching: seed {}, {} candidates, {} ticks...",
@@ -197,25 +146,21 @@ fn main() -> ExitCode {
             };
             println!("{} distinct-signature scenarios discovered", corpus.len());
             print_corpus(&corpus);
-            let out = PathBuf::from(
-                flag_value(&args, "--out").unwrap_or_else(|| "results/scenario_corpus.json".into()),
-            );
-            if let Err(e) = write_json(&out, &corpus) {
+            let out = PathBuf::from(args.str("--out").unwrap_or("results/scenario_corpus.json"));
+            if let Err(e) = save_json(&out, &corpus) {
                 eprintln!("error: cannot write {}: {e}", out.display());
                 return ExitCode::FAILURE;
             }
             eprintln!("wrote {}", out.display());
-            let emit = parse_u64(&args, "--emit", 0) as usize;
+            let emit = args.int("--emit", 0);
             if emit > 0 && !emit_distilled(&corpus, emit, cfg.seed, &out_dir) {
                 return ExitCode::FAILURE;
             }
             ExitCode::SUCCESS
         }
         "--minimize" => {
-            let corpus_path = PathBuf::from(
-                flag_value(&args, "--corpus")
-                    .unwrap_or_else(|| "results/scenario_corpus.json".into()),
-            );
+            let corpus_path =
+                PathBuf::from(args.str("--corpus").unwrap_or("results/scenario_corpus.json"));
             let corpus: Vec<CorpusEntry> = match std::fs::read_to_string(&corpus_path)
                 .map_err(|e| e.to_string())
                 .and_then(|s| serde_json::from_str(&s).map_err(|e| format!("{e:?}")))
@@ -226,8 +171,8 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let seed = parse_u64(&args, "--seed", 2024);
-            let emit = parse_u64(&args, "--emit", corpus.len() as u64) as usize;
+            let seed = args.int("--seed", 2024) as u64;
+            let emit = args.int("--emit", corpus.len());
             if emit_distilled(&corpus, emit, seed, &out_dir) {
                 ExitCode::SUCCESS
             } else {
@@ -235,9 +180,7 @@ fn main() -> ExitCode {
             }
         }
         "--replay" => {
-            let dir = PathBuf::from(
-                flag_value(&args, "--dir").unwrap_or_else(|| DEFAULT_DISTILLED_DIR.to_string()),
-            );
+            let dir = PathBuf::from(args.str("--dir").unwrap_or(DEFAULT_DISTILLED_DIR));
             let suites = match load_distilled_dir(&dir) {
                 Ok(s) => s,
                 Err(e) => {
@@ -291,11 +234,9 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::SUCCESS;
             }
-            let diff_out = PathBuf::from(
-                flag_value(&args, "--diff-out")
-                    .unwrap_or_else(|| "results/scenario_drift.json".into()),
-            );
-            if let Err(e) = write_json(&diff_out, &failing) {
+            let diff_out =
+                PathBuf::from(args.str("--diff-out").unwrap_or("results/scenario_drift.json"));
+            if let Err(e) = save_json(&diff_out, &failing) {
                 eprintln!("error: cannot write {}: {e}", diff_out.display());
             } else {
                 eprintln!("wrote drift diff {}", diff_out.display());

@@ -25,16 +25,13 @@
 //!   ring drops, and one span per pipeline stage per frame. Exits
 //!   nonzero on any violation (used by the CI `trace-smoke` job).
 
+use ecofusion_bench::cli::{usage_error, Args, TRACE_DUMP};
+use ecofusion_bench::write_file;
 use ecofusion_energy::StageKind;
-use ecofusion_eval::experiments::common::Scale;
 use ecofusion_harness::{run_suite_traced, ModelProvider, SuiteId};
 use ecofusion_trace::{chrome_trace_json, prometheus_snapshot, TraceSink};
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
 
 /// `--check`: re-parse the emitted JSON the way a consumer would and
 /// verify completeness against the suite report's frame count.
@@ -82,39 +79,17 @@ fn check_trace(json: &str, frames: u64, sink: &TraceSink) -> Result<(), String> 
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(&args);
-    let suite_label = flag_value(&args, "--suite").unwrap_or_else(|| "steady_city".into());
-    let Some(id) = SuiteId::from_label(&suite_label) else {
+    let args = Args::from_env(&TRACE_DUMP);
+    let scale = args.scale();
+    let suite_label = args.str("--suite").unwrap_or("steady_city");
+    let Some(id) = SuiteId::from_label(suite_label) else {
         let known: Vec<&str> = SuiteId::ALL.iter().map(|id| id.label()).collect();
-        eprintln!("error: unknown suite `{suite_label}` (known: {})", known.join(", "));
-        return ExitCode::from(2);
+        usage_error(&format!("unknown suite `{suite_label}` (known: {})", known.join(", ")));
     };
-    let shards = match flag_value(&args, "--shards") {
-        None => 1,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("error: --shards expects a positive integer, got `{v}`");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let capacity = match flag_value(&args, "--capacity") {
-        None => 1 << 20,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("error: --capacity expects a positive integer, got `{v}`");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let out =
-        PathBuf::from(flag_value(&args, "--out").unwrap_or_else(|| "results/trace.json".into()));
-    let metrics_out = PathBuf::from(
-        flag_value(&args, "--metrics").unwrap_or_else(|| "results/metrics.prom".into()),
-    );
+    let shards = args.count("--shards", 1);
+    let capacity = args.count("--capacity", 1 << 20);
+    let out = PathBuf::from(args.str("--out").unwrap_or("results/trace.json"));
+    let metrics_out = PathBuf::from(args.str("--metrics").unwrap_or("results/metrics.prom"));
 
     eprintln!("tracing suite {suite_label} ({scale:?}, {shards} shard(s), ring {capacity})...");
     let provider = ModelProvider::prepare(scale);
@@ -136,19 +111,12 @@ fn main() -> ExitCode {
     let sink = sink.expect("traced run returns its sink");
 
     let json = chrome_trace_json(&sink);
-    if let Some(dir) = out.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("error: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    if let Some(dir) = metrics_out.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if let Err(e) = std::fs::write(&metrics_out, prometheus_snapshot(&sink)) {
-        eprintln!("error: cannot write {}: {e}", metrics_out.display());
-        return ExitCode::FAILURE;
+    let metrics = prometheus_snapshot(&sink);
+    for (path, contents) in [(&out, &json), (&metrics_out, &metrics)] {
+        if let Err(e) = write_file(path, contents) {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
     }
     println!(
         "{}: {} frames, {} events recorded ({} dropped), digest {}",
@@ -160,7 +128,7 @@ fn main() -> ExitCode {
     );
     println!("wrote {} and {}", out.display(), metrics_out.display());
 
-    if args.iter().any(|a| a == "--check") {
+    if args.switch("--check") {
         match check_trace(&json, report.frames, &sink) {
             Ok(()) => println!("trace check PASS"),
             Err(e) => {

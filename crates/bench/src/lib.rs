@@ -8,10 +8,11 @@
 //! wall-clock cost of the pipeline components on this machine — a separate
 //! quantity from the calibrated PX2 numbers the tables report.
 
+pub mod cli;
+
 use ecofusion_core::{Dataset, DatasetSpec, EcoFusionModel};
 use ecofusion_tensor::rng::Rng;
-use serde::Serialize;
-use std::path::PathBuf;
+use std::path::Path;
 
 /// Builds a small untrained model + dataset pair for component benches
 /// (criterion measures compute, not accuracy, so training is skipped).
@@ -22,30 +23,12 @@ pub fn bench_fixture(seed: u64) -> (EcoFusionModel, Dataset) {
     (model, dataset)
 }
 
-/// Writes an experiment result as JSON next to the repository's `results/`
-/// directory when `--json` is among the CLI arguments. Errors are reported
-/// to stderr but never fatal — table output on stdout is the primary
-/// artifact.
-pub fn maybe_write_json<T: Serialize>(args: &[String], name: &str, value: &T) {
-    if !args.iter().any(|a| a == "--json") {
-        return;
+/// Writes `contents` to `path`, creating its parent directory first.
+pub fn write_file(path: &Path, contents: impl AsRef<[u8]>) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
     }
-    let dir = PathBuf::from("results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                eprintln!("wrote {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
-    }
+    std::fs::write(path, contents)
 }
 
 #[cfg(test)]

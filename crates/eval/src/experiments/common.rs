@@ -18,17 +18,6 @@ pub enum Scale {
     Full,
 }
 
-impl Scale {
-    /// Parses `--full` from CLI arguments (anything else is quick).
-    pub fn from_args(args: &[String]) -> Scale {
-        if args.iter().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Quick
-        }
-    }
-}
-
 /// A trained model plus the dataset it was trained on: the shared input of
 /// every experiment runner.
 #[derive(Debug)]
@@ -119,15 +108,4 @@ pub fn adaptive_summary(
             stage: Some(out.stage_trace),
         }
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scale_parse() {
-        assert_eq!(Scale::from_args(&["--full".to_string()]), Scale::Full);
-        assert_eq!(Scale::from_args(&[]), Scale::Quick);
-    }
 }
