@@ -664,7 +664,7 @@ impl EcoFusionModel {
     }
 }
 
-/// The sharded runtime moves model replicas into scoped worker threads;
+/// The sharded runtime moves model replicas into its worker threads;
 /// this holds because `Layer: Send` is a supertrait and every other field
 /// is plain owned data. A compile error here means a non-`Send` layer or
 /// cache snuck into the model.

@@ -1,6 +1,8 @@
 //! A counting global allocator for tests that bound what a warm path
 //! asks the heap for. Counters are per thread, so tests running
-//! concurrently in one binary don't bleed into each other.
+//! concurrently in one binary don't bleed into each other; one more
+//! counts every thread's allocations, for a binary whose single test
+//! hands work to threads of its own.
 //!
 //! Included by file path (`#[path = ".../counting_alloc.rs"] mod
 //! counting_alloc;`), not through `common/mod.rs`: the test binary that
@@ -10,6 +12,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     pub static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -17,8 +20,12 @@ thread_local! {
     pub static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
+/// Allocations made by every thread of the process.
+static PROCESS_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
 /// One request of `size` bytes (an `alloc`, or a `realloc` to `size`).
 fn count(size: usize) {
+    PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
     ALLOCS.with(|c| c.set(c.get() + 1));
     BYTES.with(|c| c.set(c.get() + size as u64));
     LARGEST.with(|c| c.set(c.get().max(size)));
@@ -54,4 +61,8 @@ pub fn allocs_on_this_thread() -> u64 {
 
 pub fn bytes_on_this_thread() -> u64 {
     BYTES.with(|c| c.get())
+}
+
+pub fn allocs_in_process() -> u64 {
+    PROCESS_ALLOCS.load(Ordering::Relaxed)
 }

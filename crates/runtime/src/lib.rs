@@ -16,10 +16,13 @@
 //!                                    drop/stall, is shard-invariant)
 //!                     work units keyed on (home shard, InferenceOptions)
 //!                                 │
-//!              ┌──────────────────┼──────────────────┐ std::thread::scope
+//!              ┌──────────────────┼──────────────────┐ shard workers
 //!              ▼                  ▼                  ▼
 //!          shard 0            shard 1    ...     shard S-1
-//!       (model replica)    (model replica)    (model replica)
+//!       (model replica;    (model replica;    (model replica;
+//!        the caller of      a helper thread    a helper thread
+//!        process_step)      started with       started with
+//!                           the server)        the server)
 //!       infer_batch_cached on each unit; a drained shard steals
 //!       whole units from the deepest neighbor (never splitting a
 //!       stream's FIFO run)
@@ -35,7 +38,7 @@
 //! # Sharded execution and the determinism invariant
 //!
 //! [`RuntimeConfig::shards`] partitions streams round-robin across worker
-//! threads, each owning a snapshot-restored replica of the serving model
+//! shards, each owning a snapshot-restored replica of the serving model
 //! (restore is inference-bit-identical, and inference never mutates
 //! observable model state). Every processing step picks frames with the
 //! *single global* round-robin coalescer first — so queue pops,
@@ -47,7 +50,10 @@
 //! selection digests, and reports are bit-identical for any shard count,
 //! with work stealing on or off.** Cross-stream batching (PR 2) was
 //! amortization-bound on one core; shards resolve that caveat — on an
-//! S-core host, S shards execute their micro-batches concurrently.
+//! S-core host, S shards execute their micro-batches concurrently. The
+//! thread that calls `process_step` is shard 0's worker; every other
+//! shard runs on a helper thread the server starts once, parks between
+//! steps and joins when it is dropped (see [`shard`]).
 //!
 //! **Work stealing** ([`RuntimeConfig::work_stealing`]): a worker whose
 //! shard has no unclaimed units left claims whole units from the shard
@@ -103,6 +109,8 @@
 //!   Malformed frames are rejected at ingest with
 //!   [`IngestOutcome::RejectedMalformed`] instead of panicking, so one
 //!   broken producer cannot take down the server.
+
+#![forbid(unsafe_code)]
 
 pub mod budget;
 pub mod hist;

@@ -10,7 +10,7 @@ use crate::budget::{
 };
 use crate::hist::LatencyHistogram;
 use crate::queue::{FrameQueue, IngestOutcome, QueuedFrame};
-use crate::shard::{execute_units, shard_of, ShardReport, ShardState, StepUnit, UnitPayload};
+use crate::shard::{shard_of, ShardPool, ShardReport, StepUnit, UnitPayload};
 use crate::stream::{StreamSpec, VehicleStream};
 use crate::telemetry::StreamTelemetry;
 use ecofusion_core::model::InferError;
@@ -322,9 +322,13 @@ pub struct RuntimeReport {
 /// assert_eq!(processed, 2);
 /// ```
 pub struct PerceptionServer {
-    /// Worker shards; shard 0 holds the original model, the rest hold
-    /// snapshot-restored replicas (restore is inference-bit-identical).
-    shards: Vec<ShardState>,
+    /// Worker shards; shard 0 holds the original model and runs on the
+    /// thread that calls `process_step`, the rest hold snapshot-restored
+    /// replicas (restore is inference-bit-identical) and run on helper
+    /// threads that live as long as the server.
+    shards: ShardPool,
+    /// The models' observation grid side.
+    grid: usize,
     lanes: Vec<Lane>,
     /// Per-stream stem-feature caches (parallel to `lanes`), kept out of
     /// `Lane` so they can be moved into work units during a step.
@@ -419,7 +423,9 @@ impl PerceptionServer {
     /// inference-bit-identical, and inference never mutates observable
     /// model state, so every shard serves exactly the same function. The
     /// shard count is clamped to the stream count (an idle shard is pure
-    /// overhead).
+    /// overhead). Each shard but the first gets a worker thread here,
+    /// parked between steps and stopped when the server is dropped; a
+    /// one-shard server starts none.
     ///
     /// # Panics
     /// Panics if `specs` is empty, `cfg.max_batch` or `cfg.shards` is
@@ -432,18 +438,10 @@ impl PerceptionServer {
             assert_eq!(s.grid, model.grid(), "stream {i} grid does not match model");
         }
         let num_shards = cfg.shards.min(specs.len());
-        let mut model = model;
-        let mut shards = Vec::with_capacity(num_shards);
-        if num_shards > 1 {
-            let snapshot = model.snapshot();
-            for _ in 1..num_shards {
-                shards.push(ShardState::new(snapshot.restore().expect("replica restores")));
-            }
-        }
-        shards.insert(0, ShardState::new(model));
-        let num_shards = shards.len();
+        let grid = model.grid();
         PerceptionServer {
-            shards,
+            shards: ShardPool::new(model, num_shards),
+            grid,
             lanes: specs.iter().map(Lane::new).collect(),
             stem_caches: specs.iter().map(|_| StemFeatureCache::new()).collect(),
             cache_slot_of: vec![usize::MAX; specs.len()],
@@ -492,11 +490,6 @@ impl PerceptionServer {
         self.shards.len()
     }
 
-    /// The serving model (shard 0's instance).
-    fn model(&self) -> &EcoFusionModel {
-        &self.shards[0].model
-    }
-
     /// Current scheduler tick.
     pub fn tick(&self) -> u64 {
         self.tick
@@ -520,7 +513,7 @@ impl PerceptionServer {
     /// Panics if `stream` is out of range (a caller bug, not a data
     /// fault).
     pub fn ingest(&mut self, stream: usize, frame: Frame) -> IngestOutcome {
-        if frame.obs.grid_size() != self.model().grid() {
+        if frame.obs.grid_size() != self.grid {
             self.lanes[stream].malformed += 1;
             return IngestOutcome::RejectedMalformed;
         }
@@ -701,13 +694,15 @@ impl PerceptionServer {
         let processed = self.step.picked.len();
         let step_ns = self.sched_clock_ns.max(tick * TICK_NS);
         let steals_before: (u64, u64) =
-            self.shards.iter().fold((0, 0), |(s, f), sh| (s + sh.steals, f + sh.stolen_frames));
+            self.shards.states().fold((0, 0), |(s, f), sh| (s + sh.steals, f + sh.stolen_frames));
         self.build_units();
         let num_units = self.step.live;
-        execute_units(&mut self.shards, &self.step.units[..num_units], self.cfg.work_stealing);
+        self.shards.execute(&mut self.step.units, num_units, self.cfg.work_stealing);
         let (steals, stolen_frames) = {
-            let after: (u64, u64) =
-                self.shards.iter().fold((0, 0), |(s, f), sh| (s + sh.steals, f + sh.stolen_frames));
+            let after: (u64, u64) = self
+                .shards
+                .states()
+                .fold((0, 0), |(s, f), sh| (s + sh.steals, f + sh.stolen_frames));
             (after.0 - steals_before.0, after.1 - steals_before.1)
         };
         let batch_sizes = self.account_units(step_ns)?;
@@ -718,7 +713,7 @@ impl PerceptionServer {
         // run; idle replicas contribute zero, which keeps the totals
         // shard-count-invariant for single-stream golden suites.
         let plans = if tracing {
-            self.shards.iter_mut().fold((0u64, 0u64, 0u64), |(h, m, c), sh| {
+            self.shards.states().fold((0u64, 0u64, 0u64), |(h, m, c), mut sh| {
                 let d = sh.model.take_plan_delta();
                 (h + d.hits, m + d.misses, c + d.compiles)
             })
@@ -1118,7 +1113,7 @@ impl PerceptionServer {
         let num_shards = self.shards.len();
         let shards = self
             .shards
-            .iter()
+            .states()
             .enumerate()
             .map(|(i, s)| ShardReport {
                 shard: i,

@@ -10,16 +10,20 @@
 //!
 //! Three small servers on one shard each: a batched fleet on the
 //! attention gate, four streams on four gates including the loss-based
-//! oracle, and streams a tight budget squeezes onto the int8 rung. Each
-//! serves a sequence of ticks twice: the first pass grows every buffer to
-//! what those frames need, the second — the same frames under the same
-//! options — is counted. Counts are this thread's (a single shard runs
-//! every unit inline), so tests running beside this one cannot touch them.
+//! oracle, and streams a tight budget squeezes onto the int8 rung; and
+//! the fleet again on two shards (work stealing off, so that each unit
+//! runs on the replica that served it in the first pass). Each serves a sequence of ticks twice:
+//! the first pass grows every buffer to what those frames need, the
+//! second — the same frames under the same options — is counted. A
+//! single shard runs every unit inline, so its counts are this thread's.
+//! Two shards run shard 1's units on the server's worker thread, so their
+//! counts are the whole process's; the file's single test keeps other
+//! tests from adding to them.
 
 #[path = "../../core/tests/common/counting_alloc.rs"]
 mod counting_alloc;
 
-use counting_alloc::allocs_on_this_thread;
+use counting_alloc::{allocs_in_process, allocs_on_this_thread};
 use ecofusion_core::{ConfigId, EcoFusionModel, Frame, InferenceOptions, Precision};
 use ecofusion_gating::GateKind;
 use ecofusion_runtime::{EnergyBudget, PerceptionServer, RuntimeConfig, StreamSpec, VehicleStream};
@@ -33,15 +37,27 @@ struct Served {
     name: &'static str,
     server: PerceptionServer,
     streams: Vec<VehicleStream>,
+    /// The allocation counter that sees all of the server's work.
+    allocs: fn() -> u64,
 }
 
 impl Served {
     fn new(name: &'static str, specs: &[StreamSpec], max_batch: usize) -> Self {
+        Served::sharded(name, specs, max_batch, 1)
+    }
+
+    fn sharded(name: &'static str, specs: &[StreamSpec], max_batch: usize, shards: usize) -> Self {
         let model = EcoFusionModel::new(GRID, 8, &mut Rng::new(0xEC0F));
-        let cfg = RuntimeConfig { max_batch, ..RuntimeConfig::default() };
+        // Without stealing every unit runs on its home shard's replica, as
+        // it did in the first pass: a stolen unit can be the first of its
+        // shape a replica runs, and grow that replica's buffers.
+        let cfg = RuntimeConfig { max_batch, work_stealing: false, ..RuntimeConfig::default() }
+            .with_shards(shards);
         let server = PerceptionServer::new(model, specs, cfg);
+        assert_eq!(server.num_shards(), shards, "{name}: every shard has streams");
         let streams = specs.iter().map(|s| VehicleStream::new(*s)).collect();
-        Served { name, server, streams }
+        let allocs = if shards == 1 { allocs_on_this_thread } else { allocs_in_process };
+        Served { name, server, streams, allocs }
     }
 
     /// The next tick's frames, one a stream.
@@ -53,12 +69,12 @@ impl Served {
     /// allocations made by `ingest` and `process_step_stats` and the
     /// frames the step served.
     fn serve(&mut self, frames: Vec<Frame>) -> (u64, usize) {
-        let before = allocs_on_this_thread();
+        let before = (self.allocs)();
         for (i, frame) in frames.into_iter().enumerate() {
             let _ = self.server.ingest(i, frame);
         }
         let stats = self.server.process_step_stats().expect("the step serves");
-        let allocs = allocs_on_this_thread() - before;
+        let allocs = (self.allocs)() - before;
         self.server.advance_tick();
         (allocs, stats.frames)
     }
@@ -125,8 +141,9 @@ fn assert_warm_steps_allocate_only_hand_outs(mut served: Served, ticks: usize) {
     );
 }
 
-/// One `#[test]`, so that the three servers are measured one after
-/// another on this thread.
+/// One `#[test]`, so that the four servers are measured one after
+/// another on this thread, and nothing else runs beside the two-shard
+/// one.
 #[test]
 fn a_warm_step_allocates_only_what_it_hands_out() {
     // A batched fleet on the attention gate.
@@ -134,6 +151,10 @@ fn a_warm_step_allocates_only_what_it_hands_out() {
         .map(|i| StreamSpec::new(500 + i as u64, GRID).with_context(Context::ALL[i % 8]))
         .collect();
     assert_warm_steps_allocate_only_hand_outs(Served::new("fleet", &fleet, 8), 24);
+
+    // The same fleet on two shards: two units a step, one of them on the
+    // server's worker thread.
+    assert_warm_steps_allocate_only_hand_outs(Served::sharded("2-shard fleet", &fleet, 8, 2), 24);
 
     // Four streams on four gates, so four batch-1 units a step and one
     // of them the loss-based oracle.
