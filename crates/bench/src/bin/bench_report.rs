@@ -56,7 +56,7 @@ use ecofusion_bench::cli::{usage_error, Args, BENCH_REPORT};
 use ecofusion_bench::write_file;
 use ecofusion_core::Precision;
 use ecofusion_harness::{
-    compare, run_report_traced, BenchReport, SuiteId, Tolerances, DEFAULT_BASELINE_PATH,
+    compare, run_report, BenchReport, SuiteId, Tolerances, DEFAULT_BASELINE_PATH,
     FLIGHT_RECORDER_EVENTS,
 };
 use ecofusion_trace::{chrome_trace_json, prometheus_snapshot, TraceSink};
@@ -157,7 +157,7 @@ fn main() -> ExitCode {
             "running workload suites ({scale:?}, {shards} shard(s), {}{armed})...",
             precision.label()
         );
-        run_report_traced(scale, &only, shards, precision, trace_capacity).unwrap_or_else(|e| {
+        run_report(scale, &only, shards, precision, trace_capacity).unwrap_or_else(|e| {
             eprintln!("error: suite run failed: {e}");
             std::process::exit(1);
         })

@@ -36,8 +36,8 @@ use std::process::ExitCode;
 fn run_at(scale: Scale, precision: Precision) -> BenchReport {
     let label = precision.label();
     eprintln!("running workload suites at {label} ({scale:?})...");
-    match run_report(scale, &[], 1, precision) {
-        Ok(r) => r,
+    match run_report(scale, &[], 1, precision, None) {
+        Ok((r, _)) => r,
         Err(e) => {
             eprintln!("error: {label} suite run failed: {e}");
             std::process::exit(1);

@@ -28,7 +28,7 @@
 use ecofusion_bench::cli::{usage_error, Args, TRACE_DUMP};
 use ecofusion_bench::write_file;
 use ecofusion_energy::StageKind;
-use ecofusion_harness::{run_suite_traced, ModelProvider, SuiteId};
+use ecofusion_harness::{run_suite, ModelProvider, SuiteId};
 use ecofusion_trace::{chrome_trace_json, prometheus_snapshot, TraceSink};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -93,14 +93,8 @@ fn main() -> ExitCode {
 
     eprintln!("tracing suite {suite_label} ({scale:?}, {shards} shard(s), ring {capacity})...");
     let provider = ModelProvider::prepare(scale);
-    let traced = run_suite_traced(
-        &provider,
-        id,
-        scale,
-        shards,
-        ecofusion_core::Precision::F32,
-        Some(capacity),
-    );
+    let traced =
+        run_suite(&provider, id, scale, shards, ecofusion_core::Precision::F32, Some(capacity));
     let (report, sink) = match traced {
         Ok(pair) => pair,
         Err(e) => {

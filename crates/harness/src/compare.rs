@@ -3,11 +3,12 @@
 //!
 //! Three classes of check, matching what each metric can promise:
 //!
-//! * **Determinism fields** (frames, stem counters, config histogram,
-//!   selection digest, backpressure/budget counters, contexts) must be
-//!   **bit-equal**: the suites are fully seeded, so *any* drift here is a
-//!   behavior change that must be explained — either a bug or a
-//!   deliberate change that warrants refreshing the baseline.
+//! * **Determinism fields** — every serialized [`SuiteReport`] field but
+//!   the exempt keys below, so a field added to the report is gated from
+//!   the start — must be **bit-equal** (a drifted one is reported as
+//!   `determinism.<key>`): the suites are fully seeded, so *any* drift
+//!   here is a behavior change that must be explained — either a bug or
+//!   a deliberate change that warrants refreshing the baseline.
 //! * **Accuracy** (mAP) may improve but not regress beyond
 //!   [`Tolerances::map_drop_pct`].
 //! * **Modeled energy / latency** may not grow beyond a fractional noise
@@ -16,9 +17,22 @@
 //!   outputs, but banding (instead of bit-equality) lets a deliberate
 //!   cost-model recalibration land with a baseline refresh in the same PR
 //!   while still catching silent cost growth.
+//!
+//! The exact diff skips these keys, and only these: `suite`, `map_pct`,
+//! `avg_loss`, `total_platform_j`, `total_gated_j`, `stage_energy`,
+//! `latency`, `fleet`. `suite` is what the reports were matched on, the
+//! middle six are banded, and `fleet`'s per-shard steal counts follow
+//! the host's thread schedule.
 
 use crate::report::{BenchReport, SuiteReport};
+use serde::{Serialize, Value};
+use std::collections::BTreeMap;
 use std::fmt;
+
+/// The [`SuiteReport`] keys the exact diff skips (see the module docs).
+#[rustfmt::skip]
+const EXEMPT: [&str; 8] = ["suite", "map_pct", "avg_loss", "total_platform_j", "total_gated_j",
+    "stage_energy", "latency", "fleet"];
 
 /// Per-metric tolerances of the gate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,36 +90,34 @@ impl fmt::Display for Violation {
     }
 }
 
+impl Violation {
+    fn new(suite: &str, metric: impl Into<String>, detail: impl Into<String>) -> Violation {
+        Violation { suite: suite.to_string(), metric: metric.into(), detail: detail.into() }
+    }
+}
+
 /// Diffs `fresh` against `baseline`; an empty result means the gate
 /// passes.
 pub fn compare(baseline: &BenchReport, fresh: &BenchReport, tol: &Tolerances) -> Vec<Violation> {
-    let mut v = Vec::new();
+    let (base_scale, fresh_scale) = (&baseline.build.scale, &fresh.build.scale);
     if baseline.schema != fresh.schema {
-        v.push(Violation {
-            suite: String::new(),
-            metric: "schema".to_string(),
-            detail: format!("baseline schema {} vs fresh {}", baseline.schema, fresh.schema),
-        });
-        return v;
+        let detail = format!("baseline schema {} vs fresh {}", baseline.schema, fresh.schema);
+        return vec![Violation::new("", "schema", detail)];
     }
-    if baseline.build.scale != fresh.build.scale {
-        v.push(Violation {
-            suite: String::new(),
-            metric: "scale".to_string(),
-            detail: format!(
-                "baseline ran at `{}` scale, fresh at `{}` — refusing to compare",
-                baseline.build.scale, fresh.build.scale
-            ),
-        });
-        return v;
+    if base_scale != fresh_scale {
+        let detail = format!(
+            "baseline ran at `{base_scale}` scale, fresh at `{fresh_scale}` — refusing to compare"
+        );
+        return vec![Violation::new("", "scale", detail)];
     }
+    let mut v = Vec::new();
     for base_suite in &baseline.suites {
         match fresh.suite(&base_suite.suite) {
-            None => v.push(Violation {
-                suite: base_suite.suite.clone(),
-                metric: "presence".to_string(),
-                detail: "suite present in baseline but missing from fresh report".to_string(),
-            }),
+            None => v.push(Violation::new(
+                &base_suite.suite,
+                "presence",
+                "suite present in baseline but missing from fresh report",
+            )),
             Some(fresh_suite) => compare_suite(base_suite, fresh_suite, tol, &mut v),
         }
     }
@@ -114,13 +126,12 @@ pub fn compare(baseline: &BenchReport, fresh: &BenchReport, tol: &Tolerances) ->
     // suite whose author forgot to refresh the baseline).
     for fresh_suite in &fresh.suites {
         if baseline.suite(&fresh_suite.suite).is_none() {
-            v.push(Violation {
-                suite: fresh_suite.suite.clone(),
-                metric: "presence".to_string(),
-                detail: "suite present in fresh report but missing from baseline — refresh \
-                         the baseline so the new suite is gated"
-                    .to_string(),
-            });
+            v.push(Violation::new(
+                &fresh_suite.suite,
+                "presence",
+                "suite present in fresh report but missing from baseline — refresh the \
+                 baseline so the new suite is gated",
+            ));
         }
     }
     v
@@ -132,122 +143,25 @@ fn compare_suite(
     tol: &Tolerances,
     out: &mut Vec<Violation>,
 ) {
-    let mut strict = |metric: &str, equal: bool, detail: String| {
-        if !equal {
-            out.push(Violation {
-                suite: base.suite.clone(),
-                metric: format!("determinism.{metric}"),
-                detail,
-            });
-        }
-    };
-
-    // Determinism fields: bit-equal, no band.
-    strict("seed", base.seed == fresh.seed, format!("{} vs {}", base.seed, fresh.seed));
-    strict("ticks", base.ticks == fresh.ticks, format!("{} vs {}", base.ticks, fresh.ticks));
-    strict(
-        "streams",
-        base.streams == fresh.streams,
-        format!("{} vs {}", base.streams, fresh.streams),
-    );
-    strict("frames", base.frames == fresh.frames, format!("{} vs {}", base.frames, fresh.frames));
-    strict(
-        "digest",
-        base.determinism_digest == fresh.determinism_digest,
-        format!("{} vs {}", base.determinism_digest, fresh.determinism_digest),
-    );
-    strict(
-        "stems_executed",
-        base.stems_executed == fresh.stems_executed,
-        format!("{} vs {}", base.stems_executed, fresh.stems_executed),
-    );
-    strict(
-        "stems_cached",
-        base.stems_cached == fresh.stems_cached,
-        format!("{} vs {}", base.stems_cached, fresh.stems_cached),
-    );
-    strict(
-        "stems_skipped",
-        base.stems_skipped == fresh.stems_skipped,
-        format!("{} vs {}", base.stems_skipped, fresh.stems_skipped),
-    );
-    strict(
-        "stem_cache_hits",
-        base.stem_cache_hits == fresh.stem_cache_hits,
-        format!("{} vs {}", base.stem_cache_hits, fresh.stem_cache_hits),
-    );
-    strict(
-        "stem_cache_misses",
-        base.stem_cache_misses == fresh.stem_cache_misses,
-        format!("{} vs {}", base.stem_cache_misses, fresh.stem_cache_misses),
-    );
-    strict(
-        "config_histogram",
-        base.config_histogram == fresh.config_histogram,
-        "selection histogram changed".to_string(),
-    );
-    strict(
-        "contexts_visited",
-        base.contexts_visited == fresh.contexts_visited,
-        format!("{:?} vs {:?}", base.contexts_visited, fresh.contexts_visited),
-    );
-    strict(
-        "dropped",
-        base.dropped == fresh.dropped,
-        format!("{} vs {}", base.dropped, fresh.dropped),
-    );
-    strict("stalls", base.stalls == fresh.stalls, format!("{} vs {}", base.stalls, fresh.stalls));
-    strict(
-        "escalations",
-        base.escalations == fresh.escalations,
-        format!("{} vs {}", base.escalations, fresh.escalations),
-    );
-    strict(
-        "max_final_level",
-        base.max_final_level == fresh.max_final_level,
-        format!("{} vs {}", base.max_final_level, fresh.max_final_level),
-    );
-    strict(
-        "degraded_frames",
-        base.degraded_frames == fresh.degraded_frames,
-        format!("{} vs {}", base.degraded_frames, fresh.degraded_frames),
-    );
-    strict(
-        "masked_frames",
-        base.masked_frames == fresh.masked_frames,
-        format!("{} vs {}", base.masked_frames, fresh.masked_frames),
-    );
-    strict(
-        "int8_frames",
-        base.int8_frames == fresh.int8_frames,
-        format!("{} vs {}", base.int8_frames, fresh.int8_frames),
-    );
-    strict(
-        "gate_fallbacks",
-        base.gate_fallbacks == fresh.gate_fallbacks,
-        format!("{} vs {}", base.gate_fallbacks, fresh.gate_fallbacks),
-    );
+    let suite = base.suite.as_str();
+    for (key, b, f) in exact_diff(base, fresh, &EXEMPT) {
+        out.push(Violation::new(suite, format!("determinism.{key}"), format!("{b} vs {f}")));
+    }
 
     // Accuracy: may not regress beyond the tolerance.
     if fresh.map_pct < base.map_pct - tol.map_drop_pct {
-        out.push(Violation {
-            suite: base.suite.clone(),
-            metric: "accuracy.map_pct".to_string(),
-            detail: format!(
-                "regressed {:.4} → {:.4} (allowed drop {})",
-                base.map_pct, fresh.map_pct, tol.map_drop_pct
-            ),
-        });
+        let detail = format!(
+            "regressed {:.4} → {:.4} (allowed drop {})",
+            base.map_pct, fresh.map_pct, tol.map_drop_pct
+        );
+        out.push(Violation::new(suite, "accuracy.map_pct", detail));
     }
     // Fusion loss is accuracy-bearing too, and catches box-coordinate
     // drift the count-only digest and a coarse mAP cannot see: it may
     // improve but not grow.
     if fresh.avg_loss > base.avg_loss + 1e-9 {
-        out.push(Violation {
-            suite: base.suite.clone(),
-            metric: "accuracy.avg_loss".to_string(),
-            detail: format!("grew {:.6} → {:.6}", base.avg_loss, fresh.avg_loss),
-        });
+        let detail = format!("grew {:.6} → {:.6}", base.avg_loss, fresh.avg_loss);
+        out.push(Violation::new(suite, "accuracy.avg_loss", detail));
     }
 
     // Energy / latency: may not grow beyond the noise band. The band is
@@ -256,50 +170,59 @@ fn compare_suite(
     // make the relative part vanish and fail on any positive dust — or,
     // with a NaN baseline, pass vacuously. The `!(<=)` form fails on NaN
     // on either side instead of silently waving it through.
-    let mut banded = |metric: &str, base_v: f64, fresh_v: f64, frac: f64, floor: f64| {
+    let mut banded = |metric: &str, base_v: f64, fresh_v: f64, (frac, floor): (f64, f64)| {
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(fresh_v <= base_v * (1.0 + frac) + floor) {
-            out.push(Violation {
-                suite: base.suite.clone(),
-                metric: metric.to_string(),
-                detail: format!(
-                    "grew {base_v:.6} → {fresh_v:.6} (band +{:.1}% + {floor})",
-                    frac * 100.0
-                ),
-            });
+            let pct = frac * 100.0;
+            let detail = format!("grew {base_v:.6} → {fresh_v:.6} (band +{pct:.1}% + {floor})");
+            out.push(Violation::new(suite, metric, detail));
         }
     };
-    let (e_frac, e_floor) = (tol.energy_growth_frac, tol.energy_floor_j);
-    let (l_frac, l_floor) = (tol.latency_growth_frac, tol.latency_floor_ms);
-    banded("energy.total_gated_j", base.total_gated_j, fresh.total_gated_j, e_frac, e_floor);
-    banded(
-        "energy.total_platform_j",
-        base.total_platform_j,
-        fresh.total_platform_j,
-        e_frac,
-        e_floor,
-    );
-    for (stage, base_j) in &base.stage_energy.per_stage_j {
-        let fresh_j = fresh.stage_energy.per_stage_j.get(stage).copied().unwrap_or(0.0);
-        banded(&format!("energy.stage.{stage}"), *base_j, fresh_j, e_frac, e_floor);
-    }
-    // Mirror the suite-presence symmetry for stage keys: a stage the
-    // fresh report charges but the baseline has never seen (renamed or
-    // newly added StageKind) would otherwise run ungated while the old
-    // key vacuously compares against 0. Banding against a 0.0 baseline
-    // flags any charge above the absolute floor.
-    for (stage, fresh_j) in &fresh.stage_energy.per_stage_j {
-        if !base.stage_energy.per_stage_j.contains_key(stage) {
-            banded(&format!("energy.stage.{stage}"), 0.0, *fresh_j, e_frac, e_floor);
-        }
+    let energy = (tol.energy_growth_frac, tol.energy_floor_j);
+    let latency = (tol.latency_growth_frac, tol.latency_floor_ms);
+    banded("energy.total_gated_j", base.total_gated_j, fresh.total_gated_j, energy);
+    banded("energy.total_platform_j", base.total_platform_j, fresh.total_platform_j, energy);
+    // Stages are banded over the baseline's keys, then the fresh report's
+    // new ones, mirroring the suite-presence symmetry: a stage the fresh
+    // report charges but the baseline has never seen (renamed or newly
+    // added StageKind) is banded against 0.0, so any charge above the
+    // absolute floor fails, while the old key compares against 0.
+    let (base_stages, fresh_stages) =
+        (&base.stage_energy.per_stage_j, &fresh.stage_energy.per_stage_j);
+    let new_stages = fresh_stages.keys().filter(|k| !base_stages.contains_key(*k));
+    for stage in base_stages.keys().chain(new_stages) {
+        let j = |stages: &BTreeMap<String, f64>| stages.get(stage).copied().unwrap_or(0.0);
+        banded(&format!("energy.stage.{stage}"), j(base_stages), j(fresh_stages), energy);
     }
 
     // Latency: mean and tail, banded.
-    banded("latency.mean_ms", base.latency.mean_ms, fresh.latency.mean_ms, l_frac, l_floor);
-    banded("latency.p50_ms", base.latency.p50_ms, fresh.latency.p50_ms, l_frac, l_floor);
-    banded("latency.p95_ms", base.latency.p95_ms, fresh.latency.p95_ms, l_frac, l_floor);
-    banded("latency.p99_ms", base.latency.p99_ms, fresh.latency.p99_ms, l_frac, l_floor);
-    banded("latency.max_ms", base.latency.max_ms, fresh.latency.max_ms, l_frac, l_floor);
+    let (b, f) = (&base.latency, &fresh.latency);
+    banded("latency.mean_ms", b.mean_ms, f.mean_ms, latency);
+    banded("latency.p50_ms", b.p50_ms, f.p50_ms, latency);
+    banded("latency.p95_ms", b.p95_ms, f.p95_ms, latency);
+    banded("latency.p99_ms", b.p99_ms, f.p99_ms, latency);
+    banded("latency.max_ms", b.max_ms, f.max_ms, latency);
+}
+
+/// The serialized fields of two structs of one type that differ, as
+/// `(key, a, b)` with both values in JSON, in field order; keys in
+/// `skip` are not compared.
+pub(crate) fn exact_diff<T: Serialize>(
+    a: &T,
+    b: &T,
+    skip: &[&str],
+) -> Vec<(String, String, String)> {
+    let fields = |t: &T| match t.to_value() {
+        Value::Map(fields) => fields,
+        _ => unreachable!("a struct serializes to a map"),
+    };
+    let json = |v: &Value| serde_json::to_string(v).expect("a value serializes");
+    fields(a)
+        .iter()
+        .zip(&fields(b))
+        .filter(|((key, x), (_, y))| !skip.contains(&key.as_str()) && x != y)
+        .map(|((key, x), (_, y))| (key.clone(), json(x), json(y)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -307,6 +230,7 @@ mod tests {
     use super::*;
     use crate::report::{BuildMeta, SCHEMA_VERSION};
     use ecofusion_energy::StageRollup;
+    use serde::Deserialize;
     use std::collections::BTreeMap;
 
     fn report() -> BenchReport {
@@ -420,7 +344,7 @@ mod tests {
         fresh.suites[0].determinism_digest = "00000000000000ab".to_string();
         assert!(compare(&base, &fresh, &Tolerances::default())
             .iter()
-            .any(|v| v.metric == "determinism.digest"));
+            .any(|v| v.metric == "determinism.determinism_digest"));
     }
 
     #[test]
@@ -533,6 +457,73 @@ mod tests {
         assert!(compare(&base, &fb, &Tolerances::default())
             .iter()
             .any(|v| v.metric == "determinism.gate_fallbacks"));
+    }
+
+    /// A value that differs from `v`, of the same JSON kind.
+    fn perturbed(v: &Value) -> Value {
+        match v {
+            Value::Null => Value::Bool(true),
+            Value::Bool(b) => Value::Bool(!b),
+            Value::I64(n) => Value::I64(n + 1),
+            Value::U64(n) => Value::U64(n + 1),
+            Value::F64(x) => Value::F64(x + 1.0),
+            Value::Str(s) => Value::Str(format!("{s}~")),
+            Value::Seq(items) => {
+                Value::Seq([items.clone(), vec![Value::Str("Fog".into())]].concat())
+            }
+            Value::Map(m) => {
+                Value::Map([m.clone(), vec![("L(C_L)".into(), Value::U64(1))]].concat())
+            }
+        }
+    }
+
+    /// Every serialized field outside the exempt keys is gated on its
+    /// own: changing it alone yields exactly one `determinism.<key>`
+    /// violation, so a field added to `SuiteReport` later is gated
+    /// unless someone exempts it on purpose.
+    #[test]
+    fn every_unexempt_field_is_gated_exactly() {
+        let base = report();
+        let Value::Map(fields) = base.suites[0].to_value() else { panic!("a struct is a map") };
+        let mut gated = 0;
+        for (key, value) in fields.iter().filter(|(k, _)| !EXEMPT.contains(&k.as_str())) {
+            let mut changed = fields.clone();
+            changed.iter_mut().find(|(k, _)| k == key).unwrap().1 = perturbed(value);
+            let mut fresh = report();
+            fresh.suites[0] = SuiteReport::from_value(&Value::Map(changed)).expect(key);
+            assert_ne!(fresh.suites[0], base.suites[0], "{key} was not perturbed");
+            let metrics: Vec<String> = compare(&base, &fresh, &Tolerances::default())
+                .into_iter()
+                .map(|v| v.metric)
+                .collect();
+            assert_eq!(metrics, [format!("determinism.{key}")], "{key}");
+            gated += 1;
+        }
+        assert_eq!(gated + EXEMPT.len(), fields.len(), "every exempt key is a report field");
+        assert!(gated >= 20, "only {gated} fields gated");
+    }
+
+    /// The exempt keys are exactly the ones the module docs list.
+    #[test]
+    fn exempt_keys_are_the_documented_ones() {
+        let doc = include_str!("compare.rs");
+        let start = doc.find("skips these keys, and only these:").expect("the list is documented");
+        let list = &doc[start..start + doc[start..].find(". `suite` is").unwrap()];
+        let documented: Vec<&str> = list.split('`').skip(1).step_by(2).collect();
+        assert_eq!(documented, EXEMPT);
+        assert_eq!(
+            EXEMPT.to_vec(),
+            [
+                "suite",
+                "map_pct",
+                "avg_loss",
+                "total_platform_j",
+                "total_gated_j",
+                "stage_energy",
+                "latency",
+                "fleet"
+            ]
+        );
     }
 
     #[test]

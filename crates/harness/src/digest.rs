@@ -40,9 +40,9 @@ impl Fnv1a {
 }
 
 /// Mixes `stream`'s behavioral record (selection sequence + detection
-/// counts from its telemetry) into `digest` — the per-stream scheme both
-/// [`crate::run`] and [`crate::scenario`] share, kept in one place so
-/// they can never drift apart.
+/// counts from its telemetry) into `digest` — the per-stream scheme the
+/// harness rollup (suites and scenarios alike) and the serving benchmark
+/// share, kept in one place so they can never drift apart.
 pub fn absorb_stream(digest: &mut Fnv1a, server: &PerceptionServer, stream: usize) {
     let t = server.telemetry(stream);
     digest.byte(0xFF);

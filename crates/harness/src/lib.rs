@@ -10,20 +10,18 @@
 //! so CI fails when behavior drifts or costs grow.
 //!
 //! ```text
-//!  SuiteId::ALL ──▶ plan(scale) ──▶ stream_specs() + FaultSchedule
-//!        │                               │
-//!        │                               ▼
-//!        │                   PerceptionServer (real runtime:
-//!        │                   queues, batching, budget ladder,
-//!        │                   health gating, stem caches)
+//!  SuiteId::ALL ──▶ plan(scale) ──▶ stream_specs()     Scenario (JSON)
+//!        │                               │                   │
+//!        │                               ▼                   ▼
+//!        │         drive(): PerceptionServer (real runtime: queues,
+//!        │         batching, budget ladder, health gating, stem caches)
 //!        │                               │
 //!        ▼                               ▼
-//!  run_report() ◀── SuiteAccum ◀── StreamTelemetry / RuntimeReport
-//!        │          (mAP, StageRollup, LatencyHistogram
-//!        │           percentiles, stem & cache counters,
-//!        ▼           FNV-1a selection digest)
+//!  run_report() ◀── SuiteReport ◀── Rollup::absorb ──▶ ScenarioOutcome
+//!        │          (mAP, stage sums, latency histogram, stem & cache
+//!        ▼           counters, ScenarioCounters, FNV-1a digest)
 //!  BenchReport JSON ──▶ compare(baseline, fresh, Tolerances)
-//!                           │
+//!                           │  (exact diff of every unbanded field)
 //!                           ▼
 //!              Vec<Violation> (empty = gate passes)
 //! ```
@@ -72,14 +70,11 @@ pub use compare::{compare, Tolerances, Violation};
 pub use report::{
     BenchReport, BuildMeta, FleetPoint, LatencyStats, ShardPoint, SuiteReport, SCHEMA_VERSION,
 };
-pub use run::{
-    run_report, run_report_traced, run_suite, run_suite_traced, ModelProvider,
-    FLIGHT_RECORDER_EVENTS,
-};
+pub use run::{run_report, run_suite, ModelProvider, FLIGHT_RECORDER_EVENTS};
 pub use scenario::{
     load_distilled_dir, replay_distilled, run_scenario, CoverageSignature, DistilledProvenance,
     DistilledSuite, ReplayDrift, Scenario, ScenarioCounters, ScenarioOutcome, ScenarioSize,
-    ScenarioStream, DEFAULT_DISTILLED_DIR, DISTILLED_SCHEMA_VERSION,
+    ScenarioStream, StaleDistilledSuite, DEFAULT_DISTILLED_DIR, DISTILLED_SCHEMA_VERSION,
 };
 pub use suites::{plan, stream_specs, SuiteId, SuitePlan, MODEL_SEED, SUITE_CLASSES, SUITE_GRID};
 

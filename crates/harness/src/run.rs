@@ -5,16 +5,17 @@ use crate::digest::{absorb_stream, format_digest, Fnv1a};
 use crate::report::{
     BenchReport, BuildMeta, FleetPoint, LatencyStats, ShardPoint, SuiteReport, SCHEMA_VERSION,
 };
+use crate::scenario::ScenarioCounters;
 use crate::suites::{plan, stream_specs, SuiteId, MODEL_SEED, SUITE_CLASSES, SUITE_GRID};
 use ecofusion_core::model::InferError;
 use ecofusion_core::{
     Dataset, DatasetSpec, EcoFusionModel, Frame, ModelSnapshot, Precision, TrainConfig, Trainer,
 };
-use ecofusion_energy::StageRollup;
+use ecofusion_energy::{StageKind, StageRollup};
 use ecofusion_eval::experiments::common::Scale;
 use ecofusion_runtime::{
-    run_simulation_observed, LatencyHistogram, PerceptionServer, RuntimeConfig, StreamSpec,
-    VehicleStream,
+    run_simulation_observed, BudgetTimeline, LatencyHistogram, PerceptionServer, RuntimeConfig,
+    RuntimeReport, StreamSpec, VehicleStream,
 };
 use ecofusion_tensor::rng::Rng;
 use ecofusion_trace::TraceSink;
@@ -80,19 +81,7 @@ impl ModelProvider {
 /// invariant), so reports taken at different shard counts diff cleanly;
 /// only the per-shard breakdown changes.
 ///
-/// # Errors
-/// Propagates [`InferError`] from the serving model.
-pub fn run_report(
-    scale: Scale,
-    only: &[String],
-    shards: usize,
-    precision: Precision,
-) -> Result<BenchReport, InferError> {
-    run_report_traced(scale, only, shards, precision, None).map(|(report, _)| report)
-}
-
-/// [`run_report`] with an optional flight recorder: with
-/// `trace_capacity` set, every suite runs with an enabled
+/// With `trace_capacity` set, every suite runs with an enabled
 /// [`TraceSink`] of that ring capacity and the per-suite sinks (suite
 /// label, sink) are returned alongside the report for export. With
 /// `None` the servers run without any tracer — the zero-overhead path
@@ -100,7 +89,7 @@ pub fn run_report(
 ///
 /// # Errors
 /// Propagates [`InferError`] from the serving model.
-pub fn run_report_traced(
+pub fn run_report(
     scale: Scale,
     only: &[String],
     shards: usize,
@@ -114,8 +103,7 @@ pub fn run_report_traced(
         if !only.is_empty() && !only.iter().any(|s| s == id.label()) {
             continue;
         }
-        let (suite, sink) =
-            run_suite_traced(&provider, id, scale, shards, precision, trace_capacity)?;
+        let (suite, sink) = run_suite(&provider, id, scale, shards, precision, trace_capacity)?;
         suites.push(suite);
         if let Some(sink) = sink {
             sinks.push((id.label().to_string(), sink));
@@ -139,7 +127,14 @@ pub fn run_report_traced(
     Ok((report, sinks))
 }
 
-/// Runs one suite end to end at f32 and aggregates its report.
+/// Runs one suite end to end and aggregates its report, every stream
+/// starting at `precision` (int8 drives the whole suite quantized — what
+/// the int8 baseline gates). With `trace_capacity` set, one enabled
+/// [`TraceSink`] rides through every fleet sub-run of the suite
+/// (installed on each server, taken back after its drive) and is
+/// returned for export. Trace timestamps restart per sub-run — only
+/// `fleet_scale` has more than one — and the ring keeps the most recent
+/// events, the flight-recorder property.
 ///
 /// # Errors
 /// Propagates [`InferError`] from the serving model.
@@ -148,145 +143,39 @@ pub fn run_suite(
     id: SuiteId,
     scale: Scale,
     shards: usize,
-) -> Result<SuiteReport, InferError> {
-    run_suite_traced(provider, id, scale, shards, Precision::F32, None).map(|(report, _)| report)
-}
-
-/// [`run_suite`] at a chosen starting `precision` (int8 drives the whole
-/// suite quantized — what the int8 baseline gates) and with an optional
-/// tracer: with `trace_capacity` set, one enabled [`TraceSink`] rides
-/// through every fleet sub-run of the suite (installed on each server,
-/// taken back after its drive) and is returned for export. Trace timestamps restart per sub-run — only
-/// `fleet_scale` has more than one — and the ring keeps the most recent
-/// events, the flight-recorder property.
-///
-/// # Errors
-/// Propagates [`InferError`] from the serving model.
-pub fn run_suite_traced(
-    provider: &ModelProvider,
-    id: SuiteId,
-    scale: Scale,
-    shards: usize,
     precision: Precision,
     trace_capacity: Option<usize>,
 ) -> Result<(SuiteReport, Option<TraceSink>), InferError> {
     let plan = plan(id, scale);
-    let mut agg = SuiteAccum::default();
+    let mut rollup = Rollup::default();
+    let mut fleet = Vec::new();
     let mut sink = trace_capacity.map(TraceSink::with_capacity);
-    for &fleet in &plan.fleets {
-        let specs_faults = stream_specs(id, fleet, plan.ticks);
-        // Patch the base options exactly once; server and streams must be
-        // configured from the very same specs. The precision is applied
-        // to each spec's *own* options, so suites with heterogeneous
-        // per-stream policies (mixed_policy) keep them.
-        let specs: Vec<StreamSpec> = specs_faults
-            .iter()
-            .map(|(s, _)| StreamSpec { base_opts: s.base_opts.with_precision(precision), ..*s })
-            .collect();
-        let mut streams: Vec<VehicleStream> = specs
-            .iter()
-            .zip(&specs_faults)
-            .map(|(spec, (_, schedule))| match schedule {
-                Some(s) => VehicleStream::new(*spec).with_faults(s.clone()),
-                None => VehicleStream::new(*spec),
+    for &streams in &plan.fleets {
+        // The precision is applied to each spec's *own* options, so suites
+        // with heterogeneous per-stream policies (mixed_policy) keep them.
+        let vehicles = stream_specs(id, streams, plan.ticks)
+            .into_iter()
+            .map(|(s, schedule)| {
+                let spec = StreamSpec { base_opts: s.base_opts.with_precision(precision), ..s };
+                match schedule {
+                    Some(faults) => VehicleStream::new(spec).with_faults(faults),
+                    None => VehicleStream::new(spec),
+                }
             })
             .collect();
-        let cfg = RuntimeConfig {
-            max_batch: plan.max_batch,
-            num_classes: SUITE_CLASSES,
-            ..RuntimeConfig::default()
-        }
-        .with_shards(shards);
-        let mut server = PerceptionServer::new(provider.model(), &specs, cfg);
-        if let Some(s) = sink.take() {
-            server.set_tracer(s);
-        }
-        // The real runtime loop, observed only to record which contexts
-        // the workload's scenes actually visited.
-        let contexts = &mut agg.contexts;
-        run_simulation_observed(&mut server, &mut streams, plan.ticks, |frame: &Frame| {
-            contexts.insert(frame.scene.context.label());
-        })?;
+        let (mut server, contexts) = drive(
+            provider.model(),
+            vehicles,
+            plan.max_batch,
+            shards,
+            plan.ticks,
+            &[],
+            sink.take(),
+        )?;
         sink = server.take_tracer();
-        agg.absorb(&server, specs.len());
-    }
-    Ok((agg.into_report(id, &plan), sink))
-}
-
-/// Accumulates per-sub-run server state into suite-level aggregates.
-#[derive(Default)]
-struct SuiteAccum {
-    contexts: BTreeSet<&'static str>,
-    frames: u64,
-    streams: usize,
-    map_weighted: f64,
-    loss_weighted: f64,
-    platform_j: f64,
-    gated_j: f64,
-    stage_sums: Vec<f64>,
-    hist: Option<LatencyHistogram>,
-    stems_executed: u64,
-    stems_cached: u64,
-    stems_skipped: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    dropped: u64,
-    stalls: u64,
-    escalations: u64,
-    max_final_level: usize,
-    degraded: u64,
-    masked: u64,
-    int8_frames: u64,
-    gate_fallbacks: u64,
-    histogram: BTreeMap<String, usize>,
-    digest: Fnv1a,
-    fleet: Vec<FleetPoint>,
-}
-
-impl SuiteAccum {
-    fn absorb(&mut self, server: &PerceptionServer, fleet_streams: usize) {
-        let report = server.report();
-        let hist = self.hist.get_or_insert_with(LatencyHistogram::new);
-        for s in &report.per_stream {
-            self.map_weighted += s.summary.map_pct * s.summary.frames as f64;
-            self.loss_weighted += s.summary.avg_loss * s.summary.frames as f64;
-            self.dropped += s.dropped;
-            self.stalls += s.stalls;
-            self.escalations += s.escalations;
-            self.max_final_level = self.max_final_level.max(s.final_level);
-            self.degraded += s.degraded_frames;
-            self.masked += s.masked_frames;
-            self.int8_frames += s.int8_frames;
-            self.gate_fallbacks += s.gate_fallbacks;
-            for (label, count) in &s.summary.config_histogram {
-                *self.histogram.entry(label.clone()).or_default() += count;
-            }
-        }
-        for i in 0..server.num_streams() {
-            let t = server.telemetry(i);
-            hist.merge(t.latency_histogram());
-            self.platform_j += t.platform_j();
-            self.gated_j += t.total_gated_j();
-            self.stems_executed += t.stems_executed();
-            self.stems_cached += t.stems_cached();
-            self.stems_skipped += t.stems_skipped();
-            if self.stage_sums.is_empty() {
-                self.stage_sums = vec![0.0; t.stage_energy_j().len()];
-            }
-            for (sum, j) in self.stage_sums.iter_mut().zip(t.stage_energy_j()) {
-                *sum += j;
-            }
-            let cache = server.stem_cache(i);
-            self.cache_hits += cache.hits();
-            self.cache_misses += cache.misses();
-            // Behavioral digest: stream separator, then per retained
-            // frame the selected configuration and detection count.
-            absorb_stream(&mut self.digest, server, i);
-        }
-        self.frames += report.frames;
-        self.streams += fleet_streams;
-        self.fleet.push(FleetPoint {
-            streams: fleet_streams,
+        let report = rollup.absorb(&server, contexts);
+        fleet.push(FleetPoint {
+            streams,
             frames: report.frames,
             avg_batch_size: report.avg_batch_size,
             shards: server.num_shards(),
@@ -304,50 +193,160 @@ impl SuiteAccum {
                 .collect(),
         });
     }
+    let c = &rollup.counters;
+    let lookups = rollup.cache_hits + rollup.cache_misses;
+    let hist = &rollup.hist;
+    let report = SuiteReport {
+        suite: id.label().to_string(),
+        seed: id.base_seed(),
+        streams: rollup.streams,
+        ticks: plan.ticks,
+        frames: c.frames,
+        map_pct: rollup.per_frame(rollup.map_weighted),
+        avg_loss: rollup.per_frame(rollup.loss_weighted),
+        total_platform_j: rollup.platform_j,
+        total_gated_j: rollup.gated_j,
+        stage_energy: StageRollup::from_sums(&rollup.stage_sums),
+        latency: LatencyStats {
+            mean_ms: hist.mean(),
+            p50_ms: hist.percentile(50.0),
+            p95_ms: hist.percentile(95.0),
+            p99_ms: hist.percentile(99.0),
+            max_ms: hist.max(),
+        },
+        stems_executed: rollup.stems_executed,
+        stems_cached: rollup.stems_cached,
+        stems_skipped: rollup.stems_skipped,
+        stem_cache_hits: rollup.cache_hits,
+        stem_cache_misses: rollup.cache_misses,
+        cache_hit_rate: if lookups > 0 { rollup.cache_hits as f64 / lookups as f64 } else { 0.0 },
+        dropped: c.dropped,
+        stalls: c.stalls,
+        escalations: c.escalations,
+        max_final_level: c.max_final_level as usize,
+        degraded_frames: c.degraded_frames,
+        masked_frames: c.masked_frames,
+        int8_frames: c.int8_frames,
+        gate_fallbacks: c.gate_fallbacks,
+        contexts_visited: rollup.contexts.iter().map(|s| s.to_string()).collect(),
+        config_histogram: rollup.histogram,
+        determinism_digest: format_digest(&rollup.digest),
+        // Single-fleet suites report the fleet table only when it adds
+        // information (fleet_scale's scaling curve).
+        fleet: if plan.fleets.len() > 1 { fleet } else { Vec::new() },
+    };
+    Ok((report, sink))
+}
 
-    fn into_report(self, id: SuiteId, plan: &crate::suites::SuitePlan) -> SuiteReport {
-        let n = self.frames.max(1) as f64;
-        let hist = self.hist.unwrap_or_default();
-        let lookups = self.cache_hits + self.cache_misses;
-        SuiteReport {
-            suite: id.label().to_string(),
-            seed: id.base_seed(),
-            streams: self.streams,
-            ticks: plan.ticks,
-            frames: self.frames,
-            map_pct: self.map_weighted / n,
-            avg_loss: self.loss_weighted / n,
-            total_platform_j: self.platform_j,
-            total_gated_j: self.gated_j,
-            stage_energy: StageRollup::from_sums(&self.stage_sums),
-            latency: LatencyStats {
-                mean_ms: hist.mean(),
-                p50_ms: hist.percentile(50.0),
-                p95_ms: hist.percentile(95.0),
-                p99_ms: hist.percentile(99.0),
-                max_ms: hist.max(),
-            },
-            stems_executed: self.stems_executed,
-            stems_cached: self.stems_cached,
-            stems_skipped: self.stems_skipped,
-            stem_cache_hits: self.cache_hits,
-            stem_cache_misses: self.cache_misses,
-            cache_hit_rate: if lookups > 0 { self.cache_hits as f64 / lookups as f64 } else { 0.0 },
-            dropped: self.dropped,
-            stalls: self.stalls,
-            escalations: self.escalations,
-            max_final_level: self.max_final_level,
-            degraded_frames: self.degraded,
-            masked_frames: self.masked,
-            int8_frames: self.int8_frames,
-            gate_fallbacks: self.gate_fallbacks,
-            contexts_visited: self.contexts.iter().map(|s| s.to_string()).collect(),
-            config_histogram: self.histogram,
-            determinism_digest: format_digest(&self.digest),
-            // Single-fleet suites report the fleet table only when it
-            // adds information (fleet_scale's scaling curve).
-            fleet: if plan.fleets.len() > 1 { self.fleet } else { Vec::new() },
+/// The one place a suite or a scenario meets the runtime: serves
+/// `streams` for `ticks` ticks on a fresh server built from their specs
+/// (`max_batch`, `shards`), stream `i` under `timelines[i]` if it has
+/// one and the server under `tracer` if any, then drains it. Returns the
+/// finished server and the contexts its frames visited.
+pub(crate) fn drive(
+    model: EcoFusionModel,
+    mut streams: Vec<VehicleStream>,
+    max_batch: usize,
+    shards: usize,
+    ticks: u64,
+    timelines: &[Option<BudgetTimeline>],
+    tracer: Option<TraceSink>,
+) -> Result<(PerceptionServer, BTreeSet<&'static str>), InferError> {
+    let specs: Vec<StreamSpec> = streams.iter().map(|s| *s.spec()).collect();
+    let cfg = RuntimeConfig { max_batch, num_classes: SUITE_CLASSES, shards, ..Default::default() };
+    let mut server = PerceptionServer::new(model, &specs, cfg);
+    for (i, timeline) in timelines.iter().enumerate() {
+        if let Some(t) = timeline {
+            server.set_budget_timeline(i, t.clone());
         }
+    }
+    if let Some(t) = tracer {
+        server.set_tracer(t);
+    }
+    let mut contexts = BTreeSet::new();
+    run_simulation_observed(&mut server, &mut streams, ticks, |frame: &Frame| {
+        contexts.insert(frame.scene.context.label());
+    })?;
+    Ok((server, contexts))
+}
+
+/// What a [`SuiteReport`] and a [`ScenarioOutcome`](crate::ScenarioOutcome)
+/// read of finished servers. Every sum is a left fold over streams in lane
+/// order, continued across the servers absorbed (`fleet_scale`'s sub-runs).
+#[derive(Default)]
+pub(crate) struct Rollup {
+    pub counters: ScenarioCounters,
+    pub streams: usize,
+    pub map_weighted: f64,
+    pub loss_weighted: f64,
+    pub platform_j: f64,
+    pub gated_j: f64,
+    /// Per-stage energy sums, Joules, `StageKind::ALL` order.
+    pub stage_sums: [f64; StageKind::COUNT],
+    pub hist: LatencyHistogram,
+    pub stems_executed: u64,
+    pub stems_cached: u64,
+    pub stems_skipped: u64,
+    pub cache_hits: u64,
+    pub cache_misses: u64,
+    pub histogram: BTreeMap<String, usize>,
+    pub contexts: BTreeSet<&'static str>,
+    pub digest: Fnv1a,
+}
+
+impl Rollup {
+    /// Folds one finished server (and the contexts its drive visited)
+    /// in, returning the server's report.
+    pub fn absorb(
+        &mut self,
+        server: &PerceptionServer,
+        contexts: BTreeSet<&'static str>,
+    ) -> RuntimeReport {
+        let report = server.report();
+        let c = &mut self.counters;
+        for (i, s) in report.per_stream.iter().enumerate() {
+            let t = server.telemetry(i);
+            let n = s.summary.frames as f64;
+            self.map_weighted += s.summary.map_pct * n;
+            self.loss_weighted += s.summary.avg_loss * n;
+            self.platform_j += s.total_platform_j;
+            self.gated_j += s.total_gated_j;
+            for (sum, j) in self.stage_sums.iter_mut().zip(t.stage_energy_j()) {
+                *sum += j;
+            }
+            self.hist.merge(t.latency_histogram());
+            self.stems_executed += s.stems_executed;
+            self.stems_cached += s.stems_cached;
+            self.stems_skipped += s.stems_skipped;
+            self.cache_hits += s.stem_cache_hits;
+            self.cache_misses += s.stem_cache_misses;
+            for (label, count) in &s.summary.config_histogram {
+                *self.histogram.entry(label.clone()).or_default() += count;
+            }
+            c.churn += t.selected_configs().windows(2).filter(|w| w[0] != w[1]).count() as u64;
+            c.escalations += s.escalations;
+            c.relaxations += s.relaxations;
+            c.max_final_level = c.max_final_level.max(s.final_level as u64);
+            c.rungs |= server.controller(i).rungs_visited();
+            c.health_transitions += s.health_transitions;
+            c.gate_fallbacks += s.gate_fallbacks;
+            c.degraded_frames += s.degraded_frames;
+            c.masked_frames += s.masked_frames;
+            c.int8_frames += s.int8_frames;
+            c.dropped += s.dropped;
+            c.stalls += s.stalls;
+            absorb_stream(&mut self.digest, server, i);
+        }
+        c.frames += report.frames;
+        self.streams += report.per_stream.len();
+        self.contexts.extend(contexts);
+        c.contexts = self.contexts.len() as u64;
+        report
+    }
+
+    /// A frame-weighted sum as a per-frame mean (0 frames divide by 1).
+    pub fn per_frame(&self, sum: f64) -> f64 {
+        sum / self.counters.frames.max(1) as f64
     }
 }
 

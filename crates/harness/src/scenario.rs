@@ -4,14 +4,15 @@
 //! A [`Scenario`] pins *every* input axis of one serving run — per-stream
 //! seeds, scripted [`ContextWalk`]s, [`FaultSchedule`]s, budgets and
 //! scripted [`BudgetTimeline`]s, queue/backpressure shape — so running it
-//! through the real [`PerceptionServer`] is a pure function of the JSON
-//! it serializes to. [`run_scenario`] executes one and summarizes what
-//! the runtime *did* as a [`ScenarioOutcome`]; a [`CoverageSignature`]
+//! through the real [`PerceptionServer`](ecofusion_runtime::PerceptionServer)
+//! is a pure function of the JSON it serializes to. [`run_scenario`] runs
+//! one, untraced, through the suites' driver and rollup and summarizes
+//! what the runtime *did* as a [`ScenarioOutcome`] (the ladder rungs come
+//! from each stream's budget controller); a [`CoverageSignature`]
 //! discretizes that behavior (vs. the scenario's clean twin) into the
 //! novelty key the `ecofusion-search` crate hill-climbs on; and a
-//! [`DistilledSuite`] freezes a minimized scenario together with its
-//! expected digest and counters so CI can replay it bit-for-bit forever
-//! ([`replay_distilled`]).
+//! [`DistilledSuite`] freezes a minimized scenario with its expected
+//! digest and counters so CI can replay it bit-for-bit ([`replay_distilled`]).
 //!
 //! Execution is hermetic on purpose: the model is always the untrained
 //! [`MODEL_SEED`] quick-scale model and the base inference options are
@@ -19,21 +20,21 @@
 //! run, so a distilled suite means the same thing on every machine that
 //! replays it.
 
-use crate::digest::{absorb_stream, format_digest, Fnv1a};
+use crate::compare::exact_diff;
+use crate::digest::format_digest;
+use crate::run::{drive, Rollup};
 use crate::suites::{MODEL_SEED, SUITE_CLASSES, SUITE_GRID};
 use ecofusion_core::model::InferError;
-use ecofusion_core::{EcoFusionModel, Frame, InferenceOptions};
+use ecofusion_core::{EcoFusionModel, InferenceOptions};
 use ecofusion_faults::FaultSchedule;
 use ecofusion_runtime::{
-    run_simulation_observed, BackpressurePolicy, BudgetTimeline, EnergyBudget, PerceptionServer,
-    RuntimeConfig, StreamSpec, VehicleStream,
+    BackpressurePolicy, BudgetTimeline, EnergyBudget, StreamSpec, VehicleStream,
 };
 use ecofusion_scene::ContextWalk;
 use ecofusion_tensor::rng::Rng;
-use ecofusion_trace::TraceSink;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
+use std::{fmt, io};
 
 /// Where the committed distilled suites live, relative to the repo root.
 pub const DEFAULT_DISTILLED_DIR: &str = "suites/distilled";
@@ -47,11 +48,6 @@ pub const DISTILLED_SCHEMA_VERSION: u32 = 1;
 /// losslessly. No modeled frame costs a millionth of this, so the ladder
 /// never escalates — behaviorally identical to unlimited.
 pub const UNLIMITED_TARGET_J: f64 = 1e9;
-
-/// Ring capacity of the tracer a scenario runs with. Events may be
-/// evicted (only the monotonic metrics feed the outcome), so the ring
-/// stays small.
-const SCENARIO_TRACE_EVENTS: usize = 256;
 
 /// One stream of a scenario: every input knob, pinned and serializable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -202,8 +198,8 @@ impl ScenarioSize {
 /// The exactly-reproducible counters a scenario run produces. Every
 /// field is deterministic and shard-count-invariant, so a replay must
 /// match bit-for-bit; host-dependent quantities (wall clock, steals)
-/// are deliberately absent.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// are deliberately absent. [`replay_distilled`] diffs every field.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScenarioCounters {
     /// Frames processed across all streams.
     pub frames: u64,
@@ -216,7 +212,8 @@ pub struct ScenarioCounters {
     pub relaxations: u64,
     /// Deepest final ladder level of any stream.
     pub max_final_level: u64,
-    /// Bitmask of ladder rungs visited (bit 0 = base policy, always set).
+    /// Bitmask of ladder rungs visited by any stream (bit 0 = base
+    /// policy, always set).
     pub rungs: u8,
     /// Sensor health-state transitions across all streams.
     pub health_transitions: u64,
@@ -251,8 +248,8 @@ pub struct ScenarioOutcome {
     pub map_pct: f64,
     /// Frame-weighted average detection loss.
     pub avg_loss: f64,
-    /// Frame-weighted mean per-stage energy, J/frame, `StageKind::ALL`
-    /// order.
+    /// Per-stage energy, J/frame (each stage's sum over all streams ÷
+    /// frames), `StageKind::ALL` order.
     pub stage_energy_j: Vec<f64>,
     /// Total platform + gated sensor energy, Joules.
     pub total_gated_j: f64,
@@ -268,103 +265,27 @@ pub struct ScenarioOutcome {
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioOutcome, InferError> {
     assert!(scenario.is_structurally_valid(), "scenario must be structurally valid");
     let model = EcoFusionModel::new(SUITE_GRID, SUITE_CLASSES, &mut Rng::new(MODEL_SEED));
-    let specs: Vec<StreamSpec> = scenario.streams.iter().map(ScenarioStream::to_spec).collect();
-    let cfg = RuntimeConfig {
-        max_batch: scenario.max_batch,
-        num_classes: SUITE_CLASSES,
-        ..RuntimeConfig::default()
-    };
-    let mut server = PerceptionServer::new(model, &specs, cfg);
-    server.set_tracer(TraceSink::with_capacity(SCENARIO_TRACE_EVENTS));
-    for (i, s) in scenario.streams.iter().enumerate() {
-        if let Some(timeline) = &s.timeline {
-            server.set_budget_timeline(i, timeline.clone());
-        }
-    }
-    let mut streams: Vec<VehicleStream> = scenario
+    // An empty schedule leaves a stream's frames bit-identical to a clean one.
+    let vehicles = scenario
         .streams
         .iter()
-        .zip(&specs)
-        .map(|(s, spec)| {
-            let stream = VehicleStream::new(*spec).with_walk(s.walk.clone());
-            if s.faults.is_empty() {
-                stream
-            } else {
-                stream.with_faults(s.faults.clone())
-            }
+        .map(|s| {
+            VehicleStream::new(s.to_spec()).with_walk(s.walk.clone()).with_faults(s.faults.clone())
         })
         .collect();
-    let mut contexts: BTreeSet<&'static str> = BTreeSet::new();
-    run_simulation_observed(&mut server, &mut streams, scenario.ticks, |frame: &Frame| {
-        contexts.insert(frame.scene.context.label());
-    })?;
-    let report = server.report();
-    let mut digest = Fnv1a::default();
-    let mut churn = 0u64;
-    let mut frames = 0u64;
-    let mut map_weighted = 0.0;
-    let mut loss_weighted = 0.0;
-    let mut stage_weighted: Vec<f64> = Vec::new();
-    for i in 0..server.num_streams() {
-        absorb_stream(&mut digest, &server, i);
-        let configs = server.telemetry(i).selected_configs();
-        churn += configs.windows(2).filter(|w| w[0] != w[1]).count() as u64;
-        let s = &report.per_stream[i];
-        let n = s.summary.frames as f64;
-        frames += s.summary.frames as u64;
-        map_weighted += s.summary.map_pct * n;
-        loss_weighted += s.summary.avg_loss * n;
-        if stage_weighted.len() < s.stage_energy_j.len() {
-            stage_weighted.resize(s.stage_energy_j.len(), 0.0);
-        }
-        for (acc, j) in stage_weighted.iter_mut().zip(&s.stage_energy_j) {
-            *acc += j * n;
-        }
-    }
-    let n = frames.max(1) as f64;
-    let rungs = server.tracer().map(|t| rung_mask(t.metrics())).unwrap_or(1);
-    let counters = ScenarioCounters {
-        frames,
-        churn,
-        escalations: report.per_stream.iter().map(|s| s.escalations).sum(),
-        relaxations: report.per_stream.iter().map(|s| s.relaxations).sum(),
-        max_final_level: report.per_stream.iter().map(|s| s.final_level as u64).max().unwrap_or(0),
-        rungs,
-        health_transitions: report.per_stream.iter().map(|s| s.health_transitions).sum(),
-        gate_fallbacks: report.total_gate_fallbacks,
-        degraded_frames: report.per_stream.iter().map(|s| s.degraded_frames).sum(),
-        masked_frames: report.per_stream.iter().map(|s| s.masked_frames).sum(),
-        int8_frames: report.total_int8_frames,
-        dropped: report.per_stream.iter().map(|s| s.dropped).sum(),
-        stalls: report.per_stream.iter().map(|s| s.stalls).sum(),
-        contexts: contexts.len() as u64,
-    };
+    let timelines: Vec<_> = scenario.streams.iter().map(|s| s.timeline.clone()).collect();
+    let (server, contexts) =
+        drive(model, vehicles, scenario.max_batch, 1, scenario.ticks, &timelines, None)?;
+    let mut rollup = Rollup::default();
+    rollup.absorb(&server, contexts);
     Ok(ScenarioOutcome {
-        counters,
-        digest: format_digest(&digest),
-        map_pct: map_weighted / n,
-        avg_loss: loss_weighted / n,
-        stage_energy_j: stage_weighted.iter().map(|j| j / n).collect(),
-        total_gated_j: report.total_gated_j,
+        digest: format_digest(&rollup.digest),
+        map_pct: rollup.per_frame(rollup.map_weighted),
+        avg_loss: rollup.per_frame(rollup.loss_weighted),
+        stage_energy_j: rollup.stage_sums.iter().map(|&j| rollup.per_frame(j)).collect(),
+        total_gated_j: rollup.gated_j,
+        counters: rollup.counters,
     })
-}
-
-/// Recovers the set of ladder rungs a traced run visited from the
-/// monotonic `ecofusion_ladder_rung_total{level="N"}` metrics (bump
-/// metrics are never evicted, unlike ring events). Bit 0 (the base
-/// policy every stream starts on) is always set.
-fn rung_mask(metrics: &BTreeMap<String, f64>) -> u8 {
-    let mut mask = 1u8;
-    for key in metrics.keys() {
-        let Some(rest) = key.strip_prefix("ecofusion_ladder_rung_total{level=\"") else {
-            continue;
-        };
-        let Some(level) = rest.strip_suffix("\"}").and_then(|s| s.parse::<u32>().ok()) else {
-            continue;
-        };
-        mask |= 1u8 << level.min(7);
-    }
-    mask
 }
 
 /// The discretized behavior key coverage-guided search scores candidates
@@ -518,48 +439,61 @@ pub struct ReplayDrift {
     pub actual: String,
 }
 
-/// Replays a distilled suite and diffs its behavior against the
-/// recorded expectations. An empty vector means the replay was
-/// bit-identical; anything else is a regression (or an intentional
-/// behavior change that requires re-recording the suite).
+/// Replays a distilled suite and diffs the digest and every
+/// [`ScenarioCounters`] field (by JSON key) against the recorded ones. An
+/// empty vector means the replay was bit-identical; anything else is a
+/// regression (or an intentional behavior change that requires
+/// re-recording the suite). A suite of another
+/// [`DISTILLED_SCHEMA_VERSION`] is not run: its one drift is `schema`.
 ///
 /// # Errors
 /// Propagates [`InferError`] from the serving model.
 pub fn replay_distilled(suite: &DistilledSuite) -> Result<Vec<ReplayDrift>, InferError> {
-    let outcome = run_scenario(&suite.scenario)?;
-    let mut drifts = Vec::new();
-    let mut check = |field: &str, expected: String, actual: String| {
-        if expected != actual {
-            drifts.push(ReplayDrift { field: field.to_string(), expected, actual });
+    let drifts = if suite.schema != DISTILLED_SCHEMA_VERSION {
+        let (recorded, replays) = (suite.schema.to_string(), DISTILLED_SCHEMA_VERSION.to_string());
+        vec![("schema".to_string(), recorded, replays)]
+    } else {
+        let outcome = run_scenario(&suite.scenario)?;
+        let mut drifts = exact_diff(&suite.expected_counters, &outcome.counters, &[]);
+        if suite.expected_digest != outcome.digest {
+            drifts.insert(0, ("digest".to_string(), suite.expected_digest.clone(), outcome.digest));
         }
+        drifts
     };
-    check("digest", suite.expected_digest.clone(), outcome.digest.clone());
-    let e = &suite.expected_counters;
-    let a = &outcome.counters;
-    check("frames", e.frames.to_string(), a.frames.to_string());
-    check("churn", e.churn.to_string(), a.churn.to_string());
-    check("escalations", e.escalations.to_string(), a.escalations.to_string());
-    check("relaxations", e.relaxations.to_string(), a.relaxations.to_string());
-    check("max_final_level", e.max_final_level.to_string(), a.max_final_level.to_string());
-    check("rungs", format!("{:#010b}", e.rungs), format!("{:#010b}", a.rungs));
-    check("health_transitions", e.health_transitions.to_string(), a.health_transitions.to_string());
-    check("gate_fallbacks", e.gate_fallbacks.to_string(), a.gate_fallbacks.to_string());
-    check("degraded_frames", e.degraded_frames.to_string(), a.degraded_frames.to_string());
-    check("masked_frames", e.masked_frames.to_string(), a.masked_frames.to_string());
-    check("int8_frames", e.int8_frames.to_string(), a.int8_frames.to_string());
-    check("dropped", e.dropped.to_string(), a.dropped.to_string());
-    check("stalls", e.stalls.to_string(), a.stalls.to_string());
-    check("contexts", e.contexts.to_string(), a.contexts.to_string());
-    Ok(drifts)
+    Ok(drifts
+        .into_iter()
+        .map(|(field, expected, actual)| ReplayDrift { field, expected, actual })
+        .collect())
 }
+
+/// A distilled suite file recorded under another JSON layout than the
+/// [`DISTILLED_SCHEMA_VERSION`] this build replays: the error inside the
+/// `InvalidData` [`io::Error`] [`load_distilled_dir`] returns for it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StaleDistilledSuite {
+    /// The suite file.
+    pub path: PathBuf,
+    /// The `schema` the file carries.
+    pub schema: u32,
+}
+
+impl fmt::Display for StaleDistilledSuite {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (path, schema, now) = (self.path.display(), self.schema, DISTILLED_SCHEMA_VERSION);
+        write!(f, "{path}: distilled suite schema {schema}, this build replays schema {now}")
+    }
+}
+
+impl std::error::Error for StaleDistilledSuite {}
 
 /// Loads every `*.json` distilled suite under `dir`, sorted by file
 /// name (deterministic replay order).
 ///
 /// # Errors
 /// I/O errors reading the directory or a file; parse errors are
-/// reported with the offending path.
-pub fn load_distilled_dir(dir: &Path) -> std::io::Result<Vec<(PathBuf, DistilledSuite)>> {
+/// reported with the offending path, and a suite whose `schema` is not
+/// [`DISTILLED_SCHEMA_VERSION`] as a [`StaleDistilledSuite`].
+pub fn load_distilled_dir(dir: &Path) -> io::Result<Vec<(PathBuf, DistilledSuite)>> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
@@ -569,11 +503,12 @@ pub fn load_distilled_dir(dir: &Path) -> std::io::Result<Vec<(PathBuf, Distilled
     for path in paths {
         let text = std::fs::read_to_string(&path)?;
         let suite: DistilledSuite = serde_json::from_str(&text).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{}: {e:?}", path.display()),
-            )
+            io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e:?}", path.display()))
         })?;
+        if suite.schema != DISTILLED_SCHEMA_VERSION {
+            let stale = StaleDistilledSuite { path, schema: suite.schema };
+            return Err(io::Error::new(io::ErrorKind::InvalidData, stale));
+        }
         suites.push((path, suite));
     }
     Ok(suites)
@@ -659,11 +594,24 @@ mod tests {
         )
         .unwrap();
         suite.expected_counters.frames += 1;
+        suite.expected_counters.rungs ^= 0b10;
         suite.expected_digest = "0000000000000000".to_string();
         let drifts = replay_distilled(&suite).unwrap();
         let fields: Vec<&str> = drifts.iter().map(|d| d.field.as_str()).collect();
-        assert!(fields.contains(&"digest"));
-        assert!(fields.contains(&"frames"));
+        assert_eq!(fields, ["digest", "frames", "rungs"]);
+        let rungs = &drifts[2];
+        assert_eq!((rungs.expected.as_str(), rungs.actual.as_str()), ("3", "1"), "decimal");
+
+        // A suite of another schema is not run: its one drift names both
+        // versions.
+        suite.schema = DISTILLED_SCHEMA_VERSION + 1;
+        let drifts = replay_distilled(&suite).unwrap();
+        let want = ReplayDrift {
+            field: "schema".to_string(),
+            expected: (DISTILLED_SCHEMA_VERSION + 1).to_string(),
+            actual: DISTILLED_SCHEMA_VERSION.to_string(),
+        };
+        assert_eq!(drifts, [want]);
     }
 
     #[test]

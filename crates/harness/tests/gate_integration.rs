@@ -2,6 +2,7 @@
 //! report-identical (even across shard counts), and a hand-edited
 //! baseline trips the gate.
 
+use ecofusion_core::Precision::F32;
 use ecofusion_eval::experiments::common::Scale;
 use ecofusion_harness::{compare, run_suite, ModelProvider, SuiteId, Tolerances};
 
@@ -11,8 +12,11 @@ fn steady_city_quick_rerun_is_report_identical() {
     // The re-run uses a different shard count on purpose: the whole suite
     // report must be shard-invariant, as CI's shard matrix certifies for
     // the gated fields.
-    let a = run_suite(&provider, SuiteId::SteadyCity, Scale::Quick, 1).expect("first run");
-    let b = run_suite(&provider, SuiteId::SteadyCity, Scale::Quick, 2).expect("second run");
+    let a =
+        run_suite(&provider, SuiteId::SteadyCity, Scale::Quick, 1, F32, None).expect("first run").0;
+    let b = run_suite(&provider, SuiteId::SteadyCity, Scale::Quick, 2, F32, None)
+        .expect("second run")
+        .0;
     assert_eq!(a, b);
 
     // Which is more than compare() asks: wrap the suites in reports and
@@ -42,7 +46,8 @@ fn steady_city_quick_rerun_is_report_identical() {
 #[test]
 fn hand_edited_baseline_map_fails_the_gate() {
     let provider = ModelProvider::prepare(Scale::Quick);
-    let suite = run_suite(&provider, SuiteId::SteadyCity, Scale::Quick, 1).expect("run");
+    let suite =
+        run_suite(&provider, SuiteId::SteadyCity, Scale::Quick, 1, F32, None).expect("run").0;
     let report = ecofusion_harness::BenchReport {
         schema: ecofusion_harness::SCHEMA_VERSION,
         build: ecofusion_harness::BuildMeta {
@@ -72,7 +77,8 @@ fn hand_edited_baseline_map_fails_the_gate() {
 #[test]
 fn budget_squeeze_reaches_the_emergency_rung() {
     let provider = ModelProvider::prepare(Scale::Quick);
-    let suite = run_suite(&provider, SuiteId::BudgetSqueeze, Scale::Quick, 1).expect("run");
+    let suite =
+        run_suite(&provider, SuiteId::BudgetSqueeze, Scale::Quick, 1, F32, None).expect("run").0;
     // The ladder for the paper-default base options has 5 rungs; the
     // squeeze must end pinned at the last (int8 knowledge-gate emergency)
     // one, and the frames served there are counted as quantized.
@@ -84,7 +90,8 @@ fn budget_squeeze_reaches_the_emergency_rung() {
 #[test]
 fn context_churn_visits_every_radiate_context() {
     let provider = ModelProvider::prepare(Scale::Quick);
-    let suite = run_suite(&provider, SuiteId::ContextChurn, Scale::Quick, 2).expect("run");
+    let suite =
+        run_suite(&provider, SuiteId::ContextChurn, Scale::Quick, 2, F32, None).expect("run").0;
     assert_eq!(
         suite.contexts_visited.len(),
         ecofusion_scene::Context::ALL.len(),

@@ -10,7 +10,7 @@
 
 use ecofusion_energy::StageKind;
 use ecofusion_eval::experiments::common::Scale;
-use ecofusion_harness::{run_suite, run_suite_traced, ModelProvider, SuiteId};
+use ecofusion_harness::{run_suite, ModelProvider, SuiteId};
 use ecofusion_trace::{EventKind, TraceSink, Track};
 
 const CAPACITY: usize = 1 << 16;
@@ -19,7 +19,7 @@ fn traced_steady_city(
     provider: &ModelProvider,
     shards: usize,
 ) -> (ecofusion_harness::SuiteReport, TraceSink) {
-    let (report, sink) = run_suite_traced(
+    let (report, sink) = run_suite(
         provider,
         SuiteId::SteadyCity,
         Scale::Quick,
@@ -78,8 +78,16 @@ fn steady_city_trace_covers_every_stage_of_every_frame() {
 #[test]
 fn arming_the_tracer_changes_no_gated_report_field() {
     let provider = ModelProvider::prepare(Scale::Quick);
-    let untraced = run_suite(&provider, SuiteId::SteadyCity, Scale::Quick, 1)
-        .expect("untraced steady_city run");
+    let (untraced, sink) = run_suite(
+        &provider,
+        SuiteId::SteadyCity,
+        Scale::Quick,
+        1,
+        ecofusion_core::Precision::F32,
+        None,
+    )
+    .expect("untraced steady_city run");
+    assert!(sink.is_none());
     let (traced, _) = traced_steady_city(&provider, 1);
     assert_eq!(untraced, traced);
 }

@@ -292,6 +292,7 @@ pub struct BudgetController {
     sum: f64,
     escalations: u64,
     relaxations: u64,
+    rungs_visited: u8,
     grant_j: f64,
 }
 
@@ -316,6 +317,7 @@ impl BudgetController {
             sum: 0.0,
             escalations: 0,
             relaxations: 0,
+            rungs_visited: 1,
             grant_j: 0.0,
         }
     }
@@ -337,6 +339,7 @@ impl BudgetController {
         if mean > target && self.level + 1 < self.ladder.len() {
             self.level += 1;
             self.escalations += 1;
+            self.rungs_visited |= 1 << self.level.min(7);
             self.reset_window();
             Some(self.ladder[self.level])
         } else if mean < target * self.budget.relax_margin && self.level > 0 {
@@ -420,6 +423,12 @@ impl BudgetController {
     /// Times the controller moved back toward the base policy.
     pub fn relaxations(&self) -> u64 {
         self.relaxations
+    }
+
+    /// Bitmask of the ladder levels the controller has stood on (bit
+    /// `min(level, 7)`; bit 0, the base policy, is always set).
+    pub fn rungs_visited(&self) -> u8 {
+        self.rungs_visited
     }
 }
 
@@ -573,6 +582,7 @@ mod tests {
         }
         assert_eq!(c.level(), 0);
         assert_eq!(c.relaxations(), 1);
+        assert_eq!(c.rungs_visited(), 0b11, "relaxing keeps the rungs already visited");
     }
 
     #[test]
@@ -582,6 +592,7 @@ mod tests {
             c.record(10.0);
         }
         assert_eq!(c.level(), default_ladder(&base_opts()).len() - 1);
+        assert_eq!(c.rungs_visited(), (1 << default_ladder(&base_opts()).len()) - 1);
         assert_eq!(c.current().gate, GateKind::Knowledge);
         assert_eq!(c.current().precision, Precision::Int8, "top rung runs quantized");
     }

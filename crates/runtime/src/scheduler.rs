@@ -921,7 +921,6 @@ impl PerceptionServer {
                         "gate_fallback",
                         vec![("tick", ArgValue::U64(tick))],
                     );
-                    tr.bump("ecofusion_gate_fallbacks_total", output.gate_fallbacks as f64);
                 }
             }
             let spent_j = output.energy.total_gated().joules();
@@ -960,9 +959,8 @@ impl PerceptionServer {
                         &format!("ecofusion_ladder_moves_total{{direction=\"{direction}\"}}"),
                         1.0,
                     );
-                    // Per-rung occupancy rides the metrics map (never
-                    // evicted, unlike ring events) so coverage scoring can
-                    // recover the set of rungs a run visited.
+                    // Per-rung arrivals ride the metrics map (never
+                    // evicted, unlike ring events).
                     tr.bump(&format!("ecofusion_ladder_rung_total{{level=\"{level}\"}}"), 1.0);
                 }
             }

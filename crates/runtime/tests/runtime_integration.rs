@@ -479,3 +479,39 @@ fn stale_int8_image_fails_the_step_with_a_typed_error() {
     assert!(err.to_string().contains("stem 0"), "{err}");
     assert_eq!(server.report().frames, 0);
 }
+
+/// A knowledge gate missing the rule for the served context falls back
+/// on every frame, and the traced server counts each fallback once: the
+/// metric equals the report's total.
+#[test]
+fn traced_gate_fallbacks_are_counted_once() {
+    use ecofusion_core::InferenceOptions;
+    use ecofusion_scene::Context;
+    use ecofusion_trace::TraceSink;
+    use serde::{Deserialize, Serialize, Value};
+
+    let mut served = model(41);
+    let gate = &mut served.gates_mut().knowledge;
+    let Value::Map(mut fields) = gate.to_value() else { panic!("a gate serializes to a map") };
+    let Some((_, Value::Map(rules))) = fields.iter_mut().find(|(k, _)| k == "rules") else {
+        panic!("the gate has a rule map")
+    };
+    let city = Context::City.to_value();
+    let before = rules.len();
+    rules.retain(|(context, _)| Value::Str(context.clone()) != city);
+    assert_eq!(rules.len(), before - 1, "the gate had a City rule");
+    *gate = Deserialize::from_value(&Value::Map(fields)).expect("the gate loads back");
+    assert!(!gate.has_rule(Context::City));
+
+    let mut spec = StreamSpec::new(900, GRID)
+        .with_context(Context::City)
+        .with_opts(InferenceOptions::new(0.01, 0.5).with_gate(GateKind::Knowledge));
+    spec.drift_stay_prob = 1.0;
+    let mut server = PerceptionServer::new(served, &[spec], RuntimeConfig::default());
+    server.set_tracer(TraceSink::with_capacity(64));
+    run_simulation(&mut server, &mut [VehicleStream::new(spec)], 12).unwrap();
+    let report = server.report();
+    assert!(report.total_gate_fallbacks > 0, "every City frame falls back");
+    let metric = server.tracer().unwrap().metrics().get("ecofusion_gate_fallbacks_total").copied();
+    assert_eq!(metric, Some(report.total_gate_fallbacks as f64));
+}
