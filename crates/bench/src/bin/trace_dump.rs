@@ -22,20 +22,24 @@
 //!   (default `results/metrics.prom`).
 //! * `--check` — after dumping, re-parse the Chrome JSON and assert the
 //!   trace is well-formed and complete: non-empty `traceEvents`, zero
-//!   ring drops, and one span per pipeline stage per frame. Exits
-//!   nonzero on any violation (used by the CI `trace-smoke` job).
+//!   ring drops, and one span per pipeline stage per frame; then
+//!   reconcile the metrics with the suite report
+//!   ([`reconcile_metrics`]). Exits nonzero on any violation (used by
+//!   the CI `trace-smoke` job).
 
 use ecofusion_bench::cli::{usage_error, Args, TRACE_DUMP};
 use ecofusion_bench::write_file;
 use ecofusion_energy::StageKind;
-use ecofusion_harness::{run_suite, ModelProvider, SuiteId};
+use ecofusion_harness::{reconcile_metrics, run_suite, ModelProvider, SuiteId, SuiteReport};
 use ecofusion_trace::{chrome_trace_json, prometheus_snapshot, TraceSink};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// `--check`: re-parse the emitted JSON the way a consumer would and
-/// verify completeness against the suite report's frame count.
-fn check_trace(json: &str, frames: u64, sink: &TraceSink) -> Result<(), String> {
+/// `--check`: re-parse the emitted JSON the way a consumer would, verify
+/// completeness against the suite report's frame count, and reconcile
+/// the metrics with the report.
+fn check_trace(json: &str, report: &SuiteReport, sink: &TraceSink) -> Result<(), String> {
+    let frames = report.frames;
     if sink.dropped() > 0 {
         return Err(format!(
             "ring dropped {} events; raise --capacity so --check sees the whole run",
@@ -75,7 +79,7 @@ fn check_trace(json: &str, frames: u64, sink: &TraceSink) -> Result<(), String> 
             return Err(format!("expected {frames} `{}` stage spans, found {n}", stage.label()));
         }
     }
-    Ok(())
+    reconcile_metrics(report, sink)
 }
 
 fn main() -> ExitCode {
@@ -123,7 +127,7 @@ fn main() -> ExitCode {
     println!("wrote {} and {}", out.display(), metrics_out.display());
 
     if args.switch("--check") {
-        match check_trace(&json, report.frames, &sink) {
+        match check_trace(&json, &report, &sink) {
             Ok(()) => println!("trace check PASS"),
             Err(e) => {
                 eprintln!("trace check FAIL: {e}");

@@ -43,7 +43,7 @@ pub use model::{
 };
 pub use optimizer::{joint_loss, select_candidates, select_config, CandidateRule};
 pub use pipeline::{
-    trace_frame, OracleSample, PipelinePlan, StemCacheRouter, StemFeatureCache, ALL_SENSOR_BITS,
+    OracleSample, PipelinePlan, StemCacheRouter, StemFeatureCache, ALL_SENSOR_BITS,
 };
 pub use snapshot::{ModelSnapshot, QuantSnapshot, RestoreModelError};
 pub use temporal::{ClockGatingController, EpisodeEnergyReport, SensorSchedule};

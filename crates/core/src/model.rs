@@ -657,8 +657,9 @@ impl EcoFusionModel {
         self.plans.len()
     }
 
-    /// Plan-cache counter deltas since the previous call; the sharded
-    /// runtime flushes these into `TraceSink::bump` once per step.
+    /// Plan-cache counter deltas since the previous call; the runtime's
+    /// step recorder adds every replica's to its metrics once per traced
+    /// step.
     pub fn take_plan_delta(&mut self) -> ecofusion_tensor::graph::PlanCacheStats {
         self.plans.take_delta()
     }

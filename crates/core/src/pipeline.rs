@@ -135,7 +135,7 @@
 //! stems are batch-invariant in eval mode (asserted by the detect
 //! crate's tests), a cached row is bit-identical to recomputing it. A
 //! stem's row is written once, by the register tiles of the stem's plan
-//! ([`CompiledPlan::execute_blocks_to`](ecofusion_tensor::graph::CompiledPlan::execute_blocks_to):
+//! ([`CompiledPlan::execute_indexed_to`](ecofusion_tensor::graph::CompiledPlan::execute_indexed_to):
 //! a destination per sample), into a buffer of its own that the bank
 //! holds for the step — a frame's row is an index to it, shared by the
 //! frames whose grid repeats it — and that **the stream's cache entry
@@ -146,7 +146,7 @@
 //! alias's own stream its two; none an allocation. No consumer copies a
 //! row either: the plans of the gate and the branches read every (frame,
 //! sensor) block where the bank holds it
-//! ([`CompiledPlan::execute_blocks_into`](ecofusion_tensor::graph::CompiledPlan::execute_blocks_into)).
+//! ([`CompiledPlan::execute_indexed_into`](ecofusion_tensor::graph::CompiledPlan::execute_indexed_into)).
 //!
 //! # Step buffers
 //!
@@ -193,7 +193,7 @@ use crate::snapshot::QuantSnapshot;
 use ecofusion_detect::stem::STEM_CHANNELS;
 use ecofusion_detect::{DecodeScratch, Detection, FusionScratch, HeadOutput, Stem};
 use ecofusion_energy::{
-    EnergyBreakdown, Precision, Px2Model, SensorPowerModel, StageKind, StageTrace, StemPolicy,
+    EnergyBreakdown, Precision, Px2Model, SensorPowerModel, StageTrace, StemPolicy,
 };
 use ecofusion_gating::{Gate, GateInput, GateKind};
 use ecofusion_scene::GtBox;
@@ -1250,84 +1250,6 @@ impl EcoFusionModel {
             Ok(samples)
         })
     }
-}
-
-/// Emits the trace spans of one processed frame onto its stream's track:
-/// a `frame` span carrying the selected configuration, precision, stem
-/// counts, and Eq. 11 totals, wrapping one child span per pipeline stage
-/// (`sense → stems → gate → select → branch → fuse → account`) whose
-/// exact modeled energy/latency ride in the span arguments.
-///
-/// `start_ns` is the virtual begin time (the caller's per-stream clock,
-/// floored to the current tick); each stage advances the clock by its
-/// modeled latency and the frame's end time — returned so the caller can
-/// persist the clock — is the sum. Everything is derived from the
-/// [`InferenceOutput`] alone, so the emission is deterministic and
-/// trivially replayable; the property tests assert the stage spans nest
-/// and that their argument payloads sum to the
-/// [`StageTrace`] totals exactly.
-///
-/// No-op (returning `start_ns`) when the sink is disabled.
-pub fn trace_frame(
-    sink: &mut ecofusion_trace::TraceSink,
-    stream: u32,
-    tick: u64,
-    start_ns: u64,
-    out: &InferenceOutput,
-) -> u64 {
-    use ecofusion_trace::{ns_from_ms, ArgValue, Track};
-    if !sink.is_enabled() {
-        return start_ns;
-    }
-    let track = Track::Stream(stream);
-    sink.begin(
-        track,
-        start_ns,
-        "frame",
-        vec![
-            ("tick", ArgValue::U64(tick)),
-            ("config", ArgValue::U64(out.selected_config.0 as u64)),
-            ("label", ArgValue::Text(out.selected_label.clone())),
-            ("precision", ArgValue::Str(out.precision.label())),
-            ("stems_executed", ArgValue::U64(out.stage_trace.stems_executed as u64)),
-            ("stems_cached", ArgValue::U64(out.stage_trace.stems_cached as u64)),
-            ("stems_skipped", ArgValue::U64(out.stage_trace.stems_skipped as u64)),
-            ("energy_j", ArgValue::F64(out.energy.total_gated().joules())),
-            ("latency_ms", ArgValue::F64(out.energy.latency.millis())),
-            ("gate_fallbacks", ArgValue::U64(out.gate_fallbacks as u64)),
-        ],
-    );
-    let mut cursor = start_ns;
-    for stage in StageKind::ALL {
-        let cost = out.stage_trace.cost(stage);
-        sink.begin(
-            track,
-            cursor,
-            stage.label(),
-            vec![
-                ("energy_j", ArgValue::F64(cost.energy.joules())),
-                ("latency_ms", ArgValue::F64(cost.latency.millis())),
-            ],
-        );
-        cursor += ns_from_ms(cost.latency.millis());
-        sink.end(track, cursor, stage.label());
-        sink.bump(
-            &format!("ecofusion_stage_energy_joules_total{{stage=\"{}\"}}", stage.label()),
-            cost.energy.joules(),
-        );
-    }
-    sink.end(track, cursor, "frame");
-    sink.bump(&format!("ecofusion_frames_total{{stream=\"{stream}\"}}"), 1.0);
-    sink.bump("ecofusion_stems_executed_total", out.stage_trace.stems_executed as f64);
-    sink.bump("ecofusion_stems_cached_total", out.stage_trace.stems_cached as f64);
-    sink.bump("ecofusion_stems_skipped_total", out.stage_trace.stems_skipped as f64);
-    if out.precision == Precision::Int8 {
-        sink.bump("ecofusion_int8_frames_total", 1.0);
-    }
-    if out.gate_fallbacks > 0 {
-        sink.bump("ecofusion_gate_fallbacks_total", out.gate_fallbacks as f64);
-    }
-    cursor
 }
 
 #[cfg(test)]

@@ -50,13 +50,21 @@ pub enum HealthState {
     Failed,
 }
 
-impl fmt::Display for HealthState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl HealthState {
+    /// Lower-case name (`healthy`, `degraded`, `failed`), as displayed
+    /// and as trace events carry it.
+    pub fn label(&self) -> &'static str {
+        match self {
             HealthState::Healthy => "healthy",
             HealthState::Degraded => "degraded",
             HealthState::Failed => "failed",
-        })
+        }
+    }
+}
+
+impl fmt::Display for HealthState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 

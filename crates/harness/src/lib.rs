@@ -70,7 +70,7 @@ pub use compare::{compare, Tolerances, Violation};
 pub use report::{
     BenchReport, BuildMeta, FleetPoint, LatencyStats, ShardPoint, SuiteReport, SCHEMA_VERSION,
 };
-pub use run::{run_report, run_suite, ModelProvider, FLIGHT_RECORDER_EVENTS};
+pub use run::{reconcile_metrics, run_report, run_suite, ModelProvider, FLIGHT_RECORDER_EVENTS};
 pub use scenario::{
     load_distilled_dir, replay_distilled, run_scenario, CoverageSignature, DistilledProvenance,
     DistilledSuite, ReplayDrift, Scenario, ScenarioCounters, ScenarioOutcome, ScenarioSize,

@@ -238,6 +238,42 @@ pub fn run_suite(
     Ok((report, sink))
 }
 
+/// Checks a traced suite run's metrics against its report: the frames
+/// counted per stream sum to `frames`, and the stems executed, cached and
+/// skipped, the gate fallbacks and the escalating ladder moves each equal
+/// their report field (a series never bumped counts 0). A series counted
+/// twice, or not at all, shows here.
+///
+/// # Errors
+/// Every series that disagrees with its field, in one message.
+pub fn reconcile_metrics(report: &SuiteReport, sink: &TraceSink) -> Result<(), String> {
+    // A name's series whatever their labels: the per-stream frame counts
+    // add up.
+    let counted = |name: &str| -> f64 {
+        let labelled = |series: &str| {
+            series.strip_prefix(name).is_some_and(|rest| rest.is_empty() || rest.starts_with('{'))
+        };
+        sink.metrics().iter().filter(|(series, _)| labelled(series)).map(|(_, n)| n).sum()
+    };
+    let wrong: Vec<String> = [
+        ("ecofusion_frames_total", report.frames),
+        ("ecofusion_stems_executed_total", report.stems_executed),
+        ("ecofusion_stems_cached_total", report.stems_cached),
+        ("ecofusion_stems_skipped_total", report.stems_skipped),
+        ("ecofusion_gate_fallbacks_total", report.gate_fallbacks),
+        ("ecofusion_ladder_moves_total{direction=\"escalate\"}", report.escalations),
+    ]
+    .into_iter()
+    .filter(|&(name, field)| counted(name) != field as f64)
+    .map(|(name, field)| format!("{name} counted {}, the report says {field}", counted(name)))
+    .collect();
+    if wrong.is_empty() {
+        Ok(())
+    } else {
+        Err(wrong.join("; "))
+    }
+}
+
 /// The one place a suite or a scenario meets the runtime: serves
 /// `streams` for `ticks` ticks on a fresh server built from their specs
 /// (`max_batch`, `shards`), stream `i` under `timelines[i]` if it has

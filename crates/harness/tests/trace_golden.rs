@@ -1,6 +1,7 @@
 //! Golden-trace determinism: a seeded suite run emits a bit-identical
-//! event sequence across reruns and across shard counts, and arming the
-//! tracer never perturbs the suite report.
+//! event sequence across reruns and across shard counts, its export is
+//! pinned byte for byte, its metrics reconcile with its report, and
+//! arming the tracer never perturbs the suite report.
 //!
 //! Stream-track events replay the global pick order (the runtime sorts
 //! accounting rows by pick index), so they are shard-invariant by
@@ -10,25 +11,34 @@
 
 use ecofusion_energy::StageKind;
 use ecofusion_eval::experiments::common::Scale;
-use ecofusion_harness::{run_suite, ModelProvider, SuiteId};
-use ecofusion_trace::{EventKind, TraceSink, Track};
+use ecofusion_harness::digest::Fnv1a;
+use ecofusion_harness::{reconcile_metrics, run_suite, ModelProvider, SuiteId, SuiteReport};
+use ecofusion_trace::{chrome_trace_json, prometheus_snapshot, EventKind, TraceSink, Track};
 
 const CAPACITY: usize = 1 << 16;
 
-fn traced_steady_city(
-    provider: &ModelProvider,
-    shards: usize,
-) -> (ecofusion_harness::SuiteReport, TraceSink) {
+fn traced(provider: &ModelProvider, id: SuiteId, shards: usize) -> (SuiteReport, TraceSink) {
     let (report, sink) = run_suite(
         provider,
-        SuiteId::SteadyCity,
+        id,
         Scale::Quick,
         shards,
         ecofusion_core::Precision::F32,
         Some(CAPACITY),
     )
-    .expect("traced steady_city run");
+    .expect("traced suite run");
     (report, sink.expect("traced run returns its sink"))
+}
+
+fn traced_steady_city(provider: &ModelProvider, shards: usize) -> (SuiteReport, TraceSink) {
+    traced(provider, SuiteId::SteadyCity, shards)
+}
+
+/// FNV-1a-64 of `text`'s bytes, as hex.
+fn fnv_hex(text: &str) -> String {
+    let mut digest = Fnv1a::default();
+    text.bytes().for_each(|b| digest.byte(b));
+    format!("{:016x}", digest.finish())
 }
 
 #[test]
@@ -90,4 +100,32 @@ fn arming_the_tracer_changes_no_gated_report_field() {
     assert!(sink.is_none());
     let (traced, _) = traced_steady_city(&provider, 1);
     assert_eq!(untraced, traced);
+}
+
+/// The exported bytes of quick `steady_city` at one shard: its Chrome
+/// JSON and Prometheus text, as recorded before the scheduler's emission
+/// moved into the runtime's step recorder. Rerun and shard-count equality
+/// say nothing about the export across commits; this does. A deliberate
+/// change to an event, an argument or a series records new digests.
+#[test]
+fn steady_city_export_matches_the_recorded_digests() {
+    let provider = ModelProvider::prepare(Scale::Quick);
+    let (_, sink) = traced_steady_city(&provider, 1);
+    assert_eq!(fnv_hex(&chrome_trace_json(&sink)), "08d404fa3edf5ee7", "Chrome JSON");
+    assert_eq!(fnv_hex(&prometheus_snapshot(&sink)), "dcba0c0b1f60c667", "Prometheus text");
+}
+
+/// Every counted series agrees with the report it was traced beside —
+/// on a clean stream, on faulted, health-gated ones (cached and skipped
+/// stems) and on squeezed ones (escalations).
+#[test]
+fn traced_metrics_reconcile_with_the_report() {
+    let provider = ModelProvider::prepare(Scale::Quick);
+    for id in [SuiteId::SteadyCity, SuiteId::FaultStorm, SuiteId::BudgetSqueeze] {
+        let (report, sink) = traced(&provider, id, 1);
+        assert!(report.frames > 0);
+        if let Err(e) = reconcile_metrics(&report, &sink) {
+            panic!("{}: {e}", id.label());
+        }
+    }
 }

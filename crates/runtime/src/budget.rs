@@ -401,6 +401,11 @@ impl BudgetController {
         self.ladder[self.level]
     }
 
+    /// Levels of the ladder (the deepest is `rungs() - 1`).
+    pub(crate) fn rungs(&self) -> usize {
+        self.ladder.len()
+    }
+
     /// The configured budget.
     pub fn budget(&self) -> EnergyBudget {
         self.budget

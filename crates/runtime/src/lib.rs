@@ -109,12 +109,21 @@
 //!   Malformed frames are rejected at ingest with
 //!   [`IngestOutcome::RejectedMalformed`] instead of panicking, so one
 //!   broken producer cannot take down the server.
+//! * **Flight recorder** — [`PerceptionServer::set_tracer`] installs an
+//!   [`ecofusion_trace::TraceSink`]. A private step recorder then owns
+//!   it, the virtual clocks its spans are laid out on, and every span,
+//!   marker and metric of the serving path: frame and stage spans, unit
+//!   spans and steals, step markers with plan-cache deltas, ladder moves
+//!   and rungs, gate fallbacks, health transitions, budget retargets and
+//!   fault activations. The scheduler's serial phases call it; without a
+//!   sink, or with a disabled one, each call site is one branch.
 
 #![forbid(unsafe_code)]
 
 pub mod budget;
 pub mod hist;
 pub mod queue;
+mod recorder;
 pub mod scheduler;
 pub mod shard;
 pub mod stream;

@@ -2,28 +2,36 @@
 //! cross-stream micro-batches, sharded multi-core execution (see
 //! [`crate::shard`]), budget-driven policy adaptation (per-stream ladders
 //! plus an optional fleet-wide headroom coordinator), and the aggregate
-//! runtime report.
+//! runtime report (its types and [`PerceptionServer::report`] live in the
+//! `report` submodule).
+//!
+//! [`PerceptionServer::process_step_stats`] is a list of its phases —
+//! budget timelines, coalesce, health, build units, execute, account,
+//! fleet budget, record the step — each a method of its own. What the
+//! flight recorder sees, the phases tell the server's private step
+//! recorder (`crate::recorder`), which owns the sink and its clocks.
 
 use crate::budget::{
     default_ladder, redistribute_headroom, BudgetController, BudgetPosture, BudgetTimeline,
     FleetBudgetPolicy,
 };
-use crate::hist::LatencyHistogram;
 use crate::queue::{FrameQueue, IngestOutcome, QueuedFrame};
+use crate::recorder::{self, Recorder};
 use crate::shard::{shard_of, ShardPool, ShardReport, StepUnit, UnitPayload};
 use crate::stream::{StreamSpec, VehicleStream};
 use crate::telemetry::StreamTelemetry;
 use ecofusion_core::model::InferError;
 use ecofusion_core::{
-    trace_frame, CandidateRule, EcoFusionModel, Frame, InferenceOptions, InferenceOutput,
-    Precision, StemFeatureCache,
+    CandidateRule, EcoFusionModel, Frame, InferenceOptions, InferenceOutput, StemFeatureCache,
 };
-use ecofusion_eval::EvalSummary;
-use ecofusion_faults::{HealthState, SensorHealthMonitor};
+use ecofusion_faults::SensorHealthMonitor;
 use ecofusion_gating::GateKind;
-use ecofusion_sensors::{SensorKind, SensorMask};
-use ecofusion_trace::{ns_from_ms, ArgValue, TraceSink, Track, TICK_NS};
-use serde::Serialize;
+use ecofusion_sensors::SensorMask;
+use ecofusion_trace::TraceSink;
+
+mod report;
+
+pub use report::{RuntimeReport, StreamReport};
 
 /// Scheduler parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -161,136 +169,6 @@ impl Lane {
     }
 }
 
-/// Everything the report says about one stream.
-#[derive(Debug, Clone, Serialize)]
-pub struct StreamReport {
-    /// Stream index (position in the spec list).
-    pub stream: usize,
-    /// The harness-compatible accuracy/energy/latency summary.
-    pub summary: EvalSummary,
-    /// Frames actually inside the summary's mAP window. Telemetry keeps
-    /// at most [`crate::telemetry::HISTORY_CAP`] per-frame records (the
-    /// oldest half is discarded beyond that), so on runs longer than the
-    /// cap `summary.map_pct` covers only these most recent frames while
-    /// the scalar counters stay exact over the whole run. Equal to
-    /// `summary.frames` until the cap is first hit.
-    pub map_window_frames: usize,
-    /// Frames evicted by drop-oldest backpressure.
-    pub dropped: u64,
-    /// Producer stalls under stall backpressure.
-    pub stalls: u64,
-    /// Deepest the stream's queue ever got.
-    pub queue_high_water: usize,
-    /// Mean scheduler-tick queueing delay per processed frame.
-    pub avg_queue_wait_ticks: f64,
-    /// Median per-frame modeled latency, ms (fixed-bucket histogram
-    /// upper edge; the mean stays in `summary.avg_latency_ms`).
-    pub latency_p50_ms: f64,
-    /// 95th-percentile per-frame modeled latency, ms.
-    pub latency_p95_ms: f64,
-    /// 99th-percentile per-frame modeled latency, ms.
-    pub latency_p99_ms: f64,
-    /// Budget escalations (moves to a cheaper policy).
-    pub escalations: u64,
-    /// Budget relaxations (moves back toward the base policy).
-    pub relaxations: u64,
-    /// Escalation level at the end of the run (0 = base policy).
-    pub final_level: usize,
-    /// Gate in force at the end of the run.
-    pub final_gate: GateKind,
-    /// `λ_E` in force at the end of the run.
-    pub final_lambda_e: f64,
-    /// Rolling mean total energy at the end of the run, Joules/frame.
-    pub rolling_energy_j: f64,
-    /// Fleet-coordinator grant in force at the end of the run,
-    /// Joules/frame (0 without a fleet budget).
-    pub granted_j: f64,
-    /// Total platform energy spent by the stream, Joules.
-    pub total_platform_j: f64,
-    /// Total platform + clock-gated sensor energy spent, Joules.
-    pub total_gated_j: f64,
-    /// Frames processed while the health monitor saw a degraded or failed
-    /// sensor.
-    pub degraded_frames: u64,
-    /// Frames processed with at least one sensor masked out of gating.
-    pub masked_frames: u64,
-    /// Stems the demand-driven pipeline actually ran for the stream.
-    pub stems_executed: u64,
-    /// Stems served from the stream's feature cache (frozen grids).
-    pub stems_cached: u64,
-    /// Stems pruned by the demand-driven plan (never run at all).
-    pub stems_skipped: u64,
-    /// Frames whose perception stages ran int8-quantized (the emergency
-    /// rung of the default ladder, or an explicit `Precision::Int8`).
-    pub int8_frames: u64,
-    /// Frames on which the knowledge gate was missing a context rule and
-    /// degraded to its cheapest-configuration fallback.
-    pub gate_fallbacks: u64,
-    /// Numeric precision in force at the end of the run.
-    pub final_precision: Precision,
-    /// Stem-cache lookups that found a matching grid.
-    pub stem_cache_hits: u64,
-    /// Stem-cache lookups that missed.
-    pub stem_cache_misses: u64,
-    /// Mean per-stage total energy per frame, Joules, in
-    /// `StageKind::ALL` order (empty before the first frame).
-    pub stage_energy_j: Vec<f64>,
-    /// Health-state transitions (e.g. healthy → failed) over the run.
-    pub health_transitions: u64,
-    /// Per-sensor health scores at the end of the run, canonical order.
-    pub final_health: Vec<f64>,
-    /// Availability mask in force at the end of the run.
-    pub final_mask: SensorMask,
-    /// Whether fault-aware gating was enabled for the stream.
-    pub health_gating: bool,
-    /// Frames rejected at ingest validation (grid mismatch).
-    pub rejected_malformed: u64,
-}
-
-/// Aggregate outcome of a runtime session.
-#[derive(Debug, Clone, Serialize)]
-pub struct RuntimeReport {
-    /// Per-stream reports, in stream order.
-    pub per_stream: Vec<StreamReport>,
-    /// Frames processed across all streams.
-    pub frames: u64,
-    /// Micro-batches executed (`infer_batch` calls).
-    pub batches: u64,
-    /// Mean frames per micro-batch.
-    pub avg_batch_size: f64,
-    /// Sum of per-stream platform energy, Joules.
-    pub total_platform_j: f64,
-    /// Sum of per-stream platform + gated sensor energy, Joules.
-    pub total_gated_j: f64,
-    /// Stems executed across all streams.
-    pub total_stems_executed: u64,
-    /// Frames that ran int8-quantized, across all streams.
-    pub total_int8_frames: u64,
-    /// Knowledge-gate missing-rule fallbacks, across all streams.
-    pub total_gate_fallbacks: u64,
-    /// Stems pruned or served from caches across all streams (the
-    /// compute the staged pipeline saved vs. always-run-four).
-    pub total_stems_saved: u64,
-    /// Fleet-wide mean modeled latency, ms, from the merged per-stream
-    /// histograms (0 before the first frame).
-    pub latency_mean_ms: f64,
-    /// Fleet-wide median modeled latency, ms (bucket upper edge).
-    pub latency_p50_ms: f64,
-    /// Fleet-wide 95th-percentile modeled latency, ms.
-    pub latency_p95_ms: f64,
-    /// Fleet-wide 99th-percentile modeled latency, ms.
-    pub latency_p99_ms: f64,
-    /// Fleet-wide maximum modeled latency, ms (exact).
-    pub latency_max_ms: f64,
-    /// Sum of fleet-coordinator grants in force at the end of the run,
-    /// Joules/frame.
-    pub total_granted_j: f64,
-    /// Per-shard execution stats (which worker did what; the wall-clock
-    /// fields are host-dependent and never part of the determinism
-    /// invariant).
-    pub shards: Vec<ShardReport>,
-}
-
 /// The multi-stream perception server.
 ///
 /// Frames enter per-stream bounded queues via
@@ -340,19 +218,13 @@ pub struct PerceptionServer {
     tick: u64,
     batches: u64,
     batched_frames: u64,
-    /// Optional event sink (see [`PerceptionServer::set_tracer`]). Only
-    /// the serial scheduler phases write to it — never the worker
-    /// threads — which is what keeps the event sequence deterministic
-    /// and the sink lock-free.
-    tracer: Option<TraceSink>,
-    /// Per-stream virtual clocks, ns: where the next frame span on each
-    /// stream track may begin (floored to the current tick).
-    stream_clock_ns: Vec<u64>,
-    /// Per-shard virtual clocks, ns, for the unit spans on shard tracks.
-    shard_clock_ns: Vec<u64>,
-    /// Scheduler-track clock, ns: disambiguates the multiple processing
-    /// steps a drain runs within one tick.
-    sched_clock_ns: u64,
+    /// What each shard's worker executed, counted serially from every
+    /// unit's `executed_by` (`busy_ms` is the shard's own, read by
+    /// [`PerceptionServer::report`]).
+    shard_work: Vec<ShardReport>,
+    /// The flight recorder (see [`PerceptionServer::set_tracer`]); only
+    /// the serial scheduler phases call it, never the worker threads.
+    recorder: Option<Recorder>,
     /// The buffers of the scheduler's own phases.
     step: StepBuffers,
 }
@@ -397,6 +269,7 @@ struct Row {
 /// All fields except `steals`/`stolen_frames` are shard-count-invariant;
 /// steal counts depend on thread timing (like
 /// [`crate::ShardReport::busy_ms`]) and are always 0 with a single shard.
+/// They count every unit a non-home worker ran, failed ones included.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepStats {
     /// Scheduler tick the step ran at.
@@ -439,6 +312,13 @@ impl PerceptionServer {
         }
         let num_shards = cfg.shards.min(specs.len());
         let grid = model.grid();
+        let shard_work = (0..num_shards)
+            .map(|shard| ShardReport {
+                shard,
+                streams: (0..specs.len()).filter(|&l| shard_of(l, num_shards) == shard).count(),
+                ..ShardReport::default()
+            })
+            .collect();
         PerceptionServer {
             shards: ShardPool::new(model, num_shards),
             grid,
@@ -449,35 +329,30 @@ impl PerceptionServer {
             tick: 0,
             batches: 0,
             batched_frames: 0,
-            tracer: None,
-            stream_clock_ns: vec![0; specs.len()],
-            shard_clock_ns: vec![0; num_shards],
-            sched_clock_ns: 0,
+            shard_work,
+            recorder: None,
             step: StepBuffers::default(),
         }
     }
 
     /// Installs an event sink; every subsequent step emits frame/stage
-    /// spans, scheduler unit spans, and decision events into it. Pass
-    /// [`TraceSink::disabled`] (or never call this) for the zero-overhead
-    /// path — instrumentation is skipped at its first branch.
+    /// spans, scheduler unit spans, and decision events into it, on
+    /// virtual clocks that start at zero. Pass [`TraceSink::disabled`]
+    /// (or never call this) for the zero-overhead path — every hook is
+    /// one branch.
     pub fn set_tracer(&mut self, sink: TraceSink) {
-        self.tracer = Some(sink);
+        let rungs = self.lanes.iter().map(|l| l.controller.rungs()).max().unwrap_or(0);
+        self.recorder = Some(Recorder::new(sink, self.lanes.len(), self.shards.len(), rungs));
     }
 
     /// Removes and returns the installed sink (for export after a run).
     pub fn take_tracer(&mut self) -> Option<TraceSink> {
-        self.tracer.take()
+        self.recorder.take().map(Recorder::into_sink)
     }
 
     /// The installed sink, if any.
     pub fn tracer(&self) -> Option<&TraceSink> {
-        self.tracer.as_ref()
-    }
-
-    /// Whether an enabled sink is installed.
-    fn tracing(&self) -> bool {
-        self.tracer.as_ref().is_some_and(|t| t.is_enabled())
+        self.recorder.as_ref().map(Recorder::sink)
     }
 
     /// Number of streams served.
@@ -583,25 +458,16 @@ impl PerceptionServer {
     /// (no-op for lanes without one or whose target is already in force).
     fn apply_budget_timelines(&mut self) {
         let tick = self.tick;
-        let mut retargets: Vec<(usize, f64)> = Vec::new();
+        let mut rec = recorder::armed(&mut self.recorder);
         for (i, lane) in self.lanes.iter_mut().enumerate() {
             let Some(target) = lane.timeline.as_ref().and_then(|t| t.target_at(tick)) else {
                 continue;
             };
             if lane.controller.budget().target_j != target {
                 lane.controller.set_target_j(target);
-                retargets.push((i, target));
-            }
-        }
-        if let Some(tr) = self.tracer.as_mut().filter(|t| t.is_enabled()) {
-            for (stream, target) in retargets {
-                tr.instant(
-                    Track::Stream(stream as u32),
-                    tick * TICK_NS,
-                    "budget_retarget",
-                    vec![("tick", ArgValue::U64(tick)), ("target_j", ArgValue::F64(target))],
-                );
-                tr.bump("ecofusion_budget_retargets_total", 1.0);
+                if let Some(rec) = &mut rec {
+                    rec.retarget(i, tick, target);
+                }
             }
         }
     }
@@ -636,31 +502,41 @@ impl PerceptionServer {
         let tick = self.tick;
         self.apply_budget_timelines();
         self.coalesce();
-        if self.step.picked.is_empty() {
-            return Ok(StepStats { tick, ..StepStats::default() });
+        let mut stats = StepStats { tick, frames: self.step.picked.len(), ..StepStats::default() };
+        if stats.frames == 0 {
+            return Ok(stats);
         }
-        let tracing = self.tracing();
-        // Health monitoring: every popped frame updates its lane's monitor
-        // before options are grouped, so the mask each micro-batch runs
-        // with reflects the newest evidence. When several frames of one
-        // lane are popped in a single step they all execute under the
-        // lane's final (most-informed) mask, and telemetry counts against
-        // that same mask so the counters always describe the gating that
-        // actually ran. With fault-aware gating off (the default) the
-        // monitor still tracks health for telemetry but the lane's
-        // options — and therefore every inference result — stay
-        // untouched.
-        let mut transitions: Vec<(usize, usize, HealthState, HealthState)> = Vec::new();
+        self.update_health();
+        self.build_units();
+        stats.units = self.step.live;
+        self.shards.execute(&mut self.step.units, stats.units, self.cfg.work_stealing);
+        self.account_units(&mut stats)?;
+        self.coordinate_fleet_budget();
+        stats.queued_after = self.queued();
+        if let Some(rec) = recorder::armed(&mut self.recorder) {
+            rec.step(&stats, self.shards.states().map(|mut s| s.model.take_plan_delta()));
+        }
+        Ok(stats)
+    }
+
+    /// Health monitoring: every popped frame updates its lane's monitor,
+    /// in pick order, before options are grouped, so the mask each
+    /// micro-batch runs with reflects the newest evidence. When several
+    /// frames of one lane are popped in a single step they all execute
+    /// under the lane's final (most-informed) mask, and telemetry counts
+    /// against that same mask so the counters always describe the gating
+    /// that actually ran. With fault-aware gating off (the default) the
+    /// monitor still tracks health for telemetry but the lane's options —
+    /// and therefore every inference result — stay untouched.
+    fn update_health(&mut self) {
+        let tick = self.tick;
+        let mut rec = recorder::armed(&mut self.recorder);
         for (lane_idx, queued) in &self.step.picked {
             let monitor = &mut self.lanes[*lane_idx].monitor;
             let before = monitor.states();
             monitor.update(&queued.frame.obs);
-            if tracing {
-                for (sensor, (b, a)) in before.into_iter().zip(monitor.states()).enumerate() {
-                    if b != a {
-                        transitions.push((*lane_idx, sensor, b, a));
-                    }
-                }
+            if let Some(rec) = &mut rec {
+                rec.health(*lane_idx, tick, before, monitor.states());
             }
         }
         for lane in &mut self.lanes {
@@ -673,90 +549,6 @@ impl PerceptionServer {
             let mask = lane.active_mask();
             lane.telemetry.note_health(lane.monitor.degraded_count() > 0, !mask.is_all_available());
         }
-        // Monitor updates run in pick order, so the transition events do
-        // too — deterministic for any shard count.
-        if let Some(tr) = self.tracer.as_mut() {
-            for (lane, sensor, from, to) in transitions {
-                tr.instant(
-                    Track::Stream(lane as u32),
-                    tick * TICK_NS,
-                    "health",
-                    vec![
-                        ("sensor", ArgValue::Str(SensorKind::ALL[sensor].abbrev())),
-                        ("from", ArgValue::Str(health_label(from))),
-                        ("to", ArgValue::Str(health_label(to))),
-                        ("tick", ArgValue::U64(tick)),
-                    ],
-                );
-                tr.bump("ecofusion_health_transitions_total", 1.0);
-            }
-        }
-        let processed = self.step.picked.len();
-        let step_ns = self.sched_clock_ns.max(tick * TICK_NS);
-        let steals_before: (u64, u64) =
-            self.shards.states().fold((0, 0), |(s, f), sh| (s + sh.steals, f + sh.stolen_frames));
-        self.build_units();
-        let num_units = self.step.live;
-        self.shards.execute(&mut self.step.units, num_units, self.cfg.work_stealing);
-        let (steals, stolen_frames) = {
-            let after: (u64, u64) = self
-                .shards
-                .states()
-                .fold((0, 0), |(s, f), sh| (s + sh.steals, f + sh.stolen_frames));
-            (after.0 - steals_before.0, after.1 - steals_before.1)
-        };
-        let batch_sizes = self.account_units(step_ns)?;
-        self.coordinate_fleet_budget();
-        let queued_after = self.queued();
-        // Flush fused-plan-cache deltas from every replica. Deltas only
-        // drain while tracing so counters stay cumulative over a traced
-        // run; idle replicas contribute zero, which keeps the totals
-        // shard-count-invariant for single-stream golden suites.
-        let plans = if tracing {
-            self.shards.states().fold((0u64, 0u64, 0u64), |(h, m, c), mut sh| {
-                let d = sh.model.take_plan_delta();
-                (h + d.hits, m + d.misses, c + d.compiles)
-            })
-        } else {
-            (0, 0, 0)
-        };
-        if let Some(tr) = self.tracer.as_mut().filter(|_| tracing) {
-            tr.instant(
-                Track::Scheduler,
-                step_ns,
-                "step",
-                vec![
-                    ("tick", ArgValue::U64(tick)),
-                    ("frames", ArgValue::U64(processed as u64)),
-                    ("units", ArgValue::U64(num_units as u64)),
-                    ("steals", ArgValue::U64(steals)),
-                ],
-            );
-            tr.counter(Track::Scheduler, step_ns, "queued", queued_after as f64);
-            tr.bump("ecofusion_steps_total", 1.0);
-            if steals > 0 {
-                tr.bump("ecofusion_steals_total", steals as f64);
-            }
-            if plans.0 > 0 {
-                tr.bump("ecofusion_plan_cache_hits_total", plans.0 as f64);
-            }
-            if plans.1 > 0 {
-                tr.bump("ecofusion_plan_cache_misses_total", plans.1 as f64);
-            }
-            if plans.2 > 0 {
-                tr.bump("ecofusion_plan_cache_compiles_total", plans.2 as f64);
-            }
-        }
-        self.sched_clock_ns = step_ns + 1;
-        Ok(StepStats {
-            tick,
-            frames: processed,
-            units: num_units,
-            batch_sizes,
-            steals,
-            stolen_frames,
-            queued_after,
-        })
     }
 
     /// Partitions the picked frames into work units keyed on `(home
@@ -818,21 +610,22 @@ impl PerceptionServer {
         }
     }
 
-    /// Serial post-join accounting: restores the moved stem caches and
-    /// emits the shard-track unit spans in unit (= first-seen group)
-    /// order, then records telemetry and budget spend per frame in
-    /// **global pick order**. Per-lane accounting state is identical
-    /// either way (each lane's frames stay in its own FIFO order inside
-    /// one unit), but replaying the flat pick order also makes the
-    /// emitted stream-track event sequence — and any future cross-lane
-    /// accounting — independent of how units were grouped across shards.
-    /// Returns the executed batch sizes, in unit order.
-    fn account_units(&mut self, step_ns: u64) -> Result<Vec<usize>, InferError> {
+    /// Serial post-join accounting: restores the moved stem caches, counts
+    /// each unit to the worker that ran it (its steals into `stats` too)
+    /// and records its span, in unit (= first-seen group) order, then
+    /// records telemetry and budget spend per frame in **global pick
+    /// order**. Per-lane accounting state is identical either way (each
+    /// lane's frames stay in its own FIFO order inside one unit), but
+    /// replaying the flat pick order also makes the recorded stream-track
+    /// event sequence — and any future cross-lane accounting —
+    /// independent of how units were grouped across shards. Fills
+    /// `stats`' batch sizes, in unit order, and steal counts.
+    fn account_units(&mut self, stats: &mut StepStats) -> Result<(), InferError> {
         let tick = self.tick;
-        let tracing = self.tracing();
+        let mut rec = recorder::armed(&mut self.recorder);
         let mut first_err = None;
         let StepBuffers { units, live, rows, .. } = &mut self.step;
-        let mut batch_sizes = Vec::with_capacity(*live);
+        stats.batch_sizes = Vec::with_capacity(*live);
         rows.clear();
         for unit in &mut units[..*live] {
             let home = unit.shard;
@@ -842,55 +635,26 @@ impl PerceptionServer {
             for (lane, cache) in payload.cache_lanes.iter().zip(payload.caches.drain(..)) {
                 self.stem_caches[*lane] = cache;
             }
+            let (worker, frames) = (payload.executed_by, payload.frames.len());
+            let work = &mut self.shard_work[worker];
+            work.frames += frames as u64;
+            work.batches += 1;
+            if worker != home {
+                work.steals += 1;
+                work.stolen_frames += frames as u64;
+                stats.steals += 1;
+                stats.stolen_frames += frames as u64;
+            }
             if let Some(e) = payload.error.take() {
                 first_err = first_err.or(Some(e));
                 payload.frames.clear();
                 continue;
             }
-            let frames = payload.outputs.len();
             self.batches += 1;
             self.batched_frames += frames as u64;
-            batch_sizes.push(frames);
-            if tracing {
-                // Unit span on the executing worker's shard track; with
-                // stealing on and several shards the executor (and so
-                // this span's track and any steal marker) is
-                // schedule-dependent — documented as outside the
-                // determinism invariant, like `ShardReport::busy_ms`.
-                let worker = payload.executed_by;
-                let tr = self.tracer.as_mut().expect("tracing implies a sink");
-                let track = Track::Shard(worker as u32);
-                let start = self.shard_clock_ns[worker].max(step_ns);
-                let dur: u64 =
-                    payload.outputs.iter().map(|o| ns_from_ms(o.energy.latency.millis())).sum();
-                let streams =
-                    payload.lane_ids.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
-                tr.begin(
-                    track,
-                    start,
-                    "unit",
-                    vec![
-                        ("home", ArgValue::U64(home as u64)),
-                        ("worker", ArgValue::U64(worker as u64)),
-                        ("frames", ArgValue::U64(frames as u64)),
-                        ("streams", ArgValue::Text(streams)),
-                        ("tick", ArgValue::U64(tick)),
-                    ],
-                );
-                if worker != home {
-                    tr.instant(
-                        track,
-                        start,
-                        "steal",
-                        vec![
-                            ("victim", ArgValue::U64(home as u64)),
-                            ("thief", ArgValue::U64(worker as u64)),
-                            ("frames", ArgValue::U64(frames as u64)),
-                        ],
-                    );
-                }
-                tr.end(track, start + dur, "unit");
-                self.shard_clock_ns[worker] = start + dur;
+            stats.batch_sizes.push(frames);
+            if let Some(rec) = &mut rec {
+                rec.unit(tick, home, payload);
             }
             let UnitPayload { lane_ids, frames, outputs, waits, picks, .. } = payload;
             let taken = lane_ids.iter().zip(frames.drain(..)).zip(outputs.drain(..));
@@ -907,22 +671,10 @@ impl PerceptionServer {
         // Picks are distinct, so an unstable sort is the pick order.
         rows.sort_unstable_by_key(|r| r.pick);
         for Row { lane: lane_idx, frame, output, wait, .. } in rows.drain(..) {
-            let lane = &mut self.lanes[lane_idx];
-            let mut frame_end_ns = 0;
-            if tracing {
-                let tr = self.tracer.as_mut().expect("tracing implies a sink");
-                let start = self.stream_clock_ns[lane_idx].max(tick * TICK_NS);
-                frame_end_ns = trace_frame(tr, lane_idx as u32, tick, start, &output);
-                self.stream_clock_ns[lane_idx] = frame_end_ns;
-                if output.gate_fallbacks > 0 {
-                    tr.instant(
-                        Track::Stream(lane_idx as u32),
-                        start,
-                        "gate_fallback",
-                        vec![("tick", ArgValue::U64(tick))],
-                    );
-                }
+            if let Some(rec) = &mut rec {
+                rec.frame(lane_idx, tick, &output);
             }
+            let lane = &mut self.lanes[lane_idx];
             let spent_j = output.energy.total_gated().joules();
             lane.telemetry.record(output, frame.gt_boxes(), wait);
             let level_before = lane.controller.level();
@@ -933,42 +685,12 @@ impl PerceptionServer {
                 if lane.health_gating {
                     lane.opts.health = lane.monitor.mask();
                 }
-                if tracing {
-                    let level = lane.controller.level();
-                    let (direction, reason) = if level > level_before {
-                        ("escalate", "rolling energy over target")
-                    } else {
-                        ("relax", "rolling energy under relax margin")
-                    };
-                    let tr = self.tracer.as_mut().expect("tracing implies a sink");
-                    tr.instant(
-                        Track::Stream(lane_idx as u32),
-                        frame_end_ns,
-                        "ladder",
-                        vec![
-                            ("from", ArgValue::U64(level_before as u64)),
-                            ("to", ArgValue::U64(level as u64)),
-                            ("direction", ArgValue::Str(direction)),
-                            ("reason", ArgValue::Str(reason)),
-                            ("gate", ArgValue::Text(step.gate.to_string())),
-                            ("lambda_e", ArgValue::F64(step.lambda_e)),
-                            ("precision", ArgValue::Str(step.precision.label())),
-                        ],
-                    );
-                    tr.bump(
-                        &format!("ecofusion_ladder_moves_total{{direction=\"{direction}\"}}"),
-                        1.0,
-                    );
-                    // Per-rung arrivals ride the metrics map (never
-                    // evicted, unlike ring events).
-                    tr.bump(&format!("ecofusion_ladder_rung_total{{level=\"{level}\"}}"), 1.0);
+                if let Some(rec) = &mut rec {
+                    rec.ladder(lane_idx, level_before, lane.controller.level(), &step);
                 }
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(batch_sizes),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Fleet budget coordination, once per step at the barrier: computes
@@ -1010,22 +732,6 @@ impl PerceptionServer {
         }
     }
 
-    /// Emits a fault-activation marker for `stream` (the simulation
-    /// driver calls this when a stream's [`VehicleStream::fault_counts`]
-    /// advanced while producing a frame). No-op without an enabled sink.
-    fn trace_fault(&mut self, stream: usize, tick: u64, events: u64) {
-        let Some(tr) = self.tracer.as_mut().filter(|t| t.is_enabled()) else {
-            return;
-        };
-        tr.instant(
-            Track::Stream(stream as u32),
-            tick * TICK_NS,
-            "fault",
-            vec![("tick", ArgValue::U64(tick)), ("events", ArgValue::U64(events))],
-        );
-        tr.bump("ecofusion_fault_events_total", events as f64);
-    }
-
     /// Round-robin pick of up to `max_batch` queued frames across lanes,
     /// into `step.picked`.
     fn coalesce(&mut self) {
@@ -1045,106 +751,6 @@ impl PerceptionServer {
             if !any {
                 break;
             }
-        }
-    }
-
-    /// Builds the aggregate report.
-    pub fn report(&self) -> RuntimeReport {
-        let per_stream: Vec<StreamReport> = self
-            .lanes
-            .iter()
-            .enumerate()
-            .map(|(i, lane)| {
-                let summary = lane.telemetry.summary(self.cfg.num_classes);
-                let stage_energy_j = summary.stage_energy_j.clone();
-                StreamReport {
-                    stream: i,
-                    summary,
-                    map_window_frames: lane.telemetry.retained_frames(),
-                    dropped: lane.queue.dropped(),
-                    // Producer stalls surface two ways: the simulation driver
-                    // defers generation (record_stall), while direct ingest
-                    // against a full stall-policy queue is rejected by the
-                    // queue itself. The report covers both.
-                    stalls: lane.stalls + lane.queue.rejected(),
-                    queue_high_water: lane.queue.high_water(),
-                    avg_queue_wait_ticks: lane.telemetry.avg_queue_wait_ticks(),
-                    latency_p50_ms: lane.telemetry.latency_percentile_ms(50.0),
-                    latency_p95_ms: lane.telemetry.latency_percentile_ms(95.0),
-                    latency_p99_ms: lane.telemetry.latency_percentile_ms(99.0),
-                    escalations: lane.controller.escalations(),
-                    relaxations: lane.controller.relaxations(),
-                    final_level: lane.controller.level(),
-                    final_gate: lane.opts.gate,
-                    final_lambda_e: lane.opts.lambda_e,
-                    rolling_energy_j: lane.controller.rolling_mean_j(),
-                    granted_j: lane.controller.grant_j(),
-                    total_platform_j: lane.telemetry.platform_j(),
-                    total_gated_j: lane.telemetry.total_gated_j(),
-                    degraded_frames: lane.telemetry.degraded_frames(),
-                    masked_frames: lane.telemetry.masked_frames(),
-                    stems_executed: lane.telemetry.stems_executed(),
-                    stems_cached: lane.telemetry.stems_cached(),
-                    stems_skipped: lane.telemetry.stems_skipped(),
-                    int8_frames: lane.telemetry.int8_frames(),
-                    gate_fallbacks: lane.telemetry.gate_fallbacks(),
-                    final_precision: lane.opts.precision,
-                    stem_cache_hits: self.stem_caches[i].hits(),
-                    stem_cache_misses: self.stem_caches[i].misses(),
-                    stage_energy_j,
-                    health_transitions: lane.monitor.transitions(),
-                    final_health: lane.monitor.scores().to_vec(),
-                    final_mask: lane.active_mask(),
-                    health_gating: lane.health_gating,
-                    rejected_malformed: lane.malformed,
-                }
-            })
-            .collect();
-        let frames: u64 = per_stream.iter().map(|s| s.summary.frames as u64).sum();
-        // Fleet-wide latency: merge the per-stream histograms (exact for
-        // mean/max, bucket-edge percentiles). Merging per-stream state in
-        // lane order keeps the result shard-count-invariant.
-        let mut fleet_hist = LatencyHistogram::new();
-        for lane in &self.lanes {
-            fleet_hist.merge(lane.telemetry.latency_histogram());
-        }
-        let num_shards = self.shards.len();
-        let shards = self
-            .shards
-            .states()
-            .enumerate()
-            .map(|(i, s)| ShardReport {
-                shard: i,
-                streams: (0..self.lanes.len()).filter(|&l| shard_of(l, num_shards) == i).count(),
-                frames: s.frames,
-                batches: s.batches,
-                steals: s.steals,
-                stolen_frames: s.stolen_frames,
-                busy_ms: s.busy_ns as f64 / 1e6,
-            })
-            .collect();
-        RuntimeReport {
-            frames,
-            batches: self.batches,
-            avg_batch_size: if self.batches == 0 {
-                0.0
-            } else {
-                self.batched_frames as f64 / self.batches as f64
-            },
-            total_platform_j: per_stream.iter().map(|s| s.total_platform_j).sum(),
-            total_gated_j: per_stream.iter().map(|s| s.total_gated_j).sum(),
-            total_stems_executed: per_stream.iter().map(|s| s.stems_executed).sum(),
-            total_int8_frames: per_stream.iter().map(|s| s.int8_frames).sum(),
-            total_gate_fallbacks: per_stream.iter().map(|s| s.gate_fallbacks).sum(),
-            total_stems_saved: per_stream.iter().map(|s| s.stems_cached + s.stems_skipped).sum(),
-            latency_mean_ms: fleet_hist.mean(),
-            latency_p50_ms: fleet_hist.percentile(50.0),
-            latency_p95_ms: fleet_hist.percentile(95.0),
-            latency_p99_ms: fleet_hist.percentile(99.0),
-            latency_max_ms: fleet_hist.max(),
-            total_granted_j: per_stream.iter().map(|s| s.granted_j).sum(),
-            shards,
-            per_stream,
         }
     }
 }
@@ -1228,7 +834,9 @@ pub fn run_simulation_observed(
                 let frame = stream.next_frame();
                 let (_, events) = stream.fault_counts();
                 if events > fault_events[i] {
-                    server.trace_fault(i, tick, events - fault_events[i]);
+                    if let Some(rec) = recorder::armed(&mut server.recorder) {
+                        rec.fault(i, tick, events - fault_events[i]);
+                    }
                     fault_events[i] = events;
                 }
                 observer.on_frame(&frame);
@@ -1251,13 +859,4 @@ pub fn run_simulation_observed(
         observer.on_step(&stats);
     }
     Ok(())
-}
-
-/// Static label of a health state for trace event arguments.
-fn health_label(state: HealthState) -> &'static str {
-    match state {
-        HealthState::Healthy => "healthy",
-        HealthState::Degraded => "degraded",
-        HealthState::Failed => "failed",
-    }
 }

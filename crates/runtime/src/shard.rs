@@ -56,28 +56,20 @@ pub(crate) fn shard_of(stream: usize, num_shards: usize) -> usize {
     stream % num_shards
 }
 
-/// One worker shard: a private model replica plus executed-work counters.
-/// Replicas are restored from a single snapshot of the serving model, and
-/// inference never mutates observable model state, so all replicas stay
-/// bit-identical for the server's lifetime.
+/// One worker shard: a private model replica and the wall-clock time
+/// its worker spent executing. Replicas are restored from a single
+/// snapshot of the serving model, and inference never mutates observable
+/// model state, so all replicas stay bit-identical for the server's
+/// lifetime. What a worker executed is counted by the serial accounting,
+/// from each unit's `executed_by`.
 pub(crate) struct ShardState {
     pub(crate) model: EcoFusionModel,
-    pub(crate) frames: u64,
-    pub(crate) batches: u64,
-    pub(crate) steals: u64,
-    pub(crate) stolen_frames: u64,
     pub(crate) busy_ns: u64,
-}
-
-impl ShardState {
-    pub(crate) fn new(model: EcoFusionModel) -> Self {
-        ShardState { model, frames: 0, batches: 0, steals: 0, stolen_frames: 0, busy_ns: 0 }
-    }
 }
 
 /// What one shard's worker actually did over a run (host-dependent where
 /// noted; never part of the shard-determinism invariant).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ShardReport {
     /// Shard index.
     pub shard: usize,
@@ -116,8 +108,9 @@ pub(crate) struct UnitPayload {
     pub(crate) picks: Vec<u64>,
     /// The worker that actually executed the unit (differs from the home
     /// shard exactly when the unit was stolen). Recorded by the worker,
-    /// read by the serial accounting phase for shard-track trace spans;
-    /// with stealing enabled it is schedule-dependent, like
+    /// read by the serial accounting phase, which counts the unit to that
+    /// worker and records its shard-track span; with stealing enabled it
+    /// is schedule-dependent, like
     /// [`ShardReport::busy_ms`], and explicitly outside the determinism
     /// invariant.
     pub(crate) executed_by: usize,
@@ -265,10 +258,10 @@ impl ShardPool {
             let snapshot = model.snapshot();
             for _ in 1..num_shards {
                 let replica = snapshot.restore().expect("replica restores");
-                states.push(Mutex::new(ShardState::new(replica)));
+                states.push(Mutex::new(ShardState { model: replica, busy_ns: 0 }));
             }
         }
-        states.insert(0, Mutex::new(ShardState::new(model)));
+        states.insert(0, Mutex::new(ShardState { model, busy_ns: 0 }));
         let shared = Arc::new(Shared {
             states,
             units: RwLock::new(Vec::new()),
@@ -312,8 +305,8 @@ impl ShardPool {
         if self.len() > 1 && live > 1 {
             self.run_parallel(units, live, stealing);
         }
-        // Serially, each unit on its home shard's model (so the counters
-        // attribute work as the workers do), every unit no worker
+        // Serially, each unit on its home shard's model (so the unit
+        // counts to its home shard), every unit no worker
         // claimed: all of them on the serial path — a single shard (the
         // default) or a single unit gains nothing from threads — and none
         // after the workers, each of which drains its own shard's units
@@ -422,21 +415,14 @@ impl Shared {
 }
 
 /// Runs one claimed unit on `state`'s model replica, recording the
-/// executing worker's counters.
+/// executing worker in the unit.
 fn run_unit(unit: &StepUnit, state: &mut ShardState, worker: usize) {
     let mut payload = lock(&unit.payload);
     let UnitPayload { opts, frames, caches, cache_slot, outputs, error, executed_by, .. } =
         &mut *payload;
     outputs.clear();
     *error = state.model.infer_batch_cached_into(frames, opts, caches, cache_slot, outputs).err();
-    let n = frames.len() as u64;
     *executed_by = worker;
-    state.frames += n;
-    state.batches += 1;
-    if unit.shard != worker {
-        state.steals += 1;
-        state.stolen_frames += n;
-    }
 }
 
 /// Steals one unit for `thief`: picks the victim shard with the most

@@ -71,9 +71,9 @@
 //!   per-element arithmetic in place of the accumulators it is made from
 //!   (an i32 one holds the f32's bits), then each window's comparisons.
 //! * **The last step stores each sample where the caller wants it**
-//!   ([`CompiledPlan::execute_blocks_to`]: a destination per sample, in
+//!   ([`CompiledPlan::execute_indexed_to`]: a destination per sample, in
 //!   any order; one tensor of rows — [`CompiledPlan::execute_into`],
-//!   [`CompiledPlan::execute_blocks_into`] — is the case of one
+//!   [`CompiledPlan::execute_indexed_into`] — is the case of one
 //!   destination behind the other). A convolution's tiles or epilogue
 //!   store there directly; a last step that is no convolution writes its
 //!   tile in one piece (a GEMM does), and the executor hands the rows
@@ -81,7 +81,7 @@
 //! * [`DirectConv::lower`] — a fill, then `store_plane` with the identity
 //!   over every source plane — runs only where no convolution wrote the
 //!   input: for a plan's **first** step, which reads the caller's input
-//!   where it lies ([`CompiledPlan::execute_blocks_into`]: one sample may
+//!   where it lies ([`CompiledPlan::execute_indexed_into`]: one sample may
 //!   be several channel blocks in different places, and
 //!   [`CompiledPlan::execute_into`] is the case of one), and behind a
 //!   pooling convolution or the attention step, whose plain output lies
@@ -523,7 +523,7 @@ impl CompiledPlan {
     /// Runs the plan into a caller-owned output tensor: the steady-state
     /// zero-allocation path at any batch size (no heap allocation once
     /// per-thread GEMM pack buffers are warm). The one-block-per-sample
-    /// case of [`CompiledPlan::execute_blocks_into`].
+    /// case of [`CompiledPlan::execute_indexed_into`].
     ///
     /// # Panics
     /// Panics if the trailing dimensions of `x` or `out` do not match
@@ -539,30 +539,19 @@ impl CompiledPlan {
         self.run(n, 1, &|b| &data[b * per..(b + 1) * per], &mut self.rows_of(out, n));
     }
 
-    /// Runs the plan over samples that lie scattered: sample `b` is the
-    /// channel-wise concatenation of `blocks[b·per_sample..][..per_sample]`,
-    /// each a whole number of its channels. The first step reads the
-    /// blocks where they are — a convolution lowers (or quantizes) them
-    /// straight into its planes — so a caller that holds the parts of its
-    /// input in different places concatenates nothing. The
-    /// one-tensor-of-rows case of [`CompiledPlan::execute_blocks_to`].
+    /// Runs the plan over `n` samples that lie scattered: sample `b` is
+    /// the channel-wise concatenation of `block(b·per_sample + j)` for `j`
+    /// in `0..per_sample`, each a whole number of its channels. The first
+    /// step reads the blocks where they are — a convolution lowers (or
+    /// quantizes) them straight into its planes — so a caller that holds
+    /// the parts of its input in different places concatenates nothing,
+    /// and one that can say where each block lies needs no list of them.
+    /// The one-tensor-of-rows case of [`CompiledPlan::execute_indexed_to`].
     ///
     /// # Panics
-    /// Panics if `blocks` is not a whole number of samples of the
-    /// compiled per-sample shape, or `out` is not the plan's output for
-    /// that many.
-    pub fn execute_blocks_into(&mut self, blocks: &[&[f32]], per_sample: usize, out: &mut Tensor) {
-        let n = blocks.len() / per_sample.max(1);
-        self.execute_blocks_to(blocks, per_sample, self.rows_of(out, n));
-    }
-
-    /// [`CompiledPlan::execute_blocks_into`] over blocks named by index:
-    /// sample `b` is the concatenation of `block(b·per_sample + j)` for `j`
-    /// in `0..per_sample`. A caller that can say where each block lies
-    /// needs no list of them.
-    ///
-    /// # Panics
-    /// As [`CompiledPlan::execute_blocks_into`], for `n` samples.
+    /// Panics if a sample's blocks do not add up to the compiled
+    /// per-sample shape, or `out` is not the plan's output for `n`
+    /// samples.
     pub fn execute_indexed_into<'a>(
         &mut self,
         n: usize,
@@ -573,7 +562,7 @@ impl CompiledPlan {
         self.execute_indexed_to(n, per_sample, block, self.rows_of(out, n));
     }
 
-    /// [`CompiledPlan::execute_blocks_into`] with a destination per
+    /// [`CompiledPlan::execute_indexed_into`] with a destination per
     /// sample: `rows` yields, in sample order, where each sample's output
     /// — the elements of the plan's per-sample output shape — is to be
     /// stored. The last step stores every sample straight there, so a
@@ -581,28 +570,8 @@ impl CompiledPlan {
     /// either.
     ///
     /// # Panics
-    /// Panics if `blocks` is not a whole number of samples of the
-    /// compiled per-sample shape, or `rows` is not one destination of the
-    /// plan's per-sample output size for each.
-    pub fn execute_blocks_to<'o>(
-        &mut self,
-        blocks: &[&[f32]],
-        per_sample: usize,
-        rows: impl IntoIterator<Item = &'o mut [f32]>,
-    ) {
-        assert!(
-            per_sample > 0 && blocks.len().is_multiple_of(per_sample),
-            "{} blocks are not whole samples of {per_sample}",
-            blocks.len()
-        );
-        self.execute_indexed_to(blocks.len() / per_sample, per_sample, &|i| blocks[i], rows);
-    }
-
-    /// [`CompiledPlan::execute_blocks_to`] over blocks named by index, as
-    /// in [`CompiledPlan::execute_indexed_into`].
-    ///
-    /// # Panics
-    /// As [`CompiledPlan::execute_blocks_to`], for `n` samples.
+    /// As [`CompiledPlan::execute_indexed_into`], or if `rows` is not one
+    /// destination of the plan's per-sample output size for each sample.
     pub fn execute_indexed_to<'a, 'o>(
         &mut self,
         n: usize,
@@ -1729,8 +1698,8 @@ pub struct PlanKey {
     pub precision: PlanPrecision,
 }
 
-/// Cumulative [`PlanCache`] counters (exported as `TraceSink` metrics by
-/// the staged pipeline).
+/// Cumulative [`PlanCache`] counters (exported as flight-recorder metrics
+/// by the runtime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups served by an existing plan.
@@ -1781,8 +1750,8 @@ impl PlanCache {
         self.stats
     }
 
-    /// Counter deltas since the previous call — the staged pipeline
-    /// flushes these into `TraceSink::bump` after each frame.
+    /// Counter deltas since the previous call — the runtime's step
+    /// recorder takes them once per traced step.
     pub fn take_delta(&mut self) -> PlanCacheStats {
         let d = PlanCacheStats {
             hits: self.stats.hits - self.taken.hits,

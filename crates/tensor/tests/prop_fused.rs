@@ -215,7 +215,7 @@ proptest! {
         assert_same_bits(&builder.finish().execute(&x), &b.forward(&mid_map, false), "int8 -> f32");
     }
 
-    /// `execute_blocks_into` over any split of a sample's channels into
+    /// `execute_indexed_into` over any split of a sample's channels into
     /// blocks ≡ `execute_into` over their concatenation: a plan that
     /// starts with an f32 convolution (same-size and strided), its int8
     /// twin (a channel quad may straddle two or more blocks), the learned
@@ -273,7 +273,7 @@ proptest! {
         for (name, mut plan) in plans {
             let whole = plan.execute(&x);
             let mut scattered = Tensor::full(whole.shape(), f32::NAN);
-            plan.execute_blocks_into(&blocks, per_sample, &mut scattered);
+            plan.execute_indexed_into(n, per_sample, &|i| blocks[i], &mut scattered);
             assert_same_bits(&scattered, &whole, &format!("{name}: {per_sample} blocks a sample"));
         }
     }
@@ -478,8 +478,8 @@ proptest! {
         }
     }
 
-    /// `execute_blocks_to` over destinations in any order ≡
-    /// `execute_blocks_into`'s one tensor of rows: a plan whose last step
+    /// `execute_indexed_to` over destinations in any order ≡
+    /// `execute`'s one tensor of rows: a plan whose last step
     /// is a pooled tile (f32 and int8), one that ends in the generic
     /// write-back, pooled and not, and one that ends in no convolution at
     /// all and has its tile handed out.
@@ -521,7 +521,7 @@ proptest! {
             let mut scattered = vec![f32::NAN; 2 * n * per];
             let mut rows: Vec<Option<&mut [f32]>> = scattered.chunks_exact_mut(per).map(Some).collect();
             let dsts: Vec<&mut [f32]> = order[..n].iter().map(|&at| rows[at].take().expect("a permutation")).collect();
-            plan.execute_blocks_to(&blocks, 1, dsts);
+            plan.execute_indexed_to(n, 1, &|i| blocks[i], dsts);
             for (b, want) in whole.data().chunks_exact(per).enumerate() {
                 let got = &scattered[order[b] * per..][..per];
                 prop_assert!(got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits()), "{}: sample {}", name, b);
@@ -563,8 +563,8 @@ fn pooling_epilogue_compares_in_maxpool_order() {
     assert_same_bits(&plan.execute(&x), &eager, "pooled windows");
 }
 
-/// Blocks that are not whole samples of the compiled shape are a caller's
-/// bug and stop the plan before it reads them.
+/// A sample whose blocks are not whole channels of the compiled shape is a
+/// caller's bug and stops the plan before it reads them.
 mod malformed_blocks {
     use super::*;
 
@@ -577,21 +577,16 @@ mod malformed_blocks {
     #[should_panic(expected = "different input shape")]
     fn a_short_sample_is_rejected() {
         let (a, b) = ([0.0f32; 16], [0.0f32; 15]);
-        plan().execute_blocks_into(&[&a, &b], 2, &mut Tensor::zeros(&[1, 3, 4, 4]));
+        let blocks: [&[f32]; 2] = [&a, &b];
+        plan().execute_indexed_into(1, 2, &|i| blocks[i], &mut Tensor::zeros(&[1, 3, 4, 4]));
     }
 
     #[test]
     #[should_panic(expected = "not whole")]
     fn a_block_of_part_of_a_channel_is_rejected() {
         let (a, b) = ([0.0f32; 8], [0.0f32; 24]);
-        plan().execute_blocks_into(&[&a, &b], 2, &mut Tensor::zeros(&[1, 3, 4, 4]));
-    }
-
-    #[test]
-    #[should_panic(expected = "not whole samples")]
-    fn a_ragged_batch_is_rejected() {
-        let a = [0.0f32; 16];
-        plan().execute_blocks_into(&[&a, &a, &a], 2, &mut Tensor::zeros(&[1, 3, 4, 4]));
+        let blocks: [&[f32]; 2] = [&a, &b];
+        plan().execute_indexed_into(1, 2, &|i| blocks[i], &mut Tensor::zeros(&[1, 3, 4, 4]));
     }
 }
 
@@ -693,20 +688,20 @@ mod pooled_release_checks {
     #[should_panic(expected = "plan output shape mismatch")]
     fn a_short_destination_stops_the_plan() {
         let (x, mut row) = ([0.0f32; 64], [0.0f32; 2 * 2 * 8 - 1]);
-        stem_plan().execute_blocks_to(&[&x], 1, [&mut row[..]]);
+        stem_plan().execute_indexed_to(1, 1, &|_| &x, [&mut row[..]]);
     }
 
     #[test]
     #[should_panic(expected = "plan output batch mismatch")]
     fn a_missing_destination_stops_the_plan() {
         let (x, mut row) = ([0.0f32; 64], [0.0f32; 2 * 2 * 8]);
-        stem_plan().execute_blocks_to(&[&x, &x], 1, [&mut row[..]]);
+        stem_plan().execute_indexed_to(2, 1, &|_| &x, [&mut row[..]]);
     }
 
     #[test]
     #[should_panic(expected = "plan output batch mismatch")]
     fn a_destination_too_many_stops_the_plan() {
         let (x, mut rows) = ([0.0f32; 64], [[0.0f32; 2 * 2 * 8]; 2]);
-        stem_plan().execute_blocks_to(&[&x], 1, rows.iter_mut().map(|row| &mut row[..]));
+        stem_plan().execute_indexed_to(1, 1, &|_| &x, rows.iter_mut().map(|row| &mut row[..]));
     }
 }

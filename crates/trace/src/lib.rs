@@ -22,6 +22,10 @@
 //!   accumulators (which survive ring overflow) in the Prometheus text
 //!   exposition format.
 //!
+//! This crate knows no event or series of the serving path: the
+//! runtime's step recorder (`ecofusion_runtime`'s private `recorder`
+//! module) is the one writer, and owns every name it emits.
+//!
 //! # Determinism
 //!
 //! Timestamps are **virtual**, not wall clock: one scheduler tick is
@@ -34,7 +38,7 @@
 //!
 //! The sink is lock-free by construction rather than by synchronization:
 //! every emission happens on the scheduler's serial phases (global pick,
-//! post-join accounting), never on worker threads. Worker-side facts
+//! post-join accounting, the simulation driver), never on worker threads. Worker-side facts
 //! (who executed a unit, whether it was stolen) are recorded into the
 //! unit payload during execution and emitted serially afterwards, which
 //! is also what makes the event *order* independent of thread timing.

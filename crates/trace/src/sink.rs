@@ -10,8 +10,9 @@ use std::collections::{BTreeMap, VecDeque};
 ///   [`TraceSink::dropped`]. The retained window is always the *most
 ///   recent* events — the flight-recorder property.
 /// * **Zero overhead when disabled**: every emission method returns at
-///   its first branch on a disabled sink; instrumented code additionally
-///   guards argument construction behind [`TraceSink::is_enabled`].
+///   its first branch on a disabled sink; the runtime's recorder never
+///   calls one unless [`TraceSink::is_enabled`], so it builds no
+///   arguments either.
 /// * **Single-writer**: the runtime only emits from the scheduler's
 ///   serial phases, so the sink needs no locks or atomics (see the crate
 ///   docs for why this also makes event order deterministic).
@@ -47,8 +48,8 @@ impl TraceSink {
         TraceSink::default()
     }
 
-    /// Whether emissions are recorded. Instrumented code checks this
-    /// before building argument vectors.
+    /// Whether emissions are recorded. The runtime arms its recorder on
+    /// this, so a disabled sink costs one branch per hook.
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
@@ -128,12 +129,16 @@ impl TraceSink {
     }
 
     /// Adds `delta` to the metric `series` (full Prometheus series name,
-    /// labels included, e.g. `ecofusion_frames_total{stream="0"}`).
+    /// labels included, e.g. `ecofusion_frames_total{stream="0"}`). Only
+    /// a series' first bump allocates its name.
     pub fn bump(&mut self, series: &str, delta: f64) {
         if !self.enabled {
             return;
         }
-        *self.metrics.entry(series.to_string()).or_insert(0.0) += delta;
+        match self.metrics.get_mut(series) {
+            Some(value) => *value += delta,
+            None => _ = self.metrics.insert(series.to_string(), 0.0 + delta),
+        }
     }
 
     fn push(

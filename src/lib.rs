@@ -129,7 +129,8 @@
 //! time, so a seeded run emits a *bit-identical* event sequence on every
 //! host, every rerun, and (for the stream tracks) every shard count.
 //! Install a sink on a server with
-//! [`runtime::PerceptionServer::set_tracer`] and every layer reports in:
+//! [`runtime::PerceptionServer::set_tracer`] and the runtime's step
+//! recorder — the one module that writes to it — records every layer:
 //! per-stage pipeline spans with exact modeled energy/latency, scheduler
 //! steps and work-steal markers, budget-ladder moves, knowledge-gate
 //! fallbacks, sensor-health transitions, and fault activations. Export
