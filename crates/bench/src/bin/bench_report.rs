@@ -16,27 +16,26 @@
 //! * *(default)* — run the suites at `--quick` (default) or `--full`
 //!   scale, print a summary table, and write the `BenchReport` JSON to
 //!   `--out` (default `results/bench_report.json`).
-//! * `compare` — obtain fresh reports (run the suites, or load
-//!   `--report <path>` if given; the flag is repeatable, and every
-//!   report's band violations are printed in one run with a single
-//!   combined exit code), load the baseline from `--baseline`
-//!   (default `baselines/bench_baseline.json`), and diff under the gate
-//!   tolerances. Exits nonzero on any violation. Bands are tunable:
-//!   `--map-band <pp>`, `--energy-band <frac>`, `--latency-band <frac>`,
-//!   each finite and ≥ 0 (else, as on an unknown flag, exit 2).
+//! * `compare` — run the suites, load the baseline from `--baseline`
+//!   (default `baselines/bench_baseline.json`), and diff the fresh report
+//!   against it under the gate's tolerances (`Tolerances::default()`).
+//!   Exits nonzero on any violation.
 //! * `refresh-baseline` — run the suites and overwrite the baseline file.
 //!
-//! `--suite <name>` (repeatable) restricts a run to named suites —
-//! useful for debugging one workload, but note the committed baseline
-//! covers all five, so a restricted run will fail `compare` on the
-//! missing ones.
+//! `cargo test` runs every committed gate
+//! (`crates/harness/tests/committed_gates.rs`); a failing one prints the
+//! `compare` command line that reproduces it here.
+//!
+//! `--suite <name>` (repeatable) restricts a run to named suites, and
+//! `compare` then gates only those suites of the baseline — the committed
+//! baseline covers all seven.
 //!
 //! `--shards <n>` runs the suites on `n` runtime worker shards
 //! (default 1). Every gated report field is shard-invariant, so an
 //! N-shard report still compares cleanly against a 1-shard baseline —
-//! the CI shard-matrix step relies on exactly that. Only the per-shard
-//! breakdown changes. The report holds no wall-clock number; serving
-//! speed is `benchmark/run.sh`'s to measure.
+//! the committed gates' four-shard `fleet_scale` run relies on exactly
+//! that. Only the per-shard breakdown changes. The report holds no
+//! wall-clock number; serving speed is `benchmark/run.sh`'s to measure.
 //!
 //! `--precision f32|int8` (default `f32`) starts every stream of every
 //! suite at that precision. `int8` drives the whole gate quantized; its
@@ -178,16 +177,8 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("compare") => {
-            let default = Tolerances::default();
-            let tol = Tolerances {
-                map_drop_pct: args.band("--map-band", default.map_drop_pct),
-                energy_growth_frac: args.band("--energy-band", default.energy_growth_frac),
-                latency_growth_frac: args.band("--latency-band", default.latency_growth_frac),
-                // Absolute floors stay at their defaults; the bands above
-                // are the CI-tunable knobs.
-                ..default
-            };
-            let baseline = match BenchReport::load_json(&baseline_path) {
+            let tol = Tolerances::default();
+            let mut baseline = match BenchReport::load_json(&baseline_path) {
                 Ok(b) => b,
                 Err(e) => {
                     eprintln!(
@@ -198,41 +189,19 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
+            if !only.is_empty() {
+                baseline.suites.retain(|s| only.contains(&s.suite));
+            }
             let flight = args.switch("--flight-recorder");
             let flight_dir = PathBuf::from(args.str("--flight-dir").unwrap_or("results/flight"));
-            // `--report` is repeatable: every given report is diffed
-            // against the baseline and ALL band violations are printed
-            // in one run, with a single exit at the end — so a matrix
-            // job can gate several recorded reports in one invocation.
-            let report_paths = args.strs("--report");
-            let (labeled, flight_sinks) = if report_paths.is_empty() {
-                let (fresh, sinks) = run_suites(flight.then_some(FLIGHT_RECORDER_EVENTS));
-                (vec![("fresh run".to_string(), fresh)], sinks)
-            } else {
-                let mut labeled = Vec::with_capacity(report_paths.len());
-                for path in report_paths {
-                    match BenchReport::load_json(&PathBuf::from(&path)) {
-                        Ok(r) => labeled.push((path, r)),
-                        Err(e) => {
-                            eprintln!("error: cannot load report {path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                (labeled, Vec::new())
-            };
-            let mut total_violations = 0usize;
-            for (label, fresh) in &labeled {
-                let violations = compare(&baseline, fresh, &tol);
-                for v in &violations {
-                    eprintln!("  [{label}] {v}");
-                }
-                total_violations += violations.len();
+            let (fresh, flight_sinks) = run_suites(flight.then_some(FLIGHT_RECORDER_EVENTS));
+            let violations = compare(&baseline, &fresh, &tol);
+            for v in &violations {
+                eprintln!("  {v}");
             }
-            if total_violations == 0 {
+            if violations.is_empty() {
                 println!(
-                    "perf gate PASS: {} report(s) x {} suites vs {} (map band {} pp, energy band {:.1}%, latency band {:.1}%)",
-                    labeled.len(),
+                    "perf gate PASS: {} suites vs {} (map band {} pp, energy band {:.1}%, latency band {:.1}%)",
                     baseline.suites.len(),
                     baseline_path.display(),
                     tol.map_drop_pct,
@@ -241,10 +210,7 @@ fn main() -> ExitCode {
                 );
                 ExitCode::SUCCESS
             } else {
-                eprintln!(
-                    "perf gate FAIL: {total_violations} violation(s) across {} report(s)",
-                    labeled.len()
-                );
+                eprintln!("perf gate FAIL: {} violation(s)", violations.len());
                 if !flight_sinks.is_empty() {
                     dump_flight(&flight_dir, &flight_sinks);
                 }

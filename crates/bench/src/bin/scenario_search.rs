@@ -1,4 +1,4 @@
-//! Coverage-guided scenario search, suite distillation, and CI replay.
+//! Coverage-guided scenario search and suite distillation.
 //!
 //! ```text
 //! # Discover novel-signature scenarios (seeded, deterministic) and
@@ -9,11 +9,6 @@
 //! # Minimize + distill an existing corpus:
 //! cargo run --release -p ecofusion-bench --bin scenario_search -- \
 //!     --minimize --corpus results/scenario_corpus.json --out-dir suites/distilled
-//!
-//! # Replay every committed distilled suite against its recorded
-//! # digest/counters (exit 1 on any drift) — the scenario-regression
-//! # CI job:
-//! cargo run --release -p ecofusion-bench --bin scenario_search -- --replay
 //! ```
 //!
 //! Modes (exactly one):
@@ -28,18 +23,17 @@
 //! * `--minimize` — load a corpus JSON (`--corpus`), minimize every
 //!   entry (or the first `--emit <n>`), and write the distilled suites
 //!   under `--out-dir`.
-//! * `--replay` — load every `*.json` under `--dir` (default
-//!   `suites/distilled`), re-run each scenario, and compare digest and
-//!   counters exactly. Drift details are written as JSON to
-//!   `--diff-out` (default `results/scenario_drift.json`) and the exit
-//!   code is 1 — the artifact the CI job uploads on failure.
 //!
-//! Replay is hermetic (fixed model seed, paper-default options, nothing
-//! read from the environment) and shard-invariant.
+//! `cargo test` replays every committed suite against its recorded digest
+//! and counters and re-scores its coverage signature
+//! (`crates/harness/tests/committed_gates.rs`); a drifted suite's failure
+//! names the command that re-records it. Replay is hermetic (fixed model
+//! seed, paper-default options, nothing read from the environment) and
+//! shard-invariant.
 
 use ecofusion_bench::cli::{usage_error, Args, SCENARIO_SEARCH};
 use ecofusion_bench::write_file;
-use ecofusion_harness::{load_distilled_dir, replay_distilled, ReplayDrift, DEFAULT_DISTILLED_DIR};
+use ecofusion_harness::DEFAULT_DISTILLED_DIR;
 use ecofusion_search::distill;
 use ecofusion_search::search::{search, CorpusEntry, Evaluator, SearchConfig};
 use serde::Serialize;
@@ -109,147 +103,63 @@ fn print_corpus(corpus: &[CorpusEntry]) {
     }
 }
 
-/// One failing suite's drift record, as written to `--diff-out`.
-#[derive(Serialize)]
-struct SuiteDrift {
-    suite: String,
-    path: String,
-    drifts: Vec<ReplayDrift>,
-}
-
 fn main() -> ExitCode {
     let args = Args::from_env(&SCENARIO_SEARCH);
-    let modes: Vec<&str> =
-        ["--search", "--minimize", "--replay"].into_iter().filter(|m| args.switch(m)).collect();
-    if modes.len() != 1 {
-        usage_error("pass exactly one of --search / --minimize / --replay");
+    let searching = args.switch("--search");
+    if searching == args.switch("--minimize") {
+        usage_error("pass exactly one of --search / --minimize");
     }
     let out_dir = PathBuf::from(args.str("--out-dir").unwrap_or(DEFAULT_DISTILLED_DIR));
 
-    match modes[0] {
-        "--search" => {
-            let cfg = SearchConfig {
-                seed: args.int("--seed", 2024) as u64,
-                candidates: args.int("--candidates", 48),
-                ticks: args.count("--ticks", 48) as u64,
-            };
-            eprintln!(
-                "searching: seed {}, {} candidates, {} ticks...",
-                cfg.seed, cfg.candidates, cfg.ticks
-            );
-            let corpus = match search(&cfg) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: search failed: {e:?}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            println!("{} distinct-signature scenarios discovered", corpus.len());
-            print_corpus(&corpus);
-            let out = PathBuf::from(args.str("--out").unwrap_or("results/scenario_corpus.json"));
-            if let Err(e) = save_json(&out, &corpus) {
-                eprintln!("error: cannot write {}: {e}", out.display());
+    if searching {
+        let cfg = SearchConfig {
+            seed: args.int("--seed", 2024) as u64,
+            candidates: args.int("--candidates", 48),
+            ticks: args.count("--ticks", 48) as u64,
+        };
+        eprintln!(
+            "searching: seed {}, {} candidates, {} ticks...",
+            cfg.seed, cfg.candidates, cfg.ticks
+        );
+        let corpus = match search(&cfg) {
+            Ok(c) => c,
+            Err(e) => {
+                eprintln!("error: search failed: {e:?}");
                 return ExitCode::FAILURE;
             }
-            eprintln!("wrote {}", out.display());
-            let emit = args.int("--emit", 0);
-            if emit > 0 && !emit_distilled(&corpus, emit, cfg.seed, &out_dir) {
+        };
+        println!("{} distinct-signature scenarios discovered", corpus.len());
+        print_corpus(&corpus);
+        let out = PathBuf::from(args.str("--out").unwrap_or("results/scenario_corpus.json"));
+        if let Err(e) = save_json(&out, &corpus) {
+            eprintln!("error: cannot write {}: {e}", out.display());
+            return ExitCode::FAILURE;
+        }
+        eprintln!("wrote {}", out.display());
+        let emit = args.int("--emit", 0);
+        if emit > 0 && !emit_distilled(&corpus, emit, cfg.seed, &out_dir) {
+            return ExitCode::FAILURE;
+        }
+        ExitCode::SUCCESS
+    } else {
+        let corpus_path =
+            PathBuf::from(args.str("--corpus").unwrap_or("results/scenario_corpus.json"));
+        let corpus: Vec<CorpusEntry> = match std::fs::read_to_string(&corpus_path)
+            .map_err(|e| e.to_string())
+            .and_then(|s| serde_json::from_str(&s).map_err(|e| format!("{e:?}")))
+        {
+            Ok(c) => c,
+            Err(e) => {
+                eprintln!("error: cannot load corpus {}: {e}", corpus_path.display());
                 return ExitCode::FAILURE;
             }
+        };
+        let seed = args.int("--seed", 2024) as u64;
+        let emit = args.int("--emit", corpus.len());
+        if emit_distilled(&corpus, emit, seed, &out_dir) {
             ExitCode::SUCCESS
-        }
-        "--minimize" => {
-            let corpus_path =
-                PathBuf::from(args.str("--corpus").unwrap_or("results/scenario_corpus.json"));
-            let corpus: Vec<CorpusEntry> = match std::fs::read_to_string(&corpus_path)
-                .map_err(|e| e.to_string())
-                .and_then(|s| serde_json::from_str(&s).map_err(|e| format!("{e:?}")))
-            {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: cannot load corpus {}: {e}", corpus_path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            let seed = args.int("--seed", 2024) as u64;
-            let emit = args.int("--emit", corpus.len());
-            if emit_distilled(&corpus, emit, seed, &out_dir) {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        "--replay" => {
-            let dir = PathBuf::from(args.str("--dir").unwrap_or(DEFAULT_DISTILLED_DIR));
-            let suites = match load_distilled_dir(&dir) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot load distilled suites from {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            if suites.is_empty() {
-                eprintln!("error: no distilled suites under {}", dir.display());
-                return ExitCode::FAILURE;
-            }
-            let mut failing: Vec<SuiteDrift> = Vec::new();
-            for (path, suite) in &suites {
-                match replay_distilled(suite) {
-                    Ok(drifts) if drifts.is_empty() => {
-                        println!("replay PASS: {} (digest {})", suite.name, suite.expected_digest);
-                    }
-                    Ok(drifts) => {
-                        eprintln!(
-                            "replay FAIL: {} ({} drifted field(s))",
-                            suite.name,
-                            drifts.len()
-                        );
-                        for d in &drifts {
-                            eprintln!("  {}: expected {}, got {}", d.field, d.expected, d.actual);
-                        }
-                        failing.push(SuiteDrift {
-                            suite: suite.name.clone(),
-                            path: path.display().to_string(),
-                            drifts,
-                        });
-                    }
-                    Err(e) => {
-                        eprintln!("replay ERROR: {}: {e:?}", suite.name);
-                        failing.push(SuiteDrift {
-                            suite: suite.name.clone(),
-                            path: path.display().to_string(),
-                            drifts: vec![ReplayDrift {
-                                field: "run".to_string(),
-                                expected: "completes".to_string(),
-                                actual: format!("{e:?}"),
-                            }],
-                        });
-                    }
-                }
-            }
-            if failing.is_empty() {
-                println!(
-                    "scenario regression PASS: {} suite(s) replayed bit-identically",
-                    suites.len()
-                );
-                return ExitCode::SUCCESS;
-            }
-            let diff_out =
-                PathBuf::from(args.str("--diff-out").unwrap_or("results/scenario_drift.json"));
-            if let Err(e) = save_json(&diff_out, &failing) {
-                eprintln!("error: cannot write {}: {e}", diff_out.display());
-            } else {
-                eprintln!("wrote drift diff {}", diff_out.display());
-            }
-            eprintln!(
-                "scenario regression FAIL: {}/{} suite(s) drifted\n\
-                 if the behavior change is deliberate, re-record with --minimize \
-                 (or --search --emit) and commit the refreshed suites",
-                failing.len(),
-                suites.len()
-            );
+        } else {
             ExitCode::FAILURE
         }
-        _ => unreachable!(),
     }
 }

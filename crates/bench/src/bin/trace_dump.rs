@@ -14,7 +14,9 @@
 //! * `--suite <name>` — which suite to run (default `steady_city`).
 //! * `--quick` / `--full` — workload scale (default quick).
 //! * `--shards <n>` — runtime worker shards (default 1). Stream-track
-//!   events are shard-invariant; shard tracks differ by layout.
+//!   events are shard-invariant; on more than one shard the shard tracks
+//!   and the `ecofusion_steals_total` and `ecofusion_plan_cache_*` series
+//!   follow the work-steal schedule.
 //! * `--capacity <n>` — trace ring capacity in events (default 1048576,
 //!   large enough that a quick run records every event).
 //! * `--out <path>` — Chrome trace output (default `results/trace.json`).
@@ -25,7 +27,10 @@
 //!   ring drops, and one span per pipeline stage per frame; then
 //!   reconcile the metrics with the suite report
 //!   ([`reconcile_metrics`]). Exits nonzero on any violation (used by
-//!   the CI `trace-smoke` job).
+//!   the CI `trace-smoke` job). `cargo test`'s `trace_golden` makes the
+//!   same completeness and reconciliation checks on the recorded events,
+//!   at one shard and at several; what only `--check` adds is parsing
+//!   the exported JSON.
 
 use ecofusion_bench::cli::{usage_error, Args, TRACE_DUMP};
 use ecofusion_bench::write_file;

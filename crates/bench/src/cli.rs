@@ -19,8 +19,6 @@ pub struct Spec {
     counts: &'static [&'static str],
     /// An integer ≥ 0.
     ints: &'static [&'static str],
-    /// A finite number ≥ 0: a tolerance band or bound.
-    bands: &'static [&'static str],
     /// Flags that take no value.
     switches: &'static [&'static str],
     /// The most positional arguments (a mode or an artifact).
@@ -31,18 +29,15 @@ pub struct Spec {
 type Check = fn(&str) -> bool;
 
 impl Spec {
-    const NONE: Spec =
-        Spec { strs: &[], counts: &[], ints: &[], bands: &[], switches: &[], positionals: 0 };
+    const NONE: Spec = Spec { strs: &[], counts: &[], ints: &[], switches: &[], positionals: 0 };
 
     /// What `flag`'s value must be, and the test of it; `None` if `flag`
     /// takes no value.
     fn rule(&self, flag: &str) -> Option<(&'static str, Check)> {
-        let band = |v: &str| v.parse().is_ok_and(|x| (0.0..f64::INFINITY).contains(&x));
-        let rules: [(&[&str], &str, Check); 4] = [
+        let rules: [(&[&str], &str, Check); 3] = [
             (self.strs, "a value", |_| true),
             (self.counts, "an integer >= 1", |v| v.parse::<usize>().is_ok_and(|n| n >= 1)),
             (self.ints, "an integer >= 0", |v| v.parse::<usize>().is_ok()),
-            (self.bands, "a finite number >= 0", band),
         ];
         rules.into_iter().find(|(flags, ..)| flags.contains(&flag)).map(|(_, e, valid)| (e, valid))
     }
@@ -50,17 +45,12 @@ impl Spec {
 
 /// `bench_report [compare|refresh-baseline]`.
 pub static BENCH_REPORT: Spec = Spec {
-    strs: &["--out", "--baseline", "--report", "--suite", "--precision", "--flight-dir"],
+    strs: &["--out", "--baseline", "--suite", "--precision", "--flight-dir"],
     counts: &["--shards"],
-    bands: &["--map-band", "--energy-band", "--latency-band"],
     switches: &["--quick", "--full", "--flight-recorder"],
     positionals: 1,
     ..Spec::NONE
 };
-
-/// `int8_parity`.
-pub static INT8_PARITY: Spec =
-    Spec { strs: &["--out"], bands: &["--bound"], switches: &["--quick", "--full"], ..Spec::NONE };
 
 /// `paper <artifact> [ablation]`.
 pub static PAPER: Spec = Spec {
@@ -70,12 +60,12 @@ pub static PAPER: Spec = Spec {
     ..Spec::NONE
 };
 
-/// `scenario_search --search|--minimize|--replay`.
+/// `scenario_search --search|--minimize`.
 pub static SCENARIO_SEARCH: Spec = Spec {
-    strs: &["--out", "--out-dir", "--corpus", "--dir", "--diff-out"],
+    strs: &["--out", "--out-dir", "--corpus"],
     counts: &["--ticks"],
     ints: &["--seed", "--candidates", "--emit"],
-    switches: &["--search", "--minimize", "--replay"],
+    switches: &["--search", "--minimize"],
     ..Spec::NONE
 };
 
@@ -178,11 +168,6 @@ impl Args {
         self.number(self.spec.ints, flag).unwrap_or(default)
     }
 
-    /// A band flag (finite, ≥ 0), or `default`.
-    pub fn band(&self, flag: &str, default: f64) -> f64 {
-        self.number(self.spec.bands, flag).unwrap_or(default)
-    }
-
     fn number<T: FromStr>(&self, declared: &[&str], flag: &str) -> Option<T> {
         self.values_of(declared, flag).first().and_then(|v| v.parse().ok())
     }
@@ -217,11 +202,10 @@ mod tests {
         }
         out.extend(args.spec.switches.iter().filter(|s| args.switch(s)).map(|s| s.to_string()));
         type Typed = fn(&str) -> String;
-        let values: [(&[&str], Typed); 4] = [
+        let values: [(&[&str], Typed); 3] = [
             (args.spec.strs, |v| v.to_string()),
             (args.spec.counts, |v| v.parse::<usize>().expect("count").to_string()),
             (args.spec.ints, |v| v.parse::<usize>().expect("int").to_string()),
-            (args.spec.bands, |v| v.parse::<f64>().expect("band").to_string()),
         ];
         for (flags, typed) in values {
             for flag in flags {
@@ -235,44 +219,13 @@ mod tests {
         out.join(" ")
     }
 
-    /// Every command line README.md, the verification notes, the CI workflow and
-    /// the binaries' own docs give, with what the binary reads from it.
+    /// Every command line README.md, the verification notes, the CI
+    /// workflow, the committed gates' failure messages and the binaries'
+    /// own docs give, with what the binary reads from it.
     #[test]
     fn documented_command_lines_parse_as_documented() {
         let table: &[(&'static Spec, &str, &str)] = &[
             // .github/workflows/ci.yml
-            (&BENCH_REPORT, "--quick --out bench_report.json", "Quick --quick --out=bench_report.json"),
-            (
-                &BENCH_REPORT,
-                "compare --quick --flight-recorder --flight-dir flight",
-                "compare Quick --quick --flight-recorder --flight-dir=flight",
-            ),
-            (&INT8_PARITY, "--quick --out int8_parity.json", "Quick --quick --out=int8_parity.json"),
-            (
-                &BENCH_REPORT,
-                "compare --quick --precision int8 --baseline baselines/bench_baseline_int8.json",
-                "compare Quick --quick --baseline=baselines/bench_baseline_int8.json --precision=int8",
-            ),
-            (
-                &BENCH_REPORT,
-                "--quick --suite fleet_scale --shards 1 --out fleet_shard1.json",
-                "Quick --quick --out=fleet_shard1.json --suite=fleet_scale --shards=1",
-            ),
-            (
-                &BENCH_REPORT,
-                "--quick --suite fleet_scale --shards 4 --out fleet_shard4.json",
-                "Quick --quick --out=fleet_shard4.json --suite=fleet_scale --shards=4",
-            ),
-            (
-                &BENCH_REPORT,
-                "compare --quick --baseline fleet_shard1.json --report fleet_shard4.json",
-                "compare Quick --quick --baseline=fleet_shard1.json --report=fleet_shard4.json",
-            ),
-            (
-                &SCENARIO_SEARCH,
-                "--replay --dir suites/distilled --diff-out scenario_drift.json",
-                "--replay --dir=suites/distilled --diff-out=scenario_drift.json",
-            ),
             (
                 &TRACE_DUMP,
                 "--quick --check --out trace.json --metrics metrics.prom",
@@ -288,7 +241,6 @@ mod tests {
             // README.md
             (&PAPER, "table1", "table1 Quick"),
             (&PAPER, "robustness", "robustness Quick"),
-            (&INT8_PARITY, "--quick", "Quick --quick"),
             (&BENCH_REPORT, "--quick", "Quick --quick"),
             (&BENCH_REPORT, "--full", "Full --full"),
             (&BENCH_REPORT, "compare", "compare Quick"),
@@ -298,12 +250,7 @@ mod tests {
                 "compare --precision int8 --baseline baselines/bench_baseline_int8.json",
                 "compare Quick --baseline=baselines/bench_baseline_int8.json --precision=int8",
             ),
-            (
-                &SCENARIO_SEARCH,
-                "--search --seed 2024 --emit 3",
-                "--search --seed=2024 --emit=3",
-            ),
-            (&SCENARIO_SEARCH, "--replay", "--replay"),
+            (&SCENARIO_SEARCH, "--search --seed 2024 --emit 3", "--search --seed=2024 --emit=3"),
             (&TRACE_DUMP, "--quick --check", "Quick --quick --check"),
             (
                 &BENCH_REPORT,
@@ -328,7 +275,6 @@ mod tests {
                 "debug_detect --grid 32 --epochs 2 --scenes 20",
                 "debug_detect Quick --grid=32 --epochs=2 --scenes=20",
             ),
-            (&INT8_PARITY, "--quick --bound 2.0", "Quick --quick --bound=2"),
             (
                 &SCENARIO_SEARCH,
                 "--search --seed 2024 --emit 2 --out-dir suites/distilled",
@@ -345,10 +291,29 @@ mod tests {
                 "--suite fault_storm --shards 4 --check",
                 "Quick --check --suite=fault_storm --shards=4",
             ),
+            // crates/harness/tests/committed_gates.rs
             (
                 &BENCH_REPORT,
-                "compare --map-band 1e-6 --energy-band 0.02 --latency-band 0.02",
-                "compare Quick --map-band=0.000001 --energy-band=0.02 --latency-band=0.02",
+                "compare --quick --flight-recorder",
+                "compare Quick --quick --flight-recorder",
+            ),
+            (
+                &BENCH_REPORT,
+                "compare --quick --flight-recorder --precision int8 \
+                 --baseline baselines/bench_baseline_int8.json",
+                "compare Quick --quick --flight-recorder \
+                 --baseline=baselines/bench_baseline_int8.json --precision=int8",
+            ),
+            (
+                &BENCH_REPORT,
+                "compare --quick --flight-recorder --suite fleet_scale --shards 4",
+                "compare Quick --quick --flight-recorder --suite=fleet_scale --shards=4",
+            ),
+            (&BENCH_REPORT, "--quick --precision int8", "Quick --quick --precision=int8"),
+            (
+                &SCENARIO_SEARCH,
+                "--minimize --corpus results/scenario_corpus.json",
+                "--minimize --corpus=results/scenario_corpus.json",
             ),
         ];
         for &(spec, line, expected) in table {
@@ -359,15 +324,34 @@ mod tests {
 
     #[test]
     fn an_unknown_or_misspelt_flag_is_rejected_by_every_binary() {
-        for spec in [&BENCH_REPORT, &INT8_PARITY, &PAPER, &SCENARIO_SEARCH, &TRACE_DUMP] {
+        for spec in [&BENCH_REPORT, &PAPER, &SCENARIO_SEARCH, &TRACE_DUMP] {
             rejects(spec, "--chek", "unknown flag `--chek`");
             rejects(spec, "-q", "unknown flag `-q`");
         }
         rejects(&PAPER, "table3 --chek", "unknown flag `--chek`");
         rejects(&TRACE_DUMP, "--quick --chek", "unknown flag `--chek`");
         // A flag another binary declares is still unknown here.
-        rejects(&INT8_PARITY, "--quick --shards 2", "unknown flag `--shards`");
-        rejects(&SCENARIO_SEARCH, "--replay --quick", "unknown flag `--quick`");
+        rejects(&TRACE_DUMP, "--quick --baseline b.json", "unknown flag `--baseline`");
+        rejects(&SCENARIO_SEARCH, "--search --quick", "unknown flag `--quick`");
+    }
+
+    /// The mode and flags that only CI's gate jobs used are gone, and the
+    /// gates they drove run under `cargo test`; each is spelt `--` plus
+    /// its name here, so a search of the tree for one finds no user.
+    #[test]
+    fn removed_gate_flags_are_unknown() {
+        let removed = [
+            (&SCENARIO_SEARCH, "--search", "replay", ""),
+            (&BENCH_REPORT, "compare", "report", " r.json"),
+            (&BENCH_REPORT, "compare", "map-band", " 0.1"),
+        ];
+        for (spec, before, flag, value) in removed {
+            rejects(
+                spec,
+                &format!("{before} --{flag}{value}"),
+                &format!("unknown flag `--{flag}`"),
+            );
+        }
     }
 
     #[test]
@@ -385,11 +369,11 @@ mod tests {
             "compare refresh-baseline",
             "unexpected argument `refresh-baseline`",
         );
-        rejects(&INT8_PARITY, "--quick compare", "unexpected argument `compare`");
+        rejects(&TRACE_DUMP, "--quick compare", "unexpected argument `compare`");
         rejects(&PAPER, "ablations gamma rule", "unexpected argument `rule`");
         rejects(
             &SCENARIO_SEARCH,
-            "--replay suites/distilled",
+            "--search suites/distilled",
             "unexpected argument `suites/distilled`",
         );
         rejects(&TRACE_DUMP, "--quick steady_city", "unexpected argument `steady_city`");
@@ -397,7 +381,7 @@ mod tests {
 
     #[test]
     fn quick_and_full_exclude_each_other() {
-        for spec in [&BENCH_REPORT, &INT8_PARITY, &PAPER, &TRACE_DUMP] {
+        for spec in [&BENCH_REPORT, &PAPER, &TRACE_DUMP] {
             rejects(spec, "--quick --full", "--quick and --full exclude each other");
             rejects(spec, "--full --quick", "--quick and --full exclude each other");
         }
@@ -415,28 +399,6 @@ mod tests {
             "--emit expects an integer >= 0, got `1.5`",
         );
         rejects(&PAPER, "debug_detect --grid x", "--grid expects an integer >= 0, got `x`");
-        rejects(
-            &BENCH_REPORT,
-            "compare --energy-band inf",
-            "--energy-band expects a finite number >= 0, got `inf`",
-        );
-        rejects(
-            &BENCH_REPORT,
-            "compare --latency-band -0.1",
-            "--latency-band expects a finite number >= 0, got `-0.1`",
-        );
-        rejects(&INT8_PARITY, "--bound NaN", "--bound expects a finite number >= 0, got `NaN`");
-    }
-
-    /// A NaN band compares false against every drop, which would switch
-    /// the accuracy leg of the gate off.
-    #[test]
-    fn a_nan_map_band_is_a_parse_error() {
-        rejects(
-            &BENCH_REPORT,
-            "compare --map-band nan",
-            "--map-band expects a finite number >= 0, got `nan`",
-        );
     }
 
     /// `--ticks 0` reached a panic in the scenario runner; `--emit 0` (the
@@ -450,14 +412,13 @@ mod tests {
     }
 
     #[test]
-    fn a_repeated_report_keeps_every_value_in_order() {
-        let args =
-            parse(&BENCH_REPORT, "compare --report a.json --quick --report b.json --suite x")
-                .expect("parses");
-        assert_eq!(args.strs("--report"), ["a.json", "b.json"]);
-        assert_eq!(args.str("--report"), Some("a.json"));
-        assert_eq!(args.strs("--suite"), ["x"]);
-        assert!(args.strs("--out").is_empty());
+    fn a_repeated_suite_keeps_every_value_in_order() {
+        let args = parse(&BENCH_REPORT, "compare --suite a --quick --suite b --out x.json")
+            .expect("parses");
+        assert_eq!(args.strs("--suite"), ["a", "b"]);
+        assert_eq!(args.str("--suite"), Some("a"));
+        assert_eq!(args.strs("--out"), ["x.json"]);
+        assert!(args.strs("--baseline").is_empty());
     }
 
     #[test]

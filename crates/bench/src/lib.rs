@@ -1,12 +1,25 @@
 //! Shared helpers for the benchmark binaries and criterion benches.
 //!
-//! The `paper` binary regenerates the paper's tables and figures, one
-//! subcommand each (`table1`, `table2`, `table3`, `fig1`, `fig4`, `fig5`,
-//! `ablations`, `robustness`, `all`); run it with `cargo run --release -p
-//! ecofusion-bench --bin paper -- <artifact>` (add `--full` for the
-//! full-scale harness). The criterion benches measure the
-//! wall-clock cost of the pipeline components on this machine — a separate
-//! quantity from the calibrated PX2 numbers the tables report.
+//! Four binaries, each parsing its command line with [`cli`]:
+//!
+//! * `paper` regenerates the paper's tables and figures, one subcommand
+//!   each (`table1`, `table2`, `table3`, `fig1`, `fig4`, `fig5`,
+//!   `ablations`, `robustness`, `all`); run it with `cargo run --release
+//!   -p ecofusion-bench --bin paper -- <artifact>` (add `--full` for the
+//!   full-scale harness);
+//! * `bench_report` writes the workload suites' `BenchReport`, compares
+//!   one with a baseline, or refreshes a baseline;
+//! * `scenario_search` discovers adversarial scenarios and distills them
+//!   into suites under `suites/distilled/`;
+//! * `trace_dump` traces one suite and writes its Chrome trace and
+//!   metrics snapshot.
+//!
+//! The committed gates themselves — baselines, int8 parity, distilled
+//! replay — run under `cargo test`, in
+//! `crates/harness/tests/committed_gates.rs`. The criterion benches
+//! measure the wall-clock cost of the pipeline components on the host
+//! that runs them — a separate quantity from the calibrated PX2 numbers
+//! the tables report.
 
 pub mod cli;
 

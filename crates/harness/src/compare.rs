@@ -54,10 +54,11 @@ pub struct Tolerances {
 }
 
 impl Default for Tolerances {
-    /// The CI gate defaults: accuracy must not regress measurably
-    /// (1e-6 percentage points absorbs only float-formatting dust), and
-    /// energy/latency may not grow more than 2% plus a small absolute
-    /// floor (so zero baselines stay gated but don't trip on dust).
+    /// The gate's tolerances, the only ones in use: accuracy must not
+    /// regress measurably (1e-6 percentage points absorbs only
+    /// float-formatting dust), and energy/latency may not grow more than
+    /// 2% plus a small absolute floor (so zero baselines stay gated but
+    /// don't trip on dust).
     fn default() -> Self {
         Tolerances {
             map_drop_pct: 1e-6,

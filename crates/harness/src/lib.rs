@@ -42,7 +42,8 @@
 //! serializable adversarial scenarios, their coverage signatures, and
 //! the distilled record–replay suites the `ecofusion-search` crate
 //! discovers; committed distilled suites under `suites/distilled/` are
-//! replayed by CI exactly like the table above.
+//! replayed by `cargo test` (`tests/committed_gates.rs`) beside the
+//! table above's baseline compares.
 //!
 //! ## Determinism contract
 //!
@@ -78,6 +79,6 @@ pub use scenario::{
 };
 pub use suites::{plan, stream_specs, SuiteId, SuitePlan, MODEL_SEED, SUITE_CLASSES, SUITE_GRID};
 
-/// Default location of the committed baseline the CI perf gate compares
+/// Default location of the committed baseline the gate compares
 /// against.
 pub const DEFAULT_BASELINE_PATH: &str = "baselines/bench_baseline.json";

@@ -166,7 +166,8 @@ pub struct BuildMeta {
     /// Worker shards the runtime ran with (0 in reports that predate
     /// sharding). Provenance only: the gate never compares it, so a
     /// 1-shard baseline diffs cleanly against an N-shard report — which
-    /// is exactly what the CI shard matrix does.
+    /// is exactly what the committed gates' four-shard `fleet_scale` run
+    /// does.
     #[serde(default)]
     pub shards: usize,
 }

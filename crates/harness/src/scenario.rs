@@ -12,7 +12,8 @@
 //! discretizes that behavior (vs. the scenario's clean twin) into the
 //! novelty key the `ecofusion-search` crate hill-climbs on; and a
 //! [`DistilledSuite`] freezes a minimized scenario with its expected
-//! digest and counters so CI can replay it bit-for-bit ([`replay_distilled`]).
+//! digest and counters so `cargo test` can replay it bit-for-bit
+//! ([`replay_distilled`]).
 //!
 //! Execution is hermetic on purpose: the model is always the untrained
 //! [`MODEL_SEED`] quick-scale model and the base inference options are
@@ -572,7 +573,7 @@ mod tests {
         )
         .unwrap();
         assert!(replay_distilled(&suite).unwrap().is_empty());
-        // Round-trip through JSON, like the CI job does.
+        // Round-trip through JSON, like a committed suite does.
         let json = serde_json::to_string_pretty(&suite).unwrap();
         let back: DistilledSuite = serde_json::from_str(&json).unwrap();
         assert_eq!(back, suite);

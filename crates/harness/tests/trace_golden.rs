@@ -7,15 +7,28 @@
 //! accounting rows by pick index), so they are shard-invariant by
 //! construction; `steady_city` additionally clamps to one shard (one
 //! stream), making the *whole* event vector — shard and scheduler tracks
-//! included — identical between `--shards 1` and `--shards 4`.
+//! included — identical between `--shards 1` and `--shards 4`. On more
+//! than one shard the shard tracks, the step markers' steal counts and
+//! the [`SCHEDULE_DEPENDENT`] series follow the work-steal schedule.
 
 use ecofusion_energy::StageKind;
 use ecofusion_eval::experiments::common::Scale;
 use ecofusion_harness::digest::Fnv1a;
 use ecofusion_harness::{reconcile_metrics, run_suite, ModelProvider, SuiteId, SuiteReport};
-use ecofusion_trace::{chrome_trace_json, prometheus_snapshot, EventKind, TraceSink, Track};
+use ecofusion_trace::{chrome_trace_json, prometheus_snapshot, Event, EventKind, TraceSink, Track};
+use std::collections::BTreeSet;
 
 const CAPACITY: usize = 1 << 16;
+
+/// The series whose values follow the work-steal schedule on more than
+/// one shard: how many units were stolen, and each replica's plan-cache
+/// traffic, which depends on which replica served which unit first.
+const SCHEDULE_DEPENDENT: [&str; 4] = [
+    "ecofusion_steals_total",
+    "ecofusion_plan_cache_hits_total",
+    "ecofusion_plan_cache_misses_total",
+    "ecofusion_plan_cache_compiles_total",
+];
 
 fn traced(provider: &ModelProvider, id: SuiteId, shards: usize) -> (SuiteReport, TraceSink) {
     let (report, sink) = run_suite(
@@ -63,10 +76,9 @@ fn steady_city_trace_is_bit_identical_across_reruns_and_shard_counts() {
     assert_eq!(report1.determinism_digest, report4.determinism_digest);
 }
 
-#[test]
-fn steady_city_trace_covers_every_stage_of_every_frame() {
-    let provider = ModelProvider::prepare(Scale::Quick);
-    let (report, sink) = traced_steady_city(&provider, 1);
+/// Asserts one frame span and one span per pipeline stage on the stream
+/// tracks for every frame of `report`.
+fn assert_every_stage_of_every_frame(report: &SuiteReport, sink: &TraceSink) {
     assert!(report.frames > 0);
     let begins = |name: &str| {
         sink.events()
@@ -79,6 +91,13 @@ fn steady_city_trace_covers_every_stage_of_every_frame() {
     for stage in StageKind::ALL {
         assert_eq!(begins(stage.label()), report.frames, "one `{}` span per frame", stage.label());
     }
+}
+
+#[test]
+fn steady_city_trace_covers_every_stage_of_every_frame() {
+    let provider = ModelProvider::prepare(Scale::Quick);
+    let (report, sink) = traced_steady_city(&provider, 1);
+    assert_every_stage_of_every_frame(&report, &sink);
     // Scheduler track records one step marker per processed tick.
     let steps =
         sink.events().filter(|e| e.track == Track::Scheduler && e.name == "step").count() as u64;
@@ -127,5 +146,45 @@ fn traced_metrics_reconcile_with_the_report() {
         if let Err(e) = reconcile_metrics(&report, &sink) {
             panic!("{}: {e}", id.label());
         }
+    }
+}
+
+/// A faulted suite on more than one shard (`fault_storm` has two
+/// streams, so four shards clamp to two, and units may be stolen): its
+/// stream tracks are the one-shard run's event for event (`seq` aside,
+/// which counts the shard tracks' events too), every frame has its stage
+/// spans, the metrics reconcile with the report at both counts, and the
+/// Prometheus series differ only among [`SCHEDULE_DEPENDENT`].
+#[test]
+fn fault_storm_stream_tracks_and_metrics_hold_across_shard_counts() {
+    let provider = ModelProvider::prepare(Scale::Quick);
+    let (report1, sink1) = traced(&provider, SuiteId::FaultStorm, 1);
+    let (report4, sink4) = traced(&provider, SuiteId::FaultStorm, 4);
+    for (shards, report, sink) in [(1, &report1, &sink1), (4, &report4, &sink4)] {
+        assert_eq!(sink.dropped(), 0, "capacity must cover a quick run");
+        assert_every_stage_of_every_frame(report, sink);
+        if let Err(e) = reconcile_metrics(report, sink) {
+            panic!("fault_storm on {shards} shard(s): {e}");
+        }
+    }
+    assert_eq!(report1.determinism_digest, report4.determinism_digest);
+
+    let streams = |sink: &TraceSink| -> Vec<Event> {
+        let on_stream = |e: &&Event| matches!(e.track, Track::Stream(_));
+        sink.events().filter(on_stream).map(|e| Event { seq: 0, ..e.clone() }).collect()
+    };
+    let (streams1, streams4) = (streams(&sink1), streams(&sink4));
+    assert!(!streams1.is_empty(), "traced run must record stream events");
+    assert!(streams1 == streams4, "stream-track events differ between 1 and 4 shards");
+
+    let (metrics1, metrics4) = (sink1.metrics(), sink4.metrics());
+    let series: BTreeSet<&String> = metrics1.keys().chain(metrics4.keys()).collect();
+    for name in series {
+        let (at1, at4) = (metrics1.get(name), metrics4.get(name));
+        assert!(
+            at1 == at4 || SCHEDULE_DEPENDENT.contains(&name.as_str()),
+            "`{name}` differs between 1 and 4 shards ({at1:?} vs {at4:?}) but is not \
+             schedule-dependent"
+        );
     }
 }

@@ -9,6 +9,13 @@
 //! the sink, and whether a server records at all is decided by [`armed`]
 //! alone. Time is virtual: a tick is [`TICK_NS`], and a span lasts the
 //! modeled latency of what it covers.
+//!
+//! On more than one shard the shard and scheduler tracks follow the shard
+//! layout and the work-steal schedule, which may differ between reruns,
+//! and so do the `ecofusion_steals_total` and
+//! `ecofusion_plan_cache_{hits,misses,compiles}_total` series: which
+//! replica compiles or reuses a plan depends on which units it ran. The
+//! stream tracks and every other series are identical at any shard count.
 
 use crate::budget::PolicyStep;
 use crate::scheduler::StepStats;

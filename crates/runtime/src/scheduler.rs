@@ -434,11 +434,6 @@ impl PerceptionServer {
         &self.lanes[stream].monitor
     }
 
-    /// The stem-feature cache of `stream`.
-    pub fn stem_cache(&self, stream: usize) -> &StemFeatureCache {
-        &self.stem_caches[stream]
-    }
-
     /// Installs a scripted budget timeline on `stream`: at the top of
     /// every processing step, the phase in force at the current tick (if
     /// any) retargets the stream's budget controller via

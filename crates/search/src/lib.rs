@@ -25,7 +25,7 @@
 //!   minimize (drop events/segments/phases while the signature holds)
 //!        │
 //!        ▼
-//!   DistilledSuite JSON ──▶ suites/distilled/ ──▶ scenario-regression CI
+//!   DistilledSuite JSON ──▶ suites/distilled/ ──▶ replayed by `cargo test`
 //! ```
 //!
 //! Everything is deterministic: the same `(seed, config)` search
@@ -34,8 +34,10 @@
 //! exact digest and counters a replay must reproduce (the property
 //! tests assert both).
 //!
-//! The `scenario_search` binary in `ecofusion-bench` fronts the whole
-//! lifecycle (`--search`, `--minimize`, `--replay`).
+//! The `scenario_search` binary in `ecofusion-bench` fronts discovery
+//! and distillation (`--search`, `--minimize`); the harness's committed
+//! gates (`crates/harness/tests/committed_gates.rs`) replay every
+//! distilled suite.
 
 pub mod minimize;
 pub mod mutate;

@@ -188,8 +188,8 @@
 //!   same order as [`SelfAttention2d`]'s forward, and the shared
 //!   row-softmax routine.
 //!
-//! The golden traces and the perf-gate baselines were recorded through
-//! the eager forwards and hold unchanged under plans.
+//! The golden traces and the committed bench baselines were recorded
+//! through the eager forwards and hold unchanged under plans.
 //!
 //! # Memory
 //!

@@ -153,11 +153,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns a reshaped copy sharing no storage.
     ///
     /// # Panics
@@ -166,16 +161,6 @@ impl Tensor {
         let n: usize = shape.iter().product();
         assert_eq!(n, self.data.len(), "reshape {:?} -> {:?} mismatch", self.shape, shape);
         Tensor { shape: shape.to_vec(), data: self.data.clone() }
-    }
-
-    /// In-place reshape (no data movement).
-    ///
-    /// # Panics
-    /// Panics if the element counts differ.
-    pub fn reshape_in_place(&mut self, shape: &[usize]) {
-        let n: usize = shape.iter().product();
-        assert_eq!(n, self.data.len(), "reshape {:?} -> {:?} mismatch", self.shape, shape);
-        self.shape = shape.to_vec();
     }
 
     /// Gives the tensor a new shape in place, keeping its allocation: the
