@@ -18,8 +18,9 @@
 //!   `--out` (default `results/bench_report.json`).
 //! * `compare` — run the suites, load the baseline from `--baseline`
 //!   (default `baselines/bench_baseline.json`), and diff the fresh report
-//!   against it under the gate's tolerances (`Tolerances::default()`).
-//!   Exits nonzero on any violation.
+//!   against it under the gate's bands (the `MAP_DROP_PP`,
+//!   `*_GROWTH_FRAC` and `*_FLOOR_*` constants of
+//!   `crates/harness/src/compare.rs`). Exits nonzero on any violation.
 //! * `refresh-baseline` — run the suites and overwrite the baseline file.
 //!
 //! `cargo test` runs every committed gate
@@ -41,23 +42,18 @@
 //! suite at that precision. `int8` drives the whole gate quantized; its
 //! committed baseline is `baselines/bench_baseline_int8.json`.
 //!
-//! `compare --flight-recorder` arms the flight recorder: each suite runs
-//! with a bounded trace ring (the last few thousand events), and when the
-//! gate **fails** the recorder dumps one Chrome-trace JSON plus one
-//! Prometheus text snapshot per suite under `--flight-dir` (default
-//! `results/flight`) — load the `.trace.json` in Perfetto to see exactly
-//! which stage, ladder move, or fault preceded the drift. On a passing
-//! gate nothing is written. The traced run is bit-identical to the
-//! untraced one (tracing observes the serial accounting phases only), so
-//! arming the recorder never changes the gate verdict.
+//! `--trace DIR`, in any mode, records every suite the run selects with
+//! the flight recorder (a ring of `TRACE_RING_EVENTS` events, which holds
+//! every event of a quick suite) and writes `DIR/<suite>.trace.json`, a
+//! Chrome trace to load in Perfetto, and `DIR/<suite>.prom`, a
+//! Prometheus text snapshot, whether the gate passes or fails. Tracing
+//! observes the serial accounting phases only, so a traced run reports —
+//! and gates — exactly what an untraced one does.
 
 use ecofusion_bench::cli::{usage_error, Args, BENCH_REPORT};
 use ecofusion_bench::write_file;
 use ecofusion_core::Precision;
-use ecofusion_harness::{
-    compare, run_report, BenchReport, SuiteId, Tolerances, DEFAULT_BASELINE_PATH,
-    FLIGHT_RECORDER_EVENTS,
-};
+use ecofusion_harness::{compare, run_report, BenchReport, SuiteId, DEFAULT_BASELINE_PATH};
 use ecofusion_trace::{chrome_trace_json, prometheus_snapshot, TraceSink};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -111,26 +107,22 @@ fn print_table(report: &BenchReport) {
 }
 
 /// Writes one Chrome trace and one Prometheus snapshot per suite into
-/// `dir`. Only called on a failed gate — a passing run leaves no files.
-fn dump_flight(dir: &Path, sinks: &[(String, TraceSink)]) {
+/// `dir`, printing each suite's event and dropped counts.
+fn write_traces(dir: &Path, sinks: &[(String, TraceSink)]) -> std::io::Result<()> {
     for (suite, sink) in sinks {
         let trace_path = dir.join(format!("{suite}.trace.json"));
         let prom_path = dir.join(format!("{suite}.prom"));
-        if let Err(e) = write_file(&trace_path, chrome_trace_json(sink)) {
-            eprintln!("error: cannot write {}: {e}", trace_path.display());
-            continue;
-        }
-        if let Err(e) = write_file(&prom_path, prometheus_snapshot(sink)) {
-            eprintln!("error: cannot write {}: {e}", prom_path.display());
-        }
+        write_file(&trace_path, chrome_trace_json(sink))?;
+        write_file(&prom_path, prometheus_snapshot(sink))?;
         eprintln!(
-            "flight recorder: {} ({} events, {} dropped) + {}",
+            "trace: {} ({} events, {} dropped) + {}",
             trace_path.display(),
             sink.len(),
             sink.dropped(),
             prom_path.display(),
         );
     }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -148,18 +140,26 @@ fn main() -> ExitCode {
         usage_error(&format!("unknown suite `{name}` (known: {})", known.join(", ")));
     }
     let baseline_path = PathBuf::from(args.str("--baseline").unwrap_or(DEFAULT_BASELINE_PATH));
-    // Runs the suites, optionally with the flight recorder armed
-    // (`Some(capacity)` attaches a bounded `TraceSink` per suite).
-    let run_suites = |trace_capacity: Option<usize>| {
-        let armed = if trace_capacity.is_some() { ", flight recorder armed" } else { "" };
+    let trace_dir = args.str("--trace").map(PathBuf::from);
+    // Runs the suites, tracing each into `trace_dir` if one was named.
+    let run_suites = || {
+        let traced = if trace_dir.is_some() { ", traced" } else { "" };
         eprintln!(
-            "running workload suites ({scale:?}, {shards} shard(s), {}{armed})...",
+            "running workload suites ({scale:?}, {shards} shard(s), {}{traced})...",
             precision.label()
         );
-        run_report(scale, &only, shards, precision, trace_capacity).unwrap_or_else(|e| {
-            eprintln!("error: suite run failed: {e}");
-            std::process::exit(1);
-        })
+        let (report, sinks) = run_report(scale, &only, shards, precision, trace_dir.is_some())
+            .unwrap_or_else(|e| {
+                eprintln!("error: suite run failed: {e}");
+                std::process::exit(1);
+            });
+        if let Some(dir) = &trace_dir {
+            if let Err(e) = write_traces(dir, &sinks) {
+                eprintln!("error: cannot write traces under {}: {e}", dir.display());
+                std::process::exit(1);
+            }
+        }
+        report
     };
 
     // The mode is the one positional argument (flags may come before or
@@ -167,7 +167,7 @@ fn main() -> ExitCode {
     match args.positional(0) {
         None => {
             let out = PathBuf::from(args.str("--out").unwrap_or("results/bench_report.json"));
-            let report = run_suites(None).0;
+            let report = run_suites();
             print_table(&report);
             if let Err(e) = report.write_json(&out) {
                 eprintln!("error: cannot write {}: {e}", out.display());
@@ -177,7 +177,6 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("compare") => {
-            let tol = Tolerances::default();
             let mut baseline = match BenchReport::load_json(&baseline_path) {
                 Ok(b) => b,
                 Err(e) => {
@@ -192,28 +191,21 @@ fn main() -> ExitCode {
             if !only.is_empty() {
                 baseline.suites.retain(|s| only.contains(&s.suite));
             }
-            let flight = args.switch("--flight-recorder");
-            let flight_dir = PathBuf::from(args.str("--flight-dir").unwrap_or("results/flight"));
-            let (fresh, flight_sinks) = run_suites(flight.then_some(FLIGHT_RECORDER_EVENTS));
-            let violations = compare(&baseline, &fresh, &tol);
+            let violations = compare(&baseline, &run_suites());
             for v in &violations {
                 eprintln!("  {v}");
             }
             if violations.is_empty() {
                 println!(
-                    "perf gate PASS: {} suites vs {} (map band {} pp, energy band {:.1}%, latency band {:.1}%)",
+                    "perf gate PASS: {} suites vs {} (bands: MAP_DROP_PP, ENERGY_GROWTH_FRAC + \
+                     ENERGY_FLOOR_J, LATENCY_GROWTH_FRAC + LATENCY_FLOOR_MS in \
+                     crates/harness/src/compare.rs)",
                     baseline.suites.len(),
                     baseline_path.display(),
-                    tol.map_drop_pct,
-                    tol.energy_growth_frac * 100.0,
-                    tol.latency_growth_frac * 100.0,
                 );
                 ExitCode::SUCCESS
             } else {
                 eprintln!("perf gate FAIL: {} violation(s)", violations.len());
-                if !flight_sinks.is_empty() {
-                    dump_flight(&flight_dir, &flight_sinks);
-                }
                 eprintln!(
                     "if this drift is deliberate, refresh the baseline:\n\
                        cargo run --release -p ecofusion-bench --bin bench_report -- refresh-baseline"
@@ -222,7 +214,7 @@ fn main() -> ExitCode {
             }
         }
         Some("refresh-baseline") => {
-            let report = run_suites(None).0;
+            let report = run_suites();
             print_table(&report);
             if let Err(e) = report.write_json(&baseline_path) {
                 eprintln!("error: cannot write {}: {e}", baseline_path.display());

@@ -45,9 +45,9 @@ impl Spec {
 
 /// `bench_report [compare|refresh-baseline]`.
 pub static BENCH_REPORT: Spec = Spec {
-    strs: &["--out", "--baseline", "--suite", "--precision", "--flight-dir"],
+    strs: &["--out", "--baseline", "--suite", "--precision", "--trace"],
     counts: &["--shards"],
-    switches: &["--quick", "--full", "--flight-recorder"],
+    switches: &["--quick", "--full"],
     positionals: 1,
     ..Spec::NONE
 };
@@ -66,14 +66,6 @@ pub static SCENARIO_SEARCH: Spec = Spec {
     counts: &["--ticks"],
     ints: &["--seed", "--candidates", "--emit"],
     switches: &["--search", "--minimize"],
-    ..Spec::NONE
-};
-
-/// `trace_dump`.
-pub static TRACE_DUMP: Spec = Spec {
-    strs: &["--suite", "--out", "--metrics"],
-    counts: &["--shards", "--capacity"],
-    switches: &["--quick", "--full", "--check"],
     ..Spec::NONE
 };
 
@@ -225,19 +217,6 @@ mod tests {
     #[test]
     fn documented_command_lines_parse_as_documented() {
         let table: &[(&'static Spec, &str, &str)] = &[
-            // .github/workflows/ci.yml
-            (
-                &TRACE_DUMP,
-                "--quick --check --out trace.json --metrics metrics.prom",
-                "Quick --quick --check --out=trace.json --metrics=metrics.prom",
-            ),
-            (
-                &TRACE_DUMP,
-                "--quick --suite fault_storm --shards 4 --check --out fault_storm.trace.json \
-                 --metrics fault_storm.prom",
-                "Quick --quick --check --suite=fault_storm --out=fault_storm.trace.json \
-                 --metrics=fault_storm.prom --shards=4",
-            ),
             // README.md
             (&PAPER, "table1", "table1 Quick"),
             (&PAPER, "robustness", "robustness Quick"),
@@ -251,11 +230,12 @@ mod tests {
                 "compare Quick --baseline=baselines/bench_baseline_int8.json --precision=int8",
             ),
             (&SCENARIO_SEARCH, "--search --seed 2024 --emit 3", "--search --seed=2024 --emit=3"),
-            (&TRACE_DUMP, "--quick --check", "Quick --quick --check"),
+            (&BENCH_REPORT, "--quick --trace results/trace", "Quick --quick --trace=results/trace"),
             (
                 &BENCH_REPORT,
-                "compare --flight-recorder --flight-dir results/flight",
-                "compare Quick --flight-recorder --flight-dir=results/flight",
+                "--quick --suite fault_storm --shards 4 --precision int8 --trace results/trace",
+                "Quick --quick --suite=fault_storm --precision=int8 --trace=results/trace \
+                 --shards=4",
             ),
             // The repository's verification notes.
             (&PAPER, "table3", "table3 Quick"),
@@ -285,29 +265,23 @@ mod tests {
                 "--minimize --corpus results/scenario_corpus.json --out-dir suites/distilled",
                 "--minimize --out-dir=suites/distilled --corpus=results/scenario_corpus.json",
             ),
-            (&TRACE_DUMP, "--quick", "Quick --quick"),
-            (
-                &TRACE_DUMP,
-                "--suite fault_storm --shards 4 --check",
-                "Quick --check --suite=fault_storm --shards=4",
-            ),
             // crates/harness/tests/committed_gates.rs
             (
                 &BENCH_REPORT,
-                "compare --quick --flight-recorder",
-                "compare Quick --quick --flight-recorder",
+                "compare --quick --trace results/trace",
+                "compare Quick --quick --trace=results/trace",
             ),
             (
                 &BENCH_REPORT,
-                "compare --quick --flight-recorder --precision int8 \
+                "compare --quick --trace results/trace --precision int8 \
                  --baseline baselines/bench_baseline_int8.json",
-                "compare Quick --quick --flight-recorder \
-                 --baseline=baselines/bench_baseline_int8.json --precision=int8",
+                "compare Quick --quick --baseline=baselines/bench_baseline_int8.json \
+                 --precision=int8 --trace=results/trace",
             ),
             (
                 &BENCH_REPORT,
-                "compare --quick --flight-recorder --suite fleet_scale --shards 4",
-                "compare Quick --quick --flight-recorder --suite=fleet_scale --shards=4",
+                "compare --quick --trace results/trace --suite fleet_scale --shards 4",
+                "compare Quick --quick --suite=fleet_scale --trace=results/trace --shards=4",
             ),
             (&BENCH_REPORT, "--quick --precision int8", "Quick --quick --precision=int8"),
             (
@@ -324,26 +298,30 @@ mod tests {
 
     #[test]
     fn an_unknown_or_misspelt_flag_is_rejected_by_every_binary() {
-        for spec in [&BENCH_REPORT, &PAPER, &SCENARIO_SEARCH, &TRACE_DUMP] {
+        for spec in [&BENCH_REPORT, &PAPER, &SCENARIO_SEARCH] {
             rejects(spec, "--chek", "unknown flag `--chek`");
             rejects(spec, "-q", "unknown flag `-q`");
         }
         rejects(&PAPER, "table3 --chek", "unknown flag `--chek`");
-        rejects(&TRACE_DUMP, "--quick --chek", "unknown flag `--chek`");
+        rejects(&BENCH_REPORT, "--quick --chek", "unknown flag `--chek`");
         // A flag another binary declares is still unknown here.
-        rejects(&TRACE_DUMP, "--quick --baseline b.json", "unknown flag `--baseline`");
+        rejects(&PAPER, "--quick --baseline b.json", "unknown flag `--baseline`");
         rejects(&SCENARIO_SEARCH, "--search --quick", "unknown flag `--quick`");
     }
 
     /// The mode and flags that only CI's gate jobs used are gone, and the
-    /// gates they drove run under `cargo test`; each is spelt `--` plus
-    /// its name here, so a search of the tree for one finds no user.
+    /// gates they drove run under `cargo test`; so are the two flight
+    /// recorder flags `--trace` replaced. Each is spelt `--` plus its name
+    /// here (the latter two split in halves), so a search of the tree for
+    /// one finds no user.
     #[test]
     fn removed_gate_flags_are_unknown() {
         let removed = [
             (&SCENARIO_SEARCH, "--search", "replay", ""),
             (&BENCH_REPORT, "compare", "report", " r.json"),
             (&BENCH_REPORT, "compare", "map-band", " 0.1"),
+            (&BENCH_REPORT, "compare", concat!("flight", "-recorder"), ""),
+            (&BENCH_REPORT, "compare", concat!("flight", "-dir"), " results/flight"),
         ];
         for (spec, before, flag, value) in removed {
             rejects(
@@ -359,7 +337,8 @@ mod tests {
         rejects(&BENCH_REPORT, "compare --baseline", "--baseline expects a value");
         rejects(&BENCH_REPORT, "--out --quick", "--out expects a value");
         rejects(&SCENARIO_SEARCH, "--search --ticks", "--ticks expects a value");
-        rejects(&TRACE_DUMP, "--suite --check", "--suite expects a value");
+        rejects(&BENCH_REPORT, "--suite --quick", "--suite expects a value");
+        rejects(&BENCH_REPORT, "compare --trace", "--trace expects a value");
     }
 
     #[test]
@@ -369,19 +348,19 @@ mod tests {
             "compare refresh-baseline",
             "unexpected argument `refresh-baseline`",
         );
-        rejects(&TRACE_DUMP, "--quick compare", "unexpected argument `compare`");
+        rejects(&SCENARIO_SEARCH, "--search compare", "unexpected argument `compare`");
         rejects(&PAPER, "ablations gamma rule", "unexpected argument `rule`");
         rejects(
             &SCENARIO_SEARCH,
             "--search suites/distilled",
             "unexpected argument `suites/distilled`",
         );
-        rejects(&TRACE_DUMP, "--quick steady_city", "unexpected argument `steady_city`");
+        rejects(&BENCH_REPORT, "--quick steady_city compare", "unexpected argument `compare`");
     }
 
     #[test]
     fn quick_and_full_exclude_each_other() {
-        for spec in [&BENCH_REPORT, &PAPER, &TRACE_DUMP] {
+        for spec in [&BENCH_REPORT, &PAPER] {
             rejects(spec, "--quick --full", "--quick and --full exclude each other");
             rejects(spec, "--full --quick", "--quick and --full exclude each other");
         }
@@ -391,7 +370,6 @@ mod tests {
     fn a_value_must_parse_as_its_kind() {
         rejects(&BENCH_REPORT, "--shards 0", "--shards expects an integer >= 1, got `0`");
         rejects(&BENCH_REPORT, "--shards two", "--shards expects an integer >= 1, got `two`");
-        rejects(&TRACE_DUMP, "--capacity 0", "--capacity expects an integer >= 1, got `0`");
         rejects(&SCENARIO_SEARCH, "--search --seed -1", "--seed expects an integer >= 0, got `-1`");
         rejects(
             &SCENARIO_SEARCH,

@@ -1,6 +1,6 @@
 //! Shared helpers for the benchmark binaries and criterion benches.
 //!
-//! Four binaries, each parsing its command line with [`cli`]:
+//! Three binaries, each parsing its command line with [`cli`]:
 //!
 //! * `paper` regenerates the paper's tables and figures, one subcommand
 //!   each (`table1`, `table2`, `table3`, `fig1`, `fig4`, `fig5`,
@@ -8,11 +8,11 @@
 //!   -p ecofusion-bench --bin paper -- <artifact>` (add `--full` for the
 //!   full-scale harness);
 //! * `bench_report` writes the workload suites' `BenchReport`, compares
-//!   one with a baseline, or refreshes a baseline;
+//!   one with a baseline, or refreshes a baseline; in any mode,
+//!   `--trace DIR` also writes each suite's Chrome trace and metrics
+//!   snapshot under `DIR`;
 //! * `scenario_search` discovers adversarial scenarios and distills them
-//!   into suites under `suites/distilled/`;
-//! * `trace_dump` traces one suite and writes its Chrome trace and
-//!   metrics snapshot.
+//!   into suites under `suites/distilled/`.
 //!
 //! The committed gates themselves — baselines, int8 parity, distilled
 //! replay — run under `cargo test`, in

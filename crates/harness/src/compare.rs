@@ -10,10 +10,10 @@
 //!   here is a behavior change that must be explained — either a bug or
 //!   a deliberate change that warrants refreshing the baseline.
 //! * **Accuracy** (mAP) may improve but not regress beyond
-//!   [`Tolerances::map_drop_pct`].
+//!   `MAP_DROP_PP`.
 //! * **Modeled energy / latency** may not grow beyond a fractional noise
-//!   band ([`Tolerances::energy_growth_frac`] /
-//!   [`Tolerances::latency_growth_frac`]). These are deterministic model
+//!   band (`ENERGY_GROWTH_FRAC` + `ENERGY_FLOOR_J` /
+//!   `LATENCY_GROWTH_FRAC` + `LATENCY_FLOOR_MS`). These are deterministic model
 //!   outputs, but banding (instead of bit-equality) lets a deliberate
 //!   cost-model recalibration land with a baseline refresh in the same PR
 //!   while still catching silent cost growth.
@@ -34,41 +34,24 @@ use std::fmt;
 const EXEMPT: [&str; 8] = ["suite", "map_pct", "avg_loss", "total_platform_j", "total_gated_j",
     "stage_energy", "latency", "fleet"];
 
-/// Per-metric tolerances of the gate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerances {
-    /// Maximum allowed mAP regression, percentage points.
-    pub map_drop_pct: f64,
-    /// Maximum allowed fractional growth of total/per-stage energy.
-    pub energy_growth_frac: f64,
-    /// Maximum allowed fractional growth of latency mean/percentiles.
-    pub latency_growth_frac: f64,
-    /// Absolute floor added to every relative energy band, Joules. A
-    /// purely relative band collapses to nothing on a zero baseline (any
-    /// positive charge — even modeling dust — fails), so each band is
-    /// `base * (1 + frac) + floor`.
-    pub energy_floor_j: f64,
-    /// Absolute floor added to every relative latency band, ms (one
-    /// histogram bucket by default, the percentile resolution).
-    pub latency_floor_ms: f64,
-}
+// The gate's bands, the only ones: accuracy must not regress measurably
+// (1e-6 percentage points absorbs only float-formatting dust), and
+// energy/latency may not grow more than 2% plus a small absolute floor.
+// A purely relative band collapses to nothing on a zero baseline (any
+// positive charge — even modeling dust — fails), so each band is
+// `base * (1 + frac) + floor`.
 
-impl Default for Tolerances {
-    /// The gate's tolerances, the only ones in use: accuracy must not
-    /// regress measurably (1e-6 percentage points absorbs only
-    /// float-formatting dust), and energy/latency may not grow more than
-    /// 2% plus a small absolute floor (so zero baselines stay gated but
-    /// don't trip on dust).
-    fn default() -> Self {
-        Tolerances {
-            map_drop_pct: 1e-6,
-            energy_growth_frac: 0.02,
-            latency_growth_frac: 0.02,
-            energy_floor_j: 0.05,
-            latency_floor_ms: 0.25,
-        }
-    }
-}
+/// Maximum allowed mAP regression, percentage points.
+const MAP_DROP_PP: f64 = 1e-6;
+/// Maximum allowed fractional growth of total/per-stage energy.
+const ENERGY_GROWTH_FRAC: f64 = 0.02;
+/// Maximum allowed fractional growth of latency mean/percentiles.
+const LATENCY_GROWTH_FRAC: f64 = 0.02;
+/// Absolute floor added to every relative energy band, Joules.
+const ENERGY_FLOOR_J: f64 = 0.05;
+/// Absolute floor added to every relative latency band, ms (one histogram
+/// bucket, the percentile resolution).
+const LATENCY_FLOOR_MS: f64 = 0.25;
 
 /// One gate violation.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,7 +82,7 @@ impl Violation {
 
 /// Diffs `fresh` against `baseline`; an empty result means the gate
 /// passes.
-pub fn compare(baseline: &BenchReport, fresh: &BenchReport, tol: &Tolerances) -> Vec<Violation> {
+pub fn compare(baseline: &BenchReport, fresh: &BenchReport) -> Vec<Violation> {
     let (base_scale, fresh_scale) = (&baseline.build.scale, &fresh.build.scale);
     if baseline.schema != fresh.schema {
         let detail = format!("baseline schema {} vs fresh {}", baseline.schema, fresh.schema);
@@ -119,7 +102,7 @@ pub fn compare(baseline: &BenchReport, fresh: &BenchReport, tol: &Tolerances) ->
                 "presence",
                 "suite present in baseline but missing from fresh report",
             )),
-            Some(fresh_suite) => compare_suite(base_suite, fresh_suite, tol, &mut v),
+            Some(fresh_suite) => compare_suite(base_suite, fresh_suite, &mut v),
         }
     }
     // Symmetric direction: a suite the fresh report has but the baseline
@@ -138,22 +121,17 @@ pub fn compare(baseline: &BenchReport, fresh: &BenchReport, tol: &Tolerances) ->
     v
 }
 
-fn compare_suite(
-    base: &SuiteReport,
-    fresh: &SuiteReport,
-    tol: &Tolerances,
-    out: &mut Vec<Violation>,
-) {
+fn compare_suite(base: &SuiteReport, fresh: &SuiteReport, out: &mut Vec<Violation>) {
     let suite = base.suite.as_str();
     for (key, b, f) in exact_diff(base, fresh, &EXEMPT) {
         out.push(Violation::new(suite, format!("determinism.{key}"), format!("{b} vs {f}")));
     }
 
     // Accuracy: may not regress beyond the tolerance.
-    if fresh.map_pct < base.map_pct - tol.map_drop_pct {
+    if fresh.map_pct < base.map_pct - MAP_DROP_PP {
         let detail = format!(
-            "regressed {:.4} → {:.4} (allowed drop {})",
-            base.map_pct, fresh.map_pct, tol.map_drop_pct
+            "regressed {:.4} → {:.4} (allowed drop {MAP_DROP_PP})",
+            base.map_pct, fresh.map_pct
         );
         out.push(Violation::new(suite, "accuracy.map_pct", detail));
     }
@@ -179,8 +157,8 @@ fn compare_suite(
             out.push(Violation::new(suite, metric, detail));
         }
     };
-    let energy = (tol.energy_growth_frac, tol.energy_floor_j);
-    let latency = (tol.latency_growth_frac, tol.latency_floor_ms);
+    let energy = (ENERGY_GROWTH_FRAC, ENERGY_FLOOR_J);
+    let latency = (LATENCY_GROWTH_FRAC, LATENCY_FLOOR_MS);
     banded("energy.total_gated_j", base.total_gated_j, fresh.total_gated_j, energy);
     banded("energy.total_platform_j", base.total_platform_j, fresh.total_platform_j, energy);
     // Stages are banded over the baseline's keys, then the fresh report's
@@ -288,7 +266,7 @@ mod tests {
     #[test]
     fn identical_reports_pass() {
         let r = report();
-        assert!(compare(&r, &r, &Tolerances::default()).is_empty());
+        assert!(compare(&r, &r).is_empty());
     }
 
     #[test]
@@ -296,11 +274,11 @@ mod tests {
         let base = report();
         let mut worse = report();
         worse.suites[0].map_pct = 9.0;
-        let violations = compare(&base, &worse, &Tolerances::default());
+        let violations = compare(&base, &worse);
         assert!(violations.iter().any(|v| v.metric == "accuracy.map_pct"), "{violations:?}");
         let mut better = report();
         better.suites[0].map_pct = 11.0;
-        assert!(compare(&base, &better, &Tolerances::default()).is_empty());
+        assert!(compare(&base, &better).is_empty());
     }
 
     #[test]
@@ -310,7 +288,7 @@ mod tests {
         let mut baseline = report();
         baseline.suites[0].map_pct += 5.0;
         let fresh = report();
-        let violations = compare(&baseline, &fresh, &Tolerances::default());
+        let violations = compare(&baseline, &fresh);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].metric, "accuracy.map_pct");
     }
@@ -320,12 +298,12 @@ mod tests {
         let base = report();
         let mut fresh = report();
         fresh.suites[0].total_gated_j *= 1.05;
-        let violations = compare(&base, &fresh, &Tolerances::default());
+        let violations = compare(&base, &fresh);
         assert!(violations.iter().any(|v| v.metric == "energy.total_gated_j"));
         // Inside the band: passes.
         let mut ok = report();
         ok.suites[0].total_gated_j *= 1.01;
-        assert!(compare(&base, &ok, &Tolerances::default()).is_empty());
+        assert!(compare(&base, &ok).is_empty());
     }
 
     #[test]
@@ -333,9 +311,7 @@ mod tests {
         let base = report();
         let mut fresh = report();
         fresh.suites[0].latency.p99_ms *= 1.10;
-        assert!(compare(&base, &fresh, &Tolerances::default())
-            .iter()
-            .any(|v| v.metric == "latency.p99_ms"));
+        assert!(compare(&base, &fresh).iter().any(|v| v.metric == "latency.p99_ms"));
     }
 
     #[test]
@@ -343,7 +319,7 @@ mod tests {
         let base = report();
         let mut fresh = report();
         fresh.suites[0].determinism_digest = "00000000000000ab".to_string();
-        assert!(compare(&base, &fresh, &Tolerances::default())
+        assert!(compare(&base, &fresh)
             .iter()
             .any(|v| v.metric == "determinism.determinism_digest"));
     }
@@ -353,12 +329,10 @@ mod tests {
         let base = report();
         let mut fresh = report();
         fresh.suites.clear();
-        assert!(compare(&base, &fresh, &Tolerances::default())
-            .iter()
-            .any(|v| v.metric == "presence"));
+        assert!(compare(&base, &fresh).iter().any(|v| v.metric == "presence"));
         let mut full = report();
         full.build.scale = "full".to_string();
-        assert!(compare(&base, &full, &Tolerances::default()).iter().any(|v| v.metric == "scale"));
+        assert!(compare(&base, &full).iter().any(|v| v.metric == "scale"));
     }
 
     #[test]
@@ -369,7 +343,7 @@ mod tests {
         let mut base = report();
         base.suites.clear();
         let fresh = report();
-        let violations = compare(&base, &fresh, &Tolerances::default());
+        let violations = compare(&base, &fresh);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].metric, "presence");
         assert_eq!(violations[0].suite, "steady_city");
@@ -384,7 +358,7 @@ mod tests {
         let mut fresh = report();
         let j = fresh.suites[0].stage_energy.per_stage_j.remove("branch").unwrap();
         fresh.suites[0].stage_energy.per_stage_j.insert("branch_v2".to_string(), j);
-        let violations = compare(&base, &fresh, &Tolerances::default());
+        let violations = compare(&base, &fresh);
         assert!(violations.iter().any(|v| v.metric == "energy.stage.branch_v2"), "{violations:?}");
     }
 
@@ -397,15 +371,13 @@ mod tests {
         let mut dust = report();
         dust.suites[0].stage_energy.per_stage_j.insert("select".to_string(), 0.01);
         assert!(
-            compare(&base, &dust, &Tolerances::default()).is_empty(),
+            compare(&base, &dust).is_empty(),
             "charge under the floor must pass on a zero baseline"
         );
         // Real growth past the floor still fails.
         let mut grown = report();
         grown.suites[0].stage_energy.per_stage_j.insert("select".to_string(), 0.06);
-        assert!(compare(&base, &grown, &Tolerances::default())
-            .iter()
-            .any(|v| v.metric == "energy.stage.select"));
+        assert!(compare(&base, &grown).iter().any(|v| v.metric == "energy.stage.select"));
         // Same shape for a zero-latency baseline (an empty histogram).
         let mut zero_lat = report();
         zero_lat.suites[0].latency = crate::report::LatencyStats {
@@ -418,14 +390,12 @@ mod tests {
         let mut bucket = zero_lat.clone();
         bucket.suites[0].latency.p99_ms = 0.2;
         assert!(
-            compare(&zero_lat, &bucket, &Tolerances::default()).is_empty(),
+            compare(&zero_lat, &bucket).is_empty(),
             "sub-bucket latency on a zero baseline must pass"
         );
         let mut tail = zero_lat.clone();
         tail.suites[0].latency.p99_ms = 5.0;
-        assert!(compare(&zero_lat, &tail, &Tolerances::default())
-            .iter()
-            .any(|v| v.metric == "latency.p99_ms"));
+        assert!(compare(&zero_lat, &tail).iter().any(|v| v.metric == "latency.p99_ms"));
     }
 
     #[test]
@@ -435,14 +405,10 @@ mod tests {
         let base = report();
         let mut fresh = report();
         fresh.suites[0].latency.p99_ms = f64::NAN;
-        assert!(compare(&base, &fresh, &Tolerances::default())
-            .iter()
-            .any(|v| v.metric == "latency.p99_ms"));
+        assert!(compare(&base, &fresh).iter().any(|v| v.metric == "latency.p99_ms"));
         let mut nan_base = report();
         nan_base.suites[0].total_gated_j = f64::NAN;
-        assert!(compare(&nan_base, &report(), &Tolerances::default())
-            .iter()
-            .any(|v| v.metric == "energy.total_gated_j"));
+        assert!(compare(&nan_base, &report()).iter().any(|v| v.metric == "energy.total_gated_j"));
     }
 
     #[test]
@@ -450,14 +416,10 @@ mod tests {
         let base = report();
         let mut fresh = report();
         fresh.suites[0].int8_frames = 3;
-        assert!(compare(&base, &fresh, &Tolerances::default())
-            .iter()
-            .any(|v| v.metric == "determinism.int8_frames"));
+        assert!(compare(&base, &fresh).iter().any(|v| v.metric == "determinism.int8_frames"));
         let mut fb = report();
         fb.suites[0].gate_fallbacks = 1;
-        assert!(compare(&base, &fb, &Tolerances::default())
-            .iter()
-            .any(|v| v.metric == "determinism.gate_fallbacks"));
+        assert!(compare(&base, &fb).iter().any(|v| v.metric == "determinism.gate_fallbacks"));
     }
 
     /// A value that differs from `v`, of the same JSON kind.
@@ -493,10 +455,8 @@ mod tests {
             let mut fresh = report();
             fresh.suites[0] = SuiteReport::from_value(&Value::Map(changed)).expect(key);
             assert_ne!(fresh.suites[0], base.suites[0], "{key} was not perturbed");
-            let metrics: Vec<String> = compare(&base, &fresh, &Tolerances::default())
-                .into_iter()
-                .map(|v| v.metric)
-                .collect();
+            let metrics: Vec<String> =
+                compare(&base, &fresh).into_iter().map(|v| v.metric).collect();
             assert_eq!(metrics, [format!("determinism.{key}")], "{key}");
             gated += 1;
         }
@@ -532,11 +492,9 @@ mod tests {
         let base = report();
         let mut worse = report();
         worse.suites[0].avg_loss += 0.1;
-        assert!(compare(&base, &worse, &Tolerances::default())
-            .iter()
-            .any(|v| v.metric == "accuracy.avg_loss"));
+        assert!(compare(&base, &worse).iter().any(|v| v.metric == "accuracy.avg_loss"));
         let mut better = report();
         better.suites[0].avg_loss -= 0.1;
-        assert!(compare(&base, &better, &Tolerances::default()).is_empty());
+        assert!(compare(&base, &better).is_empty());
     }
 }

@@ -20,7 +20,7 @@
 //!  run_report() ◀── SuiteReport ◀── Rollup::absorb ──▶ ScenarioOutcome
 //!        │          (mAP, stage sums, latency histogram, stem & cache
 //!        ▼           counters, ScenarioCounters, FNV-1a digest)
-//!  BenchReport JSON ──▶ compare(baseline, fresh, Tolerances)
+//!  BenchReport JSON ──▶ compare(baseline, fresh)
 //!                           │  (exact diff of every unbanded field)
 //!                           ▼
 //!              Vec<Violation> (empty = gate passes)
@@ -67,11 +67,11 @@ pub mod run;
 pub mod scenario;
 pub mod suites;
 
-pub use compare::{compare, Tolerances, Violation};
+pub use compare::{compare, Violation};
 pub use report::{
     BenchReport, BuildMeta, FleetPoint, LatencyStats, ShardPoint, SuiteReport, SCHEMA_VERSION,
 };
-pub use run::{reconcile_metrics, run_report, run_suite, ModelProvider, FLIGHT_RECORDER_EVENTS};
+pub use run::{reconcile_metrics, run_report, run_suite, ModelProvider, TRACE_RING_EVENTS};
 pub use scenario::{
     load_distilled_dir, replay_distilled, run_scenario, CoverageSignature, DistilledProvenance,
     DistilledSuite, ReplayDrift, Scenario, ScenarioCounters, ScenarioOutcome, ScenarioSize,

@@ -21,10 +21,11 @@ use ecofusion_tensor::rng::Rng;
 use ecofusion_trace::TraceSink;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Default ring capacity of the flight recorder: the last few thousand
-/// events per suite — enough to cover the decision trail of a quick-scale
-/// run end to end, bounded enough to attach to a CI artifact.
-pub const FLIGHT_RECORDER_EVENTS: usize = 4096;
+/// Ring capacity, in events, of every traced suite run. The largest quick
+/// suite, `fleet_scale`, records about 56 000 events and every other one
+/// under 5 000, so a quick run keeps every event; a longer run keeps the
+/// most recent ones and counts the rest as dropped.
+pub const TRACE_RING_EVENTS: usize = 1 << 16;
 
 /// Builds the serving model for every suite of a run.
 ///
@@ -81,11 +82,10 @@ impl ModelProvider {
 /// invariant), so reports taken at different shard counts diff cleanly;
 /// only the per-shard breakdown changes.
 ///
-/// With `trace_capacity` set, every suite runs with an enabled
-/// [`TraceSink`] of that ring capacity and the per-suite sinks (suite
-/// label, sink) are returned alongside the report for export. With
-/// `None` the servers run without any tracer — the zero-overhead path
-/// the perf gate's bit-identical baseline comparison relies on.
+/// With `traced`, every suite runs with an enabled [`TraceSink`] of
+/// [`TRACE_RING_EVENTS`] and the per-suite sinks (suite label, sink) are
+/// returned alongside the report for export. Untraced, the servers run
+/// without any tracer; either way the report is the same.
 ///
 /// # Errors
 /// Propagates [`InferError`] from the serving model.
@@ -94,7 +94,7 @@ pub fn run_report(
     only: &[String],
     shards: usize,
     precision: Precision,
-    trace_capacity: Option<usize>,
+    traced: bool,
 ) -> Result<(BenchReport, Vec<(String, TraceSink)>), InferError> {
     let provider = ModelProvider::prepare(scale);
     let mut suites = Vec::new();
@@ -103,7 +103,7 @@ pub fn run_report(
         if !only.is_empty() && !only.iter().any(|s| s == id.label()) {
             continue;
         }
-        let (suite, sink) = run_suite(&provider, id, scale, shards, precision, trace_capacity)?;
+        let (suite, sink) = run_suite(&provider, id, scale, shards, precision, traced)?;
         suites.push(suite);
         if let Some(sink) = sink {
             sinks.push((id.label().to_string(), sink));
@@ -129,12 +129,12 @@ pub fn run_report(
 
 /// Runs one suite end to end and aggregates its report, every stream
 /// starting at `precision` (int8 drives the whole suite quantized — what
-/// the int8 baseline gates). With `trace_capacity` set, one enabled
-/// [`TraceSink`] rides through every fleet sub-run of the suite
+/// the int8 baseline gates). With `traced`, one enabled [`TraceSink`] of
+/// [`TRACE_RING_EVENTS`] rides through every fleet sub-run of the suite
 /// (installed on each server, taken back after its drive) and is
 /// returned for export. Trace timestamps restart per sub-run — only
-/// `fleet_scale` has more than one — and the ring keeps the most recent
-/// events, the flight-recorder property.
+/// `fleet_scale` has more than one — and a full ring keeps the most
+/// recent events.
 ///
 /// # Errors
 /// Propagates [`InferError`] from the serving model.
@@ -144,12 +144,12 @@ pub fn run_suite(
     scale: Scale,
     shards: usize,
     precision: Precision,
-    trace_capacity: Option<usize>,
+    traced: bool,
 ) -> Result<(SuiteReport, Option<TraceSink>), InferError> {
     let plan = plan(id, scale);
     let mut rollup = Rollup::default();
     let mut fleet = Vec::new();
-    let mut sink = trace_capacity.map(TraceSink::with_capacity);
+    let mut sink = traced.then(|| TraceSink::with_capacity(TRACE_RING_EVENTS));
     for &streams in &plan.fleets {
         // The precision is applied to each spec's *own* options, so suites
         // with heterogeneous per-stream policies (mixed_policy) keep them.

@@ -12,7 +12,7 @@ use ecofusion_eval::experiments::Scale;
 use ecofusion_eval::{ParityReport, ParityRow};
 use ecofusion_harness::{
     compare, load_distilled_dir, replay_distilled, run_report, run_scenario, BenchReport,
-    CoverageSignature, DistilledSuite, StaleDistilledSuite, Tolerances, DEFAULT_BASELINE_PATH,
+    CoverageSignature, DistilledSuite, StaleDistilledSuite, DEFAULT_BASELINE_PATH,
     DEFAULT_DISTILLED_DIR, DISTILLED_SCHEMA_VERSION,
 };
 use std::path::PathBuf;
@@ -21,6 +21,7 @@ use std::sync::OnceLock;
 const BENCH_REPORT: &str = "cargo run --release -p ecofusion-bench --bin bench_report --";
 const SCENARIO_SEARCH: &str = "cargo run --release -p ecofusion-bench --bin scenario_search --";
 const INT8_BASELINE: &str = "baselines/bench_baseline_int8.json";
+const TRACE_DIR: &str = "results/trace";
 
 /// A path relative to the repository root.
 fn repo_path(relative: &str) -> PathBuf {
@@ -38,7 +39,7 @@ fn quick_report(precision: Precision) -> &'static BenchReport {
         Precision::F32 => &F32,
         Precision::Int8 => &INT8,
     };
-    cell.get_or_init(|| run_report(Scale::Quick, &[], 1, precision, None).expect("suites run").0)
+    cell.get_or_init(|| run_report(Scale::Quick, &[], 1, precision, false).expect("suites run").0)
 }
 
 /// Compares `fresh`, run at `precision` over the suites named in `only`
@@ -49,9 +50,9 @@ fn gate(precision: Precision, baseline: &str, fresh: &BenchReport, only: &[&str]
         base.suites.retain(|s| only.contains(&s.suite.as_str()));
         assert_eq!(base.suites.len(), only.len(), "the baseline has every suite of {only:?}");
     }
-    let violations = compare(&base, fresh, &Tolerances::default());
+    let violations = compare(&base, fresh);
     let shards = fresh.build.shards;
-    let mut command = format!("{BENCH_REPORT} compare --quick --flight-recorder");
+    let mut command = format!("{BENCH_REPORT} compare --quick --trace {TRACE_DIR}");
     if precision != Precision::F32 {
         command += &format!(" --precision {} --baseline {baseline}", precision.label());
     }
@@ -65,7 +66,8 @@ fn gate(precision: Precision, baseline: &str, fresh: &BenchReport, only: &[&str]
     assert!(
         violations.is_empty(),
         "perf gate FAIL at {} on {shards} shard(s): {} violation(s)\n{}\n\
-         reproduce (a failing compare dumps the flight recorder under results/flight):\n  {command}",
+         reproduce (each suite's Chrome trace and Prometheus snapshot land in \
+         {TRACE_DIR}/<suite>.trace.json and .prom):\n  {command}",
         precision.label(),
         violations.len(),
         listed.join("\n")
@@ -83,7 +85,8 @@ fn quick_f32_suites_pass_the_committed_baseline() {
 fn quick_fleet_scale_on_four_shards_passes_the_committed_baseline() {
     let only = ["fleet_scale"];
     let names: Vec<String> = only.iter().map(|s| s.to_string()).collect();
-    let (fresh, _) = run_report(Scale::Quick, &names, 4, Precision::F32, None).expect("suites run");
+    let (fresh, _) =
+        run_report(Scale::Quick, &names, 4, Precision::F32, false).expect("suites run");
     gate(Precision::F32, DEFAULT_BASELINE_PATH, &fresh, &only);
 }
 

@@ -4,7 +4,7 @@
 
 use ecofusion_core::Precision::F32;
 use ecofusion_eval::experiments::common::Scale;
-use ecofusion_harness::{compare, run_suite, ModelProvider, SuiteId, Tolerances};
+use ecofusion_harness::{compare, run_suite, ModelProvider, SuiteId};
 
 #[test]
 fn steady_city_quick_rerun_is_report_identical() {
@@ -12,9 +12,10 @@ fn steady_city_quick_rerun_is_report_identical() {
     // The re-run uses a different shard count on purpose: the whole suite
     // report must be shard-invariant, as CI's shard matrix certifies for
     // the gated fields.
-    let a =
-        run_suite(&provider, SuiteId::SteadyCity, Scale::Quick, 1, F32, None).expect("first run").0;
-    let b = run_suite(&provider, SuiteId::SteadyCity, Scale::Quick, 2, F32, None)
+    let a = run_suite(&provider, SuiteId::SteadyCity, Scale::Quick, 1, F32, false)
+        .expect("first run")
+        .0;
+    let b = run_suite(&provider, SuiteId::SteadyCity, Scale::Quick, 2, F32, false)
         .expect("second run")
         .0;
     assert_eq!(a, b);
@@ -34,7 +35,7 @@ fn steady_city_quick_rerun_is_report_identical() {
         suites: vec![suite],
     };
     let (base, fresh) = (wrap(a), wrap(b));
-    let violations = compare(&base, &fresh, &Tolerances::default());
+    let violations = compare(&base, &fresh);
     assert!(violations.is_empty(), "seeded re-run tripped the gate: {violations:?}");
 
     // And the JSON round trip through the report file format is
@@ -47,7 +48,7 @@ fn steady_city_quick_rerun_is_report_identical() {
 fn hand_edited_baseline_map_fails_the_gate() {
     let provider = ModelProvider::prepare(Scale::Quick);
     let suite =
-        run_suite(&provider, SuiteId::SteadyCity, Scale::Quick, 1, F32, None).expect("run").0;
+        run_suite(&provider, SuiteId::SteadyCity, Scale::Quick, 1, F32, false).expect("run").0;
     let report = ecofusion_harness::BenchReport {
         schema: ecofusion_harness::SCHEMA_VERSION,
         build: ecofusion_harness::BuildMeta {
@@ -65,20 +66,20 @@ fn hand_edited_baseline_map_fails_the_gate() {
     // violation.
     let mut tampered = report.clone();
     tampered.suites[0].map_pct += 5.0;
-    let violations = compare(&tampered, &report, &Tolerances::default());
+    let violations = compare(&tampered, &report);
     assert_eq!(violations.len(), 1, "{violations:?}");
     assert_eq!(violations[0].metric, "accuracy.map_pct");
     assert_eq!(violations[0].suite, "steady_city");
 
     // The honest direction still passes.
-    assert!(compare(&report, &report, &Tolerances::default()).is_empty());
+    assert!(compare(&report, &report).is_empty());
 }
 
 #[test]
 fn budget_squeeze_reaches_the_emergency_rung() {
     let provider = ModelProvider::prepare(Scale::Quick);
     let suite =
-        run_suite(&provider, SuiteId::BudgetSqueeze, Scale::Quick, 1, F32, None).expect("run").0;
+        run_suite(&provider, SuiteId::BudgetSqueeze, Scale::Quick, 1, F32, false).expect("run").0;
     // The ladder for the paper-default base options has 5 rungs; the
     // squeeze must end pinned at the last (int8 knowledge-gate emergency)
     // one, and the frames served there are counted as quantized.
@@ -91,7 +92,7 @@ fn budget_squeeze_reaches_the_emergency_rung() {
 fn context_churn_visits_every_radiate_context() {
     let provider = ModelProvider::prepare(Scale::Quick);
     let suite =
-        run_suite(&provider, SuiteId::ContextChurn, Scale::Quick, 2, F32, None).expect("run").0;
+        run_suite(&provider, SuiteId::ContextChurn, Scale::Quick, 2, F32, false).expect("run").0;
     assert_eq!(
         suite.contexts_visited.len(),
         ecofusion_scene::Context::ALL.len(),

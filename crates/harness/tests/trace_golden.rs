@@ -18,8 +18,6 @@ use ecofusion_harness::{reconcile_metrics, run_suite, ModelProvider, SuiteId, Su
 use ecofusion_trace::{chrome_trace_json, prometheus_snapshot, Event, EventKind, TraceSink, Track};
 use std::collections::BTreeSet;
 
-const CAPACITY: usize = 1 << 16;
-
 /// The series whose values follow the work-steal schedule on more than
 /// one shard: how many units were stolen, and each replica's plan-cache
 /// traffic, which depends on which replica served which unit first.
@@ -31,15 +29,9 @@ const SCHEDULE_DEPENDENT: [&str; 4] = [
 ];
 
 fn traced(provider: &ModelProvider, id: SuiteId, shards: usize) -> (SuiteReport, TraceSink) {
-    let (report, sink) = run_suite(
-        provider,
-        id,
-        Scale::Quick,
-        shards,
-        ecofusion_core::Precision::F32,
-        Some(CAPACITY),
-    )
-    .expect("traced suite run");
+    let (report, sink) =
+        run_suite(provider, id, Scale::Quick, shards, ecofusion_core::Precision::F32, true)
+            .expect("traced suite run");
     (report, sink.expect("traced run returns its sink"))
 }
 
@@ -93,6 +85,35 @@ fn assert_every_stage_of_every_frame(report: &SuiteReport, sink: &TraceSink) {
     }
 }
 
+/// The same count on the exported Chrome JSON, re-parsed the way a
+/// trace viewer reads it: a non-empty `traceEvents` array with one
+/// `"ph":"B"` `frame` span and one per pipeline stage for every frame.
+fn assert_exported_json_has_every_span(report: &SuiteReport, sink: &TraceSink) {
+    fn field<'a>(map: &'a [(String, serde::Value)], key: &str) -> Option<&'a serde::Value> {
+        map.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+    let value: serde::Value =
+        serde_json::from_str(&chrome_trace_json(sink)).expect("the Chrome trace parses");
+    let top = value.as_map().expect("the top level is an object");
+    let events = field(top, "traceEvents").and_then(|v| v.as_seq()).expect("a traceEvents array");
+    assert!(!events.is_empty(), "traceEvents is empty");
+    let begins = |name: &str| {
+        events
+            .iter()
+            .filter_map(|e| e.as_map())
+            .filter(|m| {
+                let text = |k: &str| field(m, k).and_then(|v| v.as_str());
+                text("ph") == Some("B") && text("name") == Some(name)
+            })
+            .count() as u64
+    };
+    assert_eq!(begins("frame"), report.frames, "one exported frame span per frame");
+    for stage in StageKind::ALL {
+        let label = stage.label();
+        assert_eq!(begins(label), report.frames, "one exported `{label}` span per frame");
+    }
+}
+
 #[test]
 fn steady_city_trace_covers_every_stage_of_every_frame() {
     let provider = ModelProvider::prepare(Scale::Quick);
@@ -113,7 +134,7 @@ fn arming_the_tracer_changes_no_gated_report_field() {
         Scale::Quick,
         1,
         ecofusion_core::Precision::F32,
-        None,
+        false,
     )
     .expect("untraced steady_city run");
     assert!(sink.is_none());
@@ -153,8 +174,9 @@ fn traced_metrics_reconcile_with_the_report() {
 /// streams, so four shards clamp to two, and units may be stolen): its
 /// stream tracks are the one-shard run's event for event (`seq` aside,
 /// which counts the shard tracks' events too), every frame has its stage
-/// spans, the metrics reconcile with the report at both counts, and the
-/// Prometheus series differ only among [`SCHEDULE_DEPENDENT`].
+/// spans — in the exported Chrome JSON too — the metrics reconcile with
+/// the report at both counts, and the Prometheus series differ only among
+/// [`SCHEDULE_DEPENDENT`].
 #[test]
 fn fault_storm_stream_tracks_and_metrics_hold_across_shard_counts() {
     let provider = ModelProvider::prepare(Scale::Quick);
@@ -168,6 +190,7 @@ fn fault_storm_stream_tracks_and_metrics_hold_across_shard_counts() {
         }
     }
     assert_eq!(report1.determinism_digest, report4.determinism_digest);
+    assert_exported_json_has_every_span(&report4, &sink4);
 
     let streams = |sink: &TraceSink| -> Vec<Event> {
         let on_stream = |e: &&Event| matches!(e.track, Track::Stream(_));

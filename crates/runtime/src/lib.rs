@@ -137,7 +137,7 @@ pub use hist::LatencyHistogram;
 pub use queue::{BackpressurePolicy, FrameQueue, IngestOutcome};
 pub use scheduler::{
     run_simulation, run_simulation_observed, PerceptionServer, RuntimeConfig, RuntimeReport,
-    SimObserver, StepStats, StreamReport,
+    StepStats, StreamReport,
 };
 pub use shard::ShardReport;
 pub use stream::{StreamSpec, VehicleStream};

@@ -262,9 +262,7 @@ struct Row {
 }
 
 /// What one [`PerceptionServer::process_step_stats`] call did — the
-/// per-step scheduler stats shared by the [`SimObserver`] hook and the
-/// tracer, so the harness and the flight recorder observe the runtime
-/// through one path.
+/// per-step scheduler stats the flight recorder's step marker records.
 ///
 /// All fields except `steals`/`stolen_frames` are shard-count-invariant;
 /// steal counts depend on thread timing (like
@@ -487,9 +485,8 @@ impl PerceptionServer {
     }
 
     /// [`PerceptionServer::process_step`] returning the per-step
-    /// scheduler stats ([`StepStats`]) instead of just the frame count.
-    /// The simulation driver feeds these to its [`SimObserver`] — the
-    /// same observation the tracer's scheduler track records.
+    /// scheduler stats ([`StepStats`]) instead of just the frame count —
+    /// what the tracer's scheduler track records.
     ///
     /// # Errors
     /// Propagates [`InferError`] from the model.
@@ -769,32 +766,10 @@ pub fn run_simulation(
     run_simulation_observed(server, streams, ticks, |_: &Frame| {})
 }
 
-/// Observer of a [`run_simulation_observed`] drive: sees every produced
-/// frame and the scheduler stats of every non-empty processing step.
-/// Both hooks default to no-ops, and any `FnMut(&Frame)` closure is an
-/// observer (frame hook only), so the pre-existing closure call sites
-/// keep working unchanged. The workload-suite harness and the tracer
-/// share this single observation path.
-pub trait SimObserver {
-    /// Called with every produced frame, just before it is offered to
-    /// the server (whether or not backpressure later drops it).
-    fn on_frame(&mut self, _frame: &Frame) {}
-
-    /// Called after every processing step that handled at least one
-    /// frame, with that step's scheduler stats.
-    fn on_step(&mut self, _stats: &StepStats) {}
-}
-
-impl<F: FnMut(&Frame)> SimObserver for F {
-    fn on_frame(&mut self, frame: &Frame) {
-        self(frame)
-    }
-}
-
-/// [`run_simulation`] with a [`SimObserver`]: the observer sees every
-/// produced frame and the per-step scheduler stats (tick, batch sizes,
-/// steals). Fault-schedule activations are also surfaced here — the
-/// driver is the only place that can see a stream's injector counters
+/// [`run_simulation`] that hands every produced frame to `on_frame`,
+/// just before it is offered to the server (whether or not backpressure
+/// later drops it). Fault-schedule activations are also surfaced here —
+/// the driver is the only place that can see a stream's injector counters
 /// advance — as `fault` trace events when the server has a tracer.
 ///
 /// # Errors
@@ -806,7 +781,7 @@ pub fn run_simulation_observed(
     server: &mut PerceptionServer,
     streams: &mut [VehicleStream],
     ticks: u64,
-    mut observer: impl SimObserver,
+    mut on_frame: impl FnMut(&Frame),
 ) -> Result<(), InferError> {
     assert_eq!(streams.len(), server.num_streams(), "stream/server mismatch");
     let mut fault_events: Vec<u64> = streams.iter().map(|s| s.fault_counts().1).collect();
@@ -834,24 +809,15 @@ pub fn run_simulation_observed(
                     }
                     fault_events[i] = events;
                 }
-                observer.on_frame(&frame);
+                on_frame(&frame);
                 server.ingest(i, frame);
             }
         }
-        let stats = server.process_step_stats()?;
-        if stats.frames > 0 {
-            observer.on_step(&stats);
-        }
+        server.process_step()?;
         server.advance_tick();
     }
     // Drain every remaining queued frame so the report covers everything
-    // accepted, still surfacing each step to the observer.
-    loop {
-        let stats = server.process_step_stats()?;
-        if stats.frames == 0 {
-            break;
-        }
-        observer.on_step(&stats);
-    }
+    // accepted.
+    while server.process_step()? > 0 {}
     Ok(())
 }

@@ -1698,7 +1698,7 @@ pub struct PlanKey {
     pub precision: PlanPrecision,
 }
 
-/// Cumulative [`PlanCache`] counters (exported as flight-recorder metrics
+/// Cumulative [`PlanCache`] counters (exported as flight recorder metrics
 /// by the runtime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {

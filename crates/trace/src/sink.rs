@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// * **Bounded**: at most `capacity` events are retained; pushing into a
 ///   full ring evicts the oldest event and increments
 ///   [`TraceSink::dropped`]. The retained window is always the *most
-///   recent* events — the flight-recorder property.
+///   recent* events, as a flight recorder keeps them.
 /// * **Zero overhead when disabled**: every emission method returns at
 ///   its first branch on a disabled sink; the runtime's recorder never
 ///   calls one unless [`TraceSink::is_enabled`], so it builds no

@@ -5,8 +5,9 @@
 //! monitoring and fault events fire — with a `TraceSink` installed, then
 //! exports the recording twice: a Chrome `trace_event` JSON you can load
 //! in Perfetto (one track per stream, per shard, plus the scheduler) and
-//! a Prometheus-style text snapshot. A `SimObserver` watches the same
-//! per-step scheduler stats the tracer records.
+//! a Prometheus-style text snapshot. The step count and the largest
+//! micro-batch it prints are read back from the recording itself: the
+//! scheduler track's `step` markers and the shard tracks' `unit` spans.
 //!
 //! Everything is on virtual, tick-derived time. Stream-track events
 //! replay the global pick order, so that part of the trace is
@@ -76,29 +77,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
 
-    // The observer hook sees the same per-step scheduler stats the
-    // tracer records — one observation path for harness and trace.
-    let mut steps = 0u64;
-    let mut max_batch = 0usize;
-    struct StepWatch<'a> {
-        steps: &'a mut u64,
-        max_batch: &'a mut usize,
-    }
-    impl SimObserver for StepWatch<'_> {
-        fn on_step(&mut self, stats: &StepStats) {
-            *self.steps += 1;
-            *self.max_batch =
-                (*self.max_batch).max(stats.batch_sizes.iter().copied().max().unwrap_or(0));
-        }
-    }
-    run_simulation_observed(
-        &mut server,
-        &mut streams,
-        ticks,
-        StepWatch { steps: &mut steps, max_batch: &mut max_batch },
-    )?;
+    run_simulation(&mut server, &mut streams, ticks)?;
     let report = server.report();
     let sink = server.take_tracer().expect("the tracer we installed");
+
+    // One `step` marker per step that processed frames, and one `unit`
+    // span per micro-batch, carrying its frame count.
+    let steps = sink.events().filter(|e| e.track == Track::Scheduler && e.name == "step").count();
+    let max_batch = sink
+        .events()
+        .filter(|e| matches!(e.track, Track::Shard(_)) && e.name == "unit")
+        .filter(|e| e.kind == EventKind::Begin)
+        .filter_map(|e| e.arg_f64("frames"))
+        .map(|frames| frames as usize)
+        .max()
+        .unwrap_or(0);
 
     println!(
         "served {} frames over {steps} observed steps (max micro-batch {max_batch}); \

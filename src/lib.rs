@@ -138,7 +138,8 @@
 //! [`trace::prometheus_snapshot`]; with no sink installed (or a
 //! [`trace::TraceSink::disabled`] one) every hook is a branch on a
 //! `bool` — gated bench numbers are unchanged, which CI asserts. See
-//! `examples/trace_observability.rs` and the `trace_dump` binary.
+//! `examples/trace_observability.rs`, and `bench_report --trace DIR`, which
+//! writes one Chrome trace and one snapshot per workload suite.
 
 pub use ecofusion_core as core;
 pub use ecofusion_detect as detect;
@@ -171,8 +172,7 @@ pub mod prelude {
     pub use ecofusion_gating::{AttentionGate, DeepGate, GateKind, KnowledgeGate, LossBasedGate};
     pub use ecofusion_runtime::{
         run_simulation, run_simulation_observed, BackpressurePolicy, EnergyBudget,
-        PerceptionServer, RuntimeConfig, RuntimeReport, SimObserver, StepStats, StreamSpec,
-        VehicleStream,
+        PerceptionServer, RuntimeConfig, RuntimeReport, StepStats, StreamSpec, VehicleStream,
     };
     pub use ecofusion_scene::{Context, ObjectClass, ScenarioGenerator, Scene};
     pub use ecofusion_sensors::{SensorKind, SensorMask, SensorSuite};
