@@ -64,20 +64,12 @@ fn print_table(report: &BenchReport) {
         report.build.git_rev, report.build.scale, report.build.model, report.build.shards,
     );
     println!(
-        "{:<14} {:>7} {:>8} {:>11} {:>9} {:>9} {:>9} {:>13} {:>10}",
-        "suite",
-        "frames",
-        "mAP(%)",
-        "gated (J)",
-        "p50 ms",
-        "p99 ms",
-        "stems",
-        "cache hit(%)",
-        "digest"
+        "{:<14} {:>7} {:>8} {:>11} {:>9} {:>9} {:>9} {:>10}",
+        "suite", "frames", "mAP(%)", "gated (J)", "p50 ms", "p99 ms", "stems", "digest"
     );
     for s in &report.suites {
         println!(
-            "{:<14} {:>7} {:>8.3} {:>11.3} {:>9.2} {:>9.2} {:>9} {:>13.1} {:>10}",
+            "{:<14} {:>7} {:>8.3} {:>11.3} {:>9.2} {:>9.2} {:>9} {:>10}",
             s.suite,
             s.frames,
             s.map_pct,
@@ -85,7 +77,6 @@ fn print_table(report: &BenchReport) {
             s.latency.p50_ms,
             s.latency.p99_ms,
             s.stems_executed,
-            s.cache_hit_rate * 100.0,
             &s.determinism_digest[..8.min(s.determinism_digest.len())],
         );
         for f in &s.fleet {

@@ -15,7 +15,7 @@
 //!
 //! Main types: [`ConfigSpace`] (Φ: the 7 canonical branches and their 127
 //! ensembles), [`EcoFusionModel`] (the runnable pipeline — `infer`,
-//! `infer_batch`, `infer_batch_cached`, `detect_static` for a fixed
+//! `infer_batch`, `infer_batch_into`, `detect_static` for a fixed
 //! configuration and `oracle_pass` for the [`OracleSample`]s gates are
 //! trained and judged on, all five over one staged executor),
 //! [`Trainer`]/[`TrainConfig`] (supervised branch training, the oracle
@@ -42,9 +42,7 @@ pub use model::{
     EcoFusionModel, GateSet, InferenceOptions, InferenceOutput, UNAVAILABLE_SENSOR_PENALTY,
 };
 pub use optimizer::{joint_loss, select_candidates, select_config, CandidateRule};
-pub use pipeline::{
-    OracleSample, PipelinePlan, StemCacheRouter, StemFeatureCache, ALL_SENSOR_BITS,
-};
+pub use pipeline::{OracleSample, PipelinePlan, StemFeatureCache, ALL_SENSOR_BITS};
 pub use snapshot::{ModelSnapshot, QuantSnapshot, RestoreModelError};
 pub use temporal::{ClockGatingController, EpisodeEnergyReport, SensorSchedule};
 pub use trainer::{TrainConfig, TrainError, Trainer};

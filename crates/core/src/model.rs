@@ -529,7 +529,7 @@ impl EcoFusionModel {
         // is a batch of one (stems are batch-invariant in eval mode, so
         // the results are bit-identical — the golden traces pin it).
         let mut outputs = Vec::with_capacity(1);
-        self.run_staged_batch(std::slice::from_ref(frame), opts, None, &mut outputs)?;
+        self.infer_batch_into(std::slice::from_ref(frame), opts, &mut outputs)?;
         Ok(outputs.pop().expect("one output per frame"))
     }
 
@@ -541,8 +541,8 @@ impl EcoFusionModel {
     /// identical to calling [`EcoFusionModel::infer`] sequentially.
     ///
     /// A thin driver over the staged pipeline; see
-    /// [`EcoFusionModel::infer_batch_cached`] for the variant that also
-    /// reuses stem features across batches for unchanged grids.
+    /// [`EcoFusionModel::infer_batch_into`] for the variant that appends
+    /// to a caller's vector.
     ///
     /// # Errors
     /// As [`EcoFusionModel::infer`].
@@ -552,7 +552,7 @@ impl EcoFusionModel {
         opts: &InferenceOptions,
     ) -> Result<Vec<InferenceOutput>, InferError> {
         let mut outputs = Vec::with_capacity(frames.len());
-        self.run_staged_batch(frames, opts, None, &mut outputs)?;
+        self.infer_batch_into(frames, opts, &mut outputs)?;
         Ok(outputs)
     }
 

@@ -85,7 +85,7 @@
 //! both from the model's per-configuration cost table ([`account_prec`]
 //! for every configuration at both precisions, built once by
 //! [`EcoFusionModel::new`]); the trace then records how many stems
-//! actually ran, were served from a cache, or were pruned. The *charged*
+//! actually ran and how many were pruned. The *charged*
 //! energy always follows the configured [`StemPolicy`] (the paper's
 //! compiled engine runs all four stems), so pruning shows up in the
 //! counters — real compute saved on this host — without re-calibrating
@@ -98,14 +98,13 @@
 //! is bit-identical to the pre-quantization pipeline — the golden traces
 //! pin it. Under [`Precision::Int8`] the `Stems` and `Branch` stages run
 //! the post-training-quantized image of the same weights
-//! ([`QuantSnapshot`](crate::snapshot::QuantSnapshot), built lazily and
-//! invalidated on weight mutation): i8×i8→i32 convolutions with folded
-//! batch-norm, dequantized back to f32 at stage boundaries so
+//! ([`QuantSnapshot`], built lazily and invalidated on weight mutation):
+//! i8×i8→i32 convolutions with folded batch-norm, dequantized back to f32
+//! at stage boundaries so
 //! `GateScore`, `Select`, decoding, and `Fuse` are untouched. The
 //! `Account` stage then charges the int8-scaled Eq. 11 stem/branch costs
 //! (the budget ladder's emergency rung exploits this: one stem,
-//! quantized). Stem-feature caches are bypassed for int8 batches — they
-//! hold f32 features.
+//! quantized).
 //!
 //! # Compiled execution
 //!
@@ -125,27 +124,11 @@
 //! and a plan's arena is sized for a tile, not for the largest batch
 //! met.
 //!
-//! # Stem-feature caching
-//!
-//! [`StemFeatureCache`] memoizes one `(grid, stem features)` pair per
-//! sensor — exactly what a frozen-frame fault or a static scene
-//! produces. The runtime keeps one cache per stream and routes it into
-//! [`EcoFusionModel::infer_batch_cached`] via a [`StemCacheRouter`];
-//! identical grids inside one micro-batch are deduplicated too. Because
-//! stems are batch-invariant in eval mode (asserted by the detect
-//! crate's tests), a cached row is bit-identical to recomputing it. A
-//! stem's row is written once, by the register tiles of the stem's plan
-//! ([`CompiledPlan::execute_indexed_to`](ecofusion_tensor::graph::CompiledPlan::execute_indexed_to):
-//! a destination per sample), into a buffer of its own that the bank
-//! holds for the step — a frame's row is an index to it, shared by the
-//! frames whose grid repeats it — and that **the stream's cache entry
-//! owns when the step ends**: `BatchStemBank::publish` swaps it for the
-//! entry's old buffer, which the next step's forward fills. So a miss
-//! costs its stream one copy, the 4 KiB grid, and no copy of the 8 KiB
-//! features; a hit one (into the bank's replayed rows); an in-batch
-//! alias's own stream its two; none an allocation. No consumer copies a
-//! row either: the plans of the gate and the branches read every (frame,
-//! sensor) block where the bank holds it
+//! A stem's row is written once, by the register tiles of the stem's
+//! plan ([`CompiledPlan::execute_indexed_to`](ecofusion_tensor::graph::CompiledPlan::execute_indexed_to):
+//! a destination per sample), into the bank's rows for the step. No
+//! consumer copies a row: the plans of the gate and the branches read
+//! every (frame, sensor) block where the bank holds it
 //! ([`CompiledPlan::execute_indexed_into`](ecofusion_tensor::graph::CompiledPlan::execute_indexed_into)).
 //!
 //! # Step buffers
@@ -160,9 +143,8 @@
 //!
 //! | buffer | written by | read by |
 //! |---|---|---|
-//! | `bank.stem_out[s][j]` `(C, h, w)`, one buffer a miss | stem `s`'s plan — row `j` from the grid of miss `j`, read in its observation | the plans of the learned gate and the branches; after them `publish`, which hands the buffer to the stream's cache entry (cached f32 steps) and keeps the entry's old one |
+//! | `bank.stem_out[s]` `(j, C, h, w)`, one row a frame that demands stem `s` | stem `s`'s plan — row `j` from the grid of frame `pending[j]`, read in its observation | the plans of the learned gate and the branches |
 //! | `fusion` | the oracle's configuration scorer, per frame of a loss-based step; the `Fuse` stage, per frame that selected two or more branches | itself |
-//! | `bank.replayed` `(j, C, h, w)` | `BatchStemBank::ensure`, one copy per cache hit | the same plans |
 //! | `bank.zero` `(C, h, w)` | nobody after it is sized | the learned gate's plan, for every sensor the health mask rules out |
 //! | `branch.head` `(k, 5 + K, S, S)` | the branch's plan | `decode_sample_into` |
 //! | `branch.dets`, one list per (frame, branch) decoded, back to back | `decode_sample_into`, via `branch.kept` | the oracle's scorer; the `Fuse` stage, which copies a lone branch's list or fuses several into the frame's own |
@@ -175,9 +157,8 @@
 //! harmless is that **the producer overwrites everything it hands on**: a
 //! plan writes every element of its output, and a row is read only
 //! through the index `ensure` set for it in this batch. Debug builds — so
-//! every test — hold that to account: `begin_step` fills the stem rows —
-//! whichever buffers the bank holds after the last step's swaps — and the
-//! head map with NaN, as a plan does its arena before every tile.
+//! every test — hold that to account: `begin_step` fills the stem rows
+//! and the head map with NaN, as a plan does its arena before every tile.
 //! A step that fails half-way leaves the buffers as they are; the next
 //! starts from `BatchStemBank::reset`, which forgets every row. Lists
 //! are cleared and refilled, never dropped, and plan lookups borrow
@@ -201,7 +182,6 @@ use ecofusion_sensors::SensorKind;
 use ecofusion_tensor::graph::{self, PlanCache, PlanPrecision};
 use ecofusion_tensor::tensor::Tensor;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Bitmask covering every canonical sensor.
 pub const ALL_SENSOR_BITS: u8 = (1 << SensorKind::COUNT) - 1;
@@ -213,11 +193,11 @@ pub const ALL_SENSOR_BITS: u8 = (1 << SensorKind::COUNT) - 1;
 const STEM_SALT_BASE: u64 = 0;
 const BRANCH_SALT_BASE: u64 = 0x100;
 
-/// Runs stem `s` over the grids of sensor `k` of `misses` — frames of
+/// Runs stem `s` over the grids of sensor `k` of `pending` — frames of
 /// `frames`, each grid read where its observation holds it — into `rows`,
-/// one sample's `(C, h, w)` features each: the matching compiled plan is
-/// fetched from (or built into) `plans` and stores every sample straight
-/// to its row, all of it. Plans run any batch (see
+/// one sample's `(C, h, w)` features after another: the matching
+/// compiled plan is fetched from (or built into) `plans` and stores every
+/// sample straight to its row, all of it. Plans run any batch (see
 /// [`ecofusion_tensor::graph`]), so the plan's key carries the per-sample
 /// shape only: a unit compiles once per precision, whatever sub-batch
 /// sizes the steps go on to produce.
@@ -231,13 +211,13 @@ fn stem_forward(
     stems: &[Stem],
     quant: Option<&QuantSnapshot>,
     k: SensorKind,
-    (frames, misses): (&[Frame], &[usize]),
-    rows: &mut [Vec<f32>],
+    (frames, pending): (&[Frame], &[usize]),
+    rows: &mut [f32],
 ) -> Result<(), InferError> {
     let s = k.index();
     let salt = STEM_SALT_BASE + s as u64;
     let side = frames.first().map_or(0, |f| f.obs.grid_size());
-    let shape = [misses.len(), 1, side, side];
+    let shape = [pending.len(), 1, side, side];
     let plan = match quant {
         Some(q) => {
             let fp = graph::fingerprint_quant_pipe(&q.stems[s], salt);
@@ -253,8 +233,9 @@ fn stem_forward(
         }
     }
     .map_err(|source| InferError::Compile { unit: PlanUnit::Stem(s), source })?;
-    let grid = |j: usize| frames[misses[j]].obs.grid(k).data();
-    plan.execute_indexed_to(misses.len(), 1, &grid, rows.iter_mut().map(Vec::as_mut_slice));
+    let grid = |j: usize| frames[pending[j]].obs.grid(k).data();
+    let per = rows.len() / pending.len();
+    plan.execute_indexed_to(pending.len(), 1, &grid, rows.chunks_exact_mut(per));
     Ok(())
 }
 
@@ -304,116 +285,15 @@ pub fn account_prec(
     (trace.breakdown(sensors), trace)
 }
 
-/// Per-sensor memo of the last `(grid, stem features)` pair, plus
-/// hit/miss counters. One cache serves one stream: consecutive frames
-/// with an unchanged grid (frozen-frame faults, static scenes) reuse the
-/// stem output instead of re-running the convolution.
+/// An empty vestige of the stem-feature cache, kept only for
+/// `benchmark/`; ROADMAP item 12(d) deletes it.
 #[derive(Debug, Default)]
-pub struct StemFeatureCache {
-    entries: [Option<CacheEntry>; SensorKind::COUNT],
-    hits: u64,
-    misses: u64,
-}
-
-#[derive(Debug, Default)]
-struct CacheEntry {
-    grid: Tensor,
-    feat: Vec<f32>,
-    /// Set only inside [`BatchStemBank::publish`]: the row of the step's
-    /// forward the entry is about to take over.
-    claim: Option<usize>,
-}
+pub struct StemFeatureCache;
 
 impl StemFeatureCache {
-    /// An empty cache.
+    /// The empty vestige.
     pub fn new() -> Self {
-        StemFeatureCache::default()
-    }
-
-    /// Returns the memoized `(C, h, w)` features when `grid` matches the
-    /// cached one bit for bit. Counting is explicit
-    /// ([`StemFeatureCache::note`]) because an intra-batch alias also
-    /// counts as a reuse.
-    fn lookup(&self, sensor: usize, grid: &Tensor) -> Option<&[f32]> {
-        match &self.entries[sensor] {
-            Some(e) if e.grid == *grid => Some(&e.feat),
-            _ => None,
-        }
-    }
-
-    fn note(&mut self, hit: bool) {
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-    }
-
-    /// Memoizes `(grid, feat)` for `sensor` by copy, overwriting the
-    /// entry's buffers in place: a stream's grids and features keep their
-    /// sizes, so this allocates once per stream, not per frame.
-    fn store(&mut self, sensor: usize, grid: &Tensor, feat: &[f32]) {
-        let e = self.entries[sensor].get_or_insert_default();
-        e.claim = None;
-        e.remember(grid);
-        e.feat.clear();
-        e.feat.extend_from_slice(feat);
-    }
-
-    /// Memoizes `(grid, row)` for `sensor` if the entry still waits for
-    /// row `j` (`claim`), **taking** the row's buffer and leaving the
-    /// entry's old one in its place: the features a stem's plan wrote
-    /// there are not copied again.
-    fn adopt(&mut self, sensor: usize, j: usize, grid: &Tensor, row: &mut Vec<f32>) {
-        let e = self.entries[sensor].as_mut().expect("claimed before it is adopted");
-        if e.claim == Some(j) {
-            e.claim = None;
-            e.remember(grid);
-            std::mem::swap(&mut e.feat, row);
-        }
-    }
-
-    fn claim(&mut self, sensor: usize, j: usize) {
-        self.entries[sensor].get_or_insert_default().claim = Some(j);
-    }
-
-    /// Lookups that matched the cached grid.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that missed (and forced a stem execution).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
-
-impl CacheEntry {
-    /// Copies `grid` over the entry's own, in place when the shapes agree.
-    fn remember(&mut self, grid: &Tensor) {
-        if self.grid.shape() == grid.shape() {
-            self.grid.data_mut().copy_from_slice(grid.data());
-        } else {
-            self.grid = grid.clone();
-        }
-    }
-}
-
-/// Routes per-frame cache lookups of a micro-batch to per-stream caches:
-/// frame `i` uses `caches[lane_of[i]]`.
-pub struct StemCacheRouter<'a> {
-    caches: &'a mut [StemFeatureCache],
-    lane_of: &'a [usize],
-}
-
-impl<'a> StemCacheRouter<'a> {
-    /// Creates a router.
-    ///
-    /// # Panics
-    /// Panics if any lane index is out of range.
-    pub fn new(caches: &'a mut [StemFeatureCache], lane_of: &'a [usize]) -> Self {
-        assert!(lane_of.iter().all(|&l| l < caches.len()), "cache lane index out of range");
-        StemCacheRouter { caches, lane_of }
+        StemFeatureCache
     }
 }
 
@@ -423,8 +303,8 @@ impl<'a> StemCacheRouter<'a> {
 /// and freed (module docs, *Step buffers*). Holds no weights, so nothing
 /// ever invalidates it. What it owns:
 ///
-/// * `bank` — the stem rows and where each frame's are, the grids a
-///   forward runs, the in-batch dedupe buckets;
+/// * `bank` — the stem rows, where each frame's are, and the frames a
+///   forward runs;
 /// * `branch` — the head map a branch's plan writes, decode's candidates
 ///   and suppression buffers, and per frame and branch the decoded
 ///   detections;
@@ -525,126 +405,53 @@ impl BranchOut {
     }
 }
 
-/// Where the bank holds one frame's features of one sensor.
-#[derive(Debug, Clone, Copy)]
-enum StemRow {
-    /// Nowhere: no stage has demanded them (yet).
-    Missing,
-    /// Row `j` of the sensor's stem forward.
-    Forward(usize),
-    /// Row `j` of the rows replayed from the streams' caches.
-    Replayed(usize),
-}
-
-/// The misses of one sensor's batch so far, bucketed by the first cache
-/// line of their grids: a pending grid is compared in full only with the
-/// misses in its bucket, not with every earlier miss of the batch.
-#[derive(Debug, Default)]
-struct GridBuckets {
-    /// Per key, the last miss with it.
-    last: HashMap<[u32; 16], usize>,
-    /// Per miss `j`: its frame, and the miss before it in its bucket.
-    misses: Vec<(usize, Option<usize>)>,
-    /// Full-grid comparisons made since the bank was created.
-    #[cfg(test)]
-    compares: usize,
-}
-
-impl GridBuckets {
-    /// The miss whose grid of sensor `k` equals `frame`'s — at most one
-    /// does, or the later would have been its alias — else `frame`
-    /// becomes the next miss.
-    fn alias_or_insert(&mut self, frame: usize, k: SensorKind, of: &[Frame]) -> Option<usize> {
-        let grid = of[frame].obs.grid(k);
-        // `+ 0.0` folds −0.0 onto 0.0, which `==` holds equal.
-        let key = std::array::from_fn(|i| grid.data().get(i).map_or(0, |v| (v + 0.0).to_bits()));
-        let mut at = self.last.get(&key).copied();
-        while let Some(j) = at {
-            let (other, before) = self.misses[j];
-            #[cfg(test)]
-            (self.compares += 1);
-            if of[other].obs.grid(k) == grid {
-                return Some(j);
-            }
-            at = before;
-        }
-        let before = self.last.insert(key, self.misses.len());
-        self.misses.push((frame, before));
-        None
-    }
-}
-
-/// Lazily computed per-sensor stem features for a batch of frames, with
-/// optional per-stream cache routing and intra-batch deduplication. Lives
+/// Lazily computed per-sensor stem features for a batch of frames. Lives
 /// in the replica's [`StepScratch`]; [`BatchStemBank::reset`] starts a
 /// batch.
 #[derive(Debug, Default)]
 struct BatchStemBank {
     n: usize,
     half: usize,
-    /// Per sensor, the rows of its stem forward: one `(C, h, w)` buffer a
-    /// miss, each written whole by the stem's plan. A sensor runs at most
-    /// one forward per batch, so its rows stay put until the step ends —
-    /// when [`BatchStemBank::publish`] swaps a row's buffer for the one
-    /// its stream's cache entry held.
-    stem_out: [Vec<Vec<f32>>; SensorKind::COUNT],
+    /// Per sensor, the rows of its stem forward, `(j, C, h, w)`, each
+    /// written whole by the stem's plan. A sensor runs at most one
+    /// forward per batch, so its rows stay put until the step ends.
+    stem_out: [Vec<f32>; SensorKind::COUNT],
     /// The frames whose grids the forward of the sensor being ensured
-    /// runs: row `j` is frame `misses[j]`'s (and its in-batch aliases').
-    misses: Vec<usize>,
-    /// The `(C, h, w)` rows the streams' caches replayed this batch, back
-    /// to back: a hit is copied here once and read in place.
-    replayed: Vec<f32>,
+    /// runs: row `j` is frame `pending[j]`'s.
+    pending: Vec<usize>,
     /// One `(C, h, w)` block of zeros, shared: what a sensor the health
     /// mask rules out contributes to the learned gates' input.
     zero: Vec<f32>,
-    /// Per sensor, per frame: where the features are.
-    rows: [Vec<StemRow>; SensorKind::COUNT],
-    /// Per-frame bits of stems run fresh.
-    computed: Vec<u8>,
-    /// Per-frame bits of stems served from a cache or an identical
-    /// in-batch grid.
-    cached: Vec<u8>,
-    dedupe: GridBuckets,
+    /// Per sensor, per frame: the row of the sensor's forward that holds
+    /// the frame's features, if one does.
+    rows: [Vec<Option<usize>>; SensorKind::COUNT],
 }
 
 impl BatchStemBank {
     /// Forgets the last batch and sizes the per-frame maps for `n` frames
     /// of `half`-sided stem features. The rows keep their allocations and
     /// stale contents (NaN in debug builds); nothing reads them before a
-    /// forward rewrites them: every row starts [`StemRow::Missing`].
+    /// forward rewrites them: every frame starts without a row.
     fn reset(&mut self, n: usize, half: usize) {
         self.n = n;
         self.half = half;
         for rows in &mut self.rows {
             rows.clear();
-            rows.resize(n, StemRow::Missing);
+            rows.resize(n, None);
         }
-        for bits in [&mut self.computed, &mut self.cached] {
-            bits.clear();
-            bits.resize(n, 0);
-        }
-        self.replayed.clear();
         self.zero.resize(STEM_CHANNELS * half * half, 0.0);
         #[cfg(debug_assertions)]
-        for row in self.stem_out.iter_mut().flatten() {
-            row.fill(f32::NAN);
+        for out in &mut self.stem_out {
+            out.fill(f32::NAN);
         }
-    }
-
-    fn has(&self, sensor: usize, frame: usize) -> bool {
-        (self.computed[frame] | self.cached[frame]) & (1 << sensor) != 0
     }
 
     /// Runs every `(frame, sensor)` stem demanded by `need_bits` that is
-    /// not yet present, consulting `router` first when given (what the
-    /// step computes reaches the caches when it ends:
-    /// [`BatchStemBank::publish`]). All missing rows of one sensor run in
-    /// a single forward over their grids, read where the observations hold
-    /// them, each into a row of its own (eval-mode stems are
-    /// batch-invariant, so subsets are bit-identical). With `quant` set,
-    /// the int8 stem pipes execute instead of the f32 stems (the caller
-    /// guarantees the router is disabled then — caches hold f32
-    /// features), as plans out of `plans`.
+    /// not yet present. All missing rows of one sensor run in a single
+    /// forward over their grids, read where the observations hold them,
+    /// each into a row of its own (eval-mode stems are batch-invariant, so
+    /// subsets are bit-identical). With `quant` set, the int8 stem pipes
+    /// execute instead of the f32 stems, as plans out of `plans`.
     ///
     /// # Errors
     /// [`InferError::Compile`] from the first stem that does not lower.
@@ -658,99 +465,32 @@ impl BatchStemBank {
         stems: &[Stem],
         frames: &[Frame],
         need_bits: &[u8],
-        mut router: Option<&mut StemCacheRouter<'_>>,
         quant: Option<&QuantSnapshot>,
         plans: &mut PlanCache,
     ) -> Result<(), InferError> {
         let per = STEM_CHANNELS * self.half * self.half;
         for k in SensorKind::ALL {
             let s = k.index();
-            let bit = 1u8 << s;
-            let ran = self.rows[s].iter().any(|row| matches!(row, StemRow::Forward(_)));
-            // The grids one forward runs: row `j` of it is miss `j`'s,
-            // and that of every frame whose grid repeats it.
-            self.misses.clear();
-            self.dedupe.last.clear();
-            self.dedupe.misses.clear();
-            for i in (0..self.n).filter(|&i| need_bits[i] & bit != 0) {
-                if self.has(s, i) {
-                    continue;
-                }
-                let grid = frames[i].obs.grid(k);
-                // Cache lookups + intra-batch dedupe (identical grids of
-                // one micro-batch compute once and share the row: a hit
-                // the entry-based cache cannot serve yet).
-                let reused = router.as_deref_mut().and_then(|r| {
-                    let cache = &mut r.caches[r.lane_of[i]];
-                    let row = if let Some(feat) = cache.lookup(s, grid) {
-                        self.replayed.extend_from_slice(feat);
-                        Some(StemRow::Replayed(self.replayed.len() / per - 1))
-                    } else {
-                        self.dedupe.alias_or_insert(i, k, frames).map(StemRow::Forward)
-                    };
-                    cache.note(row.is_some());
-                    row
-                });
-                let served = if reused.is_some() { &mut self.cached } else { &mut self.computed };
-                served[i] |= bit;
-                self.rows[s][i] = reused.unwrap_or(StemRow::Forward(self.misses.len()));
-                if reused.is_none() {
-                    self.misses.push(i);
+            let ran = self.rows[s].iter().any(Option::is_some);
+            self.pending.clear();
+            for i in (0..self.n).filter(|&i| need_bits[i] >> s & 1 != 0) {
+                if self.rows[s][i].is_none() {
+                    self.rows[s][i] = Some(self.pending.len());
+                    self.pending.push(i);
                 }
             }
-            if self.misses.is_empty() {
+            if self.pending.is_empty() {
                 continue;
             }
             assert!(!ran, "a second forward would overwrite the rows of sensor {s}'s first");
             let out = &mut self.stem_out[s];
-            out.resize_with(out.len().max(self.misses.len()), Vec::new);
-            let rows = &mut out[..self.misses.len()];
-            // (A warm row has its size; one a cache took, or a new one,
-            // starts as debug builds leave the others: NaN.)
-            rows.iter_mut().for_each(|row| row.resize(per, f32::NAN));
-            stem_forward(plans, stems, quant, k, (frames, &self.misses), rows)?;
+            let len = self.pending.len() * per;
+            // (A warm buffer has its size; what it grows by starts as
+            // debug builds leave the rest: NaN.)
+            out.resize(out.len().max(len), f32::NAN);
+            stem_forward(plans, stems, quant, k, (frames, &self.pending), &mut out[..len])?;
         }
         Ok(())
-    }
-
-    /// Memoizes what the step's stem forwards computed in the caches of
-    /// the frames' streams, once nothing reads the bank any more. A miss
-    /// costs its stream the copy of the grid and no copy of the features:
-    /// the plan wrote them into a row of their own, and the stream's entry
-    /// **takes that buffer**, leaving its old one for the next step's
-    /// forward to fill. An in-batch alias's stream gets the copy it always
-    /// got. Per sensor the misses' streams come first, then the aliases',
-    /// and of several stores to one entry the last stands — the order they
-    /// were always made in — so a miss only claims its entry, the aliases
-    /// copy while every row is still where `block` finds it, and then each
-    /// miss whose claim stands hands its row over.
-    fn publish(&mut self, frames: &[Frame], router: &mut StemCacheRouter<'_>) {
-        for k in SensorKind::ALL {
-            let (s, bit) = (k.index(), 1u8 << k.index());
-            // `(frame, row)` of the frames `served` lists whose features
-            // are a row of the forward.
-            fn forward<'a>(
-                served: &'a [u8],
-                rows: &'a [StemRow],
-                bit: u8,
-            ) -> impl Iterator<Item = (usize, usize)> + 'a {
-                rows.iter().enumerate().filter_map(move |(i, row)| match row {
-                    StemRow::Forward(j) if served[i] & bit != 0 => Some((i, *j)),
-                    _ => None,
-                })
-            }
-            for (i, j) in forward(&self.computed, &self.rows[s], bit) {
-                router.caches[router.lane_of[i]].claim(s, j);
-            }
-            for (i, j) in forward(&self.cached, &self.rows[s], bit) {
-                let cache = &mut router.caches[router.lane_of[i]];
-                cache.store(s, frames[i].obs.grid(k), &self.stem_out[s][j]);
-            }
-            for (i, j) in forward(&self.computed, &self.rows[s], bit) {
-                let cache = &mut router.caches[router.lane_of[i]];
-                cache.adopt(s, j, frames[i].obs.grid(k), &mut self.stem_out[s][j]);
-            }
-        }
     }
 
     /// One frame's `(C, h, w)` features of a sensor, where the bank holds
@@ -763,16 +503,15 @@ impl BatchStemBank {
         let per = self.zero.len();
         match self.rows[sensor][frame] {
             _ if live_bits & (1 << sensor) == 0 => &self.zero,
-            StemRow::Missing => panic!("stem {sensor} of frame {frame}: demanded by the plan"),
-            StemRow::Forward(j) => &self.stem_out[sensor][j],
-            StemRow::Replayed(j) => &self.replayed[j * per..(j + 1) * per],
+            None => panic!("stem {sensor} of frame {frame}: demanded by the plan"),
+            Some(j) => &self.stem_out[sensor][j * per..(j + 1) * per],
         }
     }
 
-    fn counts(&self, frame: usize) -> (u8, u8, u8) {
-        let executed = self.computed[frame].count_ones() as u8;
-        let cached = self.cached[frame].count_ones() as u8;
-        (executed, cached, SensorKind::COUNT as u8 - executed - cached)
+    /// Stems of `frame` executed and skipped this batch.
+    fn counts(&self, frame: usize) -> (u8, u8) {
+        let executed = self.rows.iter().filter(|rows| rows[frame].is_some()).count() as u8;
+        (executed, SensorKind::COUNT as u8 - executed)
     }
 }
 
@@ -873,38 +612,23 @@ impl EcoFusionModel {
         bank: &mut BatchStemBank,
         frames: &[Frame],
         need_bits: &[u8],
-        router: Option<&mut StemCacheRouter<'_>>,
         precision: Precision,
     ) -> Result<(), InferError> {
-        // Stem-feature caches hold f32 features; an int8 batch must
-        // neither consult nor fill them (cross-precision poisoning).
-        let (quant, router) = match precision {
-            Precision::Int8 => (self.quant.as_ref(), None),
-            Precision::F32 => (None, router),
+        let quant = match precision {
+            Precision::Int8 => self.quant.as_ref(),
+            Precision::F32 => None,
         };
-        bank.ensure(&self.stems, frames, need_bits, router, quant, &mut self.plans)
+        bank.ensure(&self.stems, frames, need_bits, quant, &mut self.plans)
     }
 
-    /// Staged Algorithm 1 over a batch (the body behind
-    /// [`EcoFusionModel::infer_batch`] and
-    /// [`EcoFusionModel::infer_batch_cached_into`]), on the replica's step
-    /// buffers: appends one output per frame to `out`.
-    pub(crate) fn run_staged_batch(
-        &mut self,
-        frames: &[Frame],
-        opts: &InferenceOptions,
-        router: Option<StemCacheRouter<'_>>,
-        out: &mut Vec<InferenceOutput>,
-    ) -> Result<(), InferError> {
-        self.with_scratch(|model, scratch| model.run_stages(scratch, frames, opts, router, out))
-    }
-
+    /// Staged Algorithm 1 over a batch, on the replica's step buffers:
+    /// appends one output per frame to `out` (the body behind
+    /// [`EcoFusionModel::infer_batch_into`]).
     fn run_stages(
         &mut self,
         scratch: &mut StepScratch,
         frames: &[Frame],
         opts: &InferenceOptions,
-        mut router: Option<StemCacheRouter<'_>>,
         out: &mut Vec<InferenceOutput>,
     ) -> Result<(), InferError> {
         if frames.is_empty() {
@@ -918,12 +642,12 @@ impl EcoFusionModel {
         // detections are kept: Branch reuses them instead of re-running
         // branches.
         if plan.needs_oracle {
-            self.oracle_stages(scratch, frames, opts, router.as_mut())?;
+            self.oracle_stages(scratch, frames, opts)?;
         } else {
             let StepScratch { bank, need, .. } = scratch;
             need.clear();
             need.resize(n, plan.pre_gate_bits());
-            self.ensure_stems(bank, frames, need, router.as_mut(), opts.precision)?;
+            self.ensure_stems(bank, frames, need, opts.precision)?;
         }
         // GateScore. The learned gates run one batched pass over each
         // frame's four stem rows, read where the bank holds them; the
@@ -962,19 +686,14 @@ impl EcoFusionModel {
         for p in predicted.iter() {
             selected.push(self.select_with_health(p, opts, adjusted));
         }
-        self.run_branches(scratch, frames, opts, router.as_mut())?;
-        // Nothing reads the bank's rows past this point. (Int8 rows are
-        // not what the caches hold, and were computed without them.)
-        if let (Some(router), Precision::F32) = (router.as_mut(), opts.precision) {
-            scratch.bank.publish(frames, router);
-        }
+        self.run_branches(scratch, frames, opts)?;
         // Fuse + Account per frame.
         out.reserve(n);
         for (i, frame) in frames.iter().enumerate() {
             let selected = scratch.selected[i];
             let detections = self.fuse_frame(scratch, i);
             let (energy, trace) = self.account_adaptive(selected, opts.precision);
-            let (executed, cached, skipped) = scratch.bank.counts(i);
+            let (executed, skipped) = scratch.bank.counts(i);
             // Knowledge-gate fallback attribution: a frame whose context
             // has no rule was served by the gate's cheapest-config
             // fallback.
@@ -986,7 +705,7 @@ impl EcoFusionModel {
                 selected_label: self.space.label(selected),
                 predicted_losses: std::mem::take(&mut scratch.predicted[i]),
                 energy,
-                stage_trace: trace.with_stem_counts(executed, cached, skipped),
+                stage_trace: trace.with_stem_counts(executed, skipped),
                 precision: opts.precision,
                 gate_fallbacks: u32::from(fallback),
             });
@@ -1022,12 +741,11 @@ impl EcoFusionModel {
         scratch: &mut StepScratch,
         frames: &[Frame],
         opts: &InferenceOptions,
-        router: Option<&mut StemCacheRouter<'_>>,
     ) -> Result<(), InferError> {
         let StepScratch { bank, branch, fusion, all, need, oracle, gts, .. } = scratch;
         need.clear();
         need.resize(frames.len(), ALL_SENSOR_BITS);
-        self.ensure_stems(bank, frames, need, router, opts.precision)?;
+        self.ensure_stems(bank, frames, need, opts.precision)?;
         for b in 0..self.branches.len() {
             self.branch_batch_from_bank(b, bank, all, opts, branch)?;
         }
@@ -1060,12 +778,11 @@ impl EcoFusionModel {
         scratch: &mut StepScratch,
         frames: &[Frame],
         opts: &InferenceOptions,
-        router: Option<&mut StemCacheRouter<'_>>,
     ) -> Result<(), InferError> {
         let StepScratch { bank, branch, selected, masks, need, demand, .. } = scratch;
         need.clear();
         need.extend(selected.iter().map(|s| self.config_sensors[s.0]));
-        self.ensure_stems(bank, frames, need, router, opts.precision)?;
+        self.ensure_stems(bank, frames, need, opts.precision)?;
         // Group frames by branch so every branch the batch needs
         // executes exactly once.
         let n_branches = self.branches.len();
@@ -1135,52 +852,34 @@ impl EcoFusionModel {
         Ok(())
     }
 
-    /// [`EcoFusionModel::infer_batch`] with per-stream stem-feature
-    /// caches: frame `i` consults and updates `caches[lane_of[i]]`.
-    /// Results are identical to the uncached path — a cache hit replays
-    /// the features an identical grid would produce (stems are
-    /// batch-invariant in eval mode) — only the stem compute changes.
+    /// [`EcoFusionModel::infer_batch`] appending the outputs to `out`: a
+    /// caller that keeps the vector across steps (the runtime's work units
+    /// do) leaves a warm step allocating only what the outputs hand out —
+    /// per frame its detections, its predicted losses and its label. On
+    /// an error `out` holds the outputs it held before.
     ///
     /// # Errors
     /// As [`EcoFusionModel::infer`].
-    ///
-    /// # Panics
-    /// Panics if `lane_of.len() != frames.len()` or a lane index is out
-    /// of range.
+    pub fn infer_batch_into(
+        &mut self,
+        frames: &[Frame],
+        opts: &InferenceOptions,
+        out: &mut Vec<InferenceOutput>,
+    ) -> Result<(), InferError> {
+        self.with_scratch(|model, scratch| model.run_stages(scratch, frames, opts, out))
+    }
+
+    /// [`EcoFusionModel::infer_batch`] behind a one-lane-per-frame assert:
+    /// a vestige kept only for `benchmark/`; ROADMAP item 12(d) deletes it.
     pub fn infer_batch_cached(
         &mut self,
         frames: &[Frame],
         opts: &InferenceOptions,
-        caches: &mut [StemFeatureCache],
+        _caches: &mut [StemFeatureCache],
         lane_of: &[usize],
     ) -> Result<Vec<InferenceOutput>, InferError> {
-        let mut out = Vec::with_capacity(frames.len());
-        self.infer_batch_cached_into(frames, opts, caches, lane_of, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`EcoFusionModel::infer_batch_cached`] appending the outputs to
-    /// `out`: a caller that keeps the vector across steps (the runtime's
-    /// work units do) leaves a warm step allocating only what the outputs
-    /// hand out — per frame its detections, its predicted losses and its
-    /// label. On an error `out` holds the outputs it held before.
-    ///
-    /// # Errors
-    /// As [`EcoFusionModel::infer`].
-    ///
-    /// # Panics
-    /// As [`EcoFusionModel::infer_batch_cached`].
-    pub fn infer_batch_cached_into(
-        &mut self,
-        frames: &[Frame],
-        opts: &InferenceOptions,
-        caches: &mut [StemFeatureCache],
-        lane_of: &[usize],
-        out: &mut Vec<InferenceOutput>,
-    ) -> Result<(), InferError> {
         assert_eq!(lane_of.len(), frames.len(), "one cache lane per frame");
-        let router = StemCacheRouter::new(caches, lane_of);
-        self.run_staged_batch(frames, opts, Some(router), out)
+        self.infer_batch(frames, opts)
     }
 
     /// Runs a *fixed* configuration as a static baseline (paper Table 1
@@ -1198,18 +897,18 @@ impl EcoFusionModel {
         config: ConfigId,
         opts: &InferenceOptions,
     ) -> Result<(Vec<Detection>, EnergyBreakdown, StageTrace), InferError> {
-        let (detections, (executed, cached, skipped)) = self.with_scratch(|model, scratch| {
+        let (detections, (executed, skipped)) = self.with_scratch(|model, scratch| {
             let frames = std::slice::from_ref(frame);
             model.begin_step(scratch, frames, opts)?;
             scratch.selected.clear();
             scratch.selected.push(config);
-            model.run_branches(scratch, frames, opts, None)?;
+            model.run_branches(scratch, frames, opts)?;
             Ok((model.fuse_frame(scratch, 0), scratch.bank.counts(0)))
         })?;
         let specs = self.space.branch_specs(config);
         let (energy, trace) =
             account_prec(&self.px2, &self.sensor_power, &specs, StemPolicy::Static, opts.precision);
-        Ok((detections, energy, trace.with_stem_counts(executed, cached, skipped)))
+        Ok((detections, energy, trace.with_stem_counts(executed, skipped)))
     }
 
     /// The oracle pass (module docs, *Two blocks with entries of their
@@ -1233,7 +932,7 @@ impl EcoFusionModel {
             let mut samples = Vec::with_capacity(frames.len());
             for chunk in frames.chunks(ORACLE_PASS_BATCH) {
                 model.begin_step(scratch, chunk, opts)?;
-                model.oracle_stages(scratch, chunk, opts, None)?;
+                model.oracle_stages(scratch, chunk, opts)?;
                 let (bank, live) = (&scratch.bank, opts.health.bits());
                 let shape = [1, SensorKind::COUNT * STEM_CHANNELS, bank.half, bank.half];
                 samples.extend((0..chunk.len()).map(|i| {
@@ -1379,146 +1078,6 @@ mod tests {
     }
 
     #[test]
-    fn stem_cache_hits_on_frozen_grids_and_keeps_results_identical() {
-        let data = city_data(47);
-        let frame = data.test()[0].clone();
-        // The same frame served twice in a row (a frozen-frame fault):
-        // the second batch must be served entirely from the cache.
-        let frames = vec![frame.clone(), frame.clone()];
-        let opts = InferenceOptions::new(0.01, 0.5);
-        let mut cached_model = tiny_model();
-        let mut caches = [StemFeatureCache::new()];
-        let lanes = [0usize, 0];
-        let outs = cached_model.infer_batch_cached(&frames, &opts, &mut caches, &lanes).unwrap();
-        // Frame 0 misses, frame 1 aliases to it inside the batch.
-        assert_eq!(outs[0].stage_trace.stems_executed, 4);
-        assert_eq!(outs[1].stage_trace.stems_cached, 4);
-        assert_eq!(outs[1].stage_trace.stems_executed, 0);
-        // A later batch with the identical grid hits the stored entries.
-        let outs2 =
-            cached_model.infer_batch_cached(&frames[..1], &opts, &mut caches, &[0]).unwrap();
-        assert_eq!(outs2[0].stage_trace.stems_cached, 4);
-        // Frame 1 of the first batch aliased (4 reuses), the second batch
-        // hit the stored entries (4 more); frame 0's four lookups missed.
-        assert_eq!(caches[0].hits(), 8);
-        assert_eq!(caches[0].misses(), 4);
-        // Results are identical to the uncached model.
-        let mut plain = tiny_model();
-        let plain_out = plain.infer(&frame, &opts).unwrap();
-        assert_eq!(outs[0].detections, plain_out.detections);
-        assert_eq!(outs[1].detections, plain_out.detections);
-        assert_eq!(outs2[0].detections, plain_out.detections);
-        assert_eq!(outs[0].selected_config, plain_out.selected_config);
-    }
-
-    /// In-batch dedupe against the quadratic form it replaced — every
-    /// pending grid compared with every earlier miss of the batch, kept
-    /// here as the oracle: 256 frames, duplicates placed adjacent, first
-    /// and last, and in the middle, give the same rows and the same
-    /// hit/miss counters, and the bank compares whole grids once per
-    /// duplicate instead of 32 640 times per sensor.
-    #[test]
-    fn in_batch_dedupe_matches_the_quadratic_form_in_linear_compares() {
-        let mut m = tiny_model();
-        let base = city_data(54);
-        let n = 256;
-        let mut frames: Vec<Frame> = (0..n)
-            .map(|i| {
-                // The same few scenes, made distinct where the key looks.
-                let mut frame = base.test()[i % base.test().len()].clone();
-                for k in SensorKind::ALL {
-                    frame.obs.grid_mut(k).data_mut()[5] += i as f32;
-                }
-                frame
-            })
-            .collect();
-        for (copy, of) in [(1, 0), (255, 0), (101, 100), (250, 3)] {
-            frames[copy] = frames[of].clone();
-        }
-        let mut caches: Vec<StemFeatureCache> = (0..n).map(|_| StemFeatureCache::new()).collect();
-        let lanes: Vec<usize> = (0..n).collect();
-        let mut router = StemCacheRouter::new(&mut caches, &lanes);
-        let mut bank = BatchStemBank::default();
-        bank.reset(n, m.grid / 2);
-        let all = vec![ALL_SENSOR_BITS; n];
-        bank.ensure(&m.stems, &frames, &all, Some(&mut router), None, &mut m.plans)
-            .expect("stems lower");
-        let (mut hits, mut misses) = (vec![0u64; n], vec![0u64; n]);
-        for k in SensorKind::ALL {
-            let mut missed: Vec<usize> = Vec::new();
-            for i in 0..n {
-                let earlier =
-                    missed.iter().position(|&j| frames[j].obs.grid(k) == frames[i].obs.grid(k));
-                let row = earlier.unwrap_or(missed.len());
-                assert!(
-                    matches!(bank.rows[k.index()][i], StemRow::Forward(j) if j == row),
-                    "{k:?} of frame {i}: {:?}, the quadratic form has row {row}",
-                    bank.rows[k.index()][i]
-                );
-                match earlier {
-                    Some(_) => hits[i] += 1,
-                    None => {
-                        misses[i] += 1;
-                        missed.push(i);
-                    }
-                }
-            }
-            let (first, last) = (
-                bank.block(ALL_SENSOR_BITS, k.index(), 0),
-                bank.block(ALL_SENSOR_BITS, k.index(), 255),
-            );
-            assert_eq!(first, last, "a duplicate reads the row of its original");
-        }
-        for (i, cache) in caches.iter().enumerate() {
-            assert_eq!((cache.hits(), cache.misses()), (hits[i], misses[i]), "frame {i}");
-        }
-        // One whole-grid comparison per duplicate and sensor; the
-        // quadratic form makes n·(n − 1)/2 per sensor.
-        assert_eq!(bank.dedupe.compares, 4 * SensorKind::COUNT);
-    }
-
-    #[test]
-    fn stem_cache_store_overwrites_its_entry_in_place() {
-        let mut cache = StemFeatureCache::new();
-        let (g1, g2) = (Tensor::full(&[1, 1, 4, 4], 1.0), Tensor::full(&[1, 1, 4, 4], 2.0));
-        cache.store(0, &g1, &[1.0; 8]);
-        let buffers = |c: &StemFeatureCache| {
-            let e = c.entries[0].as_ref().expect("stored");
-            (e.grid.data().as_ptr(), e.feat.as_ptr())
-        };
-        let first = buffers(&cache);
-        cache.store(0, &g2, &[2.0; 8]);
-        assert_eq!(buffers(&cache), first, "same shapes must reuse the entry's buffers");
-        assert!(cache.lookup(0, &g1).is_none(), "the old grid is gone");
-        assert_eq!(cache.lookup(0, &g2).expect("hit"), [2.0; 8]);
-        // A differently shaped pair replaces the entry.
-        let g3 = Tensor::full(&[1, 1, 2, 2], 3.0);
-        cache.store(0, &g3, &[3.0; 2]);
-        assert_eq!(cache.lookup(0, &g3).expect("hit"), [3.0; 2]);
-    }
-
-    #[test]
-    fn stem_cache_misses_on_changing_grids_without_changing_results() {
-        let data = city_data(48);
-        let frames: Vec<Frame> = data.test().iter().take(3).cloned().collect();
-        let opts = InferenceOptions::new(0.01, 0.5);
-        let mut cached_model = tiny_model();
-        let mut plain_model = tiny_model();
-        let mut caches = [StemFeatureCache::new()];
-        let lanes = [0usize, 0, 0];
-        let cached_out =
-            cached_model.infer_batch_cached(&frames, &opts, &mut caches, &lanes).unwrap();
-        let plain_out = plain_model.infer_batch(&frames, &opts).unwrap();
-        for (c, p) in cached_out.iter().zip(&plain_out) {
-            assert_eq!(c.detections, p.detections);
-            assert_eq!(c.selected_config, p.selected_config);
-            assert_eq!(c.predicted_losses, p.predicted_losses);
-        }
-        assert_eq!(caches[0].hits(), 0, "distinct frames must not hit");
-        assert!(caches[0].misses() > 0);
-    }
-
-    #[test]
     fn int8_inference_runs_and_charges_less() {
         let data = city_data(50);
         let frame = &data.test()[0];
@@ -1584,33 +1143,5 @@ mod tests {
         assert_eq!(f32_out.selected_config, out.selected_config);
         assert!(out.energy.platform.joules() < f32_out.energy.platform.joules());
         assert!(out.energy.latency.millis() < f32_out.energy.latency.millis());
-    }
-
-    #[test]
-    fn int8_batches_bypass_stem_caches() {
-        let data = city_data(53);
-        let frame = data.test()[0].clone();
-        let frames = vec![frame.clone(), frame];
-        let mut m = tiny_model();
-        let mut caches = [StemFeatureCache::new()];
-        let opts = InferenceOptions::new(0.01, 0.5).with_precision(Precision::Int8);
-        let outs = m.infer_batch_cached(&frames, &opts, &mut caches, &[0, 0]).unwrap();
-        // The cache must stay untouched: int8 features would poison it.
-        assert_eq!(caches[0].hits() + caches[0].misses(), 0);
-        assert_eq!(outs[0].detections, outs[1].detections);
-        // An f32 batch afterwards fills the cache with f32 features.
-        let f32_opts = InferenceOptions::new(0.01, 0.5);
-        let _ = m.infer_batch_cached(&frames, &f32_opts, &mut caches, &[0, 0]).unwrap();
-        assert!(caches[0].misses() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "one cache lane per frame")]
-    fn cache_lane_mismatch_panics() {
-        let data = city_data(49);
-        let frames: Vec<Frame> = data.test().iter().take(2).cloned().collect();
-        let mut m = tiny_model();
-        let mut caches = [StemFeatureCache::new()];
-        let _ = m.infer_batch_cached(&frames, &InferenceOptions::new(0.01, 0.5), &mut caches, &[0]);
     }
 }

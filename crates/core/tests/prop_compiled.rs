@@ -42,7 +42,7 @@ mod counting_alloc;
 
 use common::{arb_context, monolithic_infer_batch, render_frames, Reference, GRID};
 use counting_alloc::{allocs_on_this_thread, bytes_on_this_thread, LARGEST};
-use ecofusion_core::{EcoFusionModel, InferenceOptions, InferenceOutput, StemFeatureCache};
+use ecofusion_core::{EcoFusionModel, InferenceOptions, InferenceOutput};
 use ecofusion_detect::stem::{Stem, STEM_CHANNELS};
 use ecofusion_detect::{
     subset_fusion_losses, BBox, BranchConfig, BranchDetector, Detection, FusionScratch, WbfParams,
@@ -345,28 +345,6 @@ fn a_warm_step_requests_no_batch_sized_buffer() {
     assert!(allocs <= 24.0, "{allocs:.1} allocations per frame");
     assert!(kib <= 16.0, "{kib:.1} KiB requested per frame");
     assert!(largest <= 64 * 1024, "one request of {largest} bytes");
-
-    // The same bounds hold where the stem caches exist for: 64 frozen
-    // streams, every lookup of the step a hit. A hit is copied into the
-    // bank's own rows and read there; it used to be a fresh 8 KiB tensor
-    // per sensor and frame.
-    let mut caches: Vec<StemFeatureCache> =
-        frames.iter().map(|_| StemFeatureCache::new()).collect();
-    let lanes: Vec<usize> = (0..frames.len()).collect();
-    for _ in 0..2 {
-        model.infer_batch_cached(&frames, &opts, &mut caches, &lanes).expect("filling step");
-    }
-    LARGEST.with(|c| c.set(0));
-    let (allocs, bytes) = (allocs_on_this_thread(), bytes_on_this_thread());
-    let replayed = model.infer_batch_cached(&frames, &opts, &mut caches, &lanes).expect("all hits");
-    let allocs = (allocs_on_this_thread() - allocs) as f64 / frames.len() as f64;
-    let kib = (bytes_on_this_thread() - bytes) as f64 / 1024.0 / frames.len() as f64;
-    let largest = LARGEST.with(|c| c.get());
-    assert!(caches.iter().all(|c| (c.hits(), c.misses()) == (8, 4)), "every lookup hit");
-    assert!(replayed.iter().zip(&served).all(|(a, b)| a.detections == b.detections));
-    assert!(allocs <= 24.0, "all hits: {allocs:.1} allocations per frame");
-    assert!(kib <= 16.0, "all hits: {kib:.1} KiB requested per frame");
-    assert!(largest <= 64 * 1024, "all hits: one request of {largest} bytes");
 }
 
 /// The oracle's configuration scorer lives in the replica's step buffers:

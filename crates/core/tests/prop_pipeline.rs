@@ -21,11 +21,10 @@
 //! detections, the 127 true losses) and `detect_static` (a fixed
 //! selection), at both precisions.
 //!
-//! And the per-stream stem caches: a stem's plan writes each missing row
-//! into a buffer the stream's cache entry takes over when the step ends,
-//! so a warm replica serving batches that mix misses, hits and in-batch
-//! aliases across streams is held to the same reference frame by frame,
-//! and its stem counts to the caches' contract spelled out as a model.
+//! And a warm replica: its step buffers are rewritten, never cleared,
+//! so one serving a sequence of different batches, f32 and int8, with
+//! grids repeated inside and across batches, is held to the same
+//! reference frame by frame.
 
 mod common;
 
@@ -34,7 +33,7 @@ use common::{
     Reference, GRID,
 };
 use ecofusion_core::model::{InferError, InferenceOutput};
-use ecofusion_core::{ConfigId, EcoFusionModel, Frame, InferenceOptions, StemFeatureCache};
+use ecofusion_core::{ConfigId, EcoFusionModel, Frame, InferenceOptions};
 use ecofusion_detect::stem::STEM_CHANNELS;
 use ecofusion_detect::Detection;
 use ecofusion_energy::{Precision, StageTrace, StemPolicy};
@@ -42,7 +41,6 @@ use ecofusion_gating::GateKind;
 use ecofusion_scene::Context;
 use ecofusion_sensors::{SensorKind, SensorMask};
 use ecofusion_tensor::rng::Rng;
-use ecofusion_tensor::Tensor;
 use proptest::prelude::*;
 
 fn render_frame(seed: u64, context: Context) -> Frame {
@@ -89,7 +87,7 @@ proptest! {
         let t = &staged.stage_trace;
         prop_assert!(t.stems_executed <= 4);
         prop_assert_eq!(
-            t.stems_executed + t.stems_cached + t.stems_skipped,
+            t.stems_executed + t.stems_skipped,
             SensorKind::COUNT as u8
         );
         prop_assert!(t.matches(&staged.energy), "trace must decompose the breakdown");
@@ -190,8 +188,8 @@ proptest! {
             // eager path this replaced ran all four).
             let sensors = model.config_sensor_bits()[config.0].count_ones() as u8;
             prop_assert_eq!(
-                (trace.stems_executed, trace.stems_cached, trace.stems_skipped),
-                (sensors, 0, SensorKind::COUNT as u8 - sensors)
+                (trace.stems_executed, trace.stems_skipped),
+                (sensors, SensorKind::COUNT as u8 - sensors)
             );
             // Charge: the static policy at the options' precision.
             let (want_energy, want_trace) = ecofusion_core::pipeline::account_prec(
@@ -239,71 +237,29 @@ proptest! {
     }
 }
 
-/// The stem caches' contract as a model: per stream and sensor the last
-/// grid stored. A frame whose grid its stream's entry holds is a hit; else
-/// one whose grid an earlier miss of the batch has is an alias of that
-/// miss; else it is a miss and runs the stem. When the step is over the
-/// misses' streams store first, then the aliases', each in frame order —
-/// so of two frames of one stream the later wins, and an alias beats a
-/// miss. Returns per frame `(stems executed, stems served without)`.
-fn model_of_the_caches(
-    entries: &mut [[Option<Tensor>; SensorKind::COUNT]],
-    frames: &[Frame],
-    lanes: &[usize],
-) -> Vec<(u8, u8)> {
-    let mut counts = vec![(0u8, 0u8); frames.len()];
-    for k in SensorKind::ALL {
-        let (mut misses, mut aliases): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
-        for (i, frame) in frames.iter().enumerate() {
-            let grid = frame.obs.grid(k);
-            if entries[lanes[i]][k.index()].as_ref() == Some(grid) {
-                counts[i].1 += 1;
-            } else if misses.iter().any(|&j| frames[j].obs.grid(k) == grid) {
-                counts[i].1 += 1;
-                aliases.push(i);
-            } else {
-                counts[i].0 += 1;
-                misses.push(i);
-            }
-        }
-        for i in misses.into_iter().chain(aliases) {
-            entries[lanes[i]][k.index()] = Some(frames[i].obs.grid(k).clone());
-        }
-    }
-    counts
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// One warm replica and five streams' caches over eight batches drawn
-    /// from four scenes, each frame's four grids taken from any of them:
-    /// per sensor a batch mixes misses, hits on what an earlier step left
-    /// in the stream's entry, and aliases of a miss of another stream —
-    /// several frames of one stream in a batch, an alias and a miss on one
-    /// stream — under learned and oracle gates, with int8 steps in between
-    /// that neither read nor fill the caches. Every frame is served as a
-    /// fresh model serves it, with the stem counts and the hit / miss
-    /// counters the model of the caches gives. (Debug builds fill the
-    /// bank's rows with NaN before each step, so a row whose buffer a
-    /// cache entry took and which nothing rewrote would show.)
+    /// One warm replica over eight batches drawn from four scenes, each
+    /// frame's four grids taken from any of them — so a grid repeats
+    /// inside a batch and across batches — under learned and oracle
+    /// gates, with int8 steps in between. Every frame is served as a
+    /// fresh model serves it, and its stem counts cover the four sensors.
+    /// (Debug builds fill the bank's rows with NaN before each step, so a
+    /// row read before this step's forward wrote it would show.)
     #[test]
-    fn cached_serving_mixes_misses_hits_and_aliases_like_a_fresh_model(
+    fn warm_serving_of_mixed_batches_matches_a_fresh_model(
         seed in 0u64..1000,
-        picks in proptest::collection::vec((0usize..5, 0u32..256), 24..48),
+        picks in proptest::collection::vec(0u32..256, 24..48),
     ) {
-        const LANES: usize = 5;
         let scenes = render_frames(seed, Context::City, 4);
         let fresh = || EcoFusionModel::new(GRID, 8, &mut Rng::new(seed ^ 0xCAC4E));
         let mut warm = fresh();
-        let mut caches: Vec<StemFeatureCache> = (0..LANES).map(|_| StemFeatureCache::new()).collect();
-        let mut entries: Vec<[Option<Tensor>; SensorKind::COUNT]> = vec![Default::default(); LANES];
-        let (mut hits, mut misses) = ([0u64; LANES], [0u64; LANES]);
         for (step, batch) in picks.chunks(picks.len().div_ceil(8)).enumerate() {
             // Two bits of a pick per sensor: which scene its grid is.
             let frames: Vec<Frame> = batch
                 .iter()
-                .map(|&(_, sources)| {
+                .map(|&sources| {
                     let mut frame = scenes[0].clone();
                     for k in SensorKind::ALL {
                         let from = &scenes[(sources >> (2 * k.index()) & 3) as usize];
@@ -312,30 +268,18 @@ proptest! {
                     frame
                 })
                 .collect();
-            let lanes: Vec<usize> = batch.iter().map(|&(lane, _)| lane).collect();
             let gate = [GateKind::Attention, GateKind::LossBased, GateKind::Deep][step % 3];
             let precision = if step % 4 == 2 { Precision::Int8 } else { Precision::F32 };
             let opts = InferenceOptions::new(0.01, 0.5).with_gate(gate).with_precision(precision);
-            let served = warm.infer_batch_cached(&frames, &opts, &mut caches, &lanes).expect("served");
+            let served = warm.infer_batch(&frames, &opts).expect("served");
             let reference = monolithic_infer_batch(&mut fresh(), &frames, &opts);
-            let counts = match precision {
-                Precision::F32 => model_of_the_caches(&mut entries, &frames, &lanes),
-                Precision::Int8 => vec![(4, 0); frames.len()],
-            };
             for (i, (out, (selected, detections, predicted))) in served.iter().zip(&reference).enumerate() {
-                let what = format!("step {step} ({gate:?}, {precision:?}) frame {i} of stream {}", lanes[i]);
+                let what = format!("step {step} ({gate:?}, {precision:?}) frame {i}");
                 prop_assert_eq!(&out.detections, detections, "{}", what);
                 prop_assert_eq!(out.selected_config, *selected, "{}", what);
                 prop_assert_eq!(&out.predicted_losses, predicted, "{}", what);
                 let trace = &out.stage_trace;
-                prop_assert_eq!((trace.stems_executed, trace.stems_cached), counts[i], "{}", what);
-                if precision == Precision::F32 {
-                    hits[lanes[i]] += u64::from(counts[i].1);
-                    misses[lanes[i]] += u64::from(counts[i].0);
-                }
-            }
-            for (lane, cache) in caches.iter().enumerate() {
-                prop_assert_eq!((cache.hits(), cache.misses()), (hits[lane], misses[lane]), "stream {}", lane);
+                prop_assert_eq!(trace.stems_executed + trace.stems_skipped, 4, "{}", what);
             }
         }
     }
@@ -351,7 +295,7 @@ fn live_inference_trace_decomposes_breakdown() {
         let out = model.infer(&frame, &InferenceOptions::new(0.05, 0.5).with_gate(gate)).unwrap();
         let trace: &StageTrace = &out.stage_trace;
         assert!(trace.matches(&out.energy), "{gate:?}");
-        assert_eq!(trace.stems_executed + trace.stems_cached + trace.stems_skipped, 4, "{gate:?}");
+        assert_eq!(trace.stems_executed + trace.stems_skipped, 4, "{gate:?}");
     }
 }
 

@@ -102,12 +102,13 @@ impl BranchDetector {
     }
 
     /// Lowers the branch (backbone blocks + 1×1 head convolution) into a
-    /// fused [`CompiledPlan`] for stem features shaped like `in_shape`
-    /// (the batch extent is ignored — a plan runs any batch): each
-    /// Conv+BN+ReLU block becomes one direct convolution with a fused
-    /// epilogue, bit-identical to the eager eval forward. The plan's
-    /// output is the raw head map (construct a [`HeadOutput`] around it
-    /// and decode with [`BranchDetector::decode_sample`]).
+    /// fused [`CompiledPlan`](ecofusion_tensor::graph::CompiledPlan) for
+    /// stem features shaped like `in_shape` (the batch extent is ignored —
+    /// a plan runs any batch): each Conv+BN+ReLU block becomes one direct
+    /// convolution with a fused epilogue, bit-identical to the eager eval
+    /// forward. The plan's output is the raw head map (construct a
+    /// [`HeadOutput`] around it and decode with
+    /// [`BranchDetector::decode_sample`]).
     ///
     /// # Errors
     /// Propagates the graph compiler's error.

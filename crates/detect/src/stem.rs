@@ -63,9 +63,10 @@ impl Stem {
         ecofusion_tensor::quant::quantize_sequential(&self.net, calib)
     }
 
-    /// Lowers the stem into a fused [`CompiledPlan`] for inputs shaped
-    /// like `in_shape` (the batch extent is ignored — a plan runs any
-    /// batch): the Conv+BN+ReLU block becomes one direct convolution with
+    /// Lowers the stem into a fused
+    /// [`CompiledPlan`](ecofusion_tensor::graph::CompiledPlan) for inputs
+    /// shaped like `in_shape` (the batch extent is ignored — a plan runs
+    /// any batch): the Conv+BN+ReLU block becomes one direct convolution with
     /// a fused epilogue, bit-identical to the eager eval forward.
     ///
     /// # Errors

@@ -107,9 +107,7 @@ pub struct StageTrace {
     pub costs: [StageCost; StageKind::COUNT],
     /// Stems actually run on the host for this frame (0–4).
     pub stems_executed: u8,
-    /// Stems served from a feature cache instead of running (0–4).
-    pub stems_cached: u8,
-    /// Stems neither run nor cached: pruned by the demand-driven plan.
+    /// Stems not run: pruned by the demand-driven plan.
     pub stems_skipped: u8,
 }
 
@@ -165,12 +163,7 @@ impl StageTrace {
         costs[StageKind::Branch.index()] =
             StageCost { energy: branch_energy, latency: branch_latency };
         costs[StageKind::Fuse.index()] = fuse_cost;
-        StageTrace {
-            costs,
-            stems_executed: stems.min(SensorKind::COUNT) as u8,
-            stems_cached: 0,
-            stems_skipped: 0,
-        }
+        StageTrace { costs, stems_executed: stems.min(SensorKind::COUNT) as u8, stems_skipped: 0 }
     }
 
     /// The cost of one stage.
@@ -210,13 +203,12 @@ impl StageTrace {
     }
 
     /// Same trace with the executor's observed stem counters.
-    pub fn with_stem_counts(mut self, executed: u8, cached: u8, skipped: u8) -> Self {
+    pub fn with_stem_counts(mut self, executed: u8, skipped: u8) -> Self {
         debug_assert!(
-            (executed + cached + skipped) as usize <= SensorKind::COUNT,
+            (executed + skipped) as usize <= SensorKind::COUNT,
             "stem counters exceed the sensor count"
         );
         self.stems_executed = executed;
-        self.stems_cached = cached;
         self.stems_skipped = skipped;
         self
     }
@@ -397,7 +389,7 @@ mod tests {
             StemPolicy::Adaptive,
             Precision::F32,
         )
-        .with_stem_counts(2, 0, 2);
+        .with_stem_counts(2, 2);
         assert_eq!(trace.stems_executed, 2);
         assert_eq!(trace.stems_skipped, 2);
         // The charge stays at the compiled engine's four stems.

@@ -6,7 +6,6 @@ use ecofusion_core::{
     TrainConfig, Trainer,
 };
 use ecofusion_gating::GateKind;
-use ecofusion_scene::Context;
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,16 +57,6 @@ impl Setup {
         let mut trainer = Trainer::new(config, seed.wrapping_add(1));
         let model = trainer.train(&dataset).expect("training on generated dataset");
         Setup { model, dataset, num_classes: config.num_classes }
-    }
-
-    /// All test frames.
-    pub fn test_frames(&self) -> Vec<&Frame> {
-        self.dataset.test().iter().collect()
-    }
-
-    /// Test frames of one context.
-    pub fn test_frames_in(&self, context: Context) -> Vec<&Frame> {
-        self.dataset.test_in_context(context)
     }
 }
 

@@ -111,17 +111,6 @@ pub struct RobustnessCell {
 }
 
 impl RobustnessCell {
-    /// mAP lost to the fault under fault-blind gating (percentage
-    /// points).
-    pub fn map_drop_blind(&self) -> f64 {
-        self.clean.map_pct - self.blind.map_pct
-    }
-
-    /// mAP lost to the fault under fault-aware gating.
-    pub fn map_drop_aware(&self) -> f64 {
-        self.clean.map_pct - self.aware.map_pct
-    }
-
     /// mAP recovered by fault awareness (aware − blind, percentage
     /// points).
     pub fn recovery(&self) -> f64 {

@@ -242,11 +242,7 @@ mod tests {
                     max_ms: 66.1,
                 },
                 stems_executed: 100,
-                stems_cached: 10,
                 stems_skipped: 50,
-                stem_cache_hits: 10,
-                stem_cache_misses: 100,
-                cache_hit_rate: 10.0 / 110.0,
                 dropped: 0,
                 stalls: 0,
                 escalations: 0,
@@ -461,7 +457,7 @@ mod tests {
             gated += 1;
         }
         assert_eq!(gated + EXEMPT.len(), fields.len(), "every exempt key is a report field");
-        assert!(gated >= 20, "only {gated} fields gated");
+        assert!(gated >= 17, "only {gated} fields gated");
     }
 
     /// The exempt keys are exactly the ones the module docs list.

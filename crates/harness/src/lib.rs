@@ -14,11 +14,11 @@
 //!        │                               │                   │
 //!        │                               ▼                   ▼
 //!        │         drive(): PerceptionServer (real runtime: queues,
-//!        │         batching, budget ladder, health gating, stem caches)
+//!        │         batching, budget ladder, health gating, shards)
 //!        │                               │
 //!        ▼                               ▼
 //!  run_report() ◀── SuiteReport ◀── Rollup::absorb ──▶ ScenarioOutcome
-//!        │          (mAP, stage sums, latency histogram, stem & cache
+//!        │          (mAP, stage sums, latency histogram, stem
 //!        ▼           counters, ScenarioCounters, FNV-1a digest)
 //!  BenchReport JSON ──▶ compare(baseline, fresh)
 //!                           │  (exact diff of every unbanded field)
@@ -50,7 +50,7 @@
 //! Every suite is a pure function of its definition: stream seeds, drift
 //! walks, sensor noise, fault schedules, and the model weights are all
 //! seeded, and a report records no clock, so every suite-level field is
-//! gated strictly or with an explicit band — see [`compare`] for the
+//! gated strictly or with an explicit band — see [`compare`](mod@compare) for the
 //! exact rules.
 //!
 //! Run it via the `bench_report` binary:

@@ -103,16 +103,8 @@ pub struct SuiteReport {
     pub latency: LatencyStats,
     /// Stems the demand-driven pipeline actually ran.
     pub stems_executed: u64,
-    /// Stems served from per-stream feature caches.
-    pub stems_cached: u64,
     /// Stems pruned outright by the demand-driven plan.
     pub stems_skipped: u64,
-    /// Stem-cache lookups that hit.
-    pub stem_cache_hits: u64,
-    /// Stem-cache lookups that missed.
-    pub stem_cache_misses: u64,
-    /// `hits / (hits + misses)`, 0 when the cache was never consulted.
-    pub cache_hit_rate: f64,
     /// Frames evicted by drop-oldest backpressure.
     pub dropped: u64,
     /// Producer stalls under stall backpressure.
@@ -255,11 +247,7 @@ mod tests {
                 max_ms: 66.37,
             },
             stems_executed: 180,
-            stems_cached: 12,
             stems_skipped: 64,
-            stem_cache_hits: 12,
-            stem_cache_misses: 180,
-            cache_hit_rate: 12.0 / 192.0,
             dropped: 0,
             stalls: 0,
             escalations: 0,
@@ -359,6 +347,27 @@ mod tests {
         )
         .expect("old build meta parses");
         assert_eq!(build.shards, 0);
+        // A suite row from before the stem-feature cache was deleted
+        // (quick `fault_storm`), with its four cache keys.
+        let row: SuiteReport = serde_json::from_str(concat!(
+            r#"{"suite":"fault_storm","seed":301,"streams":2,"ticks":64,"frames":128,"#,
+            r#""map_pct":0.021825397561769933,"avg_loss":5.301251941360533,"#,
+            r#""total_platform_j":162.39300000000014,"total_gated_j":886.8555000000001,"#,
+            r#""stage_energy":{"per_stage_j":{"account":0.0,"branch":117.33699999999993,"#,
+            r#""fuse":0.0,"gate":0.0,"select":0.0,"sense":724.4625000000001,"#,
+            r#""stems":45.056000000000026},"total_j":886.8555000000001},"#,
+            r#""latency":{"mean_ms":23.84531249999999,"p50_ms":23.0,"p95_ms":26.5,"#,
+            r#""p99_ms":26.5,"max_ms":26.3},"stems_executed":254,"stems_cached":20,"#,
+            r#""stems_skipped":238,"stem_cache_hits":20,"stem_cache_misses":254,"#,
+            r#""cache_hit_rate":0.072992700729927,"dropped":0,"stalls":0,"escalations":0,"#,
+            r#""max_final_level":0,"degraded_frames":112,"masked_frames":102,"int8_frames":0,"#,
+            r#""gate_fallbacks":0,"contexts_visited":["City","Fog","Jct.","Mwy.","Rain","Rural"],"#,
+            r#""config_histogram":{"{C_L}":21,"{C_R}":14,"{E(C_L+C_R)}":2,"{E(L+R)}":38,"#,
+            r#""{L}":7,"{R}":46},"determinism_digest":"f9317dba21d5b19d","fleet":[]}"#,
+        ))
+        .expect("a suite row with the stem-cache keys parses");
+        assert_eq!((row.stems_executed, row.stems_skipped), (254, 238));
+        assert_eq!(row.determinism_digest, "f9317dba21d5b19d");
     }
 
     /// Each committed baseline is byte for byte what the current schema

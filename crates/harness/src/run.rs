@@ -194,7 +194,6 @@ pub fn run_suite(
         });
     }
     let c = &rollup.counters;
-    let lookups = rollup.cache_hits + rollup.cache_misses;
     let hist = &rollup.hist;
     let report = SuiteReport {
         suite: id.label().to_string(),
@@ -215,11 +214,7 @@ pub fn run_suite(
             max_ms: hist.max(),
         },
         stems_executed: rollup.stems_executed,
-        stems_cached: rollup.stems_cached,
         stems_skipped: rollup.stems_skipped,
-        stem_cache_hits: rollup.cache_hits,
-        stem_cache_misses: rollup.cache_misses,
-        cache_hit_rate: if lookups > 0 { rollup.cache_hits as f64 / lookups as f64 } else { 0.0 },
         dropped: c.dropped,
         stalls: c.stalls,
         escalations: c.escalations,
@@ -239,7 +234,7 @@ pub fn run_suite(
 }
 
 /// Checks a traced suite run's metrics against its report: the frames
-/// counted per stream sum to `frames`, and the stems executed, cached and
+/// counted per stream sum to `frames`, and the stems executed and
 /// skipped, the gate fallbacks and the escalating ladder moves each equal
 /// their report field (a series never bumped counts 0). A series counted
 /// twice, or not at all, shows here.
@@ -258,7 +253,6 @@ pub fn reconcile_metrics(report: &SuiteReport, sink: &TraceSink) -> Result<(), S
     let wrong: Vec<String> = [
         ("ecofusion_frames_total", report.frames),
         ("ecofusion_stems_executed_total", report.stems_executed),
-        ("ecofusion_stems_cached_total", report.stems_cached),
         ("ecofusion_stems_skipped_total", report.stems_skipped),
         ("ecofusion_gate_fallbacks_total", report.gate_fallbacks),
         ("ecofusion_ladder_moves_total{direction=\"escalate\"}", report.escalations),
@@ -321,10 +315,7 @@ pub(crate) struct Rollup {
     pub stage_sums: [f64; StageKind::COUNT],
     pub hist: LatencyHistogram,
     pub stems_executed: u64,
-    pub stems_cached: u64,
     pub stems_skipped: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
     pub histogram: BTreeMap<String, usize>,
     pub contexts: BTreeSet<&'static str>,
     pub digest: Fnv1a,
@@ -352,10 +343,7 @@ impl Rollup {
             }
             self.hist.merge(t.latency_histogram());
             self.stems_executed += s.stems_executed;
-            self.stems_cached += s.stems_cached;
             self.stems_skipped += s.stems_skipped;
-            self.cache_hits += s.stem_cache_hits;
-            self.cache_misses += s.stem_cache_misses;
             for (label, count) in &s.summary.config_histogram {
                 *self.histogram.entry(label.clone()).or_default() += count;
             }

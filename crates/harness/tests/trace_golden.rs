@@ -144,20 +144,22 @@ fn arming_the_tracer_changes_no_gated_report_field() {
 
 /// The exported bytes of quick `steady_city` at one shard: its Chrome
 /// JSON and Prometheus text, as recorded before the scheduler's emission
-/// moved into the runtime's step recorder. Rerun and shard-count equality
+/// moved into the runtime's step recorder, less the cached-stem frame
+/// argument and counter series that left with the stem-feature cache.
+/// Rerun and shard-count equality
 /// say nothing about the export across commits; this does. A deliberate
 /// change to an event, an argument or a series records new digests.
 #[test]
 fn steady_city_export_matches_the_recorded_digests() {
     let provider = ModelProvider::prepare(Scale::Quick);
     let (_, sink) = traced_steady_city(&provider, 1);
-    assert_eq!(fnv_hex(&chrome_trace_json(&sink)), "08d404fa3edf5ee7", "Chrome JSON");
-    assert_eq!(fnv_hex(&prometheus_snapshot(&sink)), "dcba0c0b1f60c667", "Prometheus text");
+    assert_eq!(fnv_hex(&chrome_trace_json(&sink)), "3ea363fb89bc3c85", "Chrome JSON");
+    assert_eq!(fnv_hex(&prometheus_snapshot(&sink)), "3e6c29067cd23880", "Prometheus text");
 }
 
 /// Every counted series agrees with the report it was traced beside —
-/// on a clean stream, on faulted, health-gated ones (cached and skipped
-/// stems) and on squeezed ones (escalations).
+/// on a clean stream, on faulted, health-gated ones (skipped stems) and
+/// on squeezed ones (escalations).
 #[test]
 fn traced_metrics_reconcile_with_the_report() {
     let provider = ModelProvider::prepare(Scale::Quick);

@@ -23,7 +23,7 @@
 //!        the caller of      a helper thread    a helper thread
 //!        process_step)      started with       started with
 //!                           the server)        the server)
-//!       infer_batch_cached on each unit; a drained shard steals
+//!       infer_batch_into on each unit; a drained shard steals
 //!       whole units from the deepest neighbor (never splitting a
 //!       stream's FIFO run)
 //!              └──────────────────┼──────────────────┘
@@ -59,8 +59,7 @@
 //! shard has no unclaimed units left claims whole units from the shard
 //! with the deepest backlog, newest unit first, via one atomic
 //! compare-exchange per claim. A stream's frames for a step always
-//! travel in one unit (with its stem cache moved alongside), so stealing
-//! never reorders a stream or perturbs cache hit/miss counters.
+//! travel in one unit, so stealing never reorders a stream.
 //!
 //! **Fleet budget coordinator** ([`RuntimeConfig::fleet_budget`]): once
 //! per step, streams whose rolling spend sits comfortably under their
@@ -82,13 +81,10 @@
 //! * [`PerceptionServer`] — the scheduler: each processing step pops
 //!   ready frames round-robin across streams, groups them by their
 //!   stream's current [`InferenceOptions`](ecofusion_core::InferenceOptions),
-//!   and feeds each group through one batched staged-pipeline call, with
-//!   one [`StemFeatureCache`](ecofusion_core::StemFeatureCache) per
-//!   stream so unchanged grids (frozen-frame faults, static scenes)
-//!   reuse stem features instead of re-running convolutions. Results are
-//!   bit-identical to running per-stream sequential `infer` (guaranteed by
-//!   the batched path and asserted by this crate's tests); stem
-//!   executions saved by demand-driven pruning and cache hits surface in
+//!   and feeds each group through one batched staged-pipeline call.
+//!   Results are bit-identical to running per-stream sequential `infer`
+//!   (guaranteed by the batched path and asserted by this crate's tests);
+//!   stem executions saved by demand-driven pruning surface in
 //!   [`StreamReport`].
 //! * [`BudgetController`] — per-stream rolling energy accounting. When the
 //!   rolling mean total (platform + clock-gated sensor) energy exceeds the

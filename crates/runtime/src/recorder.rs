@@ -166,7 +166,6 @@ impl Recorder {
             ("label", Text(out.selected_label.clone())),
             ("precision", Str(out.precision.label())),
             ("stems_executed", U64(trace.stems_executed as u64)),
-            ("stems_cached", U64(trace.stems_cached as u64)),
             ("stems_skipped", U64(trace.stems_skipped as u64)),
             ("energy_j", F64(out.energy.total_gated().joules())),
             ("latency_ms", F64(out.energy.latency.millis())),
@@ -187,7 +186,6 @@ impl Recorder {
         self.stream_clock_ns[stream] = cursor;
         self.sink.bump(&self.frames[stream], 1.0);
         self.sink.bump("ecofusion_stems_executed_total", trace.stems_executed as f64);
-        self.sink.bump("ecofusion_stems_cached_total", trace.stems_cached as f64);
         self.sink.bump("ecofusion_stems_skipped_total", trace.stems_skipped as f64);
         if out.precision == Precision::Int8 {
             self.sink.bump("ecofusion_int8_frames_total", 1.0);

@@ -21,9 +21,7 @@ use crate::shard::{shard_of, ShardPool, ShardReport, StepUnit, UnitPayload};
 use crate::stream::{StreamSpec, VehicleStream};
 use crate::telemetry::StreamTelemetry;
 use ecofusion_core::model::InferError;
-use ecofusion_core::{
-    CandidateRule, EcoFusionModel, Frame, InferenceOptions, InferenceOutput, StemFeatureCache,
-};
+use ecofusion_core::{CandidateRule, EcoFusionModel, Frame, InferenceOptions, InferenceOutput};
 use ecofusion_faults::SensorHealthMonitor;
 use ecofusion_gating::GateKind;
 use ecofusion_sensors::SensorMask;
@@ -208,12 +206,6 @@ pub struct PerceptionServer {
     /// The models' observation grid side.
     grid: usize,
     lanes: Vec<Lane>,
-    /// Per-stream stem-feature caches (parallel to `lanes`), kept out of
-    /// `Lane` so they can be moved into work units during a step.
-    stem_caches: Vec<StemFeatureCache>,
-    /// Per lane, its slot in the cache list of the unit being built
-    /// (`usize::MAX` between units: none yet).
-    cache_slot_of: Vec<usize>,
     cfg: RuntimeConfig,
     tick: u64,
     batches: u64,
@@ -231,8 +223,8 @@ pub struct PerceptionServer {
 
 /// The scheduler's step buffers — what `coalesce`, `build_units` and
 /// `account_units` would otherwise allocate every step, the work units
-/// themselves included. A unit slot keeps its frame, lane, wait, pick,
-/// cache and output lists across steps, cleared and refilled, so a warm
+/// themselves included. A unit slot keeps its frame, lane, wait, pick
+/// and output lists across steps, cleared and refilled, so a warm
 /// step allocates only what it hands out: per frame the output's
 /// detections, predicted losses and label and the ground truth telemetry
 /// keeps, and per step [`StepStats::batch_sizes`].
@@ -321,8 +313,6 @@ impl PerceptionServer {
             shards: ShardPool::new(model, num_shards),
             grid,
             lanes: specs.iter().map(Lane::new).collect(),
-            stem_caches: specs.iter().map(|_| StemFeatureCache::new()).collect(),
-            cache_slot_of: vec![usize::MAX; specs.len()],
             cfg,
             tick: 0,
             batches: 0,
@@ -550,10 +540,9 @@ impl PerceptionServer {
     /// O(n·g) linear scan per frame.
     ///
     /// Each lane contributes to exactly one unit per step (one home
-    /// shard, one current options value), so moving its stem cache into
-    /// the unit is safe, and all its frames stay in FIFO pick order
-    /// inside that unit — the property that lets work stealing hand off
-    /// whole units without ever reordering a stream.
+    /// shard, one current options value), and all its frames stay in FIFO
+    /// pick order inside that unit — the property that lets work stealing
+    /// hand off whole units without ever reordering a stream.
     fn build_units(&mut self) {
         let tick = self.tick;
         let num_shards = self.shards.len();
@@ -582,36 +571,18 @@ impl PerceptionServer {
             payload.waits.push(tick.saturating_sub(queued.enqueue_tick));
             payload.picks.push(pick as u64);
         }
-        // Move the distinct lanes' stem caches into the unit so a stolen
-        // unit still serves its streams' caches (hit/miss counters stay
-        // invariant under stealing).
-        let slot_of = &mut self.cache_slot_of;
-        for unit in &mut units[..*live] {
-            let payload = unit.payload_mut();
-            for &lane in &payload.lane_ids {
-                if slot_of[lane] == usize::MAX {
-                    slot_of[lane] = payload.cache_lanes.len();
-                    payload.cache_lanes.push(lane);
-                }
-                payload.cache_slot.push(slot_of[lane]);
-            }
-            for &lane in &payload.cache_lanes {
-                slot_of[lane] = usize::MAX;
-                payload.caches.push(std::mem::take(&mut self.stem_caches[lane]));
-            }
-        }
     }
 
-    /// Serial post-join accounting: restores the moved stem caches, counts
-    /// each unit to the worker that ran it (its steals into `stats` too)
-    /// and records its span, in unit (= first-seen group) order, then
-    /// records telemetry and budget spend per frame in **global pick
-    /// order**. Per-lane accounting state is identical either way (each
-    /// lane's frames stay in its own FIFO order inside one unit), but
-    /// replaying the flat pick order also makes the recorded stream-track
-    /// event sequence — and any future cross-lane accounting —
-    /// independent of how units were grouped across shards. Fills
-    /// `stats`' batch sizes, in unit order, and steal counts.
+    /// Serial post-join accounting: counts each unit to the worker that
+    /// ran it (its steals into `stats` too) and records its span, in unit
+    /// (= first-seen group) order, then records telemetry and budget
+    /// spend per frame in **global pick order**. Per-lane accounting
+    /// state is identical either way (each lane's frames stay in its own
+    /// FIFO order inside one unit), but replaying the flat pick order also
+    /// makes the recorded stream-track event sequence — and any future
+    /// cross-lane accounting — independent of how units were grouped
+    /// across shards. Fills `stats`' batch sizes, in unit order, and steal
+    /// counts.
     fn account_units(&mut self, stats: &mut StepStats) -> Result<(), InferError> {
         let tick = self.tick;
         let mut rec = recorder::armed(&mut self.recorder);
@@ -622,11 +593,6 @@ impl PerceptionServer {
         for unit in &mut units[..*live] {
             let home = unit.shard;
             let payload = unit.payload_mut();
-            // Caches go back even when a unit failed: a lost step must
-            // not silently reset a stream's stem cache.
-            for (lane, cache) in payload.cache_lanes.iter().zip(payload.caches.drain(..)) {
-                self.stem_caches[*lane] = cache;
-            }
             let (worker, frames) = (payload.executed_by, payload.frames.len());
             let work = &mut self.shard_work[worker];
             work.frames += frames as u64;

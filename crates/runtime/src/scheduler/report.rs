@@ -65,8 +65,6 @@ pub struct StreamReport {
     pub masked_frames: u64,
     /// Stems the demand-driven pipeline actually ran for the stream.
     pub stems_executed: u64,
-    /// Stems served from the stream's feature cache (frozen grids).
-    pub stems_cached: u64,
     /// Stems pruned by the demand-driven plan (never run at all).
     pub stems_skipped: u64,
     /// Frames whose perception stages ran int8-quantized (the emergency
@@ -77,9 +75,9 @@ pub struct StreamReport {
     pub gate_fallbacks: u64,
     /// Numeric precision in force at the end of the run.
     pub final_precision: Precision,
-    /// Stem-cache lookups that found a matching grid.
+    /// Always 0: a vestige kept only for `benchmark/`; ROADMAP 12(d) deletes it.
     pub stem_cache_hits: u64,
-    /// Stem-cache lookups that missed.
+    /// Always 0: a vestige kept only for `benchmark/`; ROADMAP 12(d) deletes it.
     pub stem_cache_misses: u64,
     /// Mean per-stage total energy per frame, Joules, in
     /// `StageKind::ALL` order (empty before the first frame).
@@ -117,8 +115,8 @@ pub struct RuntimeReport {
     pub total_int8_frames: u64,
     /// Knowledge-gate missing-rule fallbacks, across all streams.
     pub total_gate_fallbacks: u64,
-    /// Stems pruned or served from caches across all streams (the
-    /// compute the staged pipeline saved vs. always-run-four).
+    /// Stems pruned across all streams (the compute the staged pipeline
+    /// saved vs. always-run-four).
     pub total_stems_saved: u64,
     /// Fleet-wide mean modeled latency, ms, from the merged per-stream
     /// histograms (0 before the first frame).
@@ -177,13 +175,12 @@ impl PerceptionServer {
                     degraded_frames: lane.telemetry.degraded_frames(),
                     masked_frames: lane.telemetry.masked_frames(),
                     stems_executed: lane.telemetry.stems_executed(),
-                    stems_cached: lane.telemetry.stems_cached(),
                     stems_skipped: lane.telemetry.stems_skipped(),
                     int8_frames: lane.telemetry.int8_frames(),
                     gate_fallbacks: lane.telemetry.gate_fallbacks(),
                     final_precision: lane.opts.precision,
-                    stem_cache_hits: self.stem_caches[i].hits(),
-                    stem_cache_misses: self.stem_caches[i].misses(),
+                    stem_cache_hits: 0,
+                    stem_cache_misses: 0,
                     stage_energy_j,
                     health_transitions: lane.monitor.transitions(),
                     final_health: lane.monitor.scores().to_vec(),
@@ -220,7 +217,7 @@ impl PerceptionServer {
             total_stems_executed: per_stream.iter().map(|s| s.stems_executed).sum(),
             total_int8_frames: per_stream.iter().map(|s| s.int8_frames).sum(),
             total_gate_fallbacks: per_stream.iter().map(|s| s.gate_fallbacks).sum(),
-            total_stems_saved: per_stream.iter().map(|s| s.stems_cached + s.stems_skipped).sum(),
+            total_stems_saved: per_stream.iter().map(|s| s.stems_skipped).sum(),
             latency_mean_ms: fleet_hist.mean(),
             latency_p50_ms: fleet_hist.percentile(50.0),
             latency_p95_ms: fleet_hist.percentile(95.0),

@@ -7,7 +7,7 @@
 //! queue-wait tick) is computed exactly as in the single-core scheduler,
 //! which is what makes per-stream behavior independent of the shard
 //! count. The picked frames are then grouped per `(home shard, options)`
-//! into [`StepUnit`]s and executed in parallel by one worker per shard,
+//! into `StepUnit`s and executed in parallel by one worker per shard,
 //! each against its own replica of the (read-only at inference time)
 //! `EcoFusionModel`.
 //!
@@ -41,7 +41,7 @@
 //! order. The runtime test suite asserts it directly.
 
 use ecofusion_core::model::InferError;
-use ecofusion_core::{EcoFusionModel, Frame, InferenceOptions, InferenceOutput, StemFeatureCache};
+use ecofusion_core::{EcoFusionModel, Frame, InferenceOptions, InferenceOutput};
 use serde::Serialize;
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -88,12 +88,10 @@ pub struct ShardReport {
 }
 
 /// The mutable payload of one work unit: one shard's frames sharing one
-/// set of inference options, plus the stem-feature caches of the lanes
-/// involved (moved in so a stolen unit still hits its streams' caches,
-/// keeping hit/miss counters shard- and steal-invariant). The scheduler
-/// keeps its units across steps: every list here is cleared and refilled,
-/// never dropped, so a warm step builds and accounts its units without
-/// allocating.
+/// set of inference options, and what running them produced. The
+/// scheduler keeps its units across steps: every list here is cleared and
+/// refilled, never dropped, so a warm step builds and accounts its units
+/// without allocating.
 pub(crate) struct UnitPayload {
     pub(crate) opts: InferenceOptions,
     /// Global lane index per frame, in pick order.
@@ -114,13 +112,6 @@ pub(crate) struct UnitPayload {
     /// [`ShardReport::busy_ms`], and explicitly outside the determinism
     /// invariant.
     pub(crate) executed_by: usize,
-    /// Stem caches of the distinct lanes in this unit, moved out of the
-    /// server for the duration of the step.
-    pub(crate) caches: Vec<StemFeatureCache>,
-    /// Global lane index per cache slot (for restoring after the join).
-    pub(crate) cache_lanes: Vec<usize>,
-    /// Cache-slot index per frame (parallel to `frames`).
-    pub(crate) cache_slot: Vec<usize>,
     /// Filled by the executing worker: one output per frame, or none and
     /// the error that failed the unit.
     pub(crate) outputs: Vec<InferenceOutput>,
@@ -136,9 +127,6 @@ impl UnitPayload {
             waits: Vec::new(),
             picks: Vec::new(),
             executed_by: 0,
-            caches: Vec::new(),
-            cache_lanes: Vec::new(),
-            cache_slot: Vec::new(),
             outputs: Vec::new(),
             error: None,
         }
@@ -178,9 +166,6 @@ impl StepUnit {
         payload.frames.clear();
         payload.waits.clear();
         payload.picks.clear();
-        payload.caches.clear();
-        payload.cache_lanes.clear();
-        payload.cache_slot.clear();
         payload.outputs.clear();
     }
 
@@ -418,10 +403,9 @@ impl Shared {
 /// executing worker in the unit.
 fn run_unit(unit: &StepUnit, state: &mut ShardState, worker: usize) {
     let mut payload = lock(&unit.payload);
-    let UnitPayload { opts, frames, caches, cache_slot, outputs, error, executed_by, .. } =
-        &mut *payload;
+    let UnitPayload { opts, frames, outputs, error, executed_by, .. } = &mut *payload;
     outputs.clear();
-    *error = state.model.infer_batch_cached_into(frames, opts, caches, cache_slot, outputs).err();
+    *error = state.model.infer_batch_into(frames, opts, outputs).err();
     *executed_by = worker;
 }
 
@@ -462,20 +446,17 @@ mod tests {
         ShardPool::new(EcoFusionModel::new(GRID, 8, &mut Rng::new(0x5A4D)), num_shards)
     }
 
-    /// A unit for `shard` holding one frame. A `broken` unit gives its
-    /// frame no stem-cache slot, which inference rejects with a panic.
+    /// A unit for `shard` holding one frame. A `broken` unit runs it with
+    /// a negative γ, which candidate selection rejects with a panic.
     fn unit(shard: usize, broken: bool) -> StepUnit {
-        let mut unit = StepUnit::new(shard, InferenceOptions::new(0.01, 0.5));
+        let opts = InferenceOptions::new(0.01, 0.5);
+        let opts = if broken { InferenceOptions { gamma: -1.0, ..opts } } else { opts };
+        let mut unit = StepUnit::new(shard, opts);
         let payload = unit.payload_mut();
         payload
             .frames
             .push(VehicleStream::new(StreamSpec::new(40 + shard as u64, GRID)).next_frame());
         payload.lane_ids.push(shard);
-        if !broken {
-            payload.caches.push(StemFeatureCache::new());
-            payload.cache_lanes.push(shard);
-            payload.cache_slot.push(0);
-        }
         unit
     }
 
@@ -511,14 +492,14 @@ mod tests {
 
         let mut units = vec![unit(0, false), unit(1, true)];
         let raised = step(&mut units).expect_err("the helper's panic reaches the caller");
-        assert!(raised.contains("one cache lane per frame"), "raised {raised:?}");
+        assert!(raised.contains("gamma must be non-negative"), "raised {raised:?}");
         assert_eq!(ran(&mut units), [Some(0), None], "the units came back, the caller's run");
 
         // The caller's own unit panics: the helper's unit still finishes
         // before the panic is raised.
         let mut units = vec![unit(0, true), unit(1, false)];
         let raised = step(&mut units).expect_err("the caller's panic is raised");
-        assert!(raised.contains("one cache lane per frame"), "raised {raised:?}");
+        assert!(raised.contains("gamma must be non-negative"), "raised {raised:?}");
         assert_eq!(ran(&mut units), [None, Some(1)]);
 
         // The same helper serves the next step.

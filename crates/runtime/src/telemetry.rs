@@ -17,7 +17,8 @@ pub const HISTORY_CAP: usize = 65_536;
 
 /// Per-stream serving telemetry: the paper's metrics, kept by the same
 /// [`EvalAccumulator`] the offline harness drives, beside the counters
-/// only a runtime has (queueing, health, caches, precision, fallbacks).
+/// only a runtime has (queueing, health, pruned stems, precision,
+/// fallbacks).
 #[derive(Debug, Default)]
 pub struct StreamTelemetry {
     eval: EvalAccumulator,
@@ -26,7 +27,6 @@ pub struct StreamTelemetry {
     selected_configs: Vec<ConfigId>,
     degraded_frames: u64,
     masked_frames: u64,
-    stems_cached: u64,
     stems_skipped: u64,
     int8_frames: u64,
     gate_fallbacks: u64,
@@ -45,7 +45,6 @@ impl StreamTelemetry {
     pub fn record(&mut self, output: InferenceOutput, gts: Vec<GtBox>, wait_ticks: u64) {
         self.latency_hist.record(output.energy.latency.millis());
         self.queue_wait_ticks += wait_ticks;
-        self.stems_cached += output.stage_trace.stems_cached as u64;
         self.stems_skipped += output.stage_trace.stems_skipped as u64;
         if output.precision == Precision::Int8 {
             self.int8_frames += 1;
@@ -107,12 +106,6 @@ impl StreamTelemetry {
     /// Total stems the demand-driven pipeline actually ran.
     pub fn stems_executed(&self) -> u64 {
         self.eval.stems_executed()
-    }
-
-    /// Total stems served from the stream's feature cache (or an
-    /// identical in-batch grid).
-    pub fn stems_cached(&self) -> u64 {
-        self.stems_cached
     }
 
     /// Total stems pruned by the demand-driven plan.

@@ -89,22 +89,6 @@ impl Evaluator {
         let signature = CoverageSignature::from_outcomes(&outcome, &clean);
         Ok((signature, outcome))
     }
-
-    /// The clean twin's outcome for `scenario` (cached).
-    ///
-    /// # Errors
-    /// Propagates [`InferError`] from the serving model.
-    pub fn clean_outcome(&mut self, scenario: &Scenario) -> Result<ScenarioOutcome, InferError> {
-        let mut twin = scenario.clean_twin();
-        twin.name = String::new();
-        let key = serde_json::to_string(&twin).expect("scenario serializes");
-        if let Some(clean) = self.twins.get(&key) {
-            return Ok(clean.clone());
-        }
-        let clean = run_scenario(&twin)?;
-        self.twins.insert(key, clean.clone());
-        Ok(clean)
-    }
 }
 
 /// The seeded starting templates, one per adversarial axis: a fault

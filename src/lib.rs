@@ -65,13 +65,9 @@
 //! inference carries an [`energy::StageTrace`]: the Eq. 11 breakdown
 //! decomposed per stage (summing bit for bit to
 //! [`energy::EnergyBreakdown::total_gated`], a view of the trace) plus
-//! executed/cached/pruned stem counters, threaded through
+//! executed/pruned stem counters, threaded through
 //! [`core::InferenceOutput`], the runtime's telemetry and reports, and
-//! [`eval::EvalSummary`]. The runtime additionally keeps one
-//! [`core::StemFeatureCache`] per stream
-//! ([`core::EcoFusionModel::infer_batch_cached`]), so frozen grids reuse
-//! stem features instead of re-running convolutions. See
-//! `examples/stage_profile.rs`.
+//! [`eval::EvalSummary`]. See `examples/stage_profile.rs`.
 //!
 //! ## Streaming runtime
 //!
@@ -159,7 +155,7 @@ pub use ecofusion_trace as trace;
 pub mod prelude {
     pub use ecofusion_core::{
         BranchId, ConfigId, ConfigSpace, Dataset, DatasetSpec, EcoFusionModel, Frame,
-        InferenceOptions, PipelinePlan, StemFeatureCache, TrainConfig, Trainer,
+        InferenceOptions, PipelinePlan, TrainConfig, Trainer,
     };
     pub use ecofusion_detect::{BBox, Detection, WbfParams};
     pub use ecofusion_energy::{
