@@ -656,13 +656,6 @@ impl EcoFusionModel {
     pub fn plan_cache_len(&self) -> usize {
         self.plans.len()
     }
-
-    /// Plan-cache counter deltas since the previous call; the runtime's
-    /// step recorder adds every replica's to its metrics once per traced
-    /// step.
-    pub fn take_plan_delta(&mut self) -> ecofusion_tensor::graph::PlanCacheStats {
-        self.plans.take_delta()
-    }
 }
 
 /// The sharded runtime moves model replicas into its worker threads;

@@ -68,16 +68,6 @@ impl RobustnessSpec {
             lambda_e: 0.01,
         }
     }
-
-    /// The single acceptance cell: full-severity camera dropout in City.
-    pub fn camera_dropout(seed: u64, grid: usize) -> Self {
-        RobustnessSpec {
-            faults: vec![FaultKind::Dropout],
-            severities: vec![1.0],
-            contexts: vec![Context::City],
-            ..RobustnessSpec::quick(seed, grid)
-        }
-    }
 }
 
 /// The sensors a fault kind strikes in the sweep: dropout models a dead
@@ -321,7 +311,13 @@ mod tests {
     #[test]
     fn fault_aware_gate_recovers_camera_dropout() {
         let mut model = trained_model();
-        let spec = RobustnessSpec::camera_dropout(7, 32);
+        // The single acceptance cell: full-severity camera dropout in City.
+        let spec = RobustnessSpec {
+            faults: vec![FaultKind::Dropout],
+            severities: vec![1.0],
+            contexts: vec![Context::City],
+            ..RobustnessSpec::quick(7, 32)
+        };
         let report = run_robustness(&mut model, 8, &spec);
         assert_eq!(report.cells.len(), 1);
         let cell = &report.cells[0];

@@ -422,17 +422,6 @@ impl SensorHealthMonitor {
         m
     }
 
-    /// Conservative mask: degraded *and* failed sensors are masked out.
-    pub fn strict_mask(&self) -> SensorMask {
-        let mut m = SensorMask::all_available();
-        for kind in SensorKind::ALL {
-            if self.state(kind) != HealthState::Healthy {
-                m = m.without(kind);
-            }
-        }
-        m
-    }
-
     /// State changes observed since construction/reset.
     pub fn transitions(&self) -> u64 {
         self.transitions
@@ -558,12 +547,11 @@ mod tests {
     }
 
     #[test]
-    fn strict_mask_masks_degraded() {
+    fn mask_keeps_degraded_sensors_available() {
         let mut monitor = SensorHealthMonitor::default();
         monitor.trackers[2].state = HealthState::Degraded;
         monitor.trackers[3].state = HealthState::Failed;
         assert_eq!(monitor.mask().unavailable(), vec![SensorKind::Radar]);
-        assert_eq!(monitor.strict_mask().unavailable(), vec![SensorKind::Lidar, SensorKind::Radar]);
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl FaultInjector {
         }
     }
 
-    /// The schedule being applied.
-    pub fn schedule(&self) -> &FaultSchedule {
-        &self.schedule
-    }
-
     /// Index of the next frame [`FaultInjector::apply`] will process.
     pub fn frame(&self) -> u64 {
         self.frame

@@ -7,26 +7,16 @@
 //! accounting rows by pick index), so they are shard-invariant by
 //! construction; `steady_city` additionally clamps to one shard (one
 //! stream), making the *whole* event vector — shard and scheduler tracks
-//! included — identical between `--shards 1` and `--shards 4`. On more
-//! than one shard the shard tracks, the step markers' steal counts and
-//! the [`SCHEDULE_DEPENDENT`] series follow the work-steal schedule.
+//! included — identical between `--shards 1` and `--shards 4`. No event
+//! or series records which thread ran a unit (a unit's span sits on its
+//! home shard's track), so every export is a function of the suite and
+//! the shard layout: on four shards too its bytes are pinned.
 
 use ecofusion_energy::StageKind;
 use ecofusion_eval::experiments::common::Scale;
 use ecofusion_harness::digest::Fnv1a;
 use ecofusion_harness::{reconcile_metrics, run_suite, ModelProvider, SuiteId, SuiteReport};
 use ecofusion_trace::{chrome_trace_json, prometheus_snapshot, Event, EventKind, TraceSink, Track};
-use std::collections::BTreeSet;
-
-/// The series whose values follow the work-steal schedule on more than
-/// one shard: how many units were stolen, and each replica's plan-cache
-/// traffic, which depends on which replica served which unit first.
-const SCHEDULE_DEPENDENT: [&str; 4] = [
-    "ecofusion_steals_total",
-    "ecofusion_plan_cache_hits_total",
-    "ecofusion_plan_cache_misses_total",
-    "ecofusion_plan_cache_compiles_total",
-];
 
 fn traced(provider: &ModelProvider, id: SuiteId, shards: usize) -> (SuiteReport, TraceSink) {
     let (report, sink) =
@@ -142,10 +132,19 @@ fn arming_the_tracer_changes_no_gated_report_field() {
     assert_eq!(untraced, traced);
 }
 
+/// Asserts the FNV-1a digests of `sink`'s Chrome JSON and Prometheus
+/// text.
+fn assert_export_digests(label: &str, sink: &TraceSink, chrome: &str, prom: &str) {
+    assert_eq!(fnv_hex(&chrome_trace_json(sink)), chrome, "{label}: Chrome JSON");
+    assert_eq!(fnv_hex(&prometheus_snapshot(sink)), prom, "{label}: Prometheus text");
+}
+
 /// The exported bytes of quick `steady_city` at one shard: its Chrome
 /// JSON and Prometheus text, as recorded before the scheduler's emission
 /// moved into the runtime's step recorder, less the cached-stem frame
-/// argument and counter series that left with the stem-feature cache.
+/// argument and counter series that left with the stem-feature cache,
+/// and less the unit spans' `worker` argument, the step markers' `steals`
+/// argument and the plan-cache series that moved to `ShardReport`.
 /// Rerun and shard-count equality
 /// say nothing about the export across commits; this does. A deliberate
 /// change to an event, an argument or a series records new digests.
@@ -153,8 +152,21 @@ fn arming_the_tracer_changes_no_gated_report_field() {
 fn steady_city_export_matches_the_recorded_digests() {
     let provider = ModelProvider::prepare(Scale::Quick);
     let (_, sink) = traced_steady_city(&provider, 1);
-    assert_eq!(fnv_hex(&chrome_trace_json(&sink)), "3ea363fb89bc3c85", "Chrome JSON");
-    assert_eq!(fnv_hex(&prometheus_snapshot(&sink)), "3e6c29067cd23880", "Prometheus text");
+    assert_export_digests("steady_city", &sink, "8771983ab5088ec9", "6c43409e3717bbff");
+}
+
+/// The exported bytes of quick `fault_storm` (two streams) and
+/// `fleet_scale` (up to 256 streams) served on four shards, where units
+/// are stolen: the exports follow the shard layout, never the thread
+/// schedule, so they are pinned like the one-shard ones.
+#[test]
+fn four_shard_exports_match_the_recorded_digests() {
+    let provider = ModelProvider::prepare(Scale::Quick);
+    let (_, sink) = traced(&provider, SuiteId::FaultStorm, 4);
+    assert_export_digests("fault_storm", &sink, "1081f49d58f80a59", "cc411a8a65d98e12");
+    let (_, sink) = traced(&provider, SuiteId::FleetScale, 4);
+    assert_eq!(sink.dropped(), 0, "capacity must cover a quick run");
+    assert_export_digests("fleet_scale", &sink, "07ff997d6cecd0e3", "84dd2214ffcf24dc");
 }
 
 /// Every counted series agrees with the report it was traced beside —
@@ -177,8 +189,7 @@ fn traced_metrics_reconcile_with_the_report() {
 /// stream tracks are the one-shard run's event for event (`seq` aside,
 /// which counts the shard tracks' events too), every frame has its stage
 /// spans — in the exported Chrome JSON too — the metrics reconcile with
-/// the report at both counts, and the Prometheus series differ only among
-/// [`SCHEDULE_DEPENDENT`].
+/// the report at both counts, and every series is equal.
 #[test]
 fn fault_storm_stream_tracks_and_metrics_hold_across_shard_counts() {
     let provider = ModelProvider::prepare(Scale::Quick);
@@ -202,14 +213,5 @@ fn fault_storm_stream_tracks_and_metrics_hold_across_shard_counts() {
     assert!(!streams1.is_empty(), "traced run must record stream events");
     assert!(streams1 == streams4, "stream-track events differ between 1 and 4 shards");
 
-    let (metrics1, metrics4) = (sink1.metrics(), sink4.metrics());
-    let series: BTreeSet<&String> = metrics1.keys().chain(metrics4.keys()).collect();
-    for name in series {
-        let (at1, at4) = (metrics1.get(name), metrics4.get(name));
-        assert!(
-            at1 == at4 || SCHEDULE_DEPENDENT.contains(&name.as_str()),
-            "`{name}` differs between 1 and 4 shards ({at1:?} vs {at4:?}) but is not \
-             schedule-dependent"
-        );
-    }
+    assert_eq!(sink1.metrics(), sink4.metrics(), "metrics differ between 1 and 4 shards");
 }

@@ -146,17 +146,6 @@ impl BudgetTimeline {
         true
     }
 
-    /// Inserts a phase (kept sorted). Returns `false` when the target is
-    /// not finite-positive.
-    pub fn insert_phase(&mut self, phase: BudgetPhase) -> bool {
-        if !(phase.target_j.is_finite() && phase.target_j > 0.0) {
-            return false;
-        }
-        self.phases.push(phase);
-        self.phases.sort_by_key(|p| p.start_tick);
-        true
-    }
-
     /// Removes phase `idx`. Refuses (`false`) to empty the timeline or
     /// when the index is out of range (drop the whole timeline instead).
     pub fn remove_phase(&mut self, idx: usize) -> bool {
@@ -766,9 +755,6 @@ mod tests {
         assert_eq!(t.phases()[0].target_j, 1e4);
         assert!(t.shift_phase(1, -100));
         assert_eq!(t.phases()[0].start_tick, 0, "re-sorted after the shift");
-        assert!(t.insert_phase(BudgetPhase { start_tick: 8, target_j: 4.0 }));
-        assert!(!t.insert_phase(BudgetPhase { start_tick: 8, target_j: f64::NAN }));
-        assert!(t.remove_phase(0));
         assert!(t.remove_phase(0));
         assert!(!t.remove_phase(0), "the last phase is irremovable");
         assert!(!t.set_target(9, 1.0));

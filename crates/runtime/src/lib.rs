@@ -24,8 +24,8 @@
 //!        process_step)      started with       started with
 //!                           the server)        the server)
 //!       infer_batch_into on each unit; a drained shard steals
-//!       whole units from the deepest neighbor (never splitting a
-//!       stream's FIFO run)
+//!       whole units of other shards (never splitting a stream's
+//!       FIFO run)
 //!              └──────────────────┼──────────────────┘
 //!                                 ▼  serial accounting, unit order
 //!      StreamTelemetry     BudgetController      RuntimeReport
@@ -56,10 +56,11 @@
 //! steps and joins when it is dropped (see [`shard`]).
 //!
 //! **Work stealing** ([`RuntimeConfig::work_stealing`]): a worker whose
-//! shard has no unclaimed units left claims whole units from the shard
-//! with the deepest backlog, newest unit first, via one atomic
-//! compare-exchange per claim. A stream's frames for a step always
-//! travel in one unit, so stealing never reorders a stream.
+//! shard has no unclaimed units left claims whole units of other shards,
+//! newest unit first, via one atomic compare-exchange per claim. A
+//! stream's frames for a step always travel in one unit, so stealing
+//! never reorders a stream. Which worker ran a unit shows only in
+//! [`ShardReport`]: the flight recorder never sees it.
 //!
 //! **Fleet budget coordinator** ([`RuntimeConfig::fleet_budget`]): once
 //! per step, streams whose rolling spend sits comfortably under their
@@ -109,10 +110,12 @@
 //!   [`ecofusion_trace::TraceSink`]. A private step recorder then owns
 //!   it, the virtual clocks its spans are laid out on, and every span,
 //!   marker and metric of the serving path: frame and stage spans, unit
-//!   spans and steals, step markers with plan-cache deltas, ladder moves
-//!   and rungs, gate fallbacks, health transitions, budget retargets and
-//!   fault activations. The scheduler's serial phases call it; without a
-//!   sink, or with a disabled one, each call site is one branch.
+//!   spans on their home shard's track, step markers, ladder moves and
+//!   rungs, gate fallbacks, health transitions, budget retargets and
+//!   fault activations — what the server decided, never which thread
+//!   ran it, so a recording depends on the streams and the shard layout
+//!   alone. The scheduler's serial phases call it; without a sink, or
+//!   with a disabled one, each call site is one branch.
 
 #![forbid(unsafe_code)]
 

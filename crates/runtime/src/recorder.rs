@@ -10,12 +10,11 @@
 //! alone. Time is virtual: a tick is [`TICK_NS`], and a span lasts the
 //! modeled latency of what it covers.
 //!
-//! On more than one shard the shard and scheduler tracks follow the shard
-//! layout and the work-steal schedule, which may differ between reruns,
-//! and so do the `ecofusion_steals_total` and
-//! `ecofusion_plan_cache_{hits,misses,compiles}_total` series: which
-//! replica compiles or reuses a plan depends on which units it ran. The
-//! stream tracks and every other series are identical at any shard count.
+//! Nothing here depends on which thread ran what: a unit's span sits on
+//! its home shard's track, and what work stealing and the replicas' plan
+//! caches did is counted in [`ShardReport`](crate::ShardReport) instead.
+//! So every export is a function of the suite and the shard layout, and
+//! the stream tracks and every series are identical at any shard count.
 
 use crate::budget::PolicyStep;
 use crate::scheduler::StepStats;
@@ -24,7 +23,6 @@ use ecofusion_core::{InferenceOutput, Precision};
 use ecofusion_energy::StageKind;
 use ecofusion_faults::HealthState;
 use ecofusion_sensors::SensorKind;
-use ecofusion_tensor::graph::PlanCacheStats;
 use ecofusion_trace::ArgValue::{Str, Text, F64, U64};
 use ecofusion_trace::{ns_from_ms, TraceSink, Track, TICK_NS};
 use std::fmt::Display;
@@ -122,31 +120,21 @@ impl Recorder {
         self.sched_clock_ns.max(tick * TICK_NS)
     }
 
-    /// A unit of home shard `home` ran without error: a span on the
-    /// track of the worker that ran it, as long as its frames' modeled
-    /// latencies, and a steal marker if that is not its home. With
-    /// stealing on and several shards both follow the schedule — outside
-    /// the determinism invariant, like `ShardReport::busy_ms`.
+    /// A unit of home shard `home` ran without error: a span on that
+    /// shard's track, as long as its frames' modeled latencies.
     pub(crate) fn unit(&mut self, tick: u64, home: usize, unit: &UnitPayload) {
-        let (worker, frames) = (unit.executed_by, unit.outputs.len() as u64);
-        let track = Track::Shard(worker as u32);
-        let start = self.shard_clock_ns[worker].max(self.step_ns(tick));
+        let track = Track::Shard(home as u32);
+        let start = self.shard_clock_ns[home].max(self.step_ns(tick));
         let dur: u64 = unit.outputs.iter().map(|o| ns_from_ms(o.energy.latency.millis())).sum();
-        self.shard_clock_ns[worker] = start + dur;
+        self.shard_clock_ns[home] = start + dur;
         let streams = unit.lane_ids.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
-        let (home, worker) = (home as u64, worker as u64);
         let args = vec![
-            ("home", U64(home)),
-            ("worker", U64(worker)),
-            ("frames", U64(frames)),
+            ("home", U64(home as u64)),
+            ("frames", U64(unit.outputs.len() as u64)),
             ("streams", Text(streams)),
             ("tick", U64(tick)),
         ];
         self.sink.begin(track, start, "unit", args);
-        if worker != home {
-            let args = vec![("victim", U64(home)), ("thief", U64(worker)), ("frames", U64(frames))];
-            self.sink.instant(track, start, "steal", args);
-        }
         self.sink.end(track, start + dur, "unit");
     }
 
@@ -230,32 +218,17 @@ impl Recorder {
     }
 
     /// A step that processed frames ended: its marker and the queue depth
-    /// on the scheduler track, its counters, and `plans`, each replica's
-    /// plan-cache deltas since the previous armed step (counted per
-    /// replica: the sums are exact).
-    pub(crate) fn step(&mut self, stats: &StepStats, plans: impl Iterator<Item = PlanCacheStats>) {
+    /// on the scheduler track, and its counter.
+    pub(crate) fn step(&mut self, stats: &StepStats) {
         let at = self.step_ns(stats.tick);
         let args = vec![
             ("tick", U64(stats.tick)),
             ("frames", U64(stats.frames as u64)),
             ("units", U64(stats.units as u64)),
-            ("steals", U64(stats.steals)),
         ];
         self.sink.instant(Track::Scheduler, at, "step", args);
         self.sink.counter(Track::Scheduler, at, "queued", stats.queued_after as f64);
         self.sink.bump("ecofusion_steps_total", 1.0);
-        let plans = plans.flat_map(|d| {
-            [
-                ("ecofusion_plan_cache_hits_total", d.hits),
-                ("ecofusion_plan_cache_misses_total", d.misses),
-                ("ecofusion_plan_cache_compiles_total", d.compiles),
-            ]
-        });
-        for (series, n) in std::iter::once(("ecofusion_steals_total", stats.steals)).chain(plans) {
-            if n > 0 {
-                self.sink.bump(series, n as f64);
-            }
-        }
         self.sched_clock_ns = at + 1;
     }
 }

@@ -44,9 +44,13 @@ pub struct RuntimeConfig {
     /// digests, and reports are bit-identical for any value; shards only
     /// change which worker thread executes each micro-batch.
     pub shards: usize,
-    /// Whether a drained shard may steal ready work units from the
-    /// deepest neighbor (only meaningful with `shards > 1`; stealing is
-    /// also output-invariant).
+    /// Whether a drained shard may steal ready work units from another
+    /// shard (only meaningful with `shards > 1`; stealing is
+    /// output-invariant, and nothing recorded depends on it). It pays
+    /// when a step has several small units and a helper thread wakes
+    /// late (measured in the [`crate::shard`] docs). Off, every unit runs
+    /// on its home shard's replica: the fixed placement that the
+    /// two-shard leg of the `step_allocations` test needs.
     pub work_stealing: bool,
     /// Fleet-wide budget coordination: under-budget streams donate
     /// headroom to over-budget ones each step. `None` (the default)
@@ -211,8 +215,8 @@ pub struct PerceptionServer {
     batches: u64,
     batched_frames: u64,
     /// What each shard's worker executed, counted serially from every
-    /// unit's `executed_by` (`busy_ms` is the shard's own, read by
-    /// [`PerceptionServer::report`]).
+    /// unit's `executed_by` (`busy_ms` and the plan-cache counters are
+    /// the shard's own, read by [`PerceptionServer::report`]).
     shard_work: Vec<ShardReport>,
     /// The flight recorder (see [`PerceptionServer::set_tracer`]); only
     /// the serial scheduler phases call it, never the worker threads.
@@ -253,13 +257,15 @@ struct Row {
     wait: u64,
 }
 
-/// What one [`PerceptionServer::process_step_stats`] call did — the
-/// per-step scheduler stats the flight recorder's step marker records.
+/// What one [`PerceptionServer::process_step_stats`] call did: the
+/// per-step scheduler stats. The flight recorder's step marker records
+/// its tick, frames, units and queue depth.
 ///
 /// All fields except `steals`/`stolen_frames` are shard-count-invariant;
 /// steal counts depend on thread timing (like
-/// [`crate::ShardReport::busy_ms`]) and are always 0 with a single shard.
-/// They count every unit a non-home worker ran, failed ones included.
+/// [`crate::ShardReport::busy_ms`]), are always 0 with a single shard and
+/// are never recorded. They count every unit a non-home worker ran,
+/// failed ones included.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepStats {
     /// Scheduler tick the step ran at.
@@ -496,7 +502,7 @@ impl PerceptionServer {
         self.coordinate_fleet_budget();
         stats.queued_after = self.queued();
         if let Some(rec) = recorder::armed(&mut self.recorder) {
-            rec.step(&stats, self.shards.states().map(|mut s| s.model.take_plan_delta()));
+            rec.step(&stats);
         }
         Ok(stats)
     }

@@ -132,9 +132,9 @@ pub struct RuntimeReport {
     /// Sum of fleet-coordinator grants in force at the end of the run,
     /// Joules/frame.
     pub total_granted_j: f64,
-    /// Per-shard execution stats (which worker did what; the wall-clock
-    /// fields are host-dependent and never part of the determinism
-    /// invariant).
+    /// Per-shard execution stats (which worker did what; the steal,
+    /// plan-cache and wall-clock fields depend on the thread schedule or
+    /// the host and are never part of the determinism invariant).
     pub shards: Vec<ShardReport>,
 }
 
@@ -202,7 +202,11 @@ impl PerceptionServer {
             .shard_work
             .iter()
             .zip(self.shards.states())
-            .map(|(work, s)| ShardReport { busy_ms: s.busy_ns as f64 / 1e6, ..work.clone() })
+            .map(|(work, s)| ShardReport {
+                busy_ms: s.busy_ns as f64 / 1e6,
+                plan_cache: s.model.plan_cache_stats(),
+                ..work.clone()
+            })
             .collect();
         RuntimeReport {
             frames,

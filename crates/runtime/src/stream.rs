@@ -238,11 +238,6 @@ impl VehicleStream {
         self
     }
 
-    /// The attached fault schedule, if any.
-    pub fn fault_schedule(&self) -> Option<&FaultSchedule> {
-        self.injector.as_ref().map(|i| i.schedule())
-    }
-
     /// `(faulty frames, fault-event applications)` injected so far.
     pub fn fault_counts(&self) -> (u64, u64) {
         self.injector.as_ref().map(|i| (i.frames_faulted(), i.events_applied())).unwrap_or((0, 0))
@@ -487,6 +482,5 @@ mod tests {
         let mut s = VehicleStream::new(spec).with_faults(schedule);
         let _ = s.generate(6);
         assert_eq!(s.fault_counts(), (3, 3));
-        assert!(s.fault_schedule().is_some());
     }
 }

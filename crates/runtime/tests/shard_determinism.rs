@@ -2,6 +2,7 @@
 //! outputs, reports, and fleet aggregates are bit-identical for any shard
 //! count, with work stealing on or off, and with the fleet budget
 //! coordinator enabled — sharding may change throughput, never results.
+//! Nor may stealing change what the flight recorder writes.
 
 use ecofusion_core::{EcoFusionModel, InferenceOptions};
 use ecofusion_gating::GateKind;
@@ -11,6 +12,7 @@ use ecofusion_runtime::{
 };
 use ecofusion_scene::Context;
 use ecofusion_tensor::rng::Rng;
+use ecofusion_trace::TraceSink;
 
 const GRID: usize = 32;
 
@@ -47,7 +49,23 @@ fn run_fleet(
     cfg: RuntimeConfig,
     ticks: u64,
 ) -> (RuntimeReport, Vec<String>) {
+    let (report, outputs, _) = serve(seed, specs, cfg, ticks, None);
+    (report, outputs)
+}
+
+/// [`run_fleet`] with `sink` installed as the server's tracer, handed
+/// back after the run.
+fn serve(
+    seed: u64,
+    specs: &[StreamSpec],
+    cfg: RuntimeConfig,
+    ticks: u64,
+    sink: Option<TraceSink>,
+) -> (RuntimeReport, Vec<String>, Option<TraceSink>) {
     let mut server = PerceptionServer::new(model(seed), specs, cfg);
+    if let Some(sink) = sink {
+        server.set_tracer(sink);
+    }
     let mut streams: Vec<VehicleStream> = specs.iter().map(|s| VehicleStream::new(*s)).collect();
     run_simulation(&mut server, &mut streams, ticks).unwrap();
     let outputs = (0..specs.len())
@@ -56,7 +74,7 @@ fn run_fleet(
             format!("{:?}|{:?}", t.selected_configs(), t.detections())
         })
         .collect();
-    (server.report(), outputs)
+    (server.report(), outputs, server.take_tracer())
 }
 
 /// Everything the invariant covers, as one comparable string: per-stream
@@ -122,7 +140,9 @@ fn work_stealing_is_invisible_in_outputs() {
 /// with distinct options (four units per step), shard 1 owns two streams
 /// that emit every sixth tick — so its worker drains almost immediately
 /// and must steal to stay busy. Outputs still match the 1-shard run
-/// exactly, and the steal counters prove the path actually ran.
+/// exactly, and the steal counters prove the path actually ran. Both
+/// 2-shard runs are traced, and their recordings are equal event for
+/// event and series for series: which worker ran a unit is not recorded.
 #[test]
 fn stealing_under_imbalance_preserves_outputs() {
     let specs: Vec<StreamSpec> = (0..6)
@@ -137,8 +157,14 @@ fn stealing_under_imbalance_preserves_outputs() {
         })
         .collect();
     let ticks = 32;
-    let (sharded, sharded_outputs) =
-        run_fleet(44, &specs, RuntimeConfig::default().with_shards(2), ticks);
+    let traced = || {
+        let sink = Some(TraceSink::with_capacity(1 << 16));
+        let (report, outputs, sink) =
+            serve(44, &specs, RuntimeConfig::default().with_shards(2), ticks, sink);
+        (report, outputs, sink.expect("the tracer comes back"))
+    };
+    let (sharded, sharded_outputs, sink) = traced();
+    let (_, rerun_outputs, rerun_sink) = traced();
     let (serial, serial_outputs) =
         run_fleet(44, &specs, RuntimeConfig::default().with_shards(1), ticks);
     assert_eq!(sharded_outputs, serial_outputs, "stolen work changed outputs");
@@ -147,6 +173,12 @@ fn stealing_under_imbalance_preserves_outputs() {
     assert!(steals > 0, "starved shard never stole: {:?}", sharded.shards);
     let stolen: u64 = sharded.shards.iter().map(|s| s.stolen_frames).sum();
     assert!(stolen > 0);
+
+    assert_eq!(rerun_outputs, sharded_outputs);
+    assert_eq!(sink.dropped(), 0, "the ring holds the whole run");
+    assert!(!sink.is_empty());
+    assert_eq!(sink.snapshot(), rerun_sink.snapshot(), "the trace follows the steal schedule");
+    assert_eq!(sink.metrics(), rerun_sink.metrics(), "the metrics follow the steal schedule");
 }
 
 /// The fleet budget coordinator composes with sharding: grants are

@@ -211,6 +211,7 @@ use crate::quant::{
     DequantAffineRelu, PackedConvWeights, QuantConv2d, QuantPipe, QuantStage, QUAD_ZERO,
 };
 use crate::tensor::{softmax_rows_in_place, Tensor};
+use serde::Serialize;
 use std::collections::HashMap;
 
 // ---------------------------------------------------------------------------
@@ -1698,9 +1699,9 @@ pub struct PlanKey {
     pub precision: PlanPrecision,
 }
 
-/// Cumulative [`PlanCache`] counters (exported as flight recorder metrics
-/// by the runtime).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Cumulative [`PlanCache`] counters (reported per shard replica by the
+/// runtime).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct PlanCacheStats {
     /// Lookups served by an existing plan.
     pub hits: u64,
@@ -1726,7 +1727,6 @@ pub struct PlanCache {
     /// a lookup that hits builds no key.
     map: HashMap<(u64, PlanPrecision), Vec<ShapedPlan>>,
     stats: PlanCacheStats,
-    taken: PlanCacheStats,
 }
 
 impl PlanCache {
@@ -1748,18 +1748,6 @@ impl PlanCache {
     /// Cumulative hit/miss/compile counters (survive [`PlanCache::clear`]).
     pub fn stats(&self) -> PlanCacheStats {
         self.stats
-    }
-
-    /// Counter deltas since the previous call — the runtime's step
-    /// recorder takes them once per traced step.
-    pub fn take_delta(&mut self) -> PlanCacheStats {
-        let d = PlanCacheStats {
-            hits: self.stats.hits - self.taken.hits,
-            misses: self.stats.misses - self.taken.misses,
-            compiles: self.stats.compiles - self.taken.compiles,
-        };
-        self.taken = self.stats;
-        d
     }
 
     /// Drops every resident plan (weight mutation), keeping counters.
@@ -2097,9 +2085,6 @@ mod tests {
         assert!(cache.is_empty());
         let _ = cache.get_or_compile(key, build);
         assert_eq!(cache.stats(), PlanCacheStats { hits: 1, misses: 2, compiles: 2 });
-        // Deltas flush once.
-        assert_eq!(cache.take_delta(), PlanCacheStats { hits: 1, misses: 2, compiles: 2 });
-        assert_eq!(cache.take_delta(), PlanCacheStats::default());
         // Replica clones start cold but keep nothing stale.
         assert!(cache.clone().is_empty());
     }

@@ -137,7 +137,7 @@ mod tests {
         sink.begin(Track::Stream(0), 0, "sense", vec![("energy_j", ArgValue::F64(0.5))]);
         sink.end(Track::Stream(0), 1_000, "sense");
         sink.end(Track::Stream(0), 1_000, "frame");
-        sink.instant(Track::Shard(1), 500, "steal", vec![("victim", ArgValue::U64(0))]);
+        sink.instant(Track::Shard(1), 500, "marker", vec![("shard", ArgValue::U64(1))]);
         sink.counter(Track::Scheduler, 0, "queued", 3.0);
         sink
     }

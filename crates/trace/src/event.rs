@@ -22,7 +22,7 @@ pub enum EventKind {
     Begin,
     /// Closes the innermost open span on the track.
     End,
-    /// A point-in-time marker (a decision, a fault, a steal).
+    /// A point-in-time marker (a decision, a fault, a health change).
     Instant,
     /// A sampled numeric value (queue depth, batch size).
     Counter,

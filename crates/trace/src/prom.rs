@@ -53,12 +53,12 @@ mod tests {
         let mut sink = TraceSink::with_capacity(8);
         sink.bump("ecofusion_frames_total{stream=\"1\"}", 2.0);
         sink.bump("ecofusion_frames_total{stream=\"0\"}", 3.0);
-        sink.bump("ecofusion_steals_total", 1.5);
+        sink.bump("ecofusion_steps_total", 1.5);
         let text = prometheus_snapshot(&sink);
         assert_eq!(text.matches("# TYPE ecofusion_frames_total counter").count(), 1);
         assert!(text.contains("ecofusion_frames_total{stream=\"0\"} 3\n"));
         assert!(text.contains("ecofusion_frames_total{stream=\"1\"} 2\n"));
-        assert!(text.contains("ecofusion_steals_total 1.5\n"));
+        assert!(text.contains("ecofusion_steps_total 1.5\n"));
         let s0 = text.find("stream=\"0\"").unwrap();
         let s1 = text.find("stream=\"1\"").unwrap();
         assert!(s0 < s1, "series must be sorted");

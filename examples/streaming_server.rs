@@ -87,8 +87,15 @@ fn live_simulation(ticks: u64) -> Result<(), Box<dyn std::error::Error>> {
     );
     for shard in &report.shards {
         println!(
-            "  shard {}: {} streams, {} frames in {} batches, {} steals, busy {:.1} ms",
-            shard.shard, shard.streams, shard.frames, shard.batches, shard.steals, shard.busy_ms
+            "  shard {}: {} streams, {} frames in {} batches, {} steals, {} plan compiles, \
+             busy {:.1} ms",
+            shard.shard,
+            shard.streams,
+            shard.frames,
+            shard.batches,
+            shard.steals,
+            shard.plan_cache.compiles,
+            shard.busy_ms
         );
     }
     println!(

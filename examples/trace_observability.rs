@@ -11,10 +11,11 @@
 //!
 //! Everything is on virtual, tick-derived time. Stream-track events
 //! replay the global pick order, so that part of the trace is
-//! bit-identical across reruns and shard counts; the shard tracks
-//! (which worker ran a unit, who stole what) follow the actual
-//! work-steal schedule and vary with thread timing — by design, that is
-//! exactly what they are for.
+//! bit-identical across reruns and shard counts. A unit's span sits on
+//! its home shard's track whichever worker thread ran it (who stole what
+//! is counted in the report's per-shard rows, not recorded), so the
+//! whole recording is bit-identical across reruns: `--smoke` records the
+//! run twice and asserts that both exports match byte for byte.
 //!
 //! ```text
 //! cargo run --release --example trace_observability            # demo scale
@@ -24,15 +25,14 @@
 use ecofusion::faults::{FaultKind, FaultSchedule};
 use ecofusion::prelude::*;
 use ecofusion::tensor::rng::Rng;
-use ecofusion::trace::{EventKind, Track};
+use ecofusion::trace::{EventKind, TraceSink, Track};
 
 const GRID: usize = 32;
 const NUM_STREAMS: u64 = 4;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let ticks = if smoke { 16 } else { 80 };
-
+/// Serves the four streams for `ticks` ticks with a recorder armed, and
+/// returns the report and the recording.
+fn record(ticks: u64) -> Result<(RuntimeReport, TraceSink), Box<dyn std::error::Error>> {
     let specs: Vec<StreamSpec> = (0..NUM_STREAMS)
         .map(|i| {
             let budget = if i % 2 == 1 {
@@ -78,8 +78,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     run_simulation(&mut server, &mut streams, ticks)?;
-    let report = server.report();
-    let sink = server.take_tracer().expect("the tracer we installed");
+    Ok((server.report(), server.take_tracer().expect("the tracer we installed")))
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let ticks = if smoke { 16 } else { 80 };
+    let (report, sink) = record(ticks)?;
 
     // One `step` marker per step that processed frames, and one `unit`
     // span per micro-batch, carrying its frame count.
@@ -108,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         count(EventKind::Instant),
         count(EventKind::Counter),
     );
-    for name in ["ladder", "health", "fault", "steal"] {
+    for name in ["ladder", "health", "fault"] {
         let n = sink.events().filter(|e| e.name == name).count();
         println!("  {name:<7} events: {n}");
     }
@@ -129,9 +134,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "the scripted dropout should record fault events"
     );
 
+    let (chrome, prom) = (chrome_trace_json(&sink), prometheus_snapshot(&sink));
+    if smoke {
+        // Two shards, stealing on: the rerun's exports are the same bytes.
+        let (_, rerun) = record(ticks)?;
+        assert!(chrome == chrome_trace_json(&rerun), "the Chrome export differs on a rerun");
+        assert!(prom == prometheus_snapshot(&rerun), "the Prometheus export differs on a rerun");
+        println!("rerun: byte-identical Chrome and Prometheus exports");
+    }
+
     std::fs::create_dir_all("results")?;
-    std::fs::write("results/observability.trace.json", chrome_trace_json(&sink))?;
-    std::fs::write("results/observability.prom", prometheus_snapshot(&sink))?;
+    std::fs::write("results/observability.trace.json", chrome)?;
+    std::fs::write("results/observability.prom", prom)?;
     println!(
         "wrote results/observability.trace.json (load in Perfetto / chrome://tracing) \
          and results/observability.prom"

@@ -123,12 +123,13 @@
 //! The [`trace`] crate is a deterministic flight recorder: a bounded
 //! ring of typed events ([`trace::TraceSink`]) on virtual, tick-derived
 //! time, so a seeded run emits a *bit-identical* event sequence on every
-//! host, every rerun, and (for the stream tracks) every shard count.
+//! host, every rerun, and (for the stream tracks and the metrics) every
+//! shard count.
 //! Install a sink on a server with
 //! [`runtime::PerceptionServer::set_tracer`] and the runtime's step
 //! recorder — the one module that writes to it — records every layer:
 //! per-stage pipeline spans with exact modeled energy/latency, scheduler
-//! steps and work-steal markers, budget-ladder moves, knowledge-gate
+//! steps and work units, budget-ladder moves, knowledge-gate
 //! fallbacks, sensor-health transitions, and fault activations. Export
 //! with [`trace::chrome_trace_json`] (load in Perfetto) or
 //! [`trace::prometheus_snapshot`]; with no sink installed (or a
