@@ -203,7 +203,7 @@ fn debug_detect(args: &Args) {
     let mut dets_per_frame = Vec::new();
     let mut gt_frames = Vec::new();
     for f in data.test() {
-        let (dets, _, _) = model.detect_static(f, late, &opts).expect("matching grid");
+        let (dets, _) = model.detect_static(f, late, &opts).expect("matching grid");
         dets_per_frame.push(dets);
         gt_frames.push(GtFrame { boxes: f.gt_boxes() });
     }

@@ -1,8 +1,6 @@
 //! The configuration space Φ.
 
-use ecofusion_energy::{
-    BranchSpec, Joules, Millis, Precision, Px2Model, SensorPowerModel, StageTrace, StemPolicy,
-};
+use ecofusion_energy::BranchSpec;
 use ecofusion_sensors::SensorKind;
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -164,29 +162,6 @@ impl ConfigSpace {
         self.labels[id.0].clone()
     }
 
-    /// PX2 platform energy of every configuration under `policy`, indexed
-    /// by `ConfigId`: each one's f32 [`StageTrace::platform_energy`].
-    pub fn energies(&self, px2: &Px2Model, policy: StemPolicy) -> Vec<Joules> {
-        (0..self.num_configs())
-            .map(|i| self.trace(ConfigId(i), px2, policy).platform_energy())
-            .collect()
-    }
-
-    /// PX2 latency of every configuration under `policy`: each one's f32
-    /// [`StageTrace::total_latency`].
-    pub fn latencies(&self, px2: &Px2Model, policy: StemPolicy) -> Vec<Millis> {
-        (0..self.num_configs())
-            .map(|i| self.trace(ConfigId(i), px2, policy).total_latency())
-            .collect()
-    }
-
-    /// The f32 stage trace of a configuration under `policy`. Its platform
-    /// energy and latency do not read the sensor model; the default serves.
-    fn trace(&self, id: ConfigId, px2: &Px2Model, policy: StemPolicy) -> StageTrace {
-        let sensors = SensorPowerModel::default();
-        StageTrace::compute_prec(px2, &sensors, &self.branch_specs(id), policy, Precision::F32)
-    }
-
     /// Convenience ids for the paper's static baselines.
     ///
     /// `(left camera, right camera, lidar, radar, early fusion, late fusion)`
@@ -272,35 +247,6 @@ mod tests {
         let wide = format!("{{\"branches\":[{}]}}", ["{\"Single\":\"Lidar\"}"; 40].join(","));
         let err = serde_json::from_str::<ConfigSpace>(&wide).unwrap_err();
         assert!(err.to_string().contains("at most 8 branches"), "{err}");
-    }
-
-    #[test]
-    fn energies_match_paper_for_baselines() {
-        let s = ConfigSpace::canonical();
-        let b = s.baseline_ids();
-        let e = s.energies(&Px2Model::default(), StemPolicy::Static);
-        assert!((e[b.camera_left.0].joules() - 0.945).abs() < 1e-9);
-        assert!((e[b.radar.0].joules() - 0.954).abs() < 1e-9);
-        assert!((e[b.early.0].joules() - 1.379).abs() < 1e-9);
-        assert!((e[b.late.0].joules() - 3.798).abs() < 1e-9);
-    }
-
-    #[test]
-    fn latencies_match_paper_for_baselines() {
-        let s = ConfigSpace::canonical();
-        let b = s.baseline_ids();
-        let t = s.latencies(&Px2Model::default(), StemPolicy::Static);
-        assert!((t[b.camera_left.0].millis() - 21.57).abs() < 1e-9);
-        assert!((t[b.early.0].millis() - 31.36).abs() < 1e-9);
-        assert!((t[b.late.0].millis() - 84.32).abs() < 0.35);
-    }
-
-    #[test]
-    fn every_config_has_positive_energy() {
-        let s = ConfigSpace::canonical();
-        let e = s.energies(&Px2Model::default(), StemPolicy::Adaptive);
-        assert_eq!(e.len(), 127);
-        assert!(e.iter().all(|j| j.joules() > 0.0));
     }
 
     #[test]

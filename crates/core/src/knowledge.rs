@@ -81,7 +81,7 @@ pub fn default_knowledge_rules(space: &ConfigSpace) -> BTreeMap<Context, usize> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecofusion_energy::{EnergyBreakdown, Px2Model, SensorPowerModel, StemPolicy};
+    use ecofusion_energy::{Precision, Px2Model, SensorPowerModel, StageTrace, StemPolicy};
 
     /// The acid test: the default rules must reproduce every Table 3 cell.
     #[test]
@@ -103,8 +103,14 @@ mod tests {
         for (ctx, want) in expect {
             let id = ConfigId(rules[&ctx]);
             let specs = space.branch_specs(id);
-            let b = EnergyBreakdown::compute(&px2, &sensors, &specs, StemPolicy::Static);
-            let got = b.total_gated().joules();
+            let trace = StageTrace::compute_prec(
+                &px2,
+                &sensors,
+                &specs,
+                StemPolicy::Static,
+                Precision::F32,
+            );
+            let got = trace.total_energy().joules();
             assert!(
                 (got - want).abs() < 0.011,
                 "{ctx:?}: got {got:.3} J, paper says {want} J (config {})",

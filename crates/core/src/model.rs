@@ -6,9 +6,7 @@ use ecofusion_detect::{
     subset_fusion_losses_into, weighted_boxes_fusion, BranchConfig, BranchDetector, Detection,
     FusionScratch, Stem, WbfParams,
 };
-use ecofusion_energy::{
-    EnergyBreakdown, Joules, Precision, Px2Model, SensorPowerModel, StageTrace, StemPolicy,
-};
+use ecofusion_energy::{Joules, Precision, Px2Model, SensorPowerModel, StageTrace, StemPolicy};
 use ecofusion_gating::{AttentionGate, DeepGate, GateKind, KnowledgeGate, LossBasedGate};
 use ecofusion_scene::GtBox;
 use ecofusion_sensors::{SensorKind, SensorMask};
@@ -127,11 +125,10 @@ pub struct InferenceOutput {
     pub selected_label: String,
     /// The gate's per-configuration loss estimates L_f(Φ).
     pub predicted_losses: Vec<f32>,
-    /// Energy/latency breakdown of executing φ* (adaptive stem policy,
-    /// at the precision the frame ran).
-    pub energy: EnergyBreakdown,
-    /// Per-stage decomposition of `energy` (sums to its Eq. 11 totals)
-    /// plus the stem executions the demand-driven pipeline observed.
+    /// The Eq. 11 cost of executing φ* stage by stage (adaptive stem
+    /// policy, at the precision the frame ran) — its row of the model's
+    /// cost table — plus the stem executions the demand-driven pipeline
+    /// observed.
     pub stage_trace: StageTrace,
     /// Precision the stems and branches ran at for this frame.
     pub precision: Precision,
@@ -144,7 +141,7 @@ pub struct InferenceOutput {
 impl InferenceOutput {
     /// Platform energy of the executed configuration (Eq. 6).
     pub fn energy_joules(&self) -> f64 {
-        self.energy.platform.joules()
+        self.stage_trace.platform_energy().joules()
     }
 }
 
@@ -221,7 +218,7 @@ impl Error for InferError {
 #[derive(Debug)]
 struct CostTable {
     /// [`crate::pipeline::account_prec`] per `[precision][configuration]`.
-    accounts: [Vec<(EnergyBreakdown, StageTrace)>; 2],
+    traces: [Vec<StageTrace>; 2],
     /// The F32 platform energies: the column Eq. 8 selects over.
     energies: Vec<Joules>,
 }
@@ -288,7 +285,7 @@ impl EcoFusionModel {
         let px2 = Px2Model::default();
         let sensor_power = SensorPowerModel::default();
         let n = space.num_configs();
-        let accounts = [Precision::F32, Precision::Int8].map(|precision| {
+        let traces = [Precision::F32, Precision::Int8].map(|precision| {
             (0..n)
                 .map(|i| {
                     let specs = space.branch_specs(ConfigId(i));
@@ -302,8 +299,10 @@ impl EcoFusionModel {
                 })
                 .collect::<Vec<_>>()
         });
-        let costs =
-            CostTable { energies: accounts[0].iter().map(|(b, _)| b.platform).collect(), accounts };
+        let costs = CostTable {
+            energies: traces[0].iter().map(StageTrace::platform_energy).collect(),
+            traces,
+        };
         let config_sensors: Vec<u8> = (0..n)
             .map(|i| {
                 space
@@ -370,6 +369,13 @@ impl EcoFusionModel {
         &self.sensor_power
     }
 
+    /// The F32 platform energy `E(φ)` of every configuration under the
+    /// adaptive stem policy, indexed by `ConfigId`: the cost table's
+    /// column Eq. 8 selects over.
+    pub fn config_energies(&self) -> &[Joules] {
+        &self.costs.energies
+    }
+
     /// Required-sensor bitmask of every configuration (bit `i` =
     /// canonical sensor `i` consumed by at least one branch).
     pub fn config_sensor_bits(&self) -> &[u8] {
@@ -416,12 +422,8 @@ impl EcoFusionModel {
 
     /// The `Account` stage of an adaptive inference that selected
     /// `config` at `precision`: its row of the cost table.
-    pub(crate) fn account_adaptive(
-        &self,
-        config: ConfigId,
-        precision: Precision,
-    ) -> (EnergyBreakdown, StageTrace) {
-        self.costs.accounts[usize::from(precision.discriminant())][config.0].clone()
+    pub(crate) fn account_adaptive(&self, config: ConfigId, precision: Precision) -> StageTrace {
+        self.costs.traces[usize::from(precision.discriminant())][config.0].clone()
     }
 
     /// Observation grid size the model expects.
@@ -684,6 +686,8 @@ mod tests {
         assert_eq!(m.space().num_branches(), 7);
         assert_eq!(m.space().num_configs(), 127);
         assert_eq!(m.grid(), 32);
+        assert_eq!(m.config_energies().len(), 127);
+        assert!(m.config_energies().iter().all(|j| j.joules() > 0.0));
     }
 
     #[test]
@@ -749,8 +753,8 @@ mod tests {
         let data = Dataset::generate(&DatasetSpec::small(7));
         let opts = InferenceOptions::new(0.0, 0.5);
         let late = m.baseline_ids().late;
-        let (_, breakdown, _) = m.detect_static(&data.test()[0], late, &opts).unwrap();
-        assert!((breakdown.platform.joules() - 3.798).abs() < 1e-9);
+        let (_, trace) = m.detect_static(&data.test()[0], late, &opts).unwrap();
+        assert!((trace.platform_energy().joules() - 3.798).abs() < 1e-9);
     }
 
     #[test]
@@ -780,11 +784,7 @@ mod tests {
                 assert_eq!(b.selected_config, s.selected_config, "{gate:?} frame {i}");
                 assert_eq!(b.selected_label, s.selected_label, "{gate:?} frame {i}");
                 assert_eq!(b.detections, s.detections, "{gate:?} frame {i}");
-                assert_eq!(
-                    b.energy.platform.joules(),
-                    s.energy.platform.joules(),
-                    "{gate:?} frame {i}"
-                );
+                assert_eq!(b.stage_trace, s.stage_trace, "{gate:?} frame {i}");
                 assert_eq!(b.predicted_losses.len(), s.predicted_losses.len());
                 for (x, y) in b.predicted_losses.iter().zip(&s.predicted_losses) {
                     assert!(

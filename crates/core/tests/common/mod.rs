@@ -16,7 +16,7 @@
 use ecofusion_core::{ConfigId, EcoFusionModel, Frame, InferenceOptions, QuantSnapshot};
 use ecofusion_detect::stem::STEM_CHANNELS;
 use ecofusion_detect::Detection;
-use ecofusion_energy::{Precision, StemPolicy};
+use ecofusion_energy::Precision;
 use ecofusion_gating::{Gate, GateInput, GateKind};
 use ecofusion_scene::{Context, ScenarioGenerator};
 use ecofusion_sensors::{SensorKind, SensorSuite};
@@ -183,7 +183,7 @@ pub fn monolithic_infer_batch(
     // Eq. 7–9 with the fault-aware penalty, via the same public pieces
     // the model composes internally; then the selected branches on the
     // eagerly computed stems, and fuse.
-    let energies = model.space().energies(model.px2(), StemPolicy::Adaptive);
+    let energies = model.config_energies().to_vec();
     predicted
         .into_iter()
         .enumerate()

@@ -1,7 +1,7 @@
 //! Property-based tests of the Eq. 7–9 joint optimization.
 
 use ecofusion_core::{joint_loss, select_candidates, select_config, CandidateRule, ConfigSpace};
-use ecofusion_energy::{Joules, Px2Model, StemPolicy};
+use ecofusion_energy::{Joules, Precision, Px2Model, SensorPowerModel, StageTrace, StemPolicy};
 use proptest::prelude::*;
 
 fn arb_losses() -> impl Strategy<Value = Vec<f32>> {
@@ -108,8 +108,10 @@ proptest! {
         prop_assert!(!ids.is_empty());
         prop_assert_eq!(space.config_of(&ids), id);
         // Energy of every config is at least the cheapest single branch.
-        let e = space.energies(&Px2Model::default(), StemPolicy::Static);
-        prop_assert!(e[id.0].joules() >= 0.945 - 1e-9);
+        let (px2, sensors) = (Px2Model::default(), SensorPowerModel::default());
+        let specs = space.branch_specs(id);
+        let t = StageTrace::compute_prec(&px2, &sensors, &specs, StemPolicy::Static, Precision::F32);
+        prop_assert!(t.platform_energy().joules() >= 0.945 - 1e-9);
     }
 }
 
@@ -174,7 +176,7 @@ fn selection_without_a_candidate_list_picks_what_listing_picks() {
     use ecofusion_tensor::rng::Rng;
 
     let model = EcoFusionModel::new(32, 8, &mut Rng::new(5));
-    let canonical = model.space().energies(&Px2Model::default(), StemPolicy::Adaptive);
+    let canonical = model.config_energies().to_vec();
     let mut rng = Rng::new(0x5E1EC7);
     let draw = |rng: &mut Rng| match rng.uniform_usize(0, 10) {
         0 => f32::NAN,

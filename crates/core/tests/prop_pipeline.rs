@@ -11,10 +11,11 @@
 //! the pipeline adds: *when* stems run and *how* (compiled plans), never
 //! *what* the frame produces.
 //!
-//! A second test pins the accounting: `StageTrace` energies and latencies
-//! sum to the `EnergyBreakdown` totals bit for bit for every configuration
-//! under both stem policies at both precisions, and the whole cost table
-//! to a digest recorded before the composition was moved into the trace.
+//! The accounting is pinned twice: every served frame's `StageTrace` is
+//! the `account_prec` of its configuration, compared whole, and the
+//! whole cost table — every configuration under both stem policies at
+//! both precisions — matches a digest recorded before the composition
+//! was moved into the trace.
 //!
 //! The two blocks of the executor that have entries of their own are
 //! held to the same oracle: the oracle pass (gate features, per-branch
@@ -90,7 +91,16 @@ proptest! {
             t.stems_executed + t.stems_skipped,
             SensorKind::COUNT as u8
         );
-        prop_assert!(t.matches(&staged.energy), "trace must decompose the breakdown");
+        // The served charge is the adaptive account of φ*, whole.
+        let want = ecofusion_core::pipeline::account_prec(
+            model.px2(),
+            model.sensor_power(),
+            &model.space().branch_specs(staged.selected_config),
+            StemPolicy::Adaptive,
+            opts.precision,
+        )
+        .with_stem_counts(t.stems_executed, t.stems_skipped);
+        prop_assert_eq!(t, &want, "{:?}", gate);
     }
 
     #[test]
@@ -182,7 +192,7 @@ proptest! {
         let mut model = EcoFusionModel::new(GRID, 8, &mut Rng::new(seed ^ 0x57A71C));
         let b = model.baseline_ids();
         for config in [b.camera_left, b.camera_right, b.lidar, b.radar, b.early, b.late] {
-            let (dets, energy, trace) =
+            let (dets, trace) =
                 model.detect_static(&frame, config, &opts).expect("matching grid");
             // Host work: the configuration's stems and no other (the
             // eager path this replaced ran all four).
@@ -191,17 +201,16 @@ proptest! {
                 (trace.stems_executed, trace.stems_skipped),
                 (sensors, SensorKind::COUNT as u8 - sensors)
             );
-            // Charge: the static policy at the options' precision.
-            let (want_energy, want_trace) = ecofusion_core::pipeline::account_prec(
+            // Charge: the static policy at the options' precision, whole.
+            let want = ecofusion_core::pipeline::account_prec(
                 model.px2(),
                 model.sensor_power(),
                 &model.space().branch_specs(config),
                 StemPolicy::Static,
                 opts.precision,
-            );
-            prop_assert_eq!(energy, want_energy);
-            prop_assert!(trace.matches(&energy));
-            prop_assert_eq!(trace.total_energy().joules(), want_trace.total_energy().joules());
+            )
+            .with_stem_counts(sensors, SensorKind::COUNT as u8 - sensors);
+            prop_assert_eq!(&trace, &want);
 
             let quant = eager_quant(&mut model, &opts);
             let feats = eager_stems(&mut model, quant.as_ref(), std::slice::from_ref(&frame));
@@ -285,67 +294,21 @@ proptest! {
     }
 }
 
-/// Not a property, but pinned here with the trace tests: the adaptive
-/// trace of a live inference decomposes its own breakdown exactly.
-#[test]
-fn live_inference_trace_decomposes_breakdown() {
-    let frame = render_frame(7, Context::Fog);
-    let mut model = EcoFusionModel::new(GRID, 8, &mut Rng::new(11));
-    for gate in GateKind::ALL {
-        let out = model.infer(&frame, &InferenceOptions::new(0.05, 0.5).with_gate(gate)).unwrap();
-        let trace: &StageTrace = &out.stage_trace;
-        assert!(trace.matches(&out.energy), "{gate:?}");
-        assert_eq!(trace.stems_executed + trace.stems_skipped, 4, "{gate:?}");
-    }
-}
-
-/// The accounting: for all 127 configurations, both stem policies and
-/// both precisions, a `StageTrace`'s totals are its `EnergyBreakdown`'s
-/// bit for bit.
-#[test]
-fn stage_trace_sums_to_energy_breakdown() {
-    let model = EcoFusionModel::new(GRID, 8, &mut Rng::new(3));
-    for config in 0..model.space().num_configs() {
-        let specs = model.space().branch_specs(ConfigId(config));
-        for policy in [StemPolicy::Static, StemPolicy::Adaptive] {
-            for precision in [Precision::F32, Precision::Int8] {
-                let (breakdown, trace) = ecofusion_core::pipeline::account_prec(
-                    model.px2(),
-                    model.sensor_power(),
-                    &specs,
-                    policy,
-                    precision,
-                );
-                let what = format!("config {config} {policy:?} {precision:?}");
-                assert_eq!(
-                    trace.total_energy().joules().to_bits(),
-                    breakdown.total_gated().joules().to_bits(),
-                    "{what}"
-                );
-                assert_eq!(
-                    trace.total_latency().millis().to_bits(),
-                    breakdown.latency.millis().to_bits(),
-                    "{what}"
-                );
-                assert!(trace.matches(&breakdown), "{what}");
-            }
-        }
-    }
-}
-
-/// The whole Eq. 11 cost table, bit for bit: every `EnergyBreakdown` field
-/// and every `StageCost` that `account_prec` returns for the 127
-/// configurations × {Static, Adaptive} × {F32, Int8}, plus
-/// `ConfigSpace::{energies, latencies}` under both policies, folded by
-/// FNV-1a over their `to_bits()`. Recorded while the PX2 model still
-/// composed configuration costs beside the stage trace: it holds the one
-/// composition to the numbers every table, selection and report was
-/// served with.
+/// The whole Eq. 11 cost table, bit for bit: for every `StageTrace` that
+/// `account_prec` returns for the 127 configurations × {Static, Adaptive}
+/// × {F32, Int8}, its platform energy, `Sense` energy, the all-active
+/// sensor energy, its latency and every `StageCost`; then every
+/// configuration's f32 platform energy and latency under each policy —
+/// folded by FNV-1a over their `to_bits()`. Recorded while the PX2 model
+/// still composed configuration costs beside the stage trace, and a
+/// breakdown type and the configuration space still carried these
+/// numbers: it holds the one composition to the numbers every table,
+/// selection and report was served with.
 #[test]
 fn cost_table_matches_the_recorded_digest() {
     use ecofusion_core::pipeline::account_prec;
     use ecofusion_core::ConfigSpace;
-    use ecofusion_energy::{Px2Model, SensorPowerModel};
+    use ecofusion_energy::{Px2Model, SensorPowerModel, StageKind};
     let (px2, sensors, space) =
         (Px2Model::default(), SensorPowerModel::default(), ConfigSpace::canonical());
     let policies = [StemPolicy::Static, StemPolicy::Adaptive];
@@ -354,12 +317,12 @@ fn cost_table_matches_the_recorded_digest() {
         let specs = space.branch_specs(ConfigId(config));
         for policy in policies {
             for precision in [Precision::F32, Precision::Int8] {
-                let (b, trace) = account_prec(&px2, &sensors, &specs, policy, precision);
+                let trace = account_prec(&px2, &sensors, &specs, policy, precision);
                 cells.extend([
-                    b.platform.joules(),
-                    b.sensors_gated.joules(),
-                    b.sensors_all_active.joules(),
-                    b.latency.millis(),
+                    trace.platform_energy().joules(),
+                    trace.cost(StageKind::Sense).energy.joules(),
+                    sensors.total_frame_energy_all_active().joules(),
+                    trace.total_latency().millis(),
                 ]);
                 for cost in trace.costs {
                     cells.extend([cost.energy.joules(), cost.latency.millis()]);
@@ -368,8 +331,14 @@ fn cost_table_matches_the_recorded_digest() {
         }
     }
     for policy in policies {
-        cells.extend(space.energies(&px2, policy).iter().map(|e| e.joules()));
-        cells.extend(space.latencies(&px2, policy).iter().map(|t| t.millis()));
+        let f32_traces: Vec<StageTrace> = (0..space.num_configs())
+            .map(|config| {
+                let specs = space.branch_specs(ConfigId(config));
+                StageTrace::compute_prec(&px2, &sensors, &specs, policy, Precision::F32)
+            })
+            .collect();
+        cells.extend(f32_traces.iter().map(|t| t.platform_energy().joules()));
+        cells.extend(f32_traces.iter().map(|t| t.total_latency().millis()));
     }
     assert_eq!(cells.len(), 127 * 2 * 2 * (4 + 2 * 7) + 2 * 2 * 127);
     let digest = cells

@@ -68,18 +68,6 @@ impl BBox {
         }
     }
 
-    /// Generalized IoU (Rezatofighi et al.), in `[-1, 1]`.
-    pub fn giou(&self, other: &BBox) -> f32 {
-        let iou = self.iou(other);
-        let cx1 = self.x1.min(other.x1);
-        let cy1 = self.y1.min(other.y1);
-        let cx2 = self.x2.max(other.x2);
-        let cy2 = self.y2.max(other.y2);
-        let hull = ((cx2 - cx1) * (cy2 - cy1)).max(1e-9);
-        let union = self.area() + other.area() - self.intersection(other);
-        iou - (hull - union) / hull
-    }
-
     /// Clamps the box into `[0, size] × [0, size]`.
     pub fn clamped(&self, size: f32) -> BBox {
         BBox {
@@ -154,15 +142,6 @@ mod tests {
         let a = BBox::new(0.0, 0.0, 3.0, 2.0);
         let b = BBox::new(1.0, 1.0, 4.0, 5.0);
         assert_eq!(a.iou(&b), b.iou(&a));
-    }
-
-    #[test]
-    fn giou_less_than_iou_when_disjoint() {
-        let a = BBox::new(0.0, 0.0, 1.0, 1.0);
-        let b = BBox::new(3.0, 3.0, 4.0, 4.0);
-        assert!(a.giou(&b) < 0.0);
-        let c = BBox::new(0.0, 0.0, 1.0, 1.0);
-        assert!((a.giou(&c) - 1.0).abs() < 1e-6);
     }
 
     #[test]

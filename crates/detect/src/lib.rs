@@ -5,7 +5,7 @@
 //! per-modality *stem* and a per-branch *body*. This crate provides every
 //! building block at a CPU-trainable scale:
 //!
-//! * [`BBox`] / [`Detection`] — axis-aligned boxes, IoU/GIoU.
+//! * [`BBox`] / [`Detection`] — axis-aligned boxes, IoU.
 //! * [`nms()`](nms::nms) — greedy and soft non-maximum suppression.
 //! * [`wbf`] — Weighted Boxes Fusion (Solovyev et al. 2021), the paper's
 //!   late-fusion block (§4.4): one fusion pass behind the one-shot

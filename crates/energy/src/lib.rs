@@ -16,10 +16,12 @@
 //!   Velodyne HDL-32e lidar (12 W, 9.6 W measurement power), ZED camera
 //!   (1.9 W), with Eq. 10–11 clock gating: a gated rotating sensor still
 //!   pays its motor power.
-//! * [`StageTrace::compute_prec`] — the one composition: it turns the two
-//!   models into a configuration's Eq. 11 cost, stage by stage.
-//!   [`EnergyBreakdown`] is a view of that trace, so the stage costs sum
-//!   to its totals bit for bit.
+//! * [`StageTrace`] — the one Eq. 11 record. [`StageTrace::compute_prec`]
+//!   composes the two models into a configuration's cost, stage by stage:
+//!   Eq. 6's platform energy, the Eq. 10 clock-gated sensor energy of the
+//!   `Sense` stage, and their Eq. 11 total. A served frame carries its
+//!   configuration's trace; the adaptive rows of every configuration are
+//!   composed once into the model's cost table (`ecofusion-core`).
 //! * Typed units ([`Joules`], [`Watts`], [`Millis`]) so energies and
 //!   latencies cannot be mixed up.
 //!
@@ -29,14 +31,12 @@
 
 pub mod precision;
 pub mod px2;
-pub mod report;
 pub mod sensors;
 pub mod stage;
 pub mod units;
 
 pub use precision::Precision;
 pub use px2::{BranchSpec, Px2Model, StemPolicy};
-pub use report::EnergyBreakdown;
 pub use sensors::{SensorPowerModel, SensorSpec, SensorState};
 pub use stage::{StageCost, StageKind, StageRollup, StageTrace};
 pub use units::{Joules, Millis, Watts};

@@ -5,14 +5,11 @@
 //! stage its share of the calibrated cost model, and it is where that
 //! model is composed: [`StageTrace::compute_prec`] is the only code that
 //! turns the PX2 calibration ([`Px2Model`]) and the sensor model into a
-//! configuration's Eq. 6/10/11 cost. [`EnergyBreakdown`] is a view of the
-//! trace ([`StageTrace::breakdown`]) that adds the stages in the
-//! breakdown's own order, so a trace and its breakdown agree bit for bit
-//! by construction.
+//! configuration's Eq. 6/10/11 cost, and a [`StageTrace`] is the only
+//! record of it — its totals are read off the stages.
 
 use crate::precision::Precision;
 use crate::px2::{BranchSpec, Px2Model, StemPolicy};
-use crate::report::EnergyBreakdown;
 use crate::sensors::SensorPowerModel;
 use crate::units::{Joules, Millis};
 use ecofusion_sensors::SensorKind;
@@ -179,7 +176,9 @@ impl StageTrace {
     }
 
     /// Eq. 11's clock-gated total: [`platform_energy`](Self::platform_energy),
-    /// then the Sense stage — [`EnergyBreakdown::total_gated`]'s order.
+    /// then the Sense stage. (The total without clock gating is
+    /// `platform_energy()` plus
+    /// [`SensorPowerModel::total_frame_energy_all_active`].)
     pub fn total_energy(&self) -> Joules {
         self.platform_energy() + self.cost(StageKind::Sense).energy
     }
@@ -191,17 +190,6 @@ impl StageTrace {
         t(StageKind::Stems) + t(StageKind::GateScore) + t(StageKind::Branch) + t(StageKind::Fuse)
     }
 
-    /// The Eq. 11 breakdown this trace decomposes. The all-active sensor
-    /// energy is no stage's cost, so `sensors` supplies it.
-    pub fn breakdown(&self, sensors: &SensorPowerModel) -> EnergyBreakdown {
-        EnergyBreakdown {
-            platform: self.platform_energy(),
-            sensors_gated: self.cost(StageKind::Sense).energy,
-            sensors_all_active: sensors.total_frame_energy_all_active(),
-            latency: self.total_latency(),
-        }
-    }
-
     /// Same trace with the executor's observed stem counters.
     pub fn with_stem_counts(mut self, executed: u8, skipped: u8) -> Self {
         debug_assert!(
@@ -211,16 +199,6 @@ impl StageTrace {
         self.stems_executed = executed;
         self.stems_skipped = skipped;
         self
-    }
-
-    /// Whether this trace decomposes `breakdown` bit for bit: its platform
-    /// energy, Sense energy and latency are the breakdown's, so its totals
-    /// are too.
-    pub fn matches(&self, breakdown: &EnergyBreakdown) -> bool {
-        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
-        same(self.platform_energy().joules(), breakdown.platform.joules())
-            && same(self.cost(StageKind::Sense).energy.joules(), breakdown.sensors_gated.joules())
-            && same(self.total_latency().millis(), breakdown.latency.millis())
     }
 }
 
@@ -266,71 +244,39 @@ mod tests {
     use super::*;
     use SensorKind::{CameraLeft as CL, CameraRight as CR, Lidar as L, Radar as R};
 
-    /// Every configuration of the canonical space: each non-empty subset
-    /// of its seven branches (four single-sensor, three early-fusion).
-    fn configs() -> Vec<Vec<BranchSpec>> {
-        let branches = [
+    fn late4() -> Vec<BranchSpec> {
+        vec![
             BranchSpec::Single(CL),
             BranchSpec::Single(CR),
             BranchSpec::Single(L),
             BranchSpec::Single(R),
-            BranchSpec::Early(vec![CL, CR]),
-            BranchSpec::Early(vec![CL, CR, L]),
-            BranchSpec::Early(vec![L, R]),
-        ];
-        (1..1usize << branches.len())
-            .map(|mask| {
-                let members = branches.iter().enumerate().filter(|(b, _)| mask & (1 << b) != 0);
-                members.map(|(_, spec)| spec.clone()).collect()
-            })
-            .collect()
+        ]
     }
 
-    /// A trace's totals are its breakdown's, bit for bit, for all 127
-    /// configurations under both policies at `precision`.
-    fn assert_sums_exactly(
-        precision: Precision,
-        breakdown_of: impl Fn(&[BranchSpec], StemPolicy) -> EnergyBreakdown,
-    ) {
-        let px2 = Px2Model::default();
-        let sensors = SensorPowerModel::default();
-        let configs = configs();
-        assert_eq!(configs.len(), 127);
-        for branches in &configs {
-            for policy in [StemPolicy::Static, StemPolicy::Adaptive] {
-                let trace = StageTrace::compute_prec(&px2, &sensors, branches, policy, precision);
-                let breakdown = breakdown_of(branches, policy);
-                let what = format!("{branches:?} {policy:?} {precision:?}");
-                assert!(trace.matches(&breakdown), "{what}");
-                assert_eq!(
-                    trace.total_energy().joules().to_bits(),
-                    breakdown.total_gated().joules().to_bits(),
-                    "{what}"
-                );
-                assert_eq!(
-                    trace.total_latency().millis().to_bits(),
-                    breakdown.latency.millis().to_bits(),
-                    "{what}"
-                );
-            }
-        }
+    /// The f32 static-policy trace of `branches` under the default models.
+    fn static_trace(branches: &[BranchSpec]) -> StageTrace {
+        let (px2, sensors) = (Px2Model::default(), SensorPowerModel::default());
+        StageTrace::compute_prec(&px2, &sensors, branches, StemPolicy::Static, Precision::F32)
+    }
+
+    /// The total without clock gating: every sensor measures.
+    fn ungated(trace: &StageTrace) -> Joules {
+        trace.platform_energy() + SensorPowerModel::default().total_frame_energy_all_active()
     }
 
     #[test]
-    fn trace_sums_to_breakdown_for_both_policies() {
-        let (px2, sensors) = (Px2Model::default(), SensorPowerModel::default());
-        assert_sums_exactly(Precision::F32, |branches, policy| {
-            EnergyBreakdown::compute(&px2, &sensors, branches, policy)
-        });
+    fn late_fusion_matches_table3_baseline() {
+        let t = static_trace(&late4());
+        // Table 3: late fusion total 13.27 J in every scene.
+        assert!((t.total_energy().joules() - 13.273).abs() < 0.01, "{}", t.total_energy());
+        // With all sensors in use, gated == ungated.
+        assert!((t.total_energy().joules() - ungated(&t).joules()).abs() < 1e-9);
     }
 
     #[test]
-    fn int8_trace_sums_to_int8_breakdown() {
-        let (px2, sensors) = (Px2Model::default(), SensorPowerModel::default());
-        assert_sums_exactly(Precision::Int8, |branches, policy| {
-            StageTrace::compute_prec(&px2, &sensors, branches, policy, Precision::Int8)
-                .breakdown(&sensors)
-        });
+    fn gating_saves_vs_ungated() {
+        let t = static_trace(&[BranchSpec::Early(vec![CL, CR])]);
+        assert!(t.total_energy().joules() < ungated(&t).joules());
     }
 
     #[test]

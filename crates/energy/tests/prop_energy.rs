@@ -1,8 +1,8 @@
 //! Property-based tests of the energy models.
 
 use ecofusion_energy::{
-    BranchSpec, EnergyBreakdown, Joules, Millis, Precision, Px2Model, SensorPowerModel,
-    SensorState, StageTrace, StemPolicy,
+    BranchSpec, Joules, Millis, Precision, Px2Model, SensorPowerModel, SensorState, StageKind,
+    StageTrace, StemPolicy,
 };
 use ecofusion_sensors::SensorKind;
 use proptest::prelude::*;
@@ -82,49 +82,52 @@ proptest! {
     }
 
     #[test]
-    fn breakdown_totals_non_negative_and_consistent(
+    fn trace_totals_non_negative_and_consistent(
         branches in prop::collection::vec(arb_branch(), 1..6),
     ) {
         let px2 = Px2Model::default();
         let sensors = SensorPowerModel::default();
         for policy in [StemPolicy::Static, StemPolicy::Adaptive] {
-            let b = EnergyBreakdown::compute(&px2, &sensors, &branches, policy);
-            prop_assert!(b.platform.joules() > 0.0);
-            prop_assert!(b.sensors_gated.joules() >= 0.0);
-            prop_assert!(b.latency.millis() > 0.0);
-            // Eq. 11 additivity: the totals are exactly platform + the
-            // matching sensor share.
+            let t = StageTrace::compute_prec(&px2, &sensors, &branches, policy, Precision::F32);
+            let gated_sensors = t.cost(StageKind::Sense).energy.joules();
+            prop_assert!(t.platform_energy().joules() > 0.0);
+            prop_assert!(gated_sensors >= 0.0);
+            prop_assert!(t.total_latency().millis() > 0.0);
+            // Eq. 11 additivity: the total is exactly platform + the
+            // clock-gated sensor share, and the stages sum to it.
             prop_assert!(
-                (b.total_gated().joules() - (b.platform.joules() + b.sensors_gated.joules()))
+                (t.total_energy().joules() - (t.platform_energy().joules() + gated_sensors))
                     .abs() < 1e-12
             );
-            prop_assert!(
-                (b.total_ungated().joules()
-                    - (b.platform.joules() + b.sensors_all_active.joules()))
-                .abs() < 1e-12
-            );
+            let stages: f64 = t.costs.iter().map(|c| c.energy.joules()).sum();
+            prop_assert!((t.total_energy().joules() - stages).abs() < 1e-12);
             // Clock gating can only save sensor energy, never cost.
-            prop_assert!(b.total_gated().joules() <= b.total_ungated().joules() + 1e-12);
+            let ungated = t.platform_energy() + sensors.total_frame_energy_all_active();
+            prop_assert!(t.total_energy().joules() <= ungated.joules() + 1e-12);
         }
     }
 
     #[test]
-    fn breakdown_monotone_in_executed_branches(
+    fn trace_monotone_in_executed_branches(
         branches in prop::collection::vec(arb_branch(), 1..5),
         extra in arb_branch(),
     ) {
         let px2 = Px2Model::default();
         let sensors = SensorPowerModel::default();
         for policy in [StemPolicy::Static, StemPolicy::Adaptive] {
-            let base = EnergyBreakdown::compute(&px2, &sensors, &branches, policy);
+            let trace = |branches: &[BranchSpec]| {
+                StageTrace::compute_prec(&px2, &sensors, branches, policy, Precision::F32)
+            };
+            let base = trace(&branches);
             let mut bigger = branches.clone();
             bigger.push(extra.clone());
-            let more = EnergyBreakdown::compute(&px2, &sensors, &bigger, policy);
+            let more = trace(&bigger);
+            let sense = |t: &StageTrace| t.cost(StageKind::Sense).energy.joules();
             // Executing one more branch never reduces platform energy,
             // sensor energy, or the Eq. 11 total.
-            prop_assert!(more.platform.joules() > base.platform.joules(), "{policy:?}");
-            prop_assert!(more.sensors_gated.joules() >= base.sensors_gated.joules() - 1e-12);
-            prop_assert!(more.total_gated().joules() > base.total_gated().joules());
+            prop_assert!(more.platform_energy() > base.platform_energy(), "{policy:?}");
+            prop_assert!(sense(&more) >= sense(&base) - 1e-12);
+            prop_assert!(more.total_energy() > base.total_energy());
         }
     }
 

@@ -84,13 +84,7 @@ pub fn candidate_rule(setup: &mut Setup) -> AblationResult {
             let opts = InferenceOptions { rule, ..InferenceOptions::new(lambda, 0.5) };
             let model = &mut setup.model;
             let s = evaluate_frames(&frames, setup.num_classes, |f| {
-                let out = model.infer(f, &opts).expect("matching grid");
-                FrameOutcome {
-                    detections: out.detections,
-                    energy: out.energy,
-                    config_label: out.selected_label,
-                    stage: Some(out.stage_trace),
-                }
+                model.infer(f, &opts).expect("matching grid").into()
             });
             rows.push(AblationRow {
                 variant: format!("{label}, lambda_E = {lambda}"),
@@ -133,11 +127,12 @@ pub fn fusion_block(setup: &mut Setup) -> AblationResult {
     // Every fuser reads the same branch outputs: one oracle pass.
     let model = &mut setup.model;
     let samples = model.oracle_pass(setup.dataset.test(), &opts).expect("matching grid");
-    let energy = ecofusion_energy::EnergyBreakdown::compute(
+    let trace = ecofusion_energy::StageTrace::compute_prec(
         model.px2(),
         model.sensor_power(),
         &model.space().branch_specs(late),
         ecofusion_energy::StemPolicy::Static,
+        ecofusion_energy::Precision::F32,
     );
     for (label, fuser) in fusers {
         let mut samples = samples.iter();
@@ -147,9 +142,8 @@ pub fn fusion_block(setup: &mut Setup) -> AblationResult {
                 late_ids.iter().map(|b| sample.branch_dets[b.0].clone()).collect();
             FrameOutcome {
                 detections: fuser(&outs),
-                energy,
                 config_label: label.to_string(),
-                stage: None,
+                stage_trace: trace.clone(),
             }
         });
         rows.push(AblationRow {

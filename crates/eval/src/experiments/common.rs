@@ -73,8 +73,9 @@ pub fn static_summary(
     let opts = InferenceOptions::new(0.0, 0.5);
     let label = model.space().label(config);
     evaluate_frames(frames, num_classes, |f| {
-        let (detections, energy, _) = model.detect_static(f, config, &opts).expect("matching grid");
-        FrameOutcome { detections, energy, config_label: label.clone(), stage: None }
+        let (detections, stage_trace) =
+            model.detect_static(f, config, &opts).expect("matching grid");
+        FrameOutcome { detections, config_label: label.clone(), stage_trace }
     })
 }
 
@@ -88,13 +89,5 @@ pub fn adaptive_summary(
     gamma: f32,
 ) -> EvalSummary {
     let opts = InferenceOptions::new(lambda_e, gamma).with_gate(gate);
-    evaluate_frames(frames, num_classes, |f| {
-        let out = model.infer(f, &opts).expect("matching grid");
-        FrameOutcome {
-            detections: out.detections,
-            energy: out.energy,
-            config_label: out.selected_label,
-            stage: Some(out.stage_trace),
-        }
-    })
+    evaluate_frames(frames, num_classes, |f| model.infer(f, &opts).expect("matching grid").into())
 }

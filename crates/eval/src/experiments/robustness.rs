@@ -14,7 +14,7 @@
 //! health mask recovers once a sensor dies, and what it costs in energy.
 //! Every cell is reproducible from `RobustnessSpec::seed` alone.
 
-use crate::summary::{evaluate_frames, EvalSummary, FrameOutcome};
+use crate::summary::{evaluate_frames, EvalSummary};
 use crate::tables::Table;
 use ecofusion_core::{EcoFusionModel, Frame, InferenceOptions};
 use ecofusion_faults::{FaultEvent, FaultInjector, FaultKind, FaultSchedule, SensorHealthMonitor};
@@ -232,34 +232,16 @@ fn run_cell(
     let degraded_refs: Vec<&Frame> = degraded_frames.iter().collect();
 
     let clean = evaluate_frames(&clean_refs, num_classes, |f| {
-        let out = model.infer(f, &opts).expect("matching grid");
-        FrameOutcome {
-            detections: out.detections,
-            energy: out.energy,
-            config_label: out.selected_label,
-            stage: Some(out.stage_trace),
-        }
+        model.infer(f, &opts).expect("matching grid").into()
     });
     let blind = evaluate_frames(&degraded_refs, num_classes, |f| {
-        let out = model.infer(f, &opts).expect("matching grid");
-        FrameOutcome {
-            detections: out.detections,
-            energy: out.energy,
-            config_label: out.selected_label,
-            stage: Some(out.stage_trace),
-        }
+        model.infer(f, &opts).expect("matching grid").into()
     });
     let mut monitor = SensorHealthMonitor::default();
     let aware = evaluate_frames(&degraded_refs, num_classes, |f| {
         monitor.update(&f.obs);
         let masked = opts.with_health(monitor.mask());
-        let out = model.infer(f, &masked).expect("matching grid");
-        FrameOutcome {
-            detections: out.detections,
-            energy: out.energy,
-            config_label: out.selected_label,
-            stage: Some(out.stage_trace),
-        }
+        model.infer(f, &masked).expect("matching grid").into()
     });
 
     RobustnessCell { fault, severity, context, clean, blind, aware }

@@ -7,7 +7,7 @@
 
 use crate::tables::Table;
 use ecofusion_core::{default_knowledge_rules, ConfigId, ConfigSpace};
-use ecofusion_energy::{EnergyBreakdown, Px2Model, SensorPowerModel, StemPolicy};
+use ecofusion_energy::{BranchSpec, Precision, Px2Model, SensorPowerModel, StageTrace, StemPolicy};
 use ecofusion_scene::Context;
 use serde::Serialize;
 
@@ -47,20 +47,23 @@ pub fn run_with(px2: &Px2Model, sensors: &SensorPowerModel) -> Table3Result {
     let space = ConfigSpace::canonical();
     let rules = default_knowledge_rules(&space);
     let late = space.baseline_ids().late;
-    let late_specs = space.branch_specs(late);
-    let late_breakdown = EnergyBreakdown::compute(px2, sensors, &late_specs, StemPolicy::Static);
-    let late_total = late_breakdown.total_ungated().joules();
+    let trace = |specs: &[BranchSpec]| {
+        StageTrace::compute_prec(px2, sensors, specs, StemPolicy::Static, Precision::F32)
+    };
+    // Without clock gating every sensor measures.
+    let ungated =
+        |t: &StageTrace| (t.platform_energy() + sensors.total_frame_energy_all_active()).joules();
+    let late_total = ungated(&trace(&space.branch_specs(late)));
     let mut columns = Vec::new();
     let weights = Context::mix_weights();
     let mut overall_eco = 0.0;
     let mut overall_eco_ungated = 0.0;
     for (i, context) in Context::ALL.iter().enumerate() {
         let config = ConfigId(rules[context]);
-        let specs = space.branch_specs(config);
-        let b = EnergyBreakdown::compute(px2, sensors, &specs, StemPolicy::Static);
-        let eco = b.total_gated().joules();
+        let t = trace(&space.branch_specs(config));
+        let eco = t.total_energy().joules();
         overall_eco += weights[i] * eco;
-        overall_eco_ungated += weights[i] * b.total_ungated().joules();
+        overall_eco_ungated += weights[i] * ungated(&t);
         columns.push(Table3Column {
             scene: context.label().to_string(),
             late_fusion_j: late_total,

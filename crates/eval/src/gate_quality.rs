@@ -100,8 +100,7 @@ pub fn assess_gate(
         matches!(gate, GateKind::Deep | GateKind::Attention),
         "assess_gate expects a learned gate"
     );
-    let energies: Vec<Joules> =
-        model.space().energies(model.px2(), ecofusion_energy::StemPolicy::Adaptive);
+    let energies: Vec<Joules> = model.config_energies().to_vec();
     let mut sum_rho = 0.0;
     let mut top1 = 0usize;
     let mut sum_regret = 0.0;

@@ -1,9 +1,9 @@
 //! Per-method evaluation aggregation.
 
 use crate::map::{map_voc, GtFrame};
-use ecofusion_core::Frame;
+use ecofusion_core::{Frame, InferenceOutput};
 use ecofusion_detect::{Detection, LossScratch};
-use ecofusion_energy::{EnergyBreakdown, StageKind, StageTrace};
+use ecofusion_energy::{StageKind, StageTrace};
 use ecofusion_scene::GtBox;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -13,13 +13,22 @@ use std::collections::BTreeMap;
 pub struct FrameOutcome {
     /// Fused detections.
     pub detections: Vec<Detection>,
-    /// Energy/latency breakdown of the executed configuration.
-    pub energy: EnergyBreakdown,
     /// Label of the executed configuration (for selection histograms).
     pub config_label: String,
-    /// Per-stage accounting, when the method ran the staged pipeline
-    /// (static baselines report `None`).
-    pub stage: Option<StageTrace>,
+    /// The Eq. 11 cost of the executed configuration, stage by stage.
+    pub stage_trace: StageTrace,
+}
+
+impl From<InferenceOutput> for FrameOutcome {
+    /// What an adaptive inference served: its detections, φ*'s label and
+    /// the frame's trace.
+    fn from(out: InferenceOutput) -> Self {
+        FrameOutcome {
+            detections: out.detections,
+            config_label: out.selected_label,
+            stage_trace: out.stage_trace,
+        }
+    }
 }
 
 /// Aggregate metrics of one method over a frame set — the columns of the
@@ -41,10 +50,10 @@ pub struct EvalSummary {
     /// Mean platform + clock-gated sensor energy, Joules (Table 3).
     pub avg_total_gated_j: f64,
     /// Mean stems executed per frame by the demand-driven pipeline
-    /// (0 when no frame reported a stage trace).
+    /// (0 when no frame was recorded).
     pub avg_stems_executed: f64,
     /// Mean per-stage total (platform + gated sensor) energy, Joules, in
-    /// [`StageKind::ALL`] order; empty when no frame reported a trace.
+    /// [`StageKind::ALL`] order; empty when no frame was recorded.
     pub stage_energy_j: Vec<f64>,
     /// Number of frames evaluated.
     pub frames: usize,
@@ -64,7 +73,6 @@ pub struct EvalAccumulator {
     platform_j: f64,
     latency_ms: f64,
     total_gated_j: f64,
-    traced_frames: usize,
     stems_executed: u64,
     stage_energy_j: [f64; StageKind::COUNT],
     stage_latency_ms: [f64; StageKind::COUNT],
@@ -78,28 +86,24 @@ pub struct EvalAccumulator {
 
 impl EvalAccumulator {
     /// Records one frame: its fused detections and ground truth (both
-    /// retained), the energy of the executed configuration, its label,
-    /// and the per-stage accounting when the method reports one.
+    /// retained), the stage trace of the executed configuration and its
+    /// label.
     pub fn record(
         &mut self,
         detections: Vec<Detection>,
-        energy: &EnergyBreakdown,
+        trace: &StageTrace,
         config_label: &str,
-        stage: Option<&StageTrace>,
         gts: Vec<GtBox>,
     ) {
         self.frames += 1;
         self.loss_sum += self.loss.fusion_loss(&detections, &gts).total() as f64;
-        self.platform_j += energy.platform.joules();
-        self.latency_ms += energy.latency.millis();
-        self.total_gated_j += energy.total_gated().joules();
-        if let Some(trace) = stage {
-            self.traced_frames += 1;
-            self.stems_executed += trace.stems_executed as u64;
-            for (i, stage) in StageKind::ALL.into_iter().enumerate() {
-                self.stage_energy_j[i] += trace.cost(stage).energy.joules();
-                self.stage_latency_ms[i] += trace.cost(stage).latency.millis();
-            }
+        self.platform_j += trace.platform_energy().joules();
+        self.latency_ms += trace.total_latency().millis();
+        self.total_gated_j += trace.total_energy().joules();
+        self.stems_executed += trace.stems_executed as u64;
+        for (i, stage) in StageKind::ALL.into_iter().enumerate() {
+            self.stage_energy_j[i] += trace.cost(stage).energy.joules();
+            self.stage_latency_ms[i] += trace.cost(stage).latency.millis();
         }
         // The label is cloned the first time a configuration is seen,
         // not once a frame to look it up.
@@ -141,13 +145,13 @@ impl EvalAccumulator {
         self.total_gated_j
     }
 
-    /// Total stems executed over the frames that reported a trace.
+    /// Total stems executed.
     pub fn stems_executed(&self) -> u64 {
         self.stems_executed
     }
 
     /// Total modeled per-stage energy, Joules, in [`StageKind::ALL`]
-    /// order (sums to the Eq. 11 total of the traced frames).
+    /// order (sums to the Eq. 11 total).
     pub fn stage_energy_j(&self) -> &[f64; StageKind::COUNT] {
         &self.stage_energy_j
     }
@@ -158,8 +162,8 @@ impl EvalAccumulator {
     }
 
     /// The paper's metrics so far: mAP over the retained frames, every
-    /// mean over all recorded frames (stage means over the traced ones).
-    /// A zeroed summary when nothing was recorded.
+    /// mean over all recorded frames. A zeroed summary when nothing was
+    /// recorded.
     pub fn summary(&self, num_classes: usize) -> EvalSummary {
         let n = self.frames.max(1) as f64;
         let map = if self.frames == 0 {
@@ -167,18 +171,17 @@ impl EvalAccumulator {
         } else {
             map_voc(&self.dets_per_frame, &self.gt_frames, num_classes, 0.5) as f64
         };
-        let traced = self.traced_frames.max(1) as f64;
         EvalSummary {
             map_pct: map * 100.0,
             avg_loss: self.loss_sum / n,
             avg_energy_j: self.platform_j / n,
             avg_latency_ms: self.latency_ms / n,
             avg_total_gated_j: self.total_gated_j / n,
-            avg_stems_executed: self.stems_executed as f64 / traced,
-            stage_energy_j: if self.traced_frames == 0 {
+            avg_stems_executed: self.stems_executed as f64 / n,
+            stage_energy_j: if self.frames == 0 {
                 Vec::new()
             } else {
-                self.stage_energy_j.iter().map(|s| s / traced).collect()
+                self.stage_energy_j.iter().map(|s| s / n).collect()
             },
             frames: self.frames,
             config_histogram: self.config_histogram.clone(),
@@ -200,9 +203,8 @@ pub fn evaluate_frames(
         let outcome = run(frame);
         acc.record(
             outcome.detections,
-            &outcome.energy,
+            &outcome.stage_trace,
             &outcome.config_label,
-            outcome.stage.as_ref(),
             frame.gt_boxes(),
         );
     }
@@ -257,8 +259,8 @@ mod tests {
         let frames: Vec<&ecofusion_core::Frame> = data.test().iter().collect();
         let label = model.space().label(late);
         let summary = evaluate_frames(&frames, 8, |f| {
-            let (detections, energy, _) = model.detect_static(f, late, &opts).unwrap();
-            FrameOutcome { detections, energy, config_label: label.clone(), stage: None }
+            let (detections, stage_trace) = model.detect_static(f, late, &opts).unwrap();
+            FrameOutcome { detections, config_label: label.clone(), stage_trace }
         });
         assert_eq!(summary.frames, data.test().len());
         assert!((summary.avg_energy_j - 3.798).abs() < 1e-6);

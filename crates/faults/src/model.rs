@@ -66,12 +66,6 @@ impl FaultKind {
             FaultKind::WeatherAttenuation => "weather",
         }
     }
-
-    /// Whether the fault draws random numbers when applied (seeded per
-    /// frame/event by the injector).
-    pub fn is_stochastic(&self) -> bool {
-        matches!(self, FaultKind::NoiseBurst)
-    }
 }
 
 impl fmt::Display for FaultKind {
@@ -278,7 +272,5 @@ mod tests {
     fn labels_stable() {
         assert_eq!(FaultKind::Dropout.to_string(), "dropout");
         assert_eq!(FaultKind::ALL.len(), 5);
-        assert!(FaultKind::NoiseBurst.is_stochastic());
-        assert!(!FaultKind::Dropout.is_stochastic());
     }
 }

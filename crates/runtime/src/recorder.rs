@@ -125,7 +125,8 @@ impl Recorder {
     pub(crate) fn unit(&mut self, tick: u64, home: usize, unit: &UnitPayload) {
         let track = Track::Shard(home as u32);
         let start = self.shard_clock_ns[home].max(self.step_ns(tick));
-        let dur: u64 = unit.outputs.iter().map(|o| ns_from_ms(o.energy.latency.millis())).sum();
+        let dur: u64 =
+            unit.outputs.iter().map(|o| ns_from_ms(o.stage_trace.total_latency().millis())).sum();
         self.shard_clock_ns[home] = start + dur;
         let streams = unit.lane_ids.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
         let args = vec![
@@ -155,8 +156,8 @@ impl Recorder {
             ("precision", Str(out.precision.label())),
             ("stems_executed", U64(trace.stems_executed as u64)),
             ("stems_skipped", U64(trace.stems_skipped as u64)),
-            ("energy_j", F64(out.energy.total_gated().joules())),
-            ("latency_ms", F64(out.energy.latency.millis())),
+            ("energy_j", F64(trace.total_energy().joules())),
+            ("latency_ms", F64(trace.total_latency().millis())),
             ("gate_fallbacks", U64(out.gate_fallbacks as u64)),
         ];
         self.sink.begin(track, start, "frame", args);

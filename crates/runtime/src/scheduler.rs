@@ -639,7 +639,7 @@ impl PerceptionServer {
                 rec.frame(lane_idx, tick, &output);
             }
             let lane = &mut self.lanes[lane_idx];
-            let spent_j = output.energy.total_gated().joules();
+            let spent_j = output.stage_trace.total_energy().joules();
             lane.telemetry.record(output, frame.gt_boxes(), wait);
             let level_before = lane.controller.level();
             if let Some(step) = lane.controller.record(spent_j) {

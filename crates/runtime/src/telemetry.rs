@@ -43,7 +43,7 @@ impl StreamTelemetry {
     /// output's detections and the ground truth are kept (the mAP window)
     /// as they come, not copied.
     pub fn record(&mut self, output: InferenceOutput, gts: Vec<GtBox>, wait_ticks: u64) {
-        self.latency_hist.record(output.energy.latency.millis());
+        self.latency_hist.record(output.stage_trace.total_latency().millis());
         self.queue_wait_ticks += wait_ticks;
         self.stems_skipped += output.stage_trace.stems_skipped as u64;
         if output.precision == Precision::Int8 {
@@ -57,13 +57,7 @@ impl StreamTelemetry {
             self.eval.truncate_history(keep);
             self.selected_configs.drain(..self.selected_configs.len() - keep);
         }
-        self.eval.record(
-            output.detections,
-            &output.energy,
-            &output.selected_label,
-            Some(&output.stage_trace),
-            gts,
-        );
+        self.eval.record(output.detections, &output.stage_trace, &output.selected_label, gts);
         self.selected_configs.push(output.selected_config);
     }
 
@@ -221,7 +215,7 @@ mod tests {
         let mut manual_platform = 0.0;
         for (i, f) in data.test().iter().take(3).enumerate() {
             let out = model.infer(f, &opts)?;
-            manual_platform += out.energy.platform.joules();
+            manual_platform += out.stage_trace.platform_energy().joules();
             t.record(out, f.gt_boxes(), i as u64);
         }
         assert_eq!(t.frames(), 3);

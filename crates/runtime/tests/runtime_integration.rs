@@ -74,7 +74,8 @@ fn cross_stream_batching_bit_identical_to_sequential() {
                     "stream {i} frame {k}: detections diverged"
                 );
             }
-            let platform: f64 = expected.iter().map(|o| o.energy.platform.joules()).sum();
+            let platform: f64 =
+                expected.iter().map(|o| o.stage_trace.platform_energy().joules()).sum();
             assert!((telemetry.platform_j() - platform).abs() < 1e-12, "stream {i} energy");
         }
     });

@@ -9,7 +9,7 @@ mod counting_alloc;
 
 use counting_alloc::{allocs_on_this_thread, bytes_on_this_thread};
 use ecofusion_core::{Dataset, DatasetSpec, EcoFusionModel, Frame, InferenceOptions};
-use ecofusion_eval::{evaluate_frames, FrameOutcome};
+use ecofusion_eval::evaluate_frames;
 use ecofusion_gating::GateKind;
 use ecofusion_runtime::StreamTelemetry;
 use ecofusion_tensor::rng::Rng;
@@ -45,15 +45,7 @@ fn summary_equals_evaluate_frames_over_the_same_outputs() {
     }
     let refs: Vec<&Frame> = frames.iter().collect();
     let mut outs = outputs.into_iter();
-    let offline = evaluate_frames(&refs, 8, |_| {
-        let out = outs.next().expect("one output per frame");
-        FrameOutcome {
-            detections: out.detections,
-            energy: out.energy,
-            config_label: out.selected_label,
-            stage: Some(out.stage_trace),
-        }
-    });
+    let offline = evaluate_frames(&refs, 8, |_| outs.next().expect("one output per frame").into());
     assert!(offline.config_histogram.len() > 1, "the gates should disagree on a configuration");
     assert_eq!(
         serde_json::to_string(&telemetry.summary(8)).expect("serializes"),

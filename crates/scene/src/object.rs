@@ -47,13 +47,6 @@ impl ObjectClass {
         ObjectClass::ALL.iter().position(|c| c == self).expect("class in ALL")
     }
 
-    /// Class from integer id.
-    ///
-    /// Returns `None` if `id >= 8`.
-    pub fn from_id(id: usize) -> Option<ObjectClass> {
-        ObjectClass::ALL.get(id).copied()
-    }
-
     /// Typical footprint (width, length) in metres, used both to rasterize
     /// objects into sensor grids and to derive ground-truth boxes.
     pub fn footprint_m(&self) -> (f64, f64) {
@@ -101,11 +94,6 @@ impl ObjectClass {
     /// Whether the class is a pedestrian-type class.
     pub fn is_pedestrian(&self) -> bool {
         matches!(self, ObjectClass::Pedestrian | ObjectClass::GroupOfPedestrians)
-    }
-
-    /// Whether the class is a heavy vehicle.
-    pub fn is_heavy(&self) -> bool {
-        matches!(self, ObjectClass::Truck | ObjectClass::Bus)
     }
 }
 
@@ -184,9 +172,7 @@ mod tests {
     fn ids_roundtrip() {
         for (i, c) in ObjectClass::ALL.iter().enumerate() {
             assert_eq!(c.id(), i);
-            assert_eq!(ObjectClass::from_id(i), Some(*c));
         }
-        assert_eq!(ObjectClass::from_id(8), None);
     }
 
     #[test]
@@ -242,7 +228,6 @@ mod tests {
     #[test]
     fn predicate_helpers() {
         assert!(ObjectClass::Pedestrian.is_pedestrian());
-        assert!(ObjectClass::Bus.is_heavy());
-        assert!(!ObjectClass::Car.is_heavy());
+        assert!(!ObjectClass::Car.is_pedestrian());
     }
 }

@@ -88,11 +88,6 @@ impl ContextWalk {
         self.segments[idx.min(self.segments.len() - 1)]
     }
 
-    /// Total scripted frames (before the final segment starts repeating).
-    pub fn total_frames(&self) -> u64 {
-        self.segments.iter().map(|s| s.dwell as u64).sum()
-    }
-
     /// Context in force at absolute frame index `frame` (the final
     /// segment extends indefinitely).
     pub fn context_at(&self, frame: u64) -> Context {
@@ -193,7 +188,6 @@ mod tests {
         for (f, want) in expect.iter().enumerate() {
             assert_eq!(w.context_at(f as u64), *want, "frame {f}");
         }
-        assert_eq!(w.total_frames(), 6);
         assert_eq!(w.segment(99).context, Context::Night, "clamped past the end");
     }
 

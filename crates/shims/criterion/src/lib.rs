@@ -36,7 +36,7 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        if self.matches(name) {
+        if self.selects(name) {
             let mut bencher = Bencher { samples: Vec::new() };
             f(&mut bencher);
             self.report(name, &bencher, None);
@@ -54,7 +54,7 @@ impl Criterion {
         eprintln!("\n{} benchmark(s) run", self.ran);
     }
 
-    fn matches(&self, name: &str) -> bool {
+    fn selects(&self, name: &str) -> bool {
         self.filter.as_deref().is_none_or(|f| name.contains(f))
     }
 
@@ -110,7 +110,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let full = format!("{}/{}", self.name, id.into_benchmark_id());
-        if self.criterion.matches(&full) {
+        if self.criterion.selects(&full) {
             let mut bencher = Bencher { samples: Vec::new() };
             f(&mut bencher);
             self.criterion.report(&full, &bencher, self.throughput);
@@ -130,7 +130,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let full = format!("{}/{}", self.name, id.into_benchmark_id());
-        if self.criterion.matches(&full) {
+        if self.criterion.selects(&full) {
             let mut bencher = Bencher { samples: Vec::new() };
             f(&mut bencher, input);
             self.criterion.report(&full, &bencher, self.throughput);

@@ -115,11 +115,6 @@ impl Rng {
             Some(&items[self.inner.gen_range(0..items.len())])
         }
     }
-
-    /// Raw 64-bit sample (for deriving sub-seeds).
-    pub fn next_u64(&mut self) -> u64 {
-        self.inner.gen()
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +126,7 @@ mod tests {
         let mut a = Rng::new(99);
         let mut b = Rng::new(99);
         for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
+            assert_eq!(a.uniform(0.0, 1.0).to_bits(), b.uniform(0.0, 1.0).to_bits());
         }
     }
 
@@ -140,7 +135,7 @@ mod tests {
         let mut root = Rng::new(1);
         let mut c1 = root.fork(1);
         let mut c2 = root.fork(2);
-        assert_ne!(c1.next_u64(), c2.next_u64());
+        assert_ne!(c1.uniform(0.0, 1.0).to_bits(), c2.uniform(0.0, 1.0).to_bits());
     }
 
     #[test]

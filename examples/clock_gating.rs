@@ -11,7 +11,7 @@
 //! ```
 
 use ecofusion::core::{default_knowledge_rules, ConfigId, ConfigSpace};
-use ecofusion::energy::{EnergyBreakdown, SensorSpec, SensorState, StemPolicy};
+use ecofusion::energy::{Precision, SensorSpec, SensorState, StemPolicy};
 use ecofusion::prelude::*;
 use ecofusion::sensors::SensorKind;
 
@@ -25,11 +25,15 @@ fn main() {
     let px2 = Px2Model::default();
     let sensors = SensorPowerModel::default();
 
-    // Reproduce Table 3 row by row.
-    let late = space.baseline_ids().late;
-    let late_total =
-        EnergyBreakdown::compute(&px2, &sensors, &space.branch_specs(late), StemPolicy::Static)
-            .total_ungated();
+    // Reproduce Table 3 row by row: each configuration's Eq. 11 trace
+    // under the static policy.
+    let trace = |config: ConfigId| {
+        let specs = space.branch_specs(config);
+        StageTrace::compute_prec(&px2, &sensors, &specs, StemPolicy::Static, Precision::F32)
+    };
+    // The late-fusion baseline keeps every sensor measuring.
+    let late_total = trace(space.baseline_ids().late).platform_energy()
+        + sensors.total_frame_energy_all_active();
     println!("late fusion baseline: {late_total} per frame in every scenario\n");
     println!(
         "{:<8} {:<34} {:>10} {:>9}",
@@ -37,13 +41,7 @@ fn main() {
     );
     for context in Context::ALL {
         let config = ConfigId(rules[&context]);
-        let b = EnergyBreakdown::compute(
-            &px2,
-            &sensors,
-            &space.branch_specs(config),
-            StemPolicy::Static,
-        );
-        let total = b.total_gated().joules();
+        let total = trace(config).total_energy().joules();
         // Table 3's core claim: whenever the knowledge config leaves a
         // sensor unused, clock gating beats the always-on late-fusion
         // baseline. (Fog/Snow keep all four sensors busy and pay extra

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let out = model.infer(frame, &opts)?;
             loss += fusion_loss(&out.detections, &frame.gt_boxes()).total() as f64;
             energy += out.energy_joules();
-            latency += out.energy.latency.millis();
+            latency += out.stage_trace.total_latency().millis();
         }
         let n = dataset.test().len() as f64;
         energies.push(energy / n);

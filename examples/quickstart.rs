@@ -47,18 +47,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             out.selected_label,
             out.detections.len(),
             out.energy_joules(),
-            out.energy.latency.millis(),
+            out.stage_trace.total_latency().millis(),
         );
     }
 
     // 4. Compare with the static late-fusion baseline on the same frames.
     let late = model.baseline_ids().late;
-    let (dets, energy, _) = model.detect_static(&dataset.test()[0], late, &opts)?;
+    let (dets, trace) = model.detect_static(&dataset.test()[0], late, &opts)?;
     println!(
         "late fusion baseline: {} detections at {:.3} J / {:.2} ms per frame",
         dets.len(),
-        energy.platform.joules(),
-        energy.latency.millis()
+        trace.platform_energy().joules(),
+        trace.total_latency().millis()
     );
     Ok(())
 }

@@ -62,9 +62,9 @@
 //! stream rerouted to `{E(L+R)}` runs 2 of 4, the budget ladder's
 //! emergency rung just 1 — while sensors a health mask rules out
 //! contribute zero-filled gate features and skip their stems. Every
-//! inference carries an [`energy::StageTrace`]: the Eq. 11 breakdown
-//! decomposed per stage (summing bit for bit to
-//! [`energy::EnergyBreakdown::total_gated`], a view of the trace) plus
+//! inference carries an [`energy::StageTrace`], the one record of its
+//! Eq. 11 cost: the charge of every stage (its totals, such as
+//! [`energy::StageTrace::total_energy`], are added up from them) plus
 //! executed/pruned stem counters, threaded through
 //! [`core::InferenceOutput`], the runtime's telemetry and reports, and
 //! [`eval::EvalSummary`]. See `examples/stage_profile.rs`.
@@ -159,9 +159,7 @@ pub mod prelude {
         InferenceOptions, PipelinePlan, TrainConfig, Trainer,
     };
     pub use ecofusion_detect::{BBox, Detection, WbfParams};
-    pub use ecofusion_energy::{
-        EnergyBreakdown, Joules, Millis, Px2Model, SensorPowerModel, StageKind, StageTrace,
-    };
+    pub use ecofusion_energy::{Joules, Millis, Px2Model, SensorPowerModel, StageKind, StageTrace};
     pub use ecofusion_eval::{map_voc, EvalSummary};
     pub use ecofusion_faults::{
         FaultInjector, FaultKind, FaultSchedule, HealthState, SensorHealthMonitor,

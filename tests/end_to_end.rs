@@ -22,7 +22,7 @@ fn every_gate_produces_a_valid_decision() {
         let out = model.infer(frame, &opts).expect("inference");
         assert_eq!(out.predicted_losses.len(), model.space().num_configs(), "{gate}");
         assert!(out.energy_joules() > 0.0, "{gate}");
-        assert!(out.energy.latency.millis() > 0.0, "{gate}");
+        assert!(out.stage_trace.total_latency().millis() > 0.0, "{gate}");
         assert!(!out.selected_label.is_empty(), "{gate}");
         // Detections stay within the raster.
         let g = model.grid() as f32;

@@ -2,17 +2,21 @@
 //! published numbers through the public facade.
 
 use ecofusion::core::{default_knowledge_rules, ConfigId, ConfigSpace};
-use ecofusion::energy::{EnergyBreakdown, Joules, Millis, StemPolicy, Watts};
+use ecofusion::energy::{BranchSpec, Joules, Millis, Precision, StageTrace, StemPolicy, Watts};
 use ecofusion::prelude::*;
 use ecofusion::scene::Context;
+
+/// The f32 static-policy trace of `specs` under the default models: a
+/// Table 1 row's configuration run on its own.
+fn static_trace(specs: &[BranchSpec]) -> StageTrace {
+    let (px2, sensors) = (Px2Model::default(), SensorPowerModel::default());
+    StageTrace::compute_prec(&px2, &sensors, specs, StemPolicy::Static, Precision::F32)
+}
 
 #[test]
 fn table1_energy_and_latency_columns() {
     let space = ConfigSpace::canonical();
-    let px2 = Px2Model::default();
     let b = space.baseline_ids();
-    let e = space.energies(&px2, StemPolicy::Static);
-    let t = space.latencies(&px2, StemPolicy::Static);
     let rows = [
         (b.camera_left, 0.945, 21.57),
         (b.camera_right, 0.945, 21.57),
@@ -22,8 +26,9 @@ fn table1_energy_and_latency_columns() {
         (b.late, 3.798, 84.32),
     ];
     for (id, energy, latency) in rows {
-        assert!((e[id.0].joules() - energy).abs() < 1e-6, "{}", space.label(id));
-        assert!((t[id.0].millis() - latency).abs() < 0.35, "{}", space.label(id));
+        let t = static_trace(&space.branch_specs(id));
+        assert!((t.platform_energy().joules() - energy).abs() < 1e-6, "{}", space.label(id));
+        assert!((t.total_latency().millis() - latency).abs() < 0.35, "{}", space.label(id));
     }
 }
 
@@ -31,8 +36,6 @@ fn table1_energy_and_latency_columns() {
 fn table3_cells_through_facade() {
     let space = ConfigSpace::canonical();
     let rules = default_knowledge_rules(&space);
-    let px2 = Px2Model::default();
-    let sensors = SensorPowerModel::default();
     let expect = [
         (Context::City, 5.45),
         (Context::Fog, 13.96),
@@ -44,9 +47,8 @@ fn table3_cells_through_facade() {
         (Context::Snow, 13.96),
     ];
     for (ctx, want) in expect {
-        let specs = space.branch_specs(ConfigId(rules[&ctx]));
-        let b = EnergyBreakdown::compute(&px2, &sensors, &specs, StemPolicy::Static);
-        assert!((b.total_gated().joules() - want).abs() < 0.011, "{ctx:?}");
+        let t = static_trace(&space.branch_specs(ConfigId(rules[&ctx])));
+        assert!((t.total_energy().joules() - want).abs() < 0.011, "{ctx:?}");
     }
 }
 
@@ -55,12 +57,10 @@ fn px2_average_power_is_about_45w() {
     // The paper measures 45.4 W average under load; implied per-config
     // power of the calibration sits in the 43-46 W band.
     let space = ConfigSpace::canonical();
-    let px2 = Px2Model::default();
     let b = space.baseline_ids();
     for id in [b.camera_left, b.early, b.late] {
-        let e = space.energies(&px2, StemPolicy::Static)[id.0];
-        let t = space.latencies(&px2, StemPolicy::Static)[id.0];
-        let p = e.average_power(t).value();
+        let t = static_trace(&space.branch_specs(id));
+        let p = t.platform_energy().average_power(t.total_latency()).value();
         assert!((43.0..=46.5).contains(&p), "{}: {p} W", space.label(id));
     }
 }
