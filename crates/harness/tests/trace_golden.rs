@@ -143,8 +143,10 @@ fn assert_export_digests(label: &str, sink: &TraceSink, chrome: &str, prom: &str
 /// JSON and Prometheus text, as recorded before the scheduler's emission
 /// moved into the runtime's step recorder, less the cached-stem frame
 /// argument and counter series that left with the stem-feature cache,
-/// and less the unit spans' `worker` argument, the step markers' `steals`
-/// argument and the plan-cache series that moved to `ShardReport`.
+/// less the unit spans' `worker` argument, the step markers' `steals`
+/// argument and the plan-cache series that moved to `ShardReport`, and
+/// less the unit spans' `home` argument, which repeated their track's
+/// shard id.
 /// Rerun and shard-count equality
 /// say nothing about the export across commits; this does. A deliberate
 /// change to an event, an argument or a series records new digests.
@@ -152,7 +154,7 @@ fn assert_export_digests(label: &str, sink: &TraceSink, chrome: &str, prom: &str
 fn steady_city_export_matches_the_recorded_digests() {
     let provider = ModelProvider::prepare(Scale::Quick);
     let (_, sink) = traced_steady_city(&provider, 1);
-    assert_export_digests("steady_city", &sink, "8771983ab5088ec9", "6c43409e3717bbff");
+    assert_export_digests("steady_city", &sink, "a391bcef1120cefb", "6c43409e3717bbff");
 }
 
 /// The exported bytes of quick `fault_storm` (two streams) and
@@ -163,10 +165,10 @@ fn steady_city_export_matches_the_recorded_digests() {
 fn four_shard_exports_match_the_recorded_digests() {
     let provider = ModelProvider::prepare(Scale::Quick);
     let (_, sink) = traced(&provider, SuiteId::FaultStorm, 4);
-    assert_export_digests("fault_storm", &sink, "1081f49d58f80a59", "cc411a8a65d98e12");
+    assert_export_digests("fault_storm", &sink, "0dde10bd820c453b", "cc411a8a65d98e12");
     let (_, sink) = traced(&provider, SuiteId::FleetScale, 4);
     assert_eq!(sink.dropped(), 0, "capacity must cover a quick run");
-    assert_export_digests("fleet_scale", &sink, "07ff997d6cecd0e3", "84dd2214ffcf24dc");
+    assert_export_digests("fleet_scale", &sink, "752863be4c91061d", "84dd2214ffcf24dc");
 }
 
 /// Every counted series agrees with the report it was traced beside —

@@ -130,7 +130,6 @@ impl Recorder {
         self.shard_clock_ns[home] = start + dur;
         let streams = unit.lane_ids.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
         let args = vec![
-            ("home", U64(home as u64)),
             ("frames", U64(unit.outputs.len() as u64)),
             ("streams", Text(streams)),
             ("tick", U64(tick)),
