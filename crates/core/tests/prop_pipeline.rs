@@ -300,10 +300,9 @@ proptest! {
 /// sensor energy, its latency and every `StageCost`; then every
 /// configuration's f32 platform energy and latency under each policy —
 /// folded by FNV-1a over their `to_bits()`. Recorded while the PX2 model
-/// still composed configuration costs beside the stage trace, and a
-/// breakdown type and the configuration space still carried these
-/// numbers: it holds the one composition to the numbers every table,
-/// selection and report was served with.
+/// still composed configuration costs beside the stage trace: it holds
+/// the one composition to the numbers every table, selection and report
+/// was served with.
 #[test]
 fn cost_table_matches_the_recorded_digest() {
     use ecofusion_core::pipeline::account_prec;

@@ -7,7 +7,7 @@
 
 use crate::tables::Table;
 use ecofusion_core::{default_knowledge_rules, ConfigId, ConfigSpace};
-use ecofusion_energy::{BranchSpec, Precision, Px2Model, SensorPowerModel, StageTrace, StemPolicy};
+use ecofusion_energy::{Precision, Px2Model, SensorPowerModel, StageTrace, StemPolicy};
 use ecofusion_scene::Context;
 use serde::Serialize;
 
@@ -47,20 +47,21 @@ pub fn run_with(px2: &Px2Model, sensors: &SensorPowerModel) -> Table3Result {
     let space = ConfigSpace::canonical();
     let rules = default_knowledge_rules(&space);
     let late = space.baseline_ids().late;
-    let trace = |specs: &[BranchSpec]| {
-        StageTrace::compute_prec(px2, sensors, specs, StemPolicy::Static, Precision::F32)
+    let trace = |config: ConfigId| {
+        let specs = space.branch_specs(config);
+        StageTrace::compute_prec(px2, sensors, &specs, StemPolicy::Static, Precision::F32)
     };
     // Without clock gating every sensor measures.
     let ungated =
         |t: &StageTrace| (t.platform_energy() + sensors.total_frame_energy_all_active()).joules();
-    let late_total = ungated(&trace(&space.branch_specs(late)));
+    let late_total = ungated(&trace(late));
     let mut columns = Vec::new();
     let weights = Context::mix_weights();
     let mut overall_eco = 0.0;
     let mut overall_eco_ungated = 0.0;
     for (i, context) in Context::ALL.iter().enumerate() {
         let config = ConfigId(rules[context]);
-        let t = trace(&space.branch_specs(config));
+        let t = trace(config);
         let eco = t.total_energy().joules();
         overall_eco += weights[i] * eco;
         overall_eco_ungated += weights[i] * ungated(&t);
