@@ -204,6 +204,9 @@ pub struct BaselineIds {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::{Dataset, DatasetSpec};
+    use crate::model::{EcoFusionModel, InferenceOptions};
+    use ecofusion_tensor::rng::Rng;
 
     #[test]
     fn canonical_space_shape() {
@@ -231,6 +234,51 @@ mod tests {
         assert_eq!(s.branch_ids(b.early), vec![ConfigSpace::EARLY_CCL]);
         assert_eq!(s.label(b.camera_left), "{C_L}");
         assert_eq!(s.label(b.early), "{E(C_L+C_R+L)}");
+    }
+
+    /// Platform energy (J) and latency (ms) of each of `ids` as an
+    /// untrained model serves it as a static baseline: the space names
+    /// the baselines, the model's static path charges them.
+    fn served_static_costs(ids: &[ConfigId]) -> Vec<(f64, f64)> {
+        let mut model = EcoFusionModel::new(32, 8, &mut Rng::new(1));
+        let data = Dataset::generate(&DatasetSpec::small(2));
+        let opts = InferenceOptions::new(0.01, 0.5);
+        ids.iter()
+            .map(|&id| {
+                let (_, trace) = model.detect_static(&data.test()[0], id, &opts).unwrap();
+                (trace.platform_energy().joules(), trace.total_latency().millis())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn energies_match_paper_for_baselines() {
+        let b = ConfigSpace::canonical().baseline_ids();
+        let costs = served_static_costs(&[b.camera_left, b.radar, b.early, b.late]);
+        let e: Vec<f64> = costs.iter().map(|c| c.0).collect();
+        assert!((e[0] - 0.945).abs() < 1e-9, "{}", e[0]);
+        assert!((e[1] - 0.954).abs() < 1e-9, "{}", e[1]);
+        assert!((e[2] - 1.379).abs() < 1e-9, "{}", e[2]);
+        assert!((e[3] - 3.798).abs() < 1e-9, "{}", e[3]);
+    }
+
+    #[test]
+    fn latencies_match_paper_for_baselines() {
+        let b = ConfigSpace::canonical().baseline_ids();
+        let costs = served_static_costs(&[b.camera_left, b.early, b.late]);
+        let t: Vec<f64> = costs.iter().map(|c| c.1).collect();
+        assert!((t[0] - 21.57).abs() < 1e-9, "{}", t[0]);
+        assert!((t[1] - 31.36).abs() < 1e-9, "{}", t[1]);
+        assert!((t[2] - 84.32).abs() < 0.35, "{}", t[2]);
+    }
+
+    /// Every configuration of the model's adaptive cost table costs energy.
+    #[test]
+    fn every_config_has_positive_energy() {
+        let model = EcoFusionModel::new(32, 8, &mut Rng::new(1));
+        let e = model.config_energies();
+        assert_eq!(e.len(), ConfigSpace::canonical().num_configs());
+        assert!(e.iter().all(|j| j.joules() > 0.0));
     }
 
     /// The label table is derived, not stored: a serialized space holds

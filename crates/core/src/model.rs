@@ -686,8 +686,6 @@ mod tests {
         assert_eq!(m.space().num_branches(), 7);
         assert_eq!(m.space().num_configs(), 127);
         assert_eq!(m.grid(), 32);
-        assert_eq!(m.config_energies().len(), 127);
-        assert!(m.config_energies().iter().all(|j| j.joules() > 0.0));
     }
 
     #[test]

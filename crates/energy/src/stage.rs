@@ -274,6 +274,31 @@ mod tests {
     }
 
     #[test]
+    fn city_config_matches_table3() {
+        // Knowledge gate in City: early-3 (C_L+C_R+L), radar gated.
+        let t = static_trace(&[BranchSpec::Early(vec![CL, CR, L])]);
+        // 1.379 + 0.475 (cams) + 3.0 (lidar) + 0.6 (radar motor) = 5.454.
+        assert!((t.total_energy().joules() - 5.454).abs() < 0.01, "{}", t.total_energy());
+    }
+
+    #[test]
+    fn junction_config_matches_table3() {
+        // Knowledge gate at junctions: early-2 cameras, radar+lidar gated.
+        let t = static_trace(&[BranchSpec::Early(vec![CL, CR])]);
+        // 1.195 + 0.475 + 0.6 + 0.6 = 2.87.
+        assert!((t.total_energy().joules() - 2.87).abs() < 0.01, "{}", t.total_energy());
+    }
+
+    #[test]
+    fn night_config_matches_table3() {
+        // Night: late fusion of {R, L, C_R}; left camera gated (free).
+        let t =
+            static_trace(&[BranchSpec::Single(R), BranchSpec::Single(L), BranchSpec::Single(CR)]);
+        // 2.853 platform + 6 + 3 + 0.2375 = 12.09.
+        assert!((t.total_energy().joules() - 12.091).abs() < 0.01, "{}", t.total_energy());
+    }
+
+    #[test]
     fn gating_saves_vs_ungated() {
         let t = static_trace(&[BranchSpec::Early(vec![CL, CR])]);
         assert!(t.total_energy().joules() < ungated(&t).joules());
