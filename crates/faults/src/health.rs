@@ -4,40 +4,22 @@ use ecofusion_sensors::{Observation, SensorKind, SensorMask};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Tuning knobs of the [`SensorHealthMonitor`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HealthConfig {
-    /// EWMA coefficient of the fast (reactive) statistics.
-    pub alpha_fast: f64,
-    /// EWMA coefficient of the slow baseline statistics.
-    pub alpha_slow: f64,
-    /// Frames before the monitor starts judging (baselines settle first);
-    /// every sensor reports healthy during warmup.
-    pub warmup_frames: u64,
-    /// Score below which a sensor is [`HealthState::Degraded`].
-    pub degraded_below: f64,
-    /// Score below which a sensor is [`HealthState::Failed`].
-    pub failed_below: f64,
-    /// Recovery margin: a sensor already flagged (degraded or failed)
-    /// only improves its state once the score clears the corresponding
-    /// threshold by this much. Prevents a score hovering at a threshold
-    /// from flapping the state — and, downstream, the availability mask —
-    /// frame to frame.
-    pub hysteresis: f64,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            alpha_fast: 0.5,
-            alpha_slow: 0.05,
-            warmup_frames: 4,
-            degraded_below: 0.7,
-            failed_below: 0.35,
-            hysteresis: 0.1,
-        }
-    }
-}
+/// EWMA coefficient of the fast (reactive) statistics.
+const ALPHA_FAST: f64 = 0.5;
+/// EWMA coefficient of the slow baseline statistics.
+const ALPHA_SLOW: f64 = 0.05;
+/// Frames before the monitor starts judging (baselines settle first);
+/// every sensor reports healthy during warmup.
+const WARMUP_FRAMES: u64 = 4;
+/// Score below which a sensor is [`HealthState::Degraded`].
+const DEGRADED_BELOW: f64 = 0.7;
+/// Score below which a sensor is [`HealthState::Failed`].
+const FAILED_BELOW: f64 = 0.35;
+/// Recovery margin: a sensor already flagged (degraded or failed) only
+/// improves its state once the score clears the corresponding threshold
+/// by this much. Prevents a score hovering at a threshold from flapping
+/// the state — and, downstream, the availability mask — frame to frame.
+const HYSTERESIS: f64 = 0.1;
 
 /// Discretized health of one sensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -247,49 +229,21 @@ fn fused_stats(grids: [&[f32]; 4], prevs: [Option<&[f32]>; 4]) -> [GridStats; 4]
 /// model.
 #[derive(Debug, Clone)]
 pub struct SensorHealthMonitor {
-    cfg: HealthConfig,
     trackers: [SensorTracker; 4],
     transitions: u64,
 }
 
 impl Default for SensorHealthMonitor {
+    /// A monitor that has seen no frame: every sensor healthy.
     fn default() -> Self {
-        SensorHealthMonitor::new(HealthConfig::default())
+        SensorHealthMonitor {
+            trackers: std::array::from_fn(|_| SensorTracker::new()),
+            transitions: 0,
+        }
     }
 }
 
 impl SensorHealthMonitor {
-    /// Creates a monitor.
-    ///
-    /// # Panics
-    /// Panics if the config's alphas are outside `(0, 1]` or the
-    /// thresholds are not `0 < failed_below <= degraded_below <= 1`.
-    pub fn new(cfg: HealthConfig) -> Self {
-        assert!(cfg.alpha_fast > 0.0 && cfg.alpha_fast <= 1.0, "alpha_fast must be in (0, 1]");
-        assert!(cfg.alpha_slow > 0.0 && cfg.alpha_slow <= 1.0, "alpha_slow must be in (0, 1]");
-        assert!(
-            cfg.failed_below > 0.0 && cfg.failed_below <= cfg.degraded_below,
-            "thresholds must satisfy 0 < failed_below <= degraded_below"
-        );
-        assert!(cfg.degraded_below <= 1.0, "degraded_below must be at most 1");
-        assert!(cfg.hysteresis >= 0.0, "hysteresis must be non-negative");
-        SensorHealthMonitor {
-            cfg,
-            trackers: [
-                SensorTracker::new(),
-                SensorTracker::new(),
-                SensorTracker::new(),
-                SensorTracker::new(),
-            ],
-            transitions: 0,
-        }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
     /// Ingests one observation and refreshes every sensor's score/state.
     pub fn update(&mut self, obs: &Observation) {
         let grids = SensorKind::ALL.map(|k| obs.grid(k).data());
@@ -309,7 +263,6 @@ impl SensorHealthMonitor {
     /// `s`: remembers `data` as the previous frame, folds the frame's
     /// statistics into the EWMAs and re-derives score and state.
     fn judge(&mut self, s: usize, data: &[f32], stats: GridStats) {
-        let cfg = self.cfg;
         let GridStats { energy, var, delta } = stats;
         let t = &mut self.trackers[s];
         // In place once the buffer has the grid's length.
@@ -322,31 +275,31 @@ impl SensorHealthMonitor {
             t.fast_var = var;
             t.slow_var = var;
         } else {
-            t.fast_energy = ewma(cfg.alpha_fast, energy, t.fast_energy);
-            t.fast_var = ewma(cfg.alpha_fast, var, t.fast_var);
+            t.fast_energy = ewma(ALPHA_FAST, energy, t.fast_energy);
+            t.fast_var = ewma(ALPHA_FAST, var, t.fast_var);
         }
         if let Some(delta) = delta {
             if t.frames == 1 {
                 t.fast_delta = delta;
                 t.slow_delta = delta;
             } else {
-                t.fast_delta = ewma(cfg.alpha_fast, delta, t.fast_delta);
+                t.fast_delta = ewma(ALPHA_FAST, delta, t.fast_delta);
             }
         }
         // The slow baseline only learns from frames the monitor believes
         // are healthy — a fault must not become the reference.
         if t.state == HealthState::Healthy && t.frames > 0 {
-            t.slow_energy = ewma(cfg.alpha_slow, energy, t.slow_energy);
-            t.slow_var = ewma(cfg.alpha_slow, var, t.slow_var);
+            t.slow_energy = ewma(ALPHA_SLOW, energy, t.slow_energy);
+            t.slow_var = ewma(ALPHA_SLOW, var, t.slow_var);
             if let Some(delta) = delta {
                 if t.frames > 1 {
-                    t.slow_delta = ewma(cfg.alpha_slow, delta, t.slow_delta);
+                    t.slow_delta = ewma(ALPHA_SLOW, delta, t.slow_delta);
                 }
             }
         }
         t.frames += 1;
 
-        if t.frames <= cfg.warmup_frames {
+        if t.frames <= WARMUP_FRAMES {
             t.score = 1.0;
             // Warmup never transitions; state stays Healthy.
             return;
@@ -362,9 +315,9 @@ impl SensorHealthMonitor {
         // score hovering at a boundary cannot flap the state (and the
         // availability mask) every frame.
         let classify = |score: f64, margin: f64| {
-            if score < cfg.failed_below + margin {
+            if score < FAILED_BELOW + margin {
                 HealthState::Failed
-            } else if score < cfg.degraded_below + margin {
+            } else if score < DEGRADED_BELOW + margin {
                 HealthState::Degraded
             } else {
                 HealthState::Healthy
@@ -376,7 +329,7 @@ impl SensorHealthMonitor {
         } else {
             // Improving: only as far as the margin-raised thresholds
             // allow, and never below the current state.
-            classify(t.score, cfg.hysteresis).min(t.state)
+            classify(t.score, HYSTERESIS).min(t.state)
         };
         if new_state != t.state {
             t.state = new_state;
@@ -422,14 +375,9 @@ impl SensorHealthMonitor {
         m
     }
 
-    /// State changes observed since construction/reset.
+    /// State changes observed since construction.
     pub fn transitions(&self) -> u64 {
         self.transitions
-    }
-
-    /// Forgets all statistics and verdicts.
-    pub fn reset(&mut self) {
-        *self = SensorHealthMonitor::new(self.cfg);
     }
 }
 
@@ -555,22 +503,12 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_and_resettable() {
+    fn deterministic() {
         let schedule = FaultSchedule::empty().with_camera_dropout(5, 10);
         let (a, _) = run_monitor(schedule.clone(), 20);
         let (b, _) = run_monitor(schedule, 20);
         assert_eq!(a.scores(), b.scores());
         assert_eq!(a.states(), b.states());
-        let mut m = a.clone();
-        m.reset();
-        assert_eq!(m.scores(), [1.0; 4]);
-        assert_eq!(m.transitions(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha_fast")]
-    fn bad_config_panics() {
-        let _ = SensorHealthMonitor::new(HealthConfig { alpha_fast: 0.0, ..Default::default() });
     }
 
     /// A score hovering right at the failed threshold must not flap the
@@ -665,8 +603,10 @@ mod tests {
     /// frame after takes its delta over every cell of the new grid.
     #[test]
     fn grid_length_change_skips_one_delta_sample() {
-        let cfg = HealthConfig { warmup_frames: 3, ..HealthConfig::default() };
         let frames = [
+            // Warmup lasts four frames; this one seeds the delta at the
+            // baseline, 1, on the next.
+            signs(16, |i| i < 128),
             signs(16, |_| false),
             // Half the cells flip: delta 128 · 2 / 256 = 1, the baseline.
             signs(16, |i| i < 128),
@@ -676,7 +616,7 @@ mod tests {
             signs(32, |i| i < 128 || (256..384).contains(&i)),
         ];
         let run = || {
-            let mut monitor = SensorHealthMonitor::new(cfg);
+            let mut monitor = SensorHealthMonitor::default();
             for g in &frames {
                 monitor.update(&Observation::from_grids([0, 1, 2, 3].map(|_| g.clone())));
             }
@@ -685,8 +625,8 @@ mod tests {
         let monitor = run();
         // Fast and slow delta are both 1 when the grid grows and are left
         // alone by that frame; the last frame folds 0.25 into each.
-        let fast = ewma(cfg.alpha_fast, 0.25, 1.0);
-        let slow = ewma(cfg.alpha_slow, 0.25, 1.0);
+        let fast = ewma(ALPHA_FAST, 0.25, 1.0);
+        let slow = ewma(ALPHA_SLOW, 0.25, 1.0);
         let expected = fast / (slow + 1e-6);
         assert!(expected < 0.7, "the delta score must be the binding one: {expected}");
         for kind in SensorKind::ALL {

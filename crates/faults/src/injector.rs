@@ -81,15 +81,6 @@ impl FaultInjector {
         self.frames_faulted
     }
 
-    /// Rewinds to frame 0 and clears all fault state.
-    pub fn reset(&mut self) {
-        self.frame = 0;
-        self.frozen.clear();
-        self.last_output = None;
-        self.events_applied = 0;
-        self.frames_faulted = 0;
-    }
-
     /// Renders a scene through `suite` and applies the current frame's
     /// faults: the drop-in replacement for [`SensorSuite::observe`] on a
     /// degraded stream.
@@ -264,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_reset() {
+    fn counters() {
         let schedule = FaultSchedule::empty().with_camera_dropout(1, 2);
         let (scenes, clean) = render(11, 4);
         let mut inj = FaultInjector::new(schedule, 1);
@@ -274,9 +265,6 @@ mod tests {
         assert_eq!(inj.frame(), 4);
         assert_eq!(inj.frames_faulted(), 2);
         assert_eq!(inj.events_applied(), 4, "two cameras over two frames");
-        inj.reset();
-        assert_eq!(inj.frame(), 0);
-        assert_eq!(inj.events_applied(), 0);
     }
 
     #[test]

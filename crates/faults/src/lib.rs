@@ -44,7 +44,7 @@ pub mod injector;
 pub mod model;
 pub mod schedule;
 
-pub use health::{HealthConfig, HealthState, SensorHealthMonitor};
+pub use health::{HealthState, SensorHealthMonitor};
 pub use injector::FaultInjector;
 pub use model::{apply_stateless, FaultKind, DRIFT_CELLS_PER_FRAME, FAULT_CLAMP_HI};
 pub use schedule::{FaultEvent, FaultSchedule};

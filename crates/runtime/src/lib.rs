@@ -102,7 +102,8 @@
 //!   [`StreamSpec::health_gating`] enabled the monitor's availability
 //!   mask feeds the stream's
 //!   [`InferenceOptions`](ecofusion_core::InferenceOptions) so gating
-//!   steers away from dead sensors (surviving budget-ladder moves).
+//!   steers away from dead sensors on every ladder rung
+//!   ([`PerceptionServer::stream_options`]).
 //!   Malformed frames are rejected at ingest with
 //!   [`IngestOutcome::RejectedMalformed`] instead of panicking, so one
 //!   broken producer cannot take down the server.
@@ -114,8 +115,8 @@
 //!   rungs, gate fallbacks, health transitions, budget retargets and
 //!   fault activations — what the server decided, never which thread
 //!   ran it, so a recording depends on the streams and the shard layout
-//!   alone. The scheduler's serial phases call it; without a sink, or
-//!   with a disabled one, each call site is one branch.
+//!   alone. The scheduler's serial phases call it; without a sink each
+//!   call site is one branch.
 
 #![forbid(unsafe_code)]
 

@@ -6,9 +6,9 @@
 //! the spans are laid out on, and the metric series names, built once.
 //! The scheduler's serial phases tell it what happened, in global pick
 //! order, so the event sequence is deterministic; nothing else touches
-//! the sink, and whether a server records at all is decided by [`armed`]
-//! alone. Time is virtual: a tick is [`TICK_NS`], and a span lasts the
-//! modeled latency of what it covers.
+//! the sink, and a server records exactly when it holds a recorder. Time
+//! is virtual: a tick is [`TICK_NS`], and a span lasts the modeled
+//! latency of what it covers.
 //!
 //! Nothing here depends on which thread ran what: a unit's span sits on
 //! its home shard's track, and what work stealing and the replicas' plan
@@ -46,13 +46,6 @@ pub(crate) struct Recorder {
     moves: Vec<String>,
     /// `ecofusion_ladder_rung_total`, per ladder level.
     rungs: Vec<String>,
-}
-
-/// The recorder of a server if it is armed — installed with an enabled
-/// sink. A server without a sink and one with a disabled sink are both
-/// unarmed, and no other code asks.
-pub(crate) fn armed(recorder: &mut Option<Recorder>) -> Option<&mut Recorder> {
-    recorder.as_mut().filter(|r| r.sink.is_enabled())
 }
 
 /// `family{key="v"}` for each `v` of `values`.

@@ -16,14 +16,13 @@ use crate::budget::{
     FleetBudgetPolicy,
 };
 use crate::queue::{FrameQueue, IngestOutcome, QueuedFrame};
-use crate::recorder::{self, Recorder};
+use crate::recorder::Recorder;
 use crate::shard::{shard_of, ShardPool, ShardReport, StepUnit, UnitPayload};
 use crate::stream::{StreamSpec, VehicleStream};
 use crate::telemetry::StreamTelemetry;
 use ecofusion_core::model::InferError;
-use ecofusion_core::{CandidateRule, EcoFusionModel, Frame, InferenceOptions, InferenceOutput};
+use ecofusion_core::{EcoFusionModel, Frame, InferenceOptions, InferenceOutput};
 use ecofusion_faults::SensorHealthMonitor;
-use ecofusion_gating::GateKind;
 use ecofusion_sensors::SensorMask;
 use ecofusion_trace::TraceSink;
 
@@ -92,48 +91,11 @@ impl RuntimeConfig {
     }
 }
 
-/// A totally ordered grouping key over [`InferenceOptions`]: float fields
-/// by bit pattern, enums by discriminant, the health mask by its bits.
-/// Two options values produced by the policy ladder / health gating are
-/// semantically equal iff their keys are equal, so keyed grouping batches
-/// exactly what the old linear `find` over `PartialEq` batched — in
-/// O(log groups) per frame instead of O(groups).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct OptionsKey {
-    gate: GateKind,
-    rule: u8,
-    lambda_bits: u64,
-    gamma_bits: u32,
-    score_bits: u32,
-    nms_bits: u32,
-    health_bits: u8,
-    precision: u8,
-}
-
-impl OptionsKey {
-    fn of(opts: &InferenceOptions) -> Self {
-        OptionsKey {
-            gate: opts.gate,
-            rule: match opts.rule {
-                CandidateRule::Margin => 0,
-                CandidateRule::PaperEq7 => 1,
-            },
-            lambda_bits: opts.lambda_e.to_bits(),
-            gamma_bits: opts.gamma.to_bits(),
-            score_bits: opts.score_thresh.to_bits(),
-            nms_bits: opts.nms_iou.to_bits(),
-            health_bits: opts.health.bits(),
-            precision: opts.precision.discriminant(),
-        }
-    }
-}
-
 /// One stream's server-side state.
 struct Lane {
     queue: FrameQueue,
     controller: BudgetController,
     base_opts: InferenceOptions,
-    opts: InferenceOptions,
     telemetry: StreamTelemetry,
     monitor: SensorHealthMonitor,
     health_gating: bool,
@@ -150,7 +112,6 @@ impl Lane {
             queue: FrameQueue::new(spec.queue_capacity, spec.backpressure),
             controller: BudgetController::new(spec.budget, default_ladder(&spec.base_opts)),
             base_opts: spec.base_opts,
-            opts: spec.base_opts,
             telemetry: StreamTelemetry::new(),
             monitor: SensorHealthMonitor::default(),
             health_gating: spec.health_gating,
@@ -168,6 +129,18 @@ impl Lane {
         } else {
             SensorMask::all_available()
         }
+    }
+
+    /// The options the lane runs with: its ladder's current rung applied
+    /// to the base options, and with fault-aware gating on, the monitor's
+    /// mask. Derived when asked, so a ladder move or a health update is
+    /// in force from the next frame on without anything to keep in step.
+    fn opts(&self) -> InferenceOptions {
+        let mut opts = self.controller.current().apply(&self.base_opts);
+        if self.health_gating {
+            opts.health = self.monitor.mask();
+        }
+        opts
     }
 }
 
@@ -240,9 +213,6 @@ struct StepBuffers {
     /// first-seen group order.
     units: Vec<StepUnit>,
     live: usize,
-    /// `((home shard, options), slot)` of this step's units, sorted by
-    /// key: the grouping index.
-    groups: Vec<((usize, OptionsKey), usize)>,
     /// This step's frames with their outputs, put in global pick order
     /// for accounting.
     rows: Vec<Row>,
@@ -331,9 +301,11 @@ impl PerceptionServer {
 
     /// Installs an event sink; every subsequent step emits frame/stage
     /// spans, scheduler unit spans, and decision events into it, on
-    /// virtual clocks that start at zero. Pass [`TraceSink::disabled`]
-    /// (or never call this) for the zero-overhead path — every hook is
-    /// one branch.
+    /// virtual clocks that start at zero. A server records exactly while
+    /// it holds a sink: never call this (or [`take_tracer`] the sink
+    /// back) for the zero-overhead path — every hook is one branch.
+    ///
+    /// [`take_tracer`]: PerceptionServer::take_tracer
     pub fn set_tracer(&mut self, sink: TraceSink) {
         let rungs = self.lanes.iter().map(|l| l.controller.rungs()).max().unwrap_or(0);
         self.recorder = Some(Recorder::new(sink, self.lanes.len(), self.shards.len(), rungs));
@@ -407,10 +379,13 @@ impl PerceptionServer {
         self.lanes.iter().map(|l| l.queue.len()).sum()
     }
 
-    /// The inference options `stream` currently runs with (reflects any
-    /// budget adaptation so far).
+    /// The inference options `stream` runs with now: its ladder's current
+    /// rung applied to its base options and, with fault-aware gating on,
+    /// its monitor's mask (all available before the stream's first
+    /// frame). Derived on each call; a step updates the monitors from its
+    /// frames before it groups them.
     pub fn stream_options(&self, stream: usize) -> InferenceOptions {
-        self.lanes[stream].opts
+        self.lanes[stream].opts()
     }
 
     /// The budget controller of `stream`.
@@ -447,7 +422,7 @@ impl PerceptionServer {
     /// (no-op for lanes without one or whose target is already in force).
     fn apply_budget_timelines(&mut self) {
         let tick = self.tick;
-        let mut rec = recorder::armed(&mut self.recorder);
+        let mut rec = self.recorder.as_mut();
         for (i, lane) in self.lanes.iter_mut().enumerate() {
             let Some(target) = lane.timeline.as_ref().and_then(|t| t.target_at(tick)) else {
                 continue;
@@ -501,7 +476,7 @@ impl PerceptionServer {
         self.account_units(&mut stats)?;
         self.coordinate_fleet_budget();
         stats.queued_after = self.queued();
-        if let Some(rec) = recorder::armed(&mut self.recorder) {
+        if let Some(rec) = self.recorder.as_mut() {
             rec.step(&stats);
         }
         Ok(stats)
@@ -518,18 +493,13 @@ impl PerceptionServer {
     /// and therefore every inference result — stay untouched.
     fn update_health(&mut self) {
         let tick = self.tick;
-        let mut rec = recorder::armed(&mut self.recorder);
+        let mut rec = self.recorder.as_mut();
         for (lane_idx, queued) in &self.step.picked {
             let monitor = &mut self.lanes[*lane_idx].monitor;
             let before = monitor.states();
             monitor.update(&queued.frame.obs);
             if let Some(rec) = &mut rec {
                 rec.health(*lane_idx, tick, before, monitor.states());
-            }
-        }
-        for lane in &mut self.lanes {
-            if lane.health_gating {
-                lane.opts.health = lane.active_mask();
             }
         }
         for (lane_idx, _) in &self.step.picked {
@@ -539,11 +509,11 @@ impl PerceptionServer {
         }
     }
 
-    /// Partitions the picked frames into work units keyed on `(home
+    /// Partitions the picked frames into work units of equal `(home
     /// shard, options)`, in first-seen order, filling the scheduler's unit
-    /// slots. The grouping index is kept sorted, so grouping costs O(n log
-    /// g) comparisons in the number of distinct groups, instead of the old
-    /// O(n·g) linear scan per frame.
+    /// slots. A frame joins the first live unit whose shard and options
+    /// equal its lane's; a step has a handful of units, so the scan is
+    /// cheap.
     ///
     /// Each lane contributes to exactly one unit per step (one home
     /// shard, one current options value), and all its frames stay in FIFO
@@ -552,25 +522,22 @@ impl PerceptionServer {
     fn build_units(&mut self) {
         let tick = self.tick;
         let num_shards = self.shards.len();
-        let StepBuffers { picked, units, live, groups, .. } = &mut self.step;
-        groups.clear();
+        let StepBuffers { picked, units, live, .. } = &mut self.step;
         *live = 0;
         for (pick, (lane_idx, queued)) in picked.drain(..).enumerate() {
-            let opts = self.lanes[lane_idx].opts;
+            let opts = self.lanes[lane_idx].opts();
             let shard = shard_of(lane_idx, num_shards);
-            let key = (shard, OptionsKey::of(&opts));
-            let slot = match groups.binary_search_by(|(k, _)| k.cmp(&key)) {
-                Ok(at) => groups[at].1,
-                Err(at) => {
-                    groups.insert(at, (key, *live));
-                    if *live == units.len() {
-                        units.push(StepUnit::new(shard, opts));
-                    }
-                    units[*live].reset(shard, opts);
-                    *live += 1;
-                    *live - 1
+            let found = units[..*live]
+                .iter_mut()
+                .position(|u| u.shard == shard && u.payload_mut().opts == opts);
+            let slot = found.unwrap_or_else(|| {
+                if *live == units.len() {
+                    units.push(StepUnit::new(shard, opts));
                 }
-            };
+                units[*live].reset(shard, opts);
+                *live += 1;
+                *live - 1
+            });
             let payload = units[slot].payload_mut();
             payload.lane_ids.push(lane_idx);
             payload.frames.push(queued.frame);
@@ -591,7 +558,7 @@ impl PerceptionServer {
     /// counts.
     fn account_units(&mut self, stats: &mut StepStats) -> Result<(), InferError> {
         let tick = self.tick;
-        let mut rec = recorder::armed(&mut self.recorder);
+        let mut rec = self.recorder.as_mut();
         let mut first_err = None;
         let StepBuffers { units, live, rows, .. } = &mut self.step;
         stats.batch_sizes = Vec::with_capacity(*live);
@@ -643,12 +610,6 @@ impl PerceptionServer {
             lane.telemetry.record(output, frame.gt_boxes(), wait);
             let level_before = lane.controller.level();
             if let Some(step) = lane.controller.record(spent_j) {
-                lane.opts = step.apply(&lane.base_opts);
-                // Policy rungs are built from the base options; the
-                // health mask must survive ladder moves.
-                if lane.health_gating {
-                    lane.opts.health = lane.monitor.mask();
-                }
                 if let Some(rec) = &mut rec {
                     rec.ladder(lane_idx, level_before, lane.controller.level(), &step);
                 }
@@ -776,7 +737,7 @@ pub fn run_simulation_observed(
                 let frame = stream.next_frame();
                 let (_, events) = stream.fault_counts();
                 if events > fault_events[i] {
-                    if let Some(rec) = recorder::armed(&mut server.recorder) {
+                    if let Some(rec) = server.recorder.as_mut() {
                         rec.fault(i, tick, events - fault_events[i]);
                     }
                     fault_events[i] = events;

@@ -147,6 +147,7 @@ impl PerceptionServer {
             .enumerate()
             .map(|(i, lane)| {
                 let summary = lane.telemetry.summary(self.cfg.num_classes);
+                let opts = lane.opts();
                 let stage_energy_j = summary.stage_energy_j.clone();
                 StreamReport {
                     stream: i,
@@ -166,8 +167,8 @@ impl PerceptionServer {
                     escalations: lane.controller.escalations(),
                     relaxations: lane.controller.relaxations(),
                     final_level: lane.controller.level(),
-                    final_gate: lane.opts.gate,
-                    final_lambda_e: lane.opts.lambda_e,
+                    final_gate: opts.gate,
+                    final_lambda_e: opts.lambda_e,
                     rolling_energy_j: lane.controller.rolling_mean_j(),
                     granted_j: lane.controller.grant_j(),
                     total_platform_j: lane.telemetry.platform_j(),
@@ -178,7 +179,7 @@ impl PerceptionServer {
                     stems_skipped: lane.telemetry.stems_skipped(),
                     int8_frames: lane.telemetry.int8_frames(),
                     gate_fallbacks: lane.telemetry.gate_fallbacks(),
-                    final_precision: lane.opts.precision,
+                    final_precision: opts.precision,
                     stem_cache_hits: 0,
                     stem_cache_misses: 0,
                     stage_energy_j,

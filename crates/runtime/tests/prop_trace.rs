@@ -14,9 +14,6 @@
 //!    are the trace's Eq. 11 totals bit for bit, the frame starts at
 //!    its tick, and the virtual-time cursor advances by exactly the
 //!    modeled latency of each stage.
-//!
-//! Plus the zero-overhead contract: a server given a disabled sink
-//! records nothing.
 
 use ecofusion_core::{EcoFusionModel, Frame, InferenceOptions, InferenceOutput};
 use ecofusion_energy::{StageKind, StageTrace};
@@ -42,18 +39,12 @@ fn model(seed: u64) -> EcoFusionModel {
     EcoFusionModel::new(GRID, 8, &mut Rng::new(seed ^ 0x7ACE))
 }
 
-/// Serves `frame` under `opts` at tick `tick` on a one-stream server
-/// whose tracer is `sink`, and returns the sink.
-fn serve_traced(
-    seed: u64,
-    frame: Frame,
-    opts: InferenceOptions,
-    tick: u64,
-    sink: TraceSink,
-) -> TraceSink {
+/// Serves `frame` under `opts` at tick `tick` on a one-stream traced
+/// server, and returns its sink.
+fn serve_traced(seed: u64, frame: Frame, opts: InferenceOptions, tick: u64) -> TraceSink {
     let spec = StreamSpec::new(seed, GRID).with_opts(opts);
     let mut server = PerceptionServer::new(model(seed), &[spec], RuntimeConfig::default());
-    server.set_tracer(sink);
+    server.set_tracer(TraceSink::with_capacity(256));
     for _ in 0..tick {
         server.advance_tick();
     }
@@ -88,7 +79,7 @@ proptest! {
             .with_gate(gate)
             .with_health(SensorMask::from_bits(mask_bits));
         let out: InferenceOutput = model(seed).infer(&frame, &opts).expect("matching grid");
-        let sink = serve_traced(seed, frame, opts, start_ms, TraceSink::with_capacity(256));
+        let sink = serve_traced(seed, frame, opts, start_ms);
         let start_ns = start_ms * TICK_NS;
         let spans: Vec<_> = sink
             .events()
@@ -151,12 +142,4 @@ proptest! {
         prop_assert_eq!(frame_end.name, "frame");
         prop_assert_eq!(frame_end.t_ns, cursor, "the frame ends where its last stage does");
     }
-}
-
-#[test]
-fn a_disabled_sink_records_nothing() {
-    let frame = render_frame(7, Context::City);
-    let sink = serve_traced(7, frame, InferenceOptions::new(0.01, 0.5), 3, TraceSink::disabled());
-    assert_eq!(sink.total_emitted(), 0);
-    assert!(sink.metrics().is_empty());
 }

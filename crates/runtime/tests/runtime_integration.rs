@@ -286,6 +286,92 @@ fn batches_span_streams() {
     assert_eq!(report.frames, 24);
 }
 
+/// One two-shard step over lanes with mixed gates: a frame joins the
+/// unit of its home shard whose options equal its lane's, units come in
+/// first-seen order, and lanes with equal options share a unit without
+/// moving any output off per-frame `infer`.
+#[test]
+fn a_step_groups_frames_by_home_shard_and_equal_options() {
+    use ecofusion_core::InferenceOptions;
+    use ecofusion_trace::{ArgValue, EventKind, TraceSink, Track};
+    use GateKind::{Attention, Deep, Knowledge};
+
+    // Lane `l`'s home shard is `l % 2`. Lanes 0 and 2 (shard 0) and
+    // lanes 1 and 5 (shard 1) have equal options; lane 3 has lane 0's
+    // options on the other shard.
+    let gates = [Attention, Knowledge, Attention, Attention, Deep, Knowledge];
+    let specs: Vec<StreamSpec> = (0..gates.len())
+        .map(|i| {
+            let opts = InferenceOptions::new(0.01, 0.5).with_gate(gates[i]);
+            StreamSpec::new(300 + i as u64, GRID).with_opts(opts)
+        })
+        .collect();
+    assert_eq!(specs[0].base_opts, specs[2].base_opts);
+    assert_eq!(specs[1].base_opts, specs[5].base_opts);
+    let frames_per_lane = 2;
+    let cfg = RuntimeConfig { max_batch: 12, ..RuntimeConfig::default() }.with_shards(2);
+    let mut server = PerceptionServer::new(model(57), &specs, cfg);
+    server.set_tracer(TraceSink::with_capacity(4096));
+    for (i, spec) in specs.iter().enumerate() {
+        for frame in VehicleStream::new(*spec).generate(frames_per_lane) {
+            server.ingest(i, frame);
+        }
+    }
+    let stats = server.process_step_stats().unwrap();
+    assert_eq!(stats.frames, 12);
+    assert_eq!(stats.units, 4);
+    assert_eq!(stats.batch_sizes, vec![4, 4, 2, 2]);
+
+    // Unit spans, in unit order: home shard and each frame's lane.
+    let sink = server.tracer().unwrap();
+    let units: Vec<(Track, String)> = sink
+        .events()
+        .filter(|e| e.name == "unit" && e.kind == EventKind::Begin)
+        .map(|e| match e.arg("streams") {
+            Some(ArgValue::Text(lanes)) => (e.track, lanes.clone()),
+            other => panic!("a unit span lists its lanes: {other:?}"),
+        })
+        .collect();
+    let expected = [(0, "0,2,0,2"), (1, "1,5,1,5"), (1, "3,3"), (0, "4,4")];
+    assert_eq!(units, expected.map(|(shard, lanes)| (Track::Shard(shard), lanes.to_string())));
+    for lane in 0..specs.len() {
+        let holding = units
+            .iter()
+            .filter(|(_, lanes)| lanes.split(',').any(|l| l == lane.to_string()))
+            .count();
+        assert_eq!(holding, 1, "lane {lane}'s frames sit in exactly one unit");
+    }
+
+    let mut twin = model(57);
+    for (i, spec) in specs.iter().enumerate() {
+        let expected: Vec<InferenceOutput> = VehicleStream::new(*spec)
+            .generate(frames_per_lane)
+            .iter()
+            .map(|f| twin.infer(f, &spec.base_opts).unwrap())
+            .collect();
+        let telemetry = server.telemetry(i);
+        let spans: Vec<_> = sink
+            .events()
+            .filter(|e| e.track == Track::Stream(i as u32) && e.name == "frame")
+            .filter(|e| e.kind == EventKind::Begin)
+            .collect();
+        assert_eq!(spans.len(), frames_per_lane, "lane {i}");
+        for (k, out) in expected.iter().enumerate() {
+            assert_eq!(telemetry.selected_configs()[k], out.selected_config, "lane {i} frame {k}");
+            assert_eq!(
+                format!("{:?}", telemetry.detections()[k]),
+                format!("{:?}", out.detections),
+                "lane {i} frame {k}: detections"
+            );
+            let trace = &out.stage_trace;
+            let energy = spans[k].arg_f64("energy_j").unwrap();
+            let latency = spans[k].arg_f64("latency_ms").unwrap();
+            assert_eq!(energy.to_bits(), trace.total_energy().joules().to_bits(), "lane {i}");
+            assert_eq!(latency.to_bits(), trace.total_latency().millis().to_bits(), "lane {i}");
+        }
+    }
+}
+
 /// Clean streams with fault-aware gating enabled behave bit-identically
 /// to streams without it: the monitor stays healthy, the mask stays
 /// all-available, and every decision matches.

@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn empty_sink_exports_empty_trace() {
-        let json = chrome_trace_json(&TraceSink::disabled());
+        let json = chrome_trace_json(&TraceSink::with_capacity(1));
         let doc: Value = serde_json::from_str(&json).unwrap();
         let events = doc
             .as_map()

@@ -9,9 +9,8 @@
 //! * [`TraceSink`] — a bounded ring buffer of [`Event`]s. When full it
 //!   drops the oldest event and counts the drop ([`TraceSink::dropped`]),
 //!   so a long-lived server records the most recent window — a flight
-//!   recorder, not an unbounded log. A disabled sink
-//!   ([`TraceSink::disabled`]) rejects every emission at the first branch,
-//!   so instrumented code costs nothing when tracing is off.
+//!   recorder, not an unbounded log. Tracing is off when no sink is
+//!   installed: the runtime then builds no event at all.
 //! * [`Event`] / [`Track`] — span begin/end, instant, and counter events,
 //!   each on a track: one per vehicle stream, one per worker shard, one
 //!   for the global scheduler.

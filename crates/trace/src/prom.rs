@@ -66,7 +66,7 @@ mod tests {
 
     #[test]
     fn sink_health_series_always_present() {
-        let text = prometheus_snapshot(&TraceSink::disabled());
+        let text = prometheus_snapshot(&TraceSink::with_capacity(1));
         assert!(text.contains("ecofusion_trace_dropped_events_total 0"));
         assert!(text.contains("ecofusion_trace_events_total 0"));
     }

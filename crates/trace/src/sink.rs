@@ -9,10 +9,6 @@ use std::collections::{BTreeMap, VecDeque};
 ///   full ring evicts the oldest event and increments
 ///   [`TraceSink::dropped`]. The retained window is always the *most
 ///   recent* events, as a flight recorder keeps them.
-/// * **Zero overhead when disabled**: every emission method returns at
-///   its first branch on a disabled sink; the runtime's recorder never
-///   calls one unless [`TraceSink::is_enabled`], so it builds no
-///   arguments either.
 /// * **Single-writer**: the runtime only emits from the scheduler's
 ///   serial phases, so the sink needs no locks or atomics (see the crate
 ///   docs for why this also makes event order deterministic).
@@ -22,9 +18,8 @@ use std::collections::{BTreeMap, VecDeque};
 /// (labels included), never evicted, so the
 /// [`prometheus_snapshot`](crate::prometheus_snapshot) stays exact over
 /// the whole run even after the ring has wrapped many times.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TraceSink {
-    enabled: bool,
     capacity: usize,
     events: VecDeque<Event>,
     dropped: u64,
@@ -33,25 +28,20 @@ pub struct TraceSink {
 }
 
 impl TraceSink {
-    /// An enabled sink retaining at most `capacity` events.
+    /// A sink retaining at most `capacity` events.
     ///
     /// # Panics
-    /// Panics if `capacity` is zero (an enabled sink that can hold
-    /// nothing is always a caller bug).
+    /// Panics if `capacity` is zero (a sink that can hold nothing is
+    /// always a caller bug).
     pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "an enabled sink needs a nonzero capacity");
-        TraceSink { enabled: true, capacity, ..TraceSink::default() }
-    }
-
-    /// A disabled sink: every emission is a no-op, nothing allocates.
-    pub fn disabled() -> Self {
-        TraceSink::default()
-    }
-
-    /// Whether emissions are recorded. The runtime arms its recorder on
-    /// this, so a disabled sink costs one branch per hook.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+        assert!(capacity > 0, "a sink needs a nonzero capacity");
+        TraceSink {
+            capacity,
+            events: VecDeque::new(),
+            dropped: 0,
+            next_seq: 0,
+            metrics: BTreeMap::new(),
+        }
     }
 
     /// Maximum events retained.
@@ -132,9 +122,6 @@ impl TraceSink {
     /// labels included, e.g. `ecofusion_frames_total{stream="0"}`). Only
     /// a series' first bump allocates its name.
     pub fn bump(&mut self, series: &str, delta: f64) {
-        if !self.enabled {
-            return;
-        }
         match self.metrics.get_mut(series) {
             Some(value) => *value += delta,
             None => _ = self.metrics.insert(series.to_string(), 0.0 + delta),
@@ -149,9 +136,6 @@ impl TraceSink {
         kind: EventKind,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        if !self.enabled {
-            return;
-        }
         if self.events.len() >= self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -195,21 +179,6 @@ mod tests {
         fill(&mut sink, 4);
         assert_eq!(sink.len(), 4);
         assert_eq!(sink.dropped(), 0);
-    }
-
-    #[test]
-    fn disabled_sink_records_and_allocates_nothing() {
-        let mut sink = TraceSink::disabled();
-        assert!(!sink.is_enabled());
-        fill(&mut sink, 100);
-        sink.begin(Track::Stream(0), 0, "frame", vec![("k", ArgValue::U64(1))]);
-        sink.end(Track::Stream(0), 1, "frame");
-        sink.counter(Track::Scheduler, 0, "queued", 3.0);
-        sink.bump("ecofusion_frames_total", 1.0);
-        assert!(sink.is_empty());
-        assert_eq!(sink.dropped(), 0);
-        assert_eq!(sink.total_emitted(), 0);
-        assert!(sink.metrics().is_empty());
     }
 
     #[test]

@@ -132,9 +132,8 @@
 //! steps and work units, budget-ladder moves, knowledge-gate
 //! fallbacks, sensor-health transitions, and fault activations. Export
 //! with [`trace::chrome_trace_json`] (load in Perfetto) or
-//! [`trace::prometheus_snapshot`]; with no sink installed (or a
-//! [`trace::TraceSink::disabled`] one) every hook is a branch on a
-//! `bool` — gated bench numbers are unchanged, which CI asserts. See
+//! [`trace::prometheus_snapshot`]; with no sink installed every hook is
+//! one branch — gated bench numbers are unchanged, which CI asserts. See
 //! `examples/trace_observability.rs`, and `bench_report --trace DIR`, which
 //! writes one Chrome trace and one snapshot per workload suite.
 
